@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-short test-race chaos bench bench-serving bench-obs bench-peer bench-dir bench-loadgen bench-overload bench-prefetch loadgen-smoke obs-smoke overload-smoke prefetch-smoke experiments experiments-quick fuzz fuzz-short clean
+.PHONY: all build vet lint test test-short test-race chaos benchmark benchmark-test bench bench-serving bench-obs bench-peer bench-dir bench-loadgen bench-overload bench-prefetch loadgen-smoke obs-smoke overload-smoke prefetch-smoke experiments experiments-quick fuzz fuzz-short clean
 
-all: build lint test test-race chaos fuzz-short obs-smoke overload-smoke loadgen-smoke prefetch-smoke
+all: build lint test test-race chaos fuzz-short obs-smoke overload-smoke loadgen-smoke prefetch-smoke benchmark-test
 
 build:
 	$(GO) build ./...
@@ -43,6 +43,35 @@ test-race:
 chaos:
 	$(GO) test -count=3 -run 'Chaos' ./internal/icache/ ./internal/rpc/ ./internal/dkv/
 	$(GO) test -count=3 -race -run 'Chaos' ./internal/icache/ ./internal/rpc/ ./internal/dkv/
+
+# The repository's one benchmark (BENCHMARK.json): the four workloads through
+# benchmark/run.sh at the contract's run length, untraced, printing the three
+# end-to-end metrics of each. BENCHMARK_SEED picks the workload seed. To
+# compare two commits, run this in a checkout of each (see benchmark/README.md).
+BENCHMARK_SEED ?= 1
+benchmark:
+	@for w in train_epochs hit_storm peer_churn overload_steps; do \
+		echo "== $$w"; \
+		out=$$(bash benchmark/run.sh --workload $$w --seed $(BENCHMARK_SEED) --seconds 25 --trace 0) \
+			|| { echo "$$out"; exit 1; }; \
+		echo "$$out" | grep -E '^(samples_per_s|batch_p50_ms|setup_s) '; \
+	done
+
+# The benchmark is a module of its own (benchmark/go.mod), so the root
+# `go test ./...` never reaches its tests; `make all` does, last.
+#
+# KNOWN RED since the concurrent miss gather (PR 13): TestSmoke fails on
+# train_epochs, untraced AND traced, with "used ~1.45 CPU-seconds per wall
+# second; it is meant to be I/O-bound" (parent: ~0.2). At test scale that
+# workload charges a nominal 50 us per backend read; once a request's reads
+# overlap, a batch waits ~0.5 ms on I/O against ~2 ms of CPU work, so the
+# smoke run is CPU-bound on this stack (10x the parent's samples/s) and the
+# workload's own regime check says so. The full-scale workload (500 us)
+# passes at ~0.73. The fix is re-sizing the smoke run (or its check) under
+# benchmark/, which only a `benchmark` PR may touch (EXPERIMENTS.md, "On the
+# wire"). It is in `all` so the failure is seen, not skipped.
+benchmark-test:
+	cd benchmark && $(GO) test ./...
 
 # One testing.B benchmark per paper table/figure (quick scale).
 bench:

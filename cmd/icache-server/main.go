@@ -103,7 +103,7 @@ func main() {
 		leaseTTL  = flag.Duration("lease-ttl", 10*time.Second, "distributed mode: membership lease duration in the directory")
 		beatEvery = flag.Duration("heartbeat-interval", 0, "distributed mode: lease renewal period (default lease-ttl/4)")
 		scrubEvry = flag.Duration("scrub-interval", 0, "distributed mode: anti-entropy scrub period (default lease-ttl/2)")
-		peerBatch = flag.Int("peer-batch", 256, "distributed mode: max remote misses per batched peer read RPC; 0 falls back to serial per-sample peer reads")
+		peerBatch = flag.Int("peer-batch", 256, "distributed mode: max remote misses per batched peer read RPC; 0 falls back to per-sample directory lookups and peer reads")
 		peerInfl  = flag.Int("peer-inflight", 0, "distributed mode: max in-flight frames per multiplexed peer connection (0 selects the client default)")
 		maxInfl   = flag.Int("max-inflight", 0, "admission control: max concurrently admitted requests before shedding (0 disables the cap)")
 		targetQD  = flag.Duration("target-queue-delay", 0, "admission control: standing queue delay that triggers brownout/shedding, CoDel-style (0 disables the delay ladder)")

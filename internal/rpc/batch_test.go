@@ -276,8 +276,9 @@ func TestInteropLegacyPeerDegradesToSerial(t *testing.T) {
 }
 
 // TestBatchedMissCoalescing is the K-concurrent-misses test for the
-// scatter-gather path: with distribution enabled (which routes getBatch
-// through collectBatched), many clients storming the same uncached samples
+// scatter-gather path: with distribution enabled (which puts the peer
+// scatter in front of the backend gather), many clients storming the same
+// uncached samples
 // must coalesce onto one backend fetch per sample via the singleflight
 // Begin/Finish orchestration, and every client must still receive correct
 // bytes.
@@ -353,46 +354,73 @@ func TestBatchedMissCoalescing(t *testing.T) {
 	}
 }
 
-// TestBatchedDuplicateIDsInOneBatch guards the dedupe in collectBatched: a
+// TestBatchedDuplicateIDsInOneBatch guards the dedupe in the miss collector
+// on every deployment shape that reaches it — a lone server, the batched
+// peer plane, and the per-sample peer flow (PeerConfig.Batch == 0): a
 // mini-batch repeating the same uncached id must not deadlock the request
 // goroutine against its own singleflight key, and every position must be
 // filled.
 func TestBatchedDuplicateIDsInOneBatch(t *testing.T) {
-	srv := newUnstartedServer(t, nil, -1)
-	srv.EnableDistributed(0, dkv.Local{Dir: dkv.NewDirectory()}, nil)
-	addr := serveOn(t, srv)
-	spec := testSpec()
+	for _, tc := range []struct {
+		name  string
+		setup func(*Server)
+	}{
+		{"lone", func(*Server) {}},
+		{"distributed", func(srv *Server) {
+			srv.EnableDistributed(0, dkv.Local{Dir: dkv.NewDirectory()}, nil)
+		}},
+		{"distributed-batch0", func(srv *Server) {
+			srv.EnableDistributed(0, dkv.Local{Dir: dkv.NewDirectory()}, nil)
+			srv.SetPeerConfig(PeerConfig{Batch: 0})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// No prefetch pool: a worker joining one of the request's fetches
+			// would be a genuine coalesced miss and blur the count below.
+			srv := newUnstartedServer(t, nil, 0)
+			tc.setup(srv)
+			addr := serveOn(t, srv)
+			spec := testSpec()
 
-	c := dial(t, addr)
-	if err := c.UpdateImportance([]sampling.Item{{ID: 2, IV: 9}, {ID: 9, IV: 9}}); err != nil {
-		t.Fatal(err)
-	}
-	ids := []dataset.SampleID{2, 2, 9, 9, 2}
-	done := make(chan struct{})
-	var samples []Sample
-	var err error
-	go func() {
-		samples, err = c.GetBatch(ids)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("GetBatch with duplicate ids hung (self-deadlock in the miss orchestration)")
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) != len(ids) {
-		t.Fatalf("got %d samples for %d requests", len(samples), len(ids))
-	}
-	for i, s := range samples {
-		if s.ID != ids[i] {
-			t.Fatalf("position %d: H-sample %d substituted with %d", i, ids[i], s.ID)
-		}
-		if err := spec.VerifyPayload(s.ID, s.Payload); err != nil {
-			t.Fatal(err)
-		}
+			c := dial(t, addr)
+			if err := c.UpdateImportance([]sampling.Item{{ID: 2, IV: 9}, {ID: 9, IV: 9}}); err != nil {
+				t.Fatal(err)
+			}
+			// 1500 is outside the H-list: an uncached L-request, so duplicates
+			// that the policy never admits are covered too.
+			ids := []dataset.SampleID{2, 2, 9, 1500, 9, 2, 1500}
+			done := make(chan struct{})
+			var samples []Sample
+			var err error
+			go func() {
+				samples, err = c.GetBatch(ids)
+				close(done)
+			}()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("GetBatch with duplicate ids hung (self-deadlock in the miss orchestration)")
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(samples) != len(ids) {
+				t.Fatalf("got %d samples for %d requests", len(samples), len(ids))
+			}
+			for i, s := range samples {
+				if ids[i] != 1500 && s.ID != ids[i] {
+					t.Fatalf("position %d: H-sample %d substituted with %d", i, ids[i], s.ID)
+				}
+				if err := spec.VerifyPayload(s.ID, s.Payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The repeats joined calls the request itself led and shared
+			// nobody else's fetch.
+			if n := srv.CoalescedMisses(); n != 0 {
+				t.Errorf("coalesced misses = %d for a request's own duplicate ids, want 0", n)
+			}
+		})
 	}
 }
 

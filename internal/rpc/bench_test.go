@@ -133,6 +133,42 @@ func BenchmarkServeConcurrent(b *testing.B) {
 	}
 }
 
+// BenchmarkMissGather is the miss path's layer microbenchmark: one request
+// goroutine calls getBatch (policy verdict + the miss collector, no wire)
+// with a batch in which EVERY sample is a backend miss, against a byte
+// source charging a fixed latency per read. ms/batch against misses ×
+// latency shows what the gather hides (64 misses at 500µs: 64 latencies
+// serially, ⌈64/missFanout⌉ gathered); the zero-latency rows and the 1-miss
+// rows price its overhead — worker 0 is the request goroutine, so one miss
+// must cost what the serial loop did. getBatch's signature predates the
+// gather, so this file runs unchanged against the parent commit.
+func BenchmarkMissGather(b *testing.B) {
+	for _, latency := range []time.Duration{0, 500 * time.Microsecond} {
+		for _, misses := range []int{1, 8, 64} {
+			b.Run(fmt.Sprintf("misses=%d/latency=%s", misses, latency), func(b *testing.B) {
+				srv, _, src := benchServer(b, latency)
+				n := src.Spec().NumSamples
+				ids := make([]dataset.SampleID, misses)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for j := range ids {
+						ids[j] = dataset.SampleID((i*misses + j) % n)
+					}
+					if _, err := srv.getBatch(ids, obs.TraceCtx{}, time.Time{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				if got := atomic.LoadInt64(&src.fetches); got != int64(b.N*misses) {
+					b.Fatalf("%d backend reads for %d requested samples: not an all-miss workload", got, b.N*misses)
+				}
+				b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/batch")
+			})
+		}
+	}
+}
+
 // discardConn satisfies net.Conn over a sink — the server-side hit-path
 // benchmark drives the vectored serving path against it so the measurement
 // isolates serve-side work (no client, no loopback socket).

@@ -3,7 +3,6 @@ package rpc
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,7 +13,6 @@ import (
 	"icache/internal/obs"
 	"icache/internal/overload"
 	"icache/internal/retry"
-	"icache/internal/singleflight"
 	"icache/internal/trace"
 )
 
@@ -57,9 +55,9 @@ const opPeerGet = 6
 // -peer-inflight flags). SetPeerConfig installs it before Serve.
 type PeerConfig struct {
 	// Batch caps how many of a mini-batch's remote misses ride one
-	// opPeerGetBatch RPC. 0 disables batching entirely: the miss path
-	// falls back to the serial per-sample resolvePayload flow (the
-	// "before" mode of the bench-peer comparison).
+	// opPeerGetBatch RPC. 0 disables batching entirely: every miss asks the
+	// directory and its owner per sample (resolveRemote) from the backend
+	// gather (the "before" mode of the bench-peer comparison).
 	Batch int
 	// Inflight bounds in-flight frames per multiplexed peer connection
 	// (<= 0 selects the client default).
@@ -501,45 +499,41 @@ func (s *Server) handlePeerGetBatch(d *reader, e *buffer, ctx obs.TraceCtx) {
 	}
 }
 
-// resolveMissBatch is the scatter-gather heart of the batched miss path:
-// it resolves every singleflight key this request leads, using one
-// directory multi-lookup and one batched peer RPC per owning node, and
-// GUARANTEES every key is finished exactly once on all paths (a leaked
-// leader key would deadlock every waiter). Called with no server lock
-// held; all peer/directory I/O happens outside locks per the contract at
-// the top of this file.
-func (s *Server) resolveMissBatch(ids []dataset.SampleID, calls map[dataset.SampleID]*singleflight.Call, ctx obs.TraceCtx, dl time.Time) {
-	finish := func(id dataset.SampleID, p []byte, err error) {
-		s.flight.Finish(int64(id), calls[id], p, err)
-	}
-
+// scatterToPeers is the scatter half of the batched miss path: one directory
+// multi-lookup for keys (singleflight keys the request leads), then one
+// batched peer RPC per owning node. Keys a peer satisfied are finished here;
+// the rest — unowned, owned by this node, peer misses, peer or directory
+// failures — are returned for the backend gather, so every key is finished
+// exactly once between the two. Called with no server lock held.
+func (s *Server) scatterToPeers(keys []missKey, ctx obs.TraceCtx, dl time.Time) []missKey {
 	// Re-check the store under the flight happens-before edge: a racing
-	// fetch may have filled entries between the miss scan and our Begin.
-	var remaining []dataset.SampleID
-	for _, id := range ids {
-		if p, ok := s.payloads.get(id); ok {
-			finish(id, p, nil)
+	// fetch or prefetch may have filled entries between the miss scan and
+	// our Begin, and a fresh local copy beats a directory round trip.
+	remaining := make([]missKey, 0, len(keys))
+	for _, k := range keys {
+		if p, ok := s.payloads.get(k.id); ok {
+			s.flight.Finish(int64(k.id), k.c, p, nil)
 		} else {
-			remaining = append(remaining, id)
+			remaining = append(remaining, k)
 		}
 	}
-	if len(remaining) == 0 {
-		return
+	if keys = remaining; len(keys) == 0 {
+		return nil
 	}
 
 	// One directory round trip answers ownership for the whole batch. A
 	// directory failure degrades every id to a backend read (counted), the
-	// same way a failed per-sample Lookup used to.
+	// same way a failed per-sample Lookup does.
 	dist := s.dist
-	owners := s.dirLookupBatch(dist, remaining, ctx, dl)
+	owners := s.dirLookupBatch(dist, keyIDs(keys), ctx, dl)
 
-	local := make([]dataset.SampleID, 0, len(remaining))
-	groups := make(map[dkv.NodeID][]dataset.SampleID)
-	for i, id := range remaining {
+	local := make([]missKey, 0, len(keys))
+	groups := make(map[dkv.NodeID][]missKey)
+	for i, k := range keys {
 		if owners != nil && owners[i].Found && owners[i].Node != dist.nodeID {
-			groups[owners[i].Node] = append(groups[owners[i].Node], id)
+			groups[owners[i].Node] = append(groups[owners[i].Node], k)
 		} else {
-			local = append(local, id)
+			local = append(local, k)
 		}
 	}
 
@@ -549,7 +543,6 @@ func (s *Server) resolveMissBatch(ids []dataset.SampleID, calls map[dataset.Samp
 	// its misses and failures join the backend fallback list.
 	var wg sync.WaitGroup
 	var fbMu sync.Mutex
-	var fallback []dataset.SampleID
 	batchCap := dist.peerCfg.Batch
 	for node, group := range groups {
 		for start := 0; start < len(group); start += batchCap {
@@ -559,77 +552,57 @@ func (s *Server) resolveMissBatch(ids []dataset.SampleID, calls map[dataset.Samp
 			}
 			chunk := group[start:end]
 			wg.Add(1)
-			go func(node dkv.NodeID, chunk []dataset.SampleID) {
+			go func(node dkv.NodeID, chunk []missKey) {
 				defer wg.Done()
-				miss := s.peerFetchBatch(node, chunk, calls, ctx, dl)
+				miss := s.peerFetchBatch(node, chunk, ctx, dl)
 				if len(miss) > 0 {
 					fbMu.Lock()
-					fallback = append(fallback, miss...)
+					local = append(local, miss...)
 					fbMu.Unlock()
 				}
 			}(node, chunk)
 		}
 	}
 	wg.Wait()
-
-	// Gather the remainder from backend storage, in deterministic order.
-	local = append(local, fallback...)
-	sort.Slice(local, func(i, j int) bool { return local[i] < local[j] })
-	measure := s.obs.histsOn() || s.obs.tracing(ctx)
-	for _, id := range local {
-		var tFetch time.Time
-		if measure || s.plan != nil {
-			tFetch = time.Now()
-		}
-		p, err := s.source.Fetch(id)
-		if !tFetch.IsZero() {
-			dur := time.Since(tFetch)
-			if measure {
-				s.obs.backend.Record(dur)
-				s.span(trace.KindBackend, id, 0, ctx, dur)
-			}
-			if s.plan != nil && err == nil {
-				s.observeBackend(len(p), dur)
-			}
-		}
-		if err != nil {
-			finish(id, nil, err)
-			continue
-		}
-		atomic.AddInt64(&s.demandFetches, 1)
-		s.admit(id, p, provFetch)
-		finish(id, p, nil)
-	}
+	return local
 }
 
-// peerFetchBatch issues one opPeerGetBatch RPC to node for ids, finishing
+func keyIDs(keys []missKey) []dataset.SampleID {
+	ids := make([]dataset.SampleID, len(keys))
+	for i, k := range keys {
+		ids[i] = k.id
+	}
+	return ids
+}
+
+// peerFetchBatch issues one opPeerGetBatch RPC to node for keys, finishing
 // the singleflight key of every sample the peer returned (after dropping
 // any local duplicate copies under one policyMu hold — the no-duplication
-// hygiene of the serial path, amortized). It returns the ids the peer did
-// NOT satisfy; any transport failure degrades the whole chunk to the
+// hygiene of the per-sample path, amortized). It returns the keys the peer
+// did NOT satisfy; any transport failure degrades the whole chunk to the
 // backend, exactly like a failed per-sample PeerGet.
-func (s *Server) peerFetchBatch(node dkv.NodeID, ids []dataset.SampleID, calls map[dataset.SampleID]*singleflight.Call, ctx obs.TraceCtx, dl time.Time) []dataset.SampleID {
+func (s *Server) peerFetchBatch(node dkv.NodeID, keys []missKey, ctx obs.TraceCtx, dl time.Time) []missKey {
 	dist := s.dist
 	// An already-spent budget skips the peer RPC outright — the backend
 	// fallback still runs, because every singleflight key this chunk leads
 	// MUST be finished (waiters would deadlock otherwise); the response is
 	// late either way, so conservation beats a doomed round trip.
 	if !dl.IsZero() && !time.Now().Before(dl) {
-		return ids
+		return keys
 	}
 	peer, err := dist.peer(node)
 	if err != nil {
 		atomic.AddInt64(&dist.peerFailures, 1)
-		return ids
+		return keys
 	}
 	atomic.AddInt64(&dist.peerBatchRPCs, 1)
-	atomic.AddInt64(&dist.peerBatchSamples, int64(len(ids)))
+	atomic.AddInt64(&dist.peerBatchSamples, int64(len(keys)))
 	measure := s.obs.histsOn() || s.obs.tracing(ctx)
 	var t0 time.Time
 	if measure {
 		t0 = time.Now()
 	}
-	res, err := peer.PeerGetBatchDeadline(ids, ctx.Next(), dl)
+	res, err := peer.PeerGetBatchDeadline(keyIDs(keys), ctx.Next(), dl)
 	if measure {
 		dur := time.Since(t0)
 		s.obs.peerBatch.Record(dur)
@@ -644,29 +617,29 @@ func (s *Server) peerFetchBatch(node dkv.NodeID, ids []dataset.SampleID, calls m
 		if isConnFailure(err) {
 			dist.dropPeer(node, peer)
 		}
-		return ids
+		return keys
 	}
-	var hits, fallback []dataset.SampleID
-	for i, id := range ids {
+	var hits, fallback []missKey
+	for i, k := range keys {
 		if res[i] != nil {
-			hits = append(hits, id)
+			hits = append(hits, k)
 		} else {
-			fallback = append(fallback, id)
+			fallback = append(fallback, k)
 		}
 	}
 	if len(hits) > 0 {
 		// Owned elsewhere: this node must not keep duplicates. One short
 		// policyMu hold covers the whole chunk.
 		s.policyMu.Lock()
-		for _, id := range hits {
-			if s.cache.Drop(id) {
-				s.payloads.delete(id)
+		for _, k := range hits {
+			if s.cache.Drop(k.id) {
+				s.payloads.delete(k.id)
 			}
 		}
 		s.policyMu.Unlock()
-		for i, id := range ids {
+		for i, k := range keys {
 			if res[i] != nil {
-				s.flight.Finish(int64(id), calls[id], res[i], nil)
+				s.flight.Finish(int64(k.id), k.c, res[i], nil)
 			}
 		}
 		atomic.AddInt64(&dist.peerHits, int64(len(hits)))

@@ -336,8 +336,8 @@ func (p *prefetcher) worker() {
 			// Existence probe only — has() touches no payload bytes and takes
 			// no refcount, where a shared get would copy arena-resident bytes
 			// just to throw them away. The fetched payload itself is admitted
-			// through resolvePayload → admit → adopt: the fetch buffer becomes
-			// the slab with zero additional copies.
+			// through resolvePayloadProv → fetchOne → admit → adopt: the fetch
+			// buffer becomes the slab with zero additional copies.
 			if p.s.payloads.has(id) {
 				// The foreground (or an earlier prefetch) beat us to it.
 				if p.pendRemove(id) {

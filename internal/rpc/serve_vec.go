@@ -196,21 +196,15 @@ func (s *Server) getBatchPinned(ids []dataset.SampleID, ctx obs.TraceCtx, sc *se
 		return nil
 	}
 
-	// Miss path: a backend or peer round trip dwarfs allocation, so reuse
-	// the existing resolution machinery as-is. The returned samples align
-	// with missIDs (both paths preserve request order). Miss-path bytes are
-	// adopted slabs or remote buffers — safe without a pin.
+	// Miss path: a backend or peer round trip dwarfs allocation, so the
+	// misses go through the same collector as the copying path. The returned
+	// samples align with missIDs. Miss-path bytes are adopted slabs or remote
+	// buffers — safe without a pin.
 	missIDs := make([]dataset.SampleID, len(sc.missIdx))
 	for j, i := range sc.missIdx {
 		missIDs[j] = sc.served[i]
 	}
-	var samples []Sample
-	var err error
-	if dist := s.dist; dist != nil && dist.peerCfg.Batch > 0 {
-		samples, err = s.collectBatched(missIDs, ctx, dl)
-	} else {
-		samples, err = s.collectSerial(missIDs, ctx, histsOn, dl)
-	}
+	samples, err := s.collect(missIDs, ctx, dl)
 	if err != nil {
 		return err
 	}

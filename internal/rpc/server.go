@@ -24,7 +24,8 @@ import (
 // ByteSource supplies real sample payloads: storage.DataSource (generated
 // on demand) and storage.FileSource (a packed dataset file) both satisfy it.
 // Fetch must be safe for concurrent use: the serving path issues backend
-// reads from many request goroutines and the prefetch pool at once.
+// reads from many request goroutines (up to missFanout per request) and the
+// prefetch pool at once.
 type ByteSource interface {
 	Spec() dataset.Spec
 	Fetch(id dataset.SampleID) ([]byte, error)
@@ -805,20 +806,16 @@ func (s *Server) getBatch(ids []dataset.SampleID, ctx obs.TraceCtx, dl time.Time
 		}
 	}
 
-	histsOn := s.obs.histsOn()
 	s.policyMu.Lock()
 	var tLock time.Time
-	if histsOn {
+	if s.obs.histsOn() {
 		tLock = time.Now()
 	}
 	_, served := s.cache.FetchBatch(s.now(), ids)
 	s.policyMu.Unlock()
 	s.obs.policyLock.Since(tLock)
 
-	if dist := s.dist; dist != nil && dist.peerCfg.Batch > 0 {
-		return s.collectBatched(served, ctx, dl)
-	}
-	return s.collectSerial(served, ctx, histsOn, dl)
+	return s.collect(served, ctx, dl)
 }
 
 // deadlineExpired reports whether a request's budget has run out, counting
@@ -838,50 +835,39 @@ func (s *Server) deadlineExpired(dl time.Time) bool {
 	return true
 }
 
-// collectSerial resolves the served ids one at a time — the pre-batching
-// data plane, still used by lone servers and when the peer batch size is
-// configured to 0 (the serial escape hatch the before/after benchmark
-// compares against).
-func (s *Server) collectSerial(served []dataset.SampleID, ctx obs.TraceCtx, histsOn bool, dl time.Time) ([]Sample, error) {
-	out := make([]Sample, 0, len(served))
-	for _, id := range served {
-		var tHit time.Time
-		if histsOn {
-			tHit = time.Now()
-		}
-		payload, ok := s.payloads.get(id)
-		if ok {
-			s.obs.localHit.Since(tHit)
-			s.prefetch.noteHit(id)
-		} else {
-			var err error
-			payload, err = s.resolvePayload(id, ctx, dl)
-			if err != nil {
-				return nil, fmt.Errorf("rpc: backend fetch of sample %d: %w", id, err)
-			}
-		}
-		out = append(out, Sample{ID: id, Payload: payload})
-	}
-	return out, nil
+// missFanout bounds the backend reads ONE request keeps in flight. Total
+// backend concurrency is missFanout × in-flight requests (bounded by
+// overload.Gate.MaxInflight and muxServerInflight) plus the prefetch
+// workers. 16 is the measured value (BenchmarkMissGather, EXPERIMENTS.md);
+// it is deliberately not a knob.
+const missFanout = 16
+
+// missKey is one miss of a request: its position in the request and the
+// in-flight call it either leads (the request must then Finish c exactly
+// once) or waits on.
+type missKey struct {
+	id  dataset.SampleID
+	c   *singleflight.Call
+	pos int
 }
 
-// collectBatched is the scatter-gather data plane: local hits are served
-// from the payload store as usual, and ALL of the mini-batch's misses are
-// resolved together — one directory multi-lookup, one opPeerGetBatch RPC
-// per owning node (fanned out concurrently), backend reads for the rest —
-// with every miss registered in the singleflight layer first, so
-// concurrent requests (and the prefetch pool) for the same samples still
-// coalesce onto exactly one fetch and every waiter is satisfied exactly
-// once. See resolveMissBatch in peer.go for the fan-out itself.
-func (s *Server) collectBatched(served []dataset.SampleID, ctx obs.TraceCtx, dl time.Time) ([]Sample, error) {
+// collect is the one miss collector, shared by the copying path (getBatch)
+// and the pinned path (getBatchPinned): ids already in the payload store
+// are served from it, and ALL remaining ids are resolved together — every
+// miss registered in the singleflight layer first, so concurrent requests
+// (and the prefetch pool) for the same samples coalesce onto exactly one
+// fetch and every waiter is satisfied exactly once; the keys this request
+// leads are then resolved by resolveMissBatch (peer scatter-gather on a
+// distributed server, a bounded parallel backend gather for the rest).
+func (s *Server) collect(served []dataset.SampleID, ctx obs.TraceCtx, dl time.Time) ([]Sample, error) {
 	histsOn := s.obs.histsOn()
 	out := make([]Sample, len(served))
 
-	// Pass 1: local hits, and the deduplicated miss list. Duplicate ids in
-	// one batch must enter singleflight once — a second Begin on a key this
-	// goroutine already leads would deadlock it against itself.
-	var missIDs []dataset.SampleID
-	missSet := make(map[dataset.SampleID]struct{})
+	// Pass 1: local hits; every miss joins or leads the in-flight fetch of
+	// its id. Nothing is waited on until every key this request leads has
+	// been finished, so a duplicate id is safe: its second Begin joins the
+	// call the request itself leads, and is served like any other waiter.
+	var leads, waits []missKey
 	for i, id := range served {
 		var tHit time.Time
 		if histsOn {
@@ -893,102 +879,160 @@ func (s *Server) collectBatched(served []dataset.SampleID, ctx obs.TraceCtx, dl 
 			out[i] = Sample{ID: id, Payload: payload}
 			continue
 		}
-		if _, dup := missSet[id]; !dup {
-			missSet[id] = struct{}{}
-			missIDs = append(missIDs, id)
-		}
-	}
-	if len(missIDs) == 0 {
-		return out, nil
-	}
-
-	// Pass 2: join or lead the in-flight fetch for every miss. Keys led by
-	// another goroutine (or the prefetch pool) are only waited on; the keys
-	// we lead are resolved by the scatter-gather fan-out, which MUST finish
-	// every one of them (resolveMissBatch guarantees that on all paths).
-	calls := make(map[dataset.SampleID]*singleflight.Call, len(missIDs))
-	var leads []dataset.SampleID
-	for _, id := range missIDs {
 		c, leader := s.flight.Begin(int64(id))
-		calls[id] = c
-		if leader {
-			leads = append(leads, id)
+		if !leader {
+			waits = append(waits, missKey{id, c, i})
+			continue
 		}
-	}
-	if len(leads) > 0 {
-		// A demand miss that overtakes a queued-but-unstarted planned
-		// prefetch promotes it: this fetch becomes the one backend read and
-		// the plan entry is cancelled (the backend must not pay twice).
-		for _, id := range leads {
-			s.prefetch.noteDemand(id)
-		}
-		s.resolveMissBatch(leads, calls, ctx, dl)
+		leads = append(leads, missKey{id, c, i})
+		// A demand miss that overtakes a queued-but-unstarted prefetch
+		// promotes it: this fetch becomes the one backend read and the
+		// queued entry is cancelled (the backend must not pay twice).
+		s.prefetch.noteDemand(id)
 	}
 
-	// Pass 3: collect results. Every position whose id entered the miss set
-	// is filled from its call; pass-1 local hits keep their payloads. Calls
-	// we led are already finished (Wait returns immediately); foreign calls
-	// may still be in flight, and waiting on them is the coalescing win.
-	leadSet := make(map[dataset.SampleID]struct{}, len(leads))
-	for _, id := range leads {
-		leadSet[id] = struct{}{}
-	}
-	for i, id := range served {
-		if _, missed := missSet[id]; !missed {
-			continue // local hit from pass 1
+	// Pass 2: resolve the keys we lead. resolveMissBatch finishes every one
+	// of them exactly once on all paths, so these Waits return at once.
+	if len(leads) > 0 {
+		var tGather time.Time
+		if histsOn {
+			tGather = time.Now()
 		}
-		_, ours := leadSet[id]
+		s.resolveMissBatch(leads, ctx, dl)
+		s.obs.missGather.Since(tGather)
+	}
+	for _, k := range leads {
+		payload, err := k.c.Wait()
+		if err != nil {
+			return nil, fmt.Errorf("rpc: backend fetch of sample %d: %w", k.id, err)
+		}
+		out[k.pos] = Sample{ID: k.id, Payload: payload}
+	}
+
+	// Pass 3: the calls someone else leads (another request, the prefetch
+	// pool) may still be in flight; waiting on them is the coalescing win.
+	// A duplicate id of this request joined a call the request itself led:
+	// it is already finished and shared nobody else's fetch, so it is
+	// neither counted nor timed.
+	var own map[*singleflight.Call]bool
+	if len(waits) > 0 && len(leads) > 0 {
+		own = make(map[*singleflight.Call]bool, len(leads))
+		for _, k := range leads {
+			own[k.c] = true
+		}
+	}
+	for _, k := range waits {
+		shared := !own[k.c]
 		var tWait time.Time
-		if !ours && histsOn {
+		if shared && histsOn {
 			tWait = time.Now()
 		}
-		payload, err := calls[id].Wait()
+		payload, err := k.c.Wait()
 		if err != nil {
-			return nil, fmt.Errorf("rpc: backend fetch of sample %d: %w", id, err)
+			return nil, fmt.Errorf("rpc: backend fetch of sample %d: %w", k.id, err)
 		}
-		if !ours {
+		if shared {
 			atomic.AddInt64(&s.coalescedMisses, 1)
 			s.obs.sfWait.Since(tWait)
 		}
-		out[i] = Sample{ID: id, Payload: payload}
+		out[k.pos] = Sample{ID: k.id, Payload: payload}
 	}
 	return out, nil
 }
 
-// resolvePayload produces the bytes for a sample whose payload is not in
-// the store, without holding any lock. Concurrent misses on the same
-// sample — from request goroutines or the prefetch pool — are coalesced:
-// one goroutine runs the fetch (peer cache first in distributed mode, then
-// the backend), the rest wait and share its result. ctx is the trace
-// context of the request driving this fetch (zero for untraced requests
-// and prefetch work); when a traced request joins another request's
-// in-flight fetch, the executing request's context owns the spans.
-func (s *Server) resolvePayload(id dataset.SampleID, ctx obs.TraceCtx, dl time.Time) ([]byte, error) {
-	return s.resolvePayloadProv(id, ctx, dl, provFetch)
+// resolveMissBatch resolves every singleflight key this request leads and
+// GUARANTEES each is finished exactly once on all paths (a leaked leader
+// key would deadlock every waiter). Called with no server lock held; all
+// peer, directory and backend I/O happens outside locks.
+func (s *Server) resolveMissBatch(keys []missKey, ctx obs.TraceCtx, dl time.Time) {
+	// A peer's cache is cheaper than the backend (§III-E flow: local cache →
+	// directory → remote cache → storage); a lone server is simply the case
+	// with no directory step. PeerConfig.Batch == 0 asks per sample instead.
+	askPeers := !s.batchedPeers()
+	if !askPeers {
+		keys = s.scatterToPeers(keys, ctx, dl)
+	}
+
+	// Gather what no peer satisfied from the backend: a bounded set of
+	// workers pulls from a shared index, the request goroutine being worker
+	// 0, so a one-miss request spawns nothing (and allocates nothing for the
+	// fan-out) and an N-miss request sleeps through ⌈N/missFanout⌉ backend
+	// latencies instead of N.
+	if len(keys) == 1 {
+		s.fetchLed(keys[0], ctx, dl, askPeers)
+		return
+	}
+	var next int64
+	work := func() {
+		for {
+			i := int(atomic.AddInt64(&next, 1)) - 1
+			if i >= len(keys) {
+				return
+			}
+			s.fetchLed(keys[i], ctx, dl, askPeers)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < len(keys) && w < missFanout; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
-// resolvePayloadProv is resolvePayload carrying the admission provenance
-// of the caller (foreground fetch vs. prefetch worker). When callers with
-// different provenance coalesce onto one flight, the executor's provenance
-// wins — attribution is per fetch, not per waiter.
+// fetchLed reads one led key from the backend and finishes it. askPeers is
+// false for keys scatterToPeers has already asked the directory about.
+func (s *Server) fetchLed(k missKey, ctx obs.TraceCtx, dl time.Time, askPeers bool) {
+	p, err := s.fetchOne(k.id, ctx, dl, provFetch, askPeers)
+	s.flight.Finish(int64(k.id), k.c, p, err)
+}
+
+// batchedPeers reports whether demand misses take the scatter-gather peer
+// plane (one directory multi-lookup + one opPeerGetBatch per owning node).
+// PeerConfig.Batch == 0 keeps the per-sample resolveRemote flow instead.
+func (s *Server) batchedPeers() bool { return s.dist != nil && s.dist.peerCfg.Batch > 0 }
+
+// resolvePayloadProv produces the bytes for one sample whose payload is not
+// in the store — the single-key entry to the miss path, used by the prefetch
+// workers and the planner. It coalesces with concurrent request misses on
+// the same sample: one goroutine runs the fetch, the rest wait and share
+// its result. prov is the admission provenance of the caller; when callers
+// with different provenance coalesce onto one flight, the executor's
+// provenance wins — attribution is per fetch, not per waiter.
 func (s *Server) resolvePayloadProv(id dataset.SampleID, ctx obs.TraceCtx, dl time.Time, prov admitProv) ([]byte, error) {
 	var tWait time.Time
 	if s.obs.histsOn() {
 		tWait = time.Now()
 	}
 	payload, err, shared := s.flight.Do(int64(id), func() ([]byte, error) {
-		// Re-check under the flight lock's happens-before edge: a racing
-		// fetch may have filled the store between our miss and our turn.
-		if p, ok := s.payloads.get(id); ok {
-			return p, nil
-		}
-		if prov != provPrefetch {
-			// A demand fetch executing for this sample promotes any
-			// queued-but-unstarted planned prefetch (see noteDemand).
-			s.prefetch.noteDemand(id)
-		}
-		// A peer's cache is cheaper than the backend (§III-E flow:
-		// local cache → directory → remote cache → storage).
+		return s.fetchOne(id, ctx, dl, prov, true)
+	})
+	if shared {
+		atomic.AddInt64(&s.coalescedMisses, 1)
+		// Only shared callers waited on someone else's fetch; the executor's
+		// time is the backend/peer stage itself.
+		s.obs.sfWait.Since(tWait)
+	}
+	return payload, err
+}
+
+// fetchOne is the one backend-read block: it produces the bytes of a sample
+// whose singleflight key the caller leads, without holding any lock, and
+// admits them. ctx is the trace context of the request driving the fetch
+// (zero for untraced requests and prefetch work). askPeers tries the owning
+// peer's cache first, per sample (a no-op on a lone server); the batched
+// collector clears it for keys it has already scattered.
+func (s *Server) fetchOne(id dataset.SampleID, ctx obs.TraceCtx, dl time.Time, prov admitProv, askPeers bool) ([]byte, error) {
+	// Re-check under the flight's happens-before edge: a racing fetch may
+	// have filled the store between the caller's miss and its Begin.
+	if p, ok := s.payloads.get(id); ok {
+		return p, nil
+	}
+	if askPeers {
 		if remote, ok := s.resolveRemote(id, ctx, dl); ok {
 			// Owned elsewhere: this node must not keep a duplicate.
 			s.policyMu.Lock()
@@ -998,38 +1042,43 @@ func (s *Server) resolvePayloadProv(id dataset.SampleID, ctx obs.TraceCtx, dl ti
 			s.policyMu.Unlock()
 			return remote, nil
 		}
-		var tFetch time.Time
-		measure := s.obs.histsOn() || s.obs.tracing(ctx)
-		if measure || s.plan != nil {
-			tFetch = time.Now()
-		}
-		p, err := s.source.Fetch(id)
-		if !tFetch.IsZero() {
-			dur := time.Since(tFetch)
-			if measure {
-				s.obs.backend.Record(dur)
-				s.span(trace.KindBackend, id, 0, ctx, dur)
-			}
-			if s.plan != nil && err == nil {
-				s.observeBackend(len(p), dur)
-			}
-		}
-		if err != nil {
-			return nil, err
-		}
-		if prov != provPrefetch {
-			atomic.AddInt64(&s.demandFetches, 1)
-		}
-		s.admit(id, p, prov)
-		return p, nil
-	})
-	if shared {
-		atomic.AddInt64(&s.coalescedMisses, 1)
-		// Only shared callers waited on someone else's fetch; the executor's
-		// time is the backend/peer stage itself.
-		s.obs.sfWait.Since(tWait)
 	}
-	return payload, err
+	var tFetch time.Time
+	measure := s.obs.histsOn() || s.obs.tracing(ctx)
+	if measure || s.plan != nil {
+		tFetch = time.Now()
+	}
+	p, err := s.guardedFetch(id)
+	if !tFetch.IsZero() {
+		dur := time.Since(tFetch)
+		if measure {
+			s.obs.backend.Record(dur)
+			s.span(trace.KindBackend, id, 0, ctx, dur)
+		}
+		if s.plan != nil && err == nil {
+			s.observeBackend(len(p), dur)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	if prov != provPrefetch {
+		atomic.AddInt64(&s.demandFetches, 1)
+	}
+	s.admit(id, p, prov)
+	return p, nil
+}
+
+// guardedFetch is source.Fetch with a panic reported as the fetch's error:
+// ByteSource is the one piece of foreign code on the miss path, and a leader
+// that unwound past its Finish would hang every waiter on the key.
+func (s *Server) guardedFetch(id dataset.SampleID) (p []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			p, err = nil, fmt.Errorf("ByteSource.Fetch panicked: %v", r)
+		}
+	}()
+	return s.source.Fetch(id)
 }
 
 // admit stores a freshly fetched payload if the policy engine kept the
