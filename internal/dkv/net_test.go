@@ -107,7 +107,7 @@ func TestDirServerRejectsBadOpcode(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := wire.WriteFrame(conn, []byte{0xEE}); err != nil {
+	if err := wire.WritePayload(conn, []byte{0xEE}); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := wire.ReadFrame(conn)

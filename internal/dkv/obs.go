@@ -118,13 +118,13 @@ func (c *DirClient) LookupTraced(id dataset.SampleID, ctx obs.TraceCtx) (NodeID,
 	if !ctx.Valid() {
 		return c.Lookup(id)
 	}
-	var e wire.Buffer
+	e := wire.GetBuffer()
 	e.U8(opTraced)
 	e.I64(int64(ctx.ID))
 	e.U8(ctx.Hop)
 	e.U8(opLookup)
 	e.I64(int64(id))
-	d, err := c.roundTrip(e.B)
+	d, err := c.roundTrip(e)
 	if err != nil {
 		return 0, false, err
 	}
@@ -147,7 +147,7 @@ func (c *DirClient) LookupBatchTraced(ids []dataset.SampleID, ctx obs.TraceCtx) 
 	if len(ids) == 0 {
 		return nil, nil
 	}
-	var e wire.Buffer
+	e := wire.GetBuffer()
 	e.U8(opTraced)
 	e.I64(int64(ctx.ID))
 	e.U8(ctx.Hop)
@@ -156,7 +156,7 @@ func (c *DirClient) LookupBatchTraced(ids []dataset.SampleID, ctx obs.TraceCtx) 
 	for _, id := range ids {
 		e.I64(int64(id))
 	}
-	d, err := c.roundTrip(e.B)
+	d, err := c.roundTrip(e)
 	if err != nil {
 		return nil, err
 	}

@@ -115,7 +115,7 @@ func (c *DirClient) LookupBatchDeadline(ids []dataset.SampleID, dl time.Time) ([
 	if budget <= 0 {
 		return nil, errDirExpired
 	}
-	var e wire.Buffer
+	e := wire.GetBuffer()
 	e.U8(opDeadline)
 	e.I64(int64(budget))
 	e.U8(opLookupBatch)
@@ -123,7 +123,7 @@ func (c *DirClient) LookupBatchDeadline(ids []dataset.SampleID, dl time.Time) ([
 	for _, id := range ids {
 		e.I64(int64(id))
 	}
-	d, err := c.roundTripDeadline(e.B, dl)
+	d, err := c.roundTripDeadline(e, dl)
 	if err != nil {
 		return nil, err
 	}

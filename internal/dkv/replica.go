@@ -458,10 +458,10 @@ func decodeRingView(d *wire.Reader) (ReplicaID, RingView, error) {
 // answered the opcode with an error): the peer is alive but has no view to
 // merge.
 func (c *DirClient) RingViewExchange(sender ReplicaID, view RingView) (remote RingView, legacy bool, err error) {
-	var e wire.Buffer
+	e := wire.GetBuffer()
 	e.U8(opRingView)
-	encodeRingView(&e, sender, view)
-	d, err := c.roundTrip(e.B)
+	encodeRingView(e, sender, view)
+	d, err := c.roundTrip(e)
 	if err != nil {
 		if isServerError(err) {
 			return RingView{}, true, nil
@@ -479,14 +479,14 @@ func (c *DirClient) RingViewExchange(sender ReplicaID, view RingView) (remote Ri
 // for shards it no longer owns (max <= 0 defers to the server's cap). It
 // returns the server's drop count and current epoch.
 func (c *DirClient) Handoff(sender ReplicaID, view RingView, max int) (dropped int, epoch uint64, err error) {
-	var e wire.Buffer
+	e := wire.GetBuffer()
 	e.U8(opHandoff)
-	encodeRingView(&e, sender, view)
+	encodeRingView(e, sender, view)
 	if max < 0 {
 		max = 0
 	}
 	e.U32(uint32(max))
-	d, err := c.roundTrip(e.B)
+	d, err := c.roundTrip(e)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -162,15 +162,18 @@ func TestConnDropSeversBothEnds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// WriteFrame makes two writes (header+payload); drop on the 3rd write,
-	// i.e. the second frame's header.
-	in := New(1).Add(Rule{Op: OpConnWrite, From: 2, Action: ActDrop})
+	// A frame is one write, so write index == frame index: let the first
+	// frame through and drop the connection on the second.
+	in := New(1).Add(Rule{Op: OpConnWrite, From: 1, Action: ActDrop})
 	conn := WrapConn(raw, in)
-	if err := wire.WriteFrame(conn, []byte("ok")); err != nil {
+	if err := wire.WritePayload(conn, []byte("ok")); err != nil {
 		t.Fatalf("first write: %v", err)
 	}
-	if err := wire.WriteFrame(conn, []byte("ok")); err == nil {
+	if err := wire.WritePayload(conn, []byte("ok")); err == nil {
 		t.Fatal("dropped write succeeded")
+	}
+	if n := in.Calls(OpConnWrite); n != 2 {
+		t.Fatalf("two frames made %d writes, want one write per frame", n)
 	}
 	srv := <-accepted
 	defer srv.Close()
@@ -193,7 +196,7 @@ func TestConnCorruptDetectedByFraming(t *testing.T) {
 	in := New(1).Add(CorruptEvery(OpConnWrite, 1))
 	wc := WrapConn(client, in)
 	payload := []byte("the quick brown fox")
-	go func() { _ = wire.WriteFrame(wc, payload) }()
+	go func() { _ = wire.WritePayload(wc, payload) }()
 	server.SetReadDeadline(time.Now().Add(250 * time.Millisecond))
 	got, err := wire.ReadFrame(server)
 	if err == nil && reflect.DeepEqual(got, payload) {

@@ -431,7 +431,9 @@ func TestBatchedDuplicateIDsInOneBatch(t *testing.T) {
 // the stats delta equals the number of samples its clients requested, with
 // no sample double-counted or lost by the scatter-gather fan-out.
 func TestChaosMidBatchPeerDropConservation(t *testing.T) {
-	inj := faults.New(17).Add(faults.DropEvery(faults.OpConnRead, 5))
+	// One read per request frame on the owner's connections: every third
+	// frame it receives kills its connection.
+	inj := faults.New(17).Add(faults.DropEvery(faults.OpConnRead, 3))
 	f := startTracedDistFixture(t, inj)
 	spec := testSpec()
 

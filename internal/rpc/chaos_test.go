@@ -69,7 +69,9 @@ func startChaosServer(t *testing.T, inj *faults.Injector) (*Server, string) {
 // verify — a dropped connection may cost time, never data.
 func TestChaosClientSurvivesConnDrops(t *testing.T) {
 	leakcheck.Check(t)
-	inj := faults.New(3).Add(faults.DropEvery(faults.OpConnRead, 25))
+	// A request frame is one socket read (it was two, and the stride 25):
+	// the stride keeps a drop roughly every dozen requests.
+	inj := faults.New(3).Add(faults.DropEvery(faults.OpConnRead, 13))
 	_, addr := startChaosServer(t, inj)
 	spec := testSpec()
 
@@ -121,7 +123,7 @@ func TestChaosClientSurvivesConnDrops(t *testing.T) {
 func TestChaosManyClientsNoLostRequests(t *testing.T) {
 	leakcheck.Check(t)
 	inj := faults.New(7).Add(
-		faults.DropEvery(faults.OpConnRead, 60),
+		faults.DropEvery(faults.OpConnRead, 30), // per request frame: one read each
 		faults.DropEvery(faults.OpConnWrite, 45),
 	)
 	_, addr := startChaosServer(t, inj)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"sync"
@@ -80,11 +81,13 @@ type Client struct {
 	// Allow gates every round trip, Report feeds transport outcomes back.
 	breaker *overload.Breaker
 
-	// mu guards the serial transport's connection and the closed flag.
-	// Unlike the pre-mux client it is held across ONE exchange, not across
-	// the whole retry loop.
+	// mu guards the serial transport's connection, its frame reader and the
+	// closed flag. Unlike the pre-mux client it is held across ONE exchange,
+	// not across the whole retry loop. rd belongs to conn and is replaced or
+	// dropped with it: read-ahead from a dead connection answers nothing.
 	mu     sync.Mutex
 	conn   net.Conn
+	rd     *wire.FrameReader
 	closed bool
 
 	retries int64 // atomic: round trips that needed at least one retry
@@ -180,20 +183,19 @@ func DialConfigured(addr string, cfg DialConfig) (*Client, error) {
 		if err != nil {
 			return err
 		}
-		if c.muxDisabled {
-			c.conn = conn
-			return nil
+		rd := wire.NewFrameReader(conn)
+		if !c.muxDisabled {
+			caps, err := negotiate(conn, rd, cfg.Timeout)
+			if err != nil {
+				conn.Close()
+				return err
+			}
+			if caps&capMux != 0 {
+				atomic.StoreInt32(&c.useMux, 1)
+				c.mux = newMuxSession(conn, rd, c.muxInflight)
+			}
 		}
-		caps, err := negotiate(conn, cfg.Timeout)
-		if err != nil {
-			conn.Close()
-			return err
-		}
-		c.conn = conn
-		if caps&capMux != 0 {
-			atomic.StoreInt32(&c.useMux, 1)
-			c.mux = newMuxSession(conn, c.muxInflight)
-		}
+		c.conn, c.rd = conn, rd
 		return nil
 	})
 	if err != nil {
@@ -427,10 +429,17 @@ func (c *Client) oneShotSerial(req []byte, deadline time.Time) ([]byte, error) {
 		conn.SetDeadline(deadline)
 	}
 	atomic.AddInt64(&c.redials, 1)
-	if err := writeFrame(conn, req); err != nil {
+	return serialExchange(conn, conn, req) // one reply, then closed: no read-ahead needed
+}
+
+// serialExchange is one legacy-framing exchange: one frame out, one frame
+// back through r. A SetDeadline expiry is a (permanent) call timeout — the
+// response may still arrive, so the caller must not reuse the connection.
+func serialExchange(w io.Writer, r io.Reader, req []byte) ([]byte, error) {
+	if err := wire.WritePayload(w, req); err != nil {
 		return nil, fmt.Errorf("rpc: send: %w", err)
 	}
-	resp, err := readFrame(conn)
+	resp, err := wire.ReadFrame(r)
 	if err != nil {
 		if isTimeout(err) {
 			return nil, retry.Permanent(fmt.Errorf("rpc: receive: %w", errCallTimeout))
@@ -461,7 +470,8 @@ func (c *Client) muxSessionFor() (*muxSession, bool, error) {
 	if err != nil {
 		return nil, false, fmt.Errorf("rpc: redial %s: %w", c.addr, err)
 	}
-	caps, err := negotiate(conn, c.timeout)
+	rd := wire.NewFrameReader(conn)
+	caps, err := negotiate(conn, rd, c.timeout)
 	if err != nil {
 		conn.Close()
 		return nil, false, fmt.Errorf("rpc: redial %s: %w", c.addr, err)
@@ -474,7 +484,7 @@ func (c *Client) muxSessionFor() (*muxSession, bool, error) {
 		return nil, false, retry.Permanent(fmt.Errorf("rpc: client for %s is closed", c.addr))
 	}
 	old := c.conn
-	c.conn = conn
+	c.conn, c.rd = conn, rd
 	c.mu.Unlock()
 	if old != nil && old != conn {
 		old.Close()
@@ -483,7 +493,7 @@ func (c *Client) muxSessionFor() (*muxSession, bool, error) {
 		atomic.StoreInt32(&c.useMux, 0)
 		return nil, true, nil
 	}
-	c.mux = newMuxSession(conn, c.muxInflight)
+	c.mux = newMuxSession(conn, rd, c.muxInflight)
 	return c.mux, true, nil
 }
 
@@ -526,22 +536,16 @@ func (c *Client) serialAttempt(req []byte, redial bool, deadline time.Time) ([]b
 		c.conn.SetDeadline(deadline)
 		defer c.conn.SetDeadline(time.Time{})
 	}
-	if err := writeFrame(c.conn, req); err != nil {
-		return nil, fmt.Errorf("rpc: send: %w", err)
+	resp, err := serialExchange(c.conn, c.rd, req)
+	if errors.Is(err, errCallTimeout) {
+		// The connection is desynchronized, not dead: the request went out
+		// and its response will eventually arrive unread. Drop it, with the
+		// reader holding whatever part already arrived, so the next exchange
+		// dials fresh instead of decoding a stale frame.
+		c.conn.Close()
+		c.conn, c.rd = nil, nil
 	}
-	resp, err := readFrame(c.conn)
-	if err != nil {
-		if isTimeout(err) {
-			// The connection is desynchronized, not dead: the request went
-			// out and its response will eventually arrive unread. Drop it so
-			// the next exchange dials fresh instead of decoding a stale frame.
-			c.conn.Close()
-			c.conn = nil
-			return nil, retry.Permanent(fmt.Errorf("rpc: receive: %w", errCallTimeout))
-		}
-		return nil, fmt.Errorf("rpc: receive: %w", err)
-	}
-	return resp, nil
+	return resp, err
 }
 
 // isTimeout reports whether a transport error is a SetDeadline expiry.
@@ -559,7 +563,7 @@ func (c *Client) redialLocked() error {
 	if c.conn != nil {
 		c.conn.Close()
 	}
-	c.conn = conn
+	c.conn, c.rd = conn, wire.NewFrameReader(conn)
 	atomic.AddInt64(&c.redials, 1)
 	return nil
 }
@@ -678,7 +682,7 @@ func (c *Client) GetBatchFuncCtx(ctx context.Context, ids []dataset.SampleID, fn
 	for _, id := range ids {
 		e.I64(int64(id))
 	}
-	req := e.B
+	req := e.Payload()
 	tctx := c.beginTrace()
 	var t0 time.Time
 	if tctx.Valid() {

@@ -33,7 +33,8 @@ package rpc
 //
 // muxSession.mu (pending map) and muxSession.wmu (frame writes) are both
 // leaf locks: neither is ever held across network I/O of the OTHER path —
-// wmu is held across exactly one WriteFrame, mu across map access only.
+// wmu is held across exactly one WriteFrame (one write(2): prefix, envelope
+// and request leave together), mu across map access only.
 // The demux reader never takes wmu; writers never read. Result channels
 // are buffered (capacity 1) so the reader can always deliver without
 // blocking, even if the caller already gave up; a failed session closes
@@ -72,6 +73,10 @@ var muxChanPool = sync.Pool{New: func() interface{} { return make(chan muxResult
 // map is immutable after construction.
 type muxSession struct {
 	conn net.Conn
+	// rd is the connection's one frame reader, the one negotiate read its
+	// reply through (nothing read ahead is lost); only the demux reader
+	// touches it.
+	rd *wire.FrameReader
 
 	// wmu serializes frame writes (the "writer path"). Held across exactly
 	// one WriteFrame, never across a read.
@@ -91,11 +96,12 @@ type muxSession struct {
 	inflight chan struct{}
 }
 
-// newMuxSession starts the demux reader on conn. inflightCap <= 0 means
-// unbounded.
-func newMuxSession(conn net.Conn, inflightCap int) *muxSession {
+// newMuxSession starts the demux reader on conn, reading through rd (the
+// reader negotiate used). inflightCap <= 0 means unbounded.
+func newMuxSession(conn net.Conn, rd *wire.FrameReader, inflightCap int) *muxSession {
 	m := &muxSession{
 		conn:    conn,
+		rd:      rd,
 		pending: make(map[uint32]chan muxResult),
 		done:    make(chan struct{}),
 	}
@@ -148,7 +154,7 @@ func (m *muxSession) doOwned(req []byte, deadline time.Time) ([]byte, *wire.Buff
 	e.U32(id)
 	e.B = append(e.B, req...)
 	m.wmu.Lock()
-	err := wire.WriteFrame(m.conn, e.B)
+	err := wire.WriteFrame(m.conn, e)
 	m.wmu.Unlock()
 	wire.PutBuffer(e)
 	if err != nil {
@@ -197,7 +203,7 @@ func (m *muxSession) readLoop() {
 		// retain response bytes simply never recycle their buffer and the
 		// pool re-allocates — correctness never depends on the recycle.
 		e := wire.GetBuffer()
-		frame, err := wire.ReadFrameInto(m.conn, e.B[:cap(e.B)])
+		frame, err := wire.ReadFrameInto(m.rd, e.B[:cap(e.B)])
 		if err != nil {
 			m.fail(fmt.Errorf("rpc: mux receive: %w", err))
 			return
@@ -256,8 +262,9 @@ func (m *muxSession) close() {
 // serial ping exchange carrying the client's capability word. It reports
 // the server's capabilities (0 from a legacy server, whose bare statusOK
 // reply carries no capability word). The deadline bounds the exchange so a
-// black-holed server cannot hang Dial forever.
-func negotiate(conn net.Conn, timeout time.Duration) (uint32, error) {
+// black-holed server cannot hang Dial forever. The reply is read through rd,
+// the connection's frame reader, which the transport that follows keeps.
+func negotiate(conn net.Conn, rd *wire.FrameReader, timeout time.Duration) (uint32, error) {
 	if timeout > 0 {
 		conn.SetDeadline(time.Now().Add(timeout))
 		defer conn.SetDeadline(time.Time{})
@@ -265,10 +272,10 @@ func negotiate(conn net.Conn, timeout time.Duration) (uint32, error) {
 	var e buffer
 	e.u8(opPing)
 	e.u32(capMux)
-	if err := writeFrame(conn, e.payload()); err != nil {
+	if err := wire.WritePayload(conn, e.payload()); err != nil {
 		return 0, fmt.Errorf("rpc: handshake send: %w", err)
 	}
-	resp, err := readFrame(conn)
+	resp, err := wire.ReadFrame(rd)
 	if err != nil {
 		return 0, fmt.Errorf("rpc: handshake receive: %w", err)
 	}

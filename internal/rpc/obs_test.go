@@ -396,7 +396,9 @@ func TestTracedRequestFullHopChain(t *testing.T) {
 // conservation — and (b) the spans that were recorded still form coherent
 // chains: no fault may corrupt or cross-wire a trace context.
 func TestTracedChainSurvivesPeerFault(t *testing.T) {
-	inj := faults.New(17).Add(faults.DropEvery(faults.OpConnRead, 5))
+	// One read per request frame on the owner's connections: every third
+	// frame it receives kills its connection.
+	inj := faults.New(17).Add(faults.DropEvery(faults.OpConnRead, 3))
 	f := startTracedDistFixture(t, inj)
 
 	cA := dial(t, f.addrs[0])

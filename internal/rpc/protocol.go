@@ -12,7 +12,6 @@ package rpc
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"icache/internal/dataset"
@@ -90,11 +89,6 @@ const (
 	// before the server started (or finished) the work; the body is empty.
 	statusExpired = 3
 )
-
-// writeFrame and readFrame delegate to the shared wire framing.
-func writeFrame(w io.Writer, payload []byte) error { return wire.WriteFrame(w, payload) }
-
-func readFrame(r io.Reader) ([]byte, error) { return wire.ReadFrame(r) }
 
 // buffer and reader alias the shared wire encoder/decoder with the local
 // lower-case method names this file was written against.

@@ -1,6 +1,8 @@
 package rpc
 
 import (
+	"bytes"
+	"errors"
 	"net"
 	"testing"
 	"time"
@@ -10,6 +12,7 @@ import (
 	"icache/internal/retry"
 	"icache/internal/sampling"
 	"icache/internal/storage"
+	"icache/internal/wire"
 )
 
 // TestClientRidesThroughServerRestart kills the server between requests and
@@ -182,5 +185,127 @@ func TestClosedClientDoesNotRedial(t *testing.T) {
 	c.Close()
 	if err := c.Ping(); err == nil {
 		t.Fatal("closed client served a request")
+	}
+}
+
+// TestSerialClientTimeoutDiscardsReadAhead times a serial-transport call out
+// in the middle of its response: the first connection answers opStats with a
+// lie (Hits = 777) whose first bytes arrive inside the RPC timeout — so they
+// sit in the connection's read-ahead buffer when the call gives up — and
+// whose rest arrives after it; every later connection is the real server.
+// The next call must dial fresh and decode only the real server's answer:
+// the timeout drops the frame reader together with the connection.
+func TestSerialClientTimeoutDiscardsReadAhead(t *testing.T) {
+	srv, _, _ := startServer(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+
+	const early = 20 // the prefix and the first 16 of the 49 body bytes
+	timedOut := make(chan struct{})
+	staleSent := make(chan struct{})
+	go func() {
+		for i := 0; ; i++ {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			if i > 0 {
+				go srv.serveConn(conn)
+				continue
+			}
+			go func() {
+				defer conn.Close()
+				defer close(staleSent)
+				if _, err := wire.ReadFrame(conn); err != nil {
+					return
+				}
+				var lie bytes.Buffer
+				wire.WritePayload(&lie, encodeStatsResponse(Stats{Hits: 777})) // a bytes.Buffer cannot fail
+				conn.Write(lie.Next(early))
+				<-timedOut
+				conn.Write(lie.Bytes())
+			}()
+		}
+	}()
+
+	c, err := DialConfigured(ln.Addr().String(), DialConfig{Timeout: time.Second, Policy: noRetryPolicy(),
+		DisableMux: true, RPCTimeout: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	if _, err := c.Stats(); !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("stats against a stalled response: %v, want a deadline error", err)
+	}
+	close(timedOut)
+	<-staleSent // the rest of the lie is now queued on the old connection
+
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatalf("stats after the timeout: %v", err)
+	}
+	if st.Hits != 0 {
+		t.Fatalf("stats after the timeout report %d hits; the stale response leaked", st.Hits)
+	}
+	if _, redials := c.Resilience(); redials != 1 {
+		t.Fatalf("%d redials, want exactly the one the timeout forces", redials)
+	}
+}
+
+// TestHandshakeReadAheadReachesMuxSession pins the rule that a connection
+// has ONE frame reader: the server here sends, in a single write, its
+// handshake reply and the head of the response to the client's first mux
+// request (id 0), so the client's handshake read pulls both into the
+// read-ahead buffer; the tail follows once the request is in. The mux
+// session must keep reading through that same reader — a session that
+// started a fresh one would lose the head and misparse the tail.
+func TestHandshakeReadAheadReachesMuxSession(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, err := wire.ReadFrame(conn); err != nil { // the handshake ping
+			return
+		}
+		var hello, pong buffer
+		hello.u8(statusOK)
+		hello.u32(capMux)
+		pong.u8(opMuxReq)
+		pong.u32(0)
+		pong.u8(statusOK)
+		var out bytes.Buffer
+		wire.WritePayload(&out, hello.payload()) // a bytes.Buffer cannot fail
+		wire.WritePayload(&out, pong.payload())
+		const tail = 3
+		conn.Write(out.Next(out.Len() - tail))
+		if _, err := wire.ReadFrame(conn); err != nil { // the ping: id 0 is now awaited
+			return
+		}
+		conn.Write(out.Bytes())
+		wire.ReadFrame(conn) // hold the connection until the client closes
+	}()
+
+	c, err := DialConfigured(ln.Addr().String(), DialConfig{Timeout: time.Second, Policy: noRetryPolicy(),
+		RPCTimeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if !c.Muxed() {
+		t.Fatal("handshake did not negotiate mux")
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatalf("ping whose response began arriving with the handshake reply: %v", err)
 	}
 }

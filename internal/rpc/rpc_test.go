@@ -11,6 +11,7 @@ import (
 	"icache/internal/icache"
 	"icache/internal/sampling"
 	"icache/internal/storage"
+	"icache/internal/wire"
 )
 
 func testSpec() dataset.Spec {
@@ -225,10 +226,10 @@ func TestMalformedFrameRejected(t *testing.T) {
 	}
 	defer conn.Close()
 	// Unknown opcode.
-	if err := writeFrame(conn, []byte{0xFF}); err != nil {
+	if err := wire.WritePayload(conn, []byte{0xFF}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := readFrame(conn)
+	resp, err := wire.ReadFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,10 +237,10 @@ func TestMalformedFrameRejected(t *testing.T) {
 		t.Fatalf("unknown opcode answered with status %d", resp[0])
 	}
 	// Truncated GetBatch body.
-	if err := writeFrame(conn, []byte{opGetBatch, 0, 0}); err != nil {
+	if err := wire.WritePayload(conn, []byte{opGetBatch, 0, 0}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err = readFrame(conn)
+	resp, err = wire.ReadFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}

