@@ -1,10 +1,9 @@
 package rpc
 
 // Tests for the batched remote data plane (PR 5): the scatter-gather miss
-// path, multiplexed transport interop with legacy binaries in both
-// directions, clean-close logging hygiene, chaos conservation under
-// mid-batch peer connection drops, batched directory lookups in the
-// scrubber, and the O(owning nodes) peer-RPC bound.
+// path, clean-close logging hygiene on muxed and bare-frame connections,
+// chaos conservation under mid-batch peer connection drops, batched
+// directory lookups in the scrubber, and the O(owning nodes) peer-RPC bound.
 
 import (
 	"bytes"
@@ -22,11 +21,11 @@ import (
 	"icache/internal/leakcheck"
 	"icache/internal/sampling"
 	"icache/internal/storage"
+	"icache/internal/wire"
 )
 
 // newUnstartedServer builds a server without serving it, so tests can
-// configure pre-Serve state (legacy-protocol pinning, distribution wiring,
-// log capture) race-free — those fields are read without synchronization by
+// configure pre-Serve state (distribution wiring, log capture) race-free — those fields are read without synchronization by
 // the serving path and must not change once connections exist. src may be
 // nil for a plain storage.DataSource; prefetchWorkers < 0 keeps the config
 // default.
@@ -88,32 +87,34 @@ func waitNoConns(t *testing.T, srv *Server) {
 	}
 }
 
+// bareExchange writes one bare (un-muxed) request frame on conn and reads
+// the one response frame — the framing of the handshake ping and of the
+// client's one-shot retry, driven by hand.
+func bareExchange(t *testing.T, conn net.Conn, req []byte) []byte {
+	t.Helper()
+	if err := wire.WritePayload(conn, req); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := wire.ReadFrame(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
 // TestCleanCloseLogsNothing pins the EOF contract of the connection loop: a
 // client that completes its requests and closes cleanly must not produce a
 // single server log line — EOF and net.ErrClosed are normal teardown, not
-// connection errors. Both transports are checked, since the mux path closes
-// the connection from the demux reader's side.
+// connection errors. Checked for a mux session (closed from the demux
+// reader's side) and for a connection that only ever carried bare frames.
 func TestCleanCloseLogsNothing(t *testing.T) {
 	defer leakcheck.Check(t)
 	for _, tc := range []struct {
-		name string
-		cfg  DialConfig
+		name  string
+		drive func(t *testing.T, addr string)
 	}{
-		{"mux", DialConfig{Timeout: time.Second}},
-		{"legacy", DialConfig{Timeout: time.Second, DisableMux: true}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			srv := newUnstartedServer(t, nil, -1)
-			var mu sync.Mutex
-			var lines []string
-			srv.Logf = func(format string, args ...interface{}) {
-				mu.Lock()
-				lines = append(lines, fmt.Sprintf(format, args...))
-				mu.Unlock()
-			}
-			addr := serveOn(t, srv)
-
-			c, err := DialConfigured(addr, tc.cfg)
+		{"mux", func(t *testing.T, addr string) {
+			c, err := DialConfigured(addr, DialConfig{Timeout: time.Second})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,6 +127,34 @@ func TestCleanCloseLogsNothing(t *testing.T) {
 			if err := c.Close(); err != nil {
 				t.Fatal(err)
 			}
+		}},
+		{"bare", func(t *testing.T, addr string) {
+			conn, err := net.DialTimeout("tcp", addr, time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, req := range [][]byte{{opPing}, encodeGetBatchRequest([]dataset.SampleID{1, 2, 3})} {
+				if resp := bareExchange(t, conn, req); len(resp) == 0 || resp[0] != statusOK {
+					t.Fatalf("bare request %v answered %v", req[:1], resp)
+				}
+			}
+			if err := conn.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := newUnstartedServer(t, nil, -1)
+			var mu sync.Mutex
+			var lines []string
+			srv.Logf = func(format string, args ...interface{}) {
+				mu.Lock()
+				lines = append(lines, fmt.Sprintf(format, args...))
+				mu.Unlock()
+			}
+			addr := serveOn(t, srv)
+
+			tc.drive(t, addr)
 			waitNoConns(t, srv)
 			mu.Lock()
 			defer mu.Unlock()
@@ -133,145 +162,6 @@ func TestCleanCloseLogsNothing(t *testing.T) {
 				t.Fatalf("clean close logged %d lines: %q", len(lines), lines)
 			}
 		})
-	}
-}
-
-// TestInteropModernClientLegacyServer dials a server pinned to the pre-mux
-// wire protocol: the capability handshake must negotiate the client down to
-// the serial transport (not error), and batched requests — including
-// concurrent ones, which serialize on the legacy connection — must still
-// deliver byte-correct payloads.
-func TestInteropModernClientLegacyServer(t *testing.T) {
-	defer leakcheck.Check(t)
-	srv := newUnstartedServer(t, nil, -1)
-	srv.SetLegacyProtocol(true)
-	addr := serveOn(t, srv)
-	spec := testSpec()
-
-	c := dial(t, addr)
-	if c.Muxed() {
-		t.Fatal("client negotiated mux against a legacy server")
-	}
-	ids := warmOverWire(t, c, 12)
-
-	const workers = 4
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			samples, err := c.GetBatch(ids)
-			if err != nil {
-				errs <- err
-				return
-			}
-			for i, s := range samples {
-				if s.ID != ids[i] {
-					errs <- fmt.Errorf("H-sample %d substituted with %d", ids[i], s.ID)
-					return
-				}
-				if err := spec.VerifyPayload(s.ID, s.Payload); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-}
-
-// TestInteropLegacyClientModernServer runs a client pinned to the legacy
-// transport (DisableMux stands in for an old binary) against a current
-// server: plain frames must serve exactly as before the mux envelope
-// existed.
-func TestInteropLegacyClientModernServer(t *testing.T) {
-	defer leakcheck.Check(t)
-	_, addr, _ := startServer(t)
-	spec := testSpec()
-
-	c, err := DialConfigured(addr, DialConfig{Timeout: time.Second, DisableMux: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	if c.Muxed() {
-		t.Fatal("DisableMux client reports muxed")
-	}
-	if err := c.Ping(); err != nil {
-		t.Fatal(err)
-	}
-	ids := warmOverWire(t, c, 12)
-	samples, err := c.GetBatch(ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range samples {
-		if s.ID != ids[i] {
-			t.Fatalf("H-sample %d substituted with %d", ids[i], s.ID)
-		}
-		if err := spec.VerifyPayload(s.ID, s.Payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestInteropLegacyPeerDegradesToSerial pins the OWNING node of a two-node
-// cluster to the legacy protocol: the other node's peer client negotiates
-// down, opPeerGetBatch degrades to serial per-sample PeerGets, and remote
-// samples are still served from the peer's DRAM — a mixed-version cluster
-// loses the batching win but keeps the cache win.
-func TestInteropLegacyPeerDegradesToSerial(t *testing.T) {
-	f := startDistFixtureHook(t, func(n int, srv *Server) {
-		if n == 0 {
-			srv.SetLegacyProtocol(true)
-		}
-	})
-	spec := testSpec()
-
-	cA := dial(t, f.addrs[0])
-	cB := dial(t, f.addrs[1])
-	if cA.Muxed() {
-		t.Fatal("client negotiated mux against the legacy node")
-	}
-	var items []sampling.Item
-	var ids []dataset.SampleID
-	for id := dataset.SampleID(0); id < 24; id++ {
-		items = append(items, sampling.Item{ID: id, IV: 5})
-		ids = append(ids, id)
-	}
-	if err := cA.UpdateImportance(items); err != nil {
-		t.Fatal(err)
-	}
-	if err := cB.UpdateImportance(items); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cA.GetBatch(ids); err != nil {
-		t.Fatal(err)
-	}
-
-	before := f.sources[1].Reads()
-	samples, err := cB.GetBatch(ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if delta := f.sources[1].Reads() - before; delta != 0 {
-		t.Fatalf("node B hit its backend %d times; want peer-served through the serial fallback", delta)
-	}
-	for i, s := range samples {
-		if s.ID != ids[i] {
-			t.Fatalf("sample %d substituted", ids[i])
-		}
-		if err := spec.VerifyPayload(s.ID, s.Payload); err != nil {
-			t.Fatalf("peer payload corrupt: %v", err)
-		}
-	}
-	if _, hits := f.nodes[1].PeerStats(); hits == 0 {
-		t.Fatal("node B recorded no peer hits through the legacy fallback")
 	}
 }
 

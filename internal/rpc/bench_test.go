@@ -134,28 +134,30 @@ func BenchmarkServeConcurrent(b *testing.B) {
 }
 
 // BenchmarkMissGather is the miss path's layer microbenchmark: one request
-// goroutine calls getBatch (policy verdict + the miss collector, no wire)
-// with a batch in which EVERY sample is a backend miss, against a byte
+// goroutine calls getBatchPinned (policy verdict + the miss collector, no
+// wire) with a batch in which EVERY sample is a backend miss, against a byte
 // source charging a fixed latency per read. ms/batch against misses ×
 // latency shows what the gather hides (64 misses at 500µs: 64 latencies
 // serially, ⌈64/missFanout⌉ gathered); the zero-latency rows and the 1-miss
 // rows price its overhead — worker 0 is the request goroutine, so one miss
-// must cost what the serial loop did. getBatch's signature predates the
-// gather, so this file runs unchanged against the parent commit.
+// must cost what a serial loop would.
 func BenchmarkMissGather(b *testing.B) {
 	for _, latency := range []time.Duration{0, 500 * time.Microsecond} {
 		for _, misses := range []int{1, 8, 64} {
 			b.Run(fmt.Sprintf("misses=%d/latency=%s", misses, latency), func(b *testing.B) {
 				srv, _, src := benchServer(b, latency)
 				n := src.Spec().NumSamples
-				ids := make([]dataset.SampleID, misses)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					for j := range ids {
-						ids[j] = dataset.SampleID((i*misses + j) % n)
+					sc := getServeScratch()
+					sc.ids = sc.ids[:0]
+					for j := 0; j < misses; j++ {
+						sc.ids = append(sc.ids, dataset.SampleID((i*misses+j)%n))
 					}
-					if _, err := srv.getBatch(ids, obs.TraceCtx{}, time.Time{}); err != nil {
+					err := srv.getBatchPinned(sc, obs.TraceCtx{}, time.Time{})
+					srv.releaseScratch(sc)
+					if err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -177,10 +179,10 @@ type discardConn struct{ net.Conn }
 func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
 
 // BenchmarkServeHitPath measures the server-side cost of one pure-hit
-// GetBatch on the zero-copy path: request decode, policy verdict, slab
-// pins, vectored framing, write. Run with -benchmem: the headline
-// acceptance number is 0 allocs/op — a resident batch is served without a
-// single heap allocation.
+// GetBatch from the frame handler down: envelope peel, admission-gate check,
+// request decode, policy verdict, slab pins, vectored framing, write. Run
+// with -benchmem: the headline acceptance number is 0 allocs/op — a resident
+// batch is served without a single heap allocation.
 func BenchmarkServeHitPath(b *testing.B) {
 	const (
 		batchSize = 16
@@ -217,7 +219,7 @@ func BenchmarkServeHitPath(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := srv.serveVecRequest(cs, 0, false, req, time.Time{}); err != nil {
+		if err := srv.serveFrame(cs, req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -240,7 +242,10 @@ func BenchmarkServeHitPath(b *testing.B) {
 //	        additions.
 //	traced: histograms plus span recording with every request traced
 //	        (1-in-1 sampling, far denser than any production -trace-sample
-//	        setting), the worst case for envelope encode/decode cost.
+//	        setting), the worst case for envelope encode/decode cost. A
+//	        traced request is served on the vectored path like any other,
+//	        so this mode prices the envelope and the spans, not a second
+//	        serve path.
 //	armed:  the full decision-observability deployment — histograms, span
 //	        tracing, the control-plane journal AND a 1s timeline ticker —
 //	        i.e. what a production node runs with -metrics-addr and

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"sync"
@@ -47,22 +46,18 @@ func (e *ServerError) Error() string { return "rpc: server error: " + e.Msg }
 // iCacheImageFolder plays inside PyTorch): it forwards data-loader requests
 // to the cache server and pushes the job's H-list after importance updates.
 //
-// A Client owns one TCP connection. Which transport runs on it is decided
-// by a capability handshake at dial time (see mux.go):
-//
-//   - against a mux-capable server, requests are pipelined — N goroutines
-//     can have N tagged frames in flight at once, matched back to their
-//     callers by a demux reader goroutine;
-//   - against a legacy server, the client degrades to the classic
-//     one-frame-at-a-time exchange, serialized under the client mutex.
+// A Client owns one multiplexed TCP connection (see mux.go): requests are
+// pipelined — N goroutines can have N tagged frames in flight at once,
+// matched back to their callers by a demux reader goroutine. A capability
+// handshake at dial time confirms the server speaks that framing; one that
+// does not is a dial error.
 //
 // The client is resilient by default: a transport failure triggers
 // redial-and-retry under an exponential-backoff-with-jitter policy
 // (retry.Default), so a long-running training job rides through cache
 // server restarts — servers come back warm via checkpoints. The handshake
-// re-runs on every redial, so a server that restarts into a different
-// protocol generation is re-probed. Application errors reported by the
-// server (status frames) are never retried.
+// re-runs on every redial. Application errors reported by the server
+// (status frames) are never retried.
 type Client struct {
 	addr    string
 	timeout time.Duration
@@ -70,10 +65,10 @@ type Client struct {
 	rng     *rand.Rand          // jitter PRNG; thread-safe via lockedSource
 	sleep   func(time.Duration) // nil = time.Sleep; tests may stub
 
-	// rpcTimeout bounds every round trip (0 = unbounded): a per-call
-	// SetDeadline on serial exchanges, a per-call timer on mux calls. A
-	// context deadline passed through the *Ctx APIs tightens (never loosens)
-	// this bound.
+	// rpcTimeout bounds every round trip (0 = unbounded): a per-call timer
+	// on mux calls, a SetDeadline on the one-shot retry connection. A context
+	// deadline passed through the *Ctx APIs tightens (never loosens) this
+	// bound.
 	rpcTimeout time.Duration
 
 	// breaker is the per-peer circuit breaker (nil = disabled). Shared with
@@ -81,27 +76,16 @@ type Client struct {
 	// Allow gates every round trip, Report feeds transport outcomes back.
 	breaker *overload.Breaker
 
-	// mu guards the serial transport's connection, its frame reader and the
-	// closed flag. Unlike the pre-mux client it is held across ONE exchange,
-	// not across the whole retry loop. rd belongs to conn and is replaced or
-	// dropped with it: read-ahead from a dead connection answers nothing.
-	mu     sync.Mutex
-	conn   net.Conn
-	rd     *wire.FrameReader
-	closed bool
-
 	retries int64 // atomic: round trips that needed at least one retry
 	redials int64 // atomic: successful connection re-establishments
 
-	// Multiplexed transport state (mux.go). useMux is 1 after a handshake
-	// granted capMux (atomic: the request path reads it lock-free); a
-	// redial that negotiates down flips it back to 0 for good. muxMu
-	// guards the current session generation.
-	useMux      int32
-	muxDisabled bool // config: never negotiate (emulates a legacy client)
-	muxInflight int  // per-session in-flight bound (0 = default)
+	// Transport state (mux.go). muxMu guards the current session generation
+	// (nil between a failure and the redial the next request makes); it is
+	// held across a redial, never across a request.
+	muxInflight int // per-session in-flight bound
 	muxMu       sync.Mutex
 	mux         *muxSession
+	closed      atomic.Bool
 
 	// Observability (EnableObs; all nil/zero when disabled). rtHist times
 	// whole round trips (retries included); tracer+sampler arm 1-in-N
@@ -130,14 +114,9 @@ type DialConfig struct {
 	// MuxInflight bounds in-flight requests per multiplexed connection
 	// (<= 0 selects defaultMuxInflight).
 	MuxInflight int
-	// DisableMux skips capability negotiation entirely, pinning the client
-	// to the legacy one-frame-at-a-time transport (mixed-version interop
-	// tests use this to stand in for an old client binary).
-	DisableMux bool
-	// RPCTimeout bounds each round trip (0 = unbounded). On the serial
-	// transport it becomes a conn.SetDeadline per exchange; on the mux
-	// transport a per-call timer, so one slow response cannot poison the
-	// shared pipelined connection.
+	// RPCTimeout bounds each round trip (0 = unbounded) with a per-call
+	// timer, so one slow response cannot poison the shared pipelined
+	// connection.
 	RPCTimeout time.Duration
 	// Breaker, when non-nil, is the circuit breaker consulted before and
 	// reported to after every round trip. Owned by the caller so it survives
@@ -157,7 +136,9 @@ func DialPolicy(addr string, timeout time.Duration, policy retry.Policy) (*Clien
 	return DialConfigured(addr, DialConfig{Timeout: timeout, Policy: policy})
 }
 
-// DialConfigured connects with explicit transport configuration.
+// DialConfigured connects with explicit transport configuration. A server
+// that does not advertise the mux capability fails the dial at once (no
+// retry: the next attempt would meet the same binary).
 func DialConfigured(addr string, cfg DialConfig) (*Client, error) {
 	policy := cfg.Policy
 	if policy == (retry.Policy{}) {
@@ -172,31 +153,14 @@ func DialConfigured(addr string, cfg DialConfig) (*Client, error) {
 		timeout:     cfg.Timeout,
 		policy:      policy,
 		rng:         rand.New(newLockedSource(int64(len(addr))*0x9E37 + 1)),
-		muxDisabled: cfg.DisableMux,
 		muxInflight: inflight,
 		rpcTimeout:  cfg.RPCTimeout,
 		breaker:     cfg.Breaker,
 		obsStart:    time.Now(),
 	}
-	err := retry.Do(policy, c.rng, c.sleep, func(int) error {
-		conn, err := net.DialTimeout("tcp", addr, cfg.Timeout)
-		if err != nil {
-			return err
-		}
-		rd := wire.NewFrameReader(conn)
-		if !c.muxDisabled {
-			caps, err := negotiate(conn, rd, cfg.Timeout)
-			if err != nil {
-				conn.Close()
-				return err
-			}
-			if caps&capMux != 0 {
-				atomic.StoreInt32(&c.useMux, 1)
-				c.mux = newMuxSession(conn, rd, c.muxInflight)
-			}
-		}
-		c.conn, c.rd = conn, rd
-		return nil
+	err := retry.Do(policy, c.rng, c.sleep, func(int) (err error) {
+		c.mux, err = c.dialSession()
+		return err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("rpc: dial %s: %w", addr, err)
@@ -204,29 +168,31 @@ func DialConfigured(addr string, cfg DialConfig) (*Client, error) {
 	return c, nil
 }
 
-// Muxed reports whether the client negotiated the multiplexed transport
-// with its server (false against a legacy peer, or after DisableMux).
-func (c *Client) Muxed() bool { return atomic.LoadInt32(&c.useMux) == 1 }
+// dialSession dials the server, runs the capability handshake and starts a
+// mux session on the connection, reading through the frame reader the
+// handshake used.
+func (c *Client) dialSession() (*muxSession, error) {
+	conn, err := net.DialTimeout("tcp", c.addr, c.timeout)
+	if err != nil {
+		return nil, err
+	}
+	rd := wire.NewFrameReader(conn)
+	if err := negotiate(conn, rd, c.timeout); err != nil {
+		conn.Close()
+		return nil, err
+	}
+	return newMuxSession(conn, rd, c.muxInflight), nil
+}
 
-// Close tears down the connection (and the demux reader, when muxing).
+// Close tears down the connection and the demux reader.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	c.closed = true
-	conn := c.conn
-	c.mu.Unlock()
+	c.closed.Store(true)
 	c.muxMu.Lock()
 	m := c.mux
 	c.mux = nil
 	c.muxMu.Unlock()
 	if m != nil {
 		m.close() // closes the conn and waits for the demux reader to exit
-	}
-	if conn != nil {
-		// On a muxed client the session owns the same conn and just closed
-		// it; the double close is harmless and not an error worth reporting.
-		if err := conn.Close(); err != nil && !errors.Is(err, net.ErrClosed) {
-			return err
-		}
 	}
 	return nil
 }
@@ -241,8 +207,7 @@ func (c *Client) Resilience() (retries, redials int64) {
 // response, returning the remaining body. Transport failures (broken
 // connection, failed write/read) are retried under the client's policy
 // with a fresh connection per attempt; server status errors surface
-// immediately. The transport per attempt is whatever the latest handshake
-// negotiated: pipelined frames on a mux session, or a serial exchange.
+// immediately.
 func (c *Client) roundTrip(req []byte) (*reader, error) {
 	d, _, err := c.roundTripOwned(req)
 	// The pooled backing buffer (if any) is intentionally dropped, not
@@ -367,58 +332,45 @@ func breakerOutcomeOK(err error) bool {
 	return errors.Is(err, errExpiredByServer)
 }
 
-// attempt performs one exchange on whichever transport is currently
-// negotiated. isRetry forces the serial transport to redial first.
-//
-// A retried attempt on a muxed client goes over a ONE-SHOT serial
-// connection instead of re-establishing the mux session inline: the retry's
-// success must not depend on the mux machinery (handshake, demux reader,
-// pipelined peers on the same connection) coming back healthy — a plain
-// dial-exchange-close is the most failure-independent path available, and
-// the next regular request re-establishes the session lazily. This also
-// breaks deterministic failure resonance: a fault schedule that keys on
-// per-connection I/O patterns (the chaos suite's DropEvery rules) would
-// otherwise hit a freshly handshaken session at the same relative offset on
-// every retry.
+// attempt performs one exchange: on the mux session, or — for a retry — on
+// a ONE-SHOT bare-frame connection instead of re-establishing the mux
+// session inline: the retry's success must not depend on the mux machinery
+// (handshake, demux reader, pipelined peers on the same connection) coming
+// back healthy — a plain dial-exchange-close is the most failure-independent
+// path available, and the next regular request re-establishes the session
+// lazily. This also breaks deterministic failure resonance: a fault schedule
+// that keys on per-connection I/O patterns (the chaos suite's DropEvery
+// rules) would otherwise hit a freshly handshaken session at the same
+// relative offset on every retry.
 func (c *Client) attempt(req []byte, isRetry bool, deadline time.Time) ([]byte, *wire.Buffer, error) {
-	if c.Muxed() {
-		if isRetry {
-			resp, err := c.oneShotSerial(req, deadline)
-			return resp, nil, err
-		}
-		sess, fresh, err := c.muxSessionFor()
-		if err != nil {
-			return nil, nil, err
-		}
-		if sess != nil {
-			resp, owner, err := sess.doOwned(req, deadline)
-			if err != nil {
-				if errors.Is(err, errCallTimeout) {
-					// The SESSION is fine — only this call ran out of time.
-					// Tearing the mux down would fail its pipelined peers.
-					return nil, nil, retry.Permanent(err)
-				}
-				c.muxFailed(sess)
-				return nil, nil, err
-			}
-			return resp, owner, nil
-		}
-		// The redial negotiated DOWN (server restarted into a legacy
-		// binary): a fresh serial connection is already installed, use it.
-		_ = fresh
-		isRetry = false
+	if isRetry {
+		resp, err := c.oneShot(req, deadline)
+		return resp, nil, err
 	}
-	resp, err := c.serialAttempt(req, isRetry, deadline)
-	return resp, nil, err
+	sess, err := c.muxSessionFor()
+	if err != nil {
+		return nil, nil, err
+	}
+	resp, owner, err := sess.doOwned(req, deadline)
+	if err != nil {
+		if errors.Is(err, errCallTimeout) {
+			// The SESSION is fine — only this call ran out of time.
+			// Tearing the mux down would fail its pipelined peers.
+			return nil, nil, retry.Permanent(err)
+		}
+		c.muxFailed(sess)
+		return nil, nil, err
+	}
+	return resp, owner, nil
 }
 
-// oneShotSerial performs one exchange on a private dial-and-close
-// connection, never touching the serial conn or the mux session (a racing
-// goroutine may have installed a healthy new generation we must not
-// disturb). Used only for retry attempts of a muxed client.
-func (c *Client) oneShotSerial(req []byte, deadline time.Time) ([]byte, error) {
-	if c.isClosed() {
-		return nil, retry.Permanent(fmt.Errorf("rpc: client for %s is closed", c.addr))
+// oneShot performs one bare-frame exchange — one frame out, one frame back —
+// on a private dial-and-close connection, never touching the mux session (a
+// racing goroutine may have installed a healthy new generation we must not
+// disturb). It is the only bare-frame exchange besides the handshake ping.
+func (c *Client) oneShot(req []byte, deadline time.Time) ([]byte, error) {
+	if c.closed.Load() {
+		return nil, c.errClosed()
 	}
 	conn, err := net.DialTimeout("tcp", c.addr, c.timeout)
 	if err != nil {
@@ -429,19 +381,14 @@ func (c *Client) oneShotSerial(req []byte, deadline time.Time) ([]byte, error) {
 		conn.SetDeadline(deadline)
 	}
 	atomic.AddInt64(&c.redials, 1)
-	return serialExchange(conn, conn, req) // one reply, then closed: no read-ahead needed
-}
-
-// serialExchange is one legacy-framing exchange: one frame out, one frame
-// back through r. A SetDeadline expiry is a (permanent) call timeout — the
-// response may still arrive, so the caller must not reuse the connection.
-func serialExchange(w io.Writer, r io.Reader, req []byte) ([]byte, error) {
-	if err := wire.WritePayload(w, req); err != nil {
+	if err := wire.WritePayload(conn, req); err != nil {
 		return nil, fmt.Errorf("rpc: send: %w", err)
 	}
-	resp, err := wire.ReadFrame(r)
+	resp, err := wire.ReadFrame(conn) // one reply, then closed: no read-ahead needed
 	if err != nil {
-		if isTimeout(err) {
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			// The SetDeadline expired: a call timeout, not a transport fault.
 			return nil, retry.Permanent(fmt.Errorf("rpc: receive: %w", errCallTimeout))
 		}
 		return nil, fmt.Errorf("rpc: receive: %w", err)
@@ -450,51 +397,27 @@ func serialExchange(w io.Writer, r io.Reader, req []byte) ([]byte, error) {
 }
 
 // muxSessionFor returns a live mux session, dialing a new generation when
-// the current one is broken. A nil session with nil error means the redial
-// handshake negotiated down to the serial transport (useMux was flipped and
-// the fresh connection installed for serialAttempt).
-func (c *Client) muxSessionFor() (*muxSession, bool, error) {
+// the current one is broken.
+func (c *Client) muxSessionFor() (*muxSession, error) {
 	c.muxMu.Lock()
 	defer c.muxMu.Unlock()
-	if c.isClosed() {
-		return nil, false, retry.Permanent(fmt.Errorf("rpc: client for %s is closed", c.addr))
+	if c.closed.Load() {
+		return nil, c.errClosed()
 	}
 	if c.mux != nil && !c.mux.broken() {
-		return c.mux, false, nil
+		return c.mux, nil
 	}
 	if c.mux != nil {
 		c.mux.close()
 		c.mux = nil
 	}
-	conn, err := net.DialTimeout("tcp", c.addr, c.timeout)
+	sess, err := c.dialSession()
 	if err != nil {
-		return nil, false, fmt.Errorf("rpc: redial %s: %w", c.addr, err)
-	}
-	rd := wire.NewFrameReader(conn)
-	caps, err := negotiate(conn, rd, c.timeout)
-	if err != nil {
-		conn.Close()
-		return nil, false, fmt.Errorf("rpc: redial %s: %w", c.addr, err)
+		return nil, fmt.Errorf("rpc: redial %s: %w", c.addr, err)
 	}
 	atomic.AddInt64(&c.redials, 1)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		conn.Close()
-		return nil, false, retry.Permanent(fmt.Errorf("rpc: client for %s is closed", c.addr))
-	}
-	old := c.conn
-	c.conn, c.rd = conn, rd
-	c.mu.Unlock()
-	if old != nil && old != conn {
-		old.Close()
-	}
-	if caps&capMux == 0 {
-		atomic.StoreInt32(&c.useMux, 0)
-		return nil, true, nil
-	}
-	c.mux = newMuxSession(conn, rd, c.muxInflight)
-	return c.mux, true, nil
+	c.mux = sess
+	return sess, nil
 }
 
 // muxFailed discards a broken session generation so the next attempt dials
@@ -509,63 +432,8 @@ func (c *Client) muxFailed(sess *muxSession) {
 	sess.close()
 }
 
-func (c *Client) isClosed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.closed
-}
-
-// serialAttempt performs one legacy-framing exchange under mu: write one
-// frame, read one frame. Holding mu across the exchange keeps concurrent
-// users of a legacy client request/response-aligned — they serialize, which
-// is exactly the head-of-line blocking the mux transport removes.
-func (c *Client) serialAttempt(req []byte, redial bool, deadline time.Time) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, retry.Permanent(fmt.Errorf("rpc: client for %s is closed", c.addr))
-	}
-	if c.conn == nil || redial {
-		if err := c.redialLocked(); err != nil {
-			return nil, fmt.Errorf("rpc: redial %s: %w", c.addr, err)
-		}
-	}
-	if !deadline.IsZero() {
-		// Per-exchange bound; cleared after so an unbounded caller is not
-		// poisoned by a stale deadline on the shared serial connection.
-		c.conn.SetDeadline(deadline)
-		defer c.conn.SetDeadline(time.Time{})
-	}
-	resp, err := serialExchange(c.conn, c.rd, req)
-	if errors.Is(err, errCallTimeout) {
-		// The connection is desynchronized, not dead: the request went out
-		// and its response will eventually arrive unread. Drop it, with the
-		// reader holding whatever part already arrived, so the next exchange
-		// dials fresh instead of decoding a stale frame.
-		c.conn.Close()
-		c.conn, c.rd = nil, nil
-	}
-	return resp, err
-}
-
-// isTimeout reports whether a transport error is a SetDeadline expiry.
-func isTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
-}
-
-// redialLocked replaces the serial connection (mu held).
-func (c *Client) redialLocked() error {
-	conn, err := net.DialTimeout("tcp", c.addr, c.timeout)
-	if err != nil {
-		return err
-	}
-	if c.conn != nil {
-		c.conn.Close()
-	}
-	c.conn, c.rd = conn, wire.NewFrameReader(conn)
-	atomic.AddInt64(&c.redials, 1)
-	return nil
+func (c *Client) errClosed() error {
+	return retry.Permanent(fmt.Errorf("rpc: client for %s is closed", c.addr))
 }
 
 // GetBatch fetches a mini-batch through the cache (the paper's rpc_loader
@@ -770,9 +638,9 @@ func (c *Client) Stats() (Stats, error) {
 	return decodeStatsResponse(d)
 }
 
-// Ping checks liveness. (The capability handshake rides a richer ping; see
-// negotiate in mux.go. This one stays byte-identical to the legacy ping so
-// old servers answer it.)
+// Ping checks liveness: a bare opPing, answered with the bare status. (The
+// dial-time handshake is a ping carrying a capability word; see negotiate
+// in mux.go.)
 func (c *Client) Ping() error {
 	var e buffer
 	e.u8(opPing)

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -11,9 +12,14 @@ import (
 	"icache/internal/storage"
 )
 
-// FuzzServerDispatch throws arbitrary request payloads at the server's
-// dispatcher: it must always answer (or error-answer) and never panic —
-// a malformed client must not be able to take the cache service down.
+// FuzzServerDispatch throws arbitrary request frames at the server's one
+// frame handler (serveFrame, over an in-memory connection): it must always
+// answer (or error-answer) with exactly one frame and never panic — a
+// malformed client must not be able to take the cache service down. A muxed
+// request must be answered inside the envelope it came in, a mux envelope
+// inside a mux envelope must be error-answered, and whenever the input is a
+// well-formed GetBatch that the server serves, the bytes its vectored path
+// wrote must equal the flat reference encoding of the served samples.
 func FuzzServerDispatch(f *testing.F) {
 	spec := testSpec()
 	back, err := storage.NewBackend(spec, storage.OrangeFS())
@@ -48,10 +54,13 @@ func FuzzServerDispatch(f *testing.F) {
 	f.Add(encodePeerGetBatchRequest([]dataset.SampleID{0, 1, 2}))
 	f.Add([]byte{opPeerGetBatch, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 7})
 	f.Add([]byte{opPeerGetBatch, 0xFF, 0xFF, 0xFF, 0xFF})
-	// Mux envelope at the dispatch layer (the serve loop intercepts it
-	// before dispatch, so here it must read as an unknown opcode) and a
-	// capability-bearing ping.
-	f.Add([]byte{opMuxReq, 0, 0, 0, 1, opPing})
+	// Mux envelopes: around a ping, around a GetBatch, one nested inside
+	// another (error-answered, never dispatched), a truncated header (too
+	// short to be an envelope: an unknown opcode); and a capability-bearing
+	// ping.
+	f.Add(muxWrap(1, []byte{opPing}))
+	f.Add(muxWrap(7, encodeGetBatchRequest([]dataset.SampleID{0, 1, 2})))
+	f.Add(muxWrap(1, muxWrap(2, []byte{opPing})))
 	f.Add([]byte{opMuxReq, 0, 0, 0})
 	f.Add([]byte{opPing, 0, 0, 0, 1})
 	// Directory-replica frames (dkv opcodes 12/13: ring-view exchange and
@@ -75,9 +84,19 @@ func FuzzServerDispatch(f *testing.F) {
 	f.Add([]byte{opDeadline, 0, 0, 0, 1})
 	f.Add(WrapTraced(encodeDeadlineRequest(time.Minute, encodeGetBatchRequest([]dataset.SampleID{0, 1})), obs.TraceCtx{ID: 9, Hop: 1}))
 	f.Add(encodeDeadlineRequest(time.Minute, WrapTraced(encodeGetBatchRequest([]dataset.SampleID{0, 1}), obs.TraceCtx{ID: 9, Hop: 1})))
+	f.Add(muxWrap(3, encodeDeadlineRequest(time.Minute, WrapTraced(encodePeerGetBatchRequest([]dataset.SampleID{0, 1}), obs.TraceCtx{ID: 9, Hop: 2}))))
 
 	f.Fuzz(func(t *testing.T, req []byte) {
 		resp := srv.dispatch(req)
+		if len(req) >= muxHeaderLen && req[0] == opMuxReq {
+			if !bytes.HasPrefix(resp, req[:muxHeaderLen]) {
+				t.Fatalf("muxed request answered %x: envelope not echoed", resp)
+			}
+			req, resp = req[muxHeaderLen:], resp[muxHeaderLen:]
+			if len(req) > 0 && req[0] == opMuxReq && (len(resp) == 0 || resp[0] != statusErr) {
+				t.Fatalf("mux envelope inside a mux envelope answered %x, want statusErr", resp)
+			}
+		}
 		if len(resp) == 0 {
 			t.Fatal("empty response")
 		}
@@ -87,6 +106,26 @@ func FuzzServerDispatch(f *testing.F) {
 			t.Fatalf("retry-after with no admission gate installed")
 		default:
 			t.Fatalf("response status %d", resp[0])
+		}
+
+		inner, _, _, err := peelEnvelopes(req)
+		if err != nil || len(inner) == 0 || inner[0] != opGetBatch || resp[0] != statusOK {
+			return
+		}
+		ids, err := decodeGetBatchRequest(newReader(inner[1:]))
+		if err != nil {
+			t.Fatalf("server served a GetBatch whose ids do not decode: %v", err)
+		}
+		served, err := decodeGetBatchResponse(newReader(resp[1:]))
+		if err != nil || len(served) != len(ids) {
+			t.Fatalf("%d ids answered with %d samples (%v)", len(ids), len(served), err)
+		}
+		ref := make([]Sample, len(served))
+		for i, s := range served {
+			ref[i] = Sample{ID: s.ID, Payload: spec.Payload(s.ID)}
+		}
+		if !bytes.Equal(resp, encodeGetBatchResponse(ref)) {
+			t.Fatalf("vectored response for ids %v differs from the flat reference encoding", ids)
 		}
 	})
 }

@@ -205,13 +205,15 @@ func TestMissGatherConcurrencyBound(t *testing.T) {
 	}
 	srv.cache.InstallHList(sampling.NewHList(items))
 	get := func(ids []dataset.SampleID) {
-		samples, err := srv.getBatch(ids, obs.TraceCtx{}, time.Time{})
-		if err != nil {
+		sc := getServeScratch()
+		defer srv.releaseScratch(sc)
+		sc.ids = append(sc.ids[:0], ids...)
+		if err := srv.getBatchPinned(sc, obs.TraceCtx{}, time.Time{}); err != nil {
 			t.Error(err)
 		}
-		for i, s := range samples {
-			if s.ID != ids[i] {
-				t.Errorf("H-sample %d substituted with %d", ids[i], s.ID)
+		for i, sp := range sc.out {
+			if sp.id != ids[i] {
+				t.Errorf("H-sample %d substituted with %d", ids[i], sp.id)
 			}
 		}
 	}

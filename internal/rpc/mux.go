@@ -1,11 +1,9 @@
 package rpc
 
-// This file is the multiplexed client transport of the batched remote data
-// plane: instead of one serialized request/response exchange at a time per
-// connection (PR-2's Client held its mutex across the whole network round
-// trip — head-of-line blocking once the local serving path went
-// concurrent), a mux-capable client tags every request frame with a u32
-// request ID and splits the connection into
+// This file is the client transport: instead of one serialized
+// request/response exchange at a time per connection (head-of-line blocking
+// once the serving path is concurrent), the client tags every request frame
+// with a u32 request ID and splits the connection into
 //
 //   - a writer path: any request goroutine may send, serialized only for
 //     the duration of one frame write (wmu), and
@@ -14,20 +12,17 @@ package rpc
 //     pending map, and delivers each result over a buffered channel.
 //
 // N goroutines can therefore have N frames in flight on one TCP connection;
-// the server (see servemux.go) dispatches them concurrently and writes
+// the server (Server.serveFrame) dispatches them concurrently and writes
 // responses back in completion order.
 //
-// # Negotiation
+// # Handshake
 //
-// Whether a connection speaks mux framing is decided by a capability
-// handshake piggybacked on opPing (see protocol.go): the client appends its
-// capability word to the ping request; a mux-capable server echoes its own
-// after statusOK, a legacy server ignores the extra bytes and answers with
-// the bare status byte. No capMux in the reply means the client stays on
-// the classic one-frame-at-a-time transport — mixed-version clusters keep
-// working, they just don't pipeline. The handshake re-runs on every
-// (re)dial, so a peer that restarts into an older or newer binary is
-// re-probed.
+// A capability handshake piggybacked on opPing (see protocol.go) opens every
+// connection: the client appends its capability word to the ping request and
+// the server echoes its own after statusOK. A reply without capMux — the
+// bare status byte a pre-mux binary would send — is a dial error: there is
+// no other transport to fall back to. The handshake re-runs on every
+// (re)dial.
 //
 // # Channel discipline (lock ordering appendix)
 //
@@ -42,11 +37,13 @@ package rpc
 // can wait on a dead connection.
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"time"
 
+	"icache/internal/retry"
 	"icache/internal/wire"
 )
 
@@ -112,19 +109,13 @@ func newMuxSession(conn net.Conn, rd *wire.FrameReader, inflightCap int) *muxSes
 	return m
 }
 
-// do sends one request frame and blocks until the demux reader delivers its
-// response (or the session dies). Safe for unbounded concurrent use. The
-// response is handed out by reference, so its pooled backing buffer is
-// dropped rather than recycled.
-func (m *muxSession) do(req []byte) ([]byte, error) {
-	resp, _, err := m.doOwned(req, time.Time{})
-	return resp, err
-}
-
-// doOwned is do, additionally returning the pooled buffer that backs the
-// response (nil when the read path had to allocate outside the pool). The
-// caller recycles it with wire.PutBuffer once — and only once — it is done
-// with every byte of resp.
+// doOwned sends one request frame and blocks until the demux reader
+// delivers its response (or the session dies). Safe for unbounded
+// concurrent use. It also returns the pooled buffer that backs the response
+// (nil when the read path had to allocate outside the pool): the caller
+// recycles it with wire.PutBuffer once — and only once — it is done with
+// every byte of resp, or drops it when response bytes are handed out by
+// reference.
 //
 // A non-zero deadline bounds the wait for this ONE call without poisoning
 // the shared connection: on expiry the request ID is forgotten (a racing
@@ -258,13 +249,17 @@ func (m *muxSession) close() {
 	<-m.done
 }
 
-// negotiate runs the capability handshake on a fresh connection: one
-// serial ping exchange carrying the client's capability word. It reports
-// the server's capabilities (0 from a legacy server, whose bare statusOK
-// reply carries no capability word). The deadline bounds the exchange so a
-// black-holed server cannot hang Dial forever. The reply is read through rd,
-// the connection's frame reader, which the transport that follows keeps.
-func negotiate(conn net.Conn, rd *wire.FrameReader, timeout time.Duration) (uint32, error) {
+// errNoMux is the handshake's verdict on a server that answered the ping
+// without the mux capability.
+var errNoMux = errors.New("rpc: server does not advertise the mux capability (capMux); it predates the multiplexed protocol this client requires")
+
+// negotiate runs the capability handshake on a fresh connection: one bare
+// ping exchange carrying the client's capability word. A server that does
+// not echo capMux is a permanent error (retrying meets the same binary).
+// The deadline bounds the exchange so a black-holed server cannot hang Dial
+// forever. The reply is read through rd, the connection's frame reader, which
+// the mux session that follows keeps.
+func negotiate(conn net.Conn, rd *wire.FrameReader, timeout time.Duration) error {
 	if timeout > 0 {
 		conn.SetDeadline(time.Now().Add(timeout))
 		defer conn.SetDeadline(time.Time{})
@@ -273,22 +268,18 @@ func negotiate(conn net.Conn, rd *wire.FrameReader, timeout time.Duration) (uint
 	e.u8(opPing)
 	e.u32(capMux)
 	if err := wire.WritePayload(conn, e.payload()); err != nil {
-		return 0, fmt.Errorf("rpc: handshake send: %w", err)
+		return fmt.Errorf("rpc: handshake send: %w", err)
 	}
 	resp, err := wire.ReadFrame(rd)
 	if err != nil {
-		return 0, fmt.Errorf("rpc: handshake receive: %w", err)
+		return fmt.Errorf("rpc: handshake receive: %w", err)
 	}
 	d := newReader(resp)
 	if status := d.u8(); status != statusOK {
-		return 0, fmt.Errorf("rpc: handshake status %d", status)
+		return fmt.Errorf("rpc: handshake status %d", status)
 	}
-	if len(resp) < 5 {
-		return 0, nil // legacy server: bare status byte, no capabilities
+	if caps := d.u32(); d.err() != nil || caps&capMux == 0 {
+		return retry.Permanent(errNoMux)
 	}
-	caps := d.u32()
-	if d.err() != nil {
-		return 0, nil
-	}
-	return caps, nil
+	return nil
 }

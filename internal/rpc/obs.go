@@ -20,15 +20,17 @@ package rpc
 // The envelope carries the hop the *receiver* occupies in the chain: the
 // originating client holds hop 0 and sends hop 1; a cache node that
 // received hop h forwards peer/directory calls carrying hop h+1
-// (TraceCtx.Next). Nested envelopes are rejected — the envelope is
-// strictly top-level, so a malicious or fuzzed frame cannot recurse.
+// (TraceCtx.Next). The server peels it in one place (peelEnvelopes), on
+// either side of a deadline envelope; a second trace envelope is rejected,
+// so a malicious or fuzzed frame cannot recurse.
 //
 // Span recording convention (see trace.Kind):
 //
 //	KindRPCSend  at the sender's own hop, Dur = full round trip.
 //	             Arg 0 = client GetBatch / peer read, Arg 1 = directory call.
-//	KindRPCRecv  at the receiver's hop, Dur = serve time.
-//	             Arg = batch size (GetBatch), 1 (peer get).
+//	KindRPCRecv  at the receiver's hop, Dur = serve time (for the batch
+//	             reads: ids decoded → response written).
+//	             Arg = batch size (GetBatch, PeerGetBatch), 1 (peer get).
 //	KindBackend  at the fetching node's hop, Dur = storage service time.
 
 import (
@@ -44,14 +46,12 @@ import (
 // opTraced wraps any request in a trace-context envelope (see above).
 const opTraced = 7
 
-// tracedHeaderLen is the trace envelope's header size:
-// u8(opTraced) + i64(trace ID) + u8(hop).
-const tracedHeaderLen = 10
-
 // Stage names registered by the serving path. Every stage becomes an
 // icache_stage_<name>_seconds histogram on the Prometheus surface.
 const (
-	// StageRequest is the whole GetBatch serve, decode to encode.
+	// StageRequest is the whole GetBatch serve: ids decoded → response
+	// written (a muxed request's wait for a dispatch slot is admission_wait,
+	// not part of it).
 	StageRequest = "request"
 	// StagePolicyLockHold is the policyMu critical section of GetBatch.
 	StagePolicyLockHold = "policy_lock_hold"

@@ -1,6 +1,6 @@
 package rpc
 
-// Overload-control suite: the admission gate on both serving transports,
+// Overload-control suite: the admission gate on muxed and bare frames,
 // server-side deadline expiry, and the chaos half — a delay-faulted peer
 // whose batches must still complete within the caller's deadline via the
 // backend fallback, with the per-peer circuit breaker tripping within its
@@ -61,12 +61,12 @@ func startGatedServer(t *testing.T, gate *overload.Gate) (*Server, string) {
 }
 
 // TestAdmissionShedLegacyAndMux holds the only admission slot and verifies
-// that BOTH serving transports — the multiplexed frame path and the legacy
-// one-frame-at-a-time connection path — shed data requests with a
-// retry-after hint, without the client burning retry attempts on them,
-// while health checks keep flowing. Releasing the slot restores service,
-// and the ledger stays exact: ids served + requests shed == requests
-// offered.
+// that the frame handler sheds data requests with a retry-after hint whether
+// or not they arrive in a mux envelope — a mux client (which must not burn
+// retry attempts on the rejection) and a bare frame written by hand, the
+// framing of a client's one-shot retry — while health checks keep flowing.
+// Releasing the slot restores service, and the ledger stays exact: ids
+// served + requests shed == requests offered.
 func TestAdmissionShedLegacyAndMux(t *testing.T) {
 	gate := overload.NewGate(overload.GateConfig{MaxInflight: 1})
 	srv, addr := startGatedServer(t, gate)
@@ -76,38 +76,44 @@ func TestAdmissionShedLegacyAndMux(t *testing.T) {
 		t.Fatal("could not occupy the admission slot")
 	}
 
-	for _, tc := range []struct {
-		name       string
-		disableMux bool
-	}{
-		{"mux", false},
-		{"legacy", true},
-	} {
-		c, err := DialConfigured(addr, DialConfig{Timeout: time.Second, Policy: noRetryPolicy(), DisableMux: tc.disableMux})
-		if err != nil {
-			t.Fatalf("%s: dial: %v", tc.name, err)
-		}
-		if c.Muxed() == tc.disableMux {
-			t.Fatalf("%s: wrong transport negotiated (muxed=%v)", tc.name, c.Muxed())
-		}
-		_, err = c.GetBatch([]dataset.SampleID{1})
-		var ra *overload.RetryAfterError
-		if !errors.As(err, &ra) {
-			t.Fatalf("%s: want RetryAfterError from a shedding server, got %v", tc.name, err)
-		}
-		if ra.After <= 0 {
-			t.Fatalf("%s: shed response carried no backoff hint", tc.name)
-		}
-		if retries, _ := c.Resilience(); retries != 0 {
-			t.Fatalf("%s: a shed rejection was retried %d times", tc.name, retries)
-		}
-		// An operator must still see the overloaded server: health checks
-		// bypass the gate.
-		if err := c.Ping(); err != nil {
-			t.Fatalf("%s: ping gated during shed: %v", tc.name, err)
-		}
-		c.Close()
+	mc, err := DialConfigured(addr, DialConfig{Timeout: time.Second, Policy: noRetryPolicy()})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
 	}
+	_, err = mc.GetBatch([]dataset.SampleID{1})
+	var ra *overload.RetryAfterError
+	if !errors.As(err, &ra) {
+		t.Fatalf("mux: want RetryAfterError from a shedding server, got %v", err)
+	}
+	if ra.After <= 0 {
+		t.Fatal("mux: shed response carried no backoff hint")
+	}
+	if retries, _ := mc.Resilience(); retries != 0 {
+		t.Fatalf("mux: a shed rejection was retried %d times", retries)
+	}
+	// An operator must still see the overloaded server: health checks
+	// bypass the gate.
+	if err := mc.Ping(); err != nil {
+		t.Fatalf("mux: ping gated during shed: %v", err)
+	}
+	mc.Close()
+
+	conn, err := net.DialTimeout("tcp", addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := bareExchange(t, conn, encodeGetBatchRequest([]dataset.SampleID{1}))
+	d := newReader(resp)
+	if st := d.u8(); st != statusRetryAfter {
+		t.Fatalf("bare: shed answered status %d, want statusRetryAfter", st)
+	}
+	if after := d.i64(); d.err() != nil || after <= 0 {
+		t.Fatalf("bare: shed response carried no backoff hint (%d, %v)", after, d.err())
+	}
+	if resp := bareExchange(t, conn, []byte{opPing}); len(resp) != 1 || resp[0] != statusOK {
+		t.Fatalf("bare: ping gated during shed: %v", resp)
+	}
+	conn.Close()
 
 	shed, expired := srv.OverloadCounters()
 	if shed != 2 || expired != 0 {

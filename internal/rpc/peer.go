@@ -62,11 +62,6 @@ type PeerConfig struct {
 	// Inflight bounds in-flight frames per multiplexed peer connection
 	// (<= 0 selects the client default).
 	Inflight int
-	// LegacyPoolConns is the per-peer connection-pool size used when a
-	// peer negotiates DOWN to the legacy one-frame-at-a-time transport:
-	// a small pool recovers some concurrency that mux framing would have
-	// provided (<= 0 selects 2; mux-capable peers always use 1 connection).
-	LegacyPoolConns int
 	// RPCTimeout bounds every peer round trip (<= 0 selects 1s): one hung
 	// replica can stall a scatter-gather chunk for at most this long before
 	// the chunk degrades to the backend.
@@ -83,8 +78,7 @@ type PeerConfig struct {
 // defaultPeerConfig is what EnableDistributed installs until SetPeerConfig
 // overrides it.
 func defaultPeerConfig() PeerConfig {
-	return PeerConfig{Batch: 256, Inflight: defaultMuxInflight, LegacyPoolConns: 2,
-		RPCTimeout: defaultPeerRPCTimeout}
+	return PeerConfig{Batch: 256, Inflight: defaultMuxInflight, RPCTimeout: defaultPeerRPCTimeout}
 }
 
 // defaultPeerRPCTimeout is the per-call bound on peer RPCs: long enough for
@@ -98,9 +92,6 @@ func (c PeerConfig) withDefaults() PeerConfig {
 	}
 	if c.Inflight <= 0 {
 		c.Inflight = defaultMuxInflight
-	}
-	if c.LegacyPoolConns <= 0 {
-		c.LegacyPoolConns = 2
 	}
 	if c.RPCTimeout <= 0 {
 		c.RPCTimeout = defaultPeerRPCTimeout
@@ -118,14 +109,6 @@ func (s *Server) SetPeerConfig(cfg PeerConfig) {
 	s.dist.peerCfg = cfg.withDefaults()
 }
 
-// peerSlot is one peer's connection set: a single multiplexed client when
-// the peer speaks capMux, or a small round-robin pool of legacy clients
-// when it negotiated down.
-type peerSlot struct {
-	clients []*Client
-	next    int
-}
-
 // distState is the optional distributed wiring of a Server.
 type distState struct {
 	nodeID    dkv.NodeID
@@ -137,8 +120,9 @@ type distState struct {
 	// the server's journal at EnableDistributed / SetJournal time).
 	journal *obs.Journal
 
-	mu    sync.Mutex
-	peers map[dkv.NodeID]*peerSlot
+	mu sync.Mutex
+	// peers holds one client — one pipelined connection — per peer node.
+	peers map[dkv.NodeID]*Client
 	// breakers holds one circuit breaker per peer NODE (not per client):
 	// the breaker must survive dropPeer/redial churn, or a flapping peer
 	// would reset its own failure count by breaking connections. Guarded by
@@ -177,7 +161,7 @@ func (s *Server) EnableDistributed(nodeID dkv.NodeID, dir dkv.Service, peerAddrs
 		dir:       dir,
 		peerAddrs: peerAddrs,
 		peerCfg:   defaultPeerConfig(),
-		peers:     make(map[dkv.NodeID]*peerSlot),
+		peers:     make(map[dkv.NodeID]*Client),
 		breakers:  make(map[dkv.NodeID]*overload.Breaker),
 		journal:   s.journal,
 	}
@@ -247,57 +231,36 @@ func (s *Server) ResilienceStats() (peerFailures, dirFailures int64) {
 	return atomic.LoadInt64(&s.dist.peerFailures), atomic.LoadInt64(&s.dist.dirFailures)
 }
 
-// peer returns a (cached) client connection to the given node. Peer clients
-// use the tight retry.Peer policy: degrading to the backend beats waiting.
-// A mux-capable peer is served by ONE pipelined connection; a peer that
-// negotiated down to legacy framing grows a small round-robin pool
-// (PeerConfig.LegacyPoolConns) so concurrent miss batches don't fully
-// serialize behind one in-flight frame.
+// peer returns the (cached) client for the given node, dialing it on first
+// use. Peer clients use the tight retry.Peer policy: degrading to the backend
+// beats waiting.
 func (d *distState) peer(node dkv.NodeID) (*Client, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	slot, ok := d.peers[node]
-	if !ok {
-		slot = &peerSlot{}
-		d.peers[node] = slot
-	}
-	target := 1
-	if len(slot.clients) > 0 && !slot.clients[0].Muxed() {
-		target = d.peerCfg.LegacyPoolConns
-		if target < 1 {
-			target = 1
-		}
-	}
-	if len(slot.clients) < target || len(slot.clients) == 0 {
-		addr, ok := d.peerAddrs[node]
-		if !ok {
-			return nil, fmt.Errorf("rpc: no address for peer node %d", node)
-		}
-		c, err := DialConfigured(addr, DialConfig{
-			Timeout:     2 * time.Second,
-			Policy:      retry.Peer(),
-			MuxInflight: d.peerCfg.Inflight,
-			RPCTimeout:  d.peerCfg.RPCTimeout,
-			Breaker:     d.breakerLocked(node),
-		})
-		if err != nil {
-			// A failed dial is a peer failure too: report it so a DEAD peer
-			// (not just a hung one) trips its breaker and fails fast.
-			if b := d.breakerLocked(node); b != nil {
-				b.Report(time.Now(), false)
-			}
-			if len(slot.clients) > 0 {
-				// Pool growth failed; fall back to an existing connection.
-				slot.next++
-				return slot.clients[slot.next%len(slot.clients)], nil
-			}
-			return nil, err
-		}
-		slot.clients = append(slot.clients, c)
+	if c, ok := d.peers[node]; ok {
 		return c, nil
 	}
-	slot.next++
-	return slot.clients[slot.next%len(slot.clients)], nil
+	addr, ok := d.peerAddrs[node]
+	if !ok {
+		return nil, fmt.Errorf("rpc: no address for peer node %d", node)
+	}
+	c, err := DialConfigured(addr, DialConfig{
+		Timeout:     2 * time.Second,
+		Policy:      retry.Peer(),
+		MuxInflight: d.peerCfg.Inflight,
+		RPCTimeout:  d.peerCfg.RPCTimeout,
+		Breaker:     d.breakerLocked(node),
+	})
+	if err != nil {
+		// A failed dial is a peer failure too: report it so a DEAD peer
+		// (not just a hung one) trips its breaker and fails fast.
+		if b := d.breakerLocked(node); b != nil {
+			b.Report(time.Now(), false)
+		}
+		return nil, err
+	}
+	d.peers[node] = c
+	return c, nil
 }
 
 // isConnFailure reports whether a peer RPC error indicates a poisoned
@@ -309,19 +272,12 @@ func isConnFailure(err error) bool {
 }
 
 // dropPeer discards a cached peer client after a failure so the next
-// request re-dials instead of reusing a poisoned connection.
+// request re-dials instead of reusing a poisoned connection (a client a
+// racing caller already replaced is only closed).
 func (d *distState) dropPeer(node dkv.NodeID, c *Client) {
 	d.mu.Lock()
-	if slot, ok := d.peers[node]; ok {
-		for i, cur := range slot.clients {
-			if cur == c {
-				slot.clients = append(slot.clients[:i], slot.clients[i+1:]...)
-				break
-			}
-		}
-		if len(slot.clients) == 0 {
-			delete(d.peers, node)
-		}
+	if d.peers[node] == c {
+		delete(d.peers, node)
 	}
 	d.mu.Unlock()
 	c.Close()
@@ -331,12 +287,10 @@ func (d *distState) dropPeer(node dkv.NodeID, c *Client) {
 func (d *distState) closePeers() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, slot := range d.peers {
-		for _, c := range slot.clients {
-			c.Close()
-		}
+	for node, c := range d.peers {
+		c.Close()
+		delete(d.peers, node)
 	}
-	d.peers = make(map[dkv.NodeID]*peerSlot)
 }
 
 // PeerGet asks a cache node for a resident sample's payload. The second
@@ -415,9 +369,6 @@ func (s *Server) handlePeerGet(d *reader, e *buffer, ctx obs.TraceCtx) {
 // PeerGetBatch asks a peer cache node for many resident samples in one
 // round trip. The result is aligned with ids: out[i] is the payload when
 // the peer had ids[i], nil when it did not (a peer miss is not an error).
-// Against a peer that negotiated down to the legacy transport the call
-// degrades to serial per-sample PeerGet round trips — mixed-version
-// clusters lose the batching win but keep working.
 func (c *Client) PeerGetBatch(ids []dataset.SampleID, ctx obs.TraceCtx) ([][]byte, error) {
 	return c.PeerGetBatchDeadline(ids, ctx, time.Time{})
 }
@@ -428,11 +379,6 @@ func (c *Client) PeerGetBatch(ids []dataset.SampleID, ctx obs.TraceCtx) ([][]byt
 func (c *Client) PeerGetBatchDeadline(ids []dataset.SampleID, ctx obs.TraceCtx, dl time.Time) ([][]byte, error) {
 	if len(ids) == 0 {
 		return nil, nil
-	}
-	if !c.Muxed() {
-		// Negotiated down (the peer predates opPeerGetBatch) or pinned to
-		// the legacy transport by DisableMux: per-sample round trips.
-		return c.peerGetBatchSerial(ids, ctx, dl)
 	}
 	req := encodePeerGetBatchRequest(ids)
 	if ctx.Valid() {
@@ -448,55 +394,6 @@ func (c *Client) PeerGetBatchDeadline(ids []dataset.SampleID, ctx obs.TraceCtx, 
 		return nil, err
 	}
 	return decodePeerGetBatchResponse(d, len(ids))
-}
-
-// peerGetBatchSerial is the interop fallback: one legacy round trip per id.
-func (c *Client) peerGetBatchSerial(ids []dataset.SampleID, ctx obs.TraceCtx, dl time.Time) ([][]byte, error) {
-	out := make([][]byte, len(ids))
-	for i, id := range ids {
-		p, ok, err := c.PeerGetDeadline(id, ctx, dl)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out[i] = p
-		}
-	}
-	return out, nil
-}
-
-// handlePeerGetBatch serves opPeerGetBatch: per-id payload-store lookups
-// only — exactly handlePeerGet's contract (never policyMu, never a cache
-// mutation), amortized over one frame. Response entries align with the
-// request ids.
-func (s *Server) handlePeerGetBatch(d *reader, e *buffer, ctx obs.TraceCtx) {
-	var t0 time.Time
-	if s.obs.tracing(ctx) {
-		t0 = time.Now()
-	}
-	ids, err := decodePeerGetBatchRequest(d)
-	if err != nil {
-		encodeErrorResponseInto(e, err.Error())
-		return
-	}
-	e.u8(statusOK)
-	e.u32(uint32(len(ids)))
-	served := 0
-	for _, id := range ids {
-		if payload, ok := s.payloads.get(id); ok {
-			e.u8(1)
-			e.bytes(payload)
-			served++
-		} else {
-			e.u8(0)
-		}
-	}
-	if served > 0 && s.dist != nil {
-		atomic.AddInt64(&s.dist.peerServes, int64(served))
-	}
-	if !t0.IsZero() {
-		s.span(trace.KindRPCRecv, 0, int64(len(ids)), ctx, time.Since(t0))
-	}
 }
 
 // scatterToPeers is the scatter half of the batched miss path: one directory

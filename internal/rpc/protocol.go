@@ -11,10 +11,12 @@
 package rpc
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"icache/internal/dataset"
+	"icache/internal/obs"
 	"icache/internal/sampling"
 	"icache/internal/wire"
 )
@@ -34,16 +36,18 @@ const (
 	// opMuxReq is the multiplexed-framing envelope: u8 opcode | u32 reqID |
 	// inner request bytes. The response frame echoes the envelope
 	// (u8 opMuxReq | u32 reqID | status+body) so a demux reader can match
-	// out-of-order responses back to their callers. Only clients that
-	// negotiated capMux over opPing send it; see mux.go.
+	// out-of-order responses back to their callers. It is the client's one
+	// transport (see mux.go); the only bare frames are the handshake ping
+	// and a one-shot retry exchange.
 	opMuxReq = 9
 	// opDeadline is the deadline-budget envelope: u8 opcode | i64 budget
 	// nanoseconds | inner request bytes. The budget is the REMAINING time
 	// the client is willing to wait, re-encoded (decremented) at every hop,
 	// so clocks never need to agree across machines. It sits inside any mux
-	// envelope and outside any opTraced envelope; nesting another deadline
-	// is rejected. A server that cannot finish in time answers
-	// statusExpired without touching the cache. Responses carry no deadline.
+	// envelope and composes with the opTraced envelope in either order;
+	// nesting another deadline is rejected. A server that cannot finish in
+	// time answers statusExpired without touching the cache. Responses
+	// carry no deadline.
 	opDeadline = 10
 	// opEpochPlan is the clairvoyant epoch boundary: opBeginEpoch plus the
 	// epoch's known access sequence, pushed in first-access order by a
@@ -63,14 +67,14 @@ const (
 	opPlanPreplace = 12
 )
 
-// Capability bits negotiated over opPing. A post-PR-5 client appends
-// u32(its caps) to the ping request; a post-PR-5 server echoes u32(its
-// caps) after statusOK. Legacy peers ignore the extra request bytes and
-// send the bare 1-byte response, which reads as "no capabilities" — the
-// negotiation degrades silently in mixed-version clusters.
+// Capability bits exchanged over opPing at dial time. The client appends
+// u32(its caps) to the ping request; the server echoes u32(its caps) after
+// statusOK. A reply without capMux fails the dial; the bare status byte of
+// a binary that predates the handshake reads as "no capabilities".
 const (
 	// capMux: the peer speaks opMuxReq framing AND opPeerGetBatch (both
 	// shipped together, so one bit covers the batched+pipelined data plane).
+	// Required.
 	capMux uint32 = 1 << 0
 )
 
@@ -115,7 +119,7 @@ func (d *reader) str() string   { return d.Str() }
 func (d *reader) err() error    { return d.Err }
 
 // rest returns the undecoded remainder of the payload (aliasing it) — the
-// inner request bytes of an opTraced envelope.
+// inner request bytes of an envelope.
 func (d *reader) rest() []byte { return d.B[d.Off:] }
 
 // encodeGetBatchRequest/decode pair.
@@ -157,10 +161,6 @@ func encodePeerGetBatchRequest(ids []dataset.SampleID) []byte {
 		e.i64(int64(id))
 	}
 	return e.payload()
-}
-
-func decodePeerGetBatchRequest(d *reader) ([]dataset.SampleID, error) {
-	return decodeGetBatchRequest(d) // same layout, same "unreasonable batch size" guard
 }
 
 // decodePeerGetBatchResponse decodes the per-id results of an
@@ -229,22 +229,19 @@ type Sample struct {
 	Payload []byte
 }
 
+// encodeGetBatchResponse is the flat reference encoding of a GetBatch
+// response. The server frames responses as a wire.Vec (serve_vec.go) and
+// never calls this; tests and FuzzServerDispatch hold the served bytes
+// against it.
 func encodeGetBatchResponse(samples []Sample) []byte {
 	var e buffer
-	encodeGetBatchResponseInto(&e, samples)
-	return e.payload()
-}
-
-// encodeGetBatchResponseInto appends the response into e (the serving loop
-// passes a pooled buffer here; payload bytes are copied into it, so the
-// buffer owns everything it frames).
-func encodeGetBatchResponseInto(e *buffer, samples []Sample) {
 	e.u8(statusOK)
 	e.u32(uint32(len(samples)))
 	for _, s := range samples {
 		e.i64(int64(s.ID))
 		e.bytes(s.Payload)
 	}
+	return e.payload()
 }
 
 func decodeGetBatchResponse(d *reader) ([]Sample, error) {
@@ -302,15 +299,9 @@ type Stats struct {
 	LCacheLen     int64
 	Packages      int64
 	// DemandFetches counts backend reads issued on the demand path (cold
-	// misses). Appended to the wire response as an optional trailing field:
-	// pre-plan servers don't send it and pre-plan clients don't read it.
+	// misses). Last field of the wire response; the decoder accepts a frame
+	// that ends before it.
 	DemandFetches int64
-}
-
-func encodeStatsResponse(s Stats) []byte {
-	var e buffer
-	encodeStatsResponseInto(&e, s)
-	return e.payload()
 }
 
 func encodeStatsResponseInto(e *buffer, s Stats) {
@@ -321,6 +312,7 @@ func encodeStatsResponseInto(e *buffer, s Stats) {
 	e.i64(s.HCacheLen)
 	e.i64(s.LCacheLen)
 	e.i64(s.Packages)
+	e.i64(s.DemandFetches)
 }
 
 func decodeStatsResponse(d *reader) (Stats, error) {
@@ -332,8 +324,8 @@ func decodeStatsResponse(d *reader) (Stats, error) {
 		LCacheLen:     d.i64(),
 		Packages:      d.i64(),
 	}
-	// Optional trailing DemandFetches field (servers with the planner wired
-	// in append it; older servers end the frame here).
+	// DemandFetches trails the six counters; a frame that ends here is
+	// accepted (input validation, not version negotiation).
 	if err := d.err(); err != nil {
 		return s, err
 	}
@@ -341,12 +333,6 @@ func decodeStatsResponse(d *reader) (Stats, error) {
 		s.DemandFetches = d.i64()
 	}
 	return s, d.err()
-}
-
-func encodeErrorResponse(msg string) []byte {
-	var e buffer
-	encodeErrorResponseInto(&e, msg)
-	return e.payload()
 }
 
 func encodeErrorResponseInto(e *buffer, msg string) {
@@ -377,40 +363,49 @@ func encodeDeadlineRequest(budget time.Duration, inner []byte) []byte {
 // their own framing).
 func (e *buffer) bytesRaw(v []byte) { e.Buffer.B = append(e.Buffer.B, v...) }
 
-// peelDeadline strips one leading opDeadline envelope from payload,
-// returning the inner request and the hop's absolute deadline computed
-// from now. ok=false with a nil error means there was no envelope (the
-// payload is returned untouched); a non-nil error means the envelope was
-// malformed or nested.
-func peelDeadline(payload []byte, now time.Time) (inner []byte, deadline time.Time, ok bool, err error) {
-	if len(payload) == 0 || payload[0] != opDeadline {
-		return payload, time.Time{}, false, nil
+// peelEnvelopes strips the optional deadline and trace envelopes from a
+// request (its mux envelope already removed): either order, each at most
+// once. It returns the inner request, the trace context (zero when
+// untraced) and the hop's absolute deadline, re-anchored on the local clock
+// (zero when unbounded). This is the only place either envelope is decoded;
+// a repeated envelope is rejected, so a fuzzed frame cannot make it loop
+// more than three times.
+func peelEnvelopes(p []byte) (inner []byte, ctx obs.TraceCtx, dl time.Time, err error) {
+	for len(p) > 0 && (p[0] == opDeadline || p[0] == opTraced) {
+		d := newReader(p)
+		if d.u8() == opDeadline {
+			if !dl.IsZero() {
+				return nil, ctx, dl, errors.New("rpc: nested deadline envelope")
+			}
+			budget := d.i64()
+			if err := d.err(); err != nil {
+				return nil, ctx, dl, err
+			}
+			if budget <= 0 {
+				return nil, ctx, dl, fmt.Errorf("rpc: non-positive deadline budget %d", budget)
+			}
+			dl = time.Now().Add(time.Duration(budget))
+		} else {
+			if ctx.Valid() {
+				return nil, ctx, dl, errors.New("rpc: nested trace envelope")
+			}
+			id, hop := uint64(d.i64()), d.u8()
+			if err := d.err(); err != nil {
+				return nil, ctx, dl, err
+			}
+			if ctx = (obs.TraceCtx{ID: id, Hop: hop}); !ctx.Valid() {
+				return nil, ctx, dl, errors.New("rpc: trace envelope with zero trace id")
+			}
+		}
+		p = d.rest()
 	}
-	if len(payload) < deadlineHeaderLen+1 {
-		return nil, time.Time{}, false, fmt.Errorf("rpc: truncated deadline envelope (%d bytes)", len(payload))
-	}
-	d := newReader(payload)
-	d.u8()
-	budget := d.i64()
-	inner = d.rest()
-	if budget <= 0 {
-		return nil, time.Time{}, false, fmt.Errorf("rpc: non-positive deadline budget %d", budget)
-	}
-	if inner[0] == opDeadline {
-		return nil, time.Time{}, false, fmt.Errorf("rpc: nested deadline envelope rejected")
-	}
-	return inner, now.Add(time.Duration(budget)), true, nil
+	return p, ctx, dl, nil
 }
 
 // encodeRetryAfterResponseInto writes the admission gate's shed rejection.
 func encodeRetryAfterResponseInto(e *buffer, after time.Duration) {
 	e.u8(statusRetryAfter)
 	e.i64(int64(after))
-}
-
-// encodeExpiredResponseInto writes the deadline-exceeded rejection.
-func encodeExpiredResponseInto(e *buffer) {
-	e.u8(statusExpired)
 }
 
 // remainingBudget converts an absolute deadline back into the budget a

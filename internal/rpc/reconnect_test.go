@@ -3,12 +3,15 @@ package rpc
 import (
 	"bytes"
 	"errors"
+	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"icache/internal/dataset"
 	"icache/internal/icache"
+	"icache/internal/leakcheck"
 	"icache/internal/retry"
 	"icache/internal/sampling"
 	"icache/internal/storage"
@@ -188,74 +191,6 @@ func TestClosedClientDoesNotRedial(t *testing.T) {
 	}
 }
 
-// TestSerialClientTimeoutDiscardsReadAhead times a serial-transport call out
-// in the middle of its response: the first connection answers opStats with a
-// lie (Hits = 777) whose first bytes arrive inside the RPC timeout — so they
-// sit in the connection's read-ahead buffer when the call gives up — and
-// whose rest arrives after it; every later connection is the real server.
-// The next call must dial fresh and decode only the real server's answer:
-// the timeout drops the frame reader together with the connection.
-func TestSerialClientTimeoutDiscardsReadAhead(t *testing.T) {
-	srv, _, _ := startServer(t)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-
-	const early = 20 // the prefix and the first 16 of the 49 body bytes
-	timedOut := make(chan struct{})
-	staleSent := make(chan struct{})
-	go func() {
-		for i := 0; ; i++ {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			if i > 0 {
-				go srv.serveConn(conn)
-				continue
-			}
-			go func() {
-				defer conn.Close()
-				defer close(staleSent)
-				if _, err := wire.ReadFrame(conn); err != nil {
-					return
-				}
-				var lie bytes.Buffer
-				wire.WritePayload(&lie, encodeStatsResponse(Stats{Hits: 777})) // a bytes.Buffer cannot fail
-				conn.Write(lie.Next(early))
-				<-timedOut
-				conn.Write(lie.Bytes())
-			}()
-		}
-	}()
-
-	c, err := DialConfigured(ln.Addr().String(), DialConfig{Timeout: time.Second, Policy: noRetryPolicy(),
-		DisableMux: true, RPCTimeout: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	if _, err := c.Stats(); !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("stats against a stalled response: %v, want a deadline error", err)
-	}
-	close(timedOut)
-	<-staleSent // the rest of the lie is now queued on the old connection
-
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatalf("stats after the timeout: %v", err)
-	}
-	if st.Hits != 0 {
-		t.Fatalf("stats after the timeout report %d hits; the stale response leaked", st.Hits)
-	}
-	if _, redials := c.Resilience(); redials != 1 {
-		t.Fatalf("%d redials, want exactly the one the timeout forces", redials)
-	}
-}
-
 // TestHandshakeReadAheadReachesMuxSession pins the rule that a connection
 // has ONE frame reader: the server here sends, in a single write, its
 // handshake reply and the head of the response to the client's first mux
@@ -302,10 +237,70 @@ func TestHandshakeReadAheadReachesMuxSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if !c.Muxed() {
-		t.Fatal("handshake did not negotiate mux")
-	}
 	if err := c.Ping(); err != nil {
 		t.Fatalf("ping whose response began arriving with the handshake reply: %v", err)
+	}
+}
+
+// TestDialRejectsServerWithoutMux stands up a listener that answers the
+// capability ping with a bare statusOK — what a binary that predates the
+// mux protocol would send. There is no other transport to fall back to, so
+// the dial must fail: at once (the default retry policy would otherwise
+// keep dialing for seconds), naming the missing capability, and leaving
+// neither a goroutine nor a connection behind.
+func TestDialRejectsServerWithoutMux(t *testing.T) {
+	leakcheck.Check(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepts := make(chan int)
+	clientClosed := make(chan error, 1)
+	go func() {
+		n := 0
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				accepts <- n
+				return
+			}
+			n++
+			go func() {
+				defer conn.Close()
+				if _, err := wire.ReadFrame(conn); err != nil { // the handshake ping
+					clientClosed <- err
+					return
+				}
+				wire.WritePayload(conn, []byte{statusOK})
+				_, err := wire.ReadFrame(conn) // EOF once the client hangs up
+				clientClosed <- err
+			}()
+		}
+	}()
+
+	const timeout = time.Second
+	t0 := time.Now()
+	c, err := DialConfigured(ln.Addr().String(), DialConfig{Timeout: timeout})
+	if err == nil {
+		c.Close()
+		t.Fatal("dial succeeded against a server without the mux capability")
+	}
+	if !errors.Is(err, errNoMux) || !strings.Contains(err.Error(), "mux capability") {
+		t.Fatalf("dial error %q does not name the missing mux capability", err)
+	}
+	if el := time.Since(t0); el > timeout {
+		t.Fatalf("dial took %v to fail, want within DialConfig.Timeout (%v)", el, timeout)
+	}
+	select {
+	case err := <-clientClosed:
+		if !errors.Is(err, io.EOF) {
+			t.Fatalf("fake server's read ended with %v, want EOF from the client closing its connection", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the failed dial left its connection open")
+	}
+	ln.Close()
+	if n := <-accepts; n != 1 {
+		t.Fatalf("%d connections for one failed dial; an incompatible server must not be retried", n)
 	}
 }

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"errors"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -326,6 +327,56 @@ func TestServerCloseUnblocksServe(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("Serve did not return after Close")
+	}
+}
+
+// lateListener hands Accept its one connection only once Close has been
+// called: the accept that was already in flight when shutdown began.
+type lateListener struct {
+	closing chan struct{}
+	conn    chan net.Conn
+}
+
+func (l *lateListener) Accept() (net.Conn, error) {
+	<-l.closing
+	select {
+	case c := <-l.conn:
+		return c, nil
+	default:
+		return nil, net.ErrClosed
+	}
+}
+func (l *lateListener) Close() error   { close(l.closing); return nil }
+func (l *lateListener) Addr() net.Addr { return &net.TCPAddr{} }
+
+// TestCloseRefusesConnAcceptedDuringShutdown: a connection whose accept
+// completes while Close is closing the registered ones must be closed, not
+// served — nobody would be left to close it, and Close would wait on its
+// read loop forever (TestChaosPlanOwnerKill used to hang this way when the
+// survivor's planner dialed the node being killed).
+func TestCloseRefusesConnAcceptedDuringShutdown(t *testing.T) {
+	srv := newUnstartedServer(t, nil, 0)
+	client, server := net.Pipe()
+	defer client.Close()
+	ln := &lateListener{closing: make(chan struct{}), conn: make(chan net.Conn, 1)}
+	ln.conn <- server
+	go srv.Serve(ln)
+	for srv.Addr() == nil {
+		time.Sleep(time.Millisecond)
+	}
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close is waiting on a connection accepted after it began")
+	}
+	client.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := client.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("read on the late connection: %v, want EOF (the server must have closed it)", err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -9,13 +8,14 @@ import (
 
 	"icache/internal/dataset"
 	"icache/internal/obs"
-	"icache/internal/overload"
+	"icache/internal/trace"
 	"icache/internal/wire"
 )
 
-// The vectored serving path. Plain and multiplexed opGetBatch /
-// opPeerGetBatch requests are served without copying payload bytes and
-// without per-request heap allocation when every sample is a local hit:
+// The vectored serving path. Every opGetBatch / opPeerGetBatch request —
+// bare or multiplexed, traced or not, with or without a deadline — is served
+// here, without copying payload bytes and without per-request heap
+// allocation when every sample is a local hit:
 //
 //  1. request ids decode into a pooled scratch slice,
 //  2. the policy verdict appends into a pooled served slice
@@ -27,10 +27,8 @@ import (
 //  5. pins release after the write returns — eviction may have deleted the
 //     entries mid-write, but the slabs outlive the iovec submission.
 //
-// Misses drop to the ordinary resolution machinery (singleflight, peer
-// scatter-gather, backend) where a round trip dwarfs allocation cost.
-// Traced envelopes and the legacy-protocol test hook keep using the copy
-// path in dispatchCtx, which stays byte-for-byte compatible.
+// Misses drop to the miss collector (singleflight, peer scatter-gather,
+// backend) where a round trip dwarfs allocation cost.
 
 // servedPayload is one response slot: the payload bytes, the pinned slab
 // backing them (nil for zero-length or miss-path bytes), and — on the peer
@@ -82,84 +80,63 @@ func (s *Server) releaseScratch(sc *serveScratch) {
 	serveScratchPool.Put(sc)
 }
 
-// vecOp reports whether the vectored path serves this opcode. The legacy
-// protocol hook routes everything through the copy path instead (its job is
-// to reproduce pre-PR-5 behavior exactly).
-func (s *Server) vecOp(op byte) bool {
-	if s.legacyProto {
-		return false
-	}
-	return op == opGetBatch || op == opPeerGetBatch
-}
-
-// serveVecRequest serves one decoded-opcode request on the vectored path:
-// decode ids, resolve payloads (pinning local hits), frame, one vectored
-// write. muxID/muxed carry the envelope to echo. The returned error is a
-// connection write error (the caller tears the connection down); protocol
-// and resolution errors are answered in-band.
-func (s *Server) serveVecRequest(cs *muxConnState, muxID uint32, muxed bool, req []byte, dl time.Time) error {
-	op := req[0]
-	sc := getServeScratch()
-	d := newReader(req)
-	d.u8()
-	ids, derr := decodeGetBatchRequestInto(d, sc.ids[:0])
-	sc.ids = ids
-	return s.serveVecDecoded(cs, muxID, muxed, op, sc, derr, dl)
-}
-
-// serveVecDecoded is serveVecRequest after id decode — the mux read loop
-// decodes synchronously (the request buffer is reused for the next frame)
-// and hands the scratch to a dispatch goroutine, which enters here.
-// Releases sc on all paths.
-func (s *Server) serveVecDecoded(cs *muxConnState, muxID uint32, muxed bool, op byte, sc *serveScratch, derr error, dl time.Time) error {
+// serveVecDecoded serves one batch read whose ids serveFrame has decoded
+// into sc (derr is the decode error, answered in-band): resolve payloads
+// (pinning local hits), frame, one vectored write. muxID/muxed carry the
+// envelope to echo, ctx the trace context (zero when untraced), dl the
+// deadline (zero when unbounded). It runs on the read loop for a bare frame
+// and on a dispatch goroutine for a muxed one. The returned error is a
+// connection write error; protocol and resolution errors are answered
+// in-band. Releases sc on all paths.
+func (s *Server) serveVecDecoded(cs *muxConnState, muxID uint32, muxed bool, op byte, sc *serveScratch, derr error, ctx obs.TraceCtx, dl time.Time) error {
 	defer s.releaseScratch(sc)
 	if derr != nil {
 		return s.writeVecError(cs, muxID, muxed, sc, derr.Error())
 	}
-	// The budget may have drained while this request sat in the dispatch
-	// queue (the mux semaphore): re-check before touching the cache. Peer
-	// batch requests inherit the originating request's budget, so the check
-	// covers both ops.
-	if op == opPeerGetBatch && s.deadlineExpired(dl) {
-		return s.writeVecStatus(cs, muxID, muxed, sc, statusExpired)
-	}
+	// The request stage runs from here — ids decoded — to the response
+	// written; a traced request records the same interval as its rpc_recv
+	// span, whichever of the two ops it is.
 	var t0 time.Time
-	if op == opGetBatch && (s.obs.histsOn() || s.obs.slowThresh > 0) {
+	if s.obs.tracing(ctx) || (op == opGetBatch && (s.obs.histsOn() || s.obs.slowThresh > 0)) {
 		t0 = time.Now()
 	}
-	var err error
+	// Deadline check BEFORE the policy engine runs (the budget may also have
+	// drained while a muxed request waited for a dispatch slot): an expired
+	// request must not move cache state or counters, so
+	// shed+expired+served == offered stays an exact identity. Peer batch
+	// requests inherit the originating request's budget.
+	if s.deadlineExpired(dl) {
+		return s.writeVecStatus(cs, muxID, muxed, sc, statusExpired)
+	}
 	if op == opPeerGetBatch {
 		s.fillPeerPinned(sc)
-	} else {
-		err = s.getBatchPinned(sc.ids, obs.TraceCtx{}, sc, dl)
-	}
-	if err != nil {
-		if errors.Is(err, overload.ErrExpired) {
-			return s.writeVecStatus(cs, muxID, muxed, sc, statusExpired)
-		}
+	} else if err := s.getBatchPinned(sc, ctx, dl); err != nil {
 		return s.writeVecError(cs, muxID, muxed, sc, err.Error())
 	}
 	werr := s.writeVecResponse(cs, muxID, muxed, sc, op == opPeerGetBatch)
 	if !t0.IsZero() {
 		dur := time.Since(t0)
-		s.obs.request.Record(dur)
-		s.maybeLogSlow(obs.TraceCtx{}, len(sc.ids), dur)
+		s.span(trace.KindRPCRecv, 0, int64(len(sc.ids)), ctx, dur)
+		if op == opGetBatch {
+			s.obs.request.Record(dur)
+			// Pin this trace as the latency-bucket exemplar: the journal's
+			// bridge from "the p99 bucket moved" to a stitched trace chain.
+			s.obs.exemplars.Record(dur, ctx.ID)
+			s.maybeLogSlow(ctx, len(sc.ids), dur)
+		}
 	}
 	return werr
 }
 
-// getBatchPinned is the pinned-hit core of GetBatch: policy verdict into
-// sc.served, local hits pinned into sc.out, misses resolved through the
-// ordinary coalesced machinery and patched in afterwards. On error the
-// caller releases whatever pins were already taken via releaseScratch.
-func (s *Server) getBatchPinned(ids []dataset.SampleID, ctx obs.TraceCtx, sc *serveScratch, dl time.Time) error {
-	// Same pre-policy deadline check as getBatch: an expired request leaves
-	// no trace in the cache counters.
-	if s.deadlineExpired(dl) {
-		return overload.ErrExpired
-	}
+// getBatchPinned is the one GetBatch core: the policy verdict for sc.ids
+// lands in sc.served, local hits are pinned into sc.out, and the misses
+// (sc.missIdx) are resolved by the miss collector. The policy decision is a
+// short critical section under policyMu; all byte fetching happens outside
+// any lock. On error the caller releases whatever pins were already taken
+// via releaseScratch.
+func (s *Server) getBatchPinned(sc *serveScratch, ctx obs.TraceCtx, dl time.Time) error {
 	spec := s.source.Spec()
-	for _, id := range ids {
+	for _, id := range sc.ids {
 		if !spec.Contains(id) {
 			return fmt.Errorf("rpc: sample %d out of range for dataset %q", id, spec.Name)
 		}
@@ -172,7 +149,7 @@ func (s *Server) getBatchPinned(ids []dataset.SampleID, ctx obs.TraceCtx, sc *se
 		tLock = time.Now()
 	}
 	sc.served = sc.served[:0]
-	s.cache.FetchBatchInto(s.now(), ids, &sc.served)
+	s.cache.FetchBatchInto(s.now(), sc.ids, &sc.served)
 	s.policyMu.Unlock()
 	s.obs.policyLock.Since(tLock)
 
@@ -195,28 +172,13 @@ func (s *Server) getBatchPinned(ids []dataset.SampleID, ctx obs.TraceCtx, sc *se
 	if len(sc.missIdx) == 0 {
 		return nil
 	}
-
-	// Miss path: a backend or peer round trip dwarfs allocation, so the
-	// misses go through the same collector as the copying path. The returned
-	// samples align with missIDs. Miss-path bytes are adopted slabs or remote
-	// buffers — safe without a pin.
-	missIDs := make([]dataset.SampleID, len(sc.missIdx))
-	for j, i := range sc.missIdx {
-		missIDs[j] = sc.served[i]
-	}
-	samples, err := s.collect(missIDs, ctx, dl)
-	if err != nil {
-		return err
-	}
-	for j, i := range sc.missIdx {
-		sc.out[i].b = samples[j].Payload
-	}
-	return nil
+	return s.collect(sc, ctx, dl)
 }
 
 // fillPeerPinned serves opPeerGetBatch against the payload store only:
-// per-id pinned lookups, never policyMu, never a cache mutation — the same
-// contract as handlePeerGetBatch, minus the copies.
+// per-id pinned lookups, never policyMu, never a cache mutation —
+// handlePeerGet's contract, amortized over one frame. Response entries align
+// with the request ids.
 func (s *Server) fillPeerPinned(sc *serveScratch) {
 	sc.out = sc.out[:0]
 	served := 0

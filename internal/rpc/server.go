@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -99,9 +100,6 @@ type Server struct {
 	demandFetches     int64
 	// muxInflight gauges mux requests currently in async dispatch (atomic).
 	muxInflight int64
-	// legacyProto pins the server to pre-PR-5 wire behavior (test hook;
-	// see SetLegacyProtocol).
-	legacyProto bool
 
 	ln      net.Listener
 	conns   sync.WaitGroup
@@ -190,10 +188,20 @@ func (s *Server) Serve(ln net.Listener) error {
 				return err
 			}
 		}
+		// Register under connMu, where Close closes what is registered: a
+		// connection accepted while Close was already running is refused
+		// here instead of being served with nobody left to close it.
 		s.connMu.Lock()
+		select {
+		case <-s.closed:
+			s.connMu.Unlock()
+			conn.Close()
+			return net.ErrClosed
+		default:
+		}
 		s.connSet[conn] = struct{}{}
-		s.connMu.Unlock()
 		s.conns.Add(1)
+		s.connMu.Unlock()
 		go func() {
 			defer func() {
 				s.connMu.Lock()
@@ -258,19 +266,12 @@ func (s *Server) Close() error {
 	return err
 }
 
-// serveConn is one connection's request loop. It reads through the
+// serveConn is one connection's read loop. It reads through the
 // connection's wire.FrameReader, reusing its frame buffer across requests
-// (requests are fully decoded — or copied, for async mux dispatch — before
-// the next read, so aliasing is safe), and encodes every response into a
-// pooled buffer that is returned to the pool right after the frame is
-// written.
-//
-// Frames carrying the opMuxReq envelope are dispatched asynchronously (one
-// goroutine per in-flight request, bounded by cs.sem) so a pipelined client
-// gets concurrent service on one connection; all response writes — sync and
-// async — serialize on cs.wmu so frames never interleave. On teardown the
-// connection closes FIRST, then the loop waits for in-flight mux handlers:
-// stragglers fail their writes fast instead of blocking shutdown.
+// (serveFrame decodes or copies whatever outlives its call, so aliasing is
+// safe), and hands every frame to serveFrame. On teardown the connection
+// closes FIRST, then the loop waits for in-flight mux handlers: stragglers
+// fail their writes fast instead of blocking shutdown.
 func (s *Server) serveConn(conn net.Conn) {
 	cs := &muxConnState{conn: conn, sem: make(chan struct{}, muxServerInflight)}
 	defer cs.wg.Wait()
@@ -278,78 +279,106 @@ func (s *Server) serveConn(conn net.Conn) {
 	rd := wire.NewFrameReader(conn)
 	for {
 		req, err := rd.Next()
-		if err != nil {
-			if !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.EOF) {
-				// Normal client disconnects arrive as EOF; anything else is
-				// worth a log line but never a crash.
-				s.logIfUnexpected(err)
-			}
-			return
-		}
-		if len(req) >= muxHeaderLen && req[0] == opMuxReq && !s.legacyProto {
-			s.serveMuxFrame(cs, req)
-			continue
-		}
-		// Peel any deadline envelope FIRST: both the vectored-path intercept
-		// and the admission gate key on the INNER opcode.
-		inner := req
-		var dl time.Time
-		if len(req) > 0 && req[0] == opDeadline && !s.legacyProto {
-			var derr error
-			inner, dl, _, derr = peelDeadline(req, time.Now())
-			if derr != nil {
-				msg := derr.Error()
-				if err := s.writeControlFrame(cs, 0, false, func(e *buffer) {
-					encodeErrorResponseInto(e, msg)
-				}); err != nil {
-					s.logIfUnexpected(err)
-					return
-				}
-				continue
-			}
-		}
-		// Admission: the legacy per-connection path shares the same gate as
-		// the mux fan-out, so a storm of serial connections is bounded too.
-		admitted := false
-		if g := s.gate; g != nil && gatedOp(inner) {
-			ok, after := g.Admit(time.Now())
-			if !ok {
-				atomic.AddInt64(&s.shedCount, 1)
-				if err := s.writeControlFrame(cs, 0, false, func(e *buffer) {
-					encodeRetryAfterResponseInto(e, after)
-				}); err != nil {
-					s.logIfUnexpected(err)
-					return
-				}
-				continue
-			}
-			admitted = true
-		}
-		if len(inner) > 0 && s.vecOp(inner[0]) {
-			// Hot ops take the zero-copy path: pinned slab payloads framed
-			// as one vectored write, no response buffer.
-			err := s.serveVecRequest(cs, 0, false, inner, dl)
-			if admitted {
-				s.gate.Done()
-			}
-			if err != nil {
-				s.logIfUnexpected(err)
-				return
-			}
-			continue
-		}
-		wb := wire.GetBuffer()
-		e := buffer{Buffer: *wb}
-		s.dispatchFull(inner, &e, obs.TraceCtx{}, dl)
-		err = cs.writeBuffer(wb, &e)
-		if admitted {
-			s.gate.Done()
+		if err == nil {
+			err = s.serveFrame(cs, req)
 		}
 		if err != nil {
-			s.logIfUnexpected(err)
+			// Normal client disconnects arrive as EOF; anything else is worth
+			// a log line but never a crash.
+			if !errors.Is(err, io.EOF) {
+				s.logIfUnexpected(err)
+			}
 			return
 		}
 	}
+}
+
+// serveFrame is the one request path: every frame a connection delivers —
+// and every request the tests and the fuzzer inject — is peeled, gated and
+// dispatched here, in this order:
+//
+//  1. The opMuxReq envelope is optional. A muxed request is served on its
+//     own goroutine (bounded by cs.sem), so a pipelined client gets
+//     concurrent service on one connection, and its response echoes the
+//     envelope; a bare frame — the handshake ping, a client's one-shot retry
+//     — is served on the read loop. All response writes serialize on cs.wmu
+//     so frames never interleave.
+//  2. The deadline and trace envelopes are peeled (peelEnvelopes), so the
+//     gate and the dispatch below key on the INNER opcode.
+//  3. Admission runs BEFORE the per-connection semaphore: a shed request is
+//     answered from the read loop and never occupies a dispatch slot — that
+//     is the whole point of shedding.
+//  4. opGetBatch and opPeerGetBatch take the vectored path (serve_vec.go);
+//     every other opcode answers through dispatchControl.
+//
+// frame aliases the read loop's reusable buffer: what a dispatch goroutine
+// needs is decoded (ids, into a pooled scratch) or copied before it starts.
+// The returned error is a failed write from the read loop (the caller tears
+// the connection down); protocol errors are answered in-band.
+func (s *Server) serveFrame(cs *muxConnState, frame []byte) error {
+	inner, muxed, muxID := frame, false, uint32(0)
+	if len(frame) >= muxHeaderLen && frame[0] == opMuxReq {
+		inner, muxed, muxID = frame[muxHeaderLen:], true, binary.BigEndian.Uint32(frame[1:])
+	}
+	inner, ctx, dl, err := peelEnvelopes(inner)
+	if err != nil {
+		msg := err.Error()
+		return s.writeControlFrame(cs, muxID, muxed, func(e *buffer) {
+			encodeErrorResponseInto(e, msg)
+		})
+	}
+	admitted := false
+	if g := s.gate; g != nil && gatedOp(inner) {
+		ok, after := g.Admit(time.Now())
+		if !ok {
+			atomic.AddInt64(&s.shedCount, 1)
+			return s.writeControlFrame(cs, muxID, muxed, func(e *buffer) {
+				encodeRetryAfterResponseInto(e, after)
+			})
+		}
+		admitted = true
+	}
+
+	if len(inner) > 0 && (inner[0] == opGetBatch || inner[0] == opPeerGetBatch) {
+		op := inner[0]
+		sc := getServeScratch()
+		d := newReader(inner)
+		d.u8()
+		ids, derr := decodeGetBatchRequestInto(d, sc.ids[:0])
+		sc.ids = ids
+		if !muxed {
+			err := s.serveVecDecoded(cs, 0, false, op, sc, derr, ctx, dl)
+			if admitted {
+				s.gate.Done()
+			}
+			return err
+		}
+		s.acquireMuxSlot(cs, admitted)
+		go func() {
+			defer s.releaseMuxSlot(cs, admitted)
+			if err := s.serveVecDecoded(cs, muxID, true, op, sc, derr, ctx, dl); err != nil {
+				s.logIfUnexpected(err)
+			}
+		}()
+		return nil
+	}
+
+	if !muxed {
+		err := s.serveControl(cs, 0, false, inner, ctx)
+		if admitted {
+			s.gate.Done()
+		}
+		return err
+	}
+	innerCopy := append([]byte(nil), inner...)
+	s.acquireMuxSlot(cs, admitted)
+	go func() {
+		defer s.releaseMuxSlot(cs, admitted)
+		if err := s.serveControl(cs, muxID, true, innerCopy, ctx); err != nil {
+			s.logIfUnexpected(err)
+		}
+	}()
+	return nil
 }
 
 // muxServerInflight bounds concurrently dispatched mux requests per
@@ -376,83 +405,6 @@ func (cs *muxConnState) writeBuffer(wb *wire.Buffer, e *buffer) error {
 	cs.wmu.Unlock()
 	wire.PutBuffer(wb)
 	return err
-}
-
-// serveMuxFrame dispatches one opMuxReq envelope asynchronously. req aliases
-// the read loop's reusable buffer, so the inner request is copied before the
-// handler goroutine starts. The response frame echoes the envelope header so
-// the client's demux reader can match it.
-func (s *Server) serveMuxFrame(cs *muxConnState, req []byte) {
-	d := newReader(req)
-	d.u8() // opMuxReq (validated by the caller)
-	id := d.u32()
-	rest := d.rest()
-	// Deadline envelope sits inside the mux envelope; peel it before the
-	// vec check so a deadlined GetBatch keeps the zero-copy path.
-	inner := rest
-	var dl time.Time
-	if len(rest) > 0 && rest[0] == opDeadline {
-		var derr error
-		inner, dl, _, derr = peelDeadline(rest, time.Now())
-		if derr != nil {
-			msg := derr.Error()
-			if err := s.writeControlFrame(cs, id, true, func(e *buffer) {
-				encodeErrorResponseInto(e, msg)
-			}); err != nil {
-				s.logIfUnexpected(err)
-			}
-			return
-		}
-	}
-	// Admission runs BEFORE the per-connection semaphore: a shed request is
-	// answered synchronously from the read loop and never occupies a
-	// dispatch slot — that is the whole point of shedding.
-	admitted := false
-	if g := s.gate; g != nil && gatedOp(inner) {
-		ok, after := g.Admit(time.Now())
-		if !ok {
-			atomic.AddInt64(&s.shedCount, 1)
-			if err := s.writeControlFrame(cs, id, true, func(e *buffer) {
-				encodeRetryAfterResponseInto(e, after)
-			}); err != nil {
-				s.logIfUnexpected(err)
-			}
-			return
-		}
-		admitted = true
-	}
-	if len(inner) > 0 && s.vecOp(inner[0]) {
-		// Zero-copy dispatch: decode the ids into a pooled scratch NOW (inner
-		// aliases the reusable read buffer) and hand the scratch — not the
-		// request bytes — to the handler goroutine. No request copy.
-		op := inner[0]
-		sc := getServeScratch()
-		di := newReader(inner)
-		di.u8()
-		ids, derr := decodeGetBatchRequestInto(di, sc.ids[:0])
-		sc.ids = ids
-		s.acquireMuxSlot(cs, admitted)
-		go func() {
-			defer s.releaseMuxSlot(cs, admitted)
-			if err := s.serveVecDecoded(cs, id, true, op, sc, derr, dl); err != nil {
-				s.logIfUnexpected(err)
-			}
-		}()
-		return
-	}
-	innerCopy := append([]byte(nil), inner...)
-	s.acquireMuxSlot(cs, admitted)
-	go func() {
-		defer s.releaseMuxSlot(cs, admitted)
-		wb := wire.GetBuffer()
-		e := buffer{Buffer: *wb}
-		e.u8(opMuxReq)
-		e.u32(id)
-		s.dispatchFull(innerCopy, &e, obs.TraceCtx{}, dl)
-		if err := cs.writeBuffer(wb, &e); err != nil {
-			s.logIfUnexpected(err)
-		}
-	}()
 }
 
 // acquireMuxSlot takes a per-connection dispatch slot, feeding the time
@@ -490,13 +442,6 @@ func (s *Server) releaseMuxSlot(cs *muxConnState, admitted bool) {
 // across all connections (gauge).
 func (s *Server) MuxInflight() int64 { return atomic.LoadInt64(&s.muxInflight) }
 
-// SetLegacyProtocol pins the server to the pre-PR-5 wire behavior: opPing
-// answers with the bare status byte (no capability word), opMuxReq and
-// opPeerGetBatch are rejected as unknown opcodes. It exists so
-// mixed-version interop tests can stand up a faithful "old binary" —
-// production servers never call it. Must be set before Serve.
-func (s *Server) SetLegacyProtocol(on bool) { s.legacyProto = on }
-
 // SetAdmission installs the adaptive admission gate (nil = admit
 // everything). Must be called before Serve. The gate's state ladder drives
 // the brownout side effects in order: Brownout first sacrifices optional
@@ -529,27 +474,16 @@ func (s *Server) OverloadCounters() (shed, expired int64) {
 	return atomic.LoadInt64(&s.shedCount), atomic.LoadInt64(&s.expiredCount)
 }
 
-// gatedOp reports whether the admission gate applies to a request payload.
-// Health checks (opPing) and monitoring (opStats) always pass: an operator
-// must be able to see an overloaded server. A leading trace envelope is
-// skipped so traced data requests don't dodge the gate.
-func gatedOp(p []byte) bool {
-	if len(p) == 0 {
-		return false
-	}
-	op := p[0]
-	if op == opTraced && len(p) > tracedHeaderLen {
-		op = p[tracedHeaderLen]
-	}
-	switch op {
-	case opPing, opStats:
-		return false
-	}
-	return true
+// gatedOp reports whether the admission gate applies to a request (its
+// envelopes already peeled). Health checks (opPing) and monitoring (opStats)
+// always pass: an operator must be able to see an overloaded server.
+func gatedOp(inner []byte) bool {
+	return len(inner) > 0 && inner[0] != opPing && inner[0] != opStats
 }
 
-// writeControlFrame writes a small status-only response — shed/expired
-// rejections and pre-dispatch protocol errors — on the sync or mux path.
+// writeControlFrame writes one buffered response frame — whatever fill
+// encodes after the echoed mux envelope — from the read loop or a dispatch
+// goroutine.
 func (s *Server) writeControlFrame(cs *muxConnState, muxID uint32, muxed bool, fill func(e *buffer)) error {
 	wb := wire.GetBuffer()
 	e := buffer{Buffer: *wb}
@@ -561,6 +495,11 @@ func (s *Server) writeControlFrame(cs *muxConnState, muxID uint32, muxed bool, f
 	return cs.writeBuffer(wb, &e)
 }
 
+// serveControl answers one non-batch request (envelopes already peeled).
+func (s *Server) serveControl(cs *muxConnState, muxID uint32, muxed bool, req []byte, ctx obs.TraceCtx) error {
+	return s.writeControlFrame(cs, muxID, muxed, func(e *buffer) { s.dispatchControl(req, e, ctx) })
+}
+
 func (s *Server) logIfUnexpected(err error) {
 	if errors.Is(err, net.ErrClosed) {
 		return
@@ -570,106 +509,16 @@ func (s *Server) logIfUnexpected(err error) {
 	}
 }
 
-// dispatch decodes one request and produces the response payload
-// (allocating form, used by tests and the fuzz harness; the serving loop
-// uses dispatchInto with a pooled buffer).
-func (s *Server) dispatch(req []byte) []byte {
-	var e buffer
-	s.dispatchInto(req, &e)
-	return e.payload()
-}
-
-// dispatchInto decodes one request and appends the response into e.
-// Protocol errors are answered, never fatal. The request buffer may be
-// reused by the caller after dispatchInto returns, so no slice of req is
-// retained (decoders copy what they keep).
-func (s *Server) dispatchInto(req []byte, e *buffer) {
-	s.dispatchCtx(req, e, obs.TraceCtx{})
-}
-
-// dispatchCtx is dispatchInto carrying the request's trace context (zero
-// when untraced).
-func (s *Server) dispatchCtx(req []byte, e *buffer, ctx obs.TraceCtx) {
-	s.dispatchFull(req, e, ctx, time.Time{})
-}
-
-// dispatchFull is the dispatch core, carrying the request's trace context
-// (zero when untraced) and its absolute deadline (zero when unbounded).
-// Each envelope opcode — opTraced, opDeadline — re-enters here exactly
-// once: nesting the same envelope twice is rejected, so recursion depth is
-// bounded at two.
-func (s *Server) dispatchFull(req []byte, e *buffer, ctx obs.TraceCtx, dl time.Time) {
+// dispatchControl decodes one control-plane request — everything except the
+// batch reads, which serveFrame routes to the vectored path — and appends
+// the response into e. ctx is the request's trace context (zero when
+// untraced). Protocol errors are answered, never fatal. The request buffer
+// may be reused by the caller after dispatchControl returns, so no slice of
+// req is retained (decoders copy what they keep).
+func (s *Server) dispatchControl(req []byte, e *buffer, ctx obs.TraceCtx) {
 	d := newReader(req)
 	op := d.u8()
 	switch op {
-	case opTraced:
-		if ctx.Valid() {
-			encodeErrorResponseInto(e, "rpc: nested trace envelope")
-			return
-		}
-		id := uint64(d.i64())
-		hop := d.u8()
-		if err := d.err(); err != nil {
-			encodeErrorResponseInto(e, err.Error())
-			return
-		}
-		inner := obs.TraceCtx{ID: id, Hop: hop}
-		if !inner.Valid() {
-			encodeErrorResponseInto(e, "rpc: trace envelope with zero trace id")
-			return
-		}
-		s.dispatchFull(d.rest(), e, inner, dl)
-	case opDeadline:
-		// Normally peeled in the read loop (before the vec intercept); this
-		// case serves direct dispatch callers and a deadline nested inside a
-		// trace envelope.
-		if s.legacyProto {
-			encodeErrorResponseInto(e, fmt.Sprintf("rpc: unknown opcode %d", op))
-			return
-		}
-		if !dl.IsZero() {
-			encodeErrorResponseInto(e, "rpc: nested deadline envelope")
-			return
-		}
-		budget := d.i64()
-		if err := d.err(); err != nil {
-			encodeErrorResponseInto(e, err.Error())
-			return
-		}
-		if budget <= 0 {
-			encodeErrorResponseInto(e, fmt.Sprintf("rpc: non-positive deadline budget %d", budget))
-			return
-		}
-		s.dispatchFull(d.rest(), e, ctx, time.Now().Add(time.Duration(budget)))
-	case opGetBatch:
-		var t0 time.Time
-		if s.obs.histsOn() || s.obs.tracing(ctx) || s.obs.slowThresh > 0 {
-			t0 = time.Now()
-		}
-		ids, err := decodeGetBatchRequest(d)
-		if err != nil {
-			encodeErrorResponseInto(e, err.Error())
-			return
-		}
-		samples, err := s.getBatch(ids, ctx, dl)
-		if err != nil {
-			if errors.Is(err, overload.ErrExpired) {
-				encodeExpiredResponseInto(e)
-				return
-			}
-			encodeErrorResponseInto(e, err.Error())
-			return
-		}
-		encodeGetBatchResponseInto(e, samples)
-		if !t0.IsZero() {
-			dur := time.Since(t0)
-			s.obs.request.Record(dur)
-			s.span(trace.KindRPCRecv, 0, int64(len(ids)), ctx, dur)
-			// Pin this trace as the latency-bucket exemplar: the journal's
-			// bridge from "the p99 bucket moved" to a stitched trace chain.
-			s.obs.exemplars.Record(dur, ctx.ID)
-			s.maybeLogSlow(ctx, len(ids), dur)
-		}
 	case opUpdateImportance:
 		items, err := decodeUpdateImportanceRequest(d)
 		if err != nil {
@@ -697,10 +546,6 @@ func (s *Server) dispatchFull(req []byte, e *buffer, ctx obs.TraceCtx, dl time.T
 		// schedule. PlanSchedule seeds the loader with the missing L-side
 		// (honest virtual-time charging) and returns the missing H-side in
 		// first-access order for the planner to pre-place.
-		if s.legacyProto {
-			encodeErrorResponseInto(e, fmt.Sprintf("rpc: unknown opcode %d", op))
-			return
-		}
 		_, ids, err := decodeEpochPlanRequest(d)
 		if err != nil {
 			encodeErrorResponseInto(e, err.Error())
@@ -726,10 +571,6 @@ func (s *Server) dispatchFull(req []byte, e *buffer, ctx obs.TraceCtx, dl time.T
 		}
 		e.u8(statusOK)
 	case opPlanPreplace:
-		if s.legacyProto {
-			encodeErrorResponseInto(e, fmt.Sprintf("rpc: unknown opcode %d", op))
-			return
-		}
 		ids, err := decodePlanPreplaceRequest(d)
 		if err != nil {
 			encodeErrorResponseInto(e, err.Error())
@@ -755,64 +596,19 @@ func (s *Server) dispatchFull(req []byte, e *buffer, ctx obs.TraceCtx, dl time.T
 		}
 		s.policyMu.Unlock()
 		encodeStatsResponseInto(e, out)
-		if !s.legacyProto {
-			// Optional trailing field; legacy framing stays byte-identical.
-			e.i64(out.DemandFetches)
-		}
 	case opPing:
 		e.u8(statusOK)
-		// Capability handshake: a post-PR-5 client appends its capability
-		// word; echo ours so it can pipeline. A bare legacy ping gets the
-		// bare legacy answer.
-		if !s.legacyProto && len(d.rest()) >= 4 {
+		// A ping carrying a capability word is the dial-time handshake: echo
+		// ours. A bare ping is the liveness check and gets the bare status.
+		if len(d.rest()) >= 4 {
 			_ = d.u32() // client capabilities (none change our behavior yet)
 			e.u32(capMux)
 		}
 	case opPeerGet:
 		s.handlePeerGet(d, e, ctx)
-	case opPeerGetBatch:
-		if s.legacyProto {
-			encodeErrorResponseInto(e, fmt.Sprintf("rpc: unknown opcode %d", op))
-			return
-		}
-		s.handlePeerGetBatch(d, e, ctx)
 	default:
 		encodeErrorResponseInto(e, fmt.Sprintf("rpc: unknown opcode %d", op))
 	}
-}
-
-// getBatch runs the cache policy for each requested sample and returns real
-// payloads: cached bytes for residents, freshly fetched bytes otherwise
-// (stored if the policy admitted the sample). The policy decision is a
-// short critical section under policyMu; all byte fetching happens outside
-// any lock, coalesced per sample. ctx is the request's trace context (zero
-// when untraced); stage timings record into the obs histograms when
-// enabled.
-func (s *Server) getBatch(ids []dataset.SampleID, ctx obs.TraceCtx, dl time.Time) ([]Sample, error) {
-	// Deadline check BEFORE the policy engine runs: an expired request must
-	// not move cache state or counters, so shed+expired+served == offered
-	// stays an exact identity.
-	if s.deadlineExpired(dl) {
-		return nil, overload.ErrExpired
-	}
-
-	spec := s.source.Spec()
-	for _, id := range ids {
-		if !spec.Contains(id) {
-			return nil, fmt.Errorf("rpc: sample %d out of range for dataset %q", id, spec.Name)
-		}
-	}
-
-	s.policyMu.Lock()
-	var tLock time.Time
-	if s.obs.histsOn() {
-		tLock = time.Now()
-	}
-	_, served := s.cache.FetchBatch(s.now(), ids)
-	s.policyMu.Unlock()
-	s.obs.policyLock.Since(tLock)
-
-	return s.collect(served, ctx, dl)
 }
 
 // deadlineExpired reports whether a request's budget has run out, counting
@@ -848,24 +644,27 @@ type missKey struct {
 	pos int
 }
 
-// collect is the one miss collector, shared by the copying path (getBatch)
-// and the pinned path (getBatchPinned): ids already in the payload store
-// are served from it, and ALL remaining ids are resolved together — every
-// miss registered in the singleflight layer first, so concurrent requests
-// (and the prefetch pool) for the same samples coalesce onto exactly one
-// fetch and every waiter is satisfied exactly once; the keys this request
-// leads are then resolved by resolveMissBatch (peer scatter-gather on a
-// distributed server, a bounded parallel backend gather for the rest).
-func (s *Server) collect(served []dataset.SampleID, ctx obs.TraceCtx, dl time.Time) ([]Sample, error) {
+// collect is the one miss collector. The positions getBatchPinned found no
+// pinned payload for (sc.missIdx) are resolved together and patched into
+// sc.out: every miss is registered in the singleflight layer first, so
+// concurrent requests (and the prefetch pool) for the same samples coalesce
+// onto exactly one fetch and every waiter is satisfied exactly once; the
+// keys this request leads are then resolved by resolveMissBatch (peer
+// scatter-gather on a distributed server, a bounded parallel backend gather
+// for the rest). Miss-path bytes are adopted slabs or remote buffers — safe
+// to frame without a pin.
+func (s *Server) collect(sc *serveScratch, ctx obs.TraceCtx, dl time.Time) error {
 	histsOn := s.obs.histsOn()
-	out := make([]Sample, len(served))
 
-	// Pass 1: local hits; every miss joins or leads the in-flight fetch of
-	// its id. Nothing is waited on until every key this request leads has
-	// been finished, so a duplicate id is safe: its second Begin joins the
-	// call the request itself leads, and is served like any other waiter.
+	// Pass 1: a racing fetch or prefetch may have stored the payload since
+	// the pinned lookup; every remaining miss joins or leads the in-flight
+	// fetch of its id. Nothing is waited on until every key this request
+	// leads has been finished, so a duplicate id is safe: its second Begin
+	// joins the call the request itself leads, and is served like any other
+	// waiter.
 	var leads, waits []missKey
-	for i, id := range served {
+	for _, i := range sc.missIdx {
+		id := sc.served[i]
 		var tHit time.Time
 		if histsOn {
 			tHit = time.Now()
@@ -873,7 +672,7 @@ func (s *Server) collect(served []dataset.SampleID, ctx obs.TraceCtx, dl time.Ti
 		if payload, ok := s.payloads.get(id); ok {
 			s.obs.localHit.Since(tHit)
 			s.prefetch.noteHit(id)
-			out[i] = Sample{ID: id, Payload: payload}
+			sc.out[i].b = payload
 			continue
 		}
 		c, leader := s.flight.Begin(int64(id))
@@ -901,9 +700,9 @@ func (s *Server) collect(served []dataset.SampleID, ctx obs.TraceCtx, dl time.Ti
 	for _, k := range leads {
 		payload, err := k.c.Wait()
 		if err != nil {
-			return nil, fmt.Errorf("rpc: backend fetch of sample %d: %w", k.id, err)
+			return fmt.Errorf("rpc: backend fetch of sample %d: %w", k.id, err)
 		}
-		out[k.pos] = Sample{ID: k.id, Payload: payload}
+		sc.out[k.pos].b = payload
 	}
 
 	// Pass 3: the calls someone else leads (another request, the prefetch
@@ -926,15 +725,15 @@ func (s *Server) collect(served []dataset.SampleID, ctx obs.TraceCtx, dl time.Ti
 		}
 		payload, err := k.c.Wait()
 		if err != nil {
-			return nil, fmt.Errorf("rpc: backend fetch of sample %d: %w", k.id, err)
+			return fmt.Errorf("rpc: backend fetch of sample %d: %w", k.id, err)
 		}
 		if shared {
 			atomic.AddInt64(&s.coalescedMisses, 1)
 			s.obs.sfWait.Since(tWait)
 		}
-		out[k.pos] = Sample{ID: k.id, Payload: payload}
+		sc.out[k.pos].b = payload
 	}
-	return out, nil
+	return nil
 }
 
 // resolveMissBatch resolves every singleflight key this request leads and

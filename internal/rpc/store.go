@@ -282,8 +282,8 @@ func (p *payloadStore) getPinned(id dataset.SampleID) (b []byte, sl *slab, ok bo
 // getShared returns payload bytes that are safe to hold indefinitely
 // without a pin: adopted slabs are aliased directly (they are never
 // recycled), arena entries are copied out. Used where the bytes escape to
-// consumers with unbounded lifetime (singleflight waiters, peer serving
-// through the copy path, checkpointing).
+// consumers with unbounded lifetime (singleflight waiters, the per-sample
+// opPeerGet answer, checkpointing).
 func (p *payloadStore) getShared(id dataset.SampleID) ([]byte, bool) {
 	sh := p.shard(id)
 	sh.mu.RLock()
