@@ -12,8 +12,10 @@
 package dataset
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // SampleID identifies a sample within a dataset. IDs are dense: a dataset
@@ -124,47 +126,64 @@ func (s Spec) Difficulty(id SampleID) float64 {
 	return 0.02 + 0.96*d
 }
 
-// Payload materializes the deterministic byte content of a sample. The first
-// 8 bytes encode the sample ID so integrity checks can detect mixed-up
-// responses on the RPC path; the remainder is a cheap xorshift stream.
+// Payload materializes the deterministic byte content of a sample as
+// little-endian 64-bit words: word 0 is the sample ID, so integrity checks can
+// detect mixed-up responses on the RPC path, and every later word is one step
+// of an xorshift stream seeded from (id, Seed). A length that is not a
+// multiple of 8 ends on the low bytes of the next word.
 func (s Spec) Payload(id SampleID) []byte {
-	n := s.SampleBytes(id)
-	buf := make([]byte, n)
-	state := mix(uint64(id), s.Seed^0x9A71)
-	for i := 0; i < n && i < 8; i++ {
-		buf[i] = byte(uint64(id) >> (8 * i))
-	}
-	for i := 8; i < n; i++ {
-		state ^= state << 13
-		state ^= state >> 7
-		state ^= state << 17
-		buf[i] = byte(state)
+	buf := make([]byte, s.SampleBytes(id))
+	word, state := uint64(id), mix(uint64(id), s.Seed^0x9A71)
+	for i := 0; i < len(buf); i += 8 {
+		if i+8 <= len(buf) {
+			binary.LittleEndian.PutUint64(buf[i:], word)
+		} else {
+			for j := i; j < len(buf); j++ {
+				buf[j] = byte(word >> (8 * (j - i)))
+			}
+		}
+		state = xorshift(state)
+		word = state
 	}
 	return buf
 }
 
-// VerifyPayload checks that buf is the payload of sample id: it must have
-// the right length and embed the ID in its header. Content beyond the header
-// is spot-checked at a few offsets rather than fully regenerated.
+// VerifyPayload checks that buf is exactly the payload of sample id: the
+// right length and every byte of Payload's stream, which it walks without
+// materializing (no allocation). The error names the first mismatching byte.
 func (s Spec) VerifyPayload(id SampleID, buf []byte) error {
-	want := s.SampleBytes(id)
-	if len(buf) != want {
+	if want := s.SampleBytes(id); len(buf) != want {
 		return fmt.Errorf("dataset %q sample %d: payload length %d, want %d", s.Name, id, len(buf), want)
 	}
-	for i := 0; i < want && i < 8; i++ {
-		if buf[i] != byte(uint64(id)>>(8*i)) {
-			return fmt.Errorf("dataset %q sample %d: payload header mismatch at byte %d", s.Name, id, i)
-		}
-	}
-	if want > 8 {
-		ref := s.Payload(id)
-		for _, off := range []int{8, want / 2, want - 1} {
-			if buf[off] != ref[off] {
-				return fmt.Errorf("dataset %q sample %d: payload body mismatch at byte %d", s.Name, id, off)
+	word, state := uint64(id), mix(uint64(id), s.Seed^0x9A71)
+	for i := 0; i < len(buf); i += 8 {
+		var got uint64
+		if i+8 <= len(buf) {
+			got = binary.LittleEndian.Uint64(buf[i:])
+		} else {
+			for j := len(buf) - 1; j >= i; j-- {
+				got = got<<8 | uint64(buf[j])
 			}
+			word &= 1<<(8*(len(buf)-i)) - 1
 		}
+		if got != word {
+			part, off := "body", i+bits.TrailingZeros64(got^word)/8
+			if off < 8 {
+				part = "header"
+			}
+			return fmt.Errorf("dataset %q sample %d: payload %s mismatch at byte %d", s.Name, id, part, off)
+		}
+		state = xorshift(state)
+		word = state
 	}
 	return nil
+}
+
+// xorshift is one step of Marsaglia's 64-bit xorshift (13, 7, 17).
+func xorshift(x uint64) uint64 {
+	x ^= x << 13
+	x ^= x >> 7
+	return x ^ x<<17
 }
 
 // AllIDs returns the dense ID list 0..n-1. Callers that only iterate should

@@ -1,7 +1,9 @@
 package dataset
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -144,22 +146,99 @@ func TestPayloadRoundTrip(t *testing.T) {
 }
 
 func TestVerifyPayloadDetectsCorruption(t *testing.T) {
-	s := CIFAR10()
-	p := s.Payload(42)
-	if err := s.VerifyPayload(43, p); err == nil {
+	s := CIFAR10() // 3073 bytes: 384 whole words and a one-byte tail
+	if err := s.VerifyPayload(43, s.Payload(42)); err == nil {
 		t.Error("payload of 42 verified as 43")
 	}
-	p[0] ^= 0xFF
-	if err := s.VerifyPayload(42, p); err == nil {
-		t.Error("header corruption went undetected")
-	}
-	p = s.Payload(42)
-	p[len(p)-1] ^= 0xFF
-	if err := s.VerifyPayload(42, p); err == nil {
-		t.Error("tail corruption went undetected")
-	}
-	if err := s.VerifyPayload(42, p[:10]); err == nil {
+	if err := s.VerifyPayload(42, s.Payload(42)[:10]); err == nil {
 		t.Error("truncated payload went undetected")
+	}
+	// Every byte is checked, and the first wrong one is named: in the header,
+	// at a word boundary and inside a word of the body, in the last whole
+	// word, and in a tail shorter than a word.
+	odd := Spec{Name: "odd", NumSamples: 100, MeanSampleBytes: 61, Seed: 3} // 7 words + 5 bytes
+	for _, tc := range []struct {
+		spec Spec
+		off  int
+		part string
+	}{
+		{s, 0, "header"}, {s, 5, "header"},
+		{s, 8, "body"}, {s, 1024, "body"}, {s, 1027, "body"},
+		{s, 3064, "body"}, {s, 3071, "body"}, {s, 3072, "body"},
+		{odd, 55, "body"}, {odd, 56, "body"}, {odd, 60, "body"},
+	} {
+		p := tc.spec.Payload(42)
+		p[tc.off] ^= 0x10
+		if tc.off+1 < len(p) {
+			p[len(p)-1] ^= 0xFF // a later mismatch must not be the one reported
+		}
+		err := tc.spec.VerifyPayload(42, p)
+		want := fmt.Sprintf("payload %s mismatch at byte %d", tc.part, tc.off)
+		if err == nil || !strings.HasSuffix(err.Error(), want) {
+			t.Errorf("%s: flipped byte %d of %d: got %v, want ...%q", tc.spec.Name, tc.off, len(p), err, want)
+		}
+	}
+}
+
+// TestPayloadTinySamples: lengths below and just past the 8-byte header
+// round-trip and still embed the id's low bytes first.
+func TestPayloadTinySamples(t *testing.T) {
+	for n := 1; n <= 17; n++ {
+		s := Spec{Name: "tiny", NumSamples: 1 << 20, MeanSampleBytes: n, Seed: 9}
+		const id = SampleID(0x0A0B0C)
+		p := s.Payload(id)
+		if len(p) != n || p[0] != 0x0C || (n > 2 && p[2] != 0x0A) {
+			t.Fatalf("n=%d: payload % x does not start with the id", n, p)
+		}
+		if err := s.VerifyPayload(id, p); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+	}
+}
+
+func TestVerifyPayloadDoesNotAllocate(t *testing.T) {
+	s := CIFAR10()
+	p := s.Payload(7)
+	if n := testing.AllocsPerRun(100, func() {
+		if err := s.VerifyPayload(7, p); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("VerifyPayload allocates %v times per call, want 0", n)
+	}
+}
+
+var benchSink []byte
+
+// The benchmark harness generates a payload per backend read and verifies one
+// per served sample, so both must stay far below a backend latency (4 KiB is
+// the benchmark's sample size).
+func BenchmarkPayload(b *testing.B) {
+	for _, n := range []int{4 << 10, 16 << 10} {
+		s := Spec{Name: "bench", NumSamples: 4096, MeanSampleBytes: n, Seed: 7}
+		b.Run(fmt.Sprintf("%dKiB", n>>10), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(n))
+			for i := 0; i < b.N; i++ {
+				benchSink = s.Payload(SampleID(i % s.NumSamples))
+			}
+		})
+	}
+}
+
+func BenchmarkVerifyPayload(b *testing.B) {
+	for _, n := range []int{4 << 10, 16 << 10} {
+		s := Spec{Name: "bench", NumSamples: 4096, MeanSampleBytes: n, Seed: 7}
+		p := s.Payload(11)
+		b.Run(fmt.Sprintf("%dKiB", n>>10), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(n))
+			for i := 0; i < b.N; i++ {
+				if err := s.VerifyPayload(11, p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -138,7 +138,7 @@ func BenchmarkServeConcurrent(b *testing.B) {
 // wire) with a batch in which EVERY sample is a backend miss, against a byte
 // source charging a fixed latency per read. ms/batch against misses ×
 // latency shows what the gather hides (64 misses at 500µs: 64 latencies
-// serially, ⌈64/missFanout⌉ gathered); the zero-latency rows and the 1-miss
+// serially, ⌈64/backendReadBudget⌉ gathered); the zero-latency rows and the 1-miss
 // rows price its overhead — worker 0 is the request goroutine, so one miss
 // must cost what a serial loop would.
 func BenchmarkMissGather(b *testing.B) {

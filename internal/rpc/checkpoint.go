@@ -5,6 +5,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync/atomic"
+
+	"icache/internal/obs"
 )
 
 // SaveCheckpoint writes the cache's warm state (see icache.Checkpoint).
@@ -18,8 +21,9 @@ func (s *Server) SaveCheckpoint(w io.Writer) error {
 // set, the payload store is eagerly refilled from the backend so the first
 // client requests hit immediately; otherwise payloads refill lazily on
 // first access. Meant for boot time, before Serve: the policy restore runs
-// under policyMu, and the rehydration fetches run outside it (no client
-// traffic exists yet to race with).
+// under policyMu, and the rehydration reads run outside it, overlapped up to
+// the server's backend-read budget like any other gather (no client traffic
+// exists yet to race with). The first failed read stops the rest.
 func (s *Server) LoadCheckpoint(r io.Reader, rehydrate bool) error {
 	s.policyMu.Lock()
 	if err := s.cache.RestoreCheckpoint(r); err != nil {
@@ -31,16 +35,26 @@ func (s *Server) LoadCheckpoint(r io.Reader, rehydrate bool) error {
 	if !rehydrate {
 		return nil
 	}
-	for _, id := range residents {
-		payload, err := s.source.Fetch(id)
+	var failed atomic.Pointer[error]
+	gather(len(residents), func(i int) {
+		if failed.Load() != nil {
+			return
+		}
+		id := residents[i]
+		payload, err := s.readBackend(id, obs.TraceCtx{})
 		if err != nil {
-			return fmt.Errorf("rpc: rehydrate sample %d: %w", id, err)
+			err = fmt.Errorf("rpc: rehydrate sample %d: %w", id, err)
+			failed.CompareAndSwap(nil, &err)
+			return
 		}
 		// Arena admission: the fetch buffer dies right here, so the copy
 		// into a recyclable slab is safe AND packs the whole warm set into
 		// slab-class blocks instead of len(residents) loose heap objects.
 		s.payloads.putCopy(id, payload)
 		s.dec.countAdmit(provRehydrate)
+	})
+	if err := failed.Load(); err != nil {
+		return *err
 	}
 	return nil
 }

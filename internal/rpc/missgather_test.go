@@ -1,8 +1,8 @@
 package rpc
 
 // Tests for the concurrent miss gather: the one collector's exactly-once
-// Finish contract under backend failure and panic, and the bound on how many
-// backend reads one request (and two) keep in flight.
+// Finish contract under backend failure and panic, and the server-wide
+// backend-read budget — its bound, its slot lifecycle and its FIFO order.
 
 import (
 	"bytes"
@@ -183,11 +183,55 @@ func missRange(from, n int) []dataset.SampleID {
 	return ids
 }
 
-// TestMissGatherConcurrencyBound drives the collector directly (no listener,
-// no prefetch pool, so the byte source sees the request path alone): one
-// 64-miss batch overlaps its backend reads up to missFanout, two concurrent
-// batches up to twice that, and a one-miss batch runs its read on the
-// request goroutine itself.
+// gatherFixture is an unstarted server over src whose ids 1000..1999 are all
+// H-samples: asked for once, each is always a miss and never substituted. get
+// drives the collector directly (no listener), so src sees the miss path alone.
+func gatherFixture(t *testing.T, src ByteSource, prefetchWorkers int) (srv *Server, get func(ids []dataset.SampleID) error) {
+	t.Helper()
+	srv = newUnstartedServer(t, src, prefetchWorkers)
+	t.Cleanup(func() { srv.Close() })
+	var items []sampling.Item
+	for _, id := range missRange(1000, 1000) {
+		items = append(items, sampling.Item{ID: id, IV: 5})
+	}
+	srv.cache.InstallHList(sampling.NewHList(items))
+	return srv, func(ids []dataset.SampleID) error {
+		sc := getServeScratch()
+		defer srv.releaseScratch(sc)
+		sc.ids = append(sc.ids[:0], ids...)
+		if err := srv.getBatchPinned(sc, obs.TraceCtx{}, time.Time{}); err != nil {
+			return err
+		}
+		for i, sp := range sc.out {
+			if sp.id != ids[i] {
+				t.Errorf("H-sample %d substituted with %d", ids[i], sp.id)
+			}
+		}
+		return nil
+	}
+}
+
+// getAll runs one get per id list concurrently and waits for all of them.
+func getAll(t *testing.T, get func([]dataset.SampleID) error, batches ...[]dataset.SampleID) {
+	t.Helper()
+	var wg sync.WaitGroup
+	for _, ids := range batches {
+		wg.Add(1)
+		go func(ids []dataset.SampleID) {
+			defer wg.Done()
+			if err := get(ids); err != nil {
+				t.Error(err)
+			}
+		}(ids)
+	}
+	wg.Wait()
+}
+
+// TestMissGatherConcurrencyBound: the bound on backend reads in flight belongs
+// to the server, not to the request. One 64-miss batch on an idle server uses
+// the whole budget; two concurrent batches, and eight small requests beside a
+// busy prefetch pool, still never exceed it; a one-miss batch runs its read on
+// the request goroutine itself.
 func TestMissGatherConcurrencyBound(t *testing.T) {
 	inner, err := storage.NewDataSource(testSpec())
 	if err != nil {
@@ -196,67 +240,196 @@ func TestMissGatherConcurrencyBound(t *testing.T) {
 	const latency = 20 * time.Millisecond
 	src := &countingSource{inner: inner, latency: latency}
 	src.reset()
-	srv := newUnstartedServer(t, src, 0)
-	// Every id below is an H-sample asked for once: always a miss, never
-	// substituted.
-	var items []sampling.Item
-	for _, id := range missRange(1000, 500) {
-		items = append(items, sampling.Item{ID: id, IV: 5})
-	}
-	srv.cache.InstallHList(sampling.NewHList(items))
-	get := func(ids []dataset.SampleID) {
-		sc := getServeScratch()
-		defer srv.releaseScratch(sc)
-		sc.ids = append(sc.ids[:0], ids...)
-		if err := srv.getBatchPinned(sc, obs.TraceCtx{}, time.Time{}); err != nil {
-			t.Error(err)
-		}
-		for i, sp := range sc.out {
-			if sp.id != ids[i] {
-				t.Errorf("H-sample %d substituted with %d", ids[i], sp.id)
-			}
+	srv, get := gatherFixture(t, src, 0)
+	wantPeak := func(what string) {
+		t.Helper()
+		if peak, _ := src.marks(); peak <= backendReadBudget/2 || peak > backendReadBudget {
+			t.Fatalf("%s peaked at %d concurrent fetches, want %d..%d", what, peak, backendReadBudget/2+1, backendReadBudget)
 		}
 	}
 
 	t0 := time.Now()
-	get(missRange(1000, 64))
-	if dur, serial := time.Since(t0), 64*latency; dur > serial/2 {
+	getAll(t, get, missRange(1000, 64))
+	if dur, serial := time.Since(t0), 64*latency; dur > serial/4 {
 		t.Fatalf("64-miss batch took %v; the serial loop takes %v", dur, serial)
 	}
-	if peak, _ := src.marks(); peak <= 1 || peak > missFanout {
-		t.Fatalf("one 64-miss batch peaked at %d concurrent fetches, want 2..%d", peak, missFanout)
-	}
+	wantPeak("one 64-miss batch")
 
 	src.reset()
-	var wg sync.WaitGroup
-	for _, ids := range [][]dataset.SampleID{missRange(1100, 64), missRange(1200, 64)} {
-		wg.Add(1)
-		go func(ids []dataset.SampleID) {
-			defer wg.Done()
-			get(ids)
-		}(ids)
-	}
-	wg.Wait()
-	if peak, _ := src.marks(); peak <= missFanout/2 || peak > 2*missFanout {
-		t.Fatalf("two 64-miss batches peaked at %d concurrent fetches, want %d..%d", peak, missFanout/2+1, 2*missFanout)
-	}
+	getAll(t, get, missRange(1100, 64), missRange(1200, 64))
+	wantPeak("two 64-miss batches")
 
 	// Worker 0 is the request goroutine: a one-miss batch reads on the
 	// calling goroutine and starts nothing, a two-miss batch adds one worker.
 	me := goroutineID()
 	src.reset()
-	get(missRange(1300, 1))
+	if err := get(missRange(1300, 1)); err != nil {
+		t.Fatal(err)
+	}
 	if _, callers := src.marks(); len(callers) != 1 || !callers[me] {
 		t.Fatalf("one-miss batch fetched on %v, want only the request goroutine %q", callers, me)
 	}
 	src.reset()
-	get(missRange(1400, 2))
+	if err := get(missRange(1400, 2)); err != nil {
+		t.Fatal(err)
+	}
 	if _, callers := src.marks(); len(callers) != 2 || !callers[me] {
 		t.Fatalf("two-miss batch fetched on %v, want the request goroutine %q plus one worker", callers, me)
 	}
 	if n := srv.flight.Inflight(); n != 0 {
 		t.Fatalf("%d singleflight keys still in flight", n)
 	}
+
+	// Prefetch reads draw on the same slots: with the four workers kept busy,
+	// eight 8-miss requests (64 + 4 reads wanted at once) stay inside the
+	// budget.
+	src.reset()
+	psrv, pget := gatherFixture(t, src, 4)
+	for _, id := range missRange(0, 200) {
+		psrv.prefetch.enqueue(id)
+	}
+	var small [][]dataset.SampleID
+	for r := 0; r < 8; r++ {
+		small = append(small, missRange(1500+8*r, 8))
+	}
+	getAll(t, pget, small...)
+	wantPeak("eight 8-miss requests beside the prefetch pool")
+	if n := atomic.LoadInt64(&psrv.prefetch.completed); n == 0 {
+		t.Fatal("the prefetch pool read nothing while the requests ran")
+	}
+}
+
+// flakySource fails every Fetch — by error or by panic — while failing is set,
+// and delegates otherwise.
+type flakySource struct {
+	ByteSource
+	panics  bool
+	failing atomic.Bool
+}
+
+func (f *flakySource) Fetch(id dataset.SampleID) ([]byte, error) {
+	switch {
+	case !f.failing.Load():
+		return f.ByteSource.Fetch(id)
+	case f.panics:
+		panic("injected backend panic")
+	}
+	return nil, errors.New("injected disk failure")
+}
+
+// TestReadBudgetSurvivesPanicAndError: a backend read that fails or panics
+// hands its slot back. After more failed reads than the budget has slots, no
+// slot is held and a 64-miss batch still gets all of them at once — a leaked
+// slot would show as a lower peak, budget+1 leaked slots as a hang.
+func TestReadBudgetSurvivesPanicAndError(t *testing.T) {
+	for _, panics := range []bool{false, true} {
+		t.Run(fmt.Sprintf("panic=%v", panics), func(t *testing.T) {
+			defer leakcheck.Check(t)
+			inner, err := storage.NewDataSource(testSpec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			good := &countingSource{inner: inner, latency: 50 * time.Millisecond}
+			good.reset()
+			src := &flakySource{ByteSource: good, panics: panics}
+			src.failing.Store(true)
+			srv, get := gatherFixture(t, src, 0)
+			for _, ids := range [][]dataset.SampleID{missRange(1000, backendReadBudget), missRange(1100, 1)} {
+				if err := get(ids); err == nil {
+					t.Fatalf("a %d-miss batch against a failing backend succeeded", len(ids))
+				}
+			}
+			if n := len(srv.readSlots); n != 0 {
+				t.Fatalf("%d budget slots still held after every read failed", n)
+			}
+			src.failing.Store(false)
+			getAll(t, get, missRange(1200, 64))
+			if peak, _ := good.marks(); peak != backendReadBudget {
+				t.Fatalf("after %d failed reads a 64-miss batch peaked at %d concurrent fetches, want the whole budget %d",
+					backendReadBudget+1, peak, backendReadBudget)
+			}
+			if n := srv.flight.Inflight(); n != 0 {
+				t.Fatalf("%d singleflight keys still in flight", n)
+			}
+		})
+	}
+}
+
+// heldSource announces every Fetch on entered and holds it until the test
+// sends (or closes) release.
+type heldSource struct {
+	ByteSource
+	entered chan dataset.SampleID
+	release chan struct{}
+}
+
+func (h *heldSource) Fetch(id dataset.SampleID) ([]byte, error) {
+	h.entered <- id
+	<-h.release
+	return h.ByteSource.Fetch(id)
+}
+
+// waitForSlotWaiters blocks until exactly n goroutines are parked on the
+// budget's channel inside readBackend (read off the goroutine dump: a parked
+// sender is the one state that proves a request has joined the queue).
+func waitForSlotWaiters(t *testing.T, n int) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		got := 0
+		for _, g := range bytes.Split(buf[:runtime.Stack(buf, true)], []byte("\n\n")) {
+			header, _, _ := bytes.Cut(g, []byte("\n"))
+			if bytes.Contains(header, []byte("[chan send")) && bytes.Contains(g, []byte("(*Server).readBackend")) {
+				got++
+			}
+		}
+		if got == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines waiting for a budget slot, want %d", got, n)
+		}
+	}
+}
+
+// TestReadBudgetIsFIFO: slots are granted in arrival order. With every slot
+// held, request A queues, then request B; each slot that frees goes to A
+// first, then to B — a later arrival never overtakes an earlier one.
+func TestReadBudgetIsFIFO(t *testing.T) {
+	defer leakcheck.Check(t)
+	inner, err := storage.NewDataSource(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &heldSource{ByteSource: inner, entered: make(chan dataset.SampleID, 128), release: make(chan struct{})}
+	_, get := gatherFixture(t, src, 0)
+	var wg sync.WaitGroup
+	start := func(ids []dataset.SampleID) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := get(ids); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	start(missRange(1000, backendReadBudget))
+	for i := 0; i < backendReadBudget; i++ {
+		<-src.entered
+	}
+	const a, b = dataset.SampleID(1500), dataset.SampleID(1600)
+	start([]dataset.SampleID{a})
+	waitForSlotWaiters(t, 1)
+	start([]dataset.SampleID{b})
+	waitForSlotWaiters(t, 2)
+	for _, want := range []dataset.SampleID{a, b} {
+		src.release <- struct{}{}
+		if got := <-src.entered; got != want {
+			t.Fatalf("a freed slot went to the read of sample %d, want %d (arrival order)", got, want)
+		}
+	}
+	close(src.release)
+	wg.Wait()
 }
 
 // TestScatterRechecksResidencyFirst pins the order on the batched peer plane:

@@ -62,11 +62,14 @@ const (
 	StageSingleflightWait = "singleflight_wait"
 	// StageBackendFetch is a backend-storage read on the miss path.
 	StageBackendFetch = "backend_fetch"
+	// StageBackendSlotWait is the time one backend read waited for a slot of
+	// the server-wide read budget (backendReadBudget) before it was issued.
+	StageBackendSlotWait = "backend_slot_wait"
 	// StageMissGather is one request's whole miss resolution: wall time from
 	// its first led singleflight key to the last Finish (one record per
-	// request that led a miss). Backend reads inside it overlap, so per
-	// request Σ backend_fetch may exceed it — this stage, not that sum, is
-	// what adds up to the request.
+	// request that led a miss) — slot waits plus reads. Backend reads inside
+	// it overlap, so per request Σ backend_fetch may exceed it — this stage,
+	// not that sum, is what adds up to the request.
 	StageMissGather = "miss_gather"
 	// StagePeerRPC is a remote peer-cache read, measured at the sender.
 	StagePeerRPC = "peer_rpc"
@@ -111,6 +114,7 @@ type serverObs struct {
 	request, policyLock, localHit, sfWait   *obs.Histogram
 	backend, peerRPC, dirLookup, prefetchWt *obs.Histogram
 	peerBatch, dirBatch, missGather         *obs.Histogram
+	slotWait                                *obs.Histogram
 	admissionWait, deadlineRem              *obs.Histogram
 
 	tracer *trace.Recorder
@@ -141,6 +145,7 @@ func (s *Server) EnableObs(reg *obs.Registry, tracer *trace.Recorder) {
 	s.obs.localHit = reg.Hist(StageLocalHit)
 	s.obs.sfWait = reg.Hist(StageSingleflightWait)
 	s.obs.backend = reg.Hist(StageBackendFetch)
+	s.obs.slotWait = reg.Hist(StageBackendSlotWait)
 	s.obs.missGather = reg.Hist(StageMissGather)
 	s.obs.peerRPC = reg.Hist(StagePeerRPC)
 	s.obs.peerBatch = reg.Hist(StagePeerRPCBatch)

@@ -346,27 +346,32 @@ func TestTracedRequestFullHopChain(t *testing.T) {
 		t.Fatal("node 1 recorded no peer hits; the chain under test did not happen")
 	}
 
-	chains := trace.Chains(f.allSpans(clientTrc))
+	// At least one chain must span all three hops with the expected kinds.
+	// Node 1 records its own recv span after it has written the response, so
+	// the client can get here first: wait for the span, do not race it.
+	var chains []*trace.Chain
+	var full *trace.Chain
+	for deadline := time.Now().Add(5 * time.Second); full == nil && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		chains = trace.Chains(f.allSpans(clientTrc))
+		for _, ch := range chains {
+			hops := map[uint8]map[trace.Kind]int{}
+			for _, sp := range ch.Spans {
+				if hops[sp.Hop] == nil {
+					hops[sp.Hop] = map[trace.Kind]int{}
+				}
+				hops[sp.Hop][sp.Kind]++
+			}
+			if hops[0][trace.KindRPCSend] >= 1 &&
+				hops[1][trace.KindRPCRecv] >= 1 &&
+				hops[1][trace.KindRPCSend] >= 2 && // directory lookup + peer read
+				hops[2][trace.KindRPCRecv] >= 2 { // directory serve + peer serve
+				full = ch
+				break
+			}
+		}
+	}
 	if len(chains) == 0 {
 		t.Fatal("no trace chains reconstructed")
-	}
-	// At least one chain must span all three hops with the expected kinds.
-	var full *trace.Chain
-	for _, ch := range chains {
-		hops := map[uint8]map[trace.Kind]int{}
-		for _, sp := range ch.Spans {
-			if hops[sp.Hop] == nil {
-				hops[sp.Hop] = map[trace.Kind]int{}
-			}
-			hops[sp.Hop][sp.Kind]++
-		}
-		if hops[0][trace.KindRPCSend] >= 1 &&
-			hops[1][trace.KindRPCRecv] >= 1 &&
-			hops[1][trace.KindRPCSend] >= 2 && // directory lookup + peer read
-			hops[2][trace.KindRPCRecv] >= 2 { // directory serve + peer serve
-			full = ch
-			break
-		}
 	}
 	if full == nil {
 		for _, ch := range chains {

@@ -183,6 +183,8 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 	p.Counter("icache_plan_throttle_waits_total", "bandwidth-budget waits in the plan drain", float64(ps.ThrottleWaits))
 	p.Gauge("icache_plan_budget_bytes_per_sec", "current planned-drain bandwidth budget", float64(ps.BudgetBytesPerSec))
 	p.Counter("icache_demand_fetches_total", "backend reads issued on the demand path (cold misses)", float64(s.DemandFetches()))
+	p.Gauge("icache_backend_reads_inflight", "backend reads holding a slot of the server-wide read budget", float64(len(s.readSlots)))
+	p.Gauge("icache_backend_read_budget", "most backend reads the server keeps in flight (a constant)", backendReadBudget)
 
 	// Event-journal and trace-ring retention family.
 	p.Counter("icache_journal_events_total", "control-plane events appended to the journal", float64(s.journal.Total()))

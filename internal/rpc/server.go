@@ -24,8 +24,8 @@ import (
 
 // ByteSource supplies real sample payloads: storage.DataSource (generated
 // on demand) and storage.FileSource (a packed dataset file) both satisfy it.
-// Fetch must be safe for concurrent use: the serving path issues backend
-// reads from many request goroutines (up to missFanout per request) and the
+// Fetch must be safe for concurrent use: the serving path keeps up to
+// backendReadBudget reads in flight, from request goroutines and the
 // prefetch pool at once.
 type ByteSource interface {
 	Spec() dataset.Spec
@@ -78,6 +78,9 @@ type Server struct {
 	payloads *payloadStore
 	// flight coalesces concurrent miss-path fetches per sample ID.
 	flight singleflight.Group
+	// readSlots is the server-wide backend-read budget: a FIFO counting
+	// semaphore (see backendReadBudget) taken only in readBackend.
+	readSlots chan struct{}
 	// coalescedMisses counts miss-path fetches that joined an in-flight
 	// fetch instead of issuing their own (atomic).
 	coalescedMisses int64
@@ -145,13 +148,14 @@ type Server struct {
 // prefetch-worker knob).
 func NewServer(cacheSrv *icache.Server, source ByteSource) *Server {
 	s := &Server{
-		cache:    cacheSrv,
-		source:   source,
-		start:    time.Now(),
-		payloads: newPayloadStore(),
-		connSet:  make(map[net.Conn]struct{}),
-		closed:   make(chan struct{}),
-		Logf:     log.Printf,
+		cache:     cacheSrv,
+		source:    source,
+		start:     time.Now(),
+		payloads:  newPayloadStore(),
+		readSlots: make(chan struct{}, backendReadBudget),
+		connSet:   make(map[net.Conn]struct{}),
+		closed:    make(chan struct{}),
+		Logf:      log.Printf,
 	}
 	cacheSrv.SetEvictObserver(func(id dataset.SampleID) {
 		// Runs under policyMu (all cache mutations happen under it).
@@ -628,12 +632,17 @@ func (s *Server) deadlineExpired(dl time.Time) bool {
 	return true
 }
 
-// missFanout bounds the backend reads ONE request keeps in flight. Total
-// backend concurrency is missFanout × in-flight requests (bounded by
-// overload.Gate.MaxInflight and muxServerInflight) plus the prefetch
-// workers. 16 is the measured value (BenchmarkMissGather, EXPERIMENTS.md);
-// it is deliberately not a knob.
-const missFanout = 16
+// backendReadBudget bounds the backend reads the whole SERVER keeps in
+// flight — demand gathers of every request, the prefetch workers, the planner
+// and checkpoint rehydration all draw on it in readBackend. 32 is twice the
+// service slots of the paper's default store as this repo models it
+// (storage.OrangeFS(): 4 servers × ServerParallelism 4): a storage slot never
+// idles between two reads, and the store never sees more than that, however
+// many requests are in flight. Slots are granted in arrival order whatever the
+// class of the read: strict demand priority would invert through the
+// singleflight layer (a demand request that joined a prefetch-led flight
+// would wait behind its own class). Deliberately not a knob (DESIGN.md).
+const backendReadBudget = 32
 
 // missKey is one miss of a request: its position in the request and the
 // in-flight call it either leads (the request must then Finish c exactly
@@ -749,35 +758,46 @@ func (s *Server) resolveMissBatch(keys []missKey, ctx obs.TraceCtx, dl time.Time
 		keys = s.scatterToPeers(keys, ctx, dl)
 	}
 
-	// Gather what no peer satisfied from the backend: a bounded set of
-	// workers pulls from a shared index, the request goroutine being worker
-	// 0, so a one-miss request spawns nothing (and allocates nothing for the
-	// fan-out) and an N-miss request sleeps through ⌈N/missFanout⌉ backend
-	// latencies instead of N.
+	// Gather what no peer satisfied from the backend; a one-miss request
+	// spawns nothing (and allocates nothing for the fan-out).
 	if len(keys) == 1 {
 		s.fetchLed(keys[0], ctx, dl, askPeers)
 		return
 	}
-	var next int64
+	gather(len(keys), func(i int) { s.fetchLed(keys[i], ctx, dl, askPeers) })
+}
+
+// gather runs do(0..n-1) on min(n, 2×backendReadBudget) workers pulling from
+// a shared index, the calling goroutine being worker 0. Twice the budget, not
+// once: a worker that has handed its slot back still has its sample to admit
+// and finish, and with only as many workers as slots a lone gather would idle
+// every slot for that long after every read; with a second worker already
+// queued behind each slot the next read starts at once. So an N-read gather
+// sleeps through ⌈N/backendReadBudget⌉ backend latencies when it has the
+// server to itself and shares the budget in arrival order when it does not.
+func gather(n int, do func(i int)) {
+	var g struct { // one allocation: both are shared with the workers
+		next int64
+		wg   sync.WaitGroup
+	}
 	work := func() {
 		for {
-			i := int(atomic.AddInt64(&next, 1)) - 1
-			if i >= len(keys) {
+			i := int(atomic.AddInt64(&g.next, 1)) - 1
+			if i >= n {
 				return
 			}
-			s.fetchLed(keys[i], ctx, dl, askPeers)
+			do(i)
 		}
 	}
-	var wg sync.WaitGroup
-	for w := 1; w < len(keys) && w < missFanout; w++ {
-		wg.Add(1)
+	for w := 1; w < n && w < 2*backendReadBudget; w++ {
+		g.wg.Add(1)
 		go func() {
-			defer wg.Done()
+			defer g.wg.Done()
 			work()
 		}()
 	}
 	work()
-	wg.Wait()
+	g.wg.Wait()
 }
 
 // fetchLed reads one led key from the backend and finishes it. askPeers is
@@ -839,12 +859,39 @@ func (s *Server) fetchOne(id dataset.SampleID, ctx obs.TraceCtx, dl time.Time, p
 			return remote, nil
 		}
 	}
-	var tFetch time.Time
-	measure := s.obs.histsOn() || s.obs.tracing(ctx)
+	p, err := s.readBackend(id, ctx)
+	if err != nil {
+		return nil, err
+	}
+	if prov != provPrefetch {
+		atomic.AddInt64(&s.demandFetches, 1)
+	}
+	s.admit(id, p, prov)
+	return p, nil
+}
+
+// readBackend is the one place a backend read is issued and the one place a
+// budget slot is taken. The slot is held across source.Fetch alone — not
+// across peer reads, admission or the directory claim — and guardedFetch
+// returns on every path (a panic becomes an error), so the slot is always
+// handed back; a read that hangs holds its slot as it holds its singleflight
+// key. backend_slot_wait is want → hold, backend_fetch is hold → done.
+func (s *Server) readBackend(id dataset.SampleID, ctx obs.TraceCtx) ([]byte, error) {
+	histsOn := s.obs.histsOn()
+	measure := histsOn || s.obs.tracing(ctx)
+	var tWant, tFetch time.Time
+	if histsOn {
+		tWant = time.Now()
+	}
+	s.readSlots <- struct{}{}
 	if measure || s.plan != nil {
 		tFetch = time.Now()
 	}
+	if histsOn {
+		s.obs.slotWait.Record(tFetch.Sub(tWant))
+	}
 	p, err := s.guardedFetch(id)
+	<-s.readSlots
 	if !tFetch.IsZero() {
 		dur := time.Since(tFetch)
 		if measure {
@@ -855,14 +902,7 @@ func (s *Server) fetchOne(id dataset.SampleID, ctx obs.TraceCtx, dl time.Time, p
 			s.observeBackend(len(p), dur)
 		}
 	}
-	if err != nil {
-		return nil, err
-	}
-	if prov != provPrefetch {
-		atomic.AddInt64(&s.demandFetches, 1)
-	}
-	s.admit(id, p, prov)
-	return p, nil
+	return p, err
 }
 
 // guardedFetch is source.Fetch with a panic reported as the fetch's error:
