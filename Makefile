@@ -14,11 +14,20 @@ vet:
 	$(GO) vet ./...
 
 # Lint gate: gofmt must produce no diffs (the target fails listing the
-# offending files) and go vet must be clean. Subsumes `vet` in `make all`.
+# offending files), go vet must be clean, and connections belong to
+# internal/transport alone: the non-test files of the two protocol packages
+# accept, dial, listen and set deadlines nowhere (calls, not comments), so a
+# second transport cannot grow back unnoticed. Subsumes `vet` in `make all`.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
+	fi
+	@stray=$$(for f in $$(ls internal/rpc/*.go internal/dkv/*.go | grep -v _test.go); do \
+		sed 's,//.*,,' $$f | grep -nE '\.Accept\(\)|net\.Dial[A-Za-z]*\(|net\.Listen\(|SetDeadline\(' | sed "s,^,$$f:,"; \
+	done); \
+	if [ -n "$$stray" ]; then \
+		echo "connection handling outside internal/transport:"; echo "$$stray"; exit 1; \
 	fi
 	$(GO) vet ./...
 
@@ -99,7 +108,8 @@ bench-serving:
 
 # Observability smoke: the exposition goldens (Prometheus text + pinned
 # JSON bytes + the byte-pinned /debug/timeline document), the
-# histogram/quantile property tests, the trace-envelope rejection tables,
+# histogram/quantile property tests, the envelope rejection table (one table,
+# run against the transport's stub handler and both protocols' handlers),
 # the two-node cross-node hop-chain round trips (including the chaos
 # variant with injected peer faults), the decision-ledger conservation
 # identities, the journal/timeline concurrency suite, and the icache-top
@@ -108,7 +118,8 @@ bench-serving:
 # re-checked every run.
 obs-smoke:
 	$(GO) test -count=1 ./internal/obs/ ./internal/trace/ ./internal/top/
-	$(GO) test -count=1 -run 'TestMetricsJSONBytesUnchanged|TestPrometheusExposition|TestTraced|TestSlowRequest|TestObs|TestDebugObs|TestDecisionLedger|TestJournalRecords|TestTimelinePoint' ./internal/rpc/
+	$(GO) test -count=1 -run 'TestEnvelopeRejections' ./internal/transport/
+	$(GO) test -count=1 -run 'TestEnvelopeRejections|TestMetricsJSONBytesUnchanged|TestPrometheusExposition|TestTraced|TestSlowRequest|TestObs|TestDebugObs|TestDecisionLedger|TestJournalRecords|TestTimelinePoint' ./internal/rpc/
 	$(GO) test -count=1 -run 'TestDirTraced|TestDirEnvelope|TestDirObs' ./internal/dkv/
 
 # Batched remote data plane benchmark (the PR 5 scatter-gather work): two
@@ -155,11 +166,15 @@ bench-overload:
 	$(GO) run ./cmd/icache-benchjson -check BENCH_overload.json
 
 # Overload-control smoke: the admission gate / circuit breaker / deadline
-# unit surface plus the end-to-end shed and goodput classification paths.
-# Fast enough to gate `make all` on; -count=1 defeats the test cache.
+# unit surface, the transport's one admission site (TestRoutes), the
+# end-to-end shed and goodput classification paths, and the directory's
+# per-call bound and deadline hop. Fast enough to gate `make all` on;
+# -count=1 defeats the test cache.
 overload-smoke:
 	$(GO) test -count=1 ./internal/overload/
-	$(GO) test -count=1 -run 'TestAdmissionShed|TestDeadline|TestRunOverloadClassification|TestRunGoodputTracksDeadline' ./internal/rpc/ ./internal/loadgen/
+	$(GO) test -count=1 -run 'TestRoutes' ./internal/transport/
+	$(GO) test -count=1 -run 'TestAdmissionShed|TestDeadline|TestTracedDeadline|TestRunOverloadClassification|TestRunGoodputTracksDeadline' ./internal/rpc/ ./internal/loadgen/
+	$(GO) test -count=1 -run 'TestShardedDialBoundsASilentReplica|TestDirClientTimeout' ./internal/dkv/
 
 # Two-second self-contained loadgen smoke (boots its own server, drives a
 # short saturation run, fails on any request error): gates `make all` so
@@ -202,6 +217,7 @@ experiments-quick:
 
 # Short fuzz passes over the wire-facing decoders (with exploration).
 fuzz:
+	$(GO) test -fuzz FuzzServeFrame -fuzztime 30s ./internal/transport/
 	$(GO) test -fuzz FuzzServerDispatch -fuzztime 30s ./internal/rpc/
 	$(GO) test -fuzz FuzzDirDispatch -fuzztime 30s ./internal/dkv/
 	$(GO) test -fuzz FuzzReadFrame -fuzztime 15s ./internal/wire/
@@ -209,13 +225,16 @@ fuzz:
 	$(GO) test -fuzz FuzzVec -fuzztime 15s ./internal/wire/
 
 # Seed-corpus-only fuzz pass: runs every fuzz target's checked-in seeds as
-# plain tests (no exploration), fast enough to gate `make all` on. Covers
-# the cache service's frame handler (including the batched-peer-read, mux
-# envelope, and stray directory-replica opcodes, with served GetBatch bytes
-# held against the flat reference encoding), the directory dispatcher
-# (including the membership, multi-lookup, ring-view-exchange and shard
-# hand-off opcodes), and the wire framing.
+# plain tests (no exploration), fast enough to gate `make all` on. All three
+# frame-handler targets enter through transport.Server.ServeFrame: the mux
+# and envelope layer over a stub protocol, the cache service (including the
+# batched-peer-read, mux envelope, and stray directory-replica opcodes, with
+# served GetBatch bytes held against the flat reference encoding) and the
+# directory service (including the membership, multi-lookup,
+# ring-view-exchange and shard hand-off opcodes, muxed and enveloped); then
+# the wire framing.
 fuzz-short:
+	$(GO) test -run 'FuzzServeFrame' -count=1 ./internal/transport/
 	$(GO) test -run 'FuzzServerDispatch' -count=1 ./internal/rpc/
 	$(GO) test -run 'FuzzDirDispatch' -count=1 ./internal/dkv/
 	$(GO) test -run 'FuzzReadFrame|FuzzReader|FuzzVec' -count=1 ./internal/wire/
@@ -223,7 +242,7 @@ fuzz-short:
 # Non-test Go line counts: the "net lines trend negative" number the ROADMAP
 # gates and CHANGES.md entries cite. Comments and blank lines count.
 loc:
-	@for p in internal/rpc internal/dkv internal/wire internal/dataset; do \
+	@for p in internal/rpc internal/dkv internal/wire internal/transport internal/dataset; do \
 		echo "$$p $$(cat $$(ls $$p/*.go | grep -v _test.go) | wc -l)"; \
 	done
 	@echo "total $$(cat $$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*') | wc -l)"

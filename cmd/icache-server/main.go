@@ -209,30 +209,29 @@ func main() {
 		}
 		// -dir accepts a comma-separated replica list for a partitioned
 		// directory (see icache-dkv -peers); a single address keeps the
-		// legacy one-directory client.
+		// one-directory client. Either way directory calls inherit the peer
+		// deadline/breaker knobs, per dialled service: a hung directory (or
+		// replica) costs one bounded stall, then fails fast to local-only
+		// operation (or fails over) until a half-open probe recovers it.
+		dial := dkv.DialConfig{Timeout: 5 * time.Second, RPCTimeout: time.Second}
+		if *defDL > 0 {
+			dial.RPCTimeout = *defDL
+		}
+		if *brkThresh >= 0 {
+			dial.Breaker = &overload.BreakerConfig{Threshold: *brkThresh}
+		}
 		var dirSvc dkv.Service
 		if dirAddrs := splitAddrs(*dirAddr); len(dirAddrs) > 1 {
-			sharded, err := dkv.DialSharded(dirAddrs, 5*time.Second, dkv.ShardedConfig{FailoverTTL: *leaseTTL})
+			sharded, err := dkv.DialSharded(dirAddrs, dial, dkv.ShardedConfig{FailoverTTL: *leaseTTL})
 			if err != nil {
 				log.Fatalf("icache-server: directory: %v", err)
 			}
 			dirSvc = sharded
 			log.Printf("icache-server: sharded directory across %d replicas", len(dirAddrs))
 		} else {
-			dirClient, err := dkv.DialDir(*dirAddr, 5*time.Second)
+			dirClient, err := dkv.DialDirConfigured(*dirAddr, dial)
 			if err != nil {
 				log.Fatalf("icache-server: directory: %v", err)
-			}
-			// Directory lookups inherit the peer deadline/breaker knobs: a
-			// hung directory costs one bounded stall, then fails fast to
-			// local-only operation until a half-open probe recovers it.
-			if *defDL > 0 {
-				dirClient.SetRPCTimeout(*defDL)
-			} else {
-				dirClient.SetRPCTimeout(time.Second)
-			}
-			if *brkThresh >= 0 {
-				dirClient.SetBreaker(overload.BreakerConfig{Threshold: *brkThresh})
 			}
 			dirSvc = dirClient
 		}

@@ -25,6 +25,7 @@ import (
 	"icache/internal/sampling"
 	"icache/internal/trace"
 	"icache/internal/train"
+	"icache/internal/transport"
 )
 
 func main() {
@@ -108,7 +109,7 @@ func main() {
 			// application error; fall back to the plain boundary so the
 			// flag is safe against any server.
 			err := client.BeginEpochPlan(epoch, sched.Fetch)
-			var se *rpc.ServerError
+			var se *transport.ServerError
 			if errors.As(err, &se) {
 				log.Printf("icache-train: server rejected planned boundary (%v); falling back to -clairvoyant=false", err)
 				*clairv = false

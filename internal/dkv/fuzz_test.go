@@ -1,16 +1,22 @@
 package dkv
 
-// FuzzDirDispatch throws arbitrary byte strings at the directory service's
-// request dispatcher — including the membership opcodes added for node
-// lifecycle — asserting the malformed-client contract: every request gets a
-// status-framed response and nothing panics. A broken cache node (or an
+// FuzzDirDispatch throws arbitrary request frames at the directory service
+// the way a connection does — through the transport's frame handler, like
+// FuzzServerDispatch does for the cache service — including the membership
+// opcodes added for node lifecycle, asserting the malformed-client contract:
+// every request gets exactly one status-framed response, inside the mux
+// envelope it came in, and nothing panics. A broken cache node (or an
 // attacker on the directory port) must not be able to take the shared
 // directory down.
 
 import (
+	"bytes"
 	"testing"
+	"time"
 
-	"icache/internal/wire"
+	"icache/internal/obs"
+	"icache/internal/transport"
+	"icache/internal/transport/transporttest"
 )
 
 func FuzzDirDispatch(f *testing.F) {
@@ -60,9 +66,10 @@ func FuzzDirDispatch(f *testing.F) {
 	f.Add([]byte{opHandoff, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1})
 	f.Add([]byte{opHandoff, 0, 0, 0, 0})
 	f.Add([]byte{0xFF, 0x01, 0x02})
-	// Deadline envelopes (op 14): a generous budget around a lookup, a spent
-	// budget (must answer statusExpired without touching the directory), a
-	// nested envelope (must error), a truncated header, and an empty inner.
+	// Deadline envelopes: a generous budget around a lookup, a zero budget
+	// and a nested envelope (must error), a truncated header, and an empty
+	// inner.
+	const opDeadline = transport.OpDeadline
 	f.Add([]byte{opDeadline,
 		0, 0, 0, 0, 59, 154, 202, 0, // ~1s budget
 		opLookup, 0, 0, 0, 0, 0, 0, 0, 7})
@@ -70,6 +77,24 @@ func FuzzDirDispatch(f *testing.F) {
 	f.Add([]byte{opDeadline, 0, 0, 0, 0, 59, 154, 202, 0, opDeadline, 0, 0, 0, 0, 59, 154, 202, 0, opLookup})
 	f.Add([]byte{opDeadline, 0, 0, 0, 1})
 	f.Add([]byte{opDeadline, 0, 0, 0, 0, 59, 154, 202, 0})
+	// Mux envelopes: around a lookup, one nested inside another
+	// (error-answered, never dispatched), a truncated header; a spent budget
+	// (1ns: must answer StatusExpired without touching the directory); the
+	// trace and deadline envelopes in both orders, bare and muxed; ring gossip
+	// inside the lot; and the handshake ping.
+	lookup := []byte{opLookup, 0, 0, 0, 0, 0, 0, 0, 7}
+	tctx := obs.TraceCtx{ID: 9, Hop: 2}
+	f.Add(transporttest.MuxWrap(1, lookup))
+	f.Add(transporttest.MuxWrap(1, transporttest.MuxWrap(2, lookup)))
+	f.Add([]byte{transport.OpMux, 0, 0, 0})
+	f.Add(transport.WrapDeadline(1, lookup))
+	f.Add(transport.WrapTraced(transport.WrapDeadline(time.Minute, lookup), tctx))
+	f.Add(transport.WrapDeadline(time.Minute, transport.WrapTraced(lookup, tctx)))
+	f.Add(transporttest.MuxWrap(3, transport.WrapDeadline(time.Minute, transport.WrapTraced(
+		[]byte{opLookupBatch, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 9}, tctx))))
+	f.Add(transporttest.MuxWrap(4, transport.WrapTraced(transport.WrapDeadline(time.Minute,
+		[]byte{opRingView, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1}), tctx)))
+	f.Add([]byte{transport.OpPing, 0, 0, 0, 1})
 
 	f.Fuzz(func(t *testing.T, req []byte) {
 		// Fresh state per input: a fuzzed Register must not grow one shared
@@ -81,17 +106,25 @@ func FuzzDirDispatch(f *testing.F) {
 		srv.dir.Register(2, 0)
 		srv.dir.Claim(7, 2)
 
-		var e wire.Buffer
-		srv.dispatchInto(req, &e)
-		if len(e.B) == 0 {
+		resp := transporttest.Dispatch(srv.t, req)
+		if len(req) >= transport.MuxHeaderLen && req[0] == transport.OpMux {
+			if !bytes.HasPrefix(resp, req[:transport.MuxHeaderLen]) {
+				t.Fatalf("muxed request answered %x: envelope not echoed", resp)
+			}
+			req, resp = req[transport.MuxHeaderLen:], resp[transport.MuxHeaderLen:]
+			if len(req) > 0 && req[0] == transport.OpMux && (len(resp) == 0 || resp[0] != transport.StatusErr) {
+				t.Fatalf("mux envelope inside a mux envelope answered %x, want StatusErr", resp)
+			}
+		}
+		if len(resp) == 0 {
 			t.Fatal("empty response")
 		}
-		switch e.B[0] {
-		case statusOK, statusErr, statusExpired:
-		case statusRetryAfter:
+		switch resp[0] {
+		case transport.StatusOK, transport.StatusErr, transport.StatusExpired:
+		case transport.StatusRetryAfter:
 			t.Fatalf("retry-after with no admission gate installed")
 		default:
-			t.Fatalf("response status %d", e.B[0])
+			t.Fatalf("response status %d", resp[0])
 		}
 	})
 }

@@ -36,7 +36,7 @@ func startReplicaServer(t *testing.T, cfg ReplicaConfig) (*DirServer, string, *D
 // server and behaves exactly like the old DirClient path.
 func TestInteropShardedClientLegacyServer(t *testing.T) {
 	addr, dir := startDirServer(t) // legacy: no EnableReplica
-	s, err := DialSharded([]string{addr}, time.Second, ShardedConfig{})
+	s, err := DialSharded([]string{addr}, DialConfig{Timeout: time.Second}, ShardedConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,36 +3,42 @@ package dkv
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
-	"sync"
 	"time"
 
 	"icache/internal/dataset"
 	"icache/internal/obs"
 	"icache/internal/overload"
 	"icache/internal/retry"
+	"icache/internal/transport"
 	"icache/internal/wire"
 )
 
 // The paper's §III-E shares the directory between nodes through "a
 // distributed key-value store". This file provides that deployment shape: a
 // TCP service exposing the Directory operations, and a client that cache
-// nodes use in place of the in-process map. The protocol reuses the shared
-// wire framing.
+// nodes use in place of the in-process map. Both ride internal/transport —
+// the same connections, envelopes, status codes, retry and admission as the
+// cache protocol; this file is the directory's opcodes, their encoders and
+// the handler that answers them.
 
-// Directory-service opcodes. opTraced (= 10) lives in obs.go.
+// Directory-service opcodes. opRingView (= 12) and opHandoff (= 13) live in
+// replica.go. 5, 7, 9 and 10 are the transport's (ping/handshake and the
+// trace, mux and deadline envelopes): opRegister, opListNodes and opPurgeDead
+// held those numbers before the directory moved onto the transport, so a
+// DirClient and a DirServer from either side of that move do not interoperate
+// (the handshake fails the dial).
 const (
 	opLookup      = 1
 	opClaim       = 2
 	opRelease     = 3
 	opLen         = 4
-	opRegister    = 5
 	opHeartbeat   = 6
-	opListNodes   = 7
 	opOwnedBy     = 8
-	opPurgeDead   = 9
 	opLookupBatch = 11
+	opRegister    = 14
+	opListNodes   = 15
+	opPurgeDead   = 16
 )
 
 // maxLookupBatch bounds one opLookupBatch request server-side. It mirrors
@@ -41,33 +47,19 @@ const (
 // corrupt frame or abuse, and the server refuses rather than allocating.
 const maxLookupBatch = 1 << 20
 
-// Response status codes.
-const (
-	statusOK  = 0
-	statusErr = 1
-)
-
-// DirServer serves a Directory over TCP.
+// DirServer serves a Directory over TCP: a handler registered on a
+// transport.Server.
 type DirServer struct {
 	dir *Directory
+	t   *transport.Server
 
 	// rep is the ring-membership state when the server runs as one replica
 	// of a partitioned directory (see replica.go); nil on legacy servers.
 	rep *replicaState
 
-	ln      net.Listener
-	conns   sync.WaitGroup
-	connMu  sync.Mutex
-	connSet map[net.Conn]struct{}
-	closed  chan struct{}
-
 	// obs is the optional observability state (see obs.go); zero value =
 	// everything off.
 	obs dirObs
-
-	// gate is the optional admission controller on data operations (see
-	// overload.go); nil = everything admitted.
-	gate *overload.Gate
 
 	// journal, when set, receives shard hand-off events; SetJournal also
 	// arms the wrapped Directory's membership-flip events.
@@ -84,248 +76,87 @@ func (s *DirServer) SetJournal(j *obs.Journal) {
 
 // NewDirServer wraps dir for network service.
 func NewDirServer(dir *Directory) *DirServer {
-	return &DirServer{
-		dir:     dir,
-		connSet: make(map[net.Conn]struct{}),
-		closed:  make(chan struct{}),
-	}
+	s := &DirServer{dir: dir}
+	s.t = transport.NewServer(transport.Handler{Route: dirRoute, Serve: s.serve})
+	return s
 }
 
 // Serve accepts connections until Close. It always returns a non-nil error
 // (net.ErrClosed after a clean shutdown).
-func (s *DirServer) Serve(ln net.Listener) error {
-	s.connMu.Lock()
-	s.ln = ln
-	s.connMu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			select {
-			case <-s.closed:
-				return net.ErrClosed
-			default:
-				return err
-			}
-		}
-		s.connMu.Lock()
-		s.connSet[conn] = struct{}{}
-		s.connMu.Unlock()
-		s.conns.Add(1)
-		go func() {
-			defer func() {
-				s.connMu.Lock()
-				delete(s.connSet, conn)
-				s.connMu.Unlock()
-				s.conns.Done()
-			}()
-			s.serveConn(conn)
-		}()
-	}
-}
+func (s *DirServer) Serve(ln net.Listener) error { return s.t.Serve(ln) }
 
 // ListenAndServe listens on addr and serves until Close.
-func (s *DirServer) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
+func (s *DirServer) ListenAndServe(addr string) error { return s.t.ListenAndServe(addr) }
 
 // Addr reports the bound address once serving.
-func (s *DirServer) Addr() net.Addr {
-	s.connMu.Lock()
-	defer s.connMu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
-}
+func (s *DirServer) Addr() net.Addr { return s.t.Addr() }
 
 // Close stops the server and closes live connections.
-func (s *DirServer) Close() error {
-	select {
-	case <-s.closed:
-		return nil
-	default:
-	}
-	close(s.closed)
-	var err error
-	s.connMu.Lock()
-	if s.ln != nil {
-		err = s.ln.Close()
-	}
-	for conn := range s.connSet {
-		conn.Close()
-	}
-	s.connMu.Unlock()
-	s.conns.Wait()
-	return err
-}
+func (s *DirServer) Close() error { return s.t.Close() }
 
-// serveConn is one directory connection's request loop. Directory ops are
-// tiny and extremely frequent (every claim/lookup/release in the cluster
-// lands here), so the loop reuses its frame reader's request buffer and
-// encodes responses into pooled wire buffers — after warmup a directory
-// round trip costs the server one read, one write and no allocation.
-func (s *DirServer) serveConn(conn net.Conn) {
-	defer conn.Close()
-	rd := wire.NewFrameReader(conn)
-	for {
-		req, err := rd.Next()
-		if err != nil {
-			return
-		}
-		e := wire.GetBuffer()
-		s.dispatchCtx(req, e, obs.TraceCtx{})
-		err = wire.WriteFrame(conn, e)
-		wire.PutBuffer(e)
-		if err != nil {
-			return
-		}
-	}
-}
-
-// dispatchInto decodes one request and appends the response into e. The
-// request buffer may be reused after return (nothing from req is
-// retained).
-func (s *DirServer) dispatchInto(req []byte, e *wire.Buffer) {
+// dispatch decodes one request and appends the body of its StatusOK answer
+// to e; a returned error is answered StatusErr in its place. The request
+// buffer is reused after return (nothing from req is retained).
+func (s *DirServer) dispatch(req []byte, e *wire.Buffer) error {
 	d := wire.NewReader(req)
-	op := d.U8()
-	if op == opDeadline {
-		budget := d.I64()
-		if d.Err != nil {
-			dirError(e, d.Err)
-			return
-		}
-		inner := d.B[d.Off:]
-		if len(inner) == 0 {
-			dirError(e, errors.New("dkv: empty deadline envelope"))
-			return
-		}
-		if inner[0] == opDeadline {
-			dirError(e, errors.New("dkv: nested deadline envelope"))
-			return
-		}
-		// The budget is the sender's remaining time at encode; directory
-		// work is sub-millisecond, so arrival with nothing left is the only
-		// expired case worth answering.
-		if budget <= 0 {
-			e.U8(statusExpired)
-			return
-		}
-		s.dispatchInto(inner, e)
-		return
-	}
-	// Admission: data operations only — liveness and gossip must survive
-	// overload (see overload.go).
-	if s.gate != nil && dirDataOp(op) {
-		ok, after := s.gate.Admit(time.Now())
-		if !ok {
-			e.U8(statusRetryAfter)
-			e.I64(int64(after))
-			return
-		}
-		defer s.gate.Done()
-	}
-	switch op {
+	switch op := d.U8(); op {
 	case opLookup:
 		id := dataset.SampleID(d.I64())
 		if d.Err != nil {
-			dirError(e, d.Err)
-			return
+			return d.Err
 		}
-		e.U8(statusOK)
-		if node, ok := s.dir.Lookup(id); ok {
-			e.U8(1)
-			e.I64(int64(node))
-		} else {
-			e.U8(0)
-		}
+		node, found := s.dir.Lookup(id)
+		encodeOwner(e, node, found)
 	case opLookupBatch:
 		n := int(d.U32())
 		if d.Err != nil {
-			dirError(e, d.Err)
-			return
+			return d.Err
 		}
 		if n < 0 || n > maxLookupBatch {
-			dirError(e, fmt.Errorf("dkv: unreasonable batch size %d", n))
-			return
+			return fmt.Errorf("dkv: unreasonable batch size %d", n)
 		}
 		ids := make([]dataset.SampleID, n)
 		for i := 0; i < n; i++ {
 			ids[i] = dataset.SampleID(d.I64())
 		}
 		if d.Err != nil {
-			dirError(e, d.Err)
-			return
+			return d.Err
 		}
 		owners := s.dir.LookupBatch(ids)
-		e.U8(statusOK)
 		e.U32(uint32(len(owners)))
 		for _, o := range owners {
-			if o.Found {
-				e.U8(1)
-				e.I64(int64(o.Node))
-			} else {
-				e.U8(0)
-			}
+			encodeOwner(e, o.Node, o.Found)
 		}
-	case opClaim:
+	case opClaim, opRelease:
 		id := dataset.SampleID(d.I64())
 		node := NodeID(d.I64())
 		if d.Err != nil {
-			dirError(e, d.Err)
-			return
+			return d.Err
 		}
-		e.U8(statusOK)
-		if s.dir.Claim(id, node) {
-			e.U8(1)
+		if op == opClaim {
+			encodeBool(e, s.dir.Claim(id, node))
 		} else {
-			e.U8(0)
-		}
-	case opRelease:
-		id := dataset.SampleID(d.I64())
-		node := NodeID(d.I64())
-		if d.Err != nil {
-			dirError(e, d.Err)
-			return
-		}
-		e.U8(statusOK)
-		if s.dir.Release(id, node) {
-			e.U8(1)
-		} else {
-			e.U8(0)
+			encodeBool(e, s.dir.Release(id, node))
 		}
 	case opLen:
-		e.U8(statusOK)
 		e.I64(int64(s.dir.Len()))
 	case opRegister:
 		node := NodeID(d.I64())
 		ttl := time.Duration(d.I64())
 		if d.Err != nil {
-			dirError(e, d.Err)
-			return
+			return d.Err
 		}
 		info := s.dir.Register(node, ttl)
-		e.U8(statusOK)
 		e.U8(byte(info.State))
 		e.I64(int64(info.ExpiresIn))
 	case opHeartbeat:
 		node := NodeID(d.I64())
 		if d.Err != nil {
-			dirError(e, d.Err)
-			return
+			return d.Err
 		}
-		e.U8(statusOK)
-		if s.dir.HeartbeatNode(node) {
-			e.U8(1)
-		} else {
-			e.U8(0)
-		}
+		encodeBool(e, s.dir.HeartbeatNode(node))
 	case opListNodes:
 		nodes := s.dir.ListNodes()
-		e.U8(statusOK)
 		e.U32(uint32(len(nodes)))
 		for _, n := range nodes {
 			e.I64(int64(n.ID))
@@ -336,11 +167,9 @@ func (s *DirServer) dispatchInto(req []byte, e *wire.Buffer) {
 		node := NodeID(d.I64())
 		max := int(d.U32())
 		if d.Err != nil {
-			dirError(e, d.Err)
-			return
+			return d.Err
 		}
 		ids := s.dir.OwnedBy(node, max)
-		e.U8(statusOK)
 		e.U32(uint32(len(ids)))
 		for _, id := range ids {
 			e.I64(int64(id))
@@ -348,274 +177,166 @@ func (s *DirServer) dispatchInto(req []byte, e *wire.Buffer) {
 	case opPurgeDead:
 		max := int(d.U32())
 		if d.Err != nil {
-			dirError(e, d.Err)
-			return
+			return d.Err
 		}
-		e.U8(statusOK)
 		e.I64(int64(s.dir.PurgeDead(max)))
-	case opRingView:
+	case opRingView, opHandoff:
 		if s.rep == nil {
-			dirError(e, errors.New("dkv: not in replica mode"))
-			return
+			return errors.New("dkv: not in replica mode")
 		}
 		sender, remote, err := decodeRingView(d)
 		if err != nil {
-			dirError(e, err)
-			return
+			return err
 		}
-		view := s.handleRingView(sender, remote)
-		e.U8(statusOK)
-		encodeRingView(e, s.rep.self, view)
-	case opHandoff:
-		if s.rep == nil {
-			dirError(e, errors.New("dkv: not in replica mode"))
-			return
-		}
-		sender, remote, err := decodeRingView(d)
-		if err != nil {
-			dirError(e, err)
-			return
+		if op == opRingView {
+			encodeRingView(e, s.rep.self, s.handleRingView(sender, remote))
+			break
 		}
 		max := int(d.U32())
 		if d.Err != nil {
-			dirError(e, d.Err)
-			return
+			return d.Err
 		}
 		dropped, epoch := s.handleHandoff(sender, remote, max)
-		e.U8(statusOK)
 		e.I64(int64(dropped))
 		e.I64(int64(epoch))
 	default:
-		dirError(e, fmt.Errorf("dkv: unknown opcode %d", op))
+		return fmt.Errorf("dkv: unknown opcode %d", op)
+	}
+	return nil
+}
+
+func encodeBool(e *wire.Buffer, ok bool) {
+	if ok {
+		e.U8(1)
+	} else {
+		e.U8(0)
 	}
 }
 
-func dirError(e *wire.Buffer, err error) {
-	e.U8(statusErr)
-	e.Str(err.Error())
+// encodeOwner appends one lookup answer: u8 found | i64 node-if-found.
+func encodeOwner(e *wire.Buffer, node NodeID, found bool) {
+	encodeBool(e, found)
+	if found {
+		e.I64(int64(node))
+	}
 }
 
-// ServerError is an application-level statusErr reply: the transport round
-// trip succeeded and the server answered with an error. Distinguishing it
-// from transport failure matters to the ring — a ServerError proves the
-// peer is alive (e.g. a legacy server refusing a ring opcode).
-type ServerError struct{ Msg string }
-
-// Error implements the error interface.
-func (e *ServerError) Error() string { return "dkv: server error: " + e.Msg }
-
-// DirClient is a node's connection to the directory service. It satisfies
-// the fallible Service contract (like the in-process Directory via Local),
-// so a cache node can be wired to either.
+// DirClient is a node's connection to the directory service: the directory
+// protocol's op encoders over a transport.Client. It satisfies the fallible
+// Service contract (like the in-process Directory via Local), so a cache
+// node can be wired to either, and CtxService, so a request's trace context
+// and deadline reach the directory hop.
 //
-// The client is resilient: transport failures are retried under an
-// exponential-backoff-with-jitter policy with a fresh connection per
-// attempt. Every directory operation is idempotent (Lookup is pure, Claim
-// is first-claim-wins and re-claiming one's own item succeeds, Release of
-// a non-owned item is a no-op), so blind retry is safe.
-type DirClient struct {
-	addr    string
-	timeout time.Duration
-	policy  retry.Policy
+// The transport pipelines calls on one connection (N goroutines have N
+// lookups in flight), bounds each with a per-call timer that forgets one
+// request id instead of tearing the connection down, and retries transport
+// failures under an exponential-backoff-with-jitter policy with a fresh
+// connection per attempt. Every directory operation is idempotent (Lookup is
+// pure, Claim is first-claim-wins and re-claiming one's own item succeeds,
+// Release of a non-owned item is a no-op), so blind retry is safe.
+type DirClient struct{ t *transport.Client }
 
-	// rd is conn's frame reader; setConn installs the pair, so a redial
-	// drops the old connection's read-ahead with it — a late response to a
-	// timed-out request is never matched to the next one.
-	mu     sync.Mutex
-	conn   net.Conn
-	rd     *wire.FrameReader
-	closed bool
-	rng    *rand.Rand
-
-	retries int64
-	redials int64
-
-	// rpcTimeout bounds each round trip via a connection deadline (see
-	// SetRPCTimeout; 0 = unbounded). breaker, when installed, fails calls
-	// fast while the directory is unresponsive (see SetBreaker). desynced
-	// marks the connection poisoned by a timeout mid-exchange (a response
-	// may still be in flight), forcing a redial before the next request.
-	rpcTimeout time.Duration
-	breaker    *overload.Breaker
-	desynced   bool
+// DialConfig parameterizes a directory dial — DialDirConfigured for one
+// service, DialSharded for each replica of a partitioned one. The zero value
+// selects the defaults DialDir uses.
+type DialConfig struct {
+	// Timeout bounds the TCP dial and the capability handshake.
+	Timeout time.Duration
+	// Policy is the retry schedule of the dial and of every round trip (zero
+	// value: retry.Default()).
+	Policy retry.Policy
+	// RPCTimeout bounds each round trip (0 = unbounded): a directory that
+	// accepts and never answers costs one bounded stall, not a TCP timeout.
+	RPCTimeout time.Duration
+	// Breaker, when non-nil, arms a circuit breaker per dialled service:
+	// after Threshold consecutive transport failures or local timeouts the
+	// client fails fast (overload.ErrBreakerOpen) without touching the
+	// network until a half-open probe succeeds.
+	Breaker *overload.BreakerConfig
 }
 
 // DialDir connects to a directory service with the default retry policy.
 func DialDir(addr string, timeout time.Duration) (*DirClient, error) {
-	return DialDirPolicy(addr, timeout, retry.Default())
+	return DialDirConfigured(addr, DialConfig{Timeout: timeout})
 }
 
 // DialDirPolicy connects with an explicit retry policy governing the
 // initial dial and every subsequent round trip.
 func DialDirPolicy(addr string, timeout time.Duration, policy retry.Policy) (*DirClient, error) {
-	c := &DirClient{
-		addr:    addr,
-		timeout: timeout,
-		policy:  policy,
-		rng:     rand.New(rand.NewSource(int64(len(addr))*0x5D17 + 3)),
-	}
-	err := retry.Do(policy, c.rng, nil, func(int) error {
-		conn, err := net.DialTimeout("tcp", addr, timeout)
-		if err != nil {
-			return err
-		}
-		c.setConn(conn)
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("dkv: dial %s: %w", addr, err)
-	}
-	return c, nil
+	return DialDirConfigured(addr, DialConfig{Timeout: timeout, Policy: policy})
 }
 
-// Close tears down the connection.
-func (c *DirClient) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.closed = true
-	return c.conn.Close()
+// DialDirConfigured connects with explicit configuration. A server that does
+// not answer the transport's handshake (an icache-dkv from before the
+// directory moved onto it) fails the dial.
+func DialDirConfigured(addr string, cfg DialConfig) (*DirClient, error) {
+	tcfg := transport.DialConfig{Timeout: cfg.Timeout, Policy: cfg.Policy, RPCTimeout: cfg.RPCTimeout}
+	if cfg.Breaker != nil {
+		tcfg.Breaker = overload.NewBreaker(*cfg.Breaker)
+	}
+	t, err := transport.Dial(addr, tcfg, dirBreakerOutcomeOK)
+	if err != nil {
+		return nil, fmt.Errorf("dkv: %w", err)
+	}
+	return &DirClient{t: t}, nil
 }
+
+// Close tears down the connection and waits for its demux reader.
+func (c *DirClient) Close() error { return c.t.Close() }
 
 // Resilience reports how many round trips needed a retry and how many
-// redials succeeded over the client's lifetime.
-func (c *DirClient) Resilience() (retries, redials int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.retries, c.redials
-}
+// redials the client made over its lifetime.
+func (c *DirClient) Resilience() (retries, redials int64) { return c.t.Resilience() }
 
-// redial replaces the connection (mu held).
-func (c *DirClient) redial() error {
-	conn, err := net.DialTimeout("tcp", c.addr, c.timeout)
-	if err != nil {
-		return err
-	}
-	c.conn.Close()
-	c.setConn(conn)
-	c.redials++
-	return nil
-}
-
-// setConn installs a connection together with its fresh frame reader.
-func (c *DirClient) setConn(conn net.Conn) {
-	c.conn, c.rd = conn, wire.NewFrameReader(conn)
-}
-
+// roundTrip sends the request encoded in the pooled buffer req (recycled
+// here) and returns the body of its StatusOK answer. The pooled buffer behind
+// the answer is dropped: control-plane calls are too rare for it to matter.
 func (c *DirClient) roundTrip(req *wire.Buffer) (*wire.Reader, error) {
-	return c.roundTripDeadline(req, time.Time{})
+	d, _, err := c.roundTripDeadline(req, time.Time{})
+	return d, err
 }
 
-// roundTripDeadline is the round-trip core. A non-zero deadline (or, when
-// zero, the configured rpcTimeout) bounds each attempt's network wait via
-// a connection deadline, and the retry loop stops spawning attempts once
-// the deadline passes. The breaker (if installed) gates entry and absorbs
-// the outcome. req is the pooled frame buffer (wire.GetBuffer) the request
-// was encoded into: sent as is, once per attempt, recycled on return.
-func (c *DirClient) roundTripDeadline(req *wire.Buffer, dl time.Time) (*wire.Reader, error) {
-	defer wire.PutBuffer(req)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if b := c.breaker; b != nil && !b.Allow(time.Now()) {
-		return nil, fmt.Errorf("dkv: %s: %w", c.addr, overload.ErrBreakerOpen)
-	}
-	if dl.IsZero() && c.rpcTimeout > 0 {
-		dl = time.Now().Add(c.rpcTimeout)
-	}
-	var resp []byte
-	retried := false
-	err := retry.Do(c.policy, c.rng, nil, func(attempt int) error {
-		if c.closed {
-			return retry.Permanent(fmt.Errorf("dkv: client for %s is closed", c.addr))
-		}
-		if attempt > 0 {
-			retried = true
-			if !dl.IsZero() && !time.Now().Before(dl) {
-				return retry.Permanent(fmt.Errorf("dkv: %s: retry budget spent: %w", c.addr, overload.ErrExpired))
-			}
-			if err := c.redial(); err != nil {
-				return fmt.Errorf("dkv: redial %s: %w", c.addr, err)
-			}
-			c.desynced = false
-		} else if c.desynced {
-			// A previous call timed out mid-exchange: the old connection may
-			// still deliver that stale response, so it must not be reused.
-			if err := c.redial(); err != nil {
-				return fmt.Errorf("dkv: redial %s: %w", c.addr, err)
-			}
-			c.desynced = false
-		}
-		if !dl.IsZero() {
-			c.conn.SetDeadline(dl)
-			defer c.conn.SetDeadline(time.Time{})
-		}
-		if err := wire.WriteFrame(c.conn, req); err != nil {
-			if isTimeoutErr(err) {
-				c.desynced = true
-				return retry.Permanent(fmt.Errorf("dkv: send: %w", err))
-			}
-			return fmt.Errorf("dkv: send: %w", err)
-		}
-		r, err := wire.ReadFrame(c.rd)
-		if err != nil {
-			if isTimeoutErr(err) {
-				// Request is out, response unread: the conn is desynchronized
-				// and a retry would only turn "late" into "later".
-				c.desynced = true
-				return retry.Permanent(fmt.Errorf("dkv: receive: %w", err))
-			}
-			return fmt.Errorf("dkv: receive: %w", err)
-		}
-		resp = r
-		return nil
-	})
-	if retried {
-		c.retries++
-	}
-	if err != nil {
-		c.reportBreakerLocked(err)
-		return nil, err
-	}
-	d := wire.NewReader(resp)
-	var callErr error
-	switch status := d.U8(); status {
-	case statusOK:
-		c.reportBreakerLocked(nil)
-		return d, nil
-	case statusErr:
-		callErr = &ServerError{Msg: d.Str()}
-	case statusRetryAfter:
-		callErr = &overload.RetryAfterError{After: time.Duration(d.I64())}
-	case statusExpired:
-		callErr = errDirExpired
-	default:
-		callErr = fmt.Errorf("dkv: unknown status %d", status)
-	}
-	c.reportBreakerLocked(callErr)
-	return nil, callErr
+// roundTripDeadline is roundTrip bounded by dl as well as the configured
+// RPCTimeout (whichever is earlier), for the data-plane calls: it also
+// returns the pooled buffer behind the answer, which they hand back with
+// wire.PutBuffer once decoded (nothing they return aliases it) — one 4 KB
+// allocation per lookup otherwise.
+func (c *DirClient) roundTripDeadline(req *wire.Buffer, dl time.Time) (*wire.Reader, *wire.Buffer, error) {
+	d, owner, err := c.t.Call(req.Payload(), dl)
+	wire.PutBuffer(req)
+	return d, owner, err
 }
 
-// reportBreakerLocked feeds one outcome to the breaker (mu held; the
-// Breaker has its own mutex but keeping the call under mu keeps the
-// install-before-share contract trivially safe).
-func (c *DirClient) reportBreakerLocked(err error) {
-	if b := c.breaker; b != nil {
-		b.Report(time.Now(), dirBreakerOutcomeOK(err))
+// decodeOwner decodes one lookup answer (see encodeOwner).
+func decodeOwner(d *wire.Reader) (NodeID, bool) {
+	if d.U8() == 0 {
+		return 0, false
 	}
+	return NodeID(d.I64()), true
 }
 
 // Lookup reports which node owns id, if any.
 func (c *DirClient) Lookup(id dataset.SampleID) (NodeID, bool, error) {
+	return c.LookupCtx(id, obs.TraceCtx{}, time.Time{})
+}
+
+// LookupCtx is Lookup carrying the caller's trace context — addressed to
+// the directory server: the caller passes its own context's Next() — and
+// deadline: the remaining budget rides a deadline envelope (the directory
+// drops the lookup server-side once it is unservable) and the local wait is
+// cut off at the same instant. Zero values send the plain request.
+func (c *DirClient) LookupCtx(id dataset.SampleID, ctx obs.TraceCtx, dl time.Time) (NodeID, bool, error) {
 	e := wire.GetBuffer()
+	transport.AppendEnvelopes(e, ctx, dl)
 	e.U8(opLookup)
 	e.I64(int64(id))
-	d, err := c.roundTrip(e)
+	d, owner, err := c.roundTripDeadline(e, dl)
 	if err != nil {
 		return 0, false, err
 	}
-	if d.U8() == 0 {
-		return 0, false, d.Err
-	}
-	return NodeID(d.I64()), true, d.Err
+	defer wire.PutBuffer(owner)
+	node, found := decodeOwner(d)
+	return node, found, d.Err
 }
 
 // LookupBatch resolves the owners of many ids in ONE wire round trip,
@@ -624,42 +345,44 @@ func (c *DirClient) Lookup(id dataset.SampleID) (NodeID, bool, error) {
 // questions costs one frame each way instead of len(ids) serial exchanges.
 // An empty ids slice short-circuits without touching the network.
 func (c *DirClient) LookupBatch(ids []dataset.SampleID) ([]Owner, error) {
+	return c.LookupBatchCtx(ids, obs.TraceCtx{}, time.Time{})
+}
+
+// LookupBatchCtx is LookupBatch carrying the caller's trace context and
+// deadline (see LookupCtx), so a traced cache request's ONE batched
+// ownership lookup appears in the cross-node hop chain and inherits what is
+// left of the request's budget.
+func (c *DirClient) LookupBatchCtx(ids []dataset.SampleID, ctx obs.TraceCtx, dl time.Time) ([]Owner, error) {
 	if len(ids) == 0 {
 		return nil, nil
 	}
 	e := wire.GetBuffer()
+	transport.AppendEnvelopes(e, ctx, dl)
 	e.U8(opLookupBatch)
 	e.U32(uint32(len(ids)))
 	for _, id := range ids {
 		e.I64(int64(id))
 	}
-	d, err := c.roundTrip(e)
+	d, owner, err := c.roundTripDeadline(e, dl)
 	if err != nil {
 		return nil, err
 	}
-	return decodeLookupBatchResponse(d, len(ids))
-}
-
-// decodeLookupBatchResponse decodes the per-id owner entries of an
-// opLookupBatch response, aligned with the want ids the caller sent.
-func decodeLookupBatchResponse(d *wire.Reader, want int) ([]Owner, error) {
+	defer wire.PutBuffer(owner)
 	n := int(d.U32())
 	if d.Err != nil {
 		return nil, d.Err
 	}
-	if n != want {
-		return nil, fmt.Errorf("dkv: lookup batch length mismatch: sent %d, got %d", want, n)
+	if n != len(ids) {
+		return nil, fmt.Errorf("dkv: lookup batch length mismatch: sent %d, got %d", len(ids), n)
 	}
 	out := make([]Owner, n)
-	for i := 0; i < n; i++ {
-		if d.U8() == 1 {
-			out[i] = Owner{Node: NodeID(d.I64()), Found: true}
-		}
+	for i := range out {
+		out[i].Node, out[i].Found = decodeOwner(d)
 		if d.Err != nil {
 			return nil, d.Err
 		}
 	}
-	return out, d.Err
+	return out, nil
 }
 
 // Claim registers node as the owner of id (first claim wins).
@@ -668,10 +391,11 @@ func (c *DirClient) Claim(id dataset.SampleID, node NodeID) (bool, error) {
 	e.U8(opClaim)
 	e.I64(int64(id))
 	e.I64(int64(node))
-	d, err := c.roundTrip(e)
+	d, owner, err := c.roundTripDeadline(e, time.Time{})
 	if err != nil {
 		return false, err
 	}
+	defer wire.PutBuffer(owner)
 	return d.U8() == 1, d.Err
 }
 
@@ -681,10 +405,11 @@ func (c *DirClient) Release(id dataset.SampleID, node NodeID) (bool, error) {
 	e.U8(opRelease)
 	e.I64(int64(id))
 	e.I64(int64(node))
-	d, err := c.roundTrip(e)
+	d, owner, err := c.roundTripDeadline(e, time.Time{})
 	if err != nil {
 		return false, err
 	}
+	defer wire.PutBuffer(owner)
 	return d.U8() == 1, d.Err
 }
 

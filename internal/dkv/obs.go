@@ -1,27 +1,19 @@
 package dkv
 
 import (
-	"errors"
 	"net/http"
 	"time"
 
-	"icache/internal/dataset"
 	"icache/internal/obs"
 	"icache/internal/trace"
+	"icache/internal/transport"
 	"icache/internal/wire"
 )
 
-// This file is the directory service's observability wiring, mirroring the
-// rpc layer's: an opt-in per-request latency histogram on the server, and
-// the same compact trace envelope so a traced cache request's directory
-// lookups appear in the cross-node hop chain.
-//
-// The envelope is structurally identical to the rpc layer's (opcode, then
-// i64 trace ID, u8 receiver hop, raw inner request) but uses this
-// protocol's own opcode space. Nested envelopes are rejected.
-
-// opTraced wraps any directory request in a trace-context envelope.
-const opTraced = 10
+// This file is the directory service's observability wiring: an opt-in
+// per-request latency histogram on the server, and a span per traced request
+// so a traced cache request's directory lookups appear in the cross-node hop
+// chain. The trace context arrives in the transport's trace envelope.
 
 // StageDirServe is the directory server's per-request serve stage; it
 // becomes icache_stage_dir_serve_seconds on the Prometheus surface.
@@ -35,10 +27,6 @@ type dirObs struct {
 	tracer *trace.Recorder
 	start  time.Time // trace-clock epoch (set at EnableObs)
 }
-
-func (o *dirObs) histsOn() bool { return o.reg != nil }
-
-func (o *dirObs) tracing(ctx obs.TraceCtx) bool { return o.tracer != nil && ctx.Valid() }
 
 // EnableObs arms the directory server's per-request latency histogram
 // (reg) and span tracing (tracer). Either may be nil to leave that surface
@@ -66,99 +54,33 @@ func (s *DirServer) DebugObsHandler() http.Handler {
 	})
 }
 
-// dispatchCtx unwraps an optional trace envelope, dispatches the inner
-// request, and records the serve time (histogram always when enabled; a
-// KindRPCRecv span at the received hop with Arg = inner opcode when the
-// request is traced).
-func (s *DirServer) dispatchCtx(req []byte, e *wire.Buffer, ctx obs.TraceCtx) {
-	if len(req) > 0 && req[0] == opTraced {
-		if ctx.Valid() {
-			dirError(e, errors.New("dkv: nested trace envelope"))
-			return
-		}
-		d := wire.NewReader(req)
-		d.U8() // opTraced
-		id := uint64(d.I64())
-		hop := d.U8()
-		if d.Err != nil {
-			dirError(e, d.Err)
-			return
-		}
-		if id == 0 {
-			dirError(e, errors.New("dkv: zero trace id"))
-			return
-		}
-		s.dispatchCtx(d.B[d.Off:], e, obs.TraceCtx{ID: id, Hop: hop})
-		return
+// serve answers one directory request (envelopes peeled by the transport). A
+// request whose deadline budget is already spent is dropped, StatusExpired,
+// without touching the directory: the budget is the sender's remaining time
+// at encode and directory work is sub-millisecond, so arrival with nothing
+// left is the only expired case worth answering.
+func (s *DirServer) serve(w transport.Response, req []byte, ctx obs.TraceCtx, dl time.Time) error {
+	if !dl.IsZero() && !time.Now().Before(dl) {
+		s.observe(req[0], ctx, 0)
+		return w.Expired()
 	}
-	measure := s.obs.histsOn() || s.obs.tracing(ctx)
-	var t0 time.Time
-	if measure {
-		t0 = time.Now()
-	}
-	s.dispatchInto(req, e)
-	if measure {
-		dur := time.Since(t0)
-		s.obs.serve.Record(dur)
-		if s.obs.tracing(ctx) {
-			op := int64(0)
-			if len(req) > 0 {
-				op = int64(req[0])
-			}
-			s.obs.tracer.RecordSpan(time.Since(s.obs.start), trace.KindRPCRecv, 0, op, ctx.ID, ctx.Hop, dur)
+	return w.Reply(func(e *wire.Buffer) error {
+		if s.obs.reg == nil && (s.obs.tracer == nil || !ctx.Valid()) {
+			return s.dispatch(req, e)
 		}
-	}
+		t0 := time.Now()
+		err := s.dispatch(req, e)
+		s.observe(req[0], ctx, time.Since(t0))
+		return err
+	})
 }
 
-// LookupTraced is Lookup carrying a trace context addressed to the
-// directory server (the caller passes its own context's Next()). A zero
-// context sends the plain request. It implements the optional interface
-// the rpc layer probes for when forwarding traced directory lookups.
-func (c *DirClient) LookupTraced(id dataset.SampleID, ctx obs.TraceCtx) (NodeID, bool, error) {
-	if !ctx.Valid() {
-		return c.Lookup(id)
+// observe records one request's serve time: the dir_serve histogram when
+// armed, and a KindRPCRecv span at the received hop with Arg = the opcode
+// when the request is traced.
+func (s *DirServer) observe(op byte, ctx obs.TraceCtx, dur time.Duration) {
+	s.obs.serve.Record(dur)
+	if s.obs.tracer != nil && ctx.Valid() {
+		s.obs.tracer.RecordSpan(time.Since(s.obs.start), trace.KindRPCRecv, 0, int64(op), ctx.ID, ctx.Hop, dur)
 	}
-	e := wire.GetBuffer()
-	e.U8(opTraced)
-	e.I64(int64(ctx.ID))
-	e.U8(ctx.Hop)
-	e.U8(opLookup)
-	e.I64(int64(id))
-	d, err := c.roundTrip(e)
-	if err != nil {
-		return 0, false, err
-	}
-	if d.U8() == 0 {
-		return 0, false, d.Err
-	}
-	return NodeID(d.I64()), true, d.Err
-}
-
-// LookupBatchTraced is LookupBatch carrying a trace context addressed to
-// the directory server, so a traced cache request's ONE batched ownership
-// lookup appears in the cross-node hop chain just like the per-sample
-// lookups it replaced. A zero context sends the plain request. It
-// implements the optional interface the rpc layer probes for when
-// forwarding traced batched directory lookups.
-func (c *DirClient) LookupBatchTraced(ids []dataset.SampleID, ctx obs.TraceCtx) ([]Owner, error) {
-	if !ctx.Valid() {
-		return c.LookupBatch(ids)
-	}
-	if len(ids) == 0 {
-		return nil, nil
-	}
-	e := wire.GetBuffer()
-	e.U8(opTraced)
-	e.I64(int64(ctx.ID))
-	e.U8(ctx.Hop)
-	e.U8(opLookupBatch)
-	e.U32(uint32(len(ids)))
-	for _, id := range ids {
-		e.I64(int64(id))
-	}
-	d, err := c.roundTrip(e)
-	if err != nil {
-		return nil, err
-	}
-	return decodeLookupBatchResponse(d, len(ids))
 }

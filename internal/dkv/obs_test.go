@@ -2,13 +2,12 @@ package dkv
 
 import (
 	"net"
-	"strings"
 	"testing"
 	"time"
 
 	"icache/internal/obs"
 	"icache/internal/trace"
-	"icache/internal/wire"
+	"icache/internal/transport/transporttest"
 )
 
 // startObsDirServer is startDirServer with the observability layer armed
@@ -42,14 +41,14 @@ func TestDirTracedLookup(t *testing.T) {
 		t.Fatalf("Lookup = (%d, %v, %v)", node, ok, err)
 	}
 	ctx := obs.TraceCtx{ID: 0xfeed, Hop: 2}
-	node, ok, err = c.LookupTraced(7, ctx)
+	node, ok, err = c.LookupCtx(7, ctx, time.Time{})
 	if err != nil || !ok || node != 3 {
-		t.Fatalf("LookupTraced = (%d, %v, %v)", node, ok, err)
+		t.Fatalf("LookupCtx = (%d, %v, %v)", node, ok, err)
 	}
 	// Miss through the envelope, too.
-	_, ok, err = c.LookupTraced(1234, ctx)
+	_, ok, err = c.LookupCtx(1234, ctx, time.Time{})
 	if err != nil || ok {
-		t.Fatalf("LookupTraced(absent) = (%v, %v)", ok, err)
+		t.Fatalf("LookupCtx(absent) = (%v, %v)", ok, err)
 	}
 
 	// The traced lookups (and only those) produced RPCRecv spans at the
@@ -87,57 +86,18 @@ func TestDirTracedLookup(t *testing.T) {
 	}
 
 	// A zero trace context degrades to the plain request.
-	if _, _, err := c.LookupTraced(7, obs.TraceCtx{}); err != nil {
+	if _, _, err := c.LookupCtx(7, obs.TraceCtx{}, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestDirEnvelopeRejections pins the envelope's safety properties at the
-// dispatch layer: nested envelopes and zero trace IDs are errors, and a
-// truncated envelope fails cleanly.
+// TestDirEnvelopeRejections: the directory handler sees envelope stacks
+// accepted and rejected exactly as every handler on the transport does —
+// both orders of trace and deadline, each at most once, mux outermost.
 func TestDirEnvelopeRejections(t *testing.T) {
 	srv := NewDirServer(NewDirectory())
 	srv.EnableObs(obs.NewRegistry(), trace.NewRecorder(16))
-
-	dispatch := func(req []byte) (status byte, msg string) {
-		var e wire.Buffer
-		srv.dispatchCtx(req, &e, obs.TraceCtx{})
-		d := wire.NewReader(e.B)
-		status = d.U8()
-		if status == statusErr {
-			msg = d.Str()
-		}
-		return status, msg
-	}
-
-	envelope := func(id uint64, hop uint8, inner []byte) []byte {
-		var e wire.Buffer
-		e.U8(opTraced)
-		e.I64(int64(id))
-		e.U8(hop)
-		e.B = append(e.B, inner...)
-		return e.B
-	}
-	var lookup wire.Buffer
-	lookup.U8(opLookup)
-	lookup.I64(7)
-
-	// Well-formed envelope dispatches fine.
-	if st, msg := dispatch(envelope(9, 1, lookup.B)); st != statusOK {
-		t.Fatalf("traced lookup rejected: %s", msg)
-	}
-	// Nested envelope is rejected.
-	if st, msg := dispatch(envelope(9, 1, envelope(9, 2, lookup.B))); st != statusErr || !strings.Contains(msg, "nested") {
-		t.Fatalf("nested envelope: status %d msg %q", st, msg)
-	}
-	// Zero trace ID is rejected.
-	if st, msg := dispatch(envelope(0, 1, lookup.B)); st != statusErr {
-		t.Fatalf("zero trace id accepted: status %d msg %q", st, msg)
-	}
-	// Truncated envelope fails cleanly.
-	if st, _ := dispatch([]byte{opTraced, 1, 2}); st != statusErr {
-		t.Fatalf("truncated envelope accepted: status %d", st)
-	}
+	transporttest.EnvelopeRejections(t, srv.t)
 }
 
 // TestDirObsDisabledIsInert pins the nil-recorder contract: a server with
@@ -161,9 +121,9 @@ func TestDirObsDisabledIsInert(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	node, ok, err := c.LookupTraced(7, obs.TraceCtx{ID: 5, Hop: 1})
+	node, ok, err := c.LookupCtx(7, obs.TraceCtx{ID: 5, Hop: 1}, time.Time{})
 	if err != nil || !ok || node != 3 {
-		t.Fatalf("LookupTraced on plain server = (%d, %v, %v)", node, ok, err)
+		t.Fatalf("LookupCtx on plain server = (%d, %v, %v)", node, ok, err)
 	}
 	if srv.ObsRegistry() != nil {
 		t.Fatal("registry materialized on a plain server")

@@ -11,6 +11,7 @@ import (
 	"icache/internal/obs"
 	"icache/internal/retry"
 	"icache/internal/simclock"
+	"icache/internal/transport"
 	"icache/internal/wire"
 )
 
@@ -227,7 +228,7 @@ func (rs *replicaState) now() simclock.Time { return simclock.Time(time.Since(rs
 // (the transport worked; the server refused the request). Used to tell a
 // live legacy peer from a dead one.
 func isServerError(err error) bool {
-	var se *ServerError
+	var se *transport.ServerError
 	return errors.As(err, &se)
 }
 

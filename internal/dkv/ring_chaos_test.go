@@ -66,7 +66,7 @@ func startRingChaosCluster(t *testing.T, leaseTTL, suspect time.Duration) *ringC
 		c.srvs = append(c.srvs, srv)
 		go srv.Serve(c.lns[i])
 	}
-	s, err := DialSharded(c.addrs, time.Second, ShardedConfig{FailoverTTL: time.Minute})
+	s, err := DialSharded(c.addrs, DialConfig{Timeout: time.Second}, ShardedConfig{FailoverTTL: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"icache/internal/dataset"
 	"icache/internal/obs"
 	"icache/internal/simclock"
+	"icache/internal/transport"
 )
 
 // ShardedDir is the replica-aware directory client: it satisfies the
@@ -98,14 +99,17 @@ func NewShardedDir(replicas map[ReplicaID]Service, cfg ShardedConfig) *ShardedDi
 }
 
 // DialSharded connects one DirClient per replica address (replica i gets
-// ReplicaID i, matching icache-dkv's -replica-id convention) and wraps them
-// in a ShardedDir. A single address yields single-shard routing — the
-// legacy one-directory deployment expressed in the new shape.
-func DialSharded(addrs []string, timeout time.Duration, cfg ShardedConfig) (*ShardedDir, error) {
+// ReplicaID i, matching icache-dkv's -replica-id convention), each dialled
+// with dial — its own connection, per-call bound and circuit breaker, so a
+// replica that accepts and never answers stalls one bounded call and is then
+// failed over, without blocking the calls to the others — and wraps them in
+// a ShardedDir. A single address yields single-shard routing — the legacy
+// one-directory deployment expressed in the new shape.
+func DialSharded(addrs []string, dial DialConfig, cfg ShardedConfig) (*ShardedDir, error) {
 	replicas := make(map[ReplicaID]Service, len(addrs))
 	var clients []*DirClient
 	for i, addr := range addrs {
-		c, err := DialDir(addr, timeout)
+		c, err := DialDirConfigured(addr, dial)
 		if err != nil {
 			for _, prev := range clients {
 				prev.Close()
@@ -252,15 +256,16 @@ func (s *ShardedDir) retried() {
 // failing over (mark down, remap, retry in this call) until it succeeds or
 // no replica remains. Every directory operation is idempotent, so blind
 // cross-replica retry is safe — the same argument that makes DirClient's
-// reconnect-retry safe.
-func (s *ShardedDir) doSharded(id dataset.SampleID, call func(Service) error) error {
+// reconnect-retry safe. dl is the deadline the call forwards (zero = none;
+// see budgetSpent).
+func (s *ShardedDir) doSharded(id dataset.SampleID, dl time.Time, call func(Service) error) error {
 	for attempt := 0; ; attempt++ {
 		r, svc, err := s.route(id)
 		if err != nil {
 			return err
 		}
-		if err := call(svc); err == nil {
-			return nil
+		if err = call(svc); err == nil || budgetSpent(err, dl) {
+			return err
 		}
 		s.markDown(r)
 		if attempt > 0 {
@@ -270,29 +275,33 @@ func (s *ShardedDir) doSharded(id dataset.SampleID, call func(Service) error) er
 	}
 }
 
-// Lookup reports which node owns id, routed to id's shard holder.
-func (s *ShardedDir) Lookup(id dataset.SampleID) (NodeID, bool, error) {
-	var node NodeID
-	var found bool
-	err := s.doSharded(id, func(svc Service) error {
-		var err error
-		node, found, err = svc.Lookup(id)
-		return err
-	})
-	return node, found, err
+// budgetSpent reports whether a replica call failed because the REQUEST ran
+// out of time — its forwarded deadline dl has passed and the replica answered
+// StatusExpired or the local wait was cut off there. That is no evidence
+// against the replica, and no other replica could do better (each would be
+// marked down in turn, and one late request would take the ring out for a
+// lease cycle), so the caller gets the error instead of a failover. A timeout
+// BEFORE dl is the per-call bound firing: the replica accepted the call and
+// did not answer, and the shard moves on without it.
+func budgetSpent(err error, dl time.Time) bool {
+	return !dl.IsZero() && !time.Now().Before(dl) && errors.Is(err, transport.ErrDeadlineExceeded)
 }
 
-// LookupTraced routes a traced lookup to id's shard holder, forwarding the
-// trace context when the replica's service supports it (DirClient does).
-func (s *ShardedDir) LookupTraced(id dataset.SampleID, ctx obs.TraceCtx) (NodeID, bool, error) {
+// Lookup reports which node owns id, routed to id's shard holder.
+func (s *ShardedDir) Lookup(id dataset.SampleID) (NodeID, bool, error) {
+	return s.LookupCtx(id, obs.TraceCtx{}, time.Time{})
+}
+
+// LookupCtx routes a lookup to id's shard holder, forwarding the trace
+// context and deadline when the replica's service can carry them (DirClient
+// does).
+func (s *ShardedDir) LookupCtx(id dataset.SampleID, ctx obs.TraceCtx, dl time.Time) (NodeID, bool, error) {
 	var node NodeID
 	var found bool
-	err := s.doSharded(id, func(svc Service) error {
+	err := s.doSharded(id, dl, func(svc Service) error {
 		var err error
-		if td, ok := svc.(interface {
-			LookupTraced(dataset.SampleID, obs.TraceCtx) (NodeID, bool, error)
-		}); ok && ctx.Valid() {
-			node, found, err = td.LookupTraced(id, ctx)
+		if cs, ok := svc.(CtxService); ok {
+			node, found, err = cs.LookupCtx(id, ctx, dl)
 		} else {
 			node, found, err = svc.Lookup(id)
 		}
@@ -304,7 +313,7 @@ func (s *ShardedDir) LookupTraced(id dataset.SampleID, ctx obs.TraceCtx) (NodeID
 // Claim registers node as the owner of id on id's shard holder.
 func (s *ShardedDir) Claim(id dataset.SampleID, node NodeID) (bool, error) {
 	var claimed bool
-	err := s.doSharded(id, func(svc Service) error {
+	err := s.doSharded(id, time.Time{}, func(svc Service) error {
 		var err error
 		claimed, err = svc.Claim(id, node)
 		return err
@@ -315,7 +324,7 @@ func (s *ShardedDir) Claim(id dataset.SampleID, node NodeID) (bool, error) {
 // Release removes node's ownership of id on id's shard holder.
 func (s *ShardedDir) Release(id dataset.SampleID, node NodeID) (bool, error) {
 	var released bool
-	err := s.doSharded(id, func(svc Service) error {
+	err := s.doSharded(id, time.Time{}, func(svc Service) error {
 		var err error
 		released, err = svc.Release(id, node)
 		return err
@@ -331,17 +340,14 @@ func (s *ShardedDir) Release(id dataset.SampleID, node NodeID) (bool, error) {
 // re-groups against the survivors — so one replica crash costs one extra
 // round per affected group, never a degraded batch.
 func (s *ShardedDir) LookupBatch(ids []dataset.SampleID) ([]Owner, error) {
-	return s.lookupBatch(ids, obs.TraceCtx{})
+	return s.LookupBatchCtx(ids, obs.TraceCtx{}, time.Time{})
 }
 
-// LookupBatchTraced is LookupBatch forwarding a trace context to replicas
-// that support it, so a traced request's per-shard directory hops all
-// appear in the cross-node chain.
-func (s *ShardedDir) LookupBatchTraced(ids []dataset.SampleID, ctx obs.TraceCtx) ([]Owner, error) {
-	return s.lookupBatch(ids, ctx)
-}
-
-func (s *ShardedDir) lookupBatch(ids []dataset.SampleID, ctx obs.TraceCtx) ([]Owner, error) {
+// LookupBatchCtx is LookupBatch forwarding a trace context and deadline to
+// replicas that can carry them, so a traced request's per-shard directory
+// hops all appear in the cross-node chain and every one of them inherits
+// what is left of the request's budget.
+func (s *ShardedDir) LookupBatchCtx(ids []dataset.SampleID, ctx obs.TraceCtx, dl time.Time) ([]Owner, error) {
 	if len(ids) == 0 {
 		return nil, nil
 	}
@@ -382,12 +388,13 @@ func (s *ShardedDir) lookupBatch(ids []dataset.SampleID, ctx obs.TraceCtx) ([]Ow
 			svc := s.service(r)
 			var res []Owner
 			var err error
-			if td, ok := svc.(interface {
-				LookupBatchTraced([]dataset.SampleID, obs.TraceCtx) ([]Owner, error)
-			}); ok && ctx.Valid() {
-				res, err = td.LookupBatchTraced(shard, ctx)
+			if cs, ok := svc.(CtxService); ok {
+				res, err = cs.LookupBatchCtx(shard, ctx, dl)
 			} else {
 				res, err = svc.LookupBatch(shard)
+			}
+			if budgetSpent(err, dl) {
+				return nil, err
 			}
 			if err != nil || len(res) != len(shard) {
 				s.markDown(r)

@@ -7,24 +7,40 @@ import (
 	"testing"
 	"time"
 
-	"icache/internal/overload"
+	"icache/internal/leakcheck"
+	"icache/internal/transport"
 	"icache/internal/wire"
 )
 
+// answerHandshake plays the server's half of the dial-time handshake on a
+// hand-driven connection.
+func answerHandshake(conn net.Conn) error {
+	if _, err := wire.ReadFrame(conn); err != nil { // the capability ping
+		return err
+	}
+	var hello wire.Buffer
+	hello.U8(transport.StatusOK)
+	hello.U32(transport.CapMux)
+	return wire.WritePayload(conn, hello.B)
+}
+
 // TestDirClientTimeoutDiscardsReadAhead times a call out in the middle of
-// its response: the first connection answers with a lie ("id is owned by
-// node 77") whose prefix and first body bytes arrive inside the client's
-// RPC timeout — so they sit in the connection's read-ahead buffer when the
-// call gives up — and whose rest arrives after it. Every later connection is
-// the real directory. The following calls must be answered by the real
-// directory only: the redial the timeout forces discards the old frame
-// reader with the old connection, so no stale byte can be matched to (or
-// spliced into) a later response.
+// its response: the connection answers the first lookup with a lie ("id is
+// owned by node 77") whose prefix and first body bytes arrive inside the
+// client's RPC timeout — so they sit in the connection's read-ahead buffer
+// when the call gives up — and whose rest arrives after it. From then on the
+// SAME connection is served by the real directory. The following calls must
+// be answered by the real directory only: the timed-out call's request id
+// was forgotten, so when the demux reader finally completes the stale frame
+// it matches no caller and is dropped whole — no stale byte is matched to,
+// or spliced into, a later response — and the connection was never torn
+// down: zero redials.
 //
 // (TestDirClientRidesThroughMidFrameCloses is the restart-shaped twin: a
 // server dying two bytes into a response leaves those bytes in the reader,
-// and the retry's redial must drop them the same way.)
+// and there the redial drops them with the connection.)
 func TestDirClientTimeoutDiscardsReadAhead(t *testing.T) {
+	leakcheck.Check(t)
 	dir := NewDirectory()
 	dir.Claim(1, 9)
 	srv := NewDirServer(dir)
@@ -34,50 +50,48 @@ func TestDirClientTimeoutDiscardsReadAhead(t *testing.T) {
 	}
 	t.Cleanup(func() { ln.Close() })
 
-	lie := wire.GetBuffer()
-	lie.U8(statusOK)
-	lie.U8(1)
-	lie.I64(77)
-	const early = 7 // the 4-byte prefix and 3 of the 10 body bytes
+	const early = 7 // the 4-byte prefix and 3 of the 15 body bytes
 	timedOut := make(chan struct{})
 	staleSent := make(chan struct{})
+	served := make(chan struct{})
 	go func() {
-		for i := 0; ; i++ {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			if i > 0 {
-				go srv.serveConn(conn)
-				continue
-			}
-			go func() {
-				defer conn.Close()
-				defer close(staleSent)
-				if _, err := wire.ReadFrame(conn); err != nil {
-					return
-				}
-				var whole bytes.Buffer
-				wire.WriteFrame(&whole, lie) // a bytes.Buffer cannot fail
-				conn.Write(whole.Next(early))
-				<-timedOut
-				conn.Write(whole.Bytes())
-			}()
+		defer close(served)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
 		}
+		if answerHandshake(conn) != nil {
+			conn.Close()
+			return
+		}
+		req, err := wire.ReadFrame(conn) // the first lookup, in its mux envelope
+		if err != nil {
+			conn.Close()
+			return
+		}
+		lie := wire.GetBuffer()
+		lie.B = append(lie.B, req[:transport.MuxHeaderLen]...)
+		lie.U8(transport.StatusOK)
+		lie.U8(1)
+		lie.I64(77)
+		var whole bytes.Buffer
+		wire.WriteFrame(&whole, lie) // a bytes.Buffer cannot fail
+		conn.Write(whole.Next(early))
+		<-timedOut
+		conn.Write(whole.Bytes())
+		close(staleSent) // the rest of the lie is now queued ahead of any answer
+		srv.t.ServeConn(conn)
 	}()
 
-	c, err := DialDir(ln.Addr().String(), time.Second)
+	c, err := DialDirConfigured(ln.Addr().String(), DialConfig{Timeout: time.Second, RPCTimeout: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	c.SetRPCTimeout(50 * time.Millisecond)
-
-	if _, _, err := c.Lookup(5); !isTimeoutErr(err) && !errors.Is(err, overload.ErrExpired) {
+	if _, _, err := c.Lookup(5); !errors.Is(err, transport.ErrDeadlineExceeded) {
 		t.Fatalf("lookup against a stalled response: %v, want a timeout", err)
 	}
 	close(timedOut)
-	<-staleSent // the rest of the lie is now queued on the old connection
+	<-staleSent
 
 	if node, found, err := c.Lookup(1); err != nil || !found || node != 9 {
 		t.Fatalf("lookup after the timeout: (%v, %v, %v), want node 9 from the real directory", node, found, err)
@@ -85,7 +99,9 @@ func TestDirClientTimeoutDiscardsReadAhead(t *testing.T) {
 	if _, found, err := c.Lookup(5); err != nil || found {
 		t.Fatalf("lookup of an unowned id: found=%v err=%v; the stale response leaked", found, err)
 	}
-	if _, redials := c.Resilience(); redials != 1 {
-		t.Fatalf("%d redials, want exactly the one the timeout forces", redials)
+	if retries, redials := c.Resilience(); retries != 0 || redials != 0 {
+		t.Fatalf("%d retries, %d redials; a timed-out call forgets its request id, it does not tear the connection down", retries, redials)
 	}
+	c.Close()
+	<-served
 }

@@ -21,6 +21,7 @@ import (
 	"icache/internal/leakcheck"
 	"icache/internal/sampling"
 	"icache/internal/storage"
+	"icache/internal/transport"
 	"icache/internal/wire"
 )
 
@@ -68,22 +69,41 @@ func serveOn(t *testing.T, srv *Server) string {
 	return ln.Addr().String()
 }
 
-// waitNoConns blocks until the server has no live connections (the read
-// loop observed the close and exited).
-func waitNoConns(t *testing.T, srv *Server) {
+// countingListener counts the connections it has accepted that the server
+// has not closed yet (a read loop closes its connection on the way out).
+type countingListener struct {
+	net.Listener
+	open atomic.Int64
+}
+
+type countedConn struct {
+	net.Conn
+	once sync.Once
+	open *atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	l.open.Add(1)
+	return &countedConn{Conn: c, open: &l.open}, nil
+}
+
+func (c *countedConn) Close() error {
+	c.once.Do(func() { c.open.Add(-1) })
+	return c.Conn.Close()
+}
+
+// waitNoConns blocks until the server has closed every connection it
+// accepted (each read loop observed its client's close and exited).
+func (l *countingListener) waitNoConns(t *testing.T) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		srv.connMu.Lock()
-		n := len(srv.connSet)
-		srv.connMu.Unlock()
-		if n == 0 {
-			return
-		}
+	for deadline := time.Now().Add(5 * time.Second); l.open.Load() != 0; time.Sleep(2 * time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d connections still live", n)
+			t.Fatalf("%d connections still live", l.open.Load())
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
 }
 
@@ -133,8 +153,8 @@ func TestCleanCloseLogsNothing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, req := range [][]byte{{opPing}, encodeGetBatchRequest([]dataset.SampleID{1, 2, 3})} {
-				if resp := bareExchange(t, conn, req); len(resp) == 0 || resp[0] != statusOK {
+			for _, req := range [][]byte{{transport.OpPing}, encodeGetBatchRequest([]dataset.SampleID{1, 2, 3})} {
+				if resp := bareExchange(t, conn, req); len(resp) == 0 || resp[0] != transport.StatusOK {
 					t.Fatalf("bare request %v answered %v", req[:1], resp)
 				}
 			}
@@ -152,10 +172,16 @@ func TestCleanCloseLogsNothing(t *testing.T) {
 				lines = append(lines, fmt.Sprintf(format, args...))
 				mu.Unlock()
 			}
-			addr := serveOn(t, srv)
+			tcp, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ln := &countingListener{Listener: tcp}
+			go srv.Serve(ln)
+			t.Cleanup(func() { srv.Close() })
 
-			tc.drive(t, addr)
-			waitNoConns(t, srv)
+			tc.drive(t, tcp.Addr().String())
+			ln.waitNoConns(t)
 			mu.Lock()
 			defer mu.Unlock()
 			if len(lines) != 0 {
@@ -324,7 +350,7 @@ func TestChaosMidBatchPeerDropConservation(t *testing.T) {
 	// One read per request frame on the owner's connections: every third
 	// frame it receives kills its connection.
 	inj := faults.New(17).Add(faults.DropEvery(faults.OpConnRead, 3))
-	f := startTracedDistFixture(t, inj)
+	f := startTracedDistFixture(t, inj, nil)
 	spec := testSpec()
 
 	cA := dial(t, f.addrs[0])

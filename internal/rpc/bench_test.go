@@ -214,12 +214,12 @@ func BenchmarkServeHitPath(b *testing.B) {
 		ids[j] = dataset.SampleID(rng.Intn(hotSet))
 	}
 	req := encodeGetBatchRequest(ids)
-	cs := &muxConnState{conn: discardConn{}, sem: make(chan struct{}, muxServerInflight)}
+	cs := srv.t.NewConn(discardConn{})
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := srv.serveFrame(cs, req); err != nil {
+		if err := srv.t.ServeFrame(cs, req); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,99 +1,45 @@
 package rpc
 
 // Tests that enter the server the way a connection does: one request frame
-// handed to serveFrame, the response read back off an in-memory connection.
+// handed to the transport's frame handler, the response read back off an
+// in-memory connection.
 
 import (
 	"bytes"
 	"fmt"
-	"net"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"icache/internal/dataset"
 	"icache/internal/obs"
 	"icache/internal/trace"
+	"icache/internal/transport"
+	"icache/internal/transport/transporttest"
 	"icache/internal/wire"
 )
 
-// captureConn is the server's end of an in-memory connection: it records
-// what the server writes (a dispatch goroutine may be the writer).
-type captureConn struct {
-	net.Conn
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
+// dispatch runs one request frame through the server's frame handler and
+// returns the payload of the one response frame it wrote.
+func (s *Server) dispatch(req []byte) []byte { return transporttest.Dispatch(s.t, req) }
 
-func (c *captureConn) Write(p []byte) (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.buf.Write(p)
-}
-
-// dispatch runs one request frame through serveFrame — the handler every
-// connection's read loop calls — and returns the payload of the one response
-// frame it wrote. A muxed request answers from its dispatch goroutine, so
-// the connection's handlers are drained first.
-func (s *Server) dispatch(req []byte) []byte {
-	conn := &captureConn{}
-	cs := &muxConnState{conn: conn, sem: make(chan struct{}, muxServerInflight)}
-	if err := s.serveFrame(cs, req); err != nil {
-		panic(fmt.Sprintf("serveFrame over an in-memory connection: %v", err))
-	}
-	cs.wg.Wait()
-	resp, err := wire.ReadFrame(&conn.buf)
-	if err != nil || conn.buf.Len() != 0 {
-		panic(fmt.Sprintf("request %x: want exactly one response frame, got err=%v with %d bytes left over", req, err, conn.buf.Len()))
-	}
-	return resp
-}
-
-// muxWrap puts req in an opMuxReq envelope.
-func muxWrap(id uint32, req []byte) []byte {
-	var e buffer
-	e.u8(opMuxReq)
-	e.u32(id)
-	e.bytesRaw(req)
-	return e.payload()
-}
-
-// TestEnvelopeRejections pins the in-band answers to malformed envelope
-// stacks, bare and inside a mux envelope: each envelope may appear once.
+// TestEnvelopeRejections: the cache handler sees envelope stacks accepted and
+// rejected exactly as every handler on the transport does.
 func TestEnvelopeRejections(t *testing.T) {
-	srv := newUnstartedServer(t, nil, 0)
-	ping := []byte{opPing}
-	tctx := obs.TraceCtx{ID: 9, Hop: 1}
-	for _, tc := range []struct {
-		name string
-		req  []byte
-		want string
-	}{
-		{"nested trace", WrapTraced(WrapTraced(ping, tctx), tctx), "rpc: nested trace envelope"},
-		{"nested trace around deadline", WrapTraced(encodeDeadlineRequest(time.Minute, WrapTraced(ping, tctx)), tctx), "rpc: nested trace envelope"},
-		{"zero trace id", WrapTraced(ping, obs.TraceCtx{Hop: 1}), "rpc: trace envelope with zero trace id"},
-		{"nested deadline", encodeDeadlineRequest(time.Minute, encodeDeadlineRequest(time.Minute, ping)), "rpc: nested deadline envelope"},
-		{"nested deadline around trace", encodeDeadlineRequest(time.Minute, WrapTraced(encodeDeadlineRequest(time.Minute, ping), tctx)), "rpc: nested deadline envelope"},
-		{"non-positive budget", []byte{opDeadline, 0, 0, 0, 0, 0, 0, 0, 0, opPing}, "rpc: non-positive deadline budget 0"},
-		{"mux inside mux", muxWrap(2, ping), "rpc: unknown opcode 9"},
+	transporttest.EnvelopeRejections(t, newUnstartedServer(t, nil, 0).t)
+}
+
+// TestNoOpcodeCollidesWithTheTransport: a cache opcode equal to a reserved
+// one would never reach the handler.
+func TestNoOpcodeCollidesWithTheTransport(t *testing.T) {
+	for name, op := range map[string]byte{
+		"opGetBatch": opGetBatch, "opUpdateImportance": opUpdateImportance, "opStats": opStats,
+		"opBeginEpoch": opBeginEpoch, "opPeerGet": opPeerGet, "opPeerGetBatch": opPeerGetBatch,
+		"opEpochPlan": opEpochPlan, "opPlanPreplace": opPlanPreplace,
 	} {
-		for _, muxed := range []bool{false, true} {
-			req, name := tc.req, tc.name
-			if muxed || tc.name == "mux inside mux" {
-				req, name = muxWrap(7, req), name+"/muxed"
-			}
-			resp := srv.dispatch(req)
-			if req[0] == opMuxReq {
-				if !bytes.HasPrefix(resp, req[:muxHeaderLen]) {
-					t.Fatalf("%s: response %x does not echo the mux envelope", name, resp)
-				}
-				resp = resp[muxHeaderLen:]
-			}
-			d := newReader(resp)
-			if st, msg := d.u8(), d.str(); st != statusErr || msg != tc.want {
-				t.Errorf("%s: answered status %d %q, want statusErr %q", name, st, msg, tc.want)
-			}
+		switch op {
+		case transport.OpPing, transport.OpTraced, transport.OpMux, transport.OpDeadline:
+			t.Errorf("%s = %d is reserved by the transport", name, op)
 		}
 	}
 }
@@ -127,16 +73,20 @@ func TestTraceParity(t *testing.T) {
 		name string
 		wrap func(obs.TraceCtx) []byte
 	}{
-		{"plain", func(ctx obs.TraceCtx) []byte { return WrapTraced(get, ctx) }},
-		{"deadline-outer", func(ctx obs.TraceCtx) []byte { return encodeDeadlineRequest(time.Minute, WrapTraced(get, ctx)) }},
-		{"trace-outer", func(ctx obs.TraceCtx) []byte { return WrapTraced(encodeDeadlineRequest(time.Minute, get), ctx) }},
-		{"muxed", func(ctx obs.TraceCtx) []byte { return muxWrap(3, WrapTraced(get, ctx)) }},
+		{"plain", func(ctx obs.TraceCtx) []byte { return transport.WrapTraced(get, ctx) }},
+		{"deadline-outer", func(ctx obs.TraceCtx) []byte {
+			return transport.WrapDeadline(time.Minute, transport.WrapTraced(get, ctx))
+		}},
+		{"trace-outer", func(ctx obs.TraceCtx) []byte {
+			return transport.WrapTraced(transport.WrapDeadline(time.Minute, get), ctx)
+		}},
+		{"muxed", func(ctx obs.TraceCtx) []byte { return transporttest.MuxWrap(3, transport.WrapTraced(get, ctx)) }},
 	} {
 		ctx := obs.TraceCtx{ID: uint64(0xABC0 + i), Hop: 1}
 		pins0 := srv.ServingStats().PayloadPins
 		resp := srv.dispatch(tc.wrap(ctx))
 		if tc.name == "muxed" {
-			resp = resp[muxHeaderLen:]
+			resp = resp[transport.MuxHeaderLen:]
 		}
 		if got := srv.ServingStats().PayloadPins - pins0; got != wantPins {
 			t.Errorf("%s: traced request took %d payload pins, want %d (one per resident payload)", tc.name, got, wantPins)
@@ -170,7 +120,7 @@ func TestSlowRequestLogNamesTrace(t *testing.T) {
 	var lines []string
 	srv.Logf = func(format string, args ...interface{}) { lines = append(lines, fmt.Sprintf(format, args...)) }
 	srv.SetSlowRequestLog(time.Nanosecond, 0)
-	srv.dispatch(WrapTraced(encodeGetBatchRequest([]dataset.SampleID{1, 2}), obs.TraceCtx{ID: 0xFEED, Hop: 1}))
+	srv.dispatch(transport.WrapTraced(encodeGetBatchRequest([]dataset.SampleID{1, 2}), obs.TraceCtx{ID: 0xFEED, Hop: 1}))
 	if len(lines) != 1 || !strings.Contains(lines[0], "trace=000000000000feed hop=1") {
 		t.Fatalf("slow-request log = %q, want one line naming trace feed at hop 1", lines)
 	}
@@ -182,10 +132,10 @@ func TestStatsResponseLayout(t *testing.T) {
 	srv := newUnstartedServer(t, nil, 0)
 	srv.dispatch(encodeGetBatchRequest([]dataset.SampleID{1, 2, 3})) // three cold misses
 	resp := srv.dispatch([]byte{opStats})
-	if len(resp) != 1+7*8 || resp[0] != statusOK {
-		t.Fatalf("opStats answered %d bytes (status %d), want %d with statusOK", len(resp), resp[0], 1+7*8)
+	if len(resp) != 1+7*8 || resp[0] != transport.StatusOK {
+		t.Fatalf("opStats answered %d bytes (status %d), want %d with StatusOK", len(resp), resp[0], 1+7*8)
 	}
-	st, err := decodeStatsResponse(newReader(resp[1:]))
+	st, err := decodeStatsResponse(wire.NewReader(resp[1:]))
 	if err != nil || st.DemandFetches != 3 || st.DemandFetches != srv.DemandFetches() {
 		t.Fatalf("decoded %+v (%v), want DemandFetches 3", st, err)
 	}

@@ -10,10 +10,13 @@ import (
 	"icache/internal/obs"
 	"icache/internal/sampling"
 	"icache/internal/storage"
+	"icache/internal/transport"
+	"icache/internal/transport/transporttest"
+	"icache/internal/wire"
 )
 
 // FuzzServerDispatch throws arbitrary request frames at the server's one
-// frame handler (serveFrame, over an in-memory connection): it must always
+// frame handler (the transport's, over an in-memory connection): it must always
 // answer (or error-answer) with exactly one frame and never panic — a
 // malformed client must not be able to take the cache service down. A muxed
 // request must be answered inside the envelope it came in, a mux envelope
@@ -39,7 +42,7 @@ func FuzzServerDispatch(f *testing.F) {
 
 	// Seed with every opcode, well-formed and truncated.
 	f.Add([]byte{})
-	f.Add([]byte{opPing})
+	f.Add([]byte{transport.OpPing})
 	f.Add([]byte{opGetBatch})
 	f.Add([]byte{opGetBatch, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 7})
 	f.Add([]byte{opUpdateImportance, 0, 0, 0, 1})
@@ -58,11 +61,11 @@ func FuzzServerDispatch(f *testing.F) {
 	// another (error-answered, never dispatched), a truncated header (too
 	// short to be an envelope: an unknown opcode); and a capability-bearing
 	// ping.
-	f.Add(muxWrap(1, []byte{opPing}))
-	f.Add(muxWrap(7, encodeGetBatchRequest([]dataset.SampleID{0, 1, 2})))
-	f.Add(muxWrap(1, muxWrap(2, []byte{opPing})))
-	f.Add([]byte{opMuxReq, 0, 0, 0})
-	f.Add([]byte{opPing, 0, 0, 0, 1})
+	f.Add(transporttest.MuxWrap(1, []byte{transport.OpPing}))
+	f.Add(transporttest.MuxWrap(7, encodeGetBatchRequest([]dataset.SampleID{0, 1, 2})))
+	f.Add(transporttest.MuxWrap(1, transporttest.MuxWrap(2, []byte{transport.OpPing})))
+	f.Add([]byte{transport.OpMux, 0, 0, 0})
+	f.Add([]byte{transport.OpPing, 0, 0, 0, 1})
 	// Directory-replica frames (dkv opcodes 12/13: ring-view exchange and
 	// shard hand-off) aimed at the cache port by a misconfigured replica:
 	// unknown opcodes here, must error-answer rather than hang or panic.
@@ -75,48 +78,48 @@ func FuzzServerDispatch(f *testing.F) {
 	f.Add([]byte{12})
 	f.Add([]byte{13, 0xFF, 0xFF, 0xFF, 0xFF})
 	// Deadline envelopes (op 10): a generous budget around a ping, a spent
-	// budget (must answer statusExpired, not fetch), a nested envelope (must
+	// budget (must not fetch), a nested envelope (must
 	// error), a truncated header, and both compositions with the trace
 	// envelope — trace-outer/deadline-inner and deadline-outer/trace-inner.
-	f.Add(encodeDeadlineRequest(time.Minute, []byte{opPing}))
-	f.Add([]byte{opDeadline, 0, 0, 0, 0, 0, 0, 0, 0, opPing})
-	f.Add(encodeDeadlineRequest(time.Minute, encodeDeadlineRequest(time.Minute, []byte{opPing})))
-	f.Add([]byte{opDeadline, 0, 0, 0, 1})
-	f.Add(WrapTraced(encodeDeadlineRequest(time.Minute, encodeGetBatchRequest([]dataset.SampleID{0, 1})), obs.TraceCtx{ID: 9, Hop: 1}))
-	f.Add(encodeDeadlineRequest(time.Minute, WrapTraced(encodeGetBatchRequest([]dataset.SampleID{0, 1}), obs.TraceCtx{ID: 9, Hop: 1})))
-	f.Add(muxWrap(3, encodeDeadlineRequest(time.Minute, WrapTraced(encodePeerGetBatchRequest([]dataset.SampleID{0, 1}), obs.TraceCtx{ID: 9, Hop: 2}))))
+	f.Add(transport.WrapDeadline(time.Minute, []byte{transport.OpPing}))
+	f.Add([]byte{transport.OpDeadline, 0, 0, 0, 0, 0, 0, 0, 0, transport.OpPing})
+	f.Add(transport.WrapDeadline(time.Minute, transport.WrapDeadline(time.Minute, []byte{transport.OpPing})))
+	f.Add([]byte{transport.OpDeadline, 0, 0, 0, 1})
+	f.Add(transport.WrapTraced(transport.WrapDeadline(time.Minute, encodeGetBatchRequest([]dataset.SampleID{0, 1})), obs.TraceCtx{ID: 9, Hop: 1}))
+	f.Add(transport.WrapDeadline(time.Minute, transport.WrapTraced(encodeGetBatchRequest([]dataset.SampleID{0, 1}), obs.TraceCtx{ID: 9, Hop: 1})))
+	f.Add(transporttest.MuxWrap(3, transport.WrapDeadline(time.Minute, transport.WrapTraced(encodePeerGetBatchRequest([]dataset.SampleID{0, 1}), obs.TraceCtx{ID: 9, Hop: 2}))))
 
 	f.Fuzz(func(t *testing.T, req []byte) {
 		resp := srv.dispatch(req)
-		if len(req) >= muxHeaderLen && req[0] == opMuxReq {
-			if !bytes.HasPrefix(resp, req[:muxHeaderLen]) {
+		if len(req) >= transport.MuxHeaderLen && req[0] == transport.OpMux {
+			if !bytes.HasPrefix(resp, req[:transport.MuxHeaderLen]) {
 				t.Fatalf("muxed request answered %x: envelope not echoed", resp)
 			}
-			req, resp = req[muxHeaderLen:], resp[muxHeaderLen:]
-			if len(req) > 0 && req[0] == opMuxReq && (len(resp) == 0 || resp[0] != statusErr) {
-				t.Fatalf("mux envelope inside a mux envelope answered %x, want statusErr", resp)
+			req, resp = req[transport.MuxHeaderLen:], resp[transport.MuxHeaderLen:]
+			if len(req) > 0 && req[0] == transport.OpMux && (len(resp) == 0 || resp[0] != transport.StatusErr) {
+				t.Fatalf("mux envelope inside a mux envelope answered %x, want StatusErr", resp)
 			}
 		}
 		if len(resp) == 0 {
 			t.Fatal("empty response")
 		}
 		switch resp[0] {
-		case statusOK, statusErr, statusExpired:
-		case statusRetryAfter:
+		case transport.StatusOK, transport.StatusErr, transport.StatusExpired:
+		case transport.StatusRetryAfter:
 			t.Fatalf("retry-after with no admission gate installed")
 		default:
 			t.Fatalf("response status %d", resp[0])
 		}
 
-		inner, _, _, err := peelEnvelopes(req)
-		if err != nil || len(inner) == 0 || inner[0] != opGetBatch || resp[0] != statusOK {
+		inner := peelForTest(req)
+		if len(inner) == 0 || inner[0] != opGetBatch || resp[0] != transport.StatusOK {
 			return
 		}
-		ids, err := decodeGetBatchRequest(newReader(inner[1:]))
+		ids, err := decodeGetBatchRequest(wire.NewReader(inner[1:]))
 		if err != nil {
 			t.Fatalf("server served a GetBatch whose ids do not decode: %v", err)
 		}
-		served, err := decodeGetBatchResponse(newReader(resp[1:]))
+		served, err := decodeGetBatchResponse(wire.NewReader(resp[1:]))
 		if err != nil || len(served) != len(ids) {
 			t.Fatalf("%d ids answered with %d samples (%v)", len(ids), len(served), err)
 		}
@@ -128,4 +131,19 @@ func FuzzServerDispatch(f *testing.F) {
 			t.Fatalf("vectored response for ids %v differs from the flat reference encoding", ids)
 		}
 	})
+}
+
+// peelForTest strips the deadline and trace envelopes from a request the
+// server has answered StatusOK (so each is well-formed and appears once).
+func peelForTest(p []byte) []byte {
+	for {
+		switch {
+		case len(p) >= 9 && p[0] == transport.OpDeadline:
+			p = p[9:]
+		case len(p) >= 10 && p[0] == transport.OpTraced:
+			p = p[10:]
+		default:
+			return p
+		}
+	}
 }

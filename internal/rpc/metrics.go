@@ -90,7 +90,7 @@ func (s *Server) ServingStats() metrics.ServingStats {
 	out.PayloadBytes = sl.liveBytes
 	out.PayloadPins = sl.pins
 	out.PeerBatchRPCs, out.PeerBatchSamples = s.PeerBatchStats()
-	out.MuxInflight = s.MuxInflight()
+	out.MuxInflight = s.t.MuxInflight()
 	return out
 }
 
@@ -100,11 +100,9 @@ func (s *Server) ServingStats() metrics.ServingStats {
 // JSON document is byte-pinned for existing dashboards; these surface via
 // Prometheus and this accessor.)
 func (s *Server) OverloadStats() metrics.OverloadStats {
-	out := metrics.OverloadStats{
-		Shed:    atomic.LoadInt64(&s.shedCount),
-		Expired: atomic.LoadInt64(&s.expiredCount),
-	}
-	if g := s.gate; g != nil {
+	var out metrics.OverloadStats
+	out.Shed, out.Expired = s.t.OverloadCounters()
+	if g := s.t.Gate; g != nil {
 		gs := g.Stats()
 		out.GateState = gs.State.String()
 		out.Inflight = gs.Inflight

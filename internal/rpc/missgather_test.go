@@ -20,6 +20,7 @@ import (
 	"icache/internal/obs"
 	"icache/internal/sampling"
 	"icache/internal/storage"
+	"icache/internal/transport"
 )
 
 // faultySource fails every Fetch of one sample (bad) — by error or by panic —
@@ -94,7 +95,7 @@ func TestMissGatherFinishesExactlyOnceOnFailure(t *testing.T) {
 			for i := 0; i < 2; i++ {
 				select {
 				case err := <-errs:
-					var se *ServerError
+					var se *transport.ServerError
 					if !errors.As(err, &se) {
 						t.Errorf("request error = %v, want an in-band server error", err)
 					}

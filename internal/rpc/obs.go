@@ -11,18 +11,13 @@ package rpc
 // the disabled path costs ~nothing and the enabled path stays within a few
 // percent.
 //
-// # Trace envelope
+// # Trace context
 //
-// A traced request is the ordinary request frame wrapped in an envelope:
-//
-//	u8(opTraced) | i64(trace ID) | u8(hop) | inner request bytes
-//
-// The envelope carries the hop the *receiver* occupies in the chain: the
-// originating client holds hop 0 and sends hop 1; a cache node that
-// received hop h forwards peer/directory calls carrying hop h+1
-// (TraceCtx.Next). The server peels it in one place (peelEnvelopes), on
-// either side of a deadline envelope; a second trace envelope is rejected,
-// so a malicious or fuzzed frame cannot recurse.
+// A traced request travels in the transport's trace envelope
+// (transport.OpTraced), which carries the hop the *receiver* occupies in the
+// chain: the originating client holds hop 0 and sends hop 1; a cache node
+// that received hop h forwards peer/directory calls carrying hop h+1
+// (TraceCtx.Next). The transport peels it and hands the handler the context.
 //
 // Span recording convention (see trace.Kind):
 //
@@ -42,9 +37,6 @@ import (
 	"icache/internal/obs"
 	"icache/internal/trace"
 )
-
-// opTraced wraps any request in a trace-context envelope (see above).
-const opTraced = 7
 
 // Stage names registered by the serving path. Every stage becomes an
 // icache_stage_<name>_seconds histogram on the Prometheus surface.
@@ -115,7 +107,7 @@ type serverObs struct {
 	backend, peerRPC, dirLookup, prefetchWt *obs.Histogram
 	peerBatch, dirBatch, missGather         *obs.Histogram
 	slotWait                                *obs.Histogram
-	admissionWait, deadlineRem              *obs.Histogram
+	deadlineRem                             *obs.Histogram
 
 	tracer *trace.Recorder
 
@@ -152,7 +144,7 @@ func (s *Server) EnableObs(reg *obs.Registry, tracer *trace.Recorder) {
 	s.obs.dirLookup = reg.Hist(StageDirLookup)
 	s.obs.dirBatch = reg.Hist(StageDirLookupBatch)
 	s.obs.prefetchWt = reg.Hist(StagePrefetchQueueWait)
-	s.obs.admissionWait = reg.Hist(StageAdmissionWait)
+	s.t.AdmissionWait = reg.Hist(StageAdmissionWait)
 	s.obs.deadlineRem = reg.Hist(StageDeadlineRemaining)
 	s.obs.exemplars = &obs.Exemplars{}
 	s.cache.SetSubstitutionScanHist(reg.Hist(StageSubstitutionScan))
@@ -192,18 +184,6 @@ func (s *Server) maybeLogSlow(ctx obs.TraceCtx, batch int, dur time.Duration) {
 		return
 	}
 	s.Logf("rpc: slow request: batch=%d dur=%s threshold=%s", batch, dur, s.obs.slowThresh)
-}
-
-// WrapTraced wraps an encoded request frame in a trace envelope addressed
-// to the receiver: ctx must carry the hop the receiver occupies (the
-// sender passes its own context through TraceCtx.Next).
-func WrapTraced(req []byte, ctx obs.TraceCtx) []byte {
-	e := buffer{}
-	e.u8(opTraced)
-	e.i64(int64(ctx.ID))
-	e.u8(ctx.Hop)
-	e.B = append(e.B, req...)
-	return e.payload()
 }
 
 // EnableObs wires client-side observability: the round-trip histogram from

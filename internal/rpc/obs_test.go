@@ -1,7 +1,9 @@
 package rpc
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -236,14 +238,16 @@ func TestPrometheusExposition(t *testing.T) {
 // startTracedDistFixture is the two-node distributed fixture with the
 // observability layer armed on both nodes and the directory server. When
 // inj is non-nil, node 0's cache listener is wrapped with the injector, so
-// node 1's peer reads toward node 0 hit connection faults.
+// node 1's peer reads toward node 0 hit connection faults. dialDir makes
+// each node's directory service (nil: a plain DirClient).
 type tracedDistFixture struct {
 	*distFixture
 	tracers [2]*trace.Recorder
 	dirTrc  *trace.Recorder
+	dirSrv  *dkv.DirServer
 }
 
-func startTracedDistFixture(t *testing.T, inj *faults.Injector) *tracedDistFixture {
+func startTracedDistFixture(t *testing.T, inj *faults.Injector, dialDir func(addr string) (dkv.Service, error)) *tracedDistFixture {
 	t.Helper()
 	spec := testSpec()
 
@@ -258,7 +262,10 @@ func startTracedDistFixture(t *testing.T, inj *faults.Injector) *tracedDistFixtu
 	go dirSrv.Serve(dirLn)
 	t.Cleanup(func() { dirSrv.Close() })
 
-	f := &tracedDistFixture{distFixture: &distFixture{dirAddr: dirLn.Addr().String()}, dirTrc: dirTrc}
+	f := &tracedDistFixture{distFixture: &distFixture{dirAddr: dirLn.Addr().String()}, dirTrc: dirTrc, dirSrv: dirSrv}
+	if dialDir == nil {
+		dialDir = func(addr string) (dkv.Service, error) { return dkv.DialDir(addr, time.Second) }
+	}
 	var lns [2]net.Listener
 	for n := 0; n < 2; n++ {
 		back, err := storage.NewBackend(spec, storage.OrangeFS())
@@ -288,9 +295,12 @@ func startTracedDistFixture(t *testing.T, inj *faults.Injector) *tracedDistFixtu
 		lns[0] = faults.WrapListener(lns[0], inj)
 	}
 	for n := 0; n < 2; n++ {
-		dirClient, err := dkv.DialDir(f.dirAddr, time.Second)
+		dirClient, err := dialDir(f.dirAddr)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if c, ok := dirClient.(io.Closer); ok {
+			t.Cleanup(func() { c.Close() })
 		}
 		peer := map[dkv.NodeID]string{dkv.NodeID(1 - n): f.addrs[1-n]}
 		f.nodes[n].EnableDistributed(dkv.NodeID(n), dirClient, peer)
@@ -319,7 +329,7 @@ func (f *tracedDistFixture) allSpans(client *trace.Recorder) []trace.Event {
 // peer node 0 (hop 2). Merging every participant's ring must reconstruct
 // the full chain.
 func TestTracedRequestFullHopChain(t *testing.T) {
-	f := startTracedDistFixture(t, nil)
+	f := startTracedDistFixture(t, nil, nil)
 
 	cA := dial(t, f.addrs[0])
 	cB := dial(t, f.addrs[1])
@@ -404,7 +414,7 @@ func TestTracedChainSurvivesPeerFault(t *testing.T) {
 	// One read per request frame on the owner's connections: every third
 	// frame it receives kills its connection.
 	inj := faults.New(17).Add(faults.DropEvery(faults.OpConnRead, 3))
-	f := startTracedDistFixture(t, inj)
+	f := startTracedDistFixture(t, inj, nil)
 
 	cA := dial(t, f.addrs[0])
 	cB := dial(t, f.addrs[1])
@@ -473,5 +483,111 @@ func TestTracedChainSurvivesPeerFault(t *testing.T) {
 				t.Fatalf("non-span event %v leaked into chain %016x", sp.Kind, ch.TraceID)
 			}
 		}
+	}
+}
+
+// lateDir is a node's directory service that dawdles: it forwards a batched
+// lookup only once the request's deadline has passed, the way a node that
+// was descheduled between admitting a request and asking the directory
+// would. first receives the first forwarded lookup's error.
+type lateDir struct {
+	dkv.Service
+	ctx   dkv.CtxService
+	first chan error
+}
+
+func (d *lateDir) LookupCtx(id dataset.SampleID, ctx obs.TraceCtx, dl time.Time) (dkv.NodeID, bool, error) {
+	return d.ctx.LookupCtx(id, ctx, dl)
+}
+
+func (d *lateDir) LookupBatchCtx(ids []dataset.SampleID, ctx obs.TraceCtx, dl time.Time) ([]dkv.Owner, error) {
+	if !dl.IsZero() {
+		time.Sleep(time.Until(dl) + time.Millisecond)
+	}
+	owners, err := d.ctx.LookupBatchCtx(ids, ctx, dl)
+	select {
+	case d.first <- err:
+	default:
+	}
+	return owners, err
+}
+
+// TestTracedDeadlineReachesDirectory: a traced GetBatchCtx keeps BOTH its
+// envelopes on the directory hop. The node here spends the request's whole
+// budget before it asks the directory, so the lookup must arrive with its
+// trace context — the directory records an rpc_recv span at hop 2 under the
+// client's trace id — AND with its (spent) budget — the directory drops it,
+// StatusExpired, and counts it. When the lookup took the traced branch OR
+// the deadline branch, the span appeared and the expiry never did. Through a
+// single DirClient and through a ShardedDir (which used to forward no
+// deadline at all, and must not fail a replica over for answering "too
+// late").
+func TestTracedDeadlineReachesDirectory(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		dial func(addr string) (dkv.Service, error)
+	}{
+		{"DirClient", func(addr string) (dkv.Service, error) { return dkv.DialDir(addr, time.Second) }},
+		{"ShardedDir", func(addr string) (dkv.Service, error) {
+			return dkv.DialSharded([]string{addr}, dkv.DialConfig{Timeout: time.Second}, dkv.ShardedConfig{})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var late [2]*lateDir
+			n := 0
+			f := startTracedDistFixture(t, nil, func(addr string) (dkv.Service, error) {
+				svc, err := tc.dial(addr)
+				if err != nil {
+					return nil, err
+				}
+				late[n] = &lateDir{Service: svc, ctx: svc.(dkv.CtxService), first: make(chan error, 1)}
+				n++
+				return late[n-1], nil
+			})
+			cB := dial(t, f.addrs[1])
+			ids := hotIDs(t, cB, 8)
+			clientTrc := trace.NewRecorder(1 << 10)
+			cB.EnableObs(nil, clientTrc, obs.NewSampler(1))
+
+			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+			defer cancel()
+			if _, err := cB.GetBatchCtx(ctx, ids); !errors.Is(err, ErrDeadlineExceeded) {
+				t.Fatalf("GetBatchCtx through a node that spends the whole budget: %v, want ErrDeadlineExceeded", err)
+			}
+			var lookupErr error
+			select {
+			case lookupErr = <-late[1].first:
+			case <-time.After(5 * time.Second):
+				t.Fatal("node 1 never asked the directory")
+			}
+			if !errors.Is(lookupErr, ErrDeadlineExceeded) {
+				t.Fatalf("directory lookup with a spent budget: %v, want a deadline error", lookupErr)
+			}
+			var traceID uint64
+			for _, ev := range clientTrc.Snapshot() {
+				if ev.Kind == trace.KindRPCSend {
+					traceID = ev.TraceID
+				}
+			}
+			var recv []trace.Event
+			for deadline := time.Now().Add(5 * time.Second); len(recv) == 0 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+				for _, ev := range f.dirTrc.Snapshot() {
+					if ev.Kind == trace.KindRPCRecv && ev.TraceID == traceID {
+						recv = append(recv, ev)
+					}
+				}
+			}
+			if traceID == 0 || len(recv) != 1 || recv[0].Hop != 2 {
+				t.Fatalf("directory rpc_recv spans under trace %x = %+v, want one at hop 2", traceID, recv)
+			}
+			if _, expired := f.dirSrv.OverloadCounters(); expired != 1 {
+				t.Fatalf("directory dropped %d requests as expired, want the one lookup", expired)
+			}
+			if sd, ok := late[1].Service.(*dkv.ShardedDir); ok {
+				if st := sd.Ring(); st.Failovers != 0 {
+					t.Fatalf("a replica that answered \"too late\" was failed over: %+v", st)
+				}
+			}
+		})
 	}
 }

@@ -23,6 +23,8 @@ import (
 	"icache/internal/retry"
 	"icache/internal/sampling"
 	"icache/internal/storage"
+	"icache/internal/transport"
+	"icache/internal/wire"
 )
 
 // noRetryPolicy keeps conservation ledgers exact: one offered request is
@@ -103,14 +105,14 @@ func TestAdmissionShedLegacyAndMux(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp := bareExchange(t, conn, encodeGetBatchRequest([]dataset.SampleID{1}))
-	d := newReader(resp)
-	if st := d.u8(); st != statusRetryAfter {
-		t.Fatalf("bare: shed answered status %d, want statusRetryAfter", st)
+	d := wire.NewReader(resp)
+	if st := d.U8(); st != transport.StatusRetryAfter {
+		t.Fatalf("bare: shed answered status %d, want transport.StatusRetryAfter", st)
 	}
-	if after := d.i64(); d.err() != nil || after <= 0 {
-		t.Fatalf("bare: shed response carried no backoff hint (%d, %v)", after, d.err())
+	if after := d.I64(); d.Err != nil || after <= 0 {
+		t.Fatalf("bare: shed response carried no backoff hint (%d, %v)", after, d.Err)
 	}
-	if resp := bareExchange(t, conn, []byte{opPing}); len(resp) != 1 || resp[0] != statusOK {
+	if resp := bareExchange(t, conn, []byte{transport.OpPing}); len(resp) != 1 || resp[0] != transport.StatusOK {
 		t.Fatalf("bare: ping gated during shed: %v", resp)
 	}
 	conn.Close()
@@ -147,15 +149,15 @@ func TestAdmissionShedLegacyAndMux(t *testing.T) {
 }
 
 // TestDeadlineExpiredAtServer drops a request whose budget is already spent
-// on arrival: the server answers statusExpired without touching the policy
+// on arrival: the server answers transport.StatusExpired without touching the policy
 // engine or the backend, and counts the drop.
 func TestDeadlineExpiredAtServer(t *testing.T) {
 	srv, _, source := startServer(t)
 
 	before := source.Reads()
-	resp := srv.dispatch(encodeDeadlineRequest(0, encodeGetBatchRequest([]dataset.SampleID{1, 2})))
-	if len(resp) == 0 || resp[0] != statusExpired {
-		t.Fatalf("spent budget answered status %v, want statusExpired", resp[:1])
+	resp := srv.dispatch(transport.WrapDeadline(0, encodeGetBatchRequest([]dataset.SampleID{1, 2})))
+	if len(resp) == 0 || resp[0] != transport.StatusExpired {
+		t.Fatalf("spent budget answered status %v, want transport.StatusExpired", resp[:1])
 	}
 	if got := source.Reads() - before; got != 0 {
 		t.Fatalf("expired request still read the backend %d times", got)
@@ -173,7 +175,7 @@ func TestDeadlineExpiredAtServer(t *testing.T) {
 
 // TestDeadlineExceededClientClassification: a context budget far too small
 // for even a loopback round trip must surface as ErrDeadlineExceeded —
-// whether the local timer fired first or the server answered statusExpired —
+// whether the local timer fired first or the server answered transport.StatusExpired —
 // never as a generic transport error.
 func TestDeadlineExceededClientClassification(t *testing.T) {
 	_, addr, _ := startServer(t)

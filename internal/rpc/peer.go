@@ -14,6 +14,8 @@ import (
 	"icache/internal/overload"
 	"icache/internal/retry"
 	"icache/internal/trace"
+	"icache/internal/transport"
+	"icache/internal/wire"
 )
 
 // This file adds the distributed deployment of §III-E to the network
@@ -78,7 +80,7 @@ type PeerConfig struct {
 // defaultPeerConfig is what EnableDistributed installs until SetPeerConfig
 // overrides it.
 func defaultPeerConfig() PeerConfig {
-	return PeerConfig{Batch: 256, Inflight: defaultMuxInflight, RPCTimeout: defaultPeerRPCTimeout}
+	return PeerConfig{Batch: 256, Inflight: transport.DefaultMuxInflight, RPCTimeout: defaultPeerRPCTimeout}
 }
 
 // defaultPeerRPCTimeout is the per-call bound on peer RPCs: long enough for
@@ -91,7 +93,7 @@ func (c PeerConfig) withDefaults() PeerConfig {
 		c.Batch = 0
 	}
 	if c.Inflight <= 0 {
-		c.Inflight = defaultMuxInflight
+		c.Inflight = transport.DefaultMuxInflight
 	}
 	if c.RPCTimeout <= 0 {
 		c.RPCTimeout = defaultPeerRPCTimeout
@@ -111,8 +113,13 @@ func (s *Server) SetPeerConfig(cfg PeerConfig) {
 
 // distState is the optional distributed wiring of a Server.
 type distState struct {
-	nodeID    dkv.NodeID
-	dir       dkv.Service
+	nodeID dkv.NodeID
+	dir    dkv.Service
+	// dirCtx is dir when it can carry a request's trace context and deadline
+	// to the directory hop (*dkv.DirClient and *dkv.ShardedDir can; in-process
+	// and fault-injecting directories cannot, and cannot hang either). Probed
+	// once, at EnableDistributed.
+	dirCtx    dkv.CtxService
 	peerAddrs map[dkv.NodeID]string
 	peerCfg   PeerConfig
 
@@ -156,9 +163,11 @@ type distState struct {
 // *dkv.DirClient, but any dkv.Service works — including a fault-injecting
 // faults.Dir in chaos tests. Call before Serve.
 func (s *Server) EnableDistributed(nodeID dkv.NodeID, dir dkv.Service, peerAddrs map[dkv.NodeID]string) {
+	dirCtx, _ := dir.(dkv.CtxService)
 	s.dist = &distState{
 		nodeID:    nodeID,
 		dir:       dir,
+		dirCtx:    dirCtx,
 		peerAddrs: peerAddrs,
 		peerCfg:   defaultPeerConfig(),
 		peers:     make(map[dkv.NodeID]*Client),
@@ -297,99 +306,77 @@ func (d *distState) closePeers() {
 // return reports whether the node had it; a miss is not an error (the
 // caller falls back to the backend).
 func (c *Client) PeerGet(id dataset.SampleID) ([]byte, bool, error) {
-	return c.PeerGetCtx(id, obs.TraceCtx{})
+	return c.PeerGetDeadline(id, obs.TraceCtx{}, time.Time{})
 }
 
-// PeerGetCtx is PeerGet carrying a trace context addressed to the peer
-// (the caller passes its own context's Next()). A zero context sends the
-// plain, envelope-free request.
-func (c *Client) PeerGetCtx(id dataset.SampleID, ctx obs.TraceCtx) ([]byte, bool, error) {
-	return c.PeerGetDeadline(id, ctx, time.Time{})
-}
-
-// PeerGetDeadline is PeerGetCtx bounded by the originating request's
-// deadline: the remaining budget rides a deadline envelope so the peer can
-// drop the read server-side once it is unservable, and the local wait is
-// cut off at the same instant. A zero deadline falls back to the client's
-// configured RPCTimeout.
+// PeerGetDeadline is PeerGet carrying a trace context addressed to the peer
+// (the caller passes its own context's Next(); zero = untraced) and bounded
+// by the originating request's deadline: the remaining budget rides a
+// deadline envelope so the peer can drop the read server-side once it is
+// unservable, and the local wait is cut off at the same instant. A zero
+// deadline falls back to the client's configured RPCTimeout.
 func (c *Client) PeerGetDeadline(id dataset.SampleID, ctx obs.TraceCtx, dl time.Time) ([]byte, bool, error) {
-	var e buffer
-	e.u8(opPeerGet)
-	e.i64(int64(id))
-	req := e.payload()
-	if ctx.Valid() {
-		req = WrapTraced(req, ctx)
-	}
-	if budget, ok := remainingBudget(dl, time.Now()); ok {
-		req = encodeDeadlineRequest(budget, req)
-	}
+	var e wire.Buffer
+	transport.AppendEnvelopes(&e, ctx, dl)
+	e.U8(opPeerGet)
+	e.I64(int64(id))
 	// The pooled response buffer is intentionally dropped, not recycled:
 	// the payload is handed out by reference with an unbounded lifetime.
-	d, _, err := c.roundTripDeadline(req, c.tightenDeadline(dl))
+	d, _, err := c.call(e.B, dl)
 	if err != nil {
 		return nil, false, err
 	}
-	if d.u8() == 0 {
-		return nil, false, d.err()
+	if d.U8() == 0 {
+		return nil, false, d.Err
 	}
-	payload := d.bytes()
-	return payload, true, d.err()
+	payload := d.BytesField()
+	return payload, true, d.Err
 }
 
 // handlePeerGet serves opPeerGet: payload-store lookup only — peer reads
 // must not mutate this node's cache policy state, and they never take
 // policyMu (shard read lock only). Traced peer reads record a KindRPCRecv
 // span at this node's hop.
-func (s *Server) handlePeerGet(d *reader, e *buffer, ctx obs.TraceCtx) {
+func (s *Server) handlePeerGet(d *wire.Reader, e *wire.Buffer, ctx obs.TraceCtx) error {
 	var t0 time.Time
 	if s.obs.tracing(ctx) {
 		t0 = time.Now()
 	}
-	id := dataset.SampleID(d.i64())
-	if err := d.err(); err != nil {
-		encodeErrorResponseInto(e, err.Error())
-		return
+	id := dataset.SampleID(d.I64())
+	if err := d.Err; err != nil {
+		return err
 	}
 	payload, ok := s.payloads.get(id)
 	if ok && s.dist != nil {
 		atomic.AddInt64(&s.dist.peerServes, 1)
 	}
-	e.u8(statusOK)
 	if !ok {
-		e.u8(0)
+		e.U8(0)
 	} else {
-		e.u8(1)
-		e.bytes(payload)
+		e.U8(1)
+		e.Bytes(payload)
 	}
 	if !t0.IsZero() {
 		s.span(trace.KindRPCRecv, id, 1, ctx, time.Since(t0))
 	}
+	return nil
 }
 
-// PeerGetBatch asks a peer cache node for many resident samples in one
-// round trip. The result is aligned with ids: out[i] is the payload when
-// the peer had ids[i], nil when it did not (a peer miss is not an error).
-func (c *Client) PeerGetBatch(ids []dataset.SampleID, ctx obs.TraceCtx) ([][]byte, error) {
-	return c.PeerGetBatchDeadline(ids, ctx, time.Time{})
-}
-
-// PeerGetBatchDeadline is PeerGetBatch bounded by the originating request's
-// deadline (see PeerGetDeadline). A zero deadline falls back to the
-// client's configured RPCTimeout.
+// PeerGetBatchDeadline asks a peer cache node for many resident samples in
+// one round trip, carrying ctx and bounded by dl like PeerGetDeadline. The
+// result is aligned with ids: out[i] is the payload when the peer had
+// ids[i], nil when it did not (a peer miss is not an error).
 func (c *Client) PeerGetBatchDeadline(ids []dataset.SampleID, ctx obs.TraceCtx, dl time.Time) ([][]byte, error) {
 	if len(ids) == 0 {
 		return nil, nil
 	}
-	req := encodePeerGetBatchRequest(ids)
-	if ctx.Valid() {
-		req = WrapTraced(req, ctx)
-	}
-	if budget, ok := remainingBudget(dl, time.Now()); ok {
-		req = encodeDeadlineRequest(budget, req)
-	}
+	var e wire.Buffer
+	transport.AppendEnvelopes(&e, ctx, dl)
+	e.U8(opPeerGetBatch)
+	appendIDList(&e, ids)
 	// Payloads are handed out by reference, so the pooled response buffer
 	// is dropped rather than recycled (same contract as roundTrip).
-	d, _, err := c.roundTripDeadline(req, c.tightenDeadline(dl))
+	d, _, err := c.call(e.B, dl)
 	if err != nil {
 		return nil, err
 	}
@@ -556,17 +543,8 @@ func (s *Server) dirLookupBatch(dist *distState, ids []dataset.SampleID, ctx obs
 	}
 	var owners []dkv.Owner
 	var err error
-	if td, ok := dist.dir.(interface {
-		LookupBatchTraced([]dataset.SampleID, obs.TraceCtx) ([]dkv.Owner, error)
-	}); ok && ctx.Valid() {
-		owners, err = td.LookupBatchTraced(ids, ctx.Next())
-	} else if dd, ok := dist.dir.(interface {
-		LookupBatchDeadline([]dataset.SampleID, time.Time) ([]dkv.Owner, error)
-	}); ok && !dl.IsZero() {
-		// Deadline-aware directories (dkv.DirClient) inherit the request's
-		// remaining budget; in-process and fault-injecting directories fall
-		// back to the plain lookup, which cannot hang anyway.
-		owners, err = dd.LookupBatchDeadline(ids, dl)
+	if dist.dirCtx != nil {
+		owners, err = dist.dirCtx.LookupBatchCtx(ids, ctx.Next(), dl)
 	} else {
 		owners, err = dist.dir.LookupBatch(ids)
 	}
@@ -613,7 +591,14 @@ func (s *Server) resolveRemote(id dataset.SampleID, ctx obs.TraceCtx, dl time.Ti
 	if measure {
 		t0 = time.Now()
 	}
-	owner, found, err := s.dirLookup(dist, id, ctx)
+	var owner dkv.NodeID
+	var found bool
+	var err error
+	if dist.dirCtx != nil {
+		owner, found, err = dist.dirCtx.LookupCtx(id, ctx.Next(), dl)
+	} else {
+		owner, found, err = dist.dir.Lookup(id)
+	}
 	if measure {
 		dur := time.Since(t0)
 		s.obs.dirLookup.Record(dur)
@@ -653,21 +638,6 @@ func (s *Server) resolveRemote(id dataset.SampleID, ctx obs.TraceCtx, dl time.Ti
 	}
 	atomic.AddInt64(&dist.peerHits, 1)
 	return payload, true
-}
-
-// dirLookup asks the directory who owns id, forwarding the trace context
-// when both the request is traced and the directory service supports it
-// (*dkv.DirClient does; in-process and fault-injecting directories fall
-// back to the plain lookup).
-func (s *Server) dirLookup(dist *distState, id dataset.SampleID, ctx obs.TraceCtx) (dkv.NodeID, bool, error) {
-	if ctx.Valid() {
-		if td, ok := dist.dir.(interface {
-			LookupTraced(dataset.SampleID, obs.TraceCtx) (dkv.NodeID, bool, error)
-		}); ok {
-			return td.LookupTraced(id, ctx.Next())
-		}
-	}
-	return dist.dir.Lookup(id)
 }
 
 // claimOwnership registers this node in the directory for a sample it just

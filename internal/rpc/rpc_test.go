@@ -2,7 +2,6 @@ package rpc
 
 import (
 	"errors"
-	"io"
 	"net"
 	"strings"
 	"testing"
@@ -12,6 +11,7 @@ import (
 	"icache/internal/icache"
 	"icache/internal/sampling"
 	"icache/internal/storage"
+	"icache/internal/transport"
 	"icache/internal/wire"
 )
 
@@ -234,7 +234,7 @@ func TestMalformedFrameRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp[0] != statusErr {
+	if resp[0] != transport.StatusErr {
 		t.Fatalf("unknown opcode answered with status %d", resp[0])
 	}
 	// Truncated GetBatch body.
@@ -245,7 +245,7 @@ func TestMalformedFrameRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp[0] != statusErr {
+	if resp[0] != transport.StatusErr {
 		t.Fatal("truncated request not rejected")
 	}
 }
@@ -330,56 +330,6 @@ func TestServerCloseUnblocksServe(t *testing.T) {
 	}
 }
 
-// lateListener hands Accept its one connection only once Close has been
-// called: the accept that was already in flight when shutdown began.
-type lateListener struct {
-	closing chan struct{}
-	conn    chan net.Conn
-}
-
-func (l *lateListener) Accept() (net.Conn, error) {
-	<-l.closing
-	select {
-	case c := <-l.conn:
-		return c, nil
-	default:
-		return nil, net.ErrClosed
-	}
-}
-func (l *lateListener) Close() error   { close(l.closing); return nil }
-func (l *lateListener) Addr() net.Addr { return &net.TCPAddr{} }
-
-// TestCloseRefusesConnAcceptedDuringShutdown: a connection whose accept
-// completes while Close is closing the registered ones must be closed, not
-// served — nobody would be left to close it, and Close would wait on its
-// read loop forever (TestChaosPlanOwnerKill used to hang this way when the
-// survivor's planner dialed the node being killed).
-func TestCloseRefusesConnAcceptedDuringShutdown(t *testing.T) {
-	srv := newUnstartedServer(t, nil, 0)
-	client, server := net.Pipe()
-	defer client.Close()
-	ln := &lateListener{closing: make(chan struct{}), conn: make(chan net.Conn, 1)}
-	ln.conn <- server
-	go srv.Serve(ln)
-	for srv.Addr() == nil {
-		time.Sleep(time.Millisecond)
-	}
-	closed := make(chan struct{})
-	go func() {
-		srv.Close()
-		close(closed)
-	}()
-	select {
-	case <-closed:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close is waiting on a connection accepted after it began")
-	}
-	client.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := client.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
-		t.Fatalf("read on the late connection: %v, want EOF (the server must have closed it)", err)
-	}
-}
-
 func TestFrameRoundTripProperty(t *testing.T) {
 	// Encode/decode symmetry for the batch response across varied sizes.
 	spec := testSpec()
@@ -388,8 +338,8 @@ func TestFrameRoundTripProperty(t *testing.T) {
 		samples = append(samples, Sample{ID: id, Payload: spec.Payload(id)})
 	}
 	enc := encodeGetBatchResponse(samples)
-	d := newReader(enc)
-	if st := d.u8(); st != statusOK {
+	d := wire.NewReader(enc)
+	if st := d.U8(); st != transport.StatusOK {
 		t.Fatal("status lost")
 	}
 	got, err := decodeGetBatchResponse(d)

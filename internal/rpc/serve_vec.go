@@ -9,6 +9,7 @@ import (
 	"icache/internal/dataset"
 	"icache/internal/obs"
 	"icache/internal/trace"
+	"icache/internal/transport"
 	"icache/internal/wire"
 )
 
@@ -80,18 +81,20 @@ func (s *Server) releaseScratch(sc *serveScratch) {
 	serveScratchPool.Put(sc)
 }
 
-// serveVecDecoded serves one batch read whose ids serveFrame has decoded
-// into sc (derr is the decode error, answered in-band): resolve payloads
-// (pinning local hits), frame, one vectored write. muxID/muxed carry the
-// envelope to echo, ctx the trace context (zero when untraced), dl the
-// deadline (zero when unbounded). It runs on the read loop for a bare frame
-// and on a dispatch goroutine for a muxed one. The returned error is a
-// connection write error; protocol and resolution errors are answered
-// in-band. Releases sc on all paths.
-func (s *Server) serveVecDecoded(cs *muxConnState, muxID uint32, muxed bool, op byte, sc *serveScratch, derr error, ctx obs.TraceCtx, dl time.Time) error {
+// serveVec serves one batch read: decode the ids into a pooled scratch,
+// resolve payloads (pinning local hits), frame, one vectored write through
+// w. ctx is the trace context (zero when untraced), dl the deadline (zero
+// when unbounded). It runs on the read loop for a bare frame and on a
+// dispatch goroutine for a muxed one. The returned error is a connection
+// write error; protocol and resolution errors are answered in-band.
+func (s *Server) serveVec(w transport.Response, req []byte, ctx obs.TraceCtx, dl time.Time) error {
+	sc := getServeScratch()
 	defer s.releaseScratch(sc)
-	if derr != nil {
-		return s.writeVecError(cs, muxID, muxed, sc, derr.Error())
+	d := wire.NewReader(req)
+	op := d.U8()
+	var err error
+	if sc.ids, err = decodeGetBatchRequestInto(d, sc.ids[:0]); err != nil {
+		return w.Err(err)
 	}
 	// The request stage runs from here — ids decoded — to the response
 	// written; a traced request records the same interval as its rpc_recv
@@ -106,14 +109,14 @@ func (s *Server) serveVecDecoded(cs *muxConnState, muxID uint32, muxed bool, op 
 	// shed+expired+served == offered stays an exact identity. Peer batch
 	// requests inherit the originating request's budget.
 	if s.deadlineExpired(dl) {
-		return s.writeVecStatus(cs, muxID, muxed, sc, statusExpired)
+		return w.Expired()
 	}
 	if op == opPeerGetBatch {
 		s.fillPeerPinned(sc)
 	} else if err := s.getBatchPinned(sc, ctx, dl); err != nil {
-		return s.writeVecError(cs, muxID, muxed, sc, err.Error())
+		return w.Err(err)
 	}
-	werr := s.writeVecResponse(cs, muxID, muxed, sc, op == opPeerGetBatch)
+	werr := s.writeVecResponse(w, sc, op == opPeerGetBatch)
 	if !t0.IsZero() {
 		dur := time.Since(t0)
 		s.span(trace.KindRPCRecv, 0, int64(len(sc.ids)), ctx, dur)
@@ -196,17 +199,12 @@ func (s *Server) fillPeerPinned(sc *serveScratch) {
 }
 
 // writeVecResponse frames sc.out (GetBatch or PeerGetBatch layout) into
-// the scratch Vec and performs the single vectored write under the
-// connection's write mutex. Pins in sc stay held until the caller's
-// releaseScratch — after the write has fully completed.
-func (s *Server) writeVecResponse(cs *muxConnState, muxID uint32, muxed bool, sc *serveScratch, peer bool) error {
+// the scratch Vec and performs the single vectored write. Pins in sc stay
+// held until the caller's releaseScratch — after the write has fully
+// completed.
+func (s *Server) writeVecResponse(w transport.Response, sc *serveScratch, peer bool) error {
 	v := &sc.vec
-	v.Reset()
-	if muxed {
-		v.U8(opMuxReq)
-		v.U32(muxID)
-	}
-	v.U8(statusOK)
+	w.BeginVec(v)
 	v.U32(uint32(len(sc.out)))
 	for i := range sc.out {
 		sp := &sc.out[i]
@@ -224,41 +222,5 @@ func (s *Server) writeVecResponse(cs *muxConnState, muxID uint32, muxed bool, sc
 		v.U32(uint32(len(sp.b)))
 		v.Payload(sp.b)
 	}
-	cs.wmu.Lock()
-	_, err := v.WriteTo(cs.conn)
-	cs.wmu.Unlock()
-	return err
-}
-
-// writeVecStatus answers a body-less control status (statusExpired) on the
-// vectored path.
-func (s *Server) writeVecStatus(cs *muxConnState, muxID uint32, muxed bool, sc *serveScratch, status byte) error {
-	v := &sc.vec
-	v.Reset()
-	if muxed {
-		v.U8(opMuxReq)
-		v.U32(muxID)
-	}
-	v.U8(status)
-	cs.wmu.Lock()
-	_, err := v.WriteTo(cs.conn)
-	cs.wmu.Unlock()
-	return err
-}
-
-// writeVecError answers a protocol or resolution error in-band on the
-// vectored path (same bytes as encodeErrorResponseInto).
-func (s *Server) writeVecError(cs *muxConnState, muxID uint32, muxed bool, sc *serveScratch, msg string) error {
-	v := &sc.vec
-	v.Reset()
-	if muxed {
-		v.U8(opMuxReq)
-		v.U32(muxID)
-	}
-	v.U8(statusErr)
-	v.Str(msg)
-	cs.wmu.Lock()
-	_, err := v.WriteTo(cs.conn)
-	cs.wmu.Unlock()
-	return err
+	return w.WriteVec(v)
 }

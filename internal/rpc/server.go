@@ -1,10 +1,7 @@
 package rpc
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"sync"
@@ -19,6 +16,7 @@ import (
 	"icache/internal/simclock"
 	"icache/internal/singleflight"
 	"icache/internal/trace"
+	"icache/internal/transport"
 	"icache/internal/wire"
 )
 
@@ -45,7 +43,6 @@ type ByteSource interface {
 // is fine, the reverse is forbidden):
 //
 //		policyMu  →  payload-store shard locks (leaf)
-//		connMu (independent leaf: listener/connection bookkeeping only)
 //
 //	  - policyMu guards the icache.Server policy engine (FetchBatch,
 //	    InstallHList, StartEpoch, Stats, Resident, Drop, checkpoints) and is
@@ -57,8 +54,6 @@ type ByteSource interface {
 //	  - payload-store shard locks (see payloadStore in store.go) are leaves:
 //	    taken and released inside single store methods, never held across
 //	    any other acquisition or I/O.
-//	  - connMu guards the listener and the live-connection set; it nests
-//	    with nothing.
 //
 // Slow work — backend fetches and remote peer reads — happens outside all
 // locks, coalesced per sample ID through a singleflight group so K
@@ -101,26 +96,12 @@ type Server struct {
 	backendFetchBytes int64
 	backendFetchNanos int64
 	demandFetches     int64
-	// muxInflight gauges mux requests currently in async dispatch (atomic).
-	muxInflight int64
 
-	ln      net.Listener
-	conns   sync.WaitGroup
-	connMu  sync.Mutex
-	connSet map[net.Conn]struct{}
-	closed  chan struct{}
-
-	// gate is the adaptive admission controller (nil = admit everything).
-	// Installed via SetAdmission before Serve; the serving path reads it
-	// without synchronization.
-	gate *overload.Gate
-	// shedCount / expiredCount (atomics) are requests rejected by the gate
-	// and requests dropped because their deadline budget ran out before the
-	// cache was touched. Neither increments any cache counter, so the
-	// conservation identity extends to
-	// hits+misses+substitutions+degraded + shed + expired == offered.
-	shedCount    int64
-	expiredCount int64
+	// t is the transport this server's handler (serve) is registered on: the
+	// accept loop, the connections, the envelopes and the admission gate are
+	// its business. once makes Close idempotent.
+	t    *transport.Server
+	once sync.Once
 
 	// dist holds the §III-E distributed wiring (nil on a lone server).
 	dist *distState
@@ -153,9 +134,13 @@ func NewServer(cacheSrv *icache.Server, source ByteSource) *Server {
 		start:     time.Now(),
 		payloads:  newPayloadStore(),
 		readSlots: make(chan struct{}, backendReadBudget),
-		connSet:   make(map[net.Conn]struct{}),
-		closed:    make(chan struct{}),
 		Logf:      log.Printf,
+	}
+	s.t = transport.NewServer(transport.Handler{Route: route, Serve: s.serve})
+	s.t.Logf = func(format string, args ...interface{}) {
+		if s.Logf != nil { // read per line: callers set Logf after NewServer
+			s.Logf(format, args...)
+		}
 	}
 	cacheSrv.SetEvictObserver(func(id dataset.SampleID) {
 		// Runs under policyMu (all cache mutations happen under it).
@@ -178,273 +163,55 @@ func (s *Server) now() simclock.Time { return simclock.Time(time.Since(s.start))
 
 // Serve accepts connections on ln until Close is called. It always returns
 // a non-nil error (net.ErrClosed after a clean shutdown).
-func (s *Server) Serve(ln net.Listener) error {
-	s.connMu.Lock()
-	s.ln = ln
-	s.connMu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			select {
-			case <-s.closed:
-				return net.ErrClosed
-			default:
-				return err
-			}
-		}
-		// Register under connMu, where Close closes what is registered: a
-		// connection accepted while Close was already running is refused
-		// here instead of being served with nobody left to close it.
-		s.connMu.Lock()
-		select {
-		case <-s.closed:
-			s.connMu.Unlock()
-			conn.Close()
-			return net.ErrClosed
-		default:
-		}
-		s.connSet[conn] = struct{}{}
-		s.conns.Add(1)
-		s.connMu.Unlock()
-		go func() {
-			defer func() {
-				s.connMu.Lock()
-				delete(s.connSet, conn)
-				s.connMu.Unlock()
-				s.conns.Done()
-			}()
-			s.serveConn(conn)
-		}()
-	}
-}
+func (s *Server) Serve(ln net.Listener) error { return s.t.Serve(ln) }
 
 // ListenAndServe listens on addr and serves until Close.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
+func (s *Server) ListenAndServe(addr string) error { return s.t.ListenAndServe(addr) }
 
 // Addr reports the bound listener address (once Serve has been called).
-func (s *Server) Addr() net.Addr {
-	s.connMu.Lock()
-	defer s.connMu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
-}
+func (s *Server) Addr() net.Addr { return s.t.Addr() }
 
-// Close stops accepting and waits for in-flight connections to finish.
+// Close stops accepting, waits for in-flight connections to finish, then
+// stops the background machinery.
 func (s *Server) Close() error {
-	select {
-	case <-s.closed:
-		return nil
-	default:
-	}
-	close(s.closed)
-	var err error
-	s.connMu.Lock()
-	if s.ln != nil {
-		err = s.ln.Close()
-	}
-	for conn := range s.connSet {
-		conn.Close()
-	}
-	s.connMu.Unlock()
-	s.conns.Wait()
-	// The planner feeds the prefetch pool; stop it first so no planned
-	// enqueue races the pool teardown.
-	if s.plan != nil {
-		s.plan.stop()
-	}
-	if s.prefetch != nil {
-		s.prefetch.stop()
-	}
-	if s.dist != nil {
-		s.StopMembership()
-		s.dist.closePeers()
-	}
+	err := s.t.Close()
+	s.once.Do(func() {
+		// The planner feeds the prefetch pool; stop it first so no planned
+		// enqueue races the pool teardown.
+		if s.plan != nil {
+			s.plan.stop()
+		}
+		if s.prefetch != nil {
+			s.prefetch.stop()
+		}
+		if s.dist != nil {
+			s.StopMembership()
+			s.dist.closePeers()
+		}
+	})
 	return err
 }
 
-// serveConn is one connection's read loop. It reads through the
-// connection's wire.FrameReader, reusing its frame buffer across requests
-// (serveFrame decodes or copies whatever outlives its call, so aliasing is
-// safe), and hands every frame to serveFrame. On teardown the connection
-// closes FIRST, then the loop waits for in-flight mux handlers: stragglers
-// fail their writes fast instead of blocking shutdown.
-func (s *Server) serveConn(conn net.Conn) {
-	cs := &muxConnState{conn: conn, sem: make(chan struct{}, muxServerInflight)}
-	defer cs.wg.Wait()
-	defer conn.Close()
-	rd := wire.NewFrameReader(conn)
-	for {
-		req, err := rd.Next()
-		if err == nil {
-			err = s.serveFrame(cs, req)
-		}
-		if err != nil {
-			// Normal client disconnects arrive as EOF; anything else is worth
-			// a log line but never a crash.
-			if !errors.Is(err, io.EOF) {
-				s.logIfUnexpected(err)
-			}
-			return
-		}
+// route is the cache protocol's half of the transport's handler contract.
+// Every op may wait — on policyMu at the least, a miss on the backend — so
+// none is served inline on the read loop; monitoring (opStats) stays
+// ungated: an operator must be able to see an overloaded server.
+func route(op byte) transport.Route {
+	if op == opStats {
+		return 0
 	}
+	return transport.Gated
 }
 
-// serveFrame is the one request path: every frame a connection delivers —
-// and every request the tests and the fuzzer inject — is peeled, gated and
-// dispatched here, in this order:
-//
-//  1. The opMuxReq envelope is optional. A muxed request is served on its
-//     own goroutine (bounded by cs.sem), so a pipelined client gets
-//     concurrent service on one connection, and its response echoes the
-//     envelope; a bare frame — the handshake ping, a client's one-shot retry
-//     — is served on the read loop. All response writes serialize on cs.wmu
-//     so frames never interleave.
-//  2. The deadline and trace envelopes are peeled (peelEnvelopes), so the
-//     gate and the dispatch below key on the INNER opcode.
-//  3. Admission runs BEFORE the per-connection semaphore: a shed request is
-//     answered from the read loop and never occupies a dispatch slot — that
-//     is the whole point of shedding.
-//  4. opGetBatch and opPeerGetBatch take the vectored path (serve_vec.go);
-//     every other opcode answers through dispatchControl.
-//
-// frame aliases the read loop's reusable buffer: what a dispatch goroutine
-// needs is decoded (ids, into a pooled scratch) or copied before it starts.
-// The returned error is a failed write from the read loop (the caller tears
-// the connection down); protocol errors are answered in-band.
-func (s *Server) serveFrame(cs *muxConnState, frame []byte) error {
-	inner, muxed, muxID := frame, false, uint32(0)
-	if len(frame) >= muxHeaderLen && frame[0] == opMuxReq {
-		inner, muxed, muxID = frame[muxHeaderLen:], true, binary.BigEndian.Uint32(frame[1:])
+// serve answers one request (envelopes peeled by the transport): opGetBatch
+// and opPeerGetBatch take the vectored path (serve_vec.go), every other
+// opcode answers through dispatchControl.
+func (s *Server) serve(w transport.Response, req []byte, ctx obs.TraceCtx, dl time.Time) error {
+	if op := req[0]; op == opGetBatch || op == opPeerGetBatch {
+		return s.serveVec(w, req, ctx, dl)
 	}
-	inner, ctx, dl, err := peelEnvelopes(inner)
-	if err != nil {
-		msg := err.Error()
-		return s.writeControlFrame(cs, muxID, muxed, func(e *buffer) {
-			encodeErrorResponseInto(e, msg)
-		})
-	}
-	admitted := false
-	if g := s.gate; g != nil && gatedOp(inner) {
-		ok, after := g.Admit(time.Now())
-		if !ok {
-			atomic.AddInt64(&s.shedCount, 1)
-			return s.writeControlFrame(cs, muxID, muxed, func(e *buffer) {
-				encodeRetryAfterResponseInto(e, after)
-			})
-		}
-		admitted = true
-	}
-
-	if len(inner) > 0 && (inner[0] == opGetBatch || inner[0] == opPeerGetBatch) {
-		op := inner[0]
-		sc := getServeScratch()
-		d := newReader(inner)
-		d.u8()
-		ids, derr := decodeGetBatchRequestInto(d, sc.ids[:0])
-		sc.ids = ids
-		if !muxed {
-			err := s.serveVecDecoded(cs, 0, false, op, sc, derr, ctx, dl)
-			if admitted {
-				s.gate.Done()
-			}
-			return err
-		}
-		s.acquireMuxSlot(cs, admitted)
-		go func() {
-			defer s.releaseMuxSlot(cs, admitted)
-			if err := s.serveVecDecoded(cs, muxID, true, op, sc, derr, ctx, dl); err != nil {
-				s.logIfUnexpected(err)
-			}
-		}()
-		return nil
-	}
-
-	if !muxed {
-		err := s.serveControl(cs, 0, false, inner, ctx)
-		if admitted {
-			s.gate.Done()
-		}
-		return err
-	}
-	innerCopy := append([]byte(nil), inner...)
-	s.acquireMuxSlot(cs, admitted)
-	go func() {
-		defer s.releaseMuxSlot(cs, admitted)
-		if err := s.serveControl(cs, muxID, true, innerCopy, ctx); err != nil {
-			s.logIfUnexpected(err)
-		}
-	}()
-	return nil
+	return w.Reply(func(e *wire.Buffer) error { return s.dispatchControl(req, e, ctx) })
 }
-
-// muxServerInflight bounds concurrently dispatched mux requests per
-// connection; when full, the read loop blocks, pushing backpressure onto
-// the client's own in-flight bound.
-const muxServerInflight = 64
-
-// muxConnState is one connection's async-dispatch bookkeeping: the write
-// mutex all response frames serialize on, the handler semaphore, and the
-// WaitGroup serveConn drains on teardown.
-type muxConnState struct {
-	conn net.Conn
-	wmu  sync.Mutex
-	wg   sync.WaitGroup
-	sem  chan struct{}
-}
-
-// writeBuffer sends the response e encoded on the pooled frame buffer wb —
-// one frame, one write, under wmu — and recycles wb.
-func (cs *muxConnState) writeBuffer(wb *wire.Buffer, e *buffer) error {
-	wb.B = e.B // appends may have grown past the pooled backing array
-	cs.wmu.Lock()
-	err := wire.WriteFrame(cs.conn, wb)
-	cs.wmu.Unlock()
-	wire.PutBuffer(wb)
-	return err
-}
-
-// acquireMuxSlot takes a per-connection dispatch slot, feeding the time
-// spent blocked on the full semaphore — the server's standing queue delay —
-// to the admission gate's CoDel window and the admission_wait histogram.
-func (s *Server) acquireMuxSlot(cs *muxConnState, admitted bool) {
-	measure := admitted || s.obs.histsOn()
-	var t0 time.Time
-	if measure {
-		t0 = time.Now()
-	}
-	cs.sem <- struct{}{}
-	if measure {
-		now := time.Now()
-		wait := now.Sub(t0)
-		if admitted {
-			s.gate.Observe(now, wait)
-		}
-		s.obs.admissionWait.Record(wait)
-	}
-	cs.wg.Add(1)
-	atomic.AddInt64(&s.muxInflight, 1)
-}
-
-func (s *Server) releaseMuxSlot(cs *muxConnState, admitted bool) {
-	if admitted {
-		s.gate.Done()
-	}
-	atomic.AddInt64(&s.muxInflight, -1)
-	<-cs.sem
-	cs.wg.Done()
-}
-
-// MuxInflight reports the number of mux requests currently being served
-// across all connections (gauge).
-func (s *Server) MuxInflight() int64 { return atomic.LoadInt64(&s.muxInflight) }
 
 // SetAdmission installs the adaptive admission gate (nil = admit
 // everything). Must be called before Serve. The gate's state ladder drives
@@ -452,7 +219,7 @@ func (s *Server) MuxInflight() int64 { return atomic.LoadInt64(&s.muxInflight) }
 // work — substitution scans stop and the prefetch pool pauses — and only
 // the Shed state rejects foreground requests; Normal restores both.
 func (s *Server) SetAdmission(g *overload.Gate) {
-	s.gate = g
+	s.t.Gate = g
 	if g == nil {
 		return
 	}
@@ -469,72 +236,33 @@ func (s *Server) SetAdmission(g *overload.Gate) {
 	})
 }
 
-// Admission exposes the installed gate (nil when admission is unbounded).
-func (s *Server) Admission() *overload.Gate { return s.gate }
-
 // OverloadCounters reports how many requests the server shed at admission
-// and how many it dropped for an expired deadline budget.
-func (s *Server) OverloadCounters() (shed, expired int64) {
-	return atomic.LoadInt64(&s.shedCount), atomic.LoadInt64(&s.expiredCount)
-}
-
-// gatedOp reports whether the admission gate applies to a request (its
-// envelopes already peeled). Health checks (opPing) and monitoring (opStats)
-// always pass: an operator must be able to see an overloaded server.
-func gatedOp(inner []byte) bool {
-	return len(inner) > 0 && inner[0] != opPing && inner[0] != opStats
-}
-
-// writeControlFrame writes one buffered response frame — whatever fill
-// encodes after the echoed mux envelope — from the read loop or a dispatch
-// goroutine.
-func (s *Server) writeControlFrame(cs *muxConnState, muxID uint32, muxed bool, fill func(e *buffer)) error {
-	wb := wire.GetBuffer()
-	e := buffer{Buffer: *wb}
-	if muxed {
-		e.u8(opMuxReq)
-		e.u32(muxID)
-	}
-	fill(&e)
-	return cs.writeBuffer(wb, &e)
-}
-
-// serveControl answers one non-batch request (envelopes already peeled).
-func (s *Server) serveControl(cs *muxConnState, muxID uint32, muxed bool, req []byte, ctx obs.TraceCtx) error {
-	return s.writeControlFrame(cs, muxID, muxed, func(e *buffer) { s.dispatchControl(req, e, ctx) })
-}
-
-func (s *Server) logIfUnexpected(err error) {
-	if errors.Is(err, net.ErrClosed) {
-		return
-	}
-	if s.Logf != nil {
-		s.Logf("rpc: connection error: %v", err)
-	}
-}
+// and how many it dropped because their deadline budget ran out before the
+// cache was touched. Neither increments any cache counter, so the
+// conservation identity extends to
+// hits+misses+substitutions+degraded + shed + expired == offered.
+func (s *Server) OverloadCounters() (shed, expired int64) { return s.t.OverloadCounters() }
 
 // dispatchControl decodes one control-plane request — everything except the
-// batch reads, which serveFrame routes to the vectored path — and appends
-// the response into e. ctx is the request's trace context (zero when
-// untraced). Protocol errors are answered, never fatal. The request buffer
-// may be reused by the caller after dispatchControl returns, so no slice of
-// req is retained (decoders copy what they keep).
-func (s *Server) dispatchControl(req []byte, e *buffer, ctx obs.TraceCtx) {
-	d := newReader(req)
-	op := d.u8()
+// batch reads, which serve routes to the vectored path — and appends the body
+// of its StatusOK answer to e. ctx is the request's trace context (zero when
+// untraced). A returned error is answered StatusErr in its place, never
+// fatal. The request buffer is reused by the transport after dispatchControl
+// returns, so no slice of req is retained (decoders copy what they keep).
+func (s *Server) dispatchControl(req []byte, e *wire.Buffer, ctx obs.TraceCtx) error {
+	d := wire.NewReader(req)
+	op := d.U8()
 	switch op {
 	case opUpdateImportance:
 		items, err := decodeUpdateImportanceRequest(d)
 		if err != nil {
-			encodeErrorResponseInto(e, err.Error())
-			return
+			return err
 		}
 		s.policyMu.Lock()
 		s.cache.InstallHList(sampling.NewHList(items))
 		s.policyMu.Unlock()
-		e.u8(statusOK)
 	case opBeginEpoch:
-		_ = d.u32() // epoch number: accepted for symmetry/logging
+		_ = d.U32() // epoch number: accepted for symmetry/logging
 		s.policyMu.Lock()
 		s.cache.StartEpoch(s.now())
 		// Settle the prefetch-outcome ledger: pending prefetches the
@@ -543,7 +271,6 @@ func (s *Server) dispatchControl(req []byte, e *buffer, ctx obs.TraceCtx) {
 		epoch := s.cache.Epoch()
 		s.policyMu.Unlock()
 		s.journal.Add(obs.EventEpoch, s.journalNode(), epoch-1, epoch, "epoch boundary")
-		e.u8(statusOK)
 	case opEpochPlan:
 		// Clairvoyant epoch boundary: cross the boundary exactly like
 		// opBeginEpoch, then hand the policy engine the next epoch's known
@@ -552,8 +279,7 @@ func (s *Server) dispatchControl(req []byte, e *buffer, ctx obs.TraceCtx) {
 		// first-access order for the planner to pre-place.
 		_, ids, err := decodeEpochPlanRequest(d)
 		if err != nil {
-			encodeErrorResponseInto(e, err.Error())
-			return
+			return err
 		}
 		s.policyMu.Lock()
 		s.cache.StartEpoch(s.now())
@@ -573,19 +299,16 @@ func (s *Server) dispatchControl(req []byte, e *buffer, ctx obs.TraceCtx) {
 			// not know whether planning is on.
 			s.journal.Add(obs.EventEpoch, s.journalNode(), epoch-1, epoch, "epoch boundary")
 		}
-		e.u8(statusOK)
 	case opPlanPreplace:
 		ids, err := decodePlanPreplaceRequest(d)
 		if err != nil {
-			encodeErrorResponseInto(e, err.Error())
-			return
+			return err
 		}
 		var accepted int
 		if s.plan != nil {
 			accepted = s.plan.acceptRemote(ids)
 		}
-		e.u8(statusOK)
-		e.u32(uint32(accepted))
+		e.U32(uint32(accepted))
 	case opStats:
 		s.policyMu.Lock()
 		st := s.cache.Stats()
@@ -600,24 +323,17 @@ func (s *Server) dispatchControl(req []byte, e *buffer, ctx obs.TraceCtx) {
 		}
 		s.policyMu.Unlock()
 		encodeStatsResponseInto(e, out)
-	case opPing:
-		e.u8(statusOK)
-		// A ping carrying a capability word is the dial-time handshake: echo
-		// ours. A bare ping is the liveness check and gets the bare status.
-		if len(d.rest()) >= 4 {
-			_ = d.u32() // client capabilities (none change our behavior yet)
-			e.u32(capMux)
-		}
 	case opPeerGet:
-		s.handlePeerGet(d, e, ctx)
+		return s.handlePeerGet(d, e, ctx)
 	default:
-		encodeErrorResponseInto(e, fmt.Sprintf("rpc: unknown opcode %d", op))
+		return fmt.Errorf("rpc: unknown opcode %d", op)
 	}
+	return nil
 }
 
-// deadlineExpired reports whether a request's budget has run out, counting
-// the drop and recording the remaining-budget histogram as a side effect.
-// A zero deadline never expires.
+// deadlineExpired reports whether a request's budget has run out — the caller
+// then answers Expired, which counts the drop — recording the
+// remaining-budget histogram as a side effect. A zero deadline never expires.
 func (s *Server) deadlineExpired(dl time.Time) bool {
 	if dl.IsZero() {
 		return false
@@ -628,7 +344,6 @@ func (s *Server) deadlineExpired(dl time.Time) bool {
 		return false
 	}
 	s.obs.deadlineRem.Record(0)
-	atomic.AddInt64(&s.expiredCount, 1)
 	return true
 }
 

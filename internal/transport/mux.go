@@ -1,6 +1,6 @@
-package rpc
+package transport
 
-// This file is the client transport: instead of one serialized
+// This file is the client side of a connection: instead of one serialized
 // request/response exchange at a time per connection (head-of-line blocking
 // once the serving path is concurrent), the client tags every request frame
 // with a u32 request ID and splits the connection into
@@ -12,14 +12,15 @@ package rpc
 //     pending map, and delivers each result over a buffered channel.
 //
 // N goroutines can therefore have N frames in flight on one TCP connection;
-// the server (Server.serveFrame) dispatches them concurrently and writes
-// responses back in completion order.
+// the server (Server.ServeFrame) answers each on its read loop or dispatches
+// it to a goroutine, as the protocol routes it, and writes responses back in
+// completion order.
 //
 // # Handshake
 //
-// A capability handshake piggybacked on opPing (see protocol.go) opens every
+// A capability handshake piggybacked on OpPing (see transport.go) opens every
 // connection: the client appends its capability word to the ping request and
-// the server echoes its own after statusOK. A reply without capMux — the
+// the server echoes its own after StatusOK. A reply without CapMux — the
 // bare status byte a pre-mux binary would send — is a dial error: there is
 // no other transport to fall back to. The handshake re-runs on every
 // (re)dial.
@@ -141,7 +142,7 @@ func (m *muxSession) doOwned(req []byte, deadline time.Time) ([]byte, *wire.Buff
 	m.mu.Unlock()
 
 	e := wire.GetBuffer()
-	e.U8(opMuxReq)
+	e.U8(OpMux)
 	e.U32(id)
 	e.B = append(e.B, req...)
 	m.wmu.Lock()
@@ -150,7 +151,7 @@ func (m *muxSession) doOwned(req []byte, deadline time.Time) ([]byte, *wire.Buff
 	wire.PutBuffer(e)
 	if err != nil {
 		m.forget(id)
-		return nil, nil, fmt.Errorf("rpc: mux send: %w", err)
+		return nil, nil, fmt.Errorf("transport: mux send: %w", err)
 	}
 	if !deadline.IsZero() {
 		timer := time.NewTimer(time.Until(deadline))
@@ -163,7 +164,7 @@ func (m *muxSession) doOwned(req []byte, deadline time.Time) ([]byte, *wire.Buff
 			// The reader may still deliver into the (buffered) channel; the
 			// abandoned channel is dropped, never pooled (see muxChanPool).
 			m.forget(id)
-			return nil, nil, fmt.Errorf("rpc: mux call: %w", errCallTimeout)
+			return nil, nil, fmt.Errorf("transport: mux call: %w", ErrCallTimeout)
 		}
 	}
 	res := <-ch
@@ -196,23 +197,23 @@ func (m *muxSession) readLoop() {
 		e := wire.GetBuffer()
 		frame, err := wire.ReadFrameInto(m.rd, e.B[:cap(e.B)])
 		if err != nil {
-			m.fail(fmt.Errorf("rpc: mux receive: %w", err))
+			m.fail(fmt.Errorf("transport: mux receive: %w", err))
 			return
 		}
 		e.B = frame
-		if len(frame) < muxHeaderLen || frame[0] != opMuxReq {
-			m.fail(fmt.Errorf("rpc: mux: malformed response frame (%d bytes)", len(frame)))
+		if len(frame) < MuxHeaderLen || frame[0] != OpMux {
+			m.fail(fmt.Errorf("transport: mux: malformed response frame (%d bytes)", len(frame)))
 			return
 		}
 		d := wire.NewReader(frame)
-		d.U8() // opMuxReq
+		d.U8() // OpMux
 		id := d.U32()
 		m.mu.Lock()
 		ch := m.pending[id]
 		delete(m.pending, id)
 		m.mu.Unlock()
 		if ch != nil {
-			ch <- muxResult{resp: frame[muxHeaderLen:], owner: e}
+			ch <- muxResult{resp: frame[MuxHeaderLen:], owner: e}
 		}
 		// An unknown ID is a response to a request we already forgot
 		// (write raced the failure path); drop it and keep reading.
@@ -251,11 +252,11 @@ func (m *muxSession) close() {
 
 // errNoMux is the handshake's verdict on a server that answered the ping
 // without the mux capability.
-var errNoMux = errors.New("rpc: server does not advertise the mux capability (capMux); it predates the multiplexed protocol this client requires")
+var errNoMux = errors.New("transport: server does not advertise the mux capability (CapMux); it predates the multiplexed protocol this client requires")
 
 // negotiate runs the capability handshake on a fresh connection: one bare
 // ping exchange carrying the client's capability word. A server that does
-// not echo capMux is a permanent error (retrying meets the same binary).
+// not echo CapMux is a permanent error (retrying meets the same binary).
 // The deadline bounds the exchange so a black-holed server cannot hang Dial
 // forever. The reply is read through rd, the connection's frame reader, which
 // the mux session that follows keeps.
@@ -264,21 +265,21 @@ func negotiate(conn net.Conn, rd *wire.FrameReader, timeout time.Duration) error
 		conn.SetDeadline(time.Now().Add(timeout))
 		defer conn.SetDeadline(time.Time{})
 	}
-	var e buffer
-	e.u8(opPing)
-	e.u32(capMux)
-	if err := wire.WritePayload(conn, e.payload()); err != nil {
-		return fmt.Errorf("rpc: handshake send: %w", err)
+	var e wire.Buffer
+	e.U8(OpPing)
+	e.U32(CapMux)
+	if err := wire.WritePayload(conn, e.B); err != nil {
+		return fmt.Errorf("transport: handshake send: %w", err)
 	}
 	resp, err := wire.ReadFrame(rd)
 	if err != nil {
-		return fmt.Errorf("rpc: handshake receive: %w", err)
+		return fmt.Errorf("transport: handshake receive: %w", err)
 	}
-	d := newReader(resp)
-	if status := d.u8(); status != statusOK {
-		return fmt.Errorf("rpc: handshake status %d", status)
+	d := wire.Reader{B: resp}
+	if status := d.U8(); status != StatusOK {
+		return fmt.Errorf("transport: handshake status %d", status)
 	}
-	if caps := d.u32(); d.err() != nil || caps&capMux == 0 {
+	if caps := d.U32(); d.Err != nil || caps&CapMux == 0 {
 		return retry.Permanent(errNoMux)
 	}
 	return nil
