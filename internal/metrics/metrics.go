@@ -174,15 +174,11 @@ type ServingStats struct {
 	PeerBatchSamples   int64 // samples carried by those batched peer RPCs
 	MuxInflight        int64 // gauge: multiplexed request frames currently being served
 
-	// Slab payload-store counters (the zero-copy hit path): slab arena
-	// lifecycle plus the byte gauges an operator sizes DRAM with.
-	SlabAllocs   int64 // arena slabs carved from the heap
-	SlabRecycled int64 // drained slabs returned to the free list
-	SlabAdopted  int64 // payload buffers adopted zero-copy as dedicated slabs
-	SlabFreed    int64 // slabs released to the garbage collector
-	SlabBytes    int64 // gauge: bytes currently held by slabs (arena + adopted)
+	// Payload-store counters (the zero-copy hit path). PayloadPins keeps the
+	// name the benchmark module reads; nothing is pinned any more — it counts
+	// payload reads the batch paths served by reference, one per sample.
 	PayloadBytes int64 // gauge: bytes of live (resident) payloads
-	PayloadPins  int64 // payload reads pinned zero-copy from the store
+	PayloadPins  int64 // payload reads served by reference from the store
 }
 
 // Add accumulates o's counters into s. Gauges (queue depth, worker count)
@@ -204,11 +200,6 @@ func (s *ServingStats) Add(o ServingStats) {
 	s.PeerBatchRPCs += o.PeerBatchRPCs
 	s.PeerBatchSamples += o.PeerBatchSamples
 	s.MuxInflight = o.MuxInflight
-	s.SlabAllocs += o.SlabAllocs
-	s.SlabRecycled += o.SlabRecycled
-	s.SlabAdopted += o.SlabAdopted
-	s.SlabFreed += o.SlabFreed
-	s.SlabBytes = o.SlabBytes
 	s.PayloadBytes = o.PayloadBytes
 	s.PayloadPins += o.PayloadPins
 }

@@ -394,6 +394,8 @@ func TestChaosMidBatchPeerDropConservation(t *testing.T) {
 	if want := int64(rounds * len(ids)); delta != want {
 		t.Fatalf("conservation violated under mid-batch drops: outcome classes advanced by %d for %d requested samples", delta, want)
 	}
+	requireStoreWithinResidents(t, f.nodes[0])
+	requireStoreWithinResidents(t, f.nodes[1])
 }
 
 // countingDir wraps the in-process directory adapter and counts ownership

@@ -156,7 +156,7 @@ func BenchmarkMissGather(b *testing.B) {
 						sc.ids = append(sc.ids, dataset.SampleID((i*misses+j)%n))
 					}
 					err := srv.getBatchPinned(sc, obs.TraceCtx{}, time.Time{})
-					srv.releaseScratch(sc)
+					releaseScratch(sc)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -180,8 +180,8 @@ func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
 
 // BenchmarkServeHitPath measures the server-side cost of one pure-hit
 // GetBatch from the frame handler down: envelope peel, admission-gate check,
-// request decode, policy verdict, slab pins, vectored framing, write. Run
-// with -benchmem: the headline acceptance number is 0 allocs/op — a resident
+// request decode, policy verdict, payload reads by reference, vectored framing,
+// write. Run with -benchmem: the headline number is 0 allocs/op — a resident
 // batch is served without a single heap allocation.
 func BenchmarkServeHitPath(b *testing.B) {
 	const (

@@ -72,7 +72,7 @@ func TestChaosClientSurvivesConnDrops(t *testing.T) {
 	// A request frame is one socket read (it was two, and the stride 25):
 	// the stride keeps a drop roughly every dozen requests.
 	inj := faults.New(3).Add(faults.DropEvery(faults.OpConnRead, 13))
-	_, addr := startChaosServer(t, inj)
+	srv, addr := startChaosServer(t, inj)
 	spec := testSpec()
 
 	c, err := DialPolicy(addr, time.Second, chaosPolicy())
@@ -114,6 +114,7 @@ func TestChaosClientSurvivesConnDrops(t *testing.T) {
 	if retries == 0 || redials == 0 {
 		t.Fatalf("resilience counters (retries=%d redials=%d) claim a clean run under chaos", retries, redials)
 	}
+	requireStoreWithinResidents(t, srv)
 }
 
 // TestChaosManyClientsNoLostRequests runs several concurrent clients
@@ -126,7 +127,7 @@ func TestChaosManyClientsNoLostRequests(t *testing.T) {
 		faults.DropEvery(faults.OpConnRead, 30), // per request frame: one read each
 		faults.DropEvery(faults.OpConnWrite, 45),
 	)
-	_, addr := startChaosServer(t, inj)
+	srv, addr := startChaosServer(t, inj)
 	spec := testSpec()
 
 	const clients, calls = 4, 50
@@ -170,6 +171,7 @@ func TestChaosManyClientsNoLostRequests(t *testing.T) {
 	if inj.TotalFired() == 0 {
 		t.Fatal("no faults fired across the concurrent run")
 	}
+	requireStoreWithinResidents(t, srv)
 }
 
 // TestChaosDistributedPeersSurviveFaultyDirectory wires the two-node
@@ -274,6 +276,7 @@ func TestChaosDistributedPeersSurviveFaultyDirectory(t *testing.T) {
 	for n := 0; n < 2; n++ {
 		_, df := nodes[n].ResilienceStats()
 		dirFailures += df
+		requireStoreWithinResidents(t, nodes[n])
 	}
 	if dirFailures == 0 {
 		t.Fatal("injected directory faults were not counted")

@@ -47,10 +47,7 @@ func (s *Server) LoadCheckpoint(r io.Reader, rehydrate bool) error {
 			failed.CompareAndSwap(nil, &err)
 			return
 		}
-		// Arena admission: the fetch buffer dies right here, so the copy
-		// into a recyclable slab is safe AND packs the whole warm set into
-		// slab-class blocks instead of len(residents) loose heap objects.
-		s.payloads.putCopy(id, payload)
+		s.payloads.put(id, payload)
 		s.dec.countAdmit(provRehydrate)
 	})
 	if err := failed.Load(); err != nil {

@@ -2,57 +2,35 @@ package rpc
 
 import (
 	"bytes"
-	"net"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
 
 	"icache/internal/dataset"
-	"icache/internal/icache"
 	"icache/internal/sampling"
 	"icache/internal/storage"
 )
 
-func TestCheckpointWarmRestart(t *testing.T) {
-	spec := testSpec()
+// warmRestart is the one restart fixture: a first server lifetime warms ids
+// [0, n) over the wire and checkpoints to a file; a fresh server restores it
+// with rehydration and is returned unserved, beside the source its backend
+// reads are counted on.
+func warmRestart(t *testing.T, n int) (*Server, *storage.DataSource, []dataset.SampleID) {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "cache.ckpt")
-
-	// First server lifetime: warm the cache over the wire, checkpoint.
 	srv1, addr1, _ := startServer(t)
-	c1 := dial(t, addr1)
-	var items []sampling.Item
-	var ids []dataset.SampleID
-	for id := dataset.SampleID(0); id < 100; id++ {
-		items = append(items, sampling.Item{ID: id, IV: 3})
-		ids = append(ids, id)
-	}
-	if err := c1.UpdateImportance(items); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c1.GetBatch(ids); err != nil {
-		t.Fatal(err)
-	}
+	ids := warmOverWire(t, dial(t, addr1), n)
 	if err := srv1.SaveCheckpointFile(path); err != nil {
 		t.Fatal(err)
 	}
-
-	// Second lifetime: fresh server, restore with rehydration; the first
-	// client batch must be served without backend reads.
-	back, err := storage.NewBackend(spec, storage.OrangeFS())
+	source, err := storage.NewDataSource(testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cacheSrv, err := icache.NewServer(back, icache.DefaultConfig(spec.TotalBytes()/5), sampling.DefaultIIS(), 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	source, err := storage.NewDataSource(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv2 := NewServer(cacheSrv, source)
-	srv2.Logf = nil
+	srv2 := newUnstartedServer(t, source, -1)
+	t.Cleanup(func() { srv2.Close() })
 	loaded, err := srv2.LoadCheckpointFile(path, true)
 	if err != nil {
 		t.Fatal(err)
@@ -60,18 +38,15 @@ func TestCheckpointWarmRestart(t *testing.T) {
 	if !loaded {
 		t.Fatal("checkpoint file not loaded")
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv2.Serve(ln)
-	defer srv2.Close()
+	return srv2, source, ids
+}
 
-	c2, err := Dial(ln.Addr().String(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
+// TestCheckpointWarmRestart: the first client batch after a restore with
+// rehydration is served without backend reads.
+func TestCheckpointWarmRestart(t *testing.T) {
+	spec := testSpec()
+	srv2, source, ids := warmRestart(t, 100)
+	c2 := dial(t, serveOn(t, srv2))
 	rehydrated := source.Reads()
 	samples, err := c2.GetBatch(ids)
 	if err != nil {
@@ -87,6 +62,75 @@ func TestCheckpointWarmRestart(t *testing.T) {
 		if err := spec.VerifyPayload(s.ID, s.Payload); err != nil {
 			t.Fatalf("rehydrated payload corrupt: %v", err)
 		}
+	}
+	requireStoreWithinResidents(t, srv2)
+}
+
+// raceBuild reports whether this test binary was built with -race. Under the
+// race detector sync.Pool drops a share of what is Put on purpose, so the
+// pooled scratch is re-allocated now and then and "0 allocs" cannot hold.
+func raceBuild() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// TestHitPathAllocFree: a fully resident batch is served from the frame
+// handler down without one heap allocation, whichever way the store got warm
+// — by demand fetches, or by rehydration after a restart (where it must not
+// read the backend either).
+func TestHitPathAllocFree(t *testing.T) {
+	const batch = 16
+	for _, tc := range []struct {
+		name string
+		warm func(t *testing.T) (*Server, *storage.DataSource)
+	}{
+		{"demand-fetched", func(t *testing.T) (*Server, *storage.DataSource) {
+			srv, addr, source := startServer(t)
+			warmOverWire(t, dial(t, addr), batch)
+			return srv, source
+		}},
+		{"rehydrated", func(t *testing.T) (*Server, *storage.DataSource) {
+			srv, source, _ := warmRestart(t, batch)
+			srv.policyMu.Lock()
+			residents := len(srv.cache.Residents(nil))
+			srv.policyMu.Unlock()
+			if got := srv.DecisionStats().AdmitRehydrate; got != int64(residents) || residents < batch {
+				t.Fatalf("%d rehydrate admissions for %d restored residents (want equal, at least %d)", got, residents, batch)
+			}
+			return srv, source
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, source := tc.warm(t)
+			req := encodeGetBatchRequest(missRange(0, batch))
+			cs := srv.t.NewConn(discardConn{})
+			reads, pins := source.Reads(), srv.ServingStats().PayloadPins
+			const runs = 200
+			allocs := testing.AllocsPerRun(runs, func() {
+				if err := srv.t.ServeFrame(cs, req); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 && !raceBuild() {
+				t.Errorf("%v allocs per resident batch, want 0", allocs)
+			}
+			if delta := source.Reads() - reads; delta != 0 {
+				t.Errorf("%d backend reads while serving a resident batch", delta)
+			}
+			// AllocsPerRun makes one warm-up call before its measured runs.
+			if got := srv.ServingStats().PayloadPins - pins; got != (runs+1)*batch {
+				t.Errorf("%d payload reads by reference over %d batches of %d, want one per sample", got, runs+1, batch)
+			}
+			requireStoreWithinResidents(t, srv)
+		})
 	}
 }
 
@@ -147,6 +191,7 @@ func TestRehydrateReadsThroughTheBudget(t *testing.T) {
 			t.Fatalf("resident %d has no (or a wrong) payload after rehydration", id)
 		}
 	}
+	requireStoreWithinResidents(t, srv)
 
 	bad := newServer(&faultySource{inner: inner, bad: ids[100], mark: -1, marked: make(chan struct{})})
 	err = bad.LoadCheckpoint(bytes.NewReader(saved), true)

@@ -115,6 +115,7 @@ func TestConcurrentClientsConservation(t *testing.T) {
 	if st.Substitutions == 0 {
 		t.Fatalf("workload never exercised substitution: %+v", st)
 	}
+	requireStoreWithinResidents(t, srv)
 }
 
 // slowFetchSource delays every fetch long enough that concurrent misses on

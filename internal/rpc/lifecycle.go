@@ -322,12 +322,14 @@ func (s *Server) scrubOnce() {
 
 // dropResident removes a sample this node must not keep (the directory says
 // another node owns it, or a denied claim), tagging the eviction with its
-// decision reason. The eviction observer fires and issues a best-effort
-// Release — harmless, since the directory only honours releases from the
-// current owner.
+// decision reason. A directed drop does not reach the eviction observer, so
+// the payload is deleted here, in the same policyMu hold; there is no
+// ownership to release — the directory credits another node.
 func (s *Server) dropResident(id dataset.SampleID, reason icache.DropReason) {
 	s.policyMu.Lock()
-	s.cache.DropFor(id, reason)
+	if s.cache.DropFor(id, reason) {
+		s.payloads.delete(id)
+	}
 	s.policyMu.Unlock()
 }
 

@@ -154,6 +154,9 @@ func TestHeartbeatLapseReregistersAndReconciles(t *testing.T) {
 	if resident {
 		t.Error("local copy of the reclaimed sample survived reconciliation")
 	}
+	// Its bytes go with it: a payload left behind would keep answering peer
+	// reads for a sample this node no longer owns.
+	requireStoreWithinResidents(t, srv)
 	if owner, ok := dir.Lookup(ids[0]); !ok || owner != 1 {
 		t.Errorf("sample %d owner = (%d, %v), want (1, true)", ids[0], owner, ok)
 	}

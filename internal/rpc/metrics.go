@@ -81,14 +81,8 @@ func (s *Server) ServingStats() metrics.ServingStats {
 	out.BufferGets, out.BufferAllocs, out.BufferDiscards = gets, news, discards
 	vgets, vnews, vdiscards := wire.VecPoolStats()
 	out.VecGets, out.VecAllocs, out.VecDiscards = vgets, vnews, vdiscards
-	sl := s.payloads.slabStats()
-	out.SlabAllocs = sl.allocs
-	out.SlabRecycled = sl.recycled
-	out.SlabAdopted = sl.adopted
-	out.SlabFreed = sl.freed
-	out.SlabBytes = sl.slabBytes
-	out.PayloadBytes = sl.liveBytes
-	out.PayloadPins = sl.pins
+	out.PayloadBytes = s.payloads.liveBytes.Load()
+	out.PayloadPins = s.payloads.refReads.Load()
 	out.PeerBatchRPCs, out.PeerBatchSamples = s.PeerBatchStats()
 	out.MuxInflight = s.t.MuxInflight()
 	return out

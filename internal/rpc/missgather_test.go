@@ -198,7 +198,7 @@ func gatherFixture(t *testing.T, src ByteSource, prefetchWorkers int) (srv *Serv
 	srv.cache.InstallHList(sampling.NewHList(items))
 	return srv, func(ids []dataset.SampleID) error {
 		sc := getServeScratch()
-		defer srv.releaseScratch(sc)
+		defer releaseScratch(sc)
 		sc.ids = append(sc.ids[:0], ids...)
 		if err := srv.getBatchPinned(sc, obs.TraceCtx{}, time.Time{}); err != nil {
 			return err

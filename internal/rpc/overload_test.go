@@ -454,4 +454,6 @@ func chaosDelayedPeer(t *testing.T, seed int64) {
 		t.Fatalf("ledger: hits(%d)+misses(%d)+subs(%d)+degraded(%d)+shed(%d)+expired(%d) = %d, want offered %d",
 			st.Hits, st.Misses, st.Substitutions, st.Degraded, shed, expired, got, offered)
 	}
+	requireStoreWithinResidents(t, nodes[0])
+	requireStoreWithinResidents(t, nodes[1])
 }

@@ -644,13 +644,11 @@ func (s *Server) resolveRemote(id dataset.SampleID, ctx obs.TraceCtx, dl time.Ti
 // admitted. Reports whether the claim succeeded (false means another node
 // already owns it, so this node must not keep a duplicate copy — and a
 // directory failure conservatively counts as a failed claim, since
-// unregistered ownership would invite duplication). Must be called with no
-// server lock held: it performs a directory round trip.
+// unregistered ownership would invite duplication). Distributed servers only
+// (admit skips the claim on a lone one). Must be called with no server lock
+// held: it performs a directory round trip.
 func (s *Server) claimOwnership(id dataset.SampleID) bool {
 	dist := s.dist
-	if dist == nil {
-		return true
-	}
 	ok, err := dist.dir.Claim(id, dist.nodeID)
 	if err != nil {
 		atomic.AddInt64(&dist.dirFailures, 1)

@@ -410,6 +410,7 @@ func TestChaosPlanOwnerKill(t *testing.T) {
 				t.Fatalf("prefetch ledger unbalanced after owner kill: in-time %d + late %d + wasted %d + dropped %d = %d, want issued %d",
 					d.PrefetchInTime, d.PrefetchLate, d.PrefetchWasted, d.PrefetchDropped, sum, d.PrefetchIssued)
 			}
+			requireStoreWithinResidents(t, f.nodes[0])
 		})
 	}
 }

@@ -333,11 +333,9 @@ func (p *prefetcher) worker() {
 				atomic.AddInt64(&p.completed, 1)
 				continue
 			}
-			// Existence probe only — has() touches no payload bytes and takes
-			// no refcount, where a shared get would copy arena-resident bytes
-			// just to throw them away. The fetched payload itself is admitted
-			// through resolvePayloadProv → fetchOne → admit → adopt: the fetch
-			// buffer becomes the slab with zero additional copies.
+			// Existence probe only. The fetched payload itself is admitted
+			// through resolvePayloadProv → fetchOne → admit → put: the store
+			// takes the fetch buffer as it is, no copy.
 			if p.s.payloads.has(id) {
 				// The foreground (or an earlier prefetch) beat us to it.
 				if p.pendRemove(id) {

@@ -105,14 +105,9 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 	p.Counter("icache_vec_pool_allocs_total", "vector checkouts that had to allocate (pool miss)", float64(sv.VecAllocs))
 	p.Counter("icache_vec_pool_discards_total", "vector returns dropped for exceeding the retained-capacity cap", float64(sv.VecDiscards))
 
-	// Slab payload-store family (zero-copy hit path).
-	p.Counter("icache_slab_allocs_total", "arena slabs carved from the heap", float64(sv.SlabAllocs))
-	p.Counter("icache_slab_recycled_total", "arena slabs recycled after their last reader drained", float64(sv.SlabRecycled))
-	p.Counter("icache_slab_adopted_total", "payloads adopted zero-copy as dedicated slabs", float64(sv.SlabAdopted))
-	p.Counter("icache_slab_freed_total", "dedicated slabs released to the garbage collector", float64(sv.SlabFreed))
-	p.Gauge("icache_slab_bytes", "bytes held in arena slabs (including the freelist)", float64(sv.SlabBytes))
+	// Payload-store family (zero-copy hit path).
 	p.Gauge("icache_payload_bytes", "bytes of live payload entries in the store", float64(sv.PayloadBytes))
-	p.Counter("icache_payload_pins_total", "reader pins taken on slab-backed payloads", float64(sv.PayloadPins))
+	p.Counter("icache_payload_pins_total", "payload reads served by reference from the store", float64(sv.PayloadPins))
 
 	// Overload-control family (metrics.OverloadStats; zeros with no gate
 	// or breakers configured). The gate state renders as a 0/1/2 gauge:

@@ -21,24 +21,24 @@ import (
 //  1. request ids decode into a pooled scratch slice,
 //  2. the policy verdict appends into a pooled served slice
 //     (icache.Server.FetchBatchInto),
-//  3. each resident payload is pinned in the slab store (refcount +1,
-//     no copy),
+//  3. each resident payload is read from the payload store by reference
+//     (no copy),
 //  4. the response is framed as header runs + payload references in a
 //     pooled wire.Vec and written with ONE vectored write (writev on TCP),
-//  5. pins release after the write returns — eviction may have deleted the
-//     entries mid-write, but the slabs outlive the iovec submission.
+//  5. the references are dropped after the write returns — eviction may
+//     have deleted the entries mid-write, but stored bytes are immutable and
+//     never recycled, so the slices the request holds outlive the iovec
+//     submission.
 //
 // Misses drop to the miss collector (singleflight, peer scatter-gather,
 // backend) where a round trip dwarfs allocation cost.
 
-// servedPayload is one response slot: the payload bytes, the pinned slab
-// backing them (nil for zero-length or miss-path bytes), and — on the peer
+// servedPayload is one response slot: the payload bytes and — on the peer
 // path — whether the entry was present at all.
 type servedPayload struct {
-	id  dataset.SampleID
-	b   []byte
-	pin *slab
-	ok  bool
+	id dataset.SampleID
+	b  []byte
+	ok bool
 }
 
 // serveScratch is the pooled per-request working set of the vectored path.
@@ -60,15 +60,11 @@ func getServeScratch() *serveScratch {
 	return serveScratchPool.Get().(*serveScratch)
 }
 
-// releaseScratch drops every slab pin the request took, clears payload
-// references, and returns the scratch to the pool. Safe on partially
-// filled scratches (error paths).
-func (s *Server) releaseScratch(sc *serveScratch) {
+// releaseScratch clears the payload references the request held (a pooled
+// scratch must not keep evicted bytes alive) and returns the scratch to the
+// pool. Safe on partially filled scratches (error paths).
+func releaseScratch(sc *serveScratch) {
 	for i := range sc.out {
-		if sc.out[i].pin != nil {
-			s.payloads.unref(sc.out[i].pin)
-			sc.out[i].pin = nil
-		}
 		sc.out[i].b = nil
 	}
 	sc.out = sc.out[:0]
@@ -82,14 +78,14 @@ func (s *Server) releaseScratch(sc *serveScratch) {
 }
 
 // serveVec serves one batch read: decode the ids into a pooled scratch,
-// resolve payloads (pinning local hits), frame, one vectored write through
+// resolve payloads (local hits by reference), frame, one vectored write through
 // w. ctx is the trace context (zero when untraced), dl the deadline (zero
 // when unbounded). It runs on the read loop for a bare frame and on a
 // dispatch goroutine for a muxed one. The returned error is a connection
 // write error; protocol and resolution errors are answered in-band.
 func (s *Server) serveVec(w transport.Response, req []byte, ctx obs.TraceCtx, dl time.Time) error {
 	sc := getServeScratch()
-	defer s.releaseScratch(sc)
+	defer releaseScratch(sc)
 	d := wire.NewReader(req)
 	op := d.U8()
 	var err error
@@ -132,11 +128,10 @@ func (s *Server) serveVec(w transport.Response, req []byte, ctx obs.TraceCtx, dl
 }
 
 // getBatchPinned is the one GetBatch core: the policy verdict for sc.ids
-// lands in sc.served, local hits are pinned into sc.out, and the misses
+// lands in sc.served, local hits land in sc.out by reference, and the misses
 // (sc.missIdx) are resolved by the miss collector. The policy decision is a
 // short critical section under policyMu; all byte fetching happens outside
-// any lock. On error the caller releases whatever pins were already taken
-// via releaseScratch.
+// any lock.
 func (s *Server) getBatchPinned(sc *serveScratch, ctx obs.TraceCtx, dl time.Time) error {
 	spec := s.source.Spec()
 	for _, id := range sc.ids {
@@ -163,14 +158,17 @@ func (s *Server) getBatchPinned(sc *serveScratch, ctx obs.TraceCtx, dl time.Time
 		if histsOn {
 			tHit = time.Now()
 		}
-		if b, sl, ok := s.payloads.getPinned(id); ok {
+		if b, ok := s.payloads.get(id); ok {
 			s.obs.localHit.Since(tHit)
 			s.prefetch.noteHit(id)
-			sc.out = append(sc.out, servedPayload{id: id, b: b, pin: sl, ok: true})
+			sc.out = append(sc.out, servedPayload{id: id, b: b, ok: true})
 			continue
 		}
 		sc.out = append(sc.out, servedPayload{id: id, ok: true})
 		sc.missIdx = append(sc.missIdx, i)
+	}
+	if hits := len(sc.served) - len(sc.missIdx); hits > 0 {
+		s.payloads.refReads.Add(int64(hits))
 	}
 	if len(sc.missIdx) == 0 {
 		return nil
@@ -179,29 +177,32 @@ func (s *Server) getBatchPinned(sc *serveScratch, ctx obs.TraceCtx, dl time.Time
 }
 
 // fillPeerPinned serves opPeerGetBatch against the payload store only:
-// per-id pinned lookups, never policyMu, never a cache mutation —
+// per-id reads by reference, never policyMu, never a cache mutation —
 // handlePeerGet's contract, amortized over one frame. Response entries align
 // with the request ids.
 func (s *Server) fillPeerPinned(sc *serveScratch) {
 	sc.out = sc.out[:0]
 	served := 0
 	for _, id := range sc.ids {
-		if b, sl, ok := s.payloads.getPinned(id); ok {
-			sc.out = append(sc.out, servedPayload{id: id, b: b, pin: sl, ok: true})
+		if b, ok := s.payloads.get(id); ok {
+			sc.out = append(sc.out, servedPayload{id: id, b: b, ok: true})
 			served++
 		} else {
 			sc.out = append(sc.out, servedPayload{id: id})
 		}
 	}
-	if served > 0 && s.dist != nil {
-		atomic.AddInt64(&s.dist.peerServes, int64(served))
+	if served > 0 {
+		s.payloads.refReads.Add(int64(served))
+		if s.dist != nil {
+			atomic.AddInt64(&s.dist.peerServes, int64(served))
+		}
 	}
 }
 
 // writeVecResponse frames sc.out (GetBatch or PeerGetBatch layout) into
-// the scratch Vec and performs the single vectored write. Pins in sc stay
-// held until the caller's releaseScratch — after the write has fully
-// completed.
+// the scratch Vec and performs the single vectored write. The payload
+// references in sc stay held until the caller's releaseScratch — after the
+// write has fully completed.
 func (s *Server) writeVecResponse(w transport.Response, sc *serveScratch, peer bool) error {
 	v := &sc.vec
 	w.BeginVec(v)

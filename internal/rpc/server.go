@@ -369,19 +369,19 @@ type missKey struct {
 }
 
 // collect is the one miss collector. The positions getBatchPinned found no
-// pinned payload for (sc.missIdx) are resolved together and patched into
+// stored payload for (sc.missIdx) are resolved together and patched into
 // sc.out: every miss is registered in the singleflight layer first, so
 // concurrent requests (and the prefetch pool) for the same samples coalesce
 // onto exactly one fetch and every waiter is satisfied exactly once; the
 // keys this request leads are then resolved by resolveMissBatch (peer
 // scatter-gather on a distributed server, a bounded parallel backend gather
-// for the rest). Miss-path bytes are adopted slabs or remote buffers — safe
-// to frame without a pin.
+// for the rest). Miss-path bytes are fetch buffers the store (and every
+// waiter) shares read-only, or remote buffers: framed by reference like a hit.
 func (s *Server) collect(sc *serveScratch, ctx obs.TraceCtx, dl time.Time) error {
 	histsOn := s.obs.histsOn()
 
 	// Pass 1: a racing fetch or prefetch may have stored the payload since
-	// the pinned lookup; every remaining miss joins or leads the in-flight
+	// the first lookup; every remaining miss joins or leads the in-flight
 	// fetch of its id. Nothing is waited on until every key this request
 	// leads has been finished, so a duplicate id is safe: its second Begin
 	// joins the call the request itself leads, and is served like any other
@@ -635,20 +635,24 @@ func (s *Server) guardedFetch(id dataset.SampleID) (p []byte, err error) {
 // admit stores a freshly fetched payload if the policy engine kept the
 // sample resident and (in distributed mode) the directory claim succeeds.
 // Called without locks; takes policyMu only for the residency checks and
-// the final store insert, never across the directory call.
+// the final store insert, never across the directory call. A lone server has
+// no claim to make, so it takes the lock once: the pre-check exists only to
+// spare the directory a Claim for a sample the policy already rejected.
 func (s *Server) admit(id dataset.SampleID, payload []byte, prov admitProv) {
-	s.policyMu.Lock()
-	resident := s.cache.Resident(id)
-	s.policyMu.Unlock()
-	if !resident {
-		return
-	}
-	if !s.claimOwnership(id) {
-		// Lost the claim race: another node owns it now.
+	if s.dist != nil {
 		s.policyMu.Lock()
-		s.cache.Drop(id)
+		resident := s.cache.Resident(id)
 		s.policyMu.Unlock()
-		return
+		if !resident {
+			return
+		}
+		if !s.claimOwnership(id) {
+			// Lost the claim race: another node owns it now.
+			s.policyMu.Lock()
+			s.cache.Drop(id)
+			s.policyMu.Unlock()
+			return
+		}
 	}
 	// Insert under policyMu so an eviction (which deletes store entries
 	// under policyMu) cannot interleave between our residency check and

@@ -23,9 +23,9 @@ import (
 //	for each sample { v.I64(id); v.U32(len(p)); v.Payload(p) }
 //	v.WriteTo(conn)
 //
-// The caller owns the lifetime of every Payload slice until WriteTo
-// returns: the serving path pins the payload's slab before appending it and
-// releases the pin only after the write completes.
+// The caller keeps every Payload slice alive and unchanged until WriteTo
+// returns: the serving path holds the payload store's slices, which are
+// immutable and never recycled, and drops them only after the write completes.
 //
 // A Vec is not safe for concurrent use. The zero value is ready after
 // Reset.

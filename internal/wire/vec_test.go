@@ -131,7 +131,7 @@ func TestVecRejectsOversizedFrame(t *testing.T) {
 	v.Reset()
 	v.U8(0)
 	// Reference (not allocate) a payload bigger than MaxFrame by stacking
-	// the same slab-sized slice.
+	// the same 32 MiB slice.
 	chunk := make([]byte, 32<<20)
 	for i := 0; i < (MaxFrame/len(chunk))+1; i++ {
 		v.Payload(chunk)
