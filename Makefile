@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-short test-race chaos benchmark benchmark-pairs benchmark-test bench bench-serving bench-obs bench-peer bench-dir bench-loadgen bench-overload bench-prefetch loadgen-smoke obs-smoke overload-smoke prefetch-smoke experiments experiments-quick fuzz fuzz-short loc clean
+.PHONY: all build vet lint test test-short test-race chaos benchmark benchmark-pairs benchmark-test bench bench-layers loadgen-smoke obs-smoke overload-smoke prefetch-smoke experiments experiments-quick fuzz fuzz-short loc clean
 
 all: build lint test test-race chaos fuzz-short obs-smoke overload-smoke loadgen-smoke prefetch-smoke benchmark-test
 
@@ -98,13 +98,15 @@ benchmark-test:
 bench:
 	$(GO) test -bench . -benchmem
 
-# Serving-path throughput + allocation benchmarks (the PR 2 sharded-lock /
-# miss-coalescing / buffer-pool work), archived as JSON. -count=5 gives
-# five raw measurements per benchmark; icache-benchjson keeps them all.
-bench-serving:
-	$(GO) test -run NONE -bench 'ServeConcurrent|ServeHotSet' -benchmem -count=5 ./internal/rpc/ > /tmp/bench_serving.txt
-	$(GO) test -run NONE -bench . -benchmem -count=5 ./internal/wire/ >> /tmp/bench_serving.txt
-	$(GO) run ./cmd/icache-benchjson -label after -update BENCH_serving.json < /tmp/bench_serving.txt
+# The per-layer testing.B benchmarks of the networked packages: serving path
+# and wire codecs, the two-node peer plane, observability overhead, the
+# virtual-time sharded directory, and the loadgen saturation / overload /
+# clairvoyant runs. Nothing is archived or compared: the benchmarks that gate
+# anything carry their own b.Fatalf (BenchmarkLoadgenOverload: storm goodput
+# >= 80% of the knee; BenchmarkPrefetchEpochs: see prefetch-smoke), and
+# commit-to-commit comparison is `make benchmark-pairs`.
+bench-layers:
+	$(GO) test -run NONE -bench . -benchmem ./internal/rpc/ ./internal/wire/ ./internal/dkv/ ./internal/loadgen/
 
 # Observability smoke: the exposition goldens (Prometheus text + pinned
 # JSON bytes + the byte-pinned /debug/timeline document), the
@@ -121,49 +123,6 @@ obs-smoke:
 	$(GO) test -count=1 -run 'TestEnvelopeRejections' ./internal/transport/
 	$(GO) test -count=1 -run 'TestEnvelopeRejections|TestMetricsJSONBytesUnchanged|TestPrometheusExposition|TestTraced|TestSlowRequest|TestObs|TestDebugObs|TestDecisionLedger|TestJournalRecords|TestTimelinePoint' ./internal/rpc/
 	$(GO) test -count=1 -run 'TestDirTraced|TestDirEnvelope|TestDirObs' ./internal/dkv/
-
-# Batched remote data plane benchmark (the PR 5 scatter-gather work): two
-# cache nodes over loopback, eight miss-heavy clients hammering a hot set
-# the OTHER node owns. Compares serial (per-sample directory lookup +
-# PeerGet round trip) against batched (one directory multi-lookup + one
-# opPeerGetBatch per mini-batch, pipelined over the multiplexed peer
-# connection). The batched samples/sec should beat serial by >= 3x.
-bench-peer:
-	$(GO) test -run NONE -bench 'PeerHotSet' -benchmem -count=5 ./internal/rpc/ > /tmp/bench_peer.txt
-	$(GO) run ./cmd/icache-benchjson -label after -update BENCH_peer.json < /tmp/bench_peer.txt
-
-# Partitioned-directory scaling benchmark (the PR 6 sharding work): a
-# simulated 100-node cluster drives closed-loop LookupBatch traffic through
-# a real ShardedDir whose replicas are virtual-time FIFO resources, at 1, 2
-# and 4 shards. Lookup throughput (simlookups/sec) should scale
-# near-linearly: >= 1.7x at 2 shards and >= 3x at 4 vs. 1.
-bench-dir:
-	$(GO) test -run NONE -bench 'DirSharded' -count=5 ./internal/dkv/ > /tmp/bench_dir.txt
-	$(GO) run ./cmd/icache-benchjson -label after -update BENCH_dir.json < /tmp/bench_dir.txt
-
-# Open-loop load-harness gate (the PR 7 zero-copy hit path): an 8-client
-# hot-set saturation storm through internal/loadgen, archived as JSON and
-# then compared against the archived PR 5 baseline — the target FAILS when
-# samples/sec falls more than 10% below the baseline or allocs/op rises,
-# so the zero-copy win is a standing regression gate, not a one-off
-# measurement.
-bench-loadgen:
-	$(GO) test -run NONE -bench 'Loadgen$$' -benchmem -count=3 ./internal/loadgen/ > /tmp/bench_loadgen.txt
-	$(GO) run ./cmd/icache-benchjson -label after -update BENCH_loadgen.json < /tmp/bench_loadgen.txt
-	$(GO) run ./cmd/icache-benchjson -check BENCH_loadgen.json
-
-# Overload-control gate (the PR 8 admission/deadline/breaker work): a
-# slot-limited server with a latency-charging backend takes a 2x open-loop
-# storm through internal/loadgen. The headline samples/sec is GOODPUT —
-# on-time completions only — archived as JSON and compared against the
-# archived baseline, so the target FAILS when goodput under overload falls
-# more than 10% or allocs/op rises. The benchmark itself additionally
-# fails on queue collapse (storm goodput under 80% of the measured
-# capacity knee) or on a request-conservation leak.
-bench-overload:
-	$(GO) test -run NONE -bench 'LoadgenOverload' -benchmem -count=3 ./internal/loadgen/ > /tmp/bench_overload.txt
-	$(GO) run ./cmd/icache-benchjson -label after -update BENCH_overload.json < /tmp/bench_overload.txt
-	$(GO) run ./cmd/icache-benchjson -check BENCH_overload.json
 
 # Overload-control smoke: the admission gate / circuit breaker / deadline
 # unit surface, the transport's one admission site (TestRoutes), the
@@ -182,31 +141,17 @@ overload-smoke:
 loadgen-smoke:
 	$(GO) run ./cmd/icache-loadgen -smoke
 
-# Clairvoyant-prefetch gate (the planned cross-epoch pre-placement work):
-# the same epoch-boundary workload runs reactive and clairvoyant; the
-# benchmark FAILS unless warm-epoch cold misses drop >= 10x and the
-# prefetch in-time ratio reaches 0.9. The clairvoyant run's samples/sec,
-# cold-miss count and in-time ratio are archived as JSON and compared
-# against the archived baseline (-check fails the build on a >10%
-# throughput regression or an allocs/op rise).
-bench-prefetch:
-	$(GO) test -run NONE -bench 'PrefetchEpochs' -benchmem -count=3 ./internal/loadgen/ > /tmp/bench_prefetch.txt
-	$(GO) run ./cmd/icache-benchjson -label after -update BENCH_prefetch.json < /tmp/bench_prefetch.txt
-	$(GO) run ./cmd/icache-benchjson -check BENCH_prefetch.json
-
 # Sub-second self-contained clairvoyant smoke (boots an in-process planning
 # server, pushes each epoch's schedule ahead of its accesses, asserts later
 # epochs run nearly cold-miss-free and the prefetch-outcome ledger stays
-# exactly conserved): gates `make all` so the planner cannot rot.
+# exactly conserved), then the clairvoyant gate, once: the same epoch-boundary
+# workload runs reactive and with the planner as -clairvoyant installs it, and
+# BenchmarkPrefetchEpochs FAILS unless warm-epoch cold misses drop >= 10x and
+# the prefetch in-time ratio reaches 0.9. Gates `make all` so the planner
+# cannot rot.
 prefetch-smoke:
 	$(GO) run ./cmd/icache-loadgen -prefetch-smoke
-
-# Observability overhead benchmark (off vs histograms-armed vs every
-# request traced vs fully armed with journal+timeline, on the 8-client
-# miss-heavy workload), archived as JSON.
-bench-obs:
-	$(GO) test -run NONE -bench 'ObsOverhead' -benchmem -count=5 ./internal/rpc/ > /tmp/bench_obs.txt
-	$(GO) run ./cmd/icache-benchjson -label after -update BENCH_obs.json < /tmp/bench_obs.txt
+	$(GO) test -run NONE -bench 'PrefetchEpochs' -benchtime 1x ./internal/loadgen/
 
 # Regenerate the full evaluation at paper scale (~4 minutes).
 experiments:

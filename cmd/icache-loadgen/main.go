@@ -184,7 +184,7 @@ func startPrefetchSmokeServer() (*rpc.Server, string, error) {
 	}
 	srv := rpc.NewServer(cacheSrv, src)
 	srv.Logf = nil
-	srv.SetClairvoyant(rpc.PlanConfig{})
+	srv.SetClairvoyant()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, "", err

@@ -88,8 +88,7 @@ func main() {
 		hShare    = flag.Float64("h-share", 0.9, "fraction of the cache given to the H-region")
 		noLCache  = flag.Bool("no-lcache", false, "disable the L-cache (the +HC ablation configuration)")
 		prefetchN = flag.Int("prefetch-workers", 4, "async prefetch worker pool size for L-package byte loading (the paper's Fig. 15 knob); 0 disables prefetching")
-		clairv    = flag.Bool("clairvoyant", false, "enable planned cross-epoch prefetching: clients that push each epoch's schedule (BeginEpochPlan) get their missing working set pre-placed ahead of access (requires -prefetch-workers > 0)")
-		planBW    = flag.Float64("prefetch-bandwidth", 0, "clairvoyant drain budget in bytes/sec; 0 auto-calibrates to half the observed backend fetch throughput")
+		clairv    = flag.Bool("clairvoyant", false, "enable planned cross-epoch prefetching: clients that push each epoch's schedule (BeginEpochPlan) get their missing working set pre-placed ahead of access, at most -prefetch-workers backend reads at a time (requires -prefetch-workers > 0)")
 		seed      = flag.Int64("seed", 42, "server randomness seed")
 		ckptPath  = flag.String("checkpoint", "", "warm-restart checkpoint file: load at boot, save at shutdown")
 		metricsAt = flag.String("metrics-addr", "", "serve a metrics endpoint on this address (e.g. :7830): JSON at /metrics, Prometheus text at /metrics?format=prom; also arms the per-stage latency histograms")
@@ -103,7 +102,7 @@ func main() {
 		leaseTTL  = flag.Duration("lease-ttl", 10*time.Second, "distributed mode: membership lease duration in the directory")
 		beatEvery = flag.Duration("heartbeat-interval", 0, "distributed mode: lease renewal period (default lease-ttl/4)")
 		scrubEvry = flag.Duration("scrub-interval", 0, "distributed mode: anti-entropy scrub period (default lease-ttl/2)")
-		peerBatch = flag.Int("peer-batch", 256, "distributed mode: max remote misses per batched peer read RPC; 0 falls back to per-sample directory lookups and peer reads")
+		peerBatch = flag.Int("peer-batch", 256, "distributed mode: max remote misses per batched peer read RPC (<= 0 selects 256)")
 		peerInfl  = flag.Int("peer-inflight", 0, "distributed mode: max in-flight frames per multiplexed peer connection (0 selects the client default)")
 		maxInfl   = flag.Int("max-inflight", 0, "admission control: max concurrently admitted requests before shedding (0 disables the cap)")
 		targetQD  = flag.Duration("target-queue-delay", 0, "admission control: standing queue delay that triggers brownout/shedding, CoDel-style (0 disables the delay ladder)")
@@ -118,6 +117,9 @@ func main() {
 	}
 	if *cacheFrac <= 0 || *cacheFrac > 1 {
 		log.Fatalf("icache-server: -cache-frac %g outside (0,1]", *cacheFrac)
+	}
+	if *clairv && *prefetchN <= 0 {
+		log.Fatalf("icache-server: -clairvoyant needs -prefetch-workers > 0: the planner drains through the prefetch pool")
 	}
 
 	backend, err := storage.NewBackend(spec, storage.OrangeFS())
@@ -157,11 +159,9 @@ func main() {
 
 	srv := rpc.NewServer(cacheSrv, source)
 	if *clairv {
-		srv.SetClairvoyant(rpc.PlanConfig{BandwidthBytesPerSec: *planBW})
-		if *planBW > 0 {
-			log.Printf("icache-server: clairvoyant planning on (drain budget %.0f bytes/sec)", *planBW)
-		} else {
-			log.Printf("icache-server: clairvoyant planning on (drain budget auto-calibrated)")
+		srv.SetClairvoyant()
+		if srv.Clairvoyant() {
+			log.Printf("icache-server: clairvoyant planning on (at most %d planned backend reads in flight)", *prefetchN)
 		}
 	}
 	// The control-plane journal records rare decision events (gate
@@ -246,13 +246,7 @@ func main() {
 			RPCTimeout:       *defDL,
 			BreakerThreshold: *brkThresh,
 		})
-		if *peerBatch > 0 {
-			log.Printf("icache-server: distributed node %d, directory %s, %d peers (batched peer reads, <=%d samples/RPC)",
-				*nodeID, *dirAddr, len(peerMap), *peerBatch)
-		} else {
-			log.Printf("icache-server: distributed node %d, directory %s, %d peers (serial peer reads)",
-				*nodeID, *dirAddr, len(peerMap))
-		}
+		log.Printf("icache-server: distributed node %d, directory %s, %d peers", *nodeID, *dirAddr, len(peerMap))
 		// Join under a fresh lease; a warm restart replays ownership claims
 		// for every checkpoint-restored resident (claims a survivor won in
 		// the meantime are denied and the local copy is dropped).

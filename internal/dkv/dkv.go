@@ -202,13 +202,12 @@ type Service interface {
 	PurgeDead(max int) (int, error)
 }
 
-// CtxService is the optional half of a directory service: lookups that carry
-// a request's trace context (addressed to the directory: the caller passes
-// its own context's Next()) and deadline to the directory hop. Zero values
-// mean the plain lookup. The network clients (DirClient, ShardedDir)
+// CtxService is the optional half of a directory service: the batched lookup
+// carrying a request's trace context (addressed to the directory: the caller
+// passes its own context's Next()) and deadline to the directory hop. Zero
+// values mean the plain lookup. The network clients (DirClient, ShardedDir)
 // implement it; an in-process directory has no hop to carry anything to.
 type CtxService interface {
-	LookupCtx(id dataset.SampleID, ctx obs.TraceCtx, dl time.Time) (NodeID, bool, error)
 	LookupBatchCtx(ids []dataset.SampleID, ctx obs.TraceCtx, dl time.Time) ([]Owner, error)
 }
 

@@ -317,20 +317,10 @@ func decodeOwner(d *wire.Reader) (NodeID, bool) {
 
 // Lookup reports which node owns id, if any.
 func (c *DirClient) Lookup(id dataset.SampleID) (NodeID, bool, error) {
-	return c.LookupCtx(id, obs.TraceCtx{}, time.Time{})
-}
-
-// LookupCtx is Lookup carrying the caller's trace context — addressed to
-// the directory server: the caller passes its own context's Next() — and
-// deadline: the remaining budget rides a deadline envelope (the directory
-// drops the lookup server-side once it is unservable) and the local wait is
-// cut off at the same instant. Zero values send the plain request.
-func (c *DirClient) LookupCtx(id dataset.SampleID, ctx obs.TraceCtx, dl time.Time) (NodeID, bool, error) {
 	e := wire.GetBuffer()
-	transport.AppendEnvelopes(e, ctx, dl)
 	e.U8(opLookup)
 	e.I64(int64(id))
-	d, owner, err := c.roundTripDeadline(e, dl)
+	d, owner, err := c.roundTripDeadline(e, time.Time{})
 	if err != nil {
 		return 0, false, err
 	}
@@ -348,10 +338,13 @@ func (c *DirClient) LookupBatch(ids []dataset.SampleID) ([]Owner, error) {
 	return c.LookupBatchCtx(ids, obs.TraceCtx{}, time.Time{})
 }
 
-// LookupBatchCtx is LookupBatch carrying the caller's trace context and
-// deadline (see LookupCtx), so a traced cache request's ONE batched
-// ownership lookup appears in the cross-node hop chain and inherits what is
-// left of the request's budget.
+// LookupBatchCtx is LookupBatch carrying the caller's trace context —
+// addressed to the directory server: the caller passes its own context's
+// Next() — and deadline: the remaining budget rides a deadline envelope (the
+// directory drops the lookup server-side once it is unservable) and the local
+// wait is cut off at the same instant. Zero values send the plain request. So
+// a traced cache request's ONE batched ownership lookup appears in the
+// cross-node hop chain and inherits what is left of the request's budget.
 func (c *DirClient) LookupBatchCtx(ids []dataset.SampleID, ctx obs.TraceCtx, dl time.Time) ([]Owner, error) {
 	if len(ids) == 0 {
 		return nil, nil

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"icache/internal/dataset"
 	"icache/internal/obs"
 	"icache/internal/trace"
 	"icache/internal/transport/transporttest"
@@ -41,14 +42,14 @@ func TestDirTracedLookup(t *testing.T) {
 		t.Fatalf("Lookup = (%d, %v, %v)", node, ok, err)
 	}
 	ctx := obs.TraceCtx{ID: 0xfeed, Hop: 2}
-	node, ok, err = c.LookupCtx(7, ctx, time.Time{})
-	if err != nil || !ok || node != 3 {
-		t.Fatalf("LookupCtx = (%d, %v, %v)", node, ok, err)
+	owners, err := c.LookupBatchCtx([]dataset.SampleID{7}, ctx, time.Time{})
+	if err != nil || len(owners) != 1 || !owners[0].Found || owners[0].Node != 3 {
+		t.Fatalf("LookupBatchCtx = (%v, %v)", owners, err)
 	}
 	// Miss through the envelope, too.
-	_, ok, err = c.LookupCtx(1234, ctx, time.Time{})
-	if err != nil || ok {
-		t.Fatalf("LookupCtx(absent) = (%v, %v)", ok, err)
+	owners, err = c.LookupBatchCtx([]dataset.SampleID{1234}, ctx, time.Time{})
+	if err != nil || len(owners) != 1 || owners[0].Found {
+		t.Fatalf("LookupBatchCtx(absent) = (%v, %v)", owners, err)
 	}
 
 	// The traced lookups (and only those) produced RPCRecv spans at the
@@ -69,8 +70,8 @@ func TestDirTracedLookup(t *testing.T) {
 		if sp.TraceID != 0xfeed || sp.Hop != 2 {
 			t.Fatalf("span ctx = (%016x, %d), want (feed, 2)", sp.TraceID, sp.Hop)
 		}
-		if sp.Arg != opLookup {
-			t.Fatalf("span arg %d, want inner opcode %d", sp.Arg, opLookup)
+		if sp.Arg != opLookupBatch {
+			t.Fatalf("span arg %d, want inner opcode %d", sp.Arg, opLookupBatch)
 		}
 	}
 
@@ -86,7 +87,7 @@ func TestDirTracedLookup(t *testing.T) {
 	}
 
 	// A zero trace context degrades to the plain request.
-	if _, _, err := c.LookupCtx(7, obs.TraceCtx{}, time.Time{}); err != nil {
+	if _, err := c.LookupBatchCtx([]dataset.SampleID{7}, obs.TraceCtx{}, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -121,9 +122,9 @@ func TestDirObsDisabledIsInert(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	node, ok, err := c.LookupCtx(7, obs.TraceCtx{ID: 5, Hop: 1}, time.Time{})
-	if err != nil || !ok || node != 3 {
-		t.Fatalf("LookupCtx on plain server = (%d, %v, %v)", node, ok, err)
+	owners, err := c.LookupBatchCtx([]dataset.SampleID{7}, obs.TraceCtx{ID: 5, Hop: 1}, time.Time{})
+	if err != nil || len(owners) != 1 || !owners[0].Found || owners[0].Node != 3 {
+		t.Fatalf("LookupBatchCtx on plain server = (%v, %v)", owners, err)
 	}
 	if srv.ObsRegistry() != nil {
 		t.Fatal("registry materialized on a plain server")

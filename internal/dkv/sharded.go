@@ -256,16 +256,15 @@ func (s *ShardedDir) retried() {
 // failing over (mark down, remap, retry in this call) until it succeeds or
 // no replica remains. Every directory operation is idempotent, so blind
 // cross-replica retry is safe — the same argument that makes DirClient's
-// reconnect-retry safe. dl is the deadline the call forwards (zero = none;
-// see budgetSpent).
-func (s *ShardedDir) doSharded(id dataset.SampleID, dl time.Time, call func(Service) error) error {
+// reconnect-retry safe.
+func (s *ShardedDir) doSharded(id dataset.SampleID, call func(Service) error) error {
 	for attempt := 0; ; attempt++ {
 		r, svc, err := s.route(id)
 		if err != nil {
 			return err
 		}
-		if err = call(svc); err == nil || budgetSpent(err, dl) {
-			return err
+		if err = call(svc); err == nil {
+			return nil
 		}
 		s.markDown(r)
 		if attempt > 0 {
@@ -289,22 +288,11 @@ func budgetSpent(err error, dl time.Time) bool {
 
 // Lookup reports which node owns id, routed to id's shard holder.
 func (s *ShardedDir) Lookup(id dataset.SampleID) (NodeID, bool, error) {
-	return s.LookupCtx(id, obs.TraceCtx{}, time.Time{})
-}
-
-// LookupCtx routes a lookup to id's shard holder, forwarding the trace
-// context and deadline when the replica's service can carry them (DirClient
-// does).
-func (s *ShardedDir) LookupCtx(id dataset.SampleID, ctx obs.TraceCtx, dl time.Time) (NodeID, bool, error) {
 	var node NodeID
 	var found bool
-	err := s.doSharded(id, dl, func(svc Service) error {
+	err := s.doSharded(id, func(svc Service) error {
 		var err error
-		if cs, ok := svc.(CtxService); ok {
-			node, found, err = cs.LookupCtx(id, ctx, dl)
-		} else {
-			node, found, err = svc.Lookup(id)
-		}
+		node, found, err = svc.Lookup(id)
 		return err
 	})
 	return node, found, err
@@ -313,7 +301,7 @@ func (s *ShardedDir) LookupCtx(id dataset.SampleID, ctx obs.TraceCtx, dl time.Ti
 // Claim registers node as the owner of id on id's shard holder.
 func (s *ShardedDir) Claim(id dataset.SampleID, node NodeID) (bool, error) {
 	var claimed bool
-	err := s.doSharded(id, time.Time{}, func(svc Service) error {
+	err := s.doSharded(id, func(svc Service) error {
 		var err error
 		claimed, err = svc.Claim(id, node)
 		return err
@@ -324,7 +312,7 @@ func (s *ShardedDir) Claim(id dataset.SampleID, node NodeID) (bool, error) {
 // Release removes node's ownership of id on id's shard holder.
 func (s *ShardedDir) Release(id dataset.SampleID, node NodeID) (bool, error) {
 	var released bool
-	err := s.doSharded(id, time.Time{}, func(svc Service) error {
+	err := s.doSharded(id, func(svc Service) error {
 		var err error
 		released, err = svc.Release(id, node)
 		return err

@@ -21,8 +21,8 @@ import (
 // With one shard every RPC serializes on one resource; with N shards
 // rendezvous routing splits each batch across N resources that drain
 // concurrently, so simlookups/sec should scale near-linearly (the per-RPC
-// cost of the extra sub-batches is the non-ideal part). `make bench-dir`
-// archives the three curves to BENCH_dir.json.
+// cost of the extra sub-batches is the non-ideal part). `make bench-layers`
+// runs the three curves.
 
 // Cost model: per-key work dominates (hash probe, lease check, owner
 // encode); framing/dispatch overhead is small but charged per sub-batch,

@@ -13,8 +13,7 @@ import (
 	"icache/internal/storage"
 )
 
-// BenchmarkLoadgen is the standing regression gate for the serving hot
-// path (archived via `make bench-loadgen` into BENCH_loadgen.json): eight
+// BenchmarkLoadgen measures the serving hot path (`make bench-layers`): eight
 // open-loop connections storm a 64-sample hot set that is fully resident,
 // so every request is a pure cache hit and the measured ceiling is the
 // serving path itself — framing, copies, allocations, syscalls — not the
@@ -73,8 +72,8 @@ func BenchmarkLoadgen(b *testing.B) {
 	}
 }
 
-// BenchmarkLoadgenOverload is the standing overload-control gate (archived
-// via `make bench-overload` into BENCH_overload.json). The server models the
+// BenchmarkLoadgenOverload is the overload-control gate (`make
+// bench-layers`). The server models the
 // I/O-bound regime the admission gate exists for: a backend that charges
 // real latency per miss, with fewer admission slots than client connections
 // so the gate — not the wire — is the binding resource. The run walks the
@@ -84,9 +83,8 @@ func BenchmarkLoadgen(b *testing.B) {
 // rejections, so the slots stay saturated, served completions stay inside
 // the deadline, and goodput holds at the knee; a collapsing server instead
 // queues, blows the deadline, and goodput falls off the cliff. The headline
-// "samples/sec" metric is the storm's GOODPUT — on-time completions only —
-// so the benchjson -check gate fails the build if overload handling
-// regresses >10%. The benchmark itself fails on the two collapse
+// "samples/sec" metric is the storm's GOODPUT — on-time completions only.
+// The benchmark itself fails on the two collapse
 // signatures: storm goodput under 80% of capacity, or a conservation leak
 // (requests not exactly accounted for by successes + errors + sheds +
 // expirations).
@@ -179,8 +177,8 @@ func BenchmarkLoadgenOverload(b *testing.B) {
 	}
 }
 
-// BenchmarkPrefetchEpochs is the standing clairvoyant-prefetch gate
-// (archived via `make bench-prefetch` into BENCH_prefetch.json). Two
+// BenchmarkPrefetchEpochs is the clairvoyant-prefetch gate (`make
+// prefetch-smoke` runs it once, so `make all` does). Two
 // identical servers take the same epoch-boundary workload — per-epoch
 // reshuffled selections over a keyspace larger than the cache, backend
 // charging real latency per read — one reactive, one with the schedule
@@ -190,8 +188,7 @@ func BenchmarkLoadgenOverload(b *testing.B) {
 // cold misses drop >= 10x versus reactive and the prefetch in-time ratio
 // reaches 0.9. The headline samples/sec is the clairvoyant run's
 // throughput at the shared offered rate — a planner that stops working
-// ahead stalls the paced schedule and drags it down, which the benchjson
-// -check gate catches as a regression.
+// ahead stalls the paced schedule and drags it down.
 func BenchmarkPrefetchEpochs(b *testing.B) {
 	const (
 		keys         = 2048
@@ -268,9 +265,8 @@ func max64(a, b int64) int64 {
 // startPlanServer boots a serving stack for the epoch-boundary benchmark:
 // all-H policy (L-cache off) so the clairvoyant planner is the only
 // prefetch source, capacity above one epoch's selection but below the
-// keyspace, latency-charging backend. The bandwidth budget is pinned
-// explicitly — the benchmark models an operator granting the planner a
-// known share of storage bandwidth.
+// keyspace, latency-charging backend. The planner runs as an operator gets
+// it from -clairvoyant: no pacing but the worker count and the read budget.
 func startPlanServer(b *testing.B, spec dataset.Spec, backendLat time.Duration, clairvoyant bool) (*rpc.Server, string) {
 	b.Helper()
 	back, err := storage.NewBackend(spec, storage.OrangeFS())
@@ -291,7 +287,7 @@ func startPlanServer(b *testing.B, spec dataset.Spec, backendLat time.Duration, 
 	srv := rpc.NewServer(cacheSrv, &stallSource{inner: inner, latency: backendLat})
 	srv.Logf = nil
 	if clairvoyant {
-		srv.SetClairvoyant(rpc.PlanConfig{BandwidthBytesPerSec: 128 << 20})
+		srv.SetClairvoyant()
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

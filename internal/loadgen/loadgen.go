@@ -10,8 +10,7 @@
 // Latencies record into the lock-striped, allocation-free obs.Histogram,
 // so the harness itself stays off the profile at six-figure request rates.
 // cmd/icache-loadgen wraps this package in flags; the Loadgen benchmark in
-// bench_test.go drives it at saturation for the archived BENCH_loadgen.json
-// regression gate.
+// bench_test.go drives it at saturation.
 package loadgen
 
 import (

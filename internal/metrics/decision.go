@@ -32,13 +32,11 @@ type DecisionStats struct {
 	EvictTotal int64
 
 	// Admission provenance: what motivated each payload-store insert.
-	// AdmitPeer stays zero while the no-duplication invariant holds
-	// (peer-fetched bytes are forwarded, never re-admitted locally); the
-	// counter exists to make a future violation visible.
+	// Peer-fetched bytes are forwarded, never admitted locally, so they have
+	// no class here.
 	AdmitFetch     int64
 	AdmitPrefetch  int64
 	AdmitRehydrate int64
-	AdmitPeer      int64
 
 	// Prefetch outcome ledger. Issued counts every id offered to the pool;
 	// in-time means the prefetched payload served a request before anything

@@ -271,9 +271,8 @@ func TestBatchedMissCoalescing(t *testing.T) {
 }
 
 // TestBatchedDuplicateIDsInOneBatch guards the dedupe in the miss collector
-// on every deployment shape that reaches it — a lone server, the batched
-// peer plane, and the per-sample peer flow (PeerConfig.Batch == 0): a
-// mini-batch repeating the same uncached id must not deadlock the request
+// on both deployment shapes that reach it — a lone server and the batched
+// peer plane: a mini-batch repeating the same uncached id must not deadlock the request
 // goroutine against its own singleflight key, and every position must be
 // filled.
 func TestBatchedDuplicateIDsInOneBatch(t *testing.T) {
@@ -284,10 +283,6 @@ func TestBatchedDuplicateIDsInOneBatch(t *testing.T) {
 		{"lone", func(*Server) {}},
 		{"distributed", func(srv *Server) {
 			srv.EnableDistributed(0, dkv.Local{Dir: dkv.NewDirectory()}, nil)
-		}},
-		{"distributed-batch0", func(srv *Server) {
-			srv.EnableDistributed(0, dkv.Local{Dir: dkv.NewDirectory()}, nil)
-			srv.SetPeerConfig(PeerConfig{Batch: 0})
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -457,51 +452,153 @@ func TestScrubSweepUsesOneBatchedLookup(t *testing.T) {
 // TestPeerRPCsScaleWithOwnersNotMisses pins the headline property of the
 // scatter-gather miss path: a mini-batch whose misses all live on ONE peer
 // costs exactly one opPeerGetBatch RPC (plus one directory multi-lookup) —
-// O(owning nodes), not O(misses).
+// O(owning nodes), not O(misses). The zero PeerConfig must behave like the
+// default one: Batch is only a chunk cap, and a zero cap reaching the chunk
+// loop would spin forever.
 func TestPeerRPCsScaleWithOwnersNotMisses(t *testing.T) {
-	f := startDistFixture(t)
-	spec := testSpec()
+	for _, tc := range []struct {
+		name string
+		hook func(int, *Server)
+	}{
+		{"default", nil},
+		{"zero-config", func(_ int, srv *Server) { srv.SetPeerConfig(PeerConfig{}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := startDistFixtureHook(t, tc.hook)
+			spec := testSpec()
 
+			cA := dial(t, f.addrs[0])
+			cB := dial(t, f.addrs[1])
+			const n = 64
+			var items []sampling.Item
+			var ids []dataset.SampleID
+			for id := dataset.SampleID(0); id < n; id++ {
+				items = append(items, sampling.Item{ID: id, IV: 5})
+				ids = append(ids, id)
+			}
+			if err := cA.UpdateImportance(items); err != nil {
+				t.Fatal(err)
+			}
+			if err := cB.UpdateImportance(items); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cA.GetBatch(ids); err != nil {
+				t.Fatal(err)
+			}
+
+			rpcs0, samples0 := f.nodes[1].PeerBatchStats()
+			var samples []Sample
+			done := make(chan error, 1)
+			go func() {
+				var err error
+				samples, err = cB.GetBatch(ids)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("remote-owned GetBatch hung (chunk loop with a zero cap?)")
+			}
+			for i, s := range samples {
+				if s.ID != ids[i] {
+					t.Fatalf("H-sample %d substituted", ids[i])
+				}
+				if err := spec.VerifyPayload(s.ID, s.Payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rpcs, carried := f.nodes[1].PeerBatchStats()
+			if got := rpcs - rpcs0; got != 1 {
+				t.Fatalf("%d misses owned by one peer cost %d batched RPCs; want exactly 1", n, got)
+			}
+			if got := carried - samples0; got != n {
+				t.Fatalf("the batched RPC carried %d samples; want all %d misses", got, n)
+			}
+			if _, hits := f.nodes[1].PeerStats(); hits != n {
+				t.Fatalf("peer hits = %d; want %d (every miss served remotely)", hits, n)
+			}
+		})
+	}
+}
+
+// TestPrefetchRidesTheBatchedResolver: a prefetch worker has no peer,
+// directory or backend call of its own — a reactive delivery and a plan entry
+// whose sample a live peer owns each cost one LookupBatch and one
+// opPeerGetBatch (never a per-sample Lookup, never a backend read), admit
+// nothing on the prefetching node, and leave the outcome ledger balanced at
+// the next epoch boundary.
+func TestPrefetchRidesTheBatchedResolver(t *testing.T) {
+	cd := &countingDir{Local: dkv.Local{Dir: dkv.NewDirectory()}}
+	f := startDistFixtureHook(t, func(_ int, srv *Server) {
+		srv.dist.dir, srv.dist.dirCtx = cd, nil // both nodes share the counted directory
+		srv.SetClairvoyant()
+	})
 	cA := dial(t, f.addrs[0])
 	cB := dial(t, f.addrs[1])
-	const n = 64
-	var items []sampling.Item
-	var ids []dataset.SampleID
-	for id := dataset.SampleID(0); id < n; id++ {
-		items = append(items, sampling.Item{ID: id, IV: 5})
-		ids = append(ids, id)
-	}
-	if err := cA.UpdateImportance(items); err != nil {
-		t.Fatal(err)
-	}
-	if err := cB.UpdateImportance(items); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cA.GetBatch(ids); err != nil {
-		t.Fatal(err)
-	}
-
-	rpcs0, samples0 := f.nodes[1].PeerBatchStats()
-	samples, err := cB.GetBatch(ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range samples {
-		if s.ID != ids[i] {
-			t.Fatalf("H-sample %d substituted", ids[i])
-		}
-		if err := spec.VerifyPayload(s.ID, s.Payload); err != nil {
+	b := f.nodes[1]
+	items := []sampling.Item{{ID: 11, IV: 5}, {ID: 12, IV: 5}}
+	for _, c := range []*Client{cA, cB} {
+		if err := c.UpdateImportance(items); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rpcs, carried := f.nodes[1].PeerBatchStats()
-	if got := rpcs - rpcs0; got != 1 {
-		t.Fatalf("%d misses owned by one peer cost %d batched RPCs; want exactly 1", n, got)
+	if _, err := cA.GetBatch([]dataset.SampleID{11, 12}); err != nil { // node A owns both
+		t.Fatal(err)
 	}
-	if got := carried - samples0; got != n {
-		t.Fatalf("the batched RPC carried %d samples; want all %d misses", got, n)
+
+	for i, tc := range []struct {
+		name  string
+		id    dataset.SampleID
+		offer func(id dataset.SampleID)
+	}{
+		{"reactive", 11, b.prefetch.enqueue},
+		{"planned", 12, func(id dataset.SampleID) { b.plan.acceptRemote([]dataset.SampleID{id}) }},
+	} {
+		lk, lb := atomic.LoadInt64(&cd.lookups), atomic.LoadInt64(&cd.lookupBatches)
+		rpcs0, _ := b.PeerBatchStats()
+		_, hits0 := b.PeerStats()
+		reads0 := f.sources[1].Reads()
+		tc.offer(tc.id)
+		deadline := time.Now().Add(10 * time.Second)
+		for b.ServingStats().PrefetchCompleted != int64(i+1) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: prefetch never completed: %+v", tc.name, b.ServingStats())
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if got := atomic.LoadInt64(&cd.lookups) - lk; got != 0 {
+			t.Errorf("%s: %d per-sample Lookups; want 0", tc.name, got)
+		}
+		if got := atomic.LoadInt64(&cd.lookupBatches) - lb; got != 1 {
+			t.Errorf("%s: %d LookupBatch calls; want 1", tc.name, got)
+		}
+		if rpcs, _ := b.PeerBatchStats(); rpcs-rpcs0 != 1 {
+			t.Errorf("%s: %d opPeerGetBatch RPCs; want 1", tc.name, rpcs-rpcs0)
+		}
+		if _, hits := b.PeerStats(); hits-hits0 != 1 {
+			t.Errorf("%s: %d peer hits; want 1", tc.name, hits-hits0)
+		}
+		if got := f.sources[1].Reads() - reads0; got != 0 {
+			t.Errorf("%s: %d backend reads for a sample a live peer owns; want 0", tc.name, got)
+		}
+		if b.payloads.has(tc.id) {
+			t.Errorf("%s: node B stored peer-owned sample %d", tc.name, tc.id)
+		}
 	}
-	if _, hits := f.nodes[1].PeerStats(); hits != n {
-		t.Fatalf("peer hits = %d; want %d (every miss served remotely)", hits, n)
+	if d := b.DecisionStats(); d.AdmitPrefetch != 0 || d.PrefetchIssued != 2 {
+		t.Errorf("AdmitPrefetch = %d, PrefetchIssued = %d; want two prefetches that admit nothing", d.AdmitPrefetch, d.PrefetchIssued)
+	}
+	requireStoreWithinResidents(t, b)
+
+	if err := cB.BeginEpoch(1); err != nil {
+		t.Fatal(err)
+	}
+	d := b.DecisionStats()
+	if sum := d.PrefetchInTime + d.PrefetchLate + d.PrefetchWasted + d.PrefetchDropped; sum != d.PrefetchIssued {
+		t.Fatalf("prefetch ledger after peer-served prefetches: in-time %d + late %d + wasted %d + dropped %d = %d, want issued %d",
+			d.PrefetchInTime, d.PrefetchLate, d.PrefetchWasted, d.PrefetchDropped, sum, d.PrefetchIssued)
 	}
 }

@@ -24,7 +24,6 @@ const (
 	provFetch admitProv = iota
 	provPrefetch
 	provRehydrate
-	provPeer
 )
 
 // rpcDecisions holds the serving-layer decision counters (atomics).
@@ -32,7 +31,6 @@ type rpcDecisions struct {
 	admitFetch     int64
 	admitPrefetch  int64
 	admitRehydrate int64
-	admitPeer      int64
 }
 
 func (d *rpcDecisions) countAdmit(prov admitProv) {
@@ -41,8 +39,6 @@ func (d *rpcDecisions) countAdmit(prov admitProv) {
 		atomic.AddInt64(&d.admitPrefetch, 1)
 	case provRehydrate:
 		atomic.AddInt64(&d.admitRehydrate, 1)
-	case provPeer:
-		atomic.AddInt64(&d.admitPeer, 1)
 	default:
 		atomic.AddInt64(&d.admitFetch, 1)
 	}
@@ -85,7 +81,6 @@ func (s *Server) DecisionStats() metrics.DecisionStats {
 	d.AdmitFetch = atomic.LoadInt64(&s.dec.admitFetch)
 	d.AdmitPrefetch = atomic.LoadInt64(&s.dec.admitPrefetch)
 	d.AdmitRehydrate = atomic.LoadInt64(&s.dec.admitRehydrate)
-	d.AdmitPeer = atomic.LoadInt64(&s.dec.admitPeer)
 
 	if p := s.prefetch; p != nil {
 		queued := atomic.LoadInt64(&p.queued)

@@ -103,9 +103,6 @@ func TestDecisionLedgerConservation(t *testing.T) {
 	if d.AdmitFetch == 0 {
 		t.Error("foreground admissions not provenance-counted")
 	}
-	if d.AdmitPeer != 0 {
-		t.Errorf("AdmitPeer = %d; peer bytes must never be locally admitted (no-duplication invariant)", d.AdmitPeer)
-	}
 	if d.Epoch != 2 {
 		t.Errorf("epoch = %d, want 2", d.Epoch)
 	}

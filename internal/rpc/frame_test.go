@@ -34,12 +34,37 @@ func TestEnvelopeRejections(t *testing.T) {
 func TestNoOpcodeCollidesWithTheTransport(t *testing.T) {
 	for name, op := range map[string]byte{
 		"opGetBatch": opGetBatch, "opUpdateImportance": opUpdateImportance, "opStats": opStats,
-		"opBeginEpoch": opBeginEpoch, "opPeerGet": opPeerGet, "opPeerGetBatch": opPeerGetBatch,
+		"opBeginEpoch": opBeginEpoch, "opPeerGetBatch": opPeerGetBatch,
 		"opEpochPlan": opEpochPlan, "opPlanPreplace": opPlanPreplace,
 	} {
 		switch op {
 		case transport.OpPing, transport.OpTraced, transport.OpMux, transport.OpDeadline:
 			t.Errorf("%s = %d is reserved by the transport", name, op)
+		}
+	}
+}
+
+// TestRetiredOpcodeRefused: opcode 6 was the per-sample peer read. However it
+// arrives it is answered as an unknown opcode — a peer built before the
+// batched plane degrades to its backend (TestMalformedFrameRejected has the
+// connection serving on afterwards).
+func TestRetiredOpcodeRefused(t *testing.T) {
+	srv := newUnstartedServer(t, nil, 0)
+	old := []byte{6, 0, 0, 0, 0, 0, 0, 0, 9}
+	for _, tc := range []struct {
+		name string
+		req  []byte
+		skip int // envelope bytes echoed ahead of the status
+	}{
+		{"bare", old, 0},
+		{"muxed", transporttest.MuxWrap(5, old), transport.MuxHeaderLen},
+		{"deadline", transport.WrapDeadline(time.Minute, old), 0},
+		{"traced", transport.WrapTraced(old, obs.TraceCtx{ID: 7, Hop: 1}), 0},
+		{"muxed-traced", transporttest.MuxWrap(6, transport.WrapTraced(old, obs.TraceCtx{ID: 7, Hop: 1})), transport.MuxHeaderLen},
+	} {
+		resp := srv.dispatch(tc.req)[tc.skip:]
+		if len(resp) == 0 || resp[0] != transport.StatusErr || !strings.Contains(string(resp[1:]), "unknown opcode 6") {
+			t.Errorf("%s: opcode 6 answered %q, want StatusErr \"unknown opcode 6\"", tc.name, resp)
 		}
 	}
 }

@@ -48,7 +48,7 @@ func FuzzServerDispatch(f *testing.F) {
 	f.Add([]byte{opUpdateImportance, 0, 0, 0, 1})
 	f.Add([]byte{opBeginEpoch, 0, 0, 0, 0})
 	f.Add([]byte{opStats})
-	f.Add([]byte{opPeerGet, 0, 0, 0, 0, 0, 0, 0, 9})
+	f.Add([]byte{6, 0, 0, 0, 0, 0, 0, 0, 9}) // the retired opPeerGet: refused
 	f.Add([]byte{0xFF, 0x01, 0x02})
 	f.Add(encodeGetBatchRequest([]dataset.SampleID{0, 1, 2}))
 	// Batched peer reads: well-formed, truncated id list, and an absurd

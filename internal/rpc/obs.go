@@ -25,7 +25,7 @@ package rpc
 //	             Arg 0 = client GetBatch / peer read, Arg 1 = directory call.
 //	KindRPCRecv  at the receiver's hop, Dur = serve time (for the batch
 //	             reads: ids decoded → response written).
-//	             Arg = batch size (GetBatch, PeerGetBatch), 1 (peer get).
+//	             Arg = batch size (GetBatch, PeerGetBatch).
 //	KindBackend  at the fetching node's hop, Dur = storage service time.
 
 import (
@@ -63,13 +63,9 @@ const (
 	// it overlap, so per request Σ backend_fetch may exceed it — this stage,
 	// not that sum, is what adds up to the request.
 	StageMissGather = "miss_gather"
-	// StagePeerRPC is a remote peer-cache read, measured at the sender.
-	StagePeerRPC = "peer_rpc"
 	// StagePeerRPCBatch is one scatter-gather opPeerGetBatch round trip
 	// (many samples per RPC), measured at the sender.
 	StagePeerRPCBatch = "peer_rpc_batch"
-	// StageDirLookup is a directory ownership lookup, measured at the sender.
-	StageDirLookup = "dir_lookup"
 	// StageDirLookupBatch is one multi-lookup directory round trip
 	// (LookupBatch), measured at the sender.
 	StageDirLookupBatch = "dir_lookup_batch"
@@ -90,6 +86,12 @@ const (
 	StageDeadlineRemaining = "deadline_remaining"
 )
 
+// Stages of the retired per-sample peer read: unrecorded, kept because benchmark/metrics.go names them.
+const (
+	StagePeerRPC   = "peer_rpc"
+	StageDirLookup = "dir_lookup"
+)
+
 // Span Arg values for KindRPCSend.
 const (
 	spanArgPeer = 0 // client GetBatch / peer read
@@ -103,11 +105,10 @@ const (
 type serverObs struct {
 	reg *obs.Registry
 
-	request, policyLock, localHit, sfWait   *obs.Histogram
-	backend, peerRPC, dirLookup, prefetchWt *obs.Histogram
-	peerBatch, dirBatch, missGather         *obs.Histogram
-	slotWait                                *obs.Histogram
-	deadlineRem                             *obs.Histogram
+	request, policyLock, localHit, sfWait *obs.Histogram
+	backend, slotWait, prefetchWt         *obs.Histogram
+	peerBatch, dirBatch, missGather       *obs.Histogram
+	deadlineRem                           *obs.Histogram
 
 	tracer *trace.Recorder
 
@@ -139,9 +140,7 @@ func (s *Server) EnableObs(reg *obs.Registry, tracer *trace.Recorder) {
 	s.obs.backend = reg.Hist(StageBackendFetch)
 	s.obs.slotWait = reg.Hist(StageBackendSlotWait)
 	s.obs.missGather = reg.Hist(StageMissGather)
-	s.obs.peerRPC = reg.Hist(StagePeerRPC)
 	s.obs.peerBatch = reg.Hist(StagePeerRPCBatch)
-	s.obs.dirLookup = reg.Hist(StageDirLookup)
 	s.obs.dirBatch = reg.Hist(StageDirLookupBatch)
 	s.obs.prefetchWt = reg.Hist(StagePrefetchQueueWait)
 	s.t.AdmissionWait = reg.Hist(StageAdmissionWait)

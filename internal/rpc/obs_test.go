@@ -186,7 +186,7 @@ func TestPrometheusExposition(t *testing.T) {
 	// these must expose buckets, sum/count, and quantile companions.
 	stages := []string{
 		StageRequest, StagePolicyLockHold, StageLocalHit, StageSingleflightWait,
-		StageBackendFetch, StagePeerRPC, StageDirLookup, StagePrefetchQueueWait,
+		StageBackendFetch, StagePeerRPCBatch, StageDirLookupBatch, StagePrefetchQueueWait,
 		StageSubstitutionScan,
 	}
 	for _, st := range stages {
@@ -494,10 +494,6 @@ type lateDir struct {
 	dkv.Service
 	ctx   dkv.CtxService
 	first chan error
-}
-
-func (d *lateDir) LookupCtx(id dataset.SampleID, ctx obs.TraceCtx, dl time.Time) (dkv.NodeID, bool, error) {
-	return d.ctx.LookupCtx(id, ctx, dl)
 }
 
 func (d *lateDir) LookupBatchCtx(ids []dataset.SampleID, ctx obs.TraceCtx, dl time.Time) ([]dkv.Owner, error) {

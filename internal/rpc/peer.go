@@ -20,8 +20,8 @@ import (
 
 // This file adds the distributed deployment of §III-E to the network
 // server: nodes share a dkv directory service (which sample lives where)
-// and answer PeerGet requests for samples they cache, so a miss on one node
-// can be served from another node's DRAM instead of the backend.
+// and answer opPeerGetBatch requests for samples they cache, so a miss on one
+// node can be served from another node's DRAM instead of the backend.
 //
 // Every remote dependency here is treated as unreliable: directory and peer
 // failures are counted, the failing peer connection is discarded (the next
@@ -30,36 +30,30 @@ import (
 //
 // # Locking contract
 //
-// Everything in this file runs OUTSIDE the server's policy lock. The old
-// single-mutex server had resolveRemote/claimOwnership "called with s.mu
-// held", dropping and reacquiring it around the network call — a contract
-// the sharded serving path makes obsolete and forbids:
+// Everything in this file runs OUTSIDE the server's policy lock:
 //
-//   - resolveRemote and claimOwnership perform directory and peer I/O and
-//     must be called with NO server lock held (the miss path calls them
-//     from inside a singleflight execution, which holds only the flight's
-//     own per-key slot).
+//   - scatterToPeers (the miss path's one peer step, reached only through
+//     resolveMissBatch) and claimOwnership perform directory and peer I/O and
+//     must be called with NO server lock held; their callers hold only the
+//     singleflight keys they lead.
 //   - distState.mu guards only the peer-connection cache. It is a leaf
 //     lock held across nothing but map access and Dial; it never nests
 //     with policyMu or payload-store shard locks.
-//   - handlePeerGet touches only the payload store (shard-locked reads)
-//     and atomics — peer reads never take policyMu and never mutate this
-//     node's cache policy state, so a peer storm cannot stall local
-//     serving decisions.
+//   - Serving a peer's opPeerGetBatch (serve_vec.go) touches only the payload
+//     store (shard-locked reads) and atomics — peer reads never take policyMu
+//     and never mutate this node's cache policy state, so a peer storm cannot
+//     stall local serving decisions.
+//   - peerFetchBatch takes policyMu once per answered chunk, after the RPC,
+//     to drop local duplicates of samples a peer owns.
 //   - releaseOwnership may be called under policyMu (the eviction
 //     observer fires it); the directory write is pushed to a goroutine so
 //     no network I/O ever happens under the lock.
-
-// opPeerGet fetches a resident sample's payload from a peer cache node.
-const opPeerGet = 6
 
 // PeerConfig tunes the batched remote data plane (the -peer-batch and
 // -peer-inflight flags). SetPeerConfig installs it before Serve.
 type PeerConfig struct {
 	// Batch caps how many of a mini-batch's remote misses ride one
-	// opPeerGetBatch RPC. 0 disables batching entirely: every miss asks the
-	// directory and its owner per sample (resolveRemote) from the backend
-	// gather (the "before" mode of the bench-peer comparison).
+	// opPeerGetBatch RPC to one owner (<= 0 selects 256).
 	Batch int
 	// Inflight bounds in-flight frames per multiplexed peer connection
 	// (<= 0 selects the client default).
@@ -77,20 +71,14 @@ type PeerConfig struct {
 	BreakerCooldown time.Duration
 }
 
-// defaultPeerConfig is what EnableDistributed installs until SetPeerConfig
-// overrides it.
-func defaultPeerConfig() PeerConfig {
-	return PeerConfig{Batch: 256, Inflight: transport.DefaultMuxInflight, RPCTimeout: defaultPeerRPCTimeout}
-}
-
 // defaultPeerRPCTimeout is the per-call bound on peer RPCs: long enough for
 // a loaded peer to answer a full batch, short enough that a black-holed
 // replica costs one bounded stall, not a TCP timeout.
 const defaultPeerRPCTimeout = time.Second
 
 func (c PeerConfig) withDefaults() PeerConfig {
-	if c.Batch < 0 {
-		c.Batch = 0
+	if c.Batch <= 0 {
+		c.Batch = 256 // above any mini-batch clients send: one RPC per owner
 	}
 	if c.Inflight <= 0 {
 		c.Inflight = transport.DefaultMuxInflight
@@ -169,7 +157,7 @@ func (s *Server) EnableDistributed(nodeID dkv.NodeID, dir dkv.Service, peerAddrs
 		dir:       dir,
 		dirCtx:    dirCtx,
 		peerAddrs: peerAddrs,
-		peerCfg:   defaultPeerConfig(),
+		peerCfg:   PeerConfig{}.withDefaults(),
 		peers:     make(map[dkv.NodeID]*Client),
 		breakers:  make(map[dkv.NodeID]*overload.Breaker),
 		journal:   s.journal,
@@ -302,70 +290,14 @@ func (d *distState) closePeers() {
 	}
 }
 
-// PeerGet asks a cache node for a resident sample's payload. The second
-// return reports whether the node had it; a miss is not an error (the
-// caller falls back to the backend).
-func (c *Client) PeerGet(id dataset.SampleID) ([]byte, bool, error) {
-	return c.PeerGetDeadline(id, obs.TraceCtx{}, time.Time{})
-}
-
-// PeerGetDeadline is PeerGet carrying a trace context addressed to the peer
-// (the caller passes its own context's Next(); zero = untraced) and bounded
-// by the originating request's deadline: the remaining budget rides a
-// deadline envelope so the peer can drop the read server-side once it is
-// unservable, and the local wait is cut off at the same instant. A zero
-// deadline falls back to the client's configured RPCTimeout.
-func (c *Client) PeerGetDeadline(id dataset.SampleID, ctx obs.TraceCtx, dl time.Time) ([]byte, bool, error) {
-	var e wire.Buffer
-	transport.AppendEnvelopes(&e, ctx, dl)
-	e.U8(opPeerGet)
-	e.I64(int64(id))
-	// The pooled response buffer is intentionally dropped, not recycled:
-	// the payload is handed out by reference with an unbounded lifetime.
-	d, _, err := c.call(e.B, dl)
-	if err != nil {
-		return nil, false, err
-	}
-	if d.U8() == 0 {
-		return nil, false, d.Err
-	}
-	payload := d.BytesField()
-	return payload, true, d.Err
-}
-
-// handlePeerGet serves opPeerGet: payload-store lookup only — peer reads
-// must not mutate this node's cache policy state, and they never take
-// policyMu (shard read lock only). Traced peer reads record a KindRPCRecv
-// span at this node's hop.
-func (s *Server) handlePeerGet(d *wire.Reader, e *wire.Buffer, ctx obs.TraceCtx) error {
-	var t0 time.Time
-	if s.obs.tracing(ctx) {
-		t0 = time.Now()
-	}
-	id := dataset.SampleID(d.I64())
-	if err := d.Err; err != nil {
-		return err
-	}
-	payload, ok := s.payloads.get(id)
-	if ok && s.dist != nil {
-		atomic.AddInt64(&s.dist.peerServes, 1)
-	}
-	if !ok {
-		e.U8(0)
-	} else {
-		e.U8(1)
-		e.Bytes(payload)
-	}
-	if !t0.IsZero() {
-		s.span(trace.KindRPCRecv, id, 1, ctx, time.Since(t0))
-	}
-	return nil
-}
-
 // PeerGetBatchDeadline asks a peer cache node for many resident samples in
-// one round trip, carrying ctx and bounded by dl like PeerGetDeadline. The
-// result is aligned with ids: out[i] is the payload when the peer had
-// ids[i], nil when it did not (a peer miss is not an error).
+// one round trip. ctx is a trace context addressed to the peer (the caller
+// passes its own context's Next(); zero = untraced). dl is the originating
+// request's deadline: the remaining budget rides a deadline envelope so the
+// peer can drop the read server-side once it is unservable, and the local wait
+// is cut off at the same instant; zero falls back to the client's configured
+// RPCTimeout. The result is aligned with ids: out[i] is the payload when the
+// peer had ids[i], nil when it did not (a peer miss is not an error).
 func (c *Client) PeerGetBatchDeadline(ids []dataset.SampleID, ctx obs.TraceCtx, dl time.Time) ([][]byte, error) {
 	if len(ids) == 0 {
 		return nil, nil
@@ -383,8 +315,8 @@ func (c *Client) PeerGetBatchDeadline(ids []dataset.SampleID, ctx obs.TraceCtx, 
 	return decodePeerGetBatchResponse(d, len(ids))
 }
 
-// scatterToPeers is the scatter half of the batched miss path: one directory
-// multi-lookup for keys (singleflight keys the request leads), then one
+// scatterToPeers is the scatter half of the miss path: one directory
+// multi-lookup for keys (singleflight keys the caller leads), then one
 // batched peer RPC per owning node. Keys a peer satisfied are finished here;
 // the rest — unowned, owned by this node, peer misses, peer or directory
 // failures — are returned for the backend gather, so every key is finished
@@ -406,8 +338,7 @@ func (s *Server) scatterToPeers(keys []missKey, ctx obs.TraceCtx, dl time.Time) 
 	}
 
 	// One directory round trip answers ownership for the whole batch. A
-	// directory failure degrades every id to a backend read (counted), the
-	// same way a failed per-sample Lookup does.
+	// directory failure degrades every id to a backend read (counted).
 	dist := s.dist
 	owners := s.dirLookupBatch(dist, keyIDs(keys), ctx, dl)
 
@@ -461,10 +392,9 @@ func keyIDs(keys []missKey) []dataset.SampleID {
 
 // peerFetchBatch issues one opPeerGetBatch RPC to node for keys, finishing
 // the singleflight key of every sample the peer returned (after dropping
-// any local duplicate copies under one policyMu hold — the no-duplication
-// hygiene of the per-sample path, amortized). It returns the keys the peer
-// did NOT satisfy; any transport failure degrades the whole chunk to the
-// backend, exactly like a failed per-sample PeerGet.
+// any local duplicate copies under one policyMu hold: a sample owned
+// elsewhere is never kept here). It returns the keys the peer did NOT satisfy;
+// any transport failure degrades the whole chunk to the backend.
 func (s *Server) peerFetchBatch(node dkv.NodeID, keys []missKey, ctx obs.TraceCtx, dl time.Time) []missKey {
 	dist := s.dist
 	// An already-spent budget skips the peer RPC outright — the backend
@@ -567,77 +497,6 @@ func (s *Server) PeerBatchStats() (rpcs, samples int64) {
 		return 0, 0
 	}
 	return atomic.LoadInt64(&s.dist.peerBatchRPCs), atomic.LoadInt64(&s.dist.peerBatchSamples)
-}
-
-// resolveRemote tries to serve a payload from the owning peer's cache.
-// Any failure along the way — directory unreachable, peer dial failure,
-// peer read failure — is counted and degrades to (nil, false), which sends
-// the caller to the backend. Must be called with no server lock held (see
-// the locking contract at the top of this file). ctx traces the directory
-// lookup and peer read as KindRPCSend spans at this node's hop; both are
-// also timed into the dir_lookup / peer_rpc stage histograms — including
-// failed attempts, since slow failures are exactly what an operator hunts.
-func (s *Server) resolveRemote(id dataset.SampleID, ctx obs.TraceCtx, dl time.Time) ([]byte, bool) {
-	dist := s.dist
-	if dist == nil {
-		return nil, false
-	}
-	if !dl.IsZero() && !time.Now().Before(dl) {
-		return nil, false // budget spent: straight to the backend
-	}
-	measure := s.obs.histsOn() || s.obs.tracing(ctx)
-
-	var t0 time.Time
-	if measure {
-		t0 = time.Now()
-	}
-	var owner dkv.NodeID
-	var found bool
-	var err error
-	if dist.dirCtx != nil {
-		owner, found, err = dist.dirCtx.LookupCtx(id, ctx.Next(), dl)
-	} else {
-		owner, found, err = dist.dir.Lookup(id)
-	}
-	if measure {
-		dur := time.Since(t0)
-		s.obs.dirLookup.Record(dur)
-		s.span(trace.KindRPCSend, id, spanArgDir, ctx, dur)
-	}
-	if err != nil {
-		atomic.AddInt64(&dist.dirFailures, 1)
-		return nil, false
-	}
-	if !found || owner == dist.nodeID {
-		return nil, false
-	}
-	peer, err := dist.peer(owner)
-	if err != nil {
-		atomic.AddInt64(&dist.peerFailures, 1)
-		return nil, false
-	}
-	var t1 time.Time
-	if measure {
-		t1 = time.Now()
-	}
-	payload, ok, err := peer.PeerGetDeadline(id, ctx.Next(), dl)
-	if measure {
-		dur := time.Since(t1)
-		s.obs.peerRPC.Record(dur)
-		s.span(trace.KindRPCSend, id, spanArgPeer, ctx, dur)
-	}
-	if err != nil {
-		atomic.AddInt64(&dist.peerFailures, 1)
-		if isConnFailure(err) {
-			dist.dropPeer(owner, peer)
-		}
-		return nil, false
-	}
-	if !ok {
-		return nil, false
-	}
-	atomic.AddInt64(&dist.peerHits, 1)
-	return payload, true
 }
 
 // claimOwnership registers this node in the directory for a sample it just

@@ -8,6 +8,7 @@ import (
 	"icache/internal/dataset"
 	"icache/internal/dkv"
 	"icache/internal/icache"
+	"icache/internal/obs"
 	"icache/internal/sampling"
 	"icache/internal/storage"
 )
@@ -133,6 +134,14 @@ func TestPeerServedWithoutBackendRead(t *testing.T) {
 	if _, hits := f.nodes[1].PeerStats(); hits == 0 {
 		t.Fatal("node B recorded no peer hits")
 	}
+	// Peer bytes are forwarded, never kept: the reader's store holds none of
+	// the ids its peer owns.
+	for _, id := range ids {
+		if f.nodes[1].payloads.has(id) {
+			t.Fatalf("node B stored peer-served sample %d", id)
+		}
+	}
+	requireStoreWithinResidents(t, f.nodes[1])
 }
 
 func TestNoDuplicatePayloadsAcrossNodes(t *testing.T) {
@@ -173,11 +182,11 @@ func TestNoDuplicatePayloadsAcrossNodes(t *testing.T) {
 func TestPeerGetMissIsNotAnError(t *testing.T) {
 	f := startDistFixture(t)
 	c := dial(t, f.addrs[0])
-	payload, found, err := c.PeerGet(1999)
+	res, err := c.PeerGetBatchDeadline([]dataset.SampleID{1999}, obs.TraceCtx{}, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if found || payload != nil {
+	if len(res) != 1 || res[0] != nil {
 		t.Fatal("uncached sample reported found")
 	}
 }

@@ -32,40 +32,20 @@ import (
 //     local queue, and on the NEXT epoch's residency sweep the plan
 //     re-routes around the dead node — the directory shows its entries
 //     gone.
-//  3. Drain in first-access order under a measured storage-bandwidth
-//     budget: a token bucket calibrated from the server's own observed
-//     backend fetch throughput (or pinned by -prefetch-bandwidth) meters
-//     bytes, so planned reads never saturate the path demand fetches need.
-//     The drain pauses while the overload gate has the prefetch pool in
-//     Brownout, and every entry resolves through the prefetch pool's
-//     pending-token ledger — in_time+late+wasted+dropped == issued stays
-//     exact with the planner on.
+//  3. Drain in first-access order into the prefetch pool, whose bounded
+//     queue blocks the drain once every worker is busy: planned reads are
+//     bounded the way every other read is — at most PrefetchWorkers of them
+//     wait for or hold one of the backendReadBudget slots, in arrival order
+//     with the demand reads — and have no pacing of their own (DESIGN.md,
+//     "Bounded drain"). The drain pauses while the overload gate has the
+//     prefetch pool in Brownout, and every entry resolves through the
+//     prefetch pool's pending-token ledger — in_time+late+wasted+dropped ==
+//     issued stays exact with the planner on.
 //
 // Demand fetches that overtake a queued plan entry promote it: the
 // foreground read becomes the one backend fetch (singleflight already
 // coalesces in-flight ones; prefetcher.noteDemand cancels queued-unstarted
 // ones), so the backend never pays twice for one miss.
-
-// PlanConfig parameterizes the clairvoyant planner.
-type PlanConfig struct {
-	// BandwidthBytesPerSec caps the planned drain rate. 0 means auto:
-	// BandwidthFraction of the throughput observed on the server's own
-	// backend fetches, re-measured continuously (conservative before any
-	// fetch has been observed).
-	BandwidthBytesPerSec float64
-	// BandwidthFraction is the share of measured backend throughput the
-	// auto budget grants the planner (default 0.5 — demand fetches keep
-	// the other half).
-	BandwidthFraction float64
-}
-
-// Planner auto-budget bounds: what the token bucket assumes before any
-// backend fetch has been measured, and the floor under pathological
-// measurements so the drain never stalls outright.
-const (
-	planDefaultBps = 64 << 20 // 64 MiB/s pre-calibration
-	planFloorBps   = 1 << 20  // 1 MiB/s floor
-)
 
 // planPreplaceChunk is how many ids one opPlanPreplace request carries.
 const planPreplaceChunk = 2048
@@ -74,8 +54,7 @@ const planPreplaceChunk = 2048
 const planLookupChunk = 8192
 
 type planner struct {
-	s   *Server
-	cfg PlanConfig
+	s *Server
 
 	// mu guards the plan state below. Never held across I/O: the drain
 	// goroutine takes raw/queue items out under mu and works outside it.
@@ -98,15 +77,6 @@ type planner struct {
 	preplaceSent    int64
 	preplaceRecv    int64
 	reroutes        int64
-	throttleWaits   int64
-
-	// budgetGauge mirrors the last budget the drain computed (atomic,
-	// bytes/sec) for the Prometheus gauge.
-	budgetGauge int64
-
-	// Token-bucket state, touched only by the drain goroutine.
-	tokens     float64
-	lastRefill time.Time
 
 	kick     chan struct{}
 	stopCh   chan struct{}
@@ -118,19 +88,15 @@ type planner struct {
 // Serve. The planner drains through the prefetch worker pool, so it
 // requires PrefetchWorkers > 0 on the policy config; with the pool
 // disabled the call logs and leaves the server reactive.
-func (s *Server) SetClairvoyant(cfg PlanConfig) {
+func (s *Server) SetClairvoyant() {
 	if s.prefetch == nil {
 		if s.Logf != nil {
 			s.Logf("rpc: clairvoyant planning requires prefetch workers (PrefetchWorkers > 0); staying reactive")
 		}
 		return
 	}
-	if cfg.BandwidthFraction <= 0 || cfg.BandwidthFraction > 1 {
-		cfg.BandwidthFraction = 0.5
-	}
 	p := &planner{
 		s:      s,
-		cfg:    cfg,
 		kick:   make(chan struct{}, 1),
 		stopCh: make(chan struct{}),
 	}
@@ -201,7 +167,7 @@ func (p *planner) acceptRemote(ids []dataset.SampleID) int {
 
 // run is the drain goroutine: it builds freshly installed plans (residency
 // diff + ownership routing, all outside planner locks) and drains the
-// local queue in first-access order under the bandwidth budget.
+// local queue in first-access order.
 func (p *planner) run() {
 	defer p.wg.Done()
 	for {
@@ -358,8 +324,9 @@ func (p *planner) preplace(route map[dkv.NodeID][]dataset.SampleID, local []data
 	return local
 }
 
-// drainOne paces one plan entry through the bandwidth budget and hands it
-// to the prefetch pool. Returns false only when the planner is stopping.
+// drainOne hands one plan entry to the prefetch pool, waiting while the pool
+// is paused or its queue is full. Returns false only when the planner is
+// stopping.
 func (p *planner) drainOne(id dataset.SampleID, gen uint64) bool {
 	// Brownout: the overload gate paused the prefetch pool, so planned
 	// backend reads must stop competing with overloaded serving. Wait it
@@ -379,12 +346,6 @@ func (p *planner) drainOne(id dataset.SampleID, gen uint64) bool {
 	}
 	if p.s.payloads.has(id) {
 		p.complete(gen)
-		return true
-	}
-	if !p.awaitTokens(float64(p.s.source.Spec().SampleBytes(id))) {
-		return false
-	}
-	if p.stale(gen) {
 		return true
 	}
 	if !p.s.prefetch.enqueuePlanned(id, p.stopCh) {
@@ -420,75 +381,6 @@ func (p *planner) complete(gen uint64) {
 	}
 	p.mu.Unlock()
 	atomic.AddInt64(&p.completedTotal, 1)
-}
-
-// budgetBps resolves the current drain budget in bytes/sec: the configured
-// override, or BandwidthFraction of the measured backend fetch throughput.
-// The measurement sums per-fetch service times, so under concurrent
-// fetches it UNDERestimates the path's real capacity — conservative in
-// exactly the right direction for background work.
-func (p *planner) budgetBps() float64 {
-	bps := p.cfg.BandwidthBytesPerSec
-	if bps <= 0 {
-		bytes := atomic.LoadInt64(&p.s.backendFetchBytes)
-		nanos := atomic.LoadInt64(&p.s.backendFetchNanos)
-		if nanos <= 0 {
-			bps = planDefaultBps
-		} else {
-			bps = float64(bytes) / float64(nanos) * float64(time.Second) * p.cfg.BandwidthFraction
-		}
-		if bps < planFloorBps {
-			bps = planFloorBps
-		}
-	}
-	atomic.StoreInt64(&p.budgetGauge, int64(bps))
-	return bps
-}
-
-// awaitTokens blocks until the token bucket holds n bytes of budget,
-// refilling at the current budget rate. Returns false when stopping.
-func (p *planner) awaitTokens(n float64) bool {
-	for {
-		bps := p.budgetBps()
-		now := time.Now()
-		if !p.lastRefill.IsZero() {
-			p.tokens += bps * now.Sub(p.lastRefill).Seconds()
-		}
-		p.lastRefill = now
-		burst := bps / 4
-		if burst < n {
-			burst = n
-		}
-		if p.tokens > burst {
-			p.tokens = burst
-		}
-		if p.tokens >= n {
-			p.tokens -= n
-			return true
-		}
-		wait := time.Duration((n - p.tokens) / bps * float64(time.Second))
-		if wait < time.Millisecond {
-			wait = time.Millisecond
-		}
-		if wait > 100*time.Millisecond {
-			wait = 100 * time.Millisecond
-		}
-		atomic.AddInt64(&p.throttleWaits, 1)
-		select {
-		case <-p.stopCh:
-			return false
-		case <-time.After(wait):
-		}
-	}
-}
-
-// observeBackend feeds one backend fetch into the throughput measurement.
-func (s *Server) observeBackend(bytes int, dur time.Duration) {
-	if dur <= 0 {
-		dur = 1
-	}
-	atomic.AddInt64(&s.backendFetchBytes, int64(bytes))
-	atomic.AddInt64(&s.backendFetchNanos, int64(dur))
 }
 
 // stop terminates the drain goroutine. Queued plan entries are abandoned
@@ -534,19 +426,17 @@ func (d *distState) peerNodeIDs() []dkv.NodeID {
 // PlanStats is the planner's introspection snapshot (zero when the planner
 // is disabled).
 type PlanStats struct {
-	Epoch             int64
-	Planned           int64 // entries admitted to the current epoch's plan
-	Completed         int64 // current-epoch entries drained (handed to the pool or already resident)
-	Remaining         int64 // Planned - Completed
-	EntriesTotal      int64
-	CompletedTotal    int64
-	SkippedResident   int64 // plan entries whose bytes were already local
-	SkippedCluster    int64 // plan entries a live peer already owned
-	PreplaceSent      int64 // entries accepted by future owners
-	PreplaceRecv      int64 // entries accepted FROM peers into our plan
-	Reroutes          int64 // entries re-routed locally after a failed pre-place
-	ThrottleWaits     int64 // bandwidth-budget waits
-	BudgetBytesPerSec int64 // last computed drain budget
+	Epoch           int64
+	Planned         int64 // entries admitted to the current epoch's plan
+	Completed       int64 // current-epoch entries drained (handed to the pool or already resident)
+	Remaining       int64 // Planned - Completed
+	EntriesTotal    int64
+	CompletedTotal  int64
+	SkippedResident int64 // plan entries whose bytes were already local
+	SkippedCluster  int64 // plan entries a live peer already owned
+	PreplaceSent    int64 // entries accepted by future owners
+	PreplaceRecv    int64 // entries accepted FROM peers into our plan
+	Reroutes        int64 // entries re-routed locally after a failed pre-place
 }
 
 // PlanStats reports the planner's progress and counters.
@@ -561,18 +451,16 @@ func (s *Server) PlanStats() PlanStats {
 	planned := atomic.LoadInt64(&p.planned)
 	completed := atomic.LoadInt64(&p.completed)
 	return PlanStats{
-		Epoch:             epoch,
-		Planned:           planned,
-		Completed:         completed,
-		Remaining:         planned - completed,
-		EntriesTotal:      atomic.LoadInt64(&p.entriesTotal),
-		CompletedTotal:    atomic.LoadInt64(&p.completedTotal),
-		SkippedResident:   atomic.LoadInt64(&p.skippedResident),
-		SkippedCluster:    atomic.LoadInt64(&p.skippedCluster),
-		PreplaceSent:      atomic.LoadInt64(&p.preplaceSent),
-		PreplaceRecv:      atomic.LoadInt64(&p.preplaceRecv),
-		Reroutes:          atomic.LoadInt64(&p.reroutes),
-		ThrottleWaits:     atomic.LoadInt64(&p.throttleWaits),
-		BudgetBytesPerSec: atomic.LoadInt64(&p.budgetGauge),
+		Epoch:           epoch,
+		Planned:         planned,
+		Completed:       completed,
+		Remaining:       planned - completed,
+		EntriesTotal:    atomic.LoadInt64(&p.entriesTotal),
+		CompletedTotal:  atomic.LoadInt64(&p.completedTotal),
+		SkippedResident: atomic.LoadInt64(&p.skippedResident),
+		SkippedCluster:  atomic.LoadInt64(&p.skippedCluster),
+		PreplaceSent:    atomic.LoadInt64(&p.preplaceSent),
+		PreplaceRecv:    atomic.LoadInt64(&p.preplaceRecv),
+		Reroutes:        atomic.LoadInt64(&p.reroutes),
 	}
 }

@@ -25,7 +25,7 @@ import (
 // clairvoyant planner is the only prefetch source: all-H policy (L-cache
 // off, so the reactive loader never enqueues), the given worker count, and
 // the planner installed before Serve.
-func startPlanTestServer(t *testing.T, src ByteSource, workers int, cfg PlanConfig) (*Server, string) {
+func startPlanTestServer(t *testing.T, src ByteSource, workers int) (*Server, string) {
 	t.Helper()
 	spec := testSpec()
 	back, err := storage.NewBackend(spec, storage.OrangeFS())
@@ -50,7 +50,7 @@ func startPlanTestServer(t *testing.T, src ByteSource, workers int, cfg PlanConf
 	}
 	srv := NewServer(cacheSrv, src)
 	srv.Logf = nil
-	srv.SetClairvoyant(cfg)
+	srv.SetClairvoyant()
 	if srv.plan == nil {
 		t.Fatal("SetClairvoyant did not install a planner")
 	}
@@ -137,7 +137,7 @@ func TestPlanPromotionNoDoubleFetch(t *testing.T) {
 	}
 	// One worker: while it is held inside plug's fetch, target's planned
 	// entry must sit queued and unstarted.
-	srv, addr := startPlanTestServer(t, g, 1, PlanConfig{})
+	srv, addr := startPlanTestServer(t, g, 1)
 	var relOnce sync.Once
 	release := func() { relOnce.Do(func() { close(g.release) }) }
 	t.Cleanup(release) // never leave the worker blocked on a failed test
@@ -221,7 +221,7 @@ func TestPlanPromotionNoDoubleFetch(t *testing.T) {
 // exactly balanced at every boundary it crosses.
 func TestPlanConservationAcrossEpochs(t *testing.T) {
 	defer leakcheck.Check(t)
-	srv, addr := startPlanTestServer(t, nil, -1, PlanConfig{BandwidthBytesPerSec: 256 << 20})
+	srv, addr := startPlanTestServer(t, nil, -1)
 	cl := dial(t, addr)
 	spec := testSpec()
 
@@ -334,7 +334,7 @@ func TestChaosPlanOwnerKill(t *testing.T) {
 	for _, seed := range []int64{1, 42, 1337} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			f := startDistFixtureHook(t, func(n int, srv *Server) {
-				srv.SetClairvoyant(PlanConfig{BandwidthBytesPerSec: 256 << 20})
+				srv.SetClairvoyant()
 			})
 			spec := testSpec()
 			rng := rand.New(rand.NewSource(seed))

@@ -9,25 +9,6 @@ import (
 	"icache/internal/obs"
 )
 
-// prefetcher is the bounded asynchronous prefetch worker pool of the
-// serving path. The policy engine's background loader decides *which*
-// L-samples enter the cache and *when* (virtual-time package arrivals,
-// §III-C); the prefetcher turns each delivery into real bytes: workers pull
-// delivered sample IDs off a bounded queue and fill the payload store
-// through the same coalesced miss path foreground requests use, so the
-// first client request for a freshly loaded L-sample is served from DRAM
-// instead of paying a backend read inline.
-//
-// The pool size is icache.Config.PrefetchWorkers — the paper's Fig. 15
-// prefetch-worker knob (-prefetch-workers on cmd/icache-server).
-//
-// Concurrency: enqueue is called under policyMu (the loader delivers
-// during FetchBatch/StartEpoch), so it must never block — when the queue
-// is full the ID is dropped and counted; the sample is then fetched lazily
-// on first request, exactly as if prefetching were disabled. Workers run
-// with no locks held and share the server's singleflight group, so a
-// prefetch and a foreground miss for the same sample coalesce into one
-// backend read.
 // prefetchItem is one queued delivery: the sample plus its enqueue instant
 // (zero unless stage histograms are enabled), so the worker can record the
 // prefetch_queue_wait stage without any clock reads on the disabled path.
@@ -41,6 +22,27 @@ type prefetchItem struct {
 	planned bool
 }
 
+// prefetcher is the bounded asynchronous prefetch worker pool of the
+// serving path. The policy engine's background loader decides *which*
+// L-samples enter the cache and *when* (virtual-time package arrivals,
+// §III-C); the prefetcher turns each delivery into real bytes: workers pull
+// delivered sample IDs off a bounded queue and fill the payload store
+// through the same coalesced miss path foreground requests use, so the
+// first client request for a freshly loaded L-sample is served from DRAM
+// instead of paying a backend read inline.
+//
+// The pool size is icache.Config.PrefetchWorkers — the paper's Fig. 15
+// prefetch-worker knob (-prefetch-workers on cmd/icache-server). It is also
+// the bound on background reads: each worker has at most one read waiting
+// for or holding one of the backendReadBudget slots.
+//
+// Concurrency: enqueue is called under policyMu (the loader delivers
+// during FetchBatch/StartEpoch), so it must never block — when the queue
+// is full the ID is dropped and counted; the sample is then fetched lazily
+// on first request, exactly as if prefetching were disabled. Workers run
+// with no locks held and share the server's singleflight group, so a
+// prefetch and a foreground miss for the same sample coalesce into one
+// backend read.
 type prefetcher struct {
 	s       *Server
 	q       chan prefetchItem
@@ -144,8 +146,8 @@ func (p *prefetcher) enqueue(id dataset.SampleID) {
 
 // enqueuePlanned offers a clairvoyant plan entry to the pool. Unlike
 // enqueue it runs on the planner's drain goroutine with no locks held, so
-// when the queue is full it WAITS instead of dropping — the planner paces
-// itself under the bandwidth budget, and dropping paced entries would punch
+// when the queue is full it WAITS instead of dropping — the full queue is
+// what paces the planner to the workers, and dropping entries would punch
 // holes in the plan. An ID already holding a pending token is deduped
 // silently (the in-flight prefetch or demand fetch covers it). Returns
 // false only when the pool or the caller is stopping.
@@ -333,9 +335,8 @@ func (p *prefetcher) worker() {
 				atomic.AddInt64(&p.completed, 1)
 				continue
 			}
-			// Existence probe only. The fetched payload itself is admitted
-			// through resolvePayloadProv → fetchOne → admit → put: the store
-			// takes the fetch buffer as it is, no copy.
+			// Existence probe only: the worker never touches the bytes, the
+			// miss path stores the fetch buffer as it is.
 			if p.s.payloads.has(id) {
 				// The foreground (or an earlier prefetch) beat us to it.
 				if p.pendRemove(id) {
@@ -355,7 +356,7 @@ func (p *prefetcher) worker() {
 				atomic.AddInt64(&p.failed, 1)
 				continue
 			}
-			if _, err := p.s.resolvePayloadProv(id, obs.TraceCtx{}, time.Time{}, provPrefetch); err != nil {
+			if err := p.fetch(id); err != nil {
 				// Best effort: a failed prefetch is not a serving error —
 				// the sample will be fetched (with retries as configured)
 				// when a client actually asks for it.
@@ -370,6 +371,27 @@ func (p *prefetcher) worker() {
 			atomic.AddInt64(&p.completed, 1)
 		}
 	}
+}
+
+// fetch brings id's bytes in through the miss path every request uses: lead
+// the sample's singleflight key and resolve it (peer scatter on a distributed
+// server, then the budgeted backend read), or share the fetch a request is
+// already running.
+func (p *prefetcher) fetch(id dataset.SampleID) error {
+	s := p.s
+	c, leader := s.flight.Begin(int64(id))
+	var tWait time.Time
+	if leader {
+		s.resolveMissBatch([]missKey{{id: id, c: c}}, obs.TraceCtx{}, time.Time{}, provPrefetch)
+	} else {
+		atomic.AddInt64(&s.coalescedMisses, 1)
+		if s.obs.histsOn() {
+			tWait = time.Now()
+		}
+	}
+	_, err := c.Wait()
+	s.obs.sfWait.Since(tWait) // zero unless this turn waited on someone else's fetch
+	return err
 }
 
 // isPaused reports the brownout switch state (the planner's drain consults

@@ -145,7 +145,6 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 	p.Counter("icache_admit_fetch_total", "payload admissions driven by foreground fetches", float64(d.AdmitFetch))
 	p.Counter("icache_admit_prefetch_total", "payload admissions driven by the prefetch pool", float64(d.AdmitPrefetch))
 	p.Counter("icache_admit_rehydrate_total", "payload admissions from checkpoint rehydration", float64(d.AdmitRehydrate))
-	p.Counter("icache_admit_peer_total", "payload admissions of peer-fetched bytes (0 while the no-duplication invariant holds)", float64(d.AdmitPeer))
 	p.Counter("icache_prefetch_issued_total", "prefetch deliveries offered to the pool", float64(d.PrefetchIssued))
 	p.Counter("icache_prefetch_in_time_total", "prefetched payloads that served a request before anything else happened", float64(d.PrefetchInTime))
 	p.Counter("icache_prefetch_late_total", "prefetches the foreground beat to the fetch", float64(d.PrefetchLate))
@@ -175,8 +174,6 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 	p.Counter("icache_plan_preplace_sent_total", "plan entries accepted by their future owner nodes", float64(ps.PreplaceSent))
 	p.Counter("icache_plan_preplace_recv_total", "plan entries accepted from peer planners", float64(ps.PreplaceRecv))
 	p.Counter("icache_plan_reroutes_total", "plan entries re-routed locally after a failed pre-place", float64(ps.Reroutes))
-	p.Counter("icache_plan_throttle_waits_total", "bandwidth-budget waits in the plan drain", float64(ps.ThrottleWaits))
-	p.Gauge("icache_plan_budget_bytes_per_sec", "current planned-drain bandwidth budget", float64(ps.BudgetBytesPerSec))
 	p.Counter("icache_demand_fetches_total", "backend reads issued on the demand path (cold misses)", float64(s.DemandFetches()))
 	p.Gauge("icache_backend_reads_inflight", "backend reads holding a slot of the server-wide read budget", float64(len(s.readSlots)))
 	p.Gauge("icache_backend_read_budget", "most backend reads the server keeps in flight (a constant)", backendReadBudget)

@@ -22,15 +22,16 @@ import (
 	"icache/internal/wire"
 )
 
-// Opcodes. opPeerGet (= 6) lives in peer.go; 5, 7, 9 and 10 are the
-// transport's (ping/handshake and the trace, mux and deadline envelopes).
+// Opcodes. 6 is reserved (the retired per-sample opPeerGet, answered as an
+// unknown opcode); 5, 7, 9 and 10 are the transport's (ping/handshake and the
+// trace, mux and deadline envelopes).
 const (
 	opGetBatch         = 1 // the paper's rpc_loader
 	opUpdateImportance = 2 // the paper's update_ipersample
 	opStats            = 3
 	opBeginEpoch       = 4
 	// opPeerGetBatch fetches many resident samples from a peer cache in ONE
-	// round trip — the scatter-gather replacement for per-sample opPeerGet.
+	// round trip: the one peer read.
 	// Request: u8 opcode | u32 n | n × i64 id. Response: statusOK | u32 n |
 	// n × (u8 found | bytes payload-if-found), aligned with the request.
 	opPeerGetBatch = 8
@@ -46,7 +47,7 @@ const (
 	// opPlanPreplace routes plan entries to their future owner: the sending
 	// planner decided (by rendezvous over the membership) that the receiver
 	// should hold these samples, and the receiver folds them into its own
-	// plan, admitting and fetching them through its own budgeted drain.
+	// plan, admitting and fetching them through its own drain.
 	// Request: u8 opcode | u32 n | n × i64 id. Response: statusOK |
 	// u32 accepted (0 when the receiver has no planner).
 	opPlanPreplace = 12

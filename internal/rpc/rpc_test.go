@@ -226,22 +226,25 @@ func TestMalformedFrameRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// Unknown opcode.
-	if err := wire.WritePayload(conn, []byte{0xFF}); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := wire.ReadFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp[0] != transport.StatusErr {
-		t.Fatalf("unknown opcode answered with status %d", resp[0])
+	// Unknown opcodes, the retired per-sample peer read (6) among them: each
+	// is answered and the connection serves the next frame.
+	for _, req := range [][]byte{{0xFF}, {6, 0, 0, 0, 0, 0, 0, 0, 9}} {
+		if err := wire.WritePayload(conn, req); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := wire.ReadFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp[0] != transport.StatusErr {
+			t.Fatalf("unknown opcode %d answered with status %d", req[0], resp[0])
+		}
 	}
 	// Truncated GetBatch body.
 	if err := wire.WritePayload(conn, []byte{opGetBatch, 0, 0}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err = wire.ReadFrame(conn)
+	resp, err := wire.ReadFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}

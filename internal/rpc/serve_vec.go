@@ -177,9 +177,9 @@ func (s *Server) getBatchPinned(sc *serveScratch, ctx obs.TraceCtx, dl time.Time
 }
 
 // fillPeerPinned serves opPeerGetBatch against the payload store only:
-// per-id reads by reference, never policyMu, never a cache mutation —
-// handlePeerGet's contract, amortized over one frame. Response entries align
-// with the request ids.
+// per-id reads by reference, never policyMu, never a cache mutation (a peer
+// storm cannot stall local serving decisions). Response entries align with
+// the request ids.
 func (s *Server) fillPeerPinned(sc *serveScratch) {
 	sc.out = sc.out[:0]
 	served := 0

@@ -58,9 +58,8 @@ type ByteSource interface {
 // Slow work — backend fetches and remote peer reads — happens outside all
 // locks, coalesced per sample ID through a singleflight group so K
 // concurrent misses on one sample issue exactly one backend read. The
-// distributed helpers in peer.go (resolveRemote, claimOwnership) are
-// called WITHOUT policyMu held; the old "called with s.mu held, drops it
-// across the network" contract is gone.
+// distributed helpers in peer.go (scatterToPeers, claimOwnership) are
+// called WITHOUT policyMu held.
 type Server struct {
 	cache  *icache.Server
 	source ByteSource
@@ -85,17 +84,11 @@ type Server struct {
 	prefetch *prefetcher
 	// plan is the clairvoyant cross-epoch prefetch planner (nil = reactive
 	// only); installed via SetClairvoyant before Serve. The planner drains
-	// through the prefetch worker pool under a bandwidth budget calibrated
-	// from the backendFetch* throughput observations below.
+	// through the prefetch worker pool.
 	plan *planner
-	// backendFetchBytes / backendFetchNanos accumulate observed backend
-	// fetch throughput for the planner's token bucket (atomics; only
-	// maintained while plan != nil). demandFetches counts backend reads
-	// issued on the demand path — the "cold miss" metric the clairvoyant
-	// plan exists to drive to zero (atomic, always maintained).
-	backendFetchBytes int64
-	backendFetchNanos int64
-	demandFetches     int64
+	// demandFetches counts backend reads issued on the demand path — the
+	// "cold miss" metric the clairvoyant plan exists to drive to zero (atomic).
+	demandFetches int64
 
 	// t is the transport this server's handler (serve) is registered on: the
 	// accept loop, the connections, the envelopes and the admission gate are
@@ -323,8 +316,6 @@ func (s *Server) dispatchControl(req []byte, e *wire.Buffer, ctx obs.TraceCtx) e
 		}
 		s.policyMu.Unlock()
 		encodeStatsResponseInto(e, out)
-	case opPeerGet:
-		return s.handlePeerGet(d, e, ctx)
 	default:
 		return fmt.Errorf("rpc: unknown opcode %d", op)
 	}
@@ -418,7 +409,7 @@ func (s *Server) collect(sc *serveScratch, ctx obs.TraceCtx, dl time.Time) error
 		if histsOn {
 			tGather = time.Now()
 		}
-		s.resolveMissBatch(leads, ctx, dl)
+		s.resolveMissBatch(leads, ctx, dl, provFetch)
 		s.obs.missGather.Since(tGather)
 	}
 	for _, k := range leads {
@@ -460,26 +451,27 @@ func (s *Server) collect(sc *serveScratch, ctx obs.TraceCtx, dl time.Time) error
 	return nil
 }
 
-// resolveMissBatch resolves every singleflight key this request leads and
-// GUARANTEES each is finished exactly once on all paths (a leaked leader
-// key would deadlock every waiter). Called with no server lock held; all
-// peer, directory and backend I/O happens outside locks.
-func (s *Server) resolveMissBatch(keys []missKey, ctx obs.TraceCtx, dl time.Time) {
+// resolveMissBatch is the one entry to the miss path: it resolves every
+// singleflight key the caller leads — a request's misses, or the one key of a
+// prefetch worker's turn — and GUARANTEES each is finished exactly once on all
+// paths (a leaked leader key would deadlock every waiter). prov is the
+// admission provenance of what the backend gather stores. Called with no
+// server lock held; all peer, directory and backend I/O happens outside locks.
+func (s *Server) resolveMissBatch(keys []missKey, ctx obs.TraceCtx, dl time.Time, prov admitProv) {
 	// A peer's cache is cheaper than the backend (§III-E flow: local cache →
 	// directory → remote cache → storage); a lone server is simply the case
-	// with no directory step. PeerConfig.Batch == 0 asks per sample instead.
-	askPeers := !s.batchedPeers()
-	if !askPeers {
+	// with no directory step.
+	if s.dist != nil {
 		keys = s.scatterToPeers(keys, ctx, dl)
 	}
 
-	// Gather what no peer satisfied from the backend; a one-miss request
-	// spawns nothing (and allocates nothing for the fan-out).
+	// Gather what no peer satisfied from the backend; a one-miss call spawns
+	// nothing (and allocates nothing for the fan-out).
 	if len(keys) == 1 {
-		s.fetchLed(keys[0], ctx, dl, askPeers)
+		s.fetchLed(keys[0], ctx, prov)
 		return
 	}
-	gather(len(keys), func(i int) { s.fetchLed(keys[i], ctx, dl, askPeers) })
+	gather(len(keys), func(i int) { s.fetchLed(keys[i], ctx, prov) })
 }
 
 // gather runs do(0..n-1) on min(n, 2×backendReadBudget) workers pulling from
@@ -515,64 +507,23 @@ func gather(n int, do func(i int)) {
 	g.wg.Wait()
 }
 
-// fetchLed reads one led key from the backend and finishes it. askPeers is
-// false for keys scatterToPeers has already asked the directory about.
-func (s *Server) fetchLed(k missKey, ctx obs.TraceCtx, dl time.Time, askPeers bool) {
-	p, err := s.fetchOne(k.id, ctx, dl, provFetch, askPeers)
+// fetchLed reads one led key from the backend and finishes it.
+func (s *Server) fetchLed(k missKey, ctx obs.TraceCtx, prov admitProv) {
+	p, err := s.fetchOne(k.id, ctx, prov)
 	s.flight.Finish(int64(k.id), k.c, p, err)
 }
 
-// batchedPeers reports whether demand misses take the scatter-gather peer
-// plane (one directory multi-lookup + one opPeerGetBatch per owning node).
-// PeerConfig.Batch == 0 keeps the per-sample resolveRemote flow instead.
-func (s *Server) batchedPeers() bool { return s.dist != nil && s.dist.peerCfg.Batch > 0 }
-
-// resolvePayloadProv produces the bytes for one sample whose payload is not
-// in the store — the single-key entry to the miss path, used by the prefetch
-// workers and the planner. It coalesces with concurrent request misses on
-// the same sample: one goroutine runs the fetch, the rest wait and share
-// its result. prov is the admission provenance of the caller; when callers
-// with different provenance coalesce onto one flight, the executor's
-// provenance wins — attribution is per fetch, not per waiter.
-func (s *Server) resolvePayloadProv(id dataset.SampleID, ctx obs.TraceCtx, dl time.Time, prov admitProv) ([]byte, error) {
-	var tWait time.Time
-	if s.obs.histsOn() {
-		tWait = time.Now()
-	}
-	payload, err, shared := s.flight.Do(int64(id), func() ([]byte, error) {
-		return s.fetchOne(id, ctx, dl, prov, true)
-	})
-	if shared {
-		atomic.AddInt64(&s.coalescedMisses, 1)
-		// Only shared callers waited on someone else's fetch; the executor's
-		// time is the backend/peer stage itself.
-		s.obs.sfWait.Since(tWait)
-	}
-	return payload, err
-}
-
 // fetchOne is the one backend-read block: it produces the bytes of a sample
-// whose singleflight key the caller leads, without holding any lock, and
-// admits them. ctx is the trace context of the request driving the fetch
-// (zero for untraced requests and prefetch work). askPeers tries the owning
-// peer's cache first, per sample (a no-op on a lone server); the batched
-// collector clears it for keys it has already scattered.
-func (s *Server) fetchOne(id dataset.SampleID, ctx obs.TraceCtx, dl time.Time, prov admitProv, askPeers bool) ([]byte, error) {
+// whose singleflight key the caller leads (and scatterToPeers found no peer
+// copy of), without holding any lock, and admits them. ctx is the trace
+// context of the request driving the fetch (zero for untraced requests and
+// prefetch work). When callers of different provenance coalesce onto one
+// flight the leader's wins — attribution is per fetch, not per waiter.
+func (s *Server) fetchOne(id dataset.SampleID, ctx obs.TraceCtx, prov admitProv) ([]byte, error) {
 	// Re-check under the flight's happens-before edge: a racing fetch may
 	// have filled the store between the caller's miss and its Begin.
 	if p, ok := s.payloads.get(id); ok {
 		return p, nil
-	}
-	if askPeers {
-		if remote, ok := s.resolveRemote(id, ctx, dl); ok {
-			// Owned elsewhere: this node must not keep a duplicate.
-			s.policyMu.Lock()
-			if s.cache.Drop(id) {
-				s.payloads.delete(id)
-			}
-			s.policyMu.Unlock()
-			return remote, nil
-		}
 	}
 	p, err := s.readBackend(id, ctx)
 	if err != nil {
@@ -599,7 +550,7 @@ func (s *Server) readBackend(id dataset.SampleID, ctx obs.TraceCtx) ([]byte, err
 		tWant = time.Now()
 	}
 	s.readSlots <- struct{}{}
-	if measure || s.plan != nil {
+	if measure {
 		tFetch = time.Now()
 	}
 	if histsOn {
@@ -607,15 +558,10 @@ func (s *Server) readBackend(id dataset.SampleID, ctx obs.TraceCtx) ([]byte, err
 	}
 	p, err := s.guardedFetch(id)
 	<-s.readSlots
-	if !tFetch.IsZero() {
+	if measure {
 		dur := time.Since(tFetch)
-		if measure {
-			s.obs.backend.Record(dur)
-			s.span(trace.KindBackend, id, 0, ctx, dur)
-		}
-		if s.plan != nil && err == nil {
-			s.observeBackend(len(p), dur)
-		}
+		s.obs.backend.Record(dur)
+		s.span(trace.KindBackend, id, 0, ctx, dur)
 	}
 	return p, err
 }
