@@ -99,9 +99,11 @@ bench:
 	$(GO) test -bench . -benchmem
 
 # The per-layer testing.B benchmarks of the networked packages: serving path
-# and wire codecs, the two-node peer plane, observability overhead, the
-# virtual-time sharded directory, and the loadgen saturation / overload /
-# clairvoyant runs. Nothing is archived or compared: the benchmarks that gate
+# and wire codecs, the two-node peer plane (BenchmarkRemoteReadPath: one
+# remote-read batch through the frame handler, -benchmem), observability
+# overhead, the virtual-time sharded directory, the loadgen saturation /
+# overload / clairvoyant runs, and BenchmarkShortSleep (what the repository
+# benchmark's 500 us backend sleep costs in an idle and in a busy process). Nothing is archived or compared: the benchmarks that gate
 # anything carry their own b.Fatalf (BenchmarkLoadgenOverload: storm goodput
 # >= 80% of the knee; BenchmarkPrefetchEpochs: see prefetch-smoke), and
 # commit-to-commit comparison is `make benchmark-pairs`.

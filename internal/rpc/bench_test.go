@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -227,6 +228,64 @@ func BenchmarkServeHitPath(b *testing.B) {
 	elapsed := b.Elapsed().Seconds()
 	if elapsed > 0 {
 		b.ReportMetric(float64(b.N*batchSize)/elapsed, "samples/sec")
+	}
+}
+
+// BenchmarkRemoteReadPath is BenchmarkServeHitPath's counterpart for the
+// §III-E path: one 16-id GetBatch through node B's frame handler with 12 ids
+// read from node A over loopback (directory in process) and 4 local hits —
+// the shape TestRemoteReadAllocBound bounds. B/op and allocs/op are
+// process-wide: B's request path, its peer client and A's answer. Run by
+// `make bench-layers`.
+func BenchmarkRemoteReadPath(b *testing.B) {
+	srv, req := remoteReadSetup(b)
+	cs := srv.t.NewConn(discardConn{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := srv.t.ServeFrame(cs, req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkShortSleep measures what a time.Sleep(500µs) costs in wall time —
+// how the repository benchmark's backend charges a read (benchmark/
+// decorators.go) — with every P idle and beside a goroutine that keeps one
+// busy. An idle process wakes a short sleeper late (the poller's timeout has
+// millisecond granularity), a busy one on time, so train_epochs reads better
+// the more CPU the server burns; until its backend stops charging the timer's
+// granularity, miss-side CPU savings cannot be judged on it (ROADMAP item 1).
+// Run by `make bench-layers`.
+func BenchmarkShortSleep(b *testing.B) {
+	for _, busy := range []bool{false, true} {
+		name := "idle"
+		if busy {
+			name = "beside-busy-goroutine"
+		}
+		b.Run(name, func(b *testing.B) {
+			stop := make(chan struct{})
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for busy {
+					select {
+					case <-stop:
+						return
+					default:
+						runtime.Gosched() // a server's goroutines pass through the scheduler; a bare spin never runs a timer
+					}
+				}
+			}()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				time.Sleep(500 * time.Microsecond)
+			}
+			b.StopTimer()
+			close(stop)
+			<-done
+			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/sleep")
+		})
 	}
 }
 

@@ -452,7 +452,7 @@ func TestScatterRechecksResidencyFirst(t *testing.T) {
 		}
 		keys = append(keys, missKey{id: id, c: c, pos: i})
 	}
-	if rest := srv.scatterToPeers(keys, obs.TraceCtx{}, time.Time{}); len(rest) != 0 {
+	if rest := srv.scatterToPeers(getServeScratch(), keys, obs.TraceCtx{}, time.Time{}); len(rest) != 0 {
 		t.Fatalf("%d resident keys went on to the backend gather", len(rest))
 	}
 	for _, k := range keys {

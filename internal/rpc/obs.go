@@ -42,7 +42,7 @@ import (
 // icache_stage_<name>_seconds histogram on the Prometheus surface.
 const (
 	// StageRequest is the whole GetBatch serve: ids decoded → response
-	// written (a muxed request's wait for a dispatch slot is admission_wait,
+	// written (a muxed request's wait for a dispatch worker is admission_wait,
 	// not part of it).
 	StageRequest = "request"
 	// StagePolicyLockHold is the policyMu critical section of GetBatch.

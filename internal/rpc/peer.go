@@ -298,21 +298,23 @@ func (d *distState) closePeers() {
 // is cut off at the same instant; zero falls back to the client's configured
 // RPCTimeout. The result is aligned with ids: out[i] is the payload when the
 // peer had ids[i], nil when it did not (a peer miss is not an error).
-func (c *Client) PeerGetBatchDeadline(ids []dataset.SampleID, ctx obs.TraceCtx, dl time.Time) ([][]byte, error) {
+// The payloads alias the response frame: owner is the pooled buffer behind it
+// (nil when the transport read outside the pool), for the caller to hand back
+// with wire.PutBuffer once no payload is referenced any more, or to drop.
+func (c *Client) PeerGetBatchDeadline(ids []dataset.SampleID, ctx obs.TraceCtx, dl time.Time) (out [][]byte, owner *wire.Buffer, err error) {
 	if len(ids) == 0 {
-		return nil, nil
+		return nil, nil, nil
 	}
 	var e wire.Buffer
 	transport.AppendEnvelopes(&e, ctx, dl)
 	e.U8(opPeerGetBatch)
 	appendIDList(&e, ids)
-	// Payloads are handed out by reference, so the pooled response buffer
-	// is dropped rather than recycled (same contract as roundTrip).
-	d, _, err := c.call(e.B, dl)
+	d, owner, err := c.call(e.B, dl)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return decodePeerGetBatchResponse(d, len(ids))
+	out, err = decodePeerGetBatchResponse(d, len(ids))
+	return out, owner, err
 }
 
 // scatterToPeers is the scatter half of the miss path: one directory
@@ -320,72 +322,69 @@ func (c *Client) PeerGetBatchDeadline(ids []dataset.SampleID, ctx obs.TraceCtx, 
 // batched peer RPC per owning node. Keys a peer satisfied are finished here;
 // the rest — unowned, owned by this node, peer misses, peer or directory
 // failures — are returned for the backend gather, so every key is finished
-// exactly once between the two. Called with no server lock held.
-func (s *Server) scatterToPeers(keys []missKey, ctx obs.TraceCtx, dl time.Time) []missKey {
+// exactly once between the two. Its working set, the returned keys included,
+// lives in sc. Called with no server lock held.
+func (s *Server) scatterToPeers(sc *serveScratch, keys []missKey, ctx obs.TraceCtx, dl time.Time) []missKey {
 	// Re-check the store under the flight happens-before edge: a racing
 	// fetch or prefetch may have filled entries between the miss scan and
 	// our Begin, and a fresh local copy beats a directory round trip.
-	remaining := make([]missKey, 0, len(keys))
 	for _, k := range keys {
 		if p, ok := s.payloads.get(k.id); ok {
 			s.flight.Finish(int64(k.id), k.c, p, nil)
 		} else {
-			remaining = append(remaining, k)
+			sc.remaining = append(sc.remaining, k)
 		}
 	}
-	if keys = remaining; len(keys) == 0 {
+	if keys = sc.remaining; len(keys) == 0 {
 		return nil
 	}
 
 	// One directory round trip answers ownership for the whole batch. A
 	// directory failure degrades every id to a backend read (counted).
 	dist := s.dist
-	owners := s.dirLookupBatch(dist, keyIDs(keys), ctx, dl)
+	sc.keyIDs = keyIDs(sc.keyIDs[:0], keys)
+	owners := s.dirLookupBatch(dist, sc.keyIDs, ctx, dl)
 
-	local := make([]missKey, 0, len(keys))
-	groups := make(map[dkv.NodeID][]missKey)
 	for i, k := range keys {
 		if owners != nil && owners[i].Found && owners[i].Node != dist.nodeID {
-			groups[owners[i].Node] = append(groups[owners[i].Node], k)
+			sc.groups[owners[i].Node] = append(sc.groups[owners[i].Node], k)
 		} else {
-			local = append(local, k)
+			sc.local = append(sc.local, k)
 		}
 	}
 
-	// Scatter: one goroutine per owning node (chunked at PeerConfig.Batch),
-	// so peer RPC count per mini-batch is O(owning nodes), not O(misses).
-	// Each chunk's remote hits are finished as soon as that peer answers;
-	// its misses and failures join the backend fallback list.
-	var wg sync.WaitGroup
-	var fbMu sync.Mutex
-	batchCap := dist.peerCfg.Batch
-	for node, group := range groups {
-		for start := 0; start < len(group); start += batchCap {
-			end := start + batchCap
-			if end > len(group) {
-				end = len(group)
+	// Scatter: one RPC per owning node (chunked at PeerConfig.Batch), so the
+	// peer RPC count per mini-batch is O(owning nodes), not O(misses). The
+	// only chunk — or the last — is served on this goroutine and a goroutine
+	// started for each chunk before it, so misses with one owner spawn nothing.
+	// Each chunk's remote hits are finished as soon as that peer answers; its
+	// misses and failures join sc.local. (A pooled scratch keeps the nodes it
+	// has seen, with empty groups.)
+	var node dkv.NodeID
+	var chunk []missKey
+	for n, group := range sc.groups {
+		for ; len(group) > 0; group = group[min(len(group), dist.peerCfg.Batch):] {
+			if chunk != nil {
+				sc.wg.Add(1)
+				go func(node dkv.NodeID, chunk []missKey) {
+					defer sc.wg.Done()
+					s.peerFetchBatch(sc, nil, node, chunk, ctx, dl)
+				}(node, chunk)
 			}
-			chunk := group[start:end]
-			wg.Add(1)
-			go func(node dkv.NodeID, chunk []missKey) {
-				defer wg.Done()
-				miss := s.peerFetchBatch(node, chunk, ctx, dl)
-				if len(miss) > 0 {
-					fbMu.Lock()
-					local = append(local, miss...)
-					fbMu.Unlock()
-				}
-			}(node, chunk)
+			node, chunk = n, group[:min(len(group), dist.peerCfg.Batch)]
 		}
 	}
-	wg.Wait()
-	return local
+	if chunk != nil { // the lookup's id list is done with, and has room for any chunk
+		s.peerFetchBatch(sc, sc.keyIDs[:0], node, chunk, ctx, dl)
+	}
+	sc.wg.Wait()
+	return sc.local
 }
 
-func keyIDs(keys []missKey) []dataset.SampleID {
-	ids := make([]dataset.SampleID, len(keys))
-	for i, k := range keys {
-		ids[i] = k.id
+// keyIDs appends the ids of keys to ids.
+func keyIDs(ids []dataset.SampleID, keys []missKey) []dataset.SampleID {
+	for _, k := range keys {
+		ids = append(ids, k.id)
 	}
 	return ids
 }
@@ -393,21 +392,58 @@ func keyIDs(keys []missKey) []dataset.SampleID {
 // peerFetchBatch issues one opPeerGetBatch RPC to node for keys, finishing
 // the singleflight key of every sample the peer returned (after dropping
 // any local duplicate copies under one policyMu hold: a sample owned
-// elsewhere is never kept here). It returns the keys the peer did NOT satisfy;
-// any transport failure degrades the whole chunk to the backend.
-func (s *Server) peerFetchBatch(node dkv.NodeID, keys []missKey, ctx obs.TraceCtx, dl time.Time) []missKey {
+// elsewhere is never kept here). The keys the peer did NOT satisfy join
+// sc.local; any transport failure degrades the whole chunk to the backend.
+// ids is where the RPC's id list is built (nil on a second owner's goroutine).
+//
+// The keys are finished with bytes BORROWED from the answer's buffer — a
+// flight someone joined hands out a copy — so the request stays the buffer's
+// only reader, and releaseScratch recycles it once the response is written.
+func (s *Server) peerFetchBatch(sc *serveScratch, ids []dataset.SampleID, node dkv.NodeID, keys []missKey, ctx obs.TraceCtx, dl time.Time) {
+	res, owner := s.peerGetBatch(ids, node, keys, ctx, dl)
+	if res != nil {
+		// Owned elsewhere: this node must not keep duplicates. One short
+		// policyMu hold covers the whole chunk.
+		s.policyMu.Lock()
+		for i, k := range keys {
+			if res[i] != nil && s.cache.Drop(k.id) {
+				s.payloads.delete(k.id)
+			}
+		}
+		s.policyMu.Unlock()
+	}
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	misses := len(sc.local)
+	for i, k := range keys {
+		if res == nil || res[i] == nil {
+			sc.local = append(sc.local, k)
+		} else {
+			s.flight.FinishBorrowed(int64(k.id), k.c, res[i], nil)
+		}
+	}
+	atomic.AddInt64(&s.dist.peerHits, int64(len(keys)-(len(sc.local)-misses)))
+	if owner != nil {
+		sc.peerBufs = append(sc.peerBufs, owner)
+	}
+}
+
+// peerGetBatch is peerFetchBatch's round trip: node's answer aligned with keys
+// and the buffer behind it, or nil when the peer could not be asked or did not
+// answer (counted) — the whole chunk then goes to the backend.
+func (s *Server) peerGetBatch(ids []dataset.SampleID, node dkv.NodeID, keys []missKey, ctx obs.TraceCtx, dl time.Time) ([][]byte, *wire.Buffer) {
 	dist := s.dist
 	// An already-spent budget skips the peer RPC outright — the backend
 	// fallback still runs, because every singleflight key this chunk leads
 	// MUST be finished (waiters would deadlock otherwise); the response is
 	// late either way, so conservation beats a doomed round trip.
 	if !dl.IsZero() && !time.Now().Before(dl) {
-		return keys
+		return nil, nil
 	}
 	peer, err := dist.peer(node)
 	if err != nil {
 		atomic.AddInt64(&dist.peerFailures, 1)
-		return keys
+		return nil, nil
 	}
 	atomic.AddInt64(&dist.peerBatchRPCs, 1)
 	atomic.AddInt64(&dist.peerBatchSamples, int64(len(keys)))
@@ -416,7 +452,7 @@ func (s *Server) peerFetchBatch(node dkv.NodeID, keys []missKey, ctx obs.TraceCt
 	if measure {
 		t0 = time.Now()
 	}
-	res, err := peer.PeerGetBatchDeadline(keyIDs(keys), ctx.Next(), dl)
+	res, owner, err := peer.PeerGetBatchDeadline(keyIDs(ids, keys), ctx.Next(), dl)
 	if measure {
 		dur := time.Since(t0)
 		s.obs.peerBatch.Record(dur)
@@ -431,34 +467,9 @@ func (s *Server) peerFetchBatch(node dkv.NodeID, keys []missKey, ctx obs.TraceCt
 		if isConnFailure(err) {
 			dist.dropPeer(node, peer)
 		}
-		return keys
+		return nil, nil
 	}
-	var hits, fallback []missKey
-	for i, k := range keys {
-		if res[i] != nil {
-			hits = append(hits, k)
-		} else {
-			fallback = append(fallback, k)
-		}
-	}
-	if len(hits) > 0 {
-		// Owned elsewhere: this node must not keep duplicates. One short
-		// policyMu hold covers the whole chunk.
-		s.policyMu.Lock()
-		for _, k := range hits {
-			if s.cache.Drop(k.id) {
-				s.payloads.delete(k.id)
-			}
-		}
-		s.policyMu.Unlock()
-		for i, k := range keys {
-			if res[i] != nil {
-				s.flight.Finish(int64(k.id), k.c, res[i], nil)
-			}
-		}
-		atomic.AddInt64(&dist.peerHits, int64(len(hits)))
-	}
-	return fallback
+	return res, owner
 }
 
 // dirLookupBatch resolves ownership for many ids in one directory

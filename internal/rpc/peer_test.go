@@ -1,7 +1,9 @@
 package rpc
 
 import (
+	"math/rand"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -22,14 +24,14 @@ type distFixture struct {
 	sources [2]*storage.DataSource
 }
 
-func startDistFixture(t *testing.T) *distFixture {
+func startDistFixture(t testing.TB) *distFixture {
 	return startDistFixtureHook(t, nil)
 }
 
 // startDistFixtureHook is startDistFixture with a per-node hook that runs
 // after EnableDistributed and before Serve — mixed-version interop tests pin
 // one node to the legacy wire protocol, tuning tests adjust peer configs.
-func startDistFixtureHook(t *testing.T, hook func(n int, srv *Server)) *distFixture {
+func startDistFixtureHook(t testing.TB, hook func(n int, srv *Server)) *distFixture {
 	t.Helper()
 	spec := testSpec()
 
@@ -182,12 +184,202 @@ func TestNoDuplicatePayloadsAcrossNodes(t *testing.T) {
 func TestPeerGetMissIsNotAnError(t *testing.T) {
 	f := startDistFixture(t)
 	c := dial(t, f.addrs[0])
-	res, err := c.PeerGetBatchDeadline([]dataset.SampleID{1999}, obs.TraceCtx{}, time.Time{})
+	res, _, err := c.PeerGetBatchDeadline([]dataset.SampleID{1999}, obs.TraceCtx{}, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) != 1 || res[0] != nil {
 		t.Fatal("uncached sample reported found")
+	}
+}
+
+// TestRecycledPeerBufferIsNeverShared: node B hands a peer's answer back to
+// the pool once the request that fetched it has written its response, so no
+// other request may still be reading those bytes. Two clients read the same
+// peer-owned ids through B in step — they join each other's flights, and the
+// batch names one id twice, so a request joins its own — while a third reads
+// others, for enough rounds that every buffer is reused many times; every
+// payload of every response must verify byte-for-byte (a payload starts with
+// its id, so a response framed from a reused buffer cannot pass).
+func TestRecycledPeerBufferIsNeverShared(t *testing.T) {
+	f := startDistFixture(t)
+	spec := testSpec()
+	const owned = 96 // node A owns 0..95: the pair reads 0..31, the third client the rest
+	var items []sampling.Item
+	var ids []dataset.SampleID
+	for id := dataset.SampleID(0); id < owned; id++ {
+		items = append(items, sampling.Item{ID: id, IV: 5})
+		ids = append(ids, id)
+	}
+	cA := dial(t, f.addrs[0])
+	clients := []*Client{dial(t, f.addrs[1]), dial(t, f.addrs[1]), dial(t, f.addrs[1])}
+	for _, c := range []*Client{cA, clients[0]} {
+		if err := c.UpdateImportance(items); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := cA.GetBatch(ids); err != nil {
+		t.Fatal(err)
+	}
+	reads0 := f.sources[1].Reads()
+
+	const rounds, batch = 300, 16
+	step := make(chan struct{}) // the pair meets here before every round
+	var wg sync.WaitGroup
+	for i, c := range clients {
+		wg.Add(1)
+		go func(i int, c *Client) {
+			defer wg.Done()
+			lo, n, seed := 0, 32, int64(1) // the pair draws the same ids from the same seed
+			if i == 2 {
+				lo, n, seed = 32, owned-32, 2
+			}
+			rng := rand.New(rand.NewSource(seed))
+			want := make([]dataset.SampleID, batch)
+			for r := 0; r < rounds; r++ {
+				for j := range want {
+					want[j] = dataset.SampleID(lo + rng.Intn(n))
+				}
+				want[batch-1] = want[0]
+				switch i {
+				case 0:
+					step <- struct{}{}
+				case 1:
+					<-step
+				}
+				got, err := c.GetBatch(want)
+				if err != nil {
+					t.Error(err) // and on to the next round: the other half of the pair is waiting
+				}
+				for j, s := range got {
+					if s.ID != want[j] {
+						t.Errorf("client %d round %d: slot %d carries sample %d, want %d", i, r, j, s.ID, want[j])
+					} else if err := spec.VerifyPayload(s.ID, s.Payload); err != nil {
+						t.Errorf("client %d round %d: %v", i, r, err)
+					}
+				}
+			}
+		}(i, c)
+	}
+	wg.Wait()
+	if n := f.sources[1].Reads() - reads0; n != 0 {
+		t.Errorf("%d backend reads on node B: the batches were not served from node A's memory", n)
+	}
+	if f.nodes[1].CoalescedMisses() == 0 {
+		t.Error("no request joined another's flight: the shared-answer case was never exercised")
+	}
+}
+
+// TestScatterServesASecondOwnerBesideTheFirst: misses with two owners cost two
+// peer RPCs, one on the request's goroutine and one beside it, whose fallback
+// keys and answer buffers meet in the request's scratch. Node A answers under
+// two node ids here, so a two-node fixture has a second owner.
+func TestScatterServesASecondOwnerBesideTheFirst(t *testing.T) {
+	dir := dkv.Local{Dir: dkv.NewDirectory()}
+	f := startDistFixtureHook(t, func(n int, srv *Server) {
+		srv.dist.dir, srv.dist.dirCtx = dir, nil
+		if n == 1 {
+			srv.dist.peerAddrs[2] = srv.dist.peerAddrs[0]
+		}
+	})
+	spec := testSpec()
+	var items []sampling.Item
+	var ids []dataset.SampleID
+	for id := dataset.SampleID(0); id < 16; id++ {
+		items = append(items, sampling.Item{ID: id, IV: 5})
+		ids = append(ids, id)
+	}
+	cA, cB := dial(t, f.addrs[0]), dial(t, f.addrs[1])
+	for _, c := range []*Client{cA, cB} {
+		if err := c.UpdateImportance(items); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := cA.GetBatch(ids); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids[8:] { // the directory now names a second owner for half
+		if !dir.Dir.Release(id, 0) || !dir.Dir.Claim(id, 2) {
+			t.Fatalf("could not hand sample %d to node 2", id)
+		}
+	}
+	// Sample 15 is with neither owner any more: its chunk's one peer miss
+	// must reach the backend gather from the second owner's goroutine.
+	f.nodes[0].payloads.delete(15)
+
+	rpcs0, _ := f.nodes[1].PeerBatchStats()
+	reads0 := f.sources[1].Reads()
+	for round := 0; round < 50; round++ {
+		got, err := cB.GetBatch(ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range got {
+			if s.ID != ids[i] {
+				t.Fatalf("slot %d carries sample %d, want %d", i, s.ID, ids[i])
+			}
+			if err := spec.VerifyPayload(s.ID, s.Payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if round == 0 {
+			if rpcs, _ := f.nodes[1].PeerBatchStats(); rpcs-rpcs0 != 2 {
+				t.Fatalf("%d peer RPCs for misses with two owners, want 2", rpcs-rpcs0)
+			}
+			if n := f.sources[1].Reads() - reads0; n != 1 {
+				t.Fatalf("%d backend reads on node B, want the one sample neither owner had", n)
+			}
+		}
+	}
+}
+
+// remoteReadSetup is the shape TestRemoteReadAllocBound and
+// BenchmarkRemoteReadPath share: one 16-id batch through node B of a two-node
+// deployment on an in-process directory, 12 ids owned by node A — a live peer
+// over loopback — and 4 resident on B. It returns B and the request frame.
+func remoteReadSetup(tb testing.TB) (*Server, []byte) {
+	dir := dkv.Local{Dir: dkv.NewDirectory()}
+	f := startDistFixtureHook(tb, func(_ int, srv *Server) { srv.dist.dir, srv.dist.dirCtx = dir, nil })
+	var items []sampling.Item
+	var ids []dataset.SampleID
+	for id := dataset.SampleID(0); id < 16; id++ {
+		items = append(items, sampling.Item{ID: id, IV: 5})
+		ids = append(ids, id)
+	}
+	for n, own := range [][]dataset.SampleID{ids[:12], ids[12:]} {
+		c := dial(tb, f.addrs[n])
+		if err := c.UpdateImportance(items); err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := c.GetBatch(own); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return f.nodes[1], encodeGetBatchRequest(ids)
+}
+
+// TestRemoteReadAllocBound states what a remote read costs in allocations,
+// process-wide: node B's request path, its peer client, node A's answer. What
+// is left is per-sample or per-call state that outlives no request — twelve
+// singleflight calls, the directory's answer, the peer call's decoded slice,
+// request encoder, reader and timeout timer — not buffers, stacks or
+// per-request working sets; the parent commit reads 54 here.
+func TestRemoteReadAllocBound(t *testing.T) {
+	srv, req := remoteReadSetup(t)
+	cs := srv.t.NewConn(discardConn{})
+	rpcs0, _ := srv.PeerBatchStats()
+	const runs, bound = 200, 30
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := srv.t.ServeFrame(cs, req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if rpcs, carried := srv.PeerBatchStats(); rpcs-rpcs0 != runs+1 || carried < 12*(runs+1) {
+		t.Fatalf("%d peer RPCs carrying %d samples over %d batches, want one of 12 per batch", rpcs-rpcs0, carried, runs+1)
+	}
+	t.Logf("%v allocs per 16-id batch with 12 ids read from a peer", allocs)
+	if allocs > bound && !raceBuild() {
+		t.Errorf("%v allocs per remote-read batch, want at most %d", allocs, bound)
 	}
 }
 

@@ -382,7 +382,11 @@ func (p *prefetcher) fetch(id dataset.SampleID) error {
 	c, leader := s.flight.Begin(int64(id))
 	var tWait time.Time
 	if leader {
-		s.resolveMissBatch([]missKey{{id: id, c: c}}, obs.TraceCtx{}, time.Time{}, provPrefetch)
+		// Nobody here reads the bytes: a peer's answer is recycled at once.
+		sc := getServeScratch()
+		sc.leads = append(sc.leads, missKey{id: id, c: c})
+		s.resolveMissBatch(sc, sc.leads, obs.TraceCtx{}, time.Time{}, provPrefetch)
+		releaseScratch(sc)
 	} else {
 		atomic.AddInt64(&s.coalescedMisses, 1)
 		if s.obs.histsOn() {

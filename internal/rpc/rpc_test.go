@@ -46,7 +46,7 @@ func startServer(t *testing.T) (*Server, string, *storage.DataSource) {
 	return srv, ln.Addr().String(), source
 }
 
-func dial(t *testing.T, addr string) *Client {
+func dial(t testing.TB, addr string) *Client {
 	t.Helper()
 	c, err := Dial(addr, time.Second)
 	if err != nil {

@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"icache/internal/dataset"
+	"icache/internal/dkv"
 	"icache/internal/obs"
+	"icache/internal/singleflight"
 	"icache/internal/trace"
 	"icache/internal/transport"
 	"icache/internal/wire"
@@ -48,32 +50,60 @@ type serveScratch struct {
 	out     []servedPayload
 	missIdx []int
 	vec     wire.Vec
+
+	// The miss path's working set: a request (or a prefetch worker's turn)
+	// that misses owns these for as long as it owns the scratch.
+	leads, waits     []missKey                   // collect: keys this request leads / joined
+	own              map[*singleflight.Call]bool // collect: the calls behind leads
+	remaining, local []missKey                   // scatterToPeers: still missing / left for the backend
+	groups           map[dkv.NodeID][]missKey    // scatterToPeers: remaining keys by owning node
+	keyIDs           []dataset.SampleID          // ids of the directory lookup, then of a peer RPC
+	// peerBufs are the peer answers sc.out references; the request is their
+	// only reader (peerFetchBatch), so releaseScratch hands them back. mu
+	// guards local and peerBufs while scatterToPeers has a second owner's
+	// goroutine running (wg waits for those).
+	peerBufs []*wire.Buffer
+	mu       sync.Mutex
+	wg       sync.WaitGroup
 }
 
-// maxPooledScratchIDs bounds the id capacity a pooled scratch may retain,
-// so one degenerate giant batch does not pin its working set forever.
+// maxPooledScratchIDs bounds the capacity of every slice a pooled scratch may
+// retain, so one degenerate giant batch does not pin its working set forever.
 const maxPooledScratchIDs = 1 << 16
 
-var serveScratchPool = sync.Pool{New: func() interface{} { return &serveScratch{} }}
+var serveScratchPool = sync.Pool{New: func() interface{} {
+	return &serveScratch{own: make(map[*singleflight.Call]bool), groups: make(map[dkv.NodeID][]missKey)}
+}}
 
 func getServeScratch() *serveScratch {
 	return serveScratchPool.Get().(*serveScratch)
 }
 
-// releaseScratch clears the payload references the request held (a pooled
-// scratch must not keep evicted bytes alive) and returns the scratch to the
-// pool. Safe on partially filled scratches (error paths).
+// releaseScratch hands back the peer answers the request read — its response
+// has been written — clears every payload, call and buffer reference it held
+// (a pooled scratch must not keep evicted bytes alive, nor point at a recycled
+// buffer) and returns the scratch to the pool. Safe on partially filled
+// scratches (error paths).
 func releaseScratch(sc *serveScratch) {
-	for i := range sc.out {
-		sc.out[i].b = nil
+	for _, b := range sc.peerBufs {
+		wire.PutBuffer(b)
 	}
-	sc.out = sc.out[:0]
-	sc.served = sc.served[:0]
-	sc.missIdx = sc.missIdx[:0]
-	if cap(sc.ids) > maxPooledScratchIDs {
-		return
+	clear(sc.peerBufs)
+	clear(sc.out)
+	clear(sc.own)
+	for _, keys := range [...][]missKey{sc.leads, sc.waits, sc.remaining, sc.local} {
+		clear(keys)
 	}
-	sc.ids = sc.ids[:0]
+	for node, g := range sc.groups {
+		clear(g)
+		sc.groups[node] = g[:0]
+	}
+	if max(cap(sc.ids), cap(sc.leads), cap(sc.waits), cap(sc.remaining), cap(sc.local), cap(sc.keyIDs)) > maxPooledScratchIDs {
+		return // a group is at most remaining, so they are bounded with it
+	}
+	sc.ids, sc.served, sc.out, sc.missIdx = sc.ids[:0], sc.served[:0], sc.out[:0], sc.missIdx[:0]
+	sc.leads, sc.waits, sc.remaining, sc.local = sc.leads[:0], sc.waits[:0], sc.remaining[:0], sc.local[:0]
+	sc.keyIDs, sc.peerBufs = sc.keyIDs[:0], sc.peerBufs[:0]
 	serveScratchPool.Put(sc)
 }
 
@@ -100,7 +130,7 @@ func (s *Server) serveVec(w transport.Response, req []byte, ctx obs.TraceCtx, dl
 		t0 = time.Now()
 	}
 	// Deadline check BEFORE the policy engine runs (the budget may also have
-	// drained while a muxed request waited for a dispatch slot): an expired
+	// drained while a muxed request waited for a dispatch worker): an expired
 	// request must not move cache state or counters, so
 	// shed+expired+served == offered stays an exact identity. Peer batch
 	// requests inherit the originating request's budget.

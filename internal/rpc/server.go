@@ -189,6 +189,9 @@ func (s *Server) Close() error {
 // Every op may wait — on policyMu at the least, a miss on the backend — so
 // none is served inline on the read loop; monitoring (opStats) stays
 // ungated: an operator must be able to see an overloaded server.
+// opPeerGetBatch alone waits on nothing but the connection's write; routing it
+// Inline was measured (three alternating peer_churn pairs) and moved nothing,
+// so it stays gated and dispatched like the rest.
 func route(op byte) transport.Route {
 	if op == opStats {
 		return 0
@@ -377,7 +380,6 @@ func (s *Server) collect(sc *serveScratch, ctx obs.TraceCtx, dl time.Time) error
 	// leads has been finished, so a duplicate id is safe: its second Begin
 	// joins the call the request itself leads, and is served like any other
 	// waiter.
-	var leads, waits []missKey
 	for _, i := range sc.missIdx {
 		id := sc.served[i]
 		var tHit time.Time
@@ -392,10 +394,10 @@ func (s *Server) collect(sc *serveScratch, ctx obs.TraceCtx, dl time.Time) error
 		}
 		c, leader := s.flight.Begin(int64(id))
 		if !leader {
-			waits = append(waits, missKey{id, c, i})
+			sc.waits = append(sc.waits, missKey{id, c, i})
 			continue
 		}
-		leads = append(leads, missKey{id, c, i})
+		sc.leads = append(sc.leads, missKey{id, c, i})
 		// A demand miss that overtakes a queued-but-unstarted prefetch
 		// promotes it: this fetch becomes the one backend read and the
 		// queued entry is cancelled (the backend must not pay twice).
@@ -404,15 +406,15 @@ func (s *Server) collect(sc *serveScratch, ctx obs.TraceCtx, dl time.Time) error
 
 	// Pass 2: resolve the keys we lead. resolveMissBatch finishes every one
 	// of them exactly once on all paths, so these Waits return at once.
-	if len(leads) > 0 {
+	if len(sc.leads) > 0 {
 		var tGather time.Time
 		if histsOn {
 			tGather = time.Now()
 		}
-		s.resolveMissBatch(leads, ctx, dl, provFetch)
+		s.resolveMissBatch(sc, sc.leads, ctx, dl, provFetch)
 		s.obs.missGather.Since(tGather)
 	}
-	for _, k := range leads {
+	for _, k := range sc.leads {
 		payload, err := k.c.Wait()
 		if err != nil {
 			return fmt.Errorf("rpc: backend fetch of sample %d: %w", k.id, err)
@@ -425,15 +427,13 @@ func (s *Server) collect(sc *serveScratch, ctx obs.TraceCtx, dl time.Time) error
 	// A duplicate id of this request joined a call the request itself led:
 	// it is already finished and shared nobody else's fetch, so it is
 	// neither counted nor timed.
-	var own map[*singleflight.Call]bool
-	if len(waits) > 0 && len(leads) > 0 {
-		own = make(map[*singleflight.Call]bool, len(leads))
-		for _, k := range leads {
-			own[k.c] = true
+	if len(sc.waits) > 0 {
+		for _, k := range sc.leads {
+			sc.own[k.c] = true
 		}
 	}
-	for _, k := range waits {
-		shared := !own[k.c]
+	for _, k := range sc.waits {
+		shared := !sc.own[k.c]
 		var tWait time.Time
 		if shared && histsOn {
 			tWait = time.Now()
@@ -454,15 +454,17 @@ func (s *Server) collect(sc *serveScratch, ctx obs.TraceCtx, dl time.Time) error
 // resolveMissBatch is the one entry to the miss path: it resolves every
 // singleflight key the caller leads — a request's misses, or the one key of a
 // prefetch worker's turn — and GUARANTEES each is finished exactly once on all
-// paths (a leaked leader key would deadlock every waiter). prov is the
-// admission provenance of what the backend gather stores. Called with no
-// server lock held; all peer, directory and backend I/O happens outside locks.
-func (s *Server) resolveMissBatch(keys []missKey, ctx obs.TraceCtx, dl time.Time, prov admitProv) {
+// paths (a leaked leader key would deadlock every waiter). sc is the caller's
+// scratch: the peer step works in it and leaves in it the peer answers to hand
+// back once the caller is done with their bytes. prov is the admission
+// provenance of what the backend gather stores. Called with no server lock
+// held; all peer, directory and backend I/O happens outside locks.
+func (s *Server) resolveMissBatch(sc *serveScratch, keys []missKey, ctx obs.TraceCtx, dl time.Time, prov admitProv) {
 	// A peer's cache is cheaper than the backend (§III-E flow: local cache →
 	// directory → remote cache → storage); a lone server is simply the case
 	// with no directory step.
 	if s.dist != nil {
-		keys = s.scatterToPeers(keys, ctx, dl)
+		keys = s.scatterToPeers(sc, keys, ctx, dl)
 	}
 
 	// Gather what no peer satisfied from the backend; a one-miss call spawns

@@ -11,15 +11,19 @@
 // immutable.
 package singleflight
 
-import "sync"
+import (
+	"bytes"
+	"sync"
+)
 
 // Call is one in-flight (or completed) fetch. Leaders obtained through
 // Begin resolve it with Group.Finish; every other holder blocks in Wait
 // until then.
 type Call struct {
-	wg  sync.WaitGroup
-	val []byte
-	err error
+	wg     sync.WaitGroup
+	val    []byte
+	err    error
+	joined bool // a second Begin received this call (guarded by Group.mu)
 }
 
 // Wait blocks until the call's leader finishes it and returns the shared
@@ -69,6 +73,7 @@ func (g *Group) Begin(key int64) (c *Call, leader bool) {
 		g.m = make(map[int64]*Call)
 	}
 	if c, ok := g.m[key]; ok {
+		c.joined = true
 		return c, false
 	}
 	c = new(Call)
@@ -81,13 +86,32 @@ func (g *Group) Begin(key int64) (c *Call, leader bool) {
 // every waiter and retires the key so the next Begin starts fresh. Must be
 // called exactly once per leader Begin, with the same key and call.
 func (g *Group) Finish(key int64, c *Call, val []byte, err error) {
+	g.retire(key, c)
 	c.val, c.err = val, err
+	c.wg.Done()
+}
+
+// FinishBorrowed is Finish for a result in memory the leader will reuse once
+// it is done with it itself (a pooled receive buffer): when anyone joined the
+// call, every holder — the leader's own Wait included — is given a copy
+// instead, so the leader is the only reader val ever has.
+func (g *Group) FinishBorrowed(key int64, c *Call, val []byte, err error) {
+	if g.retire(key, c) {
+		val = bytes.Clone(val)
+	}
+	c.val, c.err = val, err
+	c.wg.Done()
+}
+
+// retire removes c's key, so that the next Begin starts fresh, and reports
+// whether any other Begin received c — a final answer, since none can now.
+func (g *Group) retire(key int64, c *Call) (joined bool) {
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	if cur, ok := g.m[key]; ok && cur == c {
 		delete(g.m, key)
 	}
-	g.mu.Unlock()
-	c.wg.Done()
+	return c.joined
 }
 
 // Inflight reports the number of keys currently executing (diagnostics).

@@ -238,3 +238,77 @@ func TestBeginManyKeysBatchResolution(t *testing.T) {
 		t.Fatalf("inflight after batch: %d", g.Inflight())
 	}
 }
+
+// TestFinishBorrowedCopiesOnlyForJoinedCalls pins who reads a borrowed result:
+// a call nobody joined hands the leader its own memory back; a call anyone
+// joined — another goroutine before Finish, or the leader itself naming the key
+// twice in one request — hands every holder a copy that outlives the leader's
+// reuse of that memory; a Begin after Finish starts a fresh, unjoined call;
+// and plain Finish keeps sharing by reference.
+func TestFinishBorrowedCopiesOnlyForJoinedCalls(t *testing.T) {
+	var g Group
+	same := func(a, b []byte) bool { return &a[0] == &b[0] }
+	buf := []byte("answer-1")
+
+	alone, _ := g.Begin(1)
+	g.FinishBorrowed(1, alone, buf, nil)
+	if v, err := alone.Wait(); err != nil || !same(v, buf) {
+		t.Fatalf("an unjoined call got (%q, %v): want the leader's own memory, not a copy", v, err)
+	}
+
+	lead, _ := g.Begin(1) // after Finish: a fresh call, the earlier one's state is gone
+	got := make(chan []byte)
+	joiner, leader := g.Begin(1)
+	if leader || joiner != lead {
+		t.Fatal("a second Begin before Finish did not join the call")
+	}
+	go func() {
+		v, _ := joiner.Wait()
+		got <- v
+	}()
+	g.FinishBorrowed(1, lead, buf, nil)
+	v, mine := <-got, mustWait(t, lead)
+	copy(buf, "RECYCLED") // the leader reuses its buffer
+	for who, p := range map[string][]byte{"the joiner": v, "the leader": mine} {
+		if same(p, buf) || string(p) != "answer-1" {
+			t.Fatalf("%s of a joined call holds %q (aliasing the leader's buffer: %v), want a copy of the answer", who, p, same(p, buf))
+		}
+	}
+
+	dup, _ := g.Begin(2) // one request naming a key twice joins its own call
+	if _, leader := g.Begin(2); leader {
+		t.Fatal("duplicate Begin led")
+	}
+	g.FinishBorrowed(2, dup, buf, nil)
+	if same(mustWait(t, dup), buf) {
+		t.Fatal("a call its own leader joined kept the borrowed memory")
+	}
+
+	fresh, leader := g.Begin(1)
+	if !leader {
+		t.Fatal("Begin after Finish joined a finished call")
+	}
+	g.FinishBorrowed(1, fresh, buf, nil)
+	if !same(mustWait(t, fresh), buf) {
+		t.Fatal("a join of the previous call stuck to the next one")
+	}
+
+	shared, _ := g.Begin(3)
+	g.Begin(3)
+	g.Finish(3, shared, buf, nil)
+	if !same(mustWait(t, shared), buf) {
+		t.Fatal("Finish copied: its results are shared by reference")
+	}
+	if g.Inflight() != 0 {
+		t.Fatalf("inflight at the end: %d", g.Inflight())
+	}
+}
+
+func mustWait(t *testing.T, c *Call) []byte {
+	t.Helper()
+	v, err := c.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}

@@ -73,8 +73,10 @@ type muxSession struct {
 	conn net.Conn
 	// rd is the connection's one frame reader, the one negotiate read its
 	// reply through (nothing read ahead is lost); only the demux reader
-	// touches it.
-	rd *wire.FrameReader
+	// touches it. bufs is where it takes the buffer of each response from, and
+	// where wire.PutBuffer returns the ones its callers recycle.
+	rd   *wire.FrameReader
+	bufs wire.ReaderPool
 
 	// wmu serializes frame writes (the "writer path"). Held across exactly
 	// one WriteFrame, never across a read.
@@ -194,7 +196,7 @@ func (m *muxSession) readLoop() {
 		// stops being a large-allocation-per-response source. Callers that
 		// retain response bytes simply never recycle their buffer and the
 		// pool re-allocates — correctness never depends on the recycle.
-		e := wire.GetBuffer()
+		e := m.bufs.Get()
 		frame, err := wire.ReadFrameInto(m.rd, e.B[:cap(e.B)])
 		if err != nil {
 			m.fail(fmt.Errorf("transport: mux receive: %w", err))

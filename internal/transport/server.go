@@ -39,9 +39,11 @@ const (
 	Gated Route = 1 << iota
 	// Inline: the request never blocks (no I/O, no lock held across any), so
 	// it is answered from the connection's read loop even when multiplexed —
-	// no goroutine and no copy of the request per call. Anything that may
-	// wait (a cache miss reads the backend) leaves it clear and is served on
-	// a goroutine bounded by the connection's dispatch slots.
+	// no hand-off and no copy of the request per call. Anything that may
+	// wait (a cache miss reads the backend) leaves it clear and is served by
+	// one of the connection's dispatch workers. It is not a speed-up for ops
+	// that rarely wait: the cache's opPeerGetBatch was measured Inline over
+	// three alternating peer_churn pairs and moved nothing (rpc.route).
 	Inline
 )
 
@@ -64,7 +66,7 @@ type Server struct {
 	//
 	// Gate is the adaptive admission controller on Gated requests (nil =
 	// admit everything). AdmissionWait, when non-nil, records the time a
-	// multiplexed request waited for a dispatch slot. Logf sinks connection
+	// multiplexed request waited for a dispatch worker. Logf sinks connection
 	// errors (nil = silent).
 	Gate          *overload.Gate
 	AdmissionWait *obs.Histogram
@@ -176,40 +178,59 @@ func (s *Server) OverloadCounters() (shed, expired int64) {
 func (s *Server) MuxInflight() int64 { return s.inflight.Load() }
 
 // muxServerInflight bounds concurrently dispatched mux requests per
-// connection; when full, the read loop blocks, pushing backpressure onto
-// the client's own in-flight bound.
+// connection (it is the most dispatch workers one has); when all are busy,
+// the read loop blocks, pushing backpressure onto the client's own in-flight
+// bound.
 const muxServerInflight = 64
 
 // Conn is one served connection's state: the write mutex all response
-// frames serialize on, the dispatch-slot semaphore, and the WaitGroup
-// ServeConn drains on teardown.
+// frames serialize on and the connection's dispatch workers. A worker lives
+// as long as the connection: a request that finds none parked on work starts
+// one, which serves it and parks for the next — so its stack grows to the
+// handler's depth once, not once per request. workers is touched only by the
+// goroutine calling ServeFrame (one Conn's frames come from one read loop).
 type Conn struct {
-	srv  *Server
-	conn net.Conn
-	wmu  sync.Mutex
-	wg   sync.WaitGroup
-	sem  chan struct{}
+	srv     *Server
+	conn    net.Conn
+	wmu     sync.Mutex
+	wg      sync.WaitGroup
+	work    chan dispatch // unbuffered: a send succeeds only into a parked worker
+	workers int
+}
+
+// dispatch is one muxed request handed to a dispatch worker; req is its own
+// copy of the request bytes (a pooled frame buffer).
+type dispatch struct {
+	w        Response
+	req      *wire.Buffer
+	ctx      obs.TraceCtx
+	dl       time.Time
+	admitted bool
 }
 
 // NewConn wraps conn for ServeFrame. ServeConn does this itself; tests,
 // fuzzers and benchmarks that inject frames without a read loop call it
-// with an in-memory connection and Wait for the handlers they started.
+// with an in-memory connection and Wait once they have injected the last.
 func (s *Server) NewConn(conn net.Conn) *Conn {
-	return &Conn{srv: s, conn: conn, sem: make(chan struct{}, muxServerInflight)}
+	return &Conn{srv: s, conn: conn, work: make(chan dispatch)}
 }
 
-// Wait blocks until every dispatch goroutine started on c has returned.
-func (c *Conn) Wait() { c.wg.Wait() }
+// Wait retires c: it returns once every dispatched request has been answered
+// and every worker has exited. Call it once, after the last ServeFrame on c.
+func (c *Conn) Wait() {
+	close(c.work)
+	c.wg.Wait()
+}
 
 // ServeConn is one connection's read loop; Serve runs it for every accepted
 // connection. It reads through the connection's wire.FrameReader, reusing
 // its frame buffer across requests (ServeFrame copies whatever outlives its
 // call, so aliasing is safe), and hands every frame to ServeFrame. On
-// teardown the connection closes FIRST, then the loop waits for in-flight
-// handlers: stragglers fail their writes fast instead of blocking shutdown.
+// teardown the connection closes FIRST, then the loop retires its dispatch
+// workers: stragglers fail their writes fast instead of blocking shutdown.
 func (s *Server) ServeConn(conn net.Conn) {
 	c := s.NewConn(conn)
-	defer c.wg.Wait()
+	defer c.Wait()
 	defer conn.Close()
 	rd := wire.NewFrameReader(conn)
 	for {
@@ -232,8 +253,8 @@ func (s *Server) ServeConn(conn net.Conn) {
 // and every request the tests and the fuzzers inject — is peeled, gated and
 // dispatched here, in this order:
 //
-//  1. The OpMux envelope is optional. A muxed request may be served on its
-//     own goroutine (bounded by the connection's dispatch slots), so a
+//  1. The OpMux envelope is optional. A muxed request may be served off the
+//     read loop (by one of the connection's dispatch workers), so a
 //     pipelined client gets concurrent service on one connection, and its
 //     response echoes the envelope; a bare frame — the handshake ping, a
 //     client's one-shot retry — is served on the read loop. All response
@@ -243,15 +264,16 @@ func (s *Server) ServeConn(conn net.Conn) {
 //     gate and the dispatch below key on the INNER opcode.
 //  3. OpPing is answered here; any other reserved opcode left at this point
 //     (an envelope inside the wrong envelope) is an error.
-//  4. Admission runs BEFORE the dispatch-slot semaphore: a shed request is
-//     answered from the read loop and never occupies a slot — that is the
-//     whole point of shedding.
+//  4. Admission runs BEFORE the hand-off: a shed request is answered from
+//     the read loop and never occupies a dispatch worker — that is the whole
+//     point of shedding.
 //  5. The Handler answers: on the read loop for a bare frame or an Inline
-//     opcode, else on a dispatch goroutine with its own copy of the request.
+//     opcode, else on a dispatch worker with its own copy of the request.
 //
-// frame aliases the read loop's reusable buffer. The returned error is a
-// failed write from the read loop (the caller tears the connection down);
-// protocol errors are answered in-band.
+// frame aliases the read loop's reusable buffer, and the calls on one Conn
+// come from one goroutine. The returned error is a failed write from the read
+// loop (the caller tears the connection down); protocol errors are answered
+// in-band.
 func (s *Server) ServeFrame(c *Conn, frame []byte) error {
 	w := Response{c: c}
 	inner := frame
@@ -299,51 +321,59 @@ func (s *Server) ServeFrame(c *Conn, frame []byte) error {
 	}
 	req := wire.GetBuffer()
 	req.B = append(req.B, inner...)
-	s.acquireSlot(c, admitted)
-	go s.serveAsync(w, req, ctx, dl, admitted)
+	c.handOff(dispatch{w, req, ctx, dl, admitted})
 	return nil
 }
 
-// serveAsync runs the handler on a dispatch goroutine over its own copy of
-// the request (a pooled frame buffer), then hands the slot back.
-func (s *Server) serveAsync(w Response, req *wire.Buffer, ctx obs.TraceCtx, dl time.Time, admitted bool) {
-	defer s.releaseSlot(w.c, admitted)
-	err := s.h.Serve(w, req.Payload(), ctx, dl)
-	wire.PutBuffer(req)
-	if err != nil {
-		s.logIfUnexpected(err)
-	}
-}
-
-// acquireSlot takes a per-connection dispatch slot, feeding the time spent
-// blocked on the full semaphore — the server's standing queue delay — to the
-// admission gate's CoDel window and the admission-wait histogram.
-func (s *Server) acquireSlot(c *Conn, admitted bool) {
-	measure := admitted || s.AdmissionWait != nil
+// handOff gives d to a parked worker, or starts one, or — all
+// muxServerInflight busy — blocks until one parks. The time spent blocked, the
+// server's standing queue delay, feeds the admission gate's CoDel window and
+// the admission-wait histogram.
+func (c *Conn) handOff(d dispatch) {
+	s := c.srv
+	measure := d.admitted || s.AdmissionWait != nil
 	var t0 time.Time
 	if measure {
 		t0 = time.Now()
 	}
-	c.sem <- struct{}{}
+	s.inflight.Add(1)
+	select {
+	case c.work <- d:
+	default:
+		if c.workers < muxServerInflight {
+			c.workers++
+			c.wg.Add(1)
+			go c.serveDispatched(d)
+		} else {
+			c.work <- d
+		}
+	}
 	if measure {
 		now := time.Now()
 		wait := now.Sub(t0)
-		if admitted {
+		if d.admitted {
 			s.Gate.Observe(now, wait)
 		}
 		s.AdmissionWait.Record(wait)
 	}
-	c.wg.Add(1)
-	s.inflight.Add(1)
 }
 
-func (s *Server) releaseSlot(c *Conn, admitted bool) {
-	if admitted {
-		s.Gate.Done()
+// serveDispatched is a dispatch worker: it answers d, then every request the
+// read loop hands it, until Wait closes the channel.
+func (c *Conn) serveDispatched(d dispatch) {
+	defer c.wg.Done()
+	s := c.srv
+	for ok := true; ok; d, ok = <-c.work {
+		err := s.h.Serve(d.w, d.req.Payload(), d.ctx, d.dl)
+		wire.PutBuffer(d.req)
+		if d.admitted {
+			s.Gate.Done()
+		}
+		s.inflight.Add(-1)
+		if err != nil {
+			s.logIfUnexpected(err)
+		}
 	}
-	s.inflight.Add(-1)
-	<-c.sem
-	c.wg.Done()
 }
 
 func (s *Server) logIfUnexpected(err error) {

@@ -159,19 +159,38 @@ func GetBuffer() *Buffer {
 	return b
 }
 
-// PutBuffer recycles an encode buffer. The caller must not touch the
-// buffer (or any slice of its backing array) afterwards. Oversized buffers
-// are dropped — and counted in PoolStats — so one jumbo response does not
-// pin megabytes in the pool.
+// PutBuffer recycles a frame buffer, into the ReaderPool it came from or
+// the shared pool. The caller must not touch the buffer (or any slice of its
+// backing array) afterwards. Oversized buffers are dropped — and counted in
+// PoolStats — so one jumbo response does not pin megabytes in the pool.
 func PutBuffer(b *Buffer) {
-	if b == nil {
-		return
-	}
-	if cap(b.B) > maxPooledCap {
+	switch {
+	case b == nil:
+	case cap(b.B) > maxPooledCap:
 		atomic.AddInt64(&poolDiscards, 1)
-		return
+	case b.home != nil:
+		b.home.p.Put(b)
+	default:
+		bufPool.Put(b)
 	}
-	bufPool.Put(b)
+}
+
+// ReaderPool is the frame buffers of one connection's reader: the arrays its
+// payload-carrying answers grew come back to it. In the shared pool such an
+// array went to whichever encoder asked next, while the reader drew a 4 KiB
+// one and allocated its next answer again. The zero value is ready to use.
+type ReaderPool struct{ p sync.Pool }
+
+// Get returns a buffer like GetBuffer's that PutBuffer hands back to rp.
+func (rp *ReaderPool) Get() *Buffer {
+	atomic.AddInt64(&poolGets, 1)
+	b, _ := rp.p.Get().(*Buffer)
+	if b == nil {
+		atomic.AddInt64(&poolNews, 1)
+		b = &Buffer{B: make([]byte, 0, readBufSize), home: rp}
+	}
+	b.B = append(b.B[:0], 0, 0, 0, 0)
+	return b
 }
 
 // PoolStats reports (gets, news, discards): total pooled-buffer checkouts,
@@ -184,7 +203,10 @@ func PoolStats() (gets, news, discards int64) {
 // Buffer is a simple append-based encoder. The zero value encodes a bare
 // payload into B; one from GetBuffer is a frame: B starts with the reserved
 // length prefix, Payload is what follows.
-type Buffer struct{ B []byte }
+type Buffer struct {
+	B    []byte
+	home *ReaderPool // where PutBuffer returns it; nil = the shared pool
+}
 
 // Payload returns what a frame buffer has encoded after its reserved prefix.
 func (e *Buffer) Payload() []byte { return e.B[framePrefix:] }
