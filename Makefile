@@ -17,7 +17,10 @@ vet:
 # offending files), go vet must be clean, and connections belong to
 # internal/transport alone: the non-test files of the two protocol packages
 # accept, dial, listen and set deadlines nowhere (calls, not comments), so a
-# second transport cannot grow back unnoticed. Subsumes `vet` in `make all`.
+# second transport cannot grow back unnoticed. Likewise there is one Algorithm 1
+# (icache.Server.fetchOne) and one node lifecycle (dkv/lifecycle.go): the
+# cluster simulation and the two lifecycle drivers read no backend, serve no
+# L-sample and walk no directory scan of their own. Subsumes `vet` in `make all`.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -28,6 +31,12 @@ lint:
 	done); \
 	if [ -n "$$stray" ]; then \
 		echo "connection handling outside internal/transport:"; echo "$$stray"; exit 1; \
+	fi
+	@stray=$$(for f in internal/icache/distributed.go internal/icache/lifecycle.go internal/rpc/lifecycle.go; do \
+		sed 's,//.*,,' $$f | grep -nE 'ReadSample\(|takeExact\(|\.OwnedBy\(|\.PurgeDead\(' | sed "s,^,$$f:,"; \
+	done); \
+	if [ -n "$$stray" ]; then \
+		echo "a second Algorithm 1 or node lifecycle outside icache.Server / dkv.Member:"; echo "$$stray"; exit 1; \
 	fi
 	$(GO) vet ./...
 

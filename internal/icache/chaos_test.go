@@ -64,19 +64,19 @@ func assertClusterInvariants(t *testing.T, cl *Cluster, wantRequests int64) {
 	t.Helper()
 	seen := map[dataset.SampleID]int{}
 	for i, n := range cl.nodes {
-		if n.h.used > n.h.capBytes {
-			t.Errorf("node %d H-cache over capacity: %d > %d", i, n.h.used, n.h.capBytes)
+		if n.srv.h.used > n.srv.h.capBytes {
+			t.Errorf("node %d H-cache over capacity: %d > %d", i, n.srv.h.used, n.srv.h.capBytes)
 		}
-		if n.l.used > n.l.capBytes {
-			t.Errorf("node %d L-cache over capacity: %d > %d", i, n.l.used, n.l.capBytes)
+		if n.srv.l.used > n.srv.l.capBytes {
+			t.Errorf("node %d L-cache over capacity: %d > %d", i, n.srv.l.used, n.srv.l.capBytes)
 		}
-		for id := range n.h.items {
+		for id := range n.srv.h.items {
 			if prev, dup := seen[id]; dup {
 				t.Errorf("sample %d resident on nodes %d and %d", id, prev, i)
 			}
 			seen[id] = i
 		}
-		for id := range n.l.items {
+		for id := range n.srv.l.items {
 			if prev, dup := seen[id]; dup {
 				t.Errorf("sample %d resident on nodes %d and %d", id, prev, i)
 			}

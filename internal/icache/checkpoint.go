@@ -1,9 +1,11 @@
 package icache
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"icache/internal/dataset"
 	"icache/internal/sampling"
@@ -57,6 +59,11 @@ func (s *Server) Checkpoint(w io.Writer) error {
 	for id := range s.l.items {
 		cf.LResidents = append(cf.LResidents, int64(id))
 	}
+	// Both sorted by ID: the heap's array order depends on the map order its
+	// refreshes walked, and a restore inserts in file order — L-cache arrival
+	// order is eviction order — so one state must always write one file.
+	slices.SortFunc(cf.HResidents, func(a, b checkpointItem) int { return cmp.Compare(a.ID, b.ID) })
+	slices.Sort(cf.LResidents)
 	enc := json.NewEncoder(w)
 	return enc.Encode(cf)
 }
@@ -109,14 +116,18 @@ func (s *Server) RestoreCheckpoint(r io.Reader) error {
 	return nil
 }
 
-// Residents appends every cached sample ID (both regions) to dst. The RPC
-// layer uses it to eagerly rehydrate payloads after a restore.
+// Residents appends every cached sample ID (both regions) to dst in
+// ascending order. The RPC layer uses it to eagerly rehydrate payloads after
+// a restore; the lifecycle steps (dkv.Residents) walk it behind a watermark,
+// which only a stable order makes meaningful.
 func (s *Server) Residents(dst []dataset.SampleID) []dataset.SampleID {
+	n := len(dst)
 	for id := range s.h.items {
 		dst = append(dst, id)
 	}
 	for id := range s.l.items {
 		dst = append(dst, id)
 	}
+	slices.Sort(dst[n:])
 	return dst
 }

@@ -3,7 +3,7 @@ package icache
 import (
 	"bytes"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
@@ -38,6 +38,28 @@ func residentSet(s *Server) map[dataset.SampleID]bool {
 	return out
 }
 
+// TestCheckpointAndResidentsAreDeterministic: one state writes one file and
+// lists its residents in one order, whatever order the regions' maps iterate
+// in — a restore inserts in file order (L-cache arrival order is eviction
+// order), and the scrub watermark indexes into the resident list.
+func TestCheckpointAndResidentsAreDeterministic(t *testing.T) {
+	srv, _ := warmServer(t)
+	var a, b bytes.Buffer
+	if err := srv.Checkpoint(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Checkpoint(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Error("two checkpoints of one state differ")
+	}
+	ids := srv.Residents([]dataset.SampleID{1 << 40})
+	if ids[0] != 1<<40 || len(ids) != 1+srv.HCacheLen()+srv.LCacheLen() || !slices.IsSorted(ids[1:]) {
+		t.Errorf("Residents did not append %d ascending ids after dst's own", srv.HCacheLen()+srv.LCacheLen())
+	}
+}
+
 func TestCheckpointRoundTrip(t *testing.T) {
 	srv, _ := warmServer(t)
 	var buf bytes.Buffer
@@ -59,8 +81,6 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	want := srv.Residents(nil)
 	got := restored.Residents(nil)
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 	if len(want) != len(got) {
 		t.Fatalf("resident counts differ: %d vs %d", len(got), len(want))
 	}

@@ -2,6 +2,7 @@ package icache
 
 import (
 	"icache/internal/dataset"
+	"icache/internal/dkv"
 	"icache/internal/metrics"
 )
 
@@ -12,20 +13,15 @@ import (
 // (the same discipline as stats) and snapshotted via DecisionLedger.
 
 // DropReason classifies a directed removal (Server.DropFor) — a drop the
-// policy did not choose itself. Capacity evictions are counted separately
-// by the region eviction loops.
-type DropReason int
+// policy did not choose itself. The type lives with the lifecycle steps
+// that issue most of them (dkv/lifecycle.go), so a Server is their
+// resident view as it stands.
+type DropReason = dkv.DropReason
 
 const (
-	// DropDeadOwner: the directory credits the sample to another node
-	// (lost claim race, peer-owned copy discovered on the serve path).
-	DropDeadOwner DropReason = iota
-	// DropScrub: the anti-entropy sweep found the copy unregistered or
-	// peer-owned and repaired the divergence.
-	DropScrub
-	// DropCheckpointDenied: a checkpoint-restored resident whose ownership
-	// replay was denied after rejoin.
-	DropCheckpointDenied
+	DropDeadOwner        = dkv.DropDeadOwner
+	DropScrub            = dkv.DropScrub
+	DropCheckpointDenied = dkv.DropCheckpointDenied
 )
 
 // decisionState holds the Server's introspection counters.

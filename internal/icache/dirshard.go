@@ -35,86 +35,62 @@ type replicaHolder struct {
 	down bool
 }
 
-func (h *replicaHolder) check() error {
+// on runs op against the replica's directory, or fails as a crashed replica
+// answers.
+func on[T any](h *replicaHolder, op func(*dkv.Directory) T) (T, error) {
 	if h.down {
-		return errDirReplicaDown
+		var none T
+		return none, errDirReplicaDown
 	}
-	return nil
+	return op(h.dir), nil
 }
 
 func (h *replicaHolder) Lookup(id dataset.SampleID) (dkv.NodeID, bool, error) {
-	if err := h.check(); err != nil {
-		return 0, false, err
-	}
-	n, ok := h.dir.Lookup(id)
-	return n, ok, nil
+	o, err := on(h, func(d *dkv.Directory) (o dkv.Owner) {
+		o.Node, o.Found = d.Lookup(id)
+		return o
+	})
+	return o.Node, o.Found, err
 }
 
 func (h *replicaHolder) LookupBatch(ids []dataset.SampleID) ([]dkv.Owner, error) {
-	if err := h.check(); err != nil {
-		return nil, err
-	}
-	return h.dir.LookupBatch(ids), nil
+	return on(h, func(d *dkv.Directory) []dkv.Owner { return d.LookupBatch(ids) })
 }
 
 func (h *replicaHolder) Claim(id dataset.SampleID, node dkv.NodeID) (bool, error) {
-	if err := h.check(); err != nil {
-		return false, err
-	}
-	return h.dir.Claim(id, node), nil
+	return on(h, func(d *dkv.Directory) bool { return d.Claim(id, node) })
 }
 
 func (h *replicaHolder) Release(id dataset.SampleID, node dkv.NodeID) (bool, error) {
-	if err := h.check(); err != nil {
-		return false, err
-	}
-	return h.dir.Release(id, node), nil
+	return on(h, func(d *dkv.Directory) bool { return d.Release(id, node) })
 }
 
 func (h *replicaHolder) Len() (int, error) {
-	if err := h.check(); err != nil {
-		return 0, err
-	}
-	return h.dir.Len(), nil
+	return on(h, (*dkv.Directory).Len)
 }
 
 func (h *replicaHolder) Register(node dkv.NodeID, ttl time.Duration) (dkv.NodeInfo, error) {
-	if err := h.check(); err != nil {
-		return dkv.NodeInfo{}, err
-	}
-	return h.dir.Register(node, ttl), nil
+	return on(h, func(d *dkv.Directory) dkv.NodeInfo { return d.Register(node, ttl) })
 }
 
 func (h *replicaHolder) Heartbeat(node dkv.NodeID) (bool, error) {
-	if err := h.check(); err != nil {
-		return false, err
-	}
-	return h.dir.HeartbeatNode(node), nil
+	return on(h, func(d *dkv.Directory) bool { return d.HeartbeatNode(node) })
 }
 
 func (h *replicaHolder) ListNodes() ([]dkv.NodeInfo, error) {
-	if err := h.check(); err != nil {
-		return nil, err
-	}
-	return h.dir.ListNodes(), nil
+	return on(h, (*dkv.Directory).ListNodes)
 }
 
 func (h *replicaHolder) OwnedBy(node dkv.NodeID, max int) ([]dataset.SampleID, error) {
-	if err := h.check(); err != nil {
-		return nil, err
-	}
-	return h.dir.OwnedBy(node, max), nil
+	return on(h, func(d *dkv.Directory) []dataset.SampleID { return d.OwnedBy(node, max) })
 }
 
 func (h *replicaHolder) PurgeDead(max int) (int, error) {
-	if err := h.check(); err != nil {
-		return 0, err
-	}
-	return h.dir.PurgeDead(max), nil
+	return on(h, func(d *dkv.Directory) int { return d.PurgeDead(max) })
 }
 
-// newReplicaDir builds one simulated replica directory on the cluster's
-// virtual clock.
+// newReplicaDir builds one simulated directory (the only one, or a replica)
+// on the cluster's virtual clock.
 func (cl *Cluster) newReplicaDir() *dkv.Directory {
 	d := dkv.NewDirectory()
 	d.SetClock(func() simclock.Time { return cl.vnow })
@@ -138,7 +114,7 @@ func (cl *Cluster) initShardedDir() {
 		FailoverTTL: cl.cfg.LeaseTTL,
 		Clock:       func() simclock.Time { return cl.vnow },
 	})
-	cl.dir = cl.sharded
+	cl.base = cl.sharded
 }
 
 // DirReplicaAlive reports whether simulated directory replica r is up.
@@ -152,9 +128,7 @@ func (cl *Cluster) DirReplicaAlive(r int) bool {
 // Killing a dead replica is a no-op. Only valid with DirReplicas > 1.
 func (cl *Cluster) KillDirReplica(r int, at simclock.Time) {
 	cl.checkReplica(r)
-	if at > cl.vnow {
-		cl.vnow = at
-	}
+	cl.clock(at)
 	cl.holders[r].down = true
 }
 
@@ -171,9 +145,7 @@ func (cl *Cluster) RestartDirReplica(r int, at simclock.Time) error {
 	if !h.down {
 		return fmt.Errorf("icache: RestartDirReplica(%d): replica is already running", r)
 	}
-	if at > cl.vnow {
-		cl.vnow = at
-	}
+	cl.clock(at)
 	h.dir = cl.newReplicaDir()
 	cl.rawDirs[r] = h.dir
 	h.down = false

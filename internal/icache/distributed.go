@@ -3,7 +3,6 @@ package icache
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"icache/internal/dataset"
@@ -112,28 +111,19 @@ func (c ClusterConfig) Validate() error {
 	return nil
 }
 
-// clusterNode is one node's cache state.
+// clusterNode is one simulated node: the policy engine that ships, plus
+// what rpc.Server puts around it — a directory connection, a NIC, and the
+// schedule of its membership loop.
 type clusterNode struct {
-	h   *hcache
-	l   *lcache
-	ld  *loader
+	id  dkv.NodeID
+	srv *Server
+	dir nodeDir
 	nic simclock.Resource
-	rng *rand.Rand
 
-	// lastAt is the virtual time of the fetch currently being served on
-	// this node; eviction hooks (which receive no timestamp) read it.
-	lastAt simclock.Time
-
-	// Degraded-mode state: after a directory failure the node serves
-	// local-only until dirDownUntil, then re-probes.
-	dirDown      bool
-	dirDownUntil simclock.Time
-
-	// Lifecycle state: alive is false between KillNode and RestartNode;
-	// nextHeartbeat/nextScrub schedule the node's background membership
-	// work on the virtual clock; scrubMark is the anti-entropy watermark
-	// into the node's sorted resident set, so bounded sweeps eventually
-	// cover everything.
+	// alive is false between KillNode and RestartNode (srv is then the
+	// empty cache of a process not yet booted). nextHeartbeat/nextScrub are
+	// the node's two tickers on the virtual clock; scrubMark is the scrub
+	// step's watermark.
 	alive         bool
 	nextHeartbeat simclock.Time
 	nextScrub     simclock.Time
@@ -143,8 +133,16 @@ type clusterNode struct {
 // Cluster is the distributed iCache: per-node cache servers sharing a
 // key-value directory so no item is cached twice, over a shared backend
 // (the paper's NFS server). The training side drives it node by node with
-// FetchBatchOn; data-parallel jobs share one importance tracker, so the
-// cluster manages a single H-list.
+// FetchBatchOn; data-parallel jobs share one importance tracker, so every
+// node is handed the same H-list.
+//
+// A node is an icache.Server — Algorithm 1, the loader, tier 2 and the
+// decision ledger are the single-node ones — joined to the cluster at three
+// seams: its eviction observer and admission claims keep the directory's
+// ownership exact, and the request it is about to send to the backend is
+// offered to the owning peer first (Server.onMiss). Its membership is the
+// lifecycle steps rpc.Server runs (dkv.Member), fired from the virtual
+// clock (lifecycle.go).
 //
 // The cluster treats its remote dependencies as unreliable (§V's implicit
 // assumption made explicit): a failed remote-cache read falls through to a
@@ -160,37 +158,36 @@ type Cluster struct {
 	backend *storage.Backend
 	spec    dataset.Spec
 	iis     sampling.IISConfig
-	dir     dkv.Service
-	rawDir  *dkv.Directory
+	seed    int64
 	nodes   []*clusterNode
 
-	// Partitioned-directory state (DirReplicas > 1; see dirshard.go):
-	// rawDirs holds every replica's in-process Directory, holders their kill
-	// switches, sharded the replica-aware client installed as cl.dir.
-	rawDirs []*dkv.Directory
-	holders []*replicaHolder
-	sharded *dkv.ShardedDir
+	// dir is what the nodes' connections reach: base, behind the fault
+	// schedule when one is attached. base is the in-process directory, or
+	// the sharded client over rawDirs (DirReplicas > 1; see dirshard.go:
+	// holders are the replicas' kill switches).
+	dir, base dkv.Service
+	rawDirs   []*dkv.Directory
+	holders   []*replicaHolder
+	sharded   *dkv.ShardedDir
 
-	// inj, when set, is consulted (virtual-time keyed) before directory
-	// and peer operations; see SetFaultInjector.
+	// inj, when set, also decides remote-cache reads; see SetFaultInjector.
 	inj *faults.Injector
-
-	hlist   *sampling.HList
-	hlistIV map[dataset.SampleID]float64
 
 	// deferred holds ownership releases that failed because the directory
 	// was unreachable; they replay on the next successful directory op.
 	deferred map[dataset.SampleID]dkv.NodeID
 
-	stats      metrics.CacheStats
+	// retired is what crashed nodes' servers had counted.
+	retired    metrics.CacheStats
 	res        metrics.ResilienceStats
 	mem        metrics.MembershipStats
 	remoteHits int64
 
-	// vnow is the cluster's high-water virtual time; the directory's lease
-	// clock reads it, so lease expiry is deterministic for a given drive
-	// sequence.
-	vnow simclock.Time
+	// at is the virtual time of the operation in progress: eviction and
+	// claim hooks receive no timestamp, and time-keyed fault rules read it.
+	// vnow is its high-water mark; the directories' lease clocks read that,
+	// so lease expiry is deterministic for a given drive sequence.
+	at, vnow simclock.Time
 }
 
 // NewCluster builds a distributed iCache over a shared backend.
@@ -198,14 +195,7 @@ func NewCluster(backend *storage.Backend, cfg ClusterConfig, iis sampling.IISCon
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if err := iis.Validate(); err != nil {
-		return nil, err
-	}
-	cache := cfg.Cache
-	cache.CapacityBytes = cfg.PerNodeCapacityBytes
-	if err := cache.Validate(); err != nil {
-		return nil, err
-	}
+	cfg.Cache.CapacityBytes = cfg.PerNodeCapacityBytes
 	if cfg.DirReprobeInterval == 0 {
 		cfg.DirReprobeInterval = 250 * time.Millisecond
 	}
@@ -227,87 +217,87 @@ func NewCluster(backend *storage.Backend, cfg ClusterConfig, iis sampling.IISCon
 	if cfg.DeferredReleaseCap == 0 {
 		cfg.DeferredReleaseCap = 4096
 	}
-	rawDir := dkv.NewDirectory()
 	cl := &Cluster{
 		cfg:      cfg,
 		backend:  backend,
 		spec:     backend.Spec(),
 		iis:      iis,
-		dir:      dkv.Local{Dir: rawDir},
-		rawDir:   rawDir,
-		hlist:    sampling.NewHList(nil),
+		seed:     seed,
 		deferred: make(map[dataset.SampleID]dkv.NodeID),
 	}
-	cl.cfg.Cache = cache
+	// The directories run on the cluster's virtual clock. With DirReplicas >
+	// 1 there are N sharded replicas behind a ShardedDir, each tracking node
+	// liveness independently for the shards it holds.
+	if cfg.DirReplicas > 1 {
+		cl.initShardedDir()
+	} else {
+		cl.rawDirs = []*dkv.Directory{cl.newReplicaDir()}
+		cl.base = dkv.Local{Dir: cl.rawDirs[0]}
+	}
+	cl.dir = cl.base
 	for n := 0; n < cfg.Nodes; n++ {
-		hBytes := int64(float64(cache.CapacityBytes) * cache.HShare)
-		lBytes := cache.CapacityBytes - hBytes
-		if !cache.EnableLCache {
-			hBytes, lBytes = cache.CapacityBytes, 0
-		}
-		pkg := cache.PackageBytes
-		if cache.EnableLCache && int64(pkg) > lBytes/2 {
-			pkg = int(lBytes / 2)
-			if pkg < backend.Spec().MeanSampleBytes {
-				pkg = backend.Spec().MeanSampleBytes
-			}
-		}
-		node := &clusterNode{
-			h:             newHCache(hBytes),
-			l:             newLCache(lBytes),
-			ld:            newLoader(backend, pkg, cache.RepackPerSample, rand.New(rand.NewSource(seed+int64(n)*7+1))),
-			rng:           rand.New(rand.NewSource(seed + int64(n)*7)),
-			alive:         true,
-			nextHeartbeat: simclock.Time(cfg.HeartbeatInterval),
-			nextScrub:     simclock.Time(cfg.ScrubInterval),
-		}
-		nodeID := dkv.NodeID(n)
-		node.h.onEvict = func(id dataset.SampleID) { cl.dirRelease(node, node.lastAt, id, nodeID) }
-		node.l.onEvict = func(id dataset.SampleID) { cl.dirRelease(node, node.lastAt, id, nodeID) }
-		node.l.claim = func(id dataset.SampleID) bool {
-			claimed, _ := cl.dirClaim(node, node.lastAt, id, nodeID)
-			return claimed
+		node := &clusterNode{id: dkv.NodeID(n), dir: nodeDir{cl: cl}}
+		var err error
+		if node.srv, err = cl.newNodeServer(node); err != nil {
+			return nil, err
 		}
 		cl.nodes = append(cl.nodes, node)
-	}
-	// Lease the directory onto the cluster's virtual clock and register
-	// every node at t=0 so lease expiry — and therefore reclaim — is
-	// deterministic for a given drive sequence. With DirReplicas > 1 the
-	// single directory is replaced by N sharded replicas behind a
-	// ShardedDir, and registration fans out to every replica (each tracks
-	// node liveness independently for the shards it holds).
-	if cfg.DirReplicas > 1 {
-		cl.rawDir = nil
-		cl.initShardedDir()
-		if !cfg.DisableMembership {
-			for _, d := range cl.rawDirs {
-				for n := 0; n < cfg.Nodes; n++ {
-					d.Register(dkv.NodeID(n), cfg.LeaseTTL)
-				}
-			}
-		}
-		return cl, nil
-	}
-	rawDir.SetClock(func() simclock.Time { return cl.vnow })
-	rawDir.SetMembershipParams(cfg.LeaseTTL, cfg.SuspectWindow)
-	if !cfg.DisableMembership {
-		for n := 0; n < cfg.Nodes; n++ {
-			rawDir.Register(dkv.NodeID(n), cfg.LeaseTTL)
-		}
+		cl.boot(node, 0)
 	}
 	return cl, nil
 }
 
-// SetFaultInjector attaches a chaos schedule: directory operations
-// (faults.OpDirLookup/Claim/Release) and remote-cache reads
-// (faults.OpPeerRead) consult it, keyed on the current virtual time, before
-// touching the real structures. Pass nil to detach. Intended for the chaos
-// suite; production deployments leave it unset.
-func (cl *Cluster) SetFaultInjector(inj *faults.Injector) { cl.inj = inj }
+// newNodeServer builds the policy engine of node n's next process.
+func (cl *Cluster) newNodeServer(n *clusterNode) (*Server, error) {
+	return NewServer(cl.backend, cl.cfg.Cache, cl.iis, cl.seed+int64(n.id)*7)
+}
 
-// SetDirectory swaps the cluster's directory service (e.g. for a
-// fault-wrapped faults.Dir in tests). Must be called before any fetch.
-func (cl *Cluster) SetDirectory(svc dkv.Service) { cl.dir = svc }
+// boot joins node n's server — fresh, or restored from a checkpoint — to
+// the cluster at virtual time at: the three seams, then the path
+// icache-server boots through, a lease and a claim per resident (a static
+// membership has no lease to take).
+func (cl *Cluster) boot(n *clusterNode, at simclock.Time) {
+	claim := func(id dataset.SampleID) bool {
+		claimed, _ := n.dir.Claim(id, n.id)
+		return claimed
+	}
+	release := func(id dataset.SampleID) { cl.release(n, id) }
+	n.srv.claim, n.srv.release, n.srv.l.claim = claim, release, claim
+	n.srv.SetEvictObserver(release)
+	n.srv.onMiss = func(at simclock.Time, id dataset.SampleID) (simclock.Time, missOutcome) {
+		return cl.askPeer(n, at, id)
+	}
+	n.alive = true
+	n.scrubMark = 0
+	n.nextHeartbeat = at + cl.cfg.HeartbeatInterval
+	n.nextScrub = at + cl.cfg.ScrubInterval
+	step := cl.member(n).Rejoin
+	if cl.cfg.DisableMembership {
+		step = cl.member(n).Reconcile
+	}
+	d, _ := step() // a directory failure is counted where it surfaced
+	cl.mem.Add(d)
+}
+
+// member is node n's identity for the lifecycle steps.
+func (cl *Cluster) member(n *clusterNode) dkv.Member {
+	return dkv.Member{Dir: &n.dir, ID: n.id, TTL: cl.cfg.LeaseTTL, Cache: n.srv}
+}
+
+// SetFaultInjector attaches a chaos schedule, keyed on the virtual time of
+// the operation in progress: every directory operation of every node passes
+// through a faults.Dir (faults.OpDirLookup/Claim/Release/Register/
+// Heartbeat/Scan), and the cluster itself decides remote-cache reads
+// (faults.OpPeerRead). Pass nil to detach. Intended for the chaos suite;
+// production deployments leave it unset.
+func (cl *Cluster) SetFaultInjector(inj *faults.Injector) {
+	cl.inj, cl.dir = inj, cl.base
+	if inj != nil {
+		fd := faults.WrapDir(cl.base, inj)
+		fd.Clock = func() simclock.Time { return cl.at }
+		cl.dir = fd
+	}
+}
 
 // Name identifies the scheme in experiment output.
 func (cl *Cluster) Name() string { return fmt.Sprintf("icache-%dnode", cl.cfg.Nodes) }
@@ -317,10 +307,9 @@ func (cl *Cluster) Nodes() int { return cl.cfg.Nodes }
 
 // Stats reports cluster-wide cache counters.
 func (cl *Cluster) Stats() metrics.CacheStats {
-	st := cl.stats
+	st := cl.retired
 	for _, n := range cl.nodes {
-		st.Inserts += n.h.inserts + n.l.inserts
-		st.Evictions += n.h.evictions + n.l.evictions
+		st.Add(n.srv.Stats())
 	}
 	return st
 }
@@ -330,16 +319,7 @@ func (cl *Cluster) Resilience() metrics.ResilienceStats { return cl.res }
 
 // SubstitutionSource declares the substitution severity class for the
 // accuracy model.
-func (cl *Cluster) SubstitutionSource() string {
-	switch cl.cfg.Cache.Substitute {
-	case SubstituteLCache:
-		return "lcache"
-	case SubstituteHCache:
-		return "hcache"
-	default:
-		return "none"
-	}
-}
+func (cl *Cluster) SubstitutionSource() string { return cl.nodes[0].srv.SubstitutionSource() }
 
 // RemoteHits reports requests served from a peer node's cache.
 func (cl *Cluster) RemoteHits() int64 { return cl.remoteHits }
@@ -352,165 +332,22 @@ func (cl *Cluster) DirectoryLen() int {
 }
 
 // BeginEpoch draws the epoch schedule from the shared (data-parallel)
-// tracker, installs the fresh H-list on every node, and resets per-epoch
-// state. The caller splits the schedule's batches across nodes.
+// tracker and crosses the epoch boundary on every live node with the fresh
+// H-list, as a trainer does over the wire (UpdateImportance, BeginEpoch).
+// The caller splits the schedule's batches across nodes.
 func (cl *Cluster) BeginEpoch(at simclock.Time, epoch int, tr *sampling.Tracker, rng *rand.Rand) sampling.Schedule {
 	sched, hl := sampling.IISSchedule(tr, cl.iis, rng)
-	cl.hlist = hl
-	cl.hlistIV = make(map[dataset.SampleID]float64, hl.Len())
-	for _, it := range hl.Items {
-		cl.hlistIV[it.ID] = it.IV
-	}
+	cl.clock(at)
 	for _, n := range cl.nodes {
-		n.h.refreshImportance(func(id dataset.SampleID) (float64, bool) {
-			iv, ok := cl.hlistIV[id]
-			return iv, ok
-		})
-		n.l.beginEpoch()
+		if n.alive {
+			n.srv.InstallHList(hl)
+			n.srv.StartEpoch(at)
+		}
 	}
 	if cl.cfg.Cache.Clairvoyant {
 		cl.planSchedule(sched.Fetch)
 	}
 	return sched
-}
-
-// decide consults the attached fault injector (nil-safe) at virtual time at.
-func (cl *Cluster) decide(op string, at simclock.Time) faults.Decision {
-	if cl.inj == nil {
-		return faults.Decision{}
-	}
-	return cl.inj.DecideAt(op, at)
-}
-
-// faulted reports whether a decision denies the operation outright.
-func faulted(d faults.Decision) bool {
-	return d.Action == faults.ActError || d.Action == faults.ActDrop
-}
-
-// dirAvailable reports whether node n should attempt directory operations
-// at time at. While a node is in local-only mode, operations are skipped
-// (counted) until the re-probe deadline passes.
-func (cl *Cluster) dirAvailable(n *clusterNode, at simclock.Time) bool {
-	if !n.dirDown || at >= n.dirDownUntil {
-		return true
-	}
-	cl.res.LocalOnlySkips++
-	return false
-}
-
-// dirFault records a directory failure on node n: the node flips (or stays)
-// in local-only mode and will not re-probe before at+DirReprobeInterval.
-func (cl *Cluster) dirFault(n *clusterNode, at simclock.Time) {
-	cl.res.DirFailures++
-	if !n.dirDown {
-		n.dirDown = true
-		cl.res.LocalOnly++
-	}
-	n.dirDownUntil = at + cl.cfg.DirReprobeInterval
-}
-
-// dirHealed marks a successful directory operation on node n and replays
-// any deferred ownership releases, best effort.
-func (cl *Cluster) dirHealed(n *clusterNode) {
-	n.dirDown = false
-	if len(cl.deferred) == 0 {
-		return
-	}
-	// Replay in sorted order: map iteration order is random, and a failure
-	// mid-replay keeps the remainder queued, so an unsorted walk would make
-	// the replayed set — and thus the whole run — nondeterministic.
-	ids := make([]dataset.SampleID, 0, len(cl.deferred))
-	for id := range cl.deferred {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if _, err := cl.dir.Release(id, cl.deferred[id]); err != nil {
-			return // still sick; keep the rest queued
-		}
-		delete(cl.deferred, id)
-		cl.res.ReplayedReleases++
-	}
-}
-
-// dirLookup resolves id's owner through the (possibly faulted) directory.
-// degraded reports that the lookup could not be performed.
-func (cl *Cluster) dirLookup(n *clusterNode, at simclock.Time, id dataset.SampleID) (owner dkv.NodeID, ok, degraded bool) {
-	if !cl.dirAvailable(n, at) {
-		return 0, false, true
-	}
-	if faulted(cl.decide(faults.OpDirLookup, at)) {
-		cl.dirFault(n, at)
-		return 0, false, true
-	}
-	owner, ok, err := cl.dir.Lookup(id)
-	if err != nil {
-		cl.dirFault(n, at)
-		return 0, false, true
-	}
-	cl.dirHealed(n)
-	return owner, ok, false
-}
-
-// dirClaim claims id for node through the (possibly faulted) directory.
-// A directory failure counts as a failed claim: unregistered ownership
-// would break the no-duplication invariant.
-func (cl *Cluster) dirClaim(n *clusterNode, at simclock.Time, id dataset.SampleID, node dkv.NodeID) (claimed, degraded bool) {
-	if !cl.dirAvailable(n, at) {
-		return false, true
-	}
-	if faulted(cl.decide(faults.OpDirClaim, at)) {
-		cl.dirFault(n, at)
-		return false, true
-	}
-	claimed, err := cl.dir.Claim(id, node)
-	if err != nil {
-		cl.dirFault(n, at)
-		return false, true
-	}
-	if claimed {
-		// A successful claim supersedes any release deferred while the
-		// directory was down (e.g. the node evicted id and later re-admitted
-		// it): replaying the stale release would silently drop live
-		// ownership and invite duplication.
-		delete(cl.deferred, id)
-	}
-	cl.dirHealed(n)
-	return claimed, false
-}
-
-// deferRelease queues a failed ownership release for replay once the
-// directory heals. The queue is bounded (ClusterConfig.DeferredReleaseCap):
-// at the cap the release is dropped and counted instead, and the scrubber
-// repairs the resulting orphaned directory entry on a later sweep — so a
-// never-healing directory costs bounded memory, not an unbounded map.
-func (cl *Cluster) deferRelease(id dataset.SampleID, node dkv.NodeID) {
-	if _, queued := cl.deferred[id]; !queued && len(cl.deferred) >= cl.cfg.DeferredReleaseCap {
-		cl.res.DroppedReleases++
-		return
-	}
-	cl.deferred[id] = node
-	cl.res.DeferredReleases++
-}
-
-// dirRelease releases id for node. Failures are queued for replay once the
-// directory heals, so evictions never leave permanent stale ownership.
-func (cl *Cluster) dirRelease(n *clusterNode, at simclock.Time, id dataset.SampleID, node dkv.NodeID) {
-	if !cl.dirAvailable(n, at) {
-		cl.deferRelease(id, node)
-		return
-	}
-	if faulted(cl.decide(faults.OpDirRelease, at)) {
-		cl.dirFault(n, at)
-		cl.deferRelease(id, node)
-		return
-	}
-	if _, err := cl.dir.Release(id, node); err != nil {
-		cl.dirFault(n, at)
-		cl.deferRelease(id, node)
-		return
-	}
-	cl.dirHealed(n)
 }
 
 // remoteRead charges the cost of pulling one sample from a peer's cache:
@@ -522,134 +359,59 @@ func (cl *Cluster) remoteRead(at simclock.Time, from, to int, size int) simclock
 	return end
 }
 
-// FetchBatchOn simulates node's worker fetching a mini-batch starting at
-// virtual time at, following §III-E's data flow: local cache, then the
-// shared directory for a remote-cache hit, then the backend (claiming
-// ownership of what it fetched).
-func (cl *Cluster) FetchBatchOn(node int, at simclock.Time, ids []dataset.SampleID) (simclock.Time, []dataset.SampleID) {
-	if node < 0 || node >= len(cl.nodes) {
-		panic(fmt.Sprintf("icache: node %d out of range [0,%d)", node, len(cl.nodes)))
+// askPeer is a node's Server.onMiss, §III-E's data flow after the local
+// cache: the shared directory, then the owner's cache; what it leaves to the
+// backend the node's server reads and claims.
+func (cl *Cluster) askPeer(n *clusterNode, at simclock.Time, id dataset.SampleID) (simclock.Time, missOutcome) {
+	owner, ok, err := n.dir.Lookup(id)
+	if err != nil {
+		cl.res.DegradedReads++ // the directory cannot say who holds it
+		return at, missDegraded
 	}
-	n := cl.nodes[node]
+	if !ok || owner == n.id || !cl.nodes[owner].srv.servePeer(id) {
+		return at, missBackend
+	}
+	var d faults.Decision
+	if cl.inj != nil {
+		d = cl.inj.DecideAt(faults.OpPeerRead, at)
+	}
+	if d.Action == faults.ActError || d.Action == faults.ActDrop {
+		// The copy exists and its node is unreachable: degrade to a backend
+		// read, never stall.
+		cl.res.PeerFailures++
+		cl.res.DegradedReads++
+		return at, missDegraded
+	}
+	cl.remoteHits++
+	return cl.remoteRead(at, int(owner), int(n.id), cl.spec.SampleBytes(id)) + d.Delay, missPeer
+}
+
+// FetchBatchOn simulates node's worker fetching a mini-batch starting at
+// virtual time at. Before each request the node's membership work that has
+// come due runs (lifecycle.go), interleaved with the foreground the same way
+// for a given seed and drive sequence.
+func (cl *Cluster) FetchBatchOn(node int, at simclock.Time, ids []dataset.SampleID) (simclock.Time, []dataset.SampleID) {
+	n := cl.node(node)
 	if !n.alive {
 		panic(fmt.Sprintf("icache: FetchBatchOn on crashed node %d (RestartNode first)", node))
 	}
 	served := make([]dataset.SampleID, 0, len(ids))
-	for _, id := range ids {
-		at = cl.fetchOne(n, node, at, id, &served)
+	for i := range ids {
+		cl.tick(n, at)
+		at = n.srv.FetchBatchInto(at, ids[i:i+1], &served)
 	}
 	return at, served
 }
 
-// countBackendRead attributes one backend-served request to exactly one
-// outcome class: Degraded when a fault broke the preferred path, Misses
-// otherwise. This single choke point is what keeps the conservation
-// invariant exact.
-func (cl *Cluster) countBackendRead(degraded bool) {
-	if degraded {
-		cl.stats.Degraded++
-		cl.res.DegradedReads++
-	} else {
-		cl.stats.Misses++
-	}
+// clock sets the virtual time of the operation in progress.
+func (cl *Cluster) clock(at simclock.Time) {
+	cl.at, cl.vnow = at, max(cl.vnow, at)
 }
 
-func (cl *Cluster) fetchOne(n *clusterNode, node int, at simclock.Time, id dataset.SampleID, served *[]dataset.SampleID) simclock.Time {
-	n.lastAt = at
-	cl.tick(n, node, at)
-	size := cl.spec.SampleBytes(id)
-	if cl.hlist.Contains(id) {
-		if n.h.contains(id) {
-			cl.stats.Hits++
-			*served = append(*served, id)
-			return at + cl.cfg.Cache.HitLatency
-		}
-		if n.l.contains(id) {
-			// The sample was cached as an L-sample in an earlier epoch and
-			// has since been promoted into the H-list. Serve it locally and
-			// try to move the copy into the H-cache; if the H-cache declines,
-			// the L-copy stays. Either way the node holds exactly one copy
-			// and keeps its directory ownership, so the no-duplication
-			// invariant survives the promotion.
-			if n.h.offer(id, size, cl.hlistIV[id]) {
-				n.l.remove(id)
-			}
-			cl.stats.Hits++
-			*served = append(*served, id)
-			return at + cl.cfg.Cache.HitLatency
-		}
-		degraded := false
-		if owner, ok, deg := cl.dirLookup(n, at, id); deg {
-			degraded = true
-		} else if ok && int(owner) != node {
-			if cl.nodes[owner].h.contains(id) || cl.nodes[owner].l.contains(id) {
-				if d := cl.decide(faults.OpPeerRead, at); faulted(d) {
-					// Remote copy exists but the peer is unreachable:
-					// degrade to a backend read, never stall.
-					cl.res.PeerFailures++
-					degraded = true
-				} else {
-					cl.stats.Hits++
-					cl.remoteHits++
-					*served = append(*served, id)
-					end := cl.remoteRead(at, int(owner), node, size)
-					return end + d.Delay
-				}
-			}
-		}
-		cl.countBackendRead(degraded)
-		at = cl.backend.ReadSample(at, id)
-		iv := cl.hlistIV[id]
-		if claimed, _ := cl.dirClaim(n, at, id, dkv.NodeID(node)); claimed {
-			if !n.h.offer(id, size, iv) {
-				cl.dirRelease(n, at, id, dkv.NodeID(node))
-			}
-		}
-		*served = append(*served, id)
-		return at
+// node returns node i, panicking on an index out of range.
+func (cl *Cluster) node(i int) *clusterNode {
+	if i < 0 || i >= len(cl.nodes) {
+		panic(fmt.Sprintf("icache: node %d out of range [0,%d)", i, len(cl.nodes)))
 	}
-
-	// L-sample path: local L-cache, remote exact hit, then substitution.
-	if !cl.cfg.Cache.EnableLCache {
-		cl.stats.Misses++
-		at = cl.backend.ReadSample(at, id)
-		*served = append(*served, id)
-		return at
-	}
-	n.ld.pump(at, cl.hlist, n.h, n.l)
-	n.ld.deliver(at, n.l)
-	if n.l.takeExact(id) {
-		cl.stats.Hits++
-		*served = append(*served, id)
-		return at + cl.cfg.Cache.HitLatency
-	}
-	degraded := false
-	if owner, ok, deg := cl.dirLookup(n, at, id); deg {
-		degraded = true
-	} else if ok && int(owner) != node {
-		if cl.nodes[owner].l.takeExact(id) {
-			if d := cl.decide(faults.OpPeerRead, at); faulted(d) {
-				cl.res.PeerFailures++
-				degraded = true
-			} else {
-				cl.stats.Hits++
-				cl.remoteHits++
-				*served = append(*served, id)
-				end := cl.remoteRead(at, int(owner), node, size)
-				return end + d.Delay
-			}
-		}
-	}
-	n.ld.recordMiss(id)
-	if cl.cfg.Cache.Substitute == SubstituteLCache {
-		if sub, ok := n.l.substitute(n.rng); ok {
-			cl.stats.Substitutions++
-			*served = append(*served, sub)
-			return at + cl.cfg.Cache.HitLatency
-		}
-	}
-	cl.countBackendRead(degraded)
-	at = cl.backend.ReadSample(at, id)
-	*served = append(*served, id)
-	return at
+	return cl.nodes[i]
 }

@@ -64,7 +64,7 @@ func TestClusterNoDuplicateOwnership(t *testing.T) {
 	// Every H-cache resident on every node must be directory-owned by that
 	// node and by no other node.
 	for n, node := range cl.nodes {
-		for id := range node.h.items {
+		for id := range node.srv.h.items {
 			owner, ok, err := cl.dir.Lookup(id)
 			if err != nil {
 				t.Fatalf("directory lookup of %d: %v", id, err)
@@ -80,13 +80,13 @@ func TestClusterNoDuplicateOwnership(t *testing.T) {
 	// No sample may be resident on two nodes.
 	seen := map[int64]int{}
 	for n, node := range cl.nodes {
-		for id := range node.h.items {
+		for id := range node.srv.h.items {
 			if prev, dup := seen[int64(id)]; dup {
 				t.Fatalf("sample %d cached on nodes %d and %d", id, prev, n)
 			}
 			seen[int64(id)] = n
 		}
-		for id := range node.l.items {
+		for id := range node.srv.l.items {
 			if prev, dup := seen[int64(id)]; dup {
 				t.Fatalf("L-sample %d cached on nodes %d and %d", id, prev, n)
 			}

@@ -1,233 +1,45 @@
 package icache
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
 
-	"icache/internal/dataset"
-	"icache/internal/dkv"
-	"icache/internal/faults"
 	"icache/internal/metrics"
-	"icache/internal/sampling"
 	"icache/internal/simclock"
 )
 
-// This file is the node-lifecycle half of the distributed mode: lease
-// heartbeats, the anti-entropy scrubber, and crash/rejoin. The directory
-// half (lease state, reclaim, purge) lives in internal/dkv/membership.go.
+// This file drives the node lifecycle on the cluster's virtual clock: when a
+// heartbeat or a scrub sweep is due, and crash/rejoin. What a heartbeat, a
+// rejoin and a sweep DO is dkv/lifecycle.go, the steps rpc.Server fires from
+// its wall-clock tickers; the directory half (lease state, reclaim, purge)
+// is dkv/membership.go.
 //
-// Everything here runs on the cluster's virtual clock: fetchOne calls tick
-// before serving, and tick runs whatever background work (heartbeat, scrub)
-// has come due. That keeps the simulation single-threaded and deterministic
-// — background maintenance happens at reproducible instants, interleaved
-// with the foreground exactly the same way for a given seed and drive
-// sequence.
+// FetchBatchOn calls tick before serving each request, and tick runs
+// whatever background work has come due. That keeps the simulation
+// single-threaded and deterministic — maintenance happens at reproducible
+// instants, interleaved with the foreground exactly the same way for a
+// given seed and drive sequence.
 
-// tick advances the cluster's virtual clock and runs node n's background
-// membership work that has come due: lease heartbeats every
-// HeartbeatInterval and one bounded anti-entropy sweep every ScrubInterval.
-func (cl *Cluster) tick(n *clusterNode, node int, at simclock.Time) {
-	if at > cl.vnow {
-		cl.vnow = at
-	}
+// tick advances the cluster's virtual clock and fires node n's two
+// membership tickers: a lease heartbeat every HeartbeatInterval and one
+// bounded anti-entropy sweep every ScrubInterval. A step's directory
+// failure needs no handling here: the node's connection counted it and went
+// local-only, and the next firing starts over.
+func (cl *Cluster) tick(n *clusterNode, at simclock.Time) {
+	cl.clock(at)
 	if cl.cfg.DisableMembership {
 		return
 	}
 	if at >= n.nextHeartbeat {
-		n.nextHeartbeat = at + simclock.Time(cl.cfg.HeartbeatInterval)
-		cl.heartbeat(n, node, at)
+		n.nextHeartbeat = at + cl.cfg.HeartbeatInterval
+		d, _ := cl.member(n).Heartbeat()
+		cl.mem.Add(d)
 	}
 	if at >= n.nextScrub {
-		n.nextScrub = at + simclock.Time(cl.cfg.ScrubInterval)
-		cl.scrub(n, node, at)
-	}
-}
-
-// heartbeat renews node n's lease. A rejected renewal means the lease
-// already lapsed (e.g. the node sat partitioned in local-only mode for
-// longer than the TTL) and the node's directory entries may have been
-// reclaimed: the node re-registers under a fresh lease and reconciles its
-// ownership before trusting its cache again.
-func (cl *Cluster) heartbeat(n *clusterNode, node int, at simclock.Time) {
-	if !cl.dirAvailable(n, at) {
-		return
-	}
-	if faulted(cl.decide(faults.OpDirHeartbeat, at)) {
-		cl.dirFault(n, at)
-		return
-	}
-	renewed, err := cl.dir.Heartbeat(dkv.NodeID(node))
-	if err != nil {
-		cl.dirFault(n, at)
-		return
-	}
-	cl.dirHealed(n)
-	if renewed {
-		return
-	}
-	cl.reregister(n, node, at)
-}
-
-// reregister grants node n a fresh lease and reconciles its ownership
-// claims. It is the split-brain repair path: between lease expiry and
-// re-registration other nodes may have reclaimed this node's entries, so
-// every cached sample must be re-claimed — and dropped locally when the
-// claim is denied — to restore the no-duplication invariant.
-func (cl *Cluster) reregister(n *clusterNode, node int, at simclock.Time) {
-	if faulted(cl.decide(faults.OpDirRegister, at)) {
-		cl.dirFault(n, at)
-		return
-	}
-	if _, err := cl.dir.Register(dkv.NodeID(node), cl.cfg.LeaseTTL); err != nil {
-		cl.dirFault(n, at)
-		return
-	}
-	cl.dirHealed(n)
-	cl.reconcileOwnership(n, node, at)
-}
-
-// reconcileOwnership re-claims every sample node n holds. Claims are
-// idempotent for the current owner, so entries nobody touched simply
-// re-affirm; entries another node won in the meantime come back denied and
-// the local copy is dropped without releasing (the ownership is not ours to
-// release). A directory failure mid-walk stops the sweep; the next
-// heartbeat cycle retries from scratch.
-func (cl *Cluster) reconcileOwnership(n *clusterNode, node int, at simclock.Time) {
-	for _, id := range n.residentIDs() {
-		claimed, degraded := cl.dirClaim(n, at, id, dkv.NodeID(node))
-		if degraded {
-			return
-		}
-		if claimed {
-			cl.mem.ReplayedClaims++
-			continue
-		}
-		cl.mem.ReplayDenied++
-		cl.dropLocal(n, id)
-	}
-}
-
-// scrub runs one bounded anti-entropy sweep for node n, reconciling the
-// shared directory against the node's actual cache contents in both
-// directions, then purging a batch of Dead-owned entries as a backstop for
-// anything no survivor reclaims on the demand path.
-func (cl *Cluster) scrub(n *clusterNode, node int, at simclock.Time) {
-	if !cl.dirAvailable(n, at) {
-		return
-	}
-	self := dkv.NodeID(node)
-	batch := cl.cfg.ScrubBatch
-
-	// Direction 1: directory entries registered to this node that it no
-	// longer caches (e.g. a release dropped at the deferred-queue cap).
-	// Left alone they would route peers to a copy that does not exist.
-	if faulted(cl.decide(faults.OpDirScan, at)) {
-		cl.dirFault(n, at)
-		return
-	}
-	owned, err := cl.dir.OwnedBy(self, batch)
-	if err != nil {
-		cl.dirFault(n, at)
-		return
-	}
-	cl.dirHealed(n)
-	for _, id := range owned {
-		if n.h.contains(id) || n.l.contains(id) {
-			continue
-		}
-		if faulted(cl.decide(faults.OpDirRelease, at)) {
-			cl.dirFault(n, at)
-			return
-		}
-		if _, err := cl.dir.Release(id, self); err != nil {
-			cl.dirFault(n, at)
-			return
-		}
-		if who, queued := cl.deferred[id]; queued && who == self {
-			delete(cl.deferred, id) // the scrub just did the deferred work
-		}
-		cl.mem.ScrubReleased++
-	}
-
-	// Direction 2: cached samples the directory does not credit to this
-	// node (a lost claim, or ownership another node took over). A watermark
-	// walks the sorted resident set so bounded sweeps eventually cover
-	// everything.
-	ids := n.residentIDs()
-	if len(ids) > 0 {
-		if n.scrubMark >= len(ids) {
-			n.scrubMark = 0
-		}
-		limit := batch
-		if limit > len(ids) {
-			limit = len(ids)
-		}
-		for i := 0; i < limit; i++ {
-			id := ids[(n.scrubMark+i)%len(ids)]
-			owner, ok, degraded := cl.dirLookup(n, at, id)
-			if degraded {
-				return
-			}
-			if ok && owner == self {
-				continue // directory and cache agree
-			}
-			if ok {
-				// A peer owns it: our copy is the duplicate. Drop it.
-				cl.dropLocal(n, id)
-				cl.mem.ScrubDropped++
-				continue
-			}
-			// Unregistered: re-claim it so peers can find the copy.
-			claimed, degraded := cl.dirClaim(n, at, id, self)
-			if degraded {
-				return
-			}
-			if claimed {
-				cl.mem.ScrubReclaimed++
-			} else {
-				// Lost the race between lookup and claim: drop the copy.
-				cl.dropLocal(n, id)
-				cl.mem.ScrubDropped++
-			}
-		}
-		n.scrubMark = (n.scrubMark + limit) % len(ids)
-	}
-
-	// Backstop: garbage-collect a batch of Dead-owned entries nobody
-	// reclaimed on the demand path.
-	if faulted(cl.decide(faults.OpDirScan, at)) {
-		cl.dirFault(n, at)
-		return
-	}
-	if _, err := cl.dir.PurgeDead(batch); err != nil {
-		cl.dirFault(n, at)
-		return
-	}
-	cl.dirHealed(n)
-	cl.mem.ScrubSweeps++
-}
-
-// residentIDs snapshots node n's full resident set (H then L — the regions
-// are disjoint) in sorted order for deterministic walks.
-func (n *clusterNode) residentIDs() []dataset.SampleID {
-	ids := make([]dataset.SampleID, 0, n.h.len()+n.l.len())
-	for id := range n.h.items {
-		ids = append(ids, id)
-	}
-	for id := range n.l.items {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// dropLocal removes id from node n's caches without firing eviction hooks:
-// the drop happens precisely because the directory says the ownership is
-// not (or no longer) this node's, so releasing it would clobber the real
-// owner's entry.
-func (cl *Cluster) dropLocal(n *clusterNode, id dataset.SampleID) {
-	if !n.h.remove(id) {
-		n.l.remove(id)
+		n.nextScrub = at + cl.cfg.ScrubInterval
+		var d metrics.MembershipStats
+		n.scrubMark, d, _ = cl.member(n).Scrub(n.scrubMark, cl.cfg.ScrubBatch)
+		cl.mem.Add(d)
 	}
 }
 
@@ -239,27 +51,20 @@ func (cl *Cluster) dropLocal(n *clusterNode, id dataset.SampleID) {
 // path, the scrubber purges them, or the node rejoins and re-claims what is
 // still unowned. Killing a dead node is a no-op.
 func (cl *Cluster) KillNode(node int, at simclock.Time) {
-	if node < 0 || node >= len(cl.nodes) {
-		panic(fmt.Sprintf("icache: node %d out of range [0,%d)", node, len(cl.nodes)))
-	}
-	n := cl.nodes[node]
+	n := cl.node(node)
 	if !n.alive {
 		return
 	}
-	if at > cl.vnow {
-		cl.vnow = at
-	}
+	cl.clock(at)
 	n.alive = false
-	n.h.wipe()
-	n.l.wipe()
-	n.ld.reset(at)
-	n.dirDown, n.dirDownUntil = false, 0
-	n.scrubMark = 0
+	cl.retired.Add(n.srv.Stats())
+	n.srv, _ = cl.newNodeServer(n) // the config built a server before
+	n.dir = nodeDir{cl: cl}
 	// Releases this node had deferred die with it: the copies they covered
 	// are gone, and the stale directory entries they targeted will be
 	// handled by lease expiry, not replay.
 	for id, owner := range cl.deferred {
-		if owner == dkv.NodeID(node) {
+		if owner == n.id {
 			delete(cl.deferred, id)
 		}
 	}
@@ -268,119 +73,58 @@ func (cl *Cluster) KillNode(node int, at simclock.Time) {
 // NodeAlive reports whether node is currently running.
 func (cl *Cluster) NodeAlive(node int) bool { return cl.nodes[node].alive }
 
-// NodeCheckpoint is a crash-consistent snapshot of one node's cache
-// contents — IDs plus importance values; the simulation carries no
-// payloads. It mirrors what the RPC server persists to disk, and
-// RestartNode replays it the way a rebooted server replays its checkpoint
-// file.
+// NodeCheckpoint is one node's Server.Checkpoint — the file the RPC server
+// persists to disk: resident IDs, importance values and the H-list, no
+// payloads.
 type NodeCheckpoint struct {
-	Node int
-	H    []sampling.Item
-	L    []dataset.SampleID
+	Node  int
+	State []byte
 }
 
-// SnapshotNode captures node's current residents, sorted by ID. H-samples
-// carry their current importance values so a restore can rebuild the
-// eviction heap faithfully.
+// SnapshotNode captures node's current cache state.
 func (cl *Cluster) SnapshotNode(node int) NodeCheckpoint {
-	if node < 0 || node >= len(cl.nodes) {
-		panic(fmt.Sprintf("icache: node %d out of range [0,%d)", node, len(cl.nodes)))
+	var buf bytes.Buffer
+	if err := cl.node(node).srv.Checkpoint(&buf); err != nil {
+		panic("icache: checkpoint into memory: " + err.Error())
 	}
-	n := cl.nodes[node]
-	ck := NodeCheckpoint{Node: node}
-	for id := range n.h.items {
-		ck.H = append(ck.H, sampling.Item{ID: id, IV: cl.hlistIV[id]})
-	}
-	sort.Slice(ck.H, func(i, j int) bool { return ck.H[i].ID < ck.H[j].ID })
-	for id := range n.l.items {
-		ck.L = append(ck.L, id)
-	}
-	sort.Slice(ck.L, func(i, j int) bool { return ck.L[i] < ck.L[j] })
-	return ck
+	return NodeCheckpoint{Node: node, State: buf.Bytes()}
 }
 
-// RestartNode boots a crashed node at virtual time at, optionally restoring
-// a checkpoint taken before the crash. The node registers under a fresh
-// lease first, then replays ownership claims for every restored sample:
-// claims the directory grants re-admit the sample, claims it denies mean a
-// survivor reclaimed the sample while this node was down — the restored
-// copy is dropped, preserving the no-duplication invariant. Restarting a
-// live node is an error.
+// RestartNode boots a crashed node at virtual time at the way icache-server
+// boots: restore the checkpoint taken before the crash, if there is one,
+// then take a fresh lease and replay an ownership claim per restored
+// resident. A claim the directory denies means a survivor reclaimed the
+// sample while this node was down — the restored copy is dropped, preserving
+// the no-duplication invariant. The restored H-list is the checkpoint's (an
+// empty one without a checkpoint) until the next BeginEpoch pushes the
+// current one. Restarting a live node is an error.
 func (cl *Cluster) RestartNode(node int, at simclock.Time, ckpt *NodeCheckpoint) error {
-	if node < 0 || node >= len(cl.nodes) {
-		panic(fmt.Sprintf("icache: node %d out of range [0,%d)", node, len(cl.nodes)))
-	}
-	n := cl.nodes[node]
+	n := cl.node(node)
 	if n.alive {
 		return fmt.Errorf("icache: RestartNode(%d): node is already running", node)
 	}
-	if ckpt != nil && ckpt.Node != node {
-		return fmt.Errorf("icache: RestartNode(%d): checkpoint belongs to node %d", node, ckpt.Node)
-	}
-	if at > cl.vnow {
-		cl.vnow = at
-	}
-	n.alive = true
-	n.lastAt = at
-	n.nextHeartbeat = at + simclock.Time(cl.cfg.HeartbeatInterval)
-	n.nextScrub = at + simclock.Time(cl.cfg.ScrubInterval)
-
-	// Fresh lease before any claim: claims from an expired identity would
-	// be immediately reclaimable again.
-	if !cl.cfg.DisableMembership {
-		if faulted(cl.decide(faults.OpDirRegister, at)) {
-			cl.dirFault(n, at)
-		} else if _, err := cl.dir.Register(dkv.NodeID(node), cl.cfg.LeaseTTL); err != nil {
-			cl.dirFault(n, at)
-		} else {
-			cl.dirHealed(n)
+	if ckpt != nil {
+		if ckpt.Node != node {
+			return fmt.Errorf("icache: RestartNode(%d): checkpoint belongs to node %d", node, ckpt.Node)
+		}
+		if err := n.srv.RestoreCheckpoint(bytes.NewReader(ckpt.State)); err != nil {
+			return err
 		}
 	}
-	if ckpt == nil {
-		return nil
-	}
-
-	self := dkv.NodeID(node)
-	for _, it := range ckpt.H {
-		claimed, _ := cl.dirClaim(n, at, it.ID, self)
-		if !claimed {
-			cl.mem.ReplayDenied++
-			continue
-		}
-		cl.mem.ReplayedClaims++
-		if !n.h.offer(it.ID, cl.spec.SampleBytes(it.ID), it.IV) {
-			cl.dirRelease(n, at, it.ID, self)
-		}
-	}
-	// The L-cache's admission hook would claim again on insert; suspend it
-	// so the replay owns the claim bookkeeping (claims are idempotent, but
-	// double-deciding would perturb fault schedules).
-	claimHook := n.l.claim
-	n.l.claim = nil
-	for _, id := range ckpt.L {
-		claimed, _ := cl.dirClaim(n, at, id, self)
-		if !claimed {
-			cl.mem.ReplayDenied++
-			continue
-		}
-		cl.mem.ReplayedClaims++
-		if !n.l.insert(id, cl.spec.SampleBytes(id)) {
-			cl.dirRelease(n, at, id, self)
-		}
-	}
-	n.l.claim = claimHook
+	cl.clock(at)
+	cl.boot(n, at)
 	return nil
 }
 
 // Membership reports the cluster's node-lifecycle counters: the node-side
-// scrub and replay work merged with the directory's lease accounting — in
+// scrub and replay work merged with the directories' lease accounting — in
 // a partitioned deployment, summed over every replica (each replica leases
 // every node, so e.g. Registers counts node×replica grants).
 func (cl *Cluster) Membership() metrics.MembershipStats {
 	ms := cl.mem
-	if cl.rawDir != nil {
-		ms.Add(cl.rawDir.Membership())
-	}
+	// Lease traffic is counted at its source below; a networked node counts
+	// its own because it cannot read the directory's table.
+	ms.Registers, ms.Heartbeats, ms.HeartbeatRejects = 0, 0, 0
 	for _, d := range cl.rawDirs {
 		ms.Add(d.Membership())
 	}

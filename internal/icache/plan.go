@@ -40,7 +40,7 @@ func (s *Server) PlanSchedule(ids []dataset.SampleID) []dataset.SampleID {
 		}
 		seen[id] = struct{}{}
 		if s.hlist.Contains(id) {
-			if !s.h.contains(id) {
+			if !s.Resident(id) { // an L-resident H-sample is promoted on its first hit
 				needH = append(needH, id)
 			}
 			continue
@@ -68,19 +68,18 @@ func (s *Server) PlanAdmitH(id dataset.SampleID) bool {
 		return true
 	}
 	iv, _ := s.hlistValue(id)
-	return s.h.offer(id, s.spec.SampleBytes(id), iv)
+	if s.l.contains(id) {
+		s.promote(id, iv)
+		return true
+	}
+	return s.admitH(id, iv)
 }
 
-// planSchedule is the cluster-mode counterpart of Server.PlanSchedule:
-// scheduled L-samples resident on no live node are routed round-robin
-// across the live nodes' loaders, so the cluster pre-packs the epoch's
-// working set exactly once instead of every node discovering the same
-// misses reactively. H pre-placement is a byte-serving concern and has no
-// simulation-side effect (see PlanSchedule).
+// planSchedule is Server.PlanSchedule for a cluster: the epoch's known
+// accesses that no live node caches are dealt round-robin over the live
+// nodes' planners, so the cluster pre-packs the epoch's working set once
+// instead of every node discovering the same misses reactively.
 func (cl *Cluster) planSchedule(ids []dataset.SampleID) {
-	if !cl.cfg.Cache.EnableLCache || cl.cfg.Cache.Packaging == PackagingStatic {
-		return
-	}
 	var live []*clusterNode
 	for _, n := range cl.nodes {
 		if n.alive {
@@ -90,27 +89,24 @@ func (cl *Cluster) planSchedule(ids []dataset.SampleID) {
 	if len(live) == 0 {
 		return
 	}
+	parts := make([][]dataset.SampleID, len(live))
 	seen := make(map[dataset.SampleID]struct{}, len(ids))
 	next := 0
+scheduled:
 	for _, id := range ids {
 		if _, dup := seen[id]; dup {
 			continue
 		}
 		seen[id] = struct{}{}
-		if cl.hlist.Contains(id) {
-			continue
-		}
-		resident := false
-		for _, n := range cl.nodes {
-			if n.alive && (n.h.contains(id) || n.l.contains(id)) {
-				resident = true
-				break
+		for _, n := range live {
+			if n.srv.Resident(id) {
+				continue scheduled
 			}
 		}
-		if resident {
-			continue
-		}
-		live[next%len(live)].ld.recordMiss(id)
+		parts[next%len(live)] = append(parts[next%len(live)], id)
 		next++
+	}
+	for i, n := range live {
+		n.srv.PlanSchedule(parts[i])
 	}
 }

@@ -41,6 +41,17 @@ type Server struct {
 	// SetLoadObserver).
 	loadObs func(dataset.SampleID)
 
+	// The distributed mode's seams, nil on a lone server; a Cluster sets
+	// them on its nodes (distributed.go). claim must approve every H
+	// admission (lcache.claim is the L half) and release hands back a claim
+	// whose sample the H-heap then turned away; an eviction reaches the
+	// directory through the eviction observer. onMiss is asked where
+	// fetchOne is about to read the backend, after substitution — where
+	// rpc.Server asks its peers.
+	claim   func(dataset.SampleID) bool
+	release func(dataset.SampleID)
+	onMiss  func(at simclock.Time, id dataset.SampleID) (simclock.Time, missOutcome)
+
 	// hlist is the active H-list: the job's own in single-job mode, or the
 	// AIV-combined list installed by a Coordinator. hlistIV indexes its
 	// importance values by sample ID.
@@ -401,33 +412,43 @@ func (s *Server) fetchOne(at simclock.Time, id dataset.SampleID, routing *sampli
 			return at + s.cfg.HitLatency
 		}
 		iv, _ := s.hlistValue(id)
+		if s.l.contains(id) {
+			// Cached as an L-sample in an earlier epoch and since promoted
+			// into the H-list: a hit, served from the copy the node has.
+			s.promote(id, iv)
+			s.stats.Hits++
+			s.tracer.Record(at, trace.KindHit, id, 0)
+			*served = append(*served, id)
+			return at + s.cfg.HitLatency
+		}
 		if s.t2 != nil {
 			if end, ok := s.t2.read(at, id); ok {
 				// Promote the spilled sample back into DRAM; its own spill
 				// hook recycles whatever this displaces.
 				s.stats.Hits++
-				s.h.offer(id, s.spec.SampleBytes(id), iv)
+				s.admitH(id, iv)
 				*served = append(*served, id)
 				return end
 			}
 		}
-		s.stats.Misses++
-		s.tracer.Record(at, trace.KindMiss, id, 0)
+		*served = append(*served, id)
+		if end, ok := s.peerServed(at, id); ok {
+			return end
+		}
 		at = s.backend.ReadSample(at, id)
-		if s.h.offer(id, s.spec.SampleBytes(id), iv) {
+		if s.admitH(id, iv) {
 			s.tracer.Record(at, trace.KindAdmit, id, 0)
 		}
-		*served = append(*served, id)
 		return at
 	}
 
 	s.epochLReq++
 	if !s.cfg.EnableLCache {
-		s.stats.Misses++
-		s.tracer.Record(at, trace.KindMiss, id, 0)
-		at = s.backend.ReadSample(at, id)
 		*served = append(*served, id)
-		return at
+		if end, ok := s.peerServed(at, id); ok {
+			return end
+		}
+		return s.backend.ReadSample(at, id)
 	}
 	if s.cfg.Packaging == PackagingStatic {
 		return s.fetchStaticChunk(at, id, served)
@@ -455,11 +476,84 @@ func (s *Server) fetchOne(at simclock.Time, id dataset.SampleID, routing *sampli
 		// No substitute available: fall through to storage.
 	}
 
+	*served = append(*served, id)
+	if end, ok := s.peerServed(at, id); ok {
+		return end
+	}
+	return s.backend.ReadSample(at, id)
+}
+
+// missOutcome is the distributed mode's answer to a request nothing local
+// could serve.
+type missOutcome int
+
+const (
+	missBackend  missOutcome = iota // no peer holds it: a plain miss
+	missPeer                        // a peer's cache served it
+	missDegraded                    // a directory or peer fault hid whether one could
+)
+
+// peerServed counts a request nothing local could serve as exactly one of
+// Hits (a peer served it, at the returned time), Degraded or Misses — the
+// one choke point that keeps hits+misses+substitutions+degraded == requests
+// exact under any fault schedule. The caller reads the backend unless ok. A
+// lone server pays one nil check.
+func (s *Server) peerServed(at simclock.Time, id dataset.SampleID) (end simclock.Time, ok bool) {
+	if s.onMiss != nil {
+		switch end, outcome := s.onMiss(at, id); outcome {
+		case missPeer:
+			s.stats.Hits++
+			s.tracer.Record(at, trace.KindHit, id, 0)
+			return end, true
+		case missDegraded:
+			s.stats.Degraded++
+			s.tracer.Record(at, trace.KindMiss, id, 0)
+			return at, false
+		}
+	}
 	s.stats.Misses++
 	s.tracer.Record(at, trace.KindMiss, id, 0)
-	at = s.backend.ReadSample(at, id)
-	*served = append(*served, id)
-	return at
+	return at, false
+}
+
+// servePeer answers another node's read of id from what this node caches,
+// as opPeerGetBatch answers from the payload store: no request is counted,
+// the loader is not pumped, nothing is admitted. An H-sample is served from
+// whichever region holds it; an L-sample once per epoch — the read spends the
+// copy's substitution credit, as a local exact hit would, so the one-serve
+// rule that preserves sample diversity holds across the cluster.
+func (s *Server) servePeer(id dataset.SampleID) bool {
+	if s.hlist.Contains(id) {
+		return s.h.contains(id) || s.l.contains(id)
+	}
+	return s.l.takeExact(id)
+}
+
+// admitH is Algorithm 1's admission of a fetched H-sample. In the
+// distributed mode the directory must grant ownership first (a sample is
+// cached on one node only), and a claim the H-heap then has no room for is
+// handed back.
+func (s *Server) admitH(id dataset.SampleID, iv float64) bool {
+	if s.claim != nil && !s.claim(id) {
+		return false
+	}
+	if s.h.offer(id, s.spec.SampleBytes(id), iv) {
+		return true
+	}
+	if s.claim != nil {
+		s.release(id)
+	}
+	return false
+}
+
+// promote moves an L-cache resident that the H-list now names into the
+// H-cache. The L-side removal fires no eviction hook: the node keeps its one
+// copy, and with it the payload bytes and the directory ownership the hook
+// would give up. If the H-heap declines, the L copy stays where it is.
+func (s *Server) promote(id dataset.SampleID, iv float64) {
+	if s.h.offer(id, s.spec.SampleBytes(id), iv) {
+		s.l.remove(id)
+	}
 }
 
 // fetchStaticChunk serves an L-request under static (TFRecord-style)
@@ -488,8 +582,10 @@ func (s *Server) fetchStaticChunk(at simclock.Time, id dataset.SampleID, served 
 	for i := first; i < last; i++ {
 		total += s.spec.SampleBytes(dataset.SampleID(i))
 	}
-	s.stats.Misses++
-	s.tracer.Record(at, trace.KindMiss, id, 0)
+	*served = append(*served, id)
+	if end, ok := s.peerServed(at, id); ok {
+		return end
+	}
 	at = s.backend.ReadPackage(at, total)
 	for i := first; i < last; i++ {
 		cid := dataset.SampleID(i)
@@ -508,7 +604,6 @@ func (s *Server) fetchStaticChunk(at simclock.Time, id dataset.SampleID, served 
 			}
 		}
 	}
-	*served = append(*served, id)
 	return at
 }
 

@@ -243,3 +243,38 @@ func TestServerRegionInvariantProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPromotedLSampleIsMovedNotDoubled: losses drift, so every epoch's
+// H-list names samples the loader cached as L-samples earlier. Such a
+// request is a hit that moves the copy; re-reading it and admitting a second
+// copy into the H-cache would leave the id in both regions, where evicting
+// the L twin deletes the payload and the ownership under the H entry.
+func TestPromotedLSampleIsMovedNotDoubled(t *testing.T) {
+	back := testBackend(t)
+	srv := testServer(t, back)
+	spec := back.Spec()
+	tr := trainedTracker(t, spec.NumSamples, 17)
+	rng := rand.New(rand.NewSource(17))
+	var at simclock.Time
+	promoted := false
+	for e := 0; e < 8; e++ {
+		for i := 0; i < spec.NumSamples; i++ { // the hard samples rotate
+			tr.Observe(dataset.SampleID(i), spec.Difficulty(dataset.SampleID((i+e*700)%spec.NumSamples))*2)
+		}
+		sched := srv.BeginEpoch(at, e, tr, rng)
+		for _, it := range srv.hlist.Items {
+			promoted = promoted || srv.l.contains(it.ID)
+		}
+		for b, batch := range sched.Batches(256) {
+			at, _ = srv.FetchBatch(at, batch)
+			for id := range srv.l.items {
+				if srv.h.contains(id) {
+					t.Fatalf("epoch %d batch %d: sample %d is in both regions", e, b, id)
+				}
+			}
+		}
+	}
+	if !promoted {
+		t.Fatal("no L-resident was ever promoted into an H-list; the run proves nothing")
+	}
+}

@@ -8,22 +8,23 @@ import (
 	"time"
 
 	"icache/internal/dataset"
-	"icache/internal/icache"
+	"icache/internal/dkv"
 	"icache/internal/metrics"
 	"icache/internal/obs"
 )
 
-// This file is the wall-clock node-lifecycle loop of the network server —
-// the production counterpart of the virtual-clock lifecycle in
-// internal/icache/lifecycle.go. A distributed server registers itself in
-// the shared directory under a TTL lease, renews it on a heartbeat ticker,
-// runs a bounded anti-entropy scrub on a second ticker, and replays
-// ownership claims for its restored residents after a crash/rejoin.
+// This file is the wall-clock driver of the node lifecycle: a distributed
+// server registers itself in the shared directory under a TTL lease, renews
+// it on a heartbeat ticker, runs a bounded anti-entropy scrub on a second
+// ticker, and replays ownership claims for its restored residents after a
+// crash/rejoin. What those steps do is dkv/lifecycle.go — the same code
+// icache.Cluster fires from its virtual clock (icache/lifecycle.go).
 //
-// Locking: the loop goroutine takes policyMu only for short resident-set
-// snapshots and drops; every directory round trip happens with no server
-// lock held, per the contract in peer.go. Counters live behind distState's
-// dedicated memMu (leaf lock, never nests).
+// Locking: the steps take policyMu only inside the resident view below, for
+// short snapshots and drops; every directory round trip happens with no
+// server lock held, per the contract in peer.go. Counters live behind
+// distState's dedicated memMu (leaf lock, never nests), taken once a step
+// has returned.
 
 // MembershipConfig parameterizes the lifecycle loop. Zero fields select
 // defaults derived from LeaseTTL so a healthy node renews several times per
@@ -149,188 +150,84 @@ func (s *Server) membershipLoop(cfg MembershipConfig, stop chan struct{}) {
 	}
 }
 
-// heartbeatOnce renews the lease; a rejected renewal means the lease lapsed
-// (the node was partitioned or paused past its TTL) and its entries may have
-// been reclaimed, so it re-registers and reconciles ownership.
-func (s *Server) heartbeatOnce() {
+// member is this node's identity for the lifecycle steps (dkv/lifecycle.go),
+// which both this loop and the virtual-clock simulation run.
+func (s *Server) member() dkv.Member {
 	dist := s.dist
-	renewed, err := dist.dir.Heartbeat(dist.nodeID)
-	if err != nil {
-		s.countDirFailure()
-		return
-	}
-	dist.memMu.Lock()
-	if renewed {
-		dist.mem.Heartbeats++
-		dist.lastBeat = time.Now()
-	} else {
-		dist.mem.HeartbeatRejects++
-	}
-	dist.memMu.Unlock()
-	if !renewed {
-		// The node-side view of a Live→Suspect flip: the directory let the
-		// lease lapse, so ownership may have moved while this node was away.
-		s.journal.Add(obs.EventMembership, s.journalNode(), 0, 0,
-			"lease lapsed; re-registering")
-		s.registerAndReconcile()
-	}
+	return dkv.Member{Dir: dist.dir, ID: dist.nodeID, TTL: dist.memCfg.LeaseTTL, Cache: lockedResidents{s}}
 }
+
+// heartbeatOnce renews the lease; a lapsed one (the node was partitioned or
+// paused past its TTL) re-registers and reconciles ownership.
+func (s *Server) heartbeatOnce() { s.noteStep(s.member().Heartbeat()) }
 
 // registerAndReconcile grants the node a fresh lease and replays ownership
-// claims for everything it currently caches. It is both the boot path (a
-// restarted server re-claims its checkpoint-restored residents) and the
-// split-brain repair path (a node that out-lived its lease must not assume
-// it still owns anything). Claims the directory denies mean another node
-// took the sample over while this one was away: the local copy is dropped,
-// preserving the no-duplication invariant.
-func (s *Server) registerAndReconcile() {
-	dist := s.dist
-	if _, err := dist.dir.Register(dist.nodeID, dist.memCfg.LeaseTTL); err != nil {
-		s.countDirFailure()
-		return
-	}
-	dist.memMu.Lock()
-	dist.mem.Registers++
-	dist.lastBeat = time.Now()
-	dist.memMu.Unlock()
+// claims for everything it caches: the boot path (a restarted server
+// re-claims its checkpoint-restored residents) and the split-brain repair
+// path alike.
+func (s *Server) registerAndReconcile() { s.noteStep(s.member().Rejoin()) }
 
-	s.policyMu.Lock()
-	ids := s.cache.Residents(nil)
-	s.policyMu.Unlock()
-	for _, id := range ids {
-		claimed, err := dist.dir.Claim(id, dist.nodeID)
-		if err != nil {
-			s.countDirFailure()
-			return // directory sick; the next heartbeat cycle retries
-		}
-		dist.memMu.Lock()
-		if claimed {
-			dist.mem.ReplayedClaims++
-		} else {
-			dist.mem.ReplayDenied++
-		}
-		dist.memMu.Unlock()
-		if !claimed {
-			// A restored resident whose replayed claim was denied: the
-			// survivor won while this node was away.
-			s.dropResident(id, icache.DropCheckpointDenied)
-		}
-	}
-}
-
-// scrubOnce runs one bounded anti-entropy sweep: release directory entries
-// this node no longer caches, re-claim (or drop) cached samples the
-// directory does not credit to it, and purge a batch of Dead-owned entries
-// as a backstop.
+// scrubOnce runs one bounded anti-entropy sweep. Only the loop goroutine (or
+// a test in its place) sweeps, so the watermark is read and written around a
+// step that holds no lock.
 func (s *Server) scrubOnce() {
 	dist := s.dist
-	batch := dist.memCfg.ScrubBatch
-
-	// Direction 1: registered but not cached → release.
-	owned, err := dist.dir.OwnedBy(dist.nodeID, batch)
-	if err != nil {
-		s.countDirFailure()
-		return
-	}
-	for _, id := range owned {
-		s.policyMu.Lock()
-		resident := s.cache.Resident(id)
-		s.policyMu.Unlock()
-		if resident {
-			continue
-		}
-		if _, err := dist.dir.Release(id, dist.nodeID); err != nil {
-			s.countDirFailure()
-			return
-		}
-		dist.memMu.Lock()
-		dist.mem.ScrubReleased++
-		dist.memMu.Unlock()
-	}
-
-	// Direction 2: cached but not registered → re-claim, or drop the copy
-	// when a peer owns it. A watermark into the sorted resident set keeps
-	// each sweep bounded while eventually covering everything.
-	s.policyMu.Lock()
-	ids := s.cache.Residents(nil)
-	s.policyMu.Unlock()
-	if len(ids) > 0 {
-		dist.memMu.Lock()
-		if dist.scrubMark >= len(ids) {
-			dist.scrubMark = 0
-		}
-		mark := dist.scrubMark
-		dist.memMu.Unlock()
-		limit := batch
-		if limit > len(ids) {
-			limit = len(ids)
-		}
-		// One LookupBatch answers ownership for the whole window: the sweep
-		// costs one directory round trip instead of ScrubBatch serial
-		// lookups (claims/releases stay per-id — they are the rare repairs,
-		// not the common probe).
-		window := make([]dataset.SampleID, 0, limit)
-		for i := 0; i < limit; i++ {
-			window = append(window, ids[(mark+i)%len(ids)])
-		}
-		owners, err := dist.dir.LookupBatch(window)
-		if err != nil || len(owners) != len(window) {
-			s.countDirFailure()
-			return
-		}
-		for i, id := range window {
-			owner, found := owners[i].Node, owners[i].Found
-			if found && owner == dist.nodeID {
-				continue
-			}
-			if found {
-				s.dropResident(id, icache.DropScrub)
-				dist.memMu.Lock()
-				dist.mem.ScrubDropped++
-				dist.memMu.Unlock()
-				continue
-			}
-			claimed, err := dist.dir.Claim(id, dist.nodeID)
-			if err != nil {
-				s.countDirFailure()
-				return
-			}
-			dist.memMu.Lock()
-			if claimed {
-				dist.mem.ScrubReclaimed++
-			} else {
-				dist.mem.ScrubDropped++
-			}
-			dist.memMu.Unlock()
-			if !claimed {
-				s.dropResident(id, icache.DropScrub)
-			}
-		}
-		dist.memMu.Lock()
-		dist.scrubMark = (mark + limit) % len(ids)
-		dist.memMu.Unlock()
-	}
-
-	if _, err := dist.dir.PurgeDead(batch); err != nil {
-		s.countDirFailure()
-		return
-	}
+	mark := metrics.SnapshotUnder(&dist.memMu, &dist.scrubMark)
+	mark, d, err := s.member().Scrub(mark, dist.memCfg.ScrubBatch)
 	dist.memMu.Lock()
-	dist.mem.ScrubSweeps++
+	dist.scrubMark = mark
 	dist.memMu.Unlock()
+	s.noteStep(d, err)
 }
 
-// dropResident removes a sample this node must not keep (the directory says
-// another node owns it, or a denied claim), tagging the eviction with its
-// decision reason. A directed drop does not reach the eviction observer, so
-// the payload is deleted here, in the same policyMu hold; there is no
-// ownership to release — the directory credits another node.
-func (s *Server) dropResident(id dataset.SampleID, reason icache.DropReason) {
-	s.policyMu.Lock()
-	if s.cache.DropFor(id, reason) {
-		s.payloads.delete(id)
+// noteStep books a finished step: its counter delta under memMu, the
+// directory failure that cut it short, and the node-side view of a
+// Live→Suspect flip (the directory let the lease lapse).
+func (s *Server) noteStep(d metrics.MembershipStats, err error) {
+	dist := s.dist
+	if err != nil {
+		s.countDirFailure()
 	}
-	s.policyMu.Unlock()
+	dist.memMu.Lock()
+	dist.mem.Add(d)
+	if d.Heartbeats+d.Registers > 0 {
+		dist.lastBeat = time.Now()
+	}
+	dist.memMu.Unlock()
+	if d.HeartbeatRejects > 0 {
+		s.journal.Add(obs.EventMembership, s.journalNode(), 0, 0, "lease lapsed; re-registered")
+	}
+}
+
+// lockedResidents is the steps' view of the policy engine: every call is one
+// short policyMu hold, so no directory round trip ever happens under the
+// lock (the steps call the directory between, never inside, these).
+type lockedResidents struct{ s *Server }
+
+func (v lockedResidents) Residents(dst []dataset.SampleID) []dataset.SampleID {
+	v.s.policyMu.Lock()
+	defer v.s.policyMu.Unlock()
+	return v.s.cache.Residents(dst)
+}
+
+func (v lockedResidents) Resident(id dataset.SampleID) bool {
+	v.s.policyMu.Lock()
+	defer v.s.policyMu.Unlock()
+	return v.s.cache.Resident(id)
+}
+
+// DropFor removes a sample this node must not keep (the directory credits
+// another node), tagging the eviction with its decision reason. A directed
+// drop does not reach the eviction observer, so the payload is deleted here,
+// in the same policyMu hold; there is no ownership to release.
+func (v lockedResidents) DropFor(id dataset.SampleID, reason dkv.DropReason) bool {
+	v.s.policyMu.Lock()
+	defer v.s.policyMu.Unlock()
+	dropped := v.s.cache.DropFor(id, reason)
+	if dropped {
+		v.s.payloads.delete(id)
+	}
+	return dropped
 }
 
 func (s *Server) countDirFailure() {

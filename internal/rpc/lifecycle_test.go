@@ -1,10 +1,11 @@
 package rpc
 
 // Wall-clock lifecycle tests for the network server: the membership loop
-// heartbeats and scrubs, a lapsed lease triggers re-registration and
-// ownership reconciliation, a checkpoint rejoin replays claims against a
-// directory where a peer took samples over, /healthz reports lease age,
-// and checkpoint saves are crash-atomic.
+// heartbeats and scrubs, a promoted sample keeps its payload and ownership,
+// a checkpoint rejoin replays claims against a directory where a peer took
+// samples over, /healthz reports lease age, and checkpoint saves are
+// crash-atomic. (What a heartbeat, a rejoin and a sweep do is tested once,
+// in internal/dkv's TestMemberSteps.)
 
 import (
 	"encoding/json"
@@ -21,7 +22,6 @@ import (
 	"icache/internal/dkv"
 	"icache/internal/icache"
 	"icache/internal/sampling"
-	"icache/internal/simclock"
 	"icache/internal/storage"
 )
 
@@ -94,75 +94,79 @@ func TestMembershipLoopHeartbeatsAndScrubs(t *testing.T) {
 	srv.StopMembership()
 }
 
-// TestHeartbeatLapseReregistersAndReconciles drives the lifecycle steps by
-// hand against a manually-clocked directory: renewal inside the lease
-// succeeds; once the node is declared dead and a peer reclaims one of its
-// samples, the next heartbeat is rejected, the node re-registers, and the
-// reconciliation drops the local copy of the sample it lost.
-func TestHeartbeatLapseReregistersAndReconciles(t *testing.T) {
+// TestPromotedSampleKeepsPayloadAndOwnership: a sample the loader cached as
+// an L-sample and the next H-list names is a hit served from the copy the
+// node has. The move into the H-cache removes the L entry without an
+// eviction, so it costs no backend read and the payload and the directory
+// entry — which the eviction observer would delete and release — stay.
+func TestPromotedSampleKeepsPayloadAndOwnership(t *testing.T) {
 	dir := dkv.NewDirectory()
-	var now simclock.Time
-	dir.SetClock(func() simclock.Time { return now })
-	dir.SetMembershipParams(100*time.Millisecond, 100*time.Millisecond)
-
-	srv, addr, _ := startServer(t)
+	srv, addr, source := startServer(t)
 	srv.EnableDistributed(0, dkv.Local{Dir: dir}, nil)
-
-	// Warm over the wire; the demand path claims ownership on insert.
 	c := dial(t, addr)
-	ids := warmOverWire(t, c, 30)
-
-	// No loop: drive the lifecycle steps directly at chosen instants.
-	srv.dist.memCfg = MembershipConfig{LeaseTTL: 100 * time.Millisecond}.withDefaults()
-	srv.registerAndReconcile()
-	if got := srv.MembershipStats(); got.Registers != 1 {
-		t.Fatalf("Registers = %d after boot registration, want 1", got.Registers)
+	if err := c.BeginEpoch(0); err != nil {
+		t.Fatal(err)
 	}
 
-	// Half a TTL in, the renewal succeeds.
-	now = simclock.Time(50 * time.Millisecond)
-	srv.heartbeatOnce()
-	if got := srv.MembershipStats(); got.Heartbeats != 1 || got.HeartbeatRejects != 0 {
-		t.Fatalf("in-lease renewal: %+v, want 1 heartbeat, 0 rejects", got)
+	// With an empty H-list every request is an L-sample: misses feed the
+	// loader until a package lands and one of its samples is served exact,
+	// which leaves it L-resident with its payload stored and claimed.
+	var id dataset.SampleID
+	deadline := time.Now().Add(10 * time.Second)
+	for next := dataset.SampleID(0); ; next += 32 {
+		if time.Now().After(deadline) {
+			t.Fatal("no L-resident sample with a stored payload ever appeared")
+		}
+		batch := make([]dataset.SampleID, 32)
+		for i := range batch {
+			batch[i] = (next + dataset.SampleID(i)) % dataset.SampleID(testSpec().NumSamples)
+		}
+		if _, err := c.GetBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		srv.policyMu.Lock()
+		residents := srv.cache.Residents(nil)
+		srv.policyMu.Unlock()
+		found := false
+		for _, r := range residents {
+			if owner, ok := dir.Lookup(r); ok && owner == 0 && srv.payloads.has(r) {
+				id, found = r, true
+				break
+			}
+		}
+		if found {
+			break
+		}
 	}
 
-	// Past TTL + suspect window the node is Dead; a peer reclaims sample 0.
-	now = simclock.Time(300 * time.Millisecond)
-	if !dir.Claim(ids[0], 1) {
-		t.Fatal("peer could not reclaim a dead node's sample")
+	if err := c.UpdateImportance([]sampling.Item{{ID: id, IV: 3}}); err != nil {
+		t.Fatal(err)
 	}
-
-	// The stale node's next renewal is rejected; it re-registers and its
-	// denied claim for ids[0] drops the local copy.
-	srv.heartbeatOnce()
-	mem := srv.MembershipStats()
-	if mem.HeartbeatRejects != 1 {
-		t.Errorf("HeartbeatRejects = %d, want 1", mem.HeartbeatRejects)
+	before, reads := cacheStats(srv), source.Reads()
+	got, err := c.GetBatch([]dataset.SampleID{id})
+	if err != nil || len(got) != 1 || got[0].ID != id {
+		t.Fatalf("promoted fetch: %v, %v", got, err)
 	}
-	if mem.Registers != 2 {
-		t.Errorf("Registers = %d after lapse, want 2", mem.Registers)
+	after := cacheStats(srv)
+	if after.Hits != before.Hits+1 || after.Misses != before.Misses {
+		t.Errorf("promoted sample: hits %d→%d misses %d→%d, want one hit", before.Hits, after.Hits, before.Misses, after.Misses)
 	}
-	if mem.ReplayDenied == 0 {
-		t.Error("reclaimed sample's replayed claim was not denied")
-	}
-	if mem.ReplayedClaims == 0 {
-		t.Error("no surviving residents were re-claimed")
+	if delta := source.Reads() - reads; delta != 0 {
+		t.Errorf("promoted sample cost %d backend reads", delta)
 	}
 	srv.policyMu.Lock()
-	resident := srv.cache.Resident(ids[0])
+	hLen := srv.cache.HCacheLen()
 	srv.policyMu.Unlock()
-	if resident {
-		t.Error("local copy of the reclaimed sample survived reconciliation")
+	if hLen != 1 {
+		t.Errorf("H-cache holds %d samples after the promotion, want 1", hLen)
 	}
-	// Its bytes go with it: a payload left behind would keep answering peer
-	// reads for a sample this node no longer owns.
+	if !srv.payloads.has(id) {
+		t.Error("the L-side removal deleted the promoted sample's payload")
+	}
+	if owner, ok := dir.Lookup(id); !ok || owner != 0 {
+		t.Errorf("the L-side removal released ownership: owner = (%d, %v)", owner, ok)
+	}
 	requireStoreWithinResidents(t, srv)
-	if owner, ok := dir.Lookup(ids[0]); !ok || owner != 1 {
-		t.Errorf("sample %d owner = (%d, %v), want (1, true)", ids[0], owner, ok)
-	}
-	if rev := dir.Membership().Revivals; rev == 0 {
-		t.Error("directory recorded no revival for the returning node")
-	}
 }
 
 // TestRejoinFromCheckpointReplaysClaims is the crash/rejoin story over a
@@ -207,7 +211,7 @@ func TestRejoinFromCheckpointReplaysClaims(t *testing.T) {
 	srv2 := NewServer(cacheSrv, source)
 	srv2.Logf = nil
 	t.Cleanup(func() { srv2.Close() })
-	loaded, err := srv2.LoadCheckpointFile(path, false)
+	loaded, err := srv2.LoadCheckpointFile(path, true) // rehydrated: every resident has bytes
 	if err != nil || !loaded {
 		t.Fatalf("restore: loaded=%v err=%v", loaded, err)
 	}
@@ -231,6 +235,12 @@ func TestRejoinFromCheckpointReplaysClaims(t *testing.T) {
 	if !dropped {
 		t.Error("peer-owned checkpoint sample not dropped on rejoin")
 	}
+	// Its bytes go with it: a payload left behind would keep answering peer
+	// reads for a sample this node no longer owns.
+	if srv2.payloads.has(0) || !srv2.payloads.has(10) {
+		t.Error("the denied sample's payload stayed, or a re-claimed one's went")
+	}
+	requireStoreWithinResidents(t, srv2)
 	if !kept {
 		t.Error("re-claimed checkpoint sample missing after rejoin")
 	}
