@@ -20,7 +20,9 @@ vet:
 # second transport cannot grow back unnoticed. Likewise there is one Algorithm 1
 # (icache.Server.fetchOne) and one node lifecycle (dkv/lifecycle.go): the
 # cluster simulation and the two lifecycle drivers read no backend, serve no
-# L-sample and walk no directory scan of their own. Subsumes `vet` in `make all`.
+# L-sample and walk no directory scan of their own, and the simulated node has
+# no degraded mode the shipped node lacks (a local-only window, a queue of
+# deferred releases). Subsumes `vet` in `make all`.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -37,6 +39,12 @@ lint:
 	done); \
 	if [ -n "$$stray" ]; then \
 		echo "a second Algorithm 1 or node lifecycle outside icache.Server / dkv.Member:"; echo "$$stray"; exit 1; \
+	fi
+	@stray=$$(for f in $$(ls internal/icache/*.go | grep -v _test.go); do \
+		sed 's,//.*,,' $$f | grep -nE 'downUntil|deferred|LocalOnly' | sed "s,^,$$f:,"; \
+	done); \
+	if [ -n "$$stray" ]; then \
+		echo "a simulator-only degraded mode (rpc.Server counts a directory failure and asks again):"; echo "$$stray"; exit 1; \
 	fi
 	$(GO) vet ./...
 
@@ -119,8 +127,8 @@ bench:
 bench-layers:
 	$(GO) test -run NONE -bench . -benchmem ./internal/rpc/ ./internal/wire/ ./internal/dkv/ ./internal/loadgen/
 
-# Observability smoke: the exposition goldens (Prometheus text + pinned
-# JSON bytes + the byte-pinned /debug/timeline document), the
+# Observability smoke: the exposition goldens (Prometheus text + the
+# byte-pinned /debug/timeline document), the
 # histogram/quantile property tests, the envelope rejection table (one table,
 # run against the transport's stub handler and both protocols' handlers),
 # the two-node cross-node hop-chain round trips (including the chaos
@@ -132,7 +140,7 @@ bench-layers:
 obs-smoke:
 	$(GO) test -count=1 ./internal/obs/ ./internal/trace/ ./internal/top/
 	$(GO) test -count=1 -run 'TestEnvelopeRejections' ./internal/transport/
-	$(GO) test -count=1 -run 'TestEnvelopeRejections|TestMetricsJSONBytesUnchanged|TestPrometheusExposition|TestTraced|TestSlowRequest|TestObs|TestDebugObs|TestDecisionLedger|TestJournalRecords|TestTimelinePoint' ./internal/rpc/
+	$(GO) test -count=1 -run 'TestEnvelopeRejections|TestPrometheusExposition|TestTraced|TestSlowRequest|TestObs|TestDebugObs|TestDecisionLedger|TestJournalRecords|TestTimelinePoint' ./internal/rpc/
 	$(GO) test -count=1 -run 'TestDirTraced|TestDirEnvelope|TestDirObs' ./internal/dkv/
 
 # Overload-control smoke: the admission gate / circuit breaker / deadline

@@ -91,7 +91,7 @@ func main() {
 		clairv    = flag.Bool("clairvoyant", false, "enable planned cross-epoch prefetching: clients that push each epoch's schedule (BeginEpochPlan) get their missing working set pre-placed ahead of access, at most -prefetch-workers backend reads at a time (requires -prefetch-workers > 0)")
 		seed      = flag.Int64("seed", 42, "server randomness seed")
 		ckptPath  = flag.String("checkpoint", "", "warm-restart checkpoint file: load at boot, save at shutdown")
-		metricsAt = flag.String("metrics-addr", "", "serve a metrics endpoint on this address (e.g. :7830): JSON at /metrics, Prometheus text at /metrics?format=prom; also arms the per-stage latency histograms")
+		metricsAt = flag.String("metrics-addr", "", "serve a metrics endpoint on this address (e.g. :7830): Prometheus text at /metrics; also arms the per-stage latency histograms")
 		traceCSV  = flag.String("trace-csv", "", "dump a request-event trace (policy events + cross-node spans) to this CSV file at shutdown; also arms span recording for traced requests")
 		traceMax  = flag.Int("trace-csv-max-mb", 0, "cap the shutdown trace CSV at this many MB, keeping the newest events (0 = unlimited); the previous dump is rotated to <file>.1")
 		slowReq   = flag.Duration("slow-request-threshold", 0, "log GetBatch serves slower than this (0 disables; at most one line per 10s)")
@@ -286,7 +286,7 @@ func main() {
 		mux.Handle("/", srv.MetricsHandler()) // any other path serves metrics
 		metricsSrv = &http.Server{Addr: *metricsAt, Handler: mux}
 		go func() {
-			log.Printf("icache-server: metrics on http://%s/metrics (JSON; ?format=prom for Prometheus), health on /healthz", *metricsAt)
+			log.Printf("icache-server: metrics on http://%s/metrics (Prometheus text), health on /healthz", *metricsAt)
 			if *pprofOn {
 				log.Printf("icache-server: pprof on http://%s/debug/pprof/, stage summary on /debug/obs", *metricsAt)
 			}

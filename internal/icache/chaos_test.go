@@ -167,21 +167,6 @@ func TestChaosTrainingSurvivesFaultSchedule(t *testing.T) {
 			if res.PeerFailures == 0 {
 				t.Error("peer-read faults produced no PeerFailures")
 			}
-			if res.LocalOnly == 0 {
-				t.Error("no node ever entered local-only mode")
-			}
-			if res.LocalOnlySkips == 0 {
-				t.Error("local-only mode never skipped a directory op")
-			}
-
-			// Partition over: deferred releases must have been replayed and
-			// the structural invariants restored.
-			if len(cl.deferred) != 0 {
-				t.Errorf("%d ownership releases still deferred after heal", len(cl.deferred))
-			}
-			if res.DeferredReleases > 0 && res.ReplayedReleases == 0 {
-				t.Errorf("deferred %d releases, replayed none", res.DeferredReleases)
-			}
 			assertClusterInvariants(t, cl, fetchedTotal(rs))
 
 			// Chaos costs time, never data: epoch 1 (the partitioned epoch)

@@ -27,10 +27,6 @@ type ClusterConfig struct {
 	PeerLatency time.Duration
 	// PeerBandwidth is inter-node bandwidth in bytes/sec.
 	PeerBandwidth float64
-	// DirReprobeInterval is how long (virtual time) a node stays in
-	// local-only mode after a directory failure before re-probing. Zero
-	// selects the default (250ms); it must not be negative.
-	DirReprobeInterval time.Duration
 
 	// LeaseTTL is each node's membership lease duration in the directory.
 	// Zero selects dkv.DefaultLeaseTTL.
@@ -50,15 +46,6 @@ type ClusterConfig struct {
 	// ScrubBatch bounds the work of one scrub sweep (directory entries
 	// examined per direction). Zero selects 256.
 	ScrubBatch int
-	// DeferredReleaseCap bounds the deferred-release queue (ownership
-	// releases waiting for the directory to heal). At the cap further
-	// releases are dropped and counted (ResilienceStats.DroppedReleases);
-	// the scrubber repairs the resulting stale entries later. Zero selects
-	// 4096.
-	DeferredReleaseCap int
-	// DisableMembership turns lease registration, heartbeats and scrubbing
-	// off entirely (legacy static membership).
-	DisableMembership bool
 
 	// DirReplicas partitions the directory across this many simulated
 	// replicas (sharded by sample ID via rendezvous hashing, fronted by a
@@ -76,7 +63,6 @@ func DefaultClusterConfig(nodes int, perNode int64) ClusterConfig {
 		Cache:                DefaultConfig(perNode),
 		PeerLatency:          200 * time.Microsecond,
 		PeerBandwidth:        1.25e9,
-		DirReprobeInterval:   250 * time.Millisecond,
 	}
 }
 
@@ -91,8 +77,6 @@ func (c ClusterConfig) Validate() error {
 		return fmt.Errorf("icache: negative PeerLatency")
 	case c.PeerBandwidth <= 0:
 		return fmt.Errorf("icache: PeerBandwidth=%g, want > 0", c.PeerBandwidth)
-	case c.DirReprobeInterval < 0:
-		return fmt.Errorf("icache: negative DirReprobeInterval")
 	case c.LeaseTTL < 0:
 		return fmt.Errorf("icache: negative LeaseTTL")
 	case c.HeartbeatInterval < 0:
@@ -103,8 +87,6 @@ func (c ClusterConfig) Validate() error {
 		return fmt.Errorf("icache: negative ScrubInterval")
 	case c.ScrubBatch < 0:
 		return fmt.Errorf("icache: negative ScrubBatch")
-	case c.DeferredReleaseCap < 0:
-		return fmt.Errorf("icache: negative DeferredReleaseCap")
 	case c.DirReplicas < 0:
 		return fmt.Errorf("icache: negative DirReplicas")
 	}
@@ -112,12 +94,11 @@ func (c ClusterConfig) Validate() error {
 }
 
 // clusterNode is one simulated node: the policy engine that ships, plus
-// what rpc.Server puts around it — a directory connection, a NIC, and the
-// schedule of its membership loop.
+// what rpc.Server puts around it — a NIC and the schedule of its membership
+// loop.
 type clusterNode struct {
 	id  dkv.NodeID
 	srv *Server
-	dir nodeDir
 	nic simclock.Resource
 
 	// alive is false between KillNode and RestartNode (srv is then the
@@ -145,14 +126,14 @@ type clusterNode struct {
 // clock (lifecycle.go).
 //
 // The cluster treats its remote dependencies as unreliable (§V's implicit
-// assumption made explicit): a failed remote-cache read falls through to a
-// backend read, a failed directory operation flips the calling node into
-// local-only mode with periodic re-probing, and ownership releases that
-// could not reach the directory are replayed once it heals. Every such
-// degradation is counted — requests served through a broken path land in
-// CacheStats.Degraded, keeping the conservation invariant
-// hits+misses+substitutions+degraded == requests exact under any fault
-// schedule.
+// assumption made explicit), the way rpc.Server does: a failed remote-cache
+// read or directory lookup degrades that one request to a backend read, a
+// failed claim means the copy is not kept, a release that did not reach the
+// directory is left to the scrubber, and the next operation asks again.
+// Every failure is counted (ResilienceStats), and requests served through a
+// broken path land in CacheStats.Degraded, keeping the conservation
+// invariant hits+misses+substitutions+degraded == requests exact under any
+// fault schedule.
 type Cluster struct {
 	cfg     ClusterConfig
 	backend *storage.Backend
@@ -161,7 +142,7 @@ type Cluster struct {
 	seed    int64
 	nodes   []*clusterNode
 
-	// dir is what the nodes' connections reach: base, behind the fault
+	// dir is the directory the nodes reach: base, behind the fault
 	// schedule when one is attached. base is the in-process directory, or
 	// the sharded client over rawDirs (DirReplicas > 1; see dirshard.go:
 	// holders are the replicas' kill switches).
@@ -172,10 +153,6 @@ type Cluster struct {
 
 	// inj, when set, also decides remote-cache reads; see SetFaultInjector.
 	inj *faults.Injector
-
-	// deferred holds ownership releases that failed because the directory
-	// was unreachable; they replay on the next successful directory op.
-	deferred map[dataset.SampleID]dkv.NodeID
 
 	// retired is what crashed nodes' servers had counted.
 	retired    metrics.CacheStats
@@ -196,9 +173,6 @@ func NewCluster(backend *storage.Backend, cfg ClusterConfig, iis sampling.IISCon
 		return nil, err
 	}
 	cfg.Cache.CapacityBytes = cfg.PerNodeCapacityBytes
-	if cfg.DirReprobeInterval == 0 {
-		cfg.DirReprobeInterval = 250 * time.Millisecond
-	}
 	if cfg.LeaseTTL == 0 {
 		cfg.LeaseTTL = dkv.DefaultLeaseTTL
 	}
@@ -214,16 +188,12 @@ func NewCluster(backend *storage.Backend, cfg ClusterConfig, iis sampling.IISCon
 	if cfg.ScrubBatch == 0 {
 		cfg.ScrubBatch = 256
 	}
-	if cfg.DeferredReleaseCap == 0 {
-		cfg.DeferredReleaseCap = 4096
-	}
 	cl := &Cluster{
-		cfg:      cfg,
-		backend:  backend,
-		spec:     backend.Spec(),
-		iis:      iis,
-		seed:     seed,
-		deferred: make(map[dataset.SampleID]dkv.NodeID),
+		cfg:     cfg,
+		backend: backend,
+		spec:    backend.Spec(),
+		iis:     iis,
+		seed:    seed,
 	}
 	// The directories run on the cluster's virtual clock. With DirReplicas >
 	// 1 there are N sharded replicas behind a ShardedDir, each tracking node
@@ -236,7 +206,7 @@ func NewCluster(backend *storage.Backend, cfg ClusterConfig, iis sampling.IISCon
 	}
 	cl.dir = cl.base
 	for n := 0; n < cfg.Nodes; n++ {
-		node := &clusterNode{id: dkv.NodeID(n), dir: nodeDir{cl: cl}}
+		node := &clusterNode{id: dkv.NodeID(n)}
 		var err error
 		if node.srv, err = cl.newNodeServer(node); err != nil {
 			return nil, err
@@ -254,14 +224,21 @@ func (cl *Cluster) newNodeServer(n *clusterNode) (*Server, error) {
 
 // boot joins node n's server — fresh, or restored from a checkpoint — to
 // the cluster at virtual time at: the three seams, then the path
-// icache-server boots through, a lease and a claim per resident (a static
-// membership has no lease to take).
+// icache-server boots through, a lease and a claim per resident.
 func (cl *Cluster) boot(n *clusterNode, at simclock.Time) {
+	// A directory failure counts as a failed claim: unregistered ownership
+	// would break the no-duplication invariant.
 	claim := func(id dataset.SampleID) bool {
-		claimed, _ := n.dir.Claim(id, n.id)
+		claimed, err := cl.dir.Claim(id, n.id)
+		cl.countDirFailure(err)
 		return claimed
 	}
-	release := func(id dataset.SampleID) { cl.release(n, id) }
+	// A release that does not reach the directory is dropped; the stale
+	// entry is the scrubber's to repair.
+	release := func(id dataset.SampleID) {
+		_, err := cl.dir.Release(id, n.id)
+		cl.countDirFailure(err)
+	}
 	n.srv.claim, n.srv.release, n.srv.l.claim = claim, release, claim
 	n.srv.SetEvictObserver(release)
 	n.srv.onMiss = func(at simclock.Time, id dataset.SampleID) (simclock.Time, missOutcome) {
@@ -271,17 +248,26 @@ func (cl *Cluster) boot(n *clusterNode, at simclock.Time) {
 	n.scrubMark = 0
 	n.nextHeartbeat = at + cl.cfg.HeartbeatInterval
 	n.nextScrub = at + cl.cfg.ScrubInterval
-	step := cl.member(n).Rejoin
-	if cl.cfg.DisableMembership {
-		step = cl.member(n).Reconcile
-	}
-	d, _ := step() // a directory failure is counted where it surfaced
-	cl.mem.Add(d)
+	cl.noteStep(cl.member(n).Rejoin())
 }
 
 // member is node n's identity for the lifecycle steps.
 func (cl *Cluster) member(n *clusterNode) dkv.Member {
-	return dkv.Member{Dir: &n.dir, ID: n.id, TTL: cl.cfg.LeaseTTL, Cache: n.srv}
+	return dkv.Member{Dir: cl.dir, ID: n.id, TTL: cl.cfg.LeaseTTL, Cache: n.srv}
+}
+
+// noteStep books a finished lifecycle step as rpc.Server does: its counter
+// delta, and the directory failure that cut it short. The next firing
+// starts over.
+func (cl *Cluster) noteStep(d metrics.MembershipStats, err error) {
+	cl.mem.Add(d)
+	cl.countDirFailure(err)
+}
+
+func (cl *Cluster) countDirFailure(err error) {
+	if err != nil {
+		cl.res.DirFailures++
+	}
 }
 
 // SetFaultInjector attaches a chaos schedule, keyed on the virtual time of
@@ -363,9 +349,10 @@ func (cl *Cluster) remoteRead(at simclock.Time, from, to int, size int) simclock
 // cache: the shared directory, then the owner's cache; what it leaves to the
 // backend the node's server reads and claims.
 func (cl *Cluster) askPeer(n *clusterNode, at simclock.Time, id dataset.SampleID) (simclock.Time, missOutcome) {
-	owner, ok, err := n.dir.Lookup(id)
+	owner, ok, err := cl.dir.Lookup(id)
 	if err != nil {
-		cl.res.DegradedReads++ // the directory cannot say who holds it
+		cl.res.DirFailures++ // the directory cannot say who holds it
+		cl.res.DegradedReads++
 		return at, missDegraded
 	}
 	if !ok || owner == n.id || !cl.nodes[owner].srv.servePeer(id) {

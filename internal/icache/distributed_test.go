@@ -27,6 +27,10 @@ func TestClusterConfigValidate(t *testing.T) {
 	if err := DefaultClusterConfig(2, 1<<20).Validate(); err != nil {
 		t.Fatalf("default invalid: %v", err)
 	}
+	// Every knob left zero selects its default.
+	if err := (ClusterConfig{Nodes: 2, PerNodeCapacityBytes: 1 << 20, PeerBandwidth: 1}).Validate(); err != nil {
+		t.Fatalf("zero-value knobs invalid: %v", err)
+	}
 	bad := DefaultClusterConfig(0, 1<<20)
 	if err := bad.Validate(); err == nil {
 		t.Error("Nodes=0 accepted")

@@ -22,24 +22,18 @@ import (
 
 // tick advances the cluster's virtual clock and fires node n's two
 // membership tickers: a lease heartbeat every HeartbeatInterval and one
-// bounded anti-entropy sweep every ScrubInterval. A step's directory
-// failure needs no handling here: the node's connection counted it and went
-// local-only, and the next firing starts over.
+// bounded anti-entropy sweep every ScrubInterval.
 func (cl *Cluster) tick(n *clusterNode, at simclock.Time) {
 	cl.clock(at)
-	if cl.cfg.DisableMembership {
-		return
-	}
 	if at >= n.nextHeartbeat {
 		n.nextHeartbeat = at + cl.cfg.HeartbeatInterval
-		d, _ := cl.member(n).Heartbeat()
-		cl.mem.Add(d)
+		cl.noteStep(cl.member(n).Heartbeat())
 	}
 	if at >= n.nextScrub {
 		n.nextScrub = at + cl.cfg.ScrubInterval
-		var d metrics.MembershipStats
-		n.scrubMark, d, _ = cl.member(n).Scrub(n.scrubMark, cl.cfg.ScrubBatch)
-		cl.mem.Add(d)
+		mark, d, err := cl.member(n).Scrub(n.scrubMark, cl.cfg.ScrubBatch)
+		n.scrubMark = mark
+		cl.noteStep(d, err)
 	}
 }
 
@@ -59,15 +53,6 @@ func (cl *Cluster) KillNode(node int, at simclock.Time) {
 	n.alive = false
 	cl.retired.Add(n.srv.Stats())
 	n.srv, _ = cl.newNodeServer(n) // the config built a server before
-	n.dir = nodeDir{cl: cl}
-	// Releases this node had deferred die with it: the copies they covered
-	// are gone, and the stale directory entries they targeted will be
-	// handled by lease expiry, not replay.
-	for id, owner := range cl.deferred {
-		if owner == n.id {
-			delete(cl.deferred, id)
-		}
-	}
 }
 
 // NodeAlive reports whether node is currently running.

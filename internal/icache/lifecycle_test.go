@@ -10,6 +10,7 @@ package icache
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -405,112 +406,99 @@ func TestChaosDirReplicaFailover(t *testing.T) {
 	}
 }
 
-// TestDeferredReleaseQueueBounded is the satellite memory test: once the
-// directory dies and never heals, failed ownership releases queue only up
-// to DeferredReleaseCap — an eviction storm past the cap is dropped and
-// counted rather than growing the map without bound, and conservation
-// still holds for the batches served while degraded.
-func TestDeferredReleaseQueueBounded(t *testing.T) {
-	back, err := storage.NewBackend(chaosSpec(), storage.NFS())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := lifecycleConfig(back.Spec().TotalBytes() / 5)
-	cfg.DeferredReleaseCap = 8
-	cl, err := NewCluster(back, cfg, sampling.DefaultIIS(), 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rng := rand.New(rand.NewSource(11))
+// runDirPartitionScenario warms both nodes for an epoch, then lets the
+// directory fail the way the shipped node meets it: first only releases are
+// lost, so what the nodes go on evicting stays registered to them; then every
+// operation fails for longer than the lease TTL, each failure counted and
+// degrading its one request, and the leases lapse. Conservation is checked at
+// every epoch end, and once every node's clock is one ScrubInterval past the
+// heal — each has re-registered and run a whole sweep since — the directory
+// must credit every node exactly what it caches.
+func runDirPartitionScenario(t *testing.T, seed int64) lifecycleSummary {
+	t.Helper()
+	cl := lifecycleCluster(t, seed)
+	rng := rand.New(rand.NewSource(seed))
 	tr := lifecycleTracker(t, rng)
 	var requests int64
 	ats := make([]simclock.Time, 2)
-	drive := func(e int) {
+	driveEpoch := func(e int) {
 		sched := cl.BeginEpoch(ats[0], e, tr, rng)
 		for i, b := range sched.Batches(128) {
 			node := i % 2
 			end, served := cl.FetchBatchOn(node, ats[node], b)
 			if len(served) != len(b) {
-				t.Fatalf("epoch %d batch %d: served %d of %d", e, i, len(served), len(b))
+				t.Fatalf("epoch %d: served %d of %d", e, len(served), len(b))
 			}
 			requests += int64(len(b))
 			ats[node] = end
 		}
+		assertClusterInvariants(t, cl, requests)
 	}
+	driveEpoch(0)
 
-	// Epoch 0 runs against a healthy directory so the nodes actually acquire
-	// ownership (a node that never claimed anything has nothing to release).
-	// Then the directory dies and never heals.
-	drive(0)
-	deadDir := func(op string) faults.Rule {
-		return faults.Rule{Op: op, Action: faults.ActError}
-	}
-	cl.SetFaultInjector(faults.New(11).Add(
-		deadDir(faults.OpDirLookup), deadDir(faults.OpDirClaim), deadDir(faults.OpDirRelease),
-		deadDir(faults.OpDirHeartbeat), deadDir(faults.OpDirRegister), deadDir(faults.OpDirScan),
+	// Releases fail first, while admissions still evict; then everything.
+	from := min(ats[0], ats[1])
+	down := max(ats[0], ats[1]) + 300*time.Millisecond
+	until := down + 800*time.Millisecond
+	part := func(op string) faults.Rule { return faults.Partition(op, down, until, nil) }
+	cl.SetFaultInjector(faults.New(seed).Add(
+		faults.Partition(faults.OpDirRelease, from, until, nil),
+		part(faults.OpDirLookup), part(faults.OpDirClaim),
+		part(faults.OpDirHeartbeat), part(faults.OpDirRegister), part(faults.OpDirScan),
 	))
-	drive(1)
-	drive(2)
-	assertClusterInvariants(t, cl, requests)
-
-	// Memory pressure on node 0 now evicts every resident while the
-	// directory is down: each eviction tries to release its ownership,
-	// fails, and is deferred — but only up to the cap.
-	n := cl.nodes[0]
-	if evictions := n.srv.h.len() + n.srv.l.len(); evictions <= cfg.DeferredReleaseCap {
-		t.Fatalf("only %d residents to evict; need more than the cap %d",
-			evictions, cfg.DeferredReleaseCap)
+	repaired := until + simclock.Time(cl.cfg.ScrubInterval)
+	for e := 1; min(ats[0], ats[1]) < repaired; e++ {
+		if e >= 12 {
+			t.Fatalf("virtual time %v never passed the partition window", ats)
+		}
+		driveEpoch(e)
 	}
-	n.srv.h.resize(0)
-	n.srv.l.resize(0)
-
-	if got := len(cl.deferred); got > cfg.DeferredReleaseCap {
-		t.Errorf("deferred queue grew to %d, cap %d", got, cfg.DeferredReleaseCap)
+	for _, n := range cl.nodes {
+		owned, err := cl.dir.OwnedBy(n.id, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cached := n.srv.Residents(nil); !slices.Equal(owned, cached) {
+			t.Errorf("one scrub after the heal the directory credits node %d with %d samples, it caches %d",
+				n.id, len(owned), len(cached))
+		}
 	}
-	res := cl.Resilience()
-	if res.DeferredReleases == 0 {
-		t.Error("no releases were ever deferred")
-	}
-	if res.DroppedReleases == 0 {
-		t.Error("eviction storm past the cap produced no dropped releases")
+	return lifecycleSummary{
+		Stats:    cl.Stats(),
+		Res:      cl.Resilience(),
+		Mem:      cl.Membership(),
+		Requests: requests,
+		DirLen:   cl.DirectoryLen(),
 	}
 }
 
-// TestHeartbeatLapseTriggersReregistration partitions every directory
-// operation for longer than the lease TTL: the node's lease lapses while it
-// serves local-only, its next heartbeat after the heal is rejected, and it
+// TestChaosDirPartitionRepairedByScrub: for three seeds the partition bites
+// and is counted, and the run is bit-for-bit deterministic under repetition.
+func TestChaosDirPartitionRepairedByScrub(t *testing.T) {
+	for _, seed := range []int64{1, 42, 1337} {
+		t.Run(time.Duration(seed).String(), func(t *testing.T) {
+			first := runDirPartitionScenario(t, seed)
+			if first.Res.DirFailures == 0 {
+				t.Error("directory partition produced no DirFailures")
+			}
+			if first.Stats.Degraded == 0 {
+				t.Error("a full directory partition degraded nothing")
+			}
+			if first.Mem.ScrubReleased == 0 {
+				t.Error("no release was lost to the partition; the scrubber repaired nothing")
+			}
+			if second := runDirPartitionScenario(t, seed); !reflect.DeepEqual(first, second) {
+				t.Errorf("same seed produced different runs:\n first: %+v\nsecond: %+v", first, second)
+			}
+		})
+	}
+}
+
+// TestHeartbeatLapseTriggersReregistration: the partition outlasts the lease
+// TTL, so the node's first heartbeat after the heal is rejected, and it
 // re-registers and reconciles ownership.
 func TestHeartbeatLapseTriggersReregistration(t *testing.T) {
-	cl := lifecycleCluster(t, 13)
-	const from, until = 100 * time.Millisecond, 900 * time.Millisecond
-	part := func(op string) faults.Rule { return faults.Partition(op, from, until, nil) }
-	cl.SetFaultInjector(faults.New(13).Add(
-		part(faults.OpDirLookup), part(faults.OpDirClaim), part(faults.OpDirRelease),
-		part(faults.OpDirHeartbeat), part(faults.OpDirRegister), part(faults.OpDirScan),
-	))
-
-	rng := rand.New(rand.NewSource(13))
-	tr := lifecycleTracker(t, rng)
-	var requests int64
-	ats := make([]simclock.Time, 2)
-	for e := 0; ats[0] < 2*until; e++ {
-		if e >= 12 {
-			t.Fatalf("virtual time %v never passed the partition window", ats[0])
-		}
-		sched := cl.BeginEpoch(ats[0], e, tr, rng)
-		for i, b := range sched.Batches(128) {
-			node := i % 2
-			end, served := cl.FetchBatchOn(node, ats[node], b)
-			if len(served) != len(b) {
-				t.Fatalf("served %d of %d", len(served), len(b))
-			}
-			requests += int64(len(b))
-			ats[node] = end
-		}
-	}
-
-	mem := cl.Membership()
+	mem := runDirPartitionScenario(t, 13).Mem
 	if mem.HeartbeatRejects == 0 {
 		t.Error("lapsed lease never rejected a heartbeat")
 	}
@@ -520,8 +508,4 @@ func TestHeartbeatLapseTriggersReregistration(t *testing.T) {
 	if mem.ReplayedClaims == 0 {
 		t.Error("ownership reconciliation re-claimed nothing")
 	}
-	if cl.Stats().Degraded == 0 {
-		t.Error("a full directory partition degraded nothing")
-	}
-	assertClusterInvariants(t, cl, requests)
 }

@@ -3,9 +3,7 @@ package metrics
 // DecisionStats is the decision-level introspection ledger: every removal,
 // admission, prefetch and substitution carries a reason code, so operators
 // can answer "why did hit ratio dip in epoch 7?" from counters instead of a
-// debugger. The family is exposed on the Prometheus surface and typed
-// accessors only — the JSON /metrics document stays byte-pinned (the same
-// contract OverloadStats follows).
+// debugger.
 //
 // Two conservation identities hold at epoch boundaries (pinned by
 // TestDecisionLedgerConservation):

@@ -61,21 +61,16 @@ func (s CacheStats) String() string {
 }
 
 // ResilienceStats counts the fault-handling events of a distributed cache:
-// how often the directory or a peer failed, how many requests degraded to
-// backend reads, and the local-only mode churn. They are observability
-// counters, not part of the request-conservation invariant (one request may
-// produce several resilience events, or none).
+// how often the directory or a peer failed and how many requests degraded
+// to backend reads. They are observability counters, not part of the
+// request-conservation invariant (one request may produce several
+// resilience events, or none).
 type ResilienceStats struct {
-	DirFailures      int64 // directory operations that returned errors
-	PeerFailures     int64 // remote-cache reads that failed
-	DegradedReads    int64 // requests that fell back to the backend after a fault
-	LocalOnly        int64 // transitions into local-only (directory-down) mode
-	LocalOnlySkips   int64 // directory operations skipped while local-only
-	DeferredReleases int64 // ownership releases queued while the directory was down
-	ReplayedReleases int64 // deferred releases replayed after the directory healed
-	DroppedReleases  int64 // deferred releases dropped at the queue cap (the scrubber repairs the stale entries later)
-	Retries          int64 // network operations that needed at least one retry
-	Redials          int64 // connections re-established after a transport failure
+	DirFailures   int64 // directory operations (or lifecycle steps) that failed
+	PeerFailures  int64 // remote-cache reads that failed
+	DegradedReads int64 // requests that fell back to the backend after a fault
+	Retries       int64 // network operations that needed at least one retry
+	Redials       int64 // connections re-established after a transport failure
 }
 
 // Add accumulates o into r.
@@ -83,11 +78,6 @@ func (r *ResilienceStats) Add(o ResilienceStats) {
 	r.DirFailures += o.DirFailures
 	r.PeerFailures += o.PeerFailures
 	r.DegradedReads += o.DegradedReads
-	r.LocalOnly += o.LocalOnly
-	r.LocalOnlySkips += o.LocalOnlySkips
-	r.DeferredReleases += o.DeferredReleases
-	r.ReplayedReleases += o.ReplayedReleases
-	r.DroppedReleases += o.DroppedReleases
 	r.Retries += o.Retries
 	r.Redials += o.Redials
 }
@@ -96,9 +86,8 @@ func (r *ResilienceStats) Add(o ResilienceStats) {
 func (r ResilienceStats) Faults() int64 { return r.DirFailures + r.PeerFailures }
 
 func (r ResilienceStats) String() string {
-	return fmt.Sprintf("dirFail=%d peerFail=%d degraded=%d localOnly=%d skips=%d deferredRel=%d replayedRel=%d droppedRel=%d retries=%d redials=%d",
-		r.DirFailures, r.PeerFailures, r.DegradedReads, r.LocalOnly,
-		r.LocalOnlySkips, r.DeferredReleases, r.ReplayedReleases, r.DroppedReleases, r.Retries, r.Redials)
+	return fmt.Sprintf("dirFail=%d peerFail=%d degraded=%d retries=%d redials=%d",
+		r.DirFailures, r.PeerFailures, r.DegradedReads, r.Retries, r.Redials)
 }
 
 // MembershipStats counts node-lifecycle events across the distributed

@@ -40,12 +40,10 @@ func TestCacheStatsAdd(t *testing.T) {
 }
 
 func TestResilienceStats(t *testing.T) {
-	a := ResilienceStats{DirFailures: 1, PeerFailures: 2, DegradedReads: 3, LocalOnly: 4,
-		LocalOnlySkips: 5, DeferredReleases: 6, ReplayedReleases: 7, Retries: 8, Redials: 9}
+	a := ResilienceStats{DirFailures: 1, PeerFailures: 2, DegradedReads: 3, Retries: 8, Redials: 9}
 	b := a
 	a.Add(b)
-	want := ResilienceStats{DirFailures: 2, PeerFailures: 4, DegradedReads: 6, LocalOnly: 8,
-		LocalOnlySkips: 10, DeferredReleases: 12, ReplayedReleases: 14, Retries: 16, Redials: 18}
+	want := ResilienceStats{DirFailures: 2, PeerFailures: 4, DegradedReads: 6, Retries: 16, Redials: 18}
 	if a != want {
 		t.Fatalf("Add wrong: %+v", a)
 	}

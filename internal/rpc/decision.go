@@ -13,9 +13,6 @@ import (
 // control-plane event journal, and the /debug/timeline collector. The
 // policy half of the ledger (eviction reasons, substitution quality, epoch
 // residency) lives in internal/icache; DecisionStats overlays the two.
-//
-// Everything here is Prometheus + typed accessors only — the JSON /metrics
-// document stays byte-pinned (the OverloadStats precedent).
 
 // admitProv classifies what motivated a payload-store insert.
 type admitProv uint8

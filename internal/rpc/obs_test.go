@@ -2,7 +2,6 @@ package rpc
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
 	"net"
@@ -69,62 +68,11 @@ func hotIDs(t *testing.T, c *Client, n int) []dataset.SampleID {
 	return ids
 }
 
-// TestMetricsJSONBytesUnchanged pins the JSON exposition byte-for-byte for
-// a zero snapshot: existing dashboards parse this document, so adding,
-// removing, renaming, or reordering fields is a breaking change that must
-// show up here. New metrics belong on the Prometheus surface.
-func TestMetricsJSONBytesUnchanged(t *testing.T) {
-	got, err := json.MarshalIndent(MetricsSnapshot{}, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := `{
-  "uptime_seconds": 0,
-  "hits": 0,
-  "misses": 0,
-  "substitutions": 0,
-  "hit_ratio": 0,
-  "inserts": 0,
-  "evictions": 0,
-  "hcache_len": 0,
-  "lcache_len": 0,
-  "tier2_len": 0,
-  "payload_len": 0,
-  "packages_loaded": 0,
-  "loader_useful_bytes": 0,
-  "loader_wasted_bytes": 0,
-  "tier2_hits": 0,
-  "peer_serves": 0,
-  "peer_hits": 0,
-  "membership_registers": 0,
-  "membership_heartbeats": 0,
-  "membership_heartbeat_rejects": 0,
-  "scrub_sweeps": 0,
-  "scrub_released": 0,
-  "scrub_reclaimed": 0,
-  "scrub_dropped": 0,
-  "replayed_claims": 0,
-  "replay_denied": 0,
-  "coalesced_misses": 0,
-  "prefetch_workers": 0,
-  "prefetch_queued": 0,
-  "prefetch_completed": 0,
-  "prefetch_dropped": 0,
-  "prefetch_failed": 0,
-  "prefetch_queue_depth": 0,
-  "buffer_pool_gets": 0,
-  "buffer_pool_allocs": 0,
-  "buffer_reuse_rate": 0
-}`
-	if string(got) != want {
-		t.Fatalf("JSON exposition changed (breaking for existing scrapers):\n got: %s\nwant: %s", got, want)
-	}
-}
-
 // TestPrometheusExposition drives traffic through an obs-enabled server
-// and scrapes /metrics?format=prom: every stats family must render, the
-// per-stage histograms must appear, and the values must agree with the
-// JSON snapshot taken in the same breath.
+// and scrapes /metrics, with and without the ?format=prom older scrapers
+// send: every stats family must render, the per-stage histograms must
+// appear, and the values must agree with the typed snapshot taken in the
+// same breath.
 func TestPrometheusExposition(t *testing.T) {
 	srv, addr, _, _ := startObsServer(t)
 	c := dial(t, addr)
@@ -137,32 +85,35 @@ func TestPrometheusExposition(t *testing.T) {
 
 	ts := httptest.NewServer(srv.MetricsHandler())
 	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/?format=prom")
-	if err != nil {
-		t.Fatal(err)
+	var text string
+	for _, path := range []string{"/metrics", "/?format=prom"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status = %d", path, resp.StatusCode)
+		}
+		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+			t.Fatalf("%s: content type %q", path, ct)
+		}
+		text = string(body)
 	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Fatalf("content type %q", ct)
-	}
-	text := string(body)
 
 	// One representative metric per family, plus the occupancy gauges.
 	for _, name := range []string{
 		"icache_cache_hits_total",               // cache family
-		"icache_cache_degraded_total",           // field the JSON view never carried
+		"icache_cache_degraded_total",           //
 		"icache_cache_rejections_total",         //
 		"icache_loader_packages_total",          // loader family
 		"icache_resilience_peer_failures_total", // resilience family
 		"icache_membership_registers_total",     // membership family
-		"icache_membership_suspects_total",      // field the JSON view never carried
+		"icache_membership_suspects_total",      //
 		"icache_serving_coalesced_misses_total", // serving family
 		"icache_buffer_pool_gets_total",
 		"icache_hcache_len",
@@ -199,7 +150,7 @@ func TestPrometheusExposition(t *testing.T) {
 		}
 	}
 
-	// Values agree with the JSON snapshot (counters only move forward, and
+	// Values agree with the typed snapshot (counters only move forward, and
 	// no traffic runs between the scrape and this snapshot).
 	m := srv.Metrics()
 	if m.Hits == 0 {
@@ -222,16 +173,6 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 	if rest == "0" {
 		t.Fatal("request stage histogram never recorded")
-	}
-
-	// JSON stays the default view.
-	jresp, err := http.Get(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jresp.Body.Close()
-	if ct := jresp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("default content type %q", ct)
 	}
 }
 

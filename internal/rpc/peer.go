@@ -46,8 +46,8 @@ import (
 //   - peerFetchBatch takes policyMu once per answered chunk, after the RPC,
 //     to drop local duplicates of samples a peer owns.
 //   - releaseOwnership may be called under policyMu (the eviction
-//     observer fires it); the directory write is pushed to a goroutine so
-//     no network I/O ever happens under the lock.
+//     observer fires it); it only queues the id for the server's release
+//     worker, so no network I/O ever happens under the lock.
 
 // PeerConfig tunes the batched remote data plane (the -peer-batch and
 // -peer-inflight flags). SetPeerConfig installs it before Serve.
@@ -143,7 +143,23 @@ type distState struct {
 	// scrubMark is the anti-entropy watermark into this node's sorted
 	// resident set (bounded sweeps eventually cover everything).
 	scrubMark int
+
+	// releases feeds the release worker the evicted samples whose ownership
+	// it hands back; releaseStop ends the worker (Close).
+	releases    chan dataset.SampleID
+	releaseStop chan struct{}
+	releaseWG   sync.WaitGroup
 }
+
+// releaseQueueLen bounds the evictions whose directory release is still to be
+// sent (8 bytes each). The worker sends one at a time — 38 k/s against a
+// loopback directory, twice what icache-train's cold epochs evict — so a
+// stalled directory parks one goroutine for one RPCTimeout per release, not
+// one per eviction. The queue is deep enough for a whole epoch's burst on a
+// starved host (EXPERIMENTS.md, PR 23: a 1024-entry queue lost 34 122 of
+// 36 303 releases there, this one none); what does not fit is counted as a
+// directory failure and the scrubber releases it.
+const releaseQueueLen = 1 << 16
 
 // EnableDistributed joins the server to a directory service and a peer set.
 // nodeID must be unique across the deployment; peerAddrs maps the *other*
@@ -161,7 +177,12 @@ func (s *Server) EnableDistributed(nodeID dkv.NodeID, dir dkv.Service, peerAddrs
 		peers:     make(map[dkv.NodeID]*Client),
 		breakers:  make(map[dkv.NodeID]*overload.Breaker),
 		journal:   s.journal,
+
+		releases:    make(chan dataset.SampleID, releaseQueueLen),
+		releaseStop: make(chan struct{}),
 	}
+	s.dist.releaseWG.Add(1)
+	go s.dist.releaseLoop()
 }
 
 // breakerLocked returns (creating on demand) the node's circuit breaker.
@@ -527,17 +548,34 @@ func (s *Server) claimOwnership(id dataset.SampleID) bool {
 	return ok
 }
 
-// releaseOwnership drops the directory entry for an evicted sample.
+// releaseOwnership drops the directory entry for an evicted sample, best
+// effort: eviction hooks run under policyMu, so the cache path never blocks on
+// the directory — the id is handed to the release worker, or, with its queue
+// full, the release is given up (counted) and left to the scrubber.
 func (s *Server) releaseOwnership(id dataset.SampleID) {
 	dist := s.dist
 	if dist == nil {
 		return
 	}
-	// Best effort: eviction hooks run under policyMu; the release is async
-	// so the cache path never blocks on the directory.
-	go func() {
-		if _, err := dist.dir.Release(id, dist.nodeID); err != nil {
-			atomic.AddInt64(&dist.dirFailures, 1)
+	select {
+	case dist.releases <- id:
+	default:
+		atomic.AddInt64(&dist.dirFailures, 1)
+	}
+}
+
+// releaseLoop is the server's one release worker: it sends the queued
+// releases in eviction order until the server closes.
+func (d *distState) releaseLoop() {
+	defer d.releaseWG.Done()
+	for {
+		select {
+		case <-d.releaseStop:
+			return
+		case id := <-d.releases:
+			if _, err := d.dir.Release(id, d.nodeID); err != nil {
+				atomic.AddInt64(&d.dirFailures, 1)
+			}
 		}
-	}()
+	}
 }

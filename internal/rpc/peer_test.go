@@ -3,15 +3,20 @@ package rpc
 import (
 	"math/rand"
 	"net"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"icache/internal/dataset"
 	"icache/internal/dkv"
+	"icache/internal/faults"
 	"icache/internal/icache"
 	"icache/internal/obs"
 	"icache/internal/sampling"
+	"icache/internal/simclock"
 	"icache/internal/storage"
 )
 
@@ -399,5 +404,87 @@ func TestDistributedSurvivesDirectoryOutage(t *testing.T) {
 	}
 	if len(samples) != len(ids) {
 		t.Fatalf("served %d of %d", len(samples), len(ids))
+	}
+}
+
+// TestEvictionStormSharesOneReleaseWorker: with every Release stalled for a
+// second, an eviction storm parks one goroutine on the directory, not one per
+// eviction. The payload store still holds residents only, and once the stall
+// is over and the queue drained one scrub sweep leaves the directory crediting
+// the node exactly what it caches.
+func TestEvictionStormSharesOneReleaseWorker(t *testing.T) {
+	const evictions = 10000
+	dir := dkv.NewDirectory()
+	var healed atomic.Int64 // the fault schedule's clock: 0 stalled, 1 healed
+	fd := faults.WrapDir(dkv.Local{Dir: dir}, faults.New(1).Add(
+		faults.Rule{Op: faults.OpDirRelease, UntilTime: 1, Delay: time.Second}))
+	fd.Clock = func() simclock.Time { return simclock.Time(healed.Load()) }
+	srv := newUnstartedServer(t, nil, 0)
+	srv.EnableDistributed(0, fd, nil)
+	srv.dist.memCfg = MembershipConfig{ScrubBatch: testSpec().NumSamples}.withDefaults()
+	c := dial(t, serveOn(t, srv))
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	idle := runtime.NumGoroutine()
+
+	// Each pass rotates the importance order and reads the dataset in it,
+	// least important first, so the full H-cache keeps evicting.
+	n := dataset.SampleID(testSpec().NumSamples)
+	items := make([]sampling.Item, n)
+	ids := make([]dataset.SampleID, n)
+	for pass := 0; cacheStats(srv).Evictions < evictions; pass++ {
+		if pass == 40 {
+			t.Fatalf("only %d evictions after %d passes", cacheStats(srv).Evictions, pass)
+		}
+		for i := range ids {
+			ids[i] = (dataset.SampleID(i) + dataset.SampleID(pass)*n/5) % n
+			items[i] = sampling.Item{ID: ids[i], IV: 1 + float64(i)/float64(n)}
+		}
+		if err := c.UpdateImportance(items); err != nil {
+			t.Fatal(err)
+		}
+		for at := 0; at < len(ids); at += 250 {
+			if _, err := c.GetBatch(ids[at : at+250]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	settle := time.Now().Add(100 * time.Millisecond) // a request's gather workers exit on their own
+	for runtime.NumGoroutine() > idle+4 {
+		if time.Now().After(settle) {
+			t.Fatalf("%d goroutines after the storm, %d before it", runtime.NumGoroutine(), idle)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	requireStoreWithinResidents(t, srv)
+
+	healed.Store(1)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if len(srv.dist.releases) == 0 {
+			srv.scrubOnce()
+			if slices.Equal(dir.OwnedBy(0, 0), lockedResidents{srv}.Residents(nil)) {
+				break
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("directory credits the node with %d samples, it caches %d",
+				len(dir.OwnedBy(0, 0)), len(lockedResidents{srv}.Residents(nil)))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestReleaseBeyondTheQueueIsCounted: the eviction hook never blocks — a
+// release that finds the worker's queue full is given up and counted as a
+// directory failure (the scrubber repairs it).
+func TestReleaseBeyondTheQueueIsCounted(t *testing.T) {
+	srv := &Server{dist: &distState{releases: make(chan dataset.SampleID, 1)}} // no worker: nothing drains
+	srv.releaseOwnership(1)
+	srv.releaseOwnership(2)
+	if _, dirFailures := srv.ResilienceStats(); dirFailures != 1 || len(srv.dist.releases) != 1 {
+		t.Fatalf("two releases into a one-slot queue: %d counted, %d queued; want 1 and 1", dirFailures, len(srv.dist.releases))
 	}
 }

@@ -27,9 +27,13 @@ type prefetchItem struct {
 // L-samples enter the cache and *when* (virtual-time package arrivals,
 // §III-C); the prefetcher turns each delivery into real bytes: workers pull
 // delivered sample IDs off a bounded queue and fill the payload store
-// through the same coalesced miss path foreground requests use, so the
-// first client request for a freshly loaded L-sample is served from DRAM
-// instead of paying a backend read inline.
+// through the same coalesced miss path foreground requests use, so a client
+// request that arrives after the worker is done finds the bytes in DRAM.
+// Under load that is the rare case: the loader delivers what requests just
+// missed, so the request usually gets to the fetch first and the worker's
+// turn coalesces with it or is cancelled. On the benchmark's train_epochs
+// the outcome ledger reads late 85 %, wasted 10 %, in time 5 % of 217 k
+// issued (EXPERIMENTS.md, "On the wire", PR 23).
 //
 // The pool size is icache.Config.PrefetchWorkers — the paper's Fig. 15
 // prefetch-worker knob (-prefetch-workers on cmd/icache-server). It is also

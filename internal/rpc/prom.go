@@ -8,13 +8,10 @@ import (
 	"icache/internal/overload"
 )
 
-// This file renders the server's full metrics surface in Prometheus text
-// exposition format (stdlib-only, via obs.PromWriter). The JSON view
-// (MetricsSnapshot) stays byte-compatible for dashboards that already
-// scrape it; the Prometheus view is richer — it renders the *raw* stats
-// families, including fields the JSON document never carried (Degraded,
-// Rejections, the full membership lifecycle counters), plus every
-// registered per-stage latency histogram.
+// This file renders the server's metrics surface, the one exposition the
+// metrics endpoint serves, in Prometheus text format (stdlib-only, via
+// obs.PromWriter): the raw stats families plus every registered per-stage
+// latency histogram.
 //
 // Family ordering is fixed code order and each family's lines are
 // deterministic, so a scrape is byte-stable for unchanged counters — the
@@ -47,7 +44,7 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 	p.Counter("icache_cache_evictions_total", "samples evicted to make room", float64(st.Evictions))
 	p.Counter("icache_cache_rejections_total", "fetched samples the policy declined to admit", float64(st.Rejections))
 	p.Counter("icache_cache_requests_total", "total sample requests (hits+misses+substitutions+degraded)", float64(st.Requests()))
-	p.Gauge("icache_cache_hit_ratio", "fraction of requests served from memory (0 when no requests yet)", st.HitRatio())
+	p.Gauge("icache_cache_hit_ratio", "policy-level: fraction of requests decided a hit or a substitution, whose substitute may still be read from the backend (0 when no requests yet)", st.HitRatio())
 	p.Gauge("icache_hcache_len", "samples resident in the H-cache region", float64(hLen))
 	p.Gauge("icache_lcache_len", "samples resident in the L-cache region", float64(lLen))
 	p.Gauge("icache_tier2_len", "samples spilled to the tier-2 region", float64(t2Len))

@@ -137,8 +137,8 @@ func NewServer(cacheSrv *icache.Server, source ByteSource) *Server {
 	}
 	cacheSrv.SetEvictObserver(func(id dataset.SampleID) {
 		// Runs under policyMu (all cache mutations happen under it).
-		// policyMu → shard lock is the legal order; releaseOwnership is
-		// async and never blocks here.
+		// policyMu → shard lock is the legal order; releaseOwnership only
+		// queues and never blocks here.
 		s.payloads.delete(id)
 		s.releaseOwnership(id)
 		// An eviction before any hit means a pending prefetch was wasted.
@@ -179,6 +179,8 @@ func (s *Server) Close() error {
 		}
 		if s.dist != nil {
 			s.StopMembership()
+			close(s.dist.releaseStop)
+			s.dist.releaseWG.Wait()
 			s.dist.closePeers()
 		}
 	})

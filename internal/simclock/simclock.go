@@ -150,7 +150,7 @@ func (p *Pool) Reset() {
 	}
 }
 
-// Event is a unit of deferred work in an EventQueue.
+// Event is a unit of scheduled work in an EventQueue.
 type Event struct {
 	At Time
 	Fn func(now Time)
