@@ -22,7 +22,10 @@ vet:
 # cluster simulation and the two lifecycle drivers read no backend, serve no
 # L-sample and walk no directory scan of their own, and the simulated node has
 # no degraded mode the shipped node lacks (a local-only window, a queue of
-# deferred releases). Subsumes `vet` in `make all`.
+# deferred releases). And a cache node describes each flat series once: in the
+# non-test files of internal/rpc an "icache_ literal and a PromWriter
+# .Counter(/.Gauge(/.Metric( call occur only in series.go, the table /metrics and
+# /debug/timeline are both loops over. Subsumes `vet` in `make all`.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -45,6 +48,12 @@ lint:
 	done); \
 	if [ -n "$$stray" ]; then \
 		echo "a simulator-only degraded mode (rpc.Server counts a directory failure and asks again):"; echo "$$stray"; exit 1; \
+	fi
+	@stray=$$(for f in $$(ls internal/rpc/*.go | grep -v -e _test.go -e /series.go); do \
+		sed 's,//.*,,' $$f | grep -nE '"icache_|\.(Counter|Gauge|Metric)\(' | sed "s,^,$$f:,"; \
+	done); \
+	if [ -n "$$stray" ]; then \
+		echo "a flat series described outside internal/rpc/series.go (add a row to its table instead):"; echo "$$stray"; exit 1; \
 	fi
 	$(GO) vet ./...
 
@@ -127,8 +136,9 @@ bench:
 bench-layers:
 	$(GO) test -run NONE -bench . -benchmem ./internal/rpc/ ./internal/wire/ ./internal/dkv/ ./internal/loadgen/
 
-# Observability smoke: the exposition goldens (Prometheus text + the
-# byte-pinned /debug/timeline document), the
+# Observability smoke: the exposition goldens (Prometheus text, the cache
+# node's HELP/TYPE lines in order + the byte-pinned /debug/timeline document),
+# the timeline-equals-exposition and adds-up-within-a-scrape checks, the
 # histogram/quantile property tests, the envelope rejection table (one table,
 # run against the transport's stub handler and both protocols' handlers),
 # the two-node cross-node hop-chain round trips (including the chaos

@@ -2,9 +2,12 @@
 // it polls each node's metrics endpoint (/metrics?format=prom) and
 // in-process timeline (/debug/timeline) and renders a one-row-per-node
 // view of request/hit/shed rates, overload-gate and breaker state,
-// prefetch timeliness, the dominant eviction reason, membership activity
-// and the current epoch — plus a req/s sparkline per node from the
-// timeline ring.
+// prefetch timeliness, plan progress, the dominant eviction reason,
+// membership activity and the current epoch — plus a req/s sparkline per
+// node from the timeline ring. REQ/S counts samples the cache served and
+// SHED/S frames the gate refused before they reached it; a server has no
+// on-time information, so there is no goodput column (the load generator's
+// report has one).
 //
 // Usage:
 //

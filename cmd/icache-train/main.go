@@ -95,6 +95,12 @@ func main() {
 	}
 	rng := rand.New(rand.NewSource(*seed))
 
+	// The server's counters are cumulative since it started; each epoch's
+	// line reports the growth since the previous boundary.
+	prev, err := client.Stats()
+	if err != nil {
+		log.Fatalf("icache-train: stats: %v", err)
+	}
 	for epoch := 0; epoch < *epochs; epoch++ {
 		loss.BeginEpoch(epoch)
 		sched, hlist := sampling.IISSchedule(tracker, sampling.DefaultIIS(), rng)
@@ -171,12 +177,16 @@ func main() {
 		if err != nil {
 			log.Fatalf("icache-train: stats: %v", err)
 		}
-		served := st.Hits + st.Misses + st.Substitutions
-		hitRatio := float64(st.Hits+st.Substitutions) / float64(served)
+		hits, misses, subs := st.Hits-prev.Hits, st.Misses-prev.Misses, st.Substitutions-prev.Substitutions
+		prev = st
+		hitRatio := 0.0
+		if served := hits + misses + subs; served > 0 {
+			hitRatio = float64(hits+subs) / float64(served)
+		}
 		fmt.Printf("epoch %d: %d samples, %.1f MB in %s (%.0f samples/s) | server: hits=%d misses=%d subs=%d hit-ratio=%.1f%% hcache=%d lcache=%d pkgs=%d\n",
 			epoch, trained, float64(bytes)/(1<<20), elapsed.Round(time.Millisecond),
 			float64(trained)/elapsed.Seconds(),
-			st.Hits, st.Misses, st.Substitutions, 100*hitRatio, st.HCacheLen, st.LCacheLen, st.Packages)
+			hits, misses, subs, 100*hitRatio, st.HCacheLen, st.LCacheLen, st.Packages)
 	}
 
 	if tracer != nil {

@@ -114,5 +114,5 @@ func main() {
 
 	m := srv2.Metrics()
 	fmt.Printf("post-restart: hit ratio %.1f%% with %d H-residents already in place\n",
-		100*m.HitRatio, m.HCacheLen)
+		100*m.HitRatio(), m.HCacheLen)
 }

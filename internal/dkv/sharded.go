@@ -399,24 +399,33 @@ func (s *ShardedDir) LookupBatchCtx(ids []dataset.SampleID, ctx obs.TraceCtx, dl
 	return out, nil
 }
 
-// Len reports the total number of owned items across live replicas (shards
-// are disjoint, so the sum is exact).
-func (s *ShardedDir) Len() (int, error) {
-	total := 0
-	any := false
+// fanOut runs call against every live replica in sorted order and hands each
+// answer to fold; a replica that fails is marked down and skipped. It reports
+// ErrNoReplica when none answered. The membership operations and directory
+// scans below are this loop around their own merge rule.
+func fanOut[T any](s *ShardedDir, call func(Service) (T, error), fold func(T)) error {
+	answered := false
 	for _, r := range s.liveServices() {
-		n, err := s.service(r).Len()
+		v, err := call(s.service(r))
 		if err != nil {
 			s.markDown(r)
 			continue
 		}
-		total += n
-		any = true
+		answered = true
+		fold(v)
 	}
-	if !any {
-		return 0, ErrNoReplica
+	if !answered {
+		return ErrNoReplica
 	}
-	return total, nil
+	return nil
+}
+
+// Len reports the total number of owned items across live replicas (shards
+// are disjoint, so the sum is exact).
+func (s *ShardedDir) Len() (int, error) {
+	total := 0
+	err := fanOut(s, Service.Len, func(n int) { total += n })
+	return total, err
 }
 
 // Register grants node a lease on EVERY live replica: each replica tracks
@@ -425,22 +434,13 @@ func (s *ShardedDir) Len() (int, error) {
 // returned; the call fails only when no replica accepted it.
 func (s *ShardedDir) Register(node NodeID, ttl time.Duration) (NodeInfo, error) {
 	var info NodeInfo
-	ok := false
-	for _, r := range s.liveServices() {
-		in, err := s.service(r).Register(node, ttl)
-		if err != nil {
-			s.markDown(r)
-			continue
+	first := true
+	err := fanOut(s, func(svc Service) (NodeInfo, error) { return svc.Register(node, ttl) }, func(in NodeInfo) {
+		if first {
+			info, first = in, false
 		}
-		if !ok {
-			info = in
-			ok = true
-		}
-	}
-	if !ok {
-		return NodeInfo{}, ErrNoReplica
-	}
-	return info, nil
+	})
+	return info, err
 }
 
 // Heartbeat renews node's lease on every live replica. renewed is the AND
@@ -450,20 +450,8 @@ func (s *ShardedDir) Register(node NodeID, ttl time.Duration) (NodeInfo, error) 
 // is exactly what repopulates the restarted replica's membership table.
 func (s *ShardedDir) Heartbeat(node NodeID) (bool, error) {
 	renewed := true
-	any := false
-	for _, r := range s.liveServices() {
-		ok, err := s.service(r).Heartbeat(node)
-		if err != nil {
-			s.markDown(r)
-			continue
-		}
-		any = true
-		renewed = renewed && ok
-	}
-	if !any {
-		return false, ErrNoReplica
-	}
-	return renewed, nil
+	err := fanOut(s, func(svc Service) (bool, error) { return svc.Heartbeat(node) }, func(ok bool) { renewed = renewed && ok })
+	return renewed && err == nil, err
 }
 
 // ListNodes merges membership across live replicas. A node's state is the
@@ -473,23 +461,16 @@ func (s *ShardedDir) Heartbeat(node NodeID) (bool, error) {
 // current lease.
 func (s *ShardedDir) ListNodes() ([]NodeInfo, error) {
 	merged := make(map[NodeID]NodeInfo)
-	any := false
-	for _, r := range s.liveServices() {
-		nodes, err := s.service(r).ListNodes()
-		if err != nil {
-			s.markDown(r)
-			continue
-		}
-		any = true
+	err := fanOut(s, Service.ListNodes, func(nodes []NodeInfo) {
 		for _, n := range nodes {
 			cur, seen := merged[n.ID]
 			if !seen || n.State < cur.State || (n.State == cur.State && n.ExpiresIn > cur.ExpiresIn) {
 				merged[n.ID] = n
 			}
 		}
-	}
-	if !any {
-		return nil, ErrNoReplica
+	})
+	if err != nil {
+		return nil, err
 	}
 	out := make([]NodeInfo, 0, len(merged))
 	for _, n := range merged {
@@ -503,18 +484,10 @@ func (s *ShardedDir) ListNodes() ([]NodeInfo, error) {
 // its own shards' entries), sorted, capped at max (<= 0 means all).
 func (s *ShardedDir) OwnedBy(node NodeID, max int) ([]dataset.SampleID, error) {
 	var out []dataset.SampleID
-	any := false
-	for _, r := range s.liveServices() {
-		ids, err := s.service(r).OwnedBy(node, max)
-		if err != nil {
-			s.markDown(r)
-			continue
-		}
-		any = true
-		out = append(out, ids...)
-	}
-	if !any {
-		return nil, ErrNoReplica
+	err := fanOut(s, func(svc Service) ([]dataset.SampleID, error) { return svc.OwnedBy(node, max) },
+		func(ids []dataset.SampleID) { out = append(out, ids...) })
+	if err != nil {
+		return nil, err
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	if max > 0 && len(out) > max {
@@ -527,18 +500,6 @@ func (s *ShardedDir) OwnedBy(node NodeID, max int) ([]dataset.SampleID, error) {
 // replica and reports the total removed.
 func (s *ShardedDir) PurgeDead(max int) (int, error) {
 	total := 0
-	any := false
-	for _, r := range s.liveServices() {
-		n, err := s.service(r).PurgeDead(max)
-		if err != nil {
-			s.markDown(r)
-			continue
-		}
-		total += n
-		any = true
-	}
-	if !any {
-		return 0, ErrNoReplica
-	}
-	return total, nil
+	err := fanOut(s, func(svc Service) (int, error) { return svc.PurgeDead(max) }, func(n int) { total += n })
+	return total, err
 }

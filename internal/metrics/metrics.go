@@ -170,39 +170,6 @@ type ServingStats struct {
 	PayloadPins  int64 // payload reads served by reference from the store
 }
 
-// Add accumulates o's counters into s. Gauges (queue depth, worker count)
-// are overwritten with o's values, matching "latest observation wins".
-func (s *ServingStats) Add(o ServingStats) {
-	s.CoalescedMisses += o.CoalescedMisses
-	s.PrefetchQueued += o.PrefetchQueued
-	s.PrefetchCompleted += o.PrefetchCompleted
-	s.PrefetchDropped += o.PrefetchDropped
-	s.PrefetchFailed += o.PrefetchFailed
-	s.PrefetchQueueDepth = o.PrefetchQueueDepth
-	s.PrefetchWorkers = o.PrefetchWorkers
-	s.BufferGets += o.BufferGets
-	s.BufferAllocs += o.BufferAllocs
-	s.BufferDiscards += o.BufferDiscards
-	s.VecGets += o.VecGets
-	s.VecAllocs += o.VecAllocs
-	s.VecDiscards += o.VecDiscards
-	s.PeerBatchRPCs += o.PeerBatchRPCs
-	s.PeerBatchSamples += o.PeerBatchSamples
-	s.MuxInflight = o.MuxInflight
-	s.PayloadBytes = o.PayloadBytes
-	s.PayloadPins += o.PayloadPins
-}
-
-// PeerBatchFill reports the average number of samples per batched peer RPC
-// (0 when no batched RPCs were issued) — the scatter-gather amortization
-// factor: higher means fewer round trips per mini-batch.
-func (s ServingStats) PeerBatchFill() float64 {
-	if s.PeerBatchRPCs == 0 {
-		return 0
-	}
-	return float64(s.PeerBatchSamples) / float64(s.PeerBatchRPCs)
-}
-
 // BufferReuseRate reports the fraction of pooled-buffer checkouts served
 // without allocating (0 when no checkouts happened).
 func (s ServingStats) BufferReuseRate() float64 {
@@ -212,13 +179,6 @@ func (s ServingStats) BufferReuseRate() float64 {
 	return 1 - float64(s.BufferAllocs)/float64(s.BufferGets)
 }
 
-func (s ServingStats) String() string {
-	return fmt.Sprintf("coalesced=%d prefetch{queued=%d done=%d dropped=%d failed=%d depth=%d workers=%d} bufReuse=%.3f peerBatch{rpcs=%d samples=%d fill=%.1f} muxInflight=%d",
-		s.CoalescedMisses, s.PrefetchQueued, s.PrefetchCompleted, s.PrefetchDropped,
-		s.PrefetchFailed, s.PrefetchQueueDepth, s.PrefetchWorkers, s.BufferReuseRate(),
-		s.PeerBatchRPCs, s.PeerBatchSamples, s.PeerBatchFill(), s.MuxInflight)
-}
-
 // OverloadStats counts overload-control events on the network server: the
 // admission gate's decisions, server-side deadline drops, and the per-peer
 // circuit breakers' lifecycle (aggregated across peers). Unlike the other
@@ -226,42 +186,19 @@ func (s ServingStats) String() string {
 // request-conservation arithmetic: every offered request is either served
 // (and lands in CacheStats), shed, or expired — exactly once.
 type OverloadStats struct {
-	GateState string // gauge: "normal" | "brownout" | "shed" ("" = gate disabled)
-	Inflight  int64  // gauge: requests currently holding an admission slot
-	Admitted  int64  // requests the gate let through
-	Shed      int64  // requests rejected with a retry-after hint
-	Expired   int64  // requests dropped server-side with their deadline budget spent
-	Brownouts int64  // entries into the Brownout state (transitions, not requests)
-	Sheds     int64  // entries into the Shed state (transitions, not requests)
+	GateState int64 // gauge: admission ladder position, 0=normal 1=brownout 2=shed (0 with no gate)
+	Inflight  int64 // gauge: requests currently holding an admission slot
+	Admitted  int64 // requests the gate let through
+	Shed      int64 // requests rejected with a retry-after hint
+	Expired   int64 // requests dropped server-side with their deadline budget spent
+	Brownouts int64 // entries into the Brownout state (transitions, not requests)
+	Sheds     int64 // entries into the Shed state (transitions, not requests)
 
 	BreakersOpen      int64 // gauge: peer breakers currently open or half-open
 	BreakerTrips      int64 // closed-to-open transitions across all peers
 	BreakerFastFails  int64 // calls rejected by an open breaker without touching the network
 	BreakerProbes     int64 // half-open probe calls issued
 	BreakerRecoveries int64 // breakers re-closed by a successful probe
-}
-
-// Add accumulates o's counters into s; gauges take o's values ("latest
-// observation wins", matching ServingStats.Add).
-func (s *OverloadStats) Add(o OverloadStats) {
-	s.GateState = o.GateState
-	s.Inflight = o.Inflight
-	s.Admitted += o.Admitted
-	s.Shed += o.Shed
-	s.Expired += o.Expired
-	s.Brownouts += o.Brownouts
-	s.Sheds += o.Sheds
-	s.BreakersOpen = o.BreakersOpen
-	s.BreakerTrips += o.BreakerTrips
-	s.BreakerFastFails += o.BreakerFastFails
-	s.BreakerProbes += o.BreakerProbes
-	s.BreakerRecoveries += o.BreakerRecoveries
-}
-
-func (s OverloadStats) String() string {
-	return fmt.Sprintf("gate=%s inflight=%d admitted=%d shed=%d expired=%d brownouts=%d sheds=%d breakers{open=%d trips=%d fastFails=%d probes=%d recoveries=%d}",
-		s.GateState, s.Inflight, s.Admitted, s.Shed, s.Expired, s.Brownouts, s.Sheds,
-		s.BreakersOpen, s.BreakerTrips, s.BreakerFastFails, s.BreakerProbes, s.BreakerRecoveries)
 }
 
 // EpochStats describes one simulated training epoch of one job.

@@ -57,15 +57,10 @@ func (p *PromWriter) header(name, help, typ string) {
 	p.printf("# TYPE %s %s\n", name, typ)
 }
 
-// Counter emits one counter sample.
-func (p *PromWriter) Counter(name, help string, v float64) {
-	p.header(name, help, "counter")
-	p.printf("%s %s\n", name, formatFloat(v))
-}
-
-// Gauge emits one gauge sample.
-func (p *PromWriter) Gauge(name, help string, v float64) {
-	p.header(name, help, "gauge")
+// Metric emits one unlabeled sample of the given TYPE ("counter" or
+// "gauge"): the one call a table of series is looped through.
+func (p *PromWriter) Metric(name, help, typ string, v float64) {
+	p.header(name, help, typ)
 	p.printf("%s %s\n", name, formatFloat(v))
 }
 

@@ -20,9 +20,9 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 func TestPromGolden(t *testing.T) {
 	var buf bytes.Buffer
 	p := NewPromWriter(&buf)
-	p.Counter("icache_test_hits_total", "requests served from cached copies", 42)
-	p.Gauge("icache_test_depth", "current queue depth", 3)
-	p.Counter("icache_test_escapes_total", "help with\nnewline and \\ backslash", 1)
+	p.Metric("icache_test_hits_total", "requests served from cached copies", "counter", 42)
+	p.Metric("icache_test_depth", "current queue depth", "gauge", 3)
+	p.Metric("icache_test_escapes_total", "help with\nnewline and \\ backslash", "counter", 1)
 	h := NewHistogram()
 	for _, d := range []time.Duration{
 		time.Microsecond, 2 * time.Microsecond, 100 * time.Microsecond,
@@ -59,7 +59,7 @@ func TestPromGolden(t *testing.T) {
 	// A second render must be byte-identical: the exposition is stable.
 	var again bytes.Buffer
 	p2 := NewPromWriter(&again)
-	p2.Counter("icache_test_hits_total", "requests served from cached copies", 42)
+	p2.Metric("icache_test_hits_total", "requests served from cached copies", "counter", 42)
 	if !bytes.HasPrefix(buf.Bytes(), again.Bytes()) {
 		t.Fatal("re-render of the first family differs")
 	}

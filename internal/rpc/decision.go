@@ -5,14 +5,13 @@ import (
 
 	"icache/internal/metrics"
 	"icache/internal/obs"
-	"icache/internal/overload"
 )
 
 // Decision-level introspection for the serving layer: admission provenance
-// counters, the prefetch-outcome ledger (kept by the prefetcher), the
-// control-plane event journal, and the /debug/timeline collector. The
-// policy half of the ledger (eviction reasons, substitution quality, epoch
-// residency) lives in internal/icache; DecisionStats overlays the two.
+// counters, the prefetch-outcome ledger (kept by the prefetcher) and the
+// control-plane event journal. The policy half of the ledger (eviction
+// reasons, substitution quality, epoch residency) lives in internal/icache;
+// DecisionStats overlays the two.
 
 // admitProv classifies what motivated a payload-store insert.
 type admitProv uint8
@@ -51,9 +50,6 @@ func (s *Server) SetJournal(j *obs.Journal) {
 	}
 }
 
-// Journal exposes the installed journal (nil when off).
-func (s *Server) Journal() *obs.Journal { return s.journal }
-
 // Exemplars exposes the latency-bucket trace exemplars (nil until
 // EnableObs arms the histograms).
 func (s *Server) Exemplars() *obs.Exemplars { return s.obs.exemplars }
@@ -74,7 +70,13 @@ func (s *Server) DecisionStats() metrics.DecisionStats {
 	s.policyMu.Lock()
 	d := s.cache.DecisionLedger()
 	s.policyMu.Unlock()
+	s.overlayServingDecisions(&d)
+	return d
+}
 
+// overlayServingDecisions fills the serving layer's half of the ledger
+// (atomics; no lock).
+func (s *Server) overlayServingDecisions(d *metrics.DecisionStats) {
 	d.AdmitFetch = atomic.LoadInt64(&s.dec.admitFetch)
 	d.AdmitPrefetch = atomic.LoadInt64(&s.dec.admitPrefetch)
 	d.AdmitRehydrate = atomic.LoadInt64(&s.dec.admitRehydrate)
@@ -88,64 +90,5 @@ func (s *Server) DecisionStats() metrics.DecisionStats {
 		d.PrefetchLate = atomic.LoadInt64(&p.late)
 		d.PrefetchWasted = atomic.LoadInt64(&p.wasted)
 		d.PrefetchDropped = enqDropped + failed
-	}
-	return d
-}
-
-// TimelinePoint snapshots every stats family as one flat name→value map —
-// the collector /debug/timeline's Timeline ticks. Rates are left to
-// consumers (icache-top differentiates successive points).
-func (s *Server) TimelinePoint() map[string]float64 {
-	s.policyMu.Lock()
-	st := s.cache.Stats()
-	hLen, lLen := s.cache.HCacheLen(), s.cache.LCacheLen()
-	s.policyMu.Unlock()
-	d := s.DecisionStats()
-	ov := s.OverloadStats()
-	ps := s.PlanStats()
-	peerServes, peerHits := s.PeerStats()
-
-	var gateState float64
-	switch ov.GateState {
-	case overload.Brownout.String():
-		gateState = 1
-	case overload.Shed.String():
-		gateState = 2
-	}
-	return map[string]float64{
-		"hits":                    float64(st.Hits),
-		"misses":                  float64(st.Misses),
-		"substitutions":           float64(st.Substitutions),
-		"degraded":                float64(st.Degraded),
-		"requests":                float64(st.Requests()),
-		"shed":                    float64(ov.Shed),
-		"expired":                 float64(ov.Expired),
-		"hcache_len":              float64(hLen),
-		"lcache_len":              float64(lLen),
-		"payload_len":             float64(s.payloads.len()),
-		"gate_state":              gateState,
-		"breakers_open":           float64(ov.BreakersOpen),
-		"breaker_trips":           float64(ov.BreakerTrips),
-		"evict_capacity":          float64(d.EvictCapacity),
-		"evict_dead_owner":        float64(d.EvictDeadOwner),
-		"evict_scrub":             float64(d.EvictScrub),
-		"evict_checkpoint_denied": float64(d.EvictCheckpointDenied),
-		"prefetch_issued":         float64(d.PrefetchIssued),
-		"prefetch_in_time":        float64(d.PrefetchInTime),
-		"prefetch_late":           float64(d.PrefetchLate),
-		"prefetch_wasted":         float64(d.PrefetchWasted),
-		"prefetch_dropped":        float64(d.PrefetchDropped),
-		"prefetch_timeliness":     d.PrefetchTimeliness(),
-		"sub_exact":               float64(d.SubExact),
-		"sub_fallback":            float64(d.SubFallback),
-		"epoch":                   float64(d.Epoch),
-		"epoch_hcache_len":        float64(d.EpochHCount),
-		"epoch_lcache_len":        float64(d.EpochLCount),
-		"peer_serves":             float64(peerServes),
-		"peer_hits":               float64(peerHits),
-		"plan_planned":            float64(ps.Planned),
-		"plan_completed":          float64(ps.Completed),
-		"plan_remaining":          float64(ps.Remaining),
-		"demand_fetches":          float64(s.DemandFetches()),
 	}
 }

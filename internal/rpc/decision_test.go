@@ -7,6 +7,8 @@ package rpc
 
 import (
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -143,8 +145,10 @@ func TestJournalRecordsEpochBoundaries(t *testing.T) {
 }
 
 // TestTimelinePointCarriesDecisionSeries checks the per-node timeline
-// collector exposes the series icache-top renders: request rates, overload
-// state, the eviction-reason and prefetch-outcome ledgers.
+// collector against the exposition on a quiescent server after traffic: the
+// key set is the 34 keys consumers (icache-top, the benchmark) were given
+// before the series table, and every key reads the value /metrics prints for
+// the row it belongs to.
 func TestTimelinePointCarriesDecisionSeries(t *testing.T) {
 	defer leakcheck.Check(t)
 	srv, addr, _ := startServer(t)
@@ -152,17 +156,29 @@ func TestTimelinePointCarriesDecisionSeries(t *testing.T) {
 	if _, err := cl.GetBatch([]dataset.SampleID{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
 	}
-	p := srv.TimelinePoint()
-	for _, key := range []string{
-		"requests", "hits", "misses", "shed", "gate_state", "breakers_open",
-		"evict_capacity", "evict_dead_owner", "prefetch_issued", "prefetch_timeliness",
-		"sub_exact", "epoch", "hcache_len", "payload_len",
-	} {
+	p, prom := srv.TimelinePoint(), scrape(t, srv)
+	for again := srv.TimelinePoint(); !reflect.DeepEqual(p, again); again = srv.TimelinePoint() {
+		p, prom = again, scrape(t, srv) // the batch's prefetches were still landing
+	}
+	want := strings.Fields(`hits misses substitutions degraded requests shed expired hcache_len lcache_len
+		payload_len gate_state breakers_open breaker_trips evict_capacity evict_dead_owner evict_scrub
+		evict_checkpoint_denied prefetch_issued prefetch_in_time prefetch_late prefetch_wasted prefetch_dropped
+		prefetch_timeliness sub_exact sub_fallback epoch epoch_hcache_len epoch_lcache_len peer_serves peer_hits
+		plan_planned plan_completed plan_remaining demand_fetches`)
+	for _, key := range want {
 		if _, ok := p[key]; !ok {
 			t.Errorf("timeline point lacks series %q", key)
 		}
 	}
-	if p["requests"] == 0 {
-		t.Error("requests series did not move")
+	if len(p) != len(want) || len(want) != 34 {
+		t.Errorf("timeline point has %d keys, want the %d known ones", len(p), len(want))
+	}
+	for _, r := range new(nodeView).rows() {
+		if r.key != "" && p[r.key] != prom[r.name] {
+			t.Errorf("timeline %q = %g, exposition %s = %g", r.key, p[r.key], r.name, prom[r.name])
+		}
+	}
+	if p["requests"] != 4 || prom["icache_cache_requests_total"] != 4 {
+		t.Errorf("requests series reads %g / %g after 4 samples", p["requests"], prom["icache_cache_requests_total"])
 	}
 }

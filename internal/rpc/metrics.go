@@ -3,61 +3,25 @@ package rpc
 import (
 	"net/http"
 	"sync/atomic"
-	"time"
 
 	"icache/internal/metrics"
 	"icache/internal/overload"
 	"icache/internal/wire"
 )
 
-// MetricsSnapshot is Metrics' typed view for in-process callers: the cache
-// counters plus the operational gauges. The metrics endpoint serves the
-// Prometheus exposition (prom.go), which carries all of it and more.
+// MetricsSnapshot is Metrics' typed view for in-process callers (the
+// benchmark's window edges, tests, examples): the cache counters as the
+// family internal/metrics already describes, plus the few gauges and counters
+// a caller reads beside them. Everything else a node counts is a row of the
+// series table (series.go) or one of the typed accessors below.
 type MetricsSnapshot struct {
-	UptimeSeconds float64
+	metrics.CacheStats
 
-	Hits          int64
-	Misses        int64
-	Substitutions int64
-	HitRatio      float64
-	Inserts       int64
-	Evictions     int64
-
-	HCacheLen  int
-	LCacheLen  int
-	Tier2Len   int
-	PayloadLen int
-
-	PackagesLoaded    int64
+	UptimeSeconds     float64
+	HCacheLen         int
 	LoaderUsefulBytes int64
 	LoaderWastedBytes int64
-	Tier2Hits         int64
-
-	PeerServes int64
-	PeerHits   int64
-
-	// Node-lifecycle counters (zero unless StartMembership ran).
-	MembershipRegisters  int64
-	MembershipHeartbeats int64
-	MembershipHBRejects  int64
-	ScrubSweeps          int64
-	ScrubReleased        int64
-	ScrubReclaimed       int64
-	ScrubDropped         int64
-	ReplayedClaims       int64
-	ReplayDenied         int64
-
-	// Concurrent-serving-path counters (see metrics.ServingStats).
-	CoalescedMisses    int64
-	PrefetchWorkers    int64
-	PrefetchQueued     int64
-	PrefetchCompleted  int64
-	PrefetchDropped    int64
-	PrefetchFailed     int64
-	PrefetchQueueDepth int64
-	BufferPoolGets     int64
-	BufferPoolAllocs   int64
-	BufferReuseRate    float64
+	PeerHits          int64
 }
 
 // ServingStats gathers the concurrent-serving-path counters: coalesced
@@ -96,7 +60,7 @@ func (s *Server) OverloadStats() metrics.OverloadStats {
 	out.Shed, out.Expired = s.t.OverloadCounters()
 	if g := s.t.Gate; g != nil {
 		gs := g.Stats()
-		out.GateState = gs.State.String()
+		out.GateState = int64(gs.State)
 		out.Inflight = gs.Inflight
 		out.Admitted = gs.Admitted
 		out.Brownouts = gs.Brownouts
@@ -114,56 +78,18 @@ func (s *Server) OverloadStats() metrics.OverloadStats {
 	return out
 }
 
-// Metrics gathers a consistent snapshot of the policy counters (one short
-// policyMu critical section) plus the lock-free serving counters.
+// Metrics reads the typed view out of one gathered view (one short policyMu
+// critical section).
 func (s *Server) Metrics() MetricsSnapshot {
-	s.policyMu.Lock()
-	st := s.cache.Stats()
-	snap := MetricsSnapshot{
-		UptimeSeconds:     time.Since(s.start).Seconds(),
-		Hits:              st.Hits,
-		Misses:            st.Misses,
-		Substitutions:     st.Substitutions,
-		HitRatio:          st.HitRatio(),
-		Inserts:           st.Inserts,
-		Evictions:         st.Evictions,
-		HCacheLen:         s.cache.HCacheLen(),
-		LCacheLen:         s.cache.LCacheLen(),
-		Tier2Len:          s.cache.Tier2Len(),
-		PackagesLoaded:    s.cache.PackagesLoaded(),
-		LoaderUsefulBytes: s.cache.LoaderUsefulBytes(),
-		LoaderWastedBytes: s.cache.LoaderWastedBytes(),
-		Tier2Hits:         s.cache.Tier2Hits(),
+	v := s.gather()
+	return MetricsSnapshot{
+		CacheStats:        v.cache,
+		UptimeSeconds:     v.uptime,
+		HCacheLen:         v.hLen,
+		LoaderUsefulBytes: v.loaderUseful,
+		LoaderWastedBytes: v.loaderWasted,
+		PeerHits:          v.peerHits,
 	}
-	s.policyMu.Unlock()
-
-	snap.PayloadLen = s.payloads.len()
-	if s.dist != nil {
-		snap.PeerServes = atomic.LoadInt64(&s.dist.peerServes)
-		snap.PeerHits = atomic.LoadInt64(&s.dist.peerHits)
-		mem := s.MembershipStats()
-		snap.MembershipRegisters = mem.Registers
-		snap.MembershipHeartbeats = mem.Heartbeats
-		snap.MembershipHBRejects = mem.HeartbeatRejects
-		snap.ScrubSweeps = mem.ScrubSweeps
-		snap.ScrubReleased = mem.ScrubReleased
-		snap.ScrubReclaimed = mem.ScrubReclaimed
-		snap.ScrubDropped = mem.ScrubDropped
-		snap.ReplayedClaims = mem.ReplayedClaims
-		snap.ReplayDenied = mem.ReplayDenied
-	}
-	sv := s.ServingStats()
-	snap.CoalescedMisses = sv.CoalescedMisses
-	snap.PrefetchWorkers = sv.PrefetchWorkers
-	snap.PrefetchQueued = sv.PrefetchQueued
-	snap.PrefetchCompleted = sv.PrefetchCompleted
-	snap.PrefetchDropped = sv.PrefetchDropped
-	snap.PrefetchFailed = sv.PrefetchFailed
-	snap.PrefetchQueueDepth = sv.PrefetchQueueDepth
-	snap.BufferPoolGets = sv.BufferGets
-	snap.BufferPoolAllocs = sv.BufferAllocs
-	snap.BufferReuseRate = sv.BufferReuseRate()
-	return snap
 }
 
 // MetricsHandler serves the Prometheus text exposition on GET /metrics (any

@@ -42,8 +42,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	if m.Hits == 0 || m.Misses == 0 || m.HCacheLen == 0 {
 		t.Fatalf("metrics look empty: %+v", m)
 	}
-	if m.HitRatio <= 0 || m.HitRatio > 1 {
-		t.Fatalf("hit ratio %g", m.HitRatio)
+	if m.HitRatio() <= 0 || m.HitRatio() > 1 {
+		t.Fatalf("hit ratio %g", m.HitRatio())
 	}
 	if m.UptimeSeconds < 0 {
 		t.Fatal("negative uptime")

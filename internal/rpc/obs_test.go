@@ -1,14 +1,20 @@
 package rpc
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"flag"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -19,8 +25,11 @@ import (
 	"icache/internal/obs"
 	"icache/internal/sampling"
 	"icache/internal/storage"
+	"icache/internal/top"
 	"icache/internal/trace"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 
 // startObsServer is startServer with the observability layer armed before
 // Serve: per-stage histograms and span tracing.
@@ -105,33 +114,7 @@ func TestPrometheusExposition(t *testing.T) {
 		text = string(body)
 	}
 
-	// One representative metric per family, plus the occupancy gauges.
-	for _, name := range []string{
-		"icache_cache_hits_total",               // cache family
-		"icache_cache_degraded_total",           //
-		"icache_cache_rejections_total",         //
-		"icache_loader_packages_total",          // loader family
-		"icache_resilience_peer_failures_total", // resilience family
-		"icache_membership_registers_total",     // membership family
-		"icache_membership_suspects_total",      //
-		"icache_serving_coalesced_misses_total", // serving family
-		"icache_buffer_pool_gets_total",
-		"icache_hcache_len",
-		"icache_uptime_seconds",
-		"icache_evict_capacity_total",      // decision family: reason-coded evictions
-		"icache_evict_reasoned_total",      //
-		"icache_admit_fetch_total",         // admission provenance
-		"icache_prefetch_issued_total",     // prefetch-outcome ledger
-		"icache_prefetch_timeliness_ratio", //
-		"icache_substitution_exact_total",  // substitution quality
-		"icache_epoch_hcache_len",          // epoch-boundary residency
-		"icache_journal_events_total",      // journal retention
-		"icache_trace_dropped_spans_total", // trace-ring retention
-	} {
-		if !strings.Contains(text, "\n"+name+" ") && !strings.Contains(text, "\n# TYPE "+name+" ") {
-			t.Errorf("prometheus exposition missing %s", name)
-		}
-	}
+	// Every flat series' name, HELP and TYPE: TestPrometheusExpositionHeaders.
 
 	// The serving path registers its stage histograms up front; at least
 	// these must expose buckets, sum/count, and quantile companions.
@@ -174,6 +157,87 @@ func TestPrometheusExposition(t *testing.T) {
 	if rest == "0" {
 		t.Fatal("request stage histogram never recorded")
 	}
+}
+
+// scrape parses one exposition of srv into name→value.
+func scrape(t *testing.T, srv *Server) map[string]float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := srv.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	m, _ := top.ParseProm(&buf) // a bytes.Buffer read cannot fail
+	return m
+}
+
+// TestPrometheusExpositionHeaders pins every series' name, HELP text, TYPE
+// and position: the exposition's comment lines, values excluded, against a
+// golden generated at the commit before the series table existed. Run with
+// -update after adding a row.
+func TestPrometheusExpositionHeaders(t *testing.T) {
+	srv, _, _, _ := startObsServer(t)
+	var buf bytes.Buffer
+	if err := srv.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got := bytes.Join(regexp.MustCompile(`(?m)^#.*\n`).FindAll(buf.Bytes(), -1), nil)
+	path := filepath.Join("testdata", "exposition_headers.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("exposition headers differ from golden (%v).\ngot:\n%s\nwant:\n%s", err, got, want)
+	}
+}
+
+// TestPrometheusExpositionAddsUpUnderLoad scrapes beside evicting GetBatch
+// traffic: the view is gathered under one policyMu hold, so within every
+// scrape requests equal their four outcome classes, the eviction total its
+// reasons, and the cache family's evictions the ledger's capacity evictions.
+func TestPrometheusExpositionAddsUpUnderLoad(t *testing.T) {
+	srv, addr, _ := startServer(t)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		c := dial(t, addr)
+		wg.Add(1)
+		go func(base dataset.SampleID) {
+			defer wg.Done()
+			for i := dataset.SampleID(0); ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				id := (base + i*16) % 1984
+				if _, err := c.GetBatch([]dataset.SampleID{id, id + 3, id + 7, id + 11, id + 13}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(dataset.SampleID(w * 640))
+	}
+	for dl := time.Now().Add(10 * time.Second); scrape(t, srv)["icache_evict_reasoned_total"] == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(dl) { // the scrapes below must run beside evicting traffic
+			t.Fatal("traffic evicted nothing in 10s")
+		}
+	}
+	for i := 0; i < 60; i++ {
+		m := scrape(t, srv)
+		if sum := m["icache_cache_hits_total"] + m["icache_cache_misses_total"] + m["icache_cache_substitutions_total"] + m["icache_cache_degraded_total"]; sum != m["icache_cache_requests_total"] {
+			t.Errorf("scrape %d: outcome classes sum to %g, requests %g", i, sum, m["icache_cache_requests_total"])
+		}
+		if sum := m["icache_evict_capacity_total"] + m["icache_evict_dead_owner_total"] + m["icache_evict_scrub_total"] + m["icache_evict_checkpoint_denied_total"]; sum != m["icache_evict_reasoned_total"] {
+			t.Errorf("scrape %d: eviction reasons sum to %g, total %g", i, sum, m["icache_evict_reasoned_total"])
+		}
+		if m["icache_cache_evictions_total"] != m["icache_evict_capacity_total"] {
+			t.Errorf("scrape %d: cache evictions %g, capacity evictions %g", i, m["icache_cache_evictions_total"], m["icache_evict_capacity_total"])
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 // startTracedDistFixture is the two-node distributed fixture with the

@@ -250,29 +250,25 @@ func planProgress(m map[string]float64) string {
 }
 
 // Render writes the cluster table: one row per node with request/hit/shed
-// rates (from the node's timeline), goodput, overload-gate and breaker
-// state, prefetch timeliness, clairvoyant plan progress, the dominant
+// rates (from the node's timeline), overload-gate and breaker state,
+// prefetch timeliness, clairvoyant plan progress, the dominant
 // eviction reason, membership summary and epoch, followed by a req/s
 // sparkline per node.
 func Render(w io.Writer, views []View) {
 	tw := func(format string, args ...any) { fmt.Fprintf(w, format+"\n", args...) }
-	tw("%-22s %8s %6s %8s %9s %-9s %4s %7s %-13s %-16s %-10s %5s",
-		"NODE", "REQ/S", "HIT%", "SHED/S", "GOODPUT", "GATE", "BRK", "PF-TIME", "PLAN", "TOP-EVICT", "MEMBER", "EPOCH")
+	tw("%-22s %8s %6s %8s %-9s %4s %7s %-13s %-16s %-10s %5s",
+		"NODE", "REQ/S", "HIT%", "SHED/S", "GATE", "BRK", "PF-TIME", "PLAN", "TOP-EVICT", "MEMBER", "EPOCH")
 	for _, v := range views {
 		if v.Err != nil {
 			tw("%-22s DOWN: %v", v.Name, v.Err)
 			continue
 		}
 		m := v.Metrics
-		reqRate := rate(v.Timeline, "requests", 30)
-		shedRate := rate(v.Timeline, "shed", 30)
-		hitPct := m["icache_cache_hit_ratio"] * 100
-		tw("%-22s %8.1f %6.1f %8.1f %9.1f %-9s %4.0f %7.2f %-13s %-16s %-10s %5.0f",
+		tw("%-22s %8.1f %6.1f %8.1f %-9s %4.0f %7.2f %-13s %-16s %-10s %5.0f",
 			v.Name,
-			reqRate,
-			hitPct,
-			shedRate,
-			reqRate-shedRate,
+			rate(v.Timeline, "requests", 30),
+			m["icache_cache_hit_ratio"]*100,
+			rate(v.Timeline, "shed", 30),
 			gateName(m["icache_overload_gate_state"]),
 			m["icache_overload_breakers_open"],
 			m["icache_prefetch_timeliness_ratio"],

@@ -121,6 +121,10 @@ func TestRenderTwoNodes(t *testing.T) {
 	if !strings.Contains(out, "75.0") || !strings.Contains(out, "5.0") {
 		t.Errorf("timeline-derived rates missing:\n%s", out)
 	}
+	// No goodput column: samples served minus frames refused is not goodput.
+	if strings.Contains(out, "GOODPUT") {
+		t.Errorf("GOODPUT column rendered:\n%s", out)
+	}
 	// BRK column shows two open breakers.
 	if views[0].Metrics["icache_overload_breakers_open"] != 2 {
 		t.Error("breaker gauge lost in scrape")

@@ -169,6 +169,21 @@ func (r *Recorder) Total() uint64 {
 	return r.total
 }
 
+// Dropped reports how many events ring wraparound has overwritten: Total
+// minus Len, both read under one lock hold (two separate reads can straddle
+// a Record and make the unsigned difference wrap).
+func (r *Recorder) Dropped() uint64 {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.filled {
+		return 0
+	}
+	return r.total - uint64(len(r.buf))
+}
+
 // Snapshot returns the retained events oldest-first.
 func (r *Recorder) Snapshot() []Event {
 	if r == nil {
@@ -225,8 +240,7 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 // would exceed maxBytes, the OLDEST rows are cut so the newest suffix
 // (plus the header) fits — the end of a soak run is what a post-mortem
 // reads first. maxBytes <= 0 means unlimited. It returns how many retained
-// events were cut; ring-overwrite drops are reported by Total()-Len() as
-// usual.
+// events were cut; ring-overwrite drops are reported by Dropped() as usual.
 func (r *Recorder) WriteCSVLimited(w io.Writer, maxBytes int64) (cut int, err error) {
 	if maxBytes <= 0 {
 		return 0, r.WriteCSV(w)

@@ -119,3 +119,37 @@ func TestNewRecorderZeroPanics(t *testing.T) {
 	}()
 	NewRecorder(0)
 }
+
+// TestRecorderDropped pins Dropped: 0 until the ring wraps, total − capacity
+// after, and — read beside concurrent writers — never above Total (the
+// two-lock Total()−Len() it replaces wrapped to 1.8e19 there).
+func TestRecorderDropped(t *testing.T) {
+	r := NewRecorder(8)
+	for i := 0; i < 9; i++ {
+		if d := r.Dropped(); d != 0 {
+			t.Fatalf("Dropped = %d after %d events in 8 slots", d, i)
+		}
+		r.RecordSpan(0, KindRPCRecv, 0, 0, 1, 0, 0)
+	}
+	if d := r.Dropped(); d != 1 {
+		t.Fatalf("Dropped = %d after 9 events in 8 slots, want 1", d)
+	}
+
+	r = NewRecorder(1 << 12)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3000; i++ {
+				r.RecordSpan(0, KindRPCSend, 0, 0, 1, 0, 0)
+			}
+		}()
+	}
+	for i := 0; i < 2000; i++ {
+		if d := r.Dropped(); d > r.Total() {
+			t.Fatalf("Dropped = %d above Total", d)
+		}
+	}
+	wg.Wait()
+}
