@@ -25,7 +25,10 @@ vet:
 # deferred releases). And a cache node describes each flat series once: in the
 # non-test files of internal/rpc an "icache_ literal and a PromWriter
 # .Counter(/.Gauge(/.Metric( call occur only in series.go, the table /metrics and
-# /debug/timeline are both loops over. Subsumes `vet` in `make all`.
+# /debug/timeline are both loops over. And there is one prefetch queue: the
+# plan builder (internal/rpc/plan.go) starts no goroutine and never sleeps or
+# polls, and no server-side switch (SetClairvoyant) grows back — the client that
+# sends a plan is the switch. Subsumes `vet` in `make all`.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -54,6 +57,11 @@ lint:
 	done); \
 	if [ -n "$$stray" ]; then \
 		echo "a flat series described outside internal/rpc/series.go (add a row to its table instead):"; echo "$$stray"; exit 1; \
+	fi
+	@stray=$$(sed 's,//.*,,' internal/rpc/plan.go | grep -nE '(^|[^A-Za-z0-9_])go [A-Za-z_(]|time\.(After|Sleep)\(' | sed "s,^,internal/rpc/plan.go:,"; \
+		grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build 'SetClairvoyant' .); \
+	if [ -n "$$stray" ]; then \
+		echo "a second prefetch drain (a plan is entries in the prefetch pool's one queue; the client's plan is the switch):"; echo "$$stray"; exit 1; \
 	fi
 	$(GO) vet ./...
 

@@ -109,7 +109,7 @@ func main() {
 }
 
 // runPrefetchSmoke is the CI-facing end-to-end check of the clairvoyant
-// planner (`make prefetch-smoke`): it boots an in-process planning server,
+// plan (`make prefetch-smoke`): it boots an in-process serving stack,
 // runs the epoch-boundary workload with the schedule pushed ahead of its
 // accesses, and asserts that later epochs run nearly cold-miss-free while
 // the prefetch-outcome ledger stays exactly conserved.
@@ -164,8 +164,8 @@ func runPrefetchSmoke(cfg loadgen.Config) {
 }
 
 // startPrefetchSmokeServer boots a loopback serving stack tuned so the
-// clairvoyant planner is the only prefetch source: all-H policy (L-cache
-// off), H capacity comfortably above the per-epoch selection, planner on.
+// clairvoyant plan is the only prefetch source: all-H policy (L-cache off),
+// H capacity comfortably above the per-epoch selection, the default pool.
 func startPrefetchSmokeServer() (*rpc.Server, string, error) {
 	spec := dataset.Spec{Name: "prefetch-smoke", NumSamples: smokeKeys, MeanSampleBytes: 4096, Seed: 7}
 	back, err := storage.NewBackend(spec, storage.OrangeFS())
@@ -184,7 +184,6 @@ func startPrefetchSmokeServer() (*rpc.Server, string, error) {
 	}
 	srv := rpc.NewServer(cacheSrv, src)
 	srv.Logf = nil
-	srv.SetClairvoyant()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, "", err

@@ -87,8 +87,7 @@ func main() {
 		cacheFrac = flag.Float64("cache-frac", 0.2, "cache size as a fraction of the dataset")
 		hShare    = flag.Float64("h-share", 0.9, "fraction of the cache given to the H-region")
 		noLCache  = flag.Bool("no-lcache", false, "disable the L-cache (the +HC ablation configuration)")
-		prefetchN = flag.Int("prefetch-workers", 4, "async prefetch worker pool size for L-package byte loading (the paper's Fig. 15 knob); 0 disables prefetching")
-		clairv    = flag.Bool("clairvoyant", false, "enable planned cross-epoch prefetching: clients that push each epoch's schedule (BeginEpochPlan) get their missing working set pre-placed ahead of access, at most -prefetch-workers backend reads at a time (requires -prefetch-workers > 0)")
+		prefetchN = flag.Int("prefetch-workers", 4, "async prefetch worker pool size (the paper's Fig. 15 knob): loads L-package bytes and pre-places the missing working set of clients that push each epoch's schedule (icache-train -clairvoyant), at most this many backend reads at a time; 0 disables prefetching and planning")
 		seed      = flag.Int64("seed", 42, "server randomness seed")
 		ckptPath  = flag.String("checkpoint", "", "warm-restart checkpoint file: load at boot, save at shutdown")
 		metricsAt = flag.String("metrics-addr", "", "serve a metrics endpoint on this address (e.g. :7830): Prometheus text at /metrics; also arms the per-stage latency histograms")
@@ -117,9 +116,6 @@ func main() {
 	}
 	if *cacheFrac <= 0 || *cacheFrac > 1 {
 		log.Fatalf("icache-server: -cache-frac %g outside (0,1]", *cacheFrac)
-	}
-	if *clairv && *prefetchN <= 0 {
-		log.Fatalf("icache-server: -clairvoyant needs -prefetch-workers > 0: the planner drains through the prefetch pool")
 	}
 
 	backend, err := storage.NewBackend(spec, storage.OrangeFS())
@@ -158,12 +154,6 @@ func main() {
 	}
 
 	srv := rpc.NewServer(cacheSrv, source)
-	if *clairv {
-		srv.SetClairvoyant()
-		if srv.Clairvoyant() {
-			log.Printf("icache-server: clairvoyant planning on (at most %d planned backend reads in flight)", *prefetchN)
-		}
-	}
 	// The control-plane journal records rare decision events (gate
 	// transitions, breaker trips, epoch boundaries, membership flips); it is
 	// cheap enough to keep always-on. Install it before EnableDistributed so

@@ -161,10 +161,11 @@ type Config struct {
 	// future access sequence is known in advance (the NoPFS premise).
 	// BeginEpoch then feeds the schedule into PlanSchedule so the background
 	// loader composes its packages from exactly the L-samples the epoch will
-	// consume (in first-access order) instead of waiting for misses, and —
-	// on the byte-serving RPC path — missing H-samples are pre-placed by the
-	// planner under a storage-bandwidth budget. Off by default: reactive
-	// behavior is unchanged.
+	// consume (in first-access order) instead of waiting for misses. This
+	// field switches the simulation only; on the byte-serving RPC path the
+	// client that sends BeginEpochPlan is the switch, and missing H-samples
+	// are pre-placed by the prefetch pool, at most PrefetchWorkers reads at
+	// a time. Off by default: reactive behavior is unchanged.
 	Clairvoyant bool
 	// RepackPerSample is the loading thread's bookkeeping cost per sample
 	// packed: dynamic packaging must gather each scattered L-sample from

@@ -19,8 +19,10 @@ import (
 //     ignores the list (an H-miss charges its backend read to the
 //     foreground request that triggers it, and pre-admitting without
 //     charging that time anywhere would falsify the model); the
-//     byte-serving RPC layer hands it to its planner, which fetches real
-//     bytes under a measured bandwidth budget (see internal/rpc/plan.go).
+//     byte-serving RPC layer queues it on its prefetch pool, whose workers
+//     fetch real bytes like any other read — no more than PrefetchWorkers
+//     at a time, inside the server's backend-read budget (see
+//     internal/rpc/plan.go).
 
 // PlanSchedule ingests the epoch's known access sequence. It seeds the
 // loader's re-pack queue with every scheduled, non-resident L-sample and
@@ -58,7 +60,7 @@ func (s *Server) PlanSchedule(ids []dataset.SampleID) []dataset.SampleID {
 // offer), without counting a request. It reports whether the sample is
 // policy-resident afterwards — false means the plan entry is unfulfillable
 // here (not an H-list member, or the heap rejected it as less important
-// than every resident) and the planner must not fetch bytes for it.
+// than every resident) and the prefetch worker must not fetch bytes for it.
 // Callers hold the policy lock.
 func (s *Server) PlanAdmitH(id dataset.SampleID) bool {
 	if !s.hlist.Contains(id) {

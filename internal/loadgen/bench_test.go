@@ -181,14 +181,14 @@ func BenchmarkLoadgenOverload(b *testing.B) {
 // prefetch-smoke` runs it once, so `make all` does). Two
 // identical servers take the same epoch-boundary workload — per-epoch
 // reshuffled selections over a keyspace larger than the cache, backend
-// charging real latency per read — one reactive, one with the schedule
-// pushed ahead of its accesses (BeginEpochPlan). The first epoch is a cold
-// baseline on both; from the second epoch on the planner should pre-place
-// nearly the whole selection, so the benchmark FAILS unless warm-epoch
-// cold misses drop >= 10x versus reactive and the prefetch in-time ratio
-// reaches 0.9. The headline samples/sec is the clairvoyant run's
-// throughput at the shared offered rate — a planner that stops working
-// ahead stalls the paced schedule and drags it down.
+// charging real latency per read — one client crossing plain boundaries, one
+// pushing the schedule ahead of its accesses (BeginEpochPlan). The first
+// epoch is a cold baseline on both; from the second epoch on the plan should
+// pre-place nearly the whole selection, so the benchmark FAILS unless
+// warm-epoch cold misses drop >= 10x versus reactive and the prefetch in-time
+// ratio reaches 0.9. The headline samples/sec is the clairvoyant run's
+// throughput at the shared offered rate — a plan that stops working ahead
+// stalls the paced schedule and drags it down.
 func BenchmarkPrefetchEpochs(b *testing.B) {
 	const (
 		keys         = 2048
@@ -199,7 +199,7 @@ func BenchmarkPrefetchEpochs(b *testing.B) {
 	)
 	spec := dataset.Spec{Name: "loadgen-plan", NumSamples: keys, MeanSampleBytes: 4096, Seed: 7}
 	runMode := func(clairvoyant bool) (Report, rpc.PlanStats, int64, float64) {
-		srv, addr := startPlanServer(b, spec, backendLat, clairvoyant)
+		srv, addr := startPlanServer(b, spec, backendLat)
 		rep, err := Run(Config{
 			Addr:         addr,
 			Conns:        8,
@@ -263,11 +263,11 @@ func max64(a, b int64) int64 {
 }
 
 // startPlanServer boots a serving stack for the epoch-boundary benchmark:
-// all-H policy (L-cache off) so the clairvoyant planner is the only
-// prefetch source, capacity above one epoch's selection but below the
-// keyspace, latency-charging backend. The planner runs as an operator gets
-// it from -clairvoyant: no pacing but the worker count and the read budget.
-func startPlanServer(b *testing.B, spec dataset.Spec, backendLat time.Duration, clairvoyant bool) (*rpc.Server, string) {
+// all-H policy (L-cache off) so the clairvoyant plan is the only prefetch
+// source, capacity above one epoch's selection but below the keyspace,
+// latency-charging backend. A plan runs as an operator's server runs it: no
+// pacing but the worker count and the read budget.
+func startPlanServer(b *testing.B, spec dataset.Spec, backendLat time.Duration) (*rpc.Server, string) {
 	b.Helper()
 	back, err := storage.NewBackend(spec, storage.OrangeFS())
 	if err != nil {
@@ -286,9 +286,6 @@ func startPlanServer(b *testing.B, spec dataset.Spec, backendLat time.Duration, 
 	}
 	srv := rpc.NewServer(cacheSrv, &stallSource{inner: inner, latency: backendLat})
 	srv.Logf = nil
-	if clairvoyant {
-		srv.SetClairvoyant()
-	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)

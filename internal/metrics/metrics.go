@@ -142,15 +142,12 @@ func (m MembershipStats) String() string {
 }
 
 // ServingStats counts concurrent-serving-path events on the network
-// server: miss coalescing, prefetch-pool activity, and encode/frame buffer
+// server: miss coalescing, the prefetch pool's gauges (what its prefetches
+// came to is DecisionStats' outcome ledger), and encode/frame buffer
 // pooling. Like ResilienceStats they are observability counters, not part
 // of the request-conservation invariant.
 type ServingStats struct {
 	CoalescedMisses    int64 // miss fetches that joined an in-flight fetch for the same sample
-	PrefetchQueued     int64 // loader-delivered samples accepted by the prefetch pool
-	PrefetchCompleted  int64 // prefetches that finished (bytes stored or already present)
-	PrefetchDropped    int64 // deliveries discarded because the prefetch queue was full
-	PrefetchFailed     int64 // prefetch fetches that errored (sample stays lazy)
 	PrefetchQueueDepth int64 // gauge: current prefetch backlog
 	PrefetchWorkers    int64 // gauge: configured pool size (the Fig. 15 knob)
 	BufferGets         int64 // pooled-buffer checkouts on the wire path

@@ -270,18 +270,19 @@ func (c *Client) BeginEpoch(epoch int) error {
 }
 
 // BeginEpochPlan is BeginEpoch carrying the next epoch's known access
-// sequence (the IIS sampler draws it before the epoch starts). A
-// clairvoyant server installs it as a prefetch plan; a reactive one still
-// crosses the boundary and ignores the schedule. Servers predating the
-// opcode reject it — callers fall back to BeginEpoch on error.
+// sequence (the IIS sampler draws it before the epoch starts). A server
+// with a prefetch pool queues its missing working set as a prefetch plan
+// before answering; one without still crosses the boundary and ignores the
+// schedule. Servers predating the opcode reject it — callers fall back to
+// BeginEpoch on error.
 func (c *Client) BeginEpochPlan(epoch int, ids []dataset.SampleID) error {
 	_, err := c.roundTrip(encodeEpochPlanRequest(epoch, ids))
 	return err
 }
 
 // PlanPreplace hands the server plan entries it is the future owner of
-// (planner-to-planner traffic). Returns how many entries the server
-// accepted into its plan (0 when its planner is off).
+// (node-to-node plan traffic). Returns how many entries the server queued
+// into its plan (0 when it has no prefetch pool).
 func (c *Client) PlanPreplace(ids []dataset.SampleID) (int, error) {
 	d, err := c.roundTrip(encodePlanPreplaceRequest(ids))
 	if err != nil {

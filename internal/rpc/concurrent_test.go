@@ -261,11 +261,10 @@ func TestPrefetchPoolFillsPayloadStore(t *testing.T) {
 		if _, err := cl.GetBatch(ids); err != nil {
 			t.Fatal(err)
 		}
-		sv := srv.ServingStats()
-		if sv.PrefetchQueued > 0 && sv.PrefetchCompleted > 0 {
-			return // pool saw deliveries and completed fetches
+		if d := srv.DecisionStats(); d.PrefetchIssued > 0 && d.AdmitPrefetch > 0 {
+			return // pool saw deliveries and stored the bytes of some
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	t.Fatalf("prefetch pool never completed a fetch: %+v", srv.ServingStats())
+	t.Fatalf("prefetch pool never stored a payload: %+v", srv.DecisionStats())
 }

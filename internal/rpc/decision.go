@@ -75,20 +75,12 @@ func (s *Server) DecisionStats() metrics.DecisionStats {
 }
 
 // overlayServingDecisions fills the serving layer's half of the ledger
-// (atomics; no lock).
+// (atomics and the prefetch pool's leaf lock).
 func (s *Server) overlayServingDecisions(d *metrics.DecisionStats) {
 	d.AdmitFetch = atomic.LoadInt64(&s.dec.admitFetch)
 	d.AdmitPrefetch = atomic.LoadInt64(&s.dec.admitPrefetch)
 	d.AdmitRehydrate = atomic.LoadInt64(&s.dec.admitRehydrate)
-
-	if p := s.prefetch; p != nil {
-		queued := atomic.LoadInt64(&p.queued)
-		enqDropped := atomic.LoadInt64(&p.dropped)
-		failed := atomic.LoadInt64(&p.failedOutcome)
-		d.PrefetchIssued = queued + enqDropped
-		d.PrefetchInTime = atomic.LoadInt64(&p.inTime)
-		d.PrefetchLate = atomic.LoadInt64(&p.late)
-		d.PrefetchWasted = atomic.LoadInt64(&p.wasted)
-		d.PrefetchDropped = enqDropped + failed
+	if s.prefetch != nil {
+		s.prefetch.ledger(d)
 	}
 }

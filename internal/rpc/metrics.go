@@ -25,19 +25,15 @@ type MetricsSnapshot struct {
 }
 
 // ServingStats gathers the concurrent-serving-path counters: coalesced
-// misses, prefetch-pool activity, and wire buffer-pool reuse. (The buffer
-// pool is process-wide — shared with the dkv directory protocol — so its
-// numbers cover every wire user in the process, which is what an operator
-// wants on a combined node.)
+// misses, the prefetch pool's gauges (its outcomes are the decision ledger's),
+// and wire buffer-pool reuse. (The buffer pool is process-wide — shared with
+// the dkv directory protocol — so its numbers cover every wire user in the
+// process, which is what an operator wants on a combined node.)
 func (s *Server) ServingStats() metrics.ServingStats {
 	out := metrics.ServingStats{
 		CoalescedMisses: atomic.LoadInt64(&s.coalescedMisses),
 	}
 	if p := s.prefetch; p != nil {
-		out.PrefetchQueued = atomic.LoadInt64(&p.queued)
-		out.PrefetchCompleted = atomic.LoadInt64(&p.completed)
-		out.PrefetchDropped = atomic.LoadInt64(&p.dropped)
-		out.PrefetchFailed = atomic.LoadInt64(&p.failed)
 		out.PrefetchQueueDepth = int64(p.depth())
 		out.PrefetchWorkers = int64(p.workers)
 	}

@@ -127,7 +127,8 @@ func TestMissGatherFinishesExactlyOnceOnFailure(t *testing.T) {
 }
 
 // countingSource charges a fixed latency per Fetch and tracks how many are
-// in flight at once (cur, peak) and which goroutines called it.
+// in flight at once (cur, peak), which goroutines called it and which samples
+// it read.
 type countingSource struct {
 	inner   ByteSource
 	latency time.Duration
@@ -135,6 +136,7 @@ type countingSource struct {
 	mu        sync.Mutex
 	cur, peak int
 	callers   map[string]bool
+	read      map[dataset.SampleID]bool
 }
 
 // goroutineID names the calling goroutine ("goroutine 42"), from the header
@@ -154,6 +156,7 @@ func (c *countingSource) Fetch(id dataset.SampleID) ([]byte, error) {
 		c.peak = c.cur
 	}
 	c.callers[goroutineID()] = true
+	c.read[id] = true
 	c.mu.Unlock()
 	time.Sleep(c.latency)
 	c.mu.Lock()
@@ -165,8 +168,20 @@ func (c *countingSource) Fetch(id dataset.SampleID) ([]byte, error) {
 // reset clears the high-water marks between phases of a test.
 func (c *countingSource) reset() {
 	c.mu.Lock()
-	c.peak, c.callers = 0, map[string]bool{}
+	c.peak, c.callers, c.read = 0, map[string]bool{}, map[dataset.SampleID]bool{}
 	c.mu.Unlock()
+}
+
+// readAny reports whether any of ids was read since the last reset.
+func (c *countingSource) readAny(ids []dataset.SampleID) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, id := range ids {
+		if c.read[id] {
+			return true
+		}
+	}
+	return false
 }
 
 func (c *countingSource) marks() (peak int, callers map[string]bool) {
@@ -295,7 +310,7 @@ func TestMissGatherConcurrencyBound(t *testing.T) {
 	}
 	getAll(t, pget, small...)
 	wantPeak("eight 8-miss requests beside the prefetch pool")
-	if n := atomic.LoadInt64(&psrv.prefetch.completed); n == 0 {
+	if !src.readAny(missRange(0, 200)) {
 		t.Fatal("the prefetch pool read nothing while the requests ran")
 	}
 }

@@ -2,8 +2,6 @@ package rpc
 
 import (
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"icache/internal/dataset"
@@ -11,14 +9,16 @@ import (
 	"icache/internal/obs"
 )
 
-// Clairvoyant prefetch planner (NoPFS applied to the byte-serving path).
+// Clairvoyant prefetch plan (NoPFS applied to the byte-serving path).
 //
 // The IIS sampler draws an epoch's schedule before the epoch begins, so at
 // every epoch boundary the future access sequence is known. A clairvoyant
-// client pushes it over opEpochPlan; the policy engine classifies it
-// (PlanSchedule: L-samples seed the loader, missing H-samples come back in
-// first-access order) and the planner turns the H side into pre-placed
-// bytes:
+// client pushes it over opEpochPlan — sending it is the switch: a server with
+// a prefetch pool plans, one without answers a plain boundary. The policy
+// engine classifies the schedule (PlanSchedule: L-samples seed the loader,
+// missing H-samples come back in first-access order) and plan turns the H
+// side into entries of the prefetch pool's one queue, in the boundary's
+// handler, before the boundary is answered:
 //
 //  1. Diff against residency: locally present payloads are skipped
 //     outright, then ONE batched directory sweep (dirLookupBatch, chunked)
@@ -28,85 +28,30 @@ import (
 //     owner by rendezvous hash over the membership. Entries routed to a
 //     peer ship in opPlanPreplace batches and join the PEER's plan (it
 //     admits and fetches them itself, claiming directory ownership exactly
-//     as a demand fetch would). A failed pre-place RPC falls back to the
-//     local queue, and on the NEXT epoch's residency sweep the plan
-//     re-routes around the dead node — the directory shows its entries
-//     gone.
-//  3. Drain in first-access order into the prefetch pool, whose bounded
-//     queue blocks the drain once every worker is busy: planned reads are
+//     as a demand fetch would). A peer's first failed pre-place RPC sends
+//     the rest of its entries to the local queue, and on the NEXT epoch's
+//     residency sweep the plan re-routes around the dead node — the
+//     directory shows its entries gone.
+//  3. Queue the rest whole, in first-access order, superseding the previous
+//     plan's unstarted entries (prefetcher.addPlan). Planned reads are
 //     bounded the way every other read is — at most PrefetchWorkers of them
 //     wait for or hold one of the backendReadBudget slots, in arrival order
 //     with the demand reads — and have no pacing of their own (DESIGN.md,
-//     "Bounded drain"). The drain pauses while the overload gate has the
-//     prefetch pool in Brownout, and every entry resolves through the
-//     prefetch pool's pending-token ledger — in_time+late+wasted+dropped ==
-//     issued stays exact with the planner on.
+//     "Bounded drain"). In Brownout the workers take nothing and the plan
+//     resumes when the gate clears. Every entry resolves through the pool's
+//     pending-token ledger, so in_time+late+wasted+dropped == issued stays
+//     exact at every boundary.
 //
-// Demand fetches that overtake a queued plan entry promote it: the
-// foreground read becomes the one backend fetch (singleflight already
-// coalesces in-flight ones; prefetcher.noteDemand cancels queued-unstarted
-// ones), so the backend never pays twice for one miss.
+// A demand fetch that overtakes a queued plan entry promotes it: the
+// foreground read becomes the one backend fetch (singleflight coalesces
+// in-flight ones; prefetcher.noteDemand cancels queued-unstarted ones), so
+// the backend never pays twice for one miss.
 
 // planPreplaceChunk is how many ids one opPlanPreplace request carries.
 const planPreplaceChunk = 2048
 
 // planLookupChunk bounds one directory residency-sweep call.
 const planLookupChunk = 8192
-
-type planner struct {
-	s *Server
-
-	// mu guards the plan state below. Never held across I/O: the drain
-	// goroutine takes raw/queue items out under mu and works outside it.
-	mu    sync.Mutex
-	gen   uint64             // bumped by install; stale builds/completions are discarded
-	epoch int64              // epoch the current plan was installed for
-	raw   []dataset.SampleID // installed but not yet built (diffed/routed)
-	queue []dataset.SampleID // built local plan, first-access order, drained from the front
-	busy  bool               // drain goroutine holds work outside raw/queue (a build or an in-flight entry)
-
-	// Current-epoch progress gauges (atomics; reset by install).
-	planned   int64
-	completed int64
-
-	// Cumulative counters (atomics).
-	entriesTotal    int64
-	completedTotal  int64
-	skippedResident int64
-	skippedCluster  int64
-	preplaceSent    int64
-	preplaceRecv    int64
-	reroutes        int64
-
-	kick     chan struct{}
-	stopCh   chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
-}
-
-// SetClairvoyant enables the clairvoyant planner. Must be called before
-// Serve. The planner drains through the prefetch worker pool, so it
-// requires PrefetchWorkers > 0 on the policy config; with the pool
-// disabled the call logs and leaves the server reactive.
-func (s *Server) SetClairvoyant() {
-	if s.prefetch == nil {
-		if s.Logf != nil {
-			s.Logf("rpc: clairvoyant planning requires prefetch workers (PrefetchWorkers > 0); staying reactive")
-		}
-		return
-	}
-	p := &planner{
-		s:      s,
-		kick:   make(chan struct{}, 1),
-		stopCh: make(chan struct{}),
-	}
-	p.wg.Add(1)
-	go p.run()
-	s.plan = p
-}
-
-// Clairvoyant reports whether the planner is enabled.
-func (s *Server) Clairvoyant() bool { return s.plan != nil }
 
 // planAdmit runs the policy's plan-admission path for one planned H-sample
 // (see icache.Server.PlanAdmitH) under the policy lock.
@@ -117,277 +62,114 @@ func (s *Server) planAdmit(id dataset.SampleID) bool {
 	return ok
 }
 
-// install replaces the plan with a new epoch's missing-H sequence (already
-// deduplicated, policy-filtered and in first-access order by
-// icache.Server.PlanSchedule). Entries of the previous epoch still queued
-// are discarded — their epoch's selection no longer wants them.
-func (p *planner) install(epoch int64, ids []dataset.SampleID) {
-	p.mu.Lock()
-	p.gen++
-	p.epoch = epoch
-	p.raw = ids
-	p.queue = nil
-	atomic.StoreInt64(&p.planned, 0)
-	atomic.StoreInt64(&p.completed, 0)
-	p.mu.Unlock()
-	select {
-	case p.kick <- struct{}{}:
-	default:
-	}
-}
-
-// acceptRemote folds pre-placed entries from a peer's planner into this
-// node's current plan: the sender decided (by rendezvous over the
-// membership) that WE are these samples' future owner. Returns how many
-// entries were accepted.
-func (p *planner) acceptRemote(ids []dataset.SampleID) int {
-	spec := p.s.source.Spec()
-	accepted := ids[:0:0]
-	for _, id := range ids {
-		if !spec.Contains(id) || p.s.payloads.has(id) {
-			continue
-		}
-		accepted = append(accepted, id)
-	}
-	if len(accepted) == 0 {
-		return 0
-	}
-	p.mu.Lock()
-	p.queue = append(p.queue, accepted...)
-	atomic.AddInt64(&p.planned, int64(len(accepted)))
-	p.mu.Unlock()
-	atomic.AddInt64(&p.preplaceRecv, int64(len(accepted)))
-	atomic.AddInt64(&p.entriesTotal, int64(len(accepted)))
-	select {
-	case p.kick <- struct{}{}:
-	default:
-	}
-	return len(accepted)
-}
-
-// run is the drain goroutine: it builds freshly installed plans (residency
-// diff + ownership routing, all outside planner locks) and drains the
-// local queue in first-access order.
-func (p *planner) run() {
-	defer p.wg.Done()
-	for {
-		p.mu.Lock()
-		if p.raw != nil {
-			raw, gen := p.raw, p.gen
-			p.raw, p.busy = nil, true
-			p.mu.Unlock()
-			p.build(raw, gen)
-			p.setBusy(false)
-			continue
-		}
-		var (
-			id  dataset.SampleID
-			gen uint64
-			ok  bool
-		)
-		if len(p.queue) > 0 {
-			id, p.queue = p.queue[0], p.queue[1:]
-			gen, ok = p.gen, true
-			p.busy = true
-		}
-		p.mu.Unlock()
-		if !ok {
-			select {
-			case <-p.kick:
-				continue
-			case <-p.stopCh:
-				return
-			}
-		}
-		if !p.drainOne(id, gen) {
-			return
-		}
-		p.setBusy(false)
-	}
-}
-
-// build diffs a raw plan against residency and routes it: local payloads
-// and cluster-resident samples are dropped, the remainder is routed by
-// rendezvous to its future owner. Runs with no locks held (the directory
-// sweep and pre-place RPCs are real I/O); a concurrent install supersedes
-// the build, which is then discarded.
-func (p *planner) build(raw []dataset.SampleID, gen uint64) {
-	s := p.s
-	missing := raw[:0:0]
-	for _, id := range raw {
+// plan builds epoch's plan from PlanSchedule's missing H-side (deduplicated,
+// policy-filtered, first-access order) and queues it. Called with no lock
+// held and only on a server with a prefetch pool: the directory sweep and the
+// pre-place RPCs are real I/O.
+func (s *Server) plan(epoch int64, need []dataset.SampleID) {
+	next := PlanStats{Epoch: epoch}
+	missing := need[:0:0]
+	for _, id := range need {
 		if s.payloads.has(id) {
-			atomic.AddInt64(&p.skippedResident, 1)
+			next.SkippedResident++
 			continue
 		}
 		missing = append(missing, id)
 	}
-
-	local := missing
 	if dist := s.dist; dist != nil && len(missing) > 0 {
-		local = missing[:0:0]
-		// One batched residency sweep over the directory (chunked): a
-		// sample a LIVE peer owns is cluster-resident and needs no fetch —
-		// the peer data plane serves it. Entries of dead nodes have been
-		// purged by the membership plane, so they show up as unowned here,
-		// which is exactly what re-routes a broken plan on the next sweep.
-		owners := make([]dkv.Owner, 0, len(missing))
-		swept := true
-		for off := 0; off < len(missing); off += planLookupChunk {
-			end := off + planLookupChunk
-			if end > len(missing) {
-				end = len(missing)
-			}
-			chunk := s.dirLookupBatch(dist, missing[off:end], obs.TraceCtx{}, time.Time{})
-			if chunk == nil {
-				swept = false
-				break
-			}
-			owners = append(owners, chunk...)
-		}
-		if !swept {
-			// Directory unavailable: plan everything locally; the admit
-			// path's claim race still keeps the cluster duplicate-free.
-			local = missing
-		} else {
-			peerIDs := dist.peerNodeIDs()
-			route := make(map[dkv.NodeID][]dataset.SampleID)
-			for i, id := range missing {
-				if owners[i].Found && owners[i].Node != dist.nodeID {
-					atomic.AddInt64(&p.skippedCluster, 1)
-					continue
-				}
-				owner := rendezvousOwner(id, dist.nodeID, peerIDs)
-				if owner == dist.nodeID {
-					local = append(local, id)
-					continue
-				}
-				route[owner] = append(route[owner], id)
-			}
-			local = p.preplace(route, local)
-		}
+		missing = s.route(dist, missing, &next)
 	}
+	s.prefetch.addPlan(missing, &next)
+}
 
-	p.mu.Lock()
-	if p.gen != gen {
-		p.mu.Unlock()
-		return // superseded by a newer install
+// route drops the samples a live peer already owns, ships the rest to their
+// future owners and returns the ones this node is to fetch. One batched
+// residency sweep over the directory (chunked) finds the owners; entries of
+// dead nodes have been purged by the membership plane, so they show up as
+// unowned here, which is exactly what re-routes a broken plan on the next
+// sweep. With the directory unavailable everything is planned locally; the
+// admit path's claim race still keeps the cluster duplicate-free.
+func (s *Server) route(dist *distState, missing []dataset.SampleID, st *PlanStats) []dataset.SampleID {
+	owners := make([]dkv.Owner, 0, len(missing))
+	for off := 0; off < len(missing); off += planLookupChunk {
+		chunk := s.dirLookupBatch(dist, missing[off:min(off+planLookupChunk, len(missing))], obs.TraceCtx{}, time.Time{})
+		if chunk == nil {
+			return missing
+		}
+		owners = append(owners, chunk...)
 	}
-	p.queue = append(p.queue, local...)
-	atomic.AddInt64(&p.planned, int64(len(local)))
-	p.mu.Unlock()
-	atomic.AddInt64(&p.entriesTotal, int64(len(local)))
+	peerIDs := dist.peerNodeIDs()
+	var local []dataset.SampleID
+	routed := make(map[dkv.NodeID][]dataset.SampleID)
+	for i, id := range missing {
+		if owners[i].Found && owners[i].Node != dist.nodeID {
+			st.SkippedCluster++
+			continue
+		}
+		owner := rendezvousOwner(id, dist.nodeID, peerIDs)
+		if owner == dist.nodeID {
+			local = append(local, id)
+			continue
+		}
+		routed[owner] = append(routed[owner], id)
+	}
+	return s.preplace(dist, routed, local, st)
 }
 
 // preplace ships each future owner its plan entries in opPlanPreplace
 // chunks, in a deterministic node order. Entries a peer rejects (already
-// resident there) are done; entries that fail to ship re-route to the
-// local queue — this node fetches them itself rather than dropping plan
-// coverage.
-func (p *planner) preplace(route map[dkv.NodeID][]dataset.SampleID, local []dataset.SampleID) []dataset.SampleID {
-	nodes := make([]dkv.NodeID, 0, len(route))
-	for n := range route {
+// resident there) are done. The first chunk that fails to ship re-routes
+// the rest of that peer's entries to the local queue — this node fetches
+// them itself rather than dropping plan coverage, and a dead or hung peer
+// costs the boundary's reply one dial or RPC timeout, not one per chunk.
+func (s *Server) preplace(dist *distState, routed map[dkv.NodeID][]dataset.SampleID, local []dataset.SampleID, st *PlanStats) []dataset.SampleID {
+	nodes := make([]dkv.NodeID, 0, len(routed))
+	for n := range routed {
 		nodes = append(nodes, n)
 	}
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
 	for _, n := range nodes {
-		ids := route[n]
+		ids := routed[n]
 		for off := 0; off < len(ids); off += planPreplaceChunk {
-			end := off + planPreplaceChunk
-			if end > len(ids) {
-				end = len(ids)
-			}
-			chunk := ids[off:end]
-			select {
-			case <-p.stopCh:
-				return local
-			default:
-			}
-			c, err := p.s.dist.peer(n)
+			c, err := dist.peer(n)
 			if err == nil {
 				var accepted int
-				accepted, err = c.PlanPreplace(chunk)
+				accepted, err = c.PlanPreplace(ids[off:min(off+planPreplaceChunk, len(ids))])
 				if err == nil {
-					atomic.AddInt64(&p.preplaceSent, int64(accepted))
+					st.PreplaceSent += int64(accepted)
 					continue
 				}
 				if isConnFailure(err) {
-					p.s.dist.dropPeer(n, c)
+					dist.dropPeer(n, c)
 				}
 			}
 			// Unreachable owner: fall back to fetching locally. The next
 			// epoch's residency sweep sees whatever the cluster actually
 			// holds and re-routes accordingly.
-			atomic.AddInt64(&p.reroutes, int64(len(chunk)))
-			local = append(local, chunk...)
+			st.Reroutes += int64(len(ids) - off)
+			local = append(local, ids[off:]...)
+			break
 		}
 	}
 	return local
 }
 
-// drainOne hands one plan entry to the prefetch pool, waiting while the pool
-// is paused or its queue is full. Returns false only when the planner is
-// stopping.
-func (p *planner) drainOne(id dataset.SampleID, gen uint64) bool {
-	// Brownout: the overload gate paused the prefetch pool, so planned
-	// backend reads must stop competing with overloaded serving. Wait it
-	// out rather than dropping — the plan resumes when the gate recovers.
-	for p.s.prefetch.isPaused() {
-		select {
-		case <-p.stopCh:
-			return false
-		case <-time.After(5 * time.Millisecond):
-		}
-		if p.stale(gen) {
-			return true
+// acceptRemote folds pre-placed entries from a peer's plan into this node's
+// current plan: the sender decided (by rendezvous over the membership) that
+// WE are these samples' future owner. Returns how many entries were queued
+// (0 without a prefetch pool).
+func (s *Server) acceptRemote(ids []dataset.SampleID) int {
+	if s.prefetch == nil {
+		return 0
+	}
+	spec := s.source.Spec()
+	accepted := ids[:0:0]
+	for _, id := range ids {
+		if spec.Contains(id) && !s.payloads.has(id) {
+			accepted = append(accepted, id)
 		}
 	}
-	if p.stale(gen) {
-		return true
-	}
-	if p.s.payloads.has(id) {
-		p.complete(gen)
-		return true
-	}
-	if !p.s.prefetch.enqueuePlanned(id, p.stopCh) {
-		return false
-	}
-	p.complete(gen)
-	return true
-}
-
-// setBusy flips the in-flight marker the drain loop sets while it holds
-// work outside raw/queue, so introspection can tell an idle planner from
-// one mid-build or mid-entry.
-func (p *planner) setBusy(v bool) {
-	p.mu.Lock()
-	p.busy = v
-	p.mu.Unlock()
-}
-
-// stale reports whether a newer plan replaced the one entry id came from.
-func (p *planner) stale(gen uint64) bool {
-	p.mu.Lock()
-	s := p.gen != gen
-	p.mu.Unlock()
-	return s
-}
-
-// complete advances the current epoch's progress gauge (stale completions
-// belong to a superseded plan whose gauges were already reset).
-func (p *planner) complete(gen uint64) {
-	p.mu.Lock()
-	if p.gen == gen {
-		atomic.AddInt64(&p.completed, 1)
-	}
-	p.mu.Unlock()
-	atomic.AddInt64(&p.completedTotal, 1)
-}
-
-// stop terminates the drain goroutine. Queued plan entries are abandoned
-// (server shutdown).
-func (p *planner) stop() {
-	p.stopOnce.Do(func() { close(p.stopCh) })
-	p.wg.Wait()
+	return s.prefetch.addPlan(accepted, nil)
 }
 
 // rendezvousOwner picks id's future owner by highest-random-weight hashing
@@ -423,12 +205,12 @@ func (d *distState) peerNodeIDs() []dkv.NodeID {
 	return out
 }
 
-// PlanStats is the planner's introspection snapshot (zero when the planner
-// is disabled).
+// PlanStats is the plan's introspection snapshot (zero without a prefetch
+// pool).
 type PlanStats struct {
 	Epoch           int64
-	Planned         int64 // entries admitted to the current epoch's plan
-	Completed       int64 // current-epoch entries drained (handed to the pool or already resident)
+	Planned         int64 // entries queued for the current epoch's plan
+	Completed       int64 // current-plan entries a worker has finished
 	Remaining       int64 // Planned - Completed
 	EntriesTotal    int64
 	CompletedTotal  int64
@@ -439,28 +221,15 @@ type PlanStats struct {
 	Reroutes        int64 // entries re-routed locally after a failed pre-place
 }
 
-// PlanStats reports the planner's progress and counters.
+// PlanStats reports the plan's progress and counters.
 func (s *Server) PlanStats() PlanStats {
-	p := s.plan
+	p := s.prefetch
 	if p == nil {
 		return PlanStats{}
 	}
 	p.mu.Lock()
-	epoch := p.epoch
+	st := p.plan
 	p.mu.Unlock()
-	planned := atomic.LoadInt64(&p.planned)
-	completed := atomic.LoadInt64(&p.completed)
-	return PlanStats{
-		Epoch:           epoch,
-		Planned:         planned,
-		Completed:       completed,
-		Remaining:       planned - completed,
-		EntriesTotal:    atomic.LoadInt64(&p.entriesTotal),
-		CompletedTotal:  atomic.LoadInt64(&p.completedTotal),
-		SkippedResident: atomic.LoadInt64(&p.skippedResident),
-		SkippedCluster:  atomic.LoadInt64(&p.skippedCluster),
-		PreplaceSent:    atomic.LoadInt64(&p.preplaceSent),
-		PreplaceRecv:    atomic.LoadInt64(&p.preplaceRecv),
-		Reroutes:        atomic.LoadInt64(&p.reroutes),
-	}
+	st.Remaining = st.Planned - st.Completed
+	return st
 }

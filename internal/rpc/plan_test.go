@@ -1,30 +1,35 @@
 package rpc
 
-// Tests for the clairvoyant prefetch planner: the demand-promotion pin (a
+// Tests for the clairvoyant prefetch plan: the demand-promotion pin (a
 // planned entry overtaken by a foreground request must not cost a second
-// backend read), the prefetch-outcome conservation identity with the
-// planner on across epoch boundaries, and the chaos path where a plan's
-// future owner dies mid-plan and the next residency sweep re-routes
-// around it.
+// backend read), a demand that joins a prefetch in flight booking it late,
+// the prefetch-outcome conservation identity with plans across epoch
+// boundaries, Brownout holding every queued entry, a pool-less server
+// answering a plan as a plain boundary, and the chaos path where a plan's
+// future owner dies mid-plan and the next residency sweep re-routes around
+// it.
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"icache/internal/dataset"
+	"icache/internal/dkv"
 	"icache/internal/icache"
 	"icache/internal/leakcheck"
+	"icache/internal/metrics"
+	"icache/internal/overload"
 	"icache/internal/sampling"
 	"icache/internal/storage"
 )
 
-// startPlanTestServer boots an unstarted planning server tuned so the
-// clairvoyant planner is the only prefetch source: all-H policy (L-cache
-// off, so the reactive loader never enqueues), the given worker count, and
-// the planner installed before Serve.
+// startPlanTestServer boots a serving stack tuned so the clairvoyant plan is
+// the only prefetch source: all-H policy (L-cache off, so the reactive loader
+// never enqueues) and the given worker count (-1 keeps the default).
 func startPlanTestServer(t *testing.T, src ByteSource, workers int) (*Server, string) {
 	t.Helper()
 	spec := testSpec()
@@ -50,33 +55,25 @@ func startPlanTestServer(t *testing.T, src ByteSource, workers int) (*Server, st
 	}
 	srv := NewServer(cacheSrv, src)
 	srv.Logf = nil
-	srv.SetClairvoyant()
-	if srv.plan == nil {
-		t.Fatal("SetClairvoyant did not install a planner")
-	}
 	return srv, serveOn(t, srv)
 }
 
-// waitPlanSettled blocks until the planner has nothing installed, queued or
-// in flight AND the prefetch pool has resolved every entry it accepted —
-// the state in which a subsequent epoch boundary observes an exactly
-// balanced ledger.
-func waitPlanSettled(t *testing.T, srv *Server) {
+// waitPlanSettled blocks until the prefetch queue is empty and no worker is
+// mid-entry — the state in which a subsequent epoch boundary observes an
+// exactly balanced ledger.
+func waitPlanSettled(t testing.TB, srv *Server) {
 	t.Helper()
+	p := srv.prefetch
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		p := srv.plan
 		p.mu.Lock()
-		idle := p.raw == nil && !p.busy && len(p.queue) == 0
+		queued, active := len(p.queue), p.active
 		p.mu.Unlock()
-		if idle {
-			sv := srv.ServingStats()
-			if srv.prefetch.depth() == 0 && sv.PrefetchQueued == sv.PrefetchCompleted+sv.PrefetchFailed {
-				return
-			}
+		if queued == 0 && active == 0 {
+			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("plan never settled: %+v, serving %+v", srv.PlanStats(), srv.ServingStats())
+			t.Fatalf("prefetch queue never settled: %d queued, %d workers mid-entry, plan %+v", queued, active, srv.PlanStats())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -94,6 +91,19 @@ type gatedSource struct {
 
 	mu     sync.Mutex
 	counts map[dataset.SampleID]int
+}
+
+func newGatedSource(t *testing.T, inner ByteSource, gate dataset.SampleID) *gatedSource {
+	t.Helper()
+	if inner == nil {
+		src, err := storage.NewDataSource(testSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		inner = src
+	}
+	return &gatedSource{inner: inner, gate: gate, entered: make(chan struct{}),
+		release: make(chan struct{}), counts: make(map[dataset.SampleID]int)}
 }
 
 func (g *gatedSource) Spec() dataset.Spec { return g.inner.Spec() }
@@ -115,6 +125,52 @@ func (g *gatedSource) count(id dataset.SampleID) int {
 	return g.counts[id]
 }
 
+func (g *gatedSource) total() (n int) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for _, c := range g.counts {
+		n += c
+	}
+	return n
+}
+
+// awaitEntered waits for the gated fetch to begin.
+func (g *gatedSource) awaitEntered(t *testing.T) {
+	t.Helper()
+	select {
+	case <-g.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the gated sample's prefetch never reached the backend")
+	}
+}
+
+// crossBoundary settles the pool, crosses an epoch boundary with cross and
+// pins what the boundary did to the prefetch-outcome ledger, read on either
+// side of it: the sweep booked wasted exactly the tokens the finished epoch
+// left out, and every token out after it is one the boundary itself issued
+// (the loader catch-up's deliveries, the plan's entries). So the finished
+// epoch closes with in_time+late+wasted+dropped == issued exactly, and where
+// the boundary issues nothing that is the whole ledger. A token leaked past
+// the sweep, or a new epoch's prefetch booked as the old one's waste, fails
+// it. Returns the ledger after the boundary and the tokens then out.
+func crossBoundary(t *testing.T, srv *Server, when string, cross func() error) (d metrics.DecisionStats, outstanding int64) {
+	t.Helper()
+	waitPlanSettled(t, srv)
+	var before metrics.DecisionStats
+	left := srv.prefetch.ledger(&before)
+	if err := cross(); err != nil {
+		t.Fatal(err)
+	}
+	outstanding = srv.prefetch.ledger(&d)
+	if swept := d.PrefetchWasted - before.PrefetchWasted; swept != left {
+		t.Fatalf("boundary %s booked %d prefetches wasted; want the %d the finished epoch left out", when, swept, left)
+	}
+	if issued := d.PrefetchIssued - before.PrefetchIssued; outstanding > issued {
+		t.Fatalf("boundary %s left %d prefetch tokens out; it issued only %d", when, outstanding, issued)
+	}
+	return d, outstanding
+}
+
 // TestPlanPromotionNoDoubleFetch pins the promotion contract: a demand
 // fetch that overtakes a queued-but-unstarted planned prefetch becomes THE
 // backend read for that sample — the worker's later turn skips the
@@ -122,21 +178,12 @@ func (g *gatedSource) count(id dataset.SampleID) int {
 // unique miss, and the pending token resolves late (the plan existed, the
 // foreground beat it).
 func TestPlanPromotionNoDoubleFetch(t *testing.T) {
-	defer leakcheck.Check(t)
+	leakcheck.Check(t)
 	const plug, target = dataset.SampleID(3), dataset.SampleID(7)
-	inner, err := storage.NewDataSource(testSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := &gatedSource{
-		inner:   inner,
-		gate:    plug,
-		entered: make(chan struct{}),
-		release: make(chan struct{}),
-		counts:  make(map[dataset.SampleID]int),
-	}
+	g := newGatedSource(t, nil, plug)
 	// One worker: while it is held inside plug's fetch, target's planned
-	// entry must sit queued and unstarted.
+	// entry sits queued and unstarted — the plan was queued whole before the
+	// boundary was answered.
 	srv, addr := startPlanTestServer(t, g, 1)
 	var relOnce sync.Once
 	release := func() { relOnce.Do(func() { close(g.release) }) }
@@ -150,20 +197,7 @@ func TestPlanPromotionNoDoubleFetch(t *testing.T) {
 	if err := cl.BeginEpochPlan(1, []dataset.SampleID{plug, target}); err != nil {
 		t.Fatal(err)
 	}
-
-	select {
-	case <-g.entered:
-	case <-time.After(10 * time.Second):
-		t.Fatal("planned prefetch of the gate sample never reached the backend")
-	}
-	// Wait until target's entry is queued behind the blocked worker.
-	deadline := time.Now().Add(10 * time.Second)
-	for srv.ServingStats().PrefetchQueued < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("second plan entry never queued: %+v", srv.ServingStats())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	g.awaitEntered(t)
 
 	// Demand-fetch the queued-but-unstarted sample: this promotes the plan
 	// entry (cancelling its worker turn) and pays the one backend read.
@@ -181,17 +215,7 @@ func TestPlanPromotionNoDoubleFetch(t *testing.T) {
 	release()
 	// The worker finishes plug, then dequeues target's cancelled entry and
 	// must skip it without touching the backend.
-	deadline = time.Now().Add(10 * time.Second)
-	for {
-		sv := srv.ServingStats()
-		if sv.PrefetchCompleted == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("pool never resolved both entries: %+v", sv)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitPlanSettled(t, srv)
 	if got := g.count(target); got != 1 {
 		t.Fatalf("backend fetched sample %d %d times; the cancelled plan entry re-fetched it", target, got)
 	}
@@ -199,28 +223,72 @@ func TestPlanPromotionNoDoubleFetch(t *testing.T) {
 		t.Fatalf("backend fetched sample %d %d times; want exactly 1", plug, got)
 	}
 
-	// Settle and pin the ledger: target resolved late (promoted), plug's
+	// Cross and pin the ledger: target resolved late (promoted), plug's
 	// token sweeps as wasted, nothing double-counted.
-	if err := cl.BeginEpoch(2); err != nil {
+	d, _ := crossBoundary(t, srv, "after promotion", func() error { return cl.BeginEpoch(2) })
+	if d.PrefetchLate != 1 || d.PrefetchWasted != 1 || d.PrefetchIssued != 2 {
+		t.Fatalf("ledger issued %d, late %d, wasted %d; want 2, the promoted entry late and plug wasted",
+			d.PrefetchIssued, d.PrefetchLate, d.PrefetchWasted)
+	}
+}
+
+// TestPlanJoinedPrefetchIsLate: a demand that joins the fetch a prefetch
+// worker is running waits on that read — the prefetch came too late to serve
+// it, so its token resolves late at the join, and the next boundary's sweep
+// does not book it wasted.
+func TestPlanJoinedPrefetchIsLate(t *testing.T) {
+	leakcheck.Check(t)
+	const plug, mark = dataset.SampleID(3), dataset.SampleID(9)
+	inner, err := storage.NewDataSource(testSpec())
+	if err != nil {
 		t.Fatal(err)
 	}
-	d := srv.DecisionStats()
-	if sum := d.PrefetchInTime + d.PrefetchLate + d.PrefetchWasted + d.PrefetchDropped; sum != d.PrefetchIssued {
-		t.Fatalf("prefetch ledger unbalanced after promotion: in-time %d + late %d + wasted %d + dropped %d = %d, want issued %d",
-			d.PrefetchInTime, d.PrefetchLate, d.PrefetchWasted, d.PrefetchDropped, sum, d.PrefetchIssued)
+	// A request Begins every one of its keys before it fetches any, so mark
+	// entering Fetch proves the request has already joined plug's call.
+	marked := &faultySource{inner: inner, bad: -1, mark: mark, marked: make(chan struct{})}
+	g := newGatedSource(t, marked, plug)
+	srv, addr := startPlanTestServer(t, g, 1)
+	var relOnce sync.Once
+	release := func() { relOnce.Do(func() { close(g.release) }) }
+	t.Cleanup(release)
+
+	cl := dial(t, addr)
+	if err := cl.UpdateImportance([]sampling.Item{{ID: plug, IV: 10}, {ID: mark, IV: 9}}); err != nil {
+		t.Fatal(err)
 	}
-	if d.PrefetchLate == 0 {
-		t.Fatal("the promoted entry was not counted late")
+	if err := cl.BeginEpochPlan(1, []dataset.SampleID{plug}); err != nil {
+		t.Fatal(err)
+	}
+	g.awaitEntered(t)
+	done := make(chan error, 1)
+	go func() { _, err := cl.GetBatch([]dataset.SampleID{plug, mark}); done <- err }()
+	select {
+	case <-marked.marked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the demand request never reached the backend")
+	}
+	release()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	waitPlanSettled(t, srv)
+	if got := g.count(plug); got != 1 {
+		t.Fatalf("backend fetched sample %d %d times; the demand must share the worker's read", plug, got)
+	}
+	d, _ := crossBoundary(t, srv, "after a joined prefetch", func() error { return cl.BeginEpoch(2) })
+	if d.PrefetchLate != 1 || d.PrefetchWasted != 0 || d.PrefetchInTime != 0 {
+		t.Fatalf("ledger in-time %d, late %d, wasted %d; want the joined prefetch late (0, 1, 0)",
+			d.PrefetchInTime, d.PrefetchLate, d.PrefetchWasted)
 	}
 }
 
 // TestPlanConservationAcrossEpochs drives two planned epochs (with partial
 // selection overlap, as IIS re-draws produce) plus demand traffic over the
-// pre-placed set, and pins that the planner (a) actually pre-places every
+// pre-placed set, and pins that the plan (a) actually pre-places every
 // missing scheduled H-sample and (b) leaves the prefetch-outcome identity
 // exactly balanced at every boundary it crosses.
 func TestPlanConservationAcrossEpochs(t *testing.T) {
-	defer leakcheck.Check(t)
+	leakcheck.Check(t)
 	srv, addr := startPlanTestServer(t, nil, -1)
 	cl := dial(t, addr)
 	spec := testSpec()
@@ -259,31 +327,18 @@ func TestPlanConservationAcrossEpochs(t *testing.T) {
 	}
 	waitResident := func(sel []dataset.SampleID) {
 		t.Helper()
-		deadline := time.Now().Add(15 * time.Second)
-		for {
-			n := 0
-			for _, id := range sel {
-				if srv.payloads.has(id) {
-					n++
-				}
+		waitPlanSettled(t, srv)
+		for _, id := range sel {
+			if !srv.payloads.has(id) {
+				t.Fatalf("plan settled with sample %d not pre-placed (%+v)", id, srv.PlanStats())
 			}
-			if n == len(sel) {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("pre-placement stalled: %d of %d planned samples resident (%+v)", n, len(sel), srv.PlanStats())
-			}
-			time.Sleep(2 * time.Millisecond)
 		}
 	}
 
-	// Epoch 1: plan the first 160 samples, let the planner place them, then
+	// Epoch 1: plan the first 160 samples, let the pool place them, then
 	// read a slice of them — those reads must be in-time prefetch hits.
-	if err := cl.BeginEpochPlan(1, ids[:160]); err != nil {
-		t.Fatal(err)
-	}
+	crossBoundary(t, srv, "into plan 1", func() error { return cl.BeginEpochPlan(1, ids[:160]) })
 	waitResident(ids[:160])
-	waitPlanSettled(t, srv)
 	baseMisses := cacheStats(srv).Misses
 	getAll(ids[:64])
 	if d := cacheStats(srv).Misses - baseMisses; d != 0 {
@@ -292,35 +347,194 @@ func TestPlanConservationAcrossEpochs(t *testing.T) {
 
 	// Epoch 2: the selection shifts (half overlap) — only the truly missing
 	// tail needs fetching, the overlap is already resident.
-	if err := cl.BeginEpochPlan(2, ids[80:240]); err != nil {
-		t.Fatal(err)
-	}
+	crossBoundary(t, srv, "into plan 2", func() error { return cl.BeginEpochPlan(2, ids[80:240]) })
 	waitResident(ids[80:240])
-	waitPlanSettled(t, srv)
 	getAll(ids[120:184])
 
 	// Settle: the final boundary sweeps outstanding tokens; the identity
 	// must hold exactly, with real in-time outcomes recorded.
-	if err := cl.BeginEpoch(3); err != nil {
-		t.Fatal(err)
-	}
-	d := srv.DecisionStats()
-	if sum := d.PrefetchInTime + d.PrefetchLate + d.PrefetchWasted + d.PrefetchDropped; sum != d.PrefetchIssued {
-		t.Fatalf("prefetch ledger unbalanced with planner on: in-time %d + late %d + wasted %d + dropped %d = %d, want issued %d",
-			d.PrefetchInTime, d.PrefetchLate, d.PrefetchWasted, d.PrefetchDropped, sum, d.PrefetchIssued)
+	d, outstanding := crossBoundary(t, srv, "after plans", func() error { return cl.BeginEpoch(3) })
+	if outstanding != 0 {
+		t.Fatalf("%d prefetch tokens out after the boundary; nothing but a plan queues here", outstanding)
 	}
 	if d.PrefetchIssued == 0 {
-		t.Fatal("planner issued no prefetches")
+		t.Fatal("the plans issued no prefetches")
 	}
 	if d.PrefetchInTime == 0 {
 		t.Fatal("no planned prefetch was consumed in time")
 	}
 	ps := srv.PlanStats()
 	if ps.EntriesTotal == 0 {
-		t.Fatalf("planner admitted no entries: %+v", ps)
+		t.Fatalf("no plan entries queued: %+v", ps)
 	}
 	if ps.CompletedTotal != ps.EntriesTotal {
-		t.Fatalf("plan drain leaked entries: completed %d of %d admitted", ps.CompletedTotal, ps.EntriesTotal)
+		t.Fatalf("plan entries leaked: completed %d of %d queued", ps.CompletedTotal, ps.EntriesTotal)
+	}
+}
+
+// TestPlanBrownoutHoldsTheQueue walks the overload gate into Brownout: a
+// reactive delivery is dropped and counted, a plan is queued whole, and
+// neither causes a backend read while the gate holds. Back in Normal the
+// paused workers resume, the plan drains, and the ledger balances exactly at
+// the next boundary.
+func TestPlanBrownoutHoldsTheQueue(t *testing.T) {
+	leakcheck.Check(t)
+	g := newGatedSource(t, nil, -1)
+	srv := newUnstartedServer(t, g, 2) // L-cache on: the loader delivers too
+	gate := overload.NewGate(overload.GateConfig{TargetDelay: time.Millisecond, Window: 10 * time.Millisecond})
+	srv.SetAdmission(gate)
+	// The ladder is driven on a clock an hour ahead, so the test's own
+	// requests (whose instants fall before the window ends) never roll it.
+	at := time.Now().Add(time.Hour)
+	gate.Observe(at, 5*time.Millisecond)
+	gate.Observe(at.Add(11*time.Millisecond), 5*time.Millisecond)
+	if st := gate.State(); st != overload.Brownout {
+		t.Fatalf("gate is %v; want brownout", st)
+	}
+	cl := dial(t, serveOn(t, srv))
+
+	ids := make([]dataset.SampleID, 32)
+	items := make([]sampling.Item, len(ids))
+	for i := range ids {
+		ids[i] = dataset.SampleID(i)
+		items[i] = sampling.Item{ID: ids[i], IV: float64(100 - i)}
+	}
+	if err := cl.UpdateImportance(items); err != nil {
+		t.Fatal(err)
+	}
+	srv.policyMu.Lock()
+	srv.prefetch.enqueue(1500) // what the loader's delivery observer does
+	srv.policyMu.Unlock()
+	if err := cl.BeginEpochPlan(1, ids); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond) // long enough for a running worker to have read
+	if n := g.total(); n != 0 {
+		t.Fatalf("%d backend reads in Brownout; want none", n)
+	}
+	if n := srv.prefetch.depth(); n != len(ids) {
+		t.Fatalf("queue holds %d entries in Brownout; want the whole plan (%d)", n, len(ids))
+	}
+	if d := srv.DecisionStats(); d.PrefetchDropped == 0 {
+		t.Fatal("the reactive delivery in Brownout was not dropped")
+	}
+
+	gate.Observe(at.Add(time.Second), 0) // an idle window: back to Normal
+	if st := gate.State(); st != overload.Normal {
+		t.Fatalf("gate is %v; want normal", st)
+	}
+	waitPlanSettled(t, srv)
+	for _, id := range ids {
+		if !srv.payloads.has(id) || g.count(id) != 1 {
+			t.Fatalf("sample %d: resident %v after %d reads; want the drained plan to place it with one read",
+				id, srv.payloads.has(id), g.count(id))
+		}
+	}
+	crossBoundary(t, srv, "after a Brownout", func() error { return cl.BeginEpoch(2) })
+}
+
+// TestPlanWithoutPoolIsPlainBoundary: a server with no prefetch pool answers
+// a plan as a plain epoch boundary — the epoch advances and nothing is
+// fetched.
+func TestPlanWithoutPoolIsPlainBoundary(t *testing.T) {
+	leakcheck.Check(t)
+	g := newGatedSource(t, nil, -1)
+	srv, addr := startPlanTestServer(t, g, 0)
+	if srv.prefetch != nil {
+		t.Fatal("PrefetchWorkers 0 started a prefetch pool")
+	}
+	cl := dial(t, addr)
+	ids := []dataset.SampleID{1, 2, 3}
+	if err := cl.UpdateImportance([]sampling.Item{{ID: 1, IV: 3}, {ID: 2, IV: 2}, {ID: 3, IV: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.BeginEpochPlan(1, ids); err != nil {
+		t.Fatal(err)
+	}
+	if d := srv.DecisionStats(); d.Epoch != 1 || d.PrefetchIssued != 0 {
+		t.Fatalf("epoch %d, %d prefetches issued; want epoch 1 and none", d.Epoch, d.PrefetchIssued)
+	}
+	if n := g.total(); n != 0 {
+		t.Fatalf("%d backend reads for a plan on a pool-less server; want none", n)
+	}
+	if ps := srv.PlanStats(); ps != (PlanStats{}) {
+		t.Fatalf("plan stats %+v on a pool-less server; want zero", ps)
+	}
+}
+
+// slowDir holds the first LookupBatch that asks about gate until released —
+// a directory slow to answer one plan's residency sweep.
+type slowDir struct {
+	dkv.Local
+	gate             dataset.SampleID
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (d *slowDir) LookupBatch(ids []dataset.SampleID) ([]dkv.Owner, error) {
+	if slices.Contains(ids, d.gate) {
+		held := false
+		d.once.Do(func() { held = true; close(d.entered) })
+		if held {
+			<-d.release
+		}
+	}
+	return d.Local.LookupBatch(ids)
+}
+
+// TestPlanOvertakenBuildIsDropped: two boundaries whose plan builds overlap —
+// the first one's directory sweep is held until the second one's plan is
+// queued. The first plan's epoch is over by the time its build finishes, so
+// it queues nothing: the plan epoch does not go backwards, and the second
+// plan's entries are the ones fetched.
+func TestPlanOvertakenBuildIsDropped(t *testing.T) {
+	leakcheck.Check(t)
+	stale, cur := []dataset.SampleID{1, 2, 3, 4}, []dataset.SampleID{5, 6, 7, 8}
+	g := newGatedSource(t, nil, -1)
+	srv := newUnstartedServer(t, g, 1)
+	dir := &slowDir{Local: dkv.Local{Dir: dkv.NewDirectory()}, gate: stale[0],
+		entered: make(chan struct{}), release: make(chan struct{})}
+	srv.EnableDistributed(0, dir, nil)
+	addr := serveOn(t, srv)
+	var relOnce sync.Once
+	release := func() { relOnce.Do(func() { close(dir.release) }) }
+	t.Cleanup(release)
+
+	cA, cB := dial(t, addr), dial(t, addr)
+	var items []sampling.Item
+	for _, id := range append(slices.Clone(stale), cur...) {
+		items = append(items, sampling.Item{ID: id, IV: float64(10 - id)})
+	}
+	if err := cA.UpdateImportance(items); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- cA.BeginEpochPlan(1, stale) }()
+	select {
+	case <-dir.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("plan 1's residency sweep never reached the directory")
+	}
+	if err := cB.BeginEpochPlan(2, cur); err != nil {
+		t.Fatal(err)
+	}
+	release()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	waitPlanSettled(t, srv)
+	if ps := srv.PlanStats(); ps.Epoch != 2 || ps.EntriesTotal != int64(len(cur)) {
+		t.Fatalf("plan stats %+v; want epoch 2 with only its %d entries queued", ps, len(cur))
+	}
+	for _, id := range stale {
+		if n := g.count(id); n != 0 {
+			t.Fatalf("the overtaken plan fetched sample %d %d times", id, n)
+		}
+	}
+	for _, id := range cur {
+		if !srv.payloads.has(id) {
+			t.Fatalf("plan 2's sample %d was not placed", id)
+		}
 	}
 }
 
@@ -333,9 +547,7 @@ func TestPlanConservationAcrossEpochs(t *testing.T) {
 func TestChaosPlanOwnerKill(t *testing.T) {
 	for _, seed := range []int64{1, 42, 1337} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			f := startDistFixtureHook(t, func(n int, srv *Server) {
-				srv.SetClairvoyant()
-			})
+			f := startDistFixture(t)
 			spec := testSpec()
 			rng := rand.New(rand.NewSource(seed))
 			perm := rng.Perm(spec.NumSamples)
@@ -354,20 +566,25 @@ func TestChaosPlanOwnerKill(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Install the plan, then kill the peer mid-plan: depending on
-			// the seed's timing the pre-place RPC dies before, during, or
-			// after shipping — every case must degrade, never wedge.
-			if err := cA.BeginEpochPlan(1, ids); err != nil {
-				t.Fatal(err)
-			}
+			// Queue the plan, then kill the peer while its pre-placed share
+			// is being fetched: depending on the seed's timing the peer dies
+			// before, during or after its reads — every case must degrade,
+			// never wedge.
+			crossBoundary(t, f.nodes[0], "into plan 1", func() error { return cA.BeginEpochPlan(1, ids) })
 			time.Sleep(time.Duration(rng.Intn(4)) * time.Millisecond)
 			f.nodes[1].Close()
 
 			// Next epoch, same selection: the residency sweep re-routes the
-			// plan around whatever the dead node took with it.
-			if err := cA.BeginEpochPlan(2, ids); err != nil {
-				t.Fatal(err)
-			}
+			// plan around whatever the dead node took with it. The reply waits
+			// for the plan's build, pre-place RPCs to the dead owner included.
+			var rtt time.Duration
+			crossBoundary(t, f.nodes[0], "into plan 2", func() error {
+				t0 := time.Now()
+				err := cA.BeginEpochPlan(2, ids)
+				rtt = time.Since(t0)
+				return err
+			})
+			t.Logf("BeginEpochPlan round trip with the future owner dead: %v", rtt)
 			waitPlanSettled(t, f.nodes[0])
 
 			// The full selection must be served exactly — pre-placed bytes
@@ -402,14 +619,7 @@ func TestChaosPlanOwnerKill(t *testing.T) {
 
 			// The settling boundary sweeps outstanding tokens; the prefetch
 			// ledger must balance exactly even with the peer gone.
-			if err := cA.BeginEpoch(3); err != nil {
-				t.Fatal(err)
-			}
-			d := f.nodes[0].DecisionStats()
-			if sum := d.PrefetchInTime + d.PrefetchLate + d.PrefetchWasted + d.PrefetchDropped; sum != d.PrefetchIssued {
-				t.Fatalf("prefetch ledger unbalanced after owner kill: in-time %d + late %d + wasted %d + dropped %d = %d, want issued %d",
-					d.PrefetchInTime, d.PrefetchLate, d.PrefetchWasted, d.PrefetchDropped, sum, d.PrefetchIssued)
-			}
+			crossBoundary(t, f.nodes[0], "after owner kill", func() error { return cA.BeginEpoch(3) })
 			requireStoreWithinResidents(t, f.nodes[0])
 		})
 	}

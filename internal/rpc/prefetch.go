@@ -6,107 +6,112 @@ import (
 	"time"
 
 	"icache/internal/dataset"
+	"icache/internal/metrics"
 	"icache/internal/obs"
 )
 
-// prefetchItem is one queued delivery: the sample plus its enqueue instant
-// (zero unless stage histograms are enabled), so the worker can record the
-// prefetch_queue_wait stage without any clock reads on the disabled path.
+// prefetchItem is one queued entry: the sample, its enqueue instant (zero
+// unless stage histograms are enabled, so the worker records the
+// prefetch_queue_wait stage without any clock read on the disabled path), and
+// gen: 0 for a reactive delivery (already policy-resident when queued), the
+// plan's generation for a clairvoyant plan entry, which the worker must first
+// admit into the H-cache through the policy's importance-gated plan-admission
+// path.
 type prefetchItem struct {
-	id dataset.SampleID
-	at time.Time
-	// planned marks a clairvoyant plan entry (see plan.go): before fetching
-	// bytes the worker must admit the sample into the H-cache through the
-	// policy's importance-gated plan-admission path. Reactive deliveries
-	// (false) are already policy-resident when enqueued.
-	planned bool
+	id  dataset.SampleID
+	at  time.Time
+	gen uint64
 }
 
-// prefetcher is the bounded asynchronous prefetch worker pool of the
-// serving path. The policy engine's background loader decides *which*
-// L-samples enter the cache and *when* (virtual-time package arrivals,
-// §III-C); the prefetcher turns each delivery into real bytes: workers pull
-// delivered sample IDs off a bounded queue and fill the payload store
-// through the same coalesced miss path foreground requests use, so a client
+// entryState is where an id with an entry is: waiting in the queue, promoted
+// past by a demand fetch while waiting (its worker turn is skipped), or held
+// by a worker.
+type entryState uint8
+
+const (
+	entryQueued entryState = iota + 1
+	entryCancelled
+	entryRunning
+)
+
+// reactivePerWorker bounds the reactive entries queued per worker: deep
+// enough to absorb a whole package delivery burst (packages hold tens of
+// samples), shallow enough that a stalled backend cannot pile up unbounded
+// work.
+const reactivePerWorker = 64
+
+// prefetcher is the serving path's one prefetch queue and the bounded worker
+// pool that drains it. Two producers feed it. The policy engine's background
+// loader decides which L-samples enter the cache and when (virtual-time
+// package arrivals, §III-C) and queues each delivery; a clairvoyant epoch
+// plan (plan.go) queues the epoch's missing H-samples whole, in first-access
+// order, before the boundary is answered. Workers turn entries into real
+// bytes through the coalesced miss path foreground requests use, so a
 // request that arrives after the worker is done finds the bytes in DRAM.
-// Under load that is the rare case: the loader delivers what requests just
-// missed, so the request usually gets to the fetch first and the worker's
-// turn coalesces with it or is cancelled. On the benchmark's train_epochs
-// the outcome ledger reads late 85 %, wasted 10 %, in time 5 % of 217 k
-// issued (EXPERIMENTS.md, "On the wire", PR 23).
+// Under reactive load that is the rare case: the loader delivers what
+// requests just missed, so the request usually gets to the fetch first and
+// the worker's turn coalesces with it or is cancelled (EXPERIMENTS.md, "One
+// prefetch queue", has the train_epochs ledger split).
 //
 // The pool size is icache.Config.PrefetchWorkers — the paper's Fig. 15
 // prefetch-worker knob (-prefetch-workers on cmd/icache-server). It is also
 // the bound on background reads: each worker has at most one read waiting
 // for or holding one of the backendReadBudget slots.
 //
-// Concurrency: enqueue is called under policyMu (the loader delivers
-// during FetchBatch/StartEpoch), so it must never block — when the queue
-// is full the ID is dropped and counted; the sample is then fetched lazily
-// on first request, exactly as if prefetching were disabled. Workers run
-// with no locks held and share the server's singleflight group, so a
-// prefetch and a foreground miss for the same sample coalesce into one
+// Concurrency: mu is a leaf lock (policyMu → mu is legal, never the
+// reverse), never held across I/O. enqueue runs under policyMu (the loader
+// delivers during FetchBatch/StartEpoch), so it never blocks: a delivery is
+// dropped and counted when workers×reactivePerWorker reactive entries are
+// queued or the overload gate has the pool paused (Brownout), and the sample
+// is then fetched lazily on first request. Paused workers take nothing and
+// resume when the gate clears. Workers share the server's singleflight
+// group, so a prefetch and a foreground miss for one sample coalesce into one
 // backend read.
 type prefetcher struct {
 	s       *Server
-	q       chan prefetchItem
 	workers int
+	wg      sync.WaitGroup
 
-	wg       sync.WaitGroup
-	done     chan struct{}
-	stopOnce sync.Once
+	mu              sync.Mutex
+	wake            sync.Cond // on mu: an entry was queued, the pause lifted or the pool stopped
+	queue           []prefetchItem
+	reactive        int // reactive entries in queue
+	active          int // workers mid-entry
+	paused, stopped bool
+	// state holds every id queued or held by a worker (one entry per id);
+	// pending holds the outcome ledger's tokens, pendN mirroring its size
+	// atomically so the hot hit path skips the lock when none is out.
+	state   map[dataset.SampleID]entryState
+	pending map[dataset.SampleID]struct{}
+	pendN   atomic.Int64
 
-	queued    int64 // IDs accepted onto the queue (atomic)
-	completed int64 // prefetches that finished (bytes stored or already present)
-	dropped   int64 // IDs discarded because the queue was full
-	failed    int64 // prefetch fetches that errored (sample stays lazy)
+	// gen is the current plan's generation (reactive entries carry 0), plan
+	// its progress and the cumulative plan counters (Remaining is derived on
+	// read; see Server.PlanStats).
+	gen  uint64
+	plan PlanStats
 
-	// Prefetch-outcome ledger (the decision-level taxonomy: see
-	// metrics.DecisionStats). Every queued ID gets one pending token;
-	// whoever removes the token counts the outcome, so each queued
-	// prefetch resolves to exactly one of in-time / late / wasted /
-	// failed. At an epoch boundary the sweep reclassifies every
-	// outstanding token as wasted, which is what makes the ledger balance
-	// exactly there:
+	// Prefetch-outcome ledger (on mu; see metrics.DecisionStats). An issued
+	// id is dropped at enqueue or gets one pending token, and whoever removes
+	// the token counts the outcome in the same critical section: a hit (in
+	// time), a demand fetch that got there first (late), an eviction or the
+	// epoch sweep (wasted), a failed or refused fetch (dropped). So every
+	// reading (see ledger) balances with the tokens still out:
 	//
-	//	inTime + late + wasted + failedOutcome == queued
-	inTime        int64 // prefetched payload served a request (atomic)
-	late          int64 // the foreground beat the worker to the fetch (atomic)
-	wasted        int64 // evicted or epoch-swept untouched (atomic)
-	failedOutcome int64 // failed fetches that held a pending token (atomic)
-
-	// pending is the token set; pendN mirrors its size atomically so the
-	// hot hit path can skip the lock when no prefetch is outstanding.
-	// queuedSet tracks IDs sitting in q that no worker has picked up yet;
-	// cancelled marks queued entries a demand fetch has promoted past (the
-	// foreground is fetching the bytes itself, so the worker turn would be
-	// pure duplication — see noteDemand). Both share pendMu.
-	pendMu    sync.Mutex
-	pending   map[dataset.SampleID]struct{}
-	queuedSet map[dataset.SampleID]struct{}
-	cancelled map[dataset.SampleID]struct{}
-	pendN     int64
-
-	// paused (atomic 0/1) is the brownout switch: while set, enqueue drops
-	// every delivery so background backend reads stop competing with
-	// overloaded foreground serving. Samples stay lazily fetchable.
-	paused int32
+	//	inTime + late + wasted + dropped + len(pending) == issued
+	issued, inTime, late, wasted, dropped int64
 }
 
-// newPrefetcher starts a pool of workers. The queue is sized at 64 slots
-// per worker: deep enough to absorb a whole package delivery burst
-// (packages hold tens of samples), shallow enough that a stalled backend
-// cannot pile up unbounded work.
+// newPrefetcher starts a pool of workers.
 func newPrefetcher(s *Server, workers int) *prefetcher {
 	p := &prefetcher{
-		s:         s,
-		q:         make(chan prefetchItem, workers*64),
-		workers:   workers,
-		done:      make(chan struct{}),
-		pending:   make(map[dataset.SampleID]struct{}),
-		queuedSet: make(map[dataset.SampleID]struct{}),
-		cancelled: make(map[dataset.SampleID]struct{}),
+		s:       s,
+		workers: workers,
+		gen:     1,
+		state:   make(map[dataset.SampleID]entryState),
+		pending: make(map[dataset.SampleID]struct{}),
 	}
+	p.wake.L = &p.mu
 	for i := 0; i < workers; i++ {
 		p.wg.Add(1)
 		go p.worker()
@@ -114,266 +119,236 @@ func newPrefetcher(s *Server, workers int) *prefetcher {
 	return p
 }
 
-// enqueue offers a delivered sample to the pool. Non-blocking by contract:
-// it is invoked under policyMu.
+// enqueue offers a loader delivery to the pool. Non-blocking by contract: it
+// is invoked under policyMu.
 func (p *prefetcher) enqueue(id dataset.SampleID) {
-	select {
-	case <-p.done:
-		return
+	p.mu.Lock()
+	switch {
+	case !p.fresh(id):
+	case p.paused || p.reactive >= p.workers*reactivePerWorker:
+		p.issued++
+		p.dropped++
 	default:
+		p.add(id, 0)
+		p.reactive++
 	}
-	if atomic.LoadInt32(&p.paused) == 1 {
-		atomic.AddInt64(&p.dropped, 1)
-		return
+	p.mu.Unlock()
+}
+
+// addPlan queues plan entries whole, in first-access order, behind whatever
+// is queued, and returns how many it queued. A new epoch's plan (next carries
+// its epoch and build counters) first supersedes the previous plan's
+// unstarted entries — their epoch is over, and a token still out on one (a
+// peer's pre-placed entry accepted since the sweep) resolves wasted. A peer's
+// pre-placed entries (next == nil) join the current plan. A plan whose build
+// a later boundary's plan overtook is dropped: its epoch is already over.
+func (p *prefetcher) addPlan(ids []dataset.SampleID, next *PlanStats) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if next != nil && next.Epoch < p.plan.Epoch {
+		return 0
 	}
-	if !p.pendAdd(id) {
-		// Already pending: a redundant re-delivery of an ID the pool is
-		// still working on (or whose bytes already sit untouched in the
-		// store). Skip it silently — queueing it again would only burn a
-		// worker turn to discover the payload is present.
-		return
+	if next != nil {
+		kept := p.queue[:0]
+		for _, it := range p.queue {
+			if it.gen == 0 {
+				kept = append(kept, it)
+				continue
+			}
+			delete(p.state, it.id)
+			p.redeem(it.id, &p.wasted)
+		}
+		p.queue = kept
+		p.gen++
+		p.plan.Epoch, p.plan.Planned, p.plan.Completed = next.Epoch, 0, 0
+		p.plan.SkippedResident += next.SkippedResident
+		p.plan.SkippedCluster += next.SkippedCluster
+		p.plan.PreplaceSent += next.PreplaceSent
+		p.plan.Reroutes += next.Reroutes
 	}
-	it := prefetchItem{id: id}
-	if p.s.obs.histsOn() {
-		it.at = time.Now()
-	}
-	p.markQueued(id)
-	select {
-	case p.q <- it:
-		atomic.AddInt64(&p.queued, 1)
-	default:
-		if p.unqueueFailed(id) {
-			atomic.AddInt64(&p.dropped, 1)
+	n := 0
+	for _, id := range ids {
+		if p.fresh(id) {
+			p.add(id, p.gen)
+			n++
 		}
 	}
+	p.plan.Planned += int64(n)
+	p.plan.EntriesTotal += int64(n)
+	if next == nil {
+		p.plan.PreplaceRecv += int64(n)
+	}
+	return n
 }
 
-// enqueuePlanned offers a clairvoyant plan entry to the pool. Unlike
-// enqueue it runs on the planner's drain goroutine with no locks held, so
-// when the queue is full it WAITS instead of dropping — the full queue is
-// what paces the planner to the workers, and dropping entries would punch
-// holes in the plan. An ID already holding a pending token is deduped
-// silently (the in-flight prefetch or demand fetch covers it). Returns
-// false only when the pool or the caller is stopping.
-func (p *prefetcher) enqueuePlanned(id dataset.SampleID, stop <-chan struct{}) bool {
-	select {
-	case <-p.done:
-		return false
-	default:
-	}
-	if !p.pendAdd(id) {
-		return true
-	}
-	it := prefetchItem{id: id, planned: true}
+// fresh reports whether id may be queued: the pool is running and id has no
+// entry and no pending token (an in-flight or queued prefetch, or bytes
+// already sitting untouched in the store, cover a redundant offer). Caller
+// holds mu.
+func (p *prefetcher) fresh(id dataset.SampleID) bool {
+	_, tok := p.pending[id]
+	return !p.stopped && p.state[id] == 0 && !tok
+}
+
+// add queues id as an entry of plan generation gen (0 = reactive) and
+// grants it a pending token. Caller holds mu and has checked fresh.
+func (p *prefetcher) add(id dataset.SampleID, gen uint64) {
+	it := prefetchItem{id: id, gen: gen}
 	if p.s.obs.histsOn() {
 		it.at = time.Now()
 	}
-	p.markQueued(id)
-	select {
-	case p.q <- it:
-		atomic.AddInt64(&p.queued, 1)
-		return true
-	case <-p.done:
-		p.unqueueFailed(id)
-		return false
-	case <-stop:
-		p.unqueueFailed(id)
-		return false
-	}
-}
-
-// pendAdd grants id a pending token; false when one is already out.
-func (p *prefetcher) pendAdd(id dataset.SampleID) bool {
-	p.pendMu.Lock()
-	if _, ok := p.pending[id]; ok {
-		p.pendMu.Unlock()
-		return false
-	}
+	p.queue = append(p.queue, it)
+	p.state[id] = entryQueued
 	p.pending[id] = struct{}{}
-	atomic.AddInt64(&p.pendN, 1)
-	p.pendMu.Unlock()
-	return true
+	p.pendN.Add(1)
+	p.issued++
+	p.wake.Signal()
 }
 
-// pendRemove redeems id's pending token; false when it was already
-// redeemed (the outcome is then someone else's to count).
-func (p *prefetcher) pendRemove(id dataset.SampleID) bool {
-	p.pendMu.Lock()
+// redeem removes id's pending token and counts the outcome in ctr, reporting
+// whether a token was out (false: the outcome is someone else's to count).
+// Caller holds mu.
+func (p *prefetcher) redeem(id dataset.SampleID, ctr *int64) bool {
 	if _, ok := p.pending[id]; !ok {
-		p.pendMu.Unlock()
 		return false
 	}
 	delete(p.pending, id)
-	atomic.AddInt64(&p.pendN, -1)
-	p.pendMu.Unlock()
+	p.pendN.Add(-1)
+	*ctr++
 	return true
 }
 
-// markQueued records that id's item is sitting in q awaiting a worker.
-// Called before the channel send so a marker can never outlive its item:
-// a failed send removes it via unqueueFailed, a delivered item is consumed
-// by the worker's dequeued call.
-func (p *prefetcher) markQueued(id dataset.SampleID) {
-	p.pendMu.Lock()
-	p.queuedSet[id] = struct{}{}
-	p.pendMu.Unlock()
+// resolve is redeem for a caller not holding mu.
+func (p *prefetcher) resolve(id dataset.SampleID, ctr *int64) {
+	p.mu.Lock()
+	p.redeem(id, ctr)
+	p.mu.Unlock()
 }
 
-// unqueueFailed rolls back a markQueued+pendAdd pair after a failed channel
-// send, consuming any cancel marker a concurrent noteDemand left. It
-// reports whether the pending token was still ours to redeem — false means
-// a demand fetch already counted the outcome and the caller must not also
-// count a drop.
-func (p *prefetcher) unqueueFailed(id dataset.SampleID) bool {
-	p.pendMu.Lock()
-	delete(p.queuedSet, id)
-	delete(p.cancelled, id)
-	_, mine := p.pending[id]
-	if mine {
-		delete(p.pending, id)
-		atomic.AddInt64(&p.pendN, -1)
-	}
-	p.pendMu.Unlock()
-	return mine
+// ledger reads the outcome ledger into d and returns the tokens still out,
+// all in one critical section: inTime+late+wasted+dropped+outstanding ==
+// issued in every reading. Right after a boundary, outstanding is what the
+// new epoch's loader catch-up queued.
+func (p *prefetcher) ledger(d *metrics.DecisionStats) (outstanding int64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	d.PrefetchIssued, d.PrefetchInTime, d.PrefetchLate = p.issued, p.inTime, p.late
+	d.PrefetchWasted, d.PrefetchDropped = p.wasted, p.dropped
+	return int64(len(p.pending))
 }
 
-// dequeued records that a worker picked id up, reporting whether a demand
-// fetch cancelled the entry while it sat queued (the worker then skips it
-// entirely — no existence probe, no backend read).
-func (p *prefetcher) dequeued(id dataset.SampleID) bool {
-	p.pendMu.Lock()
-	delete(p.queuedSet, id)
-	_, c := p.cancelled[id]
-	if c {
-		delete(p.cancelled, id)
-	}
-	p.pendMu.Unlock()
-	return c
-}
-
-// noteDemand records that the foreground is about to fetch id itself. If a
-// prefetch for it is queued but unstarted, the entry is promoted: the
-// demand fetch becomes the one backend read (through the singleflight
-// group) and the queued entry is cancelled so its worker turn does not
-// re-fetch bytes the demand path already brought in — even if they get
-// evicted in between. The token resolves late: the plan existed but the
-// foreground beat it.
+// noteDemand records that a demand miss on id is about to lead its fetch or
+// has joined the call someone else leads. A prefetch entry of id still
+// holding its token resolves late — the prefetch existed, the foreground got
+// there first: a demand that joined the fetch a worker leads waits on that
+// read, and a queued-but-unstarted entry is promoted — this demand fetch
+// becomes the one backend read (through the singleflight group) and the entry
+// is cancelled, so its worker turn does not re-fetch bytes the demand path
+// already brought in, even if they get evicted in between.
 func (p *prefetcher) noteDemand(id dataset.SampleID) {
-	if p == nil || atomic.LoadInt64(&p.pendN) == 0 {
+	if p == nil || p.pendN.Load() == 0 {
 		return
 	}
-	p.pendMu.Lock()
-	_, queued := p.queuedSet[id]
-	_, already := p.cancelled[id]
-	_, tok := p.pending[id]
-	if !queued || already || !tok {
-		p.pendMu.Unlock()
-		return
+	p.mu.Lock()
+	st := p.state[id]
+	if (st == entryQueued || st == entryRunning) && p.redeem(id, &p.late) && st == entryQueued {
+		p.state[id] = entryCancelled
 	}
-	delete(p.pending, id)
-	atomic.AddInt64(&p.pendN, -1)
-	p.cancelled[id] = struct{}{}
-	p.pendMu.Unlock()
-	atomic.AddInt64(&p.late, 1)
+	p.mu.Unlock()
 }
 
-// noteHit records that a local hit served id: if its prefetch token is
-// still out, the prefetch arrived in time. The atomic pendN probe keeps
-// the hot hit path lock-free whenever nothing is pending.
+// noteHit records that a local hit served id: if its prefetch token is still
+// out, the prefetch arrived in time. The atomic pendN probe keeps the hot hit
+// path lock-free whenever nothing is pending.
 func (p *prefetcher) noteHit(id dataset.SampleID) {
-	if p == nil || atomic.LoadInt64(&p.pendN) == 0 {
-		return
-	}
-	if p.pendRemove(id) {
-		atomic.AddInt64(&p.inTime, 1)
+	if p != nil && p.pendN.Load() != 0 {
+		p.resolve(id, &p.inTime)
 	}
 }
 
 // noteEvict records that id was evicted: a still-pending token means the
 // prefetched bytes were never touched — wasted work. Runs under policyMu
-// (the eviction observer); pendMu is a leaf lock.
+// (the eviction observer).
 func (p *prefetcher) noteEvict(id dataset.SampleID) {
-	if p == nil || atomic.LoadInt64(&p.pendN) == 0 {
-		return
-	}
-	if p.pendRemove(id) {
-		atomic.AddInt64(&p.wasted, 1)
+	if p != nil && p.pendN.Load() != 0 {
+		p.resolve(id, &p.wasted)
 	}
 }
 
-// sweepEpoch reclassifies every outstanding pending token as wasted: the
-// epoch whose selection wanted those samples is over. Called at the epoch
-// boundary under policyMu, which excludes concurrent enqueues (the loader
-// delivers under the same lock).
+// sweepEpoch books every outstanding pending token wasted: the epoch whose
+// selection wanted those samples is over. Called at the epoch boundary under
+// policyMu, before the policy engine crosses it (its loader catch-up queues
+// the new epoch's first deliveries).
 func (p *prefetcher) sweepEpoch() {
 	if p == nil {
 		return
 	}
-	p.pendMu.Lock()
-	n := len(p.pending)
-	if n > 0 {
-		p.pending = make(map[dataset.SampleID]struct{})
-		atomic.StoreInt64(&p.pendN, 0)
-	}
-	p.pendMu.Unlock()
-	if n > 0 {
-		atomic.AddInt64(&p.wasted, int64(n))
+	p.mu.Lock()
+	p.wasted += int64(len(p.pending))
+	clear(p.pending)
+	p.pendN.Store(0)
+	p.mu.Unlock()
+}
+
+// worker takes entries off the front of the queue until the pool stops.
+func (p *prefetcher) worker() {
+	defer p.wg.Done()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for {
+		for !p.stopped && (p.paused || len(p.queue) == 0) {
+			p.wake.Wait()
+		}
+		if p.stopped {
+			return
+		}
+		it := p.queue[0]
+		p.queue = p.queue[1:]
+		if it.gen == 0 {
+			p.reactive--
+		}
+		// A cancelled entry was promoted by a demand fetch while it sat
+		// queued: the foreground already paid (or is paying) the backend read
+		// and counted the token late, so probing or re-fetching here is
+		// exactly the double fetch the promotion exists to prevent.
+		run := p.state[it.id] != entryCancelled
+		p.state[it.id] = entryRunning
+		p.active++
+		p.mu.Unlock()
+		p.s.obs.prefetchWt.Since(it.at)
+		if run {
+			p.turn(it)
+		}
+		p.mu.Lock()
+		delete(p.state, it.id)
+		p.active--
+		if it.gen != 0 {
+			p.plan.CompletedTotal++
+			if it.gen == p.gen {
+				p.plan.Completed++
+			}
+		}
 	}
 }
 
-func (p *prefetcher) worker() {
-	defer p.wg.Done()
-	for {
-		select {
-		case <-p.done:
-			return
-		case it := <-p.q:
-			p.s.obs.prefetchWt.Since(it.at)
-			id := it.id
-			if p.dequeued(id) {
-				// A demand fetch promoted this entry while it sat queued:
-				// the foreground already paid (or is paying) the backend
-				// read and counted the token late. Skip entirely — probing
-				// or re-fetching here is exactly the double fetch the
-				// promotion exists to prevent.
-				atomic.AddInt64(&p.completed, 1)
-				continue
-			}
-			// Existence probe only: the worker never touches the bytes, the
-			// miss path stores the fetch buffer as it is.
-			if p.s.payloads.has(id) {
-				// The foreground (or an earlier prefetch) beat us to it.
-				if p.pendRemove(id) {
-					atomic.AddInt64(&p.late, 1)
-				}
-				atomic.AddInt64(&p.completed, 1)
-				continue
-			}
-			if it.planned && !p.s.planAdmit(id) {
-				// The policy refused the planned sample (demoted out of the
-				// H-list since the plan was built, or outranked by every
-				// resident): fetching bytes it cannot store would be pure
-				// waste. The plan entry is unfulfillable here.
-				if p.pendRemove(id) {
-					atomic.AddInt64(&p.failedOutcome, 1)
-				}
-				atomic.AddInt64(&p.failed, 1)
-				continue
-			}
-			if err := p.fetch(id); err != nil {
-				// Best effort: a failed prefetch is not a serving error —
-				// the sample will be fetched (with retries as configured)
-				// when a client actually asks for it.
-				if p.pendRemove(id) {
-					atomic.AddInt64(&p.failedOutcome, 1)
-				}
-				atomic.AddInt64(&p.failed, 1)
-				continue
-			}
-			// Success: the token stays out until a hit (in-time), an
-			// eviction (wasted) or the epoch sweep (wasted) redeems it.
-			atomic.AddInt64(&p.completed, 1)
-		}
+// turn is one worker turn on an entry, with no lock held. On success the
+// token stays out until a hit (in time), an eviction or the epoch sweep
+// (wasted), or a demand that joined this fetch (late) redeems it.
+func (p *prefetcher) turn(it prefetchItem) {
+	switch {
+	case p.s.payloads.has(it.id):
+		// Existence probe only — the foreground (or an earlier prefetch)
+		// beat us to it.
+		p.resolve(it.id, &p.late)
+	case it.gen != 0 && !p.s.planAdmit(it.id):
+		// The policy refused the planned sample (demoted out of the H-list
+		// since the plan was built, or outranked by every resident): fetching
+		// bytes it cannot store would be pure waste.
+		p.resolve(it.id, &p.dropped)
+	case p.fetch(it.id) != nil:
+		// Best effort: a failed prefetch is not a serving error — the sample
+		// is fetched (with retries as configured) when a client asks for it.
+		p.resolve(it.id, &p.dropped)
 	}
 }
 
@@ -402,25 +377,29 @@ func (p *prefetcher) fetch(id dataset.SampleID) error {
 	return err
 }
 
-// isPaused reports the brownout switch state (the planner's drain consults
-// it so planned backend reads stop competing with overloaded serving).
-func (p *prefetcher) isPaused() bool { return atomic.LoadInt32(&p.paused) == 1 }
-
-// setPaused flips the brownout switch (see the paused field).
+// setPaused flips the brownout switch: while set, enqueue drops every
+// delivery and the workers take nothing, so background backend reads stop
+// competing with overloaded foreground serving.
 func (p *prefetcher) setPaused(on bool) {
-	var v int32
-	if on {
-		v = 1
-	}
-	atomic.StoreInt32(&p.paused, v)
+	p.mu.Lock()
+	p.paused = on
+	p.mu.Unlock()
+	p.wake.Broadcast()
 }
 
-// stop terminates the pool and waits for workers to drain. Queued IDs not
-// yet picked up are abandoned (server shutdown).
+// stop terminates the pool and waits for workers to finish their entries.
+// Queued entries are abandoned (server shutdown).
 func (p *prefetcher) stop() {
-	p.stopOnce.Do(func() { close(p.done) })
+	p.mu.Lock()
+	p.stopped = true
+	p.mu.Unlock()
+	p.wake.Broadcast()
 	p.wg.Wait()
 }
 
 // depth reports the current queue backlog (gauge).
-func (p *prefetcher) depth() int { return len(p.q) }
+func (p *prefetcher) depth() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.queue)
+}

@@ -39,17 +39,18 @@ const (
 	// epoch's known access sequence, pushed in first-access order by a
 	// client whose IIS sampler has already drawn the schedule. Request:
 	// u8 opcode | u32 epoch | u32 n | n × i64 id. The server performs the
-	// normal epoch-boundary duties and — when clairvoyant planning is
-	// enabled — installs the sequence as the epoch's prefetch plan (see
-	// plan.go). A non-clairvoyant server still crosses the boundary and
-	// answers statusOK, so callers need no capability negotiation.
+	// normal epoch-boundary duties and — when it has a prefetch pool —
+	// queues the sequence's missing H-side as the epoch's prefetch plan
+	// before answering (see plan.go). A server without a pool still crosses
+	// the boundary and answers statusOK, so callers need no capability
+	// negotiation.
 	opEpochPlan = 11
 	// opPlanPreplace routes plan entries to their future owner: the sending
-	// planner decided (by rendezvous over the membership) that the receiver
+	// node decided (by rendezvous over the membership) that the receiver
 	// should hold these samples, and the receiver folds them into its own
-	// plan, admitting and fetching them through its own drain.
+	// plan, admitting and fetching them through its own prefetch queue.
 	// Request: u8 opcode | u32 n | n × i64 id. Response: statusOK |
-	// u32 accepted (0 when the receiver has no planner).
+	// u32 accepted (0 when the receiver has no prefetch pool).
 	opPlanPreplace = 12
 )
 

@@ -141,10 +141,6 @@ func (v *nodeView) rows() []series {
 
 		// Concurrent-serving-path family (metrics.ServingStats).
 		{"icache_serving_coalesced_misses_total", "miss fetches that joined an in-flight fetch for the same sample", counter, "", float64(v.sv.CoalescedMisses)},
-		{"icache_prefetch_queued_total", "loader-delivered samples accepted by the prefetch pool", counter, "", float64(v.sv.PrefetchQueued)},
-		{"icache_prefetch_completed_total", "prefetches that finished", counter, "", float64(v.sv.PrefetchCompleted)},
-		{"icache_prefetch_dropped_total", "deliveries discarded because the prefetch queue was full", counter, "", float64(v.sv.PrefetchDropped)},
-		{"icache_prefetch_failed_total", "prefetch fetches that errored (sample stays lazy)", counter, "", float64(v.sv.PrefetchFailed)},
 		{"icache_prefetch_queue_depth", "current prefetch backlog", gauge, "", float64(v.sv.PrefetchQueueDepth)},
 		{"icache_prefetch_workers", "configured prefetch pool size", gauge, "", float64(v.sv.PrefetchWorkers)},
 		{"icache_buffer_pool_gets_total", "pooled-buffer checkouts on the wire path", counter, "", float64(v.sv.BufferGets)},
@@ -193,7 +189,7 @@ func (v *nodeView) rows() []series {
 		{"icache_prefetch_in_time_total", "prefetched payloads that served a request before anything else happened", counter, "prefetch_in_time", float64(v.d.PrefetchInTime)},
 		{"icache_prefetch_late_total", "prefetches the foreground beat to the fetch", counter, "prefetch_late", float64(v.d.PrefetchLate)},
 		{"icache_prefetch_wasted_total", "prefetched payloads evicted or epoch-swept untouched", counter, "prefetch_wasted", float64(v.d.PrefetchWasted)},
-		{"icache_prefetch_outcome_dropped_total", "prefetch deliveries dropped at enqueue plus failed fetches", counter, "prefetch_dropped", float64(v.d.PrefetchDropped)},
+		{"icache_prefetch_outcome_dropped_total", "prefetches dropped at enqueue plus refused or failed fetches", counter, "prefetch_dropped", float64(v.d.PrefetchDropped)},
 		{"icache_prefetch_timeliness_ratio", "in-time / (in-time + late + wasted); 0 before any prefetch resolves", gauge, "prefetch_timeliness", v.d.PrefetchTimeliness()},
 		{"icache_substitution_exact_total", "substitutions served by the same-region L-cache walk", counter, "sub_exact", float64(v.d.SubExact)},
 		{"icache_substitution_fallback_total", "substitutions served by the cross-region H-resident fallback", counter, "sub_fallback", float64(v.d.SubFallback)},
@@ -203,19 +199,19 @@ func (v *nodeView) rows() []series {
 		{"icache_epoch_hcache_bytes", "H-cache bytes at the last epoch boundary", gauge, "", float64(v.d.EpochHBytes)},
 		{"icache_epoch_lcache_bytes", "L-cache bytes at the last epoch boundary", gauge, "", float64(v.d.EpochLBytes)},
 
-		// Clairvoyant-planner family (zeros while the planner is off). The
+		// Clairvoyant-plan family (zeros until a client sends a plan). The
 		// demand-fetch counter is the headline: cold misses the plan failed to
 		// pre-place.
 		{"icache_plan_epoch", "epoch the current prefetch plan was installed for", gauge, "", float64(v.plan.Epoch)},
 		{"icache_plan_planned", "entries admitted to the current epoch's prefetch plan", gauge, "plan_planned", float64(v.plan.Planned)},
 		{"icache_plan_completed", "current-epoch plan entries drained", gauge, "plan_completed", float64(v.plan.Completed)},
-		{"icache_plan_remaining", "current-epoch plan entries still queued", gauge, "plan_remaining", float64(v.plan.Remaining)},
+		{"icache_plan_remaining", "current-epoch plan entries still queued or in flight", gauge, "plan_remaining", float64(v.plan.Remaining)},
 		{"icache_plan_entries_total", "plan entries admitted across all epochs", counter, "", float64(v.plan.EntriesTotal)},
 		{"icache_plan_completed_entries_total", "plan entries drained across all epochs", counter, "", float64(v.plan.CompletedTotal)},
 		{"icache_plan_skipped_resident_total", "plan entries skipped because their bytes were already local", counter, "", float64(v.plan.SkippedResident)},
 		{"icache_plan_skipped_cluster_total", "plan entries skipped because a live peer already owned them", counter, "", float64(v.plan.SkippedCluster)},
 		{"icache_plan_preplace_sent_total", "plan entries accepted by their future owner nodes", counter, "", float64(v.plan.PreplaceSent)},
-		{"icache_plan_preplace_recv_total", "plan entries accepted from peer planners", counter, "", float64(v.plan.PreplaceRecv)},
+		{"icache_plan_preplace_recv_total", "plan entries accepted from peers' plans", counter, "", float64(v.plan.PreplaceRecv)},
 		{"icache_plan_reroutes_total", "plan entries re-routed locally after a failed pre-place", counter, "", float64(v.plan.Reroutes)},
 		{"icache_demand_fetches_total", "backend reads issued on the demand path (cold misses)", counter, "demand_fetches", float64(v.demandFetches)},
 		{"icache_backend_reads_inflight", "backend reads holding a slot of the server-wide read budget", gauge, "", float64(v.readsInflight)},

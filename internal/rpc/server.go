@@ -78,14 +78,10 @@ type Server struct {
 	// coalescedMisses counts miss-path fetches that joined an in-flight
 	// fetch instead of issuing their own (atomic).
 	coalescedMisses int64
-	// prefetch is the bounded async worker pool that pulls payload bytes
-	// for samples the loader delivered into the L-cache (nil when
-	// disabled).
+	// prefetch is the one prefetch queue and its bounded worker pool: it
+	// pulls payload bytes for samples the loader delivered into the L-cache
+	// and for clairvoyant plan entries (nil when disabled).
 	prefetch *prefetcher
-	// plan is the clairvoyant cross-epoch prefetch planner (nil = reactive
-	// only); installed via SetClairvoyant before Serve. The planner drains
-	// through the prefetch worker pool.
-	plan *planner
 	// demandFetches counts backend reads issued on the demand path — the
 	// "cold miss" metric the clairvoyant plan exists to drive to zero (atomic).
 	demandFetches int64
@@ -169,11 +165,6 @@ func (s *Server) Addr() net.Addr { return s.t.Addr() }
 func (s *Server) Close() error {
 	err := s.t.Close()
 	s.once.Do(func() {
-		// The planner feeds the prefetch pool; stop it first so no planned
-		// enqueue races the pool teardown.
-		if s.plan != nil {
-			s.plan.stop()
-		}
 		if s.prefetch != nil {
 			s.prefetch.stop()
 		}
@@ -222,8 +213,9 @@ func (s *Server) SetAdmission(g *overload.Gate) {
 		return
 	}
 	g.OnStateChange(func(old, next overload.State) {
-		// Called under the gate's mutex: atomic flag flips and the
-		// lock-striped journal append only, no server locks.
+		// Called under the gate's mutex: flag flips (the prefetch pool's
+		// leaf lock) and the lock-striped journal append only, no server
+		// locks.
 		degraded := next != overload.Normal
 		s.cache.SetSubstitutionsDisabled(degraded)
 		if s.prefetch != nil {
@@ -261,52 +253,19 @@ func (s *Server) dispatchControl(req []byte, e *wire.Buffer, ctx obs.TraceCtx) e
 		s.policyMu.Unlock()
 	case opBeginEpoch:
 		_ = d.U32() // epoch number: accepted for symmetry/logging
-		s.policyMu.Lock()
-		s.cache.StartEpoch(s.now())
-		// Settle the prefetch-outcome ledger: pending prefetches the
-		// finished epoch never touched are wasted work.
-		s.prefetch.sweepEpoch()
-		epoch := s.cache.Epoch()
-		s.policyMu.Unlock()
-		s.journal.Add(obs.EventEpoch, s.journalNode(), epoch-1, epoch, "epoch boundary")
+		s.crossEpoch(nil, false)
 	case opEpochPlan:
-		// Clairvoyant epoch boundary: cross the boundary exactly like
-		// opBeginEpoch, then hand the policy engine the next epoch's known
-		// schedule. PlanSchedule seeds the loader with the missing L-side
-		// (honest virtual-time charging) and returns the missing H-side in
-		// first-access order for the planner to pre-place.
 		_, ids, err := decodeEpochPlanRequest(d)
 		if err != nil {
 			return err
 		}
-		s.policyMu.Lock()
-		s.cache.StartEpoch(s.now())
-		s.prefetch.sweepEpoch()
-		var need []dataset.SampleID
-		if s.plan != nil {
-			need = s.cache.PlanSchedule(ids)
-		}
-		epoch := s.cache.Epoch()
-		s.policyMu.Unlock()
-		if s.plan != nil {
-			s.plan.install(int64(epoch), need)
-			s.journal.Add(obs.EventEpoch, s.journalNode(), epoch-1, epoch,
-				fmt.Sprintf("epoch boundary (planned: %d missing H)", len(need)))
-		} else {
-			// A reactive server still honors the boundary — the client need
-			// not know whether planning is on.
-			s.journal.Add(obs.EventEpoch, s.journalNode(), epoch-1, epoch, "epoch boundary")
-		}
+		s.crossEpoch(ids, s.prefetch != nil)
 	case opPlanPreplace:
 		ids, err := decodePlanPreplaceRequest(d)
 		if err != nil {
 			return err
 		}
-		var accepted int
-		if s.plan != nil {
-			accepted = s.plan.acceptRemote(ids)
-		}
-		e.U32(uint32(accepted))
+		e.U32(uint32(s.acceptRemote(ids)))
 	case opStats:
 		s.policyMu.Lock()
 		st := s.cache.Stats()
@@ -327,6 +286,34 @@ func (s *Server) dispatchControl(req []byte, e *wire.Buffer, ctx obs.TraceCtx) e
 	return nil
 }
 
+// crossEpoch answers an epoch boundary. Under one policyMu hold the
+// prefetch ledger is settled first — tokens the finished epoch never touched
+// are wasted — and only then does the policy engine cross, because its loader
+// catch-up delivers packages whose prefetches belong to the new epoch. A plan
+// (planned: opEpochPlan on a server with a prefetch pool) also hands
+// PlanSchedule the new epoch's schedule — it seeds the loader with the
+// missing L-side (honest virtual-time charging) and returns the missing
+// H-side in first-access order — which is built and queued outside the lock
+// but before the boundary is answered. Without a pool a plan is a plain
+// boundary: the client need not know whether the server plans.
+func (s *Server) crossEpoch(schedule []dataset.SampleID, planned bool) {
+	s.policyMu.Lock()
+	s.prefetch.sweepEpoch()
+	s.cache.StartEpoch(s.now())
+	var need []dataset.SampleID
+	if planned {
+		need = s.cache.PlanSchedule(schedule)
+	}
+	epoch := s.cache.Epoch()
+	s.policyMu.Unlock()
+	what := "epoch boundary"
+	if planned {
+		s.plan(epoch, need)
+		what = fmt.Sprintf("epoch boundary (planned: %d missing H)", len(need))
+	}
+	s.journal.Add(obs.EventEpoch, s.journalNode(), epoch-1, epoch, what)
+}
+
 // deadlineExpired reports whether a request's budget has run out — the caller
 // then answers Expired, which counts the drop — recording the
 // remaining-budget histogram as a side effect. A zero deadline never expires.
@@ -344,10 +331,11 @@ func (s *Server) deadlineExpired(dl time.Time) bool {
 }
 
 // backendReadBudget bounds the backend reads the whole SERVER keeps in
-// flight — demand gathers of every request, the prefetch workers, the planner
-// and checkpoint rehydration all draw on it in readBackend. 32 is twice the
-// service slots of the paper's default store as this repo models it
-// (storage.OrangeFS(): 4 servers × ServerParallelism 4): a storage slot never
+// flight — demand gathers of every request, the prefetch workers (reactive
+// and planned entries alike) and checkpoint rehydration all draw on it in
+// readBackend. 32 is twice the service slots of the paper's default store as
+// this repo models it (storage.OrangeFS(): 4 servers × ServerParallelism 4):
+// a storage slot never
 // idles between two reads, and the store never sees more than that, however
 // many requests are in flight. Slots are granted in arrival order whatever the
 // class of the read: strict demand priority would invert through the
@@ -395,15 +383,16 @@ func (s *Server) collect(sc *serveScratch, ctx obs.TraceCtx, dl time.Time) error
 			continue
 		}
 		c, leader := s.flight.Begin(int64(id))
+		// A prefetch of id still holding its token resolves late: this miss
+		// joined the fetch a worker leads, or leads the read itself and
+		// promotes a queued-but-unstarted entry past it (the backend must
+		// not pay twice).
+		s.prefetch.noteDemand(id)
 		if !leader {
 			sc.waits = append(sc.waits, missKey{id, c, i})
 			continue
 		}
 		sc.leads = append(sc.leads, missKey{id, c, i})
-		// A demand miss that overtakes a queued-but-unstarted prefetch
-		// promotes it: this fetch becomes the one backend read and the
-		// queued entry is cancelled (the backend must not pay twice).
-		s.prefetch.noteDemand(id)
 	}
 
 	// Pass 2: resolve the keys we lead. resolveMissBatch finishes every one

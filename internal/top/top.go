@@ -236,7 +236,7 @@ func spark(tl []obs.Point, key string, width int) string {
 
 // planProgress renders the clairvoyant plan's drain progress as
 // "completed/planned" with the remainder in parentheses, or "-" when the
-// node has no plan installed (planner off, or nothing missing this epoch).
+// node has no plan queued (no client sent one, or nothing missing this epoch).
 func planProgress(m map[string]float64) string {
 	planned := m["icache_plan_planned"]
 	if planned == 0 {
