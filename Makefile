@@ -135,7 +135,9 @@ bench:
 # The per-layer testing.B benchmarks of the networked packages: serving path
 # and wire codecs, the two-node peer plane (BenchmarkRemoteReadPath: one
 # remote-read batch through the frame handler, -benchmem), observability
-# overhead, the virtual-time sharded directory, the loadgen saturation /
+# overhead, the virtual-time sharded directory, the directory client's
+# ownership-write combiner (BenchmarkOwnershipWrites: ns and frames per claim
+# from 1 and 64 concurrent claimers), the loadgen saturation /
 # overload / clairvoyant runs, and BenchmarkShortSleep (what the repository
 # benchmark's 500 us backend sleep costs in an idle and in a busy process). Nothing is archived or compared: the benchmarks that gate
 # anything carry their own b.Fatalf (BenchmarkLoadgenOverload: storm goodput

@@ -112,14 +112,18 @@ func main() {
 		mux := http.NewServeMux()
 		mux.Handle("/debug/obs", srv.DebugObsHandler())
 		// Directory-side timeline: ownership and membership counters once a
-		// second, ten minutes of lookback.
+		// second, ten minutes of lookback. ownership_frames over the nodes'
+		// admissions is their directory round trips per admitted sample.
 		timeline := obs.NewTimeline(600, func() map[string]float64 {
 			claims, denied := dir.Stats()
+			frames, ops := srv.OwnershipStats()
 			ms := dir.Membership()
 			return map[string]float64{
 				"owned":             float64(dir.Len()),
 				"claims":            float64(claims),
 				"claims_denied":     float64(denied),
+				"ownership_frames":  float64(frames),
+				"ownership_ops":     float64(ops),
 				"registers":         float64(ms.Registers),
 				"heartbeats":        float64(ms.Heartbeats),
 				"heartbeat_rejects": float64(ms.HeartbeatRejects),

@@ -123,37 +123,55 @@ func (d *Directory) LookupBatch(ids []dataset.SampleID) []Owner {
 // and an item owned by a Dead node is reclaimable: the first claimer wins
 // the transfer (counted in MembershipStats.Reclaims).
 func (d *Directory) Claim(id dataset.SampleID, node NodeID) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if cur, ok := d.owner[id]; ok {
-		if cur == node {
-			return true
-		}
-		now := d.now()
-		d.syncStates(now)
-		if d.stateOf(cur, now) == NodeDead {
-			d.owner[id] = node
-			d.ms.Reclaims++
-			d.claims++
-			return true
-		}
-		d.denied++
-		return false
-	}
-	d.owner[id] = node
-	d.claims++
-	return true
+	return d.write(ownOp{ownClaim, id, node})
 }
 
 // Release removes node's ownership of id. Releasing an item the node does
 // not own is a no-op returning false, so eviction races are harmless.
 func (d *Directory) Release(id dataset.SampleID, node NodeID) bool {
+	return d.write(ownOp{ownRelease, id, node})
+}
+
+func (d *Directory) write(o ownOp) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if cur, ok := d.owner[id]; !ok || cur != node {
-		return false
+	return d.writeLocked(o)
+}
+
+// applyOwnership applies ops in order under one lock hold: out[i] is what the
+// serial Claim or Release of ops[i] would have returned.
+func (d *Directory) applyOwnership(ops []ownOp) []bool {
+	out := make([]bool, len(ops))
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for i, o := range ops {
+		out[i] = d.writeLocked(o)
 	}
-	delete(d.owner, id)
+	return out
+}
+
+func (d *Directory) writeLocked(o ownOp) bool {
+	cur, owned := d.owner[o.id]
+	switch {
+	case o.kind == ownRelease:
+		if owned && cur == o.node {
+			delete(d.owner, o.id)
+			return true
+		}
+		return false
+	case owned && cur == o.node:
+		return true
+	case owned:
+		now := d.now()
+		d.syncStates(now)
+		if d.stateOf(cur, now) != NodeDead {
+			d.denied++
+			return false
+		}
+		d.ms.Reclaims++
+	}
+	d.owner[o.id] = o.node
+	d.claims++
 	return true
 }
 
@@ -209,6 +227,42 @@ type Service interface {
 // implement it; an in-process directory has no hop to carry anything to.
 type CtxService interface {
 	LookupBatchCtx(ids []dataset.SampleID, ctx obs.TraceCtx, dl time.Time) ([]Owner, error)
+}
+
+// BatchService is the optional batched half of the ownership writes: many
+// claims (release false) or releases of ids by node as one directory
+// operation, one verdict per id, or on error the verdicts of a prefix of ids.
+// DirClient implements it. ClaimAll and ReleaseAll give any other directory
+// one call per id, so an in-process or fault-injecting one sees the calls it
+// always saw.
+type BatchService interface {
+	WriteBatch(release bool, ids []dataset.SampleID, node NodeID) ([]bool, error)
+}
+
+// ClaimAll claims ids for node. Like a lifecycle step it stops at the first
+// directory error: the verdicts then answer the ids before it.
+func ClaimAll(svc Service, ids []dataset.SampleID, node NodeID) ([]bool, error) {
+	return writeAll(svc, false, ids, node, svc.Claim)
+}
+
+// ReleaseAll releases ids for node, stopping at the first error like ClaimAll.
+func ReleaseAll(svc Service, ids []dataset.SampleID, node NodeID) ([]bool, error) {
+	return writeAll(svc, true, ids, node, svc.Release)
+}
+
+func writeAll(svc Service, release bool, ids []dataset.SampleID, node NodeID, one func(dataset.SampleID, NodeID) (bool, error)) ([]bool, error) {
+	if b, ok := svc.(BatchService); ok {
+		return b.WriteBatch(release, ids, node)
+	}
+	out := make([]bool, 0, len(ids))
+	for _, id := range ids {
+		ok, err := one(id, node)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, ok)
+	}
+	return out, nil
 }
 
 // Local adapts an in-process Directory to the fallible Service contract

@@ -24,9 +24,21 @@ func FuzzDirDispatch(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{opLookup})
 	f.Add([]byte{opLookup, 0, 0, 0, 0, 0, 0, 0, 7})
-	f.Add([]byte{opClaim, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 1})
-	f.Add([]byte{opClaim, 0, 0, 0, 0})
-	f.Add([]byte{opRelease, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 1})
+	// The retired per-id claim (2) and release (3): answered as unknown.
+	f.Add([]byte{2, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 1})
+	f.Add([]byte{3, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 2})
+	// Ownership frames: well-formed (node 2 claims 9, then releases 7), a
+	// truncated entry, an unknown entry op, a count above MaxOwnBatch, and a
+	// count of 0. A rejected frame must change nothing.
+	f.Add([]byte{opOwnBatch, 0, 0, 0, 2,
+		ownClaim, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 2,
+		ownRelease, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 2})
+	f.Add([]byte{opOwnBatch, 0, 0, 0, 2, ownClaim, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 2, ownRelease, 0, 0, 0})
+	f.Add([]byte{opOwnBatch, 0, 0, 0, 2,
+		ownRelease, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 2,
+		9, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 2})
+	f.Add([]byte{opOwnBatch, 0, 0, 0x10, 0x01})
+	f.Add([]byte{opOwnBatch, 0, 0, 0, 0})
 	f.Add([]byte{opLen})
 	f.Add([]byte{opRegister, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 2, 84, 11, 228, 0})
 	f.Add([]byte{opRegister, 0, 0, 0, 0, 0, 0, 0, 2, 255, 255, 255, 255, 255, 255, 255, 255})
@@ -118,6 +130,12 @@ func FuzzDirDispatch(f *testing.F) {
 		}
 		if len(resp) == 0 {
 			t.Fatal("empty response")
+		}
+		if len(req) > 0 && (req[0] == 2 || req[0] == 3) && resp[0] != transport.StatusErr {
+			t.Fatalf("retired opcode %d answered %x, want an unknown-opcode error", req[0], resp)
+		}
+		if owner, ok := srv.dir.Lookup(7); resp[0] == transport.StatusErr && (!ok || owner != 2 || srv.dir.Len() != 1) {
+			t.Fatalf("request %x was refused but changed the ownership table", req)
 		}
 		switch resp[0] {
 		case transport.StatusOK, transport.StatusErr, transport.StatusExpired:

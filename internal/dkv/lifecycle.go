@@ -34,6 +34,9 @@ const (
 	// DropCheckpointDenied: a checkpoint-restored resident whose ownership
 	// replay was denied after rejoin.
 	DropCheckpointDenied
+	// DropDirUnavailable: the node's claim got no answer (directory down,
+	// breaker open), so it keeps no copy the directory does not credit it.
+	DropDirUnavailable
 )
 
 // Residents is a node's cache as the steps see it. *icache.Server has these
@@ -94,21 +97,20 @@ func (m Member) Rejoin() (d metrics.MembershipStats, err error) {
 // Reconcile re-claims every sample the node caches. Claims are idempotent
 // for the current owner, so entries nobody touched re-affirm; an entry
 // another node won in the meantime comes back denied and the local copy is
-// dropped, preserving the no-duplication invariant.
+// dropped, preserving the no-duplication invariant. The replay is one
+// ClaimAll: a few frames to a DirClient, not one round trip per resident.
 func (m Member) Reconcile() (d metrics.MembershipStats, err error) {
-	for _, id := range m.Cache.Residents(nil) {
-		claimed, err := m.Dir.Claim(id, m.ID)
-		if err != nil {
-			return d, err
-		}
-		if claimed {
+	ids := m.Cache.Residents(nil)
+	claimed, err := ClaimAll(m.Dir, ids, m.ID)
+	for i, ok := range claimed {
+		if ok {
 			d.ReplayedClaims++
 			continue
 		}
 		d.ReplayDenied++
-		m.Cache.DropFor(id, DropCheckpointDenied)
+		m.Cache.DropFor(ids[i], DropCheckpointDenied)
 	}
-	return d, nil
+	return d, err
 }
 
 // Scrub runs one bounded anti-entropy sweep, reconciling the directory
@@ -125,19 +127,21 @@ func (m Member) Scrub(mark, batch int) (next int, d metrics.MembershipStats, err
 	if err != nil {
 		return mark, d, err
 	}
+	var gone []dataset.SampleID
 	for _, id := range owned {
-		if m.Cache.Resident(id) {
-			continue
+		if !m.Cache.Resident(id) {
+			gone = append(gone, id)
 		}
-		if _, err := m.Dir.Release(id, m.ID); err != nil {
-			return mark, d, err
-		}
-		d.ScrubReleased++
+	}
+	released, err := ReleaseAll(m.Dir, gone, m.ID)
+	d.ScrubReleased += int64(len(released))
+	if err != nil {
+		return mark, d, err
 	}
 
 	// Direction 2: cached samples the directory does not credit to this
-	// node. One LookupBatch answers ownership for the whole window; claims
-	// stay per id — they are the rare repairs, not the common probe.
+	// node. One LookupBatch answers ownership for the whole window, and one
+	// ClaimAll re-claims the unregistered ones.
 	ids := m.Cache.Residents(nil)
 	if n := len(ids); n > 0 {
 		if mark >= n {
@@ -154,24 +158,31 @@ func (m Member) Scrub(mark, batch int) (next int, d metrics.MembershipStats, err
 		if err != nil {
 			return mark, d, err
 		}
+		// Unregistered residents are re-claimed so peers can find the copy;
+		// one a peer owns (or wins the race between lookup and claim) is the
+		// duplicate, and goes.
+		var unowned, dup []dataset.SampleID
 		for i, id := range window {
-			if o := owners[i]; o.Found && o.Node == m.ID {
-				continue // directory and cache agree
-			} else if !o.Found {
-				// Unregistered: re-claim it so peers can find the copy.
-				claimed, err := m.Dir.Claim(id, m.ID)
-				if err != nil {
-					return mark, d, err
-				}
-				if claimed {
-					d.ScrubReclaimed++
-					continue
-				}
+			if o := owners[i]; !o.Found {
+				unowned = append(unowned, id)
+			} else if o.Node != m.ID {
+				dup = append(dup, id)
 			}
-			// A peer owns it (or won the race between lookup and claim):
-			// this copy is the duplicate.
+		}
+		claimed, err := ClaimAll(m.Dir, unowned, m.ID)
+		for i, ok := range claimed {
+			if ok {
+				d.ScrubReclaimed++
+			} else {
+				dup = append(dup, unowned[i])
+			}
+		}
+		for _, id := range dup {
 			m.Cache.DropFor(id, DropScrub)
 			d.ScrubDropped++
+		}
+		if err != nil {
+			return mark, d, err
 		}
 		mark = (mark + len(window)) % n
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync/atomic"
 	"time"
 
 	"icache/internal/dataset"
@@ -27,11 +28,11 @@ import (
 // trace, mux and deadline envelopes): opRegister, opListNodes and opPurgeDead
 // held those numbers before the directory moved onto the transport, so a
 // DirClient and a DirServer from either side of that move do not interoperate
-// (the handshake fails the dial).
+// (the handshake fails the dial). 2 and 3 were the per-id claim and release:
+// ownership writes ride opOwnBatch (own.go), and a server answers 2 and 3 as
+// unknown opcodes.
 const (
 	opLookup      = 1
-	opClaim       = 2
-	opRelease     = 3
 	opLen         = 4
 	opHeartbeat   = 6
 	opOwnedBy     = 8
@@ -39,6 +40,7 @@ const (
 	opRegister    = 14
 	opListNodes   = 15
 	opPurgeDead   = 16
+	opOwnBatch    = 17
 )
 
 // maxLookupBatch bounds one opLookupBatch request server-side. It mirrors
@@ -64,6 +66,16 @@ type DirServer struct {
 	// journal, when set, receives shard hand-off events; SetJournal also
 	// arms the wrapped Directory's membership-flip events.
 	journal *obs.Journal
+
+	ownFrames, ownOps atomic.Int64 // see OwnershipStats
+}
+
+// OwnershipStats reports the opOwnBatch frames the server has applied and
+// the claims and releases they carried. Frames per admitted sample is a
+// node's directory round trips on its fill path; ops per frame is how much
+// the clients' combiners folded together.
+func (s *DirServer) OwnershipStats() (frames, ops int64) {
+	return s.ownFrames.Load(), s.ownOps.Load()
 }
 
 // SetJournal installs a control-plane event journal on the server AND the
@@ -127,16 +139,17 @@ func (s *DirServer) dispatch(req []byte, e *wire.Buffer) error {
 		for _, o := range owners {
 			encodeOwner(e, o.Node, o.Found)
 		}
-	case opClaim, opRelease:
-		id := dataset.SampleID(d.I64())
-		node := NodeID(d.I64())
-		if d.Err != nil {
-			return d.Err
+	case opOwnBatch:
+		ops, err := decodeOwnBatch(d)
+		if err != nil {
+			return err
 		}
-		if op == opClaim {
-			encodeBool(e, s.dir.Claim(id, node))
-		} else {
-			encodeBool(e, s.dir.Release(id, node))
+		s.ownFrames.Add(1)
+		s.ownOps.Add(int64(len(ops)))
+		verdicts := s.dir.applyOwnership(ops)
+		e.U32(uint32(len(verdicts)))
+		for _, v := range verdicts {
+			encodeBool(e, v)
 		}
 	case opLen:
 		e.I64(int64(s.dir.Len()))
@@ -233,8 +246,12 @@ func encodeOwner(e *wire.Buffer, node NodeID, found bool) {
 // failures under an exponential-backoff-with-jitter policy with a fresh
 // connection per attempt. Every directory operation is idempotent (Lookup is
 // pure, Claim is first-claim-wins and re-claiming one's own item succeeds,
-// Release of a non-owned item is a no-op), so blind retry is safe.
-type DirClient struct{ t *transport.Client }
+// Release of a non-owned item is a no-op), so blind retry is safe. Claims and
+// releases go through the combiner (own.go).
+type DirClient struct {
+	t   *transport.Client
+	own combiner
+}
 
 // DialConfig parameterizes a directory dial — DialDirConfigured for one
 // service, DialSharded for each replica of a partitioned one. The zero value
@@ -376,34 +393,6 @@ func (c *DirClient) LookupBatchCtx(ids []dataset.SampleID, ctx obs.TraceCtx, dl 
 		}
 	}
 	return out, nil
-}
-
-// Claim registers node as the owner of id (first claim wins).
-func (c *DirClient) Claim(id dataset.SampleID, node NodeID) (bool, error) {
-	e := wire.GetBuffer()
-	e.U8(opClaim)
-	e.I64(int64(id))
-	e.I64(int64(node))
-	d, owner, err := c.roundTripDeadline(e, time.Time{})
-	if err != nil {
-		return false, err
-	}
-	defer wire.PutBuffer(owner)
-	return d.U8() == 1, d.Err
-}
-
-// Release removes node's ownership of id.
-func (c *DirClient) Release(id dataset.SampleID, node NodeID) (bool, error) {
-	e := wire.GetBuffer()
-	e.U8(opRelease)
-	e.I64(int64(id))
-	e.I64(int64(node))
-	d, owner, err := c.roundTripDeadline(e, time.Time{})
-	if err != nil {
-		return false, err
-	}
-	defer wire.PutBuffer(owner)
-	return d.U8() == 1, d.Err
 }
 
 // Len reports the number of owned items.

@@ -377,7 +377,7 @@ func TestShardedDialBoundsASilentReplica(t *testing.T) {
 // directory moved onto the transport, and were renumbered).
 func TestNoOpcodeCollidesWithTheTransport(t *testing.T) {
 	for name, op := range map[string]byte{
-		"opLookup": opLookup, "opClaim": opClaim, "opRelease": opRelease, "opLen": opLen,
+		"opLookup": opLookup, "opOwnBatch": opOwnBatch, "opLen": opLen,
 		"opHeartbeat": opHeartbeat, "opOwnedBy": opOwnedBy, "opLookupBatch": opLookupBatch,
 		"opRingView": opRingView, "opHandoff": opHandoff, "opRegister": opRegister,
 		"opListNodes": opListNodes, "opPurgeDead": opPurgeDead,

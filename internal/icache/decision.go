@@ -22,6 +22,7 @@ const (
 	DropDeadOwner        = dkv.DropDeadOwner
 	DropScrub            = dkv.DropScrub
 	DropCheckpointDenied = dkv.DropCheckpointDenied
+	DropDirUnavailable   = dkv.DropDirUnavailable
 )
 
 // decisionState holds the Server's introspection counters.
@@ -33,6 +34,7 @@ type decisionState struct {
 	dropDeadOwner        int64
 	dropScrub            int64
 	dropCheckpointDenied int64
+	dropDirUnavailable   int64
 
 	subExact    int64
 	subFallback int64
@@ -45,8 +47,6 @@ type decisionState struct {
 
 // DropFor removes a sample from whichever cache region holds it, tagging
 // the removal with its reason; it reports whether the sample was resident.
-// The plain Drop remains as the dead-owner shorthand (every legacy call
-// site had lost-ownership semantics).
 func (s *Server) DropFor(id dataset.SampleID, reason DropReason) bool {
 	if !(s.h.remove(id) || s.l.remove(id)) {
 		return false
@@ -57,6 +57,8 @@ func (s *Server) DropFor(id dataset.SampleID, reason DropReason) bool {
 		s.dec.dropScrub++
 	case DropCheckpointDenied:
 		s.dec.dropCheckpointDenied++
+	case DropDirUnavailable:
+		s.dec.dropDirUnavailable++
 	default:
 		s.dec.dropDeadOwner++
 	}
@@ -96,6 +98,7 @@ func (s *Server) DecisionLedger() metrics.DecisionStats {
 		EvictDeadOwner:        s.dec.dropDeadOwner,
 		EvictScrub:            s.dec.dropScrub,
 		EvictCheckpointDenied: s.dec.dropCheckpointDenied,
+		EvictDirUnavailable:   s.dec.dropDirUnavailable,
 		EvictTotal:            capacity + s.dec.directed,
 		SubExact:              s.dec.subExact,
 		SubFallback:           s.dec.subFallback,

@@ -275,15 +275,6 @@ func (s *Server) Tracer() *trace.Recorder { return s.tracer }
 // cache state at epoch boundaries.
 func (s *Server) StartEpoch(at simclock.Time) { s.startEpoch(at) }
 
-// Drop removes a sample from whichever cache region holds it, reporting
-// whether it was resident. The distributed byte-serving layer uses it when
-// a directory claim is lost: the node must not keep a duplicate copy.
-// Equivalent to DropFor with the dead-owner reason; callers with a more
-// specific reason (scrub repair, denied checkpoint replay) use DropFor.
-func (s *Server) Drop(id dataset.SampleID) bool {
-	return s.DropFor(id, DropDeadOwner)
-}
-
 // Resident reports whether a sample currently lives in either cache region.
 // The byte-serving RPC layer uses it to keep its payload store aligned with
 // the cache's admission decisions.

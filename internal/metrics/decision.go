@@ -8,7 +8,8 @@ package metrics
 // Two conservation identities hold at epoch boundaries (pinned by
 // TestDecisionLedgerConservation):
 //
-//	EvictCapacity + EvictDeadOwner + EvictScrub + EvictCheckpointDenied == EvictTotal
+//	EvictCapacity + EvictDeadOwner + EvictScrub + EvictCheckpointDenied
+//	  + EvictDirUnavailable                                             == EvictTotal
 //	PrefetchInTime + PrefetchLate + PrefetchWasted + PrefetchDropped   == PrefetchIssued
 //
 // The prefetch identity only balances at epoch boundaries because samples
@@ -20,11 +21,13 @@ type DecisionStats struct {
 	// evictions (the paper's H/L replacement); the others are directed
 	// drops: dead-owner (the directory credits the sample to another node),
 	// scrub (anti-entropy sweep repair), checkpoint-denied (a restored
-	// resident whose ownership replay was denied after rejoin).
+	// resident whose ownership replay was denied after rejoin),
+	// dir-unavailable (the admission's claim got no answer).
 	EvictCapacity         int64
 	EvictDeadOwner        int64
 	EvictScrub            int64
 	EvictCheckpointDenied int64
+	EvictDirUnavailable   int64
 	// EvictTotal is counted independently at the removal core, so the sum
 	// identity is a real wiring check, not an arithmetic tautology.
 	EvictTotal int64

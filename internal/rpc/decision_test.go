@@ -14,8 +14,11 @@ import (
 	"time"
 
 	"icache/internal/dataset"
+	"icache/internal/dkv"
+	"icache/internal/faults"
 	"icache/internal/icache"
 	"icache/internal/leakcheck"
+	"icache/internal/metrics"
 	"icache/internal/obs"
 	"icache/internal/sampling"
 )
@@ -24,7 +27,8 @@ import (
 // background prefetch deliveries, a directed drop) across epoch boundaries
 // and then pins the full decision ledger:
 //
-//	EvictCapacity + EvictDeadOwner + EvictScrub + EvictCheckpointDenied == EvictTotal
+//	EvictCapacity + EvictDeadOwner + EvictScrub + EvictCheckpointDenied
+//	  + EvictDirUnavailable                                             == EvictTotal
 //	PrefetchInTime + PrefetchLate + PrefetchWasted + PrefetchDropped
 //	  + outstanding tokens                                             == PrefetchIssued
 //
@@ -85,10 +89,7 @@ func TestDecisionLedgerConservation(t *testing.T) {
 	}
 
 	d := srv.DecisionStats()
-	if sum := d.EvictCapacity + d.EvictDeadOwner + d.EvictScrub + d.EvictCheckpointDenied; sum != d.EvictTotal {
-		t.Errorf("eviction ledger leaks: capacity %d + dead-owner %d + scrub %d + ckpt-denied %d = %d, want EvictTotal %d",
-			d.EvictCapacity, d.EvictDeadOwner, d.EvictScrub, d.EvictCheckpointDenied, sum, d.EvictTotal)
-	}
+	requireEvictionsReasoned(t, d)
 	if d.EvictScrub == 0 {
 		t.Error("directed scrub drop was not reason-counted")
 	}
@@ -107,6 +108,46 @@ func TestDecisionLedgerConservation(t *testing.T) {
 	if d.EpochHCount == 0 && d.EpochLCount == 0 {
 		t.Error("epoch-boundary residency snapshot is empty")
 	}
+}
+
+func requireEvictionsReasoned(t *testing.T, d metrics.DecisionStats) {
+	t.Helper()
+	if sum := d.EvictCapacity + d.EvictDeadOwner + d.EvictScrub + d.EvictCheckpointDenied + d.EvictDirUnavailable; sum != d.EvictTotal {
+		t.Errorf("eviction ledger leaks: capacity %d + dead-owner %d + scrub %d + ckpt-denied %d + dir-unavailable %d = %d, want EvictTotal %d",
+			d.EvictCapacity, d.EvictDeadOwner, d.EvictScrub, d.EvictCheckpointDenied, d.EvictDirUnavailable, sum, d.EvictTotal)
+	}
+}
+
+// TestFailedClaimIsNotADeadOwner: an admission whose claim errors drops its
+// copy as dir-unavailable, not as dead-owner — no other node owns anything
+// here — and each drop is one counted directory failure.
+func TestFailedClaimIsNotADeadOwner(t *testing.T) {
+	defer leakcheck.Check(t)
+	inj := faults.New(1).Add(faults.FailN(faults.OpDirClaim, 5, nil))
+	srv := newUnstartedServer(t, nil, 0)
+	srv.EnableDistributed(0, faults.WrapDir(dkv.Local{Dir: dkv.NewDirectory()}, inj), nil)
+	c := dial(t, serveOn(t, srv))
+	var items []sampling.Item
+	for id := dataset.SampleID(0); id < 20; id++ {
+		items = append(items, sampling.Item{ID: id, IV: 5})
+	}
+	if err := c.UpdateImportance(items); err != nil {
+		t.Fatal(err)
+	}
+	for id := dataset.SampleID(0); id < 20; id++ {
+		if _, err := c.GetBatch([]dataset.SampleID{id}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := srv.DecisionStats()
+	if d.EvictDeadOwner != 0 || d.EvictDirUnavailable != 5 || inj.Fired(faults.OpDirClaim) != 5 {
+		t.Errorf("5 failed claims: dead-owner %d, dir-unavailable %d; want 0 and 5", d.EvictDeadOwner, d.EvictDirUnavailable)
+	}
+	if _, dirFailures := srv.ResilienceStats(); dirFailures != 5 {
+		t.Errorf("%d directory failures counted, want 5", dirFailures)
+	}
+	requireEvictionsReasoned(t, d)
+	requireStoreWithinResidents(t, srv)
 }
 
 // TestEpochSweepPrecedesLoaderCatchUp: crossing a boundary rolls the loader

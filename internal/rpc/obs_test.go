@@ -229,7 +229,7 @@ func TestPrometheusExpositionAddsUpUnderLoad(t *testing.T) {
 		if sum := m["icache_cache_hits_total"] + m["icache_cache_misses_total"] + m["icache_cache_substitutions_total"] + m["icache_cache_degraded_total"]; sum != m["icache_cache_requests_total"] {
 			t.Errorf("scrape %d: outcome classes sum to %g, requests %g", i, sum, m["icache_cache_requests_total"])
 		}
-		if sum := m["icache_evict_capacity_total"] + m["icache_evict_dead_owner_total"] + m["icache_evict_scrub_total"] + m["icache_evict_checkpoint_denied_total"]; sum != m["icache_evict_reasoned_total"] {
+		if sum := m["icache_evict_capacity_total"] + m["icache_evict_dead_owner_total"] + m["icache_evict_scrub_total"] + m["icache_evict_checkpoint_denied_total"] + m["icache_evict_dir_unavailable_total"]; sum != m["icache_evict_reasoned_total"] {
 			t.Errorf("scrape %d: eviction reasons sum to %g, total %g", i, sum, m["icache_evict_reasoned_total"])
 		}
 		if m["icache_cache_evictions_total"] != m["icache_evict_capacity_total"] {

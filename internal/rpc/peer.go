@@ -152,13 +152,12 @@ type distState struct {
 }
 
 // releaseQueueLen bounds the evictions whose directory release is still to be
-// sent (8 bytes each). The worker sends one at a time — 38 k/s against a
-// loopback directory, twice what icache-train's cold epochs evict — so a
-// stalled directory parks one goroutine for one RPCTimeout per release, not
-// one per eviction. The queue is deep enough for a whole epoch's burst on a
-// starved host (EXPERIMENTS.md, PR 23: a 1024-entry queue lost 34 122 of
-// 36 303 releases there, this one none); what does not fit is counted as a
-// directory failure and the scrubber releases it.
+// sent (8 bytes each). One worker drains it, so a stalled directory parks one
+// goroutine for one RPCTimeout per write, not one per eviction. The queue is
+// deep enough for a whole epoch's burst on a starved host (EXPERIMENTS.md,
+// PR 23: a 1024-entry queue lost 34 122 of 36 303 releases there, this one
+// none, when the worker sent one release per round trip); what does not fit
+// is counted as a directory failure and the scrubber releases it.
 const releaseQueueLen = 1 << 16
 
 // EnableDistributed joins the server to a directory service and a peer set.
@@ -427,7 +426,7 @@ func (s *Server) peerFetchBatch(sc *serveScratch, ids []dataset.SampleID, node d
 		// policyMu hold covers the whole chunk.
 		s.policyMu.Lock()
 		for i, k := range keys {
-			if res[i] != nil && s.cache.Drop(k.id) {
+			if res[i] != nil && s.cache.DropFor(k.id, dkv.DropDeadOwner) {
 				s.payloads.delete(k.id)
 			}
 		}
@@ -532,20 +531,20 @@ func (s *Server) PeerBatchStats() (rpcs, samples int64) {
 }
 
 // claimOwnership registers this node in the directory for a sample it just
-// admitted. Reports whether the claim succeeded (false means another node
-// already owns it, so this node must not keep a duplicate copy — and a
-// directory failure conservatively counts as a failed claim, since
-// unregistered ownership would invite duplication). Distributed servers only
-// (admit skips the claim on a lone one). Must be called with no server lock
-// held: it performs a directory round trip.
-func (s *Server) claimOwnership(id dataset.SampleID) bool {
+// admitted. It reports whether the node may keep the copy and, when not, why
+// it goes: another node owns the sample (dead-owner), or the claim got no
+// answer (dir-unavailable: counted as a directory failure, and the copy goes
+// because unregistered ownership would invite duplication). Distributed
+// servers only (admit skips the claim on a lone one). Must be called with no
+// server lock held: it performs a directory round trip.
+func (s *Server) claimOwnership(id dataset.SampleID) (keep bool, why dkv.DropReason) {
 	dist := s.dist
 	ok, err := dist.dir.Claim(id, dist.nodeID)
 	if err != nil {
 		atomic.AddInt64(&dist.dirFailures, 1)
-		return false
+		return false, dkv.DropDirUnavailable
 	}
-	return ok
+	return ok, dkv.DropDeadOwner
 }
 
 // releaseOwnership drops the directory entry for an evicted sample, best
@@ -564,17 +563,25 @@ func (s *Server) releaseOwnership(id dataset.SampleID) {
 	}
 }
 
-// releaseLoop is the server's one release worker: it sends the queued
-// releases in eviction order until the server closes.
+// releaseLoop is the server's one release worker: until the server closes it
+// takes everything queued, up to one frame's worth, and sends it in eviction
+// order as one ReleaseAll. A release that did not reach the directory is
+// counted as a directory failure.
 func (d *distState) releaseLoop() {
 	defer d.releaseWG.Done()
+	ids := make([]dataset.SampleID, 0, dkv.MaxOwnBatch)
 	for {
 		select {
 		case <-d.releaseStop:
 			return
 		case id := <-d.releases:
-			if _, err := d.dir.Release(id, d.nodeID); err != nil {
-				atomic.AddInt64(&d.dirFailures, 1)
+			ids = append(ids[:0], id)
+			for len(ids) < cap(ids) && len(d.releases) > 0 { // the one receiver: cannot block
+				ids = append(ids, <-d.releases)
+			}
+			done, err := dkv.ReleaseAll(d.dir, ids, d.nodeID)
+			if err != nil {
+				atomic.AddInt64(&d.dirFailures, int64(len(ids)-len(done)))
 			}
 		}
 	}

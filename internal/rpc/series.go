@@ -181,6 +181,7 @@ func (v *nodeView) rows() []series {
 		{"icache_evict_dead_owner_total", "drops because the directory credits another node", counter, "evict_dead_owner", float64(v.d.EvictDeadOwner)},
 		{"icache_evict_scrub_total", "drops by the anti-entropy scrubber", counter, "evict_scrub", float64(v.d.EvictScrub)},
 		{"icache_evict_checkpoint_denied_total", "restored residents dropped on a denied ownership replay", counter, "evict_checkpoint_denied", float64(v.d.EvictCheckpointDenied)},
+		{"icache_evict_dir_unavailable_total", "admitted copies dropped because their directory claim got no answer", counter, "", float64(v.d.EvictDirUnavailable)},
 		{"icache_evict_reasoned_total", "all removals (reason-coded counters sum to this)", counter, "", float64(v.d.EvictTotal)},
 		{"icache_admit_fetch_total", "payload admissions driven by foreground fetches", counter, "", float64(v.d.AdmitFetch)},
 		{"icache_admit_prefetch_total", "payload admissions driven by the prefetch pool", counter, "", float64(v.d.AdmitPrefetch)},

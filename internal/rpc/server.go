@@ -585,10 +585,9 @@ func (s *Server) admit(id dataset.SampleID, payload []byte, prov admitProv) {
 		if !resident {
 			return
 		}
-		if !s.claimOwnership(id) {
-			// Lost the claim race: another node owns it now.
+		if keep, why := s.claimOwnership(id); !keep {
 			s.policyMu.Lock()
-			s.cache.Drop(id)
+			s.cache.DropFor(id, why)
 			s.policyMu.Unlock()
 			return
 		}

@@ -168,6 +168,7 @@ func topEviction(m map[string]float64) string {
 		{"dead-owner", "icache_evict_dead_owner_total"},
 		{"scrub", "icache_evict_scrub_total"},
 		{"ckpt-denied", "icache_evict_checkpoint_denied_total"},
+		{"dir-unavailable", "icache_evict_dir_unavailable_total"},
 	}
 	best, bestV := "-", 0.0
 	for _, r := range reasons {
