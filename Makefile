@@ -28,7 +28,11 @@ vet:
 # /debug/timeline are both loops over. And there is one prefetch queue: the
 # plan builder (internal/rpc/plan.go) starts no goroutine and never sleeps or
 # polls, and no server-side switch (SetClairvoyant) grows back — the client that
-# sends a plan is the switch. Subsumes `vet` in `make all`.
+# sends a plan is the switch. And there is one framing on the wire: every
+# exchange rides the mux session, so the non-test files of internal/transport
+# name no CapMux or oneShot and call no WritePayload( (the bare frame a
+# capability handshake or a one-shot retry connection would write). Subsumes
+# `vet` in `make all`.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -62,6 +66,12 @@ lint:
 		grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build 'SetClairvoyant' .); \
 	if [ -n "$$stray" ]; then \
 		echo "a second prefetch drain (a plan is entries in the prefetch pool's one queue; the client's plan is the switch):"; echo "$$stray"; exit 1; \
+	fi
+	@stray=$$(for f in $$(ls internal/transport/*.go | grep -v _test.go); do \
+		sed 's,//.*,,' $$f | grep -nE 'CapMux|oneShot|WritePayload\(' | sed "s,^,$$f:,"; \
+	done); \
+	if [ -n "$$stray" ]; then \
+		echo "a second exchange path (every frame rides the mux session; a bare frame is refused):"; echo "$$stray"; exit 1; \
 	fi
 	$(GO) vet ./...
 

@@ -18,8 +18,8 @@ import (
 	"icache/internal/transport"
 )
 
-// The server's first write on a connection answers the dial's handshake, so
-// write 1 answers the first ownership frame and write 2 the second.
+// The server's first write on a connection answers the ping that proves the
+// dial, so write 1 answers the first ownership frame and write 2 the second.
 const firstReply, secondReply = 1, 2
 
 // faultyDir serves a fresh directory through a listener whose accepted

@@ -4,13 +4,13 @@ package dkv
 // the way a connection does — through the transport's frame handler, like
 // FuzzServerDispatch does for the cache service — including the membership
 // opcodes added for node lifecycle, asserting the malformed-client contract:
-// every request gets exactly one status-framed response, inside the mux
-// envelope it came in, and nothing panics. A broken cache node (or an
-// attacker on the directory port) must not be able to take the shared
-// directory down.
+// every request, sent in a mux envelope as a client sends it, gets exactly
+// one status-framed response inside that envelope, the retired per-id
+// opcodes (1, 2 and 3) are answered as unknown, and nothing panics. A broken
+// cache node (or an attacker on the directory port) must not be able to take
+// the shared directory down.
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -22,9 +22,10 @@ import (
 func FuzzDirDispatch(f *testing.F) {
 	// Seeds: every opcode well-formed, truncated operand forms, and garbage.
 	f.Add([]byte{})
-	f.Add([]byte{opLookup})
-	f.Add([]byte{opLookup, 0, 0, 0, 0, 0, 0, 0, 7})
-	// The retired per-id claim (2) and release (3): answered as unknown.
+	// The retired per-id lookup (1), claim (2) and release (3): answered as
+	// unknown.
+	f.Add([]byte{1})
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 7})
 	f.Add([]byte{2, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 1})
 	f.Add([]byte{3, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 2})
 	// Ownership frames: well-formed (node 2 claims 9, then releases 7), a
@@ -84,17 +85,18 @@ func FuzzDirDispatch(f *testing.F) {
 	const opDeadline = transport.OpDeadline
 	f.Add([]byte{opDeadline,
 		0, 0, 0, 0, 59, 154, 202, 0, // ~1s budget
-		opLookup, 0, 0, 0, 0, 0, 0, 0, 7})
-	f.Add([]byte{opDeadline, 0, 0, 0, 0, 0, 0, 0, 0, opLookup, 0, 0, 0, 0, 0, 0, 0, 7})
-	f.Add([]byte{opDeadline, 0, 0, 0, 0, 59, 154, 202, 0, opDeadline, 0, 0, 0, 0, 59, 154, 202, 0, opLookup})
+		opLookupBatch, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 7})
+	f.Add([]byte{opDeadline, 0, 0, 0, 0, 0, 0, 0, 0, opLookupBatch, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 7})
+	f.Add([]byte{opDeadline, 0, 0, 0, 0, 59, 154, 202, 0, opDeadline, 0, 0, 0, 0, 59, 154, 202, 0, opLookupBatch})
 	f.Add([]byte{opDeadline, 0, 0, 0, 1})
 	f.Add([]byte{opDeadline, 0, 0, 0, 0, 59, 154, 202, 0})
-	// Mux envelopes: around a lookup, one nested inside another
-	// (error-answered, never dispatched), a truncated header; a spent budget
-	// (1ns: must answer StatusExpired without touching the directory); the
-	// trace and deadline envelopes in both orders, bare and muxed; ring gossip
-	// inside the lot; and the handshake ping.
-	lookup := []byte{opLookup, 0, 0, 0, 0, 0, 0, 0, 7}
+	// Mux envelopes inside the one every request arrives in (error-answered,
+	// never dispatched): around a lookup, two deep, a truncated header; a
+	// spent budget (1ns: must answer StatusExpired without touching the
+	// directory); the trace and deadline envelopes in both orders; ring gossip
+	// inside the lot; and a ping carrying the capability word clients used to
+	// open a connection with.
+	lookup := []byte{opLookupBatch, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 7}
 	tctx := obs.TraceCtx{ID: 9, Hop: 2}
 	f.Add(transporttest.MuxWrap(1, lookup))
 	f.Add(transporttest.MuxWrap(1, transporttest.MuxWrap(2, lookup)))
@@ -102,10 +104,10 @@ func FuzzDirDispatch(f *testing.F) {
 	f.Add(transport.WrapDeadline(1, lookup))
 	f.Add(transport.WrapTraced(transport.WrapDeadline(time.Minute, lookup), tctx))
 	f.Add(transport.WrapDeadline(time.Minute, transport.WrapTraced(lookup, tctx)))
-	f.Add(transporttest.MuxWrap(3, transport.WrapDeadline(time.Minute, transport.WrapTraced(
-		[]byte{opLookupBatch, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 9}, tctx))))
-	f.Add(transporttest.MuxWrap(4, transport.WrapTraced(transport.WrapDeadline(time.Minute,
-		[]byte{opRingView, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1}), tctx)))
+	f.Add(transport.WrapDeadline(time.Minute, transport.WrapTraced(
+		[]byte{opLookupBatch, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 9}, tctx)))
+	f.Add(transport.WrapTraced(transport.WrapDeadline(time.Minute,
+		[]byte{opRingView, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1}), tctx))
 	f.Add([]byte{transport.OpPing, 0, 0, 0, 1})
 
 	f.Fuzz(func(t *testing.T, req []byte) {
@@ -119,19 +121,13 @@ func FuzzDirDispatch(f *testing.F) {
 		srv.dir.Claim(7, 2)
 
 		resp := transporttest.Dispatch(srv.t, req)
-		if len(req) >= transport.MuxHeaderLen && req[0] == transport.OpMux {
-			if !bytes.HasPrefix(resp, req[:transport.MuxHeaderLen]) {
-				t.Fatalf("muxed request answered %x: envelope not echoed", resp)
-			}
-			req, resp = req[transport.MuxHeaderLen:], resp[transport.MuxHeaderLen:]
-			if len(req) > 0 && req[0] == transport.OpMux && (len(resp) == 0 || resp[0] != transport.StatusErr) {
-				t.Fatalf("mux envelope inside a mux envelope answered %x, want StatusErr", resp)
-			}
-		}
 		if len(resp) == 0 {
 			t.Fatal("empty response")
 		}
-		if len(req) > 0 && (req[0] == 2 || req[0] == 3) && resp[0] != transport.StatusErr {
+		if len(req) > 0 && req[0] == transport.OpMux && resp[0] != transport.StatusErr {
+			t.Fatalf("mux envelope inside a mux envelope answered %x, want StatusErr", resp)
+		}
+		if len(req) > 0 && req[0] >= 1 && req[0] <= 3 && resp[0] != transport.StatusErr {
 			t.Fatalf("retired opcode %d answered %x, want an unknown-opcode error", req[0], resp)
 		}
 		if owner, ok := srv.dir.Lookup(7); resp[0] == transport.StatusErr && (!ok || owner != 2 || srv.dir.Len() != 1) {

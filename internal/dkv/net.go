@@ -24,15 +24,14 @@ import (
 // the handler that answers them.
 
 // Directory-service opcodes. opRingView (= 12) and opHandoff (= 13) live in
-// replica.go. 5, 7, 9 and 10 are the transport's (ping/handshake and the
-// trace, mux and deadline envelopes): opRegister, opListNodes and opPurgeDead
-// held those numbers before the directory moved onto the transport, so a
-// DirClient and a DirServer from either side of that move do not interoperate
-// (the handshake fails the dial). 2 and 3 were the per-id claim and release:
-// ownership writes ride opOwnBatch (own.go), and a server answers 2 and 3 as
-// unknown opcodes.
+// replica.go. 5, 7, 9 and 10 are the transport's (ping and the trace, mux and
+// deadline envelopes): opRegister, opListNodes and opPurgeDead held those
+// numbers before the directory moved onto the transport, so a DirClient and a
+// DirServer from either side of that move do not interoperate (the dial
+// fails). 1 was the per-id lookup and 2 and 3 the per-id claim and release:
+// a lookup is a one-id opLookupBatch, ownership writes ride opOwnBatch
+// (own.go), and a server answers 1, 2 and 3 as unknown opcodes.
 const (
-	opLookup      = 1
 	opLen         = 4
 	opHeartbeat   = 6
 	opOwnedBy     = 8
@@ -112,13 +111,6 @@ func (s *DirServer) Close() error { return s.t.Close() }
 func (s *DirServer) dispatch(req []byte, e *wire.Buffer) error {
 	d := wire.NewReader(req)
 	switch op := d.U8(); op {
-	case opLookup:
-		id := dataset.SampleID(d.I64())
-		if d.Err != nil {
-			return d.Err
-		}
-		node, found := s.dir.Lookup(id)
-		encodeOwner(e, node, found)
 	case opLookupBatch:
 		n := int(d.U32())
 		if d.Err != nil {
@@ -257,7 +249,7 @@ type DirClient struct {
 // service, DialSharded for each replica of a partitioned one. The zero value
 // selects the defaults DialDir uses.
 type DialConfig struct {
-	// Timeout bounds the TCP dial and the capability handshake.
+	// Timeout bounds the TCP dial and the ping that proves the session.
 	Timeout time.Duration
 	// Policy is the retry schedule of the dial and of every round trip (zero
 	// value: retry.Default()).
@@ -284,7 +276,7 @@ func DialDirPolicy(addr string, timeout time.Duration, policy retry.Policy) (*Di
 }
 
 // DialDirConfigured connects with explicit configuration. A server that does
-// not answer the transport's handshake (an icache-dkv from before the
+// not answer the transport's muxed ping (an icache-dkv from before the
 // directory moved onto it) fails the dial.
 func DialDirConfigured(addr string, cfg DialConfig) (*DirClient, error) {
 	tcfg := transport.DialConfig{Timeout: cfg.Timeout, Policy: cfg.Policy, RPCTimeout: cfg.RPCTimeout}
@@ -332,18 +324,13 @@ func decodeOwner(d *wire.Reader) (NodeID, bool) {
 	return NodeID(d.I64()), true
 }
 
-// Lookup reports which node owns id, if any.
+// Lookup reports which node owns id, if any: a one-id LookupBatch.
 func (c *DirClient) Lookup(id dataset.SampleID) (NodeID, bool, error) {
-	e := wire.GetBuffer()
-	e.U8(opLookup)
-	e.I64(int64(id))
-	d, owner, err := c.roundTripDeadline(e, time.Time{})
+	owners, err := c.LookupBatch([]dataset.SampleID{id})
 	if err != nil {
 		return 0, false, err
 	}
-	defer wire.PutBuffer(owner)
-	node, found := decodeOwner(d)
-	return node, found, d.Err
+	return owners[0].Node, owners[0].Found, nil
 }
 
 // LookupBatch resolves the owners of many ids in ONE wire round trip,

@@ -14,6 +14,7 @@ import (
 	"icache/internal/overload"
 	"icache/internal/retry"
 	"icache/internal/transport"
+	"icache/internal/transport/transporttest"
 	"icache/internal/wire"
 )
 
@@ -113,15 +114,15 @@ func TestDirServerRejectsBadOpcode(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := wire.WritePayload(conn, []byte{0xEE}); err != nil {
+	if err := wire.WritePayload(conn, transporttest.MuxWrap(1, []byte{0xEE})); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := wire.ReadFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp[0] != transport.StatusErr {
-		t.Fatalf("bad opcode answered %d", resp[0])
+	if resp[transport.MuxHeaderLen] != transport.StatusErr {
+		t.Fatalf("bad opcode answered %d", resp[transport.MuxHeaderLen])
 	}
 }
 
@@ -225,7 +226,7 @@ func TestDirClientPipelines(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		if err := answerHandshake(conn); err != nil {
+		if err := answerDialPing(conn); err != nil {
 			served <- err
 			return
 		}
@@ -285,8 +286,8 @@ func TestDirClientPipelines(t *testing.T) {
 	}
 }
 
-// TestShardedDialBoundsASilentReplica: one of three replicas completes the
-// handshake and then accepts every request without ever answering. The dial
+// TestShardedDialBoundsASilentReplica: one of three replicas answers the
+// dial's ping and then accepts every request without ever answering. The dial
 // configuration reaches every replica's client, so the call that routes to
 // it returns within the per-call bound, its shard fails over to a survivor,
 // and calls that route to the other two replicas were never held up behind
@@ -316,7 +317,7 @@ func TestShardedDialBoundsASilentReplica(t *testing.T) {
 				}
 				go func() {
 					defer conn.Close()
-					if answerHandshake(conn) == nil {
+					if answerDialPing(conn) == nil {
 						io.Copy(io.Discard, conn) // reads everything, answers nothing
 					}
 				}()
@@ -377,7 +378,7 @@ func TestShardedDialBoundsASilentReplica(t *testing.T) {
 // directory moved onto the transport, and were renumbered).
 func TestNoOpcodeCollidesWithTheTransport(t *testing.T) {
 	for name, op := range map[string]byte{
-		"opLookup": opLookup, "opOwnBatch": opOwnBatch, "opLen": opLen,
+		"opOwnBatch": opOwnBatch, "opLen": opLen,
 		"opHeartbeat": opHeartbeat, "opOwnedBy": opOwnedBy, "opLookupBatch": opLookupBatch,
 		"opRingView": opRingView, "opHandoff": opHandoff, "opRegister": opRegister,
 		"opListNodes": opListNodes, "opPurgeDead": opPurgeDead,

@@ -33,7 +33,7 @@ func (s *DirServer) OverloadCounters() (shed, expired int64) { return s.t.Overlo
 // load it sheds.
 func dirRoute(op byte) transport.Route {
 	switch op {
-	case opLookup, opLookupBatch, opOwnBatch:
+	case opLookupBatch, opOwnBatch:
 		return transport.Inline | transport.Gated
 	}
 	return transport.Inline

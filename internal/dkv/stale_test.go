@@ -3,6 +3,7 @@ package dkv
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -12,16 +13,17 @@ import (
 	"icache/internal/wire"
 )
 
-// answerHandshake plays the server's half of the dial-time handshake on a
-// hand-driven connection.
-func answerHandshake(conn net.Conn) error {
-	if _, err := wire.ReadFrame(conn); err != nil { // the capability ping
+// answerDialPing plays the server's half of a dial on a hand-driven
+// connection: it answers the muxed ping that proves the client's session.
+func answerDialPing(conn net.Conn) error {
+	ping, err := wire.ReadFrame(conn)
+	if err != nil {
 		return err
 	}
-	var hello wire.Buffer
-	hello.U8(transport.StatusOK)
-	hello.U32(transport.CapMux)
-	return wire.WritePayload(conn, hello.B)
+	if len(ping) != transport.MuxHeaderLen+1 || ping[0] != transport.OpMux || ping[transport.MuxHeaderLen] != transport.OpPing {
+		return fmt.Errorf("dial sent %x, want a muxed ping", ping)
+	}
+	return wire.WritePayload(conn, append(ping[:transport.MuxHeaderLen], transport.StatusOK))
 }
 
 // TestDirClientTimeoutDiscardsReadAhead times a call out in the middle of
@@ -50,7 +52,7 @@ func TestDirClientTimeoutDiscardsReadAhead(t *testing.T) {
 	}
 	t.Cleanup(func() { ln.Close() })
 
-	const early = 7 // the 4-byte prefix and 3 of the 15 body bytes
+	const early = 7 // the 4-byte prefix and 3 of the 19 body bytes
 	timedOut := make(chan struct{})
 	staleSent := make(chan struct{})
 	served := make(chan struct{})
@@ -60,7 +62,7 @@ func TestDirClientTimeoutDiscardsReadAhead(t *testing.T) {
 		if err != nil {
 			return
 		}
-		if answerHandshake(conn) != nil {
+		if answerDialPing(conn) != nil {
 			conn.Close()
 			return
 		}
@@ -72,6 +74,7 @@ func TestDirClientTimeoutDiscardsReadAhead(t *testing.T) {
 		lie := wire.GetBuffer()
 		lie.B = append(lie.B, req[:transport.MuxHeaderLen]...)
 		lie.U8(transport.StatusOK)
+		lie.U32(1)
 		lie.U8(1)
 		lie.I64(77)
 		var whole bytes.Buffer

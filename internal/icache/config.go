@@ -149,12 +149,13 @@ type Config struct {
 	Tier2ReadLatency time.Duration
 	Tier2Bandwidth   float64
 	// PrefetchWorkers sizes the serving path's asynchronous prefetch
-	// worker pool (the paper's Fig. 15 knob): when the background loader
-	// delivers an L-package, this many workers pull the real sample bytes
-	// from the backend concurrently so first requests hit DRAM. It only
-	// affects byte serving (the RPC server); the virtual-time simulation
-	// ignores it. 0 disables prefetching (bytes load lazily on first
-	// request).
+	// worker pool: when the background loader delivers an L-package, this
+	// many workers pull the real sample bytes from the backend concurrently
+	// so first requests hit DRAM. It only affects byte serving (the RPC
+	// server); the virtual-time simulation ignores it. It is not the paper's
+	// Fig. 15 knob, which varies the training job's data-loading workers
+	// (train.Config.Workers). 0 disables prefetching (bytes load lazily on
+	// first request).
 	PrefetchWorkers int
 	// Clairvoyant enables planned cross-epoch prefetching: because the IIS
 	// sampler draws the next epoch's schedule before the epoch begins, the

@@ -295,8 +295,8 @@ func (s *Server) SetLoadObserver(fn func(dataset.SampleID)) {
 	s.ld.onDeliver = fn
 }
 
-// PrefetchWorkers reports the configured prefetch pool size (the Fig. 15
-// knob); the byte-serving layer sizes its worker pool from this.
+// PrefetchWorkers reports the configured prefetch pool size; the
+// byte-serving layer sizes its worker pool from this.
 func (s *Server) PrefetchWorkers() int { return s.cfg.PrefetchWorkers }
 
 // SetEvictObserver registers fn to be called with every sample evicted from

@@ -149,7 +149,7 @@ func (m MembershipStats) String() string {
 type ServingStats struct {
 	CoalescedMisses    int64 // miss fetches that joined an in-flight fetch for the same sample
 	PrefetchQueueDepth int64 // gauge: current prefetch backlog
-	PrefetchWorkers    int64 // gauge: configured pool size (the Fig. 15 knob)
+	PrefetchWorkers    int64 // gauge: configured pool size (-prefetch-workers; not Fig. 15's loader workers)
 	BufferGets         int64 // pooled-buffer checkouts on the wire path
 	BufferAllocs       int64 // checkouts that had to allocate (pool miss)
 	BufferDiscards     int64 // buffer returns dropped at the pooled-capacity cap

@@ -1,7 +1,7 @@
 package rpc
 
 // Tests for the batched remote data plane (PR 5): the scatter-gather miss
-// path, clean-close logging hygiene on muxed and bare-frame connections,
+// path, clean-close logging hygiene on muxed and refused bare-frame connections,
 // chaos conservation under mid-batch peer connection drops, batched
 // directory lookups in the scrubber, and the O(owning nodes) peer-RPC bound.
 
@@ -107,12 +107,11 @@ func (l *countingListener) waitNoConns(t *testing.T) {
 	}
 }
 
-// bareExchange writes one bare (un-muxed) request frame on conn and reads
-// the one response frame — the framing of the handshake ping and of the
-// client's one-shot retry, driven by hand.
-func bareExchange(t *testing.T, conn net.Conn, req []byte) []byte {
+// exchange writes one request frame on conn and reads the one response
+// frame: a client's framing, driven by hand.
+func exchange(t *testing.T, conn net.Conn, frame []byte) []byte {
 	t.Helper()
-	if err := wire.WritePayload(conn, req); err != nil {
+	if err := wire.WritePayload(conn, frame); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := wire.ReadFrame(conn)
@@ -126,7 +125,8 @@ func bareExchange(t *testing.T, conn net.Conn, req []byte) []byte {
 // client that completes its requests and closes cleanly must not produce a
 // single server log line — EOF and net.ErrClosed are normal teardown, not
 // connection errors. Checked for a mux session (closed from the demux
-// reader's side) and for a connection that only ever carried bare frames.
+// reader's side) and for a connection that only ever carried bare frames,
+// each refused in-band.
 func TestCleanCloseLogsNothing(t *testing.T) {
 	defer leakcheck.Check(t)
 	for _, tc := range []struct {
@@ -154,8 +154,8 @@ func TestCleanCloseLogsNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, req := range [][]byte{{transport.OpPing}, encodeGetBatchRequest([]dataset.SampleID{1, 2, 3})} {
-				if resp := bareExchange(t, conn, req); len(resp) == 0 || resp[0] != transport.StatusOK {
-					t.Fatalf("bare request %v answered %v", req[:1], resp)
+				if resp := exchange(t, conn, req); len(resp) == 0 || resp[0] != transport.StatusErr {
+					t.Fatalf("bare request %v answered %v, want it refused", req[:1], resp)
 				}
 			}
 			if err := conn.Close(); err != nil {
@@ -342,9 +342,11 @@ func TestBatchedDuplicateIDsInOneBatch(t *testing.T) {
 // the stats delta equals the number of samples its clients requested, with
 // no sample double-counted or lost by the scatter-gather fan-out.
 func TestChaosMidBatchPeerDropConservation(t *testing.T) {
-	// One read per request frame on the owner's connections: every third
-	// frame it receives kills its connection.
-	inj := faults.New(17).Add(faults.DropEvery(faults.OpConnRead, 3))
+	// One read per request frame on the owner's connections: every fourth
+	// kills its connection. (Every third resonates with a fresh session —
+	// ping, request, and the read that awaits the next — so the retry of a
+	// request whose connection died would always die the same way.)
+	inj := faults.New(17).Add(faults.DropEvery(faults.OpConnRead, 4))
 	f := startTracedDistFixture(t, inj, nil)
 	spec := testSpec()
 

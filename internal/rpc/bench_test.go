@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"net"
@@ -17,6 +18,7 @@ import (
 	"icache/internal/sampling"
 	"icache/internal/storage"
 	"icache/internal/trace"
+	"icache/internal/transport/transporttest"
 )
 
 // slowSource wraps a ByteSource with a fixed per-fetch service time,
@@ -172,12 +174,43 @@ func BenchmarkMissGather(b *testing.B) {
 	}
 }
 
-// discardConn satisfies net.Conn over a sink — the server-side hit-path
-// benchmark drives the vectored serving path against it so the measurement
-// isolates serve-side work (no client, no loopback socket).
-type discardConn struct{ net.Conn }
+// answerConn satisfies net.Conn over a sink that reports each complete
+// response frame on answered — the serve-side benchmarks and allocation
+// bounds drive the serving path against it so the measurement isolates
+// serve-side work (no client, no loopback socket). A vectored answer arrives
+// in several writes; the first carries the length prefix.
+type answerConn struct {
+	net.Conn
+	owed     int // bytes of the current frame not yet written
+	answered chan struct{}
+}
 
-func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
+func (c *answerConn) Write(p []byte) (int, error) {
+	if c.owed == 0 {
+		c.owed = 4 + int(binary.BigEndian.Uint32(p))
+	}
+	if c.owed -= len(p); c.owed == 0 {
+		c.answered <- struct{}{}
+	}
+	return len(p), nil
+}
+
+// serveFrom returns a function that hands req to srv's frame handler the way
+// a connection does — in a mux envelope, to one of the connection's dispatch
+// workers — and waits for its answer. One connection serves every call; it
+// is retired when the test ends.
+func serveFrom(tb testing.TB, srv *Server, req []byte) func() {
+	conn := &answerConn{answered: make(chan struct{}, 1)}
+	cs := srv.t.NewConn(conn)
+	tb.Cleanup(cs.Wait)
+	frame := transporttest.MuxWrap(1, req)
+	return func() {
+		if err := srv.t.ServeFrame(cs, frame); err != nil {
+			tb.Fatal(err)
+		}
+		<-conn.answered
+	}
+}
 
 // BenchmarkServeHitPath measures the server-side cost of one pure-hit
 // GetBatch from the frame handler down: envelope peel, admission-gate check,
@@ -214,15 +247,12 @@ func BenchmarkServeHitPath(b *testing.B) {
 	for j := range ids {
 		ids[j] = dataset.SampleID(rng.Intn(hotSet))
 	}
-	req := encodeGetBatchRequest(ids)
-	cs := srv.t.NewConn(discardConn{})
+	serve := serveFrom(b, srv, encodeGetBatchRequest(ids))
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := srv.t.ServeFrame(cs, req); err != nil {
-			b.Fatal(err)
-		}
+		serve()
 	}
 	b.StopTimer()
 	elapsed := b.Elapsed().Seconds()
@@ -239,13 +269,11 @@ func BenchmarkServeHitPath(b *testing.B) {
 // `make bench-layers`.
 func BenchmarkRemoteReadPath(b *testing.B) {
 	srv, req := remoteReadSetup(b)
-	cs := srv.t.NewConn(discardConn{})
+	serve := serveFrom(b, srv, req)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := srv.t.ServeFrame(cs, req); err != nil {
-			b.Fatal(err)
-		}
+		serve()
 	}
 }
 

@@ -110,15 +110,10 @@ func TestHitPathAllocFree(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, source := tc.warm(t)
-			req := encodeGetBatchRequest(missRange(0, batch))
-			cs := srv.t.NewConn(discardConn{})
+			serve := serveFrom(t, srv, encodeGetBatchRequest(missRange(0, batch)))
 			reads, pins := source.Reads(), srv.ServingStats().PayloadPins
 			const runs = 200
-			allocs := testing.AllocsPerRun(runs, func() {
-				if err := srv.t.ServeFrame(cs, req); err != nil {
-					t.Fatal(err)
-				}
-			})
+			allocs := testing.AllocsPerRun(runs, serve)
 			if allocs != 0 && !raceBuild() {
 				t.Errorf("%v allocs per resident batch, want 0", allocs)
 			}

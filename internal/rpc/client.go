@@ -306,8 +306,8 @@ func (c *Client) Stats() (Stats, error) {
 	return decodeStatsResponse(d)
 }
 
-// Ping checks liveness: a bare transport.OpPing, answered with the bare
-// status.
+// Ping checks liveness: a transport.OpPing with no body, answered StatusOK
+// with none.
 func (c *Client) Ping() error {
 	_, err := c.roundTrip([]byte{transport.OpPing})
 	return err

@@ -19,8 +19,8 @@ import (
 	"icache/internal/wire"
 )
 
-// dispatch runs one request frame through the server's frame handler and
-// returns the payload of the one response frame it wrote.
+// dispatch runs one request through the server's frame handler, in the mux
+// envelope a client sends it in, and returns the answer inside the echo.
 func (s *Server) dispatch(req []byte) []byte { return transporttest.Dispatch(s.t, req) }
 
 // TestEnvelopeRejections: the cache handler sees envelope stacks accepted and
@@ -54,15 +54,13 @@ func TestRetiredOpcodeRefused(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		req  []byte
-		skip int // envelope bytes echoed ahead of the status
 	}{
-		{"bare", old, 0},
-		{"muxed", transporttest.MuxWrap(5, old), transport.MuxHeaderLen},
-		{"deadline", transport.WrapDeadline(time.Minute, old), 0},
-		{"traced", transport.WrapTraced(old, obs.TraceCtx{ID: 7, Hop: 1}), 0},
-		{"muxed-traced", transporttest.MuxWrap(6, transport.WrapTraced(old, obs.TraceCtx{ID: 7, Hop: 1})), transport.MuxHeaderLen},
+		{"plain", old},
+		{"deadline", transport.WrapDeadline(time.Minute, old)},
+		{"traced", transport.WrapTraced(old, obs.TraceCtx{ID: 7, Hop: 1})},
+		{"deadline-traced", transport.WrapDeadline(time.Minute, transport.WrapTraced(old, obs.TraceCtx{ID: 7, Hop: 1}))},
 	} {
-		resp := srv.dispatch(tc.req)[tc.skip:]
+		resp := srv.dispatch(tc.req)
 		if len(resp) == 0 || resp[0] != transport.StatusErr || !strings.Contains(string(resp[1:]), "unknown opcode 6") {
 			t.Errorf("%s: opcode 6 answered %q, want StatusErr \"unknown opcode 6\"", tc.name, resp)
 		}
@@ -105,14 +103,10 @@ func TestTraceParity(t *testing.T) {
 		{"trace-outer", func(ctx obs.TraceCtx) []byte {
 			return transport.WrapTraced(transport.WrapDeadline(time.Minute, get), ctx)
 		}},
-		{"muxed", func(ctx obs.TraceCtx) []byte { return transporttest.MuxWrap(3, transport.WrapTraced(get, ctx)) }},
 	} {
 		ctx := obs.TraceCtx{ID: uint64(0xABC0 + i), Hop: 1}
 		pins0 := srv.ServingStats().PayloadPins
 		resp := srv.dispatch(tc.wrap(ctx))
-		if tc.name == "muxed" {
-			resp = resp[transport.MuxHeaderLen:]
-		}
 		if got := srv.ServingStats().PayloadPins - pins0; got != wantPins {
 			t.Errorf("%s: traced request took %d payload pins, want %d (one per resident payload)", tc.name, got, wantPins)
 		}

@@ -416,9 +416,9 @@ func TestTracedRequestFullHopChain(t *testing.T) {
 // conservation — and (b) the spans that were recorded still form coherent
 // chains: no fault may corrupt or cross-wire a trace context.
 func TestTracedChainSurvivesPeerFault(t *testing.T) {
-	// One read per request frame on the owner's connections: every third
-	// frame it receives kills its connection.
-	inj := faults.New(17).Add(faults.DropEvery(faults.OpConnRead, 3))
+	// One read per request frame on the owner's connections: every fourth
+	// kills its connection (see TestChaosMidBatchPeerDropConservation).
+	inj := faults.New(17).Add(faults.DropEvery(faults.OpConnRead, 4))
 	f := startTracedDistFixture(t, inj, nil)
 
 	cA := dial(t, f.addrs[0])

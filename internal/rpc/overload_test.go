@@ -1,6 +1,6 @@
 package rpc
 
-// Overload-control suite: the admission gate on muxed and bare frames,
+// Overload-control suite: the admission gate (and the refusal of bare frames),
 // server-side deadline expiry, and the chaos half — a delay-faulted peer
 // whose batches must still complete within the caller's deadline via the
 // backend fallback, with the per-peer circuit breaker tripping within its
@@ -63,12 +63,12 @@ func startGatedServer(t *testing.T, gate *overload.Gate) (*Server, string) {
 }
 
 // TestAdmissionShedLegacyAndMux holds the only admission slot and verifies
-// that the frame handler sheds data requests with a retry-after hint whether
-// or not they arrive in a mux envelope — a mux client (which must not burn
-// retry attempts on the rejection) and a bare frame written by hand, the
-// framing of a client's one-shot retry — while health checks keep flowing.
-// Releasing the slot restores service, and the ledger stays exact: ids
-// served + requests shed == requests offered.
+// that the frame handler sheds data requests with a retry-after hint — to a
+// mux client, which must not burn retry attempts on the rejection — while
+// health checks keep flowing, and that a bare frame written by hand (what a
+// client from before the mux-only wire sends) is refused before admission:
+// neither served nor shed. Releasing the slot restores service, and the
+// ledger stays exact: ids served + requests shed == requests offered.
 func TestAdmissionShedLegacyAndMux(t *testing.T) {
 	gate := overload.NewGate(overload.GateConfig{MaxInflight: 1})
 	srv, addr := startGatedServer(t, gate)
@@ -104,25 +104,18 @@ func TestAdmissionShedLegacyAndMux(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp := bareExchange(t, conn, encodeGetBatchRequest([]dataset.SampleID{1}))
-	d := wire.NewReader(resp)
-	if st := d.U8(); st != transport.StatusRetryAfter {
-		t.Fatalf("bare: shed answered status %d, want transport.StatusRetryAfter", st)
-	}
-	if after := d.I64(); d.Err != nil || after <= 0 {
-		t.Fatalf("bare: shed response carried no backoff hint (%d, %v)", after, d.Err)
-	}
-	if resp := bareExchange(t, conn, []byte{transport.OpPing}); len(resp) != 1 || resp[0] != transport.StatusOK {
-		t.Fatalf("bare: ping gated during shed: %v", resp)
+	d := wire.NewReader(exchange(t, conn, encodeGetBatchRequest([]dataset.SampleID{1})))
+	if st, msg := d.U8(), d.Str(); st != transport.StatusErr || msg != "transport: request without mux envelope" {
+		t.Fatalf("bare: GetBatch answered status %d %q, want it refused", st, msg)
 	}
 	conn.Close()
 
 	shed, expired := srv.OverloadCounters()
-	if shed != 2 || expired != 0 {
-		t.Fatalf("OverloadCounters = (shed=%d, expired=%d), want (2, 0)", shed, expired)
+	if shed != 1 || expired != 0 {
+		t.Fatalf("OverloadCounters = (shed=%d, expired=%d), want (1, 0)", shed, expired)
 	}
-	if gs := gate.Stats(); gs.Shed != 2 {
-		t.Fatalf("gate shed %d, want 2", gs.Shed)
+	if gs := gate.Stats(); gs.Shed != 1 {
+		t.Fatalf("gate shed %d, want 1", gs.Shed)
 	}
 
 	gate.Done()
@@ -135,15 +128,15 @@ func TestAdmissionShedLegacyAndMux(t *testing.T) {
 		t.Fatalf("served %d of 3", len(samples))
 	}
 
-	// Conservation: 2 shed single-id requests + 3 served ids == 5 offered.
+	// Conservation: 1 shed single-id request + 3 served ids == 4 offered.
 	// Cache counters are written under policyMu; snapshot under it too (the
 	// handler goroutine's final writes carry no cross-socket ordering the
 	// race detector can see).
 	srv.policyMu.Lock()
 	st := srv.cache.Stats()
 	srv.policyMu.Unlock()
-	if got := st.Hits + st.Misses + st.Substitutions + st.Degraded + shed + expired; got != 5 {
-		t.Fatalf("ledger: hits(%d)+misses(%d)+subs(%d)+degraded(%d)+shed(%d)+expired(%d) = %d, want 5",
+	if got := st.Hits + st.Misses + st.Substitutions + st.Degraded + shed + expired; got != 4 {
+		t.Fatalf("ledger: hits(%d)+misses(%d)+subs(%d)+degraded(%d)+shed(%d)+expired(%d) = %d, want 4",
 			st.Hits, st.Misses, st.Substitutions, st.Degraded, shed, expired, got)
 	}
 }
@@ -403,7 +396,7 @@ func chaosDelayedPeer(t *testing.T, seed int64) {
 	}
 	// One RPC per round against a threshold of brkThresh consecutive
 	// failures: the trip must land within threshold(+1 for the slow dial
-	// handshake round) rounds, not "eventually".
+	// ping round) rounds, not "eventually".
 	if tripRounds > brkThresh+1 {
 		t.Fatalf("breaker tripped only after %d rounds (threshold %d)", tripRounds, brkThresh)
 	}

@@ -371,14 +371,10 @@ func remoteReadSetup(tb testing.TB) (*Server, []byte) {
 // per-request working sets; the parent commit reads 54 here.
 func TestRemoteReadAllocBound(t *testing.T) {
 	srv, req := remoteReadSetup(t)
-	cs := srv.t.NewConn(discardConn{})
+	serve := serveFrom(t, srv, req)
 	rpcs0, _ := srv.PeerBatchStats()
 	const runs, bound = 200, 30
-	allocs := testing.AllocsPerRun(runs, func() {
-		if err := srv.t.ServeFrame(cs, req); err != nil {
-			t.Fatal(err)
-		}
-	})
+	allocs := testing.AllocsPerRun(runs, serve)
 	if rpcs, carried := srv.PeerBatchStats(); rpcs-rpcs0 != runs+1 || carried < 12*(runs+1) {
 		t.Fatalf("%d peer RPCs carrying %d samples over %d batches, want one of 12 per batch", rpcs-rpcs0, carried, runs+1)
 	}

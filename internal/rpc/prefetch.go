@@ -53,10 +53,11 @@ const reactivePerWorker = 64
 // the worker's turn coalesces with it or is cancelled (EXPERIMENTS.md, "One
 // prefetch queue", has the train_epochs ledger split).
 //
-// The pool size is icache.Config.PrefetchWorkers — the paper's Fig. 15
-// prefetch-worker knob (-prefetch-workers on cmd/icache-server). It is also
-// the bound on background reads: each worker has at most one read waiting
-// for or holding one of the backendReadBudget slots.
+// The pool size is icache.Config.PrefetchWorkers (-prefetch-workers on
+// cmd/icache-server; not the paper's Fig. 15 knob, which is the training
+// job's data-loading workers). It is also the bound on background reads:
+// each worker has at most one read waiting for or holding one of the
+// backendReadBudget slots.
 //
 // Concurrency: mu is a leaf lock (policyMu → mu is legal, never the
 // reverse), never held across I/O. enqueue runs under policyMu (the loader

@@ -23,8 +23,8 @@ import (
 )
 
 // Opcodes. 6 is reserved (the retired per-sample opPeerGet, answered as an
-// unknown opcode); 5, 7, 9 and 10 are the transport's (ping/handshake and the
-// trace, mux and deadline envelopes).
+// unknown opcode); 5, 7, 9 and 10 are the transport's (ping and the trace,
+// mux and deadline envelopes).
 const (
 	opGetBatch         = 1 // the paper's rpc_loader
 	opUpdateImportance = 2 // the paper's update_ipersample

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"icache/internal/sampling"
 	"icache/internal/storage"
 	"icache/internal/transport"
+	"icache/internal/transport/transporttest"
 	"icache/internal/wire"
 )
 
@@ -226,30 +228,21 @@ func TestMalformedFrameRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// Unknown opcodes, the retired per-sample peer read (6) among them: each
-	// is answered and the connection serves the next frame.
-	for _, req := range [][]byte{{0xFF}, {6, 0, 0, 0, 0, 0, 0, 0, 9}} {
-		if err := wire.WritePayload(conn, req); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := wire.ReadFrame(conn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp[0] != transport.StatusErr {
-			t.Fatalf("unknown opcode %d answered with status %d", req[0], resp[0])
+	// Unknown opcodes, the retired per-sample peer read (6) among them, a
+	// truncated GetBatch body, and a frame without the mux envelope: each is
+	// refused in-band and the connection serves the next frame.
+	for i, req := range [][]byte{{0xFF}, {6, 0, 0, 0, 0, 0, 0, 0, 9}, {opGetBatch, 0, 0}} {
+		frame := transporttest.MuxWrap(uint32(i), req)
+		resp := exchange(t, conn, frame)
+		if !bytes.HasPrefix(resp, frame[:transport.MuxHeaderLen]) || resp[transport.MuxHeaderLen] != transport.StatusErr {
+			t.Fatalf("malformed request %x answered %x", req, resp)
 		}
 	}
-	// Truncated GetBatch body.
-	if err := wire.WritePayload(conn, []byte{opGetBatch, 0, 0}); err != nil {
-		t.Fatal(err)
+	if resp := exchange(t, conn, []byte{transport.OpPing}); resp[0] != transport.StatusErr {
+		t.Fatalf("bare ping answered %x, want it refused", resp)
 	}
-	resp, err := wire.ReadFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp[0] != transport.StatusErr {
-		t.Fatal("truncated request not rejected")
+	if resp := exchange(t, conn, transporttest.MuxWrap(9, []byte{transport.OpPing})); resp[transport.MuxHeaderLen] != transport.StatusOK {
+		t.Fatalf("ping after the refusals answered %x", resp)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 )
 
 // The vectored serving path. Every opGetBatch / opPeerGetBatch request —
-// bare or multiplexed, traced or not, with or without a deadline — is served
+// traced or not, with or without a deadline — is served
 // here, without copying payload bytes and without per-request heap
 // allocation when every sample is a local hit:
 //
@@ -110,9 +110,9 @@ func releaseScratch(sc *serveScratch) {
 // serveVec serves one batch read: decode the ids into a pooled scratch,
 // resolve payloads (local hits by reference), frame, one vectored write through
 // w. ctx is the trace context (zero when untraced), dl the deadline (zero
-// when unbounded). It runs on the read loop for a bare frame and on a
-// dispatch goroutine for a muxed one. The returned error is a connection
-// write error; protocol and resolution errors are answered in-band.
+// when unbounded). It runs on one of the connection's dispatch goroutines.
+// The returned error is a connection write error; protocol and resolution
+// errors are answered in-band.
 func (s *Server) serveVec(w transport.Response, req []byte, ctx obs.TraceCtx, dl time.Time) error {
 	sc := getServeScratch()
 	defer releaseScratch(sc)

@@ -114,8 +114,7 @@ type Server struct {
 // NewServer wires a cache policy engine to a byte source. If the policy
 // engine's config enables prefetch workers, the server starts a bounded
 // worker pool that asynchronously fills the payload store for samples the
-// background loader delivers into the L-cache (the paper's Fig. 15
-// prefetch-worker knob).
+// background loader delivers into the L-cache.
 func NewServer(cacheSrv *icache.Server, source ByteSource) *Server {
 	s := &Server{
 		cache:     cacheSrv,

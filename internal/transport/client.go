@@ -17,25 +17,24 @@ import (
 // Client is one peer's view of a server: a multiplexed TCP connection (see
 // mux.go) on which requests are pipelined — N goroutines can have N tagged
 // frames in flight at once, matched back to their callers by a demux reader
-// goroutine. A capability handshake at dial time confirms the server speaks
-// that framing; one that does not is a dial error.
+// goroutine. Every connection is proved by one muxed ping before a request
+// rides it; a server that cannot answer one is a dial error.
 //
 // The client is resilient by default: a transport failure triggers
 // redial-and-retry under an exponential-backoff-with-jitter policy
 // (retry.Default), so a long-running training job rides through server
-// restarts. The handshake re-runs on every redial. Application errors
-// reported by the server (status frames) are never retried. Retrying is
-// blind, so a protocol built on this client must keep its operations
-// idempotent.
+// restarts. A retry runs on a fresh session generation, proved like the
+// first. Application errors reported by the server (status frames) are never
+// retried. Retrying is blind, so a protocol built on this client must keep
+// its operations idempotent.
 type Client struct {
 	addr    string
 	timeout time.Duration
 	policy  retry.Policy
 	rng     *rand.Rand // jitter PRNG; thread-safe via lockedSource
 
-	// rpcTimeout bounds every round trip (0 = unbounded): a per-call timer
-	// on mux calls, a SetDeadline on the one-shot retry connection. A
-	// deadline passed to Call tightens (never loosens) this bound.
+	// rpcTimeout bounds every round trip (0 = unbounded) with a per-call
+	// timer. A deadline passed to Call tightens (never loosens) this bound.
 	rpcTimeout time.Duration
 
 	// breaker is the circuit breaker (nil = disabled), owned by the dialer so
@@ -64,7 +63,7 @@ const DefaultMuxInflight = 32
 
 // DialConfig parameterizes Dial. The zero value selects the defaults.
 type DialConfig struct {
-	// Timeout bounds the TCP dial and the capability handshake.
+	// Timeout bounds the TCP dial and the ping that proves the session.
 	Timeout time.Duration
 	// Policy is the retry schedule (zero value: retry.Default()).
 	Policy retry.Policy
@@ -83,9 +82,9 @@ type DialConfig struct {
 
 // Dial connects to a server. The policy governs both the initial dial and
 // every subsequent round trip; jitter draws from a PRNG seeded
-// deterministically per client so chaos tests replay. A server that does not
-// advertise the mux capability fails the dial at once (no retry: the next
-// attempt would meet the same binary).
+// deterministically per client so chaos tests replay. A server that answers
+// the proving ping with an error status fails the dial at once (no retry:
+// the next attempt would meet the same binary).
 //
 // breakerOK is the one policy the two protocols do not share: it maps a
 // round-trip error to the health of the server for cfg.Breaker (true = the
@@ -113,7 +112,7 @@ func Dial(addr string, cfg DialConfig, breakerOK func(error) bool) (*Client, err
 		if attempt == 1 {
 			c.retries.Add(1)
 		}
-		c.mux, err = c.dialSession(attempt > 0)
+		c.mux, err = c.dialSession(attempt > 0, time.Time{})
 		return err
 	})
 	if err != nil {
@@ -122,23 +121,37 @@ func Dial(addr string, cfg DialConfig, breakerOK func(error) bool) (*Client, err
 	return c, nil
 }
 
-// dialSession dials the server, runs the capability handshake and starts a
-// mux session on the connection, reading through the frame reader the
-// handshake used. redial says this is not the client's first connection.
-func (c *Client) dialSession(redial bool) (*muxSession, error) {
-	conn, err := net.DialTimeout("tcp", c.addr, c.timeout)
+// dialSession dials the server, starts a mux session on the connection and
+// proves it with one muxed OpPing. The dial and the ping are bounded by the
+// configured Timeout and, when it is non-zero, by dl: a redial made for a call
+// spends at most what is left of that call's budget. redial says this is not
+// the client's first connection.
+func (c *Client) dialSession(redial bool, dl time.Time) (*muxSession, error) {
+	if c.timeout > 0 {
+		if td := time.Now().Add(c.timeout); dl.IsZero() || td.Before(dl) {
+			dl = td
+		}
+	}
+	conn, err := (&net.Dialer{Deadline: dl}).Dial("tcp", c.addr)
 	if err != nil {
 		return nil, err
 	}
 	if redial {
 		c.redials.Add(1)
 	}
-	rd := wire.NewFrameReader(conn)
-	if err := negotiate(conn, rd, c.timeout); err != nil {
-		conn.Close()
+	sess := newMuxSession(conn, c.muxInflight)
+	resp, owner, err := sess.doOwned([]byte{OpPing}, dl)
+	if err == nil {
+		if _, err = decodeStatus(resp); err != nil {
+			err = retry.Permanent(fmt.Errorf("transport: dial ping: %w", err))
+		}
+	}
+	wire.PutBuffer(owner)
+	if err != nil {
+		sess.close()
 		return nil, err
 	}
-	return newMuxSession(conn, rd, c.muxInflight), nil
+	return sess, nil
 }
 
 // Close tears down the connection and waits for the demux reader to exit.
@@ -181,13 +194,13 @@ func (c *Client) bound(dl time.Time) time.Time {
 //
 // The deadline — dl tightened (never loosened) by the configured RPCTimeout;
 // zero on both sides = unbounded — bounds the whole call: every attempt's
-// network wait AND the retry backoff between attempts, so a caller's budget
-// is honored even when the transport hangs rather than fails. Transport
-// failures are retried under the client's policy with a fresh connection per
-// attempt; status errors surface immediately, as *ServerError,
-// *overload.RetryAfterError or ErrExpiredByServer. When a circuit breaker is
-// configured it gates entry (open breaker = fail fast, no network) and
-// absorbs the outcome.
+// network wait, the redial a retry makes, AND the retry backoff between
+// attempts, so a caller's budget is honored even when the transport hangs
+// rather than fails. Transport failures are retried under the client's
+// policy on a fresh session generation; status errors surface immediately,
+// as *ServerError, *overload.RetryAfterError or ErrExpiredByServer. When a
+// circuit breaker is configured it gates entry (open breaker = fail fast, no
+// network) and absorbs the outcome.
 func (c *Client) Call(req []byte, dl time.Time) (*wire.Reader, *wire.Buffer, error) {
 	if b := c.breaker; b != nil && !b.Allow(time.Now()) {
 		return nil, nil, fmt.Errorf("transport: %s: %w", c.addr, overload.ErrBreakerOpen)
@@ -206,31 +219,38 @@ func (c *Client) Call(req []byte, dl time.Time) (*wire.Reader, *wire.Buffer, err
 		if attempt > 0 && !deadline.IsZero() && !time.Now().Before(deadline) {
 			return retry.Permanent(fmt.Errorf("transport: %s: retry budget spent: %w", c.addr, ErrCallTimeout))
 		}
-		resp, owner, err = c.attempt(req, attempt > 0, deadline)
+		resp, owner, err = c.attempt(req, deadline)
 		return err
 	})
 	if err != nil {
 		c.reportBreaker(err)
 		return nil, nil, err
 	}
+	d, err := decodeStatus(resp)
+	if err != nil {
+		wire.PutBuffer(owner)
+		owner = nil
+	}
+	c.reportBreaker(err)
+	return d, owner, err
+}
+
+// decodeStatus reads the status byte of a response: a reader over the body
+// of a StatusOK answer, or the error any other status maps to.
+func decodeStatus(resp []byte) (*wire.Reader, error) {
 	d := wire.NewReader(resp)
-	var callErr error
 	switch status := d.U8(); status {
 	case StatusOK:
-		c.reportBreaker(nil)
-		return d, owner, nil
+		return d, nil
 	case StatusErr:
-		callErr = &ServerError{Msg: d.Str()}
+		return nil, &ServerError{Msg: d.Str()}
 	case StatusRetryAfter:
-		callErr = &overload.RetryAfterError{After: time.Duration(d.I64())}
+		return nil, &overload.RetryAfterError{After: time.Duration(d.I64())}
 	case StatusExpired:
-		callErr = ErrExpiredByServer
+		return nil, ErrExpiredByServer
 	default:
-		callErr = fmt.Errorf("transport: unknown status %d", status)
+		return nil, fmt.Errorf("transport: unknown status %d", status)
 	}
-	wire.PutBuffer(owner)
-	c.reportBreaker(callErr)
-	return nil, nil, callErr
 }
 
 // reportBreaker feeds one round-trip outcome to the breaker (if any).
@@ -240,22 +260,12 @@ func (c *Client) reportBreaker(err error) {
 	}
 }
 
-// attempt performs one exchange: on the mux session, or — for a retry — on
-// a ONE-SHOT bare-frame connection instead of re-establishing the mux
-// session inline: the retry's success must not depend on the mux machinery
-// (handshake, demux reader, pipelined peers on the same connection) coming
-// back healthy — a plain dial-exchange-close is the most failure-independent
-// path available, and the next regular request re-establishes the session
-// lazily. This also breaks deterministic failure resonance: a fault schedule
-// that keys on per-connection I/O patterns (the chaos suite's DropEvery
-// rules) would otherwise hit a freshly handshaken session at the same
-// relative offset on every retry.
-func (c *Client) attempt(req []byte, isRetry bool, deadline time.Time) ([]byte, *wire.Buffer, error) {
-	if isRetry {
-		resp, err := c.oneShot(req, deadline)
-		return resp, nil, err
-	}
-	sess, err := c.muxSessionFor()
+// attempt performs one exchange on the mux session. A failed attempt
+// discards its session, so the retry that follows runs on a fresh generation
+// — a new connection, proved by its ping — whose redial is bounded by
+// deadline.
+func (c *Client) attempt(req []byte, deadline time.Time) ([]byte, *wire.Buffer, error) {
+	sess, err := c.muxSessionFor(deadline)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -272,41 +282,9 @@ func (c *Client) attempt(req []byte, isRetry bool, deadline time.Time) ([]byte, 
 	return resp, owner, nil
 }
 
-// oneShot performs one bare-frame exchange — one frame out, one frame back —
-// on a private dial-and-close connection, never touching the mux session (a
-// racing goroutine may have installed a healthy new generation we must not
-// disturb). It is the only bare-frame exchange besides the handshake ping.
-func (c *Client) oneShot(req []byte, deadline time.Time) ([]byte, error) {
-	if c.closed.Load() {
-		return nil, c.errClosed()
-	}
-	conn, err := net.DialTimeout("tcp", c.addr, c.timeout)
-	if err != nil {
-		return nil, fmt.Errorf("transport: redial %s: %w", c.addr, err)
-	}
-	defer conn.Close()
-	if !deadline.IsZero() {
-		conn.SetDeadline(deadline)
-	}
-	c.redials.Add(1)
-	if err := wire.WritePayload(conn, req); err != nil {
-		return nil, fmt.Errorf("transport: send: %w", err)
-	}
-	resp, err := wire.ReadFrame(conn) // one reply, then closed: no read-ahead needed
-	if err != nil {
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			// The SetDeadline expired: a call timeout, not a transport fault.
-			return nil, retry.Permanent(fmt.Errorf("transport: receive: %w", ErrCallTimeout))
-		}
-		return nil, fmt.Errorf("transport: receive: %w", err)
-	}
-	return resp, nil
-}
-
-// muxSessionFor returns a live mux session, dialing a new generation when
-// the current one is broken.
-func (c *Client) muxSessionFor() (*muxSession, error) {
+// muxSessionFor returns a live mux session, dialing a new generation —
+// bounded by dl as well as the dial timeout — when the current one is broken.
+func (c *Client) muxSessionFor(dl time.Time) (*muxSession, error) {
 	c.muxMu.Lock()
 	defer c.muxMu.Unlock()
 	if c.closed.Load() {
@@ -319,7 +297,7 @@ func (c *Client) muxSessionFor() (*muxSession, error) {
 		c.mux.close()
 		c.mux = nil
 	}
-	sess, err := c.dialSession(true)
+	sess, err := c.dialSession(true, dl)
 	if err != nil {
 		return nil, fmt.Errorf("transport: redial %s: %w", c.addr, err)
 	}

@@ -14,16 +14,8 @@ package transport
 // N goroutines can therefore have N frames in flight on one TCP connection;
 // the server (Server.ServeFrame) answers each on its read loop or dispatches
 // it to a goroutine, as the protocol routes it, and writes responses back in
-// completion order.
-//
-// # Handshake
-//
-// A capability handshake piggybacked on OpPing (see transport.go) opens every
-// connection: the client appends its capability word to the ping request and
-// the server echoes its own after StatusOK. A reply without CapMux — the
-// bare status byte a pre-mux binary would send — is a dial error: there is
-// no other transport to fall back to. The handshake re-runs on every
-// (re)dial.
+// completion order. The session is the only exchange path: the ping that
+// proves a fresh connection (Client.dialSession) is its first request.
 //
 // # Channel discipline (lock ordering appendix)
 //
@@ -38,13 +30,11 @@ package transport
 // can wait on a dead connection.
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"time"
 
-	"icache/internal/retry"
 	"icache/internal/wire"
 )
 
@@ -71,10 +61,9 @@ var muxChanPool = sync.Pool{New: func() interface{} { return make(chan muxResult
 // map is immutable after construction.
 type muxSession struct {
 	conn net.Conn
-	// rd is the connection's one frame reader, the one negotiate read its
-	// reply through (nothing read ahead is lost); only the demux reader
-	// touches it. bufs is where it takes the buffer of each response from, and
-	// where wire.PutBuffer returns the ones its callers recycle.
+	// rd is the connection's one frame reader; only the demux reader touches
+	// it. bufs is where it takes the buffer of each response from, and where
+	// wire.PutBuffer returns the ones its callers recycle.
 	rd   *wire.FrameReader
 	bufs wire.ReaderPool
 
@@ -96,12 +85,12 @@ type muxSession struct {
 	inflight chan struct{}
 }
 
-// newMuxSession starts the demux reader on conn, reading through rd (the
-// reader negotiate used). inflightCap <= 0 means unbounded.
-func newMuxSession(conn net.Conn, rd *wire.FrameReader, inflightCap int) *muxSession {
+// newMuxSession starts the demux reader on conn. inflightCap <= 0 means
+// unbounded.
+func newMuxSession(conn net.Conn, inflightCap int) *muxSession {
 	m := &muxSession{
 		conn:    conn,
-		rd:      rd,
+		rd:      wire.NewFrameReader(conn),
 		pending: make(map[uint32]chan muxResult),
 		done:    make(chan struct{}),
 	}
@@ -250,39 +239,4 @@ func (m *muxSession) broken() bool {
 func (m *muxSession) close() {
 	m.conn.Close()
 	<-m.done
-}
-
-// errNoMux is the handshake's verdict on a server that answered the ping
-// without the mux capability.
-var errNoMux = errors.New("transport: server does not advertise the mux capability (CapMux); it predates the multiplexed protocol this client requires")
-
-// negotiate runs the capability handshake on a fresh connection: one bare
-// ping exchange carrying the client's capability word. A server that does
-// not echo CapMux is a permanent error (retrying meets the same binary).
-// The deadline bounds the exchange so a black-holed server cannot hang Dial
-// forever. The reply is read through rd, the connection's frame reader, which
-// the mux session that follows keeps.
-func negotiate(conn net.Conn, rd *wire.FrameReader, timeout time.Duration) error {
-	if timeout > 0 {
-		conn.SetDeadline(time.Now().Add(timeout))
-		defer conn.SetDeadline(time.Time{})
-	}
-	var e wire.Buffer
-	e.U8(OpPing)
-	e.U32(CapMux)
-	if err := wire.WritePayload(conn, e.B); err != nil {
-		return fmt.Errorf("transport: handshake send: %w", err)
-	}
-	resp, err := wire.ReadFrame(rd)
-	if err != nil {
-		return fmt.Errorf("transport: handshake receive: %w", err)
-	}
-	d := wire.Reader{B: resp}
-	if status := d.U8(); status != StatusOK {
-		return fmt.Errorf("transport: handshake status %d", status)
-	}
-	if caps := d.U32(); d.Err != nil || caps&CapMux == 0 {
-		return retry.Permanent(errNoMux)
-	}
-	return nil
 }

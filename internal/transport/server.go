@@ -38,10 +38,10 @@ const (
 	// into a false mass-death event.
 	Gated Route = 1 << iota
 	// Inline: the request never blocks (no I/O, no lock held across any), so
-	// it is answered from the connection's read loop even when multiplexed —
-	// no hand-off and no copy of the request per call. Anything that may
-	// wait (a cache miss reads the backend) leaves it clear and is served by
-	// one of the connection's dispatch workers. It is not a speed-up for ops
+	// it is answered from the connection's read loop — no hand-off and no
+	// copy of the request per call. Anything that may wait (a cache miss
+	// reads the backend) leaves it clear and is served by one of the
+	// connection's dispatch workers. It is not a speed-up for ops
 	// that rarely wait: the cache's opPeerGetBatch was measured Inline over
 	// three alternating peer_churn pairs and moved nothing (rpc.route).
 	Inline
@@ -253,13 +253,13 @@ func (s *Server) ServeConn(conn net.Conn) {
 // and every request the tests and the fuzzers inject — is peeled, gated and
 // dispatched here, in this order:
 //
-//  1. The OpMux envelope is optional. A muxed request may be served off the
-//     read loop (by one of the connection's dispatch workers), so a
-//     pipelined client gets concurrent service on one connection, and its
-//     response echoes the envelope; a bare frame — the handshake ping, a
-//     client's one-shot retry — is served on the read loop. All response
-//     writes serialize on the connection's write mutex so frames never
-//     interleave.
+//  1. The OpMux envelope is required. A frame without one is answered with a
+//     bare StatusErr (there is no request id to echo) and never served. A
+//     muxed request may be served off the read loop (by one of the
+//     connection's dispatch workers), so a pipelined client gets concurrent
+//     service on one connection, and its response echoes the envelope. All
+//     response writes serialize on the connection's write mutex so frames
+//     never interleave.
 //  2. The deadline and trace envelopes are peeled (peelEnvelopes), so the
 //     gate and the dispatch below key on the INNER opcode.
 //  3. OpPing is answered here; any other reserved opcode left at this point
@@ -267,20 +267,22 @@ func (s *Server) ServeConn(conn net.Conn) {
 //  4. Admission runs BEFORE the hand-off: a shed request is answered from
 //     the read loop and never occupies a dispatch worker — that is the whole
 //     point of shedding.
-//  5. The Handler answers: on the read loop for a bare frame or an Inline
-//     opcode, else on a dispatch worker with its own copy of the request.
+//  5. The Handler answers: on the read loop for an Inline opcode, else on a
+//     dispatch worker with its own copy of the request.
 //
 // frame aliases the read loop's reusable buffer, and the calls on one Conn
 // come from one goroutine. The returned error is a failed write from the read
 // loop (the caller tears the connection down); protocol errors are answered
 // in-band.
 func (s *Server) ServeFrame(c *Conn, frame []byte) error {
-	w := Response{c: c}
-	inner := frame
-	if len(frame) >= MuxHeaderLen && frame[0] == OpMux {
-		inner, w.muxed, w.muxID = frame[MuxHeaderLen:], true, binary.BigEndian.Uint32(frame[1:])
+	if len(frame) < MuxHeaderLen || frame[0] != OpMux {
+		e := wire.GetBuffer()
+		e.U8(StatusErr)
+		e.Str("transport: request without mux envelope")
+		return Response{c: c}.write(e)
 	}
-	inner, ctx, dl, err := peelEnvelopes(inner)
+	w := Response{c: c, muxID: binary.BigEndian.Uint32(frame[1:])}
+	inner, ctx, dl, err := peelEnvelopes(frame[MuxHeaderLen:])
 	if err != nil {
 		return w.Err(err)
 	}
@@ -290,15 +292,7 @@ func (s *Server) ServeFrame(c *Conn, frame []byte) error {
 	op := inner[0]
 	switch op {
 	case OpPing:
-		return w.Reply(func(e *wire.Buffer) error {
-			// A ping carrying a capability word is the dial-time handshake:
-			// echo ours. A bare ping is the liveness check and gets the bare
-			// status.
-			if len(inner) >= 5 {
-				e.U32(CapMux)
-			}
-			return nil
-		})
+		return w.status(StatusOK, nil)
 	case OpMux, OpTraced, OpDeadline:
 		return w.Err(fmt.Errorf("transport: unknown opcode %d", op))
 	}
@@ -312,7 +306,7 @@ func (s *Server) ServeFrame(c *Conn, frame []byte) error {
 		}
 		admitted = true
 	}
-	if !w.muxed || route&Inline != 0 {
+	if route&Inline != 0 {
 		err := s.h.Serve(w, inner, ctx, dl)
 		if admitted {
 			s.Gate.Done()
@@ -388,7 +382,6 @@ func (s *Server) logIfUnexpected(err error) {
 type Response struct {
 	c     *Conn
 	muxID uint32
-	muxed bool
 }
 
 // Reply answers StatusOK followed by whatever body appends to e — or, when
@@ -427,10 +420,8 @@ func (w Response) status(status byte, body func(e *wire.Buffer)) error {
 }
 
 func (w Response) begin(e *wire.Buffer, status byte) {
-	if w.muxed {
-		e.U8(OpMux)
-		e.U32(w.muxID)
-	}
+	e.U8(OpMux)
+	e.U32(w.muxID)
 	e.U8(status)
 }
 
@@ -450,10 +441,8 @@ func (w Response) write(e *wire.Buffer) error {
 // body and sends it with WriteVec.
 func (w Response) BeginVec(v *wire.Vec) {
 	v.Reset()
-	if w.muxed {
-		v.U8(OpMux)
-		v.U32(w.muxID)
-	}
+	v.U8(OpMux)
+	v.U32(w.muxID)
 	v.U8(StatusOK)
 }
 

@@ -214,7 +214,7 @@ func TestDispatchGoroutinesAreResident(t *testing.T) {
 	for id := 0; id < 3; id++ {
 		out.frame(t)
 	}
-	transporttest.Dispatch(srv, transporttest.MuxWrap(9, []byte{opEcho}))
+	transporttest.Dispatch(srv, []byte{opEcho})
 }
 
 // syncBuffer is an in-memory connection's write side, safe for a dispatch
@@ -318,8 +318,9 @@ func TestCloseRefusesConnAcceptedDuringShutdown(t *testing.T) {
 
 // FuzzServeFrame throws arbitrary frames at the transport's frame handler
 // over the stub protocol — the mux and envelope layer with nothing above it:
-// exactly one response frame, inside the mux envelope the request came in,
-// with a known status; a mux envelope inside a mux envelope is an error;
+// exactly one response frame; a frame without the mux envelope refused with
+// a bare StatusErr; otherwise the answer inside the envelope the request came
+// in, with a known status; a mux envelope inside a mux envelope is an error;
 // and whatever reaches the handler is what the request ends with, envelopes
 // stripped, never a reserved opcode.
 func FuzzServeFrame(f *testing.F) {
@@ -327,35 +328,42 @@ func FuzzServeFrame(f *testing.F) {
 	close(hold) // nothing blocks
 	tctx := obs.TraceCtx{ID: 9, Hop: 1}
 	echo := []byte{opEcho, 0xAA, 0xBB}
+	mux := func(req []byte) []byte { return transporttest.MuxWrap(1, req) }
 	f.Add([]byte{})
 	f.Add(echo)
-	f.Add([]byte{opInline})
-	f.Add([]byte{0xFF, 1, 2})
-	f.Add([]byte{transport.OpPing})
-	f.Add([]byte{transport.OpPing, 0, 0, 0, 1})
-	f.Add(transporttest.MuxWrap(1, echo))
-	f.Add(transporttest.MuxWrap(1, transporttest.MuxWrap(2, echo)))
+	f.Add(mux([]byte{opInline}))
+	f.Add(mux([]byte{0xFF, 1, 2}))
+	f.Add(mux([]byte{transport.OpPing}))
+	f.Add([]byte{transport.OpPing, 0, 0, 0, 1}) // the capability ping clients used to open with
+	f.Add(mux(echo))
+	f.Add(mux(mux(echo)))
 	f.Add([]byte{transport.OpMux, 0, 0, 0})
-	f.Add(transport.WrapTraced(transport.WrapDeadline(time.Minute, echo), tctx))
-	f.Add(transport.WrapDeadline(time.Minute, transport.WrapTraced(echo, tctx)))
+	f.Add(mux(transport.WrapTraced(transport.WrapDeadline(time.Minute, echo), tctx)))
+	f.Add(mux(transport.WrapDeadline(time.Minute, transport.WrapTraced(echo, tctx))))
 	f.Add(transporttest.MuxWrap(3, transport.WrapDeadline(time.Minute, transport.WrapTraced([]byte{opInline}, tctx))))
-	f.Add(transport.WrapTraced(transport.WrapTraced(echo, tctx), tctx))
-	f.Add(transport.WrapDeadline(time.Minute, transport.WrapDeadline(time.Minute, echo)))
-	f.Add([]byte{transport.OpDeadline, 0, 0, 0, 0, 0, 0, 0, 0, opEcho})
-	f.Add([]byte{transport.OpDeadline, 0, 0, 0, 1})
-	f.Add([]byte{transport.OpTraced, 1, 2})
-	f.Add(transport.WrapTraced(nil, tctx))
+	f.Add(mux(transport.WrapTraced(transport.WrapTraced(echo, tctx), tctx)))
+	f.Add(mux(transport.WrapDeadline(time.Minute, transport.WrapDeadline(time.Minute, echo))))
+	f.Add(mux([]byte{transport.OpDeadline, 0, 0, 0, 0, 0, 0, 0, 0, opEcho}))
+	f.Add(mux([]byte{transport.OpDeadline, 0, 0, 0, 1}))
+	f.Add(mux([]byte{transport.OpTraced, 1, 2}))
+	f.Add(mux(transport.WrapTraced(nil, tctx)))
+	f.Add(transport.WrapTraced(echo, tctx))
 
 	f.Fuzz(func(t *testing.T, req []byte) {
-		resp := transporttest.Dispatch(srv, req)
-		if len(req) >= transport.MuxHeaderLen && req[0] == transport.OpMux {
-			if !bytes.HasPrefix(resp, req[:transport.MuxHeaderLen]) {
-				t.Fatalf("muxed request answered %x: envelope not echoed", resp)
+		resp := transporttest.DispatchFrame(srv, req)
+		if len(req) < transport.MuxHeaderLen || req[0] != transport.OpMux {
+			d := wire.NewReader(resp)
+			if st, msg := d.U8(), d.Str(); st != transport.StatusErr || msg != "transport: request without mux envelope" {
+				t.Fatalf("frame without a mux envelope answered %x, want the bare refusal", resp)
 			}
-			req, resp = req[transport.MuxHeaderLen:], resp[transport.MuxHeaderLen:]
-			if len(req) > 0 && req[0] == transport.OpMux && (len(resp) == 0 || resp[0] != transport.StatusErr) {
-				t.Fatalf("mux envelope inside a mux envelope answered %x, want StatusErr", resp)
-			}
+			return
+		}
+		if !bytes.HasPrefix(resp, req[:transport.MuxHeaderLen]) {
+			t.Fatalf("muxed request answered %x: envelope not echoed", resp)
+		}
+		req, resp = req[transport.MuxHeaderLen:], resp[transport.MuxHeaderLen:]
+		if len(req) > 0 && req[0] == transport.OpMux && (len(resp) == 0 || resp[0] != transport.StatusErr) {
+			t.Fatalf("mux envelope inside a mux envelope answered %x, want StatusErr", resp)
 		}
 		if len(resp) == 0 {
 			t.Fatal("empty response")
@@ -364,8 +372,8 @@ func FuzzServeFrame(f *testing.F) {
 		case transport.StatusErr:
 		case transport.StatusOK:
 			inner := resp[1:]
-			if len(inner) == 0 || len(inner) == 4 {
-				return // a ping's answer: bare, or the capability word
+			if len(inner) == 0 {
+				return // a ping's answer
 			}
 			if !bytes.HasSuffix(req, inner) || inner[0] > opHold {
 				t.Fatalf("request %x reached the handler as %x", req, inner)

@@ -5,12 +5,13 @@
 //
 //   - framing on a connection: one wire.FrameReader per connection, one
 //     write per frame (see internal/wire);
-//   - the multiplexed session (mux.go) and the capability handshake that
-//     opens every connection;
-//   - the client core (client.go): dial and redial generations, retry with
-//     backoff, the one-shot retry exchange, a per-call deadline timer that
-//     forgets one request id instead of poisoning the connection, the circuit
-//     breaker gate, and the decoding of the response status;
+//   - the multiplexed session (mux.go), the one way a frame travels: every
+//     request and every response carries the OpMux envelope;
+//   - the client core (client.go): dial and redial generations, each proved
+//     by one muxed ping, retry with backoff on a fresh generation, a per-call
+//     deadline timer that forgets one request id instead of poisoning the
+//     connection, the circuit breaker gate, and the decoding of the response
+//     status;
 //   - the server core (server.go): one accept loop and Close, one frame
 //     handler that peels the mux, deadline and trace envelopes, one admission
 //     site, and the dispatch of the peeled request to the protocol's Handler
@@ -20,10 +21,9 @@
 // # Reserved opcodes
 //
 // The first byte of a request is its opcode. Four are the transport's, on
-// every port: OpPing (liveness and, with a capability word, the handshake),
-// OpTraced, OpMux and OpDeadline (the three envelopes). A protocol numbers
-// its own opcodes around them; none may collide (each protocol package has a
-// test that says so).
+// every port: OpPing (liveness) and OpTraced, OpMux and OpDeadline (the three
+// envelopes). A protocol numbers its own opcodes around them; none may
+// collide (each protocol package has a test that says so).
 package transport
 
 import (
@@ -38,9 +38,8 @@ import (
 
 // Reserved opcodes (see the package comment).
 const (
-	// OpPing checks liveness: a bare OpPing is answered with a bare
-	// StatusOK. With a u32 capability word appended it is the dial-time
-	// handshake, and the answer carries the server's word after the status.
+	// OpPing checks liveness and is answered StatusOK with no body. A
+	// client's first ping on a connection proves the session (see Dial).
 	OpPing = 5
 	// OpTraced is the trace envelope: u8 opcode | i64 trace id | u8 hop |
 	// inner request bytes. The hop is the one the RECEIVER occupies in the
@@ -49,9 +48,9 @@ const (
 	// OpMux is the multiplexed-framing envelope: u8 opcode | u32 request id |
 	// inner request bytes. The response frame echoes the envelope
 	// (u8 OpMux | u32 request id | status+body) so a demux reader can match
-	// out-of-order responses back to their callers. It is the client's one
-	// transport (see mux.go); the only bare frames are the handshake ping
-	// and a one-shot retry exchange.
+	// out-of-order responses back to their callers. It is outermost on every
+	// request (see mux.go); a frame without it is answered with a bare
+	// StatusErr and never served.
 	OpMux = 9
 	// OpDeadline is the deadline-budget envelope: u8 opcode | i64 budget
 	// nanoseconds | inner request bytes. The budget is the REMAINING time
@@ -61,12 +60,6 @@ const (
 	// may appear once. Responses carry no deadline.
 	OpDeadline = 10
 )
-
-// CapMux is the capability bit exchanged over OpPing at dial time: the peer
-// speaks OpMux framing. Required — a reply without it fails the dial; the
-// bare status byte of a binary that predates the handshake reads as "no
-// capabilities".
-const CapMux uint32 = 1 << 0
 
 // MuxHeaderLen is the OpMux envelope size: opcode byte + u32 request id.
 const MuxHeaderLen = 5
@@ -91,8 +84,8 @@ const (
 // the local timeout says anything about the peer's health.
 var ErrDeadlineExceeded = errors.New("transport: deadline exceeded")
 
-// ErrCallTimeout: the client gave up waiting locally (the per-call timer, or
-// the deadline on a one-shot retry connection, fired). The peer may be hung.
+// ErrCallTimeout: the client gave up waiting locally (the per-call timer
+// fired, on the call or on the ping proving its redial). The peer may be hung.
 var ErrCallTimeout = fmt.Errorf("call timed out: %w", ErrDeadlineExceeded)
 
 // ErrExpiredByServer: the server answered promptly that the budget had run

@@ -46,8 +46,8 @@ func WriteFrame(w io.Writer, e *Buffer) error {
 	return err
 }
 
-// WritePayload frames a bare payload (the serial client exchange, the
-// handshake): copied behind a pooled buffer's prefix, sent by WriteFrame.
+// WritePayload frames a payload held as a plain []byte (a connection driven
+// by hand): copied behind a pooled buffer's prefix, sent by WriteFrame.
 func WritePayload(w io.Writer, payload []byte) error {
 	e := GetBuffer()
 	e.B = append(e.B, payload...)
