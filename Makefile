@@ -31,8 +31,11 @@ vet:
 # sends a plan is the switch. And there is one framing on the wire: every
 # exchange rides the mux session, so the non-test files of internal/transport
 # name no CapMux or oneShot and call no WritePayload( (the bare frame a
-# capability handshake or a one-shot retry connection would write). Subsumes
-# `vet` in `make all`.
+# capability handshake or a one-shot retry connection would write). And a node
+# has one door to the directory's lookup: in the non-test files of
+# internal/rpc, LookupBatch( and LookupBatchCtx( are called only inside
+# dirLookupBatch, which remembers the answers, so no path asks the directory
+# around the remembered owners. Subsumes `vet` in `make all`.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -72,6 +75,13 @@ lint:
 	done); \
 	if [ -n "$$stray" ]; then \
 		echo "a second exchange path (every frame rides the mux session; a bare frame is refused):"; echo "$$stray"; exit 1; \
+	fi
+	@stray=$$(for f in $$(ls internal/rpc/*.go | grep -v _test.go); do \
+		sed 's,//.*,,' $$f | awk -v f=$$f '/^func /{door = /\) dirLookupBatch\(/} \
+			/(^|[^A-Za-z0-9_])LookupBatch(Ctx)?\(/ && !door {print f ":" NR ":" $$0} /^}/{door = 0}'; \
+	done); \
+	if [ -n "$$stray" ]; then \
+		echo "a directory lookup around the remembered owners (ask through dirLookupBatch):"; echo "$$stray"; exit 1; \
 	fi
 	$(GO) vet ./...
 
@@ -144,7 +154,9 @@ bench:
 
 # The per-layer testing.B benchmarks of the networked packages: serving path
 # and wire codecs, the two-node peer plane (BenchmarkRemoteReadPath: one
-# remote-read batch through the frame handler, -benchmem), observability
+# remote-read batch through the frame handler, -benchmem, with the owners
+# forgotten before each batch and remembered, and the directory lookups per
+# batch of each), observability
 # overhead, the virtual-time sharded directory, the directory client's
 # ownership-write combiner (BenchmarkOwnershipWrites: ns and frames per claim
 # from 1 and 64 concurrent claimers), the loadgen saturation /

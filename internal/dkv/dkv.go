@@ -232,9 +232,9 @@ type CtxService interface {
 // BatchService is the optional batched half of the ownership writes: many
 // claims (release false) or releases of ids by node as one directory
 // operation, one verdict per id, or on error the verdicts of a prefix of ids.
-// DirClient implements it. ClaimAll and ReleaseAll give any other directory
-// one call per id, so an in-process or fault-injecting one sees the calls it
-// always saw.
+// DirClient and ShardedDir implement it. ClaimAll and ReleaseAll give any
+// other directory one call per id, so an in-process or fault-injecting one
+// sees the calls it always saw.
 type BatchService interface {
 	WriteBatch(release bool, ids []dataset.SampleID, node NodeID) ([]bool, error)
 }

@@ -9,13 +9,18 @@ package dkv
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"icache/internal/dataset"
+	"icache/internal/metrics"
+	"icache/internal/retry"
 	"icache/internal/simclock"
 )
 
@@ -154,6 +159,165 @@ func TestRejoinTakesFewFrames(t *testing.T) {
 	}
 	if frames, _ := srv.OwnershipStats(); frames-before != 2 {
 		t.Errorf("the sweep's 200 repairs took %d ownership frames, want 2", frames-before)
+	}
+}
+
+// ownRing is a three-replica ShardedDir over DirClients to three DirServers;
+// replica r's client is wrap(r, its client).
+func ownRing(t *testing.T, wrap func(ReplicaID, *DirClient) Service) (*ShardedDir, [3]*DirServer) {
+	t.Helper()
+	replicas := make(map[ReplicaID]Service, 3)
+	var srvs [3]*DirServer
+	for r := range srvs {
+		var addr string
+		srvs[r], _, addr = startOwnServer(t)
+		c, err := DialDirPolicy(addr, time.Second, retry.None())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		replicas[ReplicaID(r)] = wrap(ReplicaID(r), c)
+	}
+	return NewShardedDir(replicas, ShardedConfig{FailoverTTL: time.Minute}), srvs
+}
+
+func asIs(_ ReplicaID, c *DirClient) Service { return c }
+
+// perID hides a directory's BatchService, so ClaimAll and ReleaseAll take the
+// per-id path through it.
+type perID struct{ Service }
+
+// TestShardedRejoinTakesFewFrames: a 10 000-resident Rejoin through a
+// three-replica ShardedDir is at most ⌈10 000 / MaxOwnBatch⌉ ownership frames
+// per replica where the per-id path takes one per resident, with the same
+// replays denied; releasing them all answers what per-id releases answer.
+func TestShardedRejoinTakesFewFrames(t *testing.T) {
+	const residents, self, peer = 10000, NodeID(1), NodeID(2)
+	// rejoin replays residents through dir, whose ring already credits every
+	// seventh id to another node, counting the ownership frames it takes.
+	rejoin := func(ring *ShardedDir, srvs [3]*DirServer, dir Service) (metrics.MembershipStats, *fakeCache, int64) {
+		for id := dataset.SampleID(0); id < residents; id += 7 {
+			if ok, err := ring.Claim(id, peer); !ok || err != nil {
+				t.Fatalf("peer claim of %d: (%v, %v)", id, ok, err)
+			}
+		}
+		var frames int64
+		for _, srv := range srvs {
+			f, _ := srv.OwnershipStats()
+			frames -= f
+		}
+		cache := cacheOf(seq(residents)...)
+		d, err := Member{Dir: dir, ID: self, Cache: cache}.Rejoin()
+		if err != nil || d.ReplayDenied != (residents+6)/7 {
+			t.Fatalf("rejoin: %+v, %v", d, err)
+		}
+		for _, srv := range srvs {
+			f, _ := srv.OwnershipStats()
+			frames += f
+		}
+		return d, cache, frames
+	}
+	batched, bSrvs := ownRing(t, asIs)
+	serial, sSrvs := ownRing(t, asIs)
+	d, cache, frames := rejoin(batched, bSrvs, batched)
+	want, wantCache, serialFrames := rejoin(serial, sSrvs, perID{serial})
+	if d != want || !maps.Equal(cache.dropped, wantCache.dropped) {
+		t.Fatalf("batched rejoin %+v dropped %d, per-id %+v dropped %d", d, len(cache.dropped), want, len(wantCache.dropped))
+	}
+	if most := int64(3 * ((residents + MaxOwnBatch - 1) / MaxOwnBatch)); frames > most {
+		t.Errorf("a %d-resident rejoin took %d ownership frames, want at most %d", residents, frames, most)
+	}
+	if serialFrames != residents {
+		t.Errorf("the per-id rejoin took %d frames, want one per resident", serialFrames)
+	}
+
+	got, err := ReleaseAll(batched, seq(residents), self)
+	wantRel, werr := ReleaseAll(perID{serial}, seq(residents), self)
+	if err != nil || werr != nil || !slices.Equal(got, wantRel) {
+		t.Fatalf("batched releases (%v) differ from per-id ones (%v)", err, werr)
+	}
+}
+
+// killsOnWrite is a replica that kills another replica's server when a
+// batched write reaches it, before answering.
+type killsOnWrite struct {
+	*DirClient
+	kill func()
+}
+
+func (k killsOnWrite) WriteBatch(release bool, ids []dataset.SampleID, node NodeID) ([]bool, error) {
+	k.kill()
+	return k.DirClient.WriteBatch(release, ids, node)
+}
+
+// TestShardedWriteBatchFailsOver: replica 1 is killed after a batch has
+// started on replica 0. Its group fails over to the survivors, and every id
+// gets a verdict the ring then agrees with.
+func TestShardedWriteBatchFailsOver(t *testing.T) {
+	var srvs [3]*DirServer // set by the time the kill runs
+	var once sync.Once
+	ring, srvs := ownRing(t, func(r ReplicaID, c *DirClient) Service {
+		if r != 0 {
+			return c
+		}
+		return killsOnWrite{c, func() { once.Do(func() { srvs[1].Close() }) }}
+	})
+	ids := seq(3000)
+	got, err := ring.WriteBatch(false, ids, 1)
+	if err != nil || len(got) != len(ids) {
+		t.Fatalf("%d verdicts for %d ids, %v", len(got), len(ids), err)
+	}
+	for i, id := range ids {
+		if node, found, err := ring.Lookup(id); !got[i] || !found || node != 1 || err != nil {
+			t.Fatalf("id %d: verdict %v, ring says (%d, %v, %v)", id, got[i], node, found, err)
+		}
+	}
+	if st := ring.Ring(); st.Failovers != 1 || st.LiveReplicas != 2 {
+		t.Errorf("ring after the kill: %+v, want one failover", st)
+	}
+}
+
+// lastWords is an in-process replica that answers one batched write and then
+// takes every replica of its ring down with it.
+type lastWords struct {
+	Local
+	dead *atomic.Bool
+}
+
+func (l lastWords) WriteBatch(release bool, ids []dataset.SampleID, node NodeID) ([]bool, error) {
+	if l.dead.Swap(true) {
+		return nil, ErrNoReplica
+	}
+	return ClaimAll(l.Local, ids, node)
+}
+
+// TestShardedWriteBatchNoReplicaAnswersPrefix: when the ring runs out of
+// replicas mid-batch, the verdicts of the ids answered in order come back
+// beside ErrNoReplica, as BatchService requires.
+func TestShardedWriteBatchNoReplicaAnswersPrefix(t *testing.T) {
+	var dead atomic.Bool
+	replicas := make(map[ReplicaID]Service, 3)
+	for r := ReplicaID(0); r < 3; r++ {
+		replicas[r] = lastWords{Local{NewDirectory()}, &dead}
+	}
+	ring := NewShardedDir(replicas, ShardedConfig{FailoverTTL: time.Minute})
+	view := ring.View()
+	var ids []dataset.SampleID // led by an id replica 0 holds
+	for id := dataset.SampleID(0); len(ids) < 64; id++ {
+		if r, _ := view.Owner(id); r == 0 || len(ids) > 0 {
+			ids = append(ids, id)
+		}
+	}
+	first := len(ids) // replica 0's group is answered first
+	for i, id := range ids {
+		if r, _ := view.Owner(id); r != 0 {
+			first = i
+			break
+		}
+	}
+	got, err := ring.WriteBatch(false, ids, 1)
+	if err != ErrNoReplica || len(got) != first || slices.Contains(got, false) {
+		t.Fatalf("%d verdicts %v, %v; want the %d of the leading ids replica 0 holds and ErrNoReplica", len(got), got, err, first)
 	}
 }
 

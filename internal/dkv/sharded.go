@@ -339,22 +339,62 @@ func (s *ShardedDir) LookupBatchCtx(ids []dataset.SampleID, ctx obs.TraceCtx, dl
 	if len(ids) == 0 {
 		return nil, nil
 	}
-	out := make([]Owner, len(ids))
+	out, err := perShard(s, ids, dl, func(svc Service, shard []dataset.SampleID) ([]Owner, error) {
+		if cs, ok := svc.(CtxService); ok {
+			return cs.LookupBatchCtx(shard, ctx, dl)
+		}
+		return svc.LookupBatch(shard)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// WriteBatch is the BatchService half of the sharded client: claims (release
+// false) or releases of ids by node, one call per live shard owner — a few
+// frames per replica through a DirClient, not one round trip per id — failed
+// over group by group as LookupBatchCtx's are. With no replica left it returns
+// the verdicts of the answered prefix of ids beside ErrNoReplica.
+func (s *ShardedDir) WriteBatch(release bool, ids []dataset.SampleID, node NodeID) ([]bool, error) {
+	return perShard(s, ids, time.Time{}, func(svc Service, shard []dataset.SampleID) ([]bool, error) {
+		if release {
+			return ReleaseAll(svc, shard, node)
+		}
+		return ClaimAll(svc, shard, node)
+	})
+}
+
+// perShard runs one batched operation over ids as one call per live shard
+// owner and reassembles the answers aligned with ids. Owners are walked in
+// sorted order so the call sequence — and therefore any fault schedule keyed
+// on call counts — is deterministic. A call answers a prefix of its group; one
+// that fails or answers short marks its owner down, and the ids it left
+// unanswered re-group against the survivors, so one replica crash costs one
+// extra round per affected group, never a failed batch. A call that spent the
+// request's deadline dl (budgetSpent) ends the batch with its error. On an
+// error the answers of the longest answered prefix of ids are returned.
+func perShard[T any](s *ShardedDir, ids []dataset.SampleID, dl time.Time, call func(Service, []dataset.SampleID) ([]T, error)) ([]T, error) {
+	out, answered := make([]T, len(ids)), make([]bool, len(ids))
+	prefix := func() []T {
+		n := 0
+		for n < len(ids) && answered[n] {
+			n++
+		}
+		return out[:n]
+	}
 	pending := make([]int, len(ids))
 	for i := range ids {
 		pending[i] = i
 	}
-	for round := 0; len(pending) > 0; round++ {
+	for len(pending) > 0 {
 		s.mu.Lock()
 		s.reviveDue(s.now())
 		view := s.view
 		s.mu.Unlock()
 		if len(view.Replicas) == 0 {
-			return nil, ErrNoReplica
+			return prefix(), ErrNoReplica
 		}
-		// Group the pending positions by shard owner. Owners are walked in
-		// sorted order so the call sequence — and therefore any fault
-		// schedule keyed on call counts — is deterministic.
 		groups := make(map[ReplicaID][]int)
 		for _, i := range pending {
 			r, _ := view.Owner(ids[i])
@@ -366,35 +406,27 @@ func (s *ShardedDir) LookupBatchCtx(ids []dataset.SampleID, ctx obs.TraceCtx, dl
 		}
 		sort.Slice(owners, func(i, j int) bool { return owners[i] < owners[j] })
 
-		var stillPending []int
+		pending = pending[:0] // the groups hold copies
 		for _, r := range owners {
 			idxs := groups[r]
 			shard := make([]dataset.SampleID, len(idxs))
 			for k, i := range idxs {
 				shard[k] = ids[i]
 			}
-			svc := s.service(r)
-			var res []Owner
-			var err error
-			if cs, ok := svc.(CtxService); ok {
-				res, err = cs.LookupBatchCtx(shard, ctx, dl)
-			} else {
-				res, err = svc.LookupBatch(shard)
-			}
+			res, err := call(s.service(r), shard)
 			if budgetSpent(err, dl) {
-				return nil, err
+				return prefix(), err
 			}
-			if err != nil || len(res) != len(shard) {
+			res = res[:min(len(res), len(idxs))]
+			for k, v := range res {
+				out[idxs[k]], answered[idxs[k]] = v, true
+			}
+			if err != nil || len(res) < len(idxs) {
 				s.markDown(r)
 				s.retried()
-				stillPending = append(stillPending, idxs...)
-				continue
-			}
-			for k, i := range idxs {
-				out[i] = res[k]
+				pending = append(pending, idxs[len(res):]...)
 			}
 		}
-		pending = stillPending
 	}
 	return out, nil
 }

@@ -265,15 +265,28 @@ func BenchmarkServeHitPath(b *testing.B) {
 // §III-E path: one 16-id GetBatch through node B's frame handler with 12 ids
 // read from node A over loopback (directory in process) and 4 local hits —
 // the shape TestRemoteReadAllocBound bounds. B/op and allocs/op are
-// process-wide: B's request path, its peer client and A's answer. Run by
-// `make bench-layers`.
+// process-wide: B's request path, its peer client and A's answer. The cold
+// row forgets the remembered owners before every batch, so each asks the
+// directory; the warm row routes by the answers B remembers. dir-lookups/op
+// is the directory round trips per batch. Run by `make bench-layers`.
 func BenchmarkRemoteReadPath(b *testing.B) {
-	srv, req := remoteReadSetup(b)
-	serve := serveFrom(b, srv, req)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		serve()
+	for _, warm := range []bool{false, true} {
+		name := "cold-memo"
+		if warm {
+			name = "warm-memo"
+		}
+		b.Run(name, func(b *testing.B) {
+			srv, req, dir := remoteReadSetup(b)
+			serve := serveRemoteRead(b, srv, req, warm)
+			serve() // a warm row remembers from here on
+			lb0 := atomic.LoadInt64(&dir.lookupBatches)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serve()
+			}
+			b.ReportMetric(float64(atomic.LoadInt64(&dir.lookupBatches)-lb0)/float64(b.N), "dir-lookups/op")
+		})
 	}
 }
 

@@ -177,16 +177,21 @@ func (s *Server) scrubOnce() {
 	dist.memMu.Lock()
 	dist.scrubMark = mark
 	dist.memMu.Unlock()
+	dist.owners.forgetAll() // a remembered owner drifts from the directory one scrub interval at most
 	s.noteStep(d, err)
 }
 
 // noteStep books a finished step: its counter delta under memMu, the
-// directory failure that cut it short, and the node-side view of a
-// Live→Suspect flip (the directory let the lease lapse).
+// directory failure that cut it short, the node-side view of a Live→Suspect
+// flip (the directory let the lease lapse), and after a re-registration, which
+// may have found ownership moved, a fresh generation of remembered owners.
 func (s *Server) noteStep(d metrics.MembershipStats, err error) {
 	dist := s.dist
 	if err != nil {
 		s.countDirFailure()
+	}
+	if d.Registers > 0 {
+		dist.owners.forgetAll()
 	}
 	dist.memMu.Lock()
 	dist.mem.Add(d)

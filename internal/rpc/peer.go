@@ -3,6 +3,7 @@ package rpc
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -132,6 +133,8 @@ type distState struct {
 	peerBatchRPCs    int64 // opPeerGetBatch RPCs issued to peers (atomic)
 	peerBatchSamples int64 // samples carried by those RPCs (atomic)
 
+	owners ownerMemo // the directory's answers this node remembers
+
 	// Wall-clock membership loop state (see lifecycle.go); memStop is nil
 	// until StartMembership.
 	memCfg   MembershipConfig
@@ -180,8 +183,58 @@ func (s *Server) EnableDistributed(nodeID dkv.NodeID, dir dkv.Service, peerAddrs
 		releases:    make(chan dataset.SampleID, releaseQueueLen),
 		releaseStop: make(chan struct{}),
 	}
+	s.dist.owners.words = make([]atomic.Uint64, s.source.Spec().NumSamples)
 	s.dist.releaseWG.Add(1)
 	go s.dist.releaseLoop()
+}
+
+// ownerMemo is the directory's last answer for each id the node asked about in
+// the current generation: one word per dataset id, the generation in the high
+// half and 0 (unowned) or node+1 in the low half, so a read or a write is one
+// atomic and forgetting everything is one increment. The generation moves at
+// every epoch boundary, re-registration and scrub sweep. An answer is a routing
+// hint: a stale one costs a read (a peer miss, or a backend read in place of a
+// peer read), never a wrong byte or a second owner, since admission claims.
+type ownerMemo struct {
+	gen    atomic.Uint32 // the current generation is gen+1: a zero word is never current
+	words  []atomic.Uint64
+	routed atomic.Int64 // miss ids routed without a directory call
+	stale  atomic.Int64 // remembered answers contradicted
+}
+
+// generation is what an answer is recorded under; forgetAll starts the next.
+func (m *ownerMemo) generation() uint32 { return m.gen.Load() + 1 }
+func (m *ownerMemo) forgetAll()         { m.gen.Add(1) }
+
+// owner reports id's remembered answer, if it has one in this generation.
+func (m *ownerMemo) owner(id dataset.SampleID) (o dkv.Owner, ok bool) {
+	if uint64(id) < uint64(len(m.words)) {
+		w := m.words[id].Load()
+		if ok = uint32(w>>32) == m.generation(); ok && uint32(w) > 0 {
+			o = dkv.Owner{Node: dkv.NodeID(uint32(w) - 1), Found: true}
+		}
+	}
+	return o, ok
+}
+
+// put records o as id's answer unless the generation moved since gen was
+// read: an answer that crossed a boundary is dropped.
+func (m *ownerMemo) put(gen uint32, id dataset.SampleID, o dkv.Owner) {
+	var code uint64
+	if o.Found {
+		code = uint64(o.Node) + 1
+	}
+	if uint64(id) < uint64(len(m.words)) && code>>32 == 0 && gen == m.generation() {
+		m.words[id].Store(uint64(gen)<<32 | code)
+	}
+}
+
+// forget drops id's answer because something contradicted it (counted stale
+// when it was current); the next miss asks the directory again.
+func (m *ownerMemo) forget(id dataset.SampleID) {
+	if uint64(id) < uint64(len(m.words)) && uint32(m.words[id].Swap(0)>>32) == m.generation() {
+		m.stale.Add(1)
+	}
 }
 
 // breakerLocked returns (creating on demand) the node's circuit breaker.
@@ -338,12 +391,12 @@ func (c *Client) PeerGetBatchDeadline(ids []dataset.SampleID, ctx obs.TraceCtx, 
 }
 
 // scatterToPeers is the scatter half of the miss path: one directory
-// multi-lookup for keys (singleflight keys the caller leads), then one
-// batched peer RPC per owning node. Keys a peer satisfied are finished here;
-// the rest — unowned, owned by this node, peer misses, peer or directory
-// failures — are returned for the backend gather, so every key is finished
-// exactly once between the two. Its working set, the returned keys included,
-// lives in sc. Called with no server lock held.
+// multi-lookup for the keys (singleflight keys the caller leads) with no
+// remembered owner, then one batched peer RPC per owning node. Keys a peer
+// satisfied are finished here; the rest — unowned, owned by this node, peer
+// misses, peer or directory failures — are returned for the backend gather,
+// so every key is finished exactly once between the two. Its working set, the
+// returned keys included, lives in sc. Called with no server lock held.
 func (s *Server) scatterToPeers(sc *serveScratch, keys []missKey, ctx obs.TraceCtx, dl time.Time) []missKey {
 	// Re-check the store under the flight happens-before edge: a racing
 	// fetch or prefetch may have filled entries between the miss scan and
@@ -359,17 +412,26 @@ func (s *Server) scatterToPeers(sc *serveScratch, keys []missKey, ctx obs.TraceC
 		return nil
 	}
 
-	// One directory round trip answers ownership for the whole batch. A
-	// directory failure degrades every id to a backend read (counted).
+	// Keys with a remembered owner are routed at once; one directory round trip
+	// answers the rest (a failure degrades them to backend reads, counted).
 	dist := s.dist
-	sc.keyIDs = keyIDs(sc.keyIDs[:0], keys)
-	owners := s.dirLookupBatch(dist, sc.keyIDs, ctx, dl)
-
-	for i, k := range keys {
-		if owners != nil && owners[i].Found && owners[i].Node != dist.nodeID {
-			sc.groups[owners[i].Node] = append(sc.groups[owners[i].Node], k)
+	ask := keys[:0]
+	for _, k := range keys {
+		if o, ok := dist.owners.owner(k.id); ok {
+			dist.group(sc, k, o)
 		} else {
-			sc.local = append(sc.local, k)
+			ask = append(ask, k)
+		}
+	}
+	dist.owners.routed.Add(int64(len(keys) - len(ask)))
+	if len(ask) > 0 {
+		sc.keyIDs = keyIDs(sc.keyIDs[:0], ask)
+		owners := s.dirLookupBatch(dist, sc.keyIDs, ctx, dl)
+		if owners == nil {
+			sc.local = append(sc.local, ask...)
+		}
+		for i, o := range owners {
+			dist.group(sc, ask[i], o)
 		}
 	}
 
@@ -394,11 +456,21 @@ func (s *Server) scatterToPeers(sc *serveScratch, keys []missKey, ctx obs.TraceC
 			node, chunk = n, group[:min(len(group), dist.peerCfg.Batch)]
 		}
 	}
-	if chunk != nil { // the lookup's id list is done with, and has room for any chunk
-		s.peerFetchBatch(sc, sc.keyIDs[:0], node, chunk, ctx, dl)
+	if chunk != nil { // the lookup's id list is done with
+		sc.keyIDs = slices.Grow(sc.keyIDs[:0], len(chunk))
+		s.peerFetchBatch(sc, sc.keyIDs, node, chunk, ctx, dl)
 	}
 	sc.wg.Wait()
 	return sc.local
+}
+
+// group files k with its owner's peer group, or with the backend's keys.
+func (d *distState) group(sc *serveScratch, k missKey, o dkv.Owner) {
+	if o.Found && o.Node != d.nodeID {
+		sc.groups[o.Node] = append(sc.groups[o.Node], k)
+	} else {
+		sc.local = append(sc.local, k)
+	}
 }
 
 // keyIDs appends the ids of keys to ids.
@@ -436,7 +508,8 @@ func (s *Server) peerFetchBatch(sc *serveScratch, ids []dataset.SampleID, node d
 	defer sc.mu.Unlock()
 	misses := len(sc.local)
 	for i, k := range keys {
-		if res == nil || res[i] == nil {
+		if res == nil || res[i] == nil { // the peer failed or answered absent
+			s.dist.owners.forget(k.id)
 			sc.local = append(sc.local, k)
 		} else {
 			s.flight.FinishBorrowed(int64(k.id), k.c, res[i], nil)
@@ -492,11 +565,12 @@ func (s *Server) peerGetBatch(ids []dataset.SampleID, node dkv.NodeID, keys []mi
 	return res, owner
 }
 
-// dirLookupBatch resolves ownership for many ids in one directory
-// operation, timed into the dir_lookup_batch stage. A failure (or a
-// malformed short answer) counts one directory failure and returns nil,
-// which degrades every id in the batch to a backend read.
+// dirLookupBatch, the one door to the directory's lookup, resolves ownership
+// for many ids in one operation timed into the dir_lookup_batch stage, and
+// remembers the answers under the generation read before asking. A failure
+// (or a short answer) counts one directory failure and returns nil.
 func (s *Server) dirLookupBatch(dist *distState, ids []dataset.SampleID, ctx obs.TraceCtx, dl time.Time) []dkv.Owner {
+	gen := dist.owners.generation()
 	measure := s.obs.histsOn() || s.obs.tracing(ctx)
 	var t0 time.Time
 	if measure {
@@ -518,6 +592,9 @@ func (s *Server) dirLookupBatch(dist *distState, ids []dataset.SampleID, ctx obs
 		atomic.AddInt64(&dist.dirFailures, 1)
 		return nil
 	}
+	for i, id := range ids {
+		dist.owners.put(gen, id, owners[i])
+	}
 	return owners
 }
 
@@ -532,17 +609,20 @@ func (s *Server) PeerBatchStats() (rpcs, samples int64) {
 
 // claimOwnership registers this node in the directory for a sample it just
 // admitted. It reports whether the node may keep the copy and, when not, why
-// it goes: another node owns the sample (dead-owner), or the claim got no
-// answer (dir-unavailable: counted as a directory failure, and the copy goes
-// because unregistered ownership would invite duplication). Distributed
-// servers only (admit skips the claim on a lone one). Must be called with no
-// server lock held: it performs a directory round trip.
+// it goes: another node owns the sample (dead-owner; the remembered answer is
+// stale), or the claim got no answer (dir-unavailable: counted as a directory
+// failure, and the copy goes because unregistered ownership would invite
+// duplication). Distributed servers only (admit skips the claim on a lone
+// one). Must be called with no server lock held: it is a directory round trip.
 func (s *Server) claimOwnership(id dataset.SampleID) (keep bool, why dkv.DropReason) {
 	dist := s.dist
 	ok, err := dist.dir.Claim(id, dist.nodeID)
 	if err != nil {
 		atomic.AddInt64(&dist.dirFailures, 1)
 		return false, dkv.DropDirUnavailable
+	}
+	if !ok {
+		dist.owners.forget(id)
 	}
 	return ok, dkv.DropDeadOwner
 }

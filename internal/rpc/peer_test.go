@@ -340,10 +340,11 @@ func TestScatterServesASecondOwnerBesideTheFirst(t *testing.T) {
 
 // remoteReadSetup is the shape TestRemoteReadAllocBound and
 // BenchmarkRemoteReadPath share: one 16-id batch through node B of a two-node
-// deployment on an in-process directory, 12 ids owned by node A — a live peer
-// over loopback — and 4 resident on B. It returns B and the request frame.
-func remoteReadSetup(tb testing.TB) (*Server, []byte) {
-	dir := dkv.Local{Dir: dkv.NewDirectory()}
+// deployment on an in-process directory that counts lookups, 12 ids owned by
+// node A — a live peer over loopback — and 4 resident on B. It returns B, the
+// request frame and the directory.
+func remoteReadSetup(tb testing.TB) (*Server, []byte, *countingDir) {
+	dir := &countingDir{Local: dkv.Local{Dir: dkv.NewDirectory()}}
 	f := startDistFixtureHook(tb, func(_ int, srv *Server) { srv.dist.dir, srv.dist.dirCtx = dir, nil })
 	var items []sampling.Item
 	var ids []dataset.SampleID
@@ -360,7 +361,20 @@ func remoteReadSetup(tb testing.TB) (*Server, []byte) {
 			tb.Fatal(err)
 		}
 	}
-	return f.nodes[1], encodeGetBatchRequest(ids)
+	return f.nodes[1], encodeGetBatchRequest(ids), dir
+}
+
+// serveRemoteRead returns one remote-read batch through srv, with the owners
+// srv remembers forgotten first unless warm: a cold batch asks the directory,
+// a warm one routes by the answer it remembers.
+func serveRemoteRead(tb testing.TB, srv *Server, req []byte, warm bool) func() {
+	serve := serveFrom(tb, srv, req)
+	return func() {
+		if !warm {
+			srv.dist.owners.forgetAll()
+		}
+		serve()
+	}
 }
 
 // TestRemoteReadAllocBound states what a remote read costs in allocations,
@@ -368,19 +382,31 @@ func remoteReadSetup(tb testing.TB) (*Server, []byte) {
 // is left is per-sample or per-call state that outlives no request — twelve
 // singleflight calls, the directory's answer, the peer call's decoded slice,
 // request encoder, reader and timeout timer — not buffers, stacks or
-// per-request working sets; the parent commit reads 54 here.
+// per-request working sets; the parent commit reads 54 here. Remembering the
+// owners allocates nothing: a cold batch, which asks the directory and records
+// its answer, keeps the bound, and a warm one asks nothing.
 func TestRemoteReadAllocBound(t *testing.T) {
-	srv, req := remoteReadSetup(t)
-	serve := serveFrom(t, srv, req)
-	rpcs0, _ := srv.PeerBatchStats()
-	const runs, bound = 200, 30
-	allocs := testing.AllocsPerRun(runs, serve)
-	if rpcs, carried := srv.PeerBatchStats(); rpcs-rpcs0 != runs+1 || carried < 12*(runs+1) {
-		t.Fatalf("%d peer RPCs carrying %d samples over %d batches, want one of 12 per batch", rpcs-rpcs0, carried, runs+1)
-	}
-	t.Logf("%v allocs per 16-id batch with 12 ids read from a peer", allocs)
-	if allocs > bound && !raceBuild() {
-		t.Errorf("%v allocs per remote-read batch, want at most %d", allocs, bound)
+	srv, req, dir := remoteReadSetup(t)
+	for _, warm := range []bool{false, true} {
+		serve := serveRemoteRead(t, srv, req, warm)
+		rpcs0, _ := srv.PeerBatchStats()
+		lb0 := atomic.LoadInt64(&dir.lookupBatches)
+		const runs, bound = 200, 30
+		allocs := testing.AllocsPerRun(runs, serve)
+		if rpcs, carried := srv.PeerBatchStats(); rpcs-rpcs0 != runs+1 || carried < 12*(runs+1) {
+			t.Fatalf("%d peer RPCs carrying %d samples over %d batches, want one of 12 per batch", rpcs-rpcs0, carried, runs+1)
+		}
+		want := int64(runs + 1)
+		if warm {
+			want = 0
+		}
+		if lb := atomic.LoadInt64(&dir.lookupBatches) - lb0; lb != want {
+			t.Fatalf("warm=%v: %d directory lookups over %d batches, want %d", warm, lb, runs+1, want)
+		}
+		t.Logf("warm=%v: %v allocs per 16-id batch with 12 ids read from a peer", warm, allocs)
+		if allocs > bound && !raceBuild() {
+			t.Errorf("warm=%v: %v allocs per remote-read batch, want at most %d", warm, allocs, bound)
+		}
 	}
 }
 

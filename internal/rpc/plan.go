@@ -118,10 +118,11 @@ func (s *Server) route(dist *distState, missing []dataset.SampleID, st *PlanStat
 
 // preplace ships each future owner its plan entries in opPlanPreplace
 // chunks, in a deterministic node order. Entries a peer rejects (already
-// resident there) are done. The first chunk that fails to ship re-routes
-// the rest of that peer's entries to the local queue — this node fetches
-// them itself rather than dropping plan coverage, and a dead or hung peer
-// costs the boundary's reply one dial or RPC timeout, not one per chunk.
+// resident there) are done; a shipped chunk is remembered as the peer's. The
+// first chunk that fails to ship re-routes the rest of that peer's entries to
+// the local queue — this node fetches them itself rather than dropping plan
+// coverage, and a dead or hung peer costs the boundary's reply one dial or RPC
+// timeout, not one per chunk.
 func (s *Server) preplace(dist *distState, routed map[dkv.NodeID][]dataset.SampleID, local []dataset.SampleID, st *PlanStats) []dataset.SampleID {
 	nodes := make([]dkv.NodeID, 0, len(routed))
 	for n := range routed {
@@ -133,10 +134,14 @@ func (s *Server) preplace(dist *distState, routed map[dkv.NodeID][]dataset.Sampl
 		for off := 0; off < len(ids); off += planPreplaceChunk {
 			c, err := dist.peer(n)
 			if err == nil {
+				chunk, gen := ids[off:min(off+planPreplaceChunk, len(ids))], dist.owners.generation()
 				var accepted int
-				accepted, err = c.PlanPreplace(ids[off:min(off+planPreplaceChunk, len(ids))])
+				accepted, err = c.PlanPreplace(chunk)
 				if err == nil {
 					st.PreplaceSent += int64(accepted)
+					for _, id := range chunk { // n fetches them, or holds them already
+						dist.owners.put(gen, id, dkv.Owner{Node: n, Found: true})
+					}
 					continue
 				}
 				if isConnFailure(err) {

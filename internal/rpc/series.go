@@ -38,6 +38,7 @@ type nodeView struct {
 	loaderUseful, loaderWasted int64
 	peerServes, peerHits       int64
 	peerFailures, dirFailures  int64
+	memoRouted, memoStale      int64
 
 	mem  metrics.MembershipStats
 	sv   metrics.ServingStats
@@ -68,6 +69,9 @@ func (s *Server) gather() *nodeView {
 	v.payloadLen = s.payloads.len()
 	v.peerServes, v.peerHits = s.PeerStats()
 	v.peerFailures, v.dirFailures = s.ResilienceStats()
+	if d := s.dist; d != nil {
+		v.memoRouted, v.memoStale = d.owners.routed.Load(), d.owners.stale.Load()
+	}
 	v.mem = s.MembershipStats()
 	v.sv = s.ServingStats()
 	v.ov = s.OverloadStats()
@@ -121,6 +125,8 @@ func (v *nodeView) rows() []series {
 		{"icache_peer_hits_total", "local misses served from a peer's cache", counter, "peer_hits", float64(v.peerHits)},
 		{"icache_resilience_peer_failures_total", "peer dials/reads that failed and were degraded around", counter, "", float64(v.peerFailures)},
 		{"icache_resilience_dir_failures_total", "directory operations that failed and were degraded around", counter, "", float64(v.dirFailures)},
+		{"icache_owner_memo_routed_total", "miss ids routed by the directory's remembered answer, without a directory call", counter, "", float64(v.memoRouted)},
+		{"icache_owner_memo_stale_total", "remembered directory answers contradicted (peer answered absent, peer failed, claim lost) and forgotten", counter, "", float64(v.memoStale)},
 
 		// Membership family (metrics.MembershipStats; zeros unless
 		// StartMembership ran).

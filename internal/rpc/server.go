@@ -294,8 +294,12 @@ func (s *Server) dispatchControl(req []byte, e *wire.Buffer, ctx obs.TraceCtx) e
 // missing L-side (honest virtual-time charging) and returns the missing
 // H-side in first-access order — which is built and queued outside the lock
 // but before the boundary is answered. Without a pool a plan is a plain
-// boundary: the client need not know whether the server plans.
+// boundary: the client need not know whether the server plans. Remembered
+// owners go first, so the plan's sweep is remembered in the new generation.
 func (s *Server) crossEpoch(schedule []dataset.SampleID, planned bool) {
+	if s.dist != nil {
+		s.dist.owners.forgetAll()
+	}
 	s.policyMu.Lock()
 	s.prefetch.sweepEpoch()
 	s.cache.StartEpoch(s.now())
