@@ -35,7 +35,11 @@ vet:
 # has one door to the directory's lookup: in the non-test files of
 # internal/rpc, LookupBatch( and LookupBatchCtx( are called only inside
 # dirLookupBatch, which remembers the answers, so no path asks the directory
-# around the remembered owners. Subsumes `vet` in `make all`.
+# around the remembered owners. And there is one prefetcher, the epoch plan:
+# the non-test files of internal/icache and internal/rpc name no loader
+# delivery observer (SetLoadObserver, onDeliver, loadObs), no reactive queue
+# bound (reactivePerWorker) and no pool size apart from the read budget
+# (PrefetchWorkers), comments included. Subsumes `vet` in `make all`.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -82,6 +86,11 @@ lint:
 	done); \
 	if [ -n "$$stray" ]; then \
 		echo "a directory lookup around the remembered owners (ask through dirLookupBatch):"; echo "$$stray"; exit 1; \
+	fi
+	@stray=$$(grep -nwE 'SetLoadObserver|onDeliver|loadObs|reactivePerWorker|PrefetchWorkers' \
+		$$(ls internal/icache/*.go internal/rpc/*.go | grep -v _test.go)); \
+	if [ -n "$$stray" ]; then \
+		echo "a second prefetch feeder or pool size (the epoch plan is the one prefetcher; the read budget bounds it):"; echo "$$stray"; exit 1; \
 	fi
 	$(GO) vet ./...
 

@@ -87,7 +87,6 @@ func main() {
 		cacheFrac = flag.Float64("cache-frac", 0.2, "cache size as a fraction of the dataset")
 		hShare    = flag.Float64("h-share", 0.9, "fraction of the cache given to the H-region")
 		noLCache  = flag.Bool("no-lcache", false, "disable the L-cache (the +HC ablation configuration)")
-		prefetchN = flag.Int("prefetch-workers", 4, "async prefetch worker pool size (not the paper's Fig. 15 knob, which is icache-train -workers): loads L-package bytes and pre-places the missing working set of clients that push each epoch's schedule (icache-train -clairvoyant), at most this many backend reads at a time; 0 disables prefetching and planning")
 		seed      = flag.Int64("seed", 42, "server randomness seed")
 		ckptPath  = flag.String("checkpoint", "", "warm-restart checkpoint file: load at boot, save at shutdown")
 		metricsAt = flag.String("metrics-addr", "", "serve a metrics endpoint on this address (e.g. :7830): Prometheus text at /metrics; also arms the per-stage latency histograms")
@@ -125,7 +124,6 @@ func main() {
 	cfg := icache.DefaultConfig(int64(float64(spec.TotalBytes()) * *cacheFrac))
 	cfg.HShare = *hShare
 	cfg.EnableLCache = !*noLCache
-	cfg.PrefetchWorkers = *prefetchN
 	cacheSrv, err := icache.NewServer(backend, cfg, sampling.DefaultIIS(), *seed)
 	if err != nil {
 		log.Fatalf("icache-server: %v", err)

@@ -36,7 +36,7 @@ func main() {
 		bs      = flag.Int("batch", 256, "mini-batch size")
 		workers = flag.Int("workers", 4, "concurrent fetch workers (one connection each, like PyTorch data workers)")
 		seed    = flag.Int64("seed", 1, "sampler seed")
-		clairv  = flag.Bool("clairvoyant", false, "push each epoch's full schedule at the boundary (BeginEpochPlan) so the server pre-places the working set through its prefetch pool; a server run with -prefetch-workers 0 treats it as a plain epoch boundary")
+		clairv  = flag.Bool("clairvoyant", true, "push each epoch's full schedule at the boundary (BeginEpochPlan) so the server pre-places the working set through its prefetch pool; -clairvoyant=false crosses plain boundaries, and the server then prefetches nothing")
 		timeout = flag.Duration("timeout", 5*time.Second, "dial timeout")
 		traceN  = flag.Int("trace-sample", 0, "trace 1 in N GetBatch requests end to end (0 disables); traced requests carry a trace envelope the server and its peers record spans under")
 		traceTo = flag.String("trace-csv", "", "dump the client-side spans of traced requests to this CSV at exit (combine with the server's -trace-csv in icache-trace)")

@@ -148,15 +148,6 @@ type Config struct {
 	// target a data-center NVMe: 80µs, 2 GB/s).
 	Tier2ReadLatency time.Duration
 	Tier2Bandwidth   float64
-	// PrefetchWorkers sizes the serving path's asynchronous prefetch
-	// worker pool: when the background loader delivers an L-package, this
-	// many workers pull the real sample bytes from the backend concurrently
-	// so first requests hit DRAM. It only affects byte serving (the RPC
-	// server); the virtual-time simulation ignores it. It is not the paper's
-	// Fig. 15 knob, which varies the training job's data-loading workers
-	// (train.Config.Workers). 0 disables prefetching (bytes load lazily on
-	// first request).
-	PrefetchWorkers int
 	// Clairvoyant enables planned cross-epoch prefetching: because the IIS
 	// sampler draws the next epoch's schedule before the epoch begins, the
 	// future access sequence is known in advance (the NoPFS premise).
@@ -164,9 +155,11 @@ type Config struct {
 	// loader composes its packages from exactly the L-samples the epoch will
 	// consume (in first-access order) instead of waiting for misses. This
 	// field switches the simulation only; on the byte-serving RPC path the
-	// client that sends BeginEpochPlan is the switch, and missing H-samples
-	// are pre-placed by the prefetch pool, at most PrefetchWorkers reads at
-	// a time. Off by default: reactive behavior is unchanged.
+	// client that sends BeginEpochPlan is the switch, and the plan is the
+	// only thing that prefetches: its missing H-samples are pre-placed by the
+	// server's prefetch pool inside its backend-read budget, and its L-side
+	// seeds the loader, whose samples get their bytes on first request. Off
+	// by default: the simulated loader packs from misses and random fill.
 	Clairvoyant bool
 	// RepackPerSample is the loading thread's bookkeeping cost per sample
 	// packed: dynamic packaging must gather each scattered L-sample from
@@ -194,7 +187,6 @@ func DefaultConfig(capacityBytes int64) Config {
 		FreqDecay:        0.5,
 		Tier2ReadLatency: 80 * time.Microsecond,
 		Tier2Bandwidth:   2e9,
-		PrefetchWorkers:  4,
 		RepackPerSample:  1700 * time.Microsecond,
 	}
 }
@@ -216,8 +208,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("icache: BenefitThreshold=%g, want > 0", c.BenefitThreshold)
 	case c.FreqDecay < 0 || c.FreqDecay >= 1:
 		return fmt.Errorf("icache: FreqDecay=%g, want [0,1)", c.FreqDecay)
-	case c.PrefetchWorkers < 0:
-		return fmt.Errorf("icache: PrefetchWorkers=%d, want >= 0", c.PrefetchWorkers)
 	case c.RepackPerSample < 0:
 		return fmt.Errorf("icache: negative RepackPerSample %v", c.RepackPerSample)
 	case c.Tier2Bytes < 0:

@@ -51,13 +51,6 @@ type loader struct {
 	// retroactively at nextFree.
 	gated bool
 
-	// onDeliver, when set, observes every sample actually inserted into
-	// the L-cache by deliver. The RPC serving path uses it to hand freshly
-	// loaded samples to its prefetch worker pool so their real bytes are
-	// pulled asynchronously. Nil (the default, and always in the
-	// simulation path) costs nothing and changes nothing.
-	onDeliver func(dataset.SampleID)
-
 	packages int64 // packages issued
 	samples  int64 // samples shipped in packages
 }
@@ -267,9 +260,6 @@ func (ld *loader) deliver(now simclock.Time, l *lcache) {
 				size := ld.spec.SampleBytes(id)
 				if l.insert(id, size) {
 					ld.usefulBytes += int64(size)
-					if ld.onDeliver != nil {
-						ld.onDeliver(id)
-					}
 				}
 			}
 		} else {

@@ -13,15 +13,17 @@ import (
 //     re-packing, in first-access order, so the dynamic-packaging loader's
 //     next packages are composed of exactly the samples the epoch is about
 //     to consume instead of random fill. The loader still pays its full
-//     virtual-time storage cost, so simulation results stay honest.
+//     virtual-time storage cost, so simulation results stay honest. Which
+//     L-samples are resident stays the policy's decision; on the
+//     byte-serving path their bytes arrive on first request.
 //   - Scheduled H-samples that are not resident are returned, in
 //     first-access order, for the caller to pre-place. The simulation
 //     ignores the list (an H-miss charges its backend read to the
 //     foreground request that triggers it, and pre-admitting without
 //     charging that time anywhere would falsify the model); the
-//     byte-serving RPC layer queues it on its prefetch pool, whose workers
-//     fetch real bytes like any other read — no more than PrefetchWorkers
-//     at a time, inside the server's backend-read budget (see
+//     byte-serving RPC layer queues it on its prefetch pool — the one
+//     prefetcher it has — whose workers fetch real bytes like any other
+//     read, inside the server's backend-read budget (see
 //     internal/rpc/plan.go).
 
 // PlanSchedule ingests the epoch's known access sequence. It seeds the

@@ -37,9 +37,6 @@ type Server struct {
 	// userEvict is the externally registered eviction observer; the server
 	// chains it after its own spill hook.
 	userEvict func(dataset.SampleID)
-	// loadObs observes L-cache inserts made by the loading path (see
-	// SetLoadObserver).
-	loadObs func(dataset.SampleID)
 
 	// The distributed mode's seams, nil on a lone server; a Cluster sets
 	// them on its nodes (distributed.go). claim must approve every H
@@ -281,23 +278,6 @@ func (s *Server) StartEpoch(at simclock.Time) { s.startEpoch(at) }
 func (s *Server) Resident(id dataset.SampleID) bool {
 	return s.h.contains(id) || s.l.contains(id)
 }
-
-// SetLoadObserver registers fn to be called with every L-sample the
-// loading path inserts into the L-cache (package deliveries under dynamic
-// packaging, chunk-member inserts under static packaging). The RPC server
-// registers its prefetch pool here so freshly loaded samples get real
-// bytes pulled asynchronously. fn is invoked synchronously from inside the
-// cache's mutation path — it runs under whatever lock the caller holds
-// (the RPC server's policy lock) and must not block or call back into the
-// cache. Nil detaches.
-func (s *Server) SetLoadObserver(fn func(dataset.SampleID)) {
-	s.loadObs = fn
-	s.ld.onDeliver = fn
-}
-
-// PrefetchWorkers reports the configured prefetch pool size; the
-// byte-serving layer sizes its worker pool from this.
-func (s *Server) PrefetchWorkers() int { return s.cfg.PrefetchWorkers }
 
 // SetEvictObserver registers fn to be called with every sample evicted from
 // either cache region (payload-store invalidation on the RPC path). It
@@ -590,9 +570,6 @@ func (s *Server) fetchStaticChunk(at simclock.Time, id dataset.SampleID, served 
 		}
 		if s.l.insert(cid, size) {
 			s.ld.usefulBytes += int64(size)
-			if s.loadObs != nil {
-				s.loadObs(cid)
-			}
 		}
 	}
 	return at

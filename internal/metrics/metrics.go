@@ -142,14 +142,13 @@ func (m MembershipStats) String() string {
 }
 
 // ServingStats counts concurrent-serving-path events on the network
-// server: miss coalescing, the prefetch pool's gauges (what its prefetches
+// server: miss coalescing, the prefetch queue's depth (what its prefetches
 // came to is DecisionStats' outcome ledger), and encode/frame buffer
 // pooling. Like ResilienceStats they are observability counters, not part
 // of the request-conservation invariant.
 type ServingStats struct {
 	CoalescedMisses    int64 // miss fetches that joined an in-flight fetch for the same sample
 	PrefetchQueueDepth int64 // gauge: current prefetch backlog
-	PrefetchWorkers    int64 // gauge: configured pool size (-prefetch-workers; not Fig. 15's loader workers)
 	BufferGets         int64 // pooled-buffer checkouts on the wire path
 	BufferAllocs       int64 // checkouts that had to allocate (pool miss)
 	BufferDiscards     int64 // buffer returns dropped at the pooled-capacity cap

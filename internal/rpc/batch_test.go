@@ -26,22 +26,18 @@ import (
 )
 
 // newUnstartedServer builds a server without serving it, so tests can
-// configure pre-Serve state (distribution wiring, log capture) race-free — those fields are read without synchronization by
+// configure pre-Serve state (distribution wiring, log capture, the prefetch
+// pool's size) race-free — those fields are read without synchronization by
 // the serving path and must not change once connections exist. src may be
-// nil for a plain storage.DataSource; prefetchWorkers < 0 keeps the config
-// default.
-func newUnstartedServer(t *testing.T, src ByteSource, prefetchWorkers int) *Server {
+// nil for a plain storage.DataSource. The server is closed at cleanup.
+func newUnstartedServer(t *testing.T, src ByteSource) *Server {
 	t.Helper()
 	spec := testSpec()
 	back, err := storage.NewBackend(spec, storage.OrangeFS())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := icache.DefaultConfig(spec.TotalBytes() / 5)
-	if prefetchWorkers >= 0 {
-		cfg.PrefetchWorkers = prefetchWorkers
-	}
-	cacheSrv, err := icache.NewServer(back, cfg, sampling.DefaultIIS(), 5)
+	cacheSrv, err := icache.NewServer(back, icache.DefaultConfig(spec.TotalBytes()/5), sampling.DefaultIIS(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,6 +50,7 @@ func newUnstartedServer(t *testing.T, src ByteSource, prefetchWorkers int) *Serv
 	}
 	srv := NewServer(cacheSrv, src)
 	srv.Logf = nil
+	t.Cleanup(func() { srv.Close() })
 	return srv
 }
 
@@ -164,7 +161,7 @@ func TestCleanCloseLogsNothing(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv := newUnstartedServer(t, nil, -1)
+			srv := newUnstartedServer(t, nil)
 			var mu sync.Mutex
 			var lines []string
 			srv.Logf = func(format string, args ...interface{}) {
@@ -206,7 +203,7 @@ func TestBatchedMissCoalescing(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := &slowFetchSource{inner: inner, delay: 100 * time.Millisecond}
-	srv := newUnstartedServer(t, src, -1)
+	srv := newUnstartedServer(t, src)
 	srv.EnableDistributed(0, dkv.Local{Dir: dkv.NewDirectory()}, nil)
 	addr := serveOn(t, srv)
 	if srv.dist.peerCfg.Batch <= 0 {
@@ -286,9 +283,9 @@ func TestBatchedDuplicateIDsInOneBatch(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// No prefetch pool: a worker joining one of the request's fetches
-			// would be a genuine coalesced miss and blur the count below.
-			srv := newUnstartedServer(t, nil, 0)
+			// No plan, so no prefetch: a worker joining one of the request's
+			// fetches would be a genuine coalesced miss and blur the count below.
+			srv := newUnstartedServer(t, nil)
 			tc.setup(srv)
 			addr := serveOn(t, srv)
 			spec := testSpec()
@@ -422,7 +419,7 @@ func (c *countingDir) LookupBatch(ids []dataset.SampleID) ([]dkv.Owner, error) {
 // RPC count per sweep drops by ~ScrubBatch×. Claims and releases stay
 // per-id (they are the rare repairs), but the common probe is batched.
 func TestScrubSweepUsesOneBatchedLookup(t *testing.T) {
-	srv := newUnstartedServer(t, nil, 0) // no prefetch pool: its misses would add probes
+	srv := newUnstartedServer(t, nil) // no plan: a prefetch's misses would add probes
 	cd := &countingDir{Local: dkv.Local{Dir: dkv.NewDirectory()}}
 	srv.EnableDistributed(4, cd, nil)
 	addr := serveOn(t, srv)
@@ -527,11 +524,10 @@ func TestPeerRPCsScaleWithOwnersNotMisses(t *testing.T) {
 }
 
 // TestPrefetchRidesTheBatchedResolver: a prefetch worker has no peer,
-// directory or backend call of its own — a reactive delivery and a plan entry
-// whose sample a live peer owns each cost one LookupBatch and one
-// opPeerGetBatch (never a per-sample Lookup, never a backend read), admit
-// nothing on the prefetching node, and leave the outcome ledger balanced at
-// the next epoch boundary.
+// directory or backend call of its own — a plan entry whose sample a live
+// peer owns costs one LookupBatch and one opPeerGetBatch (never a per-sample
+// Lookup, never a backend read), admits nothing on the prefetching node, and
+// leaves the outcome ledger balanced at the next epoch boundary.
 func TestPrefetchRidesTheBatchedResolver(t *testing.T) {
 	cd := &countingDir{Local: dkv.Local{Dir: dkv.NewDirectory()}}
 	f := startDistFixtureHook(t, func(_ int, srv *Server) {
@@ -540,57 +536,48 @@ func TestPrefetchRidesTheBatchedResolver(t *testing.T) {
 	cA := dial(t, f.addrs[0])
 	cB := dial(t, f.addrs[1])
 	b := f.nodes[1]
-	items := []sampling.Item{{ID: 11, IV: 5}, {ID: 12, IV: 5}}
+	const id = dataset.SampleID(12)
 	for _, c := range []*Client{cA, cB} {
-		if err := c.UpdateImportance(items); err != nil {
+		if err := c.UpdateImportance([]sampling.Item{{ID: id, IV: 5}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := cA.GetBatch([]dataset.SampleID{11, 12}); err != nil { // node A owns both
+	if _, err := cA.GetBatch([]dataset.SampleID{id}); err != nil { // node A owns it
 		t.Fatal(err)
 	}
 
-	for _, tc := range []struct {
-		name  string
-		id    dataset.SampleID
-		offer func(id dataset.SampleID)
-	}{
-		{"reactive", 11, b.prefetch.enqueue},
-		{"planned", 12, func(id dataset.SampleID) { b.acceptRemote([]dataset.SampleID{id}) }},
-	} {
-		lk, lb := atomic.LoadInt64(&cd.lookups), atomic.LoadInt64(&cd.lookupBatches)
-		rpcs0, _ := b.PeerBatchStats()
-		_, hits0 := b.PeerStats()
-		reads0 := f.sources[1].Reads()
-		tc.offer(tc.id)
-		waitPlanSettled(t, b)
-		if got := atomic.LoadInt64(&cd.lookups) - lk; got != 0 {
-			t.Errorf("%s: %d per-sample Lookups; want 0", tc.name, got)
-		}
-		if got := atomic.LoadInt64(&cd.lookupBatches) - lb; got != 1 {
-			t.Errorf("%s: %d LookupBatch calls; want 1", tc.name, got)
-		}
-		if rpcs, _ := b.PeerBatchStats(); rpcs-rpcs0 != 1 {
-			t.Errorf("%s: %d opPeerGetBatch RPCs; want 1", tc.name, rpcs-rpcs0)
-		}
-		if _, hits := b.PeerStats(); hits-hits0 != 1 {
-			t.Errorf("%s: %d peer hits; want 1", tc.name, hits-hits0)
-		}
-		if got := f.sources[1].Reads() - reads0; got != 0 {
-			t.Errorf("%s: %d backend reads for a sample a live peer owns; want 0", tc.name, got)
-		}
-		if b.payloads.has(tc.id) {
-			t.Errorf("%s: node B stored peer-owned sample %d", tc.name, tc.id)
-		}
+	lk, lb := atomic.LoadInt64(&cd.lookups), atomic.LoadInt64(&cd.lookupBatches)
+	rpcs0, _ := b.PeerBatchStats()
+	_, hits0 := b.PeerStats()
+	reads0 := f.sources[1].Reads()
+	b.acceptRemote([]dataset.SampleID{id})
+	waitPlanSettled(t, b)
+	if got := atomic.LoadInt64(&cd.lookups) - lk; got != 0 {
+		t.Errorf("%d per-sample Lookups; want 0", got)
 	}
-	if d := b.DecisionStats(); d.AdmitPrefetch != 0 || d.PrefetchIssued != 2 {
-		t.Errorf("AdmitPrefetch = %d, PrefetchIssued = %d; want two prefetches that admit nothing", d.AdmitPrefetch, d.PrefetchIssued)
+	if got := atomic.LoadInt64(&cd.lookupBatches) - lb; got != 1 {
+		t.Errorf("%d LookupBatch calls; want 1", got)
+	}
+	if rpcs, _ := b.PeerBatchStats(); rpcs-rpcs0 != 1 {
+		t.Errorf("%d opPeerGetBatch RPCs; want 1", rpcs-rpcs0)
+	}
+	if _, hits := b.PeerStats(); hits-hits0 != 1 {
+		t.Errorf("%d peer hits; want 1", hits-hits0)
+	}
+	if got := f.sources[1].Reads() - reads0; got != 0 {
+		t.Errorf("%d backend reads for a sample a live peer owns; want 0", got)
+	}
+	if b.payloads.has(id) {
+		t.Errorf("node B stored peer-owned sample %d", id)
+	}
+	if d := b.DecisionStats(); d.AdmitPrefetch != 0 || d.PrefetchIssued != 1 {
+		t.Errorf("AdmitPrefetch = %d, PrefetchIssued = %d; want one prefetch that admits nothing", d.AdmitPrefetch, d.PrefetchIssued)
 	}
 	requireStoreWithinResidents(t, b)
 
-	// The two peer-served prefetches left nothing on B for a hit to redeem:
-	// the boundary books both wasted.
-	if d, _ := crossBoundary(t, b, "after peer-served prefetches", func() error { return cB.BeginEpoch(1) }); d.PrefetchWasted != 2 {
-		t.Errorf("wasted = %d after the boundary; want the 2 peer-served prefetches", d.PrefetchWasted)
+	// The peer-served prefetch left nothing on B for a hit to redeem: the
+	// boundary books it wasted.
+	if d, _ := crossBoundary(t, b, "after a peer-served prefetch", func() error { return cB.BeginEpoch(1) }); d.PrefetchWasted != 1 {
+		t.Errorf("wasted = %d after the boundary; want the peer-served prefetch", d.PrefetchWasted)
 	}
 }

@@ -29,7 +29,7 @@ func warmRestart(t *testing.T, n int) (*Server, *storage.DataSource, []dataset.S
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2 := newUnstartedServer(t, source, -1)
+	srv2 := newUnstartedServer(t, source)
 	t.Cleanup(func() { srv2.Close() })
 	loaded, err := srv2.LoadCheckpointFile(path, true)
 	if err != nil {
@@ -135,7 +135,7 @@ func TestHitPathAllocFree(t *testing.T) {
 func TestRehydrateReadsThroughTheBudget(t *testing.T) {
 	spec := testSpec()
 	newServer := func(src ByteSource) *Server {
-		srv := newUnstartedServer(t, src, 0)
+		srv := newUnstartedServer(t, src)
 		t.Cleanup(func() { srv.Close() })
 		return srv
 	}

@@ -270,11 +270,10 @@ func (c *Client) BeginEpoch(epoch int) error {
 }
 
 // BeginEpochPlan is BeginEpoch carrying the next epoch's known access
-// sequence (the IIS sampler draws it before the epoch starts). A server
-// with a prefetch pool queues its missing working set as a prefetch plan
-// before answering; one without still crosses the boundary and ignores the
-// schedule. Servers predating the opcode reject it — callers fall back to
-// BeginEpoch on error.
+// sequence (the IIS sampler draws it before the epoch starts). The server
+// queues its missing working set as a prefetch plan before answering; an
+// epoch begun without one is not prefetched at all. Servers predating the
+// opcode reject it — callers fall back to BeginEpoch on error.
 func (c *Client) BeginEpochPlan(epoch int, ids []dataset.SampleID) error {
 	_, err := c.roundTrip(encodeEpochPlanRequest(epoch, ids))
 	return err
@@ -282,7 +281,7 @@ func (c *Client) BeginEpochPlan(epoch int, ids []dataset.SampleID) error {
 
 // PlanPreplace hands the server plan entries it is the future owner of
 // (node-to-node plan traffic). Returns how many entries the server queued
-// into its plan (0 when it has no prefetch pool).
+// into its plan.
 func (c *Client) PlanPreplace(ids []dataset.SampleID) (int, error) {
 	d, err := c.roundTrip(encodePlanPreplaceRequest(ids))
 	if err != nil {

@@ -218,8 +218,7 @@ func TestConcurrentMissCoalescing(t *testing.T) {
 
 	// K concurrent misses per sample must not issue K backend reads. With
 	// a 100ms fetch and a start barrier, every client lands inside the
-	// executing fetch's window; allow generous slack anyway (prefetch
-	// workers may add fetches for loader deliveries).
+	// executing fetch's window; allow generous slack anyway.
 	if got := atomic.LoadInt64(&src.fetches); got >= int64(clients*len(ids)) {
 		t.Fatalf("%d backend fetches for %d coalesced-candidate requests: no coalescing", got, clients*len(ids))
 	}
@@ -228,16 +227,14 @@ func TestConcurrentMissCoalescing(t *testing.T) {
 	}
 }
 
-// TestPrefetchPoolFillsPayloadStore drives L-path traffic until the
-// background loader delivers packages, then checks that the prefetch pool
-// observed the deliveries and pulled real bytes into the payload store
-// without any client having requested those samples.
-func TestPrefetchPoolFillsPayloadStore(t *testing.T) {
+// TestUnplannedEpochIssuesNoPrefetch: the epoch plan is the only prefetcher.
+// An L-cache-on server whose client crosses plain boundaries keeps loading
+// L-packages into the policy's residency, but it issues no prefetch: every
+// backend read is a demand fetch, and the payload store holds only what the
+// policy keeps resident.
+func TestUnplannedEpochIssuesNoPrefetch(t *testing.T) {
 	defer leakcheck.Check(t)
-	srv, addr, _ := startServer(t)
-	if srv.prefetch == nil {
-		t.Fatal("default config should enable the prefetch pool")
-	}
+	srv, addr, src := startServer(t)
 	cl := dial(t, addr)
 	spec := testSpec()
 
@@ -250,21 +247,33 @@ func TestPrefetchPoolFillsPayloadStore(t *testing.T) {
 	if err := cl.UpdateImportance(items); err != nil {
 		t.Fatal(err)
 	}
+	if err := cl.BeginEpoch(1); err != nil {
+		t.Fatal(err)
+	}
 
 	deadline := time.Now().Add(10 * time.Second)
 	rng := rand.New(rand.NewSource(99))
 	ids := make([]dataset.SampleID, 8)
-	for time.Now().Before(deadline) {
+	for lenL := 0; lenL == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the loader never delivered a package; the test exercised nothing")
+		}
 		for i := range ids {
 			ids[i] = dataset.SampleID(100 + rng.Intn(spec.NumSamples-100))
 		}
 		if _, err := cl.GetBatch(ids); err != nil {
 			t.Fatal(err)
 		}
-		if d := srv.DecisionStats(); d.PrefetchIssued > 0 && d.AdmitPrefetch > 0 {
-			return // pool saw deliveries and stored the bytes of some
-		}
+		srv.policyMu.Lock()
+		lenL = srv.cache.LCacheLen()
+		srv.policyMu.Unlock()
 		time.Sleep(10 * time.Millisecond)
 	}
-	t.Fatalf("prefetch pool never stored a payload: %+v", srv.DecisionStats())
+	if d := srv.DecisionStats(); d.PrefetchIssued != 0 || d.AdmitPrefetch != 0 {
+		t.Fatalf("%d prefetches issued, %d admitted without a plan; want none", d.PrefetchIssued, d.AdmitPrefetch)
+	}
+	if reads, demand := src.Reads(), srv.DemandFetches(); reads != demand {
+		t.Fatalf("%d backend reads, %d of them demand fetches; want every read a demand fetch", reads, demand)
+	}
+	requireStoreWithinResidents(t, srv)
 }

@@ -80,7 +80,5 @@ func (s *Server) overlayServingDecisions(d *metrics.DecisionStats) {
 	d.AdmitFetch = atomic.LoadInt64(&s.dec.admitFetch)
 	d.AdmitPrefetch = atomic.LoadInt64(&s.dec.admitPrefetch)
 	d.AdmitRehydrate = atomic.LoadInt64(&s.dec.admitRehydrate)
-	if s.prefetch != nil {
-		s.prefetch.ledger(d)
-	}
+	s.prefetch.ledger(d)
 }

@@ -6,12 +6,10 @@ package rpc
 // the timeline collector.
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"icache/internal/dataset"
 	"icache/internal/dkv"
@@ -23,9 +21,9 @@ import (
 	"icache/internal/sampling"
 )
 
-// TestDecisionLedgerConservation drives real traffic (foreground fetches,
-// background prefetch deliveries, a directed drop) across epoch boundaries
-// and then pins the full decision ledger:
+// TestDecisionLedgerConservation drives real traffic (foreground fetches, a
+// planned epoch's prefetches, a directed drop) across epoch boundaries and
+// then pins the full decision ledger:
 //
 //	EvictCapacity + EvictDeadOwner + EvictScrub + EvictCheckpointDenied
 //	  + EvictDirUnavailable                                             == EvictTotal
@@ -34,40 +32,35 @@ import (
 //
 // Both identities hold always; the boundary's sweep books every token the
 // finished epoch left out wasted, so after it the outstanding tokens are only
-// the new epoch's (what the loader catch-up queued).
+// the new epoch's plan.
 func TestDecisionLedgerConservation(t *testing.T) {
 	defer leakcheck.Check(t)
 	srv, addr, _ := startServer(t)
 	cl := dial(t, addr)
 	spec := testSpec()
 
-	// Small H-list; everything else is L, so L misses feed the loader and
-	// its package deliveries feed the prefetch pool.
-	var items []sampling.Item
-	for id := dataset.SampleID(0); id < 20; id++ {
-		items = append(items, sampling.Item{ID: id, IV: 5})
-	}
-	if err := cl.UpdateImportance(items); err != nil {
+	// Small H-list; everything else is L, so L misses feed the loader.
+	hot := idRange(0, 20)
+	if err := cl.UpdateImportance(hItems(hot)); err != nil {
 		t.Fatal(err)
 	}
 
+	// A planned epoch: the pool places the plan's H-samples; half of them are
+	// read in time, the rest are swept wasted at the next boundary.
+	crossBoundary(t, srv, "into epoch 1", func() error { return cl.BeginEpochPlan(1, hot) })
+	waitPlanSettled(t, srv)
+	if _, err := cl.GetBatch(hot[:10]); err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(7))
 	ids := make([]dataset.SampleID, 8)
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
+	for r := 0; r < 20; r++ {
 		for i := range ids {
 			ids[i] = dataset.SampleID(100 + rng.Intn(spec.NumSamples-100))
 		}
 		if _, err := cl.GetBatch(ids); err != nil {
 			t.Fatal(err)
 		}
-		if d := srv.DecisionStats(); d.PrefetchIssued > 0 && d.AdmitPrefetch > 0 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if d := srv.DecisionStats(); d.PrefetchIssued == 0 {
-		t.Fatalf("prefetch pool saw no deliveries: %+v", d)
 	}
 
 	// A directed drop with a reason code: make a sample resident, then
@@ -82,19 +75,17 @@ func TestDecisionLedgerConservation(t *testing.T) {
 		t.Fatal("sample 2 was not resident to drop")
 	}
 
-	// Two epoch turns: the first sweeps outstanding prefetch tokens, the
-	// second proves the ledger stays balanced across repeated boundaries.
-	for epoch := 1; epoch <= 2; epoch++ {
-		crossBoundary(t, srv, fmt.Sprintf("into epoch %d", epoch), func() error { return cl.BeginEpoch(epoch) })
-	}
+	// The plain boundary sweeps the plan's outstanding tokens.
+	crossBoundary(t, srv, "into epoch 2", func() error { return cl.BeginEpoch(2) })
 
 	d := srv.DecisionStats()
 	requireEvictionsReasoned(t, d)
 	if d.EvictScrub == 0 {
 		t.Error("directed scrub drop was not reason-counted")
 	}
-	if d.PrefetchIssued == 0 {
-		t.Error("no prefetches issued; the ledger test exercised nothing")
+	if d.PrefetchIssued == 0 || d.PrefetchInTime == 0 || d.PrefetchWasted == 0 {
+		t.Errorf("issued %d, in time %d, wasted %d; the ledger test exercised too little",
+			d.PrefetchIssued, d.PrefetchInTime, d.PrefetchWasted)
 	}
 	if r := d.PrefetchTimeliness(); r < 0 || r > 1 {
 		t.Errorf("timeliness ratio %g outside [0,1]", r)
@@ -124,7 +115,7 @@ func requireEvictionsReasoned(t *testing.T, d metrics.DecisionStats) {
 func TestFailedClaimIsNotADeadOwner(t *testing.T) {
 	defer leakcheck.Check(t)
 	inj := faults.New(1).Add(faults.FailN(faults.OpDirClaim, 5, nil))
-	srv := newUnstartedServer(t, nil, 0)
+	srv := newUnstartedServer(t, nil)
 	srv.EnableDistributed(0, faults.WrapDir(dkv.Local{Dir: dkv.NewDirectory()}, inj), nil)
 	c := dial(t, serveOn(t, srv))
 	var items []sampling.Item
@@ -148,38 +139,6 @@ func TestFailedClaimIsNotADeadOwner(t *testing.T) {
 	}
 	requireEvictionsReasoned(t, d)
 	requireStoreWithinResidents(t, srv)
-}
-
-// TestEpochSweepPrecedesLoaderCatchUp: crossing a boundary rolls the loader
-// forward, and the packages it delivers queue the new epoch's first
-// prefetches. The boundary settles the finished epoch's ledger before it
-// crosses, so the sweep books wasted exactly the tokens outstanding before the
-// boundary, none of the catch-up's (crossBoundary pins that).
-func TestEpochSweepPrecedesLoaderCatchUp(t *testing.T) {
-	leakcheck.Check(t)
-	srv, addr, _ := startServer(t)
-	cl := dial(t, addr)
-	var items []sampling.Item
-	for id := dataset.SampleID(0); id < 20; id++ {
-		items = append(items, sampling.Item{ID: id, IV: 5})
-	}
-	if err := cl.UpdateImportance(items); err != nil {
-		t.Fatal(err)
-	}
-	// L misses keep the loader issuing; the pause lets the packages in flight
-	// after the last request complete on the virtual timeline, so the
-	// boundary's catch-up delivers them.
-	for r := 0; r < 4; r++ {
-		if _, err := cl.GetBatch([]dataset.SampleID{dataset.SampleID(100 + 8*r), dataset.SampleID(900 + 8*r)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	time.Sleep(100 * time.Millisecond)
-	waitPlanSettled(t, srv)
-	issued := srv.DecisionStats().PrefetchIssued
-	if d, _ := crossBoundary(t, srv, "with a loader catch-up", func() error { return cl.BeginEpoch(1) }); d.PrefetchIssued == issued {
-		t.Fatal("the boundary's loader catch-up delivered nothing; the test exercised nothing")
-	}
 }
 
 // TestJournalRecordsEpochBoundaries wires a journal into a serving node and

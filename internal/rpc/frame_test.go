@@ -26,7 +26,7 @@ func (s *Server) dispatch(req []byte) []byte { return transporttest.Dispatch(s.t
 // TestEnvelopeRejections: the cache handler sees envelope stacks accepted and
 // rejected exactly as every handler on the transport does.
 func TestEnvelopeRejections(t *testing.T) {
-	transporttest.EnvelopeRejections(t, newUnstartedServer(t, nil, 0).t)
+	transporttest.EnvelopeRejections(t, newUnstartedServer(t, nil).t)
 }
 
 // TestNoOpcodeCollidesWithTheTransport: a cache opcode equal to a reserved
@@ -49,7 +49,7 @@ func TestNoOpcodeCollidesWithTheTransport(t *testing.T) {
 // batched plane degrades to its backend (TestMalformedFrameRejected has the
 // connection serving on afterwards).
 func TestRetiredOpcodeRefused(t *testing.T) {
-	srv := newUnstartedServer(t, nil, 0)
+	srv := newUnstartedServer(t, nil)
 	old := []byte{6, 0, 0, 0, 0, 0, 0, 0, 9}
 	for _, tc := range []struct {
 		name string
@@ -135,7 +135,7 @@ func TestTraceParity(t *testing.T) {
 // TestSlowRequestLogNamesTrace: the slow-request log is written by the one
 // serve path, so a traced request's line carries its trace ID and hop.
 func TestSlowRequestLogNamesTrace(t *testing.T) {
-	srv := newUnstartedServer(t, nil, 0)
+	srv := newUnstartedServer(t, nil)
 	var lines []string
 	srv.Logf = func(format string, args ...interface{}) { lines = append(lines, fmt.Sprintf(format, args...)) }
 	srv.SetSlowRequestLog(time.Nanosecond, 0)
@@ -148,7 +148,7 @@ func TestSlowRequestLogNamesTrace(t *testing.T) {
 // TestStatsResponseLayout pins the opStats answer: the status byte and seven
 // i64 counters, DemandFetches last — always sent, once.
 func TestStatsResponseLayout(t *testing.T) {
-	srv := newUnstartedServer(t, nil, 0)
+	srv := newUnstartedServer(t, nil)
 	srv.dispatch(encodeGetBatchRequest([]dataset.SampleID{1, 2, 3})) // three cold misses
 	resp := srv.dispatch([]byte{opStats})
 	if len(resp) != 1+7*8 || resp[0] != transport.StatusOK {

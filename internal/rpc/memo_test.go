@@ -31,18 +31,18 @@ type memoPair struct {
 
 // startMemoPair makes ids H-samples on both nodes and has A read owned, so A
 // owns it.
-func startMemoPair(t *testing.T, bWorkers int, ids, owned []dataset.SampleID) *memoPair {
+func startMemoPair(t *testing.T, ids, owned []dataset.SampleID) *memoPair {
 	t.Helper()
 	p := &memoPair{dir: &countingDir{Local: dkv.Local{Dir: dkv.NewDirectory()}}}
 	var srvs [2]*Server
 	var srcs [2]*storage.DataSource
 	var lns [2]net.Listener
-	for n, workers := range []int{0, bWorkers} {
+	for n := range srvs {
 		var err error
 		if srcs[n], err = storage.NewDataSource(testSpec()); err != nil {
 			t.Fatal(err)
 		}
-		srvs[n] = newUnstartedServer(t, srcs[n], workers)
+		srvs[n] = newUnstartedServer(t, srcs[n])
 		if lns[n], err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func idRange(lo, hi dataset.SampleID) []dataset.SampleID {
 // boundary; every sample is served from A's memory.
 func TestRepeatMissesAskTheDirectoryOncePerEpoch(t *testing.T) {
 	ids := idRange(0, 16)
-	p := startMemoPair(t, 0, ids, ids)
+	p := startMemoPair(t, ids, ids)
 	base, lb, reads0 := cacheStats(p.b).Requests(), p.lookups(), p.srcB.Reads()
 	for epoch := 1; epoch <= 2; epoch++ {
 		if epoch == 2 {
@@ -148,7 +148,7 @@ func TestRepeatMissesAskTheDirectoryOncePerEpoch(t *testing.T) {
 // directory call, and the miss after that asks the directory again.
 func TestOwnerEvictionCostsOnePeerMiss(t *testing.T) {
 	const x = dataset.SampleID(3)
-	p := startMemoPair(t, 0, []dataset.SampleID{x}, []dataset.SampleID{x})
+	p := startMemoPair(t, []dataset.SampleID{x}, []dataset.SampleID{x})
 	base := cacheStats(p.b).Requests()
 	readExact(t, p.cB, []dataset.SampleID{x}) // remembered as A's
 	if !(lockedResidents{p.a}).DropFor(x, dkv.DropScrub) || !p.dir.Dir.Release(x, 0) {
@@ -186,7 +186,7 @@ func TestOwnerEvictionCostsOnePeerMiss(t *testing.T) {
 // read and one lost claim. The miss after that is served by A.
 func TestClaimLostAfterLookupForgetsTheAnswer(t *testing.T) {
 	const x = dataset.SampleID(5)
-	p := startMemoPair(t, 0, []dataset.SampleID{x}, nil)
+	p := startMemoPair(t, []dataset.SampleID{x}, nil)
 	if o := p.b.dirLookupBatch(p.b.dist, []dataset.SampleID{x}, obs.TraceCtx{}, time.Time{}); len(o) != 1 || o[0].Found {
 		t.Fatalf("lookup before any claim: %+v", o)
 	}
@@ -221,7 +221,7 @@ func TestClaimLostAfterLookupForgetsTheAnswer(t *testing.T) {
 // one per read, and the next boundary's prefetch ledger balances.
 func TestClosedPeerCostsOneFailedChunk(t *testing.T) {
 	ids := idRange(20, 36)
-	p := startMemoPair(t, 2, ids, ids)
+	p := startMemoPair(t, ids, ids)
 	readExact(t, p.cB, ids) // remembered as A's
 	p.a.Close()
 	for _, id := range ids {
@@ -249,7 +249,7 @@ func TestClosedPeerCostsOneFailedChunk(t *testing.T) {
 // TestEveryGenerationPointForgets: an epoch boundary, a scrub sweep and a
 // re-registration each leave no remembered answer behind.
 func TestEveryGenerationPointForgets(t *testing.T) {
-	srv := newUnstartedServer(t, nil, 0)
+	srv := newUnstartedServer(t, nil)
 	srv.EnableDistributed(0, dkv.Local{Dir: dkv.NewDirectory()}, nil)
 	srv.dist.memCfg = MembershipConfig{}.withDefaults()
 	c := dial(t, serveOn(t, srv))
@@ -297,7 +297,7 @@ func (d *crossingDir) LookupBatch(ids []dataset.SampleID) ([]dkv.Owner, error) {
 // boundary and answered after it are dropped, not remembered in the new
 // generation; a lookup that crosses nothing is remembered.
 func TestLookupRacingABoundaryLeavesNoAnswer(t *testing.T) {
-	srv := newUnstartedServer(t, nil, 0)
+	srv := newUnstartedServer(t, nil)
 	dir := &crossingDir{countingDir: &countingDir{Local: dkv.Local{Dir: dkv.NewDirectory()}}}
 	dir.cross = func() { srv.crossEpoch(nil, false) }
 	srv.EnableDistributed(0, dir, nil)

@@ -25,17 +25,14 @@ type MetricsSnapshot struct {
 }
 
 // ServingStats gathers the concurrent-serving-path counters: coalesced
-// misses, the prefetch pool's gauges (its outcomes are the decision ledger's),
+// misses, the prefetch queue's depth (its outcomes are the decision ledger's),
 // and wire buffer-pool reuse. (The buffer pool is process-wide — shared with
 // the dkv directory protocol — so its numbers cover every wire user in the
 // process, which is what an operator wants on a combined node.)
 func (s *Server) ServingStats() metrics.ServingStats {
 	out := metrics.ServingStats{
-		CoalescedMisses: atomic.LoadInt64(&s.coalescedMisses),
-	}
-	if p := s.prefetch; p != nil {
-		out.PrefetchQueueDepth = int64(p.depth())
-		out.PrefetchWorkers = int64(p.workers)
+		CoalescedMisses:    atomic.LoadInt64(&s.coalescedMisses),
+		PrefetchQueueDepth: int64(s.prefetch.depth()),
 	}
 	gets, news, discards := wire.PoolStats()
 	out.BufferGets, out.BufferAllocs, out.BufferDiscards = gets, news, discards

@@ -71,7 +71,7 @@ func TestMissGatherFinishesExactlyOnceOnFailure(t *testing.T) {
 			faulty := &faultySource{inner: inner, bad: bad, mark: mark, panics: panics, marked: make(chan struct{})}
 			src := &gatedSource{inner: faulty, gate: bad, entered: make(chan struct{}),
 				release: make(chan struct{}), counts: make(map[dataset.SampleID]int)}
-			srv := newUnstartedServer(t, src, 0)
+			srv := newUnstartedServer(t, src)
 			addr := serveOn(t, srv)
 
 			ids := make([]dataset.SampleID, 32)
@@ -202,10 +202,9 @@ func missRange(from, n int) []dataset.SampleID {
 // gatherFixture is an unstarted server over src whose ids 1000..1999 are all
 // H-samples: asked for once, each is always a miss and never substituted. get
 // drives the collector directly (no listener), so src sees the miss path alone.
-func gatherFixture(t *testing.T, src ByteSource, prefetchWorkers int) (srv *Server, get func(ids []dataset.SampleID) error) {
+func gatherFixture(t *testing.T, src ByteSource) (srv *Server, get func(ids []dataset.SampleID) error) {
 	t.Helper()
-	srv = newUnstartedServer(t, src, prefetchWorkers)
-	t.Cleanup(func() { srv.Close() })
+	srv = newUnstartedServer(t, src)
 	var items []sampling.Item
 	for _, id := range missRange(1000, 1000) {
 		items = append(items, sampling.Item{ID: id, IV: 5})
@@ -256,7 +255,7 @@ func TestMissGatherConcurrencyBound(t *testing.T) {
 	const latency = 20 * time.Millisecond
 	src := &countingSource{inner: inner, latency: latency}
 	src.reset()
-	srv, get := gatherFixture(t, src, 0)
+	srv, get := gatherFixture(t, src)
 	wantPeak := func(what string) {
 		t.Helper()
 		if peak, _ := src.marks(); peak <= backendReadBudget/2 || peak > backendReadBudget {
@@ -296,21 +295,20 @@ func TestMissGatherConcurrencyBound(t *testing.T) {
 		t.Fatalf("%d singleflight keys still in flight", n)
 	}
 
-	// Prefetch reads draw on the same slots: with the four workers kept busy,
-	// eight 8-miss requests (64 + 4 reads wanted at once) stay inside the
-	// budget.
+	// Prefetch reads draw on the same slots: with a plan keeping every worker
+	// busy, eight 8-miss requests (64 + 32 reads wanted at once) stay inside
+	// the budget.
 	src.reset()
-	psrv, pget := gatherFixture(t, src, 4)
-	for _, id := range missRange(0, 200) {
-		psrv.prefetch.enqueue(id)
-	}
+	psrv, pget := gatherFixture(t, src)
+	planned := missRange(1700, 200)
+	psrv.prefetch.addPlan(planned, &PlanStats{})
 	var small [][]dataset.SampleID
 	for r := 0; r < 8; r++ {
 		small = append(small, missRange(1500+8*r, 8))
 	}
 	getAll(t, pget, small...)
 	wantPeak("eight 8-miss requests beside the prefetch pool")
-	if !src.readAny(missRange(0, 200)) {
+	if !src.readAny(planned) {
 		t.Fatal("the prefetch pool read nothing while the requests ran")
 	}
 }
@@ -349,7 +347,7 @@ func TestReadBudgetSurvivesPanicAndError(t *testing.T) {
 			good.reset()
 			src := &flakySource{ByteSource: good, panics: panics}
 			src.failing.Store(true)
-			srv, get := gatherFixture(t, src, 0)
+			srv, get := gatherFixture(t, src)
 			for _, ids := range [][]dataset.SampleID{missRange(1000, backendReadBudget), missRange(1100, 1)} {
 				if err := get(ids); err == nil {
 					t.Fatalf("a %d-miss batch against a failing backend succeeded", len(ids))
@@ -418,7 +416,7 @@ func TestReadBudgetIsFIFO(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := &heldSource{ByteSource: inner, entered: make(chan dataset.SampleID, 128), release: make(chan struct{})}
-	_, get := gatherFixture(t, src, 0)
+	_, get := gatherFixture(t, src)
 	var wg sync.WaitGroup
 	start := func(ids []dataset.SampleID) {
 		wg.Add(1)
@@ -453,7 +451,7 @@ func TestReadBudgetIsFIFO(t *testing.T) {
 // request's miss scan and its Begin is finished from the store, before — and
 // without — the directory multi-lookup.
 func TestScatterRechecksResidencyFirst(t *testing.T) {
-	srv := newUnstartedServer(t, nil, 0)
+	srv := newUnstartedServer(t, nil)
 	cd := &countingDir{Local: dkv.Local{Dir: dkv.NewDirectory()}}
 	srv.EnableDistributed(0, cd, nil)
 	ids := warmOverWire(t, dial(t, serveOn(t, srv)), 4)

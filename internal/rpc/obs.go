@@ -69,8 +69,8 @@ const (
 	// StageDirLookupBatch is one multi-lookup directory round trip
 	// (LookupBatch), measured at the sender.
 	StageDirLookupBatch = "dir_lookup_batch"
-	// StagePrefetchQueueWait is time a delivered sample sat on the prefetch
-	// queue before a worker picked it up.
+	// StagePrefetchQueueWait is time a plan entry sat on the prefetch queue
+	// before a worker picked it up.
 	StagePrefetchQueueWait = "prefetch_queue_wait"
 	// StageClientRoundTrip is a client-side request round trip (retries
 	// included), recorded by Client when observability is enabled.

@@ -441,7 +441,7 @@ func TestEvictionStormSharesOneReleaseWorker(t *testing.T) {
 	fd := faults.WrapDir(dkv.Local{Dir: dir}, faults.New(1).Add(
 		faults.Rule{Op: faults.OpDirRelease, UntilTime: 1, Delay: time.Second}))
 	fd.Clock = func() simclock.Time { return simclock.Time(healed.Load()) }
-	srv := newUnstartedServer(t, nil, 0)
+	srv := newUnstartedServer(t, nil)
 	srv.EnableDistributed(0, fd, nil)
 	srv.dist.memCfg = MembershipConfig{ScrubBatch: testSpec().NumSamples}.withDefaults()
 	c := dial(t, serveOn(t, srv))

@@ -13,12 +13,14 @@ import (
 //
 // The IIS sampler draws an epoch's schedule before the epoch begins, so at
 // every epoch boundary the future access sequence is known. A clairvoyant
-// client pushes it over opEpochPlan — sending it is the switch: a server with
-// a prefetch pool plans, one without answers a plain boundary. The policy
-// engine classifies the schedule (PlanSchedule: L-samples seed the loader,
-// missing H-samples come back in first-access order) and plan turns the H
-// side into entries of the prefetch pool's one queue, in the boundary's
-// handler, before the boundary is answered:
+// client pushes it over opEpochPlan — sending it is the switch, and the plan
+// is the server's only prefetcher: an epoch crossed with a plain boundary
+// prefetches nothing. The policy engine classifies the schedule
+// (PlanSchedule: L-samples seed the loader, so L-residency stays the policy's
+// decision and L bytes arrive on first request; missing H-samples come back
+// in first-access order) and plan turns the H side into entries of the
+// prefetch pool's queue, in the boundary's handler, before the boundary is
+// answered:
 //
 //  1. Diff against residency: locally present payloads are skipped
 //     outright, then ONE batched directory sweep (dirLookupBatch, chunked)
@@ -32,15 +34,16 @@ import (
 //     the rest of its entries to the local queue, and on the NEXT epoch's
 //     residency sweep the plan re-routes around the dead node — the
 //     directory shows its entries gone.
-//  3. Queue the rest whole, in first-access order, superseding the previous
-//     plan's unstarted entries (prefetcher.addPlan). Planned reads are
-//     bounded the way every other read is — at most PrefetchWorkers of them
-//     wait for or hold one of the backendReadBudget slots, in arrival order
-//     with the demand reads — and have no pacing of their own (DESIGN.md,
-//     "Bounded drain"). In Brownout the workers take nothing and the plan
-//     resumes when the gate clears. Every entry resolves through the pool's
-//     pending-token ledger, so in_time+late+wasted+dropped == issued stays
-//     exact at every boundary.
+//  3. Queue the rest whole, in first-access order, in the generation the
+//     boundary's sweep opened (prefetcher.sweepEpoch dropped the previous
+//     plan's unstarted entries; prefetcher.addPlan supersedes nothing).
+//     Planned reads are bounded the way every other read is — the pool has
+//     one worker per backendReadBudget slot, and its reads take slots in
+//     arrival order with the demand reads — and have no pacing of their own
+//     (DESIGN.md, "Bounded drain"). In Brownout the workers take nothing and
+//     the plan resumes when the gate clears. Every entry resolves through the
+//     pool's pending-token ledger, so in_time+late+wasted+dropped == issued
+//     stays exact at every boundary.
 //
 // A demand fetch that overtakes a queued plan entry promotes it: the
 // foreground read becomes the one backend fetch (singleflight coalesces
@@ -64,8 +67,7 @@ func (s *Server) planAdmit(id dataset.SampleID) bool {
 
 // plan builds epoch's plan from PlanSchedule's missing H-side (deduplicated,
 // policy-filtered, first-access order) and queues it. Called with no lock
-// held and only on a server with a prefetch pool: the directory sweep and the
-// pre-place RPCs are real I/O.
+// held: the directory sweep and the pre-place RPCs are real I/O.
 func (s *Server) plan(epoch int64, need []dataset.SampleID) {
 	next := PlanStats{Epoch: epoch}
 	missing := need[:0:0]
@@ -161,12 +163,8 @@ func (s *Server) preplace(dist *distState, routed map[dkv.NodeID][]dataset.Sampl
 
 // acceptRemote folds pre-placed entries from a peer's plan into this node's
 // current plan: the sender decided (by rendezvous over the membership) that
-// WE are these samples' future owner. Returns how many entries were queued
-// (0 without a prefetch pool).
+// WE are these samples' future owner. Returns how many entries were queued.
 func (s *Server) acceptRemote(ids []dataset.SampleID) int {
-	if s.prefetch == nil {
-		return 0
-	}
 	spec := s.source.Spec()
 	accepted := ids[:0:0]
 	for _, id := range ids {
@@ -210,10 +208,9 @@ func (d *distState) peerNodeIDs() []dkv.NodeID {
 	return out
 }
 
-// PlanStats is the plan's introspection snapshot (zero without a prefetch
-// pool).
+// PlanStats is the plan's introspection snapshot.
 type PlanStats struct {
-	Epoch           int64
+	Epoch           int64 // epoch whose generation the last boundary opened
 	Planned         int64 // entries queued for the current epoch's plan
 	Completed       int64 // current-plan entries a worker has finished
 	Remaining       int64 // Planned - Completed
@@ -229,9 +226,6 @@ type PlanStats struct {
 // PlanStats reports the plan's progress and counters.
 func (s *Server) PlanStats() PlanStats {
 	p := s.prefetch
-	if p == nil {
-		return PlanStats{}
-	}
 	p.mu.Lock()
 	st := p.plan
 	p.mu.Unlock()

@@ -4,8 +4,8 @@ package rpc
 // planned entry overtaken by a foreground request must not cost a second
 // backend read), a demand that joins a prefetch in flight booking it late,
 // the prefetch-outcome conservation identity with plans across epoch
-// boundaries, Brownout holding every queued entry, a pool-less server
-// answering a plan as a plain boundary, and the chaos path where a plan's
+// boundaries, Brownout holding every queued entry, a boundary ending the
+// finished epoch's plan (and only it), and the chaos path where a plan's
 // future owner dies mid-plan and the next residency sweep re-routes around
 // it.
 
@@ -27,9 +27,8 @@ import (
 	"icache/internal/storage"
 )
 
-// startPlanTestServer boots a serving stack tuned so the clairvoyant plan is
-// the only prefetch source: all-H policy (L-cache off, so the reactive loader
-// never enqueues) and the given worker count (-1 keeps the default).
+// startPlanTestServer boots an all-H serving stack (L-cache off) whose
+// prefetch pool has the given number of workers (0 keeps one per read slot).
 func startPlanTestServer(t *testing.T, src ByteSource, workers int) (*Server, string) {
 	t.Helper()
 	spec := testSpec()
@@ -39,9 +38,6 @@ func startPlanTestServer(t *testing.T, src ByteSource, workers int) (*Server, st
 	}
 	ccfg := icache.DefaultConfig(spec.TotalBytes() / 5)
 	ccfg.EnableLCache = false
-	if workers >= 0 {
-		ccfg.PrefetchWorkers = workers
-	}
 	cacheSrv, err := icache.NewServer(back, ccfg, sampling.DefaultIIS(), 5)
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +51,18 @@ func startPlanTestServer(t *testing.T, src ByteSource, workers int) (*Server, st
 	}
 	srv := NewServer(cacheSrv, src)
 	srv.Logf = nil
+	if workers > 0 {
+		withWorkers(srv, workers)
+	}
 	return srv, serveOn(t, srv)
+}
+
+// withWorkers gives an unserved srv a prefetch pool of n workers in place of
+// its one per read slot: a test that holds one worker mid-fetch needs the
+// rest of the plan to wait behind it.
+func withWorkers(srv *Server, n int) {
+	srv.prefetch.stop()
+	srv.prefetch = newPrefetcher(srv, n)
 }
 
 // waitPlanSettled blocks until the prefetch queue is empty and no worker is
@@ -289,7 +296,7 @@ func TestPlanJoinedPrefetchIsLate(t *testing.T) {
 // exactly balanced at every boundary it crosses.
 func TestPlanConservationAcrossEpochs(t *testing.T) {
 	leakcheck.Check(t)
-	srv, addr := startPlanTestServer(t, nil, -1)
+	srv, addr := startPlanTestServer(t, nil, 0)
 	cl := dial(t, addr)
 	spec := testSpec()
 
@@ -372,15 +379,14 @@ func TestPlanConservationAcrossEpochs(t *testing.T) {
 	}
 }
 
-// TestPlanBrownoutHoldsTheQueue walks the overload gate into Brownout: a
-// reactive delivery is dropped and counted, a plan is queued whole, and
-// neither causes a backend read while the gate holds. Back in Normal the
-// paused workers resume, the plan drains, and the ledger balances exactly at
-// the next boundary.
+// TestPlanBrownoutHoldsTheQueue walks the overload gate into Brownout: a plan
+// is queued whole and causes no backend read while the gate holds. Back in
+// Normal the paused workers resume, the plan drains, and the ledger balances
+// exactly at the next boundary.
 func TestPlanBrownoutHoldsTheQueue(t *testing.T) {
 	leakcheck.Check(t)
 	g := newGatedSource(t, nil, -1)
-	srv := newUnstartedServer(t, g, 2) // L-cache on: the loader delivers too
+	srv := newUnstartedServer(t, g)
 	gate := overload.NewGate(overload.GateConfig{TargetDelay: time.Millisecond, Window: 10 * time.Millisecond})
 	srv.SetAdmission(gate)
 	// The ladder is driven on a clock an hour ahead, so the test's own
@@ -402,9 +408,6 @@ func TestPlanBrownoutHoldsTheQueue(t *testing.T) {
 	if err := cl.UpdateImportance(items); err != nil {
 		t.Fatal(err)
 	}
-	srv.policyMu.Lock()
-	srv.prefetch.enqueue(1500) // what the loader's delivery observer does
-	srv.policyMu.Unlock()
 	if err := cl.BeginEpochPlan(1, ids); err != nil {
 		t.Fatal(err)
 	}
@@ -414,9 +417,6 @@ func TestPlanBrownoutHoldsTheQueue(t *testing.T) {
 	}
 	if n := srv.prefetch.depth(); n != len(ids) {
 		t.Fatalf("queue holds %d entries in Brownout; want the whole plan (%d)", n, len(ids))
-	}
-	if d := srv.DecisionStats(); d.PrefetchDropped == 0 {
-		t.Fatal("the reactive delivery in Brownout was not dropped")
 	}
 
 	gate.Observe(at.Add(time.Second), 0) // an idle window: back to Normal
@@ -431,35 +431,6 @@ func TestPlanBrownoutHoldsTheQueue(t *testing.T) {
 		}
 	}
 	crossBoundary(t, srv, "after a Brownout", func() error { return cl.BeginEpoch(2) })
-}
-
-// TestPlanWithoutPoolIsPlainBoundary: a server with no prefetch pool answers
-// a plan as a plain epoch boundary — the epoch advances and nothing is
-// fetched.
-func TestPlanWithoutPoolIsPlainBoundary(t *testing.T) {
-	leakcheck.Check(t)
-	g := newGatedSource(t, nil, -1)
-	srv, addr := startPlanTestServer(t, g, 0)
-	if srv.prefetch != nil {
-		t.Fatal("PrefetchWorkers 0 started a prefetch pool")
-	}
-	cl := dial(t, addr)
-	ids := []dataset.SampleID{1, 2, 3}
-	if err := cl.UpdateImportance([]sampling.Item{{ID: 1, IV: 3}, {ID: 2, IV: 2}, {ID: 3, IV: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.BeginEpochPlan(1, ids); err != nil {
-		t.Fatal(err)
-	}
-	if d := srv.DecisionStats(); d.Epoch != 1 || d.PrefetchIssued != 0 {
-		t.Fatalf("epoch %d, %d prefetches issued; want epoch 1 and none", d.Epoch, d.PrefetchIssued)
-	}
-	if n := g.total(); n != 0 {
-		t.Fatalf("%d backend reads for a plan on a pool-less server; want none", n)
-	}
-	if ps := srv.PlanStats(); ps != (PlanStats{}) {
-		t.Fatalf("plan stats %+v on a pool-less server; want zero", ps)
-	}
 }
 
 // slowDir holds the first LookupBatch that asks about gate until released —
@@ -491,7 +462,7 @@ func TestPlanOvertakenBuildIsDropped(t *testing.T) {
 	leakcheck.Check(t)
 	stale, cur := []dataset.SampleID{1, 2, 3, 4}, []dataset.SampleID{5, 6, 7, 8}
 	g := newGatedSource(t, nil, -1)
-	srv := newUnstartedServer(t, g, 1)
+	srv := newUnstartedServer(t, g)
 	dir := &slowDir{Local: dkv.Local{Dir: dkv.NewDirectory()}, gate: stale[0],
 		entered: make(chan struct{}), release: make(chan struct{})}
 	srv.EnableDistributed(0, dir, nil)
@@ -535,6 +506,115 @@ func TestPlanOvertakenBuildIsDropped(t *testing.T) {
 		if !srv.payloads.has(id) {
 			t.Fatalf("plan 2's sample %d was not placed", id)
 		}
+	}
+}
+
+// TestPlanBuildKeepsPreplacedEntries: a peer's entries pre-placed while this
+// node's own plan build is in flight belong to the same epoch, so the build
+// supersedes none of them. The one worker is held on the first pre-placed
+// sample, so the other four are still queued when the build lands; each is
+// read once and placed, and none is booked wasted.
+func TestPlanBuildKeepsPreplacedEntries(t *testing.T) {
+	leakcheck.Check(t)
+	own, plug, peer := []dataset.SampleID{1, 2, 3, 4}, dataset.SampleID(9), []dataset.SampleID{5, 6, 7, 8}
+	g := newGatedSource(t, nil, plug)
+	srv := newUnstartedServer(t, g)
+	withWorkers(srv, 1)
+	dir := &slowDir{Local: dkv.Local{Dir: dkv.NewDirectory()}, gate: own[0],
+		entered: make(chan struct{}), release: make(chan struct{})}
+	srv.EnableDistributed(0, dir, nil)
+	addr := serveOn(t, srv)
+	var dirOnce, srcOnce sync.Once
+	releaseDir := func() { dirOnce.Do(func() { close(dir.release) }) }
+	releaseSrc := func() { srcOnce.Do(func() { close(g.release) }) }
+	t.Cleanup(releaseDir)
+	t.Cleanup(releaseSrc)
+
+	cA, cB := dial(t, addr), dial(t, addr)
+	preplaced := append([]dataset.SampleID{plug}, peer...)
+	var items []sampling.Item
+	for _, id := range append(slices.Clone(own), preplaced...) {
+		items = append(items, sampling.Item{ID: id, IV: float64(20 - id)})
+	}
+	if err := cA.UpdateImportance(items); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- cA.BeginEpochPlan(1, own) }()
+	select {
+	case <-dir.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the plan's residency sweep never reached the directory")
+	}
+	if n, err := cB.PlanPreplace(preplaced); err != nil || n != len(preplaced) {
+		t.Fatalf("pre-place accepted %d (%v); want %d", n, err, len(preplaced))
+	}
+	g.awaitEntered(t) // the worker holds plug; the peer's four wait behind it
+	releaseDir()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	releaseSrc()
+	waitPlanSettled(t, srv)
+	for _, id := range peer {
+		if n := g.count(id); n != 1 || !srv.payloads.has(id) {
+			t.Fatalf("pre-placed sample %d: %d reads, placed %v; want one read and placed", id, n, srv.payloads.has(id))
+		}
+	}
+	if d := srv.DecisionStats(); d.PrefetchWasted != 0 {
+		t.Fatalf("%d prefetches booked wasted inside the epoch; want none", d.PrefetchWasted)
+	}
+	if ps := srv.PlanStats(); ps.Epoch != 1 || ps.Planned != int64(len(preplaced)+len(own)) {
+		t.Fatalf("plan stats %+v; want epoch 1 with the pre-placed and the built entries", ps)
+	}
+	crossBoundary(t, srv, "after a build beside pre-placed entries", func() error { return cA.BeginEpoch(2) })
+}
+
+// TestPlainBoundaryEndsThePlan: a plain boundary after a planned epoch ends
+// that epoch's plan. The one worker is held on the plan's first sample; the
+// boundary drops the four entries queued behind it, so none of them reaches
+// the backend, and all five tokens are swept wasted.
+func TestPlainBoundaryEndsThePlan(t *testing.T) {
+	leakcheck.Check(t)
+	const plug = dataset.SampleID(1)
+	rest := []dataset.SampleID{2, 3, 4, 5}
+	g := newGatedSource(t, nil, plug)
+	srv, addr := startPlanTestServer(t, g, 1)
+	var relOnce sync.Once
+	release := func() { relOnce.Do(func() { close(g.release) }) }
+	t.Cleanup(release)
+
+	cl := dial(t, addr)
+	ids := append([]dataset.SampleID{plug}, rest...)
+	var items []sampling.Item
+	for _, id := range ids {
+		items = append(items, sampling.Item{ID: id, IV: float64(10 - id)})
+	}
+	if err := cl.UpdateImportance(items); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.BeginEpochPlan(1, ids); err != nil {
+		t.Fatal(err)
+	}
+	g.awaitEntered(t)
+	var before, after metrics.DecisionStats
+	left := srv.prefetch.ledger(&before)
+	if err := cl.BeginEpoch(2); err != nil {
+		t.Fatal(err)
+	}
+	release()
+	waitPlanSettled(t, srv)
+	for _, id := range rest {
+		if n := g.count(id); n != 0 {
+			t.Fatalf("sample %d of the finished plan was read %d times after the boundary", id, n)
+		}
+	}
+	out := srv.prefetch.ledger(&after)
+	if swept := after.PrefetchWasted - before.PrefetchWasted; left != int64(len(ids)) || swept != left || out != 0 {
+		t.Fatalf("boundary swept %d of %d tokens out (want all %d), %d left after it", swept, left, len(ids), out)
+	}
+	if ps := srv.PlanStats(); ps.Epoch != 2 || ps.Planned != 0 || ps.Remaining != 0 {
+		t.Fatalf("plan stats %+v; want an empty epoch-2 plan", ps)
 	}
 }
 

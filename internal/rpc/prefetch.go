@@ -10,13 +10,12 @@ import (
 	"icache/internal/obs"
 )
 
-// prefetchItem is one queued entry: the sample, its enqueue instant (zero
+// prefetchItem is one queued plan entry: the sample, its enqueue instant (zero
 // unless stage histograms are enabled, so the worker records the
 // prefetch_queue_wait stage without any clock read on the disabled path), and
-// gen: 0 for a reactive delivery (already policy-resident when queued), the
-// plan's generation for a clairvoyant plan entry, which the worker must first
-// admit into the H-cache through the policy's importance-gated plan-admission
-// path.
+// gen, the plan generation it was queued in. The worker first admits the
+// sample into the H-cache through the policy's importance-gated
+// plan-admission path.
 type prefetchItem struct {
 	id  dataset.SampleID
 	at  time.Time
@@ -34,49 +33,33 @@ const (
 	entryRunning
 )
 
-// reactivePerWorker bounds the reactive entries queued per worker: deep
-// enough to absorb a whole package delivery burst (packages hold tens of
-// samples), shallow enough that a stalled backend cannot pile up unbounded
-// work.
-const reactivePerWorker = 64
-
-// prefetcher is the serving path's one prefetch queue and the bounded worker
-// pool that drains it. Two producers feed it. The policy engine's background
-// loader decides which L-samples enter the cache and when (virtual-time
-// package arrivals, §III-C) and queues each delivery; a clairvoyant epoch
-// plan (plan.go) queues the epoch's missing H-samples whole, in first-access
-// order, before the boundary is answered. Workers turn entries into real
-// bytes through the coalesced miss path foreground requests use, so a
-// request that arrives after the worker is done finds the bytes in DRAM.
-// Under reactive load that is the rare case: the loader delivers what
-// requests just missed, so the request usually gets to the fetch first and
-// the worker's turn coalesces with it or is cancelled (EXPERIMENTS.md, "One
-// prefetch queue", has the train_epochs ledger split).
+// prefetcher is the serving path's one prefetcher: a queue of clairvoyant
+// plan entries and the worker pool that drains it. A plan (plan.go) queues
+// its epoch's missing H-samples whole, in first-access order, before the
+// boundary is answered, and a peer's pre-placed entries join it; nothing else
+// queues. So a server no client sends a plan to prefetches nothing — its
+// L-samples get their bytes on first request, and which of them are resident
+// stays the policy engine's decision. Workers turn entries into real bytes
+// through the coalesced miss path foreground requests use, so a request that
+// arrives after the worker is done finds the bytes in DRAM.
 //
-// The pool size is icache.Config.PrefetchWorkers (-prefetch-workers on
-// cmd/icache-server; not the paper's Fig. 15 knob, which is the training
-// job's data-loading workers). It is also the bound on background reads:
-// each worker has at most one read waiting for or holding one of the
-// backendReadBudget slots.
+// The pool has one worker per backendReadBudget slot and no size of its own:
+// the read budget is the one bound on planned reads, which take slots in
+// arrival order with the demand reads. Idle workers park on wake.
 //
 // Concurrency: mu is a leaf lock (policyMu → mu is legal, never the
-// reverse), never held across I/O. enqueue runs under policyMu (the loader
-// delivers during FetchBatch/StartEpoch), so it never blocks: a delivery is
-// dropped and counted when workers×reactivePerWorker reactive entries are
-// queued or the overload gate has the pool paused (Brownout), and the sample
-// is then fetched lazily on first request. Paused workers take nothing and
-// resume when the gate clears. Workers share the server's singleflight
-// group, so a prefetch and a foreground miss for one sample coalesce into one
-// backend read.
+// reverse), never held across I/O. While the overload gate has the pool
+// paused (Brownout) the workers take nothing; queued entries wait and resume
+// when the gate clears. Workers share the server's singleflight group, so a
+// prefetch and a foreground miss for one sample coalesce into one backend
+// read.
 type prefetcher struct {
-	s       *Server
-	workers int
-	wg      sync.WaitGroup
+	s  *Server
+	wg sync.WaitGroup
 
 	mu              sync.Mutex
 	wake            sync.Cond // on mu: an entry was queued, the pause lifted or the pool stopped
 	queue           []prefetchItem
-	reactive        int // reactive entries in queue
 	active          int // workers mid-entry
 	paused, stopped bool
 	// state holds every id queued or held by a worker (one entry per id);
@@ -86,18 +69,18 @@ type prefetcher struct {
 	pending map[dataset.SampleID]struct{}
 	pendN   atomic.Int64
 
-	// gen is the current plan's generation (reactive entries carry 0), plan
-	// its progress and the cumulative plan counters (Remaining is derived on
-	// read; see Server.PlanStats).
+	// gen is the current plan's generation, opened by each boundary's sweep;
+	// plan is its progress and the cumulative plan counters (Remaining is
+	// derived on read; see Server.PlanStats).
 	gen  uint64
 	plan PlanStats
 
-	// Prefetch-outcome ledger (on mu; see metrics.DecisionStats). An issued
-	// id is dropped at enqueue or gets one pending token, and whoever removes
-	// the token counts the outcome in the same critical section: a hit (in
-	// time), a demand fetch that got there first (late), an eviction or the
-	// epoch sweep (wasted), a failed or refused fetch (dropped). So every
-	// reading (see ledger) balances with the tokens still out:
+	// Prefetch-outcome ledger (on mu; see metrics.DecisionStats). Every queued
+	// entry gets one pending token, and whoever removes the token counts the
+	// outcome in the same critical section: a hit (in time), a demand fetch
+	// that got there first (late), an eviction or the epoch sweep (wasted), a
+	// refused or failed fetch (dropped). So every reading (see ledger)
+	// balances with the tokens still out:
 	//
 	//	inTime + late + wasted + dropped + len(pending) == issued
 	issued, inTime, late, wasted, dropped int64
@@ -107,7 +90,6 @@ type prefetcher struct {
 func newPrefetcher(s *Server, workers int) *prefetcher {
 	p := &prefetcher{
 		s:       s,
-		workers: workers,
 		gen:     1,
 		state:   make(map[dataset.SampleID]entryState),
 		pending: make(map[dataset.SampleID]struct{}),
@@ -120,48 +102,19 @@ func newPrefetcher(s *Server, workers int) *prefetcher {
 	return p
 }
 
-// enqueue offers a loader delivery to the pool. Non-blocking by contract: it
-// is invoked under policyMu.
-func (p *prefetcher) enqueue(id dataset.SampleID) {
-	p.mu.Lock()
-	switch {
-	case !p.fresh(id):
-	case p.paused || p.reactive >= p.workers*reactivePerWorker:
-		p.issued++
-		p.dropped++
-	default:
-		p.add(id, 0)
-		p.reactive++
-	}
-	p.mu.Unlock()
-}
-
 // addPlan queues plan entries whole, in first-access order, behind whatever
-// is queued, and returns how many it queued. A new epoch's plan (next carries
-// its epoch and build counters) first supersedes the previous plan's
-// unstarted entries — their epoch is over, and a token still out on one (a
-// peer's pre-placed entry accepted since the sweep) resolves wasted. A peer's
-// pre-placed entries (next == nil) join the current plan. A plan whose build
-// a later boundary's plan overtook is dropped: its epoch is already over.
+// is queued, and returns how many it queued. Every entry joins the generation
+// the last boundary's sweep opened: a node's own plan (next carries its epoch
+// and build counters) and a peer's pre-placed entries (next == nil) alike, so
+// neither supersedes the other. A plan whose build a later boundary overtook
+// is dropped: its epoch is already over.
 func (p *prefetcher) addPlan(ids []dataset.SampleID, next *PlanStats) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if next != nil && next.Epoch < p.plan.Epoch {
-		return 0
-	}
 	if next != nil {
-		kept := p.queue[:0]
-		for _, it := range p.queue {
-			if it.gen == 0 {
-				kept = append(kept, it)
-				continue
-			}
-			delete(p.state, it.id)
-			p.redeem(it.id, &p.wasted)
+		if next.Epoch < p.plan.Epoch {
+			return 0
 		}
-		p.queue = kept
-		p.gen++
-		p.plan.Epoch, p.plan.Planned, p.plan.Completed = next.Epoch, 0, 0
 		p.plan.SkippedResident += next.SkippedResident
 		p.plan.SkippedCluster += next.SkippedCluster
 		p.plan.PreplaceSent += next.PreplaceSent
@@ -170,7 +123,7 @@ func (p *prefetcher) addPlan(ids []dataset.SampleID, next *PlanStats) int {
 	n := 0
 	for _, id := range ids {
 		if p.fresh(id) {
-			p.add(id, p.gen)
+			p.add(id)
 			n++
 		}
 	}
@@ -191,10 +144,10 @@ func (p *prefetcher) fresh(id dataset.SampleID) bool {
 	return !p.stopped && p.state[id] == 0 && !tok
 }
 
-// add queues id as an entry of plan generation gen (0 = reactive) and
-// grants it a pending token. Caller holds mu and has checked fresh.
-func (p *prefetcher) add(id dataset.SampleID, gen uint64) {
-	it := prefetchItem{id: id, gen: gen}
+// add queues id as an entry of the current generation and grants it a
+// pending token. Caller holds mu and has checked fresh.
+func (p *prefetcher) add(id dataset.SampleID) {
+	it := prefetchItem{id: id, gen: p.gen}
 	if p.s.obs.histsOn() {
 		it.at = time.Now()
 	}
@@ -228,8 +181,8 @@ func (p *prefetcher) resolve(id dataset.SampleID, ctr *int64) {
 
 // ledger reads the outcome ledger into d and returns the tokens still out,
 // all in one critical section: inTime+late+wasted+dropped+outstanding ==
-// issued in every reading. Right after a boundary, outstanding is what the
-// new epoch's loader catch-up queued.
+// issued in every reading. Right after a planned boundary, outstanding is
+// the new plan's entries.
 func (p *prefetcher) ledger(d *metrics.DecisionStats) (outstanding int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -247,7 +200,7 @@ func (p *prefetcher) ledger(d *metrics.DecisionStats) (outstanding int64) {
 // is cancelled, so its worker turn does not re-fetch bytes the demand path
 // already brought in, even if they get evicted in between.
 func (p *prefetcher) noteDemand(id dataset.SampleID) {
-	if p == nil || p.pendN.Load() == 0 {
+	if p.pendN.Load() == 0 {
 		return
 	}
 	p.mu.Lock()
@@ -262,7 +215,7 @@ func (p *prefetcher) noteDemand(id dataset.SampleID) {
 // out, the prefetch arrived in time. The atomic pendN probe keeps the hot hit
 // path lock-free whenever nothing is pending.
 func (p *prefetcher) noteHit(id dataset.SampleID) {
-	if p != nil && p.pendN.Load() != 0 {
+	if p.pendN.Load() != 0 {
 		p.resolve(id, &p.inTime)
 	}
 }
@@ -271,23 +224,28 @@ func (p *prefetcher) noteHit(id dataset.SampleID) {
 // prefetched bytes were never touched — wasted work. Runs under policyMu
 // (the eviction observer).
 func (p *prefetcher) noteEvict(id dataset.SampleID) {
-	if p != nil && p.pendN.Load() != 0 {
+	if p.pendN.Load() != 0 {
 		p.resolve(id, &p.wasted)
 	}
 }
 
-// sweepEpoch books every outstanding pending token wasted: the epoch whose
-// selection wanted those samples is over. Called at the epoch boundary under
-// policyMu, before the policy engine crosses it (its loader catch-up queues
-// the new epoch's first deliveries).
-func (p *prefetcher) sweepEpoch() {
-	if p == nil {
-		return
-	}
+// sweepEpoch ends the finished epoch's plan at a boundary, under policyMu:
+// it drops every unstarted entry, books every outstanding pending token
+// wasted (the epoch whose selection wanted those samples is over) and opens
+// the new epoch's generation, empty. The plan built for the new epoch, and a
+// peer's entries accepted while it builds, join that generation; an entry a
+// worker already holds finishes, its outcome swept.
+func (p *prefetcher) sweepEpoch(epoch int64) {
 	p.mu.Lock()
+	for _, it := range p.queue {
+		delete(p.state, it.id)
+	}
+	p.queue = p.queue[:0]
 	p.wasted += int64(len(p.pending))
 	clear(p.pending)
 	p.pendN.Store(0)
+	p.gen++
+	p.plan.Epoch, p.plan.Planned, p.plan.Completed = epoch, 0, 0
 	p.mu.Unlock()
 }
 
@@ -305,9 +263,6 @@ func (p *prefetcher) worker() {
 		}
 		it := p.queue[0]
 		p.queue = p.queue[1:]
-		if it.gen == 0 {
-			p.reactive--
-		}
 		// A cancelled entry was promoted by a demand fetch while it sat
 		// queued: the foreground already paid (or is paying) the backend read
 		// and counted the token late, so probing or re-fetching here is
@@ -318,16 +273,14 @@ func (p *prefetcher) worker() {
 		p.mu.Unlock()
 		p.s.obs.prefetchWt.Since(it.at)
 		if run {
-			p.turn(it)
+			p.turn(it.id)
 		}
 		p.mu.Lock()
 		delete(p.state, it.id)
 		p.active--
-		if it.gen != 0 {
-			p.plan.CompletedTotal++
-			if it.gen == p.gen {
-				p.plan.Completed++
-			}
+		p.plan.CompletedTotal++
+		if it.gen == p.gen {
+			p.plan.Completed++
 		}
 	}
 }
@@ -335,21 +288,21 @@ func (p *prefetcher) worker() {
 // turn is one worker turn on an entry, with no lock held. On success the
 // token stays out until a hit (in time), an eviction or the epoch sweep
 // (wasted), or a demand that joined this fetch (late) redeems it.
-func (p *prefetcher) turn(it prefetchItem) {
+func (p *prefetcher) turn(id dataset.SampleID) {
 	switch {
-	case p.s.payloads.has(it.id):
+	case p.s.payloads.has(id):
 		// Existence probe only — the foreground (or an earlier prefetch)
 		// beat us to it.
-		p.resolve(it.id, &p.late)
-	case it.gen != 0 && !p.s.planAdmit(it.id):
+		p.resolve(id, &p.late)
+	case !p.s.planAdmit(id):
 		// The policy refused the planned sample (demoted out of the H-list
 		// since the plan was built, or outranked by every resident): fetching
 		// bytes it cannot store would be pure waste.
-		p.resolve(it.id, &p.dropped)
-	case p.fetch(it.id) != nil:
+		p.resolve(id, &p.dropped)
+	case p.fetch(id) != nil:
 		// Best effort: a failed prefetch is not a serving error — the sample
 		// is fetched (with retries as configured) when a client asks for it.
-		p.resolve(it.id, &p.dropped)
+		p.resolve(id, &p.dropped)
 	}
 }
 
@@ -378,9 +331,9 @@ func (p *prefetcher) fetch(id dataset.SampleID) error {
 	return err
 }
 
-// setPaused flips the brownout switch: while set, enqueue drops every
-// delivery and the workers take nothing, so background backend reads stop
-// competing with overloaded foreground serving.
+// setPaused flips the brownout switch: while set, the workers take nothing,
+// so background backend reads stop competing with overloaded foreground
+// serving; queued entries wait for the gate to clear.
 func (p *prefetcher) setPaused(on bool) {
 	p.mu.Lock()
 	p.paused = on

@@ -39,18 +39,16 @@ const (
 	// epoch's known access sequence, pushed in first-access order by a
 	// client whose IIS sampler has already drawn the schedule. Request:
 	// u8 opcode | u32 epoch | u32 n | n × i64 id. The server performs the
-	// normal epoch-boundary duties and — when it has a prefetch pool —
-	// queues the sequence's missing H-side as the epoch's prefetch plan
-	// before answering (see plan.go). A server without a pool still crosses
-	// the boundary and answers statusOK, so callers need no capability
-	// negotiation.
+	// normal epoch-boundary duties and queues the sequence's missing H-side
+	// as the epoch's prefetch plan before answering (see plan.go); the plan
+	// is the only thing a server prefetches.
 	opEpochPlan = 11
 	// opPlanPreplace routes plan entries to their future owner: the sending
 	// node decided (by rendezvous over the membership) that the receiver
 	// should hold these samples, and the receiver folds them into its own
 	// plan, admitting and fetching them through its own prefetch queue.
 	// Request: u8 opcode | u32 n | n × i64 id. Response: statusOK |
-	// u32 accepted (0 when the receiver has no prefetch pool).
+	// u32 accepted.
 	opPlanPreplace = 12
 )
 

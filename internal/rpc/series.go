@@ -148,7 +148,6 @@ func (v *nodeView) rows() []series {
 		// Concurrent-serving-path family (metrics.ServingStats).
 		{"icache_serving_coalesced_misses_total", "miss fetches that joined an in-flight fetch for the same sample", counter, "", float64(v.sv.CoalescedMisses)},
 		{"icache_prefetch_queue_depth", "current prefetch backlog", gauge, "", float64(v.sv.PrefetchQueueDepth)},
-		{"icache_prefetch_workers", "configured prefetch pool size", gauge, "", float64(v.sv.PrefetchWorkers)},
 		{"icache_buffer_pool_gets_total", "pooled-buffer checkouts on the wire path", counter, "", float64(v.sv.BufferGets)},
 		{"icache_buffer_pool_allocs_total", "checkouts that had to allocate (pool miss)", counter, "", float64(v.sv.BufferAllocs)},
 		{"icache_buffer_reuse_rate", "fraction of checkouts served without allocating (0 when none yet)", gauge, "", v.sv.BufferReuseRate()},
@@ -192,11 +191,11 @@ func (v *nodeView) rows() []series {
 		{"icache_admit_fetch_total", "payload admissions driven by foreground fetches", counter, "", float64(v.d.AdmitFetch)},
 		{"icache_admit_prefetch_total", "payload admissions driven by the prefetch pool", counter, "", float64(v.d.AdmitPrefetch)},
 		{"icache_admit_rehydrate_total", "payload admissions from checkpoint rehydration", counter, "", float64(v.d.AdmitRehydrate)},
-		{"icache_prefetch_issued_total", "prefetch deliveries offered to the pool", counter, "prefetch_issued", float64(v.d.PrefetchIssued)},
+		{"icache_prefetch_issued_total", "plan entries queued on the prefetch pool", counter, "prefetch_issued", float64(v.d.PrefetchIssued)},
 		{"icache_prefetch_in_time_total", "prefetched payloads that served a request before anything else happened", counter, "prefetch_in_time", float64(v.d.PrefetchInTime)},
 		{"icache_prefetch_late_total", "prefetches the foreground beat to the fetch", counter, "prefetch_late", float64(v.d.PrefetchLate)},
 		{"icache_prefetch_wasted_total", "prefetched payloads evicted or epoch-swept untouched", counter, "prefetch_wasted", float64(v.d.PrefetchWasted)},
-		{"icache_prefetch_outcome_dropped_total", "prefetches dropped at enqueue plus refused or failed fetches", counter, "prefetch_dropped", float64(v.d.PrefetchDropped)},
+		{"icache_prefetch_outcome_dropped_total", "plan entries the policy refused or whose fetch failed", counter, "prefetch_dropped", float64(v.d.PrefetchDropped)},
 		{"icache_prefetch_timeliness_ratio", "in-time / (in-time + late + wasted); 0 before any prefetch resolves", gauge, "prefetch_timeliness", v.d.PrefetchTimeliness()},
 		{"icache_substitution_exact_total", "substitutions served by the same-region L-cache walk", counter, "sub_exact", float64(v.d.SubExact)},
 		{"icache_substitution_fallback_total", "substitutions served by the cross-region H-resident fallback", counter, "sub_fallback", float64(v.d.SubFallback)},
@@ -206,7 +205,8 @@ func (v *nodeView) rows() []series {
 		{"icache_epoch_hcache_bytes", "H-cache bytes at the last epoch boundary", gauge, "", float64(v.d.EpochHBytes)},
 		{"icache_epoch_lcache_bytes", "L-cache bytes at the last epoch boundary", gauge, "", float64(v.d.EpochLBytes)},
 
-		// Clairvoyant-plan family (zeros until a client sends a plan). The
+		// Clairvoyant-plan family (zeros but the epoch until a client sends a
+		// plan; an epoch crossed without one prefetches nothing). The
 		// demand-fetch counter is the headline: cold misses the plan failed to
 		// pre-place.
 		{"icache_plan_epoch", "epoch the current prefetch plan was installed for", gauge, "", float64(v.plan.Epoch)},

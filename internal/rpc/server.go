@@ -78,9 +78,8 @@ type Server struct {
 	// coalescedMisses counts miss-path fetches that joined an in-flight
 	// fetch instead of issuing their own (atomic).
 	coalescedMisses int64
-	// prefetch is the one prefetch queue and its bounded worker pool: it
-	// pulls payload bytes for samples the loader delivered into the L-cache
-	// and for clairvoyant plan entries (nil when disabled).
+	// prefetch is the one prefetcher: the queue of clairvoyant plan entries
+	// and the worker pool, one worker per read slot, that pulls their bytes.
 	prefetch *prefetcher
 	// demandFetches counts backend reads issued on the demand path — the
 	// "cold miss" metric the clairvoyant plan exists to drive to zero (atomic).
@@ -111,10 +110,9 @@ type Server struct {
 	Logf func(format string, args ...interface{})
 }
 
-// NewServer wires a cache policy engine to a byte source. If the policy
-// engine's config enables prefetch workers, the server starts a bounded
-// worker pool that asynchronously fills the payload store for samples the
-// background loader delivers into the L-cache.
+// NewServer wires a cache policy engine to a byte source. The server starts
+// its prefetch pool, one worker per backendReadBudget slot, idle until a
+// client sends an epoch plan.
 func NewServer(cacheSrv *icache.Server, source ByteSource) *Server {
 	s := &Server{
 		cache:     cacheSrv,
@@ -124,6 +122,7 @@ func NewServer(cacheSrv *icache.Server, source ByteSource) *Server {
 		readSlots: make(chan struct{}, backendReadBudget),
 		Logf:      log.Printf,
 	}
+	s.prefetch = newPrefetcher(s, backendReadBudget)
 	s.t = transport.NewServer(transport.Handler{Route: route, Serve: s.serve})
 	s.t.Logf = func(format string, args ...interface{}) {
 		if s.Logf != nil { // read per line: callers set Logf after NewServer
@@ -139,10 +138,6 @@ func NewServer(cacheSrv *icache.Server, source ByteSource) *Server {
 		// An eviction before any hit means a pending prefetch was wasted.
 		s.prefetch.noteEvict(id)
 	})
-	if n := cacheSrv.PrefetchWorkers(); n > 0 {
-		s.prefetch = newPrefetcher(s, n)
-		cacheSrv.SetLoadObserver(s.prefetch.enqueue)
-	}
 	return s
 }
 
@@ -164,9 +159,7 @@ func (s *Server) Addr() net.Addr { return s.t.Addr() }
 func (s *Server) Close() error {
 	err := s.t.Close()
 	s.once.Do(func() {
-		if s.prefetch != nil {
-			s.prefetch.stop()
-		}
+		s.prefetch.stop()
 		if s.dist != nil {
 			s.StopMembership()
 			close(s.dist.releaseStop)
@@ -217,9 +210,7 @@ func (s *Server) SetAdmission(g *overload.Gate) {
 		// locks.
 		degraded := next != overload.Normal
 		s.cache.SetSubstitutionsDisabled(degraded)
-		if s.prefetch != nil {
-			s.prefetch.setPaused(degraded)
-		}
+		s.prefetch.setPaused(degraded)
 		s.journal.Add(obs.EventGate, s.journalNode(), int64(old), int64(next),
 			old.String()+"→"+next.String())
 	})
@@ -258,7 +249,7 @@ func (s *Server) dispatchControl(req []byte, e *wire.Buffer, ctx obs.TraceCtx) e
 		if err != nil {
 			return err
 		}
-		s.crossEpoch(ids, s.prefetch != nil)
+		s.crossEpoch(ids, true)
 	case opPlanPreplace:
 		ids, err := decodePlanPreplaceRequest(d)
 		if err != nil {
@@ -285,29 +276,30 @@ func (s *Server) dispatchControl(req []byte, e *wire.Buffer, ctx obs.TraceCtx) e
 	return nil
 }
 
-// crossEpoch answers an epoch boundary. Under one policyMu hold the
-// prefetch ledger is settled first — tokens the finished epoch never touched
-// are wasted — and only then does the policy engine cross, because its loader
-// catch-up delivers packages whose prefetches belong to the new epoch. A plan
-// (planned: opEpochPlan on a server with a prefetch pool) also hands
+// crossEpoch answers an epoch boundary. Under one policyMu hold the policy
+// engine crosses and the prefetch pool's sweep ends the finished epoch's
+// plan: its unstarted entries are dropped, the tokens it left out are booked
+// wasted, and the new epoch's generation opens. Only a plan queues prefetches
+// (the loader's catch-up fills the L-cache's residency, not the store), so
+// the two may run in either order. A plan (planned: opEpochPlan) also hands
 // PlanSchedule the new epoch's schedule — it seeds the loader with the
 // missing L-side (honest virtual-time charging) and returns the missing
 // H-side in first-access order — which is built and queued outside the lock
-// but before the boundary is answered. Without a pool a plan is a plain
-// boundary: the client need not know whether the server plans. Remembered
-// owners go first, so the plan's sweep is remembered in the new generation.
+// but before the boundary is answered; a peer's pre-placed entries accepted
+// meanwhile join the same generation. Remembered owners go first, so the
+// plan's sweep is remembered in the new generation.
 func (s *Server) crossEpoch(schedule []dataset.SampleID, planned bool) {
 	if s.dist != nil {
 		s.dist.owners.forgetAll()
 	}
 	s.policyMu.Lock()
-	s.prefetch.sweepEpoch()
 	s.cache.StartEpoch(s.now())
+	epoch := s.cache.Epoch()
+	s.prefetch.sweepEpoch(epoch)
 	var need []dataset.SampleID
 	if planned {
 		need = s.cache.PlanSchedule(schedule)
 	}
-	epoch := s.cache.Epoch()
 	s.policyMu.Unlock()
 	what := "epoch boundary"
 	if planned {
@@ -334,9 +326,9 @@ func (s *Server) deadlineExpired(dl time.Time) bool {
 }
 
 // backendReadBudget bounds the backend reads the whole SERVER keeps in
-// flight — demand gathers of every request, the prefetch workers (reactive
-// and planned entries alike) and checkpoint rehydration all draw on it in
-// readBackend. 32 is twice the service slots of the paper's default store as
+// flight — demand gathers of every request, the prefetch workers (one per
+// slot, so it is the one bound on planned reads) and checkpoint rehydration
+// all draw on it in readBackend. 32 is twice the service slots of the paper's default store as
 // this repo models it (storage.OrangeFS(): 4 servers × ServerParallelism 4):
 // a storage slot never
 // idles between two reads, and the store never sees more than that, however
