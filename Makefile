@@ -39,7 +39,12 @@ vet:
 # the non-test files of internal/icache and internal/rpc name no loader
 # delivery observer (SetLoadObserver, onDeliver, loadObs), no reactive queue
 # bound (reactivePerWorker) and no pool size apart from the read budget
-# (PrefetchWorkers), comments included. Subsumes `vet` in `make all`.
+# (PrefetchWorkers), comments included. And there is one bounded ring,
+# obs.Ring: no other non-test file of internal/obs or internal/trace keeps a
+# ring cursor (a "% len(" or a filled flag), and no non-test file names
+# journalStripe (the journal's lock stripes) or EntriesTotal (a plan counter
+# that only ever equalled icache_prefetch_issued_total). Subsumes `vet` in
+# `make all`.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -91,6 +96,12 @@ lint:
 		$$(ls internal/icache/*.go internal/rpc/*.go | grep -v _test.go)); \
 	if [ -n "$$stray" ]; then \
 		echo "a second prefetch feeder or pool size (the epoch plan is the one prefetcher; the read budget bounds it):"; echo "$$stray"; exit 1; \
+	fi
+	@stray=$$(for f in $$(ls internal/obs/*.go internal/trace/*.go | grep -v -e _test.go -e /ring.go); do \
+		sed 's,//.*,,' $$f | grep -nE '% len\(|[^A-Za-z0-9_]filled([^A-Za-z0-9_]|$$)' | sed "s,^,$$f:,"; \
+	done; grep -rnw --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build -e journalStripe -e EntriesTotal .); \
+	if [ -n "$$stray" ]; then \
+		echo "a second bounded ring or dead bookkeeping (obs.Ring is the one ring; the journal has no stripes; issued counts plan entries):"; echo "$$stray"; exit 1; \
 	fi
 	$(GO) vet ./...
 
@@ -259,7 +270,7 @@ fuzz-short:
 # line is the _test.go total, so a reduction made by moving code into test
 # files shows on the same target.
 loc:
-	@for p in internal/rpc internal/dkv internal/wire internal/transport internal/dataset; do \
+	@for p in internal/rpc internal/dkv internal/wire internal/transport internal/dataset internal/obs internal/trace; do \
 		echo "$$p $$(cat $$(ls $$p/*.go | grep -v _test.go) | wc -l)"; \
 	done
 	@echo "total $$(cat $$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*') | wc -l)"

@@ -348,14 +348,19 @@ func (s *Server) FetchBatch(at simclock.Time, ids []dataset.SampleID) (simclock.
 	return s.FetchBatchRouted(at, ids, s.hlist)
 }
 
-// FetchBatchInto is FetchBatch appending the served IDs into *dst, reusing
-// its capacity — the RPC serving hot path calls this once per request with
-// a pooled scratch slice, so the policy verdict allocates nothing.
+// FetchBatchInto decides a request's samples all at the request's instant
+// at, appending the served IDs into *dst and reusing its capacity, and
+// returns when the last of them completes. Unlike FetchBatch's sequential
+// worker, no sample waits on an earlier one's simulated read: the RPC
+// serving path, which calls this once per request with a pooled scratch
+// slice, reads a request's misses concurrently and drives policy time by
+// the wall clock, so the loader is never pumped past the present.
 func (s *Server) FetchBatchInto(at simclock.Time, ids []dataset.SampleID, dst *[]dataset.SampleID) simclock.Time {
+	end := at
 	for _, id := range ids {
-		at = s.fetchOne(at, id, s.hlist, dst)
+		end = max(end, s.fetchOne(at, id, s.hlist, dst))
 	}
-	return at
+	return end
 }
 
 // FetchBatchRouted is FetchBatch with an explicit routing H-list: requests

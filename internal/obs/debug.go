@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
 	"time"
 )
 
@@ -40,4 +42,13 @@ func WriteDebug(w io.Writer, reg *Registry, ring *RingStats, slowThresh time.Dur
 	} else {
 		fmt.Fprintln(w, "slow-request log: disabled")
 	}
+}
+
+// writeJSON answers with doc as the indented JSON document the
+// /debug/journal and /debug/timeline endpoints serve.
+func writeJSON(w http.ResponseWriter, doc any) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(doc)
 }

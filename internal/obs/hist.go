@@ -1,7 +1,9 @@
 // Package obs is the observability substrate of the serving path:
 // allocation-free, lock-striped latency histograms with log-scaled buckets,
 // a named-histogram registry, a stdlib-only Prometheus text-format writer,
-// and the compact cross-node trace context carried in wire frames.
+// the one bounded ring (Ring) under the trace recorder, the control-plane
+// journal and the timeline, and the compact cross-node trace context
+// carried in wire frames.
 //
 // Everything here follows the nil-recorder pattern the rest of the repo
 // uses for tracing: a nil *Histogram, *Registry, *Sampler, or *RateLimiter

@@ -1,26 +1,24 @@
 package obs
 
 import (
-	"encoding/json"
 	"net/http"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Journal is a bounded, lock-striped ring of typed control-plane events:
-// overload state transitions, breaker trips and recoveries, membership
-// flips, shard hand-offs and epoch boundaries. It answers "what changed
-// around the time the metrics moved" — the decision-level complement to
-// the counters and histograms, cheap enough to leave armed in production
-// because events are rare (state *transitions*, never per-request).
+// Journal is a bounded ring of typed control-plane events: overload state
+// transitions, breaker trips and recoveries, membership flips, shard
+// hand-offs and epoch boundaries. It answers "what changed around the time
+// the metrics moved" — the decision-level complement to the counters and
+// histograms, cheap enough to leave armed in production because events are
+// rare (state *transitions*, never per-request).
 //
-// Writers are striped by sequence number so concurrent event sources never
-// contend on one lock; readers merge the stripes by sequence. A nil
-// *Journal is a valid no-op sink, mirroring the nil-Histogram contract.
+// Events are appended to one Ring under one mutex, so append order is
+// sequence order. One lock is enough: a training node journals one event
+// per epoch boundary, never enough for writers to contend. A nil *Journal
+// is a valid no-op sink, mirroring the nil-Histogram contract.
 //
-// Capacity bounds memory: once a stripe wraps, its oldest events are
+// Capacity bounds memory: once the ring wraps, its oldest events are
 // overwritten silently and Dropped() reports how many were lost.
 
 // EventKind classifies a journal event.
@@ -76,35 +74,14 @@ type Event struct {
 	Trace  uint64    `json:"trace,omitempty"`
 }
 
-const journalStripes = 8
-
-type journalStripe struct {
-	mu    sync.Mutex
-	ring  []Event
-	next  int    // insert cursor
-	total uint64 // events ever appended to this stripe
-	_     [4]uint64
-}
-
 // Journal is the bounded event ring. Construct with NewJournal.
 type Journal struct {
-	seq     uint64 // atomic: global sequence, also the total-event count
-	stripes [journalStripes]journalStripe
-	now     func() time.Time // injectable for deterministic tests
+	ring *Ring[Event]
 }
 
-// NewJournal builds a journal retaining about capacity events (rounded up
-// to a multiple of the stripe count; minimum one per stripe).
+// NewJournal builds a journal retaining capacity events (minimum 1).
 func NewJournal(capacity int) *Journal {
-	per := (capacity + journalStripes - 1) / journalStripes
-	if per < 1 {
-		per = 1
-	}
-	j := &Journal{now: time.Now}
-	for i := range j.stripes {
-		j.stripes[i].ring = make([]Event, per)
-	}
-	return j
+	return &Journal{ring: NewRing[Event](capacity)}
 }
 
 // Add appends one event. Safe for concurrent use; no-op on a nil journal.
@@ -117,23 +94,15 @@ func (j *Journal) AddTraced(kind EventKind, node, old, new int64, detail string,
 	if j == nil {
 		return
 	}
-	seq := atomic.AddUint64(&j.seq, 1)
-	ev := Event{
-		Seq:    seq,
-		At:     j.now().UnixNano(),
+	j.ring.Append(Event{
+		At:     time.Now().UnixNano(),
 		Kind:   kind,
 		Node:   node,
 		Old:    old,
 		New:    new,
 		Detail: detail,
 		Trace:  trace,
-	}
-	st := &j.stripes[seq%journalStripes]
-	st.mu.Lock()
-	st.ring[st.next] = ev
-	st.next = (st.next + 1) % len(st.ring)
-	st.total++
-	st.mu.Unlock()
+	})
 }
 
 // Total reports how many events were ever appended.
@@ -141,29 +110,20 @@ func (j *Journal) Total() uint64 {
 	if j == nil {
 		return 0
 	}
-	return atomic.LoadUint64(&j.seq)
+	return j.ring.Total()
 }
 
-// Snapshot returns the retained events ordered by sequence (oldest first).
+// Snapshot returns the retained events oldest-first. An event's Seq is its
+// position in append order, counted from 1; KindS names its Kind.
 func (j *Journal) Snapshot() []Event {
 	if j == nil {
 		return nil
 	}
-	var out []Event
-	for i := range j.stripes {
-		st := &j.stripes[i]
-		st.mu.Lock()
-		n := st.total
-		if n > uint64(len(st.ring)) {
-			n = uint64(len(st.ring))
-		}
-		for k := uint64(0); k < n; k++ {
-			out = append(out, st.ring[k])
-		}
-		st.mu.Unlock()
+	events, dropped := j.ring.Snapshot()
+	for i := range events {
+		events[i].Seq, events[i].KindS = dropped+uint64(i)+1, events[i].Kind.String()
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
-	return out
+	return events
 }
 
 // Dropped reports how many events were overwritten by ring wraparound.
@@ -171,18 +131,7 @@ func (j *Journal) Dropped() uint64 {
 	if j == nil {
 		return 0
 	}
-	var retained uint64
-	for i := range j.stripes {
-		st := &j.stripes[i]
-		st.mu.Lock()
-		n := st.total
-		if n > uint64(len(st.ring)) {
-			n = uint64(len(st.ring))
-		}
-		retained += n
-		st.mu.Unlock()
-	}
-	return j.Total() - retained
+	return j.ring.Dropped()
 }
 
 // journalDoc is the /debug/journal JSON document.
@@ -197,22 +146,10 @@ type journalDoc struct {
 func (j *Journal) Handler(ex *Exemplars) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		events := j.Snapshot()
-		for i := range events {
-			events[i].KindS = events[i].Kind.String()
-		}
 		if events == nil {
 			events = []Event{}
 		}
-		doc := journalDoc{
-			Total:     j.Total(),
-			Dropped:   j.Dropped(),
-			Events:    events,
-			Exemplars: ex.Snapshot(),
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(doc)
+		writeJSON(w, journalDoc{Total: j.Total(), Dropped: j.Dropped(), Events: events, Exemplars: ex.Snapshot()})
 	})
 }
 

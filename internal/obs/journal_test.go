@@ -8,10 +8,11 @@ import (
 	"time"
 )
 
-// TestJournalConcurrentWriters hammers the striped ring from many writers
-// while readers snapshot-storm it; run under -race this is the data-race
-// proof, and the accounting identities must hold afterwards:
-// Total == events appended and Dropped == Total - retained.
+// TestJournalConcurrentWriters hammers the journal from many writers while
+// readers snapshot-storm it; run under -race this is the data-race proof,
+// and the accounting identities must hold afterwards: Total == events
+// appended and Dropped == Total - retained. (Snapshot order under
+// concurrent appends is the ring's to keep: TestRing.)
 func TestJournalConcurrentWriters(t *testing.T) {
 	const writers, perWriter = 8, 500
 	j := NewJournal(256)
@@ -28,13 +29,7 @@ func TestJournalConcurrentWriters(t *testing.T) {
 					return
 				default:
 				}
-				events := j.Snapshot()
-				for i := 1; i < len(events); i++ {
-					if events[i].Seq <= events[i-1].Seq {
-						t.Errorf("snapshot out of order: seq %d after %d", events[i].Seq, events[i-1].Seq)
-						return
-					}
-				}
+				_ = j.Snapshot()
 				_ = j.Dropped()
 			}
 		}()
@@ -67,10 +62,10 @@ func TestJournalConcurrentWriters(t *testing.T) {
 	}
 }
 
-// TestJournalWraparound verifies the ring keeps each stripe's newest events
-// and reports the overwritten remainder as Dropped.
+// TestJournalWraparound verifies the ring keeps the newest events and
+// reports the overwritten remainder as Dropped.
 func TestJournalWraparound(t *testing.T) {
-	j := NewJournal(16) // 2 per stripe
+	j := NewJournal(16)
 	const n = 100
 	for i := 0; i < n; i++ {
 		j.Add(EventEpoch, 1, int64(i), int64(i+1), "epoch boundary")
@@ -82,8 +77,7 @@ func TestJournalWraparound(t *testing.T) {
 	if got, want := j.Dropped(), uint64(n-16); got != want {
 		t.Fatalf("Dropped = %d, want %d", got, want)
 	}
-	// Every retained event must be from the newest 2 per stripe, i.e. the
-	// last 2*stripes sequence numbers.
+	// Every retained event must be one of the last 16 sequence numbers.
 	for _, e := range events {
 		if e.Seq <= n-16 {
 			t.Fatalf("retained stale seq %d (oldest expected > %d)", e.Seq, n-16)

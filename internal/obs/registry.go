@@ -41,28 +41,22 @@ type NamedSnapshot struct {
 	Snap HistSnapshot
 }
 
-// Snapshot captures every registered histogram, sorted by name. Empty (and
-// nil-registry) snapshots return a nil slice.
+// Snapshot captures every registered histogram, sorted by name (nil on a
+// nil registry).
 func (r *Registry) Snapshot() []NamedSnapshot {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	names := make([]string, 0, len(r.hists))
-	hists := make([]*Histogram, 0, len(r.hists))
-	for name, h := range r.hists {
+	for name := range r.hists {
 		names = append(names, name)
-		hists = append(hists, h)
 	}
-	r.mu.Unlock()
-	idx := make([]int, len(names))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return names[idx[a]] < names[idx[b]] })
-	out := make([]NamedSnapshot, 0, len(idx))
-	for _, i := range idx {
-		out = append(out, NamedSnapshot{Name: names[i], Snap: hists[i].Snapshot()})
+	sort.Strings(names)
+	out := make([]NamedSnapshot, len(names))
+	for i, name := range names {
+		out[i] = NamedSnapshot{Name: name, Snap: r.hists[name].Snapshot()}
 	}
 	return out
 }

@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"net/http"
-	"sync"
 	"time"
 )
 
@@ -35,24 +33,13 @@ type Point struct {
 type Timeline struct {
 	collect func() map[string]float64
 	now     func() time.Time // injectable for deterministic tests
-
-	mu    sync.Mutex
-	ring  []Point
-	next  int
-	total uint64
+	ring    *Ring[Point]
 }
 
 // NewTimeline builds a timeline retaining capacity points (minimum 1),
 // each produced by collect.
 func NewTimeline(capacity int, collect func() map[string]float64) *Timeline {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Timeline{
-		collect: collect,
-		now:     time.Now,
-		ring:    make([]Point, capacity),
-	}
+	return &Timeline{collect: collect, now: time.Now, ring: NewRing[Point](capacity)}
 }
 
 // SetClock replaces the wall clock (deterministic tests only; not safe
@@ -65,12 +52,7 @@ func (t *Timeline) Tick() {
 	if t == nil {
 		return
 	}
-	p := Point{At: t.now().UnixNano(), Values: t.collect()}
-	t.mu.Lock()
-	t.ring[t.next] = p
-	t.next = (t.next + 1) % len(t.ring)
-	t.total++
-	t.mu.Unlock()
+	t.ring.Append(Point{At: t.now().UnixNano(), Values: t.collect()})
 }
 
 // Run ticks every interval until stop closes. Call in a goroutine.
@@ -95,23 +77,8 @@ func (t *Timeline) Snapshot() []Point {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := t.total
-	if n > uint64(len(t.ring)) {
-		n = uint64(len(t.ring))
-	}
-	out := make([]Point, 0, n)
-	// Oldest entry sits at the insert cursor once the ring has wrapped,
-	// at slot 0 before.
-	start := 0
-	if t.total > uint64(len(t.ring)) {
-		start = t.next
-	}
-	for k := uint64(0); k < n; k++ {
-		out = append(out, t.ring[(start+int(k))%len(t.ring)])
-	}
-	return out
+	points, _ := t.ring.Snapshot()
+	return points
 }
 
 // Total reports how many points were ever recorded.
@@ -119,9 +86,7 @@ func (t *Timeline) Total() uint64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
+	return t.ring.Total()
 }
 
 // timelineDoc is the /debug/timeline JSON document.
@@ -137,10 +102,6 @@ func (t *Timeline) Handler() http.Handler {
 		if points == nil {
 			points = []Point{}
 		}
-		doc := timelineDoc{Total: t.Total(), Points: points}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(doc)
+		writeJSON(w, timelineDoc{Total: t.Total(), Points: points})
 	})
 }

@@ -39,11 +39,18 @@ func TestDecisionLedgerConservation(t *testing.T) {
 	cl := dial(t, addr)
 	spec := testSpec()
 
-	// Small H-list; everything else is L, so L misses feed the loader.
-	hot := idRange(0, 20)
-	if err := cl.UpdateImportance(hItems(hot)); err != nil {
+	// An H-list of half the dataset, several times what the cache holds,
+	// importance falling with the id: foreground H-misses are admitted over
+	// less important residents (capacity evictions), and the other half are
+	// L-samples whose misses feed the loader.
+	hlist := make([]sampling.Item, spec.NumSamples/2)
+	for i := range hlist {
+		hlist[i] = sampling.Item{ID: dataset.SampleID(i), IV: float64(len(hlist) - i)}
+	}
+	if err := cl.UpdateImportance(hlist); err != nil {
 		t.Fatal(err)
 	}
+	hot := idRange(0, 20)
 
 	// A planned epoch: the pool places the plan's H-samples; half of them are
 	// read in time, the rest are swept wasted at the next boundary.
@@ -54,7 +61,7 @@ func TestDecisionLedgerConservation(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(7))
 	ids := make([]dataset.SampleID, 8)
-	for r := 0; r < 20; r++ {
+	for r := 0; r < 200; r++ {
 		for i := range ids {
 			ids[i] = dataset.SampleID(100 + rng.Intn(spec.NumSamples-100))
 		}
@@ -92,6 +99,9 @@ func TestDecisionLedgerConservation(t *testing.T) {
 	}
 	if d.AdmitFetch == 0 {
 		t.Error("foreground admissions not provenance-counted")
+	}
+	if d.EvictCapacity == 0 {
+		t.Error("foreground admissions evicted nothing")
 	}
 	if d.Epoch != 2 {
 		t.Errorf("epoch = %d, want 2", d.Epoch)

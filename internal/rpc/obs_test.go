@@ -196,10 +196,40 @@ func TestPrometheusExpositionHeaders(t *testing.T) {
 // traffic: the view is gathered under one policyMu hold, so within every
 // scrape requests equal their four outcome classes, the eviction total its
 // reasons, and the cache family's evictions the ledger's capacity evictions.
+// Every sample is an H-sample, several times more than the cache holds, and
+// their importance rotates while the traffic runs: each rotation makes
+// samples the cache does not hold outrank its residents, so misses keep
+// being admitted over them until the last scrape.
 func TestPrometheusExpositionAddsUpUnderLoad(t *testing.T) {
 	srv, addr, _ := startServer(t)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	ctl, n := dial(t, addr), testSpec().NumSamples
+	rotate := func(shift int) error {
+		items := make([]sampling.Item, n)
+		for i := range items {
+			items[i] = sampling.Item{ID: dataset.SampleID(i), IV: float64(1 + (i+shift)%n)}
+		}
+		return ctl.UpdateImportance(items)
+	}
+	if err := rotate(0); err != nil {
+		t.Fatal(err)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for shift := 97; ; shift += 97 {
+			select {
+			case <-stop:
+				return
+			case <-time.After(5 * time.Millisecond):
+			}
+			if err := rotate(shift); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
 	for w := 0; w < 3; w++ {
 		c := dial(t, addr)
 		wg.Add(1)
@@ -224,8 +254,10 @@ func TestPrometheusExpositionAddsUpUnderLoad(t *testing.T) {
 			t.Fatal("traffic evicted nothing in 10s")
 		}
 	}
+	first := scrape(t, srv)["icache_evict_reasoned_total"]
+	var m map[string]float64
 	for i := 0; i < 60; i++ {
-		m := scrape(t, srv)
+		m = scrape(t, srv)
 		if sum := m["icache_cache_hits_total"] + m["icache_cache_misses_total"] + m["icache_cache_substitutions_total"] + m["icache_cache_degraded_total"]; sum != m["icache_cache_requests_total"] {
 			t.Errorf("scrape %d: outcome classes sum to %g, requests %g", i, sum, m["icache_cache_requests_total"])
 		}
@@ -235,6 +267,9 @@ func TestPrometheusExpositionAddsUpUnderLoad(t *testing.T) {
 		if m["icache_cache_evictions_total"] != m["icache_evict_capacity_total"] {
 			t.Errorf("scrape %d: cache evictions %g, capacity evictions %g", i, m["icache_cache_evictions_total"], m["icache_evict_capacity_total"])
 		}
+	}
+	if m["icache_evict_reasoned_total"] == first {
+		t.Errorf("the scrapes ran beside no eviction (%g before and after)", first)
 	}
 	close(stop)
 	wg.Wait()

@@ -214,7 +214,6 @@ type PlanStats struct {
 	Planned         int64 // entries queued for the current epoch's plan
 	Completed       int64 // current-plan entries a worker has finished
 	Remaining       int64 // Planned - Completed
-	EntriesTotal    int64
 	CompletedTotal  int64
 	SkippedResident int64 // plan entries whose bytes were already local
 	SkippedCluster  int64 // plan entries a live peer already owned

@@ -74,13 +74,13 @@ func waitPlanSettled(t testing.TB, srv *Server) {
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		p.mu.Lock()
-		queued, active := len(p.queue), p.active
+		held := len(p.state) // entries queued or mid-fetch
 		p.mu.Unlock()
-		if queued == 0 && active == 0 {
+		if held == 0 {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("prefetch queue never settled: %d queued, %d workers mid-entry, plan %+v", queued, active, srv.PlanStats())
+			t.Fatalf("prefetch queue never settled: %d entries queued or mid-fetch, plan %+v", held, srv.PlanStats())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -370,12 +370,8 @@ func TestPlanConservationAcrossEpochs(t *testing.T) {
 	if d.PrefetchInTime == 0 {
 		t.Fatal("no planned prefetch was consumed in time")
 	}
-	ps := srv.PlanStats()
-	if ps.EntriesTotal == 0 {
-		t.Fatalf("no plan entries queued: %+v", ps)
-	}
-	if ps.CompletedTotal != ps.EntriesTotal {
-		t.Fatalf("plan entries leaked: completed %d of %d queued", ps.CompletedTotal, ps.EntriesTotal)
+	if ps := srv.PlanStats(); ps.CompletedTotal != d.PrefetchIssued {
+		t.Fatalf("plan entries leaked: completed %d of %d queued", ps.CompletedTotal, d.PrefetchIssued)
 	}
 }
 
@@ -494,8 +490,8 @@ func TestPlanOvertakenBuildIsDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitPlanSettled(t, srv)
-	if ps := srv.PlanStats(); ps.Epoch != 2 || ps.EntriesTotal != int64(len(cur)) {
-		t.Fatalf("plan stats %+v; want epoch 2 with only its %d entries queued", ps, len(cur))
+	if ps, issued := srv.PlanStats(), srv.DecisionStats().PrefetchIssued; ps.Epoch != 2 || issued != int64(len(cur)) {
+		t.Fatalf("plan stats %+v, %d entries queued; want epoch 2 with only its %d entries", ps, issued, len(cur))
 	}
 	for _, id := range stale {
 		if n := g.count(id); n != 0 {

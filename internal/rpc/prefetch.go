@@ -60,7 +60,6 @@ type prefetcher struct {
 	mu              sync.Mutex
 	wake            sync.Cond // on mu: an entry was queued, the pause lifted or the pool stopped
 	queue           []prefetchItem
-	active          int // workers mid-entry
 	paused, stopped bool
 	// state holds every id queued or held by a worker (one entry per id);
 	// pending holds the outcome ledger's tokens, pendN mirroring its size
@@ -128,7 +127,6 @@ func (p *prefetcher) addPlan(ids []dataset.SampleID, next *PlanStats) int {
 		}
 	}
 	p.plan.Planned += int64(n)
-	p.plan.EntriesTotal += int64(n)
 	if next == nil {
 		p.plan.PreplaceRecv += int64(n)
 	}
@@ -269,7 +267,6 @@ func (p *prefetcher) worker() {
 		// exactly the double fetch the promotion exists to prevent.
 		run := p.state[it.id] != entryCancelled
 		p.state[it.id] = entryRunning
-		p.active++
 		p.mu.Unlock()
 		p.s.obs.prefetchWt.Since(it.at)
 		if run {
@@ -277,7 +274,6 @@ func (p *prefetcher) worker() {
 		}
 		p.mu.Lock()
 		delete(p.state, it.id)
-		p.active--
 		p.plan.CompletedTotal++
 		if it.gen == p.gen {
 			p.plan.Completed++

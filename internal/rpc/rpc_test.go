@@ -196,6 +196,34 @@ func TestBeginEpochAndSubstitutionPath(t *testing.T) {
 	}
 }
 
+// TestPolicyClockIsTheRequestInstant: the policy decides every sample of a
+// request at the wall-clock instant the request arrived, not at a clock the
+// simulated backend reads of its earlier samples pushed ahead. So a fresh
+// server's one all-miss batch of L-samples misses every sample — no package
+// the loader starts can have landed by then to be hit or substituted — and
+// the loader has started no more packages than wall time allows.
+func TestPolicyClockIsTheRequestInstant(t *testing.T) {
+	srv, addr, _ := startServer(t)
+	c := dial(t, addr)
+	ids := make([]dataset.SampleID, 256)
+	for i := range ids {
+		ids[i] = dataset.SampleID(7 * i)
+	}
+	if _, err := c.GetBatch(ids); err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(srv.start)
+	st := cacheStats(srv)
+	if st.Hits != 0 || st.Substitutions != 0 || st.Misses != int64(len(ids)) {
+		t.Errorf("one all-miss batch on a fresh server: %d hits, %d substitutions, %d misses; want 0, 0, %d",
+			st.Hits, st.Substitutions, st.Misses, len(ids))
+	}
+	// Every package read pays at least the backend's per-read overhead.
+	if most := 1 + int64(wall/storage.OrangeFS().PerReadOverhead); srv.cache.PackagesLoaded() > most {
+		t.Errorf("loader started %d packages in %v of wall time; at most %d fit", srv.cache.PackagesLoaded(), wall, most)
+	}
+}
+
 func TestOutOfRangeRequestAnsweredNotFatal(t *testing.T) {
 	_, addr, _ := startServer(t)
 	c := dial(t, addr)

@@ -213,7 +213,6 @@ func (v *nodeView) rows() []series {
 		{"icache_plan_planned", "entries admitted to the current epoch's prefetch plan", gauge, "plan_planned", float64(v.plan.Planned)},
 		{"icache_plan_completed", "current-epoch plan entries drained", gauge, "plan_completed", float64(v.plan.Completed)},
 		{"icache_plan_remaining", "current-epoch plan entries still queued or in flight", gauge, "plan_remaining", float64(v.plan.Remaining)},
-		{"icache_plan_entries_total", "plan entries admitted across all epochs", counter, "", float64(v.plan.EntriesTotal)},
 		{"icache_plan_completed_entries_total", "plan entries drained across all epochs", counter, "", float64(v.plan.CompletedTotal)},
 		{"icache_plan_skipped_resident_total", "plan entries skipped because their bytes were already local", counter, "", float64(v.plan.SkippedResident)},
 		{"icache_plan_skipped_cluster_total", "plan entries skipped because a live peer already owned them", counter, "", float64(v.plan.SkippedCluster)},

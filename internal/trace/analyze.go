@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -104,10 +105,6 @@ func ReadCSV(r io.Reader) ([]Event, error) {
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("trace: empty csv")
 	}
-	kindByName := make(map[string]Kind, len(kindNames))
-	for i, name := range kindNames {
-		kindByName[name] = Kind(i)
-	}
 	var events []Event
 	for i, row := range rows[1:] {
 		if len(row) != 4 && len(row) != 7 {
@@ -117,8 +114,8 @@ func ReadCSV(r io.Reader) ([]Event, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: row %d at_ns: %w", i+2, err)
 		}
-		kind, ok := kindByName[row[1]]
-		if !ok {
+		kind := slices.Index(kindNames[:], row[1])
+		if kind < 0 {
 			return nil, fmt.Errorf("trace: row %d unknown kind %q", i+2, row[1])
 		}
 		id, err := strconv.ParseInt(row[2], 10, 64)
@@ -129,7 +126,7 @@ func ReadCSV(r io.Reader) ([]Event, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: row %d arg: %w", i+2, err)
 		}
-		e := Event{At: time.Duration(at), Kind: kind, ID: dataset.SampleID(id), Arg: arg}
+		e := Event{At: time.Duration(at), Kind: Kind(kind), ID: dataset.SampleID(id), Arg: arg}
 		if len(row) == 7 {
 			traceID, err := strconv.ParseUint(row[4], 16, 64)
 			if err != nil {

@@ -12,10 +12,10 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"sync"
 	"time"
 
 	"icache/internal/dataset"
+	"icache/internal/obs"
 )
 
 // Kind classifies a trace event.
@@ -101,15 +101,12 @@ type Event struct {
 	Dur     time.Duration
 }
 
-// Recorder is a concurrency-safe ring buffer of events. The zero value is
-// unusable; make one with NewRecorder. A nil Recorder ignores Record calls
-// and dumps nothing, so owners can leave tracing off without branching.
+// Recorder is a concurrency-safe ring of events (an obs.Ring). The zero
+// value is unusable; make one with NewRecorder. A nil Recorder ignores
+// Record calls and dumps nothing, so owners can leave tracing off without
+// branching.
 type Recorder struct {
-	mu     sync.Mutex
-	buf    []Event
-	next   int
-	filled bool
-	total  uint64
+	ring *obs.Ring[Event]
 }
 
 // NewRecorder allocates a ring holding the last capacity events.
@@ -117,33 +114,20 @@ func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("trace: capacity %d", capacity))
 	}
-	return &Recorder{buf: make([]Event, capacity)}
+	return &Recorder{ring: obs.NewRing[Event](capacity)}
 }
 
 // Record appends an event, overwriting the oldest once full. Safe on nil.
 func (r *Recorder) Record(at time.Duration, kind Kind, id dataset.SampleID, arg int64) {
-	r.record(Event{At: at, Kind: kind, ID: id, Arg: arg})
+	r.RecordSpan(at, kind, id, arg, 0, 0, 0)
 }
 
 // RecordSpan appends a span-style event carrying a trace context and a
 // measured duration. Safe on nil.
 func (r *Recorder) RecordSpan(at time.Duration, kind Kind, id dataset.SampleID, arg int64, traceID uint64, hop uint8, dur time.Duration) {
-	r.record(Event{At: at, Kind: kind, ID: id, Arg: arg, TraceID: traceID, Hop: hop, Dur: dur})
-}
-
-func (r *Recorder) record(e Event) {
-	if r == nil {
-		return
+	if r != nil {
+		r.ring.Append(Event{At: at, Kind: kind, ID: id, Arg: arg, TraceID: traceID, Hop: hop, Dur: dur})
 	}
-	r.mu.Lock()
-	r.buf[r.next] = e
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.filled = true
-	}
-	r.total++
-	r.mu.Unlock()
 }
 
 // Len reports how many events are currently retained.
@@ -151,12 +135,7 @@ func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.filled {
-		return len(r.buf)
-	}
-	return r.next
+	return r.ring.Len()
 }
 
 // Total reports how many events were ever recorded (including overwritten).
@@ -164,24 +143,15 @@ func (r *Recorder) Total() uint64 {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
+	return r.ring.Total()
 }
 
-// Dropped reports how many events ring wraparound has overwritten: Total
-// minus Len, both read under one lock hold (two separate reads can straddle
-// a Record and make the unsigned difference wrap).
+// Dropped reports how many events ring wraparound has overwritten.
 func (r *Recorder) Dropped() uint64 {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.filled {
-		return 0
-	}
-	return r.total - uint64(len(r.buf))
+	return r.ring.Dropped()
 }
 
 // Snapshot returns the retained events oldest-first.
@@ -189,51 +159,36 @@ func (r *Recorder) Snapshot() []Event {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.filled {
-		return append([]Event(nil), r.buf[:r.next]...)
-	}
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
+	events, _ := r.ring.Snapshot()
+	return events
 }
 
 // Counts aggregates retained events by kind.
-func (r *Recorder) Counts() map[Kind]int {
-	counts := make(map[Kind]int)
-	for _, e := range r.Snapshot() {
-		counts[e.Kind]++
+func (r *Recorder) Counts() map[Kind]int { return Analyze(r.Snapshot(), 0).ByKind }
+
+// csvHeader names the dump's columns; csvRow formats one event under it.
+var csvHeader = []string{"at_ns", "kind", "id", "arg", "trace", "hop", "dur_ns"}
+
+// csvRow formats e. The trace column is the trace ID in hex (0 = untraced).
+func csvRow(e Event) []string {
+	return []string{
+		strconv.FormatInt(int64(e.At), 10),
+		e.Kind.String(),
+		strconv.FormatInt(int64(e.ID), 10),
+		strconv.FormatInt(e.Arg, 10),
+		strconv.FormatUint(e.TraceID, 16),
+		strconv.FormatUint(uint64(e.Hop), 10),
+		strconv.FormatInt(int64(e.Dur), 10),
 	}
-	return counts
 }
 
 // WriteCSV dumps the retained events oldest-first as CSV with the columns
-// at_ns, kind, id, arg, trace, hop, dur_ns. The first four columns are the
-// pre-span format; ReadCSV accepts both widths, so old dumps stay
-// readable. The trace column is the trace ID in hex (0 = untraced).
+// at_ns, kind, id, arg, trace, hop, dur_ns: WriteCSVLimited with no budget.
+// The first four columns are the pre-span format; ReadCSV accepts both
+// widths, so old dumps stay readable.
 func (r *Recorder) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"at_ns", "kind", "id", "arg", "trace", "hop", "dur_ns"}); err != nil {
-		return err
-	}
-	for _, e := range r.Snapshot() {
-		rec := []string{
-			strconv.FormatInt(int64(e.At), 10),
-			e.Kind.String(),
-			strconv.FormatInt(int64(e.ID), 10),
-			strconv.FormatInt(e.Arg, 10),
-			strconv.FormatUint(e.TraceID, 16),
-			strconv.FormatUint(uint64(e.Hop), 10),
-			strconv.FormatInt(int64(e.Dur), 10),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	_, err := r.WriteCSVLimited(w, 0)
+	return err
 }
 
 // WriteCSVLimited is WriteCSV under a byte budget: when the full dump
@@ -242,53 +197,38 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 // reads first. maxBytes <= 0 means unlimited. It returns how many retained
 // events were cut; ring-overwrite drops are reported by Dropped() as usual.
 func (r *Recorder) WriteCSVLimited(w io.Writer, maxBytes int64) (cut int, err error) {
-	if maxBytes <= 0 {
-		return 0, r.WriteCSV(w)
-	}
 	events := r.Snapshot()
-	rows := make([][]string, len(events))
-	header := []string{"at_ns", "kind", "id", "arg", "trace", "hop", "dur_ns"}
-	// Budget accounting mirrors encoding/csv's default output: fields
-	// joined by commas plus a trailing newline. None of our fields need
-	// quoting, so the estimate is exact.
-	size := func(rec []string) int64 {
-		n := int64(len(rec)) // separators + newline
-		for _, f := range rec {
-			n += int64(len(f))
+	if maxBytes > 0 {
+		// Budget accounting mirrors encoding/csv's default output: fields
+		// joined by commas plus a trailing newline. None of our fields need
+		// quoting, so the estimate is exact.
+		size := func(rec []string) int64 {
+			n := int64(len(rec)) // separators + newline
+			for _, f := range rec {
+				n += int64(len(f))
+			}
+			return n
 		}
-		return n
-	}
-	budget := maxBytes - size(header)
-	for i, e := range events {
-		rows[i] = []string{
-			strconv.FormatInt(int64(e.At), 10),
-			e.Kind.String(),
-			strconv.FormatInt(int64(e.ID), 10),
-			strconv.FormatInt(e.Arg, 10),
-			strconv.FormatUint(e.TraceID, 16),
-			strconv.FormatUint(uint64(e.Hop), 10),
-			strconv.FormatInt(int64(e.Dur), 10),
+		// Walk from the newest row backwards, keeping what fits.
+		budget := maxBytes - size(csvHeader)
+		cut = len(events)
+		for ; cut > 0; cut-- {
+			n := size(csvRow(events[cut-1]))
+			if n > budget {
+				break
+			}
+			budget -= n
 		}
-	}
-	// Walk from the newest row backwards, keeping what fits.
-	start := len(rows)
-	for i := len(rows) - 1; i >= 0; i-- {
-		n := size(rows[i])
-		if n > budget {
-			break
-		}
-		budget -= n
-		start = i
 	}
 	cw := csv.NewWriter(w)
-	if err := cw.Write(header); err != nil {
-		return start, err
+	if err := cw.Write(csvHeader); err != nil {
+		return cut, err
 	}
-	for _, rec := range rows[start:] {
-		if err := cw.Write(rec); err != nil {
-			return start, err
+	for _, e := range events[cut:] {
+		if err := cw.Write(csvRow(e)); err != nil {
+			return cut, err
 		}
 	}
 	cw.Flush()
-	return start, cw.Error()
+	return cut, cw.Error()
 }
