@@ -43,8 +43,12 @@ vet:
 # obs.Ring: no other non-test file of internal/obs or internal/trace keeps a
 # ring cursor (a "% len(" or a filled flag), and no non-test file names
 # journalStripe (the journal's lock stripes) or EntriesTotal (a plan counter
-# that only ever equalled icache_prefetch_issued_total). Subsumes `vet` in
-# `make all`.
+# that only ever equalled icache_prefetch_issued_total). And the wire reads the
+# policy engine's numbers through one value, icache.Server.View: the non-test
+# files of internal/rpc call no single-number accessor (HCacheLen(, LCacheLen(,
+# PackagesLoaded(, LoaderUsefulBytes(, LoaderWastedBytes(, Tier2Len(,
+# Tier2Hits(, DecisionLedger( or .Epoch()) and export no icache_tier2_ series
+# (no shipped binary has a spill tier). Subsumes `vet` in `make all`.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -102,6 +106,12 @@ lint:
 	done; grep -rnw --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build -e journalStripe -e EntriesTotal .); \
 	if [ -n "$$stray" ]; then \
 		echo "a second bounded ring or dead bookkeeping (obs.Ring is the one ring; the journal has no stripes; issued counts plan entries):"; echo "$$stray"; exit 1; \
+	fi
+	@stray=$$(for f in $$(ls internal/rpc/*.go | grep -v _test.go); do \
+		sed 's,//.*,,' $$f | grep -nE '(HCacheLen|LCacheLen|PackagesLoaded|LoaderUsefulBytes|LoaderWastedBytes|Tier2Len|Tier2Hits|DecisionLedger)\(|\.Epoch\(\)|icache_tier2_' | sed "s,^,$$f:,"; \
+	done); \
+	if [ -n "$$stray" ]; then \
+		echo "a policy-engine number read around icache.Server.View, or a tier-2 series on the wire:"; echo "$$stray"; exit 1; \
 	fi
 	$(GO) vet ./...
 
@@ -270,7 +280,7 @@ fuzz-short:
 # line is the _test.go total, so a reduction made by moving code into test
 # files shows on the same target.
 loc:
-	@for p in internal/rpc internal/dkv internal/wire internal/transport internal/dataset internal/obs internal/trace; do \
+	@for p in internal/icache internal/rpc internal/dkv internal/wire internal/transport internal/dataset internal/obs internal/trace; do \
 		echo "$$p $$(cat $$(ls $$p/*.go | grep -v _test.go) | wc -l)"; \
 	done
 	@echo "total $$(cat $$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*') | wc -l)"

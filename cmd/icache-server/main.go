@@ -187,8 +187,8 @@ func main() {
 			log.Fatalf("icache-server: checkpoint: %v", err)
 		}
 		if loaded {
-			log.Printf("icache-server: warm-restarted from %s (%d H, %d L residents)",
-				*ckptPath, cacheSrv.HCacheLen(), cacheSrv.LCacheLen())
+			v := cacheSrv.View()
+			log.Printf("icache-server: warm-restarted from %s (%d H, %d L residents)", *ckptPath, v.HLen, v.LLen)
 		}
 	}
 	if *dirAddr != "" {

@@ -73,8 +73,8 @@ func main() {
 	fmt.Println("two jobs sharing one iCache (AIV coordination):")
 	report("shufflenet", jobA, shuffleHandle)
 	report("resnet50", jobB, resnetHandle)
-	fmt.Printf("shared H-list: %d samples; cache regions: H=%d L=%d\n",
-		srv.ActiveHList().Len(), srv.HCacheLen(), srv.LCacheLen())
+	v := srv.View()
+	fmt.Printf("shared H-list: %d samples; cache regions: H=%d L=%d\n", srv.ActiveHList().Len(), v.HLen, v.LLen)
 }
 
 func totalHit(rs metrics.RunStats) float64 { return rs.TotalCache().HitRatio() }

@@ -60,12 +60,12 @@ func ablPackaging(opts Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		waste := fmt.Sprintf("%d%%", pct(srv.LoaderWastedBytes(), srv.LoaderWastedBytes()+srv.LoaderUsefulBytes()))
+		v := srv.View()
 		rep.AddRow(mode.String(),
 			fmt.Sprintf("%.3fs", rs.AvgEpochTime().Seconds()),
 			fmtPct(rs.TotalCache().HitRatio()),
-			waste,
-			fmt.Sprintf("%d MB", srv.LoaderWastedBytes()>>20))
+			fmt.Sprintf("%d%%", pct(v.LoaderWasted, v.LoaderWasted+v.LoaderUseful)),
+			fmt.Sprintf("%d MB", v.LoaderWasted>>20))
 	}
 	rep.Notes = append(rep.Notes,
 		"dynamic packaging wastes no loader bytes; static chunks pay read amplification",

@@ -85,11 +85,12 @@ func extTier(opts Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
+		eng := srv.View()
 		rep.AddRow(v.name,
 			fmt.Sprintf("%.3fs", rs.AvgEpochTime().Seconds()),
 			fmtPct(rs.TotalCache().HitRatio()),
-			fmt.Sprintf("%d", srv.Tier2Hits()/int64(total)),
-			fmt.Sprintf("%d", srv.Tier2Len()))
+			fmt.Sprintf("%d", eng.Tier2Hits/int64(total)),
+			fmt.Sprintf("%d", eng.Tier2Len))
 	}
 	rep.Notes = append(rep.Notes,
 		"the tier absorbs H-cache churn: demoted-then-re-promoted samples cost ~0.1ms instead of a remote read",

@@ -55,8 +55,9 @@ func TestCheckpointAndResidentsAreDeterministic(t *testing.T) {
 		t.Error("two checkpoints of one state differ")
 	}
 	ids := srv.Residents([]dataset.SampleID{1 << 40})
-	if ids[0] != 1<<40 || len(ids) != 1+srv.HCacheLen()+srv.LCacheLen() || !slices.IsSorted(ids[1:]) {
-		t.Errorf("Residents did not append %d ascending ids after dst's own", srv.HCacheLen()+srv.LCacheLen())
+	v := srv.View()
+	if ids[0] != 1<<40 || len(ids) != 1+v.HLen+v.LLen || !slices.IsSorted(ids[1:]) {
+		t.Errorf("Residents did not append %d ascending ids after dst's own", v.HLen+v.LLen)
 	}
 }
 
@@ -73,10 +74,10 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got, want := restored.HCacheLen(), srv.HCacheLen(); got != want {
+	if got, want := restored.View().HLen, srv.View().HLen; got != want {
 		t.Fatalf("H residents %d, want %d", got, want)
 	}
-	if got, want := restored.LCacheLen(), srv.LCacheLen(); got != want {
+	if got, want := restored.View().LLen, srv.View().LLen; got != want {
 		t.Fatalf("L residents %d, want %d", got, want)
 	}
 	want := srv.Residents(nil)
@@ -189,7 +190,7 @@ func TestRestoreIntoSmallerCacheDrops(t *testing.T) {
 	if small.h.used > small.h.capBytes || small.l.used > small.l.capBytes {
 		t.Fatal("restore overflowed the smaller budgets")
 	}
-	if small.HCacheLen() == 0 {
+	if small.View().HLen == 0 {
 		t.Fatal("smaller cache restored nothing")
 	}
 }

@@ -10,7 +10,7 @@ import (
 // removal carries a reason code, substitutions record which quality class
 // served them, and epoch boundaries snapshot the H/L residency
 // composition. All counters are mutated under the caller's policy lock
-// (the same discipline as stats) and snapshotted via DecisionLedger.
+// (the same discipline as stats) and snapshotted into View's Ledger.
 
 // DropReason classifies a directed removal (Server.DropFor) — a drop the
 // policy did not choose itself. The type lives with the lifecycle steps
@@ -88,10 +88,9 @@ func (s *Server) snapshotEpochResidency() {
 	s.dec.epochLBytes = s.l.used
 }
 
-// DecisionLedger snapshots the policy half of the decision ledger. The
-// rpc layer overlays its own admission-provenance and prefetch-outcome
-// counters on top. Callers hold the policy lock.
-func (s *Server) DecisionLedger() metrics.DecisionStats {
+// decisionLedger snapshots the policy half of the decision ledger (View's
+// Ledger).
+func (s *Server) decisionLedger() metrics.DecisionStats {
 	capacity := s.h.evictions + s.l.evictions
 	return metrics.DecisionStats{
 		EvictCapacity:         capacity,

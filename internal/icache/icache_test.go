@@ -266,10 +266,9 @@ func TestServerEndToEndEpochs(t *testing.T) {
 	if st.HitRatio() < 0.10 {
 		t.Fatalf("hit ratio %.3f too low — H-cache not working", st.HitRatio())
 	}
-	if srv.HCacheLen() == 0 {
+	if v := srv.View(); v.HLen == 0 {
 		t.Fatal("empty H-cache after four epochs")
-	}
-	if srv.PackagesLoaded() == 0 {
+	} else if v.Packages == 0 {
 		t.Fatal("loading thread never loaded a package")
 	}
 }

@@ -158,22 +158,43 @@ func (s *Server) SubstitutionSource() string {
 	}
 }
 
-// HCacheLen and LCacheLen expose occupancy for tests and experiment output.
-func (s *Server) HCacheLen() int { return s.h.len() }
-func (s *Server) LCacheLen() int { return s.l.len() }
+// View is the engine's numbers at one instant: what the serving layer's
+// scrapes, Stats replies and epoch boundaries read, and what tests and
+// experiment tables print.
+type View struct {
+	Cache      metrics.CacheStats
+	HLen, LLen int
+	// Packages counts the loading thread's package fetches. LoaderUseful is
+	// the bytes it delivered into the L-cache; LoaderWasted the bytes it
+	// read that could not be cached (static packaging's read amplification).
+	Packages                   int64
+	LoaderUseful, LoaderWasted int64
+	// Tier2Len and Tier2Hits are the spill tier's residents and the misses
+	// it served (0 when the tier is disabled).
+	Tier2Len  int
+	Tier2Hits int64
+	// Ledger is the policy half of the decision ledger; the serving layer
+	// overlays its admission-provenance and prefetch-outcome counters.
+	Ledger metrics.DecisionStats
+}
 
-// PackagesLoaded reports how many dynamic packages the loading thread has
-// fetched.
-func (s *Server) PackagesLoaded() int64 { return s.ld.packages }
-
-// LoaderWastedBytes reports bytes the loading thread transferred that could
-// not be cached (static packaging's read amplification; zero under dynamic
-// packaging).
-func (s *Server) LoaderWastedBytes() int64 { return s.ld.wastedBytes }
-
-// LoaderUsefulBytes reports bytes the loading path delivered into the
-// L-cache.
-func (s *Server) LoaderUsefulBytes() int64 { return s.ld.usefulBytes }
+// View reads the engine. Callers serialize it with the engine's other
+// calls (rpc.Server holds its policy lock).
+func (s *Server) View() View {
+	v := View{
+		Cache:        s.Stats(),
+		HLen:         s.h.len(),
+		LLen:         s.l.len(),
+		Packages:     s.ld.packages,
+		LoaderUseful: s.ld.usefulBytes,
+		LoaderWasted: s.ld.wastedBytes,
+		Ledger:       s.decisionLedger(),
+	}
+	if s.t2 != nil {
+		v.Tier2Len, v.Tier2Hits = len(s.t2.items), s.t2.hits
+	}
+	return v
+}
 
 // HShare reports the current fraction of capacity assigned to the H-cache.
 func (s *Server) HShare() float64 {
@@ -217,9 +238,6 @@ func (s *Server) startEpoch(at simclock.Time) {
 	}
 	s.epochHReq, s.epochLReq = 0, 0
 }
-
-// Epoch reports how many epoch boundaries the server has crossed.
-func (s *Server) Epoch() int64 { return s.epoch }
 
 // InstallHList makes hl the active H-list and refreshes the H-heap's
 // importance values under the shadow-heap protocol.
@@ -269,8 +287,11 @@ func (s *Server) Tracer() *trace.Recorder { return s.tracer }
 // StartEpoch performs the per-epoch manager duties (repartition, L-cache
 // reset, loader catch-up) without drawing a schedule. The RPC server uses
 // it: over the wire the client owns the sampler, so the server only manages
-// cache state at epoch boundaries.
-func (s *Server) StartEpoch(at simclock.Time) { s.startEpoch(at) }
+// cache state at epoch boundaries. It returns the epoch it begins.
+func (s *Server) StartEpoch(at simclock.Time) int64 {
+	s.startEpoch(at)
+	return s.epoch
+}
 
 // Resident reports whether a sample currently lives in either cache region.
 // The byte-serving RPC layer uses it to keep its payload store aligned with
@@ -288,23 +309,6 @@ func (s *Server) SetEvictObserver(fn func(dataset.SampleID)) {
 		s.h.onEvict = fn
 	}
 	s.l.onEvict = fn
-}
-
-// Tier2Hits and Tier2Len report local spill-tier activity (0 when the tier
-// is disabled).
-func (s *Server) Tier2Hits() int64 {
-	if s.t2 == nil {
-		return 0
-	}
-	return s.t2.hits
-}
-
-// Tier2Len reports the number of samples currently spilled.
-func (s *Server) Tier2Len() int {
-	if s.t2 == nil {
-		return 0
-	}
-	return len(s.t2.items)
 }
 
 // ActiveHList returns the H-list the cache currently manages by.

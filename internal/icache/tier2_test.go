@@ -74,7 +74,7 @@ func TestServerTier2ReducesBackendReads(t *testing.T) {
 				at, _ = srv.FetchBatch(at, batch)
 			}
 		}
-		return back.Stats().SampleReads, srv.Tier2Hits()
+		return back.Stats().SampleReads, srv.View().Tier2Hits
 	}
 	noTier, hits0 := run(0)
 	withTier, hits1 := run(testSpec().TotalBytes() / 3)
@@ -112,7 +112,7 @@ func TestServerTier2ComposesWithEvictObserver(t *testing.T) {
 	if observed == 0 {
 		t.Fatal("user evict observer not called alongside tier spill")
 	}
-	if srv.Tier2Len() == 0 {
+	if srv.View().Tier2Len == 0 {
 		t.Fatal("nothing spilled despite churn")
 	}
 }

@@ -125,37 +125,28 @@ func (c *Client) GetBatch(ids []dataset.SampleID) ([]Sample, error) {
 // server (and every peer/directory hop it fans out to) inherits the budget
 // and drops work that can no longer finish in time. The same deadline
 // bounds the local wait (a hung transport cannot outlive the context).
+// It is GetBatchFuncCtx with the payloads copied out, into one allocation,
+// before the frame they alias is recycled.
 func (c *Client) GetBatchCtx(ctx context.Context, ids []dataset.SampleID) ([]Sample, error) {
-	deadline, budget, err := ctxBounds(ctx)
+	var out []Sample
+	err := c.GetBatchFuncCtx(ctx, ids, func(samples []Sample) error {
+		n := 0
+		for _, s := range samples {
+			n += len(s.Payload)
+		}
+		buf := make([]byte, 0, n)
+		out = make([]Sample, len(samples))
+		for i, s := range samples {
+			at := len(buf)
+			buf = append(buf, s.Payload...)
+			out[i] = Sample{ID: s.ID, Payload: buf[at:len(buf):len(buf)]}
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	req := encodeGetBatchRequest(ids)
-	tctx := c.beginTrace()
-	var t0 time.Time
-	if tctx.Valid() {
-		req = transport.WrapTraced(req, tctx.Next())
-		t0 = time.Now()
-	}
-	if budget > 0 {
-		req = transport.WrapDeadline(budget, req)
-	}
-	d, _, err := c.call(req, deadline)
-	if tctx.Valid() {
-		c.tracer.RecordSpan(time.Since(c.obsStart), trace.KindRPCSend, 0,
-			spanArgPeer, tctx.ID, tctx.Hop, time.Since(t0))
-	}
-	if err != nil {
-		return nil, err
-	}
-	samples, err := decodeGetBatchResponse(d)
-	if err != nil {
-		return nil, err
-	}
-	if len(samples) != len(ids) {
-		return nil, fmt.Errorf("rpc: got %d samples for %d requests", len(samples), len(ids))
-	}
-	return samples, nil
+	return out, nil
 }
 
 // ctxBounds reads a context's deadline as the local bound of the call (the

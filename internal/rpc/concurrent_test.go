@@ -17,13 +17,15 @@ import (
 	"icache/internal/storage"
 )
 
-// cacheStats reads the policy engine's counters through the policy lock
-// (package-internal test helper).
-func cacheStats(srv *Server) metrics.CacheStats {
+// engineView reads the policy engine through the policy lock
+// (package-internal test helper); cacheStats is its counters.
+func engineView(srv *Server) icache.View {
 	srv.policyMu.Lock()
 	defer srv.policyMu.Unlock()
-	return srv.cache.Stats()
+	return srv.cache.View()
 }
+
+func cacheStats(srv *Server) metrics.CacheStats { return engineView(srv).Cache }
 
 // TestConcurrentClientsConservation hammers one server with many
 // goroutine-local clients (run under -race by the test-race target) and
@@ -264,9 +266,7 @@ func TestUnplannedEpochIssuesNoPrefetch(t *testing.T) {
 		if _, err := cl.GetBatch(ids); err != nil {
 			t.Fatal(err)
 		}
-		srv.policyMu.Lock()
-		lenL = srv.cache.LCacheLen()
-		srv.policyMu.Unlock()
+		lenL = engineView(srv).LLen
 		time.Sleep(10 * time.Millisecond)
 	}
 	if d := srv.DecisionStats(); d.PrefetchIssued != 0 || d.AdmitPrefetch != 0 {

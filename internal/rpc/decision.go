@@ -68,7 +68,7 @@ func (s *Server) journalNode() int64 {
 // admission provenance and prefetch outcomes.
 func (s *Server) DecisionStats() metrics.DecisionStats {
 	s.policyMu.Lock()
-	d := s.cache.DecisionLedger()
+	d := s.cache.View().Ledger
 	s.policyMu.Unlock()
 	s.overlayServingDecisions(&d)
 	return d

@@ -113,7 +113,7 @@ func FuzzServerDispatch(f *testing.F) {
 		if err != nil {
 			t.Fatalf("server served a GetBatch whose ids do not decode: %v", err)
 		}
-		served, err := decodeGetBatchResponse(wire.NewReader(resp[1:]))
+		served, err := decodeGetBatchResponseInto(wire.NewReader(resp[1:]), nil)
 		if err != nil || len(served) != len(ids) {
 			t.Fatalf("%d ids answered with %d samples (%v)", len(ids), len(served), err)
 		}

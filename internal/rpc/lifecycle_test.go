@@ -154,10 +154,7 @@ func TestPromotedSampleKeepsPayloadAndOwnership(t *testing.T) {
 	if delta := source.Reads() - reads; delta != 0 {
 		t.Errorf("promoted sample cost %d backend reads", delta)
 	}
-	srv.policyMu.Lock()
-	hLen := srv.cache.HCacheLen()
-	srv.policyMu.Unlock()
-	if hLen != 1 {
+	if hLen := engineView(srv).HLen; hLen != 1 {
 		t.Errorf("H-cache holds %d samples after the promotion, want 1", hLen)
 	}
 	if !srv.payloads.has(id) {

@@ -76,11 +76,11 @@ func (s *Server) OverloadStats() metrics.OverloadStats {
 func (s *Server) Metrics() MetricsSnapshot {
 	v := s.gather()
 	return MetricsSnapshot{
-		CacheStats:        v.cache,
+		CacheStats:        v.Cache,
 		UptimeSeconds:     v.uptime,
-		HCacheLen:         v.hLen,
-		LoaderUsefulBytes: v.loaderUseful,
-		LoaderWastedBytes: v.loaderWasted,
+		HCacheLen:         v.HLen,
+		LoaderUsefulBytes: v.LoaderUseful,
+		LoaderWastedBytes: v.LoaderWasted,
 		PeerHits:          v.peerHits,
 	}
 }

@@ -548,6 +548,43 @@ func (d *lateDir) LookupBatchCtx(ids []dataset.SampleID, ctx obs.TraceCtx, dl ti
 	return owners, err
 }
 
+// TestTracedDeadlinedGetBatchCtx: a deadlined GetBatchCtx from a traced
+// client reaches the server inside both envelopes — the server records its
+// rpc_recv span under the client's trace id at hop 1 and the budget it was
+// handed — and is answered whole.
+func TestTracedDeadlinedGetBatchCtx(t *testing.T) {
+	_, addr, reg, srvTrc := startObsServer(t)
+	c := dial(t, addr)
+	clientTrc := trace.NewRecorder(1 << 10)
+	c.EnableObs(nil, clientTrc, obs.NewSampler(1))
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	ids := []dataset.SampleID{3, 4, 5}
+	if samples, err := c.GetBatchCtx(ctx, ids); err != nil || len(samples) != len(ids) {
+		t.Fatalf("GetBatchCtx: %d samples, %v; want %d", len(samples), err, len(ids))
+	}
+	var traceID uint64
+	for _, ev := range clientTrc.Snapshot() {
+		if ev.Kind == trace.KindRPCSend {
+			traceID = ev.TraceID
+		}
+	}
+	var recv []trace.Event
+	for deadline := time.Now().Add(5 * time.Second); len(recv) == 0 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		for _, ev := range srvTrc.Snapshot() {
+			if ev.Kind == trace.KindRPCRecv && ev.TraceID == traceID {
+				recv = append(recv, ev)
+			}
+		}
+	}
+	if traceID == 0 || len(recv) != 1 || recv[0].Hop != 1 {
+		t.Fatalf("server rpc_recv spans under trace %x = %+v, want one at hop 1", traceID, recv)
+	}
+	if n := reg.Hist(StageDeadlineRemaining).Snapshot().Count; n != 1 {
+		t.Fatalf("server recorded %d deadline budgets, want the request's one", n)
+	}
+}
+
 // TestTracedDeadlineReachesDirectory: a traced GetBatchCtx keeps BOTH its
 // envelopes on the directory hop. The node here spends the request's whole
 // budget before it asks the directory, so the lookup must arrive with its

@@ -62,13 +62,6 @@ func appendIDList(e *wire.Buffer, ids []dataset.SampleID) {
 	}
 }
 
-// encodeGetBatchRequest/decode pair.
-func encodeGetBatchRequest(ids []dataset.SampleID) []byte {
-	e := wire.Buffer{B: []byte{opGetBatch}}
-	appendIDList(&e, ids)
-	return e.B
-}
-
 func decodeGetBatchRequest(d *wire.Reader) ([]dataset.SampleID, error) {
 	return decodeGetBatchRequestInto(d, nil)
 }
@@ -166,10 +159,6 @@ func encodeGetBatchResponse(samples []Sample) []byte {
 		e.Bytes(s.Payload)
 	}
 	return e.B
-}
-
-func decodeGetBatchResponse(d *wire.Reader) ([]Sample, error) {
-	return decodeGetBatchResponseInto(d, nil)
 }
 
 // decodeGetBatchResponseInto appends the decoded samples to dst (reusing

@@ -58,6 +58,14 @@ func dial(t testing.TB, addr string) *Client {
 	return c
 }
 
+// encodeGetBatchRequest builds a bare opGetBatch request, as the client
+// writes it inside its envelopes, for tests that hand frames to the server.
+func encodeGetBatchRequest(ids []dataset.SampleID) []byte {
+	e := wire.Buffer{B: []byte{opGetBatch}}
+	appendIDList(&e, ids)
+	return e.B
+}
+
 func TestPing(t *testing.T) {
 	_, addr, _ := startServer(t)
 	c := dial(t, addr)
@@ -90,6 +98,30 @@ func TestGetBatchDeliversVerifiablePayloads(t *testing.T) {
 		}
 		if err := spec.VerifyPayload(s.ID, s.Payload); err != nil {
 			t.Fatalf("payload of %d corrupt: %v", s.ID, err)
+		}
+	}
+}
+
+// TestGetBatchOwnsItsPayloads: GetBatch's samples are the caller's. The
+// client reads every answer into a pooled frame, and GetBatch copies its
+// payloads out of it, so the samples stay intact while the same client's
+// next calls reuse that frame.
+func TestGetBatchOwnsItsPayloads(t *testing.T) {
+	_, addr, _ := startServer(t)
+	c := dial(t, addr)
+	spec := testSpec()
+	first, err := c.GetBatch([]dataset.SampleID{1, 2, 3, 4, 5, 6, 7, 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if _, err := c.GetBatch([]dataset.SampleID{dataset.SampleID(100 + 2*i), dataset.SampleID(101 + 2*i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, s := range first {
+		if err := spec.VerifyPayload(s.ID, s.Payload); err != nil {
+			t.Fatalf("sample %d changed under the client's later calls: %v", s.ID, err)
 		}
 	}
 }
@@ -213,14 +245,14 @@ func TestPolicyClockIsTheRequestInstant(t *testing.T) {
 		t.Fatal(err)
 	}
 	wall := time.Since(srv.start)
-	st := cacheStats(srv)
-	if st.Hits != 0 || st.Substitutions != 0 || st.Misses != int64(len(ids)) {
+	v := engineView(srv)
+	if st := v.Cache; st.Hits != 0 || st.Substitutions != 0 || st.Misses != int64(len(ids)) {
 		t.Errorf("one all-miss batch on a fresh server: %d hits, %d substitutions, %d misses; want 0, 0, %d",
 			st.Hits, st.Substitutions, st.Misses, len(ids))
 	}
 	// Every package read pays at least the backend's per-read overhead.
-	if most := 1 + int64(wall/storage.OrangeFS().PerReadOverhead); srv.cache.PackagesLoaded() > most {
-		t.Errorf("loader started %d packages in %v of wall time; at most %d fit", srv.cache.PackagesLoaded(), wall, most)
+	if most := 1 + int64(wall/storage.OrangeFS().PerReadOverhead); v.Packages > most {
+		t.Errorf("loader started %d packages in %v of wall time; at most %d fit", v.Packages, wall, most)
 	}
 }
 
@@ -366,7 +398,7 @@ func TestFrameRoundTripProperty(t *testing.T) {
 	if st := d.U8(); st != transport.StatusOK {
 		t.Fatal("status lost")
 	}
-	got, err := decodeGetBatchResponse(d)
+	got, err := decodeGetBatchResponseInto(d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"io"
 	"time"
 
+	"icache/internal/icache"
 	"icache/internal/metrics"
 	"icache/internal/obs"
 )
@@ -25,25 +26,23 @@ import (
 // (testdata/exposition_headers.golden) pins names, HELP, TYPE and order.
 
 // nodeView is everything one scrape reads, gathered once: the policy
-// engine's half under ONE policyMu hold (so an eviction total and its
+// engine's view under ONE policyMu hold (so an eviction total and its
 // reason-coded parts, or requests and its four outcome classes, come from
 // one instant), the rest from the atomics and short locks of their owners.
 type nodeView struct {
 	uptime float64
 
-	cache                      metrics.CacheStats
-	hLen, lLen, t2Len          int
-	payloadLen                 int
-	pkgs, t2Hits               int64
-	loaderUseful, loaderWasted int64
-	peerServes, peerHits       int64
-	peerFailures, dirFailures  int64
-	memoRouted, memoStale      int64
+	// icache.View is the engine's half; its Ledger also carries the
+	// serving layer's overlay.
+	icache.View
+	payloadLen                int
+	peerServes, peerHits      int64
+	peerFailures, dirFailures int64
+	memoRouted, memoStale     int64
 
 	mem  metrics.MembershipStats
 	sv   metrics.ServingStats
 	ov   metrics.OverloadStats
-	d    metrics.DecisionStats
 	plan PlanStats
 
 	demandFetches  int64
@@ -58,14 +57,10 @@ func (s *Server) gather() *nodeView {
 	v := &nodeView{uptime: time.Since(s.start).Seconds()}
 
 	s.policyMu.Lock()
-	v.cache = s.cache.Stats()
-	v.hLen, v.lLen, v.t2Len = s.cache.HCacheLen(), s.cache.LCacheLen(), s.cache.Tier2Len()
-	v.pkgs, v.t2Hits = s.cache.PackagesLoaded(), s.cache.Tier2Hits()
-	v.loaderUseful, v.loaderWasted = s.cache.LoaderUsefulBytes(), s.cache.LoaderWastedBytes()
-	v.d = s.cache.DecisionLedger()
+	v.View = s.cache.View()
 	s.policyMu.Unlock()
 
-	s.overlayServingDecisions(&v.d)
+	s.overlayServingDecisions(&v.Ledger)
 	v.payloadLen = s.payloads.len()
 	v.peerServes, v.peerHits = s.PeerStats()
 	v.peerFailures, v.dirFailures = s.ResilienceStats()
@@ -100,25 +95,25 @@ func (v *nodeView) rows() []series {
 		{"icache_uptime_seconds", "seconds since the server started", gauge, "", v.uptime},
 
 		// Cache family (metrics.CacheStats + occupancy).
-		{"icache_cache_hits_total", "requests served from cached copies of the requested sample", counter, "hits", float64(v.cache.Hits)},
-		{"icache_cache_misses_total", "requests that went to backend storage", counter, "misses", float64(v.cache.Misses)},
-		{"icache_cache_substitutions_total", "requests served by a different cached sample", counter, "substitutions", float64(v.cache.Substitutions)},
-		{"icache_cache_degraded_total", "requests that fell back to the backend because a fault broke the preferred path", counter, "degraded", float64(v.cache.Degraded)},
-		{"icache_cache_inserts_total", "samples admitted into the cache", counter, "", float64(v.cache.Inserts)},
-		{"icache_cache_evictions_total", "samples evicted to make room", counter, "", float64(v.cache.Evictions)},
-		{"icache_cache_rejections_total", "fetched samples the policy declined to admit", counter, "", float64(v.cache.Rejections)},
-		{"icache_cache_requests_total", "total sample requests (hits+misses+substitutions+degraded)", counter, "requests", float64(v.cache.Requests())},
-		{"icache_cache_hit_ratio", "policy-level: fraction of requests decided a hit or a substitution, whose substitute may still be read from the backend (0 when no requests yet)", gauge, "", v.cache.HitRatio()},
-		{"icache_hcache_len", "samples resident in the H-cache region", gauge, "hcache_len", float64(v.hLen)},
-		{"icache_lcache_len", "samples resident in the L-cache region", gauge, "lcache_len", float64(v.lLen)},
-		{"icache_tier2_len", "samples spilled to the tier-2 region", gauge, "", float64(v.t2Len)},
+		{"icache_cache_hits_total", "requests served from cached copies of the requested sample", counter, "hits", float64(v.Cache.Hits)},
+		{"icache_cache_misses_total", "requests that went to backend storage", counter, "misses", float64(v.Cache.Misses)},
+		{"icache_cache_substitutions_total", "requests served by a different cached sample", counter, "substitutions", float64(v.Cache.Substitutions)},
+		{"icache_cache_degraded_total", "requests that fell back to the backend because a fault broke the preferred path", counter, "degraded", float64(v.Cache.Degraded)},
+		{"icache_cache_inserts_total", "samples admitted into the cache", counter, "", float64(v.Cache.Inserts)},
+		{"icache_cache_evictions_total", "samples evicted to make room", counter, "", float64(v.Cache.Evictions)},
+		{"icache_cache_rejections_total", "fetched samples the policy declined to admit", counter, "", float64(v.Cache.Rejections)},
+		{"icache_cache_requests_total", "total sample requests (hits+misses+substitutions+degraded)", counter, "requests", float64(v.Cache.Requests())},
+		{"icache_cache_hit_ratio", "policy-level: fraction of requests decided a hit or a substitution, whose substitute may still be read from the backend (0 when no requests yet)", gauge, "", v.Cache.HitRatio()},
+		{"icache_hcache_len", "samples resident in the H-cache region", gauge, "hcache_len", float64(v.HLen)},
+		{"icache_lcache_len", "samples resident in the L-cache region", gauge, "lcache_len", float64(v.LLen)},
 		{"icache_payload_len", "payloads resident in the byte store", gauge, "payload_len", float64(v.payloadLen)},
 
-		// Loader family.
-		{"icache_loader_packages_total", "dynamic packages loaded by the background loader", counter, "", float64(v.pkgs)},
-		{"icache_loader_useful_bytes_total", "loaded bytes that were requested before eviction", counter, "", float64(v.loaderUseful)},
-		{"icache_loader_wasted_bytes_total", "loaded bytes evicted unused", counter, "", float64(v.loaderWasted)},
-		{"icache_tier2_hits_total", "misses served from the tier-2 spill region", counter, "", float64(v.t2Hits)},
+		// Loader family. The wire reads no package bytes: the policy marks a
+		// package's entries L-resident and each entry's bytes arrive on its
+		// first request.
+		{"icache_loader_packages_total", "dynamic packages loaded by the background loader", counter, "", float64(v.Packages)},
+		{"icache_loader_useful_bytes_total", "sizes of the package entries the policy marked L-resident (no package bytes are read on the wire)", counter, "", float64(v.LoaderUseful)},
+		{"icache_loader_wasted_bytes_total", "sizes of package entries the policy could not mark resident (no package bytes are read on the wire)", counter, "", float64(v.LoaderWasted)},
 
 		// Peer / resilience family (distribution disabled renders zeros).
 		{"icache_peer_serves_total", "requests this node answered for peers", counter, "peer_serves", float64(v.peerServes)},
@@ -182,28 +177,28 @@ func (v *nodeView) rows() []series {
 		// Decision-level introspection family (metrics.DecisionStats): reason-
 		// coded evictions, admission provenance, the prefetch-outcome ledger,
 		// substitution quality, and the epoch-boundary residency snapshot.
-		{"icache_evict_capacity_total", "evictions by the policy's own insert pressure", counter, "evict_capacity", float64(v.d.EvictCapacity)},
-		{"icache_evict_dead_owner_total", "drops because the directory credits another node", counter, "evict_dead_owner", float64(v.d.EvictDeadOwner)},
-		{"icache_evict_scrub_total", "drops by the anti-entropy scrubber", counter, "evict_scrub", float64(v.d.EvictScrub)},
-		{"icache_evict_checkpoint_denied_total", "restored residents dropped on a denied ownership replay", counter, "evict_checkpoint_denied", float64(v.d.EvictCheckpointDenied)},
-		{"icache_evict_dir_unavailable_total", "admitted copies dropped because their directory claim got no answer", counter, "", float64(v.d.EvictDirUnavailable)},
-		{"icache_evict_reasoned_total", "all removals (reason-coded counters sum to this)", counter, "", float64(v.d.EvictTotal)},
-		{"icache_admit_fetch_total", "payload admissions driven by foreground fetches", counter, "", float64(v.d.AdmitFetch)},
-		{"icache_admit_prefetch_total", "payload admissions driven by the prefetch pool", counter, "", float64(v.d.AdmitPrefetch)},
-		{"icache_admit_rehydrate_total", "payload admissions from checkpoint rehydration", counter, "", float64(v.d.AdmitRehydrate)},
-		{"icache_prefetch_issued_total", "plan entries queued on the prefetch pool", counter, "prefetch_issued", float64(v.d.PrefetchIssued)},
-		{"icache_prefetch_in_time_total", "prefetched payloads that served a request before anything else happened", counter, "prefetch_in_time", float64(v.d.PrefetchInTime)},
-		{"icache_prefetch_late_total", "prefetches the foreground beat to the fetch", counter, "prefetch_late", float64(v.d.PrefetchLate)},
-		{"icache_prefetch_wasted_total", "prefetched payloads evicted or epoch-swept untouched", counter, "prefetch_wasted", float64(v.d.PrefetchWasted)},
-		{"icache_prefetch_outcome_dropped_total", "plan entries the policy refused or whose fetch failed", counter, "prefetch_dropped", float64(v.d.PrefetchDropped)},
-		{"icache_prefetch_timeliness_ratio", "in-time / (in-time + late + wasted); 0 before any prefetch resolves", gauge, "prefetch_timeliness", v.d.PrefetchTimeliness()},
-		{"icache_substitution_exact_total", "substitutions served by the same-region L-cache walk", counter, "sub_exact", float64(v.d.SubExact)},
-		{"icache_substitution_fallback_total", "substitutions served by the cross-region H-resident fallback", counter, "sub_fallback", float64(v.d.SubFallback)},
-		{"icache_epoch", "training epochs the cache has crossed", gauge, "epoch", float64(v.d.Epoch)},
-		{"icache_epoch_hcache_len", "H-cache residents at the last epoch boundary", gauge, "epoch_hcache_len", float64(v.d.EpochHCount)},
-		{"icache_epoch_lcache_len", "L-cache residents at the last epoch boundary", gauge, "epoch_lcache_len", float64(v.d.EpochLCount)},
-		{"icache_epoch_hcache_bytes", "H-cache bytes at the last epoch boundary", gauge, "", float64(v.d.EpochHBytes)},
-		{"icache_epoch_lcache_bytes", "L-cache bytes at the last epoch boundary", gauge, "", float64(v.d.EpochLBytes)},
+		{"icache_evict_capacity_total", "evictions by the policy's own insert pressure", counter, "evict_capacity", float64(v.Ledger.EvictCapacity)},
+		{"icache_evict_dead_owner_total", "drops because the directory credits another node", counter, "evict_dead_owner", float64(v.Ledger.EvictDeadOwner)},
+		{"icache_evict_scrub_total", "drops by the anti-entropy scrubber", counter, "evict_scrub", float64(v.Ledger.EvictScrub)},
+		{"icache_evict_checkpoint_denied_total", "restored residents dropped on a denied ownership replay", counter, "evict_checkpoint_denied", float64(v.Ledger.EvictCheckpointDenied)},
+		{"icache_evict_dir_unavailable_total", "admitted copies dropped because their directory claim got no answer", counter, "", float64(v.Ledger.EvictDirUnavailable)},
+		{"icache_evict_reasoned_total", "all removals (reason-coded counters sum to this)", counter, "", float64(v.Ledger.EvictTotal)},
+		{"icache_admit_fetch_total", "payload admissions driven by foreground fetches", counter, "", float64(v.Ledger.AdmitFetch)},
+		{"icache_admit_prefetch_total", "payload admissions driven by the prefetch pool", counter, "", float64(v.Ledger.AdmitPrefetch)},
+		{"icache_admit_rehydrate_total", "payload admissions from checkpoint rehydration", counter, "", float64(v.Ledger.AdmitRehydrate)},
+		{"icache_prefetch_issued_total", "plan entries queued on the prefetch pool", counter, "prefetch_issued", float64(v.Ledger.PrefetchIssued)},
+		{"icache_prefetch_in_time_total", "prefetched payloads that served a request before anything else happened", counter, "prefetch_in_time", float64(v.Ledger.PrefetchInTime)},
+		{"icache_prefetch_late_total", "prefetches the foreground beat to the fetch", counter, "prefetch_late", float64(v.Ledger.PrefetchLate)},
+		{"icache_prefetch_wasted_total", "prefetched payloads evicted or epoch-swept untouched", counter, "prefetch_wasted", float64(v.Ledger.PrefetchWasted)},
+		{"icache_prefetch_outcome_dropped_total", "plan entries the policy refused or whose fetch failed", counter, "prefetch_dropped", float64(v.Ledger.PrefetchDropped)},
+		{"icache_prefetch_timeliness_ratio", "in-time / (in-time + late + wasted); 0 before any prefetch resolves", gauge, "prefetch_timeliness", v.Ledger.PrefetchTimeliness()},
+		{"icache_substitution_exact_total", "substitutions served by the same-region L-cache walk", counter, "sub_exact", float64(v.Ledger.SubExact)},
+		{"icache_substitution_fallback_total", "substitutions served by the cross-region H-resident fallback", counter, "sub_fallback", float64(v.Ledger.SubFallback)},
+		{"icache_epoch", "training epochs the cache has crossed", gauge, "epoch", float64(v.Ledger.Epoch)},
+		{"icache_epoch_hcache_len", "H-cache residents at the last epoch boundary", gauge, "epoch_hcache_len", float64(v.Ledger.EpochHCount)},
+		{"icache_epoch_lcache_len", "L-cache residents at the last epoch boundary", gauge, "epoch_lcache_len", float64(v.Ledger.EpochLCount)},
+		{"icache_epoch_hcache_bytes", "H-cache bytes at the last epoch boundary", gauge, "", float64(v.Ledger.EpochHBytes)},
+		{"icache_epoch_lcache_bytes", "L-cache bytes at the last epoch boundary", gauge, "", float64(v.Ledger.EpochLBytes)},
 
 		// Clairvoyant-plan family (zeros but the epoch until a client sends a
 		// plan; an epoch crossed without one prefetches nothing). The

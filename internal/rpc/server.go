@@ -258,18 +258,17 @@ func (s *Server) dispatchControl(req []byte, e *wire.Buffer, ctx obs.TraceCtx) e
 		e.U32(uint32(s.acceptRemote(ids)))
 	case opStats:
 		s.policyMu.Lock()
-		st := s.cache.Stats()
-		out := Stats{
-			Hits:          st.Hits,
-			Misses:        st.Misses,
-			Substitutions: st.Substitutions,
-			HCacheLen:     int64(s.cache.HCacheLen()),
-			LCacheLen:     int64(s.cache.LCacheLen()),
-			Packages:      s.cache.PackagesLoaded(),
-			DemandFetches: atomic.LoadInt64(&s.demandFetches),
-		}
+		v := s.cache.View()
 		s.policyMu.Unlock()
-		encodeStatsResponseInto(e, out)
+		encodeStatsResponseInto(e, Stats{
+			Hits:          v.Cache.Hits,
+			Misses:        v.Cache.Misses,
+			Substitutions: v.Cache.Substitutions,
+			HCacheLen:     int64(v.HLen),
+			LCacheLen:     int64(v.LLen),
+			Packages:      v.Packages,
+			DemandFetches: atomic.LoadInt64(&s.demandFetches),
+		})
 	default:
 		return fmt.Errorf("rpc: unknown opcode %d", op)
 	}
@@ -293,8 +292,7 @@ func (s *Server) crossEpoch(schedule []dataset.SampleID, planned bool) {
 		s.dist.owners.forgetAll()
 	}
 	s.policyMu.Lock()
-	s.cache.StartEpoch(s.now())
-	epoch := s.cache.Epoch()
+	epoch := s.cache.StartEpoch(s.now())
 	s.prefetch.sweepEpoch(epoch)
 	var need []dataset.SampleID
 	if planned {
