@@ -48,7 +48,15 @@ vet:
 # files of internal/rpc call no single-number accessor (HCacheLen(, LCacheLen(,
 # PackagesLoaded(, LoaderUsefulBytes(, LoaderWastedBytes(, Tier2Len(,
 # Tier2Hits(, DecisionLedger( or .Epoch()) and export no icache_tier2_ series
-# (no shipped binary has a spill tier). Subsumes `vet` in `make all`.
+# (no shipped binary has a spill tier). And no option has one value in use:
+# no non-test Go file names a retired simulator knob (PackageBytes,
+# RepackPerSample, BenefitThreshold, FreqDecay, PeerLatency, PeerBandwidth —
+# each is a constant now, and the hit cost is storage.HitLatency, not a
+# ServiceConfig), icache.Config's Clairvoyant switch (checked in
+# internal/icache: a client that sends its plan is the one switch), or code
+# no run reached (EventQueue, WrapSource, composeStatic, IsPermanent, the
+# always-zero icache_loader_wasted_ series), comments excepted. Subsumes
+# `vet` in `make all`.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -118,6 +126,15 @@ lint:
 		grep -HnE 'replica-id|ring-interval|handoff-batch' cmd/icache-dkv/*.go); \
 	if [ -n "$$stray" ]; then \
 		echo "a second ring view (replicas hold none; the sharded client's view is the only one):"; echo "$$stray"; exit 1; \
+	fi
+	@stray=$$(for f in $$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*'); do \
+		sed 's,//.*,,' $$f | grep -nwE 'EventQueue|WrapSource|ServiceConfig|composeStatic|IsPermanent|PackageBytes|RepackPerSample|BenefitThreshold|FreqDecay|PeerLatency|PeerBandwidth' | sed "s,^,$$f:,"; \
+		sed 's,//.*,,' $$f | grep -nF 'icache_loader_wasted_' | sed "s,^,$$f:,"; \
+	done; for f in $$(ls internal/icache/*.go | grep -v _test.go); do \
+		sed 's,//.*,,' $$f | grep -nw 'Clairvoyant' | sed "s,^,$$f:,"; \
+	done); \
+	if [ -n "$$stray" ]; then \
+		echo "a dial nobody turns or a path nothing reaches (the simulator's fixed costs are constants; static packaging is fetchStaticChunk alone):"; echo "$$stray"; exit 1; \
 	fi
 	$(GO) vet ./...
 

@@ -49,7 +49,7 @@ func main() {
 
 	fmt.Printf("%d-node data-parallel training, shared NFS backend:\n", nodes)
 	def := runDist("default (LRU/node)", func(b *storage.Backend) (train.DistService, error) {
-		return cache.NewDistDefault(b, nodes, perNode, cache.DefaultServiceConfig()), nil
+		return cache.NewDistDefault(b, nodes, perNode), nil
 	})
 
 	var cluster *icache.Cluster

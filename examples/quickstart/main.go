@@ -50,7 +50,7 @@ func main() {
 	}
 
 	def := run("Default (LRU cache, uniform sampling)", func(b *storage.Backend) (train.DataService, error) {
-		return cache.NewDefault(b, capBytes, cache.DefaultServiceConfig()), nil
+		return cache.NewDefault(b, capBytes), nil
 	})
 	ic := run("iCache (IIS + H-cache + L-cache)", func(b *storage.Backend) (train.DataService, error) {
 		return icache.NewServer(b, icache.DefaultConfig(capBytes), sampling.DefaultIIS(), 42)

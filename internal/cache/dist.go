@@ -21,10 +21,10 @@ type DistDefault struct {
 
 // NewDistDefault builds the distributed Default baseline with one LRU cache
 // of perNodeCapacity bytes per node.
-func NewDistDefault(backend *storage.Backend, nodes int, perNodeCapacity int64, cfg ServiceConfig) *DistDefault {
+func NewDistDefault(backend *storage.Backend, nodes int, perNodeCapacity int64) *DistDefault {
 	d := &DistDefault{backend: backend}
 	for n := 0; n < nodes; n++ {
-		d.nodes = append(d.nodes, NewDefault(backend, perNodeCapacity, cfg))
+		d.nodes = append(d.nodes, NewDefault(backend, perNodeCapacity))
 	}
 	return d
 }

@@ -55,7 +55,7 @@ func TestNoCacheCISSchedule(t *testing.T) {
 
 func TestILRUUsesIISAndLRU(t *testing.T) {
 	back := testBackend(t)
-	svc := NewILRU(back, back.Spec().TotalBytes()/5, DefaultServiceConfig(), sampling.DefaultIIS())
+	svc := NewILRU(back, back.Spec().TotalBytes()/5, sampling.DefaultIIS())
 	tr := newTracker(t, back.Spec().NumSamples)
 	rng := rand.New(rand.NewSource(2))
 	sched := svc.BeginEpoch(0, 0, tr, rng)
@@ -72,7 +72,7 @@ func TestILRUUsesIISAndLRU(t *testing.T) {
 
 func TestDistDefaultShardsAcrossNodes(t *testing.T) {
 	back := testBackend(t)
-	svc := NewDistDefault(back, 3, back.Spec().TotalBytes()/5, DefaultServiceConfig())
+	svc := NewDistDefault(back, 3, back.Spec().TotalBytes()/5)
 	if svc.Nodes() != 3 {
 		t.Fatalf("Nodes = %d", svc.Nodes())
 	}
@@ -104,7 +104,7 @@ func TestDistDefaultShardsAcrossNodes(t *testing.T) {
 
 func TestDistDefaultNodesIndependent(t *testing.T) {
 	back := testBackend(t)
-	svc := NewDistDefault(back, 2, back.Spec().TotalBytes()/10, DefaultServiceConfig())
+	svc := NewDistDefault(back, 2, back.Spec().TotalBytes()/10)
 	tr := newTracker(t, back.Spec().NumSamples)
 	rng := rand.New(rand.NewSource(4))
 	sched := svc.BeginEpoch(0, 0, tr, rng)

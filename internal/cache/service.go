@@ -3,7 +3,6 @@ package cache
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"icache/internal/dataset"
 	"icache/internal/metrics"
@@ -11,19 +10,6 @@ import (
 	"icache/internal/simclock"
 	"icache/internal/storage"
 )
-
-// ServiceConfig holds parameters common to every cached data service.
-type ServiceConfig struct {
-	// HitLatency is the per-sample cost of serving from cache memory: the
-	// user-level RPC to the cache server plus the copy. It is paid serially
-	// by the fetching worker, like PyTorch workers do.
-	HitLatency time.Duration
-}
-
-// DefaultServiceConfig matches a same-node user-level cache server.
-func DefaultServiceConfig() ServiceConfig {
-	return ServiceConfig{HitLatency: 20 * time.Microsecond}
-}
 
 // scheduleKind selects which sampler a baseline uses each epoch.
 type scheduleKind int
@@ -42,7 +28,6 @@ type Baseline struct {
 	kind       scheduleKind
 	policy     Policy
 	backend    *storage.Backend
-	cfg        ServiceConfig
 	substitute bool
 	zeroIO     bool
 	cisCfg     sampling.CISConfig
@@ -59,58 +44,58 @@ type Baseline struct {
 
 // NewDefault returns the paper's Default baseline: PyTorch with a user-level
 // LRU cache and uniform sampling.
-func NewDefault(backend *storage.Backend, capacityBytes int64, cfg ServiceConfig) *Baseline {
-	return &Baseline{name: "default", kind: scheduleUniform, policy: NewLRU(capacityBytes), backend: backend, cfg: cfg}
+func NewDefault(backend *storage.Backend, capacityBytes int64) *Baseline {
+	return &Baseline{name: "default", kind: scheduleUniform, policy: NewLRU(capacityBytes), backend: backend}
 }
 
 // NewBase returns the Base baseline: the Default LRU cache plus
 // computing-oriented importance sampling (all samples fetched, fewer
 // computed).
-func NewBase(backend *storage.Backend, capacityBytes int64, cfg ServiceConfig, cis sampling.CISConfig) *Baseline {
-	return &Baseline{name: "base", kind: scheduleCIS, policy: NewLRU(capacityBytes), backend: backend, cfg: cfg, cisCfg: cis}
+func NewBase(backend *storage.Backend, capacityBytes int64, cis sampling.CISConfig) *Baseline {
+	return &Baseline{name: "base", kind: scheduleCIS, policy: NewLRU(capacityBytes), backend: backend, cisCfg: cis}
 }
 
 // NewQuiver returns the Quiver baseline: uniform sampling over an LRU cache
 // with sample substitutability — a miss may be served by any cached sample
 // that has not yet been used this epoch, regardless of importance (which is
 // exactly the accuracy hazard §II-C calls out).
-func NewQuiver(backend *storage.Backend, capacityBytes int64, cfg ServiceConfig) *Baseline {
-	return &Baseline{name: "quiver", kind: scheduleUniform, policy: NewLRU(capacityBytes), backend: backend, cfg: cfg,
+func NewQuiver(backend *storage.Backend, capacityBytes int64) *Baseline {
+	return &Baseline{name: "quiver", kind: scheduleUniform, policy: NewLRU(capacityBytes), backend: backend,
 		substitute: true, used: make(map[dataset.SampleID]bool)}
 }
 
 // NewCoorDL returns the CoorDL baseline: uniform sampling over a MinIO
 // cache that never evicts.
-func NewCoorDL(backend *storage.Backend, capacityBytes int64, cfg ServiceConfig) *Baseline {
-	return &Baseline{name: "coordl", kind: scheduleUniform, policy: NewMinIO(capacityBytes), backend: backend, cfg: cfg}
+func NewCoorDL(backend *storage.Backend, capacityBytes int64) *Baseline {
+	return &Baseline{name: "coordl", kind: scheduleUniform, policy: NewMinIO(capacityBytes), backend: backend}
 }
 
 // NewILFU returns the iLFU baseline of §V-C: IIS reduces fetches like
 // iCache, but the cache is managed by reactive frequency counts instead of
 // importance values.
-func NewILFU(backend *storage.Backend, capacityBytes int64, cfg ServiceConfig, iis sampling.IISConfig) *Baseline {
-	return &Baseline{name: "ilfu", kind: scheduleIIS, policy: NewLFU(capacityBytes), backend: backend, cfg: cfg, iisCfg: iis}
+func NewILFU(backend *storage.Backend, capacityBytes int64, iis sampling.IISConfig) *Baseline {
+	return &Baseline{name: "ilfu", kind: scheduleIIS, policy: NewLFU(capacityBytes), backend: backend, iisCfg: iis}
 }
 
 // NewWithPolicy returns a uniform-sampling service over an arbitrary
 // eviction policy — the building block of the policy-comparison experiment
 // (every recency/frequency policy collapses under per-epoch reshuffling).
-func NewWithPolicy(backend *storage.Backend, policy Policy, cfg ServiceConfig) *Baseline {
-	return &Baseline{name: "uniform+" + policy.Name(), kind: scheduleUniform, policy: policy, backend: backend, cfg: cfg}
+func NewWithPolicy(backend *storage.Backend, policy Policy) *Baseline {
+	return &Baseline{name: "uniform+" + policy.Name(), kind: scheduleUniform, policy: policy, backend: backend}
 }
 
 // NewILRU returns the "+IIS" ablation rung of Fig. 10: IIS reduces fetches
 // like iCache, but the cache is still a plain LRU with no importance
 // awareness and no L-cache.
-func NewILRU(backend *storage.Backend, capacityBytes int64, cfg ServiceConfig, iis sampling.IISConfig) *Baseline {
-	return &Baseline{name: "ilru", kind: scheduleIIS, policy: NewLRU(capacityBytes), backend: backend, cfg: cfg, iisCfg: iis}
+func NewILRU(backend *storage.Backend, capacityBytes int64, iis sampling.IISConfig) *Baseline {
+	return &Baseline{name: "ilru", kind: scheduleIIS, policy: NewLRU(capacityBytes), backend: backend, iisCfg: iis}
 }
 
 // NewOracle returns the Oracle configuration: IIS sampling with the whole
 // dataset in memory, i.e. the I/O-free lower bound the paper compares
 // against in Fig. 8.
-func NewOracle(backend *storage.Backend, cfg ServiceConfig, iis sampling.IISConfig) *Baseline {
-	return &Baseline{name: "oracle", kind: scheduleIIS, policy: NewUnbounded(), backend: backend, cfg: cfg,
+func NewOracle(backend *storage.Backend, iis sampling.IISConfig) *Baseline {
+	return &Baseline{name: "oracle", kind: scheduleIIS, policy: NewUnbounded(), backend: backend,
 		zeroIO: true, iisCfg: iis}
 }
 
@@ -232,13 +217,13 @@ func (b *Baseline) FetchBatch(at simclock.Time, ids []dataset.SampleID) (simcloc
 	for _, id := range ids {
 		if b.zeroIO {
 			b.stats.Hits++
-			at += b.cfg.HitLatency
+			at += storage.HitLatency
 			served = append(served, id)
 			continue
 		}
 		if b.policy.Touch(id) {
 			b.stats.Hits++
-			at += b.cfg.HitLatency
+			at += storage.HitLatency
 			if b.substitute {
 				b.used[id] = true
 			}
@@ -249,7 +234,7 @@ func (b *Baseline) FetchBatch(at simclock.Time, ids []dataset.SampleID) (simcloc
 			if sub, ok := b.pickSubstitute(); ok {
 				b.stats.Substitutions++
 				b.used[sub] = true
-				at += b.cfg.HitLatency
+				at += storage.HitLatency
 				served = append(served, sub)
 				continue
 			}

@@ -44,7 +44,7 @@ func runEpoch(t *testing.T, b *Baseline, tr *sampling.Tracker, seed int64) sampl
 
 func TestDefaultServiceFetchesEverySample(t *testing.T) {
 	back := testBackend(t)
-	svc := NewDefault(back, back.Spec().TotalBytes()/5, DefaultServiceConfig())
+	svc := NewDefault(back, back.Spec().TotalBytes()/5)
 	tr := newTracker(t, back.Spec().NumSamples)
 	sched := runEpoch(t, svc, tr, 1)
 	if len(sched.Fetch) != back.Spec().NumSamples {
@@ -61,7 +61,7 @@ func TestDefaultServiceFetchesEverySample(t *testing.T) {
 
 func TestDefaultServiceHitRatioStabilizesLow(t *testing.T) {
 	back := testBackend(t)
-	svc := NewDefault(back, back.Spec().TotalBytes()/5, DefaultServiceConfig())
+	svc := NewDefault(back, back.Spec().TotalBytes()/5)
 	tr := newTracker(t, back.Spec().NumSamples)
 	for e := 0; e < 3; e++ {
 		runEpoch(t, svc, tr, int64(e))
@@ -75,7 +75,7 @@ func TestDefaultServiceHitRatioStabilizesLow(t *testing.T) {
 
 func TestQuiverSubstitutes(t *testing.T) {
 	back := testBackend(t)
-	svc := NewQuiver(back, back.Spec().TotalBytes()/5, DefaultServiceConfig())
+	svc := NewQuiver(back, back.Spec().TotalBytes()/5)
 	tr := newTracker(t, back.Spec().NumSamples)
 	runEpoch(t, svc, tr, 1) // warm the cache
 	runEpoch(t, svc, tr, 2)
@@ -92,7 +92,7 @@ func TestQuiverSubstitutes(t *testing.T) {
 
 func TestQuiverServedIDsDifferOnSubstitution(t *testing.T) {
 	back := testBackend(t)
-	svc := NewQuiver(back, back.Spec().TotalBytes()/5, DefaultServiceConfig())
+	svc := NewQuiver(back, back.Spec().TotalBytes()/5)
 	tr := newTracker(t, back.Spec().NumSamples)
 	runEpoch(t, svc, tr, 1)
 	rng := rand.New(rand.NewSource(2))
@@ -121,7 +121,7 @@ func TestQuiverServedIDsDifferOnSubstitution(t *testing.T) {
 
 func TestCoorDLHitRatioEqualsCapacityFraction(t *testing.T) {
 	back := testBackend(t)
-	svc := NewCoorDL(back, back.Spec().TotalBytes()/5, DefaultServiceConfig())
+	svc := NewCoorDL(back, back.Spec().TotalBytes()/5)
 	tr := newTracker(t, back.Spec().NumSamples)
 	runEpoch(t, svc, tr, 1) // fill
 	before := svc.Stats()
@@ -140,7 +140,7 @@ func TestCoorDLHitRatioEqualsCapacityFraction(t *testing.T) {
 
 func TestBaseFetchesAllTrainsFewer(t *testing.T) {
 	back := testBackend(t)
-	svc := NewBase(back, back.Spec().TotalBytes()/5, DefaultServiceConfig(), sampling.DefaultCIS())
+	svc := NewBase(back, back.Spec().TotalBytes()/5, sampling.DefaultCIS())
 	tr := newTracker(t, back.Spec().NumSamples)
 	sched := runEpoch(t, svc, tr, 1)
 	if len(sched.Fetch) != back.Spec().NumSamples {
@@ -153,7 +153,7 @@ func TestBaseFetchesAllTrainsFewer(t *testing.T) {
 
 func TestILFUFetchesSubset(t *testing.T) {
 	back := testBackend(t)
-	svc := NewILFU(back, back.Spec().TotalBytes()/5, DefaultServiceConfig(), sampling.DefaultIIS())
+	svc := NewILFU(back, back.Spec().TotalBytes()/5, sampling.DefaultIIS())
 	tr := newTracker(t, back.Spec().NumSamples)
 	sched := runEpoch(t, svc, tr, 1)
 	if len(sched.Fetch) >= back.Spec().NumSamples {
@@ -163,7 +163,7 @@ func TestILFUFetchesSubset(t *testing.T) {
 
 func TestOracleZeroBackendReads(t *testing.T) {
 	back := testBackend(t)
-	svc := NewOracle(back, DefaultServiceConfig(), sampling.DefaultIIS())
+	svc := NewOracle(back, sampling.DefaultIIS())
 	tr := newTracker(t, back.Spec().NumSamples)
 	runEpoch(t, svc, tr, 1)
 	if got := back.Stats().SampleReads; got != 0 {
@@ -176,7 +176,7 @@ func TestOracleZeroBackendReads(t *testing.T) {
 
 func TestFetchBatchAdvancesTime(t *testing.T) {
 	back := testBackend(t)
-	svc := NewDefault(back, back.Spec().TotalBytes()/5, DefaultServiceConfig())
+	svc := NewDefault(back, back.Spec().TotalBytes()/5)
 	tr := newTracker(t, back.Spec().NumSamples)
 	rng := rand.New(rand.NewSource(3))
 	sched := svc.BeginEpoch(0, 0, tr, rng)
@@ -189,7 +189,7 @@ func TestFetchBatchAdvancesTime(t *testing.T) {
 func TestStatsIncludePolicyEvictions(t *testing.T) {
 	back := testBackend(t)
 	// Tiny cache forces evictions quickly.
-	svc := NewDefault(back, 10_000, DefaultServiceConfig())
+	svc := NewDefault(back, 10_000)
 	tr := newTracker(t, back.Spec().NumSamples)
 	runEpoch(t, svc, tr, 1)
 	if svc.Stats().Evictions == 0 {

@@ -188,22 +188,21 @@ func newService(scheme Scheme, spec dataset.Spec, storageCfg storage.Config, cap
 		return nil, nil, err
 	}
 	capBytes := int64(float64(spec.TotalBytes()) * capFrac)
-	svcCfg := cache.DefaultServiceConfig()
 	switch scheme {
 	case SchemeDefault:
-		return cache.NewDefault(back, capBytes, svcCfg), back, nil
+		return cache.NewDefault(back, capBytes), back, nil
 	case SchemeBase:
-		return cache.NewBase(back, capBytes, svcCfg, sampling.DefaultCIS()), back, nil
+		return cache.NewBase(back, capBytes, sampling.DefaultCIS()), back, nil
 	case SchemeQuiver:
-		return cache.NewQuiver(back, capBytes, svcCfg), back, nil
+		return cache.NewQuiver(back, capBytes), back, nil
 	case SchemeCoorDL:
-		return cache.NewCoorDL(back, capBytes, svcCfg), back, nil
+		return cache.NewCoorDL(back, capBytes), back, nil
 	case SchemeILFU:
-		return cache.NewILFU(back, capBytes, svcCfg, sampling.DefaultIIS()), back, nil
+		return cache.NewILFU(back, capBytes, sampling.DefaultIIS()), back, nil
 	case SchemeIIS:
-		return cache.NewILRU(back, capBytes, svcCfg, sampling.DefaultIIS()), back, nil
+		return cache.NewILRU(back, capBytes, sampling.DefaultIIS()), back, nil
 	case SchemeOracle:
-		return cache.NewOracle(back, svcCfg, sampling.DefaultIIS()), back, nil
+		return cache.NewOracle(back, sampling.DefaultIIS()), back, nil
 	case SchemeNoCache:
 		return cache.NewNoCache(back), back, nil
 	case SchemeNoCacheCIS:

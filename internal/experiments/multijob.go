@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"icache/internal/cache"
 	"icache/internal/icache"
 	"icache/internal/sampling"
 	"icache/internal/storage"
@@ -50,11 +51,11 @@ func runMultiJob(scheme mjScheme, opts Options) (shuffle, resnet mjResult, err e
 
 	var jobA, jobB *train.Job
 	if scheme == mjDefault {
-		shared := newSharedLRU(back, capBytes)
-		if jobA, err = mkJob(train.ShuffleNet, shared.handle(), 1); err != nil {
+		shared := cache.NewDefault(back, capBytes)
+		if jobA, err = mkJob(train.ShuffleNet, &sharedLRU{base: shared}, 1); err != nil {
 			return mjResult{}, mjResult{}, err
 		}
-		if jobB, err = mkJob(train.ResNet50, shared.handle(), 2); err != nil {
+		if jobB, err = mkJob(train.ResNet50, &sharedLRU{base: shared}, 2); err != nil {
 			return mjResult{}, mjResult{}, err
 		}
 	} else {
@@ -126,16 +127,3 @@ func fig14(opts Options) (*Report, error) {
 		"paper: under iCache ShuffleNet gets the higher hit ratio (it benefits more from caching)")
 	return rep, nil
 }
-
-// sharedLRU lets two jobs share one Default (LRU) service while keeping
-// per-job stats; BeginEpoch calls from either job reshuffle only that job's
-// schedule.
-type sharedLRU struct {
-	svc *sharedLRUService
-}
-
-func newSharedLRU(back *storage.Backend, capBytes int64) *sharedLRU {
-	return &sharedLRU{svc: newSharedLRUService(back, capBytes)}
-}
-
-func (s *sharedLRU) handle() train.DataService { return &sharedLRUHandle{svc: s.svc} }

@@ -53,7 +53,6 @@ func extPolicies(opts Options) (*Report, error) {
 		return nil
 	}
 
-	svcCfg := cache.DefaultServiceConfig()
 	for _, p := range []struct {
 		name string
 		mk   func(*storage.Backend) cache.Policy
@@ -65,7 +64,7 @@ func extPolicies(opts Options) (*Report, error) {
 	} {
 		p := p
 		if err := runPolicy(p.name, func(b *storage.Backend) train.DataService {
-			return cache.NewWithPolicy(b, p.mk(b), svcCfg)
+			return cache.NewWithPolicy(b, p.mk(b))
 		}); err != nil {
 			return nil, err
 		}

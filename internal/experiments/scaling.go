@@ -83,7 +83,7 @@ func fig13(opts Options) (*Report, error) {
 				return job.Run(), nil
 			}
 			def, err := runDist(func(b *storage.Backend) (train.DistService, error) {
-				return cache.NewDistDefault(b, nodes, perNode, cache.DefaultServiceConfig()), nil
+				return cache.NewDistDefault(b, nodes, perNode), nil
 			})
 			if err != nil {
 				return nil, err

@@ -8,55 +8,38 @@ import (
 	"icache/internal/metrics"
 	"icache/internal/sampling"
 	"icache/internal/simclock"
-	"icache/internal/storage"
 )
 
-// sharedLRUService wraps one Default (LRU) baseline so several jobs can
-// share it — the Fig. 14 "Default" multi-job configuration. Handles
-// attribute cache-event deltas to their own job, mirroring what the
-// icache.Coordinator does for the importance-aware policies.
-type sharedLRUService struct {
-	base *cache.Baseline
-}
-
-func newSharedLRUService(back *storage.Backend, capBytes int64) *sharedLRUService {
-	return &sharedLRUService{base: cache.NewDefault(back, capBytes, cache.DefaultServiceConfig())}
-}
-
-// sharedLRUHandle is one job's view of the shared LRU.
-type sharedLRUHandle struct {
-	svc   *sharedLRUService
+// sharedLRU is one job's handle on a Default (LRU) baseline several jobs
+// share — the Fig. 14 "Default" multi-job configuration. It attributes the
+// shared cache's events to its own job, mirroring what the
+// icache.Coordinator does for the importance-aware policies; BeginEpoch
+// reshuffles only its own job's schedule.
+type sharedLRU struct {
+	base  *cache.Baseline
 	stats metrics.CacheStats
 }
 
 // Name implements train.DataService.
-func (h *sharedLRUHandle) Name() string { return "default-shared" }
+func (h *sharedLRU) Name() string { return "default-shared" }
 
 // SubstitutionSource implements the accuracy-model contract.
-func (h *sharedLRUHandle) SubstitutionSource() string { return "none" }
+func (h *sharedLRU) SubstitutionSource() string { return "none" }
 
 // Stats implements train.DataService with per-job attribution.
-func (h *sharedLRUHandle) Stats() metrics.CacheStats { return h.stats }
+func (h *sharedLRU) Stats() metrics.CacheStats { return h.stats }
 
 // BeginEpoch implements train.DataService: each job reshuffles its own
 // schedule; the shared cache itself is stateless across epochs.
-func (h *sharedLRUHandle) BeginEpoch(at simclock.Time, epoch int, tr *sampling.Tracker, rng *rand.Rand) sampling.Schedule {
-	return h.svc.base.BeginEpoch(at, epoch, tr, rng)
+func (h *sharedLRU) BeginEpoch(at simclock.Time, epoch int, tr *sampling.Tracker, rng *rand.Rand) sampling.Schedule {
+	return h.base.BeginEpoch(at, epoch, tr, rng)
 }
 
 // FetchBatch implements train.DataService, attributing the shared cache's
 // event delta to this job.
-func (h *sharedLRUHandle) FetchBatch(at simclock.Time, ids []dataset.SampleID) (simclock.Time, []dataset.SampleID) {
-	before := h.svc.base.Stats()
-	end, served := h.svc.base.FetchBatch(at, ids)
-	after := h.svc.base.Stats()
-	h.stats.Add(metrics.CacheStats{
-		Hits:          after.Hits - before.Hits,
-		Misses:        after.Misses - before.Misses,
-		Substitutions: after.Substitutions - before.Substitutions,
-		Inserts:       after.Inserts - before.Inserts,
-		Evictions:     after.Evictions - before.Evictions,
-		Rejections:    after.Rejections - before.Rejections,
-	})
+func (h *sharedLRU) FetchBatch(at simclock.Time, ids []dataset.SampleID) (simclock.Time, []dataset.SampleID) {
+	before := h.base.Stats()
+	end, served := h.base.FetchBatch(at, ids)
+	h.stats.Add(h.base.Stats().Sub(before))
 	return end, served
 }

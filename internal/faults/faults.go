@@ -31,7 +31,7 @@ import (
 const (
 	OpConnRead     = "conn.read"     // faults.Conn read path
 	OpConnWrite    = "conn.write"    // faults.Conn write path
-	OpSourceFetch  = "source.fetch"  // storage.DataSource / faults.Source
+	OpSourceFetch  = "source.fetch"  // storage.DataSource
 	OpDirLookup    = "dir.lookup"    // directory lookups (dkv or simulated)
 	OpDirClaim     = "dir.claim"     // directory claims
 	OpDirRelease   = "dir.release"   // directory releases
@@ -279,8 +279,8 @@ func (in *Injector) Reset() {
 	}
 }
 
-// FailN reproduces the legacy storage.DataSource.FailNext contract: the next
-// n calls of op return err (ErrInjected when err is nil).
+// FailN makes the next n calls of op return err (ErrInjected when err is
+// nil).
 func FailN(op string, n int, err error) Rule {
 	if n <= 0 {
 		// A zero-count request must never fire (Count <= 0 means unlimited,

@@ -114,10 +114,6 @@ type Config struct {
 	HShare float64
 	// Partition selects static or frequency-adaptive partitioning.
 	Partition PartitionPolicy
-	// PackageBytes is the dynamic-packaging unit (≥1 MB in the paper).
-	PackageBytes int
-	// HitLatency is the per-sample cost of a cache-served request.
-	HitLatency time.Duration
 	// Substitute selects the L-miss substitution policy.
 	Substitute SubstitutePolicy
 	// EnableLCache turns the L-cache + dynamic packaging on. Disabling it
@@ -128,66 +124,54 @@ type Config struct {
 	// multi-job cache-benefit estimation (20 cacheless + 20 cached in the
 	// paper). Probing only happens when more than one job is registered.
 	ProbeBatches int
-	// BenefitThreshold is the Ratio_benefit above which a job is
-	// cache-eligible. The paper uses 1.5 on end-to-end mini-batch times;
-	// this reproduction measures per-request fetch latency, which spans a
-	// smaller dynamic range (compute overlap is not in the probe), so the
-	// default is recalibrated to 1.1 to classify the same jobs as eligible.
-	BenefitThreshold float64
-	// FreqDecay smooths the per-epoch access-frequency estimates used by
-	// PartitionByFrequency.
-	FreqDecay float64
-	// Packaging selects dynamic (the paper's contribution) or static
-	// (prior-work baseline) package composition for the loading thread.
+	// Packaging selects dynamic packages composed by the background loading
+	// thread (the paper's contribution) or static pre-packed chunks read in
+	// the foreground on an L-miss (the prior-work baseline).
 	Packaging PackagingMode
 	// Tier2Bytes enables the §VI local-storage spill tier: H-cache
 	// evictions land on a local NVMe/PM device of this capacity, and
 	// H-misses check it before paying a remote read. 0 disables the tier.
 	Tier2Bytes int64
-	// Tier2ReadLatency and Tier2Bandwidth model the local device (defaults
-	// target a data-center NVMe: 80µs, 2 GB/s).
-	Tier2ReadLatency time.Duration
-	Tier2Bandwidth   float64
-	// Clairvoyant enables planned cross-epoch prefetching: because the IIS
-	// sampler draws the next epoch's schedule before the epoch begins, the
-	// future access sequence is known in advance (the NoPFS premise).
-	// BeginEpoch then feeds the schedule into PlanSchedule so the background
-	// loader composes its packages from exactly the L-samples the epoch will
-	// consume (in first-access order) instead of waiting for misses. This
-	// field switches the simulation only; on the byte-serving RPC path the
-	// client that sends BeginEpochPlan is the switch, and the plan is the
-	// only thing that prefetches: its missing H-samples are pre-placed by the
-	// server's prefetch pool inside its backend-read budget, and its L-side
-	// seeds the loader, whose samples get their bytes on first request. Off
-	// by default: the simulated loader packs from misses and random fill.
-	Clairvoyant bool
-	// RepackPerSample is the loading thread's bookkeeping cost per sample
+}
+
+// The simulated server's fixed costs and tunings. A cache-served request
+// costs storage.HitLatency, the one hit cost iCache and the baselines share.
+const (
+	// packageBytes is the dynamic-packaging unit (≥1 MB in the paper).
+	packageBytes = 1 << 20
+	// repackPerSample is the loading thread's bookkeeping cost per sample
 	// packed: dynamic packaging must gather each scattered L-sample from
 	// its original location (a server-side seek-bound read), write it into
 	// the reorganized package, and update metadata before the package can
 	// be loaded — re-packing is not free. This throttles how many fresh
-	// substitutable samples reach the L-cache per second and is the knob
+	// substitutable samples reach the L-cache per second and is the cost
 	// that calibrates the L-cache's hit-ratio contribution to the paper's
 	// Fig. 11 (≈12 points on top of the H-cache's 25%).
-	RepackPerSample time.Duration
-}
+	repackPerSample = 1700 * time.Microsecond
+	// benefitThreshold is the Ratio_benefit above which a job is
+	// cache-eligible. The paper uses 1.5 on end-to-end mini-batch times;
+	// this reproduction measures per-request fetch latency, which spans a
+	// smaller dynamic range (compute overlap is not in the probe), so it is
+	// recalibrated to 1.1 to classify the same jobs as eligible.
+	benefitThreshold = 1.1
+	// freqDecay smooths the per-epoch access-frequency estimates used by
+	// PartitionByFrequency.
+	freqDecay = 0.5
+	// tier2ReadLatency and tier2Bandwidth model the spill tier's local
+	// device, a data-center NVMe.
+	tier2ReadLatency = 80 * time.Microsecond
+	tier2Bandwidth   = 2e9
+)
 
 // DefaultConfig returns the paper's defaults for a given capacity.
 func DefaultConfig(capacityBytes int64) Config {
 	return Config{
-		CapacityBytes:    capacityBytes,
-		HShare:           0.9,
-		Partition:        PartitionStatic,
-		PackageBytes:     1 << 20,
-		HitLatency:       20 * time.Microsecond,
-		Substitute:       SubstituteLCache,
-		EnableLCache:     true,
-		ProbeBatches:     20,
-		BenefitThreshold: 1.1,
-		FreqDecay:        0.5,
-		Tier2ReadLatency: 80 * time.Microsecond,
-		Tier2Bandwidth:   2e9,
-		RepackPerSample:  1700 * time.Microsecond,
+		CapacityBytes: capacityBytes,
+		HShare:        0.9,
+		Partition:     PartitionStatic,
+		Substitute:    SubstituteLCache,
+		EnableLCache:  true,
+		ProbeBatches:  20,
 	}
 }
 
@@ -198,22 +182,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("icache: CapacityBytes=%d, want > 0", c.CapacityBytes)
 	case c.HShare <= 0 || c.HShare >= 1:
 		return fmt.Errorf("icache: HShare=%g, want (0,1)", c.HShare)
-	case c.PackageBytes <= 0:
-		return fmt.Errorf("icache: PackageBytes=%d, want > 0", c.PackageBytes)
-	case c.HitLatency < 0:
-		return fmt.Errorf("icache: negative HitLatency %v", c.HitLatency)
 	case c.ProbeBatches < 0:
 		return fmt.Errorf("icache: ProbeBatches=%d, want >= 0", c.ProbeBatches)
-	case c.BenefitThreshold <= 0:
-		return fmt.Errorf("icache: BenefitThreshold=%g, want > 0", c.BenefitThreshold)
-	case c.FreqDecay < 0 || c.FreqDecay >= 1:
-		return fmt.Errorf("icache: FreqDecay=%g, want [0,1)", c.FreqDecay)
-	case c.RepackPerSample < 0:
-		return fmt.Errorf("icache: negative RepackPerSample %v", c.RepackPerSample)
 	case c.Tier2Bytes < 0:
 		return fmt.Errorf("icache: negative Tier2Bytes %d", c.Tier2Bytes)
-	case c.Tier2Bytes > 0 && (c.Tier2ReadLatency < 0 || c.Tier2Bandwidth <= 0):
-		return fmt.Errorf("icache: tier2 enabled with latency %v bandwidth %g", c.Tier2ReadLatency, c.Tier2Bandwidth)
 	}
 	return nil
 }

@@ -23,10 +23,6 @@ type ClusterConfig struct {
 	// Cache configures each node's H-/L-cache behaviour (CapacityBytes is
 	// overridden by PerNodeCapacityBytes).
 	Cache Config
-	// PeerLatency is the fixed cost of a remote-cache RPC between nodes.
-	PeerLatency time.Duration
-	// PeerBandwidth is inter-node bandwidth in bytes/sec.
-	PeerBandwidth float64
 
 	// LeaseTTL is each node's membership lease duration in the directory.
 	// Zero selects dkv.DefaultLeaseTTL.
@@ -54,15 +50,21 @@ type ClusterConfig struct {
 	DirReplicas int
 }
 
+// The paper's cloud interconnect: peerLatency is the fixed cost of a
+// remote-cache RPC between nodes, peerBandwidth the 10 Gb/s link in
+// bytes/sec.
+const (
+	peerLatency   = 200 * time.Microsecond
+	peerBandwidth = 1.25e9
+)
+
 // DefaultClusterConfig mirrors the paper's cloud setup: per-node cache of
-// the given size, 10 Gb/s interconnect.
+// the given size.
 func DefaultClusterConfig(nodes int, perNode int64) ClusterConfig {
 	return ClusterConfig{
 		Nodes:                nodes,
 		PerNodeCapacityBytes: perNode,
 		Cache:                DefaultConfig(perNode),
-		PeerLatency:          200 * time.Microsecond,
-		PeerBandwidth:        1.25e9,
 	}
 }
 
@@ -73,10 +75,6 @@ func (c ClusterConfig) Validate() error {
 		return fmt.Errorf("icache: cluster Nodes=%d, want > 0", c.Nodes)
 	case c.PerNodeCapacityBytes <= 0:
 		return fmt.Errorf("icache: PerNodeCapacityBytes=%d, want > 0", c.PerNodeCapacityBytes)
-	case c.PeerLatency < 0:
-		return fmt.Errorf("icache: negative PeerLatency")
-	case c.PeerBandwidth <= 0:
-		return fmt.Errorf("icache: PeerBandwidth=%g, want > 0", c.PeerBandwidth)
 	case c.LeaseTTL < 0:
 		return fmt.Errorf("icache: negative LeaseTTL")
 	case c.HeartbeatInterval < 0:
@@ -330,17 +328,14 @@ func (cl *Cluster) BeginEpoch(at simclock.Time, epoch int, tr *sampling.Tracker,
 			n.srv.StartEpoch(at)
 		}
 	}
-	if cl.cfg.Cache.Clairvoyant {
-		cl.planSchedule(sched.Fetch)
-	}
 	return sched
 }
 
 // remoteRead charges the cost of pulling one sample from a peer's cache:
 // the RPC latency plus the transfer over both NICs.
 func (cl *Cluster) remoteRead(at simclock.Time, from, to int, size int) simclock.Time {
-	transfer := time.Duration(float64(size) / cl.cfg.PeerBandwidth * float64(time.Second))
-	_, end := cl.nodes[from].nic.Acquire(at+cl.cfg.PeerLatency, transfer)
+	transfer := time.Duration(float64(size) / peerBandwidth * float64(time.Second))
+	_, end := cl.nodes[from].nic.Acquire(at+peerLatency, transfer)
 	_, end = cl.nodes[to].nic.Acquire(end, transfer)
 	return end
 }

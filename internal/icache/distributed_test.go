@@ -28,7 +28,7 @@ func TestClusterConfigValidate(t *testing.T) {
 		t.Fatalf("default invalid: %v", err)
 	}
 	// Every knob left zero selects its default.
-	if err := (ClusterConfig{Nodes: 2, PerNodeCapacityBytes: 1 << 20, PeerBandwidth: 1}).Validate(); err != nil {
+	if err := (ClusterConfig{Nodes: 2, PerNodeCapacityBytes: 1 << 20}).Validate(); err != nil {
 		t.Fatalf("zero-value knobs invalid: %v", err)
 	}
 	bad := DefaultClusterConfig(0, 1<<20)
@@ -132,7 +132,7 @@ func TestClusterJointCacheBeatsOneNode(t *testing.T) {
 
 func TestClusterRemoteReadCostsMoreThanLocal(t *testing.T) {
 	cl, _ := testCluster(t, 2)
-	local := cl.cfg.Cache.HitLatency
+	local := storage.HitLatency
 	end := cl.remoteRead(0, 0, 1, 4096)
 	if end <= local {
 		t.Fatalf("remote read (%v) not more expensive than local hit (%v)", end, local)

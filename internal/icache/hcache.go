@@ -157,18 +157,6 @@ func (h *hcache) refreshImportance(value func(dataset.SampleID) (float64, bool))
 	}
 }
 
-// wipe discards every resident without firing eviction hooks: a crash
-// loses memory contents, it does not "evict" them (the distributed mode
-// must not release directory ownership it can no longer vouch for).
-// Cumulative insert/eviction counters survive so stats stay monotone.
-func (h *hcache) wipe() {
-	h.items = make(map[dataset.SampleID]int)
-	h.heap = impheap.NewShadowed()
-	h.ids = nil
-	h.idx = make(map[dataset.SampleID]int)
-	h.used = 0
-}
-
 // remove drops a specific sample (used by the distributed mode when
 // ownership moves). Reports whether it was present.
 func (h *hcache) remove(id dataset.SampleID) bool {

@@ -61,11 +61,6 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("HShare=1 accepted")
 	}
-	bad = DefaultConfig(1 << 20)
-	bad.FreqDecay = 1.0
-	if err := bad.Validate(); err == nil {
-		t.Error("FreqDecay=1 accepted")
-	}
 }
 
 func TestSubstitutePolicyString(t *testing.T) {

@@ -175,18 +175,6 @@ func (l *lcache) insert(id dataset.SampleID, size int) bool {
 	return true
 }
 
-// wipe discards every resident without firing eviction hooks (crash
-// semantics: contents vanish, counters survive; see hcache.wipe).
-func (l *lcache) wipe() {
-	l.items = make(map[dataset.SampleID]int)
-	l.used = 0
-	l.unused = nil
-	l.unusedIdx = make(map[dataset.SampleID]int)
-	l.unusedB = 0
-	l.arrival = nil
-	l.usedQ = nil
-}
-
 // remove drops a specific sample (distributed ownership moves).
 func (l *lcache) remove(id dataset.SampleID) bool {
 	size, ok := l.items[id]

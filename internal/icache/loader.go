@@ -23,19 +23,16 @@ type loader struct {
 	pkgBytes int
 	// repackPerSample is the bookkeeping cost per packed sample: gathering
 	// it from its scattered location, writing it into the reorganized
-	// package, and metadata updates (see Config.RepackPerSample). Static
-	// packaging pays none of it — its packages pre-exist on storage.
+	// package, and metadata updates (see the repackPerSample constant).
 	repackPerSample simclock.Time
-	mode            PackagingMode
-	// cursor walks the static chunk sequence when no misses are queued.
-	cursor int
-	rng    *rand.Rand
+	rng             *rand.Rand
 
-	// wastedBytes counts loaded bytes whose samples could not be used
-	// (H-samples, already cached): static packaging's read amplification.
 	// usefulBytes counts bytes actually delivered into the L-cache.
-	wastedBytes int64
+	// wastedBytes counts bytes fetchStaticChunk read whose samples could not
+	// be used (H-samples, already cached): static packaging's read
+	// amplification. The loading thread itself only packs useful samples.
 	usefulBytes int64
+	wastedBytes int64
 
 	// nextFree is the loading thread's own timeline: it issues one package
 	// read at a time.
@@ -71,13 +68,6 @@ func newLoader(backend *storage.Backend, pkgBytes int, repackPerSample simclock.
 	}
 }
 
-// newLoaderWithMode builds a loader with an explicit packaging strategy.
-func newLoaderWithMode(backend *storage.Backend, pkgBytes int, repackPerSample simclock.Time, mode PackagingMode, rng *rand.Rand) *loader {
-	ld := newLoader(backend, pkgBytes, repackPerSample, rng)
-	ld.mode = mode
-	return ld
-}
-
 // recordMiss queues an L-sample that missed for priority re-packing.
 func (ld *loader) recordMiss(id dataset.SampleID) {
 	if _, dup := ld.missedSet[id]; dup {
@@ -87,65 +77,11 @@ func (ld *loader) recordMiss(id dataset.SampleID) {
 	ld.missedQ = append(ld.missedQ, id)
 }
 
-// composePackage assembles the next package according to the packaging
-// mode. It returns the *useful* sample IDs (the ones worth inserting into
-// the L-cache) and the byte volume the read will transfer — under static
-// packaging the transfer includes unusable chunk members, which is exactly
-// the read amplification dynamic packaging exists to avoid.
-func (ld *loader) composePackage(hl *sampling.HList, h *hcache, l *lcache) ([]dataset.SampleID, int) {
-	if ld.mode == PackagingStatic {
-		return ld.composeStatic(hl, h, l)
-	}
-	return ld.composeDynamic(hl, h, l)
-}
-
-// composeStatic loads the fixed pre-packed chunk holding the oldest missed
-// L-sample (or the next chunk in sequence when no misses are queued).
-func (ld *loader) composeStatic(hl *sampling.HList, h *hcache, l *lcache) ([]dataset.SampleID, int) {
-	chunkSamples := ld.pkgBytes / ld.spec.MeanSampleBytes
-	if chunkSamples < 1 {
-		chunkSamples = 1
-	}
-	chunks := (ld.spec.NumSamples + chunkSamples - 1) / chunkSamples
-	chunk := -1
-	for len(ld.missedQ) > 0 {
-		id := ld.missedQ[0]
-		ld.missedQ = ld.missedQ[1:]
-		delete(ld.missedSet, id)
-		if l.contains(id) || h.contains(id) || hl.Contains(id) {
-			continue
-		}
-		chunk = int(id) / chunkSamples
-		break
-	}
-	if chunk < 0 {
-		chunk = ld.cursor % chunks
-		ld.cursor++
-	}
-	first := chunk * chunkSamples
-	last := first + chunkSamples
-	if last > ld.spec.NumSamples {
-		last = ld.spec.NumSamples
-	}
-	var useful []dataset.SampleID
-	total := 0
-	for i := first; i < last; i++ {
-		id := dataset.SampleID(i)
-		size := ld.spec.SampleBytes(id)
-		total += size // the whole chunk crosses the wire
-		if hl.Contains(id) || h.contains(id) || l.contains(id) {
-			ld.wastedBytes += int64(size)
-			continue
-		}
-		useful = append(useful, id)
-	}
-	return useful, total
-}
-
-// composeDynamic assembles up to pkgBytes of L-samples: recorded misses
+// composePackage assembles up to pkgBytes of L-samples: recorded misses
 // first, then random L-samples, skipping anything already in either cache
-// region. An empty result means there is nothing useful to load right now.
-func (ld *loader) composeDynamic(hl *sampling.HList, h *hcache, l *lcache) ([]dataset.SampleID, int) {
+// region. It returns the sample IDs and the byte volume the read will
+// transfer; an empty result means there is nothing useful to load right now.
+func (ld *loader) composePackage(hl *sampling.HList, h *hcache, l *lcache) ([]dataset.SampleID, int) {
 	var ids []dataset.SampleID
 	chosen := make(map[dataset.SampleID]struct{}, ld.pkgBytes/ld.spec.MeanSampleBytes+1)
 	total := 0
@@ -210,7 +146,7 @@ func (ld *loader) pump(now simclock.Time, hl *sampling.HList, h *hcache, l *lcac
 			return
 		}
 		ids, total := ld.composePackage(hl, h, l)
-		if len(ids) == 0 && ld.mode != PackagingStatic {
+		if len(ids) == 0 {
 			ld.gated = true
 			return
 		}
@@ -222,32 +158,10 @@ func (ld *loader) pump(now simclock.Time, hl *sampling.HList, h *hcache, l *lcac
 			ld.gated = false
 		}
 		end := ld.backend.ReadPackage(start, total)
-		if len(ids) > 0 {
-			ld.pending = append(ld.pending, packageArrival{at: end, ids: ids})
-		}
+		ld.pending = append(ld.pending, packageArrival{at: end, ids: ids})
 		ld.packages++
 		ld.samples += int64(len(ids))
-		if ld.mode == PackagingStatic {
-			// Pre-packed chunks need no repack pass; the read itself is the
-			// whole cost (including its wasted bytes).
-			ld.nextFree = end
-		} else {
-			ld.nextFree = end + time.Duration(len(ids))*ld.repackPerSample
-		}
-	}
-}
-
-// reset discards all in-flight state (crash semantics): pending package
-// arrivals are lost with the node's memory, and the miss queue is cleared
-// because the misses it recorded were for a cache that no longer exists.
-// Cumulative counters (packages, samples, byte totals) survive.
-func (ld *loader) reset(now simclock.Time) {
-	ld.pending = nil
-	ld.missedQ = nil
-	ld.missedSet = make(map[dataset.SampleID]struct{})
-	ld.gated = false
-	if ld.nextFree < now {
-		ld.nextFree = now
+		ld.nextFree = end + time.Duration(len(ids))*ld.repackPerSample
 	}
 }
 

@@ -248,7 +248,7 @@ func (h *JobHandle) FetchBatch(at simclock.Time, ids []dataset.SampleID) (simclo
 		j.probeCount += len(ids)
 		if j.probeCount >= h.probeTarget() {
 			j.probePhase = 2
-			ratio := h.c.srv.cfg.BenefitThreshold + 1
+			ratio := benefitThreshold + 1
 			if j.tCache > 0 {
 				ratio = float64(j.tCacheless) / float64(j.tCache)
 			}
@@ -261,7 +261,7 @@ func (h *JobHandle) FetchBatch(at simclock.Time, ids []dataset.SampleID) (simclo
 				j.benefit = ratio
 			}
 			j.probed = true
-			j.eligible = j.benefit >= h.c.srv.cfg.BenefitThreshold
+			j.eligible = j.benefit >= benefitThreshold
 		}
 		return end, served
 	default:
@@ -278,14 +278,6 @@ func (h *JobHandle) fetchThrough(at simclock.Time, ids []dataset.SampleID) (simc
 	}
 	before := h.c.srv.Stats()
 	end, served := h.c.srv.FetchBatchRouted(at, ids, routing)
-	after := h.c.srv.Stats()
-	h.j.stats.Add(metrics.CacheStats{
-		Hits:          after.Hits - before.Hits,
-		Misses:        after.Misses - before.Misses,
-		Substitutions: after.Substitutions - before.Substitutions,
-		Inserts:       after.Inserts - before.Inserts,
-		Evictions:     after.Evictions - before.Evictions,
-		Rejections:    after.Rejections - before.Rejections,
-	})
+	h.j.stats.Add(h.c.srv.Stats().Sub(before))
 	return end, served
 }

@@ -98,7 +98,7 @@ func NewServer(backend *storage.Backend, cfg Config, iis sampling.IISConfig, see
 	// destroying unused residents; half the region keeps loading smooth.
 	// (The paper instead floors the L-cache at one package; clamping the
 	// package handles tiny caches in the same spirit.)
-	pkg := cfg.PackageBytes
+	pkg := packageBytes
 	if cfg.EnableLCache && int64(pkg) > lBytes/2 {
 		pkg = int(lBytes / 2)
 		if pkg < backend.Spec().MeanSampleBytes {
@@ -114,11 +114,11 @@ func NewServer(backend *storage.Backend, cfg Config, iis sampling.IISConfig, see
 		rng:     rng,
 		h:       newHCache(hBytes),
 		l:       newLCache(lBytes),
-		ld:      newLoaderWithMode(backend, pkg, cfg.RepackPerSample, cfg.Packaging, rand.New(rand.NewSource(seed+1))),
+		ld:      newLoader(backend, pkg, repackPerSample, rand.New(rand.NewSource(seed+1))),
 		hlist:   sampling.NewHList(nil),
 	}
 	if cfg.Tier2Bytes > 0 {
-		s.t2 = newTier2(cfg.Tier2Bytes, cfg.Tier2ReadLatency, cfg.Tier2Bandwidth)
+		s.t2 = newTier2(cfg.Tier2Bytes, tier2ReadLatency, tier2Bandwidth)
 		s.h.onEvict = func(id dataset.SampleID) {
 			s.t2.spill(id, s.spec.SampleBytes(id))
 			if s.userEvict != nil {
@@ -165,8 +165,9 @@ type View struct {
 	Cache      metrics.CacheStats
 	HLen, LLen int
 	// Packages counts the loading thread's package fetches. LoaderUseful is
-	// the bytes it delivered into the L-cache; LoaderWasted the bytes it
-	// read that could not be cached (static packaging's read amplification).
+	// the bytes delivered into the L-cache; LoaderWasted the bytes static
+	// packaging's chunk reads carried that could not be cached (its read
+	// amplification; 0 under dynamic packaging).
 	Packages                   int64
 	LoaderUseful, LoaderWasted int64
 	// Tier2Len and Tier2Hits are the spill tier's residents and the misses
@@ -211,14 +212,6 @@ func (s *Server) BeginEpoch(at simclock.Time, epoch int, tr *sampling.Tracker, r
 		s.InstallHList(hl)
 	}
 	s.startEpoch(at)
-	if s.cfg.Clairvoyant {
-		// The schedule is known before the epoch runs (the clairvoyance
-		// premise): seed the loader with exactly the L-samples the epoch
-		// will consume, in first-access order. The returned H-side plan is
-		// ignored here — only the byte-serving layer can pre-place H bytes
-		// without falsifying the foreground's virtual-time accounting.
-		s.PlanSchedule(sched.Fetch)
-	}
 	return sched
 }
 
@@ -326,8 +319,8 @@ func (s *Server) repartition() {
 	}
 	fH := float64(s.epochHReq) / float64(nH)
 	fL := float64(s.epochLReq) / float64(nL)
-	s.freqH = s.cfg.FreqDecay*s.freqH + (1-s.cfg.FreqDecay)*fH
-	s.freqL = s.cfg.FreqDecay*s.freqL + (1-s.cfg.FreqDecay)*fL
+	s.freqH = freqDecay*s.freqH + (1-freqDecay)*fH
+	s.freqL = freqDecay*s.freqL + (1-freqDecay)*fL
 	if s.freqH+s.freqL == 0 {
 		return
 	}
@@ -389,7 +382,7 @@ func (s *Server) fetchOne(at simclock.Time, id dataset.SampleID, routing *sampli
 			s.stats.Hits++
 			s.tracer.Record(at, trace.KindHit, id, 0)
 			*served = append(*served, id)
-			return at + s.cfg.HitLatency
+			return at + storage.HitLatency
 		}
 		iv, _ := s.hlistValue(id)
 		if s.l.contains(id) {
@@ -399,7 +392,7 @@ func (s *Server) fetchOne(at simclock.Time, id dataset.SampleID, routing *sampli
 			s.stats.Hits++
 			s.tracer.Record(at, trace.KindHit, id, 0)
 			*served = append(*served, id)
-			return at + s.cfg.HitLatency
+			return at + storage.HitLatency
 		}
 		if s.t2 != nil {
 			if end, ok := s.t2.read(at, id); ok {
@@ -442,7 +435,7 @@ func (s *Server) fetchOne(at simclock.Time, id dataset.SampleID, routing *sampli
 		s.stats.Hits++
 		s.tracer.Record(at, trace.KindHit, id, 0)
 		*served = append(*served, id)
-		return at + s.cfg.HitLatency
+		return at + storage.HitLatency
 	}
 	s.ld.recordMiss(id)
 
@@ -451,7 +444,7 @@ func (s *Server) fetchOne(at simclock.Time, id dataset.SampleID, routing *sampli
 			s.stats.Substitutions++
 			s.tracer.Record(at, trace.KindSubstitute, id, int64(sub))
 			*served = append(*served, sub)
-			return at + s.cfg.HitLatency
+			return at + storage.HitLatency
 		}
 		// No substitute available: fall through to storage.
 	}
@@ -547,7 +540,7 @@ func (s *Server) fetchStaticChunk(at simclock.Time, id dataset.SampleID, served 
 		s.l.takeExact(id) // best effort: mark used if still unused
 		s.stats.Hits++
 		*served = append(*served, id)
-		return at + s.cfg.HitLatency
+		return at + storage.HitLatency
 	}
 	chunkSamples := s.ld.pkgBytes / s.spec.MeanSampleBytes
 	if chunkSamples < 1 {

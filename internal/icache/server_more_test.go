@@ -161,6 +161,37 @@ func TestServerStaticPartitionStays(t *testing.T) {
 	}
 }
 
+// Static packaging has no loading thread: an L-miss reads its whole chunk in
+// the foreground (fetchStaticChunk), so the background loader never issues a
+// package, and the chunk members it cannot cache are counted as wasted.
+func TestServerStaticPackagingIssuesNoPackages(t *testing.T) {
+	back := testBackend(t)
+	cfg := DefaultConfig(back.Spec().TotalBytes() / 5)
+	cfg.Packaging = PackagingStatic
+	srv, err := NewServer(back, cfg, sampling.DefaultIIS(), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := trainedTracker(t, back.Spec().NumSamples, 3)
+	rng := rand.New(rand.NewSource(4))
+	var at simclock.Time
+	for e := 0; e < 3; e++ {
+		sched := srv.BeginEpoch(at, e, tr, rng)
+		for _, batch := range sched.Batches(256) {
+			at, _ = srv.FetchBatch(at, batch)
+		}
+		if v := srv.View(); v.Packages != 0 {
+			t.Fatalf("epoch %d: static packaging issued %d background packages", e, v.Packages)
+		}
+	}
+	if back.Stats().PackageReads == 0 {
+		t.Fatal("no L-miss read a chunk")
+	}
+	if v := srv.View(); v.LoaderWasted <= 0 {
+		t.Fatalf("LoaderWasted = %d after chunk reads, want > 0", v.LoaderWasted)
+	}
+}
+
 func TestServerEvictObserverFires(t *testing.T) {
 	back := testBackend(t)
 	cfg := DefaultConfig(8 * 1000) // tiny cache to force evictions

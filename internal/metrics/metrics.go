@@ -37,6 +37,20 @@ func (s *CacheStats) Add(o CacheStats) {
 	s.Rejections += o.Rejections
 }
 
+// Sub returns s minus o, field by field: the events counted between an
+// earlier reading o and a later reading s of the same counters.
+func (s CacheStats) Sub(o CacheStats) CacheStats {
+	return CacheStats{
+		Hits:          s.Hits - o.Hits,
+		Misses:        s.Misses - o.Misses,
+		Substitutions: s.Substitutions - o.Substitutions,
+		Degraded:      s.Degraded - o.Degraded,
+		Inserts:       s.Inserts - o.Inserts,
+		Evictions:     s.Evictions - o.Evictions,
+		Rejections:    s.Rejections - o.Rejections,
+	}
+}
+
 // Requests reports the total number of sample requests seen. Every request
 // is counted exactly once, in exactly one of the four outcome classes —
 // the conservation invariant the chaos suite asserts:

@@ -75,9 +75,10 @@ type GateConfig struct {
 	FloorRate float64
 	// FloorBurst is the token bucket depth. Default 16.
 	FloorBurst float64
-	// RetryAfter is the backoff hint attached to shed responses. Default 5ms.
-	RetryAfter time.Duration
 }
+
+// shedRetryAfter is the backoff hint attached to shed responses.
+const shedRetryAfter = 5 * time.Millisecond
 
 func (c GateConfig) withDefaults() GateConfig {
 	if c.Window <= 0 {
@@ -91,9 +92,6 @@ func (c GateConfig) withDefaults() GateConfig {
 	}
 	if c.FloorBurst <= 0 {
 		c.FloorBurst = 16
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = 5 * time.Millisecond
 	}
 	return c
 }
@@ -157,7 +155,7 @@ func (g *Gate) Admit(now time.Time) (ok bool, retryAfter time.Duration) {
 		if atomic.AddInt64(&g.inflight, 1) > n {
 			atomic.AddInt64(&g.inflight, -1)
 			atomic.AddInt64(&g.shed, 1)
-			return false, g.cfg.RetryAfter
+			return false, shedRetryAfter
 		}
 	} else {
 		atomic.AddInt64(&g.inflight, 1)
@@ -169,7 +167,7 @@ func (g *Gate) Admit(now time.Time) (ok bool, retryAfter time.Duration) {
 			g.mu.Unlock()
 			atomic.AddInt64(&g.inflight, -1)
 			atomic.AddInt64(&g.shed, 1)
-			return false, g.cfg.RetryAfter
+			return false, shedRetryAfter
 		}
 		g.mu.Unlock()
 	}
@@ -267,9 +265,6 @@ func (g *Gate) takeTokenLocked(now time.Time) bool {
 	g.tokens--
 	return true
 }
-
-// RetryAfter reports the configured backoff hint.
-func (g *Gate) RetryAfter() time.Duration { return g.cfg.RetryAfter }
 
 // Stats snapshots the gate counters.
 func (g *Gate) Stats() GateStats {

@@ -110,12 +110,6 @@ func Permanent(err error) error {
 	return permanentError{err}
 }
 
-// IsPermanent reports whether err carries the Permanent marker.
-func IsPermanent(err error) bool {
-	var p permanentError
-	return errors.As(err, &p)
-}
-
 // Do runs op under the policy. op receives the 0-based attempt number. A
 // nil error stops the loop; a Permanent error is unwrapped and returned at
 // once; any other error is retried after a jittered backoff until attempts

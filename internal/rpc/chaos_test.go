@@ -75,7 +75,7 @@ func TestChaosClientSurvivesConnDrops(t *testing.T) {
 	srv, addr := startChaosServer(t, inj)
 	spec := testSpec()
 
-	c, err := DialPolicy(addr, time.Second, chaosPolicy())
+	c, err := DialConfigured(addr, DialConfig{Timeout: time.Second, Policy: chaosPolicy()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestChaosManyClientsNoLostRequests(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := DialPolicy(addr, time.Second, chaosPolicy())
+			c, err := DialConfigured(addr, DialConfig{Timeout: time.Second, Policy: chaosPolicy()})
 			if err != nil {
 				errs <- fmt.Errorf("client %d: dial: %w", w, err)
 				return

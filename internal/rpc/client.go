@@ -9,7 +9,6 @@ import (
 
 	"icache/internal/dataset"
 	"icache/internal/obs"
-	"icache/internal/retry"
 	"icache/internal/sampling"
 	"icache/internal/trace"
 	"icache/internal/transport"
@@ -53,12 +52,6 @@ type DialConfig = transport.DialConfig
 // Dial connects to an iCache server with the default retry policy.
 func Dial(addr string, timeout time.Duration) (*Client, error) {
 	return DialConfigured(addr, DialConfig{Timeout: timeout})
-}
-
-// DialPolicy connects with an explicit retry policy. The policy governs
-// both the initial dial and every subsequent round trip.
-func DialPolicy(addr string, timeout time.Duration, policy retry.Policy) (*Client, error) {
-	return DialConfigured(addr, DialConfig{Timeout: timeout, Policy: policy})
 }
 
 // DialConfigured connects with explicit transport configuration. A server

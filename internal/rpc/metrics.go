@@ -20,6 +20,9 @@ type MetricsSnapshot struct {
 	UptimeSeconds     float64
 	HCacheLen         int
 	LoaderUsefulBytes int64
+	// LoaderWastedBytes is the engine's static-packaging read amplification
+	// (icache.View.LoaderWasted). Every server on the wire packs dynamically,
+	// so it reads 0 there; the benchmark's loader-share metric divides by it.
 	LoaderWastedBytes int64
 	PeerHits          int64
 }

@@ -124,7 +124,7 @@ func TestClientSurvivesRepeatedCrashRestart(t *testing.T) {
 	// client needs backoff budget beyond the default.
 	policy := retry.Policy{MaxAttempts: 60, BaseDelay: 2 * time.Millisecond,
 		MaxDelay: 25 * time.Millisecond, Multiplier: 2, Jitter: 0.2}
-	c, err := DialPolicy(addr, time.Second, policy)
+	c, err := DialConfigured(addr, DialConfig{Timeout: time.Second, Policy: policy})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"icache/internal/dataset"
+	"icache/internal/faults"
 	"icache/internal/icache"
 	"icache/internal/sampling"
 	"icache/internal/storage"
@@ -271,7 +272,7 @@ func TestOutOfRangeRequestAnsweredNotFatal(t *testing.T) {
 func TestBackendFailureSurfacesAsRPCError(t *testing.T) {
 	_, addr, src := startServer(t)
 	c := dial(t, addr)
-	src.FailNext(1, errors.New("injected disk failure"))
+	src.Injector().Add(faults.FailN(faults.OpSourceFetch, 1, errors.New("injected disk failure")))
 	_, err := c.GetBatch([]dataset.SampleID{1500})
 	if err == nil || !strings.Contains(err.Error(), "injected disk failure") {
 		t.Fatalf("err = %v, want injected failure", err)

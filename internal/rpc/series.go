@@ -113,7 +113,6 @@ func (v *nodeView) rows() []series {
 		// first request.
 		{"icache_loader_packages_total", "dynamic packages loaded by the background loader", counter, "", float64(v.Packages)},
 		{"icache_loader_useful_bytes_total", "sizes of the package entries the policy marked L-resident (no package bytes are read on the wire)", counter, "", float64(v.LoaderUseful)},
-		{"icache_loader_wasted_bytes_total", "sizes of package entries the policy could not mark resident (no package bytes are read on the wire)", counter, "", float64(v.LoaderWasted)},
 
 		// Peer / resilience family (distribution disabled renders zeros).
 		{"icache_peer_serves_total", "requests this node answered for peers", counter, "peer_serves", float64(v.peerServes)},

@@ -4,16 +4,16 @@
 // All experiments in the iCache reproduction run in simulated time so that a
 // full paper evaluation (hundreds of simulated training epochs across many
 // configurations) executes in seconds of wall-clock time and is perfectly
-// deterministic. The package deliberately stays tiny: a monotonic virtual
-// clock, a FIFO resource (the building block for storage servers, network
-// links and GPUs), and a small event queue for components that need to
-// schedule background work such as the L-cache loading thread.
+// deterministic. The package deliberately stays tiny: a point in virtual time
+// and a FIFO resource (the building block for storage servers, network links
+// and GPUs), banked into pools. There is no global clock and no event queue:
+// each component carries its own timeline and advances it as requests pass —
+// the L-cache loading thread, for one, rolls forward to the instant of each
+// request that observes it.
 package simclock
 
 import (
-	"container/heap"
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -21,48 +21,6 @@ import (
 // the simulation. It intentionally reuses time.Duration so arithmetic with
 // service times reads naturally.
 type Time = time.Duration
-
-// Clock is a monotonic virtual clock. The zero value is ready to use and
-// reads zero. Clock is safe for concurrent use; simulations that are fully
-// sequential pay only an uncontended mutex.
-type Clock struct {
-	mu  sync.Mutex
-	now Time
-}
-
-// NewClock returns a clock positioned at virtual time zero.
-func NewClock() *Clock { return &Clock{} }
-
-// Now reports the current virtual time.
-func (c *Clock) Now() Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-// Advance moves the clock forward by d and returns the new time.
-// Advance panics if d is negative: virtual time never runs backwards.
-func (c *Clock) Advance(d time.Duration) Time {
-	if d < 0 {
-		panic(fmt.Sprintf("simclock: Advance by negative duration %v", d))
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now += d
-	return c.now
-}
-
-// AdvanceTo moves the clock forward to t. Moving to a time in the past is a
-// no-op, which lets multiple independent timelines race the clock forward
-// without coordination.
-func (c *Clock) AdvanceTo(t Time) Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t > c.now {
-		c.now = t
-	}
-	return c.now
-}
 
 // Resource models a single FIFO-served resource in virtual time: a storage
 // server, a network link, or a GPU. A request that arrives while the
@@ -147,88 +105,5 @@ func (p *Pool) BusyTotal() time.Duration {
 func (p *Pool) Reset() {
 	for i := range p.units {
 		p.units[i].Reset()
-	}
-}
-
-// Event is a unit of scheduled work in an EventQueue.
-type Event struct {
-	At Time
-	Fn func(now Time)
-
-	seq int // tie-break so equal-time events run in scheduling order
-}
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*Event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
-
-// EventQueue is a minimal discrete-event executor. Components schedule
-// callbacks at virtual times; RunUntil drains every event at or before a
-// horizon, advancing the associated clock as it goes. Events scheduled for
-// the same instant run in the order they were scheduled.
-type EventQueue struct {
-	clock *Clock
-	h     eventHeap
-	seq   int
-}
-
-// NewEventQueue builds an event queue bound to the given clock.
-func NewEventQueue(clock *Clock) *EventQueue {
-	return &EventQueue{clock: clock}
-}
-
-// ScheduleAt enqueues fn to run at virtual time t. Scheduling in the past is
-// clamped to the current time.
-func (q *EventQueue) ScheduleAt(t Time, fn func(now Time)) {
-	if now := q.clock.Now(); t < now {
-		t = now
-	}
-	q.seq++
-	heap.Push(&q.h, &Event{At: t, Fn: fn, seq: q.seq})
-}
-
-// ScheduleAfter enqueues fn to run d after the current virtual time.
-func (q *EventQueue) ScheduleAfter(d time.Duration, fn func(now Time)) {
-	q.ScheduleAt(q.clock.Now()+d, fn)
-}
-
-// Len reports the number of pending events.
-func (q *EventQueue) Len() int { return len(q.h) }
-
-// RunUntil executes every pending event with At <= horizon in time order,
-// then advances the clock to the horizon. Events may schedule further
-// events; those are honored if they also fall within the horizon.
-func (q *EventQueue) RunUntil(horizon Time) {
-	for len(q.h) > 0 && q.h[0].At <= horizon {
-		e := heap.Pop(&q.h).(*Event)
-		q.clock.AdvanceTo(e.At)
-		e.Fn(e.At)
-	}
-	q.clock.AdvanceTo(horizon)
-}
-
-// RunAll executes every pending event in time order and leaves the clock at
-// the time of the last event.
-func (q *EventQueue) RunAll() {
-	for len(q.h) > 0 {
-		e := heap.Pop(&q.h).(*Event)
-		q.clock.AdvanceTo(e.At)
-		e.Fn(e.At)
 	}
 }

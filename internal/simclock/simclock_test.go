@@ -7,42 +7,6 @@ import (
 	"time"
 )
 
-func TestClockStartsAtZero(t *testing.T) {
-	c := NewClock()
-	if got := c.Now(); got != 0 {
-		t.Fatalf("new clock Now() = %v, want 0", got)
-	}
-}
-
-func TestClockAdvance(t *testing.T) {
-	c := NewClock()
-	if got := c.Advance(5 * time.Millisecond); got != 5*time.Millisecond {
-		t.Fatalf("Advance returned %v, want 5ms", got)
-	}
-	c.Advance(3 * time.Millisecond)
-	if got := c.Now(); got != 8*time.Millisecond {
-		t.Fatalf("Now() = %v, want 8ms", got)
-	}
-}
-
-func TestClockAdvanceNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Advance(-1) did not panic")
-		}
-	}()
-	NewClock().Advance(-1)
-}
-
-func TestClockAdvanceToIsMonotonic(t *testing.T) {
-	c := NewClock()
-	c.AdvanceTo(10 * time.Second)
-	c.AdvanceTo(4 * time.Second) // past: must be a no-op
-	if got := c.Now(); got != 10*time.Second {
-		t.Fatalf("Now() = %v, want 10s", got)
-	}
-}
-
 func TestResourceIdleStartsImmediately(t *testing.T) {
 	var r Resource
 	start, end := r.Acquire(7*time.Millisecond, 2*time.Millisecond)
@@ -160,89 +124,4 @@ func TestNewPoolZeroPanics(t *testing.T) {
 		}
 	}()
 	NewPool(0)
-}
-
-func TestEventQueueOrdersEvents(t *testing.T) {
-	c := NewClock()
-	q := NewEventQueue(c)
-	var order []int
-	q.ScheduleAt(3*time.Millisecond, func(Time) { order = append(order, 3) })
-	q.ScheduleAt(1*time.Millisecond, func(Time) { order = append(order, 1) })
-	q.ScheduleAt(2*time.Millisecond, func(Time) { order = append(order, 2) })
-	q.RunAll()
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("event order = %v, want [1 2 3]", order)
-	}
-	if c.Now() != 3*time.Millisecond {
-		t.Fatalf("clock after RunAll = %v, want 3ms", c.Now())
-	}
-}
-
-func TestEventQueueSameInstantFIFO(t *testing.T) {
-	c := NewClock()
-	q := NewEventQueue(c)
-	var order []int
-	for i := 0; i < 5; i++ {
-		i := i
-		q.ScheduleAt(time.Millisecond, func(Time) { order = append(order, i) })
-	}
-	q.RunAll()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("same-instant order = %v, want ascending", order)
-		}
-	}
-}
-
-func TestEventQueueRunUntilHorizon(t *testing.T) {
-	c := NewClock()
-	q := NewEventQueue(c)
-	ran := 0
-	q.ScheduleAt(time.Millisecond, func(Time) { ran++ })
-	q.ScheduleAt(time.Hour, func(Time) { ran++ })
-	q.RunUntil(time.Second)
-	if ran != 1 {
-		t.Fatalf("ran %d events, want 1 (second is beyond horizon)", ran)
-	}
-	if c.Now() != time.Second {
-		t.Fatalf("clock = %v, want horizon 1s", c.Now())
-	}
-	if q.Len() != 1 {
-		t.Fatalf("pending = %d, want 1", q.Len())
-	}
-}
-
-func TestEventQueueCascadingEvents(t *testing.T) {
-	c := NewClock()
-	q := NewEventQueue(c)
-	depth := 0
-	var recur func(now Time)
-	recur = func(now Time) {
-		depth++
-		if depth < 4 {
-			q.ScheduleAfter(time.Millisecond, recur)
-		}
-	}
-	q.ScheduleAt(0, recur)
-	q.RunUntil(10 * time.Millisecond)
-	if depth != 4 {
-		t.Fatalf("cascade depth = %d, want 4", depth)
-	}
-}
-
-func TestEventQueuePastSchedulingClamps(t *testing.T) {
-	c := NewClock()
-	c.Advance(time.Second)
-	q := NewEventQueue(c)
-	fired := false
-	q.ScheduleAt(0, func(now Time) {
-		fired = true
-		if now != time.Second {
-			t.Errorf("past event ran at %v, want clamped to 1s", now)
-		}
-	})
-	q.RunAll()
-	if !fired {
-		t.Fatal("past-scheduled event never ran")
-	}
 }

@@ -23,6 +23,12 @@ import (
 	"icache/internal/simclock"
 )
 
+// HitLatency is the per-sample cost of a cache-served request: the
+// user-level RPC to a same-node cache server plus the copy, paid serially by
+// the fetching worker like PyTorch workers do. iCache and every baseline
+// charge it, so the figures that compare them compare like with like.
+const HitLatency = 20 * time.Microsecond
+
 // Config parameterizes a simulated backend.
 type Config struct {
 	// Servers is the number of storage servers the dataset is striped over.
@@ -266,14 +272,6 @@ func (d *DataSource) Injector() *faults.Injector {
 	return d.inj
 }
 
-// SetInjector attaches a caller-owned fault schedule (e.g. one shared with
-// a wrapped listener in a chaos test). Pass nil to detach.
-func (d *DataSource) SetInjector(inj *faults.Injector) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.inj = inj
-}
-
 // Fetch returns the payload of the sample, or an injected/real error.
 func (d *DataSource) Fetch(id dataset.SampleID) ([]byte, error) {
 	if !d.spec.Contains(id) {
@@ -300,11 +298,4 @@ func (d *DataSource) Reads() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.reads
-}
-
-// FailNext arranges for the next n Fetch calls to return err — a
-// compatibility shim over the faults injector for the original one-off
-// failure hook. New tests should program the injector directly.
-func (d *DataSource) FailNext(n int, err error) {
-	d.Injector().Add(faults.FailN(faults.OpSourceFetch, n, err))
 }

@@ -228,7 +228,7 @@ func TestDataSourceFetch(t *testing.T) {
 func TestDataSourceFailureInjection(t *testing.T) {
 	src, _ := NewDataSource(testSpec())
 	boom := errors.New("disk on fire")
-	src.FailNext(2, boom)
+	src.Injector().Add(faults.FailN(faults.OpSourceFetch, 2, boom))
 	for i := 0; i < 2; i++ {
 		if _, err := src.Fetch(0); !errors.Is(err, boom) {
 			t.Fatalf("fetch %d: err = %v, want injected", i, err)
@@ -240,7 +240,7 @@ func TestDataSourceFailureInjection(t *testing.T) {
 }
 
 // TestDataSourceConcurrentFailureInjection hammers Fetch from many
-// goroutines while FailNext re-arms concurrently — the scenario of the
+// goroutines while a FailN rule is re-armed concurrently — the scenario of the
 // async L-cache loader fetching while a test injects failures. Run under
 // -race this guards the injector migration; functionally it checks that
 // every call either serves a valid payload or the injected error.
@@ -254,7 +254,7 @@ func TestDataSourceConcurrentFailureInjection(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 200; i++ {
-			src.FailNext(1, boom)
+			src.Injector().Add(faults.FailN(faults.OpSourceFetch, 1, boom))
 		}
 	}()
 	var wg sync.WaitGroup

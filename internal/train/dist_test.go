@@ -20,7 +20,7 @@ func distBackend(t *testing.T) *storage.Backend {
 
 func TestDistDefaultRuns(t *testing.T) {
 	back := distBackend(t)
-	svc := cache.NewDistDefault(back, 2, back.Spec().TotalBytes()/5, cache.DefaultServiceConfig())
+	svc := cache.NewDistDefault(back, 2, back.Spec().TotalBytes()/5)
 	cfg := smallConfig(ResNet18, 2)
 	job, err := NewDistJob(cfg, svc)
 	if err != nil {
@@ -56,7 +56,7 @@ func TestDistICacheBeatsDistDefault(t *testing.T) {
 		return float64(steady.AvgEpochTime())
 	}
 	defTime := run(func(b *storage.Backend) DistService {
-		return cache.NewDistDefault(b, 2, b.Spec().TotalBytes()/5, cache.DefaultServiceConfig())
+		return cache.NewDistDefault(b, 2, b.Spec().TotalBytes()/5)
 	})
 	icTime := run(func(b *storage.Backend) DistService {
 		cl, err := icache.NewCluster(b, icache.DefaultClusterConfig(2, b.Spec().TotalBytes()/5), sampling.DefaultIIS(), 7)
@@ -94,7 +94,7 @@ func TestDistMoreNodesFaster(t *testing.T) {
 
 func TestNewDistJobValidates(t *testing.T) {
 	back := distBackend(t)
-	svc := cache.NewDistDefault(back, 2, 1<<20, cache.DefaultServiceConfig())
+	svc := cache.NewDistDefault(back, 2, 1<<20)
 	bad := smallConfig(ResNet18, 1)
 	bad.BatchSize = 0
 	if _, err := NewDistJob(bad, svc); err == nil {
