@@ -55,8 +55,11 @@ vet:
 # ServiceConfig), icache.Config's Clairvoyant switch (checked in
 # internal/icache: a client that sends its plan is the one switch), or code
 # no run reached (EventQueue, WrapSource, composeStatic, IsPermanent, the
-# always-zero icache_loader_wasted_ series), comments excepted. Subsumes
-# `vet` in `make all`.
+# always-zero icache_loader_wasted_ series), comments excepted. And there is
+# one training loop, train.Job, and a single job is its one-node case: the
+# non-test files of internal/train name no DistJob, runEpoch or
+# consumeIteration, and only job.go asks the fetch engine whether a batch is
+# ready (.batchReady(). Subsumes `vet` in `make all`.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -135,6 +138,13 @@ lint:
 	done); \
 	if [ -n "$$stray" ]; then \
 		echo "a dial nobody turns or a path nothing reaches (the simulator's fixed costs are constants; static packaging is fetchStaticChunk alone):"; echo "$$stray"; exit 1; \
+	fi
+	@stray=$$(for f in $$(ls internal/train/*.go | grep -v _test.go); do \
+		sed 's,//.*,,' $$f | grep -nwE 'DistJob|runEpoch|consumeIteration' | sed "s,^,$$f:,"; \
+		[ $$f = internal/train/job.go ] || sed 's,//.*,,' $$f | grep -nF '.batchReady(' | sed "s,^,$$f:,"; \
+	done); \
+	if [ -n "$$stray" ]; then \
+		echo "a second training loop (train.Job runs N nodes; a single job is the one-node case):"; echo "$$stray"; exit 1; \
 	fi
 	$(GO) vet ./...
 
@@ -303,7 +313,7 @@ fuzz-short:
 # line is the _test.go total, so a reduction made by moving code into test
 # files shows on the same target.
 loc:
-	@for p in internal/icache internal/rpc internal/dkv internal/wire internal/transport internal/dataset internal/obs internal/trace; do \
+	@for p in internal/icache internal/rpc internal/dkv internal/wire internal/transport internal/dataset internal/obs internal/trace internal/train; do \
 		echo "$$p $$(cat $$(ls $$p/*.go | grep -v _test.go) | wc -l)"; \
 	done
 	@echo "total $$(cat $$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*') | wc -l)"

@@ -3,7 +3,6 @@ package train
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"icache/internal/dataset"
 	"icache/internal/metrics"
@@ -13,7 +12,9 @@ import (
 
 // DistService is the data-service contract for multi-node data-parallel
 // training (§III-E / §V-G): one shared schedule per epoch, fetched shard by
-// shard on each node. icache.Cluster and the distributed baselines in
+// shard on each node. Every iteration waits for the slowest node's shard, so
+// a node starved by its shard's I/O stalls the whole job — which is why the
+// distributed cache matters. icache.Cluster and the distributed baselines in
 // internal/cache implement it.
 type DistService interface {
 	// Name identifies the scheme in experiment output.
@@ -29,223 +30,14 @@ type DistService interface {
 	Stats() metrics.CacheStats
 }
 
-// DistJob simulates synchronous data-parallel training across nodes: in
-// every iteration each node fetches and computes its own mini-batch, and an
-// all-reduce barrier synchronizes gradient updates, so the iteration
-// completes when the slowest node is done. A node starved by its shard's
-// I/O therefore stalls the whole job — which is why the distributed cache
-// matters.
-type DistJob struct {
-	cfg   Config
-	nodes int
-	svc   DistService
-
-	tracker *sampling.Tracker
-	loss    *LossModel
-	acc     *accuracyModel
-	rng     *rand.Rand
-
-	run metrics.RunStats
-}
-
-// NewDistJob builds a distributed job. cfg.GPUs is interpreted as GPUs per
-// node (the paper's cloud experiment uses one per node).
-func NewDistJob(cfg Config, svc DistService) (*DistJob, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// NewDistJob builds a job that trains on every node of svc in lockstep:
+// batch k is fetched by node k mod Nodes(), and an iteration completes when
+// the slowest node's shard has been computed and the gradients all-reduced,
+// so a starved node stalls the whole job. cfg.Workers and cfg.GPUs are per
+// node (the paper's cloud experiment uses one GPU per node).
+func NewDistJob(cfg Config, svc DistService) (*Job, error) {
 	if svc.Nodes() <= 0 {
 		return nil, fmt.Errorf("train: dist service reports %d nodes", svc.Nodes())
 	}
-	tr, err := sampling.NewTracker(cfg.Dataset.NumSamples, cfg.TrackerInit, cfg.TrackerDecay)
-	if err != nil {
-		return nil, err
-	}
-	lm, err := NewLossModel(cfg.Dataset, modelSalt(cfg.Model.Name))
-	if err != nil {
-		return nil, err
-	}
-	return &DistJob{
-		cfg:     cfg,
-		nodes:   svc.Nodes(),
-		svc:     svc,
-		tracker: tr,
-		loss:    lm,
-		acc:     newAccuracyModel(cfg.Model, cfg.Dataset, uint64(cfg.Seed)*0x51D7+3),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		run:     metrics.RunStats{Scheme: svc.Name()},
-	}, nil
-}
-
-// Run simulates all configured epochs and returns per-epoch statistics.
-func (d *DistJob) Run() metrics.RunStats {
-	var now simclock.Time
-	for epoch := 0; epoch < d.cfg.Epochs; epoch++ {
-		now = d.runEpoch(epoch, now)
-	}
-	return d.run
-}
-
-func (d *DistJob) runEpoch(epoch int, t0 simclock.Time) simclock.Time {
-	d.loss.BeginEpoch(epoch)
-	sched := d.svc.BeginEpoch(t0, epoch, d.tracker, d.rng)
-	batches := sched.Batches(d.cfg.BatchSize)
-	flags := make([][]bool, 0, len(batches))
-	for i := 0; i < len(sched.Fetch); i += d.cfg.BatchSize {
-		end := i + d.cfg.BatchSize
-		if end > len(sched.Fetch) {
-			end = len(sched.Fetch)
-		}
-		flags = append(flags, sched.Train[i:end])
-	}
-
-	iters := (len(batches) + d.nodes - 1) / d.nodes
-	iterDone := make([]simclock.Time, iters)
-	iterPtr := 0
-	gpuFree := t0
-	statsBefore := d.svc.Stats()
-
-	var stall, compute, fetchBusy time.Duration
-	fetched, trained := 0, 0
-	distinct := make(map[dataset.SampleID]struct{}, len(sched.Fetch))
-	subs := 0
-
-	depth := d.cfg.Workers * d.cfg.PrefetchFactor // in per-node batch ordinals
-	engine := newFetchEngine(batches, d.nodes, d.cfg.Workers, t0,
-		d.svc.FetchBatchOn,
-		func(k int) (simclock.Time, bool) {
-			ord := k / d.nodes
-			if ord < depth {
-				return t0, true
-			}
-			if ord-depth < iterPtr {
-				return iterDone[ord-depth], true
-			}
-			return 0, false
-		},
-		d.cfg.PreprocessPerSample)
-
-	// consumeIteration performs the lockstep step once every shard of
-	// iteration iterPtr is ready.
-	consumeIteration := func() bool {
-		if iterPtr >= iters {
-			return false
-		}
-		first := iterPtr * d.nodes
-		last := first + d.nodes
-		if last > len(batches) {
-			last = len(batches)
-		}
-		var maxReady simclock.Time
-		var maxCompute time.Duration
-		for k := first; k < last; k++ {
-			r, ok := engine.batchReady(k)
-			if !ok {
-				return false
-			}
-			if r > maxReady {
-				maxReady = r
-			}
-			nTrain := 0
-			for _, f := range flags[k] {
-				if f {
-					nTrain++
-				}
-			}
-			var c time.Duration
-			if nTrain > 0 {
-				c = d.cfg.Model.PerSampleGPU*time.Duration(nTrain)/time.Duration(d.cfg.GPUs) + d.cfg.Model.AllReduce(d.cfg.GPUs)
-			}
-			if c > maxCompute {
-				maxCompute = c
-			}
-		}
-		computeStart := gpuFree
-		if maxReady > computeStart {
-			stall += maxReady - computeStart
-			computeStart = maxReady
-		}
-		gpuFree = computeStart + maxCompute + d.cfg.Model.AllReduce(d.nodes)
-		iterDone[iterPtr] = gpuFree
-		compute += maxCompute
-
-		for k := first; k < last; k++ {
-			served := engine.servedIDs(k)
-			batch := batches[k]
-			for i := range batch {
-				if served[i] != batch[i] {
-					subs++
-				}
-			}
-			fetched += len(batch)
-			for i, id := range served {
-				if flags[k][i] {
-					l := d.loss.Train(id)
-					d.tracker.Observe(id, l)
-					distinct[id] = struct{}{}
-					trained++
-				}
-			}
-		}
-		iterPtr++
-		return true
-	}
-
-	for iterPtr < iters {
-		if w, _, ok := engine.nextEvent(); ok {
-			_, completed, busy := engine.stepWorker(w)
-			fetchBusy += busy
-			if completed {
-				for consumeIteration() {
-				}
-			}
-			continue
-		}
-		if !consumeIteration() {
-			panic("train: distributed pipeline deadlock")
-		}
-	}
-
-	trainedFrac := float64(len(distinct)) / float64(d.cfg.Dataset.NumSamples)
-	skippedImp := skippedImportanceMean(d.tracker, sched.Fetch)
-	var subFrac float64
-	if trained > 0 {
-		subFrac = float64(subs) / float64(trained)
-	}
-	src := SubSourceHCache
-	if s, ok := d.svc.(SubstitutionSourcer); ok {
-		src = ParseSubSource(s.SubstitutionSource())
-	}
-	var lcFrac, hcFrac float64
-	switch src {
-	case SubSourceLCache:
-		lcFrac = subFrac
-	case SubSourceHCache:
-		hcFrac = subFrac
-	}
-	d.acc.observeEpoch(epochDistortion(d.cfg.Model.AccuracySensitivity, trainedFrac, skippedImp, lcFrac, hcFrac))
-	top1, top5 := d.acc.accuracy()
-
-	after := d.svc.Stats()
-	d.run.Epochs = append(d.run.Epochs, metrics.EpochStats{
-		Epoch:          epoch,
-		Duration:       gpuFree - t0,
-		IOStall:        stall,
-		Compute:        compute,
-		FetchBusy:      fetchBusy,
-		SamplesFetched: fetched,
-		SamplesTrained: trained,
-		Cache: metrics.CacheStats{
-			Hits:          after.Hits - statsBefore.Hits,
-			Misses:        after.Misses - statsBefore.Misses,
-			Substitutions: after.Substitutions - statsBefore.Substitutions,
-			Degraded:      after.Degraded - statsBefore.Degraded,
-			Inserts:       after.Inserts - statsBefore.Inserts,
-			Evictions:     after.Evictions - statsBefore.Evictions,
-			Rejections:    after.Rejections - statsBefore.Rejections,
-		},
-		Top1: top1,
-		Top5: top5,
-	})
-	return gpuFree
+	return newJob(cfg, svc, svc.Nodes(), svc.FetchBatchOn)
 }

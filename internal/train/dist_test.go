@@ -1,6 +1,7 @@
 package train
 
 import (
+	"reflect"
 	"testing"
 
 	"icache/internal/cache"
@@ -94,10 +95,38 @@ func TestDistMoreNodesFaster(t *testing.T) {
 
 func TestNewDistJobValidates(t *testing.T) {
 	back := distBackend(t)
-	svc := cache.NewDistDefault(back, 2, 1<<20)
 	bad := smallConfig(ResNet18, 1)
 	bad.BatchSize = 0
-	if _, err := NewDistJob(bad, svc); err == nil {
-		t.Fatal("invalid config accepted")
+	for name, tc := range map[string]struct {
+		cfg Config
+		svc DistService
+	}{
+		"config":   {bad, cache.NewDistDefault(back, 2, 1<<20)},
+		"no nodes": {smallConfig(ResNet18, 1), cache.NewDistDefault(back, 0, 1<<20)},
+	} {
+		if _, err := NewDistJob(tc.cfg, tc.svc); err == nil {
+			t.Errorf("%s: invalid job accepted", name)
+		}
+	}
+}
+
+// A one-node cluster is a single job: the same spec, seed and config give the
+// same epochs, accuracy included, whichever constructor built the job.
+func TestOneNodeDistJobIsAJob(t *testing.T) {
+	cfg := smallConfig(ResNet18, 3)
+	cfg.Criterion = sampling.CriterionGradUpper
+	cfg.EchoFactor = 1
+	capacity := smallSpec().TotalBytes() / 5
+	single, err := NewJob(cfg, cache.NewDefault(distBackend(t), capacity))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist, err := NewDistJob(cfg, cache.NewDistDefault(distBackend(t), 1, capacity))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := single.Run().Epochs, dist.Run().Epochs
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("one-node dist job differs from a single job:\n got  %+v\n want %+v", got, want)
 	}
 }

@@ -111,14 +111,22 @@ func (c Config) Validate() error {
 	return c.Criterion.Validate()
 }
 
-// Job simulates one training job as a resumable stepper: each Step advances
-// one data-loading worker by one chunk and consumes any mini-batches that
-// became ready, in order, on the GPU. Steppers let several jobs interleave
-// on a shared virtual timeline (multi-job experiments) while a single job
-// just steps to completion.
+// Job simulates one synchronous data-parallel training job as a resumable
+// stepper. An iteration is one mini-batch from every node, trained in
+// lockstep: it starts when the slowest node's shard has arrived, lasts as
+// long as the slowest shard's compute, then pays the gradient all-reduce
+// across nodes. A node starved by its shard's I/O therefore stalls the whole
+// job, which is why the distributed cache matters. A single job is the
+// one-node case. Each Step advances one data-loading worker by one chunk and
+// consumes any iterations that became ready, in order, on the GPUs. Steppers
+// let several jobs interleave on a shared virtual timeline (multi-job
+// experiments) while a single job just steps to completion.
 type Job struct {
-	cfg Config
-	svc DataService
+	cfg    Config
+	svc    epochService
+	nodes  int
+	fetch  fetchFn
+	subSrc SubSource
 
 	tracker *sampling.Tracker
 	loss    *LossModel
@@ -131,8 +139,8 @@ type Job struct {
 	engine  *fetchEngine
 	flags   [][]bool
 	gpuFree simclock.Time
-	gpuDone []simclock.Time
-	gpuPtr  int // next batch the GPU consumes
+	gpuDone []simclock.Time // per iteration
+	gpuPtr  int             // next iteration the GPUs consume
 
 	// Per-epoch accumulators.
 	stall, compute, fetchBusy time.Duration
@@ -140,8 +148,8 @@ type Job struct {
 	echoed                    int // sample-trainings performed as data echoes
 	distinct                  map[dataset.SampleID]struct{}
 	subLC, subHC              int
-	// prevCompute/prevTrained describe the last consumed batch, which data
-	// echoing replays during stalls.
+	// prevCompute/prevTrained describe the last consumed iteration, which
+	// data echoing replays during stalls.
 	prevCompute       time.Duration
 	prevTrained       int
 	statsAtEpochStart metrics.CacheStats
@@ -151,8 +159,22 @@ type Job struct {
 	done bool
 }
 
-// NewJob builds a job over the given data service.
+// epochService is the part of the service that DataService and DistService
+// share; how a batch is fetched is the job's fetchFn.
+type epochService interface {
+	Name() string
+	BeginEpoch(at simclock.Time, epoch int, tr *sampling.Tracker, rng *rand.Rand) sampling.Schedule
+	Stats() metrics.CacheStats
+}
+
+// NewJob builds a single-node job over the given data service.
 func NewJob(cfg Config, svc DataService) (*Job, error) {
+	return newJob(cfg, svc, 1, func(_ int, at simclock.Time, ids []dataset.SampleID) (simclock.Time, []dataset.SampleID) {
+		return svc.FetchBatch(at, ids)
+	})
+}
+
+func newJob(cfg Config, svc epochService, nodes int, fetch fetchFn) (*Job, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -164,9 +186,16 @@ func NewJob(cfg Config, svc DataService) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
+	subSrc := SubSourceHCache
+	if s, ok := svc.(SubstitutionSourcer); ok {
+		subSrc = ParseSubSource(s.SubstitutionSource())
+	}
 	j := &Job{
 		cfg:     cfg,
 		svc:     svc,
+		nodes:   nodes,
+		fetch:   fetch,
+		subSrc:  subSrc,
 		tracker: tr,
 		loss:    lm,
 		acc:     newAccuracyModel(cfg.Model, cfg.Dataset, uint64(cfg.Seed)*0x9E37+1),
@@ -216,7 +245,7 @@ func (j *Job) beginEpoch() {
 		j.flags = append(j.flags, sched.Train[i:end])
 	}
 	j.gpuFree = j.now
-	j.gpuDone = make([]simclock.Time, len(batches))
+	j.gpuDone = make([]simclock.Time, (len(batches)+j.nodes-1)/j.nodes)
 	j.gpuPtr = 0
 	j.stall, j.compute, j.fetchBusy = 0, 0, 0
 	j.fetched, j.trained, j.echoed = 0, 0, 0
@@ -225,17 +254,15 @@ func (j *Job) beginEpoch() {
 	j.distinct = make(map[dataset.SampleID]struct{}, len(sched.Fetch))
 	j.statsAtEpochStart = j.svc.Stats()
 
-	depth := j.cfg.Workers * j.cfg.PrefetchFactor
-	j.engine = newFetchEngine(batches, 1, j.cfg.Workers, j.now,
-		func(_ int, at simclock.Time, ids []dataset.SampleID) (simclock.Time, []dataset.SampleID) {
-			return j.svc.FetchBatch(at, ids)
-		},
+	depth := j.cfg.Workers * j.cfg.PrefetchFactor // in iterations
+	j.engine = newFetchEngine(batches, j.nodes, j.cfg.Workers, j.now, j.fetch,
 		func(k int) (simclock.Time, bool) {
-			if k < depth {
+			it := k / j.nodes
+			if it < depth {
 				return j.now, true
 			}
-			if k-depth < j.gpuPtr {
-				return j.gpuDone[k-depth], true
+			if it-depth < j.gpuPtr {
+				return j.gpuDone[it-depth], true
 			}
 			return 0, false
 		},
@@ -280,49 +307,23 @@ func (j *Job) Step() bool {
 	return !j.done
 }
 
-// drainGPU consumes every ready batch in schedule order, reporting whether
-// any progress was made.
+// drainGPU consumes every ready iteration in schedule order, reporting
+// whether any progress was made.
 func (j *Job) drainGPU() bool {
 	progressed := false
+	allReduce := j.cfg.Model.AllReduce(j.nodes)
 	for j.gpuPtr < len(j.gpuDone) {
-		ready, ok := j.engine.batchReady(j.gpuPtr)
+		ready, computeT, ok := j.iterationReady(j.gpuPtr)
 		if !ok {
 			break
 		}
-		k := j.gpuPtr
-		flags := j.flags[k]
-		served := j.engine.servedIDs(k)
-		batch := j.engine.batches[k]
-
-		src := substitutionSource(j.svc)
-		for i := range batch {
-			if served[i] != batch[i] {
-				if src == SubSourceLCache {
-					j.subLC++
-				} else {
-					j.subHC++
-				}
-			}
-		}
-		j.fetched += len(batch)
-
-		nTrain := 0
-		for _, f := range flags {
-			if f {
-				nTrain++
-			}
-		}
-		var computeT time.Duration
-		if nTrain > 0 {
-			computeT = j.cfg.Model.PerSampleGPU*time.Duration(nTrain)/time.Duration(j.cfg.GPUs) + j.cfg.Model.AllReduce(j.cfg.GPUs)
-		}
 		computeStart := j.gpuFree
 		if ready > computeStart {
-			// Data echoing: replay the previous batch while the next one is
-			// still in flight, up to EchoFactor times, instead of stalling.
+			// Data echoing: replay the previous iteration while the next one
+			// is still in flight, up to EchoFactor times, instead of stalling.
 			if j.cfg.EchoFactor > 0 && j.prevCompute > 0 {
-				for e := 0; e < j.cfg.EchoFactor && computeStart+j.prevCompute <= ready; e++ {
-					computeStart += j.prevCompute
+				for e := 0; e < j.cfg.EchoFactor && computeStart+j.prevCompute+allReduce <= ready; e++ {
+					computeStart += j.prevCompute + allReduce
 					j.compute += j.prevCompute
 					j.echoed += j.prevTrained
 				}
@@ -332,31 +333,63 @@ func (j *Job) drainGPU() bool {
 				computeStart = ready
 			}
 		}
-		j.gpuFree = computeStart + computeT
-		j.gpuDone[k] = j.gpuFree
+		j.gpuFree = computeStart + computeT + allReduce
+		j.gpuDone[j.gpuPtr] = j.gpuFree
 		j.compute += computeT
-		j.prevCompute, j.prevTrained = computeT, nTrain
 
-		for i, id := range served {
-			if flags[i] {
-				l := j.loss.Train(id)
-				j.tracker.Observe(id, j.cfg.Criterion.Score(l))
-				j.distinct[id] = struct{}{}
-				j.trained++
-			}
+		trainedBefore := j.trained
+		for k := j.gpuPtr * j.nodes; k < min((j.gpuPtr+1)*j.nodes, len(j.flags)); k++ {
+			j.trainBatch(k)
 		}
+		j.prevCompute, j.prevTrained = computeT, j.trained-trainedBefore
 		j.gpuPtr++
 		progressed = true
 	}
 	return progressed
 }
 
-// substitutionSource asks the service how severe its substitutions are.
-func substitutionSource(svc DataService) SubSource {
-	if s, ok := svc.(SubstitutionSourcer); ok {
-		return ParseSubSource(s.SubstitutionSource())
+// iterationReady reports when every shard of iteration it has arrived and
+// how long the slowest shard computes; ok is false while a shard is still
+// in flight.
+func (j *Job) iterationReady(it int) (ready simclock.Time, computeT time.Duration, ok bool) {
+	for k := it * j.nodes; k < min((it+1)*j.nodes, len(j.flags)); k++ {
+		r, ok := j.engine.batchReady(k)
+		if !ok {
+			return 0, 0, false
+		}
+		nTrain := 0
+		for _, f := range j.flags[k] {
+			if f {
+				nTrain++
+			}
+		}
+		var c time.Duration
+		if nTrain > 0 {
+			c = j.cfg.Model.PerSampleGPU*time.Duration(nTrain)/time.Duration(j.cfg.GPUs) + j.cfg.Model.AllReduce(j.cfg.GPUs)
+		}
+		ready, computeT = max(ready, r), max(computeT, c)
 	}
-	return SubSourceHCache
+	return ready, computeT, true
+}
+
+// trainBatch counts batch k's substitutions and trains its flagged samples.
+func (j *Job) trainBatch(k int) {
+	batch, served, flags := j.engine.batches[k], j.engine.servedIDs(k), j.flags[k]
+	for i, id := range served {
+		if id != batch[i] {
+			if j.subSrc == SubSourceLCache {
+				j.subLC++
+			} else {
+				j.subHC++
+			}
+		}
+		if flags[i] {
+			j.tracker.Observe(id, j.cfg.Criterion.Score(j.loss.Train(id)))
+			j.distinct[id] = struct{}{}
+			j.trained++
+		}
+	}
+	j.fetched += len(batch)
 }
 
 // finishEpoch closes out epoch accounting, updates the accuracy model, and
@@ -379,8 +412,6 @@ func (j *Job) finishEpoch() {
 		echoCoeff*echoFrac*j.cfg.Model.AccuracySensitivity)
 	top1, top5 := j.acc.accuracy()
 
-	after := j.svc.Stats()
-	before := j.statsAtEpochStart
 	j.run.Epochs = append(j.run.Epochs, metrics.EpochStats{
 		Epoch:          j.epoch,
 		Duration:       duration,
@@ -389,17 +420,9 @@ func (j *Job) finishEpoch() {
 		FetchBusy:      j.fetchBusy,
 		SamplesFetched: j.fetched,
 		SamplesTrained: j.trained,
-		Cache: metrics.CacheStats{
-			Hits:          after.Hits - before.Hits,
-			Misses:        after.Misses - before.Misses,
-			Substitutions: after.Substitutions - before.Substitutions,
-			Degraded:      after.Degraded - before.Degraded,
-			Inserts:       after.Inserts - before.Inserts,
-			Evictions:     after.Evictions - before.Evictions,
-			Rejections:    after.Rejections - before.Rejections,
-		},
-		Top1: top1,
-		Top5: top5,
+		Cache:          j.svc.Stats().Sub(j.statsAtEpochStart),
+		Top1:           top1,
+		Top5:           top5,
 	})
 
 	j.epoch++
