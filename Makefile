@@ -59,7 +59,10 @@ vet:
 # one training loop, train.Job, and a single job is its one-node case: the
 # non-test files of internal/train name no DistJob, runEpoch or
 # consumeIteration, and only job.go asks the fetch engine whether a batch is
-# ready (.batchReady(). Subsumes `vet` in `make all`.
+# ready (.batchReady(). And the wire reads its packages' bytes: the non-test
+# files of internal/rpc call no storage-model read (ReadPackage( or
+# ReadSample(, comments excepted) — a package is composed by the policy engine
+# and read by the prefetch pool's member reads. Subsumes `vet` in `make all`.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -146,6 +149,12 @@ lint:
 	if [ -n "$$stray" ]; then \
 		echo "a second training loop (train.Job runs N nodes; a single job is the one-node case):"; echo "$$stray"; exit 1; \
 	fi
+	@stray=$$(for f in $$(ls internal/rpc/*.go | grep -v _test.go); do \
+		sed 's,//.*,,' $$f | grep -nE 'ReadPackage\(|ReadSample\(' | sed "s,^,$$f:,"; \
+	done); \
+	if [ -n "$$stray" ]; then \
+		echo "a storage-model read on the wire (packages are read by the prefetch pool's member reads):"; echo "$$stray"; exit 1; \
+	fi
 	$(GO) vet ./...
 
 test:
@@ -222,7 +231,9 @@ bench:
 # batch of each), observability
 # overhead, the virtual-time sharded directory, the directory client's
 # ownership-write combiner (BenchmarkOwnershipWrites: ns and frames per claim
-# from 1 and 64 concurrent claimers), the loadgen saturation /
+# from 1 and 64 concurrent claimers), the L-cache package delivery
+# (BenchmarkPackageDelivery: ns per member of the one policyMu hold that
+# inserts, evicts and stores a package), the loadgen saturation /
 # overload / clairvoyant runs, and BenchmarkShortSleep (what the repository
 # benchmark's 500 us backend sleep costs in an idle and in a busy process). Nothing is archived or compared: the benchmarks that gate
 # anything carry their own b.Fatalf (BenchmarkLoadgenOverload: storm goodput

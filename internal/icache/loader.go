@@ -50,6 +50,7 @@ type loader struct {
 
 	packages int64 // packages issued
 	samples  int64 // samples shipped in packages
+	inFlight bool  // the package a reader holds (Server.SetPackageReader)
 }
 
 type packageArrival struct {

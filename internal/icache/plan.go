@@ -14,7 +14,7 @@ import (
 //     re-packing, in first-access order, so the dynamic-packaging loader's
 //     next packages are composed of exactly the samples the epoch is about
 //     to consume instead of random fill. Which L-samples are resident stays
-//     the policy's decision; their bytes arrive on first request.
+//     the policy's decision; on the wire their bytes arrive with the package.
 //   - Scheduled H-samples that are not resident are returned, in
 //     first-access order, for the caller to pre-place: the RPC layer queues
 //     them on its prefetch pool — the one prefetcher it has — whose workers

@@ -48,6 +48,9 @@ type Server struct {
 	claim   func(dataset.SampleID) bool
 	release func(dataset.SampleID)
 	onMiss  func(at simclock.Time, id dataset.SampleID) (simclock.Time, missOutcome)
+	// readPackage is the package I/O SetPackageReader installs; nil in the
+	// simulator.
+	readPackage func(ids []dataset.SampleID)
 
 	// hlist is the active H-list: the job's own in single-job mode, or the
 	// AIV-combined list installed by a Coordinator. hlistIV indexes its
@@ -164,11 +167,12 @@ func (s *Server) SubstitutionSource() string {
 type View struct {
 	Cache      metrics.CacheStats
 	HLen, LLen int
-	// Packages counts the loading thread's package fetches. LoaderUseful is
-	// the bytes delivered into the L-cache; LoaderWasted the bytes static
-	// packaging's chunk reads carried that could not be cached (its read
-	// amplification; 0 under dynamic packaging).
+	// Packages counts the loading thread's package fetches (Loading: one is
+	// in flight). LoaderUseful is the bytes delivered into the L-cache;
+	// LoaderWasted the bytes static packaging's chunk reads carried that
+	// could not be cached (its read amplification; 0 under dynamic packaging).
 	Packages                   int64
+	Loading                    bool
 	LoaderUseful, LoaderWasted int64
 	// Tier2Len and Tier2Hits are the spill tier's residents and the misses
 	// it served (0 when the tier is disabled).
@@ -187,6 +191,7 @@ func (s *Server) View() View {
 		HLen:         s.h.len(),
 		LLen:         s.l.len(),
 		Packages:     s.ld.packages,
+		Loading:      s.ld.inFlight,
 		LoaderUseful: s.ld.usefulBytes,
 		LoaderWasted: s.ld.wastedBytes,
 		Ledger:       s.decisionLedger(),
@@ -226,8 +231,7 @@ func (s *Server) startEpoch(at simclock.Time) {
 	if s.cfg.EnableLCache && s.cfg.Packaging != PackagingStatic {
 		// Static chunks are read in the foreground on demand; only dynamic
 		// packaging has a background loading thread to roll forward.
-		s.ld.pump(at, s.hlist, s.h, s.l)
-		s.ld.deliver(at, s.l)
+		s.load(at)
 	}
 	s.epochHReq, s.epochLReq = 0, 0
 }
@@ -351,7 +355,7 @@ func (s *Server) FetchBatch(at simclock.Time, ids []dataset.SampleID) (simclock.
 // worker, no sample waits on an earlier one's simulated read: the RPC
 // serving path, which calls this once per request with a pooled scratch
 // slice, reads a request's misses concurrently and drives policy time by
-// the wall clock, so the loader is never pumped past the present.
+// the wall clock; its package reader loads the L-cache.
 func (s *Server) FetchBatchInto(at simclock.Time, ids []dataset.SampleID, dst *[]dataset.SampleID) simclock.Time {
 	end := at
 	for _, id := range ids {
@@ -428,8 +432,7 @@ func (s *Server) fetchOne(at simclock.Time, id dataset.SampleID, routing *sampli
 	}
 
 	// Bring the background loader up to the current instant first.
-	s.ld.pump(at, s.hlist, s.h, s.l)
-	s.ld.deliver(at, s.l)
+	s.load(at)
 
 	if s.l.takeExact(id) {
 		s.stats.Hits++
@@ -455,6 +458,42 @@ func (s *Server) fetchOne(at simclock.Time, id dataset.SampleID, routing *sampli
 	}
 	return s.backend.ReadSample(at, id)
 }
+
+// load rolls the loading thread forward to at on the storage model, or, with
+// a package reader set, composes a package where the simulator would issue one
+// and hands it over: no model ticks and no repackPerSample is charged.
+func (s *Server) load(at simclock.Time) {
+	switch {
+	case s.readPackage == nil:
+		s.ld.pump(at, s.hlist, s.h, s.l)
+		s.ld.deliver(at, s.l)
+	case !s.ld.inFlight && s.l.capBytes-s.l.unusedBytes() >= int64(s.ld.pkgBytes):
+		if ids, _ := s.ld.composePackage(s.hlist, s.h, s.l); len(ids) > 0 {
+			s.ld.inFlight = true
+			s.ld.packages++
+			s.readPackage(ids)
+		}
+	}
+}
+
+// SetPackageReader hands package I/O to read, called under the caller's lock
+// with each package's ids; the reader lands them (DeliverMember, EndPackage).
+func (s *Server) SetPackageReader(read func(ids []dataset.SampleID)) { s.readPackage = read }
+
+// DeliverMember inserts a member of the package in flight into the L-cache,
+// evicting as any insert does, unless the H-cache holds it meanwhile; it
+// reports whether the member is L-resident. EndPackage ends the package.
+func (s *Server) DeliverMember(id dataset.SampleID) bool {
+	size := s.spec.SampleBytes(id)
+	if s.h.contains(id) || !s.l.insert(id, size) {
+		return false
+	}
+	s.ld.usefulBytes += int64(size)
+	return true
+}
+
+// EndPackage ends the package in flight; the engine may compose the next.
+func (s *Server) EndPackage() { s.ld.inFlight = false }
 
 // missOutcome is the distributed mode's answer to a request nothing local
 // could serve.

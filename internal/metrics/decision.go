@@ -34,10 +34,12 @@ type DecisionStats struct {
 
 	// Admission provenance: what motivated each payload-store insert.
 	// Peer-fetched bytes are forwarded, never admitted locally, so they have
-	// no class here.
+	// no class here. AdmitPackage counts the L-cache package members the
+	// wire's loader read and delivered.
 	AdmitFetch     int64
 	AdmitPrefetch  int64
 	AdmitRehydrate int64
+	AdmitPackage   int64
 
 	// Prefetch outcome ledger. Issued counts every id offered to the pool;
 	// in-time means the prefetched payload served a request before anything

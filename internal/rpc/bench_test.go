@@ -634,3 +634,46 @@ func BenchmarkServeHotSet(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPackageDelivery times the one policyMu hold that lands an L-cache
+// package (Server.deliver): insert every member into the L-cache, evict the
+// oldest residents to make room (the observer deletes their bytes) and store
+// the members' bytes. The spec and cache share are train_epochs', so a
+// package is 41 members of 4 KiB and each delivery evicts about as many; the
+// metric is ns per delivered member.
+func BenchmarkPackageDelivery(b *testing.B) {
+	spec := dataset.Spec{Name: "bench", NumSamples: 4096, MeanSampleBytes: 4096, Seed: 7}
+	back, err := storage.NewBackend(spec, storage.OrangeFS())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cacheSrv, err := icache.NewServer(back, icache.DefaultConfig(spec.TotalBytes()/5), sampling.DefaultIIS(), 11)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src, err := storage.NewDataSource(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := NewServer(cacheSrv, src)
+	b.Cleanup(func() { srv.Close() })
+	const members = 41
+	ids := make([]dataset.SampleID, spec.NumSamples/members*members)
+	bufs := make([][]byte, len(ids))
+	for i := range ids {
+		ids[i] = dataset.SampleID(i)
+		if bufs[i], err = src.Fetch(ids[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		k := n % (len(ids) / members) * members
+		srv.deliver(&pkgLoad{ids: ids[k : k+members], bufs: bufs[k : k+members]})
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*members), "ns/member")
+	if engineView(srv).LLen == 0 {
+		b.Fatal("no member was delivered")
+	}
+}

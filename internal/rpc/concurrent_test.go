@@ -230,18 +230,18 @@ func TestConcurrentMissCoalescing(t *testing.T) {
 }
 
 // TestUnplannedEpochIssuesNoPrefetch: the epoch plan is the only prefetcher.
-// An L-cache-on server whose client crosses plain boundaries keeps loading
-// L-packages into the policy's residency, but it issues no prefetch: every
-// backend read is a demand fetch, and the payload store holds only what the
-// policy keeps resident.
+// An L-cache-on server whose client crosses plain boundaries loads L-packages,
+// bytes and residency together, but it issues no plan entry: every backend
+// read is a demand fetch or a package member's read, and the payload store
+// holds only what the policy keeps resident.
 func TestUnplannedEpochIssuesNoPrefetch(t *testing.T) {
 	defer leakcheck.Check(t)
 	srv, addr, src := startServer(t)
 	cl := dial(t, addr)
 	spec := testSpec()
 
-	// Small H-list; everything else is L. L misses seed the loader's
-	// repack queue, and wall-clock time moves its virtual timeline.
+	// Small H-list; everything else is L. L-requests compose packages, and
+	// L misses are re-packed first.
 	var items []sampling.Item
 	for id := dataset.SampleID(0); id < 20; id++ {
 		items = append(items, sampling.Item{ID: id, IV: 5})
@@ -269,11 +269,14 @@ func TestUnplannedEpochIssuesNoPrefetch(t *testing.T) {
 		lenL = engineView(srv).LLen
 		time.Sleep(10 * time.Millisecond)
 	}
+	waitLoaded(t, srv)
 	if d := srv.DecisionStats(); d.PrefetchIssued != 0 || d.AdmitPrefetch != 0 {
 		t.Fatalf("%d prefetches issued, %d admitted without a plan; want none", d.PrefetchIssued, d.AdmitPrefetch)
 	}
-	if reads, demand := src.Reads(), srv.DemandFetches(); reads != demand {
-		t.Fatalf("%d backend reads, %d of them demand fetches; want every read a demand fetch", reads, demand)
+	reads, demand, members := src.Reads(), srv.DemandFetches(), srv.packageReads.Load()
+	if members == 0 || reads != demand+members {
+		t.Fatalf("%d backend reads: %d demand fetches, %d package-member reads; want every other read a member's",
+			reads, demand, members)
 	}
-	requireStoreWithinResidents(t, srv)
+	requireLResidentsStored(t, srv)
 }

@@ -20,6 +20,7 @@ const (
 	provFetch admitProv = iota
 	provPrefetch
 	provRehydrate
+	provPackage
 )
 
 // rpcDecisions holds the serving-layer decision counters (atomics).
@@ -27,6 +28,7 @@ type rpcDecisions struct {
 	admitFetch     int64
 	admitPrefetch  int64
 	admitRehydrate int64
+	admitPackage   int64
 }
 
 func (d *rpcDecisions) countAdmit(prov admitProv) {
@@ -35,6 +37,8 @@ func (d *rpcDecisions) countAdmit(prov admitProv) {
 		atomic.AddInt64(&d.admitPrefetch, 1)
 	case provRehydrate:
 		atomic.AddInt64(&d.admitRehydrate, 1)
+	case provPackage:
+		atomic.AddInt64(&d.admitPackage, 1)
 	default:
 		atomic.AddInt64(&d.admitFetch, 1)
 	}
@@ -80,5 +84,6 @@ func (s *Server) overlayServingDecisions(d *metrics.DecisionStats) {
 	d.AdmitFetch = atomic.LoadInt64(&s.dec.admitFetch)
 	d.AdmitPrefetch = atomic.LoadInt64(&s.dec.admitPrefetch)
 	d.AdmitRehydrate = atomic.LoadInt64(&s.dec.admitRehydrate)
+	d.AdmitPackage = atomic.LoadInt64(&s.dec.admitPackage)
 	s.prefetch.ledger(d)
 }

@@ -113,7 +113,8 @@ func idRange(lo, hi dataset.SampleID) []dataset.SampleID {
 
 // TestRepeatMissesAskTheDirectoryOncePerEpoch: four reads of 16 ids node A
 // owns cost node B one LookupBatch in all, and one more after an epoch
-// boundary; every sample is served from A's memory.
+// boundary; every sample is served from A's memory. Node B's only backend
+// reads are the members of the one L-cache package its boundary composed.
 func TestRepeatMissesAskTheDirectoryOncePerEpoch(t *testing.T) {
 	ids := idRange(0, 16)
 	p := startMemoPair(t, ids, ids)
@@ -137,8 +138,11 @@ func TestRepeatMissesAskTheDirectoryOncePerEpoch(t *testing.T) {
 	if got := p.b.dist.owners.routed.Load(); got != 6*16 {
 		t.Errorf("%d ids routed without the directory, want %d", got, 6*16)
 	}
-	if n := p.srcB.Reads() - reads0; n != 0 {
-		t.Errorf("%d backend reads on node B", n)
+	waitLoaded(t, p.b)
+	n, members := p.srcB.Reads()-reads0, p.b.packageReads.Load()
+	if v := engineView(p.b); n != members || v.Packages != 1 || p.b.DemandFetches() != 0 {
+		t.Errorf("node B: %d backend reads, %d of them package members of %d packages, %d demand fetches; want only the one package's",
+			n, members, v.Packages, p.b.DemandFetches())
 	}
 	requireConserved(t, p.b, base, 8*16)
 }

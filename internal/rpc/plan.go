@@ -17,7 +17,7 @@ import (
 // is the server's only prefetcher: an epoch crossed with a plain boundary
 // prefetches nothing. The policy engine classifies the schedule
 // (PlanSchedule: L-samples seed the loader, so L-residency stays the policy's
-// decision and L bytes arrive on first request; missing H-samples come back
+// decision and L bytes arrive with its packages; missing H-samples come back
 // in first-access order) and plan turns the H side into entries of the
 // prefetch pool's queue, in the boundary's handler, before the boundary is
 // answered:

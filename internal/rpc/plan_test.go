@@ -411,20 +411,24 @@ func TestPlanBrownoutHoldsTheQueue(t *testing.T) {
 	if n := g.total(); n != 0 {
 		t.Fatalf("%d backend reads in Brownout; want none", n)
 	}
-	if n := srv.prefetch.depth(); n != len(ids) {
-		t.Fatalf("queue holds %d entries in Brownout; want the whole plan (%d)", n, len(ids))
-	}
+	// The boundary also composed an L-cache package: its members wait too.
+	held := srv.prefetch.depth()
 
 	gate.Observe(at.Add(time.Second), 0) // an idle window: back to Normal
 	if st := gate.State(); st != overload.Normal {
 		t.Fatalf("gate is %v; want normal", st)
 	}
 	waitPlanSettled(t, srv)
+	waitLoaded(t, srv)
 	for _, id := range ids {
 		if !srv.payloads.has(id) || g.count(id) != 1 {
 			t.Fatalf("sample %d: resident %v after %d reads; want the drained plan to place it with one read",
 				id, srv.payloads.has(id), g.count(id))
 		}
+	}
+	if members := srv.packageReads.Load(); members == 0 || held != len(ids)+int(members) {
+		t.Fatalf("queue held %d entries in Brownout; want the whole plan (%d) and the package's %d members",
+			held, len(ids), members)
 	}
 	crossBoundary(t, srv, "after a Brownout", func() error { return cl.BeginEpoch(2) })
 }

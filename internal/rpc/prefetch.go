@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,16 +11,25 @@ import (
 	"icache/internal/obs"
 )
 
-// prefetchItem is one queued plan entry: the sample, its enqueue instant (zero
+// prefetchItem is one queued entry: the sample, its enqueue instant (zero
 // unless stage histograms are enabled, so the worker records the
 // prefetch_queue_wait stage without any clock read on the disabled path), and
-// gen, the plan generation it was queued in. The worker first admits the
-// sample into the H-cache through the policy's importance-gated
-// plan-admission path.
+// either gen, the plan generation a plan entry was queued in, or pkg and i,
+// the L-cache package it is member i of. The worker first admits a plan entry
+// into the H-cache through the policy's importance-gated plan-admission path.
 type prefetchItem struct {
 	id  dataset.SampleID
 	at  time.Time
 	gen uint64
+	pkg *pkgLoad
+	i   int
+}
+
+// pkgLoad is the L-cache package in flight: members, kept bytes, reads out.
+type pkgLoad struct {
+	ids  []dataset.SampleID
+	bufs [][]byte
+	left atomic.Int32
 }
 
 // entryState is where an id with an entry is: waiting in the queue, promoted
@@ -36,12 +46,11 @@ const (
 // prefetcher is the serving path's one prefetcher: a queue of clairvoyant
 // plan entries and the worker pool that drains it. A plan (plan.go) queues
 // its epoch's missing H-samples whole, in first-access order, before the
-// boundary is answered, and a peer's pre-placed entries join it; nothing else
-// queues. So a server no client sends a plan to prefetches nothing — its
-// L-samples get their bytes on first request, and which of them are resident
-// stays the policy engine's decision. Workers turn entries into real bytes
-// through the coalesced miss path foreground requests use, so a request that
-// arrives after the worker is done finds the bytes in DRAM.
+// boundary is answered, and a peer's pre-placed entries join it; the only
+// other entries are the members of the L-cache's packages (addPackage), which
+// hold no plan token. Workers turn entries into real bytes through the
+// singleflight group foreground requests use, so a request that arrives after
+// the worker is done finds the bytes in DRAM.
 //
 // The pool has one worker per backendReadBudget slot and no size of its own:
 // the read budget is the one bound on planned reads, which take slots in
@@ -227,18 +236,33 @@ func (p *prefetcher) noteEvict(id dataset.SampleID) {
 	}
 }
 
+// addPackage queues a package's members, which no sweep drops: the engine
+// composes no other until it is delivered. Called under policyMu.
+func (p *prefetcher) addPackage(ids []dataset.SampleID) {
+	pk := &pkgLoad{ids: ids, bufs: make([][]byte, len(ids))}
+	pk.left.Store(int32(len(ids)))
+	p.mu.Lock()
+	for i, id := range ids {
+		p.queue = append(p.queue, prefetchItem{id: id, pkg: pk, i: i})
+	}
+	p.mu.Unlock()
+	p.wake.Broadcast()
+}
+
 // sweepEpoch ends the finished epoch's plan at a boundary, under policyMu:
-// it drops every unstarted entry, books every outstanding pending token
+// it drops every unstarted plan entry, books every outstanding pending token
 // wasted (the epoch whose selection wanted those samples is over) and opens
 // the new epoch's generation, empty. The plan built for the new epoch, and a
 // peer's entries accepted while it builds, join that generation; an entry a
-// worker already holds finishes, its outcome swept.
+// worker already holds finishes, its outcome swept. Package members stay.
 func (p *prefetcher) sweepEpoch(epoch int64) {
 	p.mu.Lock()
-	for _, it := range p.queue {
-		delete(p.state, it.id)
-	}
-	p.queue = p.queue[:0]
+	p.queue = slices.DeleteFunc(p.queue, func(it prefetchItem) bool {
+		if it.pkg == nil {
+			delete(p.state, it.id)
+		}
+		return it.pkg == nil
+	})
 	p.wasted += int64(len(p.pending))
 	clear(p.pending)
 	p.pendN.Store(0)
@@ -261,6 +285,12 @@ func (p *prefetcher) worker() {
 		}
 		it := p.queue[0]
 		p.queue = p.queue[1:]
+		if it.pkg != nil {
+			p.mu.Unlock()
+			p.s.readMember(it.pkg, it.i)
+			p.mu.Lock()
+			continue
+		}
 		// A cancelled entry was promoted by a demand fetch while it sat
 		// queued: the foreground already paid (or is paying) the backend read
 		// and counted the token late, so probing or re-fetching here is
@@ -325,6 +355,51 @@ func (p *prefetcher) fetch(id dataset.SampleID) error {
 	_, err := c.Wait()
 	s.obs.sfWait.Since(tWait) // zero unless this turn waited on someone else's fetch
 	return err
+}
+
+// readMember reads member i like any miss — a demand for it joins the read,
+// which takes a read slot — and, on a distributed node, claims it (one another
+// node owns is dropped). The worker that ends the last read delivers.
+func (s *Server) readMember(pk *pkgLoad, i int) {
+	id := pk.ids[i]
+	c, leader := s.flight.Begin(int64(id))
+	if leader {
+		b, err := s.readBackend(id, obs.TraceCtx{})
+		if err == nil {
+			s.packageReads.Add(1)
+		}
+		s.flight.Finish(int64(id), c, b, err)
+	}
+	if b, err := c.Wait(); err == nil { // at once when this worker led the read
+		keep := s.dist == nil
+		if !keep {
+			keep, _ = s.claimOwnership(id)
+		}
+		if keep {
+			pk.bufs[i] = b
+		}
+	}
+	if pk.left.Add(-1) == 0 {
+		s.deliver(pk)
+	}
+}
+
+// deliver lands a package in one policyMu hold: an inserted member's bytes
+// are stored before a later insert can evict it; a refused one's claim goes.
+func (s *Server) deliver(pk *pkgLoad) {
+	s.policyMu.Lock()
+	for j, id := range pk.ids {
+		switch b := pk.bufs[j]; {
+		case b == nil: // dropped
+		case s.cache.DeliverMember(id):
+			s.payloads.put(id, b)
+			s.dec.countAdmit(provPackage)
+		case !s.cache.Resident(id):
+			s.releaseOwnership(id)
+		}
+	}
+	s.cache.EndPackage()
+	s.policyMu.Unlock()
 }
 
 // setPaused flips the brownout switch: while set, the workers take nothing,

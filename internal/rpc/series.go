@@ -108,11 +108,10 @@ func (v *nodeView) rows() []series {
 		{"icache_lcache_len", "samples resident in the L-cache region", gauge, "lcache_len", float64(v.LLen)},
 		{"icache_payload_len", "payloads resident in the byte store", gauge, "payload_len", float64(v.payloadLen)},
 
-		// Loader family. The wire reads no package bytes: the policy marks a
-		// package's entries L-resident and each entry's bytes arrive on its
-		// first request.
+		// Loader family. The prefetch pool reads each package's members and
+		// one policyMu hold delivers them, bytes and L-residency together.
 		{"icache_loader_packages_total", "dynamic packages loaded by the background loader", counter, "", float64(v.Packages)},
-		{"icache_loader_useful_bytes_total", "sizes of the package entries the policy marked L-resident (no package bytes are read on the wire)", counter, "", float64(v.LoaderUseful)},
+		{"icache_loader_useful_bytes_total", "bytes of package members read and delivered into the L-cache", counter, "", float64(v.LoaderUseful)},
 
 		// Peer / resilience family (distribution disabled renders zeros).
 		{"icache_peer_serves_total", "requests this node answered for peers", counter, "peer_serves", float64(v.peerServes)},
@@ -185,6 +184,7 @@ func (v *nodeView) rows() []series {
 		{"icache_admit_fetch_total", "payload admissions driven by foreground fetches", counter, "", float64(v.Ledger.AdmitFetch)},
 		{"icache_admit_prefetch_total", "payload admissions driven by the prefetch pool", counter, "", float64(v.Ledger.AdmitPrefetch)},
 		{"icache_admit_rehydrate_total", "payload admissions from checkpoint rehydration", counter, "", float64(v.Ledger.AdmitRehydrate)},
+		{"icache_admit_package_total", "payload admissions of L-cache package members the loader delivered", counter, "", float64(v.Ledger.AdmitPackage)},
 		{"icache_prefetch_issued_total", "plan entries queued on the prefetch pool", counter, "prefetch_issued", float64(v.Ledger.PrefetchIssued)},
 		{"icache_prefetch_in_time_total", "prefetched payloads that served a request before anything else happened", counter, "prefetch_in_time", float64(v.Ledger.PrefetchInTime)},
 		{"icache_prefetch_late_total", "prefetches the foreground beat to the fetch", counter, "prefetch_late", float64(v.Ledger.PrefetchLate)},

@@ -33,8 +33,7 @@ type ByteSource interface {
 // Server is the network-facing iCache server: it owns an icache.Server for
 // cache policy decisions, a ByteSource for real sample bytes, and a payload
 // store that mirrors the cache's residency. Policy time is driven by the
-// wall clock, so the background loading thread's pacing carries over to
-// live deployments.
+// wall clock, and the prefetch pool reads the loading thread's packages.
 //
 // # Concurrency model and lock ordering
 //
@@ -84,6 +83,7 @@ type Server struct {
 	// demandFetches counts backend reads issued on the demand path — the
 	// "cold miss" metric the clairvoyant plan exists to drive to zero (atomic).
 	demandFetches int64
+	packageReads  atomic.Int64 // backend reads of package members
 
 	// t is the transport this server's handler (serve) is registered on: the
 	// accept loop, the connections, the envelopes and the admission gate are
@@ -123,6 +123,7 @@ func NewServer(cacheSrv *icache.Server, source ByteSource) *Server {
 		Logf:      log.Printf,
 	}
 	s.prefetch = newPrefetcher(s, backendReadBudget)
+	cacheSrv.SetPackageReader(s.prefetch.addPackage) // the pool reads packages (readMember)
 	s.t = transport.NewServer(transport.Handler{Route: route, Serve: s.serve})
 	s.t.Logf = func(format string, args ...interface{}) {
 		if s.Logf != nil { // read per line: callers set Logf after NewServer
