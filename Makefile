@@ -62,7 +62,11 @@ vet:
 # ready (.batchReady(). And the wire reads its packages' bytes: the non-test
 # files of internal/rpc call no storage-model read (ReadPackage( or
 # ReadSample(, comments excepted) — a package is composed by the policy engine
-# and read by the prefetch pool's member reads. Subsumes `vet` in `make all`.
+# and read by the prefetch pool's member reads. And there is one learner,
+# train.Learner, which train.Job and every wire client train through: no
+# non-test file under cmd/ or examples/ calls NewTracker( or NewLossModel(,
+# comments excepted (benchmark/ keeps its own copy of the loop). Subsumes
+# `vet` in `make all`.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -154,6 +158,12 @@ lint:
 	done); \
 	if [ -n "$$stray" ]; then \
 		echo "a storage-model read on the wire (packages are read by the prefetch pool's member reads):"; echo "$$stray"; exit 1; \
+	fi
+	@stray=$$(for f in $$(find cmd examples -name '*.go' ! -name '*_test.go'); do \
+		sed 's,//.*,,' $$f | grep -nE 'NewTracker\(|NewLossModel\(' | sed "s,^,$$f:,"; \
+	done); \
+	if [ -n "$$stray" ]; then \
+		echo "a hand-rolled training side (a client trains through train.Learner):"; echo "$$stray"; exit 1; \
 	fi
 	$(GO) vet ./...
 

@@ -29,16 +29,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: icache-gen -dataset cifar10 -out path.pack")
 		os.Exit(2)
 	}
-	var spec dataset.Spec
-	switch *dsName {
-	case "cifar10":
-		spec = dataset.CIFAR10()
-	case "imagenet":
-		spec = dataset.ImageNet()
-	case "imagenet-10pct":
-		spec = dataset.ImageNetScaled()
-	default:
-		log.Fatalf("icache-gen: unknown dataset %q", *dsName)
+	spec, err := dataset.ByName(*dsName)
+	if err != nil {
+		log.Fatalf("icache-gen: %v", err)
 	}
 	start := time.Now()
 	if err := storage.WriteDatasetFile(*out, spec); err != nil {

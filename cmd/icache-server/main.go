@@ -66,19 +66,6 @@ func parsePeers(s string) (map[dkv.NodeID]string, error) {
 	return out, nil
 }
 
-func datasetByName(name string) (dataset.Spec, error) {
-	switch name {
-	case "cifar10":
-		return dataset.CIFAR10(), nil
-	case "imagenet":
-		return dataset.ImageNet(), nil
-	case "imagenet-10pct":
-		return dataset.ImageNetScaled(), nil
-	default:
-		return dataset.Spec{}, fmt.Errorf("unknown dataset %q (cifar10, imagenet, imagenet-10pct)", name)
-	}
-}
-
 func main() {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:7820", "listen address")
@@ -109,7 +96,7 @@ func main() {
 	)
 	flag.Parse()
 
-	spec, err := datasetByName(*dsName)
+	spec, err := dataset.ByName(*dsName)
 	if err != nil {
 		log.Fatalf("icache-server: %v", err)
 	}

@@ -1,9 +1,11 @@
 // Command icache-train drives a live icache-server the way the paper's
 // PyTorch client does: per epoch it selects samples with I/O-oriented
-// importance sampling, fetches them in mini-batches over the wire, feeds
-// observed losses back into the importance tracker, and pushes the fresh
-// H-list to the server. It plays the role of the Python training loop,
-// with the simulated loss model standing in for real SGD.
+// importance sampling, fetches them in mini-batches over the wire, trains
+// them through train.Learner, and pushes the fresh H-list to the server. It
+// plays the role of the Python training loop, with ResNet18's simulated loss
+// dynamics standing in for real SGD, and reports each epoch's Top-1 and
+// Top-5 from the accuracy model, charged for the substitutions the client
+// actually received.
 //
 // Usage (with icache-server running):
 //
@@ -35,7 +37,7 @@ func main() {
 		epochs  = flag.Int("epochs", 3, "epochs to run")
 		bs      = flag.Int("batch", 256, "mini-batch size")
 		workers = flag.Int("workers", 4, "concurrent fetch workers (one connection each, like PyTorch data workers)")
-		seed    = flag.Int64("seed", 1, "sampler seed")
+		seed    = flag.Int64("seed", 1, "seed of the sampler and of the accuracy model's jitter")
 		clairv  = flag.Bool("clairvoyant", true, "push each epoch's full schedule at the boundary (BeginEpochPlan) so the server pre-places the working set through its prefetch pool; -clairvoyant=false crosses plain boundaries, and the server then prefetches nothing")
 		timeout = flag.Duration("timeout", 5*time.Second, "dial timeout")
 		traceN  = flag.Int("trace-sample", 0, "trace 1 in N GetBatch requests end to end (0 disables); traced requests carry a trace envelope the server and its peers record spans under")
@@ -43,16 +45,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var spec dataset.Spec
-	switch *dsName {
-	case "cifar10":
-		spec = dataset.CIFAR10()
-	case "imagenet":
-		spec = dataset.ImageNet()
-	case "imagenet-10pct":
-		spec = dataset.ImageNetScaled()
-	default:
-		log.Fatalf("icache-train: unknown dataset %q", *dsName)
+	spec, err := dataset.ByName(*dsName)
+	if err != nil {
+		log.Fatalf("icache-train: %v", err)
 	}
 
 	if *workers < 1 {
@@ -85,13 +80,11 @@ func main() {
 		log.Fatalf("icache-train: server not responding: %v", err)
 	}
 
-	tracker, err := sampling.NewTracker(spec.NumSamples, 2.3, 0.3)
+	cfg := train.DefaultConfig(train.ResNet18, spec)
+	cfg.Seed = *seed
+	learner, err := train.NewLearner(cfg, train.SubSourceLCache)
 	if err != nil {
-		log.Fatal(err)
-	}
-	loss, err := train.NewLossModel(spec, 0)
-	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("icache-train: %v", err)
 	}
 	rng := rand.New(rand.NewSource(*seed))
 
@@ -102,8 +95,8 @@ func main() {
 		log.Fatalf("icache-train: stats: %v", err)
 	}
 	for epoch := 0; epoch < *epochs; epoch++ {
-		loss.BeginEpoch(epoch)
-		sched, hlist := sampling.IISSchedule(tracker, sampling.DefaultIIS(), rng)
+		learner.BeginEpoch(epoch)
+		sched, hlist := sampling.IISSchedule(learner.Tracker(), sampling.DefaultIIS(), rng)
 		if err := client.UpdateImportance(hlist.Items); err != nil {
 			log.Fatalf("icache-train: push H-list: %v", err)
 		}
@@ -131,7 +124,7 @@ func main() {
 		start := time.Now()
 		batches := sched.Batches(*bs)
 		// Workers fetch batches concurrently; results come back in order so
-		// losses are observed in schedule order, like a real loader queue.
+		// samples are trained in schedule order, like a real loader queue.
 		type result struct {
 			samples []rpc.Sample
 			err     error
@@ -156,37 +149,37 @@ func main() {
 			}(clients[w])
 		}
 		var bytes int64
-		trained := 0
 		for i := range batches {
 			r := <-results[i]
 			if r.err != nil {
 				log.Fatalf("icache-train: fetch: %v", r.err)
 			}
-			for _, s := range r.samples {
+			for k, s := range r.samples {
 				if err := spec.VerifyPayload(s.ID, s.Payload); err != nil {
 					log.Fatalf("icache-train: corrupt sample: %v", err)
 				}
 				bytes += int64(len(s.Payload))
-				// "Train" the sample: observe its loss, update importance.
-				tracker.Observe(s.ID, loss.Train(s.ID))
-				trained++
+				learner.Train(batches[i][k], s.ID, true)
 			}
 		}
 		elapsed := time.Since(start)
+		trained, subs := learner.Trained(), learner.Substitutions()
+		top1, top5 := learner.EndEpoch(sched.Fetch, 0)
 		st, err := client.Stats()
 		if err != nil {
 			log.Fatalf("icache-train: stats: %v", err)
 		}
-		hits, misses, subs := st.Hits-prev.Hits, st.Misses-prev.Misses, st.Substitutions-prev.Substitutions
+		hits, misses, srvSubs := st.Hits-prev.Hits, st.Misses-prev.Misses, st.Substitutions-prev.Substitutions
 		prev = st
 		hitRatio := 0.0
-		if served := hits + misses + subs; served > 0 {
-			hitRatio = float64(hits+subs) / float64(served)
+		if served := hits + misses + srvSubs; served > 0 {
+			hitRatio = float64(hits+srvSubs) / float64(served)
 		}
-		fmt.Printf("epoch %d: %d samples, %.1f MB in %s (%.0f samples/s) | server: hits=%d misses=%d subs=%d hit-ratio=%.1f%% hcache=%d lcache=%d pkgs=%d\n",
+		fmt.Printf("epoch %d: %d samples, %.1f MB in %s (%.0f samples/s) | server: hits=%d misses=%d subs=%d hit-ratio=%.1f%% hcache=%d lcache=%d pkgs=%d | %s: substituted=%.1f%% top-1=%.2f%% top-5=%.2f%%\n",
 			epoch, trained, float64(bytes)/(1<<20), elapsed.Round(time.Millisecond),
 			float64(trained)/elapsed.Seconds(),
-			hits, misses, subs, 100*hitRatio, st.HCacheLen, st.LCacheLen, st.Packages)
+			hits, misses, srvSubs, 100*hitRatio, st.HCacheLen, st.LCacheLen, st.Packages,
+			cfg.Model.Name, 100*float64(subs)/float64(max(trained, 1)), top1, top5)
 	}
 
 	if tracer != nil {

@@ -1,8 +1,9 @@
 // Clientserver: the end-to-end RPC path. Starts a real iCache TCP server on
 // a loopback port (the role of `icache-server`), then drives it exactly
-// like the paper's PyTorch client: push an H-list, fetch mini-batches, feed
-// losses back, print server-side cache statistics. Every payload is
-// integrity-checked against the dataset generator.
+// like the paper's PyTorch client: push an H-list, fetch mini-batches, train
+// them through train.Learner, print server-side cache statistics and the
+// accuracy model's Top-1. Every payload is integrity-checked against the
+// dataset generator.
 //
 //	go run ./examples/clientserver
 package main
@@ -53,19 +54,15 @@ func main() {
 	}
 	defer client.Close()
 
-	tracker, err := sampling.NewTracker(spec.NumSamples, 2.3, 0.3)
-	if err != nil {
-		log.Fatal(err)
-	}
-	loss, err := train.NewLossModel(spec, 0)
+	learner, err := train.NewLearner(train.DefaultConfig(train.ResNet18, spec), train.SubSourceLCache)
 	if err != nil {
 		log.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
 
 	for epoch := 0; epoch < 3; epoch++ {
-		loss.BeginEpoch(epoch)
-		sched, hlist := sampling.IISSchedule(tracker, sampling.DefaultIIS(), rng)
+		learner.BeginEpoch(epoch)
+		sched, hlist := sampling.IISSchedule(learner.Tracker(), sampling.DefaultIIS(), rng)
 		if err := client.UpdateImportance(hlist.Items); err != nil {
 			log.Fatal(err)
 		}
@@ -73,27 +70,27 @@ func main() {
 			log.Fatal(err)
 		}
 		start := time.Now()
-		fetched := 0
 		for _, batch := range sched.Batches(256) {
 			samples, err := client.GetBatch(batch)
 			if err != nil {
 				log.Fatal(err)
 			}
-			for _, s := range samples {
+			for k, s := range samples {
 				if err := spec.VerifyPayload(s.ID, s.Payload); err != nil {
 					log.Fatalf("integrity check failed: %v", err)
 				}
-				tracker.Observe(s.ID, loss.Train(s.ID))
-				fetched++
+				learner.Train(batch[k], s.ID, true)
 			}
 		}
+		trained := learner.Trained()
+		top1, _ := learner.EndEpoch(sched.Fetch, 0)
 		st, err := client.Stats()
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("epoch %d: fetched %d samples in %s | hits=%d misses=%d substitutions=%d hcache=%d lcache=%d\n",
-			epoch, fetched, time.Since(start).Round(time.Millisecond),
-			st.Hits, st.Misses, st.Substitutions, st.HCacheLen, st.LCacheLen)
+		fmt.Printf("epoch %d: trained %d samples in %s | hits=%d misses=%d substitutions=%d hcache=%d lcache=%d | top-1 %.2f%%\n",
+			epoch, trained, time.Since(start).Round(time.Millisecond),
+			st.Hits, st.Misses, st.Substitutions, st.HCacheLen, st.LCacheLen, top1)
 	}
 	fmt.Println("all payloads verified — the cache served exactly the bytes the dataset defines")
 }

@@ -61,13 +61,15 @@ func main() {
 	}
 	defer client.Close()
 
-	tracker, _ := sampling.NewTracker(spec.NumSamples, 2.3, 0.3)
-	loss, _ := train.NewLossModel(spec, 0)
+	learner, err := train.NewLearner(train.DefaultConfig(train.ResNet18, spec), train.SubSourceLCache)
+	if err != nil {
+		log.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(1))
 
 	runEpoch := func(epoch int) {
-		loss.BeginEpoch(epoch)
-		sched, hlist := sampling.IISSchedule(tracker, sampling.DefaultIIS(), rng)
+		learner.BeginEpoch(epoch)
+		sched, hlist := sampling.IISSchedule(learner.Tracker(), sampling.DefaultIIS(), rng)
 		if err := client.UpdateImportance(hlist.Items); err != nil {
 			log.Fatal(err)
 		}
@@ -79,13 +81,17 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			for _, s := range samples {
-				tracker.Observe(s.ID, loss.Train(s.ID))
+			for k, s := range samples {
+				learner.Train(batch[k], s.ID, true)
 			}
 		}
-		st, _ := client.Stats()
-		fmt.Printf("epoch %d: server hits=%d misses=%d subs=%d (hcache=%d)\n",
-			epoch, st.Hits, st.Misses, st.Substitutions, st.HCacheLen)
+		top1, _ := learner.EndEpoch(sched.Fetch, 0)
+		st, err := client.Stats()
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("epoch %d: server hits=%d misses=%d subs=%d (hcache=%d) | top-1 %.2f%%\n",
+			epoch, st.Hits, st.Misses, st.Substitutions, st.HCacheLen, top1)
 	}
 
 	fmt.Println("-- first server lifetime: warming up --")

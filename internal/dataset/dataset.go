@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"strings"
 )
 
 // SampleID identifies a sample within a dataset. IDs are dense: a dataset
@@ -57,6 +58,19 @@ func ImageNet() Spec {
 // dynamics are preserved.
 func ImageNetScaled() Spec {
 	return Spec{Name: "imagenet-10pct", NumSamples: 128116, MeanSampleBytes: 110 * 1024, SizeJitterFrac: 0.45, Seed: 0x1A6E}
+}
+
+// ByName returns the spec a command line names: cifar10, imagenet or
+// imagenet-10pct.
+func ByName(name string) (Spec, error) {
+	var names []string
+	for _, s := range []Spec{CIFAR10(), ImageNet(), ImageNetScaled()} {
+		if s.Name == name {
+			return s, nil
+		}
+		names = append(names, s.Name)
+	}
+	return Spec{}, fmt.Errorf("dataset: unknown name %q (want one of %s)", name, strings.Join(names, ", "))
 }
 
 // Validate reports whether the spec is internally consistent.

@@ -16,6 +16,31 @@ func TestBuiltinSpecsValidate(t *testing.T) {
 	}
 }
 
+func TestByName(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Spec
+	}{
+		{"cifar10", CIFAR10()},
+		{"imagenet", ImageNet()},
+		{"imagenet-10pct", ImageNetScaled()},
+	} {
+		got, err := ByName(tc.name)
+		if err != nil || got != tc.want {
+			t.Errorf("ByName(%q) = %+v, %v; want %+v", tc.name, got, err, tc.want)
+		}
+	}
+	_, err := ByName("mnist")
+	if err == nil {
+		t.Fatal(`ByName("mnist") succeeded`)
+	}
+	for _, want := range []string{`"mnist"`, "cifar10", "imagenet", "imagenet-10pct"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("ByName error %q does not name %s", err, want)
+		}
+	}
+}
+
 func TestValidateRejectsBadSpecs(t *testing.T) {
 	cases := []Spec{
 		{Name: "", NumSamples: 1, MeanSampleBytes: 1},

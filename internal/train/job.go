@@ -122,15 +122,11 @@ func (c Config) Validate() error {
 // let several jobs interleave on a shared virtual timeline (multi-job
 // experiments) while a single job just steps to completion.
 type Job struct {
-	cfg    Config
-	svc    epochService
-	nodes  int
-	fetch  fetchFn
-	subSrc SubSource
-
-	tracker *sampling.Tracker
-	loss    *LossModel
-	acc     *accuracyModel
+	cfg     Config
+	svc     epochService
+	nodes   int
+	fetch   fetchFn
+	learner *Learner
 	rng     *rand.Rand
 
 	epoch int
@@ -144,10 +140,8 @@ type Job struct {
 
 	// Per-epoch accumulators.
 	stall, compute, fetchBusy time.Duration
-	fetched, trained          int
+	fetched                   int
 	echoed                    int // sample-trainings performed as data echoes
-	distinct                  map[dataset.SampleID]struct{}
-	subLC, subHC              int
 	// prevCompute/prevTrained describe the last consumed iteration, which
 	// data echoing replays during stalls.
 	prevCompute       time.Duration
@@ -175,30 +169,20 @@ func NewJob(cfg Config, svc DataService) (*Job, error) {
 }
 
 func newJob(cfg Config, svc epochService, nodes int, fetch fetchFn) (*Job, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	tr, err := sampling.NewTracker(cfg.Dataset.NumSamples, cfg.TrackerInit, cfg.TrackerDecay)
-	if err != nil {
-		return nil, err
-	}
-	lm, err := NewLossModel(cfg.Dataset, modelSalt(cfg.Model.Name))
-	if err != nil {
-		return nil, err
-	}
 	subSrc := SubSourceHCache
 	if s, ok := svc.(SubstitutionSourcer); ok {
 		subSrc = ParseSubSource(s.SubstitutionSource())
+	}
+	l, err := NewLearner(cfg, subSrc)
+	if err != nil {
+		return nil, err
 	}
 	j := &Job{
 		cfg:     cfg,
 		svc:     svc,
 		nodes:   nodes,
 		fetch:   fetch,
-		subSrc:  subSrc,
-		tracker: tr,
-		loss:    lm,
-		acc:     newAccuracyModel(cfg.Model, cfg.Dataset, uint64(cfg.Seed)*0x9E37+1),
+		learner: l,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		run:     metrics.RunStats{Scheme: svc.Name()},
 	}
@@ -207,10 +191,7 @@ func newJob(cfg Config, svc epochService, nodes int, fetch fetchFn) (*Job, error
 }
 
 // Tracker exposes the job's importance tracker.
-func (j *Job) Tracker() *sampling.Tracker { return j.tracker }
-
-// LossModel exposes the job's loss dynamics (experiments track IV drift).
-func (j *Job) LossModel() *LossModel { return j.loss }
+func (j *Job) Tracker() *sampling.Tracker { return j.learner.Tracker() }
 
 // Done reports whether all epochs have completed.
 func (j *Job) Done() bool { return j.done }
@@ -223,17 +204,8 @@ func (j *Job) Results() metrics.RunStats { return j.run }
 
 // beginEpoch asks the scheme for a schedule and resets epoch state.
 func (j *Job) beginEpoch() {
-	j.loss.BeginEpoch(j.epoch)
-	if j.cfg.Criterion == sampling.CriterionProxyModel {
-		// The proxy model re-scores every sample each epoch: no stale
-		// importance for skipped samples, but each score carries the
-		// proxy's estimation error.
-		for i := 0; i < j.tracker.Len(); i++ {
-			id := dataset.SampleID(i)
-			j.tracker.Observe(id, j.loss.ProxyScore(id, j.epoch))
-		}
-	}
-	sched := j.svc.BeginEpoch(j.now, j.epoch, j.tracker, j.rng)
+	j.learner.BeginEpoch(j.epoch)
+	sched := j.svc.BeginEpoch(j.now, j.epoch, j.learner.Tracker(), j.rng)
 	j.schedFetch = sched.Fetch
 	batches := sched.Batches(j.cfg.BatchSize)
 	j.flags = j.flags[:0]
@@ -248,10 +220,8 @@ func (j *Job) beginEpoch() {
 	j.gpuDone = make([]simclock.Time, (len(batches)+j.nodes-1)/j.nodes)
 	j.gpuPtr = 0
 	j.stall, j.compute, j.fetchBusy = 0, 0, 0
-	j.fetched, j.trained, j.echoed = 0, 0, 0
+	j.fetched, j.echoed = 0, 0
 	j.prevCompute, j.prevTrained = 0, 0
-	j.subLC, j.subHC = 0, 0
-	j.distinct = make(map[dataset.SampleID]struct{}, len(sched.Fetch))
 	j.statsAtEpochStart = j.svc.Stats()
 
 	depth := j.cfg.Workers * j.cfg.PrefetchFactor // in iterations
@@ -337,11 +307,11 @@ func (j *Job) drainGPU() bool {
 		j.gpuDone[j.gpuPtr] = j.gpuFree
 		j.compute += computeT
 
-		trainedBefore := j.trained
+		trainedBefore := j.learner.Trained()
 		for k := j.gpuPtr * j.nodes; k < min((j.gpuPtr+1)*j.nodes, len(j.flags)); k++ {
 			j.trainBatch(k)
 		}
-		j.prevCompute, j.prevTrained = computeT, j.trained-trainedBefore
+		j.prevCompute, j.prevTrained = computeT, j.learner.Trained()-trainedBefore
 		j.gpuPtr++
 		progressed = true
 	}
@@ -372,22 +342,11 @@ func (j *Job) iterationReady(it int) (ready simclock.Time, computeT time.Duratio
 	return ready, computeT, true
 }
 
-// trainBatch counts batch k's substitutions and trains its flagged samples.
+// trainBatch hands batch k's served samples to the learner.
 func (j *Job) trainBatch(k int) {
 	batch, served, flags := j.engine.batches[k], j.engine.servedIDs(k), j.flags[k]
 	for i, id := range served {
-		if id != batch[i] {
-			if j.subSrc == SubSourceLCache {
-				j.subLC++
-			} else {
-				j.subHC++
-			}
-		}
-		if flags[i] {
-			j.tracker.Observe(id, j.cfg.Criterion.Score(j.loss.Train(id)))
-			j.distinct[id] = struct{}{}
-			j.trained++
-		}
+		j.learner.Train(batch[i], id, flags[i])
 	}
 	j.fetched += len(batch)
 }
@@ -395,31 +354,15 @@ func (j *Job) trainBatch(k int) {
 // finishEpoch closes out epoch accounting, updates the accuracy model, and
 // rolls into the next epoch (or completes the job).
 func (j *Job) finishEpoch() {
-	duration := j.gpuFree - j.now
-
-	trainedFrac := float64(len(j.distinct)) / float64(j.cfg.Dataset.NumSamples)
-	skippedImp := skippedImportanceMean(j.tracker, j.schedFetch)
-	var subLCFrac, subHCFrac float64
-	if j.trained > 0 {
-		subLCFrac = float64(j.subLC) / float64(j.trained)
-		subHCFrac = float64(j.subHC) / float64(j.trained)
-	}
-	var echoFrac float64
-	if j.trained+j.echoed > 0 {
-		echoFrac = float64(j.echoed) / float64(j.trained+j.echoed)
-	}
-	j.acc.observeEpoch(epochDistortion(j.cfg.Model.AccuracySensitivity, trainedFrac, skippedImp, subLCFrac, subHCFrac) +
-		echoCoeff*echoFrac*j.cfg.Model.AccuracySensitivity)
-	top1, top5 := j.acc.accuracy()
-
+	top1, top5 := j.learner.EndEpoch(j.schedFetch, j.echoed)
 	j.run.Epochs = append(j.run.Epochs, metrics.EpochStats{
 		Epoch:          j.epoch,
-		Duration:       duration,
+		Duration:       j.gpuFree - j.now,
 		IOStall:        j.stall,
 		Compute:        j.compute,
 		FetchBusy:      j.fetchBusy,
 		SamplesFetched: j.fetched,
-		SamplesTrained: j.trained,
+		SamplesTrained: j.learner.Trained(),
 		Cache:          j.svc.Stats().Sub(j.statsAtEpochStart),
 		Top1:           top1,
 		Top5:           top5,
