@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-short test-race chaos benchmark benchmark-pairs benchmark-test bench bench-layers loadgen-smoke obs-smoke overload-smoke prefetch-smoke experiments experiments-quick fuzz fuzz-short loc clean
+.PHONY: all build vet lint test test-short test-race chaos chaos-vt benchmark benchmark-pairs benchmark-test bench bench-layers loadgen-smoke obs-smoke overload-smoke prefetch-smoke experiments experiments-quick fuzz fuzz-short loc clean
 
-all: build lint test test-race chaos fuzz-short obs-smoke overload-smoke loadgen-smoke prefetch-smoke benchmark-test
+all: build lint test test-race chaos chaos-vt fuzz-short obs-smoke overload-smoke loadgen-smoke prefetch-smoke benchmark-test
 
 build:
 	$(GO) build ./...
@@ -65,8 +65,13 @@ vet:
 # and read by the prefetch pool's member reads. And there is one learner,
 # train.Learner, which train.Job and every wire client train through: no
 # non-test file under cmd/ or examples/ calls NewTracker( or NewLossModel(,
-# comments excepted (benchmark/ keeps its own copy of the loop). Subsumes
-# `vet` in `make all`.
+# comments excepted (benchmark/ keeps its own copy of the loop). And there is
+# one fault-tested stack, the shipped one: faults, leases, node kills and
+# replica crashes are replayed on rpc.Server and dkv in a virtual-clock
+# bubble, so no non-test file of internal/icache names a simulated crash or
+# fault hook (KillNode, RestartNode, SetFaultInjector, DirReplicas), and no
+# non-test file outside internal/vt calls testing/synctest (go1.25 renames
+# its Run; one helper changes). Subsumes `vet` in `make all`.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -78,7 +83,7 @@ lint:
 	if [ -n "$$stray" ]; then \
 		echo "connection handling outside internal/transport:"; echo "$$stray"; exit 1; \
 	fi
-	@stray=$$(for f in internal/icache/distributed.go internal/icache/lifecycle.go internal/rpc/lifecycle.go; do \
+	@stray=$$(for f in internal/icache/distributed.go internal/rpc/lifecycle.go; do \
 		sed 's,//.*,,' $$f | grep -nE 'ReadSample\(|takeExact\(|\.OwnedBy\(|\.PurgeDead\(' | sed "s,^,$$f:,"; \
 	done); \
 	if [ -n "$$stray" ]; then \
@@ -165,6 +170,11 @@ lint:
 	if [ -n "$$stray" ]; then \
 		echo "a hand-rolled training side (a client trains through train.Learner):"; echo "$$stray"; exit 1; \
 	fi
+	@stray=$$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build 'synctest\.' . | grep -v '^\./internal/vt/'; \
+		grep -nwE 'KillNode|RestartNode|SetFaultInjector|DirReplicas' $$(ls internal/icache/*.go | grep -v _test.go)); \
+	if [ -n "$$stray" ]; then \
+		echo "a second fault-tested stack (faults, leases and churn are tested on rpc.Server and dkv in a bubble; synctest is called only in internal/vt):"; echo "$$stray"; exit 1; \
+	fi
 	$(GO) vet ./...
 
 test:
@@ -184,10 +194,24 @@ test-race:
 # test cache, and the suites' internal seed tables ([1, 42, 1337], the
 # trial indices, and the injector seeds) cover distinct schedules per run.
 # internal/dkv carries the partitioned-directory half: three plain directory
-# servers over TCP behind one sharded client, one killed mid-epoch.
+# servers over TCP behind one sharded client, one killed mid-epoch. The
+# virtual-clock suites (internal/rpc's chaos_test.go and cluster_test.go) are
+# chaos-vt's, so they are skipped here.
+VT_TESTS = $$(grep -ho '^func Test[A-Za-z0-9_]*' internal/rpc/chaos_test.go internal/rpc/cluster_test.go | cut -c6- | paste -sd'|')
 chaos:
-	$(GO) test -count=3 -run 'Chaos' ./internal/icache/ ./internal/rpc/ ./internal/dkv/
-	$(GO) test -count=3 -race -run 'Chaos' ./internal/icache/ ./internal/rpc/ ./internal/dkv/
+	$(GO) test -count=3 -run 'Chaos' -skip "^($(VT_TESTS))$$" ./internal/rpc/ ./internal/dkv/
+	$(GO) test -count=3 -race -run 'Chaos' -skip "^($(VT_TESTS))$$" ./internal/rpc/ ./internal/dkv/
+
+# The virtual-clock suites, ten times on one seed table, then once under the
+# race detector: every test of internal/rpc's chaos_test.go and
+# cluster_test.go — the shipped rpc.Server and dkv.DirServer on an in-memory
+# network inside a testing/synctest bubble (internal/vt), under faults, node
+# kills and directory replica crashes — built with GOEXPERIMENT=synctest, so
+# each runs in its bubble directly. The first build under the experiment
+# rebuilds the standard library (about 20 s, 40 s more with -race).
+chaos-vt:
+	GOEXPERIMENT=synctest $(GO) test -count=10 -run "^($(VT_TESTS))$$" ./internal/rpc/
+	GOEXPERIMENT=synctest $(GO) test -count=1 -race -run "^($(VT_TESTS))$$" ./internal/rpc/
 
 # The repository's one benchmark (BENCHMARK.json): the four workloads through
 # benchmark/run.sh at the contract's run length, untraced, printing the three

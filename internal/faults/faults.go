@@ -1,7 +1,7 @@
 // Package faults is the deterministic chaos substrate of the repository: a
 // seeded, composable fault injector that the network layer (net.Conn), the
-// byte sources (storage.DataSource), the simulated backend (storage.Backend)
-// and the distributed directory (dkv) all consult before doing real work.
+// byte sources (storage.DataSource) and the distributed directory (dkv) all
+// consult before doing real work.
 //
 // A single Injector holds an ordered list of Rules. Every fallible operation
 // names itself with an Op string ("conn.read", "dir.lookup", ...) and asks
@@ -12,8 +12,8 @@
 //
 // Everything is keyed off one seeded PRNG plus monotone counters, so a chaos
 // schedule replays identically under the same seed: the chaos suites in
-// internal/icache and internal/rpc rely on that to assert that a faulted
-// training run loses no samples relative to a fault-free run.
+// internal/rpc rely on that to assert that a faulted training run loses no
+// samples relative to a fault-free run.
 package faults
 
 import (
@@ -32,14 +32,12 @@ const (
 	OpConnRead     = "conn.read"     // faults.Conn read path
 	OpConnWrite    = "conn.write"    // faults.Conn write path
 	OpSourceFetch  = "source.fetch"  // storage.DataSource
-	OpDirLookup    = "dir.lookup"    // directory lookups (dkv or simulated)
+	OpDirLookup    = "dir.lookup"    // directory lookups
 	OpDirClaim     = "dir.claim"     // directory claims
 	OpDirRelease   = "dir.release"   // directory releases
 	OpDirRegister  = "dir.register"  // membership lease registrations
 	OpDirHeartbeat = "dir.heartbeat" // membership lease renewals
 	OpDirScan      = "dir.scan"      // membership scans (ListNodes/OwnedBy/PurgeDead)
-	OpPeerRead     = "peer.read"     // remote-cache reads between nodes
-	OpBackendRead  = "backend.read"  // simulated backend sample/package reads
 )
 
 // ErrInjected is the default error carried by error/drop decisions that do

@@ -27,9 +27,9 @@ func TestClusterConfigValidate(t *testing.T) {
 	if err := DefaultClusterConfig(2, 1<<20).Validate(); err != nil {
 		t.Fatalf("default invalid: %v", err)
 	}
-	// Every knob left zero selects its default.
+	// A zero Cache config is valid (NewCluster sizes it).
 	if err := (ClusterConfig{Nodes: 2, PerNodeCapacityBytes: 1 << 20}).Validate(); err != nil {
-		t.Fatalf("zero-value knobs invalid: %v", err)
+		t.Fatalf("zero-value Cache invalid: %v", err)
 	}
 	bad := DefaultClusterConfig(0, 1<<20)
 	if err := bad.Validate(); err == nil {
@@ -69,10 +69,7 @@ func TestClusterNoDuplicateOwnership(t *testing.T) {
 	// node and by no other node.
 	for n, node := range cl.nodes {
 		for id := range node.srv.h.items {
-			owner, ok, err := cl.dir.Lookup(id)
-			if err != nil {
-				t.Fatalf("directory lookup of %d: %v", id, err)
-			}
+			owner, ok := cl.dir.Lookup(id)
 			if !ok {
 				t.Fatalf("node %d caches H-sample %d with no directory entry", n, id)
 			}

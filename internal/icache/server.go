@@ -47,7 +47,7 @@ type Server struct {
 	// rpc.Server asks its peers.
 	claim   func(dataset.SampleID) bool
 	release func(dataset.SampleID)
-	onMiss  func(at simclock.Time, id dataset.SampleID) (simclock.Time, missOutcome)
+	onMiss  func(at simclock.Time, id dataset.SampleID) (simclock.Time, bool)
 	// readPackage is the package I/O SetPackageReader installs; nil in the
 	// simulator.
 	readPackage func(ids []dataset.SampleID)
@@ -495,32 +495,16 @@ func (s *Server) DeliverMember(id dataset.SampleID) bool {
 // EndPackage ends the package in flight; the engine may compose the next.
 func (s *Server) EndPackage() { s.ld.inFlight = false }
 
-// missOutcome is the distributed mode's answer to a request nothing local
-// could serve.
-type missOutcome int
-
-const (
-	missBackend  missOutcome = iota // no peer holds it: a plain miss
-	missPeer                        // a peer's cache served it
-	missDegraded                    // a directory or peer fault hid whether one could
-)
-
 // peerServed counts a request nothing local could serve as exactly one of
-// Hits (a peer served it, at the returned time), Degraded or Misses — the
-// one choke point that keeps hits+misses+substitutions+degraded == requests
-// exact under any fault schedule. The caller reads the backend unless ok. A
-// lone server pays one nil check.
+// Hits (a peer served it, at the returned time) or Misses — the one choke
+// point that keeps hits+misses+substitutions == requests exact. The caller
+// reads the backend unless ok. A lone server pays one nil check.
 func (s *Server) peerServed(at simclock.Time, id dataset.SampleID) (end simclock.Time, ok bool) {
 	if s.onMiss != nil {
-		switch end, outcome := s.onMiss(at, id); outcome {
-		case missPeer:
+		if end, ok := s.onMiss(at, id); ok {
 			s.stats.Hits++
 			s.tracer.Record(at, trace.KindHit, id, 0)
 			return end, true
-		case missDegraded:
-			s.stats.Degraded++
-			s.tracer.Record(at, trace.KindMiss, id, 0)
-			return at, false
 		}
 	}
 	s.stats.Misses++

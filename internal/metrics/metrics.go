@@ -20,7 +20,6 @@ type CacheStats struct {
 	Hits          int64 // requests served from cached copies of the requested sample
 	Misses        int64 // requests that went to backend storage
 	Substitutions int64 // requests served by a different cached sample
-	Degraded      int64 // requests that fell back to backend storage because a fault broke the preferred path
 	Inserts       int64 // samples admitted into the cache
 	Evictions     int64 // samples evicted to make room
 	Rejections    int64 // fetched samples the policy declined to admit
@@ -31,7 +30,6 @@ func (s *CacheStats) Add(o CacheStats) {
 	s.Hits += o.Hits
 	s.Misses += o.Misses
 	s.Substitutions += o.Substitutions
-	s.Degraded += o.Degraded
 	s.Inserts += o.Inserts
 	s.Evictions += o.Evictions
 	s.Rejections += o.Rejections
@@ -44,7 +42,6 @@ func (s CacheStats) Sub(o CacheStats) CacheStats {
 		Hits:          s.Hits - o.Hits,
 		Misses:        s.Misses - o.Misses,
 		Substitutions: s.Substitutions - o.Substitutions,
-		Degraded:      s.Degraded - o.Degraded,
 		Inserts:       s.Inserts - o.Inserts,
 		Evictions:     s.Evictions - o.Evictions,
 		Rejections:    s.Rejections - o.Rejections,
@@ -52,15 +49,15 @@ func (s CacheStats) Sub(o CacheStats) CacheStats {
 }
 
 // Requests reports the total number of sample requests seen. Every request
-// is counted exactly once, in exactly one of the four outcome classes —
-// the conservation invariant the chaos suite asserts:
+// is counted exactly once, in exactly one of the three outcome classes —
+// the conservation invariant the chaos suites assert (a request a fault
+// sent to the backend is a miss):
 //
-//	Hits + Misses + Substitutions + Degraded == Requests()
-func (s CacheStats) Requests() int64 { return s.Hits + s.Misses + s.Substitutions + s.Degraded }
+//	Hits + Misses + Substitutions == Requests()
+func (s CacheStats) Requests() int64 { return s.Hits + s.Misses + s.Substitutions }
 
 // HitRatio reports the fraction of requests served from memory (true hits
-// plus substitution hits). Degraded requests were served from the backend,
-// so they dilute the ratio just like misses. Zero requests yields 0.
+// plus substitution hits). Zero requests yields 0.
 func (s CacheStats) HitRatio() float64 {
 	req := s.Requests()
 	if req == 0 {
@@ -70,46 +67,15 @@ func (s CacheStats) HitRatio() float64 {
 }
 
 func (s CacheStats) String() string {
-	return fmt.Sprintf("hits=%d misses=%d subs=%d degraded=%d hitRatio=%.3f inserts=%d evictions=%d",
-		s.Hits, s.Misses, s.Substitutions, s.Degraded, s.HitRatio(), s.Inserts, s.Evictions)
-}
-
-// ResilienceStats counts the fault-handling events of a distributed cache:
-// how often the directory or a peer failed and how many requests degraded
-// to backend reads. They are observability counters, not part of the
-// request-conservation invariant (one request may produce several
-// resilience events, or none).
-type ResilienceStats struct {
-	DirFailures   int64 // directory operations (or lifecycle steps) that failed
-	PeerFailures  int64 // remote-cache reads that failed
-	DegradedReads int64 // requests that fell back to the backend after a fault
-	Retries       int64 // network operations that needed at least one retry
-	Redials       int64 // connections re-established after a transport failure
-}
-
-// Add accumulates o into r.
-func (r *ResilienceStats) Add(o ResilienceStats) {
-	r.DirFailures += o.DirFailures
-	r.PeerFailures += o.PeerFailures
-	r.DegradedReads += o.DegradedReads
-	r.Retries += o.Retries
-	r.Redials += o.Redials
-}
-
-// Faults reports the total number of observed failures (directory + peer).
-func (r ResilienceStats) Faults() int64 { return r.DirFailures + r.PeerFailures }
-
-func (r ResilienceStats) String() string {
-	return fmt.Sprintf("dirFail=%d peerFail=%d degraded=%d retries=%d redials=%d",
-		r.DirFailures, r.PeerFailures, r.DegradedReads, r.Retries, r.Redials)
+	return fmt.Sprintf("hits=%d misses=%d subs=%d hitRatio=%.3f inserts=%d evictions=%d",
+		s.Hits, s.Misses, s.Substitutions, s.HitRatio(), s.Inserts, s.Evictions)
 }
 
 // MembershipStats counts node-lifecycle events across the distributed
 // cache: lease churn on the directory side (registrations, heartbeats,
 // state transitions, reclaimed/purged entries) and reconciliation work on
-// the node side (anti-entropy scrub sweeps, rejoin claim replay). Like
-// ResilienceStats they are observability counters, not part of the
-// request-conservation invariant.
+// the node side (anti-entropy scrub sweeps, rejoin claim replay). They are
+// observability counters, not part of the request-conservation invariant.
 type MembershipStats struct {
 	// Directory-side lease counters.
 	Registers        int64 // lease grants (first registrations and re-registrations)
@@ -158,8 +124,8 @@ func (m MembershipStats) String() string {
 // ServingStats counts concurrent-serving-path events on the network
 // server: miss coalescing, the prefetch queue's depth (what its prefetches
 // came to is DecisionStats' outcome ledger), and encode/frame buffer
-// pooling. Like ResilienceStats they are observability counters, not part
-// of the request-conservation invariant.
+// pooling. They are observability counters, not part of the
+// request-conservation invariant.
 type ServingStats struct {
 	CoalescedMisses    int64 // miss fetches that joined an in-flight fetch for the same sample
 	PrefetchQueueDepth int64 // gauge: current prefetch backlog

@@ -19,39 +19,14 @@ func TestCacheStatsHitRatio(t *testing.T) {
 	if s.Requests() != 100 {
 		t.Fatalf("Requests = %d, want 100", s.Requests())
 	}
-	// Degraded requests were served from the backend: they join the request
-	// total (conservation) and dilute the hit ratio exactly like misses.
-	s = CacheStats{Hits: 20, Misses: 50, Substitutions: 10, Degraded: 20}
-	if s.Requests() != 100 {
-		t.Fatalf("Requests with Degraded = %d, want 100", s.Requests())
-	}
-	if got := s.HitRatio(); math.Abs(got-0.3) > 1e-12 {
-		t.Fatalf("HitRatio with Degraded = %g, want 0.3", got)
-	}
 }
 
 func TestCacheStatsAdd(t *testing.T) {
-	a := CacheStats{Hits: 1, Misses: 2, Substitutions: 3, Degraded: 7, Inserts: 4, Evictions: 5, Rejections: 6}
+	a := CacheStats{Hits: 1, Misses: 2, Substitutions: 3, Inserts: 4, Evictions: 5, Rejections: 6}
 	b := a
 	a.Add(b)
-	if a.Hits != 2 || a.Misses != 4 || a.Substitutions != 6 || a.Degraded != 14 || a.Inserts != 8 || a.Evictions != 10 || a.Rejections != 12 {
+	if a.Hits != 2 || a.Misses != 4 || a.Substitutions != 6 || a.Inserts != 8 || a.Evictions != 10 || a.Rejections != 12 {
 		t.Fatalf("Add wrong: %+v", a)
-	}
-}
-
-func TestResilienceStats(t *testing.T) {
-	a := ResilienceStats{DirFailures: 1, PeerFailures: 2, DegradedReads: 3, Retries: 8, Redials: 9}
-	b := a
-	a.Add(b)
-	want := ResilienceStats{DirFailures: 2, PeerFailures: 4, DegradedReads: 6, Retries: 16, Redials: 18}
-	if a != want {
-		t.Fatalf("Add wrong: %+v", a)
-	}
-	if a.Faults() != 6 {
-		t.Fatalf("Faults = %d, want 6", a.Faults())
-	}
-	if a.String() == "" {
-		t.Fatal("empty String()")
 	}
 }
 
@@ -144,7 +119,7 @@ func TestRatioGuards(t *testing.T) {
 		}{
 			{name: "zero", s: CacheStats{}, want: 0},
 			{name: "all-hits", s: CacheStats{Hits: 4}, want: 1},
-			{name: "mixed", s: CacheStats{Hits: 1, Substitutions: 1, Misses: 1, Degraded: 1}, want: 0.5},
+			{name: "mixed", s: CacheStats{Hits: 1, Substitutions: 2, Misses: 3}, want: 0.5},
 		}
 		for _, c := range cases {
 			if got := c.s.HitRatio(); got != c.want || math.IsNaN(got) {

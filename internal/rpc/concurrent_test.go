@@ -32,7 +32,7 @@ func cacheStats(srv *Server) metrics.CacheStats { return engineView(srv).Cache }
 // asserts the two properties the sharded serving path must preserve:
 //
 //  1. Stats conservation: every requested sample is counted in exactly one
-//     outcome class — hits + misses + substitutions + degraded == requests.
+//     outcome class — hits + misses + substitutions == requests.
 //  2. Byte-for-byte payload correctness: every delivered payload verifies
 //     against the dataset's deterministic generator for the *served* ID,
 //     even when concurrent misses were coalesced into one backend read.
@@ -111,7 +111,7 @@ func TestConcurrentClientsConservation(t *testing.T) {
 	got := st.Requests() - baseReq
 	want := atomic.LoadInt64(&requested)
 	if got != want {
-		t.Fatalf("conservation violated: hits+misses+subs+degraded advanced by %d for %d requests (delta %+v)",
+		t.Fatalf("conservation violated: hits+misses+subs advanced by %d for %d requests (delta %+v)",
 			got, want, st)
 	}
 	if st.Substitutions == 0 {

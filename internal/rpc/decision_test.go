@@ -198,7 +198,7 @@ func TestTimelinePointCarriesDecisionSeries(t *testing.T) {
 	for again := srv.TimelinePoint(); !reflect.DeepEqual(p, again); again = srv.TimelinePoint() {
 		p, prom = again, scrape(t, srv) // the batch's prefetches were still landing
 	}
-	want := strings.Fields(`hits misses substitutions degraded requests shed expired hcache_len lcache_len
+	want := strings.Fields(`hits misses substitutions requests shed expired hcache_len lcache_len
 		payload_len gate_state breakers_open breaker_trips evict_capacity evict_dead_owner evict_scrub
 		evict_checkpoint_denied prefetch_issued prefetch_in_time prefetch_late prefetch_wasted prefetch_dropped
 		prefetch_timeliness sub_exact sub_fallback epoch epoch_hcache_len epoch_lcache_len peer_serves peer_hits
@@ -208,7 +208,7 @@ func TestTimelinePointCarriesDecisionSeries(t *testing.T) {
 			t.Errorf("timeline point lacks series %q", key)
 		}
 	}
-	if len(p) != len(want) || len(want) != 34 {
+	if len(p) != len(want) || len(want) != 33 {
 		t.Errorf("timeline point has %d keys, want the %d known ones", len(p), len(want))
 	}
 	for _, r := range new(nodeView).rows() {

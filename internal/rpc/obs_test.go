@@ -194,7 +194,7 @@ func TestPrometheusExpositionHeaders(t *testing.T) {
 
 // TestPrometheusExpositionAddsUpUnderLoad scrapes beside evicting GetBatch
 // traffic: the view is gathered under one policyMu hold, so within every
-// scrape requests equal their four outcome classes, the eviction total its
+// scrape requests equal their three outcome classes, the eviction total its
 // reasons, and the cache family's evictions the ledger's capacity evictions.
 // Every sample is an H-sample, several times more than the cache holds, and
 // their importance rotates while the traffic runs: each rotation makes
@@ -258,7 +258,7 @@ func TestPrometheusExpositionAddsUpUnderLoad(t *testing.T) {
 	var m map[string]float64
 	for i := 0; i < 60; i++ {
 		m = scrape(t, srv)
-		if sum := m["icache_cache_hits_total"] + m["icache_cache_misses_total"] + m["icache_cache_substitutions_total"] + m["icache_cache_degraded_total"]; sum != m["icache_cache_requests_total"] {
+		if sum := m["icache_cache_hits_total"] + m["icache_cache_misses_total"] + m["icache_cache_substitutions_total"]; sum != m["icache_cache_requests_total"] {
 			t.Errorf("scrape %d: outcome classes sum to %g, requests %g", i, sum, m["icache_cache_requests_total"])
 		}
 		if sum := m["icache_evict_capacity_total"] + m["icache_evict_dead_owner_total"] + m["icache_evict_scrub_total"] + m["icache_evict_checkpoint_denied_total"] + m["icache_evict_dir_unavailable_total"]; sum != m["icache_evict_reasoned_total"] {
@@ -492,7 +492,7 @@ func TestTracedChainSurvivesPeerFault(t *testing.T) {
 	f.nodes[1].policyMu.Lock()
 	st := f.nodes[1].cache.Stats()
 	f.nodes[1].policyMu.Unlock()
-	if got, want := st.Hits+st.Misses+st.Substitutions+st.Degraded, st.Requests(); got != want {
+	if got, want := st.Hits+st.Misses+st.Substitutions, st.Requests(); got != want {
 		t.Fatalf("outcome classes sum to %d, Requests() = %d", got, want)
 	}
 	if st.Requests() == 0 {

@@ -135,9 +135,9 @@ func TestAdmissionShedLegacyAndMux(t *testing.T) {
 	srv.policyMu.Lock()
 	st := srv.cache.Stats()
 	srv.policyMu.Unlock()
-	if got := st.Hits + st.Misses + st.Substitutions + st.Degraded + shed + expired; got != 4 {
-		t.Fatalf("ledger: hits(%d)+misses(%d)+subs(%d)+degraded(%d)+shed(%d)+expired(%d) = %d, want 4",
-			st.Hits, st.Misses, st.Substitutions, st.Degraded, shed, expired, got)
+	if got := st.Hits + st.Misses + st.Substitutions + shed + expired; got != 4 {
+		t.Fatalf("ledger: hits(%d)+misses(%d)+subs(%d)+shed(%d)+expired(%d) = %d, want 4",
+			st.Hits, st.Misses, st.Substitutions, shed, expired, got)
 	}
 }
 
@@ -437,15 +437,15 @@ func chaosDelayedPeer(t *testing.T, seed int64) {
 	}
 
 	// Conservation, exact: retry-free clients mean every offered id is
-	// accounted exactly once across hits/misses/substitutions/degraded plus
+	// accounted exactly once across hits/misses/substitutions plus
 	// the overload rejections (none expected here — A absorbed the fault).
 	nodes[0].policyMu.Lock()
 	st := nodes[0].cache.Stats()
 	nodes[0].policyMu.Unlock()
 	shed, expired := nodes[0].OverloadCounters()
-	if got := st.Hits + st.Misses + st.Substitutions + st.Degraded + shed + expired; got != offered {
-		t.Fatalf("ledger: hits(%d)+misses(%d)+subs(%d)+degraded(%d)+shed(%d)+expired(%d) = %d, want offered %d",
-			st.Hits, st.Misses, st.Substitutions, st.Degraded, shed, expired, got, offered)
+	if got := st.Hits + st.Misses + st.Substitutions + shed + expired; got != offered {
+		t.Fatalf("ledger: hits(%d)+misses(%d)+subs(%d)+shed(%d)+expired(%d) = %d, want offered %d",
+			st.Hits, st.Misses, st.Substitutions, shed, expired, got, offered)
 	}
 	requireStoreWithinResidents(t, nodes[0])
 	requireStoreWithinResidents(t, nodes[1])

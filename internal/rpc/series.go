@@ -98,11 +98,10 @@ func (v *nodeView) rows() []series {
 		{"icache_cache_hits_total", "requests served from cached copies of the requested sample", counter, "hits", float64(v.Cache.Hits)},
 		{"icache_cache_misses_total", "requests that went to backend storage", counter, "misses", float64(v.Cache.Misses)},
 		{"icache_cache_substitutions_total", "requests served by a different cached sample", counter, "substitutions", float64(v.Cache.Substitutions)},
-		{"icache_cache_degraded_total", "requests that fell back to the backend because a fault broke the preferred path", counter, "degraded", float64(v.Cache.Degraded)},
 		{"icache_cache_inserts_total", "samples admitted into the cache", counter, "", float64(v.Cache.Inserts)},
 		{"icache_cache_evictions_total", "samples evicted to make room", counter, "", float64(v.Cache.Evictions)},
 		{"icache_cache_rejections_total", "fetched samples the policy declined to admit", counter, "", float64(v.Cache.Rejections)},
-		{"icache_cache_requests_total", "total sample requests (hits+misses+substitutions+degraded)", counter, "requests", float64(v.Cache.Requests())},
+		{"icache_cache_requests_total", "total sample requests (hits+misses+substitutions)", counter, "requests", float64(v.Cache.Requests())},
 		{"icache_cache_hit_ratio", "policy-level: fraction of requests decided a hit or a substitution, whose substitute may still be read from the backend (0 when no requests yet)", gauge, "", v.Cache.HitRatio()},
 		{"icache_hcache_len", "samples resident in the H-cache region", gauge, "hcache_len", float64(v.HLen)},
 		{"icache_lcache_len", "samples resident in the L-cache region", gauge, "lcache_len", float64(v.LLen)},

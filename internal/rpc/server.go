@@ -221,7 +221,7 @@ func (s *Server) SetAdmission(g *overload.Gate) {
 // and how many it dropped because their deadline budget ran out before the
 // cache was touched. Neither increments any cache counter, so the
 // conservation identity extends to
-// hits+misses+substitutions+degraded + shed + expired == offered.
+// hits+misses+substitutions + shed + expired == offered.
 func (s *Server) OverloadCounters() (shed, expired int64) { return s.t.OverloadCounters() }
 
 // dispatchControl decodes one control-plane request — everything except the

@@ -122,7 +122,6 @@ type Backend struct {
 	servers []*simclock.Pool
 	link    *simclock.Resource
 	stats   Stats
-	inj     *faults.Injector
 }
 
 // NewBackend builds a backend for the dataset described by spec.
@@ -163,25 +162,6 @@ func (b *Backend) Reset() {
 	}
 }
 
-// SetFaultInjector attaches a chaos schedule to the backend. The simulated
-// backend has no error channel (reads always complete in virtual time), so
-// only ActDelay decisions apply: a fired faults.OpBackendRead rule adds its
-// Delay to the request's service time, modelling a brown-out or a slow
-// storage server. Pass nil to detach.
-func (b *Backend) SetFaultInjector(inj *faults.Injector) { b.inj = inj }
-
-// faultDelay reports the injected extra service time for one read at
-// virtual time at (zero without an injector or a fired delay rule).
-func (b *Backend) faultDelay(at simclock.Time) time.Duration {
-	if b.inj == nil {
-		return 0
-	}
-	if d := b.inj.DecideAt(faults.OpBackendRead, at); d.Action == faults.ActDelay {
-		return d.Delay
-	}
-	return 0
-}
-
 // homeServer returns the server holding the first stripe of a sample. Files
 // are laid out round-robin by ID, which spreads a random workload evenly.
 func (b *Backend) homeServer(id dataset.SampleID) int {
@@ -202,7 +182,7 @@ func (b *Backend) ReadSample(at simclock.Time, id dataset.SampleID) simclock.Tim
 		// Striped across servers: each moves ~1/Servers of the bytes.
 		perServer = (size + b.cfg.Servers - 1) / b.cfg.Servers
 	}
-	service := b.cfg.PerReadOverhead + bps(perServer, b.cfg.ServerBandwidth) + b.faultDelay(at)
+	service := b.cfg.PerReadOverhead + bps(perServer, b.cfg.ServerBandwidth)
 	_, srvEnd := b.servers[b.homeServer(id)].Acquire(at, service)
 	_, end := b.link.Acquire(srvEnd, bps(size, b.cfg.LinkBandwidth))
 	return end
@@ -220,7 +200,7 @@ func (b *Backend) ReadPackage(at simclock.Time, totalBytes int) simclock.Time {
 	b.stats.BytesRead += int64(totalBytes)
 
 	perServer := (totalBytes + b.cfg.Servers - 1) / b.cfg.Servers
-	service := b.cfg.PerReadOverhead + bps(perServer, b.cfg.ServerBandwidth) + b.faultDelay(at)
+	service := b.cfg.PerReadOverhead + bps(perServer, b.cfg.ServerBandwidth)
 	var latest simclock.Time
 	for _, s := range b.servers {
 		if _, end := s.Acquire(at, service); end > latest {

@@ -293,28 +293,3 @@ func TestDataSourceConcurrentFailureInjection(t *testing.T) {
 		t.Errorf("%d injected failures observed, only 200 armed", total)
 	}
 }
-
-// TestBackendFaultDelaySlowsReads verifies the injector's delay action
-// stretches a read's virtual-time cost without touching fault-free reads.
-func TestBackendFaultDelaySlowsReads(t *testing.T) {
-	spec := testSpec()
-	clean := mustBackend(t, spec, NFS())
-	faulty := mustBackend(t, spec, NFS())
-	faulty.SetFaultInjector(faults.New(1).Add(
-		faults.Rule{Op: faults.OpBackendRead, FromTime: 1, Action: faults.ActDelay, Delay: 50 * time.Millisecond},
-	))
-
-	cleanEnd := clean.ReadSample(time.Second, 7)
-	faultyEnd := faulty.ReadSample(time.Second, 7)
-	if faultyEnd <= cleanEnd {
-		t.Fatalf("faulted read finished at %v, clean at %v; want slower", faultyEnd, cleanEnd)
-	}
-	if got, want := faultyEnd-cleanEnd, 50*time.Millisecond; got != want {
-		t.Fatalf("injected delay %v, want %v", got, want)
-	}
-	// Outside the schedule (injector detached) reads cost the same again.
-	faulty.SetFaultInjector(nil)
-	if a, b := clean.ReadSample(2*time.Second, 8), faulty.ReadSample(2*time.Second+50*time.Millisecond, 8); b-a != 50*time.Millisecond {
-		t.Fatalf("detached injector still perturbing reads (%v vs %v)", a, b)
-	}
-}

@@ -132,7 +132,7 @@ func (c *Client) dialSession(redial bool, dl time.Time) (*muxSession, error) {
 			dl = td
 		}
 	}
-	conn, err := (&net.Dialer{Deadline: dl}).Dial("tcp", c.addr)
+	conn, err := (*dialer.Load())(c.addr, dl)
 	if err != nil {
 		return nil, err
 	}
@@ -152,6 +152,30 @@ func (c *Client) dialSession(redial bool, dl time.Time) (*muxSession, error) {
 		return nil, err
 	}
 	return sess, nil
+}
+
+// DialFunc opens a connection to addr, giving up at deadline (zero:
+// unbounded).
+type DialFunc func(addr string, deadline time.Time) (net.Conn, error)
+
+// dialer is the one way a Client opens a connection — every cache client,
+// peer client and directory client dials through dialSession, which calls
+// it. TCP unless SetDialer installed another network.
+var dialer atomic.Pointer[DialFunc]
+
+func init() {
+	tcp := DialFunc(func(addr string, deadline time.Time) (net.Conn, error) {
+		return (&net.Dialer{Deadline: deadline}).Dial("tcp", addr)
+	})
+	dialer.Store(&tcp)
+}
+
+// SetDialer makes d the way every Client opens a connection and returns a
+// function that puts the previous one back. The default is TCP; tests
+// install an in-memory network (transporttest.Network).
+func SetDialer(d DialFunc) (restore func()) {
+	prev := dialer.Swap(&d)
+	return func() { dialer.Store(prev) }
 }
 
 // Close tears down the connection and waits for the demux reader to exit.
