@@ -71,7 +71,12 @@ vet:
 # bubble, so no non-test file of internal/icache names a simulated crash or
 # fault hook (KillNode, RestartNode, SetFaultInjector, DirReplicas), and no
 # non-test file outside internal/vt calls testing/synctest (go1.25 renames
-# its Run; one helper changes). Subsumes `vet` in `make all`.
+# its Run; one helper changes). And there is one wire epoch,
+# train.RunWireEpoch: no non-test file under cmd/, examples/ or
+# internal/loadgen draws an IIS schedule, pushes an H-list or crosses an epoch
+# boundary itself (IISSchedule(, .UpdateImportance(, .BeginEpoch( or
+# .BeginEpochPlan(, comments excepted; benchmark/ keeps its own copy of the
+# loop). Subsumes `vet` in `make all`.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -175,6 +180,12 @@ lint:
 	if [ -n "$$stray" ]; then \
 		echo "a second fault-tested stack (faults, leases and churn are tested on rpc.Server and dkv in a bubble; synctest is called only in internal/vt):"; echo "$$stray"; exit 1; \
 	fi
+	@stray=$$(for f in $$(find cmd examples internal/loadgen -name '*.go' ! -name '*_test.go'); do \
+		sed 's,//.*,,' $$f | grep -nE 'IISSchedule\(|\.(UpdateImportance|BeginEpoch|BeginEpochPlan)\(' | sed "s,^,$$f:,"; \
+	done); \
+	if [ -n "$$stray" ]; then \
+		echo "a second wire epoch (a client trains an epoch through train.RunWireEpoch):"; echo "$$stray"; exit 1; \
+	fi
 	$(GO) vet ./...
 
 test:
@@ -267,12 +278,14 @@ bench:
 # ownership-write combiner (BenchmarkOwnershipWrites: ns and frames per claim
 # from 1 and 64 concurrent claimers), the L-cache package delivery
 # (BenchmarkPackageDelivery: ns per member of the one policyMu hold that
-# inserts, evicts and stores a package), the loadgen saturation /
-# overload / clairvoyant runs, and BenchmarkShortSleep (what the repository
-# benchmark's 500 us backend sleep costs in an idle and in a busy process). Nothing is archived or compared: the benchmarks that gate
-# anything carry their own b.Fatalf (BenchmarkLoadgenOverload: storm goodput
-# >= 80% of the knee; BenchmarkPrefetchEpochs: see prefetch-smoke), and
-# commit-to-commit comparison is `make benchmark-pairs`.
+# inserts, evicts and stores a package), the clairvoyant plan's epochs
+# (BenchmarkPrefetchEpochs), the loadgen saturation and overload runs, and
+# BenchmarkShortSleep (what the repository benchmark's 500 us backend sleep
+# costs in an idle and in a busy process). Nothing is archived or compared:
+# the benchmarks that gate anything carry their own b.Fatalf
+# (BenchmarkLoadgenOverload: storm goodput >= 80% of the knee;
+# BenchmarkPrefetchEpochs: see prefetch-smoke), and commit-to-commit
+# comparison is `make benchmark-pairs`.
 bench-layers:
 	$(GO) test -run NONE -bench . -benchmem ./internal/rpc/ ./internal/wire/ ./internal/dkv/ ./internal/loadgen/
 
@@ -310,17 +323,17 @@ overload-smoke:
 loadgen-smoke:
 	$(GO) run ./cmd/icache-loadgen -smoke
 
-# Sub-second self-contained clairvoyant smoke (boots an in-process planning
-# server, pushes each epoch's schedule ahead of its accesses, asserts later
-# epochs run nearly cold-miss-free and the prefetch-outcome ledger stays
-# exactly conserved), then the clairvoyant gate, once: the same epoch-boundary
-# workload runs reactive and with the planner as -clairvoyant installs it, and
-# BenchmarkPrefetchEpochs FAILS unless warm-epoch cold misses drop >= 10x and
-# the prefetch in-time ratio reaches 0.9. Gates `make all` so the planner
-# cannot rot.
+# The clairvoyant gate, once (about 0.6 s): internal/rpc's
+# BenchmarkPrefetchEpochs runs one epoch-boundary workload against two
+# in-process servers, one crossing plain boundaries and one pushing each
+# epoch's schedule ahead of its accesses (BeginEpochPlan). It FAILS on a
+# request error or an unbalanced prefetch-outcome ledger in either run. It
+# also FAILS unless warm-epoch cold misses drop >= 10x, the prefetch in-time
+# ratio reaches 0.9, and the planned run's first epoch has cold misses and
+# its last at most a fifth of them. Gates `make all` so the planner cannot
+# rot.
 prefetch-smoke:
-	$(GO) run ./cmd/icache-loadgen -prefetch-smoke
-	$(GO) test -run NONE -bench 'PrefetchEpochs' -benchtime 1x ./internal/loadgen/
+	$(GO) test -run NONE -bench 'PrefetchEpochs' -benchtime 1x ./internal/rpc/
 
 # Regenerate the full evaluation at paper scale (~4 minutes).
 experiments:

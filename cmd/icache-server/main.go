@@ -306,12 +306,15 @@ func main() {
 				log.Printf("icache-server: trace dump: %v", err)
 			} else {
 				cut, err := tracer.WriteCSVLimited(f, int64(*traceMax)<<20)
+				if cerr := f.Close(); err == nil {
+					err = cerr
+				}
 				if err != nil {
 					log.Printf("icache-server: trace dump: %v", err)
+				} else {
+					log.Printf("icache-server: trace (%d events retained, %d total, %d cut by size cap) dumped to %s",
+						tracer.Len(), tracer.Total(), cut, *traceCSV)
 				}
-				f.Close()
-				log.Printf("icache-server: trace (%d events retained, %d total, %d cut by size cap) dumped to %s",
-					tracer.Len(), tracer.Total(), cut, *traceCSV)
 			}
 		}
 		srv.Close()

@@ -1,7 +1,9 @@
 // Command icache-train drives a live icache-server the way the paper's
-// PyTorch client does: per epoch it selects samples with I/O-oriented
-// importance sampling, fetches them in mini-batches over the wire, trains
-// them through train.Learner, and pushes the fresh H-list to the server. It
+// PyTorch client does: per epoch (one train.RunWireEpoch) it selects samples
+// with I/O-oriented importance sampling, pushes the fresh H-list to the
+// server, fetches them in mini-batches over the wire, and trains them
+// through train.Learner. Each epoch line also reports the epoch's backend
+// cold misses, with the server's other counters, as growth over the epoch. It
 // plays the role of the Python training loop, with ResNet18's simulated loss
 // dynamics standing in for real SGD, and reports each epoch's Top-1 and
 // Top-5 from the accuracy model, charged for the substitutions the client
@@ -13,7 +15,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -24,10 +25,8 @@ import (
 	"icache/internal/dataset"
 	"icache/internal/obs"
 	"icache/internal/rpc"
-	"icache/internal/sampling"
 	"icache/internal/trace"
 	"icache/internal/train"
-	"icache/internal/transport"
 )
 
 func main() {
@@ -75,8 +74,7 @@ func main() {
 		}
 		clients[w] = c
 	}
-	client := clients[0]
-	if err := client.Ping(); err != nil {
+	if err := clients[0].Ping(); err != nil {
 		log.Fatalf("icache-train: server not responding: %v", err)
 	}
 
@@ -88,98 +86,25 @@ func main() {
 	}
 	rng := rand.New(rand.NewSource(*seed))
 
-	// The server's counters are cumulative since it started; each epoch's
-	// line reports the growth since the previous boundary.
-	prev, err := client.Stats()
-	if err != nil {
-		log.Fatalf("icache-train: stats: %v", err)
-	}
 	for epoch := 0; epoch < *epochs; epoch++ {
-		learner.BeginEpoch(epoch)
-		sched, hlist := sampling.IISSchedule(learner.Tracker(), sampling.DefaultIIS(), rng)
-		if err := client.UpdateImportance(hlist.Items); err != nil {
-			log.Fatalf("icache-train: push H-list: %v", err)
-		}
-		if *clairv {
-			// Planned boundary: the sampler drew the whole epoch's access
-			// order up front, so ship it with the boundary and let the
-			// server pre-place the misses before the batches arrive. An
-			// older or non-planning server rejects the opcode with an
-			// application error; fall back to the plain boundary so the
-			// flag is safe against any server.
-			err := client.BeginEpochPlan(epoch, sched.Fetch)
-			var se *transport.ServerError
-			if errors.As(err, &se) {
-				log.Printf("icache-train: server rejected planned boundary (%v); falling back to -clairvoyant=false", err)
-				*clairv = false
-				err = client.BeginEpoch(epoch)
-			}
-			if err != nil {
-				log.Fatalf("icache-train: begin epoch: %v", err)
-			}
-		} else if err := client.BeginEpoch(epoch); err != nil {
-			log.Fatalf("icache-train: begin epoch: %v", err)
-		}
-
-		start := time.Now()
-		batches := sched.Batches(*bs)
-		// Workers fetch batches concurrently; results come back in order so
-		// samples are trained in schedule order, like a real loader queue.
-		type result struct {
-			samples []rpc.Sample
-			err     error
-		}
-		results := make([]chan result, len(batches))
-		for i := range results {
-			results[i] = make(chan result, 1)
-		}
-		next := make(chan int)
-		go func() {
-			for i := range batches {
-				next <- i
-			}
-			close(next)
-		}()
-		for w := 0; w < *workers; w++ {
-			go func(c *rpc.Client) {
-				for i := range next {
-					samples, err := c.GetBatch(batches[i])
-					results[i] <- result{samples: samples, err: err}
-				}
-			}(clients[w])
-		}
-		var bytes int64
-		for i := range batches {
-			r := <-results[i]
-			if r.err != nil {
-				log.Fatalf("icache-train: fetch: %v", r.err)
-			}
-			for k, s := range r.samples {
-				if err := spec.VerifyPayload(s.ID, s.Payload); err != nil {
-					log.Fatalf("icache-train: corrupt sample: %v", err)
-				}
-				bytes += int64(len(s.Payload))
-				learner.Train(batches[i][k], s.ID, true)
-			}
-		}
-		elapsed := time.Since(start)
-		trained, subs := learner.Trained(), learner.Substitutions()
-		top1, top5 := learner.EndEpoch(sched.Fetch, 0)
-		st, err := client.Stats()
+		ep, err := train.RunWireEpoch(learner, rng, clients, epoch, *bs, *clairv)
 		if err != nil {
-			log.Fatalf("icache-train: stats: %v", err)
+			log.Fatalf("icache-train: epoch %d: %v", epoch, err)
 		}
-		hits, misses, srvSubs := st.Hits-prev.Hits, st.Misses-prev.Misses, st.Substitutions-prev.Substitutions
-		prev = st
+		if *clairv && !ep.Planned {
+			log.Printf("icache-train: server rejected planned boundary; falling back to -clairvoyant=false")
+			*clairv = false
+		}
+		st := ep.Server
 		hitRatio := 0.0
-		if served := hits + misses + srvSubs; served > 0 {
-			hitRatio = float64(hits+srvSubs) / float64(served)
+		if served := st.Hits + st.Misses + st.Substitutions; served > 0 {
+			hitRatio = float64(st.Hits+st.Substitutions) / float64(served)
 		}
-		fmt.Printf("epoch %d: %d samples, %.1f MB in %s (%.0f samples/s) | server: hits=%d misses=%d subs=%d hit-ratio=%.1f%% hcache=%d lcache=%d pkgs=%d | %s: substituted=%.1f%% top-1=%.2f%% top-5=%.2f%%\n",
-			epoch, trained, float64(bytes)/(1<<20), elapsed.Round(time.Millisecond),
-			float64(trained)/elapsed.Seconds(),
-			hits, misses, srvSubs, 100*hitRatio, st.HCacheLen, st.LCacheLen, st.Packages,
-			cfg.Model.Name, 100*float64(subs)/float64(max(trained, 1)), top1, top5)
+		fmt.Printf("epoch %d: %d samples, %.1f MB in %s (%.0f samples/s) | server: hits=%d misses=%d subs=%d hit-ratio=%.1f%% cold=%d hcache=%d lcache=%d pkgs=%d | %s: substituted=%.1f%% top-1=%.2f%% top-5=%.2f%%\n",
+			epoch, ep.Trained, float64(ep.Bytes)/(1<<20), ep.Elapsed.Round(time.Millisecond),
+			float64(ep.Trained)/ep.Elapsed.Seconds(),
+			st.Hits, st.Misses, st.Substitutions, 100*hitRatio, st.DemandFetches, st.HCacheLen, st.LCacheLen, st.Packages,
+			cfg.Model.Name, 100*float64(ep.Substituted)/float64(max(ep.Trained, 1)), ep.Top1, ep.Top5)
 	}
 
 	if tracer != nil {
@@ -193,7 +118,9 @@ func main() {
 			if err := tracer.WriteCSV(f); err != nil {
 				log.Fatalf("icache-train: trace dump: %v", err)
 			}
-			f.Close()
+			if err := f.Close(); err != nil {
+				log.Fatalf("icache-train: trace dump: %v", err)
+			}
 			fmt.Printf("traced spans dumped to %s (analyze with icache-trace, merge with the server's CSV for the full hop chain)\n", *traceTo)
 		}
 	}

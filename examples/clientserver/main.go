@@ -1,9 +1,9 @@
 // Clientserver: the end-to-end RPC path. Starts a real iCache TCP server on
 // a loopback port (the role of `icache-server`), then drives it exactly
-// like the paper's PyTorch client: push an H-list, fetch mini-batches, train
-// them through train.Learner, print server-side cache statistics and the
-// accuracy model's Top-1. Every payload is integrity-checked against the
-// dataset generator.
+// like the paper's PyTorch client, through train.RunWireEpoch: push an
+// H-list, fetch mini-batches, train them through train.Learner, and print
+// each epoch's server-side cache statistics and the accuracy model's Top-1.
+// Every payload is integrity-checked against the dataset generator.
 //
 //	go run ./examples/clientserver
 package main
@@ -61,36 +61,14 @@ func main() {
 	rng := rand.New(rand.NewSource(1))
 
 	for epoch := 0; epoch < 3; epoch++ {
-		learner.BeginEpoch(epoch)
-		sched, hlist := sampling.IISSchedule(learner.Tracker(), sampling.DefaultIIS(), rng)
-		if err := client.UpdateImportance(hlist.Items); err != nil {
-			log.Fatal(err)
-		}
-		if err := client.BeginEpoch(epoch); err != nil {
-			log.Fatal(err)
-		}
-		start := time.Now()
-		for _, batch := range sched.Batches(256) {
-			samples, err := client.GetBatch(batch)
-			if err != nil {
-				log.Fatal(err)
-			}
-			for k, s := range samples {
-				if err := spec.VerifyPayload(s.ID, s.Payload); err != nil {
-					log.Fatalf("integrity check failed: %v", err)
-				}
-				learner.Train(batch[k], s.ID, true)
-			}
-		}
-		trained := learner.Trained()
-		top1, _ := learner.EndEpoch(sched.Fetch, 0)
-		st, err := client.Stats()
+		ep, err := train.RunWireEpoch(learner, rng, []*rpc.Client{client}, epoch, 256, false)
 		if err != nil {
 			log.Fatal(err)
 		}
+		st := ep.Server
 		fmt.Printf("epoch %d: trained %d samples in %s | hits=%d misses=%d substitutions=%d hcache=%d lcache=%d | top-1 %.2f%%\n",
-			epoch, trained, time.Since(start).Round(time.Millisecond),
-			st.Hits, st.Misses, st.Substitutions, st.HCacheLen, st.LCacheLen, top1)
+			epoch, ep.Trained, ep.Elapsed.Round(time.Millisecond),
+			st.Hits, st.Misses, st.Substitutions, st.HCacheLen, st.LCacheLen, ep.Top1)
 	}
 	fmt.Println("all payloads verified — the cache served exactly the bytes the dataset defines")
 }

@@ -3,7 +3,8 @@
 // replacement restores the checkpoint (rehydrating payloads from the
 // backend) and serves its first batches at full hit ratio — no cold-start
 // tax on the training job, whose client rides through the restart with a
-// transparent reconnect.
+// transparent reconnect. Each epoch is train.RunWireEpoch, which verifies
+// every payload.
 //
 //	go run ./examples/warmrestart
 package main
@@ -68,30 +69,13 @@ func main() {
 	rng := rand.New(rand.NewSource(1))
 
 	runEpoch := func(epoch int) {
-		learner.BeginEpoch(epoch)
-		sched, hlist := sampling.IISSchedule(learner.Tracker(), sampling.DefaultIIS(), rng)
-		if err := client.UpdateImportance(hlist.Items); err != nil {
-			log.Fatal(err)
-		}
-		if err := client.BeginEpoch(epoch); err != nil {
-			log.Fatal(err)
-		}
-		for _, batch := range sched.Batches(256) {
-			samples, err := client.GetBatch(batch)
-			if err != nil {
-				log.Fatal(err)
-			}
-			for k, s := range samples {
-				learner.Train(batch[k], s.ID, true)
-			}
-		}
-		top1, _ := learner.EndEpoch(sched.Fetch, 0)
-		st, err := client.Stats()
+		ep, err := train.RunWireEpoch(learner, rng, []*rpc.Client{client}, epoch, 256, false)
 		if err != nil {
 			log.Fatal(err)
 		}
+		st := ep.Server
 		fmt.Printf("epoch %d: server hits=%d misses=%d subs=%d (hcache=%d) | top-1 %.2f%%\n",
-			epoch, st.Hits, st.Misses, st.Substitutions, st.HCacheLen, top1)
+			epoch, st.Hits, st.Misses, st.Substitutions, st.HCacheLen, ep.Top1)
 	}
 
 	fmt.Println("-- first server lifetime: warming up --")

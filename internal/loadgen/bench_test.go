@@ -177,124 +177,6 @@ func BenchmarkLoadgenOverload(b *testing.B) {
 	}
 }
 
-// BenchmarkPrefetchEpochs is the clairvoyant-prefetch gate (`make
-// prefetch-smoke` runs it once, so `make all` does). Two
-// identical servers take the same epoch-boundary workload — per-epoch
-// reshuffled selections over a keyspace larger than the cache, backend
-// charging real latency per read — one client crossing plain boundaries (no
-// prefetch at all), one pushing the schedule ahead of its accesses
-// (BeginEpochPlan). The first epoch is a cold baseline on both; from the
-// second epoch on the plan should pre-place nearly the whole selection, so the
-// benchmark FAILS unless warm-epoch cold misses drop >= 10x versus the plain
-// run and the prefetch in-time ratio reaches 0.9. The pool is the shipped one,
-// a worker per read slot (EXPERIMENTS.md, "One prefetcher", has the 20-run
-// table the in-time bound rests on). The headline samples/sec is the
-// clairvoyant run's throughput at the shared offered rate — a plan that stops
-// working ahead stalls the paced schedule and drags it down.
-func BenchmarkPrefetchEpochs(b *testing.B) {
-	const (
-		keys         = 2048
-		epochSamples = 768
-		epochCount   = 5
-		backendLat   = 300 * time.Microsecond
-		offeredRate  = 20000
-	)
-	spec := dataset.Spec{Name: "loadgen-plan", NumSamples: keys, MeanSampleBytes: 4096, Seed: 7}
-	runMode := func(clairvoyant bool) (Report, rpc.PlanStats, int64, float64) {
-		srv, addr := startPlanServer(b, spec, backendLat)
-		rep, err := Run(Config{
-			Addr:         addr,
-			Conns:        8,
-			Batch:        16,
-			Rate:         offeredRate,
-			Keys:         keys,
-			Seed:         3,
-			EpochSamples: epochSamples,
-			Epochs:       epochCount,
-			Clairvoyant:  clairvoyant,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Errors > 0 {
-			b.Fatalf("%d request errors (clairvoyant=%v)", rep.Errors, clairvoyant)
-		}
-		d := srv.DecisionStats()
-		if got := d.PrefetchInTime + d.PrefetchLate + d.PrefetchWasted + d.PrefetchDropped; got != d.PrefetchIssued {
-			b.Fatalf("prefetch ledger unbalanced (clairvoyant=%v): in_time %d + late %d + wasted %d + dropped %d != issued %d",
-				clairvoyant, d.PrefetchInTime, d.PrefetchLate, d.PrefetchWasted, d.PrefetchDropped, d.PrefetchIssued)
-		}
-		var warm int64
-		for _, m := range rep.EpochMisses[1:] {
-			warm += m
-		}
-		var inTime float64
-		if denom := d.PrefetchInTime + d.PrefetchLate + d.PrefetchWasted; denom > 0 {
-			inTime = float64(d.PrefetchInTime) / float64(denom)
-		}
-		return rep, srv.PlanStats(), warm, inTime
-	}
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _, plainWarm, _ := runMode(false)
-		rep, ps, clairWarm, inTime := runMode(true)
-		if plainWarm == 0 {
-			b.Fatalf("plain warm epochs saw no cold misses — the workload churn vanished")
-		}
-		if clairWarm*10 > plainWarm {
-			b.Fatalf("warm-epoch cold misses only dropped %dx (plain %d, clairvoyant %d); want >= 10x",
-				plainWarm/max64(clairWarm, 1), plainWarm, clairWarm)
-		}
-		if inTime < 0.9 {
-			b.Fatalf("prefetch in-time ratio %.3f < 0.9 (plan %+v)", inTime, ps)
-		}
-		if i == b.N-1 {
-			b.ReportMetric(rep.SamplesPerSec, "samples/sec")
-			b.ReportMetric(float64(clairWarm), "cold-misses")
-			b.ReportMetric(inTime, "in-time-ratio")
-		}
-	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// startPlanServer boots a serving stack for the epoch-boundary benchmark:
-// all-H policy (L-cache off), capacity above one epoch's selection but below
-// the keyspace, latency-charging backend. A plan runs as an operator's server
-// runs it: no pacing but the read budget, one prefetch worker per slot.
-func startPlanServer(b *testing.B, spec dataset.Spec, backendLat time.Duration) (*rpc.Server, string) {
-	b.Helper()
-	back, err := storage.NewBackend(spec, storage.OrangeFS())
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := icache.DefaultConfig(spec.TotalBytes() * 3 / 4)
-	cfg.EnableLCache = false
-	cacheSrv, err := icache.NewServer(back, cfg, sampling.DefaultIIS(), 11)
-	if err != nil {
-		b.Fatal(err)
-	}
-	inner, err := storage.NewDataSource(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv := rpc.NewServer(cacheSrv, &stallSource{inner: inner, latency: backendLat})
-	srv.Logf = nil
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	go srv.Serve(ln)
-	b.Cleanup(func() { srv.Close() })
-	return srv, ln.Addr().String()
-}
-
 // startOverloadServer is startGatedServer with a stalled backend: every
 // miss charges backendLat, making the admission slots — not the loopback
 // wire — the capacity-limiting resource.

@@ -18,7 +18,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,7 +26,6 @@ import (
 	"icache/internal/obs"
 	"icache/internal/overload"
 	"icache/internal/rpc"
-	"icache/internal/sampling"
 )
 
 // Config parameterizes one load run.
@@ -70,22 +68,6 @@ type Config struct {
 	// envelope, so overloaded servers drop unservable work instead of
 	// answering it late. 0 = no deadline (the historic behavior).
 	Deadline time.Duration
-
-	// EpochSamples > 0 switches the harness to epoch-boundary mode: instead
-	// of an unbounded arrival stream, each epoch draws a fresh per-epoch
-	// selection of EpochSamples ids from [0, Keys) (seeded permutation, so
-	// successive epochs overlap partially — the churn a cross-epoch
-	// prefetcher has to cover), pushes it as the job's H-list, crosses an
-	// epoch boundary, then accesses the selection exactly once, paced at
-	// Rate. The report carries cold misses (demand-path backend reads) per
-	// epoch. Mix/Duration/MaxRequests are ignored in this mode.
-	EpochSamples int
-	// Epochs is how many epochs the epoch-boundary mode runs. Default 5.
-	Epochs int
-	// Clairvoyant pushes each epoch's schedule to the server ahead of its
-	// accesses (BeginEpochPlan) from the SECOND epoch on — the first epoch
-	// is always a cold reactive baseline. Off: plain BeginEpoch boundaries.
-	Clairvoyant bool
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -107,14 +89,7 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Keys <= 0 {
 		return c, fmt.Errorf("loadgen: Keys must be > 0")
 	}
-	if c.EpochSamples > 0 {
-		if c.EpochSamples > c.Keys {
-			return c, fmt.Errorf("loadgen: EpochSamples %d exceeds Keys %d", c.EpochSamples, c.Keys)
-		}
-		if c.Epochs <= 0 {
-			c.Epochs = 5
-		}
-	} else if c.Duration <= 0 && c.MaxRequests <= 0 {
+	if c.Duration <= 0 && c.MaxRequests <= 0 {
 		return c, fmt.Errorf("loadgen: one of Duration or MaxRequests must be set")
 	}
 	if c.DialTimeout <= 0 {
@@ -170,16 +145,6 @@ type Report struct {
 	LatencyP95Ms  float64 `json:"latency_p95_ms"`
 	LatencyP99Ms  float64 `json:"latency_p99_ms"`
 	LatencyMaxMs  float64 `json:"latency_max_ms"`
-
-	// Epoch-boundary mode (EpochSamples > 0) only.
-	Epochs       int  `json:"epochs,omitempty"`
-	EpochSamples int  `json:"epoch_samples,omitempty"`
-	Clairvoyant  bool `json:"clairvoyant,omitempty"`
-	// EpochMisses is the number of cold misses (demand-path backend reads,
-	// from the server's DemandFetches counter) each epoch incurred. The
-	// first epoch is always a cold baseline; a working clairvoyant plan
-	// drives the later entries toward zero.
-	EpochMisses []int64 `json:"epoch_cold_misses,omitempty"`
 }
 
 // JSON renders the report as indented JSON.
@@ -214,10 +179,6 @@ func Run(cfg Config) (Report, error) {
 			c.Close()
 		}
 	}()
-
-	if cfg.EpochSamples > 0 {
-		return runEpochs(cfg, conns)
-	}
 
 	// Per-connection inter-arrival gap: the total offered rate split
 	// evenly. Zero gap = saturation probing.
@@ -265,159 +226,6 @@ func Run(cfg Config) (Report, error) {
 	rep.LatencyP99Ms = toMs(snap.P99())
 	rep.LatencyMaxMs = toMs(snap.Max())
 	return rep, nil
-}
-
-// epochSchedule draws epoch e's selected sample set: a seeded permutation
-// of the keyspace truncated to EpochSamples. Successive epochs reshuffle,
-// so the selections overlap partially — the cross-epoch churn that makes
-// reactive caching miss every epoch.
-func epochSchedule(cfg Config, e int) []dataset.SampleID {
-	rng := rand.New(rand.NewSource(cfg.Seed + int64(e)))
-	perm := rng.Perm(cfg.Keys)
-	sched := make([]dataset.SampleID, cfg.EpochSamples)
-	for i := range sched {
-		sched[i] = dataset.SampleID(perm[i])
-	}
-	return sched
-}
-
-// runEpochs is the epoch-boundary mode: per epoch it pushes the selection
-// as the H-list, crosses a boundary (clairvoyantly from epoch 2 on when
-// configured), accesses the selection once at the offered rate, and
-// records the epoch's cold misses from the server's demand-fetch counter.
-func runEpochs(cfg Config, conns []*rpc.Client) (Report, error) {
-	ctrl := conns[0]
-	hist := obs.NewHistogram()
-	counters := &runCounters{}
-	m := &measured{hist: hist, c: counters}
-
-	st, err := ctrl.Stats()
-	if err != nil {
-		return Report{}, fmt.Errorf("loadgen: baseline stats: %w", err)
-	}
-	base := st.DemandFetches
-
-	misses := make([]int64, 0, cfg.Epochs)
-	start := time.Now()
-	for e := 0; e < cfg.Epochs; e++ {
-		sched := epochSchedule(cfg, e)
-		items := make([]sampling.Item, len(sched))
-		for i, id := range sched {
-			// Descending IV in first-access order: every selected sample is
-			// an H-sample this epoch, earlier accesses more important.
-			items[i] = sampling.Item{ID: id, IV: float64(len(sched) - i)}
-		}
-		if err := ctrl.UpdateImportance(items); err != nil {
-			return Report{}, fmt.Errorf("loadgen: epoch %d importance push: %w", e+1, err)
-		}
-		if cfg.Clairvoyant && e > 0 {
-			// The schedule is known before the epoch starts (the IIS
-			// premise); hand it to the server with the boundary.
-			err = ctrl.BeginEpochPlan(e+1, sched)
-		} else {
-			err = ctrl.BeginEpoch(e + 1)
-		}
-		if err != nil {
-			return Report{}, fmt.Errorf("loadgen: epoch %d boundary: %w", e+1, err)
-		}
-		issueSchedule(cfg, conns, sched, m)
-		if st, err = ctrl.Stats(); err != nil {
-			return Report{}, fmt.Errorf("loadgen: epoch %d stats: %w", e+1, err)
-		}
-		misses = append(misses, st.DemandFetches-base)
-		base = st.DemandFetches
-	}
-	// One final boundary settles the prefetch-outcome ledger: pending
-	// tokens of the last epoch sweep to wasted, making the conservation
-	// identity exact for callers that assert it.
-	if err := ctrl.BeginEpoch(cfg.Epochs + 1); err != nil {
-		return Report{}, fmt.Errorf("loadgen: settling boundary: %w", err)
-	}
-	elapsed := time.Since(start).Seconds()
-
-	rep := Report{
-		Conns:        cfg.Conns,
-		Batch:        cfg.Batch,
-		Mix:          "epoch",
-		Keys:         cfg.Keys,
-		OfferedRate:  cfg.Rate,
-		Epochs:       cfg.Epochs,
-		EpochSamples: cfg.EpochSamples,
-		Clairvoyant:  cfg.Clairvoyant,
-		EpochMisses:  misses,
-
-		ElapsedSeconds: elapsed,
-		Requests:       atomic.LoadInt64(&counters.requests),
-		Samples:        atomic.LoadInt64(&counters.samples),
-		Errors:         atomic.LoadInt64(&counters.errors),
-		Shed:           atomic.LoadInt64(&counters.shed),
-		Expired:        atomic.LoadInt64(&counters.expired),
-		Behind:         atomic.LoadInt64(&counters.behind),
-	}
-	if elapsed > 0 {
-		rep.SamplesPerSec = float64(rep.Samples) / elapsed
-		rep.GoodputPerSec = float64(atomic.LoadInt64(&counters.goodSamples)) / elapsed
-	}
-	snap := hist.Snapshot()
-	toMs := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	rep.LatencyMeanMs = toMs(snap.Mean())
-	rep.LatencyP50Ms = toMs(snap.P50())
-	rep.LatencyP95Ms = toMs(snap.P95())
-	rep.LatencyP99Ms = toMs(snap.P99())
-	rep.LatencyMaxMs = toMs(snap.Max())
-	return rep, nil
-}
-
-// issueSchedule accesses one epoch's selection exactly once, in schedule
-// order, batches rotating over the connections, paced open-loop at the
-// offered rate (Rate <= 0 degenerates to back-to-back issue — which gives
-// a clairvoyant plan no lead time to work ahead of).
-func issueSchedule(cfg Config, conns []*rpc.Client, sched []dataset.SampleID, m *measured) {
-	var interval time.Duration
-	if cfg.Rate > 0 {
-		interval = time.Duration(float64(cfg.Batch) / cfg.Rate * float64(time.Second))
-	}
-	start := time.Now()
-	var got int64
-	sink := func(samples []rpc.Sample) error {
-		got = int64(len(samples))
-		return nil
-	}
-	for k, off := 0, 0; off < len(sched); k, off = k+1, off+cfg.Batch {
-		end := off + cfg.Batch
-		if end > len(sched) {
-			end = len(sched)
-		}
-		ids := sched[off:end]
-		schedAt := time.Now()
-		if interval > 0 {
-			schedAt = start.Add(interval * time.Duration(k))
-			if wait := time.Until(schedAt); wait > 0 {
-				time.Sleep(wait)
-			} else {
-				atomic.AddInt64(&m.c.behind, 1)
-			}
-		}
-		got = 0
-		err := conns[k%len(conns)].GetBatchFunc(ids, sink)
-		lat := time.Since(schedAt)
-		m.hist.Record(lat)
-		atomic.AddInt64(&m.c.requests, 1)
-		if err != nil {
-			var ra *overload.RetryAfterError
-			switch {
-			case errors.As(err, &ra):
-				atomic.AddInt64(&m.c.shed, 1)
-			case errors.Is(err, rpc.ErrDeadlineExceeded) || errors.Is(err, context.DeadlineExceeded):
-				atomic.AddInt64(&m.c.expired, 1)
-			default:
-				atomic.AddInt64(&m.c.errors, 1)
-			}
-			continue
-		}
-		atomic.AddInt64(&m.c.samples, got)
-		atomic.AddInt64(&m.c.goodSamples, got)
-	}
 }
 
 // runCounters aggregates the run's atomics.

@@ -55,7 +55,7 @@ func newUnstartedServer(t *testing.T, src ByteSource) *Server {
 }
 
 // serveOn starts srv on a loopback listener and returns its address.
-func serveOn(t *testing.T, srv *Server) string {
+func serveOn(t testing.TB, srv *Server) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -677,3 +677,159 @@ func BenchmarkPackageDelivery(b *testing.B) {
 		b.Fatal("no member was delivered")
 	}
 }
+
+// BenchmarkPrefetchEpochs is the clairvoyant-prefetch gate (`make
+// prefetch-smoke` runs it once, so `make all` does). Two identical servers
+// take the same epoch-boundary workload (planEpochs: per-epoch reshuffled
+// selections over a keyspace larger than the cache, backend charging real
+// latency per read), one client crossing plain boundaries (no prefetch at
+// all), one pushing the schedule ahead of its accesses (BeginEpochPlan). The
+// first epoch is a cold baseline on both; from the second epoch on the plan
+// should pre-place nearly the whole selection. The benchmark FAILS on any
+// request error or an unbalanced prefetch ledger in either mode. It also
+// fails unless warm-epoch cold misses drop >= 10x versus the plain run, the
+// prefetch in-time ratio reaches 0.9, and the planned run's first epoch has
+// cold misses and its last at most a fifth of them. The pool is the shipped
+// one, a worker per read slot (EXPERIMENTS.md, "One prefetcher", has the
+// 20-run table the in-time bound rests on). The headline samples/sec is the
+// planned run's throughput at the shared offered rate: a plan that stops
+// working ahead stalls the paced schedule and drags it down.
+func BenchmarkPrefetchEpochs(b *testing.B) {
+	spec := dataset.Spec{Name: "plan-epochs", NumSamples: 2048, MeanSampleBytes: 4096, Seed: 7}
+	runMode := func(clairvoyant bool) (cold []int64, perSec float64, warm int64, inTime float64, ps PlanStats) {
+		back, err := storage.NewBackend(spec, storage.OrangeFS())
+		if err != nil {
+			b.Fatal(err)
+		}
+		// All-H policy (L-cache off), capacity above one epoch's selection
+		// but below the keyspace; the plan runs as an operator's server runs
+		// it, paced by nothing but the read budget.
+		cfg := icache.DefaultConfig(spec.TotalBytes() * 3 / 4)
+		cfg.EnableLCache = false
+		cacheSrv, err := icache.NewServer(back, cfg, sampling.DefaultIIS(), 11)
+		if err != nil {
+			b.Fatal(err)
+		}
+		inner, err := storage.NewDataSource(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		srv := NewServer(cacheSrv, &slowSource{inner: inner, latency: 300 * time.Microsecond})
+		srv.Logf = nil
+		cold, perSec, failed := planEpochs(b, serveOn(b, srv), clairvoyant)
+		if failed > 0 {
+			b.Fatalf("%d request errors (clairvoyant=%v)", failed, clairvoyant)
+		}
+		d := srv.DecisionStats()
+		if got := d.PrefetchInTime + d.PrefetchLate + d.PrefetchWasted + d.PrefetchDropped; got != d.PrefetchIssued {
+			b.Fatalf("prefetch ledger unbalanced (clairvoyant=%v): in_time %d + late %d + wasted %d + dropped %d != issued %d",
+				clairvoyant, d.PrefetchInTime, d.PrefetchLate, d.PrefetchWasted, d.PrefetchDropped, d.PrefetchIssued)
+		}
+		for _, m := range cold[1:] {
+			warm += m
+		}
+		if denom := d.PrefetchInTime + d.PrefetchLate + d.PrefetchWasted; denom > 0 {
+			inTime = float64(d.PrefetchInTime) / float64(denom)
+		}
+		return cold, perSec, warm, inTime, srv.PlanStats()
+	}
+
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, _, plainWarm, _, _ := runMode(false)
+		cold, perSec, clairWarm, inTime, ps := runMode(true)
+		if plainWarm == 0 {
+			b.Fatalf("plain warm epochs saw no cold misses — the workload churn vanished")
+		}
+		if clairWarm*10 > plainWarm {
+			b.Fatalf("warm-epoch cold misses only dropped %dx (plain %d, clairvoyant %d); want >= 10x",
+				plainWarm/max(clairWarm, 1), plainWarm, clairWarm)
+		}
+		if inTime < 0.9 {
+			b.Fatalf("prefetch in-time ratio %.3f < 0.9 (plan %+v)", inTime, ps)
+		}
+		if first, last := cold[0], cold[len(cold)-1]; first == 0 || last > first/5 {
+			b.Fatalf("clairvoyant cold misses per epoch %v: want a cold first epoch and the last at most a fifth of it", cold)
+		}
+		if i == b.N-1 {
+			b.ReportMetric(perSec, "samples/sec")
+			b.ReportMetric(float64(clairWarm), "cold-misses")
+			b.ReportMetric(inTime, "in-time-ratio")
+		}
+	}
+}
+
+// planEpochs drives BenchmarkPrefetchEpochs' workload against addr over
+// eight connections for five epochs. Each epoch selects 768 of the 2048 ids
+// (a seeded permutation, so successive selections overlap partially — the
+// churn a cross-epoch prefetcher has to cover) and pushes them as an all-H
+// list, earlier accesses more important. It crosses the boundary, planned
+// from the second epoch on when clairvoyant, then fetches the selection
+// once in order, 16-id batches rotating over the connections, paced
+// open-loop at 20 000 samples/s. It returns each epoch's cold misses (the
+// server's DemandFetches growth), the samples per second over the run, and
+// the failed requests. A last plain boundary settles the prefetch ledger:
+// the final plan's pending tokens sweep to wasted.
+func planEpochs(b *testing.B, addr string, clairvoyant bool) (cold []int64, perSec float64, failed int) {
+	const (
+		keys, epochSamples, epochs = 2048, 768, 5
+		conns, batch, rate         = 8, 16, 20000
+	)
+	cs := make([]*Client, conns)
+	for i := range cs {
+		c, err := Dial(addr, 5*time.Second)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer c.Close()
+		cs[i] = c
+	}
+	st, err := cs[0].Stats()
+	if err != nil {
+		b.Fatal(err)
+	}
+	base := st.DemandFetches
+	interval := time.Duration(float64(batch) / rate * float64(time.Second))
+	var samples int
+	sink := func(got []Sample) error {
+		samples += len(got)
+		return nil
+	}
+	start := time.Now()
+	for e := 0; e < epochs; e++ {
+		perm := rand.New(rand.NewSource(3 + int64(e))).Perm(keys)[:epochSamples]
+		sched := make([]dataset.SampleID, len(perm))
+		items := make([]sampling.Item, len(perm))
+		for i, id := range perm {
+			sched[i] = dataset.SampleID(id)
+			items[i] = sampling.Item{ID: sched[i], IV: float64(len(perm) - i)}
+		}
+		if err := cs[0].UpdateImportance(items); err != nil {
+			b.Fatal(err)
+		}
+		if clairvoyant && e > 0 {
+			err = cs[0].BeginEpochPlan(e+1, sched)
+		} else {
+			err = cs[0].BeginEpoch(e + 1)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		epochStart := time.Now()
+		for k := 0; k*batch < len(sched); k++ {
+			time.Sleep(time.Until(epochStart.Add(interval * time.Duration(k))))
+			if err := cs[k%conns].GetBatchFunc(sched[k*batch:min((k+1)*batch, len(sched))], sink); err != nil {
+				failed++
+			}
+		}
+		if st, err = cs[0].Stats(); err != nil {
+			b.Fatal(err)
+		}
+		cold = append(cold, st.DemandFetches-base)
+		base = st.DemandFetches
+	}
+	if err := cs[0].BeginEpoch(epochs + 1); err != nil {
+		b.Fatal(err)
+	}
+	return cold, float64(samples) / time.Since(start).Seconds(), failed
+}

@@ -14,11 +14,14 @@ import (
 	"icache/internal/train"
 )
 
-// TestLearnerOnTheWire trains two IIS epochs through the learner against a
-// loopback cache server, the way icache-train does, and holds the learner's
-// books against the server's: every substitution the client counts is one
-// the server counted, every fetched sample is trained once, and the
-// accuracy model reports a Top-1 the model can reach.
+// TestLearnerOnTheWire trains two IIS epochs through RunWireEpoch against a
+// loopback cache server over two connections, the way icache-train does:
+// one with a planned boundary, one with a plain one. It holds the epoch's
+// books against the server's: every counter the epoch reports is the
+// growth of the server's Stats over it, every substitution the learner
+// counts is one the server counted, every scheduled sample is trained once,
+// the accuracy model reports a Top-1 the model can reach, and only the
+// planned boundary prefetches.
 func TestLearnerOnTheWire(t *testing.T) {
 	spec := dataset.Spec{Name: "wire", NumSamples: 4000, MeanSampleBytes: 3073, Seed: 7}
 	backend, err := storage.NewBackend(spec, storage.OrangeFS())
@@ -41,56 +44,61 @@ func TestLearnerOnTheWire(t *testing.T) {
 	}
 	go srv.Serve(ln)
 	defer srv.Close()
-	client, err := rpc.Dial(ln.Addr().String(), time.Second)
-	if err != nil {
-		t.Fatal(err)
+	conns := make([]*rpc.Client, 2)
+	for i := range conns {
+		if conns[i], err = rpc.Dial(ln.Addr().String(), time.Second); err != nil {
+			t.Fatal(err)
+		}
+		defer conns[i].Close()
 	}
-	defer client.Close()
 
 	learner, err := train.NewLearner(train.DefaultConfig(train.ResNet18, spec), train.SubSourceLCache)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	prev, err := client.Stats()
+	prev, err := conns[0].Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for epoch := 0; epoch < 2; epoch++ {
-		learner.BeginEpoch(epoch)
-		sched, hlist := sampling.IISSchedule(learner.Tracker(), sampling.DefaultIIS(), rng)
-		if err := client.UpdateImportance(hlist.Items); err != nil {
-			t.Fatal(err)
-		}
-		if err := client.BeginEpochPlan(epoch, sched.Fetch); err != nil {
-			t.Fatal(err)
-		}
-		fetched := 0
-		for _, batch := range sched.Batches(256) {
-			samples, err := client.GetBatch(batch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for k, s := range samples {
-				learner.Train(batch[k], s.ID, true)
-			}
-			fetched += len(samples)
-		}
-		st, err := client.Stats()
+	for epoch, plan := range []bool{true, false} {
+		issued := srv.DecisionStats().PrefetchIssued
+		ep, err := train.RunWireEpoch(learner, rng, conns, epoch, 256, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := int64(learner.Substitutions()), st.Substitutions-prev.Substitutions; got != want {
-			t.Errorf("epoch %d: learner counted %d substitutions, server %d", epoch, got, want)
+		st, err := conns[0].Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := rpc.Stats{
+			Hits:          st.Hits - prev.Hits,
+			Misses:        st.Misses - prev.Misses,
+			Substitutions: st.Substitutions - prev.Substitutions,
+			HCacheLen:     st.HCacheLen,
+			LCacheLen:     st.LCacheLen,
+			Packages:      st.Packages - prev.Packages,
+			DemandFetches: st.DemandFetches - prev.DemandFetches,
+		}
+		if ep.Server != want {
+			t.Errorf("epoch %d: reported server counters %+v, want the growth of Stats %+v", epoch, ep.Server, want)
 		}
 		prev = st
-		if trained := learner.Trained(); fetched != len(sched.Fetch) || trained != fetched {
-			t.Errorf("epoch %d: scheduled %d, fetched %d, trained %d; want all equal", epoch, len(sched.Fetch), fetched, trained)
+		if ep.Planned != plan {
+			t.Errorf("epoch %d: planned %v, want %v", epoch, ep.Planned, plan)
 		}
-		top1, top5 := learner.EndEpoch(sched.Fetch, 0)
-		if top1 <= 0 || top1 > train.ResNet18.BaseTop1 || top5 < top1 {
-			t.Errorf("epoch %d: Top-1 %.2f (Top-5 %.2f), want Top-1 in (0, %g] and Top-5 >= Top-1", epoch, top1, top5, train.ResNet18.BaseTop1)
+		if got := srv.DecisionStats().PrefetchIssued - issued; plan != (got > 0) {
+			t.Errorf("epoch %d (planned %v): %d prefetches issued; want some only behind a planned boundary", epoch, plan, got)
 		}
-		t.Logf("epoch %d: %d trained, %d substituted, Top-1 %.2f", epoch, learner.Trained(), learner.Substitutions(), top1)
+		if got := int64(ep.Substituted); got != ep.Server.Substitutions {
+			t.Errorf("epoch %d: learner counted %d substitutions, server %d", epoch, got, ep.Server.Substitutions)
+		}
+		if served := ep.Server.Hits + ep.Server.Misses + ep.Server.Substitutions; ep.Trained != learner.Trained() || int64(ep.Trained) != served || ep.Bytes <= 0 {
+			t.Errorf("epoch %d: trained %d (learner %d), server served %d, %d bytes; want all equal and bytes > 0", epoch, ep.Trained, learner.Trained(), served, ep.Bytes)
+		}
+		if ep.Top1 <= 0 || ep.Top1 > train.ResNet18.BaseTop1 || ep.Top5 < ep.Top1 {
+			t.Errorf("epoch %d: Top-1 %.2f (Top-5 %.2f), want Top-1 in (0, %g] and Top-5 >= Top-1", epoch, ep.Top1, ep.Top5, train.ResNet18.BaseTop1)
+		}
+		t.Logf("epoch %d (planned %v): %d trained, %d substituted, %d cold misses, Top-1 %.2f", epoch, plan, ep.Trained, ep.Substituted, ep.Server.DemandFetches, ep.Top1)
 	}
 }
