@@ -76,7 +76,13 @@ vet:
 # internal/loadgen draws an IIS schedule, pushes an H-list or crosses an epoch
 # boundary itself (IISSchedule(, .UpdateImportance(, .BeginEpoch( or
 # .BeginEpochPlan(, comments excepted; benchmark/ keeps its own copy of the
-# loop). Subsumes `vet` in `make all`.
+# loop). And tests control time one way, the virtual-clock bubble
+# (internal/vt): no Go file imports a goroutine-leak poller
+# (icache/internal/leakcheck; a bubble ends only when its goroutines have),
+# and no non-test file of internal/dkv, internal/faults or internal/obs grows
+# an injected clock back — names SetClock( or DecideAt( or declares a
+# Clock func() field, comments excepted (inside a bubble time.Now is the
+# virtual clock). Subsumes `vet` in `make all`.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -186,6 +192,13 @@ lint:
 	if [ -n "$$stray" ]; then \
 		echo "a second wire epoch (a client trains an epoch through train.RunWireEpoch):"; echo "$$stray"; exit 1; \
 	fi
+	@stray=$$(grep -rn --include='*.go' --exclude-dir=.bench_build '"icache/internal/leakcheck"' .; \
+		for f in $$(ls internal/dkv/*.go internal/faults/*.go internal/obs/*.go | grep -v _test.go); do \
+		sed 's,//.*,,' $$f | grep -nE 'SetClock\(|DecideAt\(|^[[:space:]]*Clock[[:space:]]+func\(' | sed "s,^,$$f:,"; \
+	done); \
+	if [ -n "$$stray" ]; then \
+		echo "a second way to control time in tests (a test runs in a vt bubble, where time.Now is the virtual clock):"; echo "$$stray"; exit 1; \
+	fi
 	$(GO) vet ./...
 
 test:
@@ -197,32 +210,47 @@ test-short:
 # Full suite under the race detector (the chaos tests double as lock
 # coverage for every networked component, and the concurrent-clients
 # suites in internal/rpc exercise the sharded store / singleflight /
-# prefetch-pool interleavings).
+# prefetch-pool interleavings). The virtual-clock tests run in their
+# package's GOEXPERIMENT=synctest test binary, which vt.Run builds with
+# -race too when the parent has it; the first such build rebuilds the
+# standard library (about 40 s).
 test-race:
 	$(GO) test -race ./...
 
 # Chaos suites only, three times with rotating seeds: -count defeats the
 # test cache, and the suites' internal seed tables ([1, 42, 1337], the
 # trial indices, and the injector seeds) cover distinct schedules per run.
-# internal/dkv carries the partitioned-directory half: three plain directory
-# servers over TCP behind one sharded client, one killed mid-epoch. The
-# virtual-clock suites (internal/rpc's chaos_test.go and cluster_test.go) are
-# chaos-vt's, so they are skipped here.
-VT_TESTS = $$(grep -ho '^func Test[A-Za-z0-9_]*' internal/rpc/chaos_test.go internal/rpc/cluster_test.go | cut -c6- | paste -sd'|')
+# What is left here runs over loopback TCP (internal/rpc's mid-batch peer
+# drop); the virtual-clock tests are chaos-vt's, so they are skipped.
+#
+# VT_TESTS is every test of VT_PKGS that runs in a bubble: a Test function of
+# a _test.go file whose body calls vt.Run, or a helper of its package's
+# tests that does (internal/rpc's inBubble and forSeeds).
+VT_PKGS = internal/rpc internal/dkv internal/transport internal/obs internal/faults
+VT_TESTS = $$(for p in $(VT_PKGS); do \
+	helpers=$$(awk '/^func /{f=$$2; sub(/\(.*/, "", f)} /vt\.Run\(/{print f}' $$p/*_test.go | grep -v '^Test' | sort -u | paste -sd'|'); \
+	awk -v h="$$helpers" '/^func Test/{f=$$2; sub(/\(.*/, "", f)} /^}/{f=""} \
+		f && ($$0 ~ /vt\.Run\(/ || (h != "" && $$0 ~ "(^|[^A-Za-z0-9_.])(" h ")\\(")) {print f}' $$p/*_test.go; \
+	done | sort -u | paste -sd'|')
 chaos:
-	$(GO) test -count=3 -run 'Chaos' -skip "^($(VT_TESTS))$$" ./internal/rpc/ ./internal/dkv/
-	$(GO) test -count=3 -race -run 'Chaos' -skip "^($(VT_TESTS))$$" ./internal/rpc/ ./internal/dkv/
+	$(GO) test -count=3 -run 'Chaos' -skip "^($(VT_TESTS))$$" ./internal/rpc/
+	$(GO) test -count=3 -race -run 'Chaos' -skip "^($(VT_TESTS))$$" ./internal/rpc/
 
-# The virtual-clock suites, ten times on one seed table, then once under the
-# race detector: every test of internal/rpc's chaos_test.go and
-# cluster_test.go — the shipped rpc.Server and dkv.DirServer on an in-memory
-# network inside a testing/synctest bubble (internal/vt), under faults, node
-# kills and directory replica crashes — built with GOEXPERIMENT=synctest, so
-# each runs in its bubble directly. The first build under the experiment
-# rebuilds the standard library (about 20 s, 40 s more with -race).
+# The virtual-clock tests (VT_TESTS), per package of VT_PKGS, ten times on
+# one seed table, then once under the race detector: the shipped rpc.Server
+# and dkv.DirServer on an in-memory network inside a testing/synctest bubble
+# (internal/vt) under faults, node kills and directory replica crashes; the
+# suites that were leak-checked on TCP (the combiner, the plan, the miss
+# gather, the transport client); and the lease, failover, fault-window and
+# timeline clocks. Built with GOEXPERIMENT=synctest, so each runs in its
+# bubble directly. The first build under the experiment rebuilds the
+# standard library (about 20 s, 40 s more with -race). GOTRACEBACK=all makes
+# a bubble that ends with a goroutine still blocked print that goroutine.
 chaos-vt:
-	GOEXPERIMENT=synctest $(GO) test -count=10 -run "^($(VT_TESTS))$$" ./internal/rpc/
-	GOEXPERIMENT=synctest $(GO) test -count=1 -race -run "^($(VT_TESTS))$$" ./internal/rpc/
+	@tests="$(VT_TESTS)"; for p in $(VT_PKGS); do \
+		GOTRACEBACK=all GOEXPERIMENT=synctest $(GO) test -count=10 -run "^($$tests)$$" ./$$p/ || exit 1; \
+		GOTRACEBACK=all GOEXPERIMENT=synctest $(GO) test -count=1 -race -run "^($$tests)$$" ./$$p/ || exit 1; \
+	done
 
 # The repository's one benchmark (BENCHMARK.json): the four workloads through
 # benchmark/run.sh at the contract's run length, untraced, printing the three

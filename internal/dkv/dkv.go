@@ -12,7 +12,6 @@ import (
 	"icache/internal/dataset"
 	"icache/internal/metrics"
 	"icache/internal/obs"
-	"icache/internal/simclock"
 )
 
 // NodeID identifies a cache node in a distributed deployment.
@@ -29,10 +28,9 @@ type Directory struct {
 	claims int64
 	denied int64
 
-	// Membership state (see membership.go). The clock defaults to wall time
-	// since construction; simulations install a virtual clock.
+	// Membership state (see membership.go), on a clock that reads time
+	// since construction.
 	nodes         map[NodeID]*lease
-	clock         func() simclock.Time
 	start         time.Time
 	defaultTTL    time.Duration
 	suspectWindow time.Duration

@@ -2,18 +2,19 @@ package dkv
 
 // The lifecycle steps, once: every scenario the virtual-clock cluster and the
 // wall-clock server used to test on their own copies runs here against the
-// one copy, over an in-process directory on a manual clock and a fake
-// resident view. What is left in internal/icache and internal/rpc is about
+// one copy, over an in-process directory in a virtual-clock bubble and a
+// fake resident view. What is left in internal/icache and internal/rpc is about
 // their drivers (virtual time and faults; tickers, locks, the payload store).
 
 import (
 	"errors"
 	"slices"
 	"testing"
+	"time"
 
 	"icache/internal/dataset"
 	"icache/internal/metrics"
-	"icache/internal/simclock"
+	"icache/internal/vt"
 )
 
 // fakeCache is a resident view over a set: dropped records why each
@@ -85,12 +86,12 @@ func TestMemberSteps(t *testing.T) {
 	const self, peer = NodeID(0), NodeID(1)
 	steps := []struct {
 		name string
-		run  func(t *testing.T, dir *Directory, now *simclock.Time, svc *probedDir)
+		run  func(t *testing.T, dir *Directory, advance func(time.Duration), svc *probedDir)
 	}{
 		// One sweep over three fabricated drift states: an orphaned entry
 		// (owned, not cached), an unregistered resident (cached, not owned)
 		// and a duplicate (cached here, owned by a peer).
-		{"scrub repairs directory drift", func(t *testing.T, dir *Directory, _ *simclock.Time, svc *probedDir) {
+		{"scrub repairs directory drift", func(t *testing.T, dir *Directory, _ func(time.Duration), svc *probedDir) {
 			cache := cacheOf(7, 9)
 			dir.Claim(5, self)
 			dir.Claim(9, peer)
@@ -122,17 +123,17 @@ func TestMemberSteps(t *testing.T) {
 		// and a peer reclaims one of its samples, the next heartbeat is
 		// rejected, the node re-registers, and the reconciliation drops the
 		// local copy of the sample it lost.
-		{"lapsed lease re-registers and reconciles", func(t *testing.T, dir *Directory, now *simclock.Time, svc *probedDir) {
+		{"lapsed lease re-registers and reconciles", func(t *testing.T, dir *Directory, advance func(time.Duration), svc *probedDir) {
 			cache := cacheOf(seq(30)...)
 			m := Member{Dir: svc, ID: self, TTL: ttl, Cache: cache}
 			if d, err := m.Rejoin(); err != nil || d.Registers != 1 || d.ReplayedClaims != 30 {
 				t.Fatalf("boot: %+v, %v", d, err)
 			}
-			*now = simclock.Time(ttl / 2)
+			advance(ttl / 2)
 			if d, err := m.Heartbeat(); err != nil || d != (metrics.MembershipStats{Heartbeats: 1}) {
 				t.Fatalf("in-lease renewal: %+v, %v", d, err)
 			}
-			*now = simclock.Time(ttl + suspect + ttl)
+			advance(ttl + suspect + ttl)
 			if !dir.Claim(0, peer) {
 				t.Fatal("peer could not reclaim a dead node's sample")
 			}
@@ -153,7 +154,7 @@ func TestMemberSteps(t *testing.T) {
 		}},
 		// A restarted node replays a claim per restored resident; what a
 		// peer took over meanwhile is denied and dropped, never duplicated.
-		{"rejoin drops what a survivor owns", func(t *testing.T, dir *Directory, _ *simclock.Time, svc *probedDir) {
+		{"rejoin drops what a survivor owns", func(t *testing.T, dir *Directory, _ func(time.Duration), svc *probedDir) {
 			for _, id := range seq(5) {
 				dir.Claim(id, peer)
 			}
@@ -171,7 +172,7 @@ func TestMemberSteps(t *testing.T) {
 		}},
 		// A step stops at the first directory error and returns what it got
 		// done; the next firing starts over.
-		{"a directory error cuts the step short", func(t *testing.T, dir *Directory, _ *simclock.Time, svc *probedDir) {
+		{"a directory error cuts the step short", func(t *testing.T, dir *Directory, _ func(time.Duration), svc *probedDir) {
 			svc.failAfter = 3
 			m := Member{Dir: svc, ID: self, Cache: cacheOf(seq(10)...)}
 			d, err := m.Rejoin()
@@ -189,7 +190,7 @@ func TestMemberSteps(t *testing.T) {
 		// The cursor walks the sorted resident set: N bounded sweeps visit
 		// every resident exactly once, whatever order the cache's own maps
 		// iterate in.
-		{"bounded sweeps cover every resident once", func(t *testing.T, dir *Directory, _ *simclock.Time, svc *probedDir) {
+		{"bounded sweeps cover every resident once", func(t *testing.T, dir *Directory, _ func(time.Duration), svc *probedDir) {
 			m := Member{Dir: svc, ID: self, Cache: cacheOf(seq(12)...)}
 			if _, err := m.Reconcile(); err != nil {
 				t.Fatal(err)
@@ -208,7 +209,7 @@ func TestMemberSteps(t *testing.T) {
 		// A release lost above the first batch of owned entries is still
 		// repaired: the sweeps walk the owned entries as they walk the
 		// residents, not just the lowest batch of them.
-		{"a lost release past the first batch is repaired", func(t *testing.T, dir *Directory, _ *simclock.Time, svc *probedDir) {
+		{"a lost release past the first batch is repaired", func(t *testing.T, dir *Directory, _ func(time.Duration), svc *probedDir) {
 			const owned, batch = 1000, 256
 			cache := cacheOf(seq(owned)...)
 			m := Member{Dir: svc, ID: self, Cache: cache}
@@ -233,8 +234,10 @@ func TestMemberSteps(t *testing.T) {
 	}
 	for _, tc := range steps {
 		t.Run(tc.name, func(t *testing.T) {
-			dir, now := clockedDir()
-			tc.run(t, dir, now, &probedDir{Local: Local{Dir: dir}, failAfter: -1})
+			vt.Run(t, func(t *testing.T) {
+				dir, advance := clockedDir()
+				tc.run(t, dir, advance, &probedDir{Local: Local{Dir: dir}, failAfter: -1})
+			})
 		})
 	}
 }

@@ -78,16 +78,6 @@ type lease struct {
 	state   NodeState // last observed state, for transition counting
 }
 
-// SetClock installs the directory's time source. The directory defaults to
-// wall-clock time measured from construction; simulations install a
-// virtual-clock reader so lease expiry is deterministic. Must be called
-// before any membership operation.
-func (d *Directory) SetClock(fn func() simclock.Time) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.clock = fn
-}
-
 // SetMembershipParams overrides the default lease TTL (used when Register
 // is called with ttl <= 0) and the suspect window. Non-positive values keep
 // the current settings.
@@ -102,13 +92,8 @@ func (d *Directory) SetMembershipParams(defaultTTL, suspectWindow time.Duration)
 	}
 }
 
-// now reads the directory clock (mu held).
-func (d *Directory) now() simclock.Time {
-	if d.clock == nil {
-		return simclock.Time(time.Since(d.start))
-	}
-	return d.clock()
-}
+// now reads the directory clock: time since construction.
+func (d *Directory) now() simclock.Time { return simclock.Time(time.Since(d.start)) }
 
 // stateAt derives a lease's state at the given time. A lease is valid for
 // the half-open window [grant, grant+ttl): a heartbeat arriving exactly at

@@ -10,11 +10,11 @@ import (
 	"time"
 
 	"icache/internal/dataset"
-	"icache/internal/leakcheck"
 	"icache/internal/overload"
 	"icache/internal/retry"
 	"icache/internal/transport"
 	"icache/internal/transport/transporttest"
+	"icache/internal/vt"
 	"icache/internal/wire"
 )
 
@@ -211,79 +211,77 @@ func TestDirClientRidesThroughMidFrameCloses(t *testing.T) {
 // a client that holds a lock across write → read (one request in flight,
 // ever) deadlocks against this server until its calls time out.
 func TestDirClientPipelines(t *testing.T) {
-	leakcheck.Check(t)
-	const n = 8
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	served := make(chan error, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			served <- err
-			return
-		}
-		defer conn.Close()
-		if err := answerDialPing(conn); err != nil {
-			served <- err
-			return
-		}
-		var held [][]byte
-		for len(held) < n {
-			req, err := wire.ReadFrame(conn)
+	vt.Run(t, func(t *testing.T) {
+		const n = 8
+		ln := transporttest.NewNetwork(t).ListenAny()
+		defer ln.Close()
+		served := make(chan error, 1)
+		go func() {
+			conn, err := ln.Accept()
 			if err != nil {
-				served <- fmt.Errorf("after %d of %d requests: %w", len(held), n, err)
-				return
-			}
-			held = append(held, req)
-		}
-		for _, req := range held { // "id 7 is unowned", inside each request's own envelope
-			var e wire.Buffer
-			e.B = append(e.B, req[:transport.MuxHeaderLen]...)
-			e.U8(transport.StatusOK)
-			e.U32(1)
-			e.U8(0)
-			if err := wire.WritePayload(conn, e.B); err != nil {
 				served <- err
 				return
 			}
-		}
-		_, err = wire.ReadFrame(conn) // EOF once the client closes
-		if errors.Is(err, io.EOF) {
-			err = nil
-		}
-		served <- err
-	}()
-
-	c, err := DialDirConfigured(ln.Addr().String(), DialConfig{Timeout: time.Second, Policy: retry.None(), RPCTimeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			owners, err := c.LookupBatch([]dataset.SampleID{7})
-			if err == nil && (len(owners) != 1 || owners[0].Found) {
-				err = fmt.Errorf("answered %+v, want one unowned entry", owners)
+			defer conn.Close()
+			if err := answerDialPing(conn); err != nil {
+				served <- err
+				return
 			}
-			errs[i] = err
-		}(i)
-	}
-	wg.Wait()
-	c.Close()
-	for i, err := range errs {
+			var held [][]byte
+			for len(held) < n {
+				req, err := wire.ReadFrame(conn)
+				if err != nil {
+					served <- fmt.Errorf("after %d of %d requests: %w", len(held), n, err)
+					return
+				}
+				held = append(held, req)
+			}
+			for _, req := range held { // "id 7 is unowned", inside each request's own envelope
+				var e wire.Buffer
+				e.B = append(e.B, req[:transport.MuxHeaderLen]...)
+				e.U8(transport.StatusOK)
+				e.U32(1)
+				e.U8(0)
+				if err := wire.WritePayload(conn, e.B); err != nil {
+					served <- err
+					return
+				}
+			}
+			_, err = wire.ReadFrame(conn) // EOF once the client closes
+			if errors.Is(err, io.EOF) {
+				err = nil
+			}
+			served <- err
+		}()
+
+		c, err := DialDirConfigured(ln.Addr().String(), DialConfig{Timeout: time.Second, Policy: retry.None(), RPCTimeout: 5 * time.Second})
 		if err != nil {
-			t.Errorf("call %d: %v", i, err)
+			t.Fatal(err)
 		}
-	}
-	if err := <-served; err != nil {
-		t.Fatalf("server: %v", err)
-	}
+		var wg sync.WaitGroup
+		errs := make([]error, n)
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				owners, err := c.LookupBatch([]dataset.SampleID{7})
+				if err == nil && (len(owners) != 1 || owners[0].Found) {
+					err = fmt.Errorf("answered %+v, want one unowned entry", owners)
+				}
+				errs[i] = err
+			}(i)
+		}
+		wg.Wait()
+		c.Close()
+		for i, err := range errs {
+			if err != nil {
+				t.Errorf("call %d: %v", i, err)
+			}
+		}
+		if err := <-served; err != nil {
+			t.Fatalf("server: %v", err)
+		}
+	})
 }
 
 // TestShardedDialBoundsASilentReplica: one of three replicas answers the
@@ -293,84 +291,83 @@ func TestDirClientPipelines(t *testing.T) {
 // and calls that route to the other two replicas were never held up behind
 // it.
 func TestShardedDialBoundsASilentReplica(t *testing.T) {
-	leakcheck.Check(t)
-	const silent, rpcTimeout = ReplicaID(1), 100 * time.Millisecond
-	addrs := make([]string, 3)
-	for r := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+	vt.Run(t, func(t *testing.T) {
+		const silent, rpcTimeout = ReplicaID(1), 100 * time.Millisecond
+		n := transporttest.NewNetwork(t)
+		addrs := make([]string, 3)
+		for r := range addrs {
+			ln := n.ListenAny()
+			addrs[r] = ln.Addr().String()
+			if ReplicaID(r) != silent {
+				srv := NewDirServer(NewDirectory())
+				go srv.Serve(ln)
+				t.Cleanup(func() { srv.Close() })
+				continue
+			}
+			t.Cleanup(func() { ln.Close() })
+			go func() {
+				for {
+					conn, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					go func() {
+						defer conn.Close()
+						if answerDialPing(conn) == nil {
+							io.Copy(io.Discard, conn) // reads everything, answers nothing
+						}
+					}()
+				}
+			}()
+		}
+		s, err := DialSharded(addrs, DialConfig{Timeout: time.Second, Policy: retry.None(), RPCTimeout: rpcTimeout,
+			Breaker: &overload.BreakerConfig{Threshold: 1}}, ShardedConfig{FailoverTTL: time.Minute})
 		if err != nil {
 			t.Fatal(err)
 		}
-		addrs[r] = ln.Addr().String()
-		if ReplicaID(r) != silent {
-			srv := NewDirServer(NewDirectory())
-			go srv.Serve(ln)
-			t.Cleanup(func() { srv.Close() })
-			continue
-		}
-		t.Cleanup(func() { ln.Close() })
-		go func() {
-			for {
-				conn, err := ln.Accept()
-				if err != nil {
-					return
-				}
-				go func() {
-					defer conn.Close()
-					if answerDialPing(conn) == nil {
-						io.Copy(io.Discard, conn) // reads everything, answers nothing
-					}
-				}()
+		defer s.Close()
+
+		// One id per replica under the full view.
+		view := s.View()
+		idOf := map[ReplicaID]dataset.SampleID{}
+		for id := dataset.SampleID(0); len(idOf) < len(addrs); id++ {
+			if r, _ := view.Owner(id); idOf[r] == 0 {
+				idOf[r] = id
 			}
-		}()
-	}
-	s, err := DialSharded(addrs, DialConfig{Timeout: time.Second, Policy: retry.None(), RPCTimeout: rpcTimeout,
-		Breaker: &overload.BreakerConfig{Threshold: 1}}, ShardedConfig{FailoverTTL: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	// One id per replica under the full view.
-	view := s.View()
-	idOf := map[ReplicaID]dataset.SampleID{}
-	for id := dataset.SampleID(0); len(idOf) < len(addrs); id++ {
-		if r, _ := view.Owner(id); idOf[r] == 0 {
-			idOf[r] = id
 		}
-	}
 
-	// The healthy replicas answer at loopback speed while a call to the
-	// silent one is waiting out its bound.
-	stuck := make(chan error, 1)
-	go func() {
-		_, err := s.LookupBatch([]dataset.SampleID{idOf[silent]})
-		stuck <- err
-	}()
-	for r, id := range idOf {
-		if r == silent {
-			continue
+		// The healthy replicas answer at once on the bubble's clock while a call
+		// to the silent one is waiting out its bound.
+		stuck := make(chan error, 1)
+		go func() {
+			_, err := s.LookupBatch([]dataset.SampleID{idOf[silent]})
+			stuck <- err
+		}()
+		for r, id := range idOf {
+			if r == silent {
+				continue
+			}
+			t0 := time.Now()
+			if _, err := s.LookupBatch([]dataset.SampleID{id}); err != nil {
+				t.Fatalf("lookup on healthy replica %d: %v", r, err)
+			}
+			if el := time.Since(t0); el != 0 {
+				t.Fatalf("lookup on healthy replica %d took %v: it waited behind the silent one", r, el)
+			}
 		}
 		t0 := time.Now()
-		if _, err := s.LookupBatch([]dataset.SampleID{id}); err != nil {
-			t.Fatalf("lookup on healthy replica %d: %v", r, err)
+		select {
+		case err := <-stuck:
+			if err != nil {
+				t.Fatalf("lookup routed to the silent replica: %v, want it failed over to a survivor", err)
+			}
+		case <-time.After(10 * rpcTimeout):
+			t.Fatalf("lookup routed to the silent replica still waiting after %v (per-call bound %v)", time.Since(t0), rpcTimeout)
 		}
-		if el := time.Since(t0); el > rpcTimeout/2 {
-			t.Fatalf("lookup on healthy replica %d took %v: it waited behind the silent one", r, el)
+		if st := s.Ring(); st.Failovers != 1 || st.LiveReplicas != 2 {
+			t.Fatalf("ring after the timeout: %+v, want the silent replica failed over", st)
 		}
-	}
-	t0 := time.Now()
-	select {
-	case err := <-stuck:
-		if err != nil {
-			t.Fatalf("lookup routed to the silent replica: %v, want it failed over to a survivor", err)
-		}
-	case <-time.After(10 * rpcTimeout):
-		t.Fatalf("lookup routed to the silent replica still waiting after %v (per-call bound %v)", time.Since(t0), rpcTimeout)
-	}
-	if st := s.Ring(); st.Failovers != 1 || st.LiveReplicas != 2 {
-		t.Fatalf("ring after the timeout: %+v, want the silent replica failed over", st)
-	}
+	})
 }
 
 // TestNoOpcodeCollidesWithTheTransport: a directory opcode equal to a

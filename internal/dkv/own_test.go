@@ -21,7 +21,7 @@ import (
 	"icache/internal/dataset"
 	"icache/internal/metrics"
 	"icache/internal/retry"
-	"icache/internal/simclock"
+	"icache/internal/vt"
 )
 
 func startOwnServer(t testing.TB) (*DirServer, *Directory, string) {
@@ -42,45 +42,47 @@ func startOwnServer(t testing.TB) (*DirServer, *Directory, string) {
 // in the mix — as one frame on one directory and as serial calls on another:
 // every verdict, the final table and the claim/reclaim counters agree.
 func TestOwnBatchEqualsSerialCalls(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	batched, bNow := clockedDir()
-	serial, sNow := clockedDir()
-	for _, d := range []*Directory{batched, serial} {
-		d.Register(3, ttl)
-		for id := dataset.SampleID(0); id < 8; id++ {
-			d.Claim(id, 3)
+	vt.Run(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(5))
+		batched, advance := clockedDir()
+		serial, _ := clockedDir()
+		for _, d := range []*Directory{batched, serial} {
+			d.Register(3, ttl)
+			for id := dataset.SampleID(0); id < 8; id++ {
+				d.Claim(id, 3)
+			}
 		}
-	}
-	*bNow, *sNow = simclock.Time(ttl+suspect), simclock.Time(ttl+suspect) // node 3 is dead
-	ops := make([]ownOp, 2000)
-	for i := range ops {
-		ops[i] = ownOp{kind: byte(ownClaim + rng.Intn(3)/2), id: dataset.SampleID(rng.Intn(32)), node: NodeID(rng.Intn(3))}
-	}
-	got := batched.applyOwnership(ops)
-	for i, o := range ops {
-		var want bool
-		if o.kind == ownRelease {
-			want = serial.Release(o.id, o.node)
-		} else {
-			want = serial.Claim(o.id, o.node)
+		advance(ttl + suspect) // node 3 is dead on both
+		ops := make([]ownOp, 2000)
+		for i := range ops {
+			ops[i] = ownOp{kind: byte(ownClaim + rng.Intn(3)/2), id: dataset.SampleID(rng.Intn(32)), node: NodeID(rng.Intn(3))}
 		}
-		if got[i] != want {
-			t.Fatalf("entry %d %+v: batched verdict %v, serial %v", i, o, got[i], want)
+		got := batched.applyOwnership(ops)
+		for i, o := range ops {
+			var want bool
+			if o.kind == ownRelease {
+				want = serial.Release(o.id, o.node)
+			} else {
+				want = serial.Claim(o.id, o.node)
+			}
+			if got[i] != want {
+				t.Fatalf("entry %d %+v: batched verdict %v, serial %v", i, o, got[i], want)
+			}
 		}
-	}
-	for id := dataset.SampleID(0); id < 32; id++ {
-		bn, bok := batched.Lookup(id)
-		sn, sok := serial.Lookup(id)
-		if bn != sn || bok != sok {
-			t.Errorf("id %d: batched owner (%d, %v), serial (%d, %v)", id, bn, bok, sn, sok)
+		for id := dataset.SampleID(0); id < 32; id++ {
+			bn, bok := batched.Lookup(id)
+			sn, sok := serial.Lookup(id)
+			if bn != sn || bok != sok {
+				t.Errorf("id %d: batched owner (%d, %v), serial (%d, %v)", id, bn, bok, sn, sok)
+			}
 		}
-	}
-	bc, bd := batched.Stats()
-	sc, sd := serial.Stats()
-	if bc != sc || bd != sd || batched.Membership().Reclaims != serial.Membership().Reclaims || batched.Membership().Reclaims == 0 {
-		t.Errorf("counters: batched %d/%d/%d, serial %d/%d/%d (claims/denied/reclaims)",
-			bc, bd, batched.Membership().Reclaims, sc, sd, serial.Membership().Reclaims)
-	}
+		bc, bd := batched.Stats()
+		sc, sd := serial.Stats()
+		if bc != sc || bd != sd || batched.Membership().Reclaims != serial.Membership().Reclaims || batched.Membership().Reclaims == 0 {
+			t.Errorf("counters: batched %d/%d/%d, serial %d/%d/%d (claims/denied/reclaims)",
+				bc, bd, batched.Membership().Reclaims, sc, sd, serial.Membership().Reclaims)
+		}
+	})
 }
 
 // TestConcurrentClaimsCombine: 64 concurrent Claims on one client, the first
@@ -346,45 +348,47 @@ func (d downable) Lookup(id dataset.SampleID) (NodeID, bool, error) {
 // failed over land on replica 1, and are stranded there once replica 0 is
 // back. OwnedBy hides them. When a second failover routes their shard to
 // replica 1 again, one Scrub releases the ones the node no longer caches and
-// keeps the rest.
+// keeps the rest. The failover clock is the bubble's.
 func TestShardedOwnedByHidesStrandedEntries(t *testing.T) {
-	const node = NodeID(1)
-	var now simclock.Time
-	var down bool
-	d1 := NewDirectory()
-	ring := NewShardedDir(map[ReplicaID]Service{0: downable{Local{NewDirectory()}, &down}, 1: Local{d1}},
-		ShardedConfig{FailoverTTL: ttl, Clock: func() simclock.Time { return now }})
-	var ids []dataset.SampleID // replica 0's shard
-	for id, view := dataset.SampleID(0), ring.View(); len(ids) < 8; id++ {
-		if r, _ := view.Owner(id); r == 0 {
-			ids = append(ids, id)
+	vt.Run(t, func(t *testing.T) {
+		const node = NodeID(1)
+		var down bool
+		d1 := NewDirectory()
+		ring := NewShardedDir(map[ReplicaID]Service{0: downable{Local{NewDirectory()}, &down}, 1: Local{d1}},
+			ShardedConfig{FailoverTTL: ttl})
+		var ids []dataset.SampleID // replica 0's shard
+		for id, view := dataset.SampleID(0), ring.View(); len(ids) < 8; id++ {
+			if r, _ := view.Owner(id); r == 0 {
+				ids = append(ids, id)
+			}
 		}
-	}
-	down = true
-	for _, id := range ids {
-		if ok, err := ring.Claim(id, node); !ok || err != nil {
-			t.Fatalf("claim of %d during the failover: (%v, %v)", id, ok, err)
+		down = true
+		for _, id := range ids {
+			if ok, err := ring.Claim(id, node); !ok || err != nil {
+				t.Fatalf("claim of %d during the failover: (%v, %v)", id, ok, err)
+			}
 		}
-	}
-	down, now = false, simclock.Time(ttl) // replica 0 is re-admitted
-	if d1.Len() != len(ids) || len(ring.View().Replicas) != 2 {
-		t.Fatalf("premise: replica 1 holds %d entries, view %+v", d1.Len(), ring.View())
-	}
-	if owned, err := ring.OwnedBy(node, 0); err != nil || len(owned) != 0 {
-		t.Fatalf("OwnedBy = %v (%v) with replica 0 back, want the stranded entries hidden", owned, err)
-	}
+		down = false
+		time.Sleep(ttl) // replica 0 is re-admitted
+		if d1.Len() != len(ids) || len(ring.View().Replicas) != 2 {
+			t.Fatalf("premise: replica 1 holds %d entries, view %+v", d1.Len(), ring.View())
+		}
+		if owned, err := ring.OwnedBy(node, 0); err != nil || len(owned) != 0 {
+			t.Fatalf("OwnedBy = %v (%v) with replica 0 back, want the stranded entries hidden", owned, err)
+		}
 
-	cache := cacheOf(ids[:4]...) // the node evicted the other four
-	down = true
-	if _, _, err := ring.Lookup(ids[0]); err != nil { // fails replica 0 over again
-		t.Fatal(err)
-	}
-	if _, d, err := (Member{Dir: ring, ID: node, Cache: cache}).Scrub(0, 256); err != nil || d.ScrubReleased != 4 {
-		t.Fatalf("scrub after the second failover: %+v, %v; want the 4 evicted entries released", d, err)
-	}
-	if owned, _ := ring.OwnedBy(node, 0); !slices.Equal(owned, ids[:4]) {
-		t.Errorf("OwnedBy = %v after the scrub, want the cached %v", owned, ids[:4])
-	}
+		cache := cacheOf(ids[:4]...) // the node evicted the other four
+		down = true
+		if _, _, err := ring.Lookup(ids[0]); err != nil { // fails replica 0 over again
+			t.Fatal(err)
+		}
+		if _, d, err := (Member{Dir: ring, ID: node, Cache: cache}).Scrub(0, 256); err != nil || d.ScrubReleased != 4 {
+			t.Fatalf("scrub after the second failover: %+v, %v; want the 4 evicted entries released", d, err)
+		}
+		if owned, _ := ring.OwnedBy(node, 0); !slices.Equal(owned, ids[:4]) {
+			t.Errorf("OwnedBy = %v after the scrub, want the cached %v", owned, ids[:4])
+		}
+	})
 }
 
 // BenchmarkOwnershipWrites: Claims through a DirClient to a DirServer on

@@ -9,8 +9,8 @@ import (
 // The directory is sharded by sample ID across N dkv replicas so that no
 // single process carries every miss, scrub and heartbeat in the cluster —
 // and so that one replica's crash takes down 1/N of the metadata, not all
-// of it (ROADMAP item 1; Hoard runs exactly this distributed-metadata
-// layout for DNN training caches).
+// of it (Hoard runs exactly this distributed-metadata layout for DNN
+// training caches).
 //
 // Shard placement uses rendezvous (highest-random-weight) hashing: every
 // sample ID is owned by the live replica with the highest keyed hash score

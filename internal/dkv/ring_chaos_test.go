@@ -2,19 +2,19 @@ package dkv
 
 import (
 	"fmt"
-	"net"
 	"reflect"
 	"testing"
 	"time"
 
 	"icache/internal/dataset"
-	"icache/internal/leakcheck"
+	"icache/internal/transport/transporttest"
+	"icache/internal/vt"
 )
 
 // The dkv half of the partitioned-directory chaos acceptance suite (the
-// cluster-simulation half lives in internal/icache/lifecycle_test.go):
-// three real directory servers over TCP behind one sharded client, one
-// killed mid-epoch, pinning that
+// node half is internal/rpc's TestChaosDirReplicaFailover): three directory
+// servers on an in-memory network in a virtual-clock bubble, behind one
+// sharded client, one killed mid-epoch, pinning that
 //
 //   - survivors serve every operation on (the sharded client fails the dead
 //     replica's shards over in-call, so callers see zero errors),
@@ -32,14 +32,11 @@ type ringChaosCluster struct {
 	s     *ShardedDir
 }
 
-func startRingChaosCluster(t *testing.T) *ringChaosCluster {
+func startRingChaosCluster(t *testing.T, n *transporttest.Network) *ringChaosCluster {
 	t.Helper()
 	c := &ringChaosCluster{}
 	for i := 0; i < 3; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
+		ln := n.ListenAny()
 		srv := NewDirServer(NewDirectory())
 		go srv.Serve(ln)
 		c.addrs = append(c.addrs, ln.Addr().String())
@@ -71,9 +68,9 @@ type ringChaosOutcome struct {
 
 // runRingChaosScenario claims keys across the ring, kills replica `victim`
 // mid-epoch, and reads everything back through the survivors.
-func runRingChaosScenario(t *testing.T, seed int64, victim ReplicaID) ringChaosOutcome {
+func runRingChaosScenario(t *testing.T, n *transporttest.Network, seed int64, victim ReplicaID) ringChaosOutcome {
 	t.Helper()
-	c := startRingChaosCluster(t)
+	c := startRingChaosCluster(t, n)
 
 	// Deterministic per-seed key set (spread, not sequential, so every shard
 	// owns some).
@@ -184,12 +181,14 @@ func TestChaosRingReplicaCrash(t *testing.T) {
 	for i, seed := range []int64{1, 42, 1337} {
 		seed, victim := seed, ReplicaID(i%3)
 		t.Run(fmt.Sprintf("seed=%d/victim=%d", seed, victim), func(t *testing.T) {
-			defer leakcheck.Check(t)
-			first := runRingChaosScenario(t, seed, victim)
-			again := runRingChaosScenario(t, seed, victim)
-			if !reflect.DeepEqual(first, again) {
-				t.Fatalf("rerun diverged:\nfirst: %+v\nagain: %+v", first, again)
-			}
+			vt.Run(t, func(t *testing.T) {
+				n := transporttest.NewNetwork(t)
+				first := runRingChaosScenario(t, n, seed, victim)
+				again := runRingChaosScenario(t, n, seed, victim)
+				if !reflect.DeepEqual(first, again) {
+					t.Fatalf("rerun diverged:\nfirst: %+v\nagain: %+v", first, again)
+				}
+			})
 		})
 	}
 }

@@ -49,7 +49,7 @@ type ShardedDir struct {
 	replicas map[ReplicaID]Service
 	view     RingView
 	downTil  map[ReplicaID]simclock.Time // reprobe deadlines for down replicas
-	start    time.Time                   // wall epoch for the default clock
+	start    time.Time                   // the failover clock's epoch
 	stats    RingStats
 }
 
@@ -58,10 +58,6 @@ type ShardedConfig struct {
 	// FailoverTTL is how long a failed replica stays out of the ring before
 	// it is re-probed (one lease cycle). Zero selects DefaultLeaseTTL.
 	FailoverTTL time.Duration
-	// Clock supplies the time base for reprobe deadlines. Nil selects wall
-	// time since construction; simulations install a virtual-clock reader so
-	// failover timing is deterministic.
-	Clock func() simclock.Time
 }
 
 // RingStats counts client-observed ring events. Like MembershipStats these
@@ -142,13 +138,8 @@ func (s *ShardedDir) Close() error {
 	return first
 }
 
-// now reads the failover clock.
-func (s *ShardedDir) now() simclock.Time {
-	if s.cfg.Clock != nil {
-		return s.cfg.Clock()
-	}
-	return simclock.Time(time.Since(s.start))
-}
+// now reads the failover clock: time since construction.
+func (s *ShardedDir) now() simclock.Time { return simclock.Time(time.Since(s.start)) }
 
 // replicaIDs reports every configured replica, sorted (deterministic walks).
 func (s *ShardedDir) replicaIDs() []ReplicaID {

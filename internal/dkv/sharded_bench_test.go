@@ -80,9 +80,7 @@ func BenchmarkDirSharded(b *testing.B) {
 						done:    &done,
 					}
 				}
-				s := NewShardedDir(replicas, ShardedConfig{
-					Clock: func() simclock.Time { return arrival },
-				})
+				s := NewShardedDir(replicas, ShardedConfig{})
 
 				// Seed ownership through the router (placement = routing), then
 				// zero the meters so only the lookup traffic is measured.

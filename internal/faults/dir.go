@@ -6,7 +6,6 @@ import (
 
 	"icache/internal/dataset"
 	"icache/internal/dkv"
-	"icache/internal/simclock"
 )
 
 // Dir wraps any dkv.Service (the in-process dkv.Local, a network
@@ -15,8 +14,9 @@ import (
 // OpDirClaim / OpDirRelease; Len is never faulted (it is an observability
 // call, not part of the data path).
 //
-// When a Clock is installed, decisions are virtual-time keyed (DecideAt),
-// which lets schedules express "partition the directory for epoch 3".
+// A time-windowed rule (Partition) reads the time since the injector's New,
+// which lets a schedule in a virtual-clock bubble express "partition the
+// directory for epoch 3".
 //
 // Dir composes per replica: wrapping each replica of a sharded directory
 // with WrapDirScoped gives every wrapper its own operation namespace
@@ -29,9 +29,6 @@ type Dir struct {
 	inner dkv.Service
 	inj   *Injector
 	scope string
-
-	// Clock, when non-nil, supplies the virtual time for time-keyed rules.
-	Clock func() simclock.Time
 }
 
 // WrapDir attaches an injector to a directory service.
@@ -57,16 +54,8 @@ func ScopedOp(op, scope string) string {
 	return op + "@" + scope
 }
 
-func (d *Dir) decide(op string) Decision {
-	op = ScopedOp(op, d.scope)
-	if d.Clock != nil {
-		return d.inj.DecideAt(op, d.Clock())
-	}
-	return d.inj.Decide(op)
-}
-
 func (d *Dir) gate(op string) error {
-	switch dec := d.decide(op); dec.Action {
+	switch dec := d.inj.Decide(ScopedOp(op, d.scope)); dec.Action {
 	case ActError, ActDrop:
 		return fmt.Errorf("faults: %s: %w", op, dec.Err)
 	case ActDelay:

@@ -6,7 +6,7 @@
 // A single Injector holds an ordered list of Rules. Every fallible operation
 // names itself with an Op string ("conn.read", "dir.lookup", ...) and asks
 // the injector for a Decision; the first rule that matches the operation —
-// by call count, virtual-time window, stride, and probability — fires and
+// by call count, time window, stride, and probability — fires and
 // dictates the outcome: an injected error, an added delay, a corrupted
 // frame, or a dropped connection.
 //
@@ -97,10 +97,10 @@ type Rule struct {
 	// From/Until bound the per-op call index (0-based) half-open window
 	// [From, Until). Until <= 0 leaves the window open-ended.
 	From, Until int64
-	// FromTime/UntilTime bound the virtual time passed to DecideAt in the
-	// half-open window [FromTime, UntilTime). The window is only consulted
-	// when at least one bound is positive; calls made through Decide (no
-	// virtual clock) never match a time-bounded rule.
+	// FromTime/UntilTime bound the time since the injector's New in the
+	// half-open window [FromTime, UntilTime); a zero UntilTime leaves it
+	// open-ended. Inside a virtual-clock bubble (internal/vt) that is the
+	// bubble's clock, so a window is exact to the nanosecond.
 	FromTime, UntilTime simclock.Time
 	// Every fires the rule on every Nth matching call (1 or 0 = every call).
 	Every int64
@@ -145,6 +145,7 @@ type rule struct {
 // a nil *Injector is inert (every Decide returns a zero Decision), so
 // wrapped components need no nil checks at call sites.
 type Injector struct {
+	start time.Time // the time windows' epoch
 	mu    sync.Mutex
 	rng   *rand.Rand
 	rules []*rule
@@ -156,6 +157,7 @@ type Injector struct {
 // seeded with seed.
 func New(seed int64) *Injector {
 	return &Injector{
+		start: time.Now(),
 		rng:   rand.New(rand.NewSource(seed)),
 		calls: make(map[string]int64),
 		fired: make(map[string]int64),
@@ -177,23 +179,12 @@ func (in *Injector) Add(rules ...Rule) *Injector {
 	return in
 }
 
-// Decide evaluates the schedule for one call of op with no virtual-time
-// context (time-bounded rules never match).
-func (in *Injector) Decide(op string) Decision { return in.decide(op, -1) }
-
-// DecideAt evaluates the schedule for one call of op occurring at virtual
-// time at.
-func (in *Injector) DecideAt(op string, at simclock.Time) Decision {
-	if at < 0 {
-		at = 0
-	}
-	return in.decide(op, at)
-}
-
-func (in *Injector) decide(op string, at simclock.Time) Decision {
+// Decide evaluates the schedule for one call of op, made now.
+func (in *Injector) Decide(op string) Decision {
 	if in == nil {
 		return Decision{}
 	}
+	at := simclock.Time(time.Since(in.start))
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	idx := in.calls[op]
@@ -205,13 +196,8 @@ func (in *Injector) decide(op string, at simclock.Time) Decision {
 		if idx < r.From || (r.Until > 0 && idx >= r.Until) {
 			continue
 		}
-		if r.FromTime > 0 || r.UntilTime > 0 {
-			if at < 0 {
-				continue // no virtual clock on this call path
-			}
-			if at < r.FromTime || (r.UntilTime > 0 && at >= r.UntilTime) {
-				continue
-			}
+		if at < r.FromTime || (r.UntilTime > 0 && at >= r.UntilTime) {
+			continue
 		}
 		if r.Count > 0 && r.fired >= r.Count {
 			continue
@@ -288,9 +274,9 @@ func FailN(op string, n int, err error) Rule {
 	return Rule{Op: op, Count: int64(n), Action: ActError, Err: err}
 }
 
-// Partition makes every call of op inside the virtual-time window
-// [from, until) fail with err — the building block for "the directory is
-// unreachable for epoch k" schedules.
+// Partition makes every call of op inside the window [from, until) of time
+// since the injector's New fail with err — the building block for "the
+// directory is unreachable for epoch k" schedules.
 func Partition(op string, from, until simclock.Time, err error) Rule {
 	return Rule{Op: op, FromTime: from, UntilTime: until, Action: ActError, Err: err}
 }

@@ -9,7 +9,7 @@ import (
 
 	"icache/internal/dataset"
 	"icache/internal/dkv"
-	"icache/internal/simclock"
+	"icache/internal/vt"
 	"icache/internal/wire"
 )
 
@@ -54,25 +54,38 @@ func TestCallCountWindow(t *testing.T) {
 	}
 }
 
+// TestVirtualTimeWindow: in a bubble, a Partition rule fires exactly inside
+// [from, until) of time since New — to the nanosecond at both edges — and
+// never outside it, and only on its own operation.
 func TestVirtualTimeWindow(t *testing.T) {
-	in := New(1).Add(Partition("dir.lookup", 100*time.Millisecond, 200*time.Millisecond, nil))
-	cases := []struct {
-		at   time.Duration
-		want bool
-	}{
-		{0, false}, {99 * time.Millisecond, false},
-		{100 * time.Millisecond, true}, {150 * time.Millisecond, true},
-		{199 * time.Millisecond, true}, {200 * time.Millisecond, false},
-	}
-	for _, c := range cases {
-		if got := in.DecideAt("dir.lookup", c.at).Fault(); got != c.want {
-			t.Fatalf("at %v: fault=%v, want %v", c.at, got, c.want)
+	vt.Run(t, func(t *testing.T) {
+		const from, until = 100 * time.Millisecond, 200 * time.Millisecond
+		start := time.Now()
+		in := New(1).Add(Partition("dir.lookup", from, until, nil))
+		inside := 0
+		for _, c := range []struct {
+			at   time.Duration
+			want bool
+		}{
+			{0, false}, {from - time.Nanosecond, false},
+			{from, true}, {150 * time.Millisecond, true}, {until - time.Nanosecond, true},
+			{until, false}, {time.Hour, false},
+		} {
+			time.Sleep(c.at - time.Since(start))
+			if got := in.Decide("dir.lookup").Fault(); got != c.want {
+				t.Fatalf("at %v: fault=%v, want %v", c.at, got, c.want)
+			}
+			if c.want {
+				inside++
+			}
+			if in.Decide("dir.claim").Fault() {
+				t.Fatalf("at %v: the lookup partition fired on a claim", c.at)
+			}
 		}
-	}
-	// A call with no virtual clock must never match a time-bounded rule.
-	if in.Decide("dir.lookup").Fault() {
-		t.Fatal("time-bounded rule fired without a clock")
-	}
+		if got := in.Fired("dir.lookup"); got != int64(inside) {
+			t.Fatalf("fired %d times, want once per call inside the window (%d)", got, inside)
+		}
+	})
 }
 
 func TestEveryStride(t *testing.T) {
@@ -122,7 +135,7 @@ func TestFirstMatchingRuleWins(t *testing.T) {
 
 func TestNilInjectorIsInert(t *testing.T) {
 	var in *Injector
-	if in.Decide("op").Fault() || in.DecideAt("op", time.Second).Fault() {
+	if in.Decide("op").Fault() {
 		t.Fatal("nil injector fired")
 	}
 	if in.Calls("op") != 0 || in.Fired("op") != 0 || in.TotalFired() != 0 {
@@ -225,26 +238,26 @@ func TestWrapDirFaultsOps(t *testing.T) {
 	}
 }
 
-// TestWrapDirVirtualClock verifies time-keyed rules consult the installed
-// clock.
+// TestWrapDirVirtualClock verifies a wrapped directory's time-keyed rules
+// read the bubble's clock since the injector's New.
 func TestWrapDirVirtualClock(t *testing.T) {
-	raw := dkv.NewDirectory()
-	in := New(1).Add(Partition(OpDirLookup, time.Second, 2*time.Second, nil))
-	dir := WrapDir(dkv.Local{Dir: raw}, in)
-	now := time.Duration(0)
-	dir.Clock = func() simclock.Time { return now }
+	vt.Run(t, func(t *testing.T) {
+		raw := dkv.NewDirectory()
+		in := New(1).Add(Partition(OpDirLookup, time.Second, 2*time.Second, nil))
+		dir := WrapDir(dkv.Local{Dir: raw}, in)
 
-	if _, _, err := dir.Lookup(1); err != nil {
-		t.Fatalf("lookup before partition: %v", err)
-	}
-	now = 1500 * time.Millisecond
-	if _, _, err := dir.Lookup(1); err == nil {
-		t.Fatal("lookup inside partition succeeded")
-	}
-	now = 2 * time.Second
-	if _, _, err := dir.Lookup(1); err != nil {
-		t.Fatalf("lookup after partition: %v", err)
-	}
+		if _, _, err := dir.Lookup(1); err != nil {
+			t.Fatalf("lookup before partition: %v", err)
+		}
+		time.Sleep(1500 * time.Millisecond)
+		if _, _, err := dir.Lookup(1); err == nil {
+			t.Fatal("lookup inside partition succeeded")
+		}
+		time.Sleep(500 * time.Millisecond)
+		if _, _, err := dir.Lookup(1); err != nil {
+			t.Fatalf("lookup after partition: %v", err)
+		}
+	})
 }
 
 // TestScopedPartitionBlindsOneReplica is the per-replica composition
@@ -255,79 +268,78 @@ func TestWrapDirVirtualClock(t *testing.T) {
 // over without surfacing an error, and each wrapper's call counters
 // advance independently.
 func TestScopedPartitionBlindsOneReplica(t *testing.T) {
-	var now simclock.Time
-	clock := func() simclock.Time { return now }
-	const from, until = 100 * time.Millisecond, 200 * time.Millisecond
-	inj := New(7).Add(Partition(ScopedOp(OpDirLookup, "r1"), from, until, nil))
+	vt.Run(t, func(t *testing.T) {
+		const from, until = 100 * time.Millisecond, 200 * time.Millisecond
+		inj := New(7).Add(Partition(ScopedOp(OpDirLookup, "r1"), from, until, nil))
 
-	replicas := make(map[dkv.ReplicaID]dkv.Service, 3)
-	wrappers := make([]*Dir, 3)
-	for r := 0; r < 3; r++ {
-		w := WrapDirScoped(dkv.Local{Dir: dkv.NewDirectory()}, inj, "r"+string(rune('0'+r)))
-		w.Clock = clock
-		wrappers[r] = w
-		replicas[dkv.ReplicaID(r)] = w
-	}
-	s := dkv.NewShardedDir(replicas, dkv.ShardedConfig{FailoverTTL: time.Minute, Clock: clock})
-
-	// Healthy phase: claim keys through the sharded client and note which
-	// shard each landed on.
-	view := s.View()
-	byReplica := map[dkv.ReplicaID][]dataset.SampleID{}
-	for id := dataset.SampleID(0); id < 120; id++ {
-		if ok, err := s.Claim(id, 1); err != nil || !ok {
-			t.Fatalf("claim(%d): %v/%v", id, ok, err)
+		replicas := make(map[dkv.ReplicaID]dkv.Service, 3)
+		wrappers := make([]*Dir, 3)
+		for r := 0; r < 3; r++ {
+			w := WrapDirScoped(dkv.Local{Dir: dkv.NewDirectory()}, inj, "r"+string(rune('0'+r)))
+			wrappers[r] = w
+			replicas[dkv.ReplicaID(r)] = w
 		}
-		r, _ := view.Owner(id)
-		byReplica[r] = append(byReplica[r], id)
-	}
-	if len(byReplica[1]) == 0 {
-		t.Fatal("replica 1 owns no shard keys — test premise broken")
-	}
+		s := dkv.NewShardedDir(replicas, dkv.ShardedConfig{FailoverTTL: time.Minute})
 
-	// Inside the window replica 1 is blind; its siblings are not.
-	now = simclock.Time(150 * time.Millisecond)
-	if _, _, err := wrappers[1].Lookup(byReplica[1][0]); err == nil {
-		t.Fatal("partitioned replica 1 answered a lookup")
-	}
-	for _, r := range []int{0, 2} {
-		if _, found, err := wrappers[r].Lookup(byReplica[dkv.ReplicaID(r)][0]); err != nil || !found {
-			t.Fatalf("unpartitioned replica %d: found=%v err=%v", r, found, err)
-		}
-	}
-
-	// The sharded client absorbs the partition: every key still answers
-	// without error; replica 1's shards fail over to survivors (which never
-	// saw those claims, so clean "unowned").
-	for r, ids := range byReplica {
-		for _, id := range ids {
-			_, found, err := s.Lookup(id)
-			if err != nil {
-				t.Fatalf("sharded lookup(%d) during partition: %v", id, err)
+		// Healthy phase: claim keys through the sharded client and note which
+		// shard each landed on.
+		view := s.View()
+		byReplica := map[dkv.ReplicaID][]dataset.SampleID{}
+		for id := dataset.SampleID(0); id < 120; id++ {
+			if ok, err := s.Claim(id, 1); err != nil || !ok {
+				t.Fatalf("claim(%d): %v/%v", id, ok, err)
 			}
-			if want := r != 1; found != want {
-				t.Fatalf("sharded lookup(%d) on replica %d: found=%v, want %v", id, r, found, want)
+			r, _ := view.Owner(id)
+			byReplica[r] = append(byReplica[r], id)
+		}
+		if len(byReplica[1]) == 0 {
+			t.Fatal("replica 1 owns no shard keys — test premise broken")
+		}
+
+		// Inside the window replica 1 is blind; its siblings are not.
+		time.Sleep(150 * time.Millisecond)
+		if _, _, err := wrappers[1].Lookup(byReplica[1][0]); err == nil {
+			t.Fatal("partitioned replica 1 answered a lookup")
+		}
+		for _, r := range []int{0, 2} {
+			if _, found, err := wrappers[r].Lookup(byReplica[dkv.ReplicaID(r)][0]); err != nil || !found {
+				t.Fatalf("unpartitioned replica %d: found=%v err=%v", r, found, err)
 			}
 		}
-	}
-	if st := s.Ring(); st.LiveReplicas != 2 || st.Failovers < 1 {
-		t.Fatalf("ring stats during one-replica partition: %+v", st)
-	}
 
-	// The rule fired only under replica 1's scope, and each wrapper's call
-	// counters advanced independently of its siblings.
-	if inj.Fired(ScopedOp(OpDirLookup, "r1")) == 0 {
-		t.Error("partition rule never fired under scope r1")
-	}
-	for _, scope := range []string{"r0", "r2"} {
-		if got := inj.Fired(ScopedOp(OpDirLookup, scope)); got != 0 {
-			t.Errorf("scope %s fired %d faults, want 0", scope, got)
+		// The sharded client absorbs the partition: every key still answers
+		// without error; replica 1's shards fail over to survivors (which never
+		// saw those claims, so clean "unowned").
+		for r, ids := range byReplica {
+			for _, id := range ids {
+				_, found, err := s.Lookup(id)
+				if err != nil {
+					t.Fatalf("sharded lookup(%d) during partition: %v", id, err)
+				}
+				if want := r != 1; found != want {
+					t.Fatalf("sharded lookup(%d) on replica %d: found=%v, want %v", id, r, found, want)
+				}
+			}
 		}
-		if inj.Calls(ScopedOp(OpDirLookup, scope)) == 0 {
-			t.Errorf("scope %s recorded no calls", scope)
+		if st := s.Ring(); st.LiveReplicas != 2 || st.Failovers < 1 {
+			t.Fatalf("ring stats during one-replica partition: %+v", st)
 		}
-	}
-	if c0, c1 := inj.Calls(ScopedOp(OpDirLookup, "r0")), inj.Calls(ScopedOp(OpDirLookup, "r1")); c0 == c1 {
-		t.Errorf("scoped call counters did not advance independently: r0=%d r1=%d", c0, c1)
-	}
+
+		// The rule fired only under replica 1's scope, and each wrapper's call
+		// counters advanced independently of its siblings.
+		if inj.Fired(ScopedOp(OpDirLookup, "r1")) == 0 {
+			t.Error("partition rule never fired under scope r1")
+		}
+		for _, scope := range []string{"r0", "r2"} {
+			if got := inj.Fired(ScopedOp(OpDirLookup, scope)); got != 0 {
+				t.Errorf("scope %s fired %d faults, want 0", scope, got)
+			}
+			if inj.Calls(ScopedOp(OpDirLookup, scope)) == 0 {
+				t.Errorf("scope %s recorded no calls", scope)
+			}
+		}
+		if c0, c1 := inj.Calls(ScopedOp(OpDirLookup, "r0")), inj.Calls(ScopedOp(OpDirLookup, "r1")); c0 == c1 {
+			t.Errorf("scoped call counters did not advance independently: r0=%d r1=%d", c0, c1)
+		}
+	})
 }

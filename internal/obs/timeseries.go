@@ -32,19 +32,14 @@ type Point struct {
 // Timeline is the snapshot ring. Construct with NewTimeline.
 type Timeline struct {
 	collect func() map[string]float64
-	now     func() time.Time // injectable for deterministic tests
 	ring    *Ring[Point]
 }
 
 // NewTimeline builds a timeline retaining capacity points (minimum 1),
 // each produced by collect.
 func NewTimeline(capacity int, collect func() map[string]float64) *Timeline {
-	return &Timeline{collect: collect, now: time.Now, ring: NewRing[Point](capacity)}
+	return &Timeline{collect: collect, ring: NewRing[Point](capacity)}
 }
-
-// SetClock replaces the wall clock (deterministic tests only; not safe
-// concurrently with Tick).
-func (t *Timeline) SetClock(now func() time.Time) { t.now = now }
 
 // Tick takes one snapshot and appends it to the ring. Safe for concurrent
 // use with Snapshot and other Ticks; no-op on a nil timeline.
@@ -52,7 +47,7 @@ func (t *Timeline) Tick() {
 	if t == nil {
 		return
 	}
-	t.ring.Append(Point{At: t.now().UnixNano(), Values: t.collect()})
+	t.ring.Append(Point{At: time.Now().UnixNano(), Values: t.collect()})
 }
 
 // Run ticks every interval until stop closes. Call in a goroutine.

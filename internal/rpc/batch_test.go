@@ -18,49 +18,54 @@ import (
 	"icache/internal/dkv"
 	"icache/internal/faults"
 	"icache/internal/icache"
-	"icache/internal/leakcheck"
 	"icache/internal/sampling"
 	"icache/internal/storage"
 	"icache/internal/transport"
+	"icache/internal/vt"
 	"icache/internal/wire"
 )
 
-// newUnstartedServer builds a server without serving it, so tests can
-// configure pre-Serve state (distribution wiring, log capture, the prefetch
-// pool's size) race-free — those fields are read without synchronization by
-// the serving path and must not change once connections exist. src may be
-// nil for a plain storage.DataSource. The server is closed at cleanup.
-func newUnstartedServer(t *testing.T, src ByteSource) *Server {
+// newSeededServer builds a full cache server over testSpec() — a fifth of
+// the dataset's bytes of capacity, the policy engine drawing from seed —
+// that reads src (a plain storage.DataSource when nil). It is neither served
+// nor closed: the one constructor every test server comes from.
+func newSeededServer(t testing.TB, seed int64, src ByteSource) *Server {
 	t.Helper()
 	spec := testSpec()
 	back, err := storage.NewBackend(spec, storage.OrangeFS())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cacheSrv, err := icache.NewServer(back, icache.DefaultConfig(spec.TotalBytes()/5), sampling.DefaultIIS(), 5)
+	cacheSrv, err := icache.NewServer(back, icache.DefaultConfig(spec.TotalBytes()/5), sampling.DefaultIIS(), seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if src == nil {
-		source, err := storage.NewDataSource(spec)
-		if err != nil {
+		if src, err = storage.NewDataSource(spec); err != nil {
 			t.Fatal(err)
 		}
-		src = source
 	}
 	srv := NewServer(cacheSrv, src)
 	srv.Logf = nil
+	return srv
+}
+
+// newUnstartedServer builds a seed-5 server without serving it, so tests can
+// configure pre-Serve state (distribution wiring, log capture, the prefetch
+// pool's size) race-free — those fields are read without synchronization by
+// the serving path and must not change once connections exist. src may be
+// nil for a plain storage.DataSource. The server is closed at cleanup.
+func newUnstartedServer(t *testing.T, src ByteSource) *Server {
+	t.Helper()
+	srv := newSeededServer(t, 5, src)
 	t.Cleanup(func() { srv.Close() })
 	return srv
 }
 
-// serveOn starts srv on a loopback listener and returns its address.
+// serveOn starts srv on a test listener and returns its address.
 func serveOn(t testing.TB, srv *Server) string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ln := listen(t)
 	go srv.Serve(ln)
 	t.Cleanup(func() { srv.Close() })
 	return ln.Addr().String()
@@ -93,14 +98,14 @@ func (c *countedConn) Close() error {
 	return c.Conn.Close()
 }
 
-// waitNoConns blocks until the server has closed every connection it
-// accepted (each read loop observed its client's close and exited).
-func (l *countingListener) waitNoConns(t *testing.T) {
+// requireNoConns waits for a quiet point and fails unless the server has
+// closed every connection it accepted by then (each read loop observed its
+// client's close and exited).
+func (l *countingListener) requireNoConns(t *testing.T) {
 	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); l.open.Load() != 0; time.Sleep(2 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d connections still live", l.open.Load())
-		}
+	vt.Wait()
+	if n := l.open.Load(); n != 0 {
+		t.Fatalf("%d connections still live", n)
 	}
 }
 
@@ -125,7 +130,6 @@ func exchange(t *testing.T, conn net.Conn, frame []byte) []byte {
 // reader's side) and for a connection that only ever carried bare frames,
 // each refused in-band.
 func TestCleanCloseLogsNothing(t *testing.T) {
-	defer leakcheck.Check(t)
 	for _, tc := range []struct {
 		name  string
 		drive func(t *testing.T, addr string)
@@ -146,7 +150,7 @@ func TestCleanCloseLogsNothing(t *testing.T) {
 			}
 		}},
 		{"bare", func(t *testing.T, addr string) {
-			conn, err := net.DialTimeout("tcp", addr, time.Second)
+			conn, err := testNet.Dial(addr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,29 +165,27 @@ func TestCleanCloseLogsNothing(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv := newUnstartedServer(t, nil)
-			var mu sync.Mutex
-			var lines []string
-			srv.Logf = func(format string, args ...interface{}) {
-				mu.Lock()
-				lines = append(lines, fmt.Sprintf(format, args...))
-				mu.Unlock()
-			}
-			tcp, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			ln := &countingListener{Listener: tcp}
-			go srv.Serve(ln)
-			t.Cleanup(func() { srv.Close() })
+			inBubble(t, func(t *testing.T) {
+				srv := newUnstartedServer(t, nil)
+				var mu sync.Mutex
+				var lines []string
+				srv.Logf = func(format string, args ...interface{}) {
+					mu.Lock()
+					lines = append(lines, fmt.Sprintf(format, args...))
+					mu.Unlock()
+				}
+				ln := &countingListener{Listener: listen(t)}
+				go srv.Serve(ln)
+				t.Cleanup(func() { srv.Close() })
 
-			tc.drive(t, tcp.Addr().String())
-			ln.waitNoConns(t)
-			mu.Lock()
-			defer mu.Unlock()
-			if len(lines) != 0 {
-				t.Fatalf("clean close logged %d lines: %q", len(lines), lines)
-			}
+				tc.drive(t, ln.Addr().String())
+				ln.requireNoConns(t)
+				mu.Lock()
+				defer mu.Unlock()
+				if len(lines) != 0 {
+					t.Fatalf("clean close logged %d lines: %q", len(lines), lines)
+				}
+			})
 		})
 	}
 }
@@ -196,75 +198,76 @@ func TestCleanCloseLogsNothing(t *testing.T) {
 // Begin/Finish orchestration, and every client must still receive correct
 // bytes.
 func TestBatchedMissCoalescing(t *testing.T) {
-	defer leakcheck.Check(t)
-	spec := testSpec()
-	inner, err := storage.NewDataSource(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := &slowFetchSource{inner: inner, delay: 100 * time.Millisecond}
-	srv := newUnstartedServer(t, src)
-	srv.EnableDistributed(0, dkv.Local{Dir: dkv.NewDirectory()}, nil)
-	addr := serveOn(t, srv)
-	if srv.dist.peerCfg.Batch <= 0 {
-		t.Fatal("fixture did not select the batched data plane")
-	}
-
-	ids := []dataset.SampleID{3, 5, 8, 13}
-	var items []sampling.Item
-	for _, id := range ids {
-		items = append(items, sampling.Item{ID: id, IV: 10})
-	}
-	setup := dial(t, addr)
-	if err := setup.UpdateImportance(items); err != nil {
-		t.Fatal(err)
-	}
-
-	const clients = 6
-	start := make(chan struct{})
-	results := make([][]Sample, clients)
-	errs := make(chan error, clients)
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		cl := dial(t, addr)
-		wg.Add(1)
-		go func(c int, cl *Client) {
-			defer wg.Done()
-			<-start
-			samples, err := cl.GetBatch(ids)
-			if err != nil {
-				errs <- err
-				return
-			}
-			results[c] = samples
-		}(c, cl)
-	}
-	close(start)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-
-	for c, samples := range results {
-		if len(samples) != len(ids) {
-			t.Fatalf("client %d got %d samples for %d requests", c, len(samples), len(ids))
+	inBubble(t, func(t *testing.T) {
+		spec := testSpec()
+		inner, err := storage.NewDataSource(spec)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i, s := range samples {
-			if s.ID != ids[i] {
-				t.Fatalf("client %d: H-sample %d substituted with %d", c, ids[i], s.ID)
+		src := &slowFetchSource{inner: inner, delay: 100 * time.Millisecond}
+		srv := newUnstartedServer(t, src)
+		srv.EnableDistributed(0, dkv.Local{Dir: dkv.NewDirectory()}, nil)
+		addr := serveOn(t, srv)
+		if srv.dist.peerCfg.Batch <= 0 {
+			t.Fatal("fixture did not select the batched data plane")
+		}
+
+		ids := []dataset.SampleID{3, 5, 8, 13}
+		var items []sampling.Item
+		for _, id := range ids {
+			items = append(items, sampling.Item{ID: id, IV: 10})
+		}
+		setup := dial(t, addr)
+		if err := setup.UpdateImportance(items); err != nil {
+			t.Fatal(err)
+		}
+
+		const clients = 6
+		start := make(chan struct{})
+		results := make([][]Sample, clients)
+		errs := make(chan error, clients)
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			cl := dial(t, addr)
+			wg.Add(1)
+			go func(c int, cl *Client) {
+				defer wg.Done()
+				<-start
+				samples, err := cl.GetBatch(ids)
+				if err != nil {
+					errs <- err
+					return
+				}
+				results[c] = samples
+			}(c, cl)
+		}
+		close(start)
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+
+		for c, samples := range results {
+			if len(samples) != len(ids) {
+				t.Fatalf("client %d got %d samples for %d requests", c, len(samples), len(ids))
 			}
-			if !bytes.Equal(s.Payload, spec.Payload(s.ID)) {
-				t.Fatalf("client %d: payload of %d corrupt under batched coalescing", c, s.ID)
+			for i, s := range samples {
+				if s.ID != ids[i] {
+					t.Fatalf("client %d: H-sample %d substituted with %d", c, ids[i], s.ID)
+				}
+				if !bytes.Equal(s.Payload, spec.Payload(s.ID)) {
+					t.Fatalf("client %d: payload of %d corrupt under batched coalescing", c, s.ID)
+				}
 			}
 		}
-	}
-	if got := atomic.LoadInt64(&src.fetches); got >= int64(clients*len(ids)) {
-		t.Fatalf("%d backend fetches for %d coalesced-candidate requests: no coalescing on the batched path", got, clients*len(ids))
-	}
-	if srv.CoalescedMisses() == 0 {
-		t.Fatal("coalesced-miss counter never moved on the batched path")
-	}
+		if got := atomic.LoadInt64(&src.fetches); got != int64(len(ids)) {
+			t.Fatalf("%d backend fetches for %d coalesced-candidate requests of %d samples: want one per sample on the batched path", got, clients*len(ids), len(ids))
+		}
+		if srv.CoalescedMisses() == 0 {
+			t.Fatal("coalesced-miss counter never moved on the batched path")
+		}
+	})
 }
 
 // TestBatchedDuplicateIDsInOneBatch guards the dedupe in the miss collector
@@ -529,55 +532,57 @@ func TestPeerRPCsScaleWithOwnersNotMisses(t *testing.T) {
 // Lookup, never a backend read), admits nothing on the prefetching node, and
 // leaves the outcome ledger balanced at the next epoch boundary.
 func TestPrefetchRidesTheBatchedResolver(t *testing.T) {
-	cd := &countingDir{Local: dkv.Local{Dir: dkv.NewDirectory()}}
-	f := startDistFixtureHook(t, func(_ int, srv *Server) {
-		srv.dist.dir, srv.dist.dirCtx = cd, nil // both nodes share the counted directory
-	})
-	cA := dial(t, f.addrs[0])
-	cB := dial(t, f.addrs[1])
-	b := f.nodes[1]
-	const id = dataset.SampleID(12)
-	for _, c := range []*Client{cA, cB} {
-		if err := c.UpdateImportance([]sampling.Item{{ID: id, IV: 5}}); err != nil {
+	inBubble(t, func(t *testing.T) {
+		cd := &countingDir{Local: dkv.Local{Dir: dkv.NewDirectory()}}
+		f := startDistFixtureHook(t, func(_ int, srv *Server) {
+			srv.dist.dir, srv.dist.dirCtx = cd, nil // both nodes share the counted directory
+		})
+		cA := dial(t, f.addrs[0])
+		cB := dial(t, f.addrs[1])
+		b := f.nodes[1]
+		const id = dataset.SampleID(12)
+		for _, c := range []*Client{cA, cB} {
+			if err := c.UpdateImportance([]sampling.Item{{ID: id, IV: 5}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := cA.GetBatch([]dataset.SampleID{id}); err != nil { // node A owns it
 			t.Fatal(err)
 		}
-	}
-	if _, err := cA.GetBatch([]dataset.SampleID{id}); err != nil { // node A owns it
-		t.Fatal(err)
-	}
 
-	lk, lb := atomic.LoadInt64(&cd.lookups), atomic.LoadInt64(&cd.lookupBatches)
-	rpcs0, _ := b.PeerBatchStats()
-	_, hits0 := b.PeerStats()
-	reads0 := f.sources[1].Reads()
-	b.acceptRemote([]dataset.SampleID{id})
-	waitPlanSettled(t, b)
-	if got := atomic.LoadInt64(&cd.lookups) - lk; got != 0 {
-		t.Errorf("%d per-sample Lookups; want 0", got)
-	}
-	if got := atomic.LoadInt64(&cd.lookupBatches) - lb; got != 1 {
-		t.Errorf("%d LookupBatch calls; want 1", got)
-	}
-	if rpcs, _ := b.PeerBatchStats(); rpcs-rpcs0 != 1 {
-		t.Errorf("%d opPeerGetBatch RPCs; want 1", rpcs-rpcs0)
-	}
-	if _, hits := b.PeerStats(); hits-hits0 != 1 {
-		t.Errorf("%d peer hits; want 1", hits-hits0)
-	}
-	if got := f.sources[1].Reads() - reads0; got != 0 {
-		t.Errorf("%d backend reads for a sample a live peer owns; want 0", got)
-	}
-	if b.payloads.has(id) {
-		t.Errorf("node B stored peer-owned sample %d", id)
-	}
-	if d := b.DecisionStats(); d.AdmitPrefetch != 0 || d.PrefetchIssued != 1 {
-		t.Errorf("AdmitPrefetch = %d, PrefetchIssued = %d; want one prefetch that admits nothing", d.AdmitPrefetch, d.PrefetchIssued)
-	}
-	requireStoreWithinResidents(t, b)
+		lk, lb := atomic.LoadInt64(&cd.lookups), atomic.LoadInt64(&cd.lookupBatches)
+		rpcs0, _ := b.PeerBatchStats()
+		_, hits0 := b.PeerStats()
+		reads0 := f.sources[1].Reads()
+		b.acceptRemote([]dataset.SampleID{id})
+		waitPlanSettled(t, b)
+		if got := atomic.LoadInt64(&cd.lookups) - lk; got != 0 {
+			t.Errorf("%d per-sample Lookups; want 0", got)
+		}
+		if got := atomic.LoadInt64(&cd.lookupBatches) - lb; got != 1 {
+			t.Errorf("%d LookupBatch calls; want 1", got)
+		}
+		if rpcs, _ := b.PeerBatchStats(); rpcs-rpcs0 != 1 {
+			t.Errorf("%d opPeerGetBatch RPCs; want 1", rpcs-rpcs0)
+		}
+		if _, hits := b.PeerStats(); hits-hits0 != 1 {
+			t.Errorf("%d peer hits; want 1", hits-hits0)
+		}
+		if got := f.sources[1].Reads() - reads0; got != 0 {
+			t.Errorf("%d backend reads for a sample a live peer owns; want 0", got)
+		}
+		if b.payloads.has(id) {
+			t.Errorf("node B stored peer-owned sample %d", id)
+		}
+		if d := b.DecisionStats(); d.AdmitPrefetch != 0 || d.PrefetchIssued != 1 {
+			t.Errorf("AdmitPrefetch = %d, PrefetchIssued = %d; want one prefetch that admits nothing", d.AdmitPrefetch, d.PrefetchIssued)
+		}
+		requireStoreWithinResidents(t, b)
 
-	// The peer-served prefetch left nothing on B for a hit to redeem: the
-	// boundary books it wasted.
-	if d, _ := crossBoundary(t, b, "after a peer-served prefetch", func() error { return cB.BeginEpoch(1) }); d.PrefetchWasted != 1 {
-		t.Errorf("wasted = %d after the boundary; want the peer-served prefetch", d.PrefetchWasted)
-	}
+		// The peer-served prefetch left nothing on B for a hit to redeem: the
+		// boundary books it wasted.
+		if d, _ := crossBoundary(t, b, "after a peer-served prefetch", func() error { return cB.BeginEpoch(1) }); d.PrefetchWasted != 1 {
+			t.Errorf("wasted = %d after the boundary; want the peer-served prefetch", d.PrefetchWasted)
+		}
+	})
 }

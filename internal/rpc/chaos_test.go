@@ -18,7 +18,6 @@ import (
 	"icache/internal/dataset"
 	"icache/internal/dkv"
 	"icache/internal/faults"
-	"icache/internal/icache"
 	"icache/internal/retry"
 	"icache/internal/sampling"
 	"icache/internal/storage"
@@ -31,25 +30,14 @@ import (
 // bubble's clock); the caller serves it.
 func newVTServer(t *testing.T, seed int64, backendRead time.Duration) *Server {
 	t.Helper()
-	spec := testSpec()
-	back, err := storage.NewBackend(spec, storage.OrangeFS())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cacheSrv, err := icache.NewServer(back, icache.DefaultConfig(spec.TotalBytes()/5), sampling.DefaultIIS(), seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	source, err := storage.NewDataSource(spec)
+	source, err := storage.NewDataSource(testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if backendRead > 0 {
 		source.Injector().Add(faults.DelayEvery(faults.OpSourceFetch, 1, backendRead))
 	}
-	srv := NewServer(cacheSrv, source)
-	srv.Logf = nil
-	return srv
+	return newSeededServer(t, seed, source)
 }
 
 // chaosPolicy is the default retry schedule with three times the attempts:

@@ -58,9 +58,10 @@ type vtConfig struct {
 	// replicas is the number of directory servers; above one every node
 	// reaches them through a dkv.ShardedDir.
 	replicas int
-	// dirFaults gates every directory call of every node (faults.Dir, on the
-	// bubble's clock); peerFaults every read and write of the server end of
-	// a connection one node dials to the other. Nil: no faults.
+	// dirFaults gates every directory call of every node (faults.Dir; its
+	// time windows read the bubble's clock since the injector's New, made
+	// just before the cluster); peerFaults every read and write of the
+	// server end of a connection one node dials to the other. Nil: no faults.
 	dirFaults, peerFaults *faults.Injector
 }
 
@@ -142,8 +143,8 @@ func newVTCluster(t *testing.T, seed int64, cfg vtConfig) *vtCluster {
 	return c
 }
 
-// now is the bubble's clock since the cluster started, the clock the
-// directory fault schedule reads.
+// now is the bubble's clock since the cluster started: the clock the
+// directory fault schedule reads when its injector was made just before.
 func (c *vtCluster) now() simclock.Time { return simclock.Time(time.Since(c.start)) }
 
 // startReplica boots directory replica r empty, as icache-dkv boots.
@@ -196,9 +197,7 @@ func (c *vtCluster) boot(n int, ckpt []byte) {
 	}
 	dir := node.dir
 	if c.cfg.dirFaults != nil {
-		fd := faults.WrapDir(node.dir, c.cfg.dirFaults)
-		fd.Clock = c.now
-		dir = fd
+		dir = faults.WrapDir(node.dir, c.cfg.dirFaults)
 	}
 	srv.EnableDistributed(node.id, dir, map[dkv.NodeID]string{1 - node.id: fmt.Sprintf("peer%d", 1-n)})
 	if err := srv.StartMembership(MembershipConfig{LeaseTTL: vtLeaseTTL, HeartbeatInterval: vtBeat, ScrubInterval: vtScrub, ScrubBatch: testSpec().NumSamples}); err != nil {
@@ -453,9 +452,9 @@ func TestChaosTrainingSurvivesFaultSchedule(t *testing.T) {
 }
 
 // randomHealingSchedule draws a fault schedule in which every rule is
-// bounded — by a call-count window, a window of the bubble's clock (the
-// directory's rules only: a connection reads no clock), or a fire-count cap
-// — so the system is eventually fault-free ("eventually healing").
+// bounded — by a call-count window, a window of the bubble's clock (drawn
+// for the directory's rules only), or a fire-count cap — so the system is
+// eventually fault-free ("eventually healing").
 func randomHealingSchedule(rng *rand.Rand) (dir, peer []faults.Rule) {
 	ops := []string{faults.OpDirLookup, faults.OpDirClaim, faults.OpDirRelease, faults.OpConnRead}
 	for n := 2 + rng.Intn(4); n > 0; n-- {

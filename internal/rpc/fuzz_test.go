@@ -6,10 +6,7 @@ import (
 	"time"
 
 	"icache/internal/dataset"
-	"icache/internal/icache"
 	"icache/internal/obs"
-	"icache/internal/sampling"
-	"icache/internal/storage"
 	"icache/internal/transport"
 	"icache/internal/transport/transporttest"
 	"icache/internal/wire"
@@ -25,20 +22,7 @@ import (
 // wrote must equal the flat reference encoding of the served samples.
 func FuzzServerDispatch(f *testing.F) {
 	spec := testSpec()
-	back, err := storage.NewBackend(spec, storage.OrangeFS())
-	if err != nil {
-		f.Fatal(err)
-	}
-	cacheSrv, err := icache.NewServer(back, icache.DefaultConfig(spec.TotalBytes()/5), sampling.DefaultIIS(), 5)
-	if err != nil {
-		f.Fatal(err)
-	}
-	source, err := storage.NewDataSource(spec)
-	if err != nil {
-		f.Fatal(err)
-	}
-	srv := NewServer(cacheSrv, source)
-	srv.Logf = nil
+	srv := newSeededServer(f, 5, nil)
 
 	// Seed with every opcode, well-formed and truncated.
 	f.Add([]byte{})

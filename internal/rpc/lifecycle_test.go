@@ -1,7 +1,7 @@
 package rpc
 
-// Wall-clock lifecycle tests for the network server: the membership loop
-// heartbeats and scrubs, a promoted sample keeps its payload and ownership,
+// Lifecycle tests for the network server: the membership loop heartbeats and
+// scrubs (on a bubble's virtual clock), a promoted sample keeps its payload and ownership,
 // a checkpoint rejoin replays claims against a directory where a peer took
 // samples over, /healthz reports lease age, and checkpoint saves are
 // crash-atomic. (What a heartbeat, a rejoin and a sweep do is tested once,
@@ -20,9 +20,8 @@ import (
 
 	"icache/internal/dataset"
 	"icache/internal/dkv"
-	"icache/internal/icache"
 	"icache/internal/sampling"
-	"icache/internal/storage"
+	"icache/internal/vt"
 )
 
 // warmOverWire pushes an H-list for ids [0, n) and fetches them once, so the
@@ -45,53 +44,49 @@ func warmOverWire(t *testing.T, c *Client, n int) []dataset.SampleID {
 }
 
 func TestMembershipLoopHeartbeatsAndScrubs(t *testing.T) {
-	dir := dkv.NewDirectory()
-	srv, addr, _ := startServer(t)
-	srv.EnableDistributed(3, dkv.Local{Dir: dir}, nil)
-	if err := srv.StartMembership(MembershipConfig{
-		LeaseTTL:          time.Second,
-		HeartbeatInterval: 5 * time.Millisecond,
-		ScrubInterval:     10 * time.Millisecond,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.StartMembership(MembershipConfig{}); err == nil {
-		t.Error("second StartMembership did not error")
-	}
-
-	c := dial(t, addr)
-	warmOverWire(t, c, 20)
-
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		mem := srv.MembershipStats()
-		if mem.Heartbeats > 0 && mem.ScrubSweeps > 0 {
-			break
+	inBubble(t, func(t *testing.T) {
+		dir := dkv.NewDirectory()
+		srv, addr, _ := startServer(t)
+		srv.EnableDistributed(3, dkv.Local{Dir: dir}, nil)
+		if err := srv.StartMembership(MembershipConfig{
+			LeaseTTL:          time.Second,
+			HeartbeatInterval: 5 * time.Millisecond,
+			ScrubInterval:     10 * time.Millisecond,
+		}); err != nil {
+			t.Fatal(err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("lifecycle loop made no progress: %+v", mem)
+		if err := srv.StartMembership(MembershipConfig{}); err == nil {
+			t.Error("second StartMembership did not error")
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if srv.LastHeartbeat().IsZero() {
-		t.Error("LastHeartbeat still zero after successful renewals")
-	}
-	found := false
-	for _, n := range dir.ListNodes() {
-		if n.ID == 3 {
-			found = true
-			if n.State != dkv.NodeLive {
-				t.Errorf("heartbeating node state = %v, want Live", n.State)
+
+		c := dial(t, addr)
+		warmOverWire(t, c, 20)
+
+		time.Sleep(10 * time.Millisecond) // two heartbeat intervals, one scrub interval
+		vt.Wait()
+		if mem := srv.MembershipStats(); mem.Heartbeats != 2 || mem.ScrubSweeps != 1 {
+			t.Fatalf("after 10ms: %d heartbeats and %d scrub sweeps, want 2 and 1", mem.Heartbeats, mem.ScrubSweeps)
+		}
+		if srv.LastHeartbeat().IsZero() {
+			t.Error("LastHeartbeat still zero after successful renewals")
+		}
+		found := false
+		for _, n := range dir.ListNodes() {
+			if n.ID == 3 {
+				found = true
+				if n.State != dkv.NodeLive {
+					t.Errorf("heartbeating node state = %v, want Live", n.State)
+				}
 			}
 		}
-	}
-	if !found {
-		t.Error("node 3 missing from the directory's member list")
-	}
+		if !found {
+			t.Error("node 3 missing from the directory's member list")
+		}
 
-	// Stopping is idempotent, and Close after an explicit stop is safe.
-	srv.StopMembership()
-	srv.StopMembership()
+		// Stopping is idempotent, and Close after an explicit stop is safe.
+		srv.StopMembership()
+		srv.StopMembership()
+	})
 }
 
 // TestPromotedSampleKeepsPayloadAndOwnership: a sample the loader cached as
@@ -171,7 +166,6 @@ func TestPromotedSampleKeepsPayloadAndOwnership(t *testing.T) {
 // the directory, and replays an ownership claim per restored resident —
 // claims a peer won in the meantime are denied and those copies dropped.
 func TestRejoinFromCheckpointReplaysClaims(t *testing.T) {
-	spec := testSpec()
 	path := filepath.Join(t.TempDir(), "cache.ckpt")
 
 	// First lifetime: warm 50 residents, checkpoint, crash.
@@ -193,20 +187,7 @@ func TestRejoinFromCheckpointReplaysClaims(t *testing.T) {
 
 	// Second lifetime: restore, then join. StartMembership registers and
 	// replays claims synchronously before returning.
-	back, err := storage.NewBackend(spec, storage.OrangeFS())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cacheSrv, err := icache.NewServer(back, icache.DefaultConfig(spec.TotalBytes()/5), sampling.DefaultIIS(), 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	source, err := storage.NewDataSource(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv2 := NewServer(cacheSrv, source)
-	srv2.Logf = nil
+	srv2 := newSeededServer(t, 9, nil)
 	t.Cleanup(func() { srv2.Close() })
 	loaded, err := srv2.LoadCheckpointFile(path, true) // rehydrated: every resident has bytes
 	if err != nil || !loaded {

@@ -43,9 +43,7 @@ func startMemoPair(t *testing.T, ids, owned []dataset.SampleID) *memoPair {
 			t.Fatal(err)
 		}
 		srvs[n] = newUnstartedServer(t, srcs[n])
-		if lns[n], err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
-			t.Fatal(err)
-		}
+		lns[n] = listen(t)
 	}
 	for n, srv := range srvs {
 		srv.EnableDistributed(dkv.NodeID(n), p.dir, map[dkv.NodeID]string{dkv.NodeID(1 - n): lns[1-n].Addr().String()})
@@ -116,35 +114,37 @@ func idRange(lo, hi dataset.SampleID) []dataset.SampleID {
 // boundary; every sample is served from A's memory. Node B's only backend
 // reads are the members of the one L-cache package its boundary composed.
 func TestRepeatMissesAskTheDirectoryOncePerEpoch(t *testing.T) {
-	ids := idRange(0, 16)
-	p := startMemoPair(t, ids, ids)
-	base, lb, reads0 := cacheStats(p.b).Requests(), p.lookups(), p.srcB.Reads()
-	for epoch := 1; epoch <= 2; epoch++ {
-		if epoch == 2 {
-			if err := p.cB.BeginEpoch(1); err != nil {
-				t.Fatal(err)
+	inBubble(t, func(t *testing.T) {
+		ids := idRange(0, 16)
+		p := startMemoPair(t, ids, ids)
+		base, lb, reads0 := cacheStats(p.b).Requests(), p.lookups(), p.srcB.Reads()
+		for epoch := 1; epoch <= 2; epoch++ {
+			if epoch == 2 {
+				if err := p.cB.BeginEpoch(1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for round := 0; round < 4; round++ {
+				readExact(t, p.cB, ids)
+			}
+			if got := p.lookups() - lb; got != int64(epoch) {
+				t.Fatalf("epoch %d: %d LookupBatch calls in all for 4 reads a epoch, want %d", epoch, got, epoch)
 			}
 		}
-		for round := 0; round < 4; round++ {
-			readExact(t, p.cB, ids)
+		if _, hits := p.b.PeerStats(); hits != 8*16 {
+			t.Errorf("%d peer hits, want all %d reads served by node A", hits, 8*16)
 		}
-		if got := p.lookups() - lb; got != int64(epoch) {
-			t.Fatalf("epoch %d: %d LookupBatch calls in all for 4 reads a epoch, want %d", epoch, got, epoch)
+		if got := p.b.dist.owners.routed.Load(); got != 6*16 {
+			t.Errorf("%d ids routed without the directory, want %d", got, 6*16)
 		}
-	}
-	if _, hits := p.b.PeerStats(); hits != 8*16 {
-		t.Errorf("%d peer hits, want all %d reads served by node A", hits, 8*16)
-	}
-	if got := p.b.dist.owners.routed.Load(); got != 6*16 {
-		t.Errorf("%d ids routed without the directory, want %d", got, 6*16)
-	}
-	waitLoaded(t, p.b)
-	n, members := p.srcB.Reads()-reads0, p.b.packageReads.Load()
-	if v := engineView(p.b); n != members || v.Packages != 1 || p.b.DemandFetches() != 0 {
-		t.Errorf("node B: %d backend reads, %d of them package members of %d packages, %d demand fetches; want only the one package's",
-			n, members, v.Packages, p.b.DemandFetches())
-	}
-	requireConserved(t, p.b, base, 8*16)
+		waitLoaded(t, p.b)
+		n, members := p.srcB.Reads()-reads0, p.b.packageReads.Load()
+		if v := engineView(p.b); n != members || v.Packages != 1 || p.b.DemandFetches() != 0 {
+			t.Errorf("node B: %d backend reads, %d of them package members of %d packages, %d demand fetches; want only the one package's",
+				n, members, v.Packages, p.b.DemandFetches())
+		}
+		requireConserved(t, p.b, base, 8*16)
+	})
 }
 
 // TestOwnerEvictionCostsOnePeerMiss: node A evicts a sample node B remembers
@@ -224,30 +224,32 @@ func TestClaimLostAfterLookupForgetsTheAnswer(t *testing.T) {
 // The samples node B remembers as A's pay one failed chunk between them, not
 // one per read, and the next boundary's prefetch ledger balances.
 func TestClosedPeerCostsOneFailedChunk(t *testing.T) {
-	ids := idRange(20, 36)
-	p := startMemoPair(t, ids, ids)
-	readExact(t, p.cB, ids) // remembered as A's
-	p.a.Close()
-	for _, id := range ids {
-		p.dir.Dir.Release(id, 0)
-	}
+	inBubble(t, func(t *testing.T) {
+		ids := idRange(20, 36)
+		p := startMemoPair(t, ids, ids)
+		readExact(t, p.cB, ids) // remembered as A's
+		p.a.Close()
+		for _, id := range ids {
+			p.dir.Dir.Release(id, 0)
+		}
 
-	base, reads0, stale0 := cacheStats(p.b).Requests(), p.srcB.Reads(), p.b.dist.owners.stale.Load()
-	failures0, _ := p.b.ResilienceStats()
-	for round := 0; round < 3; round++ {
-		readExact(t, p.cB, ids)
-	}
-	if failures, _ := p.b.ResilienceStats(); failures-failures0 != 1 {
-		t.Errorf("%d failed peer chunks for %d remembered ids read 3 times, want 1", failures-failures0, len(ids))
-	}
-	if got := p.b.dist.owners.stale.Load() - stale0; got != int64(len(ids)) {
-		t.Errorf("%d stale answers counted, want %d", got, len(ids))
-	}
-	if got := p.srcB.Reads() - reads0; got != int64(len(ids)) {
-		t.Errorf("%d backend reads, want %d: each sample once, then resident", got, len(ids))
-	}
-	crossBoundary(t, p.b, "after a peer closed", func() error { return p.cB.BeginEpoch(1) })
-	requireConserved(t, p.b, base, 3*len(ids))
+		base, reads0, stale0 := cacheStats(p.b).Requests(), p.srcB.Reads(), p.b.dist.owners.stale.Load()
+		failures0, _ := p.b.ResilienceStats()
+		for round := 0; round < 3; round++ {
+			readExact(t, p.cB, ids)
+		}
+		if failures, _ := p.b.ResilienceStats(); failures-failures0 != 1 {
+			t.Errorf("%d failed peer chunks for %d remembered ids read 3 times, want 1", failures-failures0, len(ids))
+		}
+		if got := p.b.dist.owners.stale.Load() - stale0; got != int64(len(ids)) {
+			t.Errorf("%d stale answers counted, want %d", got, len(ids))
+		}
+		if got := p.srcB.Reads() - reads0; got != int64(len(ids)) {
+			t.Errorf("%d backend reads, want %d: each sample once, then resident", got, len(ids))
+		}
+		crossBoundary(t, p.b, "after a peer closed", func() error { return p.cB.BeginEpoch(1) })
+		requireConserved(t, p.b, base, 3*len(ids))
+	})
 }
 
 // TestEveryGenerationPointForgets: an epoch boundary, a scrub sweep and a

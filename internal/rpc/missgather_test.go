@@ -16,11 +16,11 @@ import (
 
 	"icache/internal/dataset"
 	"icache/internal/dkv"
-	"icache/internal/leakcheck"
 	"icache/internal/obs"
 	"icache/internal/sampling"
 	"icache/internal/storage"
 	"icache/internal/transport"
+	"icache/internal/vt"
 )
 
 // faultySource fails every Fetch of one sample (bad) — by error or by panic —
@@ -62,66 +62,67 @@ func (f *faultySource) Fetch(id dataset.SampleID) ([]byte, error) {
 func TestMissGatherFinishesExactlyOnceOnFailure(t *testing.T) {
 	for _, panics := range []bool{false, true} {
 		t.Run(fmt.Sprintf("panic=%v", panics), func(t *testing.T) {
-			defer leakcheck.Check(t)
-			inner, err := storage.NewDataSource(testSpec())
-			if err != nil {
-				t.Fatal(err)
-			}
-			const bad, mark = dataset.SampleID(17), dataset.SampleID(900)
-			faulty := &faultySource{inner: inner, bad: bad, mark: mark, panics: panics, marked: make(chan struct{})}
-			src := &gatedSource{inner: faulty, gate: bad, entered: make(chan struct{}),
-				release: make(chan struct{}), counts: make(map[dataset.SampleID]int)}
-			srv := newUnstartedServer(t, src)
-			addr := serveOn(t, srv)
+			inBubble(t, func(t *testing.T) {
+				inner, err := storage.NewDataSource(testSpec())
+				if err != nil {
+					t.Fatal(err)
+				}
+				const bad, mark = dataset.SampleID(17), dataset.SampleID(900)
+				faulty := &faultySource{inner: inner, bad: bad, mark: mark, panics: panics, marked: make(chan struct{})}
+				src := &gatedSource{inner: faulty, gate: bad, entered: make(chan struct{}),
+					release: make(chan struct{}), counts: make(map[dataset.SampleID]int)}
+				srv := newUnstartedServer(t, src)
+				addr := serveOn(t, srv)
 
-			ids := make([]dataset.SampleID, 32)
-			items := []sampling.Item{{ID: mark, IV: 5}}
-			for i := range ids {
-				ids[i] = dataset.SampleID(i)
-				items = append(items, sampling.Item{ID: ids[i], IV: 5})
-			}
-			c1, c2 := dial(t, addr), dial(t, addr)
-			if err := c1.UpdateImportance(items); err != nil {
-				t.Fatal(err)
-			}
+				ids := make([]dataset.SampleID, 32)
+				items := []sampling.Item{{ID: mark, IV: 5}}
+				for i := range ids {
+					ids[i] = dataset.SampleID(i)
+					items = append(items, sampling.Item{ID: ids[i], IV: 5})
+				}
+				c1, c2 := dial(t, addr), dial(t, addr)
+				if err := c1.UpdateImportance(items); err != nil {
+					t.Fatal(err)
+				}
 
-			errs := make(chan error, 2)
-			go func() { _, err := c1.GetBatch(ids); errs <- err }()
-			<-src.entered
-			go func() { _, err := c2.GetBatch([]dataset.SampleID{bad, mark}); errs <- err }()
-			<-faulty.marked
-			close(src.release)
+				errs := make(chan error, 2)
+				go func() { _, err := c1.GetBatch(ids); errs <- err }()
+				<-src.entered
+				go func() { _, err := c2.GetBatch([]dataset.SampleID{bad, mark}); errs <- err }()
+				<-faulty.marked
+				close(src.release)
 
-			for i := 0; i < 2; i++ {
-				select {
-				case err := <-errs:
-					var se *transport.ServerError
-					if !errors.As(err, &se) {
-						t.Errorf("request error = %v, want an in-band server error", err)
+				for i := 0; i < 2; i++ {
+					select {
+					case err := <-errs:
+						var se *transport.ServerError
+						if !errors.As(err, &se) {
+							t.Errorf("request error = %v, want an in-band server error", err)
+						}
+					case <-time.After(10 * time.Second):
+						t.Fatal("a request hung: a led singleflight key was never finished")
 					}
-				case <-time.After(10 * time.Second):
-					t.Fatal("a request hung: a led singleflight key was never finished")
 				}
-			}
-			if n := srv.flight.Inflight(); n != 0 {
-				t.Fatalf("%d singleflight keys still in flight", n)
-			}
-			if n := src.count(bad); n != 1 {
-				t.Fatalf("failing sample fetched %d times, want 1 (the waiter must share the leader's result)", n)
-			}
-			for _, id := range ids {
-				if id != bad && !srv.payloads.has(id) {
-					t.Fatalf("sample %d of the failed batch was not admitted", id)
+				if n := srv.flight.Inflight(); n != 0 {
+					t.Fatalf("%d singleflight keys still in flight", n)
 				}
-			}
-			if srv.payloads.has(bad) {
-				t.Fatal("failed sample has a payload")
-			}
-			for _, c := range []*Client{c1, c2} {
-				if err := c.Ping(); err != nil {
-					t.Fatalf("connection dead after in-band error: %v", err)
+				if n := src.count(bad); n != 1 {
+					t.Fatalf("failing sample fetched %d times, want 1 (the waiter must share the leader's result)", n)
 				}
-			}
+				for _, id := range ids {
+					if id != bad && !srv.payloads.has(id) {
+						t.Fatalf("sample %d of the failed batch was not admitted", id)
+					}
+				}
+				if srv.payloads.has(bad) {
+					t.Fatal("failed sample has a payload")
+				}
+				for _, c := range []*Client{c1, c2} {
+					if err := c.Ping(); err != nil {
+						t.Fatalf("connection dead after in-band error: %v", err)
+					}
+				}
+			})
 		})
 	}
 }
@@ -338,33 +339,34 @@ func (f *flakySource) Fetch(id dataset.SampleID) ([]byte, error) {
 func TestReadBudgetSurvivesPanicAndError(t *testing.T) {
 	for _, panics := range []bool{false, true} {
 		t.Run(fmt.Sprintf("panic=%v", panics), func(t *testing.T) {
-			defer leakcheck.Check(t)
-			inner, err := storage.NewDataSource(testSpec())
-			if err != nil {
-				t.Fatal(err)
-			}
-			good := &countingSource{inner: inner, latency: 50 * time.Millisecond}
-			good.reset()
-			src := &flakySource{ByteSource: good, panics: panics}
-			src.failing.Store(true)
-			srv, get := gatherFixture(t, src)
-			for _, ids := range [][]dataset.SampleID{missRange(1000, backendReadBudget), missRange(1100, 1)} {
-				if err := get(ids); err == nil {
-					t.Fatalf("a %d-miss batch against a failing backend succeeded", len(ids))
+			inBubble(t, func(t *testing.T) {
+				inner, err := storage.NewDataSource(testSpec())
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if n := len(srv.readSlots); n != 0 {
-				t.Fatalf("%d budget slots still held after every read failed", n)
-			}
-			src.failing.Store(false)
-			getAll(t, get, missRange(1200, 64))
-			if peak, _ := good.marks(); peak != backendReadBudget {
-				t.Fatalf("after %d failed reads a 64-miss batch peaked at %d concurrent fetches, want the whole budget %d",
-					backendReadBudget+1, peak, backendReadBudget)
-			}
-			if n := srv.flight.Inflight(); n != 0 {
-				t.Fatalf("%d singleflight keys still in flight", n)
-			}
+				good := &countingSource{inner: inner, latency: 50 * time.Millisecond}
+				good.reset()
+				src := &flakySource{ByteSource: good, panics: panics}
+				src.failing.Store(true)
+				srv, get := gatherFixture(t, src)
+				for _, ids := range [][]dataset.SampleID{missRange(1000, backendReadBudget), missRange(1100, 1)} {
+					if err := get(ids); err == nil {
+						t.Fatalf("a %d-miss batch against a failing backend succeeded", len(ids))
+					}
+				}
+				if n := len(srv.readSlots); n != 0 {
+					t.Fatalf("%d budget slots still held after every read failed", n)
+				}
+				src.failing.Store(false)
+				getAll(t, get, missRange(1200, 64))
+				if peak, _ := good.marks(); peak != backendReadBudget {
+					t.Fatalf("after %d failed reads a 64-miss batch peaked at %d concurrent fetches, want the whole budget %d",
+						backendReadBudget+1, peak, backendReadBudget)
+				}
+				if n := srv.flight.Inflight(); n != 0 {
+					t.Fatalf("%d singleflight keys still in flight", n)
+				}
+			})
 		})
 	}
 }
@@ -383,26 +385,23 @@ func (h *heldSource) Fetch(id dataset.SampleID) ([]byte, error) {
 	return h.ByteSource.Fetch(id)
 }
 
-// waitForSlotWaiters blocks until exactly n goroutines are parked on the
-// budget's channel inside readBackend (read off the goroutine dump: a parked
-// sender is the one state that proves a request has joined the queue).
-func waitForSlotWaiters(t *testing.T, n int) {
+// requireSlotWaiters waits for a quiet point and fails unless exactly n
+// goroutines are parked there on the budget's channel inside readBackend
+// (read off the goroutine dump: a parked sender is the one state that proves
+// a request has joined the queue).
+func requireSlotWaiters(t *testing.T, n int) {
 	t.Helper()
+	vt.Wait()
 	buf := make([]byte, 1<<20)
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		got := 0
-		for _, g := range bytes.Split(buf[:runtime.Stack(buf, true)], []byte("\n\n")) {
-			header, _, _ := bytes.Cut(g, []byte("\n"))
-			if bytes.Contains(header, []byte("[chan send")) && bytes.Contains(g, []byte("(*Server).readBackend")) {
-				got++
-			}
+	got := 0
+	for _, g := range bytes.Split(buf[:runtime.Stack(buf, true)], []byte("\n\n")) {
+		header, _, _ := bytes.Cut(g, []byte("\n"))
+		if bytes.Contains(header, []byte("[chan send")) && bytes.Contains(g, []byte("(*Server).readBackend")) {
+			got++
 		}
-		if got == n {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines waiting for a budget slot, want %d", got, n)
-		}
+	}
+	if got != n {
+		t.Fatalf("%d goroutines waiting for a budget slot, want %d", got, n)
 	}
 }
 
@@ -410,40 +409,41 @@ func waitForSlotWaiters(t *testing.T, n int) {
 // held, request A queues, then request B; each slot that frees goes to A
 // first, then to B — a later arrival never overtakes an earlier one.
 func TestReadBudgetIsFIFO(t *testing.T) {
-	defer leakcheck.Check(t)
-	inner, err := storage.NewDataSource(testSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := &heldSource{ByteSource: inner, entered: make(chan dataset.SampleID, 128), release: make(chan struct{})}
-	_, get := gatherFixture(t, src)
-	var wg sync.WaitGroup
-	start := func(ids []dataset.SampleID) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := get(ids); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	start(missRange(1000, backendReadBudget))
-	for i := 0; i < backendReadBudget; i++ {
-		<-src.entered
-	}
-	const a, b = dataset.SampleID(1500), dataset.SampleID(1600)
-	start([]dataset.SampleID{a})
-	waitForSlotWaiters(t, 1)
-	start([]dataset.SampleID{b})
-	waitForSlotWaiters(t, 2)
-	for _, want := range []dataset.SampleID{a, b} {
-		src.release <- struct{}{}
-		if got := <-src.entered; got != want {
-			t.Fatalf("a freed slot went to the read of sample %d, want %d (arrival order)", got, want)
+	inBubble(t, func(t *testing.T) {
+		inner, err := storage.NewDataSource(testSpec())
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	close(src.release)
-	wg.Wait()
+		src := &heldSource{ByteSource: inner, entered: make(chan dataset.SampleID, 128), release: make(chan struct{})}
+		_, get := gatherFixture(t, src)
+		var wg sync.WaitGroup
+		start := func(ids []dataset.SampleID) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := get(ids); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		start(missRange(1000, backendReadBudget))
+		for i := 0; i < backendReadBudget; i++ {
+			<-src.entered
+		}
+		const a, b = dataset.SampleID(1500), dataset.SampleID(1600)
+		start([]dataset.SampleID{a})
+		requireSlotWaiters(t, 1)
+		start([]dataset.SampleID{b})
+		requireSlotWaiters(t, 2)
+		for _, want := range []dataset.SampleID{a, b} {
+			src.release <- struct{}{}
+			if got := <-src.entered; got != want {
+				t.Fatalf("a freed slot went to the read of sample %d, want %d (arrival order)", got, want)
+			}
+		}
+		close(src.release)
+		wg.Wait()
+	})
 }
 
 // TestScatterRechecksResidencyFirst pins the order on the batched peer plane:

@@ -21,7 +21,6 @@ import (
 	"icache/internal/dataset"
 	"icache/internal/dkv"
 	"icache/internal/faults"
-	"icache/internal/icache"
 	"icache/internal/obs"
 	"icache/internal/sampling"
 	"icache/internal/storage"
@@ -35,31 +34,11 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 // Serve: per-stage histograms and span tracing.
 func startObsServer(t *testing.T) (*Server, string, *obs.Registry, *trace.Recorder) {
 	t.Helper()
-	spec := testSpec()
-	back, err := storage.NewBackend(spec, storage.OrangeFS())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cacheSrv, err := icache.NewServer(back, icache.DefaultConfig(spec.TotalBytes()/5), sampling.DefaultIIS(), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	source, err := storage.NewDataSource(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(cacheSrv, source)
-	srv.Logf = nil
+	srv := newUnstartedServer(t, nil)
 	reg := obs.NewRegistry()
 	tracer := trace.NewRecorder(1 << 14)
 	srv.EnableObs(reg, tracer)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	t.Cleanup(func() { srv.Close() })
-	return srv, ln.Addr().String(), reg, tracer
+	return srv, serveOn(t, srv), reg, tracer
 }
 
 // hotIDs pushes ids 0..n-1 as H-samples through c and returns them.
@@ -308,21 +287,12 @@ func startTracedDistFixture(t *testing.T, inj *faults.Injector, dialDir func(add
 	}
 	var lns [2]net.Listener
 	for n := 0; n < 2; n++ {
-		back, err := storage.NewBackend(spec, storage.OrangeFS())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cacheSrv, err := icache.NewServer(back, icache.DefaultConfig(spec.TotalBytes()/5), sampling.DefaultIIS(), int64(n+5))
-		if err != nil {
-			t.Fatal(err)
-		}
 		source, err := storage.NewDataSource(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		f.sources[n] = source
-		f.nodes[n] = NewServer(cacheSrv, source)
-		f.nodes[n].Logf = nil
+		f.nodes[n] = newSeededServer(t, int64(n+5), source)
 		f.tracers[n] = trace.NewRecorder(1 << 14)
 		f.nodes[n].EnableObs(obs.NewRegistry(), f.tracers[n])
 		lns[n], err = net.Listen("tcp", "127.0.0.1:0")

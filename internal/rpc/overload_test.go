@@ -17,13 +17,12 @@ import (
 
 	"icache/internal/dataset"
 	"icache/internal/dkv"
-	"icache/internal/icache"
-	"icache/internal/leakcheck"
 	"icache/internal/overload"
 	"icache/internal/retry"
 	"icache/internal/sampling"
 	"icache/internal/storage"
 	"icache/internal/transport"
+	"icache/internal/vt"
 	"icache/internal/wire"
 )
 
@@ -37,29 +36,9 @@ func noRetryPolicy() retry.Policy {
 // the listener starts accepting (SetAdmission's contract).
 func startGatedServer(t *testing.T, gate *overload.Gate) (*Server, string) {
 	t.Helper()
-	spec := testSpec()
-	back, err := storage.NewBackend(spec, storage.OrangeFS())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cacheSrv, err := icache.NewServer(back, icache.DefaultConfig(spec.TotalBytes()/5), sampling.DefaultIIS(), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	source, err := storage.NewDataSource(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(cacheSrv, source)
-	srv.Logf = nil
+	srv := newUnstartedServer(t, nil)
 	srv.SetAdmission(gate)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	t.Cleanup(func() { srv.Close() })
-	return srv, ln.Addr().String()
+	return srv, serveOn(t, srv)
 }
 
 // TestAdmissionShedLegacyAndMux holds the only admission slot and verifies
@@ -224,7 +203,8 @@ func (l slowListener) Accept() (net.Conn, error) {
 }
 
 // TestChaosOverloadDelayedPeer runs the two-node deployment with node B
-// behind a read-stalling listener. Node A's clients must keep completing
+// behind a read-stalling listener, in a bubble (the stall, the peer timeout
+// and the breaker's cooldown are exact on its clock). Node A's clients must keep completing
 // batches within their deadline (peer RPC timeout -> backend fallback), the
 // per-peer breaker must trip within its consecutive-failure threshold and
 // then fail fast, and once the stall lifts a half-open probe must re-close
@@ -233,12 +213,13 @@ func (l slowListener) Accept() (net.Conn, error) {
 func TestChaosOverloadDelayedPeer(t *testing.T) {
 	for _, seed := range []int64{1, 42, 1337} {
 		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { chaosDelayedPeer(t, seed) })
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			inBubble(t, func(t *testing.T) { chaosDelayedPeer(t, seed) })
+		})
 	}
 }
 
 func chaosDelayedPeer(t *testing.T, seed int64) {
-	leakcheck.Check(t)
 	spec := testSpec()
 	const (
 		peerTimeout = 60 * time.Millisecond
@@ -251,10 +232,7 @@ func chaosDelayedPeer(t *testing.T, seed int64) {
 
 	dir := dkv.NewDirectory()
 	dirSrv := dkv.NewDirServer(dir)
-	dirLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	dirLn := listen(t)
 	go dirSrv.Serve(dirLn)
 	t.Cleanup(func() { dirSrv.Close() })
 
@@ -264,24 +242,12 @@ func chaosDelayedPeer(t *testing.T, seed int64) {
 	var lns [2]net.Listener
 	var sources [2]*storage.DataSource
 	for n := 0; n < 2; n++ {
-		back, err := storage.NewBackend(spec, storage.OrangeFS())
-		if err != nil {
+		var err error
+		if sources[n], err = storage.NewDataSource(spec); err != nil {
 			t.Fatal(err)
 		}
-		cacheSrv, err := icache.NewServer(back, icache.DefaultConfig(spec.TotalBytes()/5), sampling.DefaultIIS(), seed+int64(n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sources[n], err = storage.NewDataSource(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[n] = NewServer(cacheSrv, sources[n])
-		nodes[n].Logf = nil
-		lns[n], err = net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
+		nodes[n] = newSeededServer(t, seed+int64(n), sources[n])
+		lns[n] = listen(t)
 		addrs[n] = lns[n].Addr().String()
 	}
 	for n := 0; n < 2; n++ {
@@ -325,20 +291,11 @@ func chaosDelayedPeer(t *testing.T, seed int64) {
 	if _, err := cB.GetBatch(pool); err != nil {
 		t.Fatal(err)
 	}
-	waitOwned := func(id dataset.SampleID) {
-		deadline := time.Now().Add(2 * time.Second)
-		for {
-			if owner, ok := dir.Lookup(id); ok && owner == 1 {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("id %d never claimed by node B", id)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
+	vt.Wait() // node B's claims have landed
 	for _, id := range pool {
-		waitOwned(id)
+		if owner, ok := dir.Lookup(id); !ok || owner != 1 {
+			t.Fatalf("id %d not claimed by node B", id)
+		}
 	}
 
 	cA, err := DialConfigured(addrs[0], DialConfig{Timeout: time.Second, Policy: noRetryPolicy()})
@@ -412,22 +369,14 @@ func chaosDelayedPeer(t *testing.T, seed int64) {
 		t.Fatal("stalled peer RPCs were not counted as peer failures")
 	}
 
-	// Phase 2 — stall off. After the cooldown, a single half-open probe must
-	// re-close the breaker and peer serving must resume.
+	// Phase 2 — stall off. Past the cooldown, the next round's half-open
+	// probe must re-close the breaker and peer serving must resume.
 	stallGate.set(0)
 	time.Sleep(brkCooldown + 40*time.Millisecond)
-	recovered := false
-	for r := 0; r < maxRounds; r++ {
-		round(2 * time.Second)
-		if bs := nodes[0].PeerBreakerStats()[1]; bs.Recoveries >= 1 {
-			recovered = true
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	round(2 * time.Second)
 	bs = nodes[0].PeerBreakerStats()[1]
-	if !recovered {
-		t.Fatalf("breaker never recovered after the stall lifted: %+v", bs)
+	if bs.Recoveries != 1 {
+		t.Fatalf("the first round past the cooldown did not recover the breaker: %+v", bs)
 	}
 	if bs.State != overload.BreakerClosed {
 		t.Fatalf("breaker state %v after recovery, want closed", bs.State)

@@ -9,7 +9,6 @@ package rpc
 
 import (
 	"math/rand"
-	"net"
 	"slices"
 	"sync"
 	"testing"
@@ -17,10 +16,10 @@ import (
 
 	"icache/internal/dataset"
 	"icache/internal/dkv"
-	"icache/internal/leakcheck"
 	"icache/internal/overload"
 	"icache/internal/sampling"
 	"icache/internal/storage"
+	"icache/internal/vt"
 )
 
 // holdSource logs every fetched id and blocks each fetch until open is
@@ -72,15 +71,14 @@ func (h *holdSource) reads() int {
 	return len(h.fetched)
 }
 
-// waitLoaded waits until the engine has no package in flight.
+// waitLoaded waits for a bubble's quiet point, at which every package member
+// read that does not sleep has landed, and fails if a package is still in
+// flight there.
 func waitLoaded(t testing.TB, srv *Server) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for engineView(srv).Loading {
-		if time.Now().After(deadline) {
-			t.Fatal("the package in flight was never delivered")
-		}
-		time.Sleep(time.Millisecond)
+	vt.Wait()
+	if engineView(srv).Loading {
+		t.Fatal("the package in flight was not delivered at a quiet point")
 	}
 }
 
@@ -125,42 +123,44 @@ func hlistItems(n int, rng *rand.Rand) []sampling.Item {
 // lone server. After every request and every delivery, every L-resident is
 // in the payload store, and the store holds residents only.
 func TestLResidentsHaveBytes(t *testing.T) {
-	srv := newUnstartedServer(t, nil)
-	cl := dial(t, serveOn(t, srv))
-	spec := testSpec()
-	rng := rand.New(rand.NewSource(35))
-	const nH = 200
-	if err := cl.UpdateImportance(hlistItems(nH, rng)); err != nil {
-		t.Fatal(err)
-	}
-	ids := make([]dataset.SampleID, 16)
-	for epoch := 1; epoch <= 4; epoch++ {
-		if err := cl.BeginEpoch(epoch); err != nil {
+	inBubble(t, func(t *testing.T) {
+		srv := newUnstartedServer(t, nil)
+		cl := dial(t, serveOn(t, srv))
+		spec := testSpec()
+		rng := rand.New(rand.NewSource(35))
+		const nH = 200
+		if err := cl.UpdateImportance(hlistItems(nH, rng)); err != nil {
 			t.Fatal(err)
 		}
-		for req := 0; req <= 30; req++ {
-			requireLResidentsStored(t, srv)
-			waitLoaded(t, srv)
-			requireLResidentsStored(t, srv)
-			if req == 30 {
-				break
-			}
-			for i := range ids {
-				ids[i] = dataset.SampleID(nH + rng.Intn(spec.NumSamples-nH))
-				if rng.Intn(5) == 0 {
-					ids[i] = dataset.SampleID(rng.Intn(nH))
-				}
-			}
-			if _, err := cl.GetBatch(ids); err != nil {
+		ids := make([]dataset.SampleID, 16)
+		for epoch := 1; epoch <= 4; epoch++ {
+			if err := cl.BeginEpoch(epoch); err != nil {
 				t.Fatal(err)
 			}
+			for req := 0; req <= 30; req++ {
+				requireLResidentsStored(t, srv)
+				waitLoaded(t, srv)
+				requireLResidentsStored(t, srv)
+				if req == 30 {
+					break
+				}
+				for i := range ids {
+					ids[i] = dataset.SampleID(nH + rng.Intn(spec.NumSamples-nH))
+					if rng.Intn(5) == 0 {
+						ids[i] = dataset.SampleID(rng.Intn(nH))
+					}
+				}
+				if _, err := cl.GetBatch(ids); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
-	}
-	v, d := engineView(srv), srv.DecisionStats()
-	if v.Packages < 4 || v.Cache.Substitutions == 0 || d.AdmitPackage == 0 {
-		t.Fatalf("%d packages, %d substitutions, %d package admissions: the test exercised nothing",
-			v.Packages, v.Cache.Substitutions, d.AdmitPackage)
-	}
+		v, d := engineView(srv), srv.DecisionStats()
+		if v.Packages < 4 || v.Cache.Substitutions == 0 || d.AdmitPackage == 0 {
+			t.Fatalf("%d packages, %d substitutions, %d package admissions: the test exercised nothing",
+				v.Packages, v.Cache.Substitutions, d.AdmitPackage)
+		}
+	})
 }
 
 // TestSubstituteIsAMemoryRead: once a package has landed, substituted L-misses
@@ -168,71 +168,73 @@ func TestLResidentsHaveBytes(t *testing.T) {
 // return the substitute's own verified bytes. No L-resident serves as a
 // substitute twice in one epoch.
 func TestSubstituteIsAMemoryRead(t *testing.T) {
-	src := newHoldSource(t, false)
-	srv := newUnstartedServer(t, src)
-	cl := dial(t, serveOn(t, srv))
-	spec := testSpec()
-	rng := rand.New(rand.NewSource(7))
-	const nH = 100
-	if err := cl.UpdateImportance(hlistItems(nH, rng)); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.BeginEpoch(1); err != nil {
-		t.Fatal(err)
-	}
-	waitLoaded(t, srv)
-
-	// Request L-samples that are not resident, each at most once this epoch.
-	requested := make(map[dataset.SampleID]bool)
-	misses := func(n int) []dataset.SampleID {
-		srv.policyMu.Lock()
-		defer srv.policyMu.Unlock()
-		var ids []dataset.SampleID
-		for len(ids) < n {
-			id := dataset.SampleID(nH + rng.Intn(spec.NumSamples-nH))
-			if !requested[id] && !srv.cache.Resident(id) {
-				requested[id] = true
-				ids = append(ids, id)
-			}
-		}
-		return ids
-	}
-	subs := make(map[dataset.SampleID]bool)
-	subs0 := cacheStats(srv).Substitutions
-	for round := 0; round < 6; round++ {
-		srv.policyMu.Lock()
-		unused := lResidents(srv)
-		srv.policyMu.Unlock()
-		reads0, demand0 := src.reads(), srv.DemandFetches()
-		ids := misses(4)
-		got, err := cl.GetBatch(ids)
-		if err != nil {
+	inBubble(t, func(t *testing.T) {
+		src := newHoldSource(t, false)
+		srv := newUnstartedServer(t, src)
+		cl := dial(t, serveOn(t, srv))
+		spec := testSpec()
+		rng := rand.New(rand.NewSource(7))
+		const nH = 100
+		if err := cl.UpdateImportance(hlistItems(nH, rng)); err != nil {
 			t.Fatal(err)
 		}
-		for i, s := range got {
-			if err := spec.VerifyPayload(s.ID, s.Payload); err != nil {
-				t.Fatalf("round %d: served bytes of %d: %v", round, s.ID, err)
-			}
-			switch {
-			case s.ID == ids[i]:
-				t.Fatalf("round %d: L-miss %d got no substitute from %d L-residents", round, s.ID, len(unused))
-			case subs[s.ID]:
-				t.Fatalf("round %d: L-resident %d substituted twice in one epoch", round, s.ID)
-			case !slices.Contains(unused, s.ID):
-				t.Fatalf("round %d: substitute %d was not an L-resident", round, s.ID)
-			case slices.Contains(src.since(reads0), s.ID):
-				t.Fatalf("round %d: substitute %d was read from the source", round, s.ID)
-			}
-			subs[s.ID] = true
-		}
-		if d := srv.DemandFetches() - demand0; d != 0 {
-			t.Fatalf("round %d: %d demand fetches for substituted misses; want 0", round, d)
-		}
-		if n := cacheStats(srv).Substitutions - subs0; n != int64(len(subs)) {
-			t.Fatalf("round %d: %d substitutions counted, %d served", round, n, len(subs))
+		if err := cl.BeginEpoch(1); err != nil {
+			t.Fatal(err)
 		}
 		waitLoaded(t, srv)
-	}
+
+		// Request L-samples that are not resident, each at most once this epoch.
+		requested := make(map[dataset.SampleID]bool)
+		misses := func(n int) []dataset.SampleID {
+			srv.policyMu.Lock()
+			defer srv.policyMu.Unlock()
+			var ids []dataset.SampleID
+			for len(ids) < n {
+				id := dataset.SampleID(nH + rng.Intn(spec.NumSamples-nH))
+				if !requested[id] && !srv.cache.Resident(id) {
+					requested[id] = true
+					ids = append(ids, id)
+				}
+			}
+			return ids
+		}
+		subs := make(map[dataset.SampleID]bool)
+		subs0 := cacheStats(srv).Substitutions
+		for round := 0; round < 6; round++ {
+			srv.policyMu.Lock()
+			unused := lResidents(srv)
+			srv.policyMu.Unlock()
+			reads0, demand0 := src.reads(), srv.DemandFetches()
+			ids := misses(4)
+			got, err := cl.GetBatch(ids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, s := range got {
+				if err := spec.VerifyPayload(s.ID, s.Payload); err != nil {
+					t.Fatalf("round %d: served bytes of %d: %v", round, s.ID, err)
+				}
+				switch {
+				case s.ID == ids[i]:
+					t.Fatalf("round %d: L-miss %d got no substitute from %d L-residents", round, s.ID, len(unused))
+				case subs[s.ID]:
+					t.Fatalf("round %d: L-resident %d substituted twice in one epoch", round, s.ID)
+				case !slices.Contains(unused, s.ID):
+					t.Fatalf("round %d: substitute %d was not an L-resident", round, s.ID)
+				case slices.Contains(src.since(reads0), s.ID):
+					t.Fatalf("round %d: substitute %d was read from the source", round, s.ID)
+				}
+				subs[s.ID] = true
+			}
+			if d := srv.DemandFetches() - demand0; d != 0 {
+				t.Fatalf("round %d: %d demand fetches for substituted misses; want 0", round, d)
+			}
+			if n := cacheStats(srv).Substitutions - subs0; n != int64(len(subs)) {
+				t.Fatalf("round %d: %d substitutions counted, %d served", round, n, len(subs))
+			}
+			waitLoaded(t, srv)
+		}
+	})
 }
 
 // brownout drives srv's admission gate into Brownout on a clock an hour
@@ -257,131 +259,133 @@ func brownout(t *testing.T, srv *Server) (normal func()) {
 }
 
 // TestPackageLifecycle: one package in flight, Brownout holding its reads,
-// Close with members still queued, and a member another node owns.
+// Close with members still queued (the bubble ends only if Close leaves no
+// worker running), and a member another node owns. Each case runs in a
+// bubble, where a quiet point shows what every worker that could run did.
 func TestPackageLifecycle(t *testing.T) {
 	t.Run("OneInFlight", func(t *testing.T) {
-		src := newHoldSource(t, true)
-		srv := newUnstartedServer(t, src)
-		cl := dial(t, serveOn(t, srv))
-		// Registered last, so it runs before the server's Close, which waits
-		// for the held request.
-		t.Cleanup(src.open)
-		if err := cl.BeginEpoch(1); err != nil { // composes package 1; its reads hold
-			t.Fatal(err)
-		}
-		// L-requests while package 1 is held compose nothing more.
-		done := make(chan error, 1)
-		go func() {
-			_, err := cl.GetBatch([]dataset.SampleID{11, 22, 33, 44})
-			done <- err
-		}()
-		deadline := time.Now().Add(5 * time.Second)
-		for cacheStats(srv).Requests() < 4 {
-			if time.Now().After(deadline) {
-				t.Fatal("the request never reached the policy engine")
+		inBubble(t, func(t *testing.T) {
+			src := newHoldSource(t, true)
+			srv := newUnstartedServer(t, src)
+			cl := dial(t, serveOn(t, srv))
+			// Registered last, so it runs before the server's Close, which waits
+			// for the held request.
+			t.Cleanup(src.open)
+			if err := cl.BeginEpoch(1); err != nil { // composes package 1; its reads hold
+				t.Fatal(err)
 			}
-			time.Sleep(time.Millisecond)
-		}
-		if v := engineView(srv); v.Packages != 1 || !v.Loading {
-			t.Fatalf("%d packages composed, loading %v, with package 1 held; want 1, true", v.Packages, v.Loading)
-		}
-		src.open()
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-		waitLoaded(t, srv)
-		if v := engineView(srv); v.Packages != 1 || v.LLen == 0 {
-			t.Fatalf("%d packages, %d L-residents after package 1 landed; want 1 and some", v.Packages, v.LLen)
-		}
-		if _, err := cl.GetBatch([]dataset.SampleID{55}); err != nil {
-			t.Fatal(err)
-		}
-		if v := engineView(srv); v.Packages != 2 {
-			t.Fatalf("%d packages after an L-request with package 1 delivered; want 2", v.Packages)
-		}
-		waitLoaded(t, srv)
-		requireLResidentsStored(t, srv)
+			// L-requests while package 1 is held compose nothing more.
+			done := make(chan error, 1)
+			go func() {
+				_, err := cl.GetBatch([]dataset.SampleID{11, 22, 33, 44})
+				done <- err
+			}()
+			vt.Wait()
+			if n := cacheStats(srv).Requests(); n != 4 {
+				t.Fatalf("%d of the request's 4 samples reached the policy engine", n)
+			}
+			if v := engineView(srv); v.Packages != 1 || !v.Loading {
+				t.Fatalf("%d packages composed, loading %v, with package 1 held; want 1, true", v.Packages, v.Loading)
+			}
+			src.open()
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			waitLoaded(t, srv)
+			if v := engineView(srv); v.Packages != 1 || v.LLen == 0 {
+				t.Fatalf("%d packages, %d L-residents after package 1 landed; want 1 and some", v.Packages, v.LLen)
+			}
+			if _, err := cl.GetBatch([]dataset.SampleID{55}); err != nil {
+				t.Fatal(err)
+			}
+			if v := engineView(srv); v.Packages != 2 {
+				t.Fatalf("%d packages after an L-request with package 1 delivered; want 2", v.Packages)
+			}
+			waitLoaded(t, srv)
+			requireLResidentsStored(t, srv)
+		})
 	})
 
 	t.Run("BrownoutHoldsLoading", func(t *testing.T) {
-		src := newHoldSource(t, false)
-		srv := newUnstartedServer(t, src)
-		normal := brownout(t, srv)
-		cl := dial(t, serveOn(t, srv))
-		if err := cl.BeginEpoch(1); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(50 * time.Millisecond) // long enough for a running worker to have read
-		held := srv.prefetch.depth()
-		if v := engineView(srv); held == 0 || src.reads() != 0 || !v.Loading || v.Packages != 1 {
-			t.Fatalf("Brownout: %d members queued, %d reads, loading %v, %d packages; want all queued, 0 reads",
-				held, src.reads(), v.Loading, v.Packages)
-		}
-		normal()
-		waitLoaded(t, srv)
-		v, d := engineView(srv), srv.DecisionStats()
-		if src.reads() != held || d.AdmitPackage != int64(held) || v.LLen != held {
-			t.Fatalf("after Brownout: %d reads, %d admitted, %d L-residents; want the %d held members",
-				src.reads(), d.AdmitPackage, v.LLen, held)
-		}
-		requireLResidentsStored(t, srv)
+		inBubble(t, func(t *testing.T) {
+			src := newHoldSource(t, false)
+			srv := newUnstartedServer(t, src)
+			normal := brownout(t, srv)
+			cl := dial(t, serveOn(t, srv))
+			if err := cl.BeginEpoch(1); err != nil {
+				t.Fatal(err)
+			}
+			vt.Wait() // every worker that could read has
+			held := srv.prefetch.depth()
+			if v := engineView(srv); held == 0 || src.reads() != 0 || !v.Loading || v.Packages != 1 {
+				t.Fatalf("Brownout: %d members queued, %d reads, loading %v, %d packages; want all queued, 0 reads",
+					held, src.reads(), v.Loading, v.Packages)
+			}
+			normal()
+			waitLoaded(t, srv)
+			v, d := engineView(srv), srv.DecisionStats()
+			if src.reads() != held || d.AdmitPackage != int64(held) || v.LLen != held {
+				t.Fatalf("after Brownout: %d reads, %d admitted, %d L-residents; want the %d held members",
+					src.reads(), d.AdmitPackage, v.LLen, held)
+			}
+			requireLResidentsStored(t, srv)
+		})
 	})
 
 	t.Run("CloseWithMembersQueued", func(t *testing.T) {
-		leakcheck.Check(t) // first: its cleanup runs after the server's Close
-		srv := newUnstartedServer(t, nil)
-		brownout(t, srv)
-		cl := dial(t, serveOn(t, srv))
-		if err := cl.BeginEpoch(1); err != nil {
-			t.Fatal(err)
-		}
-		if srv.prefetch.depth() == 0 {
-			t.Fatal("no member queued")
-		}
+		inBubble(t, func(t *testing.T) {
+			srv := newUnstartedServer(t, nil)
+			brownout(t, srv)
+			cl := dial(t, serveOn(t, srv))
+			if err := cl.BeginEpoch(1); err != nil {
+				t.Fatal(err)
+			}
+			if srv.prefetch.depth() == 0 {
+				t.Fatal("no member queued")
+			}
+		})
 	})
 
 	t.Run("MemberOwnedElsewhere", func(t *testing.T) {
-		dir := dkv.NewDirectory()
-		// Node 1 owns every even sample. It is never contacted: nothing is
-		// requested, so nothing is looked up.
-		for id := 0; id < testSpec().NumSamples; id += 2 {
-			dir.Claim(dataset.SampleID(id), 1)
-		}
-		srv := newUnstartedServer(t, nil)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ln.Close() // an address nothing listens on
-		srv.EnableDistributed(0, dkv.Local{Dir: dir}, map[dkv.NodeID]string{1: ln.Addr().String()})
-		cl := dial(t, serveOn(t, srv))
-		if err := cl.BeginEpoch(1); err != nil {
-			t.Fatal(err)
-		}
-		waitLoaded(t, srv)
-		members := srv.packageReads.Load()
-		admitted := srv.DecisionStats().AdmitPackage
-		if admitted == 0 || admitted == members {
-			t.Fatalf("%d members read, %d admitted; want some dropped as node 1's and some kept", members, admitted)
-		}
-		srv.policyMu.Lock()
-		lres := lResidents(srv)
-		srv.policyMu.Unlock()
-		for _, id := range lres {
-			if id%2 == 0 {
-				t.Errorf("L-resident %d is node 1's", id)
+		inBubble(t, func(t *testing.T) {
+			dir := dkv.NewDirectory()
+			// Node 1 owns every even sample. It is never contacted: nothing is
+			// requested, so nothing is looked up.
+			for id := 0; id < testSpec().NumSamples; id += 2 {
+				dir.Claim(dataset.SampleID(id), 1)
 			}
-		}
-		owned := dir.OwnedBy(0, 1<<20)
-		slices.Sort(owned)
-		if !slices.Equal(owned, lres) {
-			t.Errorf("node 0 owns %v in the directory; want exactly its L-residents %v", owned, lres)
-		}
-		for id := 0; id < testSpec().NumSamples; id += 2 {
-			if n, ok := dir.Lookup(dataset.SampleID(id)); !ok || n != 1 {
-				t.Fatalf("sample %d: owner %d (%v); want node 1 still", id, n, ok)
+			srv := newUnstartedServer(t, nil)
+			// "node1" is an address nothing listens on.
+			srv.EnableDistributed(0, dkv.Local{Dir: dir}, map[dkv.NodeID]string{1: "node1"})
+			cl := dial(t, serveOn(t, srv))
+			if err := cl.BeginEpoch(1); err != nil {
+				t.Fatal(err)
 			}
-		}
-		requireLResidentsStored(t, srv)
+			waitLoaded(t, srv)
+			members := srv.packageReads.Load()
+			admitted := srv.DecisionStats().AdmitPackage
+			if admitted == 0 || admitted == members {
+				t.Fatalf("%d members read, %d admitted; want some dropped as node 1's and some kept", members, admitted)
+			}
+			srv.policyMu.Lock()
+			lres := lResidents(srv)
+			srv.policyMu.Unlock()
+			for _, id := range lres {
+				if id%2 == 0 {
+					t.Errorf("L-resident %d is node 1's", id)
+				}
+			}
+			owned := dir.OwnedBy(0, 1<<20)
+			slices.Sort(owned)
+			if !slices.Equal(owned, lres) {
+				t.Errorf("node 0 owns %v in the directory; want exactly its L-residents %v", owned, lres)
+			}
+			for id := 0; id < testSpec().NumSamples; id += 2 {
+				if n, ok := dir.Lookup(dataset.SampleID(id)); !ok || n != 1 {
+					t.Fatalf("sample %d: owner %d (%v); want node 1 still", id, n, ok)
+				}
+			}
+			requireLResidentsStored(t, srv)
+		})
 	})
 }

@@ -13,15 +13,16 @@ import (
 	"icache/internal/dataset"
 	"icache/internal/dkv"
 	"icache/internal/faults"
-	"icache/internal/icache"
 	"icache/internal/obs"
 	"icache/internal/sampling"
 	"icache/internal/simclock"
 	"icache/internal/storage"
+	"icache/internal/vt"
 )
 
-// distFixture is a two-node distributed deployment over loopback TCP: a
-// directory service plus two cache nodes wired to it and to each other.
+// distFixture is a two-node distributed deployment on test listeners
+// (listen): a directory service plus two cache nodes wired to it and to
+// each other.
 type distFixture struct {
 	dirAddr string
 	nodes   [2]*Server
@@ -42,35 +43,20 @@ func startDistFixtureHook(t testing.TB, hook func(n int, srv *Server)) *distFixt
 
 	dir := dkv.NewDirectory()
 	dirSrv := dkv.NewDirServer(dir)
-	dirLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	dirLn := listen(t)
 	go dirSrv.Serve(dirLn)
 	t.Cleanup(func() { dirSrv.Close() })
 
 	f := &distFixture{dirAddr: dirLn.Addr().String()}
 	var lns [2]net.Listener
 	for n := 0; n < 2; n++ {
-		back, err := storage.NewBackend(spec, storage.OrangeFS())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cacheSrv, err := icache.NewServer(back, icache.DefaultConfig(spec.TotalBytes()/5), sampling.DefaultIIS(), int64(n+5))
-		if err != nil {
-			t.Fatal(err)
-		}
 		source, err := storage.NewDataSource(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		f.sources[n] = source
-		f.nodes[n] = NewServer(cacheSrv, source)
-		f.nodes[n].Logf = nil
-		lns[n], err = net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
+		f.nodes[n] = newSeededServer(t, int64(n+5), source)
+		lns[n] = listen(t)
 		f.addrs[n] = lns[n].Addr().String()
 	}
 	for n := 0; n < 2; n++ {
@@ -429,74 +415,74 @@ func TestDistributedSurvivesDirectoryOutage(t *testing.T) {
 	}
 }
 
-// TestEvictionStormSharesOneReleaseWorker: with every Release stalled for a
-// second, an eviction storm parks one goroutine on the directory, not one per
-// eviction. The payload store still holds residents only, and once the stall
-// is over and the queue drained one scrub sweep leaves the directory crediting
-// the node exactly what it caches.
+// TestEvictionStormSharesOneReleaseWorker: with every Release the first hour
+// makes stalled for an hour, an eviction storm parks one goroutine on the
+// directory, not one per eviction. The payload store still holds residents
+// only, and once the stall is over and the queue drained one scrub sweep
+// leaves the directory crediting the node exactly what it caches. The storm
+// moves no clock (nothing in it sleeps), so it runs inside the stall.
 func TestEvictionStormSharesOneReleaseWorker(t *testing.T) {
-	const evictions = 10000
-	dir := dkv.NewDirectory()
-	var healed atomic.Int64 // the fault schedule's clock: 0 stalled, 1 healed
-	fd := faults.WrapDir(dkv.Local{Dir: dir}, faults.New(1).Add(
-		faults.Rule{Op: faults.OpDirRelease, UntilTime: 1, Delay: time.Second}))
-	fd.Clock = func() simclock.Time { return simclock.Time(healed.Load()) }
-	srv := newUnstartedServer(t, nil)
-	srv.EnableDistributed(0, fd, nil)
-	srv.dist.memCfg = MembershipConfig{ScrubBatch: testSpec().NumSamples}.withDefaults()
-	c := dial(t, serveOn(t, srv))
-	if err := c.Ping(); err != nil {
-		t.Fatal(err)
-	}
-	idle := runtime.NumGoroutine()
-
-	// Each pass rotates the importance order and reads the dataset in it,
-	// least important first, so the full H-cache keeps evicting.
-	n := dataset.SampleID(testSpec().NumSamples)
-	items := make([]sampling.Item, n)
-	ids := make([]dataset.SampleID, n)
-	for pass := 0; cacheStats(srv).Evictions < evictions; pass++ {
-		if pass == 40 {
-			t.Fatalf("only %d evictions after %d passes", cacheStats(srv).Evictions, pass)
-		}
-		for i := range ids {
-			ids[i] = (dataset.SampleID(i) + dataset.SampleID(pass)*n/5) % n
-			items[i] = sampling.Item{ID: ids[i], IV: 1 + float64(i)/float64(n)}
-		}
-		if err := c.UpdateImportance(items); err != nil {
+	inBubble(t, func(t *testing.T) {
+		const evictions = 10000
+		start := time.Now()
+		dir := dkv.NewDirectory()
+		fd := faults.WrapDir(dkv.Local{Dir: dir}, faults.New(1).Add(
+			faults.Rule{Op: faults.OpDirRelease, UntilTime: simclock.Time(time.Hour), Delay: time.Hour}))
+		srv := newUnstartedServer(t, nil)
+		srv.EnableDistributed(0, fd, nil)
+		srv.dist.memCfg = MembershipConfig{ScrubBatch: testSpec().NumSamples}.withDefaults()
+		c := dial(t, serveOn(t, srv))
+		if err := c.Ping(); err != nil {
 			t.Fatal(err)
 		}
-		for at := 0; at < len(ids); at += 250 {
-			if _, err := c.GetBatch(ids[at : at+250]); err != nil {
+		vt.Wait()
+		idle := runtime.NumGoroutine()
+
+		// Each pass rotates the importance order and reads the dataset in it,
+		// least important first, so the full H-cache keeps evicting.
+		n := dataset.SampleID(testSpec().NumSamples)
+		items := make([]sampling.Item, n)
+		ids := make([]dataset.SampleID, n)
+		for pass := 0; cacheStats(srv).Evictions < evictions; pass++ {
+			if pass == 40 {
+				t.Fatalf("only %d evictions after %d passes", cacheStats(srv).Evictions, pass)
+			}
+			for i := range ids {
+				ids[i] = (dataset.SampleID(i) + dataset.SampleID(pass)*n/5) % n
+				items[i] = sampling.Item{ID: ids[i], IV: 1 + float64(i)/float64(n)}
+			}
+			if err := c.UpdateImportance(items); err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
-
-	settle := time.Now().Add(100 * time.Millisecond) // a request's gather workers exit on their own
-	for runtime.NumGoroutine() > idle+4 {
-		if time.Now().After(settle) {
-			t.Fatalf("%d goroutines after the storm, %d before it", runtime.NumGoroutine(), idle)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	requireStoreWithinResidents(t, srv)
-
-	healed.Store(1)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if len(srv.dist.releases) == 0 {
-			srv.scrubOnce()
-			if slices.Equal(dir.OwnedBy(0, 0), lockedResidents{srv}.Residents(nil)) {
-				break
+			for at := 0; at < len(ids); at += 250 {
+				if _, err := c.GetBatch(ids[at : at+250]); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("directory credits the node with %d samples, it caches %d",
-				len(dir.OwnedBy(0, 0)), len(lockedResidents{srv}.Residents(nil)))
+
+		// A request's gather workers have exited and the release worker
+		// sleeps; the connection may keep a dispatch worker or two more
+		// resident than before the storm.
+		vt.Wait()
+		if n := runtime.NumGoroutine(); n > idle+4 {
+			t.Fatalf("%d goroutines after the storm, %d before it", n, idle)
 		}
-		time.Sleep(10 * time.Millisecond)
-	}
+		if time.Since(start) != 0 {
+			t.Fatalf("the storm took %v of the bubble's clock, want none", time.Since(start))
+		}
+		requireStoreWithinResidents(t, srv)
+
+		time.Sleep(time.Hour) // the stalled release ends; the rest find no stall
+		vt.Wait()
+		if n := len(srv.dist.releases); n != 0 {
+			t.Fatalf("%d releases still queued after the stall", n)
+		}
+		srv.scrubOnce()
+		if owned, cached := dir.OwnedBy(0, 0), (lockedResidents{srv}).Residents(nil); !slices.Equal(owned, cached) {
+			t.Fatalf("directory credits the node with %d samples, it caches %d", len(owned), len(cached))
+		}
+	})
 }
 
 // TestReleaseBeyondTheQueueIsCounted: the eviction hook never blocks — a

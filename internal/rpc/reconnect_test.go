@@ -6,36 +6,14 @@ import (
 	"time"
 
 	"icache/internal/dataset"
-	"icache/internal/icache"
 	"icache/internal/retry"
-	"icache/internal/sampling"
-	"icache/internal/storage"
 )
 
 // TestClientRidesThroughServerRestart kills the server between requests and
 // restarts it on the same address; the client's next call must succeed via
 // its transparent redial.
 func TestClientRidesThroughServerRestart(t *testing.T) {
-	spec := testSpec()
-	mkServer := func() (*Server, net.Listener) {
-		back, err := storage.NewBackend(spec, storage.OrangeFS())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cacheSrv, err := icache.NewServer(back, icache.DefaultConfig(spec.TotalBytes()/5), sampling.DefaultIIS(), 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		source, err := storage.NewDataSource(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := NewServer(cacheSrv, source)
-		srv.Logf = nil
-		return srv, nil
-	}
-
-	srv1, _ := mkServer()
+	srv1 := newSeededServer(t, 5, nil)
 	ln1, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +34,7 @@ func TestClientRidesThroughServerRestart(t *testing.T) {
 	if err := srv1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	srv2, _ := mkServer()
+	srv2 := newSeededServer(t, 5, nil)
 	ln2, err := net.Listen("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -79,23 +57,6 @@ func TestClientRidesThroughServerRestart(t *testing.T) {
 // must ride the retry/backoff schedule into the restarted instance.
 func TestClientSurvivesRepeatedCrashRestart(t *testing.T) {
 	spec := testSpec()
-	mkServer := func() *Server {
-		back, err := storage.NewBackend(spec, storage.OrangeFS())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cacheSrv, err := icache.NewServer(back, icache.DefaultConfig(spec.TotalBytes()/5), sampling.DefaultIIS(), 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		source, err := storage.NewDataSource(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := NewServer(cacheSrv, source)
-		srv.Logf = nil
-		return srv
-	}
 	listenOn := func(addr string) net.Listener {
 		// The previous listener just closed; the port can take a moment to
 		// become bindable again.
@@ -112,7 +73,7 @@ func TestClientSurvivesRepeatedCrashRestart(t *testing.T) {
 		return nil
 	}
 
-	srv := mkServer()
+	srv := newSeededServer(t, 5, nil)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +105,7 @@ func TestClientSurvivesRepeatedCrashRestart(t *testing.T) {
 		}()
 		// Restart after a real downtime window.
 		time.Sleep(20 * time.Millisecond)
-		srv = mkServer()
+		srv = newSeededServer(t, 5, nil)
 		ln = listenOn(addr)
 		go srv.Serve(ln)
 

@@ -15,6 +15,7 @@ import (
 	"icache/internal/storage"
 	"icache/internal/transport"
 	"icache/internal/transport/transporttest"
+	"icache/internal/vt"
 	"icache/internal/wire"
 )
 
@@ -22,31 +23,46 @@ func testSpec() dataset.Spec {
 	return dataset.Spec{Name: "rpc", NumSamples: 2000, MeanSampleBytes: 512, Seed: 21}
 }
 
-// startServer spins up a full server on a loopback listener.
-func startServer(t *testing.T) (*Server, string, *storage.DataSource) {
+// testNet is the in-memory network of the bubble test running now (nil
+// outside one): listen opens the test's servers on it, and every client
+// dials through it.
+var testNet *transporttest.Network
+
+// inBubble runs f in a virtual-clock bubble (vt.Run) on a fresh in-memory
+// network. The bubble ends only when every goroutine f started has, so a
+// server, client or worker the test leaves blocked fails it.
+func inBubble(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
-	spec := testSpec()
-	back, err := storage.NewBackend(spec, storage.OrangeFS())
-	if err != nil {
-		t.Fatal(err)
+	vt.Run(t, func(t *testing.T) {
+		testNet = transporttest.NewNetwork(t)
+		t.Cleanup(func() { testNet = nil })
+		f(t)
+	})
+}
+
+// listen opens a test server's listener: on testNet inside a bubble, on
+// loopback TCP outside one.
+func listen(t testing.TB) net.Listener {
+	t.Helper()
+	if testNet != nil {
+		return testNet.ListenAny()
 	}
-	cacheSrv, err := icache.NewServer(back, icache.DefaultConfig(spec.TotalBytes()/5), sampling.DefaultIIS(), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	source, err := storage.NewDataSource(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(cacheSrv, source)
-	srv.Logf = nil // quiet in tests
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.Serve(ln)
-	t.Cleanup(func() { srv.Close() })
-	return srv, ln.Addr().String(), source
+	return ln
+}
+
+// startServer spins up a full server on a test listener.
+func startServer(t *testing.T) (*Server, string, *storage.DataSource) {
+	t.Helper()
+	source, err := storage.NewDataSource(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newUnstartedServer(t, source)
+	return srv, serveOn(t, srv), source
 }
 
 func dial(t testing.TB, addr string) *Client {
@@ -270,6 +286,11 @@ func TestOutOfRangeRequestAnsweredNotFatal(t *testing.T) {
 func TestBackendFailureSurfacesAsRPCError(t *testing.T) {
 	_, addr, src := startServer(t)
 	c := dial(t, addr)
+	// An H-sample, so the miss composes no L-cache package whose member
+	// reads could take the one injected failure first.
+	if err := c.UpdateImportance([]sampling.Item{{ID: 1500, IV: 1}}); err != nil {
+		t.Fatal(err)
+	}
 	src.Injector().Add(faults.FailN(faults.OpSourceFetch, 1, errors.New("injected disk failure")))
 	_, err := c.GetBatch([]dataset.SampleID{1500})
 	if err == nil || !strings.Contains(err.Error(), "injected disk failure") {
@@ -359,12 +380,7 @@ func TestConcurrentClients(t *testing.T) {
 }
 
 func TestServerCloseUnblocksServe(t *testing.T) {
-	spec := testSpec()
-	back, _ := storage.NewBackend(spec, storage.OrangeFS())
-	cacheSrv, _ := icache.NewServer(back, icache.DefaultConfig(spec.TotalBytes()/5), sampling.DefaultIIS(), 5)
-	source, _ := storage.NewDataSource(spec)
-	srv := NewServer(cacheSrv, source)
-	srv.Logf = nil
+	srv := newSeededServer(t, 5, nil)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -11,11 +11,11 @@ import (
 	"time"
 
 	"icache/internal/dkv"
-	"icache/internal/leakcheck"
 	"icache/internal/obs"
 	"icache/internal/overload"
 	"icache/internal/transport"
 	"icache/internal/transport/transporttest"
+	"icache/internal/vt"
 	"icache/internal/wire"
 )
 
@@ -122,99 +122,97 @@ func TestRoutes(t *testing.T) {
 // served by one, whatever the number of requests (or by a few: a request that
 // arrives after its predecessor's answer was written and before that worker
 // has parked starts another), eight concurrent requests by eight — and Close,
-// or Wait on an injected connection, leaves none behind.
+// or Wait on an injected connection, leaves none behind (the bubble the test
+// runs in ends only when they have).
 func TestDispatchGoroutinesAreResident(t *testing.T) {
-	leakcheck.Check(t)
-	const slack = 3 // workers started in the window described above
-	var mu sync.Mutex
-	servedBy := make(map[string]int) // dispatch goroutine -> requests it served
-	hold := make(chan struct{})
-	srv := transport.NewServer(transport.Handler{
-		Route: func(byte) transport.Route { return 0 },
-		Serve: func(w transport.Response, req []byte, _ obs.TraceCtx, _ time.Time) error {
-			var buf [64]byte // "goroutine 123 [running]:..."
-			g := string(bytes.Fields(buf[:runtime.Stack(buf[:], false)])[1])
+	vt.Run(t, func(t *testing.T) {
+		const slack = 3 // workers started in the window described above
+		var mu sync.Mutex
+		servedBy := make(map[string]int) // dispatch goroutine -> requests it served
+		hold := make(chan struct{})
+		srv := transport.NewServer(transport.Handler{
+			Route: func(byte) transport.Route { return 0 },
+			Serve: func(w transport.Response, req []byte, _ obs.TraceCtx, _ time.Time) error {
+				var buf [64]byte // "goroutine 123 [running]:..."
+				g := string(bytes.Fields(buf[:runtime.Stack(buf[:], false)])[1])
+				mu.Lock()
+				servedBy[g]++
+				mu.Unlock()
+				if req[0] == opHold {
+					<-hold
+				}
+				return w.Reply(func(e *wire.Buffer) error { return nil })
+			},
+		})
+		workers := func() int {
 			mu.Lock()
-			servedBy[g]++
-			mu.Unlock()
-			if req[0] == opHold {
-				<-hold
-			}
-			return w.Reply(func(e *wire.Buffer) error { return nil })
-		},
-	})
-	workers := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(servedBy)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	c, err := transport.Dial(ln.Addr().String(), transport.DialConfig{Timeout: 2 * time.Second}, func(error) bool { return true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	call := func(op byte) {
-		if _, _, err := c.Call([]byte{op}, time.Time{}); err != nil {
-			t.Error(err)
+			defer mu.Unlock()
+			return len(servedBy)
 		}
-	}
-
-	call(opEcho)
-	after1 := runtime.NumGoroutine()
-	for i := 1; i < 1000; i++ {
-		call(opEcho)
-	}
-	if n := runtime.NumGoroutine(); n > after1+slack {
-		t.Errorf("%d goroutines after 1000 sequential requests, %d after the first", n, after1)
-	}
-	if n := workers(); n > 1+slack {
-		t.Errorf("1000 sequential requests were served by %d goroutines, want the connection's one worker (or a few)", n)
-	}
-
-	// Eight at once are still served concurrently: all eight are held
-	// together, on eight workers, which then serve whatever comes next.
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			call(opHold)
-		}()
-	}
-	for deadline := time.Now().Add(5 * time.Second); srv.MuxInflight() != 8; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d of 8 concurrent requests in service", srv.MuxInflight())
-		}
-	}
-	close(hold)
-	wg.Wait()
-	for i := 0; i < 100; i++ {
-		call(opEcho)
-	}
-	if n := workers(); n < 8 || n > 8+2*slack {
-		t.Errorf("%d dispatch goroutines after 8 concurrent requests and 100 more sequential ones, want 8 (or a few more)", n)
-	}
-	c.Close()
-	srv.Close()
-
-	// The same on a connection without a read loop: Wait retires the workers
-	// NewConn's frames started (Dispatch waits too).
-	var out syncBuffer
-	cn := srv.NewConn(&out)
-	for id := uint32(0); id < 3; id++ {
-		if err := srv.ServeFrame(cn, transporttest.MuxWrap(id, []byte{opEcho})); err != nil {
+		ln := transporttest.NewNetwork(t).ListenAny()
+		go srv.Serve(ln)
+		c, err := transport.Dial(ln.Addr().String(), transport.DialConfig{Timeout: 2 * time.Second}, func(error) bool { return true })
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	cn.Wait()
-	for id := 0; id < 3; id++ {
-		out.frame(t)
-	}
-	transporttest.Dispatch(srv, []byte{opEcho})
+		call := func(op byte) {
+			if _, _, err := c.Call([]byte{op}, time.Time{}); err != nil {
+				t.Error(err)
+			}
+		}
+
+		call(opEcho)
+		after1 := runtime.NumGoroutine()
+		for i := 1; i < 1000; i++ {
+			call(opEcho)
+		}
+		if n := runtime.NumGoroutine(); n > after1+slack {
+			t.Errorf("%d goroutines after 1000 sequential requests, %d after the first", n, after1)
+		}
+		if n := workers(); n > 1+slack {
+			t.Errorf("1000 sequential requests were served by %d goroutines, want the connection's one worker (or a few)", n)
+		}
+
+		// Eight at once are still served concurrently: all eight are held
+		// together, on eight workers, which then serve whatever comes next.
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				call(opHold)
+			}()
+		}
+		vt.Wait()
+		if n := srv.MuxInflight(); n != 8 {
+			t.Fatalf("%d of 8 concurrent requests in service", n)
+		}
+		close(hold)
+		wg.Wait()
+		for i := 0; i < 100; i++ {
+			call(opEcho)
+		}
+		if n := workers(); n < 8 || n > 8+2*slack {
+			t.Errorf("%d dispatch goroutines after 8 concurrent requests and 100 more sequential ones, want 8 (or a few more)", n)
+		}
+		c.Close()
+		srv.Close()
+
+		// The same on a connection without a read loop: Wait retires the workers
+		// NewConn's frames started (Dispatch waits too).
+		var out syncBuffer
+		cn := srv.NewConn(&out)
+		for id := uint32(0); id < 3; id++ {
+			if err := srv.ServeFrame(cn, transporttest.MuxWrap(id, []byte{opEcho})); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cn.Wait()
+		for id := 0; id < 3; id++ {
+			out.frame(t)
+		}
+		transporttest.Dispatch(srv, []byte{opEcho})
+	})
 }
 
 // syncBuffer is an in-memory connection's write side, safe for a dispatch

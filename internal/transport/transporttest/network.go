@@ -23,6 +23,7 @@ type Network struct {
 	mu     sync.Mutex
 	lns    map[string]*listener // open listeners by name
 	routes map[string]route     // every dialable address
+	anon   int                  // listeners ListenAny has named
 }
 
 // route says where a dialed address leads: the listener named target, with
@@ -58,6 +59,16 @@ func (n *Network) Listen(name string) net.Listener {
 		n.routes[name] = route{target: name}
 	}
 	return ln
+}
+
+// ListenAny opens a listener at a name no listener of the network has had
+// (read it off its Addr).
+func (n *Network) ListenAny() net.Listener {
+	n.mu.Lock()
+	n.anon++
+	name := fmt.Sprintf("listener%d", n.anon)
+	n.mu.Unlock()
+	return n.Listen(name)
 }
 
 // Alias adds the address alias for whatever listens at target, with the
@@ -96,6 +107,10 @@ func (n *Network) dial(addr string, _ time.Time) (net.Conn, error) {
 		return nil, fmt.Errorf("dial %s: backlog full: %w", addr, errRefused)
 	}
 }
+
+// Dial connects to addr the way a transport.Client does, for a test that
+// drives a connection by hand.
+func (n *Network) Dial(addr string) (net.Conn, error) { return n.dial(addr, time.Time{}) }
 
 // listener is one name's accept queue.
 type listener struct {
