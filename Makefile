@@ -82,7 +82,12 @@ vet:
 # and no non-test file of internal/dkv, internal/faults or internal/obs grows
 # an injected clock back — names SetClock( or DecideAt( or declares a
 # Clock func() field, comments excepted (inside a bubble time.Now is the
-# virtual clock). Subsumes `vet` in `make all`.
+# virtual clock). And tests have one fault substrate: no _test.go file
+# declares a hand-rolled stall, hold or slow-connection fixture again (a test
+# slows a source or a connection with an internal/faults delay rule and holds
+# a fetch with internal/rpc's one heldSource), and none polls with
+# time.Sleep(time.Millisecond) (a bubble test waits at vt.Wait, any other on
+# an event). Subsumes `vet` in `make all`.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -199,6 +204,12 @@ lint:
 	if [ -n "$$stray" ]; then \
 		echo "a second way to control time in tests (a test runs in a vt bubble, where time.Now is the virtual clock):"; echo "$$stray"; exit 1; \
 	fi
+	@stray=$$(grep -rnE --include='*_test.go' --exclude-dir=.bench_build \
+			-e 'type (slowFetchSource|slowSource|stallSource|slowGate|slowConn|slowListener|holdSource|gatedSource)[^A-Za-z0-9_]' \
+			-e 'time\.Sleep\(time\.Millisecond\)' .); \
+	if [ -n "$$stray" ]; then \
+		echo "a second fault substrate or a wall-clock poll in tests (stall through faults.DelayEvery, hold through heldSource, wait at vt.Wait or on an event):"; echo "$$stray"; exit 1; \
+	fi
 	$(GO) vet ./...
 
 test:
@@ -226,7 +237,7 @@ test-race:
 # VT_TESTS is every test of VT_PKGS that runs in a bubble: a Test function of
 # a _test.go file whose body calls vt.Run, or a helper of its package's
 # tests that does (internal/rpc's inBubble and forSeeds).
-VT_PKGS = internal/rpc internal/dkv internal/transport internal/obs internal/faults
+VT_PKGS = internal/rpc internal/dkv internal/transport internal/obs internal/faults internal/retry internal/storage internal/singleflight
 VT_TESTS = $$(for p in $(VT_PKGS); do \
 	helpers=$$(awk '/^func /{f=$$2; sub(/\(.*/, "", f)} /vt\.Run\(/{print f}' $$p/*_test.go | grep -v '^Test' | sort -u | paste -sd'|'); \
 	awk -v h="$$helpers" '/^func Test/{f=$$2; sub(/\(.*/, "", f)} /^}/{f=""} \
@@ -241,8 +252,10 @@ chaos:
 # and dkv.DirServer on an in-memory network inside a testing/synctest bubble
 # (internal/vt) under faults, node kills and directory replica crashes; the
 # suites that were leak-checked on TCP (the combiner, the plan, the miss
-# gather, the transport client); and the lease, failover, fault-window and
-# timeline clocks. Built with GOEXPERIMENT=synctest, so each runs in its
+# gather, the transport client); the lease, failover, fault-window and
+# timeline clocks; the tests that waited on a wall clock (the delayed peer,
+# the traced chains, the Close and routing tests, singleflight's join); and
+# the retry schedule and the source's delay rule. Built with GOEXPERIMENT=synctest, so each runs in its
 # bubble directly. The first build under the experiment rebuilds the
 # standard library (about 20 s, 40 s more with -race). GOTRACEBACK=all makes
 # a bubble that ends with a goroutine still blocked print that goroutine.

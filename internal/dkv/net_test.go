@@ -126,24 +126,22 @@ func TestDirServerRejectsBadOpcode(t *testing.T) {
 	}
 }
 
+// TestDirServerCloseUnblocks: Close returns a Serve blocked in Accept.
 func TestDirServerCloseUnblocks(t *testing.T) {
-	dir := NewDirectory()
-	srv := NewDirServer(dir)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	time.Sleep(10 * time.Millisecond)
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-errc:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Serve did not return after Close")
-	}
+	vt.Run(t, func(t *testing.T) {
+		srv := NewDirServer(NewDirectory())
+		errc := make(chan error, 1)
+		go func() { errc <- srv.Serve(transporttest.NewNetwork(t).ListenAny()) }()
+		vt.Wait() // Serve is blocked in Accept
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-errc:
+		case <-time.After(2 * time.Second):
+			t.Fatal("Serve did not return after Close")
+		}
+	})
 }
 
 // TestDirClientRidesThroughMidFrameCloses runs the client against a server

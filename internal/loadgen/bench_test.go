@@ -1,16 +1,13 @@
 package loadgen
 
 import (
-	"net"
 	"testing"
 	"time"
 
 	"icache/internal/dataset"
-	"icache/internal/icache"
 	"icache/internal/overload"
 	"icache/internal/rpc"
 	"icache/internal/sampling"
-	"icache/internal/storage"
 )
 
 // BenchmarkLoadgen measures the serving hot path (`make bench-layers`): eight
@@ -26,7 +23,7 @@ func BenchmarkLoadgen(b *testing.B) {
 		conns  = 8
 	)
 	spec := dataset.Spec{Name: "loadgen", NumSamples: 4096, MeanSampleBytes: 16384, Seed: 7}
-	addr := startServer(b, 0, spec)
+	addr := startServer(b, spec, 0, nil)
 
 	// Warm: raise the hot set's importance and fetch it once so the whole
 	// set is resident before the measured storm.
@@ -101,7 +98,7 @@ func BenchmarkLoadgenOverload(b *testing.B) {
 	// than drifting with the hit ratio between phases.
 	spec := dataset.Spec{Name: "loadgen-ovl", NumSamples: 65536, MeanSampleBytes: 1024, Seed: 7}
 	gate := overload.NewGate(overload.GateConfig{MaxInflight: slots})
-	addr := startOverloadServer(b, spec, backendLat, gate)
+	addr := startServer(b, spec, backendLat, gate)
 
 	// Unrecorded warm pass, then a closed-loop saturation probe to place
 	// the knee of the goodput curve.
@@ -175,35 +172,4 @@ func BenchmarkLoadgenOverload(b *testing.B) {
 		b.ReportMetric(rep.GoodputPerSec, "samples/sec")
 		b.ReportMetric(rep.LatencyP99Ms, "p99-ms")
 	}
-}
-
-// startOverloadServer is startGatedServer with a stalled backend: every
-// miss charges backendLat, making the admission slots — not the loopback
-// wire — the capacity-limiting resource.
-func startOverloadServer(t testing.TB, spec dataset.Spec, backendLat time.Duration, gate *overload.Gate) string {
-	t.Helper()
-	back, err := storage.NewBackend(spec, storage.OrangeFS())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := icache.DefaultConfig(spec.TotalBytes() / 4)
-	cfg.EnableLCache = false
-	cacheSrv, err := icache.NewServer(back, cfg, sampling.DefaultIIS(), 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inner, err := storage.NewDataSource(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := rpc.NewServer(cacheSrv, &stallSource{inner: inner, latency: backendLat})
-	srv.Logf = nil
-	srv.SetAdmission(gate)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	t.Cleanup(func() { srv.Close() })
-	return ln.Addr().String()
 }

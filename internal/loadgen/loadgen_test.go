@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"icache/internal/dataset"
+	"icache/internal/faults"
 	"icache/internal/icache"
 	"icache/internal/overload"
 	"icache/internal/rpc"
@@ -13,9 +14,11 @@ import (
 	"icache/internal/storage"
 )
 
-// startServer spins a full serving stack on loopback with the given
-// backend service time and returns its address.
-func startServer(t testing.TB, backendLatency time.Duration, spec dataset.Spec) string {
+// startServer spins a full serving stack on loopback and returns its
+// address. Every backend read takes backendLatency (the source's fault
+// injector charges it), and gate, when non-nil, is the admission gate,
+// installed before the listener accepts.
+func startServer(t testing.TB, spec dataset.Spec, backendLatency time.Duration, gate *overload.Gate) string {
 	t.Helper()
 	back, err := storage.NewBackend(spec, storage.OrangeFS())
 	if err != nil {
@@ -27,16 +30,18 @@ func startServer(t testing.TB, backendLatency time.Duration, spec dataset.Spec) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner, err := storage.NewDataSource(spec)
+	src, err := storage.NewDataSource(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var src rpc.ByteSource = inner
 	if backendLatency > 0 {
-		src = &stallSource{inner: inner, latency: backendLatency}
+		src.Injector().Add(faults.DelayEvery(faults.OpSourceFetch, 1, backendLatency))
 	}
 	srv := rpc.NewServer(cacheSrv, src)
 	srv.Logf = nil
+	if gate != nil {
+		srv.SetAdmission(gate)
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -44,18 +49,6 @@ func startServer(t testing.TB, backendLatency time.Duration, spec dataset.Spec) 
 	go srv.Serve(ln)
 	t.Cleanup(func() { srv.Close() })
 	return ln.Addr().String()
-}
-
-type stallSource struct {
-	inner   rpc.ByteSource
-	latency time.Duration
-}
-
-func (s *stallSource) Spec() dataset.Spec { return s.inner.Spec() }
-
-func (s *stallSource) Fetch(id dataset.SampleID) ([]byte, error) {
-	time.Sleep(s.latency)
-	return s.inner.Fetch(id)
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -82,7 +75,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestRunSmoke(t *testing.T) {
 	spec := dataset.Spec{Name: "lgsmoke", NumSamples: 256, MeanSampleBytes: 512, Seed: 7}
-	addr := startServer(t, 0, spec)
+	addr := startServer(t, spec, 0, nil)
 	rep, err := Run(Config{
 		Addr:     addr,
 		Conns:    4,
@@ -118,7 +111,7 @@ func TestRunSmoke(t *testing.T) {
 func TestRunOverloadClassification(t *testing.T) {
 	spec := dataset.Spec{Name: "lgshed", NumSamples: 256, MeanSampleBytes: 512, Seed: 7}
 	gate := overload.NewGate(overload.GateConfig{MaxInflight: 1})
-	addr := startGatedServer(t, spec, gate)
+	addr := startServer(t, spec, 0, gate)
 	if ok, _ := gate.Admit(time.Now()); !ok {
 		t.Fatal("could not occupy the admission slot")
 	}
@@ -158,7 +151,7 @@ func TestRunOverloadClassification(t *testing.T) {
 // the shed/expired buckets stay empty.
 func TestRunGoodputTracksDeadline(t *testing.T) {
 	spec := dataset.Spec{Name: "lggood", NumSamples: 256, MeanSampleBytes: 512, Seed: 7}
-	addr := startServer(t, 0, spec)
+	addr := startServer(t, spec, 0, nil)
 	rep, err := Run(Config{
 		Addr:     addr,
 		Conns:    2,
@@ -180,36 +173,6 @@ func TestRunGoodputTracksDeadline(t *testing.T) {
 		t.Fatalf("goodput %.1f != throughput %.1f with every completion on time",
 			rep.GoodputPerSec, rep.SamplesPerSec)
 	}
-}
-
-// startGatedServer is startServer with an admission gate installed on the
-// serving stack before it starts accepting.
-func startGatedServer(t testing.TB, spec dataset.Spec, gate *overload.Gate) string {
-	t.Helper()
-	back, err := storage.NewBackend(spec, storage.OrangeFS())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := icache.DefaultConfig(spec.TotalBytes() / 4)
-	cfg.EnableLCache = false
-	cacheSrv, err := icache.NewServer(back, cfg, sampling.DefaultIIS(), 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := storage.NewDataSource(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := rpc.NewServer(cacheSrv, src)
-	srv.Logf = nil
-	srv.SetAdmission(gate)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	t.Cleanup(func() { srv.Close() })
-	return ln.Addr().String()
 }
 
 // TestMixDeterminism: uniform and zipf mixes replay identically for the
@@ -293,7 +256,7 @@ func TestDiurnalWindow(t *testing.T) {
 func TestOpenLoopChargesStall(t *testing.T) {
 	spec := dataset.Spec{Name: "lgstall", NumSamples: 4096, MeanSampleBytes: 256, Seed: 7}
 	const service = 50 * time.Millisecond
-	addr := startServer(t, service, spec)
+	addr := startServer(t, spec, service, nil)
 	rep, err := Run(Config{
 		Addr:     addr,
 		Conns:    1,

@@ -16,13 +16,13 @@ import (
 func TestJournalConcurrentWriters(t *testing.T) {
 	const writers, perWriter = 8, 500
 	j := NewJournal(256)
-	var wg sync.WaitGroup
+	var readers, wg sync.WaitGroup
 	stop := make(chan struct{})
 	// Snapshot storm: readers iterate while writers append.
 	for r := 0; r < 4; r++ {
-		wg.Add(1)
+		readers.Add(1)
 		go func() {
-			defer wg.Done()
+			defer readers.Done()
 			for {
 				select {
 				case <-stop:
@@ -43,12 +43,9 @@ func TestJournalConcurrentWriters(t *testing.T) {
 			}
 		}(w)
 	}
-	// Wait for writers by counting total; then stop readers.
-	for j.Total() < writers*perWriter {
-		time.Sleep(time.Millisecond)
-	}
+	wg.Wait() // the writers; then stop the readers
 	close(stop)
-	wg.Wait()
+	readers.Wait()
 
 	if got, want := j.Total(), uint64(writers*perWriter); got != want {
 		t.Fatalf("Total = %d, want %d", got, want)

@@ -5,8 +5,8 @@
 // be retried.
 //
 // Determinism matters here as much as in the simulators: callers own the
-// PRNG that drives jitter and may substitute the sleep function, so chaos
-// tests replay identically under a fixed seed.
+// PRNG that drives jitter, and a backoff is a time.Sleep, which a test's
+// virtual-clock bubble (internal/vt) replays exactly under a fixed seed.
 package retry
 
 import (
@@ -31,9 +31,6 @@ type Policy struct {
 	// Jitter perturbs each backoff by ±Jitter fraction (0.2 = ±20%),
 	// decorrelating clients that fail together.
 	Jitter float64
-	// Deadline bounds the whole operation: once the cumulative elapsed time
-	// plus the next backoff would exceed it, Do gives up. 0 means no bound.
-	Deadline time.Duration
 }
 
 // Default is the schedule for training-side clients riding through cache
@@ -45,7 +42,6 @@ func Default() Policy {
 		MaxDelay:    200 * time.Millisecond,
 		Multiplier:  2,
 		Jitter:      0.2,
-		Deadline:    2 * time.Second,
 	}
 }
 
@@ -59,7 +55,6 @@ func Peer() Policy {
 		MaxDelay:    20 * time.Millisecond,
 		Multiplier:  2,
 		Jitter:      0.2,
-		Deadline:    250 * time.Millisecond,
 	}
 }
 
@@ -110,20 +105,21 @@ func Permanent(err error) error {
 	return permanentError{err}
 }
 
+// ErrDeadline marks Do's error when the caller's deadline ended the retries.
+var ErrDeadline = errors.New("retry: deadline reached")
+
 // Do runs op under the policy. op receives the 0-based attempt number. A
 // nil error stops the loop; a Permanent error is unwrapped and returned at
 // once; any other error is retried after a jittered backoff until attempts
-// or the deadline run out. sleep may be nil (time.Sleep) and rng may be nil
-// (no jitter). Do returns the last error annotated with the attempt count.
-func Do(p Policy, rng *rand.Rand, sleep func(time.Duration), op func(attempt int) error) error {
-	if sleep == nil {
-		sleep = time.Sleep
-	}
+// run out, or until the caller's deadline (zero: none) is reached: Do sleeps
+// no backoff that would end at or past it and starts no attempt there, and
+// returns the last error wrapped with ErrDeadline. rng may be nil (no jitter).
+func Do(p Policy, rng *rand.Rand, deadline time.Time, op func(attempt int) error) error {
+	late := func(d time.Duration) bool { return !deadline.IsZero() && !time.Now().Add(d).Before(deadline) }
 	attempts := p.MaxAttempts
 	if attempts < 1 {
 		attempts = 1
 	}
-	var elapsed time.Duration
 	var err error
 	for attempt := 0; attempt < attempts; attempt++ {
 		if err = op(attempt); err == nil {
@@ -137,11 +133,13 @@ func Do(p Policy, rng *rand.Rand, sleep func(time.Duration), op func(attempt int
 			break
 		}
 		d := p.Backoff(attempt+1, rng)
-		if p.Deadline > 0 && elapsed+d >= p.Deadline {
-			return fmt.Errorf("retry: deadline %v exceeded after %d attempts: %w", p.Deadline, attempt+1, err)
+		if late(d) {
+			return fmt.Errorf("%w after %d attempts: %w", ErrDeadline, attempt+1, err)
 		}
-		elapsed += d
-		sleep(d)
+		time.Sleep(d)
+		if late(0) {
+			return fmt.Errorf("%w after %d attempts: %w", ErrDeadline, attempt+1, err)
+		}
 	}
 	if attempts > 1 {
 		return fmt.Errorf("retry: %d attempts: %w", attempts, err)

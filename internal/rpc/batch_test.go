@@ -50,6 +50,20 @@ func newSeededServer(t testing.TB, seed int64, src ByteSource) *Server {
 	return srv
 }
 
+// delayedSource is a storage.DataSource over spec whose every Fetch takes d
+// (none at 0): a slow backend, made by the source's own fault injector.
+func delayedSource(t testing.TB, spec dataset.Spec, d time.Duration) *storage.DataSource {
+	t.Helper()
+	src, err := storage.NewDataSource(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d > 0 {
+		src.Injector().Add(faults.DelayEvery(faults.OpSourceFetch, 1, d))
+	}
+	return src
+}
+
 // newUnstartedServer builds a seed-5 server without serving it, so tests can
 // configure pre-Serve state (distribution wiring, log capture, the prefetch
 // pool's size) race-free — those fields are read without synchronization by
@@ -200,11 +214,7 @@ func TestCleanCloseLogsNothing(t *testing.T) {
 func TestBatchedMissCoalescing(t *testing.T) {
 	inBubble(t, func(t *testing.T) {
 		spec := testSpec()
-		inner, err := storage.NewDataSource(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		src := &slowFetchSource{inner: inner, delay: 100 * time.Millisecond}
+		src := delayedSource(t, spec, 100*time.Millisecond)
 		srv := newUnstartedServer(t, src)
 		srv.EnableDistributed(0, dkv.Local{Dir: dkv.NewDirectory()}, nil)
 		addr := serveOn(t, srv)
@@ -261,7 +271,7 @@ func TestBatchedMissCoalescing(t *testing.T) {
 				}
 			}
 		}
-		if got := atomic.LoadInt64(&src.fetches); got != int64(len(ids)) {
+		if got := src.Reads(); got != int64(len(ids)) {
 			t.Fatalf("%d backend fetches for %d coalesced-candidate requests of %d samples: want one per sample on the batched path", got, clients*len(ids), len(ids))
 		}
 		if srv.CoalescedMisses() == 0 {

@@ -21,30 +21,13 @@ import (
 	"icache/internal/transport/transporttest"
 )
 
-// slowSource wraps a ByteSource with a fixed per-fetch service time,
-// standing in for a congested PFS backend. It makes the miss path the
-// bottleneck, which is exactly what the concurrent-serving benchmark needs
-// to expose lock serialization: under a single global server lock, backend
-// fetches cannot overlap, so adding clients adds no throughput.
-type slowSource struct {
-	inner   ByteSource
-	latency time.Duration
-	fetches int64
-}
-
-func (s *slowSource) Spec() dataset.Spec { return s.inner.Spec() }
-
-func (s *slowSource) Fetch(id dataset.SampleID) ([]byte, error) {
-	atomic.AddInt64(&s.fetches, 1)
-	time.Sleep(s.latency)
-	return s.inner.Fetch(id)
-}
-
 // benchServer builds a serving stack sized for a miss-heavy workload: no
-// L-cache (every L-routed request goes to the backend), a deliberately slow
-// byte source, and a small payload footprint so byte copies do not mask
-// lock behavior.
-func benchServer(b *testing.B, backendLatency time.Duration) (*Server, string, *slowSource) {
+// L-cache (every L-routed request goes to the backend), a byte source whose
+// every read takes backendLatency (standing in for a congested PFS backend:
+// it makes the miss path the bottleneck, which is what the concurrent-serving
+// benchmarks need to expose lock serialization), and a small payload
+// footprint so byte copies do not mask lock behavior.
+func benchServer(b *testing.B, backendLatency time.Duration) (*Server, string, *storage.DataSource) {
 	b.Helper()
 	spec := dataset.Spec{Name: "bench", NumSamples: 4096, MeanSampleBytes: 1024, Seed: 7}
 	back, err := storage.NewBackend(spec, storage.OrangeFS())
@@ -57,20 +40,10 @@ func benchServer(b *testing.B, backendLatency time.Duration) (*Server, string, *
 	if err != nil {
 		b.Fatal(err)
 	}
-	inner, err := storage.NewDataSource(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := &slowSource{inner: inner, latency: backendLatency}
+	src := delayedSource(b, spec, backendLatency)
 	srv := NewServer(cacheSrv, src)
 	srv.Logf = nil
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	go srv.Serve(ln)
-	b.Cleanup(func() { srv.Close() })
-	return srv, ln.Addr().String(), src
+	return srv, serveOn(b, srv), src
 }
 
 // BenchmarkServeConcurrent measures end-to-end serving throughput against
@@ -165,7 +138,7 @@ func BenchmarkMissGather(b *testing.B) {
 					}
 				}
 				b.StopTimer()
-				if got := atomic.LoadInt64(&src.fetches); got != int64(b.N*misses) {
+				if got := src.Reads(); got != int64(b.N*misses) {
 					b.Fatalf("%d backend reads for %d requested samples: not an all-miss workload", got, b.N*misses)
 				}
 				b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/batch")
@@ -629,7 +602,7 @@ func BenchmarkServeHotSet(b *testing.B) {
 			elapsed := b.Elapsed().Seconds()
 			if elapsed > 0 {
 				b.ReportMetric(float64(b.N*batchSize)/elapsed, "samples/sec")
-				b.ReportMetric(float64(atomic.LoadInt64(&src.fetches))/float64(b.N*batchSize), "fetches/sample")
+				b.ReportMetric(float64(src.Reads())/float64(b.N*batchSize), "fetches/sample")
 			}
 		})
 	}
@@ -710,11 +683,7 @@ func BenchmarkPrefetchEpochs(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		inner, err := storage.NewDataSource(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		srv := NewServer(cacheSrv, &slowSource{inner: inner, latency: 300 * time.Microsecond})
+		srv := NewServer(cacheSrv, delayedSource(b, spec, 300*time.Microsecond))
 		srv.Logf = nil
 		cold, perSec, failed := planEpochs(b, serveOn(b, srv), clairvoyant)
 		if failed > 0 {

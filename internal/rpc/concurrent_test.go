@@ -12,7 +12,6 @@ import (
 	"icache/internal/icache"
 	"icache/internal/metrics"
 	"icache/internal/sampling"
-	"icache/internal/storage"
 )
 
 // engineView reads the policy engine through the policy lock
@@ -119,21 +118,6 @@ func TestConcurrentClientsConservation(t *testing.T) {
 	})
 }
 
-// slowFetchSource delays every fetch long enough that concurrent misses on
-// the same sample are guaranteed to overlap the executing fetch.
-type slowFetchSource struct {
-	inner   ByteSource
-	delay   time.Duration
-	fetches int64
-}
-
-func (s *slowFetchSource) Spec() dataset.Spec { return s.inner.Spec() }
-func (s *slowFetchSource) Fetch(id dataset.SampleID) ([]byte, error) {
-	atomic.AddInt64(&s.fetches, 1)
-	time.Sleep(s.delay)
-	return s.inner.Fetch(id)
-}
-
 // TestConcurrentMissCoalescing releases many clients onto the *same* batch
 // of uncached H-samples at once: with singleflight coalescing the backend
 // sees one fetch per sample (not one per client), every client still gets
@@ -141,11 +125,7 @@ func (s *slowFetchSource) Fetch(id dataset.SampleID) ([]byte, error) {
 func TestConcurrentMissCoalescing(t *testing.T) {
 	inBubble(t, func(t *testing.T) {
 		spec := testSpec()
-		inner, err := storage.NewDataSource(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		src := &slowFetchSource{inner: inner, delay: 100 * time.Millisecond}
+		src := delayedSource(t, spec, 100*time.Millisecond)
 		srv := newUnstartedServer(t, src)
 		addr := serveOn(t, srv)
 
@@ -205,7 +185,7 @@ func TestConcurrentMissCoalescing(t *testing.T) {
 		// K concurrent misses per sample issue one backend read. With a 100ms
 		// fetch and a start barrier, every client lands inside the executing
 		// fetch's window: the bubble's clock does not move until all have.
-		if got := atomic.LoadInt64(&src.fetches); got != int64(len(ids)) {
+		if got := src.Reads(); got != int64(len(ids)) {
 			t.Fatalf("%d backend fetches for %d coalesced-candidate requests of %d samples: want one per sample", got, clients*len(ids), len(ids))
 		}
 		if srv.CoalescedMisses() == 0 {

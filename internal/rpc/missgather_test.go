@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,8 +25,8 @@ import (
 )
 
 // faultySource fails every Fetch of one sample (bad) — by error or by panic —
-// and announces when another (mark) enters Fetch. Behind a gatedSource (see
-// plan_test.go) gating bad, the failure lands exactly when the test says.
+// and announces when another (mark) enters Fetch. Behind a heldSource holding
+// bad, the failure lands exactly when the test says.
 type faultySource struct {
 	inner     ByteSource
 	bad, mark dataset.SampleID
@@ -69,8 +70,7 @@ func TestMissGatherFinishesExactlyOnceOnFailure(t *testing.T) {
 				}
 				const bad, mark = dataset.SampleID(17), dataset.SampleID(900)
 				faulty := &faultySource{inner: inner, bad: bad, mark: mark, panics: panics, marked: make(chan struct{})}
-				src := &gatedSource{inner: faulty, gate: bad, entered: make(chan struct{}),
-					release: make(chan struct{}), counts: make(map[dataset.SampleID]int)}
+				src := newHeldSource(t, faulty, bad)
 				srv := newUnstartedServer(t, src)
 				addr := serveOn(t, srv)
 
@@ -87,10 +87,10 @@ func TestMissGatherFinishesExactlyOnceOnFailure(t *testing.T) {
 
 				errs := make(chan error, 2)
 				go func() { _, err := c1.GetBatch(ids); errs <- err }()
-				<-src.entered
+				src.awaitEntered(t)
 				go func() { _, err := c2.GetBatch([]dataset.SampleID{bad, mark}); errs <- err }()
 				<-faulty.marked
-				close(src.release)
+				src.open()
 
 				for i := 0; i < 2; i++ {
 					select {
@@ -371,18 +371,95 @@ func TestReadBudgetSurvivesPanicAndError(t *testing.T) {
 	}
 }
 
-// heldSource announces every Fetch on entered and holds it until the test
-// sends (or closes) release.
+// heldSource's hold settings beside a single sample id: hold no fetch, or
+// every one.
+const (
+	holdNone dataset.SampleID = -1
+	holdAll  dataset.SampleID = -2
+)
+
+// heldSource is the tests' one hand on when a backend read finishes. It
+// records every fetch, per id and in order, and holds the fetches of one
+// sample (or of every sample, or of none): a held fetch announces its id on
+// entered as it begins, then waits for a token on release or for open.
 type heldSource struct {
 	ByteSource
+	hold dataset.SampleID
+	// entered holds more announcements than any test makes held fetches, so
+	// a held fetch nobody awaits still reaches its hold.
 	entered chan dataset.SampleID
 	release chan struct{}
+	once    sync.Once
+
+	mu      sync.Mutex
+	fetched []dataset.SampleID
+}
+
+// newHeldSource holds hold's fetches of inner (a plain storage.DataSource
+// when nil).
+func newHeldSource(t *testing.T, inner ByteSource, hold dataset.SampleID) *heldSource {
+	t.Helper()
+	if inner == nil {
+		src, err := storage.NewDataSource(testSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		inner = src
+	}
+	return &heldSource{ByteSource: inner, hold: hold,
+		entered: make(chan dataset.SampleID, 4096), release: make(chan struct{})}
 }
 
 func (h *heldSource) Fetch(id dataset.SampleID) ([]byte, error) {
-	h.entered <- id
-	<-h.release
+	h.mu.Lock()
+	h.fetched = append(h.fetched, id)
+	h.mu.Unlock()
+	if h.hold == holdAll || id == h.hold {
+		h.entered <- id
+		<-h.release
+	}
 	return h.ByteSource.Fetch(id)
+}
+
+// open releases every held fetch, now and from now on.
+func (h *heldSource) open() { h.once.Do(func() { close(h.release) }) }
+
+// awaitEntered returns the id of the next held fetch to begin.
+func (h *heldSource) awaitEntered(t *testing.T) dataset.SampleID {
+	t.Helper()
+	select {
+	case id := <-h.entered:
+		return id
+	case <-time.After(10 * time.Second):
+		t.Fatal("no held fetch reached the backend")
+		return 0
+	}
+}
+
+// count reports how many times id was fetched.
+func (h *heldSource) count(id dataset.SampleID) (n int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, f := range h.fetched {
+		if f == id {
+			n++
+		}
+	}
+	return n
+}
+
+// reads reports how many fetches there were; since, the ids fetched after the
+// first n, in order.
+func (h *heldSource) reads() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.fetched)
+}
+
+func (h *heldSource) since(n int) []dataset.SampleID {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return slices.Clone(h.fetched[n:])
 }
 
 // requireSlotWaiters waits for a quiet point and fails unless exactly n
@@ -410,11 +487,7 @@ func requireSlotWaiters(t *testing.T, n int) {
 // first, then to B — a later arrival never overtakes an earlier one.
 func TestReadBudgetIsFIFO(t *testing.T) {
 	inBubble(t, func(t *testing.T) {
-		inner, err := storage.NewDataSource(testSpec())
-		if err != nil {
-			t.Fatal(err)
-		}
-		src := &heldSource{ByteSource: inner, entered: make(chan dataset.SampleID, 128), release: make(chan struct{})}
+		src := newHeldSource(t, nil, holdAll)
 		_, get := gatherFixture(t, src)
 		var wg sync.WaitGroup
 		start := func(ids []dataset.SampleID) {
@@ -428,7 +501,7 @@ func TestReadBudgetIsFIFO(t *testing.T) {
 		}
 		start(missRange(1000, backendReadBudget))
 		for i := 0; i < backendReadBudget; i++ {
-			<-src.entered
+			src.awaitEntered(t)
 		}
 		const a, b = dataset.SampleID(1500), dataset.SampleID(1600)
 		start([]dataset.SampleID{a})
@@ -437,11 +510,11 @@ func TestReadBudgetIsFIFO(t *testing.T) {
 		requireSlotWaiters(t, 2)
 		for _, want := range []dataset.SampleID{a, b} {
 			src.release <- struct{}{}
-			if got := <-src.entered; got != want {
+			if got := src.awaitEntered(t); got != want {
 				t.Fatalf("a freed slot went to the read of sample %d, want %d (arrival order)", got, want)
 			}
 		}
-		close(src.release)
+		src.open()
 		wg.Wait()
 	})
 }

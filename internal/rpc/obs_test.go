@@ -26,6 +26,7 @@ import (
 	"icache/internal/storage"
 	"icache/internal/top"
 	"icache/internal/trace"
+	"icache/internal/vt"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
@@ -178,10 +179,12 @@ func TestPrometheusExpositionHeaders(t *testing.T) {
 // Every sample is an H-sample, several times more than the cache holds, and
 // their importance rotates while the traffic runs: each rotation makes
 // samples the cache does not hold outrank its residents, so misses keep
-// being admitted over them until the last scrape.
+// being admitted over them until the last scrape. The traffic never pauses,
+// so the scrapes start at an event: the first eviction a worker sees.
 func TestPrometheusExpositionAddsUpUnderLoad(t *testing.T) {
 	srv, addr, _ := startServer(t)
-	stop := make(chan struct{})
+	stop, evicted := make(chan struct{}), make(chan struct{})
+	var evictedOnce sync.Once
 	var wg sync.WaitGroup
 	ctl, n := dial(t, addr), testSpec().NumSamples
 	rotate := func(shift int) error {
@@ -225,13 +228,16 @@ func TestPrometheusExpositionAddsUpUnderLoad(t *testing.T) {
 					t.Error(err)
 					return
 				}
+				if srv.DecisionStats().EvictTotal > 0 {
+					evictedOnce.Do(func() { close(evicted) })
+				}
 			}
 		}(dataset.SampleID(w * 640))
 	}
-	for dl := time.Now().Add(10 * time.Second); scrape(t, srv)["icache_evict_reasoned_total"] == 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(dl) { // the scrapes below must run beside evicting traffic
-			t.Fatal("traffic evicted nothing in 10s")
-		}
+	select { // the scrapes below must run beside evicting traffic
+	case <-evicted:
+	case <-time.After(10 * time.Second):
+		t.Fatal("traffic evicted nothing in 10s")
 	}
 	first := scrape(t, srv)["icache_evict_reasoned_total"]
 	var m map[string]float64
@@ -274,10 +280,7 @@ func startTracedDistFixture(t *testing.T, inj *faults.Injector, dialDir func(add
 	dirSrv := dkv.NewDirServer(dir)
 	dirTrc := trace.NewRecorder(1 << 14)
 	dirSrv.EnableObs(obs.NewRegistry(), dirTrc)
-	dirLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	dirLn := listen(t)
 	go dirSrv.Serve(dirLn)
 	t.Cleanup(func() { dirSrv.Close() })
 
@@ -295,10 +298,7 @@ func startTracedDistFixture(t *testing.T, inj *faults.Injector, dialDir func(add
 		f.nodes[n] = newSeededServer(t, int64(n+5), source)
 		f.tracers[n] = trace.NewRecorder(1 << 14)
 		f.nodes[n].EnableObs(obs.NewRegistry(), f.tracers[n])
-		lns[n], err = net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
+		lns[n] = listen(t)
 		f.addrs[n] = lns[n].Addr().String()
 	}
 	if inj != nil {
@@ -339,40 +339,40 @@ func (f *tracedDistFixture) allSpans(client *trace.Recorder) []trace.Event {
 // peer node 0 (hop 2). Merging every participant's ring must reconstruct
 // the full chain.
 func TestTracedRequestFullHopChain(t *testing.T) {
-	f := startTracedDistFixture(t, nil, nil)
+	inBubble(t, func(t *testing.T) {
+		f := startTracedDistFixture(t, nil, nil)
 
-	cA := dial(t, f.addrs[0])
-	cB := dial(t, f.addrs[1])
-	ids := hotIDs(t, cA, 12)
-	hotIDs(t, cB, 12) // same H-list on node 1, so serving is exact
-	// Node 0 fetches and claims the samples.
-	if _, err := cA.GetBatch(ids); err != nil {
-		t.Fatal(err)
-	}
-
-	// Trace every request from this client.
-	clientTrc := trace.NewRecorder(1 << 12)
-	cB.EnableObs(nil, clientTrc, obs.NewSampler(1))
-	samples, err := cB.GetBatch(ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range samples {
-		if s.ID != ids[i] {
-			t.Fatalf("H-sample %d substituted", ids[i])
+		cA := dial(t, f.addrs[0])
+		cB := dial(t, f.addrs[1])
+		ids := hotIDs(t, cA, 12)
+		hotIDs(t, cB, 12) // same H-list on node 1, so serving is exact
+		// Node 0 fetches and claims the samples.
+		if _, err := cA.GetBatch(ids); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, hits := f.nodes[1].PeerStats(); hits == 0 {
-		t.Fatal("node 1 recorded no peer hits; the chain under test did not happen")
-	}
 
-	// At least one chain must span all three hops with the expected kinds.
-	// Node 1 records its own recv span after it has written the response, so
-	// the client can get here first: wait for the span, do not race it.
-	var chains []*trace.Chain
-	var full *trace.Chain
-	for deadline := time.Now().Add(5 * time.Second); full == nil && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-		chains = trace.Chains(f.allSpans(clientTrc))
+		// Trace every request from this client.
+		clientTrc := trace.NewRecorder(1 << 12)
+		cB.EnableObs(nil, clientTrc, obs.NewSampler(1))
+		samples, err := cB.GetBatch(ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range samples {
+			if s.ID != ids[i] {
+				t.Fatalf("H-sample %d substituted", ids[i])
+			}
+		}
+		if _, hits := f.nodes[1].PeerStats(); hits == 0 {
+			t.Fatal("node 1 recorded no peer hits; the chain under test did not happen")
+		}
+
+		// At least one chain must span all three hops with the expected kinds.
+		// Node 1 records its own recv span after it has written the response, so
+		// the client can get here first: read the spans at a quiet point.
+		vt.Wait()
+		chains := trace.Chains(f.allSpans(clientTrc))
+		var full *trace.Chain
 		for _, ch := range chains {
 			hops := map[uint8]map[trace.Kind]int{}
 			for _, sp := range ch.Spans {
@@ -389,30 +389,30 @@ func TestTracedRequestFullHopChain(t *testing.T) {
 				break
 			}
 		}
-	}
-	if len(chains) == 0 {
-		t.Fatal("no trace chains reconstructed")
-	}
-	if full == nil {
-		for _, ch := range chains {
-			t.Logf("chain %016x: %d spans", ch.TraceID, len(ch.Spans))
-			for _, sp := range ch.Spans {
-				t.Logf("  hop %d %s arg=%d dur=%s", sp.Hop, sp.Kind, sp.Arg, sp.Dur)
+		if len(chains) == 0 {
+			t.Fatal("no trace chains reconstructed")
+		}
+		if full == nil {
+			for _, ch := range chains {
+				t.Logf("chain %016x: %d spans", ch.TraceID, len(ch.Spans))
+				for _, sp := range ch.Spans {
+					t.Logf("  hop %d %s arg=%d dur=%s", sp.Hop, sp.Kind, sp.Arg, sp.Dur)
+				}
+			}
+			t.Fatal("no chain reconstructs client -> node -> {directory, peer}")
+		}
+		// Every span carries the chain's trace ID (Chains groups by ID, so
+		// corruption would have splintered the chain instead; assert the root
+		// duration is sane: the client round trip bounds every inner span).
+		for _, sp := range full.Spans {
+			if sp.TraceID != full.TraceID {
+				t.Fatalf("span trace ID %016x in chain %016x", sp.TraceID, full.TraceID)
+			}
+			if sp.Hop > 0 && sp.Dur > 2*full.Root+time.Second {
+				t.Fatalf("inner span dur %s exceeds root %s beyond tolerance", sp.Dur, full.Root)
 			}
 		}
-		t.Fatal("no chain reconstructs client -> node -> {directory, peer}")
-	}
-	// Every span carries the chain's trace ID (Chains groups by ID, so
-	// corruption would have splintered the chain instead; assert the root
-	// duration is sane: the client round trip bounds every inner span).
-	for _, sp := range full.Spans {
-		if sp.TraceID != full.TraceID {
-			t.Fatalf("span trace ID %016x in chain %016x", sp.TraceID, full.TraceID)
-		}
-		if sp.Hop > 0 && sp.Dur > 2*full.Root+time.Second {
-			t.Fatalf("inner span dur %s exceeds root %s beyond tolerance", sp.Dur, full.Root)
-		}
-	}
+	})
 }
 
 // TestTracedChainSurvivesPeerFault injects connection faults on the peer
@@ -523,36 +523,37 @@ func (d *lateDir) LookupBatchCtx(ids []dataset.SampleID, ctx obs.TraceCtx, dl ti
 // rpc_recv span under the client's trace id at hop 1 and the budget it was
 // handed — and is answered whole.
 func TestTracedDeadlinedGetBatchCtx(t *testing.T) {
-	_, addr, reg, srvTrc := startObsServer(t)
-	c := dial(t, addr)
-	clientTrc := trace.NewRecorder(1 << 10)
-	c.EnableObs(nil, clientTrc, obs.NewSampler(1))
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	ids := []dataset.SampleID{3, 4, 5}
-	if samples, err := c.GetBatchCtx(ctx, ids); err != nil || len(samples) != len(ids) {
-		t.Fatalf("GetBatchCtx: %d samples, %v; want %d", len(samples), err, len(ids))
-	}
-	var traceID uint64
-	for _, ev := range clientTrc.Snapshot() {
-		if ev.Kind == trace.KindRPCSend {
-			traceID = ev.TraceID
+	inBubble(t, func(t *testing.T) {
+		_, addr, reg, srvTrc := startObsServer(t)
+		c := dial(t, addr)
+		clientTrc := trace.NewRecorder(1 << 10)
+		c.EnableObs(nil, clientTrc, obs.NewSampler(1))
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		ids := []dataset.SampleID{3, 4, 5}
+		if samples, err := c.GetBatchCtx(ctx, ids); err != nil || len(samples) != len(ids) {
+			t.Fatalf("GetBatchCtx: %d samples, %v; want %d", len(samples), err, len(ids))
 		}
-	}
-	var recv []trace.Event
-	for deadline := time.Now().Add(5 * time.Second); len(recv) == 0 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		var traceID uint64
+		for _, ev := range clientTrc.Snapshot() {
+			if ev.Kind == trace.KindRPCSend {
+				traceID = ev.TraceID
+			}
+		}
+		var recv []trace.Event
+		vt.Wait() // the server records its span after it has answered
 		for _, ev := range srvTrc.Snapshot() {
 			if ev.Kind == trace.KindRPCRecv && ev.TraceID == traceID {
 				recv = append(recv, ev)
 			}
 		}
-	}
-	if traceID == 0 || len(recv) != 1 || recv[0].Hop != 1 {
-		t.Fatalf("server rpc_recv spans under trace %x = %+v, want one at hop 1", traceID, recv)
-	}
-	if n := reg.Hist(StageDeadlineRemaining).Snapshot().Count; n != 1 {
-		t.Fatalf("server recorded %d deadline budgets, want the request's one", n)
-	}
+		if traceID == 0 || len(recv) != 1 || recv[0].Hop != 1 {
+			t.Fatalf("server rpc_recv spans under trace %x = %+v, want one at hop 1", traceID, recv)
+		}
+		if n := reg.Hist(StageDeadlineRemaining).Snapshot().Count; n != 1 {
+			t.Fatalf("server recorded %d deadline budgets, want the request's one", n)
+		}
+	})
 }
 
 // TestTracedDeadlineReachesDirectory: a traced GetBatchCtx keeps BOTH its
@@ -612,12 +613,23 @@ func TestTracedDeadlineReachesDirectory(t *testing.T) {
 					traceID = ev.TraceID
 				}
 			}
+			if sd, ok := late[1].Service.(*dkv.ShardedDir); ok {
+				if st := sd.Ring(); st.Failovers != 0 {
+					t.Fatalf("a replica that answered \"too late\" was failed over: %+v", st)
+				}
+			}
+			// The directory records its span before it answers, but node 1 gave
+			// up on the lookup without waiting (its budget was spent). A second
+			// lookup on the same connection is read after it, and a closed
+			// directory has finished every request it read.
+			if _, err := late[1].LookupBatch(ids); err != nil {
+				t.Fatal(err)
+			}
+			f.dirSrv.Close()
 			var recv []trace.Event
-			for deadline := time.Now().Add(5 * time.Second); len(recv) == 0 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-				for _, ev := range f.dirTrc.Snapshot() {
-					if ev.Kind == trace.KindRPCRecv && ev.TraceID == traceID {
-						recv = append(recv, ev)
-					}
+			for _, ev := range f.dirTrc.Snapshot() {
+				if ev.Kind == trace.KindRPCRecv && ev.TraceID == traceID {
+					recv = append(recv, ev)
 				}
 			}
 			if traceID == 0 || len(recv) != 1 || recv[0].Hop != 2 {
@@ -625,11 +637,6 @@ func TestTracedDeadlineReachesDirectory(t *testing.T) {
 			}
 			if _, expired := f.dirSrv.OverloadCounters(); expired != 1 {
 				t.Fatalf("directory dropped %d requests as expired, want the one lookup", expired)
-			}
-			if sd, ok := late[1].Service.(*dkv.ShardedDir); ok {
-				if st := sd.Ring(); st.Failovers != 0 {
-					t.Fatalf("a replica that answered \"too late\" was failed over: %+v", st)
-				}
 			}
 		})
 	}

@@ -11,12 +11,12 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"icache/internal/dataset"
 	"icache/internal/dkv"
+	"icache/internal/faults"
 	"icache/internal/overload"
 	"icache/internal/retry"
 	"icache/internal/sampling"
@@ -168,43 +168,13 @@ func TestDeadlineExceededClientClassification(t *testing.T) {
 	}
 }
 
-// slowGate is a toggleable per-read stall shared by every connection of one
-// wrapped listener — the "delay-faulted peer" of the chaos test. Unlike a
-// dropped connection, a delayed one holds TCP open while answering nothing,
-// which is exactly the failure a per-RPC deadline plus circuit breaker must
-// bound.
-type slowGate struct{ delayNanos int64 }
-
-func (g *slowGate) set(d time.Duration) { atomic.StoreInt64(&g.delayNanos, int64(d)) }
-
-type slowConn struct {
-	net.Conn
-	g *slowGate
-}
-
-func (c slowConn) Read(p []byte) (int, error) {
-	if d := atomic.LoadInt64(&c.g.delayNanos); d > 0 {
-		time.Sleep(time.Duration(d))
-	}
-	return c.Conn.Read(p)
-}
-
-type slowListener struct {
-	net.Listener
-	g *slowGate
-}
-
-func (l slowListener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return slowConn{Conn: c, g: l.g}, nil
-}
-
-// TestChaosOverloadDelayedPeer runs the two-node deployment with node B
-// behind a read-stalling listener, in a bubble (the stall, the peer timeout
-// and the breaker's cooldown are exact on its clock). Node A's clients must keep completing
+// TestChaosOverloadDelayedPeer runs the two-node deployment with node B's
+// listener behind a fault injector whose OpConnRead delay rule stalls every
+// read for a window, in a bubble (the window, the stall, the peer timeout and
+// the breaker's cooldown are exact on its clock). Unlike a dropped
+// connection, a delayed one holds the connection open while answering
+// nothing, which is exactly the failure a per-RPC deadline plus circuit
+// breaker must bound. Node A's clients must keep completing
 // batches within their deadline (peer RPC timeout -> backend fallback), the
 // per-peer breaker must trip within its consecutive-failure threshold and
 // then fail fast, and once the stall lifts a half-open probe must re-close
@@ -227,6 +197,9 @@ func chaosDelayedPeer(t *testing.T, seed int64) {
 		brkThresh   = 2
 		maxRounds   = 12
 		stall       = 150 * time.Millisecond
+		// stallFor is how long the stall lasts: past the breaker's trip
+		// (brkThresh+1 rounds of at most peerTimeout) and its fast-fail round.
+		stallFor = 400 * time.Millisecond
 	)
 	batch := 6 + int(seed%5) // seed-varied batch shape
 
@@ -236,7 +209,8 @@ func chaosDelayedPeer(t *testing.T, seed int64) {
 	go dirSrv.Serve(dirLn)
 	t.Cleanup(func() { dirSrv.Close() })
 
-	stallGate := &slowGate{}
+	inj := faults.New(seed)
+	t0 := time.Now() // the injector's epoch: its rule windows count from here
 	var nodes [2]*Server
 	var addrs [2]string
 	var lns [2]net.Listener
@@ -259,7 +233,7 @@ func chaosDelayedPeer(t *testing.T, seed int64) {
 		nodes[n].EnableDistributed(dkv.NodeID(n), dirClient, peer)
 		ln := lns[n]
 		if n == 1 {
-			ln = slowListener{Listener: ln, g: stallGate} // node B is the delay-faulted peer
+			ln = faults.WrapListener(ln, inj) // node B is the delay-faulted peer
 		}
 		go nodes[n].Serve(ln)
 	}
@@ -335,10 +309,11 @@ func chaosDelayedPeer(t *testing.T, seed int64) {
 		}
 	}
 
-	// Phase 1 — stall on. Every batch must still complete, bounded by the
-	// peer RPC timeout plus the backend fallback, and the breaker must trip
-	// within its consecutive-failure threshold.
-	stallGate.set(stall)
+	// Phase 1 — stall on, until stallEnd. Every batch must still complete,
+	// bounded by the peer RPC timeout plus the backend fallback, and the
+	// breaker must trip within its consecutive-failure threshold.
+	stallEnd := time.Since(t0) + stallFor
+	inj.Add(faults.Rule{Op: faults.OpConnRead, Delay: stall, FromTime: time.Since(t0), UntilTime: stallEnd})
 	tripRounds := 0
 	for r := 0; r < maxRounds; r++ {
 		round(2 * time.Second)
@@ -369,9 +344,13 @@ func chaosDelayedPeer(t *testing.T, seed int64) {
 		t.Fatal("stalled peer RPCs were not counted as peer failures")
 	}
 
+	if el := time.Since(t0); el >= stallEnd {
+		t.Fatalf("phase 1 ran until %v, past the stall's end at %v", el, stallEnd)
+	}
+
 	// Phase 2 — stall off. Past the cooldown, the next round's half-open
 	// probe must re-close the breaker and peer serving must resume.
-	stallGate.set(0)
+	time.Sleep(stallEnd - time.Since(t0))
 	time.Sleep(brkCooldown + 40*time.Millisecond)
 	round(2 * time.Second)
 	bs = nodes[0].PeerBreakerStats()[1]
@@ -381,8 +360,17 @@ func chaosDelayedPeer(t *testing.T, seed int64) {
 	if bs.State != overload.BreakerClosed {
 		t.Fatalf("breaker state %v after recovery, want closed", bs.State)
 	}
-	if _, hits := nodes[0].PeerStats(); hits == 0 {
+	_, hits := nodes[0].PeerStats()
+	if hits == 0 {
 		t.Fatal("no peer hits after recovery — the half-open probe result was wasted")
+	}
+	// The stall is over, not only idle: a delay rule stalls a read from the
+	// moment the read is asked for, and node B's read loop asked long before
+	// the probe came. A round right behind the probe meets a fresh read.
+	round(2 * time.Second)
+	if _, h := nodes[0].PeerStats(); h == hits || nodes[0].PeerBreakerStats()[1] != bs {
+		t.Fatalf("the round after the probe: %d peer hits (from %d), breaker %+v; want more hits, breaker unchanged",
+			h, hits, nodes[0].PeerBreakerStats()[1])
 	}
 
 	// Conservation, exact: retry-free clients mean every offered id is

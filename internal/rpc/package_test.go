@@ -10,7 +10,6 @@ package rpc
 import (
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 	"time"
 
@@ -18,58 +17,8 @@ import (
 	"icache/internal/dkv"
 	"icache/internal/overload"
 	"icache/internal/sampling"
-	"icache/internal/storage"
 	"icache/internal/vt"
 )
-
-// holdSource logs every fetched id and blocks each fetch until open is
-// called.
-type holdSource struct {
-	inner   ByteSource
-	release chan struct{}
-	once    sync.Once
-
-	mu      sync.Mutex
-	fetched []dataset.SampleID
-}
-
-func newHoldSource(t *testing.T, held bool) *holdSource {
-	t.Helper()
-	inner, err := storage.NewDataSource(testSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := &holdSource{inner: inner, release: make(chan struct{})}
-	if !held {
-		h.open()
-	}
-	return h
-}
-
-func (h *holdSource) open() { h.once.Do(func() { close(h.release) }) }
-
-func (h *holdSource) Spec() dataset.Spec { return h.inner.Spec() }
-
-func (h *holdSource) Fetch(id dataset.SampleID) ([]byte, error) {
-	h.mu.Lock()
-	h.fetched = append(h.fetched, id)
-	h.mu.Unlock()
-	<-h.release
-	return h.inner.Fetch(id)
-}
-
-// since returns the ids fetched after the first n fetches.
-func (h *holdSource) since(n int) []dataset.SampleID {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return slices.Clone(h.fetched[n:])
-}
-
-func (h *holdSource) reads() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.fetched)
-}
 
 // waitLoaded waits for a bubble's quiet point, at which every package member
 // read that does not sleep has landed, and fails if a package is still in
@@ -169,7 +118,7 @@ func TestLResidentsHaveBytes(t *testing.T) {
 // substitute twice in one epoch.
 func TestSubstituteIsAMemoryRead(t *testing.T) {
 	inBubble(t, func(t *testing.T) {
-		src := newHoldSource(t, false)
+		src := newHeldSource(t, nil, holdNone)
 		srv := newUnstartedServer(t, src)
 		cl := dial(t, serveOn(t, srv))
 		spec := testSpec()
@@ -265,7 +214,7 @@ func brownout(t *testing.T, srv *Server) (normal func()) {
 func TestPackageLifecycle(t *testing.T) {
 	t.Run("OneInFlight", func(t *testing.T) {
 		inBubble(t, func(t *testing.T) {
-			src := newHoldSource(t, true)
+			src := newHeldSource(t, nil, holdAll)
 			srv := newUnstartedServer(t, src)
 			cl := dial(t, serveOn(t, srv))
 			// Registered last, so it runs before the server's Close, which waits
@@ -308,7 +257,7 @@ func TestPackageLifecycle(t *testing.T) {
 
 	t.Run("BrownoutHoldsLoading", func(t *testing.T) {
 		inBubble(t, func(t *testing.T) {
-			src := newHoldSource(t, false)
+			src := newHeldSource(t, nil, holdNone)
 			srv := newUnstartedServer(t, src)
 			normal := brownout(t, srv)
 			cl := dial(t, serveOn(t, srv))

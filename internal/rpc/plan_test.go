@@ -81,71 +81,6 @@ func waitPlanSettled(t testing.TB, srv *Server) {
 	}
 }
 
-// gatedSource counts backend fetches per sample and blocks the fetch of one
-// designated sample until released, so a test can hold the (single) prefetch
-// worker mid-fetch with the rest of the plan still queued behind it.
-type gatedSource struct {
-	inner   ByteSource
-	gate    dataset.SampleID
-	entered chan struct{} // closed when the gated fetch begins
-	release chan struct{} // the gated fetch blocks until this closes
-	once    sync.Once
-
-	mu     sync.Mutex
-	counts map[dataset.SampleID]int
-}
-
-func newGatedSource(t *testing.T, inner ByteSource, gate dataset.SampleID) *gatedSource {
-	t.Helper()
-	if inner == nil {
-		src, err := storage.NewDataSource(testSpec())
-		if err != nil {
-			t.Fatal(err)
-		}
-		inner = src
-	}
-	return &gatedSource{inner: inner, gate: gate, entered: make(chan struct{}),
-		release: make(chan struct{}), counts: make(map[dataset.SampleID]int)}
-}
-
-func (g *gatedSource) Spec() dataset.Spec { return g.inner.Spec() }
-
-func (g *gatedSource) Fetch(id dataset.SampleID) ([]byte, error) {
-	g.mu.Lock()
-	g.counts[id]++
-	g.mu.Unlock()
-	if id == g.gate {
-		g.once.Do(func() { close(g.entered) })
-		<-g.release
-	}
-	return g.inner.Fetch(id)
-}
-
-func (g *gatedSource) count(id dataset.SampleID) int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.counts[id]
-}
-
-func (g *gatedSource) total() (n int) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, c := range g.counts {
-		n += c
-	}
-	return n
-}
-
-// awaitEntered waits for the gated fetch to begin.
-func (g *gatedSource) awaitEntered(t *testing.T) {
-	t.Helper()
-	select {
-	case <-g.entered:
-	case <-time.After(10 * time.Second):
-		t.Fatal("the gated sample's prefetch never reached the backend")
-	}
-}
-
 // crossBoundary settles the pool, crosses an epoch boundary with cross and
 // pins what the boundary did to the prefetch-outcome ledger, read on either
 // side of it: the sweep booked wasted exactly the tokens the finished epoch
@@ -182,14 +117,12 @@ func crossBoundary(t *testing.T, srv *Server, when string, cross func() error) (
 func TestPlanPromotionNoDoubleFetch(t *testing.T) {
 	inBubble(t, func(t *testing.T) {
 		const plug, target = dataset.SampleID(3), dataset.SampleID(7)
-		g := newGatedSource(t, nil, plug)
+		g := newHeldSource(t, nil, plug)
 		// One worker: while it is held inside plug's fetch, target's planned
 		// entry sits queued and unstarted — the plan was queued whole before the
 		// boundary was answered.
 		srv, addr := startPlanTestServer(t, g, 1)
-		var relOnce sync.Once
-		release := func() { relOnce.Do(func() { close(g.release) }) }
-		t.Cleanup(release) // never leave the worker blocked on a failed test
+		t.Cleanup(g.open) // never leave the worker blocked on a failed test
 
 		cl := dial(t, addr)
 		items := []sampling.Item{{ID: plug, IV: 10}, {ID: target, IV: 9}}
@@ -214,7 +147,7 @@ func TestPlanPromotionNoDoubleFetch(t *testing.T) {
 			t.Fatalf("backend fetched sample %d %d times during the demand read; want exactly 1", target, got)
 		}
 
-		release()
+		g.open()
 		// The worker finishes plug, then dequeues target's cancelled entry and
 		// must skip it without touching the backend.
 		waitPlanSettled(t, srv)
@@ -249,11 +182,9 @@ func TestPlanJoinedPrefetchIsLate(t *testing.T) {
 		// A request Begins every one of its keys before it fetches any, so mark
 		// entering Fetch proves the request has already joined plug's call.
 		marked := &faultySource{inner: inner, bad: -1, mark: mark, marked: make(chan struct{})}
-		g := newGatedSource(t, marked, plug)
+		g := newHeldSource(t, marked, plug)
 		srv, addr := startPlanTestServer(t, g, 1)
-		var relOnce sync.Once
-		release := func() { relOnce.Do(func() { close(g.release) }) }
-		t.Cleanup(release)
+		t.Cleanup(g.open)
 
 		cl := dial(t, addr)
 		if err := cl.UpdateImportance([]sampling.Item{{ID: plug, IV: 10}, {ID: mark, IV: 9}}); err != nil {
@@ -270,7 +201,7 @@ func TestPlanJoinedPrefetchIsLate(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatal("the demand request never reached the backend")
 		}
-		release()
+		g.open()
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
@@ -379,7 +310,7 @@ func TestPlanConservationAcrossEpochs(t *testing.T) {
 // exactly at the next boundary.
 func TestPlanBrownoutHoldsTheQueue(t *testing.T) {
 	inBubble(t, func(t *testing.T) {
-		g := newGatedSource(t, nil, -1)
+		g := newHeldSource(t, nil, holdNone)
 		srv := newUnstartedServer(t, g)
 		gate := overload.NewGate(overload.GateConfig{TargetDelay: time.Millisecond, Window: 10 * time.Millisecond})
 		srv.SetAdmission(gate)
@@ -406,7 +337,7 @@ func TestPlanBrownoutHoldsTheQueue(t *testing.T) {
 			t.Fatal(err)
 		}
 		vt.Wait() // every worker that could read has
-		if n := g.total(); n != 0 {
+		if n := g.reads(); n != 0 {
 			t.Fatalf("%d backend reads in Brownout; want none", n)
 		}
 		// The boundary also composed an L-cache package: its members wait too.
@@ -460,7 +391,7 @@ func (d *slowDir) LookupBatch(ids []dataset.SampleID) ([]dkv.Owner, error) {
 func TestPlanOvertakenBuildIsDropped(t *testing.T) {
 	inBubble(t, func(t *testing.T) {
 		stale, cur := []dataset.SampleID{1, 2, 3, 4}, []dataset.SampleID{5, 6, 7, 8}
-		g := newGatedSource(t, nil, -1)
+		g := newHeldSource(t, nil, holdNone)
 		srv := newUnstartedServer(t, g)
 		dir := &slowDir{Local: dkv.Local{Dir: dkv.NewDirectory()}, gate: stale[0],
 			entered: make(chan struct{}), release: make(chan struct{})}
@@ -517,18 +448,17 @@ func TestPlanOvertakenBuildIsDropped(t *testing.T) {
 func TestPlanBuildKeepsPreplacedEntries(t *testing.T) {
 	inBubble(t, func(t *testing.T) {
 		own, plug, peer := []dataset.SampleID{1, 2, 3, 4}, dataset.SampleID(9), []dataset.SampleID{5, 6, 7, 8}
-		g := newGatedSource(t, nil, plug)
+		g := newHeldSource(t, nil, plug)
 		srv := newUnstartedServer(t, g)
 		withWorkers(srv, 1)
 		dir := &slowDir{Local: dkv.Local{Dir: dkv.NewDirectory()}, gate: own[0],
 			entered: make(chan struct{}), release: make(chan struct{})}
 		srv.EnableDistributed(0, dir, nil)
 		addr := serveOn(t, srv)
-		var dirOnce, srcOnce sync.Once
+		var dirOnce sync.Once
 		releaseDir := func() { dirOnce.Do(func() { close(dir.release) }) }
-		releaseSrc := func() { srcOnce.Do(func() { close(g.release) }) }
 		t.Cleanup(releaseDir)
-		t.Cleanup(releaseSrc)
+		t.Cleanup(g.open)
 
 		cA, cB := dial(t, addr), dial(t, addr)
 		preplaced := append([]dataset.SampleID{plug}, peer...)
@@ -554,7 +484,7 @@ func TestPlanBuildKeepsPreplacedEntries(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
-		releaseSrc()
+		g.open()
 		waitPlanSettled(t, srv)
 		for _, id := range peer {
 			if n := g.count(id); n != 1 || !srv.payloads.has(id) {
@@ -579,11 +509,9 @@ func TestPlainBoundaryEndsThePlan(t *testing.T) {
 	inBubble(t, func(t *testing.T) {
 		const plug = dataset.SampleID(1)
 		rest := []dataset.SampleID{2, 3, 4, 5}
-		g := newGatedSource(t, nil, plug)
+		g := newHeldSource(t, nil, plug)
 		srv, addr := startPlanTestServer(t, g, 1)
-		var relOnce sync.Once
-		release := func() { relOnce.Do(func() { close(g.release) }) }
-		t.Cleanup(release)
+		t.Cleanup(g.open)
 
 		cl := dial(t, addr)
 		ids := append([]dataset.SampleID{plug}, rest...)
@@ -603,7 +531,7 @@ func TestPlainBoundaryEndsThePlan(t *testing.T) {
 		if err := cl.BeginEpoch(2); err != nil {
 			t.Fatal(err)
 		}
-		release()
+		g.open()
 		waitPlanSettled(t, srv)
 		for _, id := range rest {
 			if n := g.count(id); n != 0 {

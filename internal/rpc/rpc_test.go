@@ -379,26 +379,25 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
+// TestServerCloseUnblocksServe: Close returns a Serve blocked in Accept.
 func TestServerCloseUnblocksServe(t *testing.T) {
-	srv := newSeededServer(t, 5, nil)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	time.Sleep(20 * time.Millisecond)
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-errc:
-		if !errors.Is(err, net.ErrClosed) {
-			t.Fatalf("Serve returned %v, want net.ErrClosed", err)
+	inBubble(t, func(t *testing.T) {
+		srv := newSeededServer(t, 5, nil)
+		errc := make(chan error, 1)
+		go func() { errc <- srv.Serve(listen(t)) }()
+		vt.Wait() // Serve is blocked in Accept
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Serve did not return after Close")
-	}
+		select {
+		case err := <-errc:
+			if !errors.Is(err, net.ErrClosed) {
+				t.Fatalf("Serve returned %v, want net.ErrClosed", err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("Serve did not return after Close")
+		}
+	})
 }
 
 func TestFrameRoundTripProperty(t *testing.T) {

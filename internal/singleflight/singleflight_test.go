@@ -5,7 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
+
+	"icache/internal/vt"
 )
 
 func TestDoBasic(t *testing.T) {
@@ -29,54 +30,54 @@ func TestDoError(t *testing.T) {
 }
 
 func TestDoCoalescesConcurrentCalls(t *testing.T) {
-	var g Group
-	var execs int64
-	release := make(chan struct{})
-	started := make(chan struct{})
+	vt.Run(t, func(t *testing.T) {
+		var g Group
+		var execs int64
+		release := make(chan struct{})
+		started := make(chan struct{})
 
-	const waiters = 16
-	var wg sync.WaitGroup
-	vals := make([][]byte, waiters)
-	sharedCount := int64(0)
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			v, err, shared := g.Do(7, func() ([]byte, error) {
-				atomic.AddInt64(&execs, 1)
-				close(started)
-				<-release
-				return []byte("payload"), nil
-			})
-			if err != nil {
-				t.Error(err)
-			}
-			if shared {
-				atomic.AddInt64(&sharedCount, 1)
-			}
-			vals[i] = v
-		}(i)
-	}
-	<-started
-	// Give the other goroutines a moment to pile onto the in-flight call.
-	time.Sleep(20 * time.Millisecond)
-	close(release)
-	wg.Wait()
-
-	if got := atomic.LoadInt64(&execs); got != 1 {
-		t.Fatalf("fn executed %d times, want 1", got)
-	}
-	// At least the late arrivals must have been marked shared (timing may
-	// let a few run after completion and re-execute is impossible here
-	// since release blocks until all are queued — all but one share).
-	if got := atomic.LoadInt64(&sharedCount); got != waiters-1 {
-		t.Fatalf("shared=%d, want %d", got, waiters-1)
-	}
-	for i, v := range vals {
-		if string(v) != "payload" {
-			t.Fatalf("waiter %d got %q", i, v)
+		const waiters = 16
+		var wg sync.WaitGroup
+		vals := make([][]byte, waiters)
+		sharedCount := int64(0)
+		for i := 0; i < waiters; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				v, err, shared := g.Do(7, func() ([]byte, error) {
+					atomic.AddInt64(&execs, 1)
+					close(started)
+					<-release
+					return []byte("payload"), nil
+				})
+				if err != nil {
+					t.Error(err)
+				}
+				if shared {
+					atomic.AddInt64(&sharedCount, 1)
+				}
+				vals[i] = v
+			}(i)
 		}
-	}
+		<-started
+		vt.Wait() // every other caller has joined the in-flight call
+		close(release)
+		wg.Wait()
+
+		if got := atomic.LoadInt64(&execs); got != 1 {
+			t.Fatalf("fn executed %d times, want 1", got)
+		}
+		// release waits until every caller has joined: all but the one that
+		// executed share its result.
+		if got := atomic.LoadInt64(&sharedCount); got != waiters-1 {
+			t.Fatalf("shared=%d, want %d", got, waiters-1)
+		}
+		for i, v := range vals {
+			if string(v) != "payload" {
+				t.Fatalf("waiter %d got %q", i, v)
+			}
+		}
+	})
 }
 
 func TestDoDistinctKeysRunIndependently(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"icache/internal/dataset"
 	"icache/internal/faults"
 	"icache/internal/simclock"
+	"icache/internal/vt"
 )
 
 func testSpec() dataset.Spec {
@@ -237,6 +238,35 @@ func TestDataSourceFailureInjection(t *testing.T) {
 	if _, err := src.Fetch(0); err != nil {
 		t.Fatalf("fetch after injections exhausted: %v", err)
 	}
+}
+
+// TestDataSourceDelayRule: a DelayEvery rule on OpSourceFetch is how a test
+// makes the backend slow. In a bubble each Fetch takes exactly the rule's
+// delay of virtual time, serves the sample's bytes, and is counted once in
+// Reads and once in the injector's calls.
+func TestDataSourceDelayRule(t *testing.T) {
+	vt.Run(t, func(t *testing.T) {
+		spec := testSpec()
+		src, err := NewDataSource(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const d = 3 * time.Millisecond
+		src.Injector().Add(faults.DelayEvery(faults.OpSourceFetch, 1, d))
+		for i := 1; i <= 3; i++ {
+			t0 := time.Now()
+			got, err := src.Fetch(dataset.SampleID(i))
+			if el := time.Since(t0); el != d {
+				t.Fatalf("fetch %d took %v of virtual time, want %v", i, el, d)
+			}
+			if err != nil || spec.VerifyPayload(dataset.SampleID(i), got) != nil {
+				t.Fatalf("fetch %d behind a delay: %v", i, err)
+			}
+			if r, c := src.Reads(), src.Injector().Calls(faults.OpSourceFetch); r != int64(i) || c != int64(i) {
+				t.Fatalf("after %d fetches: Reads %d, injector calls %d", i, r, c)
+			}
+		}
+	})
 }
 
 // TestDataSourceConcurrentFailureInjection hammers Fetch from many

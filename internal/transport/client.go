@@ -108,7 +108,7 @@ func Dial(addr string, cfg DialConfig, breakerOK func(error) bool) (*Client, err
 	if c.muxInflight <= 0 {
 		c.muxInflight = DefaultMuxInflight
 	}
-	err := retry.Do(c.policy, c.rng, nil, func(attempt int) (err error) {
+	err := retry.Do(c.policy, c.rng, time.Time{}, func(attempt int) (err error) {
 		if attempt == 1 {
 			c.retries.Add(1)
 		}
@@ -232,20 +232,20 @@ func (c *Client) Call(req []byte, dl time.Time) (*wire.Reader, *wire.Buffer, err
 	deadline := c.bound(dl)
 	var resp []byte
 	var owner *wire.Buffer
-	err := retry.Do(c.policy, c.rng, nil, func(attempt int) (err error) {
+	// The first attempt always runs — an already expired budget still
+	// reaches the server, which answers StatusExpired and keeps the
+	// accounting honest. No retry starts at or past the deadline: a doomed
+	// attempt would only turn "late" into "later".
+	err := retry.Do(c.policy, c.rng, deadline, func(attempt int) (err error) {
 		if attempt == 1 {
 			c.retries.Add(1)
-		}
-		// Budget check before a retry: a doomed attempt would only turn
-		// "late" into "later". The first attempt always runs — an already
-		// expired budget still reaches the server, which answers
-		// StatusExpired and keeps the accounting honest.
-		if attempt > 0 && !deadline.IsZero() && !time.Now().Before(deadline) {
-			return retry.Permanent(fmt.Errorf("transport: %s: retry budget spent: %w", c.addr, ErrCallTimeout))
 		}
 		resp, owner, err = c.attempt(req, deadline)
 		return err
 	})
+	if errors.Is(err, retry.ErrDeadline) {
+		err = fmt.Errorf("transport: %s: retry budget spent: %w (%w)", c.addr, ErrCallTimeout, err)
+	}
 	if err != nil {
 		c.reportBreaker(err)
 		return nil, nil, err

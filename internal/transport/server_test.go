@@ -64,57 +64,59 @@ func TestEnvelopeRejections(t *testing.T) {
 // TestRoutes pins the handler contract on one connection: a Gated opcode is
 // shed once the gate is full, an ungated one is served regardless — while the
 // gated request is still being held, so it ran on its own goroutine — and an
-// Inline one is answered before ServeFrame returns.
+// Inline one is answered before ServeFrame returns. There is no socket: the
+// responses land in a buffer, read at the bubble's quiet points.
 func TestRoutes(t *testing.T) {
-	srv, hold := stubServer()
-	srv.Gate = overload.NewGate(overload.GateConfig{MaxInflight: 1})
-	var out syncBuffer
-	c := srv.NewConn(&out)
-	serve := func(id uint32, op byte) {
-		t.Helper()
-		if err := srv.ServeFrame(c, transporttest.MuxWrap(id, []byte{op})); err != nil {
-			t.Fatal(err)
-		}
-	}
-	next := func() (id uint32, status byte) {
-		t.Helper()
-		for deadline := time.Now().Add(5 * time.Second); out.Len() == 0; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatal("no response frame")
+	vt.Run(t, func(t *testing.T) {
+		srv, hold := stubServer()
+		srv.Gate = overload.NewGate(overload.GateConfig{MaxInflight: 1})
+		var out syncBuffer
+		c := srv.NewConn(&out)
+		serve := func(id uint32, op byte) {
+			t.Helper()
+			if err := srv.ServeFrame(c, transporttest.MuxWrap(id, []byte{op})); err != nil {
+				t.Fatal(err)
 			}
 		}
-		d := wire.NewReader(out.frame(t))
-		d.U8()
-		return d.U32(), d.U8()
-	}
+		next := func() (id uint32, status byte) {
+			t.Helper()
+			vt.Wait() // every request that can be answered has been
+			if out.Len() == 0 {
+				t.Fatal("no response frame")
+			}
+			d := wire.NewReader(out.frame(t))
+			d.U8()
+			return d.U32(), d.U8()
+		}
 
-	serve(1, opHold) // admitted: holds the gate's one slot on a dispatch goroutine
-	serve(2, opHold)
-	if id, st := next(); id != 2 || st != transport.StatusRetryAfter {
-		t.Fatalf("second gated request answered (id %d, status %d), want it shed", id, st)
-	}
-	if shed, _ := srv.OverloadCounters(); shed != 1 {
-		t.Fatalf("%d requests counted shed, want 1", shed)
-	}
-	serve(3, opInline)
-	if out.Len() == 0 {
-		t.Fatal("an Inline request was not answered by the time ServeFrame returned")
-	}
-	if id, st := next(); id != 3 || st != transport.StatusOK {
-		t.Fatalf("inline request answered (id %d, status %d)", id, st)
-	}
-	serve(4, opEcho)
-	if id, st := next(); id != 4 || st != transport.StatusOK {
-		t.Fatalf("ungated request behind a full gate answered (id %d, status %d)", id, st)
-	}
-	if n := srv.MuxInflight(); n != 1 {
-		t.Fatalf("%d requests on dispatch goroutines, want the held one", n)
-	}
-	close(hold)
-	if id, st := next(); id != 1 || st != transport.StatusOK {
-		t.Fatalf("held request answered (id %d, status %d)", id, st)
-	}
-	c.Wait()
+		serve(1, opHold) // admitted: holds the gate's one slot on a dispatch goroutine
+		serve(2, opHold)
+		if id, st := next(); id != 2 || st != transport.StatusRetryAfter {
+			t.Fatalf("second gated request answered (id %d, status %d), want it shed", id, st)
+		}
+		if shed, _ := srv.OverloadCounters(); shed != 1 {
+			t.Fatalf("%d requests counted shed, want 1", shed)
+		}
+		serve(3, opInline)
+		if out.Len() == 0 {
+			t.Fatal("an Inline request was not answered by the time ServeFrame returned")
+		}
+		if id, st := next(); id != 3 || st != transport.StatusOK {
+			t.Fatalf("inline request answered (id %d, status %d)", id, st)
+		}
+		serve(4, opEcho)
+		if id, st := next(); id != 4 || st != transport.StatusOK {
+			t.Fatalf("ungated request behind a full gate answered (id %d, status %d)", id, st)
+		}
+		if n := srv.MuxInflight(); n != 1 {
+			t.Fatalf("%d requests on dispatch goroutines, want the held one", n)
+		}
+		close(hold)
+		if id, st := next(); id != 1 || st != transport.StatusOK {
+			t.Fatalf("held request answered (id %d, status %d)", id, st)
+		}
+		c.Wait()
+	})
 }
 
 // TestDispatchGoroutinesAreResident: a connection's muxed requests are served
@@ -278,38 +280,40 @@ func TestCloseRefusesConnAcceptedDuringShutdown(t *testing.T) {
 		Addr() net.Addr
 		Close() error
 	}
-	stub, _ := stubServer()
 	for _, tc := range []struct {
-		name string
-		srv  server
+		name   string
+		server func() server
 	}{
-		{"transport", stub},
-		{"dkv", dkv.NewDirServer(dkv.NewDirectory())},
+		{"transport", func() server { srv, _ := stubServer(); return srv }},
+		{"dkv", func() server { return dkv.NewDirServer(dkv.NewDirectory()) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv := tc.srv
-			client, server := net.Pipe()
-			defer client.Close()
-			ln := &lateListener{closing: make(chan struct{}), conn: make(chan net.Conn, 1)}
-			ln.conn <- server
-			go srv.Serve(ln)
-			for srv.Addr() == nil {
-				time.Sleep(time.Millisecond)
-			}
-			closed := make(chan struct{})
-			go func() {
-				srv.Close()
-				close(closed)
-			}()
-			select {
-			case <-closed:
-			case <-time.After(5 * time.Second):
-				t.Fatal("Close is waiting on a connection accepted after it began")
-			}
-			client.SetReadDeadline(time.Now().Add(5 * time.Second))
-			if _, err := client.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
-				t.Fatalf("read on the late connection: %v, want EOF (the server must have closed it)", err)
-			}
+			vt.Run(t, func(t *testing.T) {
+				srv := tc.server()
+				client, server := net.Pipe()
+				defer client.Close()
+				ln := &lateListener{closing: make(chan struct{}), conn: make(chan net.Conn, 1)}
+				ln.conn <- server
+				go srv.Serve(ln)
+				vt.Wait() // Serve is blocked in Accept
+				if srv.Addr() == nil {
+					t.Fatal("Serve is accepting but reports no address")
+				}
+				closed := make(chan struct{})
+				go func() {
+					srv.Close()
+					close(closed)
+				}()
+				select {
+				case <-closed:
+				case <-time.After(5 * time.Second):
+					t.Fatal("Close is waiting on a connection accepted after it began")
+				}
+				client.SetReadDeadline(time.Now().Add(5 * time.Second))
+				if _, err := client.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+					t.Fatalf("read on the late connection: %v, want EOF (the server must have closed it)", err)
+				}
+			})
 		})
 	}
 }
