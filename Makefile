@@ -55,7 +55,15 @@ vet:
 # ServiceConfig), icache.Config's Clairvoyant switch (checked in
 # internal/icache: a client that sends its plan is the one switch), or code
 # no run reached (EventQueue, WrapSource, composeStatic, IsPermanent, the
-# always-zero icache_loader_wasted_ series), comments excepted. And there is
+# always-zero icache_loader_wasted_ series), comments excepted, and no
+# shipped config keeps a knob only tests set: overload.GateConfig names no
+# Window, ShedWindows, FloorRate or FloorBurst, BreakerConfig no Cooldown,
+# rpc.PeerConfig no Inflight or BreakerCooldown, rpc.MembershipConfig no
+# HeartbeatInterval, ScrubInterval or ScrubBatch, loadgen.Config no
+# DialTimeout and train.Config no PreprocessPerSample, PrefetchFactor,
+# TrackerInit or TrackerDecay (each a constant, or derived from the lease
+# TTL), SetSlowRequestLog takes no minInterval, and icache-server has no
+# -heartbeat-interval, -scrub-interval or -peer-inflight flag. And there is
 # one training loop, train.Job, and a single job is its one-node case: the
 # non-test files of internal/train name no DistJob, runEpoch or
 # consumeIteration, and only job.go asks the fetch engine whether a batch is
@@ -163,9 +171,15 @@ lint:
 		sed 's,//.*,,' $$f | grep -nF 'icache_loader_wasted_' | sed "s,^,$$f:,"; \
 	done; for f in $$(ls internal/icache/*.go | grep -v _test.go); do \
 		sed 's,//.*,,' $$f | grep -nw 'Clairvoyant' | sed "s,^,$$f:,"; \
-	done); \
+	done; for f in $$(ls internal/overload/*.go internal/rpc/*.go internal/loadgen/*.go internal/train/*.go cmd/icache-server/*.go | grep -v _test.go); do \
+		sed 's,//.*,,' $$f | awk -v f=$$f '/^type [A-Za-z]+ struct \{/{s = $$2} /^}/{s = ""} \
+			s ~ /^(GateConfig|BreakerConfig|PeerConfig|MembershipConfig|Config)$$/ && \
+			/^[[:space:]]*(Window|ShedWindows|FloorRate|FloorBurst|Cooldown|BreakerCooldown|Inflight|HeartbeatInterval|ScrubInterval|ScrubBatch|DialTimeout|PreprocessPerSample|PrefetchFactor|TrackerInit|TrackerDecay)[^A-Za-z0-9_]/ \
+			{print f ":" NR ":" $$0}'; \
+		sed 's,//.*,,' $$f | grep -nE 'SetSlowRequestLog\([^)]*,|minInterval' | sed "s,^,$$f:,"; \
+	done; grep -HnE 'heartbeat-interval|scrub-interval|peer-inflight' cmd/icache-server/*.go); \
 	if [ -n "$$stray" ]; then \
-		echo "a dial nobody turns or a path nothing reaches (the simulator's fixed costs are constants; static packaging is fetchStaticChunk alone):"; echo "$$stray"; exit 1; \
+		echo "a dial nobody turns or a path nothing reaches (the simulator's fixed costs are constants, and so are the shipped stack's knobs only tests set; static packaging is fetchStaticChunk alone):"; echo "$$stray"; exit 1; \
 	fi
 	@stray=$$(for f in $$(ls internal/train/*.go | grep -v _test.go); do \
 		sed 's,//.*,,' $$f | grep -nwE 'DistJob|runEpoch|consumeIteration' | sed "s,^,$$f:,"; \

@@ -84,11 +84,8 @@ func main() {
 		nodeID    = flag.Int("node-id", -1, "distributed mode: this node's ID (requires -dir)")
 		dirAddr   = flag.String("dir", "", "distributed mode: directory service address, or a comma-separated replica list for a partitioned directory (see icache-dkv)")
 		peers     = flag.String("peers", "", "distributed mode: comma-separated id=addr peer list, e.g. 1=host:7820,2=host2:7820")
-		leaseTTL  = flag.Duration("lease-ttl", 10*time.Second, "distributed mode: membership lease duration in the directory")
-		beatEvery = flag.Duration("heartbeat-interval", 0, "distributed mode: lease renewal period (default lease-ttl/4)")
-		scrubEvry = flag.Duration("scrub-interval", 0, "distributed mode: anti-entropy scrub period (default lease-ttl/2)")
+		leaseTTL  = flag.Duration("lease-ttl", 10*time.Second, "distributed mode: membership lease duration in the directory (the node renews it every lease-ttl/4 and scrubs every lease-ttl/2)")
 		peerBatch = flag.Int("peer-batch", 256, "distributed mode: max remote misses per batched peer read RPC (<= 0 selects 256)")
-		peerInfl  = flag.Int("peer-inflight", 0, "distributed mode: max in-flight frames per multiplexed peer connection (0 selects the client default)")
 		maxInfl   = flag.Int("max-inflight", 0, "admission control: max concurrently admitted requests before shedding (0 disables the cap)")
 		targetQD  = flag.Duration("target-queue-delay", 0, "admission control: standing queue delay that triggers brownout/shedding, CoDel-style (0 disables the delay ladder)")
 		brkThresh = flag.Int("breaker-threshold", 0, "peer circuit breakers: consecutive failures before a peer trips open (0 selects the default; negative disables breakers)")
@@ -165,7 +162,7 @@ func main() {
 		srv.EnableObs(obsReg, tracer)
 	}
 	if *slowReq > 0 {
-		srv.SetSlowRequestLog(*slowReq, 10*time.Second)
+		srv.SetSlowRequestLog(*slowReq)
 		log.Printf("icache-server: slow-request log armed at %s", *slowReq)
 	}
 	if *ckptPath != "" {
@@ -217,7 +214,6 @@ func main() {
 		srv.EnableDistributed(dkv.NodeID(*nodeID), dirSvc, peerMap)
 		srv.SetPeerConfig(rpc.PeerConfig{
 			Batch:            *peerBatch,
-			Inflight:         *peerInfl,
 			RPCTimeout:       *defDL,
 			BreakerThreshold: *brkThresh,
 		})
@@ -225,11 +221,7 @@ func main() {
 		// Join under a fresh lease; a warm restart replays ownership claims
 		// for every checkpoint-restored resident (claims a survivor won in
 		// the meantime are denied and the local copy is dropped).
-		if err := srv.StartMembership(rpc.MembershipConfig{
-			LeaseTTL:          *leaseTTL,
-			HeartbeatInterval: *beatEvery,
-			ScrubInterval:     *scrubEvry,
-		}); err != nil {
+		if err := srv.StartMembership(rpc.MembershipConfig{LeaseTTL: *leaseTTL}); err != nil {
 			log.Fatalf("icache-server: membership: %v", err)
 		}
 		log.Printf("icache-server: lease ttl %s, heartbeats + anti-entropy scrubbing started", *leaseTTL)

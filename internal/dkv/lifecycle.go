@@ -12,10 +12,10 @@ import (
 
 // The node side of the membership protocol: the steps a cache node runs
 // against the directory to stay a member (membership.go is the directory
-// side). There is one copy. rpc.Server fires the steps from wall-clock
-// tickers, icache.Cluster from its virtual clock; a step knows neither. It
-// takes no lock and reads no clock: the caller serialises a node's steps
-// (one loop goroutine, or the single-threaded simulation), guards its own
+// side). There is one copy: rpc.Server's lifecycle loop fires the steps from
+// its tickers (under test, in a virtual-clock bubble), and a step knows
+// nothing of that clock. It takes no lock and reads no clock: the caller
+// serialises a node's steps (the one loop goroutine), guards its own
 // state inside the Residents view, and adds the returned counter delta to
 // its totals under whatever lock those need. A step stops at the first
 // directory error and returns it beside what it got done; the next firing

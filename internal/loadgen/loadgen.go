@@ -60,8 +60,6 @@ type Config struct {
 	// Warmup runs the same workload unrecorded for this long before the
 	// measured run (cache fill, connection establishment, JIT-ish warmth).
 	Warmup time.Duration
-	// DialTimeout bounds each connection dial. Default 5s.
-	DialTimeout time.Duration
 	// Deadline is the per-request budget, measured from each request's
 	// SCHEDULED start (open-loop: a request issued late has already burned
 	// part of its budget). The budget propagates to the server in the wire
@@ -69,6 +67,9 @@ type Config struct {
 	// answering it late. 0 = no deadline (the historic behavior).
 	Deadline time.Duration
 }
+
+// dialTimeout bounds each connection dial.
+const dialTimeout = 5 * time.Second
 
 func (c Config) withDefaults() (Config, error) {
 	if c.Addr == "" {
@@ -91,9 +92,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Duration <= 0 && c.MaxRequests <= 0 {
 		return c, fmt.Errorf("loadgen: one of Duration or MaxRequests must be set")
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 5 * time.Second
 	}
 	return c, nil
 }
@@ -165,7 +163,7 @@ func Run(cfg Config) (Report, error) {
 
 	conns := make([]*rpc.Client, cfg.Conns)
 	for i := range conns {
-		c, err := rpc.Dial(cfg.Addr, cfg.DialTimeout)
+		c, err := rpc.Dial(cfg.Addr, dialTimeout)
 		if err != nil {
 			for _, p := range conns[:i] {
 				p.Close()

@@ -54,9 +54,8 @@ func (s State) String() string {
 	}
 }
 
-// GateConfig parameterizes a Gate. Zero values select the documented
-// defaults; a zero TargetDelay disables the delay ladder (the inflight cap
-// still applies).
+// GateConfig parameterizes a Gate. A zero TargetDelay disables the delay
+// ladder (the inflight cap still applies).
 type GateConfig struct {
 	// MaxInflight caps concurrently admitted requests; arrivals beyond it
 	// are shed immediately. <= 0 means unlimited.
@@ -64,37 +63,22 @@ type GateConfig struct {
 	// TargetDelay is the acceptable standing queue delay. When the windowed
 	// minimum admission wait exceeds it, the gate walks the ladder.
 	TargetDelay time.Duration
-	// Window is how long each delay-observation window lasts. Default 100ms.
-	Window time.Duration
-	// ShedWindows is how many consecutive over-target windows escalate
-	// Brownout to Shed. Default 3 (the first over-target window already
-	// enters Brownout).
-	ShedWindows int
-	// FloorRate is the admissions/sec token-bucket floor kept flowing during
-	// Shed. Default 100.
-	FloorRate float64
-	// FloorBurst is the token bucket depth. Default 16.
-	FloorBurst float64
 }
 
-// shedRetryAfter is the backoff hint attached to shed responses.
-const shedRetryAfter = 5 * time.Millisecond
-
-func (c GateConfig) withDefaults() GateConfig {
-	if c.Window <= 0 {
-		c.Window = 100 * time.Millisecond
-	}
-	if c.ShedWindows <= 0 {
-		c.ShedWindows = 3
-	}
-	if c.FloorRate <= 0 {
-		c.FloorRate = 100
-	}
-	if c.FloorBurst <= 0 {
-		c.FloorBurst = 16
-	}
-	return c
-}
+const (
+	// gateWindow is how long each delay-observation window lasts.
+	gateWindow = 100 * time.Millisecond
+	// shedWindows is how many consecutive over-target windows escalate
+	// Brownout to Shed (the first over-target window already enters
+	// Brownout).
+	shedWindows = 3
+	// floorRate is the admissions/sec token-bucket floor kept flowing during
+	// Shed, and floorBurst the bucket's depth.
+	floorRate  = 100
+	floorBurst = 16
+	// shedRetryAfter is the backoff hint attached to shed responses.
+	shedRetryAfter = 5 * time.Millisecond
+)
 
 // GateStats is a point-in-time counter snapshot of one Gate.
 type GateStats struct {
@@ -134,9 +118,9 @@ type Gate struct {
 	onState func(old, new State)
 }
 
-// NewGate builds a Gate. cfg zero values take the package defaults.
+// NewGate builds a Gate.
 func NewGate(cfg GateConfig) *Gate {
-	return &Gate{cfg: cfg.withDefaults()}
+	return &Gate{cfg: cfg}
 }
 
 // OnStateChange registers the ladder-transition hook (the rpc server uses
@@ -199,7 +183,7 @@ func (g *Gate) Observe(now time.Time, wait time.Duration) {
 // no standing queue), so the gate decays back to Normal on its own.
 func (g *Gate) rollLocked(now time.Time) {
 	if g.windowEnd.IsZero() {
-		g.windowEnd = now.Add(g.cfg.Window)
+		g.windowEnd = now.Add(gateWindow)
 		return
 	}
 	if now.Before(g.windowEnd) {
@@ -212,16 +196,16 @@ func (g *Gate) rollLocked(now time.Time) {
 		g.overWindows = 0
 	}
 	g.minWait, g.haveWait = 0, false
-	g.windowEnd = g.windowEnd.Add(g.cfg.Window)
+	g.windowEnd = g.windowEnd.Add(gateWindow)
 	if !now.Before(g.windowEnd) {
 		// At least one whole window elapsed with no observations at all:
 		// the server sat idle, so there is no standing queue left.
 		g.overWindows = 0
-		g.windowEnd = now.Add(g.cfg.Window)
+		g.windowEnd = now.Add(gateWindow)
 	}
 	next := Normal
 	switch {
-	case g.overWindows >= g.cfg.ShedWindows:
+	case g.overWindows >= shedWindows:
 		next = Shed
 	case g.overWindows >= 1:
 		next = Brownout
@@ -242,7 +226,7 @@ func (g *Gate) setStateLocked(now time.Time, next State) {
 		g.sheds++
 		// Prime the floor bucket so shedding starts with a small burst of
 		// admissions rather than a hard zero.
-		g.tokens, g.tokensAt = g.cfg.FloorBurst, now
+		g.tokens, g.tokensAt = floorBurst, now
 	}
 	if g.onState != nil {
 		g.onState(prev, next)
@@ -254,10 +238,10 @@ func (g *Gate) takeTokenLocked(now time.Time) bool {
 	if g.tokensAt.IsZero() {
 		g.tokensAt = now
 	}
-	g.tokens += now.Sub(g.tokensAt).Seconds() * g.cfg.FloorRate
+	g.tokens += now.Sub(g.tokensAt).Seconds() * floorRate
 	g.tokensAt = now
-	if g.tokens > g.cfg.FloorBurst {
-		g.tokens = g.cfg.FloorBurst
+	if g.tokens > floorBurst {
+		g.tokens = floorBurst
 	}
 	if g.tokens < 1 {
 		return false
@@ -307,22 +291,20 @@ func (s BreakerState) String() string {
 	}
 }
 
-// BreakerConfig parameterizes a Breaker. Zero values take the defaults.
+// BreakerConfig parameterizes a Breaker. A zero Threshold takes the default.
 type BreakerConfig struct {
 	// Threshold is how many CONSECUTIVE failures trip Closed -> Open.
 	// Default 5.
 	Threshold int
-	// Cooldown is how long Open fails fast before allowing the half-open
-	// probe. Default 1s.
-	Cooldown time.Duration
 }
+
+// breakerCooldown is how long Open fails fast before allowing the half-open
+// probe.
+const breakerCooldown = time.Second
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.Threshold <= 0 {
 		c.Threshold = 5
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = time.Second
 	}
 	return c
 }
@@ -355,7 +337,7 @@ type Breaker struct {
 	onState func(old, next BreakerState)
 }
 
-// NewBreaker builds a Breaker. cfg zero values take the defaults.
+// NewBreaker builds a Breaker. A zero cfg.Threshold takes the default.
 func NewBreaker(cfg BreakerConfig) *Breaker {
 	return &Breaker{cfg: cfg.withDefaults()}
 }
@@ -394,7 +376,7 @@ func (b *Breaker) Allow(now time.Time) bool {
 	case BreakerClosed:
 		return true
 	case BreakerOpen:
-		if now.Sub(b.openedAt) < b.cfg.Cooldown {
+		if now.Sub(b.openedAt) < breakerCooldown {
 			b.fastFails++
 			return false
 		}

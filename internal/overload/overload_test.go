@@ -45,13 +45,7 @@ func TestGateInflightCap(t *testing.T) {
 // time, and clean (or idle) windows decay straight back to Normal.
 func TestGateLadder(t *testing.T) {
 	c := newClk()
-	g := NewGate(GateConfig{
-		TargetDelay: time.Millisecond,
-		Window:      10 * time.Millisecond,
-		ShedWindows: 3,
-		FloorRate:   1, // ~0 floor so Shed visibly rejects
-		FloorBurst:  1,
-	})
+	g := NewGate(GateConfig{TargetDelay: time.Millisecond})
 	var transitions []State
 	g.OnStateChange(func(_, next State) { transitions = append(transitions, next) })
 
@@ -59,7 +53,7 @@ func TestGateLadder(t *testing.T) {
 		// Two observations; the MIN is over target, so the whole window is.
 		g.Observe(c.now(), 5*time.Millisecond)
 		g.Observe(c.now(), 3*time.Millisecond)
-		c.advance(11 * time.Millisecond)
+		c.advance(gateWindow + time.Millisecond)
 		g.Observe(c.now(), 5*time.Millisecond) // rolls the window
 	}
 
@@ -79,9 +73,10 @@ func TestGateLadder(t *testing.T) {
 		t.Fatalf("three over-target windows should shed, got %v", g.State())
 	}
 
-	// In Shed the floor bucket admits its burst then rejects.
+	// In Shed the floor bucket admits its burst then rejects: on a clock that
+	// stands still, a few more arrivals than the burst are shed.
 	admitted, shed := 0, 0
-	for i := 0; i < 10; i++ {
+	for i := 0; i < floorBurst+4; i++ {
 		if ok, _ := g.Admit(c.now()); ok {
 			admitted++
 			g.Done()
@@ -95,7 +90,7 @@ func TestGateLadder(t *testing.T) {
 
 	// A clean window (min wait under target) recovers to Normal.
 	g.Observe(c.now(), 0)
-	c.advance(11 * time.Millisecond)
+	c.advance(gateWindow + time.Millisecond)
 	g.Observe(c.now(), 0)
 	if g.State() != Normal {
 		t.Fatalf("clean window should recover to Normal, got %v", g.State())
@@ -120,14 +115,14 @@ func TestGateLadder(t *testing.T) {
 // Normal via the lazy window roll in Admit (no background goroutine).
 func TestGateIdleDecay(t *testing.T) {
 	c := newClk()
-	g := NewGate(GateConfig{TargetDelay: time.Millisecond, Window: 10 * time.Millisecond})
+	g := NewGate(GateConfig{TargetDelay: time.Millisecond})
 	g.Observe(c.now(), 5*time.Millisecond)
-	c.advance(11 * time.Millisecond)
+	c.advance(gateWindow + time.Millisecond)
 	g.Observe(c.now(), 5*time.Millisecond)
 	if g.State() != Brownout {
 		t.Fatalf("setup: want Brownout, got %v", g.State())
 	}
-	c.advance(50 * time.Millisecond) // idle: no observations at all
+	c.advance(5 * gateWindow) // idle: no observations at all
 	if ok, _ := g.Admit(c.now()); !ok {
 		t.Fatalf("idle admit should pass")
 	}
@@ -139,7 +134,7 @@ func TestGateIdleDecay(t *testing.T) {
 
 func TestBreakerTripAndRecover(t *testing.T) {
 	c := newClk()
-	b := NewBreaker(BreakerConfig{Threshold: 3, Cooldown: time.Second})
+	b := NewBreaker(BreakerConfig{Threshold: 3})
 	for i := 0; i < 3; i++ {
 		if !b.Allow(c.now()) {
 			t.Fatalf("closed breaker must allow (failure %d)", i)
@@ -152,7 +147,7 @@ func TestBreakerTripAndRecover(t *testing.T) {
 	if b.Allow(c.now()) {
 		t.Fatalf("open breaker must fail fast inside cooldown")
 	}
-	c.advance(1100 * time.Millisecond)
+	c.advance(breakerCooldown + 100*time.Millisecond)
 	if !b.Allow(c.now()) {
 		t.Fatalf("cooldown elapsed: half-open must grant the probe")
 	}
@@ -164,7 +159,7 @@ func TestBreakerTripAndRecover(t *testing.T) {
 	if b.State() != BreakerOpen {
 		t.Fatalf("failed probe should re-open, got %v", b.State())
 	}
-	c.advance(1100 * time.Millisecond)
+	c.advance(breakerCooldown + 100*time.Millisecond)
 	if !b.Allow(c.now()) {
 		t.Fatalf("second probe should be granted")
 	}
@@ -200,10 +195,10 @@ func TestBreakerSuccessResetsFailureCount(t *testing.T) {
 // fail fast. (The satellite's required concurrency shape.)
 func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 	c := newClk()
-	b := NewBreaker(BreakerConfig{Threshold: 1, Cooldown: time.Millisecond})
+	b := NewBreaker(BreakerConfig{Threshold: 1})
 	b.Allow(c.now())
 	b.Report(c.now(), false) // trip
-	probeAt := c.advance(2 * time.Millisecond)
+	probeAt := c.advance(breakerCooldown + time.Millisecond)
 
 	const callers = 16
 	var allowed int64

@@ -441,7 +441,7 @@ func TestScrubSweepUsesOneBatchedLookup(t *testing.T) {
 	warmOverWire(t, c, 40) // 40 residents, claimed through cd
 
 	const window = 8
-	srv.dist.memCfg = MembershipConfig{ScrubBatch: window}.withDefaults()
+	srv.dist.scrubBatch = window
 	baseLk := atomic.LoadInt64(&cd.lookups)
 	baseLB := atomic.LoadInt64(&cd.lookupBatches)
 	baseIDs := atomic.LoadInt64(&cd.batchedIDs)

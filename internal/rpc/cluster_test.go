@@ -42,12 +42,12 @@ import (
 
 // The deployment's clock: a lease lapses after vtLeaseTTL and its owner is
 // declared dead one suspect window (another TTL) later; a node heartbeats
-// every vtBeat and sweeps every vtScrub. The trainer computes vtStep per
-// batch, and every backend read costs vtBackend.
+// every vtLeaseTTL/4 and sweeps every vtScrub, the LeaseTTL/2 it derives.
+// The trainer computes vtStep per batch, and every backend read costs
+// vtBackend.
 const (
 	vtLeaseTTL = 400 * time.Millisecond
-	vtBeat     = 100 * time.Millisecond
-	vtScrub    = 200 * time.Millisecond
+	vtScrub    = vtLeaseTTL / 2
 	vtStep     = 10 * time.Millisecond
 	vtBackend  = 500 * time.Microsecond
 	vtBatch    = 128
@@ -200,7 +200,8 @@ func (c *vtCluster) boot(n int, ckpt []byte) {
 		dir = faults.WrapDir(node.dir, c.cfg.dirFaults)
 	}
 	srv.EnableDistributed(node.id, dir, map[dkv.NodeID]string{1 - node.id: fmt.Sprintf("peer%d", 1-n)})
-	if err := srv.StartMembership(MembershipConfig{LeaseTTL: vtLeaseTTL, HeartbeatInterval: vtBeat, ScrubInterval: vtScrub, ScrubBatch: testSpec().NumSamples}); err != nil {
+	srv.dist.scrubBatch = testSpec().NumSamples
+	if err := srv.StartMembership(MembershipConfig{LeaseTTL: vtLeaseTTL}); err != nil {
 		t.Fatal(err)
 	}
 	go srv.Serve(c.net.Listen(fmt.Sprintf("node%d", n)))

@@ -138,7 +138,7 @@ func TestSlowRequestLogNamesTrace(t *testing.T) {
 	srv := newUnstartedServer(t, nil)
 	var lines []string
 	srv.Logf = func(format string, args ...interface{}) { lines = append(lines, fmt.Sprintf(format, args...)) }
-	srv.SetSlowRequestLog(time.Nanosecond, 0)
+	srv.SetSlowRequestLog(time.Nanosecond)
 	srv.dispatch(transport.WrapTraced(encodeGetBatchRequest([]dataset.SampleID{1, 2}), obs.TraceCtx{ID: 0xFEED, Hop: 1}))
 	if len(lines) != 1 || !strings.Contains(lines[0], "trace=000000000000feed hop=1") {
 		t.Fatalf("slow-request log = %q, want one line naming trace feed at hop 1", lines)

@@ -13,12 +13,13 @@ import (
 	"icache/internal/obs"
 )
 
-// This file is the wall-clock driver of the node lifecycle: a distributed
+// This file is the driver of the node lifecycle: a distributed
 // server registers itself in the shared directory under a TTL lease, renews
 // it on a heartbeat ticker, runs a bounded anti-entropy scrub on a second
 // ticker, and replays ownership claims for its restored residents after a
-// crash/rejoin. What those steps do is dkv/lifecycle.go — the same code
-// icache.Cluster fires from its virtual clock (icache/lifecycle.go).
+// crash/rejoin. What those steps do is dkv/lifecycle.go; this loop is the
+// only thing that fires them (under test, in a virtual-clock bubble, where
+// its tickers run on the bubble's clock).
 //
 // Locking: the steps take policyMu only inside the resident view below, for
 // short snapshots and drops; every directory round trip happens with no
@@ -26,39 +27,14 @@ import (
 // distState's dedicated memMu (leaf lock, never nests), taken once a step
 // has returned.
 
-// MembershipConfig parameterizes the lifecycle loop. Zero fields select
-// defaults derived from LeaseTTL so a healthy node renews several times per
-// TTL.
+// MembershipConfig parameterizes the lifecycle loop. The loop's periods are
+// derived from LeaseTTL, so a healthy node renews several times per TTL:
+// it heartbeats every LeaseTTL/4 and sweeps every LeaseTTL/2.
 type MembershipConfig struct {
 	// LeaseTTL is this node's lease duration in the directory. Zero selects
 	// the directory's default TTL (the server sends ttl=0 and lets the
-	// directory pick).
+	// directory pick), and the periods of a 10 s lease.
 	LeaseTTL time.Duration
-	// HeartbeatInterval is the lease renewal period. Zero selects
-	// LeaseTTL/4 (or 2.5s when LeaseTTL is also zero).
-	HeartbeatInterval time.Duration
-	// ScrubInterval is the anti-entropy sweep period. Zero selects
-	// LeaseTTL/2 (or 5s when LeaseTTL is also zero).
-	ScrubInterval time.Duration
-	// ScrubBatch bounds one sweep's directory work. Zero selects 256.
-	ScrubBatch int
-}
-
-func (c MembershipConfig) withDefaults() MembershipConfig {
-	ttl := c.LeaseTTL
-	if ttl <= 0 {
-		ttl = 10 * time.Second
-	}
-	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = ttl / 4
-	}
-	if c.ScrubInterval <= 0 {
-		c.ScrubInterval = ttl / 2
-	}
-	if c.ScrubBatch <= 0 {
-		c.ScrubBatch = 256
-	}
-	return c
 }
 
 // StartMembership registers the node in the directory and starts the
@@ -79,7 +55,7 @@ func (s *Server) StartMembership(cfg MembershipConfig) error {
 		dist.memMu.Unlock()
 		return fmt.Errorf("rpc: membership loop already running")
 	}
-	dist.memCfg = cfg.withDefaults()
+	dist.memCfg = cfg
 	dist.memStop = make(chan struct{})
 	// Hand the loop its own copies: re-reading dist.memStop from inside the
 	// goroutine would race with StopMembership nilling it, leaving a
@@ -134,9 +110,13 @@ func (s *Server) LastHeartbeat() time.Time {
 func (s *Server) membershipLoop(cfg MembershipConfig, stop chan struct{}) {
 	dist := s.dist
 	defer dist.memWG.Done()
-	beat := time.NewTicker(cfg.HeartbeatInterval)
+	ttl := cfg.LeaseTTL
+	if ttl <= 0 {
+		ttl = 10 * time.Second
+	}
+	beat := time.NewTicker(ttl / 4)
 	defer beat.Stop()
-	scrub := time.NewTicker(cfg.ScrubInterval)
+	scrub := time.NewTicker(ttl / 2)
 	defer scrub.Stop()
 	for {
 		select {
@@ -151,7 +131,7 @@ func (s *Server) membershipLoop(cfg MembershipConfig, stop chan struct{}) {
 }
 
 // member is this node's identity for the lifecycle steps (dkv/lifecycle.go),
-// which both this loop and the virtual-clock simulation run.
+// which this loop runs.
 func (s *Server) member() dkv.Member {
 	dist := s.dist
 	return dkv.Member{Dir: dist.dir, ID: dist.nodeID, TTL: dist.memCfg.LeaseTTL, Cache: lockedResidents{s}}
@@ -173,7 +153,7 @@ func (s *Server) registerAndReconcile() { s.noteStep(s.member().Rejoin()) }
 func (s *Server) scrubOnce() {
 	dist := s.dist
 	mark := metrics.SnapshotUnder(&dist.memMu, &dist.scrubMark)
-	mark, d, err := s.member().Scrub(mark, dist.memCfg.ScrubBatch)
+	mark, d, err := s.member().Scrub(mark, dist.scrubBatch)
 	dist.memMu.Lock()
 	dist.scrubMark = mark
 	dist.memMu.Unlock()

@@ -48,11 +48,8 @@ func TestMembershipLoopHeartbeatsAndScrubs(t *testing.T) {
 		dir := dkv.NewDirectory()
 		srv, addr, _ := startServer(t)
 		srv.EnableDistributed(3, dkv.Local{Dir: dir}, nil)
-		if err := srv.StartMembership(MembershipConfig{
-			LeaseTTL:          time.Second,
-			HeartbeatInterval: 5 * time.Millisecond,
-			ScrubInterval:     10 * time.Millisecond,
-		}); err != nil {
+		// A 20 ms lease: heartbeats every 5 ms, sweeps every 10 ms.
+		if err := srv.StartMembership(MembershipConfig{LeaseTTL: 20 * time.Millisecond}); err != nil {
 			t.Fatal(err)
 		}
 		if err := srv.StartMembership(MembershipConfig{}); err == nil {
@@ -194,7 +191,7 @@ func TestRejoinFromCheckpointReplaysClaims(t *testing.T) {
 		t.Fatalf("restore: loaded=%v err=%v", loaded, err)
 	}
 	srv2.EnableDistributed(0, dkv.Local{Dir: dir}, nil)
-	long := MembershipConfig{LeaseTTL: time.Hour, HeartbeatInterval: time.Hour, ScrubInterval: time.Hour}
+	long := MembershipConfig{LeaseTTL: time.Hour}
 	if err := srv2.StartMembership(long); err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +260,7 @@ func TestHealthzEndpoint(t *testing.T) {
 	// Distributed with a running lease: node identity and lease age appear.
 	dir := dkv.NewDirectory()
 	srv.EnableDistributed(2, dkv.Local{Dir: dir}, nil)
-	long := MembershipConfig{LeaseTTL: time.Hour, HeartbeatInterval: time.Hour, ScrubInterval: time.Hour}
+	long := MembershipConfig{LeaseTTL: time.Hour}
 	if err := srv.StartMembership(long); err != nil {
 		t.Fatal(err)
 	}

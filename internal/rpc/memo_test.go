@@ -257,7 +257,6 @@ func TestClosedPeerCostsOneFailedChunk(t *testing.T) {
 func TestEveryGenerationPointForgets(t *testing.T) {
 	srv := newUnstartedServer(t, nil)
 	srv.EnableDistributed(0, dkv.Local{Dir: dkv.NewDirectory()}, nil)
-	srv.dist.memCfg = MembershipConfig{}.withDefaults()
 	c := dial(t, serveOn(t, srv))
 	if err := c.UpdateImportance(hItems(idRange(60, 63))); err != nil {
 		t.Fatal(err)

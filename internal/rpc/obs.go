@@ -152,13 +152,16 @@ func (s *Server) EnableObs(reg *obs.Registry, tracer *trace.Recorder) {
 // ObsRegistry reports the stage-histogram registry (nil when disabled).
 func (s *Server) ObsRegistry() *obs.Registry { return s.obs.reg }
 
+// slowLogEvery is the slow-request log's rate limit: one line per period.
+const slowLogEvery = 10 * time.Second
+
 // SetSlowRequestLog arms the slow-request log: GetBatch serves taking
 // longer than threshold are logged through Logf, at most one line per
-// minInterval (minInterval <= 0 disables rate limiting; threshold <= 0
-// disables the log). Must be called before Serve.
-func (s *Server) SetSlowRequestLog(threshold, minInterval time.Duration) {
+// slowLogEvery (threshold <= 0 disables the log). Must be called before
+// Serve.
+func (s *Server) SetSlowRequestLog(threshold time.Duration) {
 	s.obs.slowThresh = threshold
-	s.obs.slowLim = obs.NewRateLimiter(minInterval)
+	s.obs.slowLim = obs.NewRateLimiter(slowLogEvery)
 }
 
 // span records one span event under ctx (no-op when untraced or no tracer).

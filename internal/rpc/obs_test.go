@@ -565,7 +565,8 @@ func TestTracedDeadlinedGetBatchCtx(t *testing.T) {
 // the deadline branch, the span appeared and the expiry never did. Through a
 // single DirClient and through a ShardedDir (which used to forward no
 // deadline at all, and must not fail a replica over for answering "too
-// late").
+// late"). In a bubble the directory's clock has not moved since the node
+// sent the spent budget, so the lookup expires on the budget alone.
 func TestTracedDeadlineReachesDirectory(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -577,67 +578,62 @@ func TestTracedDeadlineReachesDirectory(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var late [2]*lateDir
-			n := 0
-			f := startTracedDistFixture(t, nil, func(addr string) (dkv.Service, error) {
-				svc, err := tc.dial(addr)
-				if err != nil {
-					return nil, err
-				}
-				late[n] = &lateDir{Service: svc, ctx: svc.(dkv.CtxService), first: make(chan error, 1)}
-				n++
-				return late[n-1], nil
-			})
-			cB := dial(t, f.addrs[1])
-			ids := hotIDs(t, cB, 8)
-			clientTrc := trace.NewRecorder(1 << 10)
-			cB.EnableObs(nil, clientTrc, obs.NewSampler(1))
+			inBubble(t, func(t *testing.T) {
+				var late [2]*lateDir
+				n := 0
+				f := startTracedDistFixture(t, nil, func(addr string) (dkv.Service, error) {
+					svc, err := tc.dial(addr)
+					if err != nil {
+						return nil, err
+					}
+					late[n] = &lateDir{Service: svc, ctx: svc.(dkv.CtxService), first: make(chan error, 1)}
+					n++
+					return late[n-1], nil
+				})
+				cB := dial(t, f.addrs[1])
+				ids := hotIDs(t, cB, 8)
+				clientTrc := trace.NewRecorder(1 << 10)
+				cB.EnableObs(nil, clientTrc, obs.NewSampler(1))
 
-			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-			defer cancel()
-			if _, err := cB.GetBatchCtx(ctx, ids); !errors.Is(err, ErrDeadlineExceeded) {
-				t.Fatalf("GetBatchCtx through a node that spends the whole budget: %v, want ErrDeadlineExceeded", err)
-			}
-			var lookupErr error
-			select {
-			case lookupErr = <-late[1].first:
-			case <-time.After(5 * time.Second):
-				t.Fatal("node 1 never asked the directory")
-			}
-			if !errors.Is(lookupErr, ErrDeadlineExceeded) {
-				t.Fatalf("directory lookup with a spent budget: %v, want a deadline error", lookupErr)
-			}
-			var traceID uint64
-			for _, ev := range clientTrc.Snapshot() {
-				if ev.Kind == trace.KindRPCSend {
-					traceID = ev.TraceID
+				ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+				defer cancel()
+				if _, err := cB.GetBatchCtx(ctx, ids); !errors.Is(err, ErrDeadlineExceeded) {
+					t.Fatalf("GetBatchCtx through a node that spends the whole budget: %v, want ErrDeadlineExceeded", err)
 				}
-			}
-			if sd, ok := late[1].Service.(*dkv.ShardedDir); ok {
-				if st := sd.Ring(); st.Failovers != 0 {
-					t.Fatalf("a replica that answered \"too late\" was failed over: %+v", st)
+				var lookupErr error
+				select {
+				case lookupErr = <-late[1].first:
+				case <-time.After(5 * time.Second):
+					t.Fatal("node 1 never asked the directory")
 				}
-			}
-			// The directory records its span before it answers, but node 1 gave
-			// up on the lookup without waiting (its budget was spent). A second
-			// lookup on the same connection is read after it, and a closed
-			// directory has finished every request it read.
-			if _, err := late[1].LookupBatch(ids); err != nil {
-				t.Fatal(err)
-			}
-			f.dirSrv.Close()
-			var recv []trace.Event
-			for _, ev := range f.dirTrc.Snapshot() {
-				if ev.Kind == trace.KindRPCRecv && ev.TraceID == traceID {
-					recv = append(recv, ev)
+				if !errors.Is(lookupErr, ErrDeadlineExceeded) {
+					t.Fatalf("directory lookup with a spent budget: %v, want a deadline error", lookupErr)
 				}
-			}
-			if traceID == 0 || len(recv) != 1 || recv[0].Hop != 2 {
-				t.Fatalf("directory rpc_recv spans under trace %x = %+v, want one at hop 2", traceID, recv)
-			}
-			if _, expired := f.dirSrv.OverloadCounters(); expired != 1 {
-				t.Fatalf("directory dropped %d requests as expired, want the one lookup", expired)
-			}
+				var traceID uint64
+				for _, ev := range clientTrc.Snapshot() {
+					if ev.Kind == trace.KindRPCSend {
+						traceID = ev.TraceID
+					}
+				}
+				vt.Wait() // the directory has served every request it was sent
+				if sd, ok := late[1].Service.(*dkv.ShardedDir); ok {
+					if st := sd.Ring(); st.Failovers != 0 {
+						t.Fatalf("a replica that answered \"too late\" was failed over: %+v", st)
+					}
+				}
+				var recv []trace.Event
+				for _, ev := range f.dirTrc.Snapshot() {
+					if ev.Kind == trace.KindRPCRecv && ev.TraceID == traceID {
+						recv = append(recv, ev)
+					}
+				}
+				if traceID == 0 || len(recv) != 1 || recv[0].Hop != 2 {
+					t.Fatalf("directory rpc_recv spans under trace %x = %+v, want one at hop 2", traceID, recv)
+				}
+				if _, expired := f.dirSrv.OverloadCounters(); expired != 1 {
+					t.Fatalf("directory dropped %d requests as expired, want the one lookup", expired)
+				}
+			})
 		})
 	}
 }

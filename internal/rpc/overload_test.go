@@ -193,12 +193,14 @@ func chaosDelayedPeer(t *testing.T, seed int64) {
 	spec := testSpec()
 	const (
 		peerTimeout = 60 * time.Millisecond
-		brkCooldown = 80 * time.Millisecond
+		brkCooldown = time.Second // the overload package's breaker cooldown
 		brkThresh   = 2
 		maxRounds   = 12
 		stall       = 150 * time.Millisecond
 		// stallFor is how long the stall lasts: past the breaker's trip
-		// (brkThresh+1 rounds of at most peerTimeout) and its fast-fail round.
+		// (brkThresh+1 rounds of at most peerTimeout) and its fast-fail round,
+		// and over well inside the cooldown, so the first round past the
+		// cooldown probes a peer that answers.
 		stallFor = 400 * time.Millisecond
 	)
 	batch := 6 + int(seed%5) // seed-varied batch shape
@@ -241,7 +243,6 @@ func chaosDelayedPeer(t *testing.T, seed int64) {
 		Batch:            256,
 		RPCTimeout:       peerTimeout,
 		BreakerThreshold: brkThresh,
-		BreakerCooldown:  brkCooldown,
 	})
 	t.Cleanup(func() {
 		nodes[0].Close()

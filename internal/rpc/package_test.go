@@ -188,14 +188,15 @@ func TestSubstituteIsAMemoryRead(t *testing.T) {
 
 // brownout drives srv's admission gate into Brownout on a clock an hour
 // ahead, so the test's own requests never roll the ladder, and returns the
-// function that restores Normal.
+// function that restores Normal. The second observation lands past the
+// gate's 100 ms window, which rolls it over target.
 func brownout(t *testing.T, srv *Server) (normal func()) {
 	t.Helper()
-	gate := overload.NewGate(overload.GateConfig{TargetDelay: time.Millisecond, Window: 10 * time.Millisecond})
+	gate := overload.NewGate(overload.GateConfig{TargetDelay: time.Millisecond})
 	srv.SetAdmission(gate)
 	at := time.Now().Add(time.Hour)
 	gate.Observe(at, 5*time.Millisecond)
-	gate.Observe(at.Add(11*time.Millisecond), 5*time.Millisecond)
+	gate.Observe(at.Add(101*time.Millisecond), 5*time.Millisecond)
 	if st := gate.State(); st != overload.Brownout {
 		t.Fatalf("gate is %v; want brownout", st)
 	}

@@ -50,15 +50,15 @@ import (
 //     observer fires it); it only queues the id for the server's release
 //     worker, so no network I/O ever happens under the lock.
 
-// PeerConfig tunes the batched remote data plane (the -peer-batch and
-// -peer-inflight flags). SetPeerConfig installs it before Serve.
+// PeerConfig tunes the batched remote data plane (the -peer-batch,
+// -default-deadline and -breaker-threshold flags). SetPeerConfig installs it
+// before Serve. A peer connection keeps transport.DefaultMuxInflight frames
+// in flight; an open peer breaker cools down for the overload package's
+// fixed cooldown.
 type PeerConfig struct {
 	// Batch caps how many of a mini-batch's remote misses ride one
 	// opPeerGetBatch RPC to one owner (<= 0 selects 256).
 	Batch int
-	// Inflight bounds in-flight frames per multiplexed peer connection
-	// (<= 0 selects the client default).
-	Inflight int
 	// RPCTimeout bounds every peer round trip (<= 0 selects 1s): one hung
 	// replica can stall a scatter-gather chunk for at most this long before
 	// the chunk degrades to the backend.
@@ -67,9 +67,6 @@ type PeerConfig struct {
 	// circuit breaker (0 selects the overload-package default; < 0 disables
 	// breakers entirely).
 	BreakerThreshold int
-	// BreakerCooldown is the open-state cooldown before a half-open probe
-	// (<= 0 selects the overload-package default).
-	BreakerCooldown time.Duration
 }
 
 // defaultPeerRPCTimeout is the per-call bound on peer RPCs: long enough for
@@ -80,9 +77,6 @@ const defaultPeerRPCTimeout = time.Second
 func (c PeerConfig) withDefaults() PeerConfig {
 	if c.Batch <= 0 {
 		c.Batch = 256 // above any mini-batch clients send: one RPC per owner
-	}
-	if c.Inflight <= 0 {
-		c.Inflight = transport.DefaultMuxInflight
 	}
 	if c.RPCTimeout <= 0 {
 		c.RPCTimeout = defaultPeerRPCTimeout
@@ -146,6 +140,9 @@ type distState struct {
 	// scrubMark is the anti-entropy cursor: the sample ID the next bounded
 	// sweep starts from (bounded sweeps eventually cover everything).
 	scrubMark dataset.SampleID
+	// scrubBatch bounds one sweep's directory work (256; white-box tests
+	// widen it to sweep a whole test dataset at once).
+	scrubBatch int
 
 	// releases feeds the release worker the evicted samples whose ownership
 	// it hands back; releaseStop ends the worker (Close).
@@ -180,6 +177,7 @@ func (s *Server) EnableDistributed(nodeID dkv.NodeID, dir dkv.Service, peerAddrs
 		breakers:  make(map[dkv.NodeID]*overload.Breaker),
 		journal:   s.journal,
 
+		scrubBatch:  256,
 		releases:    make(chan dataset.SampleID, releaseQueueLen),
 		releaseStop: make(chan struct{}),
 	}
@@ -246,10 +244,7 @@ func (d *distState) breakerLocked(node dkv.NodeID) *overload.Breaker {
 	}
 	b, ok := d.breakers[node]
 	if !ok {
-		b = overload.NewBreaker(overload.BreakerConfig{
-			Threshold: d.peerCfg.BreakerThreshold,
-			Cooldown:  d.peerCfg.BreakerCooldown,
-		})
+		b = overload.NewBreaker(overload.BreakerConfig{Threshold: d.peerCfg.BreakerThreshold})
 		if j := d.journal; j != nil {
 			peer := node
 			b.OnStateChange(func(old, next overload.BreakerState) {
@@ -315,11 +310,10 @@ func (d *distState) peer(node dkv.NodeID) (*Client, error) {
 		return nil, fmt.Errorf("rpc: no address for peer node %d", node)
 	}
 	c, err := DialConfigured(addr, DialConfig{
-		Timeout:     2 * time.Second,
-		Policy:      retry.Peer(),
-		MuxInflight: d.peerCfg.Inflight,
-		RPCTimeout:  d.peerCfg.RPCTimeout,
-		Breaker:     d.breakerLocked(node),
+		Timeout:    2 * time.Second,
+		Policy:     retry.Peer(),
+		RPCTimeout: d.peerCfg.RPCTimeout,
+		Breaker:    d.breakerLocked(node),
 	})
 	if err != nil {
 		// A failed dial is a peer failure too: report it so a DEAD peer

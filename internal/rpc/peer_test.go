@@ -430,7 +430,7 @@ func TestEvictionStormSharesOneReleaseWorker(t *testing.T) {
 			faults.Rule{Op: faults.OpDirRelease, UntilTime: simclock.Time(time.Hour), Delay: time.Hour}))
 		srv := newUnstartedServer(t, nil)
 		srv.EnableDistributed(0, fd, nil)
-		srv.dist.memCfg = MembershipConfig{ScrubBatch: testSpec().NumSamples}.withDefaults()
+		srv.dist.scrubBatch = testSpec().NumSamples
 		c := dial(t, serveOn(t, srv))
 		if err := c.Ping(); err != nil {
 			t.Fatal(err)

@@ -312,13 +312,14 @@ func TestPlanBrownoutHoldsTheQueue(t *testing.T) {
 	inBubble(t, func(t *testing.T) {
 		g := newHeldSource(t, nil, holdNone)
 		srv := newUnstartedServer(t, g)
-		gate := overload.NewGate(overload.GateConfig{TargetDelay: time.Millisecond, Window: 10 * time.Millisecond})
+		gate := overload.NewGate(overload.GateConfig{TargetDelay: time.Millisecond})
 		srv.SetAdmission(gate)
 		// The ladder is driven on a clock an hour ahead, so the test's own
-		// requests (whose instants fall before the window ends) never roll it.
+		// requests (whose instants fall before the window ends) never roll it;
+		// the second observation lands past the gate's 100 ms window.
 		at := time.Now().Add(time.Hour)
 		gate.Observe(at, 5*time.Millisecond)
-		gate.Observe(at.Add(11*time.Millisecond), 5*time.Millisecond)
+		gate.Observe(at.Add(101*time.Millisecond), 5*time.Millisecond)
 		if st := gate.State(); st != overload.Brownout {
 			t.Fatalf("gate is %v; want brownout", st)
 		}

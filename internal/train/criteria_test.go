@@ -53,10 +53,10 @@ func TestProxyCriterionRefreshesSkippedSamples(t *testing.T) {
 	spec := smallSpec()
 	lossMoved, proxyMoved := 0, 0
 	for i := 0; i < spec.NumSamples; i++ {
-		if lossJob.Tracker().Value(dataset.SampleID(i)) != lossJob.cfg.TrackerInit {
+		if lossJob.Tracker().Value(dataset.SampleID(i)) != trackerInit {
 			lossMoved++
 		}
-		if proxyJob.Tracker().Value(dataset.SampleID(i)) != proxyJob.cfg.TrackerInit {
+		if proxyJob.Tracker().Value(dataset.SampleID(i)) != trackerInit {
 			proxyMoved++
 		}
 	}

@@ -45,16 +45,8 @@ type Config struct {
 	GPUs int
 	// Epochs is the number of epochs to simulate.
 	Epochs int
-	// PreprocessPerSample is the worker-side CPU cost (decode, augment) per
-	// sample, paid after the fetch.
-	PreprocessPerSample time.Duration
-	// PrefetchFactor bounds how many batches each worker may run ahead of
-	// the GPU (PyTorch's prefetch_factor, default 2).
-	PrefetchFactor int
 	// Seed drives every random choice in the job.
 	Seed int64
-	// TrackerInit and TrackerDecay configure the importance tracker.
-	TrackerInit, TrackerDecay float64
 	// Criterion selects the importance criterion (§VI): loss-based (the
 	// paper's default), gradient-upper-bound, or proxy-model scoring.
 	Criterion sampling.Criterion
@@ -70,19 +62,26 @@ type Config struct {
 // dataset.
 func DefaultConfig(model ModelProfile, spec dataset.Spec) Config {
 	return Config{
-		Model:               model,
-		Dataset:             spec,
-		BatchSize:           256,
-		Workers:             6,
-		GPUs:                1,
-		Epochs:              10,
-		PreprocessPerSample: 25 * time.Microsecond,
-		PrefetchFactor:      2,
-		Seed:                1,
-		TrackerInit:         2.3,
-		TrackerDecay:        0.3,
+		Model:     model,
+		Dataset:   spec,
+		BatchSize: 256,
+		Workers:   6,
+		GPUs:      1,
+		Epochs:    10,
+		Seed:      1,
 	}
 }
+
+const (
+	// preprocessPerSample is the worker-side CPU cost (decode, augment) per
+	// sample, paid after the fetch.
+	preprocessPerSample = 25 * time.Microsecond
+	// prefetchFactor bounds how many batches each worker may run ahead of
+	// the GPU (PyTorch's prefetch_factor).
+	prefetchFactor = 2
+	// trackerInit and trackerDecay configure the importance tracker.
+	trackerInit, trackerDecay = 2.3, 0.3
+)
 
 // Validate reports whether the config is usable.
 func (c Config) Validate() error {
@@ -101,10 +100,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("train: GPUs=%d, want > 0", c.GPUs)
 	case c.Epochs <= 0:
 		return fmt.Errorf("train: Epochs=%d, want > 0", c.Epochs)
-	case c.PreprocessPerSample < 0:
-		return fmt.Errorf("train: negative PreprocessPerSample")
-	case c.PrefetchFactor <= 0:
-		return fmt.Errorf("train: PrefetchFactor=%d, want > 0", c.PrefetchFactor)
 	case c.EchoFactor < 0:
 		return fmt.Errorf("train: EchoFactor=%d, want >= 0", c.EchoFactor)
 	}
@@ -224,7 +219,7 @@ func (j *Job) beginEpoch() {
 	j.prevCompute, j.prevTrained = 0, 0
 	j.statsAtEpochStart = j.svc.Stats()
 
-	depth := j.cfg.Workers * j.cfg.PrefetchFactor // in iterations
+	depth := j.cfg.Workers * prefetchFactor // in iterations
 	j.engine = newFetchEngine(batches, j.nodes, j.cfg.Workers, j.now, j.fetch,
 		func(k int) (simclock.Time, bool) {
 			it := k / j.nodes
@@ -236,7 +231,7 @@ func (j *Job) beginEpoch() {
 			}
 			return 0, false
 		},
-		j.cfg.PreprocessPerSample)
+		preprocessPerSample)
 }
 
 // NextEventTime reports when the job's next worker action would start; max

@@ -27,12 +27,10 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatalf("good config rejected: %v", err)
 	}
 	for name, mutate := range map[string]func(*Config){
-		"batch":    func(c *Config) { c.BatchSize = 0 },
-		"workers":  func(c *Config) { c.Workers = 0 },
-		"gpus":     func(c *Config) { c.GPUs = 0 },
-		"epochs":   func(c *Config) { c.Epochs = 0 },
-		"prefetch": func(c *Config) { c.PrefetchFactor = 0 },
-		"prep":     func(c *Config) { c.PreprocessPerSample = -1 },
+		"batch":   func(c *Config) { c.BatchSize = 0 },
+		"workers": func(c *Config) { c.Workers = 0 },
+		"gpus":    func(c *Config) { c.GPUs = 0 },
+		"epochs":  func(c *Config) { c.Epochs = 0 },
 	} {
 		c := smallConfig(ShuffleNet, 1)
 		mutate(&c)

@@ -32,7 +32,7 @@ func NewLearner(cfg Config, src SubSource) (*Learner, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	tr, err := sampling.NewTracker(cfg.Dataset.NumSamples, cfg.TrackerInit, cfg.TrackerDecay)
+	tr, err := sampling.NewTracker(cfg.Dataset.NumSamples, trackerInit, trackerDecay)
 	if err != nil {
 		return nil, err
 	}

@@ -189,3 +189,30 @@ func TestDialBoundsASilentServer(t *testing.T) {
 		}
 	})
 }
+
+// TestResultChannelsStayInTheirSession makes one muxed call in a bubble and
+// one over loopback TCP after it, in one process. A session recycles its
+// result channels itself, so the TCP session never receives a channel made
+// in the bubble: its demux reader, outside the bubble, would panic sending
+// on one.
+func TestResultChannelsStayInTheirSession(t *testing.T) {
+	call := func(t *testing.T, ln net.Listener) {
+		srv, _ := stubServer()
+		go srv.Serve(ln)
+		defer srv.Close()
+		c, err := transport.Dial(ln.Addr().String(), transport.DialConfig{Timeout: time.Second}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, _, err := c.Call([]byte{opEcho}, time.Time{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vt.Run(t, func(t *testing.T) { call(t, transporttest.NewNetwork(t).ListenAny()) })
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	call(t, ln)
+}

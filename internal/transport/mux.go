@@ -49,12 +49,6 @@ type muxResult struct {
 	err   error
 }
 
-// muxChanPool recycles the capacity-1 result channels. A channel is only
-// recycled on paths that RECEIVED from it (after delivery nothing can be
-// sent again: the pending entry is gone); a channel abandoned by forget may
-// still receive a racing delivery, so it is dropped, never pooled.
-var muxChanPool = sync.Pool{New: func() interface{} { return make(chan muxResult, 1) }}
-
 // muxSession is one multiplexed connection generation. A broken session is
 // never repaired: the owning Client discards it and dials a fresh one (the
 // generation-based redial in client.go), so every field except the pending
@@ -83,6 +77,16 @@ type muxSession struct {
 	// inflight bounds concurrently outstanding requests on this session
 	// (nil = unbounded). Acquired before a request ID is allocated.
 	inflight chan struct{}
+
+	// free recycles this session's capacity-1 result channels. A channel is
+	// only recycled on paths that RECEIVED from it (after delivery nothing
+	// can be sent again: the pending entry is gone); a channel abandoned by
+	// forget may still receive a racing delivery, so it is dropped, never
+	// recycled. The list is per session, not process-wide: a channel made
+	// inside a virtual-clock bubble must never serve a connection outside it.
+	// It holds up to DefaultMuxInflight channels, one per call a session
+	// usually has outstanding; a channel past that is dropped.
+	free chan chan muxResult
 }
 
 // newMuxSession starts the demux reader on conn. inflightCap <= 0 means
@@ -93,6 +97,7 @@ func newMuxSession(conn net.Conn, inflightCap int) *muxSession {
 		rd:      wire.NewFrameReader(conn),
 		pending: make(map[uint32]chan muxResult),
 		done:    make(chan struct{}),
+		free:    make(chan chan muxResult, DefaultMuxInflight),
 	}
 	if inflightCap > 0 {
 		m.inflight = make(chan struct{}, inflightCap)
@@ -119,12 +124,12 @@ func (m *muxSession) doOwned(req []byte, deadline time.Time) ([]byte, *wire.Buff
 		m.inflight <- struct{}{}
 		defer func() { <-m.inflight }()
 	}
-	ch := muxChanPool.Get().(chan muxResult)
+	ch := m.resultChan()
 	m.mu.Lock()
 	if m.err != nil {
 		err := m.err
 		m.mu.Unlock()
-		muxChanPool.Put(ch)
+		m.recycle(ch)
 		return nil, nil, err
 	}
 	id := m.nextID
@@ -149,11 +154,11 @@ func (m *muxSession) doOwned(req []byte, deadline time.Time) ([]byte, *wire.Buff
 		select {
 		case res := <-ch:
 			timer.Stop()
-			muxChanPool.Put(ch)
+			m.recycle(ch)
 			return res.resp, res.owner, res.err
 		case <-timer.C:
 			// The reader may still deliver into the (buffered) channel; the
-			// abandoned channel is dropped, never pooled (see muxChanPool).
+			// abandoned channel is dropped, never recycled (see free).
 			m.forget(id)
 			return nil, nil, fmt.Errorf("transport: mux call: %w", ErrCallTimeout)
 		}
@@ -161,8 +166,28 @@ func (m *muxSession) doOwned(req []byte, deadline time.Time) ([]byte, *wire.Buff
 	res := <-ch
 	// Delivery is exactly-once (the pending entry was removed before the
 	// send), so after a receive the drained channel is safe to reuse.
-	muxChanPool.Put(ch)
+	m.recycle(ch)
 	return res.resp, res.owner, res.err
+}
+
+// resultChan takes a result channel from the session's free list, or makes
+// one when the list is empty.
+func (m *muxSession) resultChan() chan muxResult {
+	select {
+	case ch := <-m.free:
+		return ch
+	default:
+		return make(chan muxResult, 1)
+	}
+}
+
+// recycle returns a drained result channel to the free list; a full list
+// drops it.
+func (m *muxSession) recycle(ch chan muxResult) {
+	select {
+	case m.free <- ch:
+	default:
+	}
 }
 
 // forget retires a request ID whose frame never made it out. The reader may

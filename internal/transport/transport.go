@@ -174,7 +174,10 @@ func peelEnvelopes(p []byte) (inner []byte, ctx obs.TraceCtx, dl time.Time, err 
 			if budget <= 0 {
 				return nil, ctx, dl, fmt.Errorf("transport: non-positive deadline budget %d", budget)
 			}
-			dl = time.Now().Add(time.Duration(budget))
+			// The anchor is one nanosecond short of the budget, so the 1 ns a
+			// sender sends for a spent budget is already spent here, on a
+			// clock that has not moved since (appendDeadline).
+			dl = time.Now().Add(time.Duration(budget) - 1)
 		} else {
 			if ctx.Valid() {
 				return nil, ctx, dl, errors.New("transport: nested trace envelope")
