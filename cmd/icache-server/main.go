@@ -35,7 +35,6 @@ import (
 	"icache/internal/trace"
 )
 
-// parsePeers decodes "1=host:port,2=host:port" into a peer address map.
 // splitAddrs parses a comma-separated address list, trimming blanks.
 func splitAddrs(s string) []string {
 	var out []string
@@ -47,6 +46,7 @@ func splitAddrs(s string) []string {
 	return out
 }
 
+// parsePeers decodes "1=host:port,2=host:port" into a peer address map.
 func parsePeers(s string) (map[dkv.NodeID]string, error) {
 	out := make(map[dkv.NodeID]string)
 	if s == "" {

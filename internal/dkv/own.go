@@ -50,13 +50,16 @@ func decodeOwnBatch(d *wire.Reader) ([]ownOp, error) {
 
 // ownCall is one caller in the combiner: its entries, then one verdict per
 // entry or its frame's error. lead, once set, is the frame the caller sends:
-// itself, then the calls queued behind it.
+// itself, then the calls queued behind it. A queued one-entry call keeps its
+// entry and verdict in one and oneV.
 type ownCall struct {
 	ops      []ownOp
 	verdicts []bool
 	err      error
 	lead     []*ownCall
 	wake     chan struct{}
+	one      [1]ownOp
+	oneV     [1]bool
 }
 
 // combiner holds the ownership writes that arrive while a frame is in flight.
@@ -66,36 +69,49 @@ type combiner struct {
 	queue   []*ownCall
 }
 
-// writeOwnership sends ops (at most MaxOwnBatch) and returns one verdict per
-// op. A call that finds no ownership frame in flight sends at once; one that
-// finds a frame in flight queues, and when that frame's reply lands the first
-// queued caller sends everything queued, up to MaxOwnBatch entries, as one
-// frame. A failed frame fails each of its calls with its error.
-func (c *DirClient) writeOwnership(ops []ownOp) ([]bool, error) {
-	call, q := &ownCall{ops: ops}, &c.own
+// writeOwnership sends ops (at most MaxOwnBatch) and writes one verdict per op
+// into verdicts. A call that finds no ownership frame in flight sends at once,
+// from its caller's memory; one that finds a frame in flight queues a copy,
+// and when that frame's reply lands the first queued caller sends everything
+// queued, up to MaxOwnBatch entries, as one frame. A failed frame fails each
+// of its calls with its error.
+func (c *DirClient) writeOwnership(ops []ownOp, verdicts []bool) error {
+	q := &c.own
 	q.mu.Lock()
-	if q.sending {
-		call.wake = make(chan struct{}, 1)
-		q.queue = append(q.queue, call)
+	if !q.sending {
+		q.sending = true
 		q.mu.Unlock()
-		<-call.wake
-	} else {
-		q.sending, call.lead = true, []*ownCall{call}
-		q.mu.Unlock()
+		solo := ownCall{ops: ops, verdicts: verdicts}
+		return c.sendTurn([]*ownCall{&solo})
 	}
-	if frame := call.lead; frame != nil {
-		c.sendOwnership(frame)
-		// The turn passes on before the frame's callers wake, whatever the
-		// frame's outcome: a queued caller stays parked until someone does.
-		if next := q.next(); len(next) > 0 {
-			next[0].lead = next
-			next[0].wake <- struct{}{}
-		}
-		for _, o := range frame[1:] {
-			o.wake <- struct{}{}
-		}
+	call := &ownCall{wake: make(chan struct{}, 1)}
+	call.ops, call.verdicts = call.one[:], call.oneV[:]
+	if len(ops) != 1 {
+		call.ops, call.verdicts = make([]ownOp, len(ops)), make([]bool, len(ops))
 	}
-	return call.verdicts, call.err
+	copy(call.ops, ops)
+	q.queue = append(q.queue, call)
+	q.mu.Unlock()
+	if <-call.wake; call.lead != nil {
+		_ = c.sendTurn(call.lead) // the frame's error is call.err too
+	}
+	copy(verdicts, call.verdicts)
+	return call.err
+}
+
+// sendTurn sends frame, then passes the turn on before the frame's queued
+// callers wake, whatever the frame's outcome: a queued caller stays parked
+// until someone does. It returns the frame's error.
+func (c *DirClient) sendTurn(frame []*ownCall) error {
+	err := c.sendOwnership(frame)
+	if next := c.own.next(); len(next) > 0 {
+		next[0].lead = next
+		next[0].wake <- struct{}{}
+	}
+	for _, o := range frame[1:] {
+		o.wake <- struct{}{}
+	}
+	return err
 }
 
 // next takes the next frame's calls off the queue, or ends the sending turn
@@ -113,8 +129,8 @@ func (q *combiner) next() []*ownCall {
 }
 
 // sendOwnership makes frame's one round trip and hands each call its share
-// of the verdicts, or the error.
-func (c *DirClient) sendOwnership(frame []*ownCall) {
+// of the verdicts, or the error, which it returns.
+func (c *DirClient) sendOwnership(frame []*ownCall) error {
 	n := 0
 	for _, call := range frame {
 		n += len(call.ops)
@@ -130,60 +146,59 @@ func (c *DirClient) sendOwnership(frame []*ownCall) {
 		}
 	}
 	d, owner, err := c.roundTripDeadline(e, time.Time{})
-	var verdicts []bool
 	if err == nil {
-		verdicts, err = decodeVerdicts(d, n)
+		err = decodeVerdicts(d, n, frame)
 		wire.PutBuffer(owner)
 	}
 	for _, call := range frame {
-		if k := len(call.ops); err == nil {
-			call.verdicts, verdicts = verdicts[:k:k], verdicts[k:]
-		}
 		call.err = err
 	}
+	return err
 }
 
-func decodeVerdicts(d *wire.Reader, n int) ([]bool, error) {
+// decodeVerdicts hands each call of frame its share of the n verdicts.
+func decodeVerdicts(d *wire.Reader, n int, frame []*ownCall) error {
 	if got := int(d.U32()); d.Err == nil && got != n {
-		return nil, fmt.Errorf("dkv: ownership batch length mismatch: sent %d, got %d", n, got)
+		return fmt.Errorf("dkv: ownership batch length mismatch: sent %d, got %d", n, got)
 	}
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = d.U8() == 1
+	for _, call := range frame {
+		for i := range call.verdicts {
+			call.verdicts[i] = d.U8() == 1
+		}
 	}
-	return out, d.Err
+	return d.Err
 }
 
 // Claim registers node as the owner of id (first claim wins).
 func (c *DirClient) Claim(id dataset.SampleID, node NodeID) (bool, error) {
-	v, err := c.writeOwnership([]ownOp{{ownClaim, id, node}})
+	var v [1]bool
+	err := c.writeOwnership([]ownOp{{ownClaim, id, node}}, v[:])
 	return err == nil && v[0], err
 }
 
 // Release removes node's ownership of id.
 func (c *DirClient) Release(id dataset.SampleID, node NodeID) (bool, error) {
-	v, err := c.writeOwnership([]ownOp{{ownRelease, id, node}})
+	var v [1]bool
+	err := c.writeOwnership([]ownOp{{ownRelease, id, node}}, v[:])
 	return err == nil && v[0], err
 }
 
 // WriteBatch is the BatchService half of the client: the slice goes through
 // the combiner in writes of at most MaxOwnBatch ids.
 func (c *DirClient) WriteBatch(release bool, ids []dataset.SampleID, node NodeID) ([]bool, error) {
-	kind, out := byte(ownClaim), make([]bool, 0, len(ids))
+	kind, out := byte(ownClaim), make([]bool, len(ids))
 	if release {
 		kind = ownRelease
 	}
-	for len(ids) > 0 {
-		ops := make([]ownOp, min(len(ids), MaxOwnBatch))
+	for done := 0; done < len(ids); {
+		ops := make([]ownOp, min(len(ids)-done, MaxOwnBatch))
 		for i := range ops {
-			ops[i] = ownOp{kind, ids[i], node}
+			ops[i] = ownOp{kind, ids[done+i], node}
 		}
-		ids = ids[len(ops):]
-		v, err := c.writeOwnership(ops)
-		if err != nil {
-			return out, err
+		if err := c.writeOwnership(ops, out[done:done+len(ops)]); err != nil {
+			return out[:done], err
 		}
-		out = append(out, v...)
+		done += len(ops)
 	}
 	return out, nil
 }

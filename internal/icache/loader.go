@@ -51,6 +51,7 @@ type loader struct {
 	packages int64 // packages issued
 	samples  int64 // samples shipped in packages
 	inFlight bool  // the package a reader holds (Server.SetPackageReader)
+	landed   bool  // a member of the package in flight reached the L-cache
 }
 
 type packageArrival struct {

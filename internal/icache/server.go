@@ -460,19 +460,27 @@ func (s *Server) fetchOne(at simclock.Time, id dataset.SampleID, routing *sampli
 }
 
 // load rolls the loading thread forward to at on the storage model, or, with
-// a package reader set, composes a package where the simulator would issue one
-// and hands it over: no model ticks and no repackPerSample is charged.
+// a package reader set, composes a package where the simulator would issue one.
 func (s *Server) load(at simclock.Time) {
-	switch {
-	case s.readPackage == nil:
+	if s.readPackage == nil {
 		s.ld.pump(at, s.hlist, s.h, s.l)
 		s.ld.deliver(at, s.l)
-	case !s.ld.inFlight && s.l.capBytes-s.l.unusedBytes() >= int64(s.ld.pkgBytes):
-		if ids, _ := s.ld.composePackage(s.hlist, s.h, s.l); len(ids) > 0 {
-			s.ld.inFlight = true
-			s.ld.packages++
-			s.readPackage(ids)
-		}
+		return
+	}
+	s.composeNext()
+}
+
+// composeNext hands the reader the next package, if none is in flight and
+// the L-cache has room for one: no model ticks and no repackPerSample are
+// charged.
+func (s *Server) composeNext() {
+	if s.ld.inFlight || s.l.capBytes-s.l.unusedBytes() < int64(s.ld.pkgBytes) {
+		return
+	}
+	if ids, _ := s.ld.composePackage(s.hlist, s.h, s.l); len(ids) > 0 {
+		s.ld.inFlight, s.ld.landed = true, false
+		s.ld.packages++
+		s.readPackage(ids)
 	}
 }
 
@@ -489,11 +497,20 @@ func (s *Server) DeliverMember(id dataset.SampleID) bool {
 		return false
 	}
 	s.ld.usefulBytes += int64(size)
+	s.ld.landed = true
 	return true
 }
 
-// EndPackage ends the package in flight; the engine may compose the next.
-func (s *Server) EndPackage() { s.ld.inFlight = false }
+// EndPackage ends the package in flight and, if it landed a member, composes
+// the next one at once when the L-cache has room: the loader runs back to
+// back. After a package that landed nothing (a sick backend or directory) the
+// next L-request composes, so the loader cannot spin.
+func (s *Server) EndPackage() {
+	s.ld.inFlight = false
+	if s.ld.landed {
+		s.composeNext()
+	}
+}
 
 // peerServed counts a request nothing local could serve as exactly one of
 // Hits (a peer served it, at the returned time) or Misses — the one choke

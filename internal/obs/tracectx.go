@@ -75,27 +75,19 @@ func (s *Sampler) Sample() bool {
 
 // RateLimiter allows at most one event per interval (a CAS on the last
 // allowed timestamp — no locks, no allocation). It rate-limits the
-// slow-request log so a latency storm cannot flood the process log. A nil
-// limiter allows everything.
+// slow-request log so a latency storm cannot flood the process log.
 type RateLimiter struct {
 	interval int64 // nanoseconds
 	last     int64 // unix nanos of the last allowed event
 }
 
-// NewRateLimiter builds a limiter allowing one event per interval;
-// interval <= 0 returns nil (no limiting).
+// NewRateLimiter builds a limiter allowing one event per interval.
 func NewRateLimiter(interval time.Duration) *RateLimiter {
-	if interval <= 0 {
-		return nil
-	}
 	return &RateLimiter{interval: int64(interval)}
 }
 
 // Allow reports whether an event occurring now may pass.
 func (l *RateLimiter) Allow(now time.Time) bool {
-	if l == nil {
-		return true
-	}
 	ns := now.UnixNano()
 	for {
 		last := atomic.LoadInt64(&l.last)

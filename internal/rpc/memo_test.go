@@ -112,7 +112,8 @@ func idRange(lo, hi dataset.SampleID) []dataset.SampleID {
 // TestRepeatMissesAskTheDirectoryOncePerEpoch: four reads of 16 ids node A
 // owns cost node B one LookupBatch in all, and one more after an epoch
 // boundary; every sample is served from A's memory. Node B's only backend
-// reads are the members of the one L-cache package its boundary composed.
+// reads are the members of the L-cache packages its loader ran back to back
+// from the first boundary until its L-cache was full.
 func TestRepeatMissesAskTheDirectoryOncePerEpoch(t *testing.T) {
 	inBubble(t, func(t *testing.T) {
 		ids := idRange(0, 16)
@@ -139,10 +140,11 @@ func TestRepeatMissesAskTheDirectoryOncePerEpoch(t *testing.T) {
 		}
 		waitLoaded(t, p.b)
 		n, members := p.srcB.Reads()-reads0, p.b.packageReads.Load()
-		if v := engineView(p.b); n != members || v.Packages != 1 || p.b.DemandFetches() != 0 {
-			t.Errorf("node B: %d backend reads, %d of them package members of %d packages, %d demand fetches; want only the one package's",
+		if v := engineView(p.b); n != members || v.Packages < 2 || p.b.DemandFetches() != 0 {
+			t.Errorf("node B: %d backend reads, %d of them package members of %d packages, %d demand fetches; want only the members of the packages its loader ran back to back",
 				n, members, v.Packages, p.b.DemandFetches())
 		}
+		requireLCacheFull(t, p.b)
 		requireConserved(t, p.b, base, 8*16)
 	})
 }

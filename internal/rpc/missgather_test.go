@@ -553,3 +553,61 @@ func TestScatterRechecksResidencyFirst(t *testing.T) {
 		t.Errorf("%d singleflight keys leaked", n)
 	}
 }
+
+// TestAdmitPassStoresWhatStaysResident: a request's gather reads its misses
+// with no lock, then one policyMu pass stores what the policy engine still
+// holds resident, and only then are its flights finished. H-samples a and b
+// miss together: a's read lands, b's is held. A second request joins a's
+// flight, and the policy evicts a, between a's read and the pass. When b's
+// read lands, a's bytes are not stored (no payload without a resident owner)
+// and b's are; each request gets every sample's verified bytes once; and each
+// sample cost one backend read: a flight retired before the pass would have
+// sent the second request to the backend for a again.
+func TestAdmitPassStoresWhatStaysResident(t *testing.T) {
+	inBubble(t, func(t *testing.T) {
+		const a, b = dataset.SampleID(3), dataset.SampleID(4)
+		src := newHeldSource(t, nil, b)
+		srv := newUnstartedServer(t, src)
+		cl := dial(t, serveOn(t, srv))
+		if err := cl.UpdateImportance(hItems([]dataset.SampleID{a, b})); err != nil {
+			t.Fatal(err)
+		}
+		get := func(ids []dataset.SampleID, done chan<- error) {
+			got, err := cl.GetBatch(ids)
+			for i, s := range got {
+				if err == nil && (s.ID != ids[i] || testSpec().VerifyPayload(s.ID, s.Payload) != nil) {
+					err = fmt.Errorf("sample %d of %v: served %d, bytes verify: %v", i, ids, s.ID, testSpec().VerifyPayload(s.ID, s.Payload))
+				}
+			}
+			done <- err
+		}
+		first, second := make(chan error, 1), make(chan error, 1)
+		go get([]dataset.SampleID{a, b}, first)
+		src.awaitEntered(t) // b's read holds
+		vt.Wait()           // a's has landed
+		if src.count(a) != 1 || srv.payloads.has(a) {
+			t.Fatalf("before the pass: a read %d times, stored %v; want read once, not stored", src.count(a), srv.payloads.has(a))
+		}
+		go get([]dataset.SampleID{a}, second)
+		vt.Wait() // the second request waits on a's flight
+		if !(lockedResidents{srv}).DropFor(a, dkv.DropScrub) {
+			t.Fatal("the policy engine did not hold a resident")
+		}
+		src.open()
+		for _, done := range []chan error{first, second} {
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		}
+		if src.count(a) != 1 || src.count(b) != 1 {
+			t.Fatalf("backend reads: a %d, b %d; want one each", src.count(a), src.count(b))
+		}
+		if srv.payloads.has(a) || !srv.payloads.has(b) {
+			t.Fatalf("stored: a %v, b %v; want only b, which stayed resident", srv.payloads.has(a), srv.payloads.has(b))
+		}
+		requireStoreWithinResidents(t, srv)
+		if n := srv.flight.Inflight(); n != 0 {
+			t.Fatalf("%d singleflight keys still in flight", n)
+		}
+	})
+}

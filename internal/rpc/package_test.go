@@ -2,10 +2,11 @@ package rpc
 
 // Tests for the L-cache's packages on the wire: the policy engine composes a
 // package, the prefetch pool reads its members, and one policyMu hold lands
-// bytes and L-residency together. So an L-resident always has its bytes, a
-// substitute is a memory read, one package is in flight, Brownout holds
-// loading, Close leaves nothing running, and a member another node owns is
-// neither cached nor left claimed.
+// bytes and L-residency together and composes the next package while the
+// L-cache has room. So an L-resident always has its bytes, a substitute is a
+// memory read, the loader runs back to back with one package in flight,
+// Brownout holds loading, Close leaves nothing running, and a member another
+// node owns is neither cached nor left claimed.
 
 import (
 	"math/rand"
@@ -15,6 +16,7 @@ import (
 
 	"icache/internal/dataset"
 	"icache/internal/dkv"
+	"icache/internal/icache"
 	"icache/internal/overload"
 	"icache/internal/sampling"
 	"icache/internal/vt"
@@ -57,6 +59,47 @@ func requireLResidentsStored(t *testing.T, srv *Server) {
 	}
 	srv.policyMu.Unlock()
 	requireStoreWithinResidents(t, srv)
+}
+
+// requireLCacheFull checks that the loader stopped because the L-cache has no
+// room for another package, at a quiet point where no L-resident has served
+// yet: its unused residents leave less than one package of the region free.
+// The test cache's L region is under two 1 MB packages, so NewServer sizes a
+// package at half of it.
+func requireLCacheFull(t *testing.T, srv *Server) {
+	t.Helper()
+	cfg := icache.DefaultConfig(testSpec().TotalBytes() / 5)
+	lBytes := cfg.CapacityBytes - int64(float64(cfg.CapacityBytes)*cfg.HShare)
+	srv.policyMu.Lock()
+	var unused int64
+	for _, id := range lResidents(srv) {
+		unused += int64(testSpec().SampleBytes(id))
+	}
+	srv.policyMu.Unlock()
+	if free := lBytes - unused; free >= lBytes/2 {
+		t.Fatalf("the loader stopped with %d of the L-cache's %d bytes free; want less than a package (%d)", free, lBytes, lBytes/2)
+	}
+}
+
+// queuedMembers lists the package members waiting in srv's prefetch queue,
+// failing unless they all belong to one package: the one in flight.
+func queuedMembers(t *testing.T, srv *Server) []dataset.SampleID {
+	t.Helper()
+	p := srv.prefetch
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var pk *pkgLoad
+	var ids []dataset.SampleID
+	for _, it := range p.queue {
+		if it.pkg == nil {
+			continue
+		}
+		if pk != nil && it.pkg != pk {
+			t.Fatal("members of two packages are queued")
+		}
+		pk, ids = it.pkg, append(ids, it.id)
+	}
+	return ids
 }
 
 // hlistItems makes ids 0..n-1 the H-list, with seeded importance values.
@@ -241,17 +284,14 @@ func TestPackageLifecycle(t *testing.T) {
 			if err := <-done; err != nil {
 				t.Fatal(err)
 			}
+			// No L-request came after the held one, so every package after
+			// package 1 followed the delivery before it, until the L-cache
+			// had no room.
 			waitLoaded(t, srv)
-			if v := engineView(srv); v.Packages != 1 || v.LLen == 0 {
-				t.Fatalf("%d packages, %d L-residents after package 1 landed; want 1 and some", v.Packages, v.LLen)
+			if v := engineView(srv); v.Packages < 2 || v.LLen == 0 {
+				t.Fatalf("%d packages, %d L-residents after package 1 landed; want the next to follow its delivery", v.Packages, v.LLen)
 			}
-			if _, err := cl.GetBatch([]dataset.SampleID{55}); err != nil {
-				t.Fatal(err)
-			}
-			if v := engineView(srv); v.Packages != 2 {
-				t.Fatalf("%d packages after an L-request with package 1 delivered; want 2", v.Packages)
-			}
-			waitLoaded(t, srv)
+			requireLCacheFull(t, srv)
 			requireLResidentsStored(t, srv)
 		})
 	})
@@ -266,18 +306,25 @@ func TestPackageLifecycle(t *testing.T) {
 				t.Fatal(err)
 			}
 			vt.Wait() // every worker that could read has
-			held := srv.prefetch.depth()
-			if v := engineView(srv); held == 0 || src.reads() != 0 || !v.Loading || v.Packages != 1 {
-				t.Fatalf("Brownout: %d members queued, %d reads, loading %v, %d packages; want all queued, 0 reads",
-					held, src.reads(), v.Loading, v.Packages)
+			held := queuedMembers(t, srv)
+			if v := engineView(srv); len(held) == 0 || src.reads() != 0 || !v.Loading || v.Packages != 1 {
+				t.Fatalf("Brownout: %d members queued, %d reads, loading %v, %d packages; want one package queued, 0 reads",
+					len(held), src.reads(), v.Loading, v.Packages)
 			}
 			normal()
 			waitLoaded(t, srv)
 			v, d := engineView(srv), srv.DecisionStats()
-			if src.reads() != held || d.AdmitPackage != int64(held) || v.LLen != held {
-				t.Fatalf("after Brownout: %d reads, %d admitted, %d L-residents; want the %d held members",
-					src.reads(), d.AdmitPackage, v.LLen, held)
+			for _, id := range held {
+				if src.count(id) != 1 || !(lockedResidents{srv}).Resident(id) {
+					t.Fatalf("after Brownout: held member %d read %d times, resident %v; want once, resident",
+						id, src.count(id), (lockedResidents{srv}).Resident(id))
+				}
 			}
+			if v.Packages < 2 || int64(src.reads()) != d.AdmitPackage || v.LLen != src.reads() {
+				t.Fatalf("after Brownout: %d packages, %d reads, %d admitted, %d L-residents; want the held package's delivery to compose the next, every read landed",
+					v.Packages, src.reads(), d.AdmitPackage, v.LLen)
+			}
+			requireLCacheFull(t, srv)
 			requireLResidentsStored(t, srv)
 		})
 	})
@@ -337,5 +384,58 @@ func TestPackageLifecycle(t *testing.T) {
 			}
 			requireLResidentsStored(t, srv)
 		})
+	})
+}
+
+// TestLoaderRunsBackToBack: with no L-request, the package after a boundary's
+// follows its delivery, and the next follows that one's, each composed only
+// after every member of the one before it was read, until the L-cache has no
+// room for another. Then a full L-cache of unused residents composes nothing,
+// at the next boundary either.
+func TestLoaderRunsBackToBack(t *testing.T) {
+	inBubble(t, func(t *testing.T) {
+		src := newHeldSource(t, nil, holdNone)
+		srv := newUnstartedServer(t, src)
+		// The reader runs under policyMu, inside the boundary's hold or a
+		// delivery's: it records each package and the reads before it.
+		var sizes, readsAt []int
+		srv.cache.SetPackageReader(func(ids []dataset.SampleID) {
+			if n := len(sizes); n > 0 && src.reads()-readsAt[n-1] != sizes[n-1] {
+				t.Errorf("package %d composed after %d of package %d's %d member reads", n+1, src.reads()-readsAt[n-1], n, sizes[n-1])
+			}
+			if r := srv.cache.View().Cache.Requests(); r != 0 {
+				t.Errorf("package %d composed after %d requests; want none", len(sizes)+1, r)
+			}
+			sizes, readsAt = append(sizes, len(ids)), append(readsAt, src.reads())
+			srv.prefetch.addPackage(ids)
+		})
+		cl := dial(t, serveOn(t, srv))
+		if err := cl.BeginEpoch(1); err != nil {
+			t.Fatal(err)
+		}
+		waitLoaded(t, srv)
+		srv.policyMu.Lock()
+		composed := slices.Clone(sizes)
+		srv.policyMu.Unlock()
+		total := 0
+		for _, n := range composed {
+			total += n
+		}
+		if len(composed) < 2 || src.reads() != total {
+			t.Fatalf("%d packages of %v members, %d reads; want the next package to follow each delivery, one read per member",
+				len(composed), composed, src.reads())
+		}
+		requireLCacheFull(t, srv)
+		requireLResidentsStored(t, srv)
+
+		reads := src.reads()
+		if err := cl.BeginEpoch(2); err != nil {
+			t.Fatal(err)
+		}
+		waitLoaded(t, srv)
+		if v := engineView(srv); v.Packages != int64(len(composed)) || src.reads() != reads {
+			t.Fatalf("a boundary over a full L-cache composed %d packages and read %d samples; want none",
+				v.Packages-int64(len(composed)), src.reads()-reads)
+		}
 	})
 }

@@ -602,12 +602,13 @@ func (s *Server) PeerBatchStats() (rpcs, samples int64) {
 }
 
 // claimOwnership registers this node in the directory for a sample it just
-// admitted. It reports whether the node may keep the copy and, when not, why
+// read. It reports whether the node may keep the copy and, when not, why
 // it goes: another node owns the sample (dead-owner; the remembered answer is
 // stale), or the claim got no answer (dir-unavailable: counted as a directory
 // failure, and the copy goes because unregistered ownership would invite
-// duplication). Distributed servers only (admit skips the claim on a lone
-// one). Must be called with no server lock held: it is a directory round trip.
+// duplication). Distributed servers only (fetchOne and readMember claim
+// nothing on a lone one). Must be called with no server lock held: it is a
+// directory round trip.
 func (s *Server) claimOwnership(id dataset.SampleID) (keep bool, why dkv.DropReason) {
 	dist := s.dist
 	ok, err := dist.dir.Claim(id, dist.nodeID)

@@ -305,9 +305,10 @@ func TestPlanConservationAcrossEpochs(t *testing.T) {
 }
 
 // TestPlanBrownoutHoldsTheQueue walks the overload gate into Brownout: a plan
-// is queued whole and causes no backend read while the gate holds. Back in
-// Normal the paused workers resume, the plan drains, and the ledger balances
-// exactly at the next boundary.
+// is queued whole, beside the one package the boundary composed, and causes
+// no backend read while the gate holds. Back in Normal the paused workers
+// resume, the plan and the package drain, and the ledger balances exactly at
+// the next boundary.
 func TestPlanBrownoutHoldsTheQueue(t *testing.T) {
 	inBubble(t, func(t *testing.T) {
 		g := newHeldSource(t, nil, holdNone)
@@ -342,7 +343,7 @@ func TestPlanBrownoutHoldsTheQueue(t *testing.T) {
 			t.Fatalf("%d backend reads in Brownout; want none", n)
 		}
 		// The boundary also composed an L-cache package: its members wait too.
-		held := srv.prefetch.depth()
+		held, members := srv.prefetch.depth(), queuedMembers(t, srv)
 
 		gate.Observe(at.Add(time.Second), 0) // an idle window: back to Normal
 		if st := gate.State(); st != overload.Normal {
@@ -356,9 +357,14 @@ func TestPlanBrownoutHoldsTheQueue(t *testing.T) {
 					id, srv.payloads.has(id), g.count(id))
 			}
 		}
-		if members := srv.packageReads.Load(); members == 0 || held != len(ids)+int(members) {
+		if len(members) == 0 || held != len(ids)+len(members) {
 			t.Fatalf("queue held %d entries in Brownout; want the whole plan (%d) and the package's %d members",
-				held, len(ids), members)
+				held, len(ids), len(members))
+		}
+		for _, id := range members {
+			if g.count(id) != 1 {
+				t.Fatalf("member %d of the held package read %d times after Brownout; want once", id, g.count(id))
+			}
 		}
 		crossBoundary(t, srv, "after a Brownout", func() error { return cl.BeginEpoch(2) })
 	})

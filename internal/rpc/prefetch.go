@@ -237,7 +237,8 @@ func (p *prefetcher) noteEvict(id dataset.SampleID) {
 }
 
 // addPackage queues a package's members, which no sweep drops: the engine
-// composes no other until it is delivered. Called under policyMu.
+// composes no other until it is delivered. Called under policyMu, by a
+// request or a boundary, or by the delivery of the package before it.
 func (p *prefetcher) addPackage(ids []dataset.SampleID) {
 	pk := &pkgLoad{ids: ids, bufs: make([][]byte, len(ids))}
 	pk.left.Store(int32(len(ids)))
@@ -386,6 +387,8 @@ func (s *Server) readMember(pk *pkgLoad, i int) {
 
 // deliver lands a package in one policyMu hold: an inserted member's bytes
 // are stored before a later insert can evict it; a refused one's claim goes.
+// EndPackage then composes the next package in the same hold while the
+// L-cache has room, so the loader runs back to back.
 func (s *Server) deliver(pk *pkgLoad) {
 	s.policyMu.Lock()
 	for j, id := range pk.ids {

@@ -249,11 +249,17 @@ func TestBeginEpochAndSubstitutionPath(t *testing.T) {
 // request at the wall-clock instant the request arrived, in one policy hold.
 // So a fresh server's one all-miss batch of L-samples misses every sample —
 // the package its first L-sample composes cannot land inside the hold to be
-// hit or substituted — and the loader has composed exactly that one package:
-// it keeps one in flight.
+// hit or substituted — and that is the one package the request composed:
+// every later one was composed after the hold, by a delivery.
 func TestPolicyClockIsTheRequestInstant(t *testing.T) {
-	srv, addr, _ := startServer(t)
-	c := dial(t, addr)
+	srv := newUnstartedServer(t, nil)
+	// The reader runs under policyMu: it notes the requests counted by then.
+	var at []int64
+	srv.cache.SetPackageReader(func(ids []dataset.SampleID) {
+		at = append(at, srv.cache.View().Cache.Requests())
+		srv.prefetch.addPackage(ids)
+	})
+	c := dial(t, serveOn(t, srv))
 	ids := make([]dataset.SampleID, 256)
 	for i := range ids {
 		ids[i] = dataset.SampleID(7 * i)
@@ -266,8 +272,15 @@ func TestPolicyClockIsTheRequestInstant(t *testing.T) {
 		t.Errorf("one all-miss batch on a fresh server: %d hits, %d substitutions, %d misses; want 0, 0, %d",
 			st.Hits, st.Substitutions, st.Misses, len(ids))
 	}
-	if v.Packages != 1 {
-		t.Errorf("loader composed %d packages for one request; want 1", v.Packages)
+	srv.policyMu.Lock()
+	defer srv.policyMu.Unlock()
+	if len(at) == 0 || at[0] != 0 {
+		t.Fatalf("packages composed after %v requests; want the first at the request's first sample", at)
+	}
+	for i, n := range at[1:] {
+		if n != int64(len(ids)) {
+			t.Errorf("package %d composed after %d requests; want after the request's hold (%d)", i+2, n, len(ids))
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"icache/internal/dataset"
+	"icache/internal/dkv"
 	"icache/internal/icache"
 	"icache/internal/obs"
 	"icache/internal/overload"
@@ -58,7 +59,9 @@ type ByteSource interface {
 // locks, coalesced per sample ID through a singleflight group so K
 // concurrent misses on one sample issue exactly one backend read. The
 // distributed helpers in peer.go (scatterToPeers, claimOwnership) are
-// called WITHOUT policyMu held.
+// called WITHOUT policyMu held. A request takes policyMu for its verdict and
+// once more to admit all the misses it read (a distributed node adds one
+// pre-check); a package lands, and the next is composed, in one hold.
 type Server struct {
 	cache  *icache.Server
 	source ByteSource
@@ -339,11 +342,18 @@ const backendReadBudget = 32
 
 // missKey is one miss of a request: its position in the request and the
 // in-flight call it either leads (the request must then Finish c exactly
-// once) or waits on.
+// once) or waits on. For a led key the miss path fills in what the gather
+// read — b and err — and what admit is to do with it (see admit).
 type missKey struct {
-	id  dataset.SampleID
-	c   *singleflight.Call
-	pos int
+	id    dataset.SampleID
+	c     *singleflight.Call
+	pos   int
+	b     []byte
+	err   error
+	fresh bool // b came from the backend now, not from the store
+	claim bool // resident at the pre-check, so claimed (distributed only)
+	keep  bool // the claim was granted
+	why   dkv.DropReason
 }
 
 // collect is the one miss collector. The positions getBatchPinned found no
@@ -383,10 +393,10 @@ func (s *Server) collect(sc *serveScratch, ctx obs.TraceCtx, dl time.Time) error
 		// not pay twice).
 		s.prefetch.noteDemand(id)
 		if !leader {
-			sc.waits = append(sc.waits, missKey{id, c, i})
+			sc.waits = append(sc.waits, missKey{id: id, c: c, pos: i})
 			continue
 		}
-		sc.leads = append(sc.leads, missKey{id, c, i})
+		sc.leads = append(sc.leads, missKey{id: id, c: c, pos: i})
 	}
 
 	// Pass 2: resolve the keys we lead. resolveMissBatch finishes every one
@@ -443,22 +453,35 @@ func (s *Server) collect(sc *serveScratch, ctx obs.TraceCtx, dl time.Time) error
 // scratch: the peer step works in it and leaves in it the peer answers to hand
 // back once the caller is done with their bytes. prov is the admission
 // provenance of what the backend gather stores. Called with no server lock
-// held; all peer, directory and backend I/O happens outside locks.
+// held; all peer, directory and backend I/O happens outside locks. The gather
+// reads, then one admit pass stores what the policy still holds resident, and
+// only then is each key finished: a flight retires with its bytes stored.
 func (s *Server) resolveMissBatch(sc *serveScratch, keys []missKey, ctx obs.TraceCtx, dl time.Time, prov admitProv) {
 	// A peer's cache is cheaper than the backend (§III-E flow: local cache →
 	// directory → remote cache → storage); a lone server is simply the case
 	// with no directory step.
 	if s.dist != nil {
-		keys = s.scatterToPeers(sc, keys, ctx, dl)
+		if keys = s.scatterToPeers(sc, keys, ctx, dl); len(keys) == 0 {
+			return
+		}
+		s.policyMu.Lock() // the pre-check: claim only what the policy keeps
+		for i := range keys {
+			keys[i].claim = s.cache.Resident(keys[i].id)
+		}
+		s.policyMu.Unlock()
 	}
 
 	// Gather what no peer satisfied from the backend; a one-miss call spawns
 	// nothing (and allocates nothing for the fan-out).
 	if len(keys) == 1 {
-		s.fetchLed(keys[0], ctx, prov)
-		return
+		s.fetchOne(&keys[0], ctx, prov)
+	} else {
+		gather(len(keys), func(i int) { s.fetchOne(&keys[i], ctx, prov) })
 	}
-	gather(len(keys), func(i int) { s.fetchLed(keys[i], ctx, prov) })
+	s.admit(keys, prov)
+	for _, k := range keys {
+		s.flight.Finish(int64(k.id), k.c, k.b, k.err)
+	}
 }
 
 // gather runs do(0..n-1) on min(n, 2×backendReadBudget) workers pulling from
@@ -494,33 +517,30 @@ func gather(n int, do func(i int)) {
 	g.wg.Wait()
 }
 
-// fetchLed reads one led key from the backend and finishes it.
-func (s *Server) fetchLed(k missKey, ctx obs.TraceCtx, prov admitProv) {
-	p, err := s.fetchOne(k.id, ctx, prov)
-	s.flight.Finish(int64(k.id), k.c, p, err)
-}
-
 // fetchOne is the one backend-read block: it produces the bytes of a sample
 // whose singleflight key the caller leads (and scatterToPeers found no peer
-// copy of), without holding any lock, and admits them. ctx is the trace
+// copy of) into k, without holding any lock, and on a distributed node claims
+// what the pre-check found resident; admit stores them. ctx is the trace
 // context of the request driving the fetch (zero for untraced requests and
 // prefetch work). When callers of different provenance coalesce onto one
 // flight the leader's wins — attribution is per fetch, not per waiter.
-func (s *Server) fetchOne(id dataset.SampleID, ctx obs.TraceCtx, prov admitProv) ([]byte, error) {
+func (s *Server) fetchOne(k *missKey, ctx obs.TraceCtx, prov admitProv) {
 	// Re-check under the flight's happens-before edge: a racing fetch may
 	// have filled the store between the caller's miss and its Begin.
-	if p, ok := s.payloads.get(id); ok {
-		return p, nil
+	if p, ok := s.payloads.get(k.id); ok {
+		k.b = p
+		return
 	}
-	p, err := s.readBackend(id, ctx)
-	if err != nil {
-		return nil, err
+	if k.b, k.err = s.readBackend(k.id, ctx); k.err != nil {
+		return
 	}
+	k.fresh = true
 	if prov != provPrefetch {
 		atomic.AddInt64(&s.demandFetches, 1)
 	}
-	s.admit(id, p, prov)
-	return p, nil
+	if k.claim {
+		k.keep, k.why = s.claimOwnership(k.id)
+	}
 }
 
 // readBackend is the one place a backend read is issued and the one place a
@@ -565,37 +585,28 @@ func (s *Server) guardedFetch(id dataset.SampleID) (p []byte, err error) {
 	return s.source.Fetch(id)
 }
 
-// admit stores a freshly fetched payload if the policy engine kept the
-// sample resident and (in distributed mode) the directory claim succeeds.
-// Called without locks; takes policyMu only for the residency checks and
-// the final store insert, never across the directory call. A lone server has
-// no claim to make, so it takes the lock once: the pre-check exists only to
-// spare the directory a Claim for a sample the policy already rejected.
-func (s *Server) admit(id dataset.SampleID, payload []byte, prov admitProv) {
-	if s.dist != nil {
-		s.policyMu.Lock()
-		resident := s.cache.Resident(id)
-		s.policyMu.Unlock()
-		if !resident {
-			return
-		}
-		if keep, why := s.claimOwnership(id); !keep {
-			s.policyMu.Lock()
-			s.cache.DropFor(id, why)
-			s.policyMu.Unlock()
-			return
-		}
-	}
-	// Insert under policyMu so an eviction (which deletes store entries
-	// under policyMu) cannot interleave between our residency check and
-	// the store write, which would leak a payload with no resident owner.
+// admit is a gather's one policyMu pass: it stores each freshly read payload
+// whose sample the policy engine still holds resident. The store insert and
+// the residency check share the hold, so an eviction (which deletes store
+// entries under policyMu) cannot land between them and leak a payload with
+// no resident owner; one that landed during the read simply leaves the bytes
+// unstored. On a distributed node a sample the pre-check found evicted was
+// never claimed, a refused claim drops the sample (the directory names
+// another owner, or none answered), and a claim whose sample was evicted
+// meanwhile is handed back.
+func (s *Server) admit(keys []missKey, prov admitProv) {
 	s.policyMu.Lock()
-	if s.cache.Resident(id) {
-		s.payloads.put(id, payload)
-		s.dec.countAdmit(prov)
-	} else {
-		// Evicted while we were claiming; hand the claim back.
-		s.releaseOwnership(id)
+	for i := range keys {
+		switch k := &keys[i]; {
+		case !k.fresh || (s.dist != nil && !k.claim): // nothing read or claimed
+		case s.dist != nil && !k.keep:
+			s.cache.DropFor(k.id, k.why)
+		case s.cache.Resident(k.id):
+			s.payloads.put(k.id, k.b)
+			s.dec.countAdmit(prov)
+		default:
+			s.releaseOwnership(k.id)
+		}
 	}
 	s.policyMu.Unlock()
 }
