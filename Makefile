@@ -63,7 +63,8 @@ vet:
 # DialTimeout and train.Config no PreprocessPerSample, PrefetchFactor,
 # TrackerInit or TrackerDecay (each a constant, or derived from the lease
 # TTL), SetSlowRequestLog takes no minInterval, and icache-server has no
-# -heartbeat-interval, -scrub-interval or -peer-inflight flag. And there is
+# -heartbeat-interval, -scrub-interval, -peer-inflight, -h-share or -no-lcache
+# flag (the last two only ever held icache.DefaultConfig's values). And there is
 # one training loop, train.Job, and a single job is its one-node case: the
 # non-test files of internal/train name no DistJob, runEpoch or
 # consumeIteration, and only job.go asks the fetch engine whether a batch is
@@ -95,7 +96,10 @@ vet:
 # slows a source or a connection with an internal/faults delay rule and holds
 # a fetch with internal/rpc's one heldSource), and none polls with
 # time.Sleep(time.Millisecond) (a bubble test waits at vt.Wait, any other on
-# an event). Subsumes `vet` in `make all`.
+# an event). And the daemons share one operator shell (cmd/internal/shell, with
+# trace.Recorder.DumpFile): no other non-test file under cmd/ imports
+# net/http/pprof or calls WriteCSVLimited( or os.Rename(, so a second debug
+# mux or trace dump cannot grow back beside it. Subsumes `vet` in `make all`.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -177,7 +181,7 @@ lint:
 			/^[[:space:]]*(Window|ShedWindows|FloorRate|FloorBurst|Cooldown|BreakerCooldown|Inflight|HeartbeatInterval|ScrubInterval|ScrubBatch|DialTimeout|PreprocessPerSample|PrefetchFactor|TrackerInit|TrackerDecay)[^A-Za-z0-9_]/ \
 			{print f ":" NR ":" $$0}'; \
 		sed 's,//.*,,' $$f | grep -nE 'SetSlowRequestLog\([^)]*,|minInterval' | sed "s,^,$$f:,"; \
-	done; grep -HnE 'heartbeat-interval|scrub-interval|peer-inflight' cmd/icache-server/*.go); \
+	done; grep -HnE 'heartbeat-interval|scrub-interval|peer-inflight|h-share|no-lcache' cmd/icache-server/*.go); \
 	if [ -n "$$stray" ]; then \
 		echo "a dial nobody turns or a path nothing reaches (the simulator's fixed costs are constants, and so are the shipped stack's knobs only tests set; static packaging is fetchStaticChunk alone):"; echo "$$stray"; exit 1; \
 	fi
@@ -223,6 +227,12 @@ lint:
 			-e 'time\.Sleep\(time\.Millisecond\)' .); \
 	if [ -n "$$stray" ]; then \
 		echo "a second fault substrate or a wall-clock poll in tests (stall through faults.DelayEvery, hold through heldSource, wait at vt.Wait or on an event):"; echo "$$stray"; exit 1; \
+	fi
+	@stray=$$(for f in $$(find cmd -name '*.go' ! -name '*_test.go' ! -path 'cmd/internal/shell/*'); do \
+		sed 's,//.*,,' $$f | grep -nE '"net/http/pprof"|WriteCSVLimited\(|os\.Rename\(' | sed "s,^,$$f:,"; \
+	done); \
+	if [ -n "$$stray" ]; then \
+		echo "a second operator shell (a daemon mounts its debug surface and dumps its trace through cmd/internal/shell):"; echo "$$stray"; exit 1; \
 	fi
 	$(GO) vet ./...
 

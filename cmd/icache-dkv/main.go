@@ -15,27 +15,22 @@
 // cache servers' sharded clients route and fail over, and each node's scrub
 // repairs the entries a failover stranded once routing reaches them again.
 //
-// With -debug-addr the service also exposes an observability surface: the
-// per-request latency histogram and trace-ring summary at /debug/obs, and
-// (with -pprof) the net/http/pprof handlers. With -trace-csv, directory
-// spans of traced cache requests are dumped at shutdown so icache-trace
-// can place the directory hop in the cross-node chain.
+// With -debug-addr the service serves the daemons' shared debug surface:
+// the per-request latency and trace-ring summary at /debug/obs, ownership
+// and membership counters at /debug/timeline, membership flips at
+// /debug/journal, and (with -pprof) net/http/pprof. With -trace-csv,
+// directory spans of traced cache requests are dumped at shutdown so
+// icache-trace can place the directory hop in the cross-node chain.
 package main
 
 import (
-	"context"
 	"flag"
 	"log"
 	"net/http"
-	"net/http/pprof"
-	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
+	"icache/cmd/internal/shell"
 	"icache/internal/dkv"
 	"icache/internal/obs"
-	"icache/internal/overload"
 	"icache/internal/trace"
 )
 
@@ -43,13 +38,15 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7821", "listen address")
 	leaseTTL := flag.Duration("lease-ttl", dkv.DefaultLeaseTTL, "default membership lease TTL granted to nodes that register without one")
 	suspect := flag.Duration("suspect-window", dkv.DefaultSuspectWindow, "how long past lease expiry a node stays routable before it is declared dead")
-	debugAt := flag.String("debug-addr", "", "serve /debug/obs on this address (e.g. :7831); also arms the per-request latency histogram")
+	debugAt := flag.String("debug-addr", "", "serve /debug/obs, /debug/timeline and /debug/journal on this address (e.g. :7831); also arms the per-request latency histogram")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof on the debug address (requires -debug-addr)")
 	traceCSV := flag.String("trace-csv", "", "dump directory-side spans of traced requests to this CSV file at shutdown; also arms span recording")
 	traceMax := flag.Int("trace-csv-max-mb", 0, "cap the shutdown trace CSV at this many MB, keeping the newest events (0 = unlimited); the previous dump is rotated to <file>.1")
 	maxInfl := flag.Int("max-inflight", 0, "admission control: max concurrently admitted data-plane requests before shedding (0 disables the cap; liveness traffic is never gated)")
 	targetQD := flag.Duration("target-queue-delay", 0, "admission control: standing queue delay that triggers brownout/shedding, CoDel-style (0 disables the delay ladder)")
 	flag.Parse()
+	log.SetFlags(log.LstdFlags | log.Lmsgprefix)
+	log.SetPrefix("icache-dkv: ")
 
 	dir := dkv.NewDirectory()
 	dir.SetMembershipParams(*leaseTTL, *suspect)
@@ -58,14 +55,7 @@ func main() {
 	// is always-on.
 	journal := obs.NewJournal(1024)
 	dir.SetJournal(journal)
-	if *maxInfl > 0 || *targetQD > 0 {
-		srv.SetAdmission(overload.NewGate(overload.GateConfig{
-			MaxInflight: *maxInfl,
-			TargetDelay: *targetQD,
-		}))
-		log.Printf("icache-dkv: admission gate armed (max-inflight=%d, target-queue-delay=%s)",
-			*maxInfl, *targetQD)
-	}
+	srv.SetAdmission(shell.Gate(*maxInfl, *targetQD))
 
 	var tracer *trace.Recorder
 	if *traceCSV != "" {
@@ -79,93 +69,38 @@ func main() {
 		srv.EnableObs(reg, tracer)
 	}
 
-	var debugSrv *http.Server
-	var tlStop chan struct{}
-	if *debugAt != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/debug/obs", srv.DebugObsHandler())
-		// Directory-side timeline: ownership and membership counters once a
-		// second, ten minutes of lookback. ownership_frames over the nodes'
-		// admissions is their directory round trips per admitted sample.
-		timeline := obs.NewTimeline(600, func() map[string]float64 {
-			claims, denied := dir.Stats()
-			frames, ops := srv.OwnershipStats()
-			ms := dir.Membership()
-			return map[string]float64{
-				"owned":             float64(dir.Len()),
-				"claims":            float64(claims),
-				"claims_denied":     float64(denied),
-				"ownership_frames":  float64(frames),
-				"ownership_ops":     float64(ops),
-				"registers":         float64(ms.Registers),
-				"heartbeats":        float64(ms.Heartbeats),
-				"heartbeat_rejects": float64(ms.HeartbeatRejects),
-				"suspects":          float64(ms.Suspects),
-				"deaths":            float64(ms.Deaths),
-				"revivals":          float64(ms.Revivals),
-				"reclaims":          float64(ms.Reclaims),
-				"purged":            float64(ms.Purged),
-			}
-		})
-		tlStop = make(chan struct{})
-		go timeline.Run(time.Second, tlStop)
-		mux.Handle("/debug/timeline", timeline.Handler())
-		mux.Handle("/debug/journal", journal.Handler(nil))
-		if *pprofOn {
-			mux.HandleFunc("/debug/pprof/", pprof.Index)
-			mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-			mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-			mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-			mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	// Directory-side timeline: ownership and membership counters.
+	// ownership_frames over the nodes' admissions is their directory round
+	// trips per admitted sample.
+	point := func() map[string]float64 {
+		claims, denied := dir.Stats()
+		frames, ops := srv.OwnershipStats()
+		ms := dir.Membership()
+		return map[string]float64{
+			"owned":             float64(dir.Len()),
+			"claims":            float64(claims),
+			"claims_denied":     float64(denied),
+			"ownership_frames":  float64(frames),
+			"ownership_ops":     float64(ops),
+			"registers":         float64(ms.Registers),
+			"heartbeats":        float64(ms.Heartbeats),
+			"heartbeat_rejects": float64(ms.HeartbeatRejects),
+			"suspects":          float64(ms.Suspects),
+			"deaths":            float64(ms.Deaths),
+			"revivals":          float64(ms.Revivals),
+			"reclaims":          float64(ms.Reclaims),
+			"purged":            float64(ms.Purged),
 		}
-		debugSrv = &http.Server{Addr: *debugAt, Handler: mux}
-		go func() {
-			log.Printf("icache-dkv: debug on http://%s/debug/obs", *debugAt)
-			if err := debugSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				log.Printf("icache-dkv: debug: %v", err)
-			}
-		}()
-	} else if *pprofOn {
-		log.Printf("icache-dkv: -pprof ignored (requires -debug-addr)")
 	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sig
-		log.Printf("icache-dkv: shutting down")
-		if tlStop != nil {
-			close(tlStop)
-		}
-		if debugSrv != nil {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			if err := debugSrv.Shutdown(ctx); err != nil {
-				log.Printf("icache-dkv: debug shutdown: %v", err)
-			}
-			cancel()
-		}
-		if tracer != nil {
-			if _, err := os.Stat(*traceCSV); err == nil {
-				if err := os.Rename(*traceCSV, *traceCSV+".1"); err != nil {
-					log.Printf("icache-dkv: trace rotate: %v", err)
-				}
-			}
-			if f, err := os.Create(*traceCSV); err != nil {
-				log.Printf("icache-dkv: trace dump: %v", err)
-			} else {
-				cut, err := tracer.WriteCSVLimited(f, int64(*traceMax)<<20)
-				if err != nil {
-					log.Printf("icache-dkv: trace dump: %v", err)
-				}
-				f.Close()
-				log.Printf("icache-dkv: trace (%d events retained, %d total, %d cut by size cap) dumped to %s",
-					tracer.Len(), tracer.Total(), cut, *traceCSV)
-			}
-		}
+	debug := &shell.Debug{Point: point, Journal: journal, Pprof: *pprofOn, Registry: reg, Tracer: tracer}
+	debug.Serve(*debugAt, http.NewServeMux())
+	shell.OnSignal(func() {
+		debug.Shutdown()
+		shell.DumpTrace(tracer, *traceCSV, *traceMax)
 		srv.Close()
-	}()
-	log.Printf("icache-dkv: directory service listening on %s", *addr)
+	})
+	log.Printf("directory service listening on %s", *addr)
 	if err := srv.ListenAndServe(*addr); err != nil {
-		log.Printf("icache-dkv: %v", err)
+		log.Print(err)
 	}
 }

@@ -11,19 +11,15 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
-	"net/http/pprof"
-	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
+	"icache/cmd/internal/shell"
 	"icache/internal/dataset"
 	"icache/internal/dkv"
 	"icache/internal/icache"
@@ -49,10 +45,7 @@ func splitAddrs(s string) []string {
 // parsePeers decodes "1=host:port,2=host:port" into a peer address map.
 func parsePeers(s string) (map[dkv.NodeID]string, error) {
 	out := make(map[dkv.NodeID]string)
-	if s == "" {
-		return out, nil
-	}
-	for _, part := range strings.Split(s, ",") {
+	for _, part := range splitAddrs(s) {
 		kv := strings.SplitN(part, "=", 2)
 		if len(kv) != 2 || kv[0] == "" || kv[1] == "" {
 			return nil, fmt.Errorf("bad -peers entry %q (want id=addr)", part)
@@ -72,15 +65,13 @@ func main() {
 		dsName    = flag.String("dataset", "cifar10", "dataset to serve: cifar10, imagenet, imagenet-10pct")
 		dsFile    = flag.String("dataset-file", "", "serve payloads from a packed dataset file (see icache-gen) instead of generating them")
 		cacheFrac = flag.Float64("cache-frac", 0.2, "cache size as a fraction of the dataset")
-		hShare    = flag.Float64("h-share", 0.9, "fraction of the cache given to the H-region")
-		noLCache  = flag.Bool("no-lcache", false, "disable the L-cache (the +HC ablation configuration)")
 		seed      = flag.Int64("seed", 42, "server randomness seed")
 		ckptPath  = flag.String("checkpoint", "", "warm-restart checkpoint file: load at boot, save at shutdown")
-		metricsAt = flag.String("metrics-addr", "", "serve a metrics endpoint on this address (e.g. :7830): Prometheus text at /metrics; also arms the per-stage latency histograms")
+		metricsAt = flag.String("metrics-addr", "", "serve a metrics endpoint on this address (e.g. :7830): Prometheus text at /metrics, /healthz, /debug/obs, /debug/timeline and /debug/journal; also arms the per-stage latency histograms")
 		traceCSV  = flag.String("trace-csv", "", "dump a request-event trace (policy events + cross-node spans) to this CSV file at shutdown; also arms span recording for traced requests")
 		traceMax  = flag.Int("trace-csv-max-mb", 0, "cap the shutdown trace CSV at this many MB, keeping the newest events (0 = unlimited); the previous dump is rotated to <file>.1")
 		slowReq   = flag.Duration("slow-request-threshold", 0, "log GetBatch serves slower than this (0 disables; at most one line per 10s)")
-		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof and /debug/obs on the metrics address (requires -metrics-addr)")
+		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof on the metrics address (requires -metrics-addr)")
 		nodeID    = flag.Int("node-id", -1, "distributed mode: this node's ID (requires -dir)")
 		dirAddr   = flag.String("dir", "", "distributed mode: directory service address, or a comma-separated replica list for a partitioned directory (see icache-dkv)")
 		peers     = flag.String("peers", "", "distributed mode: comma-separated id=addr peer list, e.g. 1=host:7820,2=host2:7820")
@@ -92,39 +83,39 @@ func main() {
 		defDL     = flag.Duration("default-deadline", 0, "peer RPC deadline when a request carries no budget of its own (0 selects the 1s default)")
 	)
 	flag.Parse()
+	log.SetFlags(log.LstdFlags | log.Lmsgprefix)
+	log.SetPrefix("icache-server: ")
 
 	spec, err := dataset.ByName(*dsName)
 	if err != nil {
-		log.Fatalf("icache-server: %v", err)
+		log.Fatal(err)
 	}
 	if *cacheFrac <= 0 || *cacheFrac > 1 {
-		log.Fatalf("icache-server: -cache-frac %g outside (0,1]", *cacheFrac)
+		log.Fatalf("-cache-frac %g outside (0,1]", *cacheFrac)
 	}
 
 	backend, err := storage.NewBackend(spec, storage.OrangeFS())
 	if err != nil {
-		log.Fatalf("icache-server: %v", err)
+		log.Fatal(err)
 	}
 	cfg := icache.DefaultConfig(int64(float64(spec.TotalBytes()) * *cacheFrac))
-	cfg.HShare = *hShare
-	cfg.EnableLCache = !*noLCache
 	cacheSrv, err := icache.NewServer(backend, cfg, sampling.DefaultIIS(), *seed)
 	if err != nil {
-		log.Fatalf("icache-server: %v", err)
+		log.Fatal(err)
 	}
 	var source rpc.ByteSource
 	if *dsFile != "" {
 		fsrc, err := storage.OpenFileSource(*dsFile, spec)
 		if err != nil {
-			log.Fatalf("icache-server: %v", err)
+			log.Fatal(err)
 		}
 		defer fsrc.Close()
 		source = fsrc
-		log.Printf("icache-server: serving payloads from %s", *dsFile)
+		log.Printf("serving payloads from %s", *dsFile)
 	} else {
 		dsrc, err := storage.NewDataSource(spec)
 		if err != nil {
-			log.Fatalf("icache-server: %v", err)
+			log.Fatal(err)
 		}
 		source = dsrc
 	}
@@ -142,14 +133,7 @@ func main() {
 	// per-peer breakers pick it up at creation.
 	journal := obs.NewJournal(1024)
 	srv.SetJournal(journal)
-	if *maxInfl > 0 || *targetQD > 0 {
-		srv.SetAdmission(overload.NewGate(overload.GateConfig{
-			MaxInflight: *maxInfl,
-			TargetDelay: *targetQD,
-		}))
-		log.Printf("icache-server: admission gate armed (max-inflight=%d, target-queue-delay=%s)",
-			*maxInfl, *targetQD)
-	}
+	srv.SetAdmission(shell.Gate(*maxInfl, *targetQD))
 	// Per-stage latency histograms ride with the metrics endpoint (they are
 	// what make the Prometheus view useful); cross-node span recording rides
 	// with -trace-csv, sharing the policy-event ring so one CSV holds the
@@ -163,25 +147,28 @@ func main() {
 	}
 	if *slowReq > 0 {
 		srv.SetSlowRequestLog(*slowReq)
-		log.Printf("icache-server: slow-request log armed at %s", *slowReq)
+		log.Printf("slow-request log armed at %s", *slowReq)
 	}
 	if *ckptPath != "" {
 		loaded, err := srv.LoadCheckpointFile(*ckptPath, true)
 		if err != nil {
-			log.Fatalf("icache-server: checkpoint: %v", err)
+			log.Fatalf("checkpoint: %v", err)
 		}
 		if loaded {
 			v := cacheSrv.View()
-			log.Printf("icache-server: warm-restarted from %s (%d H, %d L residents)", *ckptPath, v.HLen, v.LLen)
+			log.Printf("warm-restarted from %s (%d H, %d L residents)", *ckptPath, v.HLen, v.LLen)
 		}
 	}
 	if *dirAddr != "" {
 		if *nodeID < 0 {
-			log.Fatalf("icache-server: -dir requires -node-id")
+			log.Fatalf("-dir requires -node-id")
 		}
 		// -dir accepts a comma-separated replica list for a partitioned
-		// directory (see icache-dkv -peers); a single address keeps the
-		// one-directory client. Either way directory calls inherit the peer
+		// directory (see icache-dkv). A single address keeps the
+		// one-directory client, not a one-replica ShardedDir: after one
+		// transport error the sharded client marks its only replica down for
+		// a whole FailoverTTL, while a DirClient asks again on the next call.
+		// Either way directory calls inherit the peer
 		// deadline/breaker knobs, per dialled service: a hung directory (or
 		// replica) costs one bounded stall, then fails fast to local-only
 		// operation (or fails over) until a half-open probe recovers it.
@@ -196,20 +183,20 @@ func main() {
 		if dirAddrs := splitAddrs(*dirAddr); len(dirAddrs) > 1 {
 			sharded, err := dkv.DialSharded(dirAddrs, dial, dkv.ShardedConfig{FailoverTTL: *leaseTTL})
 			if err != nil {
-				log.Fatalf("icache-server: directory: %v", err)
+				log.Fatalf("directory: %v", err)
 			}
 			dirSvc = sharded
-			log.Printf("icache-server: sharded directory across %d replicas", len(dirAddrs))
+			log.Printf("sharded directory across %d replicas", len(dirAddrs))
 		} else {
 			dirClient, err := dkv.DialDirConfigured(*dirAddr, dial)
 			if err != nil {
-				log.Fatalf("icache-server: directory: %v", err)
+				log.Fatalf("directory: %v", err)
 			}
 			dirSvc = dirClient
 		}
 		peerMap, err := parsePeers(*peers)
 		if err != nil {
-			log.Fatalf("icache-server: %v", err)
+			log.Fatal(err)
 		}
 		srv.EnableDistributed(dkv.NodeID(*nodeID), dirSvc, peerMap)
 		srv.SetPeerConfig(rpc.PeerConfig{
@@ -217,104 +204,39 @@ func main() {
 			RPCTimeout:       *defDL,
 			BreakerThreshold: *brkThresh,
 		})
-		log.Printf("icache-server: distributed node %d, directory %s, %d peers", *nodeID, *dirAddr, len(peerMap))
+		log.Printf("distributed node %d, directory %s, %d peers", *nodeID, *dirAddr, len(peerMap))
 		// Join under a fresh lease; a warm restart replays ownership claims
 		// for every checkpoint-restored resident (claims a survivor won in
 		// the meantime are denied and the local copy is dropped).
 		if err := srv.StartMembership(rpc.MembershipConfig{LeaseTTL: *leaseTTL}); err != nil {
-			log.Fatalf("icache-server: membership: %v", err)
+			log.Fatalf("membership: %v", err)
 		}
-		log.Printf("icache-server: lease ttl %s, heartbeats + anti-entropy scrubbing started", *leaseTTL)
+		log.Printf("lease ttl %s, heartbeats + anti-entropy scrubbing started", *leaseTTL)
 	}
-	// The metrics endpoint gets a real http.Server so shutdown is graceful:
-	// in-flight scrapes finish (bounded by a timeout) instead of being cut
-	// mid-response when the process exits.
-	var metricsSrv *http.Server
-	var tlStop chan struct{}
-	if *metricsAt != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/healthz", srv.HealthHandler())
-		// One snapshot per second for ten minutes of lookback: enough for
-		// icache-top's rate windows and for eyeballing a whole fig-13 run,
-		// at ~600 small points of memory.
-		timeline := obs.NewTimeline(600, srv.TimelinePoint)
-		tlStop = make(chan struct{})
-		go timeline.Run(time.Second, tlStop)
-		mux.Handle("/debug/timeline", timeline.Handler())
-		mux.Handle("/debug/journal", journal.Handler(srv.Exemplars()))
-		if *pprofOn {
-			mux.HandleFunc("/debug/pprof/", pprof.Index)
-			mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-			mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-			mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-			mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-			mux.Handle("/debug/obs", srv.DebugObsHandler())
-		}
-		mux.Handle("/", srv.MetricsHandler()) // any other path serves metrics
-		metricsSrv = &http.Server{Addr: *metricsAt, Handler: mux}
-		go func() {
-			log.Printf("icache-server: metrics on http://%s/metrics (Prometheus text), health on /healthz", *metricsAt)
-			if *pprofOn {
-				log.Printf("icache-server: pprof on http://%s/debug/pprof/, stage summary on /debug/obs", *metricsAt)
-			}
-			if err := metricsSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				log.Printf("icache-server: metrics: %v", err)
-			}
-		}()
-	} else if *pprofOn {
-		log.Printf("icache-server: -pprof ignored (requires -metrics-addr)")
+	mux := http.NewServeMux()
+	mux.Handle("/healthz", srv.HealthHandler())
+	mux.Handle("/", srv.MetricsHandler()) // any other path serves metrics
+	debug := &shell.Debug{Point: srv.TimelinePoint, Journal: journal, Exemplars: srv.Exemplars(), Pprof: *pprofOn,
+		Registry: obsReg, Tracer: tracer, SlowThreshold: *slowReq}
+	if at := debug.Serve(*metricsAt, mux); at != nil {
+		log.Printf("metrics on http://%s/metrics (Prometheus text), health on /healthz", at)
 	}
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sig
-		log.Printf("icache-server: shutting down")
-		if tlStop != nil {
-			close(tlStop)
-		}
-		if metricsSrv != nil {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			if err := metricsSrv.Shutdown(ctx); err != nil {
-				log.Printf("icache-server: metrics shutdown: %v", err)
-			}
-			cancel()
-		}
+	shell.OnSignal(func() {
+		debug.Shutdown()
 		if *ckptPath != "" {
 			if err := srv.SaveCheckpointFile(*ckptPath); err != nil {
-				log.Printf("icache-server: checkpoint save: %v", err)
+				log.Printf("checkpoint save: %v", err)
 			} else {
-				log.Printf("icache-server: checkpoint saved to %s", *ckptPath)
+				log.Printf("checkpoint saved to %s", *ckptPath)
 			}
 		}
-		if tracer != nil {
-			// Rotate the previous dump out of the way so two consecutive
-			// runs never overwrite each other's evidence.
-			if _, err := os.Stat(*traceCSV); err == nil {
-				if err := os.Rename(*traceCSV, *traceCSV+".1"); err != nil {
-					log.Printf("icache-server: trace rotate: %v", err)
-				}
-			}
-			if f, err := os.Create(*traceCSV); err != nil {
-				log.Printf("icache-server: trace dump: %v", err)
-			} else {
-				cut, err := tracer.WriteCSVLimited(f, int64(*traceMax)<<20)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-				if err != nil {
-					log.Printf("icache-server: trace dump: %v", err)
-				} else {
-					log.Printf("icache-server: trace (%d events retained, %d total, %d cut by size cap) dumped to %s",
-						tracer.Len(), tracer.Total(), cut, *traceCSV)
-				}
-			}
-		}
+		shell.DumpTrace(tracer, *traceCSV, *traceMax)
 		srv.Close()
-	}()
+	})
 
-	log.Printf("icache-server: dataset %s (%d samples, %d MB), cache %.0f%% (%s), listening on %s",
+	log.Printf("dataset %s (%d samples, %d MB), cache %.0f%% (%s), listening on %s",
 		spec.Name, spec.NumSamples, spec.TotalBytes()>>20, 100**cacheFrac, cacheSrv, *addr)
 	if err := srv.ListenAndServe(*addr); err != nil {
-		log.Printf("icache-server: %v", err)
+		log.Print(err)
 	}
 }

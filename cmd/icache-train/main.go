@@ -111,14 +111,7 @@ func main() {
 		events := tracer.Snapshot()
 		trace.PrintSpans(os.Stdout, trace.Chains(events), 3)
 		if *traceTo != "" {
-			f, err := os.Create(*traceTo)
-			if err != nil {
-				log.Fatalf("icache-train: trace dump: %v", err)
-			}
-			if err := tracer.WriteCSV(f); err != nil {
-				log.Fatalf("icache-train: trace dump: %v", err)
-			}
-			if err := f.Close(); err != nil {
+			if _, err := tracer.DumpFile(*traceTo, 0); err != nil {
 				log.Fatalf("icache-train: trace dump: %v", err)
 			}
 			fmt.Printf("traced spans dumped to %s (analyze with icache-trace, merge with the server's CSV for the full hop chain)\n", *traceTo)

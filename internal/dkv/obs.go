@@ -1,7 +1,6 @@
 package dkv
 
 import (
-	"net/http"
 	"time"
 
 	"icache/internal/obs"
@@ -40,19 +39,6 @@ func (s *DirServer) EnableObs(reg *obs.Registry, tracer *trace.Recorder) {
 
 // ObsRegistry reports the stage-histogram registry (nil when disabled).
 func (s *DirServer) ObsRegistry() *obs.Registry { return s.obs.reg }
-
-// DebugObsHandler serves the shared human-readable observability summary
-// (per-stage latency table + trace-ring state) for /debug/obs.
-func (s *DirServer) DebugObsHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		var ring *obs.RingStats
-		if s.obs.tracer != nil {
-			ring = &obs.RingStats{Retained: s.obs.tracer.Len(), Total: s.obs.tracer.Total()}
-		}
-		obs.WriteDebug(w, s.obs.reg, ring, 0)
-	})
-}
 
 // serve answers one directory request (envelopes peeled by the transport). A
 // request whose deadline budget is already spent is dropped, StatusExpired,

@@ -87,29 +87,29 @@ func (ld *loader) composePackage(hl *sampling.HList, h *hcache, l *lcache) ([]da
 	var ids []dataset.SampleID
 	chosen := make(map[dataset.SampleID]struct{}, ld.pkgBytes/ld.spec.MeanSampleBytes+1)
 	total := 0
+	// add packs id, or reports false when it does not fit (a package's
+	// first id always does).
 	add := func(id dataset.SampleID) bool {
-		chosen[id] = struct{}{}
 		size := ld.spec.SampleBytes(id)
 		if total+size > ld.pkgBytes && len(ids) > 0 {
 			return false
 		}
+		chosen[id] = struct{}{}
 		ids = append(ids, id)
 		total += size
-		return total < ld.pkgBytes
+		return true
 	}
 
 	// 1) Re-pack recorded misses (skip any that got cached meanwhile or
-	// were promoted to H-samples).
+	// were promoted to H-samples). A miss that does not fit stays at the
+	// front of the queue for the next package.
 	for len(ld.missedQ) > 0 && total < ld.pkgBytes {
 		id := ld.missedQ[0]
-		ld.missedQ = ld.missedQ[1:]
-		delete(ld.missedSet, id)
-		if l.contains(id) || h.contains(id) || hl.Contains(id) {
-			continue
-		}
-		if !add(id) {
+		if !l.contains(id) && !h.contains(id) && !hl.Contains(id) && !add(id) {
 			break
 		}
+		ld.missedQ = ld.missedQ[1:]
+		delete(ld.missedSet, id)
 	}
 
 	// 2) Fill with random L-samples. Bounded rejection sampling: with a

@@ -74,6 +74,31 @@ func TestLoaderRepacksMissesFirst(t *testing.T) {
 	}
 }
 
+// A recorded miss that overflows one package leads the next: the misses
+// come out of consecutive packages in the order they were recorded, none
+// lost at a package boundary.
+func TestLoaderRepacksTheMissThatDidNotFit(t *testing.T) {
+	ld, hl, h, l, _ := loaderFixture(t, 0)
+	ld.pkgBytes += testSpec().MeanSampleBytes / 2 // 64½ samples: every package overflows
+	var missed []dataset.SampleID
+	for id := dataset.SampleID(3000); id < 3200; id++ { // three packages' worth and more
+		ld.recordMiss(id)
+		missed = append(missed, id)
+	}
+	next := 0
+	for pkg := 0; pkg < 8 && next < len(missed); pkg++ {
+		ids, _ := ld.composePackage(hl, h, l)
+		for _, id := range ids {
+			if next < len(missed) && id == missed[next] {
+				next++
+			}
+		}
+	}
+	if next != len(missed) {
+		t.Fatalf("misses re-packed in order up to %d of %d: id %d was lost at a package boundary", next, len(missed), missed[next])
+	}
+}
+
 func TestLoaderMissedPromotedToHSkipped(t *testing.T) {
 	ld, hl, h, l, _ := loaderFixture(t, 0)
 	ld.recordMiss(5) // id 5 is on the H-list: must not be packed as L

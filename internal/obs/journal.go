@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -185,4 +186,13 @@ func (e *Exemplars) Snapshot() []BucketExemplar {
 		}
 	}
 	return out
+}
+
+// writeJSON answers with doc as the indented JSON document the
+// /debug/journal and /debug/timeline endpoints serve.
+func writeJSON(w http.ResponseWriter, doc any) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(doc)
 }

@@ -29,8 +29,6 @@ package rpc
 //	KindBackend  at the fetching node's hop, Dur = storage service time.
 
 import (
-	"io"
-	"net/http"
 	"time"
 
 	"icache/internal/dataset"
@@ -207,24 +205,4 @@ func (c *Client) beginTrace() obs.TraceCtx {
 		return obs.TraceCtx{}
 	}
 	return obs.TraceCtx{ID: obs.NewTraceID()}
-}
-
-// DebugObsHandler serves a human-readable observability summary: the
-// per-stage latency table (count, p50/p95/p99, max) and the trace ring's
-// state. Intended for /debug/obs next to net/http/pprof.
-func (s *Server) DebugObsHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		writeObsDebug(w, s.obs.reg, s.obs.tracer, s.obs.slowThresh)
-	})
-}
-
-// writeObsDebug renders the debug summary via the shared obs.WriteDebug
-// renderer (icache-dkv uses the same renderer through dkv.DirServer).
-func writeObsDebug(w io.Writer, reg *obs.Registry, tracer *trace.Recorder, slowThresh time.Duration) {
-	var ring *obs.RingStats
-	if tracer != nil {
-		ring = &obs.RingStats{Retained: tracer.Len(), Total: tracer.Total()}
-	}
-	obs.WriteDebug(w, reg, ring, slowThresh)
 }

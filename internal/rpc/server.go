@@ -486,12 +486,13 @@ func (s *Server) resolveMissBatch(sc *serveScratch, keys []missKey, ctx obs.Trac
 
 // gather runs do(0..n-1) on min(n, 2×backendReadBudget) workers pulling from
 // a shared index, the calling goroutine being worker 0. Twice the budget, not
-// once: a worker that has handed its slot back still has its sample to admit
-// and finish, and with only as many workers as slots a lone gather would idle
-// every slot for that long after every read; with a second worker already
-// queued behind each slot the next read starts at once. So an N-read gather
-// sleeps through ⌈N/backendReadBudget⌉ backend latencies when it has the
-// server to itself and shares the budget in arrival order when it does not.
+// once: the read slots are a FIFO semaphore, so a sender already queued on it
+// takes a slot the moment another worker hands it back, while that worker is
+// still coming round for its next index (on a distributed node, after its
+// directory claim). With only as many workers as slots, every freed slot would
+// idle for that long. So an N-read gather sleeps through
+// ⌈N/backendReadBudget⌉ backend latencies when it has the server to itself
+// and shares the budget in arrival order when it does not.
 func gather(n int, do func(i int)) {
 	var g struct { // one allocation: both are shared with the workers
 		next int64

@@ -9,8 +9,11 @@ package trace
 
 import (
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
+	"os"
 	"strconv"
 	"time"
 
@@ -231,4 +234,30 @@ func (r *Recorder) WriteCSVLimited(w io.Writer, maxBytes int64) (cut int, err er
 	}
 	cw.Flush()
 	return cut, cw.Error()
+}
+
+// DumpFile writes the WriteCSVLimited dump to path, first rotating a previous
+// dump there to path+".1" so two consecutive runs never overwrite each
+// other's evidence. It returns how many retained events the cap cut and the
+// rotate, create, write or close error, if any: a nil error means the whole
+// dump is in the file.
+func (r *Recorder) DumpFile(path string, maxBytes int64) (cut int, err error) {
+	if err := os.Rename(path, path+".1"); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return 0, err
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return 0, err
+	}
+	return r.writeClose(f, maxBytes)
+}
+
+// writeClose writes the WriteCSVLimited dump to w and closes it, returning
+// the write's error or else the close's.
+func (r *Recorder) writeClose(w io.WriteCloser, maxBytes int64) (cut int, err error) {
+	cut, err = r.WriteCSVLimited(w, maxBytes)
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
+	return cut, err
 }

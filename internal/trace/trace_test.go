@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -152,4 +155,95 @@ func TestRecorderDropped(t *testing.T) {
 		}
 	}
 	wg.Wait()
+}
+
+func dumpRecorder(n int, arg0 int64) *Recorder {
+	r := NewRecorder(64)
+	for i := 0; i < n; i++ {
+		r.Record(time.Duration(i), KindHit, 1, arg0+int64(i))
+	}
+	return r
+}
+
+func readDump(t *testing.T, path string) []Event {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	events, err := ReadCSV(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return events
+}
+
+// A second dump to one path moves the first to <path>.1; neither is lost.
+func TestDumpFileRotates(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.csv")
+	for _, arg0 := range []int64{100, 200} {
+		if _, err := dumpRecorder(3, arg0).DumpFile(path, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := readDump(t, path); len(got) != 3 || got[0].Arg != 200 {
+		t.Fatalf("%s holds %v, want the second dump", path, got)
+	}
+	if got := readDump(t, path+".1"); len(got) != 3 || got[0].Arg != 100 {
+		t.Fatalf("%s.1 holds %v, want the first dump", path, got)
+	}
+}
+
+// Under a size cap the file keeps the newest events, and the count of the
+// cut ones is returned.
+func TestDumpFileCapKeepsNewest(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.csv")
+	r := dumpRecorder(40, 0)
+	cut, err := r.DumpFile(path, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := readDump(t, path)
+	if cut == 0 || cut+len(got) != 40 {
+		t.Fatalf("cut %d and kept %d of 40 events", cut, len(got))
+	}
+	if fi, _ := os.Stat(path); fi.Size() > 200 {
+		t.Fatalf("dump is %d bytes over a 200-byte cap", fi.Size())
+	}
+	for i, e := range got {
+		if e.Arg != int64(cut+i) {
+			t.Fatalf("kept event %d has arg %d, want the newest suffix from %d", i, e.Arg, cut)
+		}
+	}
+}
+
+// failingFile is a dump file whose Write or Close fails.
+type failingFile struct{ writeErr, closeErr error }
+
+func (f failingFile) Write(p []byte) (int, error) {
+	if f.writeErr != nil {
+		return 0, f.writeErr
+	}
+	return len(p), nil
+}
+
+func (f failingFile) Close() error { return f.closeErr }
+
+// A dump that did not reach its file whole reports an error, never success:
+// the create, a write or the close failed.
+func TestDumpFileReportsFailure(t *testing.T) {
+	r := dumpRecorder(3, 0)
+	if _, err := r.DumpFile(filepath.Join(t.TempDir(), "missing", "trace.csv"), 0); err == nil {
+		t.Error("create in a missing directory: nil error")
+	}
+	boom := errors.New("boom")
+	for name, f := range map[string]failingFile{
+		"write": {writeErr: boom},
+		"close": {closeErr: boom},
+	} {
+		if _, err := r.writeClose(f, 0); !errors.Is(err, boom) {
+			t.Errorf("failed %s: err %v, want %v", name, err, boom)
+		}
+	}
 }
