@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-short test-race chaos chaos-vt benchmark benchmark-pairs benchmark-test bench bench-layers loadgen-smoke obs-smoke overload-smoke prefetch-smoke experiments experiments-quick fuzz fuzz-short loc clean
+.PHONY: all build vet lint test test-short test-race chaos chaos-vt benchmark benchmark-pairs benchmark-test bench bench-layers loadgen-smoke obs-smoke overload-smoke prefetch-smoke experiments experiments-quick experiments-check experiments-golden fuzz fuzz-short loc clean
 
-all: build lint test test-race chaos chaos-vt fuzz-short obs-smoke overload-smoke loadgen-smoke prefetch-smoke benchmark-test
+all: build lint test test-race chaos chaos-vt fuzz-short obs-smoke overload-smoke loadgen-smoke prefetch-smoke experiments-check benchmark-test
 
 build:
 	$(GO) build ./...
@@ -406,6 +406,21 @@ experiments:
 
 experiments-quick:
 	$(GO) run ./cmd/icache-bench -exp all -quick
+
+# The quick evaluation pinned: every figure and table of `icache-bench -exp
+# all -quick`, less the per-experiment wall-time lines, must match the golden
+# byte for byte (≈140 s on 2 cores; in `make all`, not in `go test ./...`).
+# A change that moves a figure on purpose regenerates the golden with
+# `make experiments-golden` and says in CHANGES.md which lines moved and why.
+EXP_GOLDEN := internal/experiments/testdata/quick.golden
+EXP_QUICK = out=$$($(GO) run ./cmd/icache-bench -exp all -quick) || exit 1; \
+	printf '%s\n' "$$out" | grep -v ' wall time)$$'
+
+experiments-check:
+	@$(EXP_QUICK) | diff -u $(EXP_GOLDEN) - && echo "experiments-check: the quick run matches $(EXP_GOLDEN)"
+
+experiments-golden:
+	@mkdir -p $(dir $(EXP_GOLDEN)); $(EXP_QUICK) > $(EXP_GOLDEN)
 
 # Short fuzz passes over the wire-facing decoders (with exploration).
 fuzz:
