@@ -99,7 +99,12 @@ vet:
 # an event). And the daemons share one operator shell (cmd/internal/shell, with
 # trace.Recorder.DumpFile): no other non-test file under cmd/ imports
 # net/http/pprof or calls WriteCSVLimited( or os.Rename(, so a second debug
-# mux or trace dump cannot grow back beside it. Subsumes `vet` in `make all`.
+# mux or trace dump cannot grow back beside it. And the paper's baselines run
+# Algorithm 1's fetch path too: a baseline is icache.Server over a
+# cache.Policy, so the non-test files of internal/cache read no backend
+# (ReadSample( or ReadPackage(, comments excepted) and declare no FetchBatch
+# method, and icache/baseline.go reads no backend of its own. Subsumes `vet`
+# in `make all`.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -111,7 +116,7 @@ lint:
 	if [ -n "$$stray" ]; then \
 		echo "connection handling outside internal/transport:"; echo "$$stray"; exit 1; \
 	fi
-	@stray=$$(for f in internal/icache/distributed.go internal/rpc/lifecycle.go; do \
+	@stray=$$(for f in internal/icache/distributed.go internal/icache/baseline.go internal/rpc/lifecycle.go; do \
 		sed 's,//.*,,' $$f | grep -nE 'ReadSample\(|takeExact\(|\.OwnedBy\(|\.PurgeDead\(' | sed "s,^,$$f:,"; \
 	done); \
 	if [ -n "$$stray" ]; then \
@@ -233,6 +238,12 @@ lint:
 	done); \
 	if [ -n "$$stray" ]; then \
 		echo "a second operator shell (a daemon mounts its debug surface and dumps its trace through cmd/internal/shell):"; echo "$$stray"; exit 1; \
+	fi
+	@stray=$$(for f in $$(ls internal/cache/*.go | grep -v _test.go); do \
+		sed 's,//.*,,' $$f | grep -nE 'ReadSample\(|ReadPackage\(|^func \([^)]*\) FetchBatch' | sed "s,^,$$f:,"; \
+	done); \
+	if [ -n "$$stray" ]; then \
+		echo "a fetch loop beside the engine (a baseline is icache.NewBaselineServer over a cache.Policy):"; echo "$$stray"; exit 1; \
 	fi
 	$(GO) vet ./...
 
@@ -451,7 +462,7 @@ fuzz-short:
 # line is the _test.go total, so a reduction made by moving code into test
 # files shows on the same target.
 loc:
-	@for p in internal/icache internal/rpc internal/dkv internal/wire internal/transport internal/dataset internal/obs internal/trace internal/train; do \
+	@for p in internal/icache internal/rpc internal/dkv internal/wire internal/transport internal/dataset internal/obs internal/trace internal/train internal/cache internal/experiments; do \
 		echo "$$p $$(cat $$(ls $$p/*.go | grep -v _test.go) | wc -l)"; \
 	done
 	@echo "total $$(cat $$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*') | wc -l)"

@@ -94,13 +94,10 @@ func main() {
 	}
 	debug := &shell.Debug{Point: point, Journal: journal, Pprof: *pprofOn, Registry: reg, Tracer: tracer}
 	debug.Serve(*debugAt, http.NewServeMux())
-	shell.OnSignal(func() {
+	log.Printf("directory service listening on %s", *addr)
+	shell.Run(func() error { return srv.ListenAndServe(*addr) }, func() {
 		debug.Shutdown()
 		shell.DumpTrace(tracer, *traceCSV, *traceMax)
 		srv.Close()
 	})
-	log.Printf("directory service listening on %s", *addr)
-	if err := srv.ListenAndServe(*addr); err != nil {
-		log.Print(err)
-	}
 }

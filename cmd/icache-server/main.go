@@ -221,7 +221,9 @@ func main() {
 	if at := debug.Serve(*metricsAt, mux); at != nil {
 		log.Printf("metrics on http://%s/metrics (Prometheus text), health on /healthz", at)
 	}
-	shell.OnSignal(func() {
+	log.Printf("dataset %s (%d samples, %d MB), cache %.0f%% (%s), listening on %s",
+		spec.Name, spec.NumSamples, spec.TotalBytes()>>20, 100**cacheFrac, cacheSrv, *addr)
+	shell.Run(func() error { return srv.ListenAndServe(*addr) }, func() {
 		debug.Shutdown()
 		if *ckptPath != "" {
 			if err := srv.SaveCheckpointFile(*ckptPath); err != nil {
@@ -233,10 +235,4 @@ func main() {
 		shell.DumpTrace(tracer, *traceCSV, *traceMax)
 		srv.Close()
 	})
-
-	log.Printf("dataset %s (%d samples, %d MB), cache %.0f%% (%s), listening on %s",
-		spec.Name, spec.NumSamples, spec.TotalBytes()>>20, 100**cacheFrac, cacheSrv, *addr)
-	if err := srv.ListenAndServe(*addr); err != nil {
-		log.Print(err)
-	}
 }

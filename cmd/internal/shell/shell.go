@@ -1,8 +1,9 @@
 // Package shell is the operator shell the daemons under cmd/ share: the
 // admission gate built from -max-inflight and -target-queue-delay, the debug
 // HTTP surface (/debug/timeline, /debug/journal, /debug/obs, and
-// net/http/pprof under -pprof) with its graceful shutdown, the signal that
-// starts a daemon's own shutdown steps, and the logged trace dump. Each
+// net/http/pprof under -pprof) with its graceful shutdown, the serving loop
+// whose signal starts a daemon's own shutdown steps, and the logged trace
+// dump. Each
 // daemon keeps its timeline point, its checkpoint and its order of shutdown
 // steps. The package lives under cmd/ because net/http/pprof's init
 // registers on http.DefaultServeMux: no server library or benchmark may
@@ -11,6 +12,7 @@ package shell
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 	"net"
@@ -144,15 +146,31 @@ func (d *Debug) Shutdown() {
 	d.wg.Wait()
 }
 
-// OnSignal runs shutdown on the first SIGINT or SIGTERM.
-func OnSignal(shutdown func()) {
+// Run serves until serve returns and runs shutdown on the first SIGINT or
+// SIGTERM, which must end serve (a daemon's shutdown closes its server last).
+// It returns only once shutdown has finished. The net.ErrClosed a shutdown
+// makes serve return is the clean stop and is not logged; any other error,
+// or a listener closed with no signal, is.
+func Run(serve func() error, shutdown func()) {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	done := make(chan struct{})
+	stopped := false
 	go func() {
-		<-sig
-		log.Printf("shutting down")
-		shutdown()
+		defer close(done)
+		if _, ok := <-sig; ok {
+			log.Printf("shutting down")
+			shutdown()
+			stopped = true
+		}
 	}()
+	err := serve()
+	signal.Stop(sig)
+	close(sig) // no signal is delivered after Stop; this ends an idle watcher
+	<-done
+	if err != nil && !(stopped && errors.Is(err, net.ErrClosed)) {
+		log.Print(err)
+	}
 }
 
 // DumpTrace dumps tracer to path (trace.Recorder.DumpFile) under a cap of

@@ -2,11 +2,15 @@ package shell
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"log"
+	"net"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -108,5 +112,49 @@ func TestDumpTraceLogsTheOutcome(t *testing.T) {
 	DumpTrace(tracer, path, 0)
 	if out := buf.String(); !strings.Contains(out, "dumped to "+path) {
 		t.Errorf("a written dump logged %q", out)
+	}
+}
+
+// A SIGTERM runs the shutdown steps, whose last one closes the server: the
+// net.ErrClosed that ends serve is the clean stop and logs no error, and Run
+// returns only once the steps after the close have finished too.
+func TestRunStopsCleanlyOnSignal(t *testing.T) {
+	var buf bytes.Buffer
+	defer log.SetOutput(log.Writer())
+	log.SetOutput(&buf)
+	closed, served := make(chan struct{}), make(chan struct{})
+	finished := false
+	Run(func() error {
+		defer close(served)
+		if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+			t.Error(err)
+		}
+		<-closed
+		return net.ErrClosed
+	}, func() {
+		close(closed) // the server's Close: the listener goes first...
+		<-served      // ...and its handlers drain after serve has returned
+		finished = true
+	})
+	if !finished {
+		t.Error("Run returned before the shutdown steps finished")
+	}
+	if out := buf.String(); strings.Count(out, "\n") != 1 || !strings.HasSuffix(out, "shutting down\n") {
+		t.Errorf("a clean stop logged %q, want only the shutdown notice", out)
+	}
+}
+
+// A listener that dies with no signal is logged, net.ErrClosed included, and
+// the shutdown steps do not run.
+func TestRunLogsADeadListener(t *testing.T) {
+	var buf bytes.Buffer
+	defer log.SetOutput(log.Writer())
+	log.SetOutput(&buf)
+	for _, err := range []error{errors.New("accept: too many open files"), net.ErrClosed} {
+		buf.Reset()
+		Run(func() error { return err }, func() { t.Error("shutdown ran with no signal") })
+		if out := buf.String(); !strings.Contains(out, err.Error()) {
+			t.Errorf("a listener dead of %v logged %q", err, out)
+		}
 	}
 }

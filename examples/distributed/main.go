@@ -12,7 +12,6 @@ import (
 	"log"
 	"time"
 
-	"icache/internal/cache"
 	"icache/internal/dataset"
 	"icache/internal/icache"
 	"icache/internal/metrics"
@@ -49,7 +48,7 @@ func main() {
 
 	fmt.Printf("%d-node data-parallel training, shared NFS backend:\n", nodes)
 	def := runDist("default (LRU/node)", func(b *storage.Backend) (train.DistService, error) {
-		return cache.NewDistDefault(b, nodes, perNode), nil
+		return icache.NewDistDefault(b, nodes, perNode), nil
 	})
 
 	var cluster *icache.Cluster

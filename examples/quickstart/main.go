@@ -11,25 +11,19 @@ import (
 	"log"
 	"time"
 
-	"icache/internal/cache"
 	"icache/internal/dataset"
-	"icache/internal/icache"
+	"icache/internal/experiments"
 	"icache/internal/metrics"
-	"icache/internal/sampling"
 	"icache/internal/storage"
 	"icache/internal/train"
 )
 
 func main() {
 	spec := dataset.CIFAR10()
-	capBytes := spec.TotalBytes() / 5 // 20% cache, as in the paper
 
-	run := func(name string, mk func(*storage.Backend) (train.DataService, error)) metrics.RunStats {
-		backend, err := storage.NewBackend(spec, storage.OrangeFS())
-		if err != nil {
-			log.Fatal(err)
-		}
-		svc, err := mk(backend)
+	run := func(name string, scheme experiments.Scheme) metrics.RunStats {
+		// A 20% cache over remote storage, as in the paper.
+		svc, _, err := experiments.NewService(scheme, spec, storage.OrangeFS(), 0.2, 42)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -49,12 +43,8 @@ func main() {
 		return rs
 	}
 
-	def := run("Default (LRU cache, uniform sampling)", func(b *storage.Backend) (train.DataService, error) {
-		return cache.NewDefault(b, capBytes), nil
-	})
-	ic := run("iCache (IIS + H-cache + L-cache)", func(b *storage.Backend) (train.DataService, error) {
-		return icache.NewServer(b, icache.DefaultConfig(capBytes), sampling.DefaultIIS(), 42)
-	})
+	def := run("Default (LRU cache, uniform sampling)", experiments.SchemeDefault)
+	ic := run("iCache (IIS + H-cache + L-cache)", experiments.SchemeICache)
 
 	fmt.Printf("\nsteady-state speedup (last 4 epochs): %.2fx\n",
 		float64(tail(def, 4).AvgEpochTime())/float64(tail(ic, 4).AvgEpochTime()))

@@ -1,16 +1,17 @@
-package cache
+package cache_test
 
 import (
 	"math/rand"
 	"testing"
 
-	"icache/internal/sampling"
+	"icache/internal/cache"
+	"icache/internal/icache"
 	"icache/internal/simclock"
 )
 
 func TestNoCacheAlwaysMisses(t *testing.T) {
 	back := testBackend(t)
-	svc := NewNoCache(back)
+	svc := baseline(back, "nocache", cache.None{}, icache.ScheduleUniform, false)
 	tr := newTracker(t, back.Spec().NumSamples)
 	rng := rand.New(rand.NewSource(1))
 	sched := svc.BeginEpoch(0, 0, tr, rng)
@@ -35,7 +36,7 @@ func TestNoCacheAlwaysMisses(t *testing.T) {
 
 func TestNoCacheCISSchedule(t *testing.T) {
 	back := testBackend(t)
-	svc := NewNoCacheCIS(back, sampling.DefaultCIS())
+	svc := baseline(back, "nocache-cis", cache.None{}, icache.ScheduleCIS, false)
 	tr := newTracker(t, back.Spec().NumSamples)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < back.Spec().NumSamples; i++ {
@@ -55,15 +56,16 @@ func TestNoCacheCISSchedule(t *testing.T) {
 
 func TestILRUUsesIISAndLRU(t *testing.T) {
 	back := testBackend(t)
-	svc := NewILRU(back, back.Spec().TotalBytes()/5, sampling.DefaultIIS())
+	lru := cache.NewLRU(back.Spec().TotalBytes() / 5)
+	svc := baseline(back, "ilru", lru, icache.ScheduleIIS, false)
 	tr := newTracker(t, back.Spec().NumSamples)
 	rng := rand.New(rand.NewSource(2))
 	sched := svc.BeginEpoch(0, 0, tr, rng)
 	if len(sched.Fetch) >= back.Spec().NumSamples {
 		t.Fatal("ILRU did not reduce fetches")
 	}
-	if svc.Policy().Name() != "lru" {
-		t.Fatalf("policy = %q, want lru", svc.Policy().Name())
+	if lru.Name() != "lru" {
+		t.Fatalf("policy = %q, want lru", lru.Name())
 	}
 	if svc.SubstitutionSource() != "none" {
 		t.Fatal("ILRU must not substitute")
@@ -72,7 +74,7 @@ func TestILRUUsesIISAndLRU(t *testing.T) {
 
 func TestDistDefaultShardsAcrossNodes(t *testing.T) {
 	back := testBackend(t)
-	svc := NewDistDefault(back, 3, back.Spec().TotalBytes()/5)
+	svc := icache.NewDistDefault(back, 3, back.Spec().TotalBytes()/5)
 	if svc.Nodes() != 3 {
 		t.Fatalf("Nodes = %d", svc.Nodes())
 	}
@@ -104,7 +106,7 @@ func TestDistDefaultShardsAcrossNodes(t *testing.T) {
 
 func TestDistDefaultNodesIndependent(t *testing.T) {
 	back := testBackend(t)
-	svc := NewDistDefault(back, 2, back.Spec().TotalBytes()/10)
+	svc := icache.NewDistDefault(back, 2, back.Spec().TotalBytes()/10)
 	tr := newTracker(t, back.Spec().NumSamples)
 	rng := rand.New(rand.NewSource(4))
 	sched := svc.BeginEpoch(0, 0, tr, rng)

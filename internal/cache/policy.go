@@ -1,12 +1,14 @@
-// Package cache provides the byte-budgeted cache policies and the baseline
-// data services the paper compares iCache against: Default (LRU), Base
-// (LRU + computing-oriented IS), Quiver (substitutability), CoorDL (MinIO
-// no-eviction), iLFU (IIS + LFU), and Oracle (all data in memory).
+// Package cache provides the byte-budgeted cache policies the paper's
+// baselines run: LRU (Default, Base, Quiver, +IIS), LFU (iLFU), MinIO
+// (CoorDL), Unbounded (Oracle, filled up front), None (no cache), and the
+// FIFO and CLOCK policies of the policy comparison.
 //
-// The iCache system itself lives in internal/icache; it reuses nothing from
-// the policies here by design — the paper's point is precisely that
-// recency/frequency policies are the wrong tool once importance sampling
-// drives the access stream.
+// A policy only decides residency. The fetch path that consults it is
+// icache.Server's, the same one that runs iCache's H/L split: a baseline is
+// the engine built with one of these policies (icache.NewBaselineServer).
+// iCache's own H- and L-regions are not built from them: the paper's point
+// is that recency/frequency policies are the wrong tool once importance
+// sampling drives the access stream.
 package cache
 
 import (
@@ -34,7 +36,8 @@ type Policy interface {
 	Len() int
 	// UsedBytes reports the cached byte volume.
 	UsedBytes() int64
-	// CapacityBytes reports the configured byte budget (0 = unbounded).
+	// CapacityBytes reports the configured byte budget (0 = no budget:
+	// Unbounded admits everything, None nothing).
 	CapacityBytes() int64
 	// Evictions reports the cumulative eviction count.
 	Evictions() int64
@@ -481,3 +484,37 @@ func (u *Unbounded) Residents(dst []dataset.SampleID) []dataset.SampleID {
 	}
 	return dst
 }
+
+// None caches nothing: it declines every Admit, so every request it fronts
+// reads the backend — the NoCache configuration of Fig. 2.
+type None struct{}
+
+// Name implements Policy.
+func (None) Name() string { return "none" }
+
+// Touch implements Policy.
+func (None) Touch(dataset.SampleID) bool { return false }
+
+// Contains implements Policy.
+func (None) Contains(dataset.SampleID) bool { return false }
+
+// Admit implements Policy.
+func (None) Admit(dataset.SampleID, int) bool { return false }
+
+// Remove implements Policy.
+func (None) Remove(dataset.SampleID) bool { return false }
+
+// Len implements Policy.
+func (None) Len() int { return 0 }
+
+// UsedBytes implements Policy.
+func (None) UsedBytes() int64 { return 0 }
+
+// CapacityBytes implements Policy.
+func (None) CapacityBytes() int64 { return 0 }
+
+// Evictions implements Policy.
+func (None) Evictions() int64 { return 0 }
+
+// Residents implements Policy.
+func (None) Residents(dst []dataset.SampleID) []dataset.SampleID { return dst }

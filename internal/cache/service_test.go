@@ -1,10 +1,15 @@
-package cache
+// The baselines' fetch path is icache.Server's; these tests run each
+// baseline's policy through it (an external test package, so the engine may
+// import this one).
+package cache_test
 
 import (
 	"math/rand"
 	"testing"
 
+	"icache/internal/cache"
 	"icache/internal/dataset"
+	"icache/internal/icache"
 	"icache/internal/sampling"
 	"icache/internal/storage"
 )
@@ -28,8 +33,22 @@ func newTracker(t *testing.T, n int) *sampling.Tracker {
 	return tr
 }
 
+// baseline runs policy through the engine under the given sampler.
+func baseline(back *storage.Backend, name string, policy cache.Policy, sched icache.ScheduleKind, substitute bool) *icache.Server {
+	return icache.NewBaselineServer(back, icache.Baseline{Name: name, Policy: policy, Schedule: sched, Substitute: substitute})
+}
+
+// oracle is an Unbounded policy already holding the whole dataset.
+func oracle(spec dataset.Spec) cache.Policy {
+	all := cache.NewUnbounded()
+	for id := dataset.SampleID(0); int(id) < spec.NumSamples; id++ {
+		all.Admit(id, spec.SampleBytes(id))
+	}
+	return all
+}
+
 // runEpoch drives one full epoch through the service with a single worker.
-func runEpoch(t *testing.T, b *Baseline, tr *sampling.Tracker, seed int64) sampling.Schedule {
+func runEpoch(t *testing.T, b *icache.Server, tr *sampling.Tracker, seed int64) sampling.Schedule {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	sched := b.BeginEpoch(0, 0, tr, rng)
@@ -44,7 +63,7 @@ func runEpoch(t *testing.T, b *Baseline, tr *sampling.Tracker, seed int64) sampl
 
 func TestDefaultServiceFetchesEverySample(t *testing.T) {
 	back := testBackend(t)
-	svc := NewDefault(back, back.Spec().TotalBytes()/5)
+	svc := baseline(back, "default", cache.NewLRU(back.Spec().TotalBytes()/5), icache.ScheduleUniform, false)
 	tr := newTracker(t, back.Spec().NumSamples)
 	sched := runEpoch(t, svc, tr, 1)
 	if len(sched.Fetch) != back.Spec().NumSamples {
@@ -61,7 +80,7 @@ func TestDefaultServiceFetchesEverySample(t *testing.T) {
 
 func TestDefaultServiceHitRatioStabilizesLow(t *testing.T) {
 	back := testBackend(t)
-	svc := NewDefault(back, back.Spec().TotalBytes()/5)
+	svc := baseline(back, "default", cache.NewLRU(back.Spec().TotalBytes()/5), icache.ScheduleUniform, false)
 	tr := newTracker(t, back.Spec().NumSamples)
 	for e := 0; e < 3; e++ {
 		runEpoch(t, svc, tr, int64(e))
@@ -75,7 +94,8 @@ func TestDefaultServiceHitRatioStabilizesLow(t *testing.T) {
 
 func TestQuiverSubstitutes(t *testing.T) {
 	back := testBackend(t)
-	svc := NewQuiver(back, back.Spec().TotalBytes()/5)
+	lru := cache.NewLRU(back.Spec().TotalBytes() / 5)
+	svc := baseline(back, "quiver", lru, icache.ScheduleUniform, true)
 	tr := newTracker(t, back.Spec().NumSamples)
 	runEpoch(t, svc, tr, 1) // warm the cache
 	runEpoch(t, svc, tr, 2)
@@ -85,14 +105,15 @@ func TestQuiverSubstitutes(t *testing.T) {
 	}
 	// Each resident substitutes at most once per epoch: substitutions per
 	// epoch cannot exceed cache size.
-	if s.Substitutions > 2*int64(svc.Policy().Len()) {
-		t.Fatalf("substitutions %d exceed 2 epochs × %d residents", s.Substitutions, svc.Policy().Len())
+	if s.Substitutions > 2*int64(lru.Len()) {
+		t.Fatalf("substitutions %d exceed 2 epochs × %d residents", s.Substitutions, lru.Len())
 	}
 }
 
 func TestQuiverServedIDsDifferOnSubstitution(t *testing.T) {
 	back := testBackend(t)
-	svc := NewQuiver(back, back.Spec().TotalBytes()/5)
+	lru := cache.NewLRU(back.Spec().TotalBytes() / 5)
+	svc := baseline(back, "quiver", lru, icache.ScheduleUniform, true)
 	tr := newTracker(t, back.Spec().NumSamples)
 	runEpoch(t, svc, tr, 1)
 	rng := rand.New(rand.NewSource(2))
@@ -103,7 +124,7 @@ func TestQuiverServedIDsDifferOnSubstitution(t *testing.T) {
 		for i := range batch {
 			if served[i] != batch[i] {
 				subSeen = true
-				if !svc.Policy().Contains(served[i]) {
+				if !lru.Contains(served[i]) {
 					// A substitute must have been resident when chosen; it
 					// can only leave via eviction, which Quiver's LRU does
 					// on admit. Weak check: it must at least be a valid ID.
@@ -121,7 +142,8 @@ func TestQuiverServedIDsDifferOnSubstitution(t *testing.T) {
 
 func TestCoorDLHitRatioEqualsCapacityFraction(t *testing.T) {
 	back := testBackend(t)
-	svc := NewCoorDL(back, back.Spec().TotalBytes()/5)
+	minio := cache.NewMinIO(back.Spec().TotalBytes() / 5)
+	svc := baseline(back, "coordl", minio, icache.ScheduleUniform, false)
 	tr := newTracker(t, back.Spec().NumSamples)
 	runEpoch(t, svc, tr, 1) // fill
 	before := svc.Stats()
@@ -133,14 +155,14 @@ func TestCoorDLHitRatioEqualsCapacityFraction(t *testing.T) {
 	if hr < 0.17 || hr > 0.23 {
 		t.Fatalf("CoorDL steady-state hit ratio = %g, want ≈0.20", hr)
 	}
-	if svc.Policy().Evictions() != 0 {
+	if minio.Evictions() != 0 {
 		t.Fatal("CoorDL evicted")
 	}
 }
 
 func TestBaseFetchesAllTrainsFewer(t *testing.T) {
 	back := testBackend(t)
-	svc := NewBase(back, back.Spec().TotalBytes()/5, sampling.DefaultCIS())
+	svc := baseline(back, "base", cache.NewLRU(back.Spec().TotalBytes()/5), icache.ScheduleCIS, false)
 	tr := newTracker(t, back.Spec().NumSamples)
 	sched := runEpoch(t, svc, tr, 1)
 	if len(sched.Fetch) != back.Spec().NumSamples {
@@ -153,7 +175,7 @@ func TestBaseFetchesAllTrainsFewer(t *testing.T) {
 
 func TestILFUFetchesSubset(t *testing.T) {
 	back := testBackend(t)
-	svc := NewILFU(back, back.Spec().TotalBytes()/5, sampling.DefaultIIS())
+	svc := baseline(back, "ilfu", cache.NewLFU(back.Spec().TotalBytes()/5), icache.ScheduleIIS, false)
 	tr := newTracker(t, back.Spec().NumSamples)
 	sched := runEpoch(t, svc, tr, 1)
 	if len(sched.Fetch) >= back.Spec().NumSamples {
@@ -163,7 +185,7 @@ func TestILFUFetchesSubset(t *testing.T) {
 
 func TestOracleZeroBackendReads(t *testing.T) {
 	back := testBackend(t)
-	svc := NewOracle(back, sampling.DefaultIIS())
+	svc := baseline(back, "oracle", oracle(back.Spec()), icache.ScheduleIIS, false)
 	tr := newTracker(t, back.Spec().NumSamples)
 	runEpoch(t, svc, tr, 1)
 	if got := back.Stats().SampleReads; got != 0 {
@@ -176,7 +198,7 @@ func TestOracleZeroBackendReads(t *testing.T) {
 
 func TestFetchBatchAdvancesTime(t *testing.T) {
 	back := testBackend(t)
-	svc := NewDefault(back, back.Spec().TotalBytes()/5)
+	svc := baseline(back, "default", cache.NewLRU(back.Spec().TotalBytes()/5), icache.ScheduleUniform, false)
 	tr := newTracker(t, back.Spec().NumSamples)
 	rng := rand.New(rand.NewSource(3))
 	sched := svc.BeginEpoch(0, 0, tr, rng)
@@ -189,7 +211,7 @@ func TestFetchBatchAdvancesTime(t *testing.T) {
 func TestStatsIncludePolicyEvictions(t *testing.T) {
 	back := testBackend(t)
 	// Tiny cache forces evictions quickly.
-	svc := NewDefault(back, 10_000)
+	svc := baseline(back, "default", cache.NewLRU(10_000), icache.ScheduleUniform, false)
 	tr := newTracker(t, back.Spec().NumSamples)
 	runEpoch(t, svc, tr, 1)
 	if svc.Stats().Evictions == 0 {

@@ -180,33 +180,41 @@ const (
 	SchemeNoCacheCIS Scheme = "nocache-cis"
 )
 
-// newService builds a data service of the given scheme over a fresh
-// backend. capFrac is the cache size as a fraction of the dataset.
-func newService(scheme Scheme, spec dataset.Spec, storageCfg storage.Config, capFrac float64, seed int64) (train.DataService, *storage.Backend, error) {
+// NewService builds a data service of the given scheme over a fresh
+// backend. capFrac is the cache size as a fraction of the dataset. Every
+// scheme is an icache.Server: iCache's H/L split, or one of the baselines'
+// cache.Policy with the sampler and substitution its paper system uses.
+func NewService(scheme Scheme, spec dataset.Spec, storageCfg storage.Config, capFrac float64, seed int64) (train.DataService, *storage.Backend, error) {
 	back, err := storage.NewBackend(spec, storageCfg)
 	if err != nil {
 		return nil, nil, err
 	}
 	capBytes := int64(float64(spec.TotalBytes()) * capFrac)
+	b := icache.Baseline{Name: string(scheme)}
 	switch scheme {
 	case SchemeDefault:
-		return cache.NewDefault(back, capBytes), back, nil
+		b.Policy = cache.NewLRU(capBytes)
 	case SchemeBase:
-		return cache.NewBase(back, capBytes, sampling.DefaultCIS()), back, nil
+		b.Policy, b.Schedule = cache.NewLRU(capBytes), icache.ScheduleCIS
 	case SchemeQuiver:
-		return cache.NewQuiver(back, capBytes), back, nil
+		b.Policy, b.Substitute = cache.NewLRU(capBytes), true
 	case SchemeCoorDL:
-		return cache.NewCoorDL(back, capBytes), back, nil
+		b.Policy = cache.NewMinIO(capBytes)
 	case SchemeILFU:
-		return cache.NewILFU(back, capBytes, sampling.DefaultIIS()), back, nil
+		b.Policy, b.Schedule = cache.NewLFU(capBytes), icache.ScheduleIIS
 	case SchemeIIS:
-		return cache.NewILRU(back, capBytes, sampling.DefaultIIS()), back, nil
+		b.Policy, b.Schedule = cache.NewLRU(capBytes), icache.ScheduleIIS
 	case SchemeOracle:
-		return cache.NewOracle(back, sampling.DefaultIIS()), back, nil
+		// The whole dataset in memory: the I/O-free lower bound of Fig. 8.
+		all := cache.NewUnbounded()
+		for id := dataset.SampleID(0); int(id) < spec.NumSamples; id++ {
+			all.Admit(id, spec.SampleBytes(id))
+		}
+		b.Policy, b.Schedule = all, icache.ScheduleIIS
 	case SchemeNoCache:
-		return cache.NewNoCache(back), back, nil
+		b.Policy = cache.None{}
 	case SchemeNoCacheCIS:
-		return cache.NewNoCacheCIS(back, sampling.DefaultCIS()), back, nil
+		b.Policy, b.Schedule = cache.None{}, icache.ScheduleCIS
 	case SchemeHC:
 		cfg := icache.DefaultConfig(capBytes)
 		cfg.EnableLCache = false
@@ -225,6 +233,7 @@ func newService(scheme Scheme, spec dataset.Spec, storageCfg storage.Config, cap
 	default:
 		return nil, nil, fmt.Errorf("experiments: unknown scheme %q", scheme)
 	}
+	return icache.NewBaselineServer(back, b), back, nil
 }
 
 // scaledIIS sizes the H-list to the H-cache, as §III-A does ("the cache
@@ -246,7 +255,7 @@ func scaledIIS(capFrac, hShare float64) sampling.IISConfig {
 // runOne trains one model under one scheme and returns the full run stats.
 func runOne(scheme Scheme, model train.ModelProfile, spec dataset.Spec, storageCfg storage.Config,
 	capFrac float64, epochs int, mutate func(*train.Config), opts Options) (metrics.RunStats, error) {
-	svc, _, err := newService(scheme, spec, storageCfg, capFrac, 42+opts.Seed)
+	svc, _, err := NewService(scheme, spec, storageCfg, capFrac, 42+opts.Seed)
 	if err != nil {
 		return metrics.RunStats{}, err
 	}

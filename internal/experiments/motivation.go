@@ -100,7 +100,7 @@ func fig3(opts Options) (*Report, error) {
 		Header: []string{"epoch", "sample0", "sample1", "sample2"},
 	}
 	spec := opts.cifar()
-	svc, _, err := newService(SchemeICache, spec, storage.OrangeFS(), 0.2, 42+opts.Seed)
+	svc, _, err := NewService(SchemeICache, spec, storage.OrangeFS(), 0.2, 42+opts.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -51,7 +51,7 @@ func runMultiJob(scheme mjScheme, opts Options) (shuffle, resnet mjResult, err e
 
 	var jobA, jobB *train.Job
 	if scheme == mjDefault {
-		shared := cache.NewDefault(back, capBytes)
+		shared := icache.NewBaselineServer(back, icache.Baseline{Name: string(SchemeDefault), Policy: cache.NewLRU(capBytes)})
 		if jobA, err = mkJob(train.ShuffleNet, &sharedLRU{base: shared}, 1); err != nil {
 			return mjResult{}, mjResult{}, err
 		}

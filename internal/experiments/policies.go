@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"icache/internal/cache"
+	"icache/internal/icache"
 	"icache/internal/metrics"
 	"icache/internal/storage"
 	"icache/internal/train"
@@ -53,24 +54,15 @@ func extPolicies(opts Options) (*Report, error) {
 		return nil
 	}
 
-	for _, p := range []struct {
-		name string
-		mk   func(*storage.Backend) cache.Policy
-	}{
-		{"fifo", func(b *storage.Backend) cache.Policy { return cache.NewFIFO(capBytes) }},
-		{"lru", func(b *storage.Backend) cache.Policy { return cache.NewLRU(capBytes) }},
-		{"clock", func(b *storage.Backend) cache.Policy { return cache.NewClock(capBytes) }},
-		{"lfu", func(b *storage.Backend) cache.Policy { return cache.NewLFU(capBytes) }},
-	} {
-		p := p
-		if err := runPolicy(p.name, func(b *storage.Backend) train.DataService {
-			return cache.NewWithPolicy(b, p.mk(b))
+	for _, p := range []cache.Policy{cache.NewFIFO(capBytes), cache.NewLRU(capBytes), cache.NewClock(capBytes), cache.NewLFU(capBytes)} {
+		if err := runPolicy(p.Name(), func(b *storage.Backend) train.DataService {
+			return icache.NewBaselineServer(b, icache.Baseline{Name: "uniform+" + p.Name(), Policy: p})
 		}); err != nil {
 			return nil, err
 		}
 	}
 	if err := runPolicy("icache", func(b *storage.Backend) train.DataService {
-		svc, _, err := newService(SchemeICache, spec, storage.OrangeFS(), 0.2, 42+opts.Seed)
+		svc, _, err := NewService(SchemeICache, spec, storage.OrangeFS(), 0.2, 42+opts.Seed)
 		if err != nil {
 			panic(err)
 		}

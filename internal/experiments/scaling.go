@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"icache/internal/cache"
 	"icache/internal/icache"
 	"icache/internal/metrics"
 	"icache/internal/sampling"
@@ -83,7 +82,7 @@ func fig13(opts Options) (*Report, error) {
 				return job.Run(), nil
 			}
 			def, err := runDist(func(b *storage.Backend) (train.DistService, error) {
-				return cache.NewDistDefault(b, nodes, perNode), nil
+				return icache.NewDistDefault(b, nodes, perNode), nil
 			})
 			if err != nil {
 				return nil, err

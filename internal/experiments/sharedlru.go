@@ -3,20 +3,20 @@ package experiments
 import (
 	"math/rand"
 
-	"icache/internal/cache"
 	"icache/internal/dataset"
+	"icache/internal/icache"
 	"icache/internal/metrics"
 	"icache/internal/sampling"
 	"icache/internal/simclock"
 )
 
-// sharedLRU is one job's handle on a Default (LRU) baseline several jobs
+// sharedLRU is one job's handle on a Default (LRU) engine several jobs
 // share — the Fig. 14 "Default" multi-job configuration. It attributes the
 // shared cache's events to its own job, mirroring what the
 // icache.Coordinator does for the importance-aware policies; BeginEpoch
 // reshuffles only its own job's schedule.
 type sharedLRU struct {
-	base  *cache.Baseline
+	base  *icache.Server
 	stats metrics.CacheStats
 }
 

@@ -18,6 +18,8 @@ import (
 // Server is a single-node iCache instance: the cache manager plus the
 // H-cache and L-cache regions. It implements the data-service contract the
 // training pipeline consumes (BeginEpoch / FetchBatch / Stats / Name).
+// Built by NewBaselineServer, the same engine runs one of the paper's
+// baselines instead: one cache.Policy takes the H/L split's place.
 //
 // A Server used by a single job manages its H-list directly from that job's
 // importance tracker. Multi-job sharing goes through a Coordinator, which
@@ -25,9 +27,11 @@ import (
 type Server struct {
 	cfg     Config
 	backend *storage.Backend
-	spec    dataset.Spec
-	iis     sampling.IISConfig
-	rng     *rand.Rand
+	// base is a baseline scheme's residency (baseline.go); nil runs iCache.
+	base *baselineState
+	spec dataset.Spec
+	iis  sampling.IISConfig
+	rng  *rand.Rand
 
 	h  *hcache
 	l  *lcache
@@ -134,6 +138,9 @@ func NewServer(backend *storage.Backend, cfg Config, iis sampling.IISConfig, see
 
 // Name implements the data-service contract.
 func (s *Server) Name() string {
+	if s.base != nil {
+		return s.base.Name
+	}
 	if !s.cfg.EnableLCache {
 		return "icache-hc" // the +HC ablation rung
 	}
@@ -143,14 +150,25 @@ func (s *Server) Name() string {
 // Stats implements the data-service contract.
 func (s *Server) Stats() metrics.CacheStats {
 	st := s.stats
+	if s.base != nil {
+		st.Evictions = s.base.Policy.Evictions()
+		return st
+	}
 	st.Inserts = s.h.inserts + s.l.inserts
 	st.Evictions = s.h.evictions + s.l.evictions
 	return st
 }
 
 // SubstitutionSource declares the substitution severity class for the
-// accuracy model ("lcache", "hcache", or "none").
+// accuracy model ("lcache", "hcache", or "none"). Quiver's substitution is
+// importance-blind, so it carries the H-cache severity class.
 func (s *Server) SubstitutionSource() string {
+	if s.base != nil {
+		if s.base.Substitute {
+			return "hcache"
+		}
+		return "none"
+	}
 	switch s.cfg.Substitute {
 	case SubstituteLCache:
 		return "lcache"
@@ -210,8 +228,11 @@ func (s *Server) HShare() float64 {
 // BeginEpoch implements the data-service contract: it draws the epoch's IIS
 // schedule from the job's tracker, pushes the fresh H-list into the cache
 // manager (unless a Coordinator manages the list), repartitions, and resets
-// per-epoch L-cache state.
+// per-epoch L-cache state. A baseline draws its own sampler's schedule.
 func (s *Server) BeginEpoch(at simclock.Time, epoch int, tr *sampling.Tracker, rng *rand.Rand) sampling.Schedule {
+	if s.base != nil {
+		return s.beginBaselineEpoch(tr, rng)
+	}
 	sched, hl := sampling.IISSchedule(tr, s.iis, rng)
 	if !s.managed {
 		s.InstallHList(hl)
@@ -380,6 +401,40 @@ func (s *Server) FetchBatchRouted(at simclock.Time, ids []dataset.SampleID, rout
 
 // fetchOne serves a single sample request, returning the new virtual time.
 func (s *Server) fetchOne(at simclock.Time, id dataset.SampleID, routing *sampling.HList, served *[]dataset.SampleID) simclock.Time {
+	if b := s.base; b != nil {
+		// A baseline: a policy hit, else Quiver's substitute, else the
+		// backend read and the policy's admission.
+		if b.Policy.Touch(id) {
+			s.stats.Hits++
+			s.tracer.Record(at, trace.KindHit, id, 0)
+			if b.Substitute {
+				b.used[id] = true
+			}
+			*served = append(*served, id)
+			return at + storage.HitLatency
+		}
+		if b.Substitute {
+			if sub, ok := b.substitute(); ok {
+				s.stats.Substitutions++
+				s.tracer.Record(at, trace.KindSubstitute, id, int64(sub))
+				b.used[sub] = true
+				*served = append(*served, sub)
+				return at + storage.HitLatency
+			}
+		}
+		*served = append(*served, id)
+		if end, ok := s.peerServed(at, id); ok {
+			return end
+		}
+		at = s.backend.ReadSample(at, id)
+		if b.Policy.Admit(id, s.spec.SampleBytes(id)) {
+			s.stats.Inserts++
+			s.tracer.Record(at, trace.KindAdmit, id, 0)
+		} else {
+			s.stats.Rejections++
+		}
+		return at
+	}
 	if routing.Contains(id) {
 		s.epochHReq++
 		if s.h.contains(id) {

@@ -3,7 +3,6 @@ package train
 import (
 	"testing"
 
-	"icache/internal/cache"
 	"icache/internal/dataset"
 	"icache/internal/sampling"
 	"icache/internal/storage"
@@ -18,7 +17,7 @@ func criterionJob(t *testing.T, crit sampling.Criterion, epochs int) *Job {
 	}
 	cfg := smallConfig(ShuffleNet, epochs)
 	cfg.Criterion = crit
-	job, err := NewJob(cfg, cache.NewNoCache(back))
+	job, err := NewJob(cfg, noCache(back))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +32,7 @@ func TestCriterionValidationInConfig(t *testing.T) {
 	}
 	cfg := smallConfig(ShuffleNet, 1)
 	cfg.Criterion = sampling.Criterion(42)
-	if _, err := NewJob(cfg, cache.NewNoCache(back)); err == nil {
+	if _, err := NewJob(cfg, noCache(back)); err == nil {
 		t.Fatal("bogus criterion accepted")
 	}
 }

@@ -21,7 +21,7 @@ func distBackend(t *testing.T) *storage.Backend {
 
 func TestDistDefaultRuns(t *testing.T) {
 	back := distBackend(t)
-	svc := cache.NewDistDefault(back, 2, back.Spec().TotalBytes()/5)
+	svc := icache.NewDistDefault(back, 2, back.Spec().TotalBytes()/5)
 	cfg := smallConfig(ResNet18, 2)
 	job, err := NewDistJob(cfg, svc)
 	if err != nil {
@@ -57,7 +57,7 @@ func TestDistICacheBeatsDistDefault(t *testing.T) {
 		return float64(steady.AvgEpochTime())
 	}
 	defTime := run(func(b *storage.Backend) DistService {
-		return cache.NewDistDefault(b, 2, b.Spec().TotalBytes()/5)
+		return icache.NewDistDefault(b, 2, b.Spec().TotalBytes()/5)
 	})
 	icTime := run(func(b *storage.Backend) DistService {
 		cl, err := icache.NewCluster(b, icache.DefaultClusterConfig(2, b.Spec().TotalBytes()/5), sampling.DefaultIIS(), 7)
@@ -101,8 +101,8 @@ func TestNewDistJobValidates(t *testing.T) {
 		cfg Config
 		svc DistService
 	}{
-		"config":   {bad, cache.NewDistDefault(back, 2, 1<<20)},
-		"no nodes": {smallConfig(ResNet18, 1), cache.NewDistDefault(back, 0, 1<<20)},
+		"config":   {bad, icache.NewDistDefault(back, 2, 1<<20)},
+		"no nodes": {smallConfig(ResNet18, 1), icache.NewDistDefault(back, 0, 1<<20)},
 	} {
 		if _, err := NewDistJob(tc.cfg, tc.svc); err == nil {
 			t.Errorf("%s: invalid job accepted", name)
@@ -117,11 +117,11 @@ func TestOneNodeDistJobIsAJob(t *testing.T) {
 	cfg.Criterion = sampling.CriterionGradUpper
 	cfg.EchoFactor = 1
 	capacity := smallSpec().TotalBytes() / 5
-	single, err := NewJob(cfg, cache.NewDefault(distBackend(t), capacity))
+	single, err := NewJob(cfg, icache.NewBaselineServer(distBackend(t), icache.Baseline{Name: "default", Policy: cache.NewLRU(capacity)}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := NewDistJob(cfg, cache.NewDistDefault(distBackend(t), 1, capacity))
+	dist, err := NewDistJob(cfg, icache.NewDistDefault(distBackend(t), 1, capacity))
 	if err != nil {
 		t.Fatal(err)
 	}

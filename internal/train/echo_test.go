@@ -3,7 +3,7 @@ package train
 import (
 	"testing"
 
-	"icache/internal/cache"
+	"icache/internal/icache"
 	"icache/internal/metrics"
 	"icache/internal/storage"
 )
@@ -11,10 +11,10 @@ import (
 func TestEchoConvertsStallToCompute(t *testing.T) {
 	for name, mk := range map[string]func(*storage.Backend, Config) (*Job, error){
 		"one node, no cache": func(back *storage.Backend, cfg Config) (*Job, error) {
-			return NewJob(cfg, cache.NewNoCache(back))
+			return NewJob(cfg, noCache(back))
 		},
 		"two nodes, LRU each": func(back *storage.Backend, cfg Config) (*Job, error) {
-			return NewDistJob(cfg, cache.NewDistDefault(back, 2, back.Spec().TotalBytes()/5))
+			return NewDistJob(cfg, icache.NewDistDefault(back, 2, back.Spec().TotalBytes()/5))
 		},
 	} {
 		run := func(factor int) metrics.RunStats {
@@ -57,7 +57,7 @@ func TestEchoFactorValidation(t *testing.T) {
 	}
 	cfg := smallConfig(ShuffleNet, 1)
 	cfg.EchoFactor = -1
-	if _, err := NewJob(cfg, cache.NewNoCache(back)); err == nil {
+	if _, err := NewJob(cfg, noCache(back)); err == nil {
 		t.Fatal("negative echo factor accepted")
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"icache/internal/cache"
 	"icache/internal/dataset"
+	"icache/internal/icache"
 	"icache/internal/metrics"
 	"icache/internal/storage"
 )
@@ -46,7 +47,13 @@ func realService(t *testing.T, spec dataset.Spec) DataService {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cache.NewNoCache(back)
+	return noCache(back)
+}
+
+// noCache is the cacheless reader: the engine over a policy that admits
+// nothing, so every request reads the backend.
+func noCache(back *storage.Backend) DataService {
+	return icache.NewBaselineServer(back, icache.Baseline{Name: "nocache", Policy: cache.None{}})
 }
 
 func TestJobRunsAllEpochs(t *testing.T) {
@@ -144,7 +151,7 @@ func TestTmpfsFasterThanRemote(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		job, err := NewJob(smallConfig(ResNet18, 2), cache.NewNoCache(back))
+		job, err := NewJob(smallConfig(ResNet18, 2), noCache(back))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,13 +216,13 @@ func TestRunConcurrentInterleavesJobs(t *testing.T) {
 	}
 	loneTime := lone.Run().AvgEpochTime()
 
-	a, err := NewJob(smallConfig(ShuffleNet, 2), cache.NewNoCache(back))
+	a, err := NewJob(smallConfig(ShuffleNet, 2), noCache(back))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfgB := smallConfig(ShuffleNet, 2)
 	cfgB.Seed = 99
-	b, err := NewJob(cfgB, cache.NewNoCache(back))
+	b, err := NewJob(cfgB, noCache(back))
 	if err != nil {
 		t.Fatal(err)
 	}
