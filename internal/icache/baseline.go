@@ -51,18 +51,13 @@ type baselineState struct {
 
 // NewBaselineServer builds the engine for a baseline scheme. Requests run
 // fetchOne's baseline branch: a policy hit, then a substitute (Substitute),
-// then the backend read and the policy's admission. The H- and L-regions
-// stay empty, and no loader runs.
+// then the backend read and the policy's admission. It serves the
+// data-service contract (BeginEpoch, FetchBatch, Stats, Name); it has no H-
+// or L-region and no loader, so the serving layer's residency, view and
+// checkpoint calls are iCache's alone.
 func NewBaselineServer(backend *storage.Backend, b Baseline) *Server {
-	return &Server{
-		backend: backend,
-		spec:    backend.Spec(),
-		h:       newHCache(0),
-		l:       newLCache(0),
-		ld:      newLoader(backend, packageBytes, repackPerSample, nil),
-		hlist:   sampling.NewHList(nil),
-		base:    &baselineState{Baseline: b},
-	}
+	base := &baselineState{Baseline: b, used: make(map[dataset.SampleID]bool)}
+	return &Server{backend: backend, spec: backend.Spec(), base: base}
 }
 
 // beginBaselineEpoch refills Quiver's pool before it draws the schedule:

@@ -27,11 +27,11 @@ import (
 type Server struct {
 	cfg     Config
 	backend *storage.Backend
+	spec    dataset.Spec
+	iis     sampling.IISConfig
+	rng     *rand.Rand
 	// base is a baseline scheme's residency (baseline.go); nil runs iCache.
 	base *baselineState
-	spec dataset.Spec
-	iis  sampling.IISConfig
-	rng  *rand.Rand
 
 	h  *hcache
 	l  *lcache
@@ -406,7 +406,6 @@ func (s *Server) fetchOne(at simclock.Time, id dataset.SampleID, routing *sampli
 		// backend read and the policy's admission.
 		if b.Policy.Touch(id) {
 			s.stats.Hits++
-			s.tracer.Record(at, trace.KindHit, id, 0)
 			if b.Substitute {
 				b.used[id] = true
 			}
@@ -416,7 +415,6 @@ func (s *Server) fetchOne(at simclock.Time, id dataset.SampleID, routing *sampli
 		if b.Substitute {
 			if sub, ok := b.substitute(); ok {
 				s.stats.Substitutions++
-				s.tracer.Record(at, trace.KindSubstitute, id, int64(sub))
 				b.used[sub] = true
 				*served = append(*served, sub)
 				return at + storage.HitLatency
@@ -429,7 +427,6 @@ func (s *Server) fetchOne(at simclock.Time, id dataset.SampleID, routing *sampli
 		at = s.backend.ReadSample(at, id)
 		if b.Policy.Admit(id, s.spec.SampleBytes(id)) {
 			s.stats.Inserts++
-			s.tracer.Record(at, trace.KindAdmit, id, 0)
 		} else {
 			s.stats.Rejections++
 		}

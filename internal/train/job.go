@@ -12,10 +12,11 @@ import (
 	"icache/internal/simclock"
 )
 
-// DataService is what a training job consumes: a cache scheme (one of the
-// baselines in internal/cache, an iCache server or job handle, or a raw
-// storage reader). Implementations live in their own packages; this package
-// only depends on the contract.
+// DataService is what a training job consumes: a cache scheme — an
+// icache.Server running iCache or one of the paper's baselines over a
+// cache.Policy (NoCache's policy admits nothing, so every request reads
+// storage) — or a multi-job handle on a shared server. Implementations live
+// in their own packages; this package only depends on the contract.
 type DataService interface {
 	// Name identifies the scheme in experiment output.
 	Name() string
