@@ -3,11 +3,10 @@
 // HTTP surface (/debug/timeline, /debug/journal, /debug/obs, and
 // net/http/pprof under -pprof) with its graceful shutdown, the serving loop
 // whose signal starts a daemon's own shutdown steps, and the logged trace
-// dump. Each
-// daemon keeps its timeline point, its checkpoint and its order of shutdown
-// steps. The package lives under cmd/ because net/http/pprof's init
-// registers on http.DefaultServeMux: no server library or benchmark may
-// import it.
+// dump. Each daemon keeps its timeline point, its checkpoint and its order
+// of shutdown steps. The package lives under cmd/ because net/http/pprof's
+// init registers on http.DefaultServeMux: no server library or benchmark
+// may import it.
 package shell
 
 import (

@@ -64,8 +64,10 @@ func TestILRUUsesIISAndLRU(t *testing.T) {
 	if len(sched.Fetch) >= back.Spec().NumSamples {
 		t.Fatal("ILRU did not reduce fetches")
 	}
-	if lru.Name() != "lru" {
-		t.Fatalf("policy = %q, want lru", lru.Name())
+	// The engine runs the LRU it was given: a miss lands in it.
+	svc.FetchBatch(0, sched.Fetch[:1])
+	if !lru.Contains(sched.Fetch[0]) {
+		t.Fatalf("ILRU's LRU (%d residents) did not admit missed sample %d", lru.Len(), sched.Fetch[0])
 	}
 	if svc.SubstitutionSource() != "none" {
 		t.Fatal("ILRU must not substitute")
