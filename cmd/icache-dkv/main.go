@@ -95,9 +95,12 @@ func main() {
 	debug := &shell.Debug{Point: point, Journal: journal, Pprof: *pprofOn, Registry: reg, Tracer: tracer}
 	debug.Serve(*debugAt, http.NewServeMux())
 	log.Printf("directory service listening on %s", *addr)
-	shell.Run(func() error { return srv.ListenAndServe(*addr) }, func() {
+	err := shell.Run(func() error { return srv.ListenAndServe(*addr) }, func() {
 		debug.Shutdown()
 		shell.DumpTrace(tracer, *traceCSV, *traceMax)
 		srv.Close()
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
 }

@@ -223,7 +223,7 @@ func main() {
 	}
 	log.Printf("dataset %s (%d samples, %d MB), cache %.0f%% (%s), listening on %s",
 		spec.Name, spec.NumSamples, spec.TotalBytes()>>20, 100**cacheFrac, cacheSrv, *addr)
-	shell.Run(func() error { return srv.ListenAndServe(*addr) }, func() {
+	err = shell.Run(func() error { return srv.ListenAndServe(*addr) }, func() {
 		debug.Shutdown()
 		if *ckptPath != "" {
 			if err := srv.SaveCheckpointFile(*ckptPath); err != nil {
@@ -235,4 +235,7 @@ func main() {
 		shell.DumpTrace(tracer, *traceCSV, *traceMax)
 		srv.Close()
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
 }

@@ -147,10 +147,11 @@ func (d *Debug) Shutdown() {
 
 // Run serves until serve returns and runs shutdown on the first SIGINT or
 // SIGTERM, which must end serve (a daemon's shutdown closes its server last).
-// It returns only once shutdown has finished. The net.ErrClosed a shutdown
-// makes serve return is the clean stop and is not logged; any other error,
-// or a listener closed with no signal, is.
-func Run(serve func() error, shutdown func()) {
+// It returns only once shutdown has finished, with serve's error: nil for the
+// net.ErrClosed a shutdown makes serve return (the clean stop), the error
+// itself otherwise, a listener closed with no signal included, so the daemon
+// can exit non-zero.
+func Run(serve func() error, shutdown func()) error {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	done := make(chan struct{})
@@ -167,9 +168,10 @@ func Run(serve func() error, shutdown func()) {
 	signal.Stop(sig)
 	close(sig) // no signal is delivered after Stop; this ends an idle watcher
 	<-done
-	if err != nil && !(stopped && errors.Is(err, net.ErrClosed)) {
-		log.Print(err)
+	if stopped && errors.Is(err, net.ErrClosed) {
+		return nil
 	}
+	return err
 }
 
 // DumpTrace dumps tracer to path (trace.Recorder.DumpFile) under a cap of

@@ -116,15 +116,16 @@ func TestDumpTraceLogsTheOutcome(t *testing.T) {
 }
 
 // A SIGTERM runs the shutdown steps, whose last one closes the server: the
-// net.ErrClosed that ends serve is the clean stop and logs no error, and Run
-// returns only once the steps after the close have finished too.
+// net.ErrClosed that ends serve is the clean stop, which Run returns as nil
+// and logs no error for, and Run returns only once the steps after the close
+// have finished too.
 func TestRunStopsCleanlyOnSignal(t *testing.T) {
 	var buf bytes.Buffer
 	defer log.SetOutput(log.Writer())
 	log.SetOutput(&buf)
 	closed, served := make(chan struct{}), make(chan struct{})
 	finished := false
-	Run(func() error {
+	err := Run(func() error {
 		defer close(served)
 		if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 			t.Error(err)
@@ -139,22 +140,22 @@ func TestRunStopsCleanlyOnSignal(t *testing.T) {
 	if !finished {
 		t.Error("Run returned before the shutdown steps finished")
 	}
+	if err != nil {
+		t.Errorf("a clean stop returned %v", err)
+	}
 	if out := buf.String(); strings.Count(out, "\n") != 1 || !strings.HasSuffix(out, "shutting down\n") {
 		t.Errorf("a clean stop logged %q, want only the shutdown notice", out)
 	}
 }
 
-// A listener that dies with no signal is logged, net.ErrClosed included, and
-// the shutdown steps do not run.
+// A listener that dies with no signal is returned, net.ErrClosed included,
+// for the daemon to log and exit non-zero on, and the shutdown steps do not
+// run.
 func TestRunLogsADeadListener(t *testing.T) {
-	var buf bytes.Buffer
-	defer log.SetOutput(log.Writer())
-	log.SetOutput(&buf)
-	for _, err := range []error{errors.New("accept: too many open files"), net.ErrClosed} {
-		buf.Reset()
-		Run(func() error { return err }, func() { t.Error("shutdown ran with no signal") })
-		if out := buf.String(); !strings.Contains(out, err.Error()) {
-			t.Errorf("a listener dead of %v logged %q", err, out)
+	for _, want := range []error{errors.New("accept: too many open files"), net.ErrClosed} {
+		err := Run(func() error { return want }, func() { t.Error("shutdown ran with no signal") })
+		if !errors.Is(err, want) {
+			t.Errorf("a listener dead of %v: Run returned %v", want, err)
 		}
 	}
 }
