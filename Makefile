@@ -103,8 +103,12 @@ vet:
 # Algorithm 1's fetch path too: a baseline is icache.Server over a
 # cache.Policy, so the non-test files of internal/cache read no backend
 # (ReadSample( or ReadPackage(, comments excepted) and declare no FetchBatch
-# method, and icache/baseline.go reads no backend of its own. Subsumes `vet`
-# in `make all`.
+# method, and icache/baseline.go reads no backend of its own. And there is one
+# loading rule, the package-reader seam: in the non-test files of
+# internal/icache, composePackage( is called once, in composeNext, and
+# ReadPackage( only in the virtual-time reader (vtReader.issue) and
+# fetchStaticChunk, and no pump( or pending names a second loading thread's
+# queue (comments excepted). Subsumes `vet` in `make all`.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -244,6 +248,14 @@ lint:
 	done); \
 	if [ -n "$$stray" ]; then \
 		echo "a fetch loop beside the engine (a baseline is icache.NewBaselineServer over a cache.Policy):"; echo "$$stray"; exit 1; \
+	fi
+	@stray=$$(awk '{sub(/\/\/.*/, "")} /^func /{fn = $$0} /^}/{fn = ""} \
+			/composePackage\(/ && !/^func / && (fn !~ /\) composeNext\(/ || ++n > 1) {print FILENAME ":" FNR ":" $$0} \
+			/ReadPackage\(/ && fn !~ /\(r \*vtReader\) issue\(|\(s \*Server\) fetchStaticChunk\(/ {print FILENAME ":" FNR ":" $$0} \
+			/(^|[^A-Za-z0-9_])(pump\(|pending([^A-Za-z0-9_]|$$))/ {print FILENAME ":" FNR ":" $$0}' \
+		$$(ls internal/icache/*.go | grep -v _test.go)); \
+	if [ -n "$$stray" ]; then \
+		echo "a second loading rule (composeNext composes every package; vtReader and static chunks alone read packages on the model):"; echo "$$stray"; exit 1; \
 	fi
 	$(GO) vet ./...
 

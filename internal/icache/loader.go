@@ -7,25 +7,21 @@ import (
 	"icache/internal/dataset"
 	"icache/internal/sampling"
 	"icache/internal/simclock"
-	"icache/internal/storage"
 )
 
 // loader is the asynchronous loading thread of §III-C. It composes packages
 // dynamically — L-samples that recently missed in the L-cache are re-packed
-// first, the remaining space is filled with randomly selected L-samples —
-// and streams them from the backend as large sequential reads that share
-// (and therefore contend for) the same storage resources as foreground
-// fetches. Arrived packages are applied to the L-cache lazily, when the
-// server observes virtual time passing each arrival's completion instant.
+// first, the remaining space is filled with randomly selected L-samples — and
+// hands each to the server's package reader, one in flight at a time
+// (Server.composeNext). The reader lands the members (DeliverMember) and ends
+// the package (EndPackage), which composes the next one from the cache state
+// the landing left: on the wire the prefetch pool's member reads, in the
+// simulator vtReader's large sequential reads on the storage model, which
+// share (and therefore contend for) the resources foreground fetches use.
 type loader struct {
-	backend  *storage.Backend
 	spec     dataset.Spec
 	pkgBytes int
-	// repackPerSample is the bookkeeping cost per packed sample: gathering
-	// it from its scattered location, writing it into the reorganized
-	// package, and metadata updates (see the repackPerSample constant).
-	repackPerSample simclock.Time
-	rng             *rand.Rand
+	rng      *rand.Rand
 
 	// usefulBytes counts bytes actually delivered into the L-cache.
 	// wastedBytes counts bytes fetchStaticChunk read whose samples could not
@@ -34,39 +30,21 @@ type loader struct {
 	usefulBytes int64
 	wastedBytes int64
 
-	// nextFree is the loading thread's own timeline: it issues one package
-	// read at a time.
-	nextFree simclock.Time
-	pending  []packageArrival
-
 	// Re-pack queue: L-samples that missed, in miss order, deduplicated.
 	missedQ   []dataset.SampleID
 	missedSet map[dataset.SampleID]struct{}
 
-	// gated records that the thread was blocked (no room or nothing to
-	// load) so the next issue starts at the unblocking instant instead of
-	// retroactively at nextFree.
-	gated bool
-
-	packages int64 // packages issued
-	samples  int64 // samples shipped in packages
-	inFlight bool  // the package a reader holds (Server.SetPackageReader)
+	packages int64 // packages composed
+	inFlight bool  // the package a reader holds
 	landed   bool  // a member of the package in flight reached the L-cache
 }
 
-type packageArrival struct {
-	at  simclock.Time
-	ids []dataset.SampleID
-}
-
-func newLoader(backend *storage.Backend, pkgBytes int, repackPerSample simclock.Time, rng *rand.Rand) *loader {
+func newLoader(spec dataset.Spec, pkgBytes int, rng *rand.Rand) *loader {
 	return &loader{
-		backend:         backend,
-		spec:            backend.Spec(),
-		pkgBytes:        pkgBytes,
-		repackPerSample: repackPerSample,
-		rng:             rng,
-		missedSet:       make(map[dataset.SampleID]struct{}),
+		spec:      spec,
+		pkgBytes:  pkgBytes,
+		rng:       rng,
+		missedSet: make(map[dataset.SampleID]struct{}),
 	}
 }
 
@@ -135,52 +113,63 @@ func (ld *loader) composePackage(hl *sampling.HList, h *hcache, l *lcache) ([]da
 	return ids, total
 }
 
-// pump issues package reads until the loading thread's timeline catches up
-// with now or there is no point loading more. hasRoom gates issuing: the
-// L-cache must be able to absorb a package without evicting unused
-// (still-valuable) residents.
-func (ld *loader) pump(now simclock.Time, hl *sampling.HList, h *hcache, l *lcache) {
-	for ld.nextFree <= now {
-		if l.capBytes-l.unusedBytes() < int64(ld.pkgBytes) {
-			// Absorbing a package now would destroy unused (still
-			// valuable) residents; wait for consumption to make room.
-			ld.gated = true
-			return
-		}
-		ids, total := ld.composePackage(hl, h, l)
-		if len(ids) == 0 {
-			ld.gated = true
-			return
-		}
-		start := ld.nextFree
-		if ld.gated {
-			// The thread was blocked and only unblocked by events at the
-			// current instant; it cannot retroactively have been loading.
-			start = now
-			ld.gated = false
-		}
-		end := ld.backend.ReadPackage(start, total)
-		ld.pending = append(ld.pending, packageArrival{at: end, ids: ids})
-		ld.packages++
-		ld.samples += int64(len(ids))
-		ld.nextFree = end + time.Duration(len(ids))*ld.repackPerSample
-	}
+// vtReader is the package reader NewServer installs: the loading thread on
+// the storage model, in virtual time. It reads each package composeNext hands
+// it with one Backend.ReadPackage and lands it (DeliverMember, EndPackage)
+// once a caller's clock passes the read's end. A package EndPackage composes
+// starts where the previous one's re-pack ends, at its end plus repack per
+// member; one composed later, after the thread found no room or nothing to
+// load, starts at that instant or at the composing request's, whichever is
+// later. No read is issued on the model before its start. Callers' clocks
+// need not be monotonic: a clock short of the start or the end leaves the
+// package in flight.
+type vtReader struct {
+	s      *Server
+	repack simclock.Time // repackPerSample; tests vary it
+
+	ids    []dataset.SampleID // the package in flight, nil when none
+	start  simclock.Time
+	end    simclock.Time
+	issued bool          // the read of ids is on the model, ending at end
+	free   simclock.Time // the previous package's end plus its re-pack
+	at     simclock.Time // the latest caller's clock
+	chain  bool          // EndPackage is composing
 }
 
-// deliver applies every package whose read completed at or before now.
-func (ld *loader) deliver(now simclock.Time, l *lcache) {
-	kept := ld.pending[:0]
-	for _, p := range ld.pending {
-		if p.at <= now {
-			for _, id := range p.ids {
-				size := ld.spec.SampleBytes(id)
-				if l.insert(id, size) {
-					ld.usefulBytes += int64(size)
-				}
-			}
-		} else {
-			kept = append(kept, p)
-		}
+func (r *vtReader) read(ids []dataset.SampleID) {
+	r.ids, r.start, r.issued = ids, r.free, false
+	if !r.chain {
+		r.start = max(r.free, r.at)
 	}
-	ld.pending = kept
+	r.issue()
+}
+
+// issue reads the package in flight on the model once the clock reaches its
+// start.
+func (r *vtReader) issue() {
+	if r.ids == nil || r.issued || r.start > r.at {
+		return
+	}
+	total := 0
+	for _, id := range r.ids {
+		total += r.s.spec.SampleBytes(id)
+	}
+	r.end, r.issued = r.s.backend.ReadPackage(r.start, total), true
+}
+
+// advance issues and lands packages as far as the clock at reaches.
+func (r *vtReader) advance(at simclock.Time) {
+	r.at = at
+	r.issue()
+	for r.issued && r.end <= at {
+		ids := r.ids
+		r.ids, r.issued = nil, false
+		r.free = r.end + time.Duration(len(ids))*r.repack
+		for _, id := range ids {
+			r.s.DeliverMember(id)
+		}
+		r.chain = true
+		r.s.EndPackage()
+		r.chain = false
+	}
 }

@@ -8,16 +8,11 @@ import (
 
 	"icache/internal/dataset"
 	"icache/internal/sampling"
-	"icache/internal/storage"
 )
 
-func loaderFixture(t *testing.T, repack time.Duration) (*loader, *sampling.HList, *hcache, *lcache, *storage.Backend) {
+func loaderFixture(t *testing.T) (*loader, *sampling.HList, *hcache, *lcache) {
 	t.Helper()
-	back, err := storage.NewBackend(testSpec(), storage.OrangeFS())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ld := newLoader(back, 64*1000, repack, rand.New(rand.NewSource(3)))
+	ld := newLoader(testSpec(), 64*1000, rand.New(rand.NewSource(3)))
 	// H-list covers ids 0..999.
 	items := make([]sampling.Item, 0, 1000)
 	for id := dataset.SampleID(0); id < 1000; id++ {
@@ -26,11 +21,11 @@ func loaderFixture(t *testing.T, repack time.Duration) (*loader, *sampling.HList
 	hl := sampling.NewHList(items)
 	h := newHCache(10_000)
 	l := newLCache(256 * 1000)
-	return ld, hl, h, l, back
+	return ld, hl, h, l
 }
 
 func TestLoaderComposeSkipsHAndCached(t *testing.T) {
-	ld, hl, h, l, _ := loaderFixture(t, 0)
+	ld, hl, h, l := loaderFixture(t)
 	h.offer(2000, 1000, 0.5)
 	l.insert(2001, 1000)
 	ids, total := ld.composePackage(hl, h, l)
@@ -51,7 +46,7 @@ func TestLoaderComposeSkipsHAndCached(t *testing.T) {
 }
 
 func TestLoaderRepacksMissesFirst(t *testing.T) {
-	ld, hl, h, l, _ := loaderFixture(t, 0)
+	ld, hl, h, l := loaderFixture(t)
 	missed := []dataset.SampleID{3000, 3001, 3002}
 	for _, id := range missed {
 		ld.recordMiss(id)
@@ -78,7 +73,7 @@ func TestLoaderRepacksMissesFirst(t *testing.T) {
 // come out of consecutive packages in the order they were recorded, none
 // lost at a package boundary.
 func TestLoaderRepacksTheMissThatDidNotFit(t *testing.T) {
-	ld, hl, h, l, _ := loaderFixture(t, 0)
+	ld, hl, h, l := loaderFixture(t)
 	ld.pkgBytes += testSpec().MeanSampleBytes / 2 // 64½ samples: every package overflows
 	var missed []dataset.SampleID
 	for id := dataset.SampleID(3000); id < 3200; id++ { // three packages' worth and more
@@ -100,7 +95,7 @@ func TestLoaderRepacksTheMissThatDidNotFit(t *testing.T) {
 }
 
 func TestLoaderMissedPromotedToHSkipped(t *testing.T) {
-	ld, hl, h, l, _ := loaderFixture(t, 0)
+	ld, hl, h, l := loaderFixture(t)
 	ld.recordMiss(5) // id 5 is on the H-list: must not be packed as L
 	ids, _ := ld.composePackage(hl, h, l)
 	for _, id := range ids {
@@ -110,40 +105,51 @@ func TestLoaderMissedPromotedToHSkipped(t *testing.T) {
 	}
 }
 
-func TestLoaderPumpDeliversOverTime(t *testing.T) {
-	ld, hl, h, l, _ := loaderFixture(t, 0)
-	ld.pump(0, hl, h, l)
-	if ld.packages == 0 {
-		t.Fatal("pump issued no packages")
+// loaderServer is an engine whose L-cache holds two packages: 10 % of a 1 MB
+// capacity over the 1000-byte test samples, so 50 members a package. It
+// serves no substitute, so only the loading thread and the test move the
+// L-cache's residents; repack stands in for repackPerSample.
+func loaderServer(t *testing.T, repack time.Duration) *Server {
+	t.Helper()
+	cfg := DefaultConfig(1_000_000)
+	cfg.Substitute = SubstituteNone
+	srv, err := NewServer(testBackend(t), cfg, sampling.DefaultIIS(), 42)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if l.len() != 0 {
-		t.Fatal("packages delivered before their completion time")
+	srv.vt.repack = repack
+	return srv
+}
+
+func TestLoaderDeliversOverTime(t *testing.T) {
+	srv := loaderServer(t, repackPerSample)
+	srv.StartEpoch(0)
+	if v := srv.View(); v.Packages != 1 || !v.Loading || v.LoaderUseful != 0 {
+		t.Fatalf("at the epoch start: %d packages, loading %v, %d bytes landed; want one in flight and none landed",
+			v.Packages, v.Loading, v.LoaderUseful)
 	}
-	ld.deliver(time.Minute, l)
-	if l.len() == 0 {
-		t.Fatal("nothing delivered after completion horizon")
+	srv.FetchBatch(time.Minute, []dataset.SampleID{4999})
+	if v := srv.View(); v.LoaderUseful == 0 || v.LLen == 0 {
+		t.Fatalf("a minute on, %d bytes landed and %d L-residents", v.LoaderUseful, v.LLen)
 	}
 }
 
 func TestLoaderRepackThrottles(t *testing.T) {
-	// Same horizon, one loader throttled: it must ship fewer samples.
-	fast, hlF, hF, lF, _ := loaderFixture(t, 0)
-	slow, hlS, hS, lS, _ := loaderFixture(t, 5*time.Millisecond)
-	horizon := simclockTime(200 * time.Millisecond)
-	for now := simclockTime(0); now <= horizon; now += simclockTime(10 * time.Millisecond) {
-		fast.pump(now, hlF, hF, lF)
-		fast.deliver(now, lF)
-		drainUnused(lF)
-		slow.pump(now, hlS, hS, lS)
-		slow.deliver(now, lS)
-		drainUnused(lS)
+	// Same horizon, one loader throttled: it must land fewer bytes.
+	fast, slow := loaderServer(t, 0), loaderServer(t, 5*time.Millisecond)
+	for _, srv := range []*Server{fast, slow} {
+		srv.StartEpoch(0)
+		for now := time.Duration(0); now <= 200*time.Millisecond; now += 10 * time.Millisecond {
+			srv.FetchBatch(now, []dataset.SampleID{4999})
+			drainUnused(srv.l)
+		}
 	}
-	if slow.samples >= fast.samples {
-		t.Fatalf("throttled loader shipped %d ≥ unthrottled %d", slow.samples, fast.samples)
+	if f, s := fast.View().LoaderUseful, slow.View().LoaderUseful; s >= f {
+		t.Fatalf("throttled loader landed %d B ≥ unthrottled %d B", s, f)
 	}
 }
 
-// drainUnused consumes every unused resident so the loaders always have room.
+// drainUnused consumes every unused resident so the loader has room.
 func drainUnused(l *lcache) {
 	rng := rand.New(rand.NewSource(1))
 	for {
@@ -153,23 +159,51 @@ func drainUnused(l *lcache) {
 	}
 }
 
-type simclockTime = time.Duration
-
+// An L-cache full of unused residents stops the loading thread: no package is
+// composed, however far the clock runs, until consumption makes room.
 func TestLoaderGatedWhenNoRoom(t *testing.T) {
-	back, err := storage.NewBackend(testSpec(), storage.OrangeFS())
-	if err != nil {
-		t.Fatal(err)
+	srv := loaderServer(t, repackPerSample)
+	srv.StartEpoch(0)
+	srv.load(time.Minute) // two packages fill the L-cache
+	if v := srv.View(); v.Packages != 2 || v.Loading {
+		t.Fatalf("a minute on: %d packages, loading %v; want 2 landed and none in flight", v.Packages, v.Loading)
 	}
-	ld := newLoader(back, 64*1000, 0, rand.New(rand.NewSource(3)))
-	hl := sampling.NewHList(nil)
-	h := newHCache(1000)
-	l := newLCache(32 * 1000) // smaller than one package
-	ld.pump(0, hl, h, l)
-	if ld.packages != 0 {
-		t.Fatal("loader issued a package the L-cache cannot absorb")
+	srv.load(time.Hour)
+	if v := srv.View(); v.Packages != 2 {
+		t.Fatalf("loader composed %d packages; the L-cache cannot absorb a third", v.Packages)
 	}
-	if !ld.gated {
-		t.Fatal("loader not gated")
+	drainUnused(srv.l)
+	srv.load(time.Hour)
+	if v := srv.View(); v.Packages != 3 || !v.Loading {
+		t.Fatalf("after consumption: %d packages, loading %v; want a third in flight", v.Packages, v.Loading)
+	}
+}
+
+// A package composed after a no-room wait starts no earlier than the previous
+// package's end plus its members' re-pack (50 × repackPerSample = 85 ms),
+// though the request that composes it comes sooner: the wait does not skip
+// the re-pack throttle.
+func TestLoaderNoRoomWaitKeepsTheRepack(t *testing.T) {
+	srv := loaderServer(t, repackPerSample)
+	srv.StartEpoch(0)
+	// Step the clock until the second package lands and finds no room: at is
+	// then within a millisecond of its end.
+	at := time.Duration(0)
+	for srv.View().Loading {
+		at += time.Millisecond
+		srv.load(at)
+	}
+	landed := srv.View().LoaderUseful
+	drainUnused(srv.l)
+	srv.load(at) // composes the third package
+	srv.load(at + 40*time.Millisecond)
+	if v := srv.View(); v.Packages != 3 || v.LoaderUseful != landed {
+		t.Fatalf("40 ms after the wait: %d packages, %d B landed (%d before); the third must not land inside the second's re-pack",
+			v.Packages, v.LoaderUseful, landed)
+	}
+	srv.load(at + 200*time.Millisecond)
+	if v := srv.View(); v.LoaderUseful <= landed {
+		t.Fatalf("200 ms after the wait the third package has not landed (%d B)", v.LoaderUseful)
 	}
 }
 
@@ -178,11 +212,7 @@ func TestLoaderGatedWhenNoRoom(t *testing.T) {
 func TestLoaderComposeProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		back, err := storage.NewBackend(testSpec(), storage.OrangeFS())
-		if err != nil {
-			return false
-		}
-		ld := newLoader(back, 32*1000, 0, rng)
+		ld := newLoader(testSpec(), 32*1000, rng)
 		var items []sampling.Item
 		for i := 0; i < 500; i++ {
 			items = append(items, sampling.Item{ID: dataset.SampleID(rng.Intn(testSpec().NumSamples)), IV: 1})

@@ -52,9 +52,10 @@ type Server struct {
 	claim   func(dataset.SampleID) bool
 	release func(dataset.SampleID)
 	onMiss  func(at simclock.Time, id dataset.SampleID) (simclock.Time, bool)
-	// readPackage is the package I/O SetPackageReader installs; nil in the
-	// simulator.
+	// readPackage is the package I/O composeNext hands each package to: vt's
+	// read, or the reader SetPackageReader installs, which drops vt.
 	readPackage func(ids []dataset.SampleID)
+	vt          *vtReader
 
 	// hlist is the active H-list: the job's own in single-job mode, or the
 	// AIV-combined list installed by a Coordinator. hlistIV indexes its
@@ -121,9 +122,11 @@ func NewServer(backend *storage.Backend, cfg Config, iis sampling.IISConfig, see
 		rng:     rng,
 		h:       newHCache(hBytes),
 		l:       newLCache(lBytes),
-		ld:      newLoader(backend, pkg, repackPerSample, rand.New(rand.NewSource(seed+1))),
+		ld:      newLoader(backend.Spec(), pkg, rand.New(rand.NewSource(seed+1))),
 		hlist:   sampling.NewHList(nil),
 	}
+	s.vt = &vtReader{s: s, repack: repackPerSample}
+	s.readPackage = s.vt.read
 	if cfg.Tier2Bytes > 0 {
 		s.t2 = newTier2(cfg.Tier2Bytes, tier2ReadLatency, tier2Bandwidth)
 		s.h.onEvict = func(id dataset.SampleID) {
@@ -185,8 +188,8 @@ func (s *Server) SubstitutionSource() string {
 type View struct {
 	Cache      metrics.CacheStats
 	HLen, LLen int
-	// Packages counts the loading thread's package fetches (Loading: one is
-	// in flight). LoaderUseful is the bytes delivered into the L-cache;
+	// Packages counts the packages the loading thread composed (Loading: its
+	// reader holds one). LoaderUseful is the bytes delivered into the L-cache;
 	// LoaderWasted the bytes static packaging's chunk reads carried that
 	// could not be cached (its read amplification; 0 under dynamic packaging).
 	Packages                   int64
@@ -483,7 +486,7 @@ func (s *Server) fetchOne(at simclock.Time, id dataset.SampleID, routing *sampli
 		return s.fetchStaticChunk(at, id, served)
 	}
 
-	// Bring the background loader up to the current instant first.
+	// Land what the loading thread has due first.
 	s.load(at)
 
 	if s.l.takeExact(id) {
@@ -511,20 +514,17 @@ func (s *Server) fetchOne(at simclock.Time, id dataset.SampleID, routing *sampli
 	return s.backend.ReadSample(at, id)
 }
 
-// load rolls the loading thread forward to at on the storage model, or, with
-// a package reader set, composes a package where the simulator would issue one.
+// load lands what the virtual-time reader has due by at, then composes the
+// next package if none is in flight and the L-cache has room.
 func (s *Server) load(at simclock.Time) {
-	if s.readPackage == nil {
-		s.ld.pump(at, s.hlist, s.h, s.l)
-		s.ld.deliver(at, s.l)
-		return
+	if s.vt != nil {
+		s.vt.advance(at)
 	}
 	s.composeNext()
 }
 
 // composeNext hands the reader the next package, if none is in flight and
-// the L-cache has room for one: no model ticks and no repackPerSample are
-// charged.
+// the L-cache has room for one: the one loading rule, whichever reader reads.
 func (s *Server) composeNext() {
 	if s.ld.inFlight || s.l.capBytes-s.l.unusedBytes() < int64(s.ld.pkgBytes) {
 		return
@@ -536,9 +536,12 @@ func (s *Server) composeNext() {
 	}
 }
 
-// SetPackageReader hands package I/O to read, called under the caller's lock
-// with each package's ids; the reader lands them (DeliverMember, EndPackage).
-func (s *Server) SetPackageReader(read func(ids []dataset.SampleID)) { s.readPackage = read }
+// SetPackageReader hands package I/O to read in place of the virtual-time
+// reader, called under the caller's lock with each package's ids; the reader
+// lands them (DeliverMember, EndPackage).
+func (s *Server) SetPackageReader(read func(ids []dataset.SampleID)) {
+	s.readPackage, s.vt = read, nil
+}
 
 // DeliverMember inserts a member of the package in flight into the L-cache,
 // evicting as any insert does, unless the H-cache holds it meanwhile; it
@@ -583,7 +586,7 @@ func (s *Server) peerServed(at simclock.Time, id dataset.SampleID) (end simclock
 
 // servePeer answers another node's read of id from what this node caches,
 // as opPeerGetBatch answers from the payload store: no request is counted,
-// the loader is not pumped, nothing is admitted. An H-sample is served from
+// the loader is not advanced, nothing is admitted. An H-sample is served from
 // whichever region holds it; an L-sample once per epoch — the read spends the
 // copy's substitution credit, as a local exact hit would, so the one-serve
 // rule that preserves sample diversity holds across the cluster.
