@@ -105,10 +105,12 @@ vet:
 # (ReadSample( or ReadPackage(, comments excepted) and declare no FetchBatch
 # method, and icache/baseline.go reads no backend of its own. And there is one
 # loading rule, the package-reader seam: in the non-test files of
-# internal/icache, composePackage( is called once, in composeNext, and
-# ReadPackage( only in the virtual-time reader (vtReader.issue) and
-# fetchStaticChunk, and no pump( or pending names a second loading thread's
-# queue (comments excepted). Subsumes `vet` in `make all`.
+# internal/icache, composePackage( is called once, in composeNext, and no
+# pump( or pending names a second loading thread's queue (comments excepted).
+# And the engine charges its storage model in one layer, the virtual-time
+# reader that SetPackageReader drops: in the non-test files of internal/icache,
+# ReadSample( and ReadPackage( occur only in vtReader methods, and no file but
+# loader.go names .backend (comments excepted). Subsumes `vet` in `make all`.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -251,11 +253,17 @@ lint:
 	fi
 	@stray=$$(awk '{sub(/\/\/.*/, "")} /^func /{fn = $$0} /^}/{fn = ""} \
 			/composePackage\(/ && !/^func / && (fn !~ /\) composeNext\(/ || ++n > 1) {print FILENAME ":" FNR ":" $$0} \
-			/ReadPackage\(/ && fn !~ /\(r \*vtReader\) issue\(|\(s \*Server\) fetchStaticChunk\(/ {print FILENAME ":" FNR ":" $$0} \
 			/(^|[^A-Za-z0-9_])(pump\(|pending([^A-Za-z0-9_]|$$))/ {print FILENAME ":" FNR ":" $$0}' \
 		$$(ls internal/icache/*.go | grep -v _test.go)); \
 	if [ -n "$$stray" ]; then \
-		echo "a second loading rule (composeNext composes every package; vtReader and static chunks alone read packages on the model):"; echo "$$stray"; exit 1; \
+		echo "a second loading rule (composeNext composes every package):"; echo "$$stray"; exit 1; \
+	fi
+	@stray=$$(awk '{sub(/\/\/.*/, "")} /^func /{fn = $$0} /^}/{fn = ""} \
+			/ReadSample\(|ReadPackage\(/ && fn !~ /^func \([A-Za-z_]+ \*vtReader\) / {print FILENAME ":" FNR ":" $$0} \
+			/\.backend([^A-Za-z0-9_]|$$)/ && FILENAME != "internal/icache/loader.go" {print FILENAME ":" FNR ":" $$0}' \
+		$$(ls internal/icache/*.go | grep -v _test.go)); \
+	if [ -n "$$stray" ]; then \
+		echo "a storage-model charge outside the virtual-time reader (vtReader is the engine's only handle on the model):"; echo "$$stray"; exit 1; \
 	fi
 	$(GO) vet ./...
 

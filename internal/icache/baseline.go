@@ -57,7 +57,9 @@ type baselineState struct {
 // checkpoint calls are iCache's alone.
 func NewBaselineServer(backend *storage.Backend, b Baseline) *Server {
 	base := &baselineState{Baseline: b, used: make(map[dataset.SampleID]bool)}
-	return &Server{backend: backend, spec: backend.Spec(), base: base}
+	s := &Server{spec: backend.Spec(), base: base}
+	s.vt = &vtReader{s: s, backend: backend}
+	return s
 }
 
 // beginBaselineEpoch refills Quiver's pool before it draws the schedule:

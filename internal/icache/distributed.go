@@ -78,7 +78,6 @@ type clusterNode struct {
 // cluster_test.go) — not here.
 type Cluster struct {
 	cfg        ClusterConfig
-	backend    *storage.Backend
 	spec       dataset.Spec
 	iis        sampling.IISConfig
 	nodes      []*clusterNode
@@ -93,11 +92,10 @@ func NewCluster(backend *storage.Backend, cfg ClusterConfig, iis sampling.IISCon
 	}
 	cfg.Cache.CapacityBytes = cfg.PerNodeCapacityBytes
 	cl := &Cluster{
-		cfg:     cfg,
-		backend: backend,
-		spec:    backend.Spec(),
-		iis:     iis,
-		dir:     dkv.NewDirectory(),
+		cfg:  cfg,
+		spec: backend.Spec(),
+		iis:  iis,
+		dir:  dkv.NewDirectory(),
 	}
 	for n := 0; n < cfg.Nodes; n++ {
 		node := &clusterNode{id: dkv.NodeID(n)}

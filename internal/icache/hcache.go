@@ -135,14 +135,16 @@ func (h *hcache) resize(capBytes int64) {
 }
 
 // refreshImportance applies a new H-list to the cache, per the shadow-heap
-// protocol: the previous frozen period (if any) is merged, every cached
-// sample's importance is updated — samples demoted out of the new H-list
-// get importance 0 so they become the first eviction candidates — and the
-// heap is frozen again for the coming epoch.
+// protocol: every cached sample's importance is updated — samples demoted
+// out of the new H-list get importance 0 so they become the first eviction
+// candidates — while the heap is frozen, so each update is recorded, not
+// fixed up; one Thaw then merges the frozen period and the new values in one
+// O(n) rebuild, and the heap is frozen again for the coming epoch. The heap
+// orders by (IV, ID) in full, so eviction order is that of eager updates.
 func (h *hcache) refreshImportance(value func(dataset.SampleID) (float64, bool)) {
-	if h.heap.Frozen() {
-		if err := h.heap.Thaw(); err != nil {
-			panic("icache: thaw: " + err.Error())
+	if !h.heap.Frozen() {
+		if err := h.heap.Freeze(); err != nil {
+			panic("icache: freeze: " + err.Error())
 		}
 	}
 	for id := range h.items {
@@ -151,6 +153,9 @@ func (h *hcache) refreshImportance(value func(dataset.SampleID) (float64, bool))
 			iv = 0 // demoted: no longer an H-sample
 		}
 		h.heap.Update(id, iv)
+	}
+	if err := h.heap.Thaw(); err != nil {
+		panic("icache: thaw: " + err.Error())
 	}
 	if err := h.heap.Freeze(); err != nil {
 		panic("icache: freeze: " + err.Error())

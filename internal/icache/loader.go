@@ -7,6 +7,7 @@ import (
 	"icache/internal/dataset"
 	"icache/internal/sampling"
 	"icache/internal/simclock"
+	"icache/internal/storage"
 )
 
 // loader is the asynchronous loading thread of §III-C. It composes packages
@@ -113,19 +114,21 @@ func (ld *loader) composePackage(hl *sampling.HList, h *hcache, l *lcache) ([]da
 	return ids, total
 }
 
-// vtReader is the package reader NewServer installs: the loading thread on
-// the storage model, in virtual time. It reads each package composeNext hands
-// it with one Backend.ReadPackage and lands it (DeliverMember, EndPackage)
-// once a caller's clock passes the read's end. A package EndPackage composes
-// starts where the previous one's re-pack ends, at its end plus repack per
-// member; one composed later, after the thread found no room or nothing to
-// load, starts at that instant or at the composing request's, whichever is
-// later. No read is issued on the model before its start. Callers' clocks
-// need not be monotonic: a clock short of the start or the end leaves the
-// package in flight.
+// vtReader is the virtual-time reader, the engine's only handle on the
+// storage model: it charges each demand miss (readMiss) and, as the package
+// reader NewServer installs, reads each package composeNext hands it with one
+// Backend.ReadPackage, landing it (DeliverMember, EndPackage) once a caller's
+// clock passes the read's end. A package EndPackage composes starts where the
+// previous one's re-pack ends, at its end plus repack per member; one composed
+// later, after the thread found no room or nothing to load, starts at that
+// instant or at the composing request's, whichever is later. No read is
+// issued on the model before its start. Callers' clocks need not be
+// monotonic: a clock short of the start or the end leaves the package in
+// flight. SetPackageReader drops the reader; a nil one charges nothing.
 type vtReader struct {
-	s      *Server
-	repack simclock.Time // repackPerSample; tests vary it
+	s       *Server
+	backend *storage.Backend
+	repack  simclock.Time // repackPerSample; tests vary it
 
 	ids    []dataset.SampleID // the package in flight, nil when none
 	start  simclock.Time
@@ -134,6 +137,19 @@ type vtReader struct {
 	free   simclock.Time // the previous package's end plus its re-pack
 	at     simclock.Time // the latest caller's clock
 	chain  bool          // EndPackage is composing
+}
+
+// readMiss charges a demand miss on the model at at and returns its end: the
+// sample's own random read, or, under static packaging, one sequential read
+// of the chunk bytes that hold it (chunk > 0).
+func (r *vtReader) readMiss(at simclock.Time, id dataset.SampleID, chunk int) simclock.Time {
+	if r == nil {
+		return at
+	}
+	if chunk > 0 {
+		return r.backend.ReadPackage(at, chunk)
+	}
+	return r.backend.ReadSample(at, id)
 }
 
 func (r *vtReader) read(ids []dataset.SampleID) {
@@ -154,11 +170,14 @@ func (r *vtReader) issue() {
 	for _, id := range r.ids {
 		total += r.s.spec.SampleBytes(id)
 	}
-	r.end, r.issued = r.s.backend.ReadPackage(r.start, total), true
+	r.end, r.issued = r.backend.ReadPackage(r.start, total), true
 }
 
 // advance issues and lands packages as far as the clock at reaches.
 func (r *vtReader) advance(at simclock.Time) {
+	if r == nil {
+		return
+	}
 	r.at = at
 	r.issue()
 	for r.issued && r.end <= at {

@@ -231,7 +231,7 @@ func (h *JobHandle) FetchBatch(at simclock.Time, ids []dataset.SampleID) (simclo
 		start := at
 		served := make([]dataset.SampleID, 0, len(ids))
 		for _, id := range ids {
-			at = h.c.srv.backend.ReadSample(at, id)
+			at = h.c.srv.vt.readMiss(at, id, 0)
 			served = append(served, id)
 		}
 		j.stats.Misses += int64(len(ids))

@@ -25,11 +25,10 @@ import (
 // importance tracker. Multi-job sharing goes through a Coordinator, which
 // feeds the server an aggregated H-list instead (see multijob.go).
 type Server struct {
-	cfg     Config
-	backend *storage.Backend
-	spec    dataset.Spec
-	iis     sampling.IISConfig
-	rng     *rand.Rand
+	cfg  Config
+	spec dataset.Spec
+	iis  sampling.IISConfig
+	rng  *rand.Rand
 	// base is a baseline scheme's residency (baseline.go); nil runs iCache.
 	base *baselineState
 
@@ -53,7 +52,8 @@ type Server struct {
 	release func(dataset.SampleID)
 	onMiss  func(at simclock.Time, id dataset.SampleID) (simclock.Time, bool)
 	// readPackage is the package I/O composeNext hands each package to: vt's
-	// read, or the reader SetPackageReader installs, which drops vt.
+	// read, or the reader SetPackageReader installs, which drops vt, the
+	// engine's only handle on the storage model (loader.go).
 	readPackage func(ids []dataset.SampleID)
 	vt          *vtReader
 
@@ -115,17 +115,16 @@ func NewServer(backend *storage.Backend, cfg Config, iis sampling.IISConfig, see
 	}
 	rng := rand.New(rand.NewSource(seed))
 	s := &Server{
-		cfg:     cfg,
-		backend: backend,
-		spec:    backend.Spec(),
-		iis:     iis,
-		rng:     rng,
-		h:       newHCache(hBytes),
-		l:       newLCache(lBytes),
-		ld:      newLoader(backend.Spec(), pkg, rand.New(rand.NewSource(seed+1))),
-		hlist:   sampling.NewHList(nil),
+		cfg:   cfg,
+		spec:  backend.Spec(),
+		iis:   iis,
+		rng:   rng,
+		h:     newHCache(hBytes),
+		l:     newLCache(lBytes),
+		ld:    newLoader(backend.Spec(), pkg, rand.New(rand.NewSource(seed+1))),
+		hlist: sampling.NewHList(nil),
 	}
-	s.vt = &vtReader{s: s, repack: repackPerSample}
+	s.vt = &vtReader{s: s, backend: backend, repack: repackPerSample}
 	s.readPackage = s.vt.read
 	if cfg.Tier2Bytes > 0 {
 		s.t2 = newTier2(cfg.Tier2Bytes, tier2ReadLatency, tier2Bandwidth)
@@ -268,10 +267,7 @@ func (s *Server) InstallHList(hl *sampling.HList) {
 		s.hlistIV[it.ID] = it.IV
 	}
 	s.hlist = hl
-	s.h.refreshImportance(func(id dataset.SampleID) (float64, bool) {
-		iv, ok := s.hlistIV[id]
-		return iv, ok
-	})
+	s.h.refreshImportance(s.hlistValue)
 	s.tracer.Record(0, trace.KindRefresh, 0, int64(hl.Len()))
 }
 
@@ -374,18 +370,16 @@ func (s *Server) FetchBatch(at simclock.Time, ids []dataset.SampleID) (simclock.
 }
 
 // FetchBatchInto decides a request's samples all at the request's instant
-// at, appending the served IDs into *dst and reusing its capacity, and
-// returns when the last of them completes. Unlike FetchBatch's sequential
-// worker, no sample waits on an earlier one's simulated read: the RPC
+// at, appending the served IDs into *dst and reusing its capacity. Unlike
+// FetchBatch's sequential worker, no sample waits on an earlier one: the RPC
 // serving path, which calls this once per request with a pooled scratch
-// slice, reads a request's misses concurrently and drives policy time by
-// the wall clock; its package reader loads the L-cache.
-func (s *Server) FetchBatchInto(at simclock.Time, ids []dataset.SampleID, dst *[]dataset.SampleID) simclock.Time {
-	end := at
+// slice, reads a request's misses concurrently and drives policy time by the
+// wall clock. Its package reader loads the L-cache and drops the storage
+// model, so no miss is charged on a model there.
+func (s *Server) FetchBatchInto(at simclock.Time, ids []dataset.SampleID, dst *[]dataset.SampleID) {
 	for _, id := range ids {
-		end = max(end, s.fetchOne(at, id, s.hlist, dst))
+		s.fetchOne(at, id, s.hlist, dst)
 	}
-	return end
 }
 
 // FetchBatchRouted is FetchBatch with an explicit routing H-list: requests
@@ -423,17 +417,15 @@ func (s *Server) fetchOne(at simclock.Time, id dataset.SampleID, routing *sampli
 				return at + storage.HitLatency
 			}
 		}
-		*served = append(*served, id)
-		if end, ok := s.peerServed(at, id); ok {
-			return end
+		end, read := s.miss(at, id, 0, served)
+		if read {
+			if b.Policy.Admit(id, s.spec.SampleBytes(id)) {
+				s.stats.Inserts++
+			} else {
+				s.stats.Rejections++
+			}
 		}
-		at = s.backend.ReadSample(at, id)
-		if b.Policy.Admit(id, s.spec.SampleBytes(id)) {
-			s.stats.Inserts++
-		} else {
-			s.stats.Rejections++
-		}
-		return at
+		return end
 	}
 	if routing.Contains(id) {
 		s.epochHReq++
@@ -463,24 +455,17 @@ func (s *Server) fetchOne(at simclock.Time, id dataset.SampleID, routing *sampli
 				return end
 			}
 		}
-		*served = append(*served, id)
-		if end, ok := s.peerServed(at, id); ok {
-			return end
+		end, read := s.miss(at, id, 0, served)
+		if read && s.admitH(id, iv) {
+			s.tracer.Record(end, trace.KindAdmit, id, 0)
 		}
-		at = s.backend.ReadSample(at, id)
-		if s.admitH(id, iv) {
-			s.tracer.Record(at, trace.KindAdmit, id, 0)
-		}
-		return at
+		return end
 	}
 
 	s.epochLReq++
 	if !s.cfg.EnableLCache {
-		*served = append(*served, id)
-		if end, ok := s.peerServed(at, id); ok {
-			return end
-		}
-		return s.backend.ReadSample(at, id)
+		end, _ := s.miss(at, id, 0, served)
+		return end
 	}
 	if s.cfg.Packaging == PackagingStatic {
 		return s.fetchStaticChunk(at, id, served)
@@ -506,20 +491,14 @@ func (s *Server) fetchOne(at simclock.Time, id dataset.SampleID, routing *sampli
 		}
 		// No substitute available: fall through to storage.
 	}
-
-	*served = append(*served, id)
-	if end, ok := s.peerServed(at, id); ok {
-		return end
-	}
-	return s.backend.ReadSample(at, id)
+	end, _ := s.miss(at, id, 0, served)
+	return end
 }
 
 // load lands what the virtual-time reader has due by at, then composes the
 // next package if none is in flight and the L-cache has room.
 func (s *Server) load(at simclock.Time) {
-	if s.vt != nil {
-		s.vt.advance(at)
-	}
+	s.vt.advance(at)
 	s.composeNext()
 }
 
@@ -567,21 +546,24 @@ func (s *Server) EndPackage() {
 	}
 }
 
-// peerServed counts a request nothing local could serve as exactly one of
-// Hits (a peer served it, at the returned time) or Misses — the one choke
-// point that keeps hits+misses+substitutions == requests exact. The caller
-// reads the backend unless ok. A lone server pays one nil check.
-func (s *Server) peerServed(at simclock.Time, id dataset.SampleID) (end simclock.Time, ok bool) {
+// miss is the one tail of a request nothing local served: id is served as
+// itself and counted as exactly one of Hits (a peer served it, at the
+// returned time) or Misses — the one choke point that keeps
+// hits+misses+substitutions == requests exact. read reports a miss, which the
+// virtual-time reader charges (chunk bytes of it under static packaging, 0
+// for the sample alone) and the caller may admit.
+func (s *Server) miss(at simclock.Time, id dataset.SampleID, chunk int, served *[]dataset.SampleID) (end simclock.Time, read bool) {
+	*served = append(*served, id)
 	if s.onMiss != nil {
 		if end, ok := s.onMiss(at, id); ok {
 			s.stats.Hits++
 			s.tracer.Record(at, trace.KindHit, id, 0)
-			return end, true
+			return end, false
 		}
 	}
 	s.stats.Misses++
 	s.tracer.Record(at, trace.KindMiss, id, 0)
-	return at, false
+	return s.vt.readMiss(at, id, chunk), true
 }
 
 // servePeer answers another node's read of id from what this node caches,
@@ -637,24 +619,17 @@ func (s *Server) fetchStaticChunk(at simclock.Time, id dataset.SampleID, served 
 		*served = append(*served, id)
 		return at + storage.HitLatency
 	}
-	chunkSamples := s.ld.pkgBytes / s.spec.MeanSampleBytes
-	if chunkSamples < 1 {
-		chunkSamples = 1
-	}
+	chunkSamples := max(1, s.ld.pkgBytes/s.spec.MeanSampleBytes)
 	first := (int(id) / chunkSamples) * chunkSamples
-	last := first + chunkSamples
-	if last > s.spec.NumSamples {
-		last = s.spec.NumSamples
-	}
+	last := min(first+chunkSamples, s.spec.NumSamples)
 	total := 0
 	for i := first; i < last; i++ {
 		total += s.spec.SampleBytes(dataset.SampleID(i))
 	}
-	*served = append(*served, id)
-	if end, ok := s.peerServed(at, id); ok {
+	end, read := s.miss(at, id, total, served)
+	if !read {
 		return end
 	}
-	at = s.backend.ReadPackage(at, total)
 	for i := first; i < last; i++ {
 		cid := dataset.SampleID(i)
 		size := s.spec.SampleBytes(cid)
@@ -669,7 +644,7 @@ func (s *Server) fetchStaticChunk(at simclock.Time, id dataset.SampleID, served 
 			s.ld.usefulBytes += int64(size)
 		}
 	}
-	return at
+	return end
 }
 
 // hlistValue looks up id's importance value in the active H-list.
@@ -695,19 +670,13 @@ func (s *Server) pickSubstitute() (dataset.SampleID, bool) {
 	case SubstituteLCache:
 		sub, ok = s.l.substitute(s.rng)
 	case SubstituteHCache:
-		sub, ok = s.randomHResident()
+		sub, ok = s.h.randomResident(s.rng)
 	}
 	s.subScanHist.Since(t0)
 	if ok {
 		s.noteSubstitution(s.cfg.Substitute)
 	}
 	return sub, ok
-}
-
-// randomHResident picks a uniformly random H-cache resident (only used by
-// the SubstituteHCache policy of Table III).
-func (s *Server) randomHResident() (dataset.SampleID, bool) {
-	return s.h.randomResident(s.rng)
 }
 
 // String describes the server configuration.

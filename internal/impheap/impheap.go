@@ -239,7 +239,7 @@ func (s *Shadowed) Thaw() error {
 	}
 	s.main = rebuilt
 	s.shadow = New()
-	s.pending = make(map[dataset.SampleID]float64)
+	clear(s.pending) // keeps its buckets: the next frozen period refills it
 	s.frozen = false
 	return nil
 }

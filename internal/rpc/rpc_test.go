@@ -438,3 +438,76 @@ func TestFrameRoundTripProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestServedEngineChargesNoModel: an engine built on a storage model behind
+// rpc.Server charges nothing on it — not for all-miss requests, not for a
+// boundary whose packages land, not for a planned boundary. The wire reads
+// bytes from its source, and NewServer's package reader drops the engine's
+// virtual-time reader, the one layer that charges the model.
+func TestServedEngineChargesNoModel(t *testing.T) {
+	inBubble(t, func(t *testing.T) {
+		spec := testSpec()
+		back, err := storage.NewBackend(spec, storage.OrangeFS())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cacheSrv, err := icache.NewServer(back, icache.DefaultConfig(spec.TotalBytes()/5), sampling.DefaultIIS(), 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		source, err := storage.NewDataSource(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := NewServer(cacheSrv, source)
+		srv.Logf = nil
+		cl := dial(t, serveOn(t, srv))
+		model := func() storage.Stats {
+			srv.policyMu.Lock()
+			defer srv.policyMu.Unlock()
+			return back.Stats()
+		}
+
+		var items []sampling.Item
+		for id := dataset.SampleID(0); id < 400; id++ {
+			items = append(items, sampling.Item{ID: id, IV: float64(id)})
+		}
+		if err := cl.UpdateImportance(items); err != nil {
+			t.Fatal(err)
+		}
+		// All-miss requests: the first mixes H- and L-samples (no L-resident
+		// lands inside one request's policy hold), the rest are fresh H-samples.
+		requests := [][]dataset.SampleID{append(idRange(0, 50), idRange(1000, 1050)...)}
+		for lo := dataset.SampleID(50); lo < 400; lo += 50 {
+			requests = append(requests, idRange(lo, lo+50))
+		}
+		want := int64(0)
+		for _, ids := range requests {
+			if _, err := cl.GetBatch(ids); err != nil {
+				t.Fatal(err)
+			}
+			want += int64(len(ids))
+		}
+		if st := cacheStats(srv); st.Misses != want {
+			t.Fatalf("%d misses of %d all-miss requests", st.Misses, want)
+		}
+
+		if err := cl.BeginEpoch(1); err != nil {
+			t.Fatal(err)
+		}
+		waitLoaded(t, srv)
+		if v := engineView(srv); v.Packages == 0 || v.LLen == 0 {
+			t.Fatalf("the boundary landed %d packages, %d L-residents; want some", v.Packages, v.LLen)
+		}
+		if err := cl.BeginEpochPlan(2, idRange(0, 400)); err != nil {
+			t.Fatal(err)
+		}
+		waitPlanSettled(t, srv)
+		if ps := srv.PlanStats(); ps.Planned == 0 {
+			t.Fatalf("the planned boundary queued nothing: %+v", ps)
+		}
+		if st := model(); st != (storage.Stats{}) {
+			t.Fatalf("the served engine charged its storage model: %+v", st)
+		}
+	})
+}
