@@ -110,7 +110,13 @@ vet:
 # And the engine charges its storage model in one layer, the virtual-time
 # reader that SetPackageReader drops: in the non-test files of internal/icache,
 # ReadSample( and ReadPackage( occur only in vtReader methods, and no file but
-# loader.go names .backend (comments excepted). Subsumes `vet` in `make all`.
+# loader.go names .backend (comments excepted). And a shipped node has one
+# directory client, the sharded one (a single -dir address is a one-replica
+# ring): no non-test file under cmd/ calls dkv.DialDir( or
+# dkv.DialDirConfigured(. And a request's envelopes have one encoder,
+# transport.AppendEnvelopes: no non-test file of internal/rpc or internal/dkv
+# names transport.OpDeadline or transport.OpTraced (comments excepted).
+# Subsumes `vet` in `make all`.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -264,6 +270,18 @@ lint:
 		$$(ls internal/icache/*.go | grep -v _test.go)); \
 	if [ -n "$$stray" ]; then \
 		echo "a storage-model charge outside the virtual-time reader (vtReader is the engine's only handle on the model):"; echo "$$stray"; exit 1; \
+	fi
+	@stray=$$(for f in $$(find cmd -name '*.go' ! -name '*_test.go'); do \
+		sed 's,//.*,,' $$f | grep -nE 'dkv\.DialDir(Configured)?\(' | sed "s,^,$$f:,"; \
+	done); \
+	if [ -n "$$stray" ]; then \
+		echo "a second directory client on a shipped node (a daemon dials dkv.DialSharded, for one address or many):"; echo "$$stray"; exit 1; \
+	fi
+	@stray=$$(for f in $$(ls internal/rpc/*.go internal/dkv/*.go | grep -v _test.go); do \
+		sed 's,//.*,,' $$f | grep -nE 'transport\.Op(Deadline|Traced)([^A-Za-z0-9_]|$$)' | sed "s,^,$$f:,"; \
+	done); \
+	if [ -n "$$stray" ]; then \
+		echo "a second envelope encoder (a request's deadline and trace envelopes are written by transport.AppendEnvelopes):"; echo "$$stray"; exit 1; \
 	fi
 	$(GO) vet ./...
 

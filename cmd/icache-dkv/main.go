@@ -36,7 +36,6 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7821", "listen address")
-	leaseTTL := flag.Duration("lease-ttl", dkv.DefaultLeaseTTL, "default membership lease TTL granted to nodes that register without one")
 	suspect := flag.Duration("suspect-window", dkv.DefaultSuspectWindow, "how long past lease expiry a node stays routable before it is declared dead")
 	debugAt := flag.String("debug-addr", "", "serve /debug/obs, /debug/timeline and /debug/journal on this address (e.g. :7831); also arms the per-request latency histogram")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof on the debug address (requires -debug-addr)")
@@ -49,7 +48,7 @@ func main() {
 	log.SetPrefix("icache-dkv: ")
 
 	dir := dkv.NewDirectory()
-	dir.SetMembershipParams(*leaseTTL, *suspect)
+	dir.SetMembershipParams(*suspect)
 	srv := dkv.NewDirServer(dir)
 	// Control-plane journal: membership flips are rare events, so the journal
 	// is always-on.

@@ -75,8 +75,7 @@ func main() {
 		nodeID    = flag.Int("node-id", -1, "distributed mode: this node's ID (requires -dir)")
 		dirAddr   = flag.String("dir", "", "distributed mode: directory service address, or a comma-separated replica list for a partitioned directory (see icache-dkv)")
 		peers     = flag.String("peers", "", "distributed mode: comma-separated id=addr peer list, e.g. 1=host:7820,2=host2:7820")
-		leaseTTL  = flag.Duration("lease-ttl", 10*time.Second, "distributed mode: membership lease duration in the directory (the node renews it every lease-ttl/4 and scrubs every lease-ttl/2)")
-		peerBatch = flag.Int("peer-batch", 256, "distributed mode: max remote misses per batched peer read RPC (<= 0 selects 256)")
+		leaseTTL  = flag.Duration("lease-ttl", 10*time.Second, "distributed mode: membership lease duration the node asks the directory for (0 selects 10s); the node renews it every lease-ttl/4 and scrubs every lease-ttl/2")
 		maxInfl   = flag.Int("max-inflight", 0, "admission control: max concurrently admitted requests before shedding (0 disables the cap)")
 		targetQD  = flag.Duration("target-queue-delay", 0, "admission control: standing queue delay that triggers brownout/shedding, CoDel-style (0 disables the delay ladder)")
 		brkThresh = flag.Int("breaker-threshold", 0, "peer circuit breakers: consecutive failures before a peer trips open (0 selects the default; negative disables breakers)")
@@ -163,15 +162,11 @@ func main() {
 		if *nodeID < 0 {
 			log.Fatalf("-dir requires -node-id")
 		}
-		// -dir accepts a comma-separated replica list for a partitioned
-		// directory (see icache-dkv). A single address keeps the
-		// one-directory client, not a one-replica ShardedDir: after one
-		// transport error the sharded client marks its only replica down for
-		// a whole FailoverTTL, while a DirClient asks again on the next call.
-		// Either way directory calls inherit the peer
-		// deadline/breaker knobs, per dialled service: a hung directory (or
-		// replica) costs one bounded stall, then fails fast to local-only
-		// operation (or fails over) until a half-open probe recovers it.
+		// -dir is one directory address or a comma-separated replica list
+		// for a partitioned directory (see icache-dkv); the sharded client
+		// serves both. Each replica's calls inherit the peer deadline/breaker
+		// knobs: a hung replica costs one bounded stall, then fails over (or,
+		// the last one, fails fast) until a half-open probe recovers it.
 		dial := dkv.DialConfig{Timeout: 5 * time.Second, RPCTimeout: time.Second}
 		if *defDL > 0 {
 			dial.RPCTimeout = *defDL
@@ -179,32 +174,17 @@ func main() {
 		if *brkThresh >= 0 {
 			dial.Breaker = &overload.BreakerConfig{Threshold: *brkThresh}
 		}
-		var dirSvc dkv.Service
-		if dirAddrs := splitAddrs(*dirAddr); len(dirAddrs) > 1 {
-			sharded, err := dkv.DialSharded(dirAddrs, dial, dkv.ShardedConfig{FailoverTTL: *leaseTTL})
-			if err != nil {
-				log.Fatalf("directory: %v", err)
-			}
-			dirSvc = sharded
-			log.Printf("sharded directory across %d replicas", len(dirAddrs))
-		} else {
-			dirClient, err := dkv.DialDirConfigured(*dirAddr, dial)
-			if err != nil {
-				log.Fatalf("directory: %v", err)
-			}
-			dirSvc = dirClient
+		dir, err := dkv.DialSharded(splitAddrs(*dirAddr), dial, dkv.ShardedConfig{FailoverTTL: *leaseTTL})
+		if err != nil {
+			log.Fatalf("directory: %v", err)
 		}
 		peerMap, err := parsePeers(*peers)
 		if err != nil {
 			log.Fatal(err)
 		}
-		srv.EnableDistributed(dkv.NodeID(*nodeID), dirSvc, peerMap)
-		srv.SetPeerConfig(rpc.PeerConfig{
-			Batch:            *peerBatch,
-			RPCTimeout:       *defDL,
-			BreakerThreshold: *brkThresh,
-		})
-		log.Printf("distributed node %d, directory %s, %d peers", *nodeID, *dirAddr, len(peerMap))
+		srv.EnableDistributed(dkv.NodeID(*nodeID), dir, peerMap)
+		srv.SetPeerConfig(rpc.PeerConfig{RPCTimeout: *defDL, BreakerThreshold: *brkThresh})
+		log.Printf("distributed node %d, directory %s (%d replicas), %d peers", *nodeID, *dirAddr, len(dir.View().Replicas), len(peerMap))
 		// Join under a fresh lease; a warm restart replays ownership claims
 		// for every checkpoint-restored resident (claims a survivor won in
 		// the meantime are denied and the local copy is dropped).

@@ -91,10 +91,6 @@ func main() {
 		if err != nil {
 			log.Fatalf("icache-train: epoch %d: %v", epoch, err)
 		}
-		if *clairv && !ep.Planned {
-			log.Printf("icache-train: server rejected planned boundary; falling back to -clairvoyant=false")
-			*clairv = false
-		}
 		st := ep.Server
 		hitRatio := 0.0
 		if served := st.Hits + st.Misses + st.Substitutions; served > 0 {

@@ -32,7 +32,6 @@ type Directory struct {
 	// since construction.
 	nodes         map[NodeID]*lease
 	start         time.Time
-	defaultTTL    time.Duration
 	suspectWindow time.Duration
 	ms            metrics.MembershipStats
 
@@ -55,7 +54,6 @@ func NewDirectory() *Directory {
 		owner:         make(map[dataset.SampleID]NodeID),
 		nodes:         make(map[NodeID]*lease),
 		start:         time.Now(),
-		defaultTTL:    DefaultLeaseTTL,
 		suspectWindow: DefaultSuspectWindow,
 	}
 }
@@ -205,7 +203,7 @@ type Service interface {
 	Release(id dataset.SampleID, node NodeID) (bool, error)
 	Len() (int, error)
 
-	// Register grants node a lease (ttl <= 0 selects the directory default).
+	// Register grants node a lease (ttl <= 0 selects DefaultLeaseTTL).
 	Register(node NodeID, ttl time.Duration) (NodeInfo, error)
 	// Heartbeat renews node's lease; renewed == false means the lease
 	// already lapsed and the node must Register again and reconcile.

@@ -104,12 +104,12 @@ func FuzzDirDispatch(f *testing.F) {
 	f.Add(transporttest.MuxWrap(1, lookup))
 	f.Add(transporttest.MuxWrap(1, transporttest.MuxWrap(2, lookup)))
 	f.Add([]byte{transport.OpMux, 0, 0, 0})
-	f.Add(transport.WrapDeadline(1, lookup))
-	f.Add(transport.WrapTraced(transport.WrapDeadline(time.Minute, lookup), tctx))
-	f.Add(transport.WrapDeadline(time.Minute, transport.WrapTraced(lookup, tctx)))
-	f.Add(transport.WrapDeadline(time.Minute, transport.WrapTraced(
+	f.Add(transporttest.WrapDeadline(1, lookup))
+	f.Add(transporttest.WrapTraced(transporttest.WrapDeadline(time.Minute, lookup), tctx))
+	f.Add(transporttest.WrapDeadline(time.Minute, transporttest.WrapTraced(lookup, tctx)))
+	f.Add(transporttest.WrapDeadline(time.Minute, transporttest.WrapTraced(
 		[]byte{opLookupBatch, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 9}, tctx)))
-	f.Add(transport.WrapTraced(transport.WrapDeadline(time.Minute,
+	f.Add(transporttest.WrapTraced(transporttest.WrapDeadline(time.Minute,
 		[]byte{opRetiredRingView, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1}), tctx))
 	f.Add([]byte{transport.OpPing, 0, 0, 0, 1})
 

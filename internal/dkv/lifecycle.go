@@ -58,7 +58,7 @@ type Residents interface {
 type Member struct {
 	Dir Service
 	ID  NodeID
-	// TTL is the lease duration asked for (<= 0: the directory's default).
+	// TTL is the lease duration asked for (<= 0: DefaultLeaseTTL).
 	TTL   time.Duration
 	Cache Residents
 }

@@ -78,15 +78,11 @@ type lease struct {
 	state   NodeState // last observed state, for transition counting
 }
 
-// SetMembershipParams overrides the default lease TTL (used when Register
-// is called with ttl <= 0) and the suspect window. Non-positive values keep
-// the current settings.
-func (d *Directory) SetMembershipParams(defaultTTL, suspectWindow time.Duration) {
+// SetMembershipParams overrides the suspect window. A non-positive value
+// keeps the current setting.
+func (d *Directory) SetMembershipParams(suspectWindow time.Duration) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if defaultTTL > 0 {
-		d.defaultTTL = defaultTTL
-	}
 	if suspectWindow > 0 {
 		d.suspectWindow = suspectWindow
 	}
@@ -144,7 +140,7 @@ func (d *Directory) syncStates(now simclock.Time) {
 }
 
 // Register grants (or re-grants) node a lease of the given TTL; ttl <= 0
-// selects the directory default. Registration always succeeds and revives a
+// selects DefaultLeaseTTL. Registration always succeeds and revives a
 // Suspect or Dead node to Live — but any entries already reclaimed by other
 // nodes stay reclaimed, so a rejoining node must re-claim its contents (see
 // the scrubber) rather than assume old ownership.
@@ -154,7 +150,7 @@ func (d *Directory) Register(node NodeID, ttl time.Duration) NodeInfo {
 	now := d.now()
 	d.syncStates(now)
 	if ttl <= 0 {
-		ttl = d.defaultTTL
+		ttl = DefaultLeaseTTL
 	}
 	l, ok := d.nodes[node]
 	if !ok {

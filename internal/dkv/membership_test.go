@@ -15,13 +15,13 @@ import (
 	"icache/internal/vt"
 )
 
-// clockedDir returns a directory with a 100ms lease TTL and a 100ms suspect
-// window, and a function that moves the calling bubble's clock to at past
-// the directory's construction.
+// clockedDir returns a directory with a 100ms suspect window (its tests grant
+// 100ms leases), and a function that moves the calling bubble's clock to at
+// past the directory's construction.
 func clockedDir() (*Directory, func(at time.Duration)) {
 	d := NewDirectory()
 	start := time.Now()
-	d.SetMembershipParams(ttl, suspect)
+	d.SetMembershipParams(suspect)
 	return d, func(at time.Duration) { time.Sleep(at - time.Since(start)) }
 }
 

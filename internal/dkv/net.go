@@ -356,7 +356,7 @@ func (c *DirClient) Len() (int, error) {
 }
 
 // Register grants (or re-grants) node a lease of the given TTL (<= 0
-// selects the directory default). Registration is idempotent — re-running
+// selects DefaultLeaseTTL). Registration is idempotent — re-running
 // it just re-stamps the lease — so blind retry under the client's backoff
 // policy is safe.
 func (c *DirClient) Register(node NodeID, ttl time.Duration) (NodeInfo, error) {

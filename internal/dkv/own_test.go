@@ -323,6 +323,63 @@ func TestShardedWriteBatchNoReplicaAnswersPrefix(t *testing.T) {
 	}
 }
 
+// failsOnce is an in-process replica whose next lookup fails when fail is
+// set, clearing it.
+type failsOnce struct {
+	Local
+	fail *bool
+}
+
+func (f failsOnce) LookupBatch(ids []dataset.SampleID) ([]Owner, error) {
+	if *f.fail {
+		*f.fail = false
+		return nil, errDirDown
+	}
+	return f.Local.LookupBatch(ids)
+}
+
+// TestShardedLastReplicaStaysInTheView: every replica of the ring fails one
+// lookup. The ring fails each over but the last, whose error the lookup
+// returns, and the next lookup asks that replica again at once instead of
+// answering ErrNoReplica for a FailoverTTL. With one replica this is the
+// one-directory deployment: a failed call costs that call only.
+func TestShardedLastReplicaStaysInTheView(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		t.Run(fmt.Sprintf("replicas=%d", n), func(t *testing.T) {
+			fail := make([]bool, n)
+			replicas := make(map[ReplicaID]Service, n)
+			for r := range n {
+				replicas[ReplicaID(r)] = failsOnce{Local{NewDirectory()}, &fail[r]}
+			}
+			ring := NewShardedDir(replicas, ShardedConfig{FailoverTTL: time.Minute})
+			if ok, err := ring.Claim(7, 1); !ok || err != nil {
+				t.Fatalf("claim: (%v, %v)", ok, err)
+			}
+			for r := range fail {
+				fail[r] = true
+			}
+			ids := []dataset.SampleID{7}
+			_, first := ring.LookupBatch(ids)
+			if slices.Contains(fail, true) {
+				t.Fatalf("replicas left unasked: %v", fail)
+			}
+			got, err := ring.LookupBatch(ids)
+			if err != nil {
+				t.Fatalf("lookup after the failures: %v, want the last replica asked again", err)
+			}
+			if first != errDirDown {
+				t.Errorf("lookup with every replica failing: %v, want the last replica's error", first)
+			}
+			if n == 1 && got[0] != (Owner{Node: 1, Found: true}) {
+				t.Errorf("lookup after the failure: %+v, want the claim", got[0])
+			}
+			if st := ring.Ring(); st.LiveReplicas != 1 || st.Failovers != int64(n-1) {
+				t.Errorf("ring: %+v, want %d failovers and the last replica live", st, n-1)
+			}
+		})
+	}
+}
+
 // downable is an in-process replica whose claims and lookups fail while down
 // is set: enough for a ShardedDir to fail it over.
 type downable struct {
@@ -337,11 +394,11 @@ func (d downable) Claim(id dataset.SampleID, node NodeID) (bool, error) {
 	return d.Local.Claim(id, node)
 }
 
-func (d downable) Lookup(id dataset.SampleID) (NodeID, bool, error) {
+func (d downable) LookupBatch(ids []dataset.SampleID) ([]Owner, error) {
 	if *d.down {
-		return 0, false, errDirDown
+		return nil, errDirDown
 	}
-	return d.Local.Lookup(id)
+	return d.Local.LookupBatch(ids)
 }
 
 // TestShardedOwnedByHidesStrandedEntries: claims made while replica 0 is

@@ -1,6 +1,7 @@
 package dkv
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sort"
@@ -21,17 +22,21 @@ import (
 // replica.
 //
 // Failover is client-observed and lease-paced, reusing the membership
-// timing model of PR 3: a replica whose operation fails at the transport
-// level is marked down, the ring view's epoch is bumped (its shards remap
-// to survivors — rendezvous hashing moves only the dead replica's keys),
-// and the failed operation retries against the new shard owner in the same
-// call. A down replica re-enters the ring after FailoverTTL (one lease
+// timing model (membership.go): a replica whose operation fails at the
+// transport level is marked down, the ring view's epoch is bumped (its shards
+// remap to survivors — rendezvous hashing moves only the dead replica's
+// keys), and the failed operation retries against the new shard owner in the
+// same call. A down replica re-enters the ring after FailoverTTL (one lease
 // cycle), so a restarted replica is re-probed — and re-populated by the
 // nodes' heartbeat/reregister/scrub machinery — without operator action.
 //
-// An operation only fails outward when a shard has NO live holder, which
-// under rendezvous hashing means every replica is down; callers treat that
-// exactly like the old single-directory outage (degraded local-only mode).
+// The last live replica is never marked down. When it fails, the operation
+// returns its error (a batch, the answers of its answered prefix) instead of
+// retrying, and the next operation asks it again, as a bare DirClient would;
+// its circuit breaker fails the calls fast while it stays unreachable. So a
+// one-replica ShardedDir is the one-directory deployment, and an operation
+// fails outward only when every replica failed it; callers count that as a
+// directory failure and ask again on their next operation.
 //
 // This view is the only ring view in a deployment: replicas neither hold one
 // nor talk to each other, and serve whatever shard a client routes to them.
@@ -70,9 +75,9 @@ type RingStats struct {
 	Retries      int64  // operations retried against a new shard owner
 }
 
-// ErrNoReplica is returned when a shard has no live holder — every
-// configured replica is down. Callers degrade exactly as they would for a
-// single unreachable directory.
+// ErrNoReplica is returned when no live replica answered: an operation fanned
+// out to every replica (membership, scans) that each of them failed. Callers
+// degrade exactly as they would for a single unreachable directory.
 var ErrNoReplica = errors.New("dkv: no live directory replica for shard")
 
 // NewShardedDir builds a replica-aware directory client over the given
@@ -106,9 +111,12 @@ func NewShardedDir(replicas map[ReplicaID]Service, cfg ShardedConfig) *ShardedDi
 // each dialled with dial — its own connection, per-call bound and circuit
 // breaker, so a replica that accepts and never answers stalls one bounded
 // call and is then failed over, without blocking the calls to the others —
-// and wraps them in a ShardedDir. A single address yields single-shard routing — the legacy
-// one-directory deployment expressed in the new shape.
+// and wraps them in a ShardedDir. A single address is the one-directory
+// deployment: its lone replica is never failed over.
 func DialSharded(addrs []string, dial DialConfig, cfg ShardedConfig) (*ShardedDir, error) {
+	if len(addrs) == 0 {
+		return nil, errors.New("dkv: no directory replica address")
+	}
 	replicas := make(map[ReplicaID]Service, len(addrs))
 	var clients []*DirClient
 	for i, addr := range addrs {
@@ -177,13 +185,18 @@ func (s *ShardedDir) reviveDue(now simclock.Time) {
 }
 
 // markDown removes r from the ring after a failed operation and schedules
-// its reprobe one FailoverTTL out. No-op if r is already out (a concurrent
-// caller won the race).
-func (s *ShardedDir) markDown(r ReplicaID) {
+// its reprobe one FailoverTTL out. It reports whether r is out of the view,
+// so that the operation may retry on the survivors: false when r is the last
+// live replica, which stays in. If r is already out (a concurrent caller won
+// the race) it only reports true.
+func (s *ShardedDir) markDown(r ReplicaID) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.view.Contains(r) {
-		return
+		return true
+	}
+	if len(s.view.Replicas) == 1 {
+		return false
 	}
 	live := make([]ReplicaID, 0, len(s.view.Replicas)-1)
 	for _, x := range s.view.Replicas {
@@ -194,6 +207,7 @@ func (s *ShardedDir) markDown(r ReplicaID) {
 	s.view = NewRingView(s.view.Epoch+1, live)
 	s.downTil[r] = s.now() + simclock.Time(s.cfg.FailoverTTL)
 	s.stats.Failovers++
+	return true
 }
 
 // View reports the current ring view (replica slice copied).
@@ -214,20 +228,6 @@ func (s *ShardedDir) Ring() RingStats {
 	return st
 }
 
-// route resolves id's current shard owner and its service. It revives due
-// replicas first, so a restarted replica is probed by the next operation
-// that routes to one of its shards.
-func (s *ShardedDir) route(id dataset.SampleID) (ReplicaID, Service, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.reviveDue(s.now())
-	r, ok := s.view.Owner(id)
-	if !ok {
-		return 0, nil, ErrNoReplica
-	}
-	return r, s.replicas[r], nil
-}
-
 // service reports the Service for r (configured set, independent of view).
 func (s *ShardedDir) service(r ReplicaID) Service {
 	s.mu.Lock()
@@ -242,72 +242,37 @@ func (s *ShardedDir) retried() {
 	s.mu.Unlock()
 }
 
-// doSharded runs one single-sample operation against id's shard owner,
-// failing over (mark down, remap, retry in this call) until it succeeds or
-// no replica remains. Every directory operation is idempotent, so blind
-// cross-replica retry is safe — the same argument that makes DirClient's
-// reconnect-retry safe.
-func (s *ShardedDir) doSharded(id dataset.SampleID, call func(Service) error) error {
-	for attempt := 0; ; attempt++ {
-		r, svc, err := s.route(id)
-		if err != nil {
-			return err
-		}
-		if err = call(svc); err == nil {
-			return nil
-		}
-		s.markDown(r)
-		if attempt > 0 {
-			continue
-		}
-		s.retried()
-	}
-}
-
 // budgetSpent reports whether a replica call failed because the REQUEST ran
 // out of time — its forwarded deadline dl has passed and the replica answered
 // StatusExpired or the local wait was cut off there. That is no evidence
 // against the replica, and no other replica could do better (each would be
-// marked down in turn, and one late request would take the ring out for a
-// lease cycle), so the caller gets the error instead of a failover. A timeout
-// BEFORE dl is the per-call bound firing: the replica accepted the call and
-// did not answer, and the shard moves on without it.
+// marked down in turn, and one late request would take all but one replica
+// out for a lease cycle), so the caller gets the error instead of a failover.
+// A timeout BEFORE dl is the per-call bound firing: the replica accepted the
+// call and did not answer, and the shard moves on without it.
 func budgetSpent(err error, dl time.Time) bool {
 	return !dl.IsZero() && !time.Now().Before(dl) && errors.Is(err, transport.ErrDeadlineExceeded)
 }
 
-// Lookup reports which node owns id, routed to id's shard holder.
+// Lookup reports which node owns id: a one-id LookupBatch.
 func (s *ShardedDir) Lookup(id dataset.SampleID) (NodeID, bool, error) {
-	var node NodeID
-	var found bool
-	err := s.doSharded(id, func(svc Service) error {
-		var err error
-		node, found, err = svc.Lookup(id)
-		return err
-	})
-	return node, found, err
+	out, err := s.LookupBatch([]dataset.SampleID{id})
+	if err != nil {
+		return 0, false, err
+	}
+	return out[0].Node, out[0].Found, nil
 }
 
-// Claim registers node as the owner of id on id's shard holder.
+// Claim registers node as the owner of id: a one-id WriteBatch.
 func (s *ShardedDir) Claim(id dataset.SampleID, node NodeID) (bool, error) {
-	var claimed bool
-	err := s.doSharded(id, func(svc Service) error {
-		var err error
-		claimed, err = svc.Claim(id, node)
-		return err
-	})
-	return claimed, err
+	ok, err := s.WriteBatch(false, []dataset.SampleID{id}, node)
+	return len(ok) == 1 && ok[0], err
 }
 
-// Release removes node's ownership of id on id's shard holder.
+// Release removes node's ownership of id: a one-id WriteBatch.
 func (s *ShardedDir) Release(id dataset.SampleID, node NodeID) (bool, error) {
-	var released bool
-	err := s.doSharded(id, func(svc Service) error {
-		var err error
-		released, err = svc.Release(id, node)
-		return err
-	})
-	return released, err
+	ok, err := s.WriteBatch(true, []dataset.SampleID{id}, node)
+	return len(ok) == 1 && ok[0], err
 }
 
 // LookupBatch resolves many ids with ONE call per live shard owner,
@@ -344,8 +309,9 @@ func (s *ShardedDir) LookupBatchCtx(ids []dataset.SampleID, ctx obs.TraceCtx, dl
 // WriteBatch is the BatchService half of the sharded client: claims (release
 // false) or releases of ids by node, one call per live shard owner — a few
 // frames per replica through a DirClient, not one round trip per id — failed
-// over group by group as LookupBatchCtx's are. With no replica left it returns
-// the verdicts of the answered prefix of ids beside ErrNoReplica.
+// over group by group as LookupBatchCtx's are. When the last live replica
+// fails, it returns the verdicts of the answered prefix of ids beside that
+// replica's error.
 func (s *ShardedDir) WriteBatch(release bool, ids []dataset.SampleID, node NodeID) ([]bool, error) {
 	return perShard(s, ids, time.Time{}, func(svc Service, shard []dataset.SampleID) ([]bool, error) {
 		if release {
@@ -361,9 +327,11 @@ func (s *ShardedDir) WriteBatch(release bool, ids []dataset.SampleID, node NodeI
 // on call counts — is deterministic. A call answers a prefix of its group; one
 // that fails or answers short marks its owner down, and the ids it left
 // unanswered re-group against the survivors, so one replica crash costs one
-// extra round per affected group, never a failed batch. A call that spent the
-// request's deadline dl (budgetSpent) ends the batch with its error. On an
-// error the answers of the longest answered prefix of ids are returned.
+// extra round per affected group, never a failed batch; every directory
+// operation is idempotent, so a retry on another replica is safe. A call that
+// spent the request's deadline dl (budgetSpent), or failed on the last live
+// replica (markDown), ends the batch with its error. On an error the answers of the
+// longest answered prefix of ids are returned.
 func perShard[T any](s *ShardedDir, ids []dataset.SampleID, dl time.Time, call func(Service, []dataset.SampleID) ([]T, error)) ([]T, error) {
 	out, answered := make([]T, len(ids)), make([]bool, len(ids))
 	prefix := func() []T {
@@ -382,9 +350,6 @@ func perShard[T any](s *ShardedDir, ids []dataset.SampleID, dl time.Time, call f
 		s.reviveDue(s.now())
 		view := s.view
 		s.mu.Unlock()
-		if len(view.Replicas) == 0 {
-			return prefix(), ErrNoReplica
-		}
 		groups := make(map[ReplicaID][]int)
 		for _, i := range pending {
 			r, _ := view.Owner(ids[i])
@@ -412,7 +377,9 @@ func perShard[T any](s *ShardedDir, ids []dataset.SampleID, dl time.Time, call f
 				out[idxs[k]], answered[idxs[k]] = v, true
 			}
 			if err != nil || len(res) < len(idxs) {
-				s.markDown(r)
+				if !s.markDown(r) {
+					return prefix(), cmp.Or(err, ErrNoReplica)
+				}
 				s.retried()
 				pending = append(pending, idxs[len(res):]...)
 			}

@@ -142,25 +142,20 @@ func (c *Client) GetBatchCtx(ctx context.Context, ids []dataset.SampleID) ([]Sam
 	return out, nil
 }
 
-// ctxBounds reads a context's deadline as the local bound of the call (the
-// transport tightens it with the configured RPCTimeout) and as the wire
-// budget (0 = none), the context's remaining time. An already-done context
+// ctxBounds reads a context's deadline (zero = none) as the local bound of
+// the call (the transport tightens it with the configured RPCTimeout) and as
+// the wire budget, the time left until it; a budget that raced to expiry is
+// still sent, and the server answers StatusExpired. An already-done context
 // fails fast without a network round trip.
-func ctxBounds(ctx context.Context) (deadline time.Time, budget time.Duration, err error) {
+func ctxBounds(ctx context.Context) (time.Time, error) {
 	if ctxErr := ctx.Err(); ctxErr != nil {
 		if errors.Is(ctxErr, context.DeadlineExceeded) {
-			return time.Time{}, 0, fmt.Errorf("rpc: %w", transport.ErrCallTimeout)
+			return time.Time{}, fmt.Errorf("rpc: %w", transport.ErrCallTimeout)
 		}
-		return time.Time{}, 0, ctxErr
+		return time.Time{}, ctxErr
 	}
-	deadline, ok := ctx.Deadline()
-	if ok {
-		budget = time.Until(deadline)
-		if budget <= 0 {
-			budget = 1 // raced to expiry: still send, server answers StatusExpired
-		}
-	}
-	return deadline, budget, nil
+	deadline, _ := ctx.Deadline()
+	return deadline, nil
 }
 
 // sampleSlicePool recycles the decoded-sample scratch slices GetBatchFunc
@@ -187,29 +182,24 @@ func (c *Client) GetBatchFunc(ids []dataset.SampleID, fn func([]Sample) error) e
 }
 
 // GetBatchFuncCtx is GetBatchFunc with deadline propagation (see
-// GetBatchCtx). The deadline envelope is prefixed in the same pooled
-// request buffer, so the borrowed-read hot path stays allocation-free.
+// GetBatchCtx). The deadline and trace envelopes are prefixed in the same
+// pooled request buffer, so the borrowed-read hot path stays allocation-free.
 func (c *Client) GetBatchFuncCtx(ctx context.Context, ids []dataset.SampleID, fn func([]Sample) error) error {
-	deadline, budget, err := ctxBounds(ctx)
+	deadline, err := ctxBounds(ctx)
 	if err != nil {
 		return err
 	}
+	tctx := c.beginTrace()
 	e := wire.GetBuffer()
-	if budget > 0 {
-		e.U8(transport.OpDeadline)
-		e.I64(int64(budget))
-	}
+	transport.AppendEnvelopes(e, tctx.Next(), deadline)
 	e.U8(opGetBatch)
 	appendIDList(e, ids)
-	req := e.Payload()
-	tctx := c.beginTrace()
 	var t0 time.Time
 	if tctx.Valid() {
-		req = transport.WrapTraced(req, tctx.Next())
 		t0 = time.Now()
 	}
-	d, owner, err := c.call(req, deadline)
-	wire.PutBuffer(e) // every attempt copies req before writing; safe to recycle now
+	d, owner, err := c.call(e.Payload(), deadline)
+	wire.PutBuffer(e) // every attempt copies the request before writing; safe to recycle now
 	if tctx.Valid() {
 		c.tracer.RecordSpan(time.Since(c.obsStart), trace.KindRPCSend, 0,
 			spanArgPeer, tctx.ID, tctx.Hop, time.Since(t0))
@@ -256,8 +246,7 @@ func (c *Client) BeginEpoch(epoch int) error {
 // BeginEpochPlan is BeginEpoch carrying the next epoch's known access
 // sequence (the IIS sampler draws it before the epoch starts). The server
 // queues its missing working set as a prefetch plan before answering; an
-// epoch begun without one is not prefetched at all. Servers predating the
-// opcode reject it — callers fall back to BeginEpoch on error.
+// epoch begun without one is not prefetched at all.
 func (c *Client) BeginEpochPlan(epoch int, ids []dataset.SampleID) error {
 	_, err := c.roundTrip(encodeEpochPlanRequest(epoch, ids))
 	return err

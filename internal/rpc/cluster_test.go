@@ -150,7 +150,7 @@ func (c *vtCluster) now() simclock.Time { return simclock.Time(time.Since(c.star
 // startReplica boots directory replica r empty, as icache-dkv boots.
 func (c *vtCluster) startReplica(r int) {
 	dir := dkv.NewDirectory()
-	dir.SetMembershipParams(vtLeaseTTL, vtLeaseTTL)
+	dir.SetMembershipParams(vtLeaseTTL)
 	srv := dkv.NewDirServer(dir)
 	go srv.Serve(c.net.Listen(fmt.Sprintf("dir%d", r)))
 	c.dirs[r], c.dirSrvs[r] = dir, srv

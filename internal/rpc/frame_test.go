@@ -56,9 +56,9 @@ func TestRetiredOpcodeRefused(t *testing.T) {
 		req  []byte
 	}{
 		{"plain", old},
-		{"deadline", transport.WrapDeadline(time.Minute, old)},
-		{"traced", transport.WrapTraced(old, obs.TraceCtx{ID: 7, Hop: 1})},
-		{"deadline-traced", transport.WrapDeadline(time.Minute, transport.WrapTraced(old, obs.TraceCtx{ID: 7, Hop: 1}))},
+		{"deadline", transporttest.WrapDeadline(time.Minute, old)},
+		{"traced", transporttest.WrapTraced(old, obs.TraceCtx{ID: 7, Hop: 1})},
+		{"deadline-traced", transporttest.WrapDeadline(time.Minute, transporttest.WrapTraced(old, obs.TraceCtx{ID: 7, Hop: 1}))},
 	} {
 		resp := srv.dispatch(tc.req)
 		if len(resp) == 0 || resp[0] != transport.StatusErr || !strings.Contains(string(resp[1:]), "unknown opcode 6") {
@@ -96,12 +96,12 @@ func TestTraceParity(t *testing.T) {
 		name string
 		wrap func(obs.TraceCtx) []byte
 	}{
-		{"plain", func(ctx obs.TraceCtx) []byte { return transport.WrapTraced(get, ctx) }},
+		{"plain", func(ctx obs.TraceCtx) []byte { return transporttest.WrapTraced(get, ctx) }},
 		{"deadline-outer", func(ctx obs.TraceCtx) []byte {
-			return transport.WrapDeadline(time.Minute, transport.WrapTraced(get, ctx))
+			return transporttest.WrapDeadline(time.Minute, transporttest.WrapTraced(get, ctx))
 		}},
 		{"trace-outer", func(ctx obs.TraceCtx) []byte {
-			return transport.WrapTraced(transport.WrapDeadline(time.Minute, get), ctx)
+			return transporttest.WrapTraced(transporttest.WrapDeadline(time.Minute, get), ctx)
 		}},
 	} {
 		ctx := obs.TraceCtx{ID: uint64(0xABC0 + i), Hop: 1}
@@ -139,7 +139,7 @@ func TestSlowRequestLogNamesTrace(t *testing.T) {
 	var lines []string
 	srv.Logf = func(format string, args ...interface{}) { lines = append(lines, fmt.Sprintf(format, args...)) }
 	srv.SetSlowRequestLog(time.Nanosecond)
-	srv.dispatch(transport.WrapTraced(encodeGetBatchRequest([]dataset.SampleID{1, 2}), obs.TraceCtx{ID: 0xFEED, Hop: 1}))
+	srv.dispatch(transporttest.WrapTraced(encodeGetBatchRequest([]dataset.SampleID{1, 2}), obs.TraceCtx{ID: 0xFEED, Hop: 1}))
 	if len(lines) != 1 || !strings.Contains(lines[0], "trace=000000000000feed hop=1") {
 		t.Fatalf("slow-request log = %q, want one line naming trace feed at hop 1", lines)
 	}

@@ -66,13 +66,13 @@ func FuzzServerDispatch(f *testing.F) {
 	// budget (must not fetch), a nested envelope (must
 	// error), a truncated header, and both compositions with the trace
 	// envelope — trace-outer/deadline-inner and deadline-outer/trace-inner.
-	f.Add(transport.WrapDeadline(time.Minute, []byte{transport.OpPing}))
+	f.Add(transporttest.WrapDeadline(time.Minute, []byte{transport.OpPing}))
 	f.Add([]byte{transport.OpDeadline, 0, 0, 0, 0, 0, 0, 0, 0, transport.OpPing})
-	f.Add(transport.WrapDeadline(time.Minute, transport.WrapDeadline(time.Minute, []byte{transport.OpPing})))
+	f.Add(transporttest.WrapDeadline(time.Minute, transporttest.WrapDeadline(time.Minute, []byte{transport.OpPing})))
 	f.Add([]byte{transport.OpDeadline, 0, 0, 0, 1})
-	f.Add(transport.WrapTraced(transport.WrapDeadline(time.Minute, encodeGetBatchRequest([]dataset.SampleID{0, 1})), obs.TraceCtx{ID: 9, Hop: 1}))
-	f.Add(transport.WrapDeadline(time.Minute, transport.WrapTraced(encodeGetBatchRequest([]dataset.SampleID{0, 1}), obs.TraceCtx{ID: 9, Hop: 1})))
-	f.Add(transport.WrapDeadline(time.Minute, transport.WrapTraced(encodePeerGetBatchRequest([]dataset.SampleID{0, 1}), obs.TraceCtx{ID: 9, Hop: 2})))
+	f.Add(transporttest.WrapTraced(transporttest.WrapDeadline(time.Minute, encodeGetBatchRequest([]dataset.SampleID{0, 1})), obs.TraceCtx{ID: 9, Hop: 1}))
+	f.Add(transporttest.WrapDeadline(time.Minute, transporttest.WrapTraced(encodeGetBatchRequest([]dataset.SampleID{0, 1}), obs.TraceCtx{ID: 9, Hop: 1})))
+	f.Add(transporttest.WrapDeadline(time.Minute, transporttest.WrapTraced(encodePeerGetBatchRequest([]dataset.SampleID{0, 1}), obs.TraceCtx{ID: 9, Hop: 2})))
 
 	f.Fuzz(func(t *testing.T, req []byte) {
 		resp := srv.dispatch(req)

@@ -32,8 +32,7 @@ import (
 // it heartbeats every LeaseTTL/4 and sweeps every LeaseTTL/2.
 type MembershipConfig struct {
 	// LeaseTTL is this node's lease duration in the directory. Zero selects
-	// the directory's default TTL (the server sends ttl=0 and lets the
-	// directory pick), and the periods of a 10 s lease.
+	// dkv.DefaultLeaseTTL, which the node sends and paces itself on.
 	LeaseTTL time.Duration
 }
 
@@ -54,6 +53,9 @@ func (s *Server) StartMembership(cfg MembershipConfig) error {
 	if dist.memStop != nil {
 		dist.memMu.Unlock()
 		return fmt.Errorf("rpc: membership loop already running")
+	}
+	if cfg.LeaseTTL <= 0 {
+		cfg.LeaseTTL = dkv.DefaultLeaseTTL
 	}
 	dist.memCfg = cfg
 	dist.memStop = make(chan struct{})
@@ -110,13 +112,9 @@ func (s *Server) LastHeartbeat() time.Time {
 func (s *Server) membershipLoop(cfg MembershipConfig, stop chan struct{}) {
 	dist := s.dist
 	defer dist.memWG.Done()
-	ttl := cfg.LeaseTTL
-	if ttl <= 0 {
-		ttl = 10 * time.Second
-	}
-	beat := time.NewTicker(ttl / 4)
+	beat := time.NewTicker(cfg.LeaseTTL / 4)
 	defer beat.Stop()
-	scrub := time.NewTicker(ttl / 2)
+	scrub := time.NewTicker(cfg.LeaseTTL / 2)
 	defer scrub.Stop()
 	for {
 		select {

@@ -86,6 +86,29 @@ func TestMembershipLoopHeartbeatsAndScrubs(t *testing.T) {
 	})
 }
 
+// TestDefaultLeaseIsSentAndPacedOn: a node started without a lease TTL asks
+// the directory for dkv.DefaultLeaseTTL and heartbeats on that lease, so over
+// three TTLs no renewal comes too late.
+func TestDefaultLeaseIsSentAndPacedOn(t *testing.T) {
+	inBubble(t, func(t *testing.T) {
+		dir := dkv.NewDirectory()
+		srv, _, _ := startServer(t)
+		srv.EnableDistributed(3, dkv.Local{Dir: dir}, nil)
+		if err := srv.StartMembership(MembershipConfig{}); err != nil {
+			t.Fatal(err)
+		}
+		if nodes := dir.ListNodes(); len(nodes) != 1 || nodes[0].ExpiresIn != dkv.DefaultLeaseTTL {
+			t.Fatalf("registered as %+v, want one lease of %v", nodes, dkv.DefaultLeaseTTL)
+		}
+		time.Sleep(3 * dkv.DefaultLeaseTTL)
+		vt.Wait()
+		mem, dm := srv.MembershipStats(), dir.Membership()
+		if mem.HeartbeatRejects != 0 || dm.HeartbeatRejects != 0 || mem.Heartbeats != 12 {
+			t.Errorf("over three TTLs: node %+v, directory %+v; want 12 heartbeats and no rejects", mem, dm)
+		}
+	})
+}
+
 // TestPromotedSampleKeepsPayloadAndOwnership: a sample the loader cached as
 // an L-sample and the next H-list names is a hit served from the copy the
 // node has. The move into the H-cache removes the L entry without an

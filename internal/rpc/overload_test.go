@@ -22,6 +22,7 @@ import (
 	"icache/internal/sampling"
 	"icache/internal/storage"
 	"icache/internal/transport"
+	"icache/internal/transport/transporttest"
 	"icache/internal/vt"
 	"icache/internal/wire"
 )
@@ -127,7 +128,7 @@ func TestDeadlineExpiredAtServer(t *testing.T) {
 	srv, _, source := startServer(t)
 
 	before := source.Reads()
-	resp := srv.dispatch(transport.WrapDeadline(0, encodeGetBatchRequest([]dataset.SampleID{1, 2})))
+	resp := srv.dispatch(transporttest.WrapDeadline(0, encodeGetBatchRequest([]dataset.SampleID{1, 2})))
 	if len(resp) == 0 || resp[0] != transport.StatusExpired {
 		t.Fatalf("spent budget answered status %v, want transport.StatusExpired", resp[:1])
 	}

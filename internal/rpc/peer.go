@@ -50,8 +50,8 @@ import (
 //     observer fires it); it only queues the id for the server's release
 //     worker, so no network I/O ever happens under the lock.
 
-// PeerConfig tunes the batched remote data plane (the -peer-batch,
-// -default-deadline and -breaker-threshold flags). SetPeerConfig installs it
+// PeerConfig tunes the batched remote data plane (the -default-deadline and
+// -breaker-threshold flags). SetPeerConfig installs it
 // before Serve. A peer connection keeps transport.DefaultMuxInflight frames
 // in flight; an open peer breaker cools down for the overload package's
 // fixed cooldown.

@@ -1,7 +1,6 @@
 package train
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -10,14 +9,10 @@ import (
 
 	"icache/internal/rpc"
 	"icache/internal/sampling"
-	"icache/internal/transport"
 )
 
 // WireEpoch is one epoch a Learner trained against a cache server.
 type WireEpoch struct {
-	// Planned reports whether the boundary carried the epoch's schedule: a
-	// server that rejects the plan opcode gets a plain boundary instead.
-	Planned     bool
 	Trained     int
 	Substituted int
 	Bytes       int64
@@ -47,21 +42,15 @@ func RunWireEpoch(l *Learner, rng *rand.Rand, conns []*rpc.Client, epoch, batch 
 		return WireEpoch{}, fmt.Errorf("push H-list: %w", err)
 	}
 	if plan {
-		// An older or non-planning server rejects the opcode with an
-		// application error; cross a plain boundary instead, so planning
-		// is safe against any server.
 		err = c.BeginEpochPlan(epoch, sched.Fetch)
-		var se *transport.ServerError
-		plan = !errors.As(err, &se)
-	}
-	if !plan {
+	} else {
 		err = c.BeginEpoch(epoch)
 	}
 	if err != nil {
 		return WireEpoch{}, fmt.Errorf("begin epoch: %w", err)
 	}
 
-	ep := WireEpoch{Planned: plan}
+	var ep WireEpoch
 	start := time.Now()
 	batches := sched.Batches(batch)
 	type result struct {

@@ -84,8 +84,9 @@ func TestLearnerOnTheWire(t *testing.T) {
 			t.Errorf("epoch %d: reported server counters %+v, want the growth of Stats %+v", epoch, ep.Server, want)
 		}
 		prev = st
-		if ep.Planned != plan {
-			t.Errorf("epoch %d: planned %v, want %v", epoch, ep.Planned, plan)
+		// The server numbers the boundaries it crossed from 1.
+		if ps := srv.PlanStats(); ps.Epoch != int64(epoch+1) || plan != (ps.Planned > 0) {
+			t.Errorf("epoch %d (planned %v): server plan %+v; want boundary %d, with entries only when planned", epoch, plan, ps, epoch+1)
 		}
 		if got := srv.DecisionStats().PrefetchIssued - issued; plan != (got > 0) {
 			t.Errorf("epoch %d (planned %v): %d prefetches issued; want some only behind a planned boundary", epoch, plan, got)

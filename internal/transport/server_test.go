@@ -340,16 +340,16 @@ func FuzzServeFrame(f *testing.F) {
 	f.Add(mux(echo))
 	f.Add(mux(mux(echo)))
 	f.Add([]byte{transport.OpMux, 0, 0, 0})
-	f.Add(mux(transport.WrapTraced(transport.WrapDeadline(time.Minute, echo), tctx)))
-	f.Add(mux(transport.WrapDeadline(time.Minute, transport.WrapTraced(echo, tctx))))
-	f.Add(transporttest.MuxWrap(3, transport.WrapDeadline(time.Minute, transport.WrapTraced([]byte{opInline}, tctx))))
-	f.Add(mux(transport.WrapTraced(transport.WrapTraced(echo, tctx), tctx)))
-	f.Add(mux(transport.WrapDeadline(time.Minute, transport.WrapDeadline(time.Minute, echo))))
+	f.Add(mux(transporttest.WrapTraced(transporttest.WrapDeadline(time.Minute, echo), tctx)))
+	f.Add(mux(transporttest.WrapDeadline(time.Minute, transporttest.WrapTraced(echo, tctx))))
+	f.Add(transporttest.MuxWrap(3, transporttest.WrapDeadline(time.Minute, transporttest.WrapTraced([]byte{opInline}, tctx))))
+	f.Add(mux(transporttest.WrapTraced(transporttest.WrapTraced(echo, tctx), tctx)))
+	f.Add(mux(transporttest.WrapDeadline(time.Minute, transporttest.WrapDeadline(time.Minute, echo))))
 	f.Add(mux([]byte{transport.OpDeadline, 0, 0, 0, 0, 0, 0, 0, 0, opEcho}))
 	f.Add(mux([]byte{transport.OpDeadline, 0, 0, 0, 1}))
 	f.Add(mux([]byte{transport.OpTraced, 1, 2}))
-	f.Add(mux(transport.WrapTraced(nil, tctx)))
-	f.Add(transport.WrapTraced(echo, tctx))
+	f.Add(mux(transporttest.WrapTraced(nil, tctx)))
+	f.Add(transporttest.WrapTraced(echo, tctx))
 
 	f.Fuzz(func(t *testing.T, req []byte) {
 		resp := transporttest.DispatchFrame(srv, req)

@@ -100,57 +100,23 @@ type ServerError struct{ Msg string }
 
 func (e *ServerError) Error() string { return "transport: server error: " + e.Msg }
 
-// WrapTraced wraps an encoded request in a trace envelope addressed to the
-// receiver: ctx must carry the hop the receiver occupies (the sender passes
-// its own context through TraceCtx.Next).
-func WrapTraced(req []byte, ctx obs.TraceCtx) []byte {
-	e := wire.Buffer{B: make([]byte, 0, traceHeaderLen+len(req))}
-	appendTraced(&e, ctx)
-	e.B = append(e.B, req...)
-	return e.B
-}
-
-// WrapDeadline wraps an encoded request in the deadline envelope carrying
-// the remaining budget. Budgets <= 0 are clamped to 1ns: a spent budget is
-// still sent, so the server answers StatusExpired and its accounting sees
-// the request, rather than the client silently dropping the call.
-func WrapDeadline(budget time.Duration, req []byte) []byte {
-	e := wire.Buffer{B: make([]byte, 0, deadlineHeaderLen+len(req))}
-	appendDeadline(&e, budget)
-	e.B = append(e.B, req...)
-	return e.B
-}
-
-// AppendEnvelopes starts a request in e with the envelopes a forwarding hop
-// owes it: the deadline envelope for the time left until dl (zero = none)
-// and the trace envelope for ctx (zero = none). The caller appends the
-// request itself.
+// AppendEnvelopes starts a request in e with the envelopes a sender owes it:
+// the deadline envelope for the time left until dl (zero = none) and the
+// trace envelope for ctx (zero = none), which carries the hop the receiver
+// occupies (the sender passes its own context through TraceCtx.Next). The
+// caller appends the request itself. A budget already spent is sent as 1 ns,
+// so the server answers StatusExpired and its accounting sees the request,
+// rather than the client silently dropping the call.
 func AppendEnvelopes(e *wire.Buffer, ctx obs.TraceCtx, dl time.Time) {
 	if !dl.IsZero() {
-		appendDeadline(e, time.Until(dl))
+		e.U8(OpDeadline)
+		e.I64(int64(max(time.Until(dl), 1)))
 	}
 	if ctx.Valid() {
-		appendTraced(e, ctx)
+		e.U8(OpTraced)
+		e.I64(int64(ctx.ID))
+		e.U8(ctx.Hop)
 	}
-}
-
-const (
-	traceHeaderLen    = 10 // opcode byte + i64 trace id + hop byte
-	deadlineHeaderLen = 9  // opcode byte + i64 budget nanoseconds
-)
-
-func appendTraced(e *wire.Buffer, ctx obs.TraceCtx) {
-	e.U8(OpTraced)
-	e.I64(int64(ctx.ID))
-	e.U8(ctx.Hop)
-}
-
-func appendDeadline(e *wire.Buffer, budget time.Duration) {
-	if budget <= 0 {
-		budget = 1
-	}
-	e.U8(OpDeadline)
-	e.I64(int64(budget))
 }
 
 // peelEnvelopes strips the optional deadline and trace envelopes from a
@@ -176,7 +142,7 @@ func peelEnvelopes(p []byte) (inner []byte, ctx obs.TraceCtx, dl time.Time, err 
 			}
 			// The anchor is one nanosecond short of the budget, so the 1 ns a
 			// sender sends for a spent budget is already spent here, on a
-			// clock that has not moved since (appendDeadline).
+			// clock that has not moved since (AppendEnvelopes).
 			dl = time.Now().Add(time.Duration(budget) - 1)
 		} else {
 			if ctx.Valid() {

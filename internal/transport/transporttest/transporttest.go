@@ -74,6 +74,26 @@ func MuxWrap(id uint32, req []byte) []byte {
 	return e.B
 }
 
+// WrapTraced wraps an encoded request in a trace envelope for ctx, the way
+// transport.AppendEnvelopes writes one, so a test can stack envelopes in any
+// order and any number.
+func WrapTraced(req []byte, ctx obs.TraceCtx) []byte {
+	var e wire.Buffer
+	e.U8(transport.OpTraced)
+	e.I64(int64(ctx.ID))
+	e.U8(ctx.Hop)
+	return append(e.B, req...)
+}
+
+// WrapDeadline wraps an encoded request in a deadline envelope carrying
+// budget, clamped to 1 ns as transport.AppendEnvelopes clamps a spent one.
+func WrapDeadline(budget time.Duration, req []byte) []byte {
+	var e wire.Buffer
+	e.U8(transport.OpDeadline)
+	e.I64(int64(max(budget, 1)))
+	return append(e.B, req...)
+}
+
 // EnvelopeRejections pins the in-band answers to envelope stacks inside a
 // mux envelope, whatever protocol s serves (the inner request is a ping,
 // which every port answers): the trace and deadline envelopes compose in
@@ -83,8 +103,8 @@ func EnvelopeRejections(t *testing.T, s *transport.Server) {
 	t.Helper()
 	ping := []byte{transport.OpPing}
 	tctx := obs.TraceCtx{ID: 9, Hop: 1}
-	traced := func(req []byte) []byte { return transport.WrapTraced(req, tctx) }
-	deadlined := func(req []byte) []byte { return transport.WrapDeadline(time.Minute, req) }
+	traced := func(req []byte) []byte { return WrapTraced(req, tctx) }
+	deadlined := func(req []byte) []byte { return WrapDeadline(time.Minute, req) }
 	for _, tc := range []struct {
 		name string
 		req  []byte
@@ -96,7 +116,7 @@ func EnvelopeRejections(t *testing.T, s *transport.Server) {
 		{"deadline outside trace", deadlined(traced(ping)), false, ""},
 		{"nested trace", traced(traced(ping)), false, "transport: nested trace envelope"},
 		{"nested trace around deadline", traced(deadlined(traced(ping))), false, "transport: nested trace envelope"},
-		{"zero trace id", transport.WrapTraced(ping, obs.TraceCtx{Hop: 1}), false, "transport: trace envelope with zero trace id"},
+		{"zero trace id", WrapTraced(ping, obs.TraceCtx{Hop: 1}), false, "transport: trace envelope with zero trace id"},
 		{"nested deadline", deadlined(deadlined(ping)), false, "transport: nested deadline envelope"},
 		{"nested deadline around trace", deadlined(traced(deadlined(ping))), false, "transport: nested deadline envelope"},
 		{"non-positive budget", []byte{transport.OpDeadline, 0, 0, 0, 0, 0, 0, 0, 0, transport.OpPing}, false, "transport: non-positive deadline budget 0"},
