@@ -50,12 +50,13 @@ vet:
 # Tier2Hits(, DecisionLedger( or .Epoch()) and export no icache_tier2_ series
 # (no shipped binary has a spill tier). And no option has one value in use:
 # no non-test Go file names a retired simulator knob (PackageBytes,
-# RepackPerSample, BenefitThreshold, FreqDecay, PeerLatency, PeerBandwidth —
-# each is a constant now, and the hit cost is storage.HitLatency, not a
-# ServiceConfig), icache.Config's Clairvoyant switch (checked in
-# internal/icache: a client that sends its plan is the one switch), or code
-# no run reached (EventQueue, WrapSource, composeStatic, IsPermanent, the
-# always-zero icache_loader_wasted_ series), comments excepted, and no
+# RepackPerSample, BenefitThreshold, FreqDecay, PeerLatency, PeerBandwidth,
+# ProbeBatches, CISConfig, DefaultCIS — each is a constant now, and the hit
+# cost is storage.HitLatency, not a ServiceConfig), icache.Config's
+# Clairvoyant switch (checked in internal/icache: a client that sends its
+# plan is the one switch), or code no run reached (EventQueue, WrapSource,
+# WrapDirScoped, composeStatic, IsPermanent, the always-zero
+# icache_loader_wasted_ series), comments excepted, and no
 # shipped config keeps a knob only tests set: overload.GateConfig names no
 # Window, ShedWindows, FloorRate or FloorBurst, BreakerConfig no Cooldown,
 # rpc.PeerConfig no Inflight or BreakerCooldown, rpc.MembershipConfig no
@@ -115,7 +116,11 @@ vet:
 # ring): no non-test file under cmd/ calls dkv.DialDir( or
 # dkv.DialDirConfigured(. And a request's envelopes have one encoder,
 # transport.AppendEnvelopes: no non-test file of internal/rpc or internal/dkv
-# names transport.OpDeadline or transport.OpTraced (comments excepted).
+# names transport.OpDeadline or transport.OpTraced (comments excepted). And the
+# baselines keep one byte ledger, cache.Policy, under every eviction order: in
+# the non-test files of internal/cache the eviction count is incremented on
+# one line, the one eviction loop, and no type, interface or func field but
+# Policy's method declares Admit( (comments excepted).
 # Subsumes `vet` in `make all`.
 lint:
 	@unformatted=$$(gofmt -l .); \
@@ -188,7 +193,7 @@ lint:
 		echo "a second ring view (replicas hold none; the sharded client's view is the only one):"; echo "$$stray"; exit 1; \
 	fi
 	@stray=$$(for f in $$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*'); do \
-		sed 's,//.*,,' $$f | grep -nwE 'EventQueue|WrapSource|ServiceConfig|composeStatic|IsPermanent|PackageBytes|RepackPerSample|BenefitThreshold|FreqDecay|PeerLatency|PeerBandwidth' | sed "s,^,$$f:,"; \
+		sed 's,//.*,,' $$f | grep -nwE 'EventQueue|WrapSource|WrapDirScoped|ServiceConfig|composeStatic|IsPermanent|PackageBytes|RepackPerSample|BenefitThreshold|FreqDecay|PeerLatency|PeerBandwidth|ProbeBatches|CISConfig|DefaultCIS' | sed "s,^,$$f:,"; \
 		sed 's,//.*,,' $$f | grep -nF 'icache_loader_wasted_' | sed "s,^,$$f:,"; \
 	done; for f in $$(ls internal/icache/*.go | grep -v _test.go); do \
 		sed 's,//.*,,' $$f | grep -nw 'Clairvoyant' | sed "s,^,$$f:,"; \
@@ -282,6 +287,15 @@ lint:
 	done); \
 	if [ -n "$$stray" ]; then \
 		echo "a second envelope encoder (a request's deadline and trace envelopes are written by transport.AppendEnvelopes):"; echo "$$stray"; exit 1; \
+	fi
+	@files=$$(ls internal/cache/*.go | grep -v _test.go); \
+	stray=$$(for f in $$files; do \
+		sed 's,//.*,,' $$f | grep -nE '^func (\([^)]*\) )?Admit\(|^[[:space:]]+Admit([[:space:]]+func)?[[:space:]]*\(' \
+			| grep -vE '^[0-9]+:func \([A-Za-z_]+ \*Policy\) Admit\(' | sed "s,^,$$f:,"; \
+	done; n=$$(for f in $$files; do sed 's,//.*,,' $$f; done | grep -cE '[Ee]vict[A-Za-z0-9_]*[[:space:]]*(\+\+|\+=)'); \
+		[ "$$n" = 1 ] || echo "internal/cache: the eviction count is incremented on $$n lines"); \
+	if [ -n "$$stray" ]; then \
+		echo "a second cache ledger (cache.Policy owns the bytes and the one eviction loop; an order only promotes and names victims):"; echo "$$stray"; exit 1; \
 	fi
 	$(GO) vet ./...
 

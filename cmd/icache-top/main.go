@@ -1,5 +1,5 @@
 // Command icache-top is a terminal cluster monitor for icache deployments:
-// it polls each node's metrics endpoint (/metrics?format=prom) and
+// it polls each node's metrics endpoint (/metrics) and
 // in-process timeline (/debug/timeline) and renders a one-row-per-node
 // view of request/hit/shed rates, overload-gate and breaker state,
 // prefetch timeliness, plan progress, the dominant eviction reason,

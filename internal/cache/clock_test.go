@@ -101,7 +101,7 @@ func TestClockRemoveKeepsRingConsistent(t *testing.T) {
 	}
 	// The ring must still evict correctly after the removals.
 	c.Admit(dsid(100), 800)
-	if c.UsedBytes() > c.CapacityBytes() {
+	if c.used > c.budget {
 		t.Fatal("over budget after ring surgery")
 	}
 }

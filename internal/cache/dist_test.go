@@ -11,7 +11,7 @@ import (
 
 func TestNoCacheAlwaysMisses(t *testing.T) {
 	back := testBackend(t)
-	svc := baseline(back, "nocache", cache.None{}, icache.ScheduleUniform, false)
+	svc := baseline(back, "nocache", cache.None(), icache.ScheduleUniform, false)
 	tr := newTracker(t, back.Spec().NumSamples)
 	rng := rand.New(rand.NewSource(1))
 	sched := svc.BeginEpoch(0, 0, tr, rng)
@@ -36,7 +36,7 @@ func TestNoCacheAlwaysMisses(t *testing.T) {
 
 func TestNoCacheCISSchedule(t *testing.T) {
 	back := testBackend(t)
-	svc := baseline(back, "nocache-cis", cache.None{}, icache.ScheduleCIS, false)
+	svc := baseline(back, "nocache-cis", cache.None(), icache.ScheduleCIS, false)
 	tr := newTracker(t, back.Spec().NumSamples)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < back.Spec().NumSamples; i++ {

@@ -1,7 +1,14 @@
-// Package cache provides the byte-budgeted cache policies the paper's
-// baselines run: LRU (Default, Base, Quiver, +IIS), LFU (iLFU), MinIO
-// (CoorDL), Unbounded (Oracle, filled up front), None (no cache), and the
-// FIFO and CLOCK policies of the policy comparison.
+// Package cache provides the byte-budgeted cache the paper's baselines run:
+// LRU (Default, Base, Quiver, +IIS), LFU (iLFU), MinIO (CoorDL), Unbounded
+// (Oracle, filled up front), None (no cache), and the FIFO and CLOCK
+// policies of the policy comparison.
+//
+// They are one type, Policy. It owns the byte ledger and the one admission
+// rule; an unexported order decides only what an access promotes and which
+// resident goes next. A doubly-linked list serves LRU (an access moves to the
+// front) and FIFO (nothing moves); LFU keeps a (frequency, admission) heap;
+// CLOCK keeps a ring and a hand. MinIO, Unbounded and None have no order:
+// MinIO refuses once full, Unbounded has no budget, None a zero one.
 //
 // A policy only decides residency. The fetch path that consults it is
 // icache.Server's, the same one that runs iCache's H/L split: a baseline is
@@ -12,509 +19,336 @@
 package cache
 
 import (
+	"container/heap"
 	"fmt"
+	"math"
 
 	"icache/internal/dataset"
 )
 
-// Policy is a byte-capacity cache eviction policy over sample IDs. Policies
-// are not safe for concurrent use; the simulation is sequential and the RPC
-// server serializes access.
-type Policy interface {
-	// Name identifies the policy in experiment output.
-	Name() string
-	// Touch records an access to id and reports whether it was cached.
-	Touch(id dataset.SampleID) bool
-	// Contains reports whether id is cached, without recording an access.
-	Contains(id dataset.SampleID) bool
-	// Admit offers a fetched sample of the given size. The policy may evict
-	// to make room; it reports whether the sample was admitted.
-	Admit(id dataset.SampleID, size int) bool
-	// Remove drops id if present, reporting whether it was cached.
-	Remove(id dataset.SampleID) bool
-	// Len reports the number of cached samples.
-	Len() int
-	// UsedBytes reports the cached byte volume.
-	UsedBytes() int64
-	// CapacityBytes reports the configured byte budget (0 = no budget:
-	// Unbounded admits everything, None nothing).
-	CapacityBytes() int64
-	// Evictions reports the cumulative eviction count.
-	Evictions() int64
-	// Residents appends all cached IDs to dst and returns it; order is
-	// unspecified but deterministic for a given history.
-	Residents(dst []dataset.SampleID) []dataset.SampleID
+// Policy is a byte-budgeted cache over sample IDs. It is not safe for
+// concurrent use; the simulation is sequential and the RPC server serializes
+// access.
+type Policy struct {
+	name      string
+	budget    int64
+	used      int64
+	entries   map[dataset.SampleID]*entry
+	evictions int64
+	order     order // nil: nothing is promoted and nothing evicted
 }
 
-// entry is a doubly-linked node shared by the list-based policies.
+// order is a policy's eviction order over its residents.
+type order interface {
+	// add places a newly admitted resident.
+	add(e *entry)
+	// promote records an access to a resident.
+	promote(e *entry)
+	// victim names the resident that goes next; there is at least one.
+	victim() *entry
+	// remove takes e out of the order.
+	remove(e *entry)
+	// residents appends the residents' IDs in the order's own sequence.
+	residents(dst []dataset.SampleID) []dataset.SampleID
+}
+
+// entry is one resident: its size, and the fields its order keeps.
 type entry struct {
 	id         dataset.SampleID
 	size       int
-	freq       int64
-	prev, next *entry
+	prev, next *entry // list
+	freq, seq  int64  // lfu: access count, admission number
+	pos        int    // lfu: heap index; clock: ring index
+	referenced bool   // clock
 }
 
-// LRU is a classic least-recently-used policy: the Default baseline's cache
-// and the cache under Base.
-type LRU struct {
-	cap       int64
-	used      int64
-	items     map[dataset.SampleID]*entry
-	head      *entry // most recent
-	tail      *entry // least recent
-	evictions int64
+// NewLRU builds a least-recently-used policy with the given byte capacity:
+// the Default baseline's cache and the cache under Base.
+func NewLRU(capacityBytes int64) *Policy {
+	return bounded("lru", capacityBytes, newList(true))
 }
 
-// NewLRU builds an LRU policy with the given byte capacity.
-func NewLRU(capacityBytes int64) *LRU {
+// NewFIFO builds a policy that evicts in admission order, ignoring accesses
+// entirely: the simplest bounded cache and a lower bar for the policy
+// comparison.
+func NewFIFO(capacityBytes int64) *Policy {
+	return bounded("fifo", capacityBytes, newList(false))
+}
+
+// NewLFU builds a least-frequently-used policy with FIFO tie-breaking,
+// backing the iLFU baseline of §V-C (IIS plus a frequency cache). The
+// paper's point is that frequency is *reactive* to importance changes; the
+// benchmark reproduces that lag.
+func NewLFU(capacityBytes int64) *Policy {
+	return bounded("lfu", capacityBytes, &lfu{})
+}
+
+// NewClock builds the second-chance policy OS page caches use (§II-C names
+// the OS page cache as the recency/frequency archetype iCache replaces): a
+// circular scan clears reference bits and evicts the first unreferenced
+// entry.
+func NewClock(capacityBytes int64) *Policy {
+	return bounded("clock", capacityBytes, &clock{})
+}
+
+// NewMinIO builds CoorDL's cache: samples are admitted until the cache fills
+// and are then never evicted or replaced ("CoorDL never replaces data items
+// in its MinIO cache"). Its hit ratio is pinned at capacity/dataset — and, as
+// the paper observes, it has no way to prefer H-samples once full.
+func NewMinIO(capacityBytes int64) *Policy {
+	return bounded("minio", capacityBytes, nil)
+}
+
+// NewUnbounded builds a policy that admits everything: the Oracle
+// configuration, where the whole dataset fits in memory.
+func NewUnbounded() *Policy { return newPolicy("unbounded", math.MaxInt64, nil) }
+
+// None builds a policy that caches nothing: it refuses every Admit, so every
+// request it fronts reads the backend — the NoCache configuration of Fig. 2.
+func None() *Policy { return newPolicy("none", 0, nil) }
+
+func bounded(name string, capacityBytes int64, o order) *Policy {
 	if capacityBytes <= 0 {
-		panic(fmt.Sprintf("cache: LRU capacity %d", capacityBytes))
+		panic(fmt.Sprintf("cache: %s capacity %d", name, capacityBytes))
 	}
-	return &LRU{cap: capacityBytes, items: make(map[dataset.SampleID]*entry)}
+	return newPolicy(name, capacityBytes, o)
 }
 
-// Name implements Policy.
-func (l *LRU) Name() string { return "lru" }
+func newPolicy(name string, budget int64, o order) *Policy {
+	return &Policy{name: name, budget: budget, entries: make(map[dataset.SampleID]*entry), order: o}
+}
 
-func (l *LRU) unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		l.head = e.next
+// Name identifies the policy in experiment output.
+func (p *Policy) Name() string { return p.name }
+
+// Touch records an access to id and reports whether it was cached.
+func (p *Policy) Touch(id dataset.SampleID) bool {
+	e, ok := p.entries[id]
+	if ok && p.order != nil {
+		p.order.promote(e)
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		l.tail = e.prev
+	return ok
+}
+
+// Contains reports whether id is cached, without recording an access.
+func (p *Policy) Contains(id dataset.SampleID) bool {
+	_, ok := p.entries[id]
+	return ok
+}
+
+// Admit offers a fetched sample of the given size and reports whether it is
+// resident afterwards. A resident is touched. A sample larger than the whole
+// budget is refused rather than flushing the cache; otherwise the order's
+// victims are evicted until the sample fits, and a policy without an order
+// refuses instead.
+func (p *Policy) Admit(id dataset.SampleID, size int) bool {
+	if size <= 0 {
+		panic(fmt.Sprintf("cache: Admit size %d", size))
 	}
+	if p.Touch(id) {
+		return true
+	}
+	if int64(size) > p.budget {
+		return false
+	}
+	for p.used+int64(size) > p.budget {
+		if p.order == nil {
+			return false
+		}
+		p.drop(p.order.victim())
+		p.evictions++
+	}
+	e := &entry{id: id, size: size}
+	p.entries[id] = e
+	p.used += int64(size)
+	if p.order != nil {
+		p.order.add(e)
+	}
+	return true
+}
+
+// Remove drops id if present, reporting whether it was cached.
+func (p *Policy) Remove(id dataset.SampleID) bool {
+	e, ok := p.entries[id]
+	if ok {
+		p.drop(e)
+	}
+	return ok
+}
+
+func (p *Policy) drop(e *entry) {
+	if p.order != nil {
+		p.order.remove(e)
+	}
+	delete(p.entries, e.id)
+	p.used -= int64(e.size)
+}
+
+// Len reports the number of cached samples.
+func (p *Policy) Len() int { return len(p.entries) }
+
+// Evictions reports the cumulative eviction count.
+func (p *Policy) Evictions() int64 { return p.evictions }
+
+// Residents appends all cached IDs to dst and returns it: LRU most recent
+// first, FIFO oldest first, LFU in heap order, CLOCK in ring order, and the
+// policies without an order in map order, which callers must not rely on.
+func (p *Policy) Residents(dst []dataset.SampleID) []dataset.SampleID {
+	if p.order != nil {
+		return p.order.residents(dst)
+	}
+	for id := range p.entries {
+		dst = append(dst, id)
+	}
+	return dst
+}
+
+// list keeps residents newest first and evicts from the back. With recency
+// (LRU) an access moves a resident to the front; without it (FIFO) nothing
+// moves.
+type list struct {
+	root    entry // root.next is the newest resident, root.prev the oldest
+	recency bool
+}
+
+func newList(recency bool) *list {
+	l := &list{recency: recency}
+	l.root.next, l.root.prev = &l.root, &l.root
+	return l
+}
+
+func (l *list) add(e *entry) {
+	e.prev, e.next = &l.root, l.root.next
+	l.root.next.prev = e
+	l.root.next = e
+}
+
+func (l *list) promote(e *entry) {
+	if l.recency && l.root.next != e {
+		l.remove(e)
+		l.add(e)
+	}
+}
+
+func (l *list) victim() *entry { return l.root.prev }
+
+func (l *list) remove(e *entry) {
+	e.prev.next, e.next.prev = e.next, e.prev
 	e.prev, e.next = nil, nil
 }
 
-func (l *LRU) pushFront(e *entry) {
-	e.next = l.head
-	if l.head != nil {
-		l.head.prev = e
+// residents lists LRU most recent first and FIFO oldest first.
+func (l *list) residents(dst []dataset.SampleID) []dataset.SampleID {
+	if l.recency {
+		for e := l.root.next; e != &l.root; e = e.next {
+			dst = append(dst, e.id)
+		}
+		return dst
 	}
-	l.head = e
-	if l.tail == nil {
-		l.tail = e
-	}
-}
-
-// Touch implements Policy.
-func (l *LRU) Touch(id dataset.SampleID) bool {
-	e, ok := l.items[id]
-	if !ok {
-		return false
-	}
-	if l.head != e {
-		l.unlink(e)
-		l.pushFront(e)
-	}
-	return true
-}
-
-// Contains implements Policy.
-func (l *LRU) Contains(id dataset.SampleID) bool {
-	_, ok := l.items[id]
-	return ok
-}
-
-// Admit implements Policy. Samples larger than the whole capacity are
-// rejected rather than flushing the cache.
-func (l *LRU) Admit(id dataset.SampleID, size int) bool {
-	if size <= 0 {
-		panic(fmt.Sprintf("cache: Admit size %d", size))
-	}
-	if l.Contains(id) {
-		l.Touch(id)
-		return true
-	}
-	if int64(size) > l.cap {
-		return false
-	}
-	for l.used+int64(size) > l.cap {
-		victim := l.tail
-		l.unlink(victim)
-		delete(l.items, victim.id)
-		l.used -= int64(victim.size)
-		l.evictions++
-	}
-	e := &entry{id: id, size: size}
-	l.items[id] = e
-	l.pushFront(e)
-	l.used += int64(size)
-	return true
-}
-
-// Remove implements Policy.
-func (l *LRU) Remove(id dataset.SampleID) bool {
-	e, ok := l.items[id]
-	if !ok {
-		return false
-	}
-	l.unlink(e)
-	delete(l.items, id)
-	l.used -= int64(e.size)
-	return true
-}
-
-// Len implements Policy.
-func (l *LRU) Len() int { return len(l.items) }
-
-// UsedBytes implements Policy.
-func (l *LRU) UsedBytes() int64 { return l.used }
-
-// CapacityBytes implements Policy.
-func (l *LRU) CapacityBytes() int64 { return l.cap }
-
-// Evictions implements Policy.
-func (l *LRU) Evictions() int64 { return l.evictions }
-
-// Residents implements Policy (most- to least-recently used order).
-func (l *LRU) Residents(dst []dataset.SampleID) []dataset.SampleID {
-	for e := l.head; e != nil; e = e.next {
+	for e := l.root.prev; e != &l.root; e = e.prev {
 		dst = append(dst, e.id)
 	}
 	return dst
 }
 
-// LFU is a least-frequently-used policy with FIFO tie-breaking, backing the
-// iLFU baseline of §V-C (IIS plus a frequency cache). The paper's point is
-// that frequency is *reactive* to importance changes; the benchmark
-// reproduces that lag.
-type LFU struct {
-	cap       int64
-	used      int64
-	items     map[dataset.SampleID]*lfuEntry
-	heap      []*lfuEntry
-	seq       int64
-	evictions int64
+// lfu is a min-heap on (access count, admission number): the least
+// frequently used resident goes next, the earliest admitted among equals.
+type lfu struct {
+	h   lfuHeap
+	seq int64
 }
 
-type lfuEntry struct {
-	id   dataset.SampleID
-	size int
-	freq int64
-	seq  int64 // admission order, breaks frequency ties FIFO
-	pos  int
+func (l *lfu) add(e *entry) {
+	l.seq++
+	e.freq, e.seq = 1, l.seq
+	heap.Push(&l.h, e)
 }
 
-// NewLFU builds an LFU policy with the given byte capacity.
-func NewLFU(capacityBytes int64) *LFU {
-	if capacityBytes <= 0 {
-		panic(fmt.Sprintf("cache: LFU capacity %d", capacityBytes))
+func (l *lfu) promote(e *entry) {
+	e.freq++
+	heap.Fix(&l.h, e.pos)
+}
+
+func (l *lfu) victim() *entry { return l.h[0] }
+
+func (l *lfu) remove(e *entry) { heap.Remove(&l.h, e.pos) }
+
+func (l *lfu) residents(dst []dataset.SampleID) []dataset.SampleID {
+	for _, e := range l.h {
+		dst = append(dst, e.id)
 	}
-	return &LFU{cap: capacityBytes, items: make(map[dataset.SampleID]*lfuEntry)}
+	return dst
 }
 
-// Name implements Policy.
-func (l *LFU) Name() string { return "lfu" }
+// lfuHeap implements heap.Interface, keeping each entry's pos current.
+type lfuHeap []*entry
 
-func (l *LFU) less(a, b *lfuEntry) bool {
-	if a.freq != b.freq {
-		return a.freq < b.freq
+func (h lfuHeap) Len() int { return len(h) }
+
+func (h lfuHeap) Less(i, j int) bool {
+	if h[i].freq != h[j].freq {
+		return h[i].freq < h[j].freq
 	}
-	return a.seq < b.seq
+	return h[i].seq < h[j].seq
 }
 
-func (l *LFU) swap(i, j int) {
-	l.heap[i], l.heap[j] = l.heap[j], l.heap[i]
-	l.heap[i].pos = i
-	l.heap[j].pos = j
+func (h lfuHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].pos, h[j].pos = i, j
 }
 
-func (l *LFU) up(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !l.less(l.heap[i], l.heap[p]) {
-			break
-		}
-		l.swap(i, p)
-		i = p
-	}
+func (h *lfuHeap) Push(x any) {
+	e := x.(*entry)
+	e.pos = len(*h)
+	*h = append(*h, e)
 }
 
-func (l *LFU) down(i int) {
-	n := len(l.heap)
-	for {
-		least := i
-		if c := 2*i + 1; c < n && l.less(l.heap[c], l.heap[least]) {
-			least = c
-		}
-		if c := 2*i + 2; c < n && l.less(l.heap[c], l.heap[least]) {
-			least = c
-		}
-		if least == i {
-			return
-		}
-		l.swap(i, least)
-		i = least
-	}
-}
-
-func (l *LFU) removeAt(i int) *lfuEntry {
-	e := l.heap[i]
-	last := len(l.heap) - 1
-	if i != last {
-		l.swap(i, last)
-	}
-	l.heap = l.heap[:last]
-	if i < len(l.heap) {
-		l.down(i)
-		l.up(i)
-	}
-	delete(l.items, e.id)
-	l.used -= int64(e.size)
+func (h *lfuHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	*h = old[:len(old)-1]
 	return e
 }
 
-// Touch implements Policy.
-func (l *LFU) Touch(id dataset.SampleID) bool {
-	e, ok := l.items[id]
-	if !ok {
-		return false
-	}
-	e.freq++
-	l.down(e.pos)
-	return true
+// clock is the second-chance ring: an access sets a resident's reference
+// bit, and the hand clears set bits until it reaches a clear one.
+type clock struct {
+	ring []*entry
+	hand int
 }
 
-// Contains implements Policy.
-func (l *LFU) Contains(id dataset.SampleID) bool {
-	_, ok := l.items[id]
-	return ok
+func (c *clock) add(e *entry) {
+	e.pos = len(c.ring)
+	c.ring = append(c.ring, e)
 }
 
-// Admit implements Policy.
-func (l *LFU) Admit(id dataset.SampleID, size int) bool {
-	if size <= 0 {
-		panic(fmt.Sprintf("cache: Admit size %d", size))
+func (c *clock) promote(e *entry) { e.referenced = true }
+
+func (c *clock) victim() *entry {
+	for {
+		if c.hand >= len(c.ring) {
+			c.hand = 0
+		}
+		e := c.ring[c.hand]
+		if !e.referenced {
+			return e
+		}
+		e.referenced = false
+		c.hand++
 	}
-	if l.Touch(id) {
-		return true
-	}
-	if int64(size) > l.cap {
-		return false
-	}
-	for l.used+int64(size) > l.cap {
-		l.removeAt(0)
-		l.evictions++
-	}
-	l.seq++
-	e := &lfuEntry{id: id, size: size, freq: 1, seq: l.seq, pos: len(l.heap)}
-	l.items[id] = e
-	l.heap = append(l.heap, e)
-	l.up(e.pos)
-	l.used += int64(size)
-	return true
 }
 
-// Remove implements Policy.
-func (l *LFU) Remove(id dataset.SampleID) bool {
-	e, ok := l.items[id]
-	if !ok {
-		return false
-	}
-	l.removeAt(e.pos)
-	return true
+// remove fills e's slot with the last entry of the ring.
+func (c *clock) remove(e *entry) {
+	last := c.ring[len(c.ring)-1]
+	c.ring[e.pos] = last
+	last.pos = e.pos
+	c.ring = c.ring[:len(c.ring)-1]
 }
 
-// Len implements Policy.
-func (l *LFU) Len() int { return len(l.items) }
-
-// UsedBytes implements Policy.
-func (l *LFU) UsedBytes() int64 { return l.used }
-
-// CapacityBytes implements Policy.
-func (l *LFU) CapacityBytes() int64 { return l.cap }
-
-// Evictions implements Policy.
-func (l *LFU) Evictions() int64 { return l.evictions }
-
-// Residents implements Policy (heap order).
-func (l *LFU) Residents(dst []dataset.SampleID) []dataset.SampleID {
-	for _, e := range l.heap {
+func (c *clock) residents(dst []dataset.SampleID) []dataset.SampleID {
+	for _, e := range c.ring {
 		dst = append(dst, e.id)
 	}
 	return dst
 }
-
-// MinIO is CoorDL's cache: samples are admitted until the cache fills and
-// are then never evicted or replaced ("CoorDL never replaces data items in
-// its MinIO cache"). Its hit ratio is pinned at capacity/dataset — and, as
-// the paper observes, it has no way to prefer H-samples once full.
-type MinIO struct {
-	cap   int64
-	used  int64
-	items map[dataset.SampleID]int
-}
-
-// NewMinIO builds a MinIO policy with the given byte capacity.
-func NewMinIO(capacityBytes int64) *MinIO {
-	if capacityBytes <= 0 {
-		panic(fmt.Sprintf("cache: MinIO capacity %d", capacityBytes))
-	}
-	return &MinIO{cap: capacityBytes, items: make(map[dataset.SampleID]int)}
-}
-
-// Name implements Policy.
-func (m *MinIO) Name() string { return "minio" }
-
-// Touch implements Policy.
-func (m *MinIO) Touch(id dataset.SampleID) bool { return m.Contains(id) }
-
-// Contains implements Policy.
-func (m *MinIO) Contains(id dataset.SampleID) bool {
-	_, ok := m.items[id]
-	return ok
-}
-
-// Admit implements Policy: insert-if-room, never evict.
-func (m *MinIO) Admit(id dataset.SampleID, size int) bool {
-	if size <= 0 {
-		panic(fmt.Sprintf("cache: Admit size %d", size))
-	}
-	if m.Contains(id) {
-		return true
-	}
-	if m.used+int64(size) > m.cap {
-		return false
-	}
-	m.items[id] = size
-	m.used += int64(size)
-	return true
-}
-
-// Remove implements Policy. MinIO never evicts on its own, but the owner may
-// still drop entries (e.g. on reconfiguration).
-func (m *MinIO) Remove(id dataset.SampleID) bool {
-	size, ok := m.items[id]
-	if !ok {
-		return false
-	}
-	delete(m.items, id)
-	m.used -= int64(size)
-	return true
-}
-
-// Len implements Policy.
-func (m *MinIO) Len() int { return len(m.items) }
-
-// UsedBytes implements Policy.
-func (m *MinIO) UsedBytes() int64 { return m.used }
-
-// CapacityBytes implements Policy.
-func (m *MinIO) CapacityBytes() int64 { return m.cap }
-
-// Evictions implements Policy (always zero: MinIO never evicts).
-func (m *MinIO) Evictions() int64 { return 0 }
-
-// Residents implements Policy (map order — callers must not rely on it).
-func (m *MinIO) Residents(dst []dataset.SampleID) []dataset.SampleID {
-	for id := range m.items {
-		dst = append(dst, id)
-	}
-	return dst
-}
-
-// Unbounded admits everything — the Oracle configuration where the whole
-// dataset fits in memory.
-type Unbounded struct {
-	used  int64
-	items map[dataset.SampleID]int
-}
-
-// NewUnbounded builds an unbounded policy.
-func NewUnbounded() *Unbounded {
-	return &Unbounded{items: make(map[dataset.SampleID]int)}
-}
-
-// Name implements Policy.
-func (u *Unbounded) Name() string { return "unbounded" }
-
-// Touch implements Policy.
-func (u *Unbounded) Touch(id dataset.SampleID) bool { return u.Contains(id) }
-
-// Contains implements Policy.
-func (u *Unbounded) Contains(id dataset.SampleID) bool {
-	_, ok := u.items[id]
-	return ok
-}
-
-// Admit implements Policy.
-func (u *Unbounded) Admit(id dataset.SampleID, size int) bool {
-	if size <= 0 {
-		panic(fmt.Sprintf("cache: Admit size %d", size))
-	}
-	if !u.Contains(id) {
-		u.items[id] = size
-		u.used += int64(size)
-	}
-	return true
-}
-
-// Remove implements Policy.
-func (u *Unbounded) Remove(id dataset.SampleID) bool {
-	size, ok := u.items[id]
-	if !ok {
-		return false
-	}
-	delete(u.items, id)
-	u.used -= int64(size)
-	return true
-}
-
-// Len implements Policy.
-func (u *Unbounded) Len() int { return len(u.items) }
-
-// UsedBytes implements Policy.
-func (u *Unbounded) UsedBytes() int64 { return u.used }
-
-// CapacityBytes implements Policy (0 = unbounded).
-func (u *Unbounded) CapacityBytes() int64 { return 0 }
-
-// Evictions implements Policy.
-func (u *Unbounded) Evictions() int64 { return 0 }
-
-// Residents implements Policy.
-func (u *Unbounded) Residents(dst []dataset.SampleID) []dataset.SampleID {
-	for id := range u.items {
-		dst = append(dst, id)
-	}
-	return dst
-}
-
-// None caches nothing: it declines every Admit, so every request it fronts
-// reads the backend — the NoCache configuration of Fig. 2.
-type None struct{}
-
-// Name implements Policy.
-func (None) Name() string { return "none" }
-
-// Touch implements Policy.
-func (None) Touch(dataset.SampleID) bool { return false }
-
-// Contains implements Policy.
-func (None) Contains(dataset.SampleID) bool { return false }
-
-// Admit implements Policy.
-func (None) Admit(dataset.SampleID, int) bool { return false }
-
-// Remove implements Policy.
-func (None) Remove(dataset.SampleID) bool { return false }
-
-// Len implements Policy.
-func (None) Len() int { return 0 }
-
-// UsedBytes implements Policy.
-func (None) UsedBytes() int64 { return 0 }
-
-// CapacityBytes implements Policy.
-func (None) CapacityBytes() int64 { return 0 }
-
-// Evictions implements Policy.
-func (None) Evictions() int64 { return 0 }
-
-// Residents implements Policy.
-func (None) Residents(dst []dataset.SampleID) []dataset.SampleID { return dst }

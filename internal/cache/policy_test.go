@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -19,8 +21,8 @@ func TestLRUBasicHitMiss(t *testing.T) {
 	if !l.Touch(1) {
 		t.Fatal("miss after admit")
 	}
-	if l.Len() != 1 || l.UsedBytes() != 40 {
-		t.Fatalf("len=%d used=%d", l.Len(), l.UsedBytes())
+	if l.Len() != 1 || l.used != 40 {
+		t.Fatalf("len=%d used=%d", l.Len(), l.used)
 	}
 }
 
@@ -69,8 +71,8 @@ func TestLRURemove(t *testing.T) {
 	if !l.Remove(1) || l.Remove(1) {
 		t.Fatal("Remove semantics wrong")
 	}
-	if l.UsedBytes() != 0 {
-		t.Fatalf("used = %d after remove", l.UsedBytes())
+	if l.used != 0 {
+		t.Fatalf("used = %d after remove", l.used)
 	}
 }
 
@@ -159,74 +161,126 @@ func TestUnboundedAdmitsEverything(t *testing.T) {
 			t.Fatal("unbounded rejected")
 		}
 	}
-	if u.Len() != 1000 || u.CapacityBytes() != 0 {
-		t.Fatalf("len=%d cap=%d", u.Len(), u.CapacityBytes())
+	if u.Len() != 1000 || u.used != 1000<<20 || u.Evictions() != 0 {
+		t.Fatalf("len=%d used=%d evictions=%d", u.Len(), u.used, u.Evictions())
 	}
 	if !u.Remove(5) || u.Contains(5) {
 		t.Fatal("Remove wrong")
 	}
 }
 
+// ledgerPolicies is every policy the package builds, by its constructor.
+// Bounded ones take a byte budget; Unbounded and None take none.
+var ledgerPolicies = []struct {
+	name    string
+	mk      func(capacityBytes int64) *Policy
+	bounded bool
+}{
+	{"lru", NewLRU, true},
+	{"fifo", NewFIFO, true},
+	{"lfu", NewLFU, true},
+	{"clock", NewClock, true},
+	{"minio", NewMinIO, true},
+	{"unbounded", func(int64) *Policy { return NewUnbounded() }, false},
+	{"none", func(int64) *Policy { return None() }, false},
+}
+
 func TestAdmitZeroSizePanics(t *testing.T) {
-	for _, p := range []Policy{NewLRU(10), NewLFU(10), NewMinIO(10), NewUnbounded(), NewFIFO(10), NewClock(10)} {
-		p := p
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: Admit(_, 0) did not panic", p.Name())
-				}
+	for _, tc := range ledgerPolicies {
+		for _, size := range []int{0, -1} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: Admit(_, %d) did not panic", tc.name, size)
+					}
+				}()
+				tc.mk(10).Admit(1, size)
 			}()
-			p.Admit(1, 0)
-		}()
+		}
 	}
 }
 
 func TestNewPolicyZeroCapacityPanics(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"lru":   func() { NewLRU(0) },
-		"lfu":   func() { NewLFU(0) },
-		"minio": func() { NewMinIO(0) },
-	} {
+	for _, tc := range ledgerPolicies {
+		if !tc.bounded {
+			continue
+		}
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s: zero capacity did not panic", name)
+					t.Errorf("%s: zero capacity did not panic", tc.name)
 				}
 			}()
-			fn()
+			tc.mk(0)
 		}()
+	}
+	if p := None(); p.Len() != 0 || p.budget != 0 {
+		t.Fatalf("None: len=%d budget=%d", p.Len(), p.budget)
 	}
 }
 
-// Property: under arbitrary workloads every bounded policy respects its byte
-// budget, and Len/UsedBytes stay consistent with a reference map.
-func TestPolicyCapacityInvariantProperty(t *testing.T) {
-	mk := map[string]func() Policy{
-		"lru":   func() Policy { return NewLRU(5000) },
-		"lfu":   func() Policy { return NewLFU(5000) },
-		"minio": func() Policy { return NewMinIO(5000) },
-		"fifo":  func() Policy { return NewFIFO(5000) },
-		"clock": func() Policy { return NewClock(5000) },
+// sameLedger reports whether two policies hold the same residents in the
+// same order (as a set for the policies without one) and the same bytes.
+func sameLedger(a, b *Policy) bool {
+	ra, rb := a.Residents(nil), b.Residents(nil)
+	if a.order == nil {
+		slices.Sort(ra)
+		slices.Sort(rb)
 	}
-	for name, ctor := range mk {
-		name, ctor := name, ctor
+	return slices.Equal(ra, rb) && a.used == b.used && a.Evictions() == b.Evictions()
+}
+
+// Property: under arbitrary workloads every policy keeps its ledger. The
+// budget is never exceeded and the used bytes are the residents' sizes; Len
+// is the number of residents, none listed twice; a sample larger than the
+// budget is refused and changes nothing; and re-admitting a resident is a
+// touch, checked against a twin that touches instead.
+func TestPolicyCapacityInvariantProperty(t *testing.T) {
+	for _, tc := range ledgerPolicies {
+		tc := tc
 		f := func(seed int64) bool {
 			rng := rand.New(rand.NewSource(seed))
-			p := ctor()
+			p, twin := tc.mk(5000), tc.mk(5000)
+			sizes := map[dataset.SampleID]int{}
 			for op := 0; op < 1000; op++ {
 				id := dataset.SampleID(rng.Intn(200))
-				switch rng.Intn(3) {
+				switch rng.Intn(5) {
 				case 0:
-					p.Admit(id, 1+rng.Intn(500))
+					size := 1 + rng.Intn(500)
+					fresh := !p.Contains(id)
+					if p.Admit(id, size) != twin.Admit(id, size) {
+						return false
+					}
+					if fresh && p.Contains(id) {
+						sizes[id] = size
+					}
 				case 1:
-					p.Touch(id)
+					if p.Touch(id) != twin.Touch(id) {
+						return false
+					}
 				case 2:
-					p.Remove(id)
+					if p.Remove(id) != twin.Remove(id) {
+						return false
+					}
+				case 3:
+					res := p.Residents(nil)
+					if len(res) == 0 {
+						continue
+					}
+					r := res[rng.Intn(len(res))]
+					if !p.Admit(r, 1+rng.Intn(500)) || !twin.Touch(r) {
+						return false
+					}
+				case 4:
+					if p.budget == math.MaxInt64 {
+						continue
+					}
+					n, used := p.Len(), p.used
+					if p.Admit(1000, int(p.budget)+1) || p.Len() != n || p.used != used {
+						return false
+					}
 				}
-				if p.UsedBytes() > p.CapacityBytes() {
-					return false
-				}
-				if p.UsedBytes() < 0 || p.Len() < 0 {
+				if p.used > p.budget || !sameLedger(p, twin) {
 					return false
 				}
 			}
@@ -235,16 +289,18 @@ func TestPolicyCapacityInvariantProperty(t *testing.T) {
 				return false
 			}
 			seen := map[dataset.SampleID]bool{}
+			var used int64
 			for _, id := range res {
 				if seen[id] || !p.Contains(id) {
 					return false
 				}
 				seen[id] = true
+				used += int64(sizes[id])
 			}
-			return true
+			return used == p.used
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-			t.Errorf("%s: %v", name, err)
+			t.Errorf("%s: %v", tc.name, err)
 		}
 	}
 }

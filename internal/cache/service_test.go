@@ -34,12 +34,12 @@ func newTracker(t *testing.T, n int) *sampling.Tracker {
 }
 
 // baseline runs policy through the engine under the given sampler.
-func baseline(back *storage.Backend, name string, policy cache.Policy, sched icache.ScheduleKind, substitute bool) *icache.Server {
+func baseline(back *storage.Backend, name string, policy *cache.Policy, sched icache.ScheduleKind, substitute bool) *icache.Server {
 	return icache.NewBaselineServer(back, icache.Baseline{Name: name, Policy: policy, Schedule: sched, Substitute: substitute})
 }
 
 // oracle is an Unbounded policy already holding the whole dataset.
-func oracle(spec dataset.Spec) cache.Policy {
+func oracle(spec dataset.Spec) *cache.Policy {
 	all := cache.NewUnbounded()
 	for id := dataset.SampleID(0); int(id) < spec.NumSamples; id++ {
 		all.Admit(id, spec.SampleBytes(id))

@@ -42,8 +42,8 @@ func dirRoute(op byte) transport.Route {
 // dirBreakerOutcomeOK maps a round-trip error to directory health: any
 // decoded response — an application error, a shed, an expiry drop — proves
 // the server is alive; only transport-level failures and local timeouts
-// count against the breaker. Unlike a cache peer, a directory that sheds is
-// not routed around: there is no second directory to fall back to, and
+// count against the breaker. Unlike a cache peer, a directory replica that
+// sheds is not routed around: no other replica holds its shards' entries, and
 // opening the circuit on it would only add an outage to an overload.
 func dirBreakerOutcomeOK(err error) bool {
 	var se *transport.ServerError

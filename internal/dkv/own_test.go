@@ -380,6 +380,25 @@ func TestShardedLastReplicaStaysInTheView(t *testing.T) {
 	}
 }
 
+// TestShardedOneOwnerClaimAllocs: a claim whose ids all route to one owner —
+// every claim on a one-replica ring, which is what a node with a single -dir
+// address dials — rides that owner's call as it is, without the regrouping a
+// multi-owner batch pays for.
+func TestShardedOneOwnerClaimAllocs(t *testing.T) {
+	ring := NewShardedDir(map[ReplicaID]Service{0: Local{NewDirectory()}}, ShardedConfig{})
+	id := dataset.SampleID(0)
+	allocs := testing.AllocsPerRun(200, func() {
+		id++
+		if ok, err := ring.Claim(id, 1); !ok || err != nil {
+			t.Fatalf("claim %d: (%v, %v)", id, ok, err)
+		}
+	})
+	t.Logf("%.0f allocations per claim", allocs)
+	if allocs > 3 {
+		t.Fatalf("one-id claim through a one-replica ShardedDir: %.0f allocations, want <= 3", allocs)
+	}
+}
+
 // downable is an in-process replica whose claims and lookups fail while down
 // is set: enough for a ShardedDir to fail it over.
 type downable struct {

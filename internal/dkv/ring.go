@@ -68,29 +68,37 @@ func (v RingView) Contains(r ReplicaID) bool {
 }
 
 // Owner reports the replica that owns id's shard under this view: the
-// rendezvous winner (highest keyed hash score, ties broken by the lower
-// replica ID for full determinism). ok is false when the view is empty —
+// rendezvous winner over its replicas. ok is false when the view is empty —
 // the only condition under which a shard has no live holder.
 func (v RingView) Owner(id dataset.SampleID) (ReplicaID, bool) {
 	if len(v.Replicas) == 0 {
 		return 0, false
 	}
-	best := v.Replicas[0]
-	bestScore := rendezvousScore(id, best)
-	for _, r := range v.Replicas[1:] {
-		if s := rendezvousScore(id, r); s > bestScore {
-			best, bestScore = r, s
-		}
-	}
-	return best, true
+	return Rendezvous(id, v.Replicas), true
 }
 
-// rendezvousScore is the keyed hash behind Owner. It must be a pure,
-// platform-independent function of (id, replica) — the whole cluster
+// Rendezvous is the placement hash of the cluster: it picks the candidate
+// with the highest keyed hash score for id, ties to the one listed first, so
+// a sorted list breaks them to the lowest ID. The directory's shards are
+// placed over replicas with it, and an epoch plan's entries over cache nodes.
+// candidates must not be empty.
+func Rendezvous[T ~int](id dataset.SampleID, candidates []T) T {
+	best := candidates[0]
+	bestScore := rendezvousScore(id, uint64(best))
+	for _, c := range candidates[1:] {
+		if s := rendezvousScore(id, uint64(c)); s > bestScore {
+			best, bestScore = c, s
+		}
+	}
+	return best
+}
+
+// rendezvousScore is the keyed hash behind Rendezvous. It must be a pure,
+// platform-independent function of (id, candidate) — the whole cluster
 // computes placement with it — so it is a fixed splitmix64-style finalizer
 // over the two operands, not a seeded or map-order-dependent hash.
-func rendezvousScore(id dataset.SampleID, r ReplicaID) uint64 {
-	x := uint64(id)*0x9E3779B97F4A7C15 ^ uint64(r)*0xC2B2AE3D27D4EB4F
+func rendezvousScore(id dataset.SampleID, c uint64) uint64 {
+	x := uint64(id)*0x9E3779B97F4A7C15 ^ c*0xC2B2AE3D27D4EB4F
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9
 	x ^= x >> 27

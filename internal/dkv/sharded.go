@@ -212,10 +212,17 @@ func (s *ShardedDir) markDown(r ReplicaID) bool {
 
 // View reports the current ring view (replica slice copied).
 func (s *ShardedDir) View() RingView {
+	v := s.liveView()
+	return NewRingView(v.Epoch, v.Replicas)
+}
+
+// liveView re-admits the replicas whose reprobe is due and returns the view,
+// shared: a view's replica slice is replaced, never written in place.
+func (s *ShardedDir) liveView() RingView {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.reviveDue(s.now())
-	return NewRingView(s.view.Epoch, s.view.Replicas)
+	return s.view
 }
 
 // Ring reports the client-observed ring counters.
@@ -322,17 +329,49 @@ func (s *ShardedDir) WriteBatch(release bool, ids []dataset.SampleID, node NodeI
 }
 
 // perShard runs one batched operation over ids as one call per live shard
-// owner and reassembles the answers aligned with ids. Owners are walked in
-// sorted order so the call sequence — and therefore any fault schedule keyed
-// on call counts — is deterministic. A call answers a prefix of its group; one
+// owner and reassembles the answers aligned with ids. When every id routes to
+// one owner (always, on a one-replica ring) ids ride that owner's call as they
+// are; otherwise regroup splits them. A call answers a prefix of its ids; one
 // that fails or answers short marks its owner down, and the ids it left
-// unanswered re-group against the survivors, so one replica crash costs one
-// extra round per affected group, never a failed batch; every directory
+// unanswered route again against the survivors, so one replica crash costs
+// one extra round per affected group, never a failed batch; every directory
 // operation is idempotent, so a retry on another replica is safe. A call that
 // spent the request's deadline dl (budgetSpent), or failed on the last live
-// replica (markDown), ends the batch with its error. On an error the answers of the
-// longest answered prefix of ids are returned.
+// replica (markDown), ends the batch with its error. On an error the answers
+// of the longest answered prefix of ids are returned.
 func perShard[T any](s *ShardedDir, ids []dataset.SampleID, dl time.Time, call func(Service, []dataset.SampleID) ([]T, error)) ([]T, error) {
+	if len(ids) == 0 {
+		return []T{}, nil
+	}
+	view := s.liveView()
+	r, _ := view.Owner(ids[0])
+	for _, id := range ids[1:] {
+		if o, _ := view.Owner(id); o != r {
+			return regroup(s, view, ids, dl, call)
+		}
+	}
+	res, err := call(s.service(r), ids)
+	res = res[:min(len(res), len(ids))]
+	if err == nil && len(res) == len(ids) {
+		return res, nil
+	}
+	if budgetSpent(err, dl) {
+		return res, err
+	}
+	if !s.markDown(r) {
+		return res, cmp.Or(err, ErrNoReplica)
+	}
+	s.retried()
+	rest, err := perShard(s, ids[len(res):], dl, call)
+	return append(res[:len(res):len(res)], rest...), err
+}
+
+// regroup is perShard over ids that route to several owners: each round
+// groups the pending ids by their owner in view, calls the owners in sorted
+// order — so the call sequence, and therefore any fault schedule keyed on call
+// counts, is deterministic — and re-groups what a failed owner left against
+// the next round's view.
+func regroup[T any](s *ShardedDir, view RingView, ids []dataset.SampleID, dl time.Time, call func(Service, []dataset.SampleID) ([]T, error)) ([]T, error) {
 	out, answered := make([]T, len(ids)), make([]bool, len(ids))
 	prefix := func() []T {
 		n := 0
@@ -345,11 +384,7 @@ func perShard[T any](s *ShardedDir, ids []dataset.SampleID, dl time.Time, call f
 	for i := range ids {
 		pending[i] = i
 	}
-	for len(pending) > 0 {
-		s.mu.Lock()
-		s.reviveDue(s.now())
-		view := s.view
-		s.mu.Unlock()
+	for {
 		groups := make(map[ReplicaID][]int)
 		for _, i := range pending {
 			r, _ := view.Owner(ids[i])
@@ -384,8 +419,11 @@ func perShard[T any](s *ShardedDir, ids []dataset.SampleID, dl time.Time, call f
 				pending = append(pending, idxs[len(res):]...)
 			}
 		}
+		if len(pending) == 0 {
+			return out, nil
+		}
+		view = s.liveView()
 	}
-	return out, nil
 }
 
 // fanOut runs call against every replica of view in sorted order and hands

@@ -212,9 +212,9 @@ func NewService(scheme Scheme, spec dataset.Spec, storageCfg storage.Config, cap
 		}
 		b.Policy, b.Schedule = all, icache.ScheduleIIS
 	case SchemeNoCache:
-		b.Policy = cache.None{}
+		b.Policy = cache.None()
 	case SchemeNoCacheCIS:
-		b.Policy, b.Schedule = cache.None{}, icache.ScheduleCIS
+		b.Policy, b.Schedule = cache.None(), icache.ScheduleCIS
 	case SchemeHC:
 		cfg := icache.DefaultConfig(capBytes)
 		cfg.EnableLCache = false
@@ -224,8 +224,7 @@ func NewService(scheme Scheme, spec dataset.Spec, storageCfg storage.Config, cap
 		}
 		return srv, back, nil
 	case SchemeICache:
-		cfg := icache.DefaultConfig(capBytes)
-		srv, err := icache.NewServer(back, cfg, scaledIIS(capFrac, cfg.HShare), seed)
+		srv, err := icache.NewServer(back, icache.DefaultConfig(capBytes), scaledIIS(capFrac, icache.InitialHShare), seed)
 		if err != nil {
 			return nil, nil, err
 		}

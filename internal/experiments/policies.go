@@ -54,7 +54,7 @@ func extPolicies(opts Options) (*Report, error) {
 		return nil
 	}
 
-	for _, p := range []cache.Policy{cache.NewFIFO(capBytes), cache.NewLRU(capBytes), cache.NewClock(capBytes), cache.NewLFU(capBytes)} {
+	for _, p := range []*cache.Policy{cache.NewFIFO(capBytes), cache.NewLRU(capBytes), cache.NewClock(capBytes), cache.NewLFU(capBytes)} {
 		if err := runPolicy(p.Name(), func(b *storage.Backend) train.DataService {
 			return icache.NewBaselineServer(b, icache.Baseline{Name: "uniform+" + p.Name(), Policy: p})
 		}); err != nil {

@@ -17,18 +17,9 @@ import (
 // A time-windowed rule (Partition) reads the time since the injector's New,
 // which lets a schedule in a virtual-clock bubble express "partition the
 // directory for epoch 3".
-//
-// Dir composes per replica: wrapping each replica of a sharded directory
-// with WrapDirScoped gives every wrapper its own operation namespace
-// (ScopedOp: "dir.lookup@r1", ...), so a partition rule can blind exactly
-// one replica while the others keep serving — and so each wrapper's call
-// counters advance independently, keeping stride-based rules on one replica
-// unaffected by traffic to its siblings. Unscoped wrappers keep the legacy
-// shared namespace.
 type Dir struct {
 	inner dkv.Service
 	inj   *Injector
-	scope string
 }
 
 // WrapDir attaches an injector to a directory service.
@@ -36,26 +27,8 @@ func WrapDir(inner dkv.Service, inj *Injector) *Dir {
 	return &Dir{inner: inner, inj: inj}
 }
 
-// WrapDirScoped attaches an injector under a scoped operation namespace:
-// every gate consults ScopedOp(op, scope) instead of the bare op. Use one
-// distinct scope per replica of a partitioned directory.
-func WrapDirScoped(inner dkv.Service, inj *Injector, scope string) *Dir {
-	return &Dir{inner: inner, inj: inj, scope: scope}
-}
-
-// ScopedOp is the operation name a scoped wrapper consults: "op@scope"
-// (the bare op when scope is empty). Rules targeting one replica use it:
-//
-//	faults.Partition(faults.ScopedOp(faults.OpDirLookup, "r1"), from, until, nil)
-func ScopedOp(op, scope string) string {
-	if scope == "" {
-		return op
-	}
-	return op + "@" + scope
-}
-
 func (d *Dir) gate(op string) error {
-	switch dec := d.inj.Decide(ScopedOp(op, d.scope)); dec.Action {
+	switch dec := d.inj.Decide(op); dec.Action {
 	case ActError, ActDrop:
 		return fmt.Errorf("faults: %s: %w", op, dec.Err)
 	case ActDelay:

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"icache/internal/dataset"
 	"icache/internal/dkv"
 	"icache/internal/vt"
 	"icache/internal/wire"
@@ -256,90 +255,6 @@ func TestWrapDirVirtualClock(t *testing.T) {
 		time.Sleep(500 * time.Millisecond)
 		if _, _, err := dir.Lookup(1); err != nil {
 			t.Fatalf("lookup after partition: %v", err)
-		}
-	})
-}
-
-// TestScopedPartitionBlindsOneReplica is the per-replica composition
-// regression test: three replicas of a partitioned directory each sit
-// behind their own scoped wrapper sharing one injector, and a partition
-// rule keyed on ScopedOp(OpDirLookup, "r1") blinds EXACTLY replica 1 —
-// the siblings keep serving, the sharded client fails replica 1's shards
-// over without surfacing an error, and each wrapper's call counters
-// advance independently.
-func TestScopedPartitionBlindsOneReplica(t *testing.T) {
-	vt.Run(t, func(t *testing.T) {
-		const from, until = 100 * time.Millisecond, 200 * time.Millisecond
-		inj := New(7).Add(Partition(ScopedOp(OpDirLookup, "r1"), from, until, nil))
-
-		replicas := make(map[dkv.ReplicaID]dkv.Service, 3)
-		wrappers := make([]*Dir, 3)
-		for r := 0; r < 3; r++ {
-			w := WrapDirScoped(dkv.Local{Dir: dkv.NewDirectory()}, inj, "r"+string(rune('0'+r)))
-			wrappers[r] = w
-			replicas[dkv.ReplicaID(r)] = w
-		}
-		s := dkv.NewShardedDir(replicas, dkv.ShardedConfig{FailoverTTL: time.Minute})
-
-		// Healthy phase: claim keys through the sharded client and note which
-		// shard each landed on.
-		view := s.View()
-		byReplica := map[dkv.ReplicaID][]dataset.SampleID{}
-		for id := dataset.SampleID(0); id < 120; id++ {
-			if ok, err := s.Claim(id, 1); err != nil || !ok {
-				t.Fatalf("claim(%d): %v/%v", id, ok, err)
-			}
-			r, _ := view.Owner(id)
-			byReplica[r] = append(byReplica[r], id)
-		}
-		if len(byReplica[1]) == 0 {
-			t.Fatal("replica 1 owns no shard keys — test premise broken")
-		}
-
-		// Inside the window replica 1 is blind; its siblings are not.
-		time.Sleep(150 * time.Millisecond)
-		if _, _, err := wrappers[1].Lookup(byReplica[1][0]); err == nil {
-			t.Fatal("partitioned replica 1 answered a lookup")
-		}
-		for _, r := range []int{0, 2} {
-			if _, found, err := wrappers[r].Lookup(byReplica[dkv.ReplicaID(r)][0]); err != nil || !found {
-				t.Fatalf("unpartitioned replica %d: found=%v err=%v", r, found, err)
-			}
-		}
-
-		// The sharded client absorbs the partition: every key still answers
-		// without error; replica 1's shards fail over to survivors (which never
-		// saw those claims, so clean "unowned").
-		for r, ids := range byReplica {
-			for _, id := range ids {
-				_, found, err := s.Lookup(id)
-				if err != nil {
-					t.Fatalf("sharded lookup(%d) during partition: %v", id, err)
-				}
-				if want := r != 1; found != want {
-					t.Fatalf("sharded lookup(%d) on replica %d: found=%v, want %v", id, r, found, want)
-				}
-			}
-		}
-		if st := s.Ring(); st.LiveReplicas != 2 || st.Failovers < 1 {
-			t.Fatalf("ring stats during one-replica partition: %+v", st)
-		}
-
-		// The rule fired only under replica 1's scope, and each wrapper's call
-		// counters advanced independently of its siblings.
-		if inj.Fired(ScopedOp(OpDirLookup, "r1")) == 0 {
-			t.Error("partition rule never fired under scope r1")
-		}
-		for _, scope := range []string{"r0", "r2"} {
-			if got := inj.Fired(ScopedOp(OpDirLookup, scope)); got != 0 {
-				t.Errorf("scope %s fired %d faults, want 0", scope, got)
-			}
-			if inj.Calls(ScopedOp(OpDirLookup, scope)) == 0 {
-				t.Errorf("scope %s recorded no calls", scope)
-			}
-		}
-		if c0, c1 := inj.Calls(ScopedOp(OpDirLookup, "r0")), inj.Calls(ScopedOp(OpDirLookup, "r1")); c0 == c1 {
-			t.Errorf("scoped call counters did not advance independently: r0=%d r1=%d", c0, c1)
 		}
 	})
 }

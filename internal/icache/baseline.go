@@ -20,7 +20,7 @@ const (
 	// ScheduleUniform fetches and trains every sample, in random order.
 	ScheduleUniform ScheduleKind = iota
 	// ScheduleCIS fetches every sample and trains a subset
-	// (computing-oriented importance sampling, sampling.DefaultCIS).
+	// (computing-oriented importance sampling, sampling.CISSchedule).
 	ScheduleCIS
 	// ScheduleIIS fetches and trains a subset (sampling.DefaultIIS).
 	ScheduleIIS
@@ -34,7 +34,7 @@ const (
 type Baseline struct {
 	// Name identifies the scheme in experiment output.
 	Name       string
-	Policy     cache.Policy
+	Policy     *cache.Policy
 	Schedule   ScheduleKind
 	Substitute bool
 }
@@ -75,7 +75,7 @@ func (s *Server) beginBaselineEpoch(tr *sampling.Tracker, rng *rand.Rand) sampli
 	case ScheduleUniform:
 		return sampling.UniformSchedule(tr.Len(), rng)
 	case ScheduleCIS:
-		return sampling.CISSchedule(tr, sampling.DefaultCIS(), rng)
+		return sampling.CISSchedule(tr, rng)
 	case ScheduleIIS:
 		sched, _ := sampling.IISSchedule(tr, sampling.DefaultIIS(), rng)
 		return sched

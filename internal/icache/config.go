@@ -109,9 +109,6 @@ func (p PackagingMode) String() string {
 type Config struct {
 	// CapacityBytes is the total cache budget (H-cache + L-cache).
 	CapacityBytes int64
-	// HShare is the initial fraction of capacity given to the H-cache.
-	// The paper's default Size_hcache:Size_lcache ratio is 9:1.
-	HShare float64
 	// Partition selects static or frequency-adaptive partitioning.
 	Partition PartitionPolicy
 	// Substitute selects the L-miss substitution policy.
@@ -120,10 +117,6 @@ type Config struct {
 	// gives the "+HC" ablation rung of Fig. 10 (the "+IIS" rung — IIS over
 	// a plain LRU — is built from the cache package's baselines instead).
 	EnableLCache bool
-	// ProbeBatches is the number of mini-batches measured per phase of the
-	// multi-job cache-benefit estimation (20 cacheless + 20 cached in the
-	// paper). Probing only happens when more than one job is registered.
-	ProbeBatches int
 	// Packaging selects dynamic packages composed by the background loading
 	// thread (the paper's contribution) or static pre-packed chunks read in
 	// the foreground on an L-miss (the prior-work baseline).
@@ -133,6 +126,11 @@ type Config struct {
 	// H-misses check it before paying a remote read. 0 disables the tier.
 	Tier2Bytes int64
 }
+
+// InitialHShare is the fraction of capacity the H-cache starts with: the
+// paper's default Size_hcache:Size_lcache ratio of 9:1. PartitionByFrequency
+// moves it from there (Server.HShare reports where it is).
+const InitialHShare = 0.9
 
 // The simulated server's fixed costs and tunings. A cache-served request
 // costs storage.HitLatency, the one hit cost iCache and the baselines share.
@@ -154,6 +152,10 @@ const (
 	// smaller dynamic range (compute overlap is not in the probe), so it is
 	// recalibrated to 1.1 to classify the same jobs as eligible.
 	benefitThreshold = 1.1
+	// probeBatches is the number of mini-batches measured per phase of the
+	// multi-job cache-benefit estimation (20 cacheless + 20 cached in the
+	// paper). Probing only happens when more than one job is registered.
+	probeBatches = 20
 	// freqDecay smooths the per-epoch access-frequency estimates used by
 	// PartitionByFrequency.
 	freqDecay = 0.5
@@ -167,11 +169,9 @@ const (
 func DefaultConfig(capacityBytes int64) Config {
 	return Config{
 		CapacityBytes: capacityBytes,
-		HShare:        0.9,
 		Partition:     PartitionStatic,
 		Substitute:    SubstituteLCache,
 		EnableLCache:  true,
-		ProbeBatches:  20,
 	}
 }
 
@@ -180,10 +180,6 @@ func (c Config) Validate() error {
 	switch {
 	case c.CapacityBytes <= 0:
 		return fmt.Errorf("icache: CapacityBytes=%d, want > 0", c.CapacityBytes)
-	case c.HShare <= 0 || c.HShare >= 1:
-		return fmt.Errorf("icache: HShare=%g, want (0,1)", c.HShare)
-	case c.ProbeBatches < 0:
-		return fmt.Errorf("icache: ProbeBatches=%d, want >= 0", c.ProbeBatches)
 	case c.Tier2Bytes < 0:
 		return fmt.Errorf("icache: negative Tier2Bytes %d", c.Tier2Bytes)
 	}

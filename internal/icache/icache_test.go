@@ -56,11 +56,6 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("zero capacity accepted")
 	}
-	bad = DefaultConfig(1 << 20)
-	bad.HShare = 1.0
-	if err := bad.Validate(); err == nil {
-		t.Error("HShare=1 accepted")
-	}
 }
 
 func TestSubstitutePolicyString(t *testing.T) {

@@ -205,12 +205,8 @@ func (h *JobHandle) BeginEpoch(at simclock.Time, epoch int, tr *sampling.Tracker
 	sched, own := sampling.IISSchedule(tr, h.j.iis, rng)
 	h.j.ownHList = own
 	h.j.rivs = tr.Percentiles()
-	if h.c.srv.cfg.ProbeBatches > 0 {
-		h.j.probePhase, h.j.probeCount = 0, 0
-		h.j.tCacheless, h.j.tCache = 0, 0
-	} else {
-		h.j.probePhase = 2
-	}
+	h.j.probePhase, h.j.probeCount = 0, 0
+	h.j.tCacheless, h.j.tCache = 0, 0
 	h.c.recompute()
 	h.c.srv.startEpoch(at)
 	return sched
@@ -218,7 +214,7 @@ func (h *JobHandle) BeginEpoch(at simclock.Time, epoch int, tr *sampling.Tracker
 
 // probeTarget is the per-phase probe volume in samples: the paper's 20
 // mini-batches at its default batch size.
-func (h *JobHandle) probeTarget() int { return h.c.srv.cfg.ProbeBatches * 256 }
+func (h *JobHandle) probeTarget() int { return h.c.srv.probeBatches * 256 }
 
 // FetchBatch implements the data-service contract with the benefit probe of
 // §III-D layered on top: the first probe volume bypasses the cache entirely

@@ -66,12 +66,11 @@ func TestCoordinatorTwoJobsShareCache(t *testing.T) {
 func TestCoordinatorProbePhases(t *testing.T) {
 	back := testBackend(t)
 	// A small probe so both phases fit inside the test dataset's epoch.
-	cfg := DefaultConfig(back.Spec().TotalBytes() / 5)
-	cfg.ProbeBatches = 2
-	srv, err := NewServer(back, cfg, sampling.DefaultIIS(), 42)
+	srv, err := NewServer(back, DefaultConfig(back.Spec().TotalBytes()/5), sampling.DefaultIIS(), 42)
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.probeBatches = 2
 	coord := NewCoordinator(srv, CoordAIV)
 	job, _ := coord.Register("j", sampling.DefaultIIS())
 	tr := trainedTracker(t, back.Spec().NumSamples, 1)

@@ -31,6 +31,9 @@ type Server struct {
 	rng  *rand.Rand
 	// base is a baseline scheme's residency (baseline.go); nil runs iCache.
 	base *baselineState
+	// probeBatches is the per-phase volume of a multi-job benefit probe
+	// (probeBatches; white-box tests lower it).
+	probeBatches int
 
 	h  *hcache
 	l  *lcache
@@ -97,7 +100,7 @@ func NewServer(backend *storage.Backend, cfg Config, iis sampling.IISConfig, see
 	if err := iis.Validate(); err != nil {
 		return nil, err
 	}
-	hBytes := int64(float64(cfg.CapacityBytes) * cfg.HShare)
+	hBytes := int64(float64(cfg.CapacityBytes) * InitialHShare)
 	lBytes := cfg.CapacityBytes - hBytes
 	if !cfg.EnableLCache {
 		hBytes, lBytes = cfg.CapacityBytes, 0
@@ -115,14 +118,15 @@ func NewServer(backend *storage.Backend, cfg Config, iis sampling.IISConfig, see
 	}
 	rng := rand.New(rand.NewSource(seed))
 	s := &Server{
-		cfg:   cfg,
-		spec:  backend.Spec(),
-		iis:   iis,
-		rng:   rng,
-		h:     newHCache(hBytes),
-		l:     newLCache(lBytes),
-		ld:    newLoader(backend.Spec(), pkg, rand.New(rand.NewSource(seed+1))),
-		hlist: sampling.NewHList(nil),
+		cfg:          cfg,
+		spec:         backend.Spec(),
+		iis:          iis,
+		rng:          rng,
+		h:            newHCache(hBytes),
+		l:            newLCache(lBytes),
+		ld:           newLoader(backend.Spec(), pkg, rand.New(rand.NewSource(seed+1))),
+		hlist:        sampling.NewHList(nil),
+		probeBatches: probeBatches,
 	}
 	s.vt = &vtReader{s: s, backend: backend, repack: repackPerSample}
 	s.readPackage = s.vt.read
@@ -682,5 +686,5 @@ func (s *Server) pickSubstitute() (dataset.SampleID, bool) {
 // String describes the server configuration.
 func (s *Server) String() string {
 	return fmt.Sprintf("icache{cap=%dB hshare=%.2f lcache=%v sub=%v}",
-		s.cfg.CapacityBytes, s.cfg.HShare, s.cfg.EnableLCache, s.cfg.Substitute)
+		s.cfg.CapacityBytes, InitialHShare, s.cfg.EnableLCache, s.cfg.Substitute)
 }

@@ -89,7 +89,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 }
 
 // MetricsHandler serves the Prometheus text exposition on GET /metrics (any
-// path; the ?format=prom older scrapers send is accepted and ignored).
+// path; a query is ignored).
 func (s *Server) MetricsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {

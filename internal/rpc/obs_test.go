@@ -58,8 +58,8 @@ func hotIDs(t *testing.T, c *Client, n int) []dataset.SampleID {
 }
 
 // TestPrometheusExposition drives traffic through an obs-enabled server
-// and scrapes /metrics, with and without the ?format=prom older scrapers
-// send: every stats family must render, the per-stage histograms must
+// and scrapes /metrics, and another path with a query, which the handler
+// ignores: every stats family must render, the per-stage histograms must
 // appear, and the values must agree with the typed snapshot taken in the
 // same breath.
 func TestPrometheusExposition(t *testing.T) {

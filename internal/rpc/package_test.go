@@ -69,7 +69,7 @@ func requireLResidentsStored(t *testing.T, srv *Server) {
 func requireLCacheFull(t *testing.T, srv *Server) {
 	t.Helper()
 	cfg := icache.DefaultConfig(testSpec().TotalBytes() / 5)
-	lBytes := cfg.CapacityBytes - int64(float64(cfg.CapacityBytes)*cfg.HShare)
+	lBytes := cfg.CapacityBytes - int64(float64(cfg.CapacityBytes)*icache.InitialHShare)
 	srv.policyMu.Lock()
 	var unused int64
 	for _, id := range lResidents(srv) {

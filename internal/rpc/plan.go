@@ -100,7 +100,7 @@ func (s *Server) route(dist *distState, missing []dataset.SampleID, st *PlanStat
 		}
 		owners = append(owners, chunk...)
 	}
-	peerIDs := dist.peerNodeIDs()
+	members := dist.planMembers()
 	var local []dataset.SampleID
 	routed := make(map[dkv.NodeID][]dataset.SampleID)
 	for i, id := range missing {
@@ -108,7 +108,7 @@ func (s *Server) route(dist *distState, missing []dataset.SampleID, st *PlanStat
 			st.SkippedCluster++
 			continue
 		}
-		owner := rendezvousOwner(id, dist.nodeID, peerIDs)
+		owner := dkv.Rendezvous(id, members)
 		if owner == dist.nodeID {
 			local = append(local, id)
 			continue
@@ -175,32 +175,13 @@ func (s *Server) acceptRemote(ids []dataset.SampleID) int {
 	return s.prefetch.addPlan(accepted, nil)
 }
 
-// rendezvousOwner picks id's future owner by highest-random-weight hashing
-// over this node and its peers: every node computes the same answer from
-// the same membership, with no coordination.
-func rendezvousOwner(id dataset.SampleID, self dkv.NodeID, peers []dkv.NodeID) dkv.NodeID {
-	best, bestW := self, planWeight(self, id)
-	for _, n := range peers {
-		if w := planWeight(n, id); w > bestW || (w == bestW && n > best) {
-			best, bestW = n, w
-		}
-	}
-	return best
-}
-
-// planWeight is a splitmix64-style mix of (node, sample).
-func planWeight(n dkv.NodeID, id dataset.SampleID) uint64 {
-	x := uint64(n)*0x9E3779B97F4A7C15 + uint64(id)*0xBF58476D1CE4E5B9
-	x ^= x >> 31
-	x *= 0x94D049BB133111EB
-	x ^= x >> 29
-	return x
-}
-
-// peerNodeIDs lists the other nodes in the static address book, sorted —
-// the rendezvous membership this node hashes over.
-func (d *distState) peerNodeIDs() []dkv.NodeID {
-	out := make([]dkv.NodeID, 0, len(d.peerAddrs))
+// planMembers lists this node and the others in the static address book,
+// sorted: the membership a plan entry's future owner is hashed over
+// (dkv.Rendezvous), so every node computes the same answer with no
+// coordination.
+func (d *distState) planMembers() []dkv.NodeID {
+	out := make([]dkv.NodeID, 0, len(d.peerAddrs)+1)
+	out = append(out, d.nodeID)
 	for n := range d.peerAddrs {
 		out = append(out, n)
 	}

@@ -216,27 +216,26 @@ func UniformSchedule(n int, rng *rand.Rand) Schedule {
 	return Schedule{Fetch: fetch, Train: train}
 }
 
-// CISConfig parameterizes the computing-oriented IS baseline.
-type CISConfig struct {
-	// ComputeFraction is the share of fetched samples actually computed.
-	ComputeFraction float64
-	// HFraction is the share of the dataset treated as important; important
-	// samples are always computed, the rest fill the compute budget randomly.
-	HFraction float64
-}
-
-// DefaultCIS matches the paper's observed ~1.3× compute reduction.
-func DefaultCIS() CISConfig { return CISConfig{ComputeFraction: 0.77, HFraction: 0.2} }
+// The computing-oriented IS baseline's shares, matching the paper's observed
+// ~1.3× compute reduction.
+const (
+	// cisComputeFraction is the share of fetched samples actually computed.
+	cisComputeFraction = 0.77
+	// cisHFraction is the share of the dataset treated as important;
+	// important samples are always computed, the rest fill the compute
+	// budget randomly.
+	cisHFraction = 0.2
+)
 
 // CISSchedule fetches every sample (random order) but computes only an
-// importance-biased subset: the top HFraction by importance always train;
+// importance-biased subset: the top cisHFraction by importance always train;
 // the remaining compute budget is spread uniformly over the rest.
-func CISSchedule(t *Tracker, cfg CISConfig, rng *rand.Rand) Schedule {
+func CISSchedule(t *Tracker, rng *rand.Rand) Schedule {
 	n := t.Len()
 	s := UniformSchedule(n, rng)
-	hCount := int(cfg.HFraction * float64(n))
+	hCount := int(cisHFraction * float64(n))
 	h := t.BuildHList(hCount)
-	budget := int(cfg.ComputeFraction*float64(n)) - hCount
+	budget := int(cisComputeFraction*float64(n)) - hCount
 	lTotal := n - hCount
 	var pL float64
 	if lTotal > 0 && budget > 0 {

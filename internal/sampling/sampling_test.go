@@ -175,18 +175,17 @@ func TestCISScheduleFetchesAllComputesSubset(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		tr.Observe(dataset.SampleID(i), rng.Float64())
 	}
-	cfg := DefaultCIS()
-	s := CISSchedule(tr, cfg, rand.New(rand.NewSource(2)))
+	s := CISSchedule(tr, rand.New(rand.NewSource(2)))
 	if len(s.Fetch) != 1000 {
 		t.Fatalf("CIS fetched %d, want all 1000", len(s.Fetch))
 	}
 	trained := s.TrainedCount()
-	want := int(cfg.ComputeFraction * 1000)
+	want := int(cisComputeFraction * 1000)
 	if trained < want-80 || trained > want+80 {
 		t.Fatalf("CIS trained %d, want ≈%d", trained, want)
 	}
 	// Every H-sample must be trained.
-	h := tr.BuildHList(int(cfg.HFraction * 1000))
+	h := tr.BuildHList(int(cisHFraction * 1000))
 	for i, id := range s.Fetch {
 		if h.Contains(id) && !s.Train[i] {
 			t.Fatalf("H-sample %d not trained under CIS", id)

@@ -1,6 +1,6 @@
 // Package top implements the scraping and rendering core of cmd/icache-top:
 // a cluster-at-a-glance terminal view built from each node's Prometheus
-// exposition (/metrics?format=prom) and in-process timeline
+// exposition (/metrics) and in-process timeline
 // (/debug/timeline). The package is deliberately dependency-free — the
 // Prometheus parser handles exactly the subset the servers emit (unlabeled
 // counters and gauges) — so the CLI stays stdlib-only.
@@ -88,13 +88,13 @@ func fetch(c *http.Client, url string, decode func(io.Reader) error) error {
 	return decode(resp.Body)
 }
 
-// Scrape polls one node's /metrics?format=prom and /debug/timeline. A
+// Scrape polls one node's /metrics and /debug/timeline. A
 // missing timeline endpoint (older node, or a dkv replica without
 // -debug-addr) is not an error — rates just read 0.
 func Scrape(c *http.Client, addr string) View {
 	v := View{Name: addr}
 	base := baseURL(addr)
-	err := fetch(c, base+"/metrics?format=prom", func(r io.Reader) error {
+	err := fetch(c, base+"/metrics", func(r io.Reader) error {
 		m, err := ParseProm(r)
 		v.Metrics = m
 		return err

@@ -53,7 +53,7 @@ func realService(t *testing.T, spec dataset.Spec) DataService {
 // noCache is the cacheless reader: the engine over a policy that admits
 // nothing, so every request reads the backend.
 func noCache(back *storage.Backend) DataService {
-	return icache.NewBaselineServer(back, icache.Baseline{Name: "nocache", Policy: cache.None{}})
+	return icache.NewBaselineServer(back, icache.Baseline{Name: "nocache", Policy: cache.None()})
 }
 
 func TestJobRunsAllEpochs(t *testing.T) {

@@ -89,8 +89,9 @@ type DialConfig struct {
 // breakerOK is the one policy the two protocols do not share: it maps a
 // round-trip error to the health of the server for cfg.Breaker (true = the
 // server answered). A cache peer that sheds counts against its breaker — the
-// caller has a backend to fall back to; a directory that sheds does not — it
-// has proved it is alive, and there is no second directory.
+// caller has a backend to fall back to; a directory replica that sheds does
+// not — it has proved it is alive, and no other replica holds its shards'
+// entries.
 func Dial(addr string, cfg DialConfig, breakerOK func(error) bool) (*Client, error) {
 	c := &Client{
 		addr:        addr,
