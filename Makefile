@@ -56,7 +56,10 @@ vet:
 # Clairvoyant switch (checked in internal/icache: a client that sends its
 # plan is the one switch), or code no run reached (EventQueue, WrapSource,
 # WrapDirScoped, composeStatic, IsPermanent, the always-zero
-# icache_loader_wasted_ series), comments excepted, and no
+# icache_loader_wasted_ series, and the four extension experiments' hooks:
+# the spill tier's Tier2Bytes, Tier2Len and Tier2Hits, data echoing's
+# EchoFactor, and the importance criteria's Criterion and ProxyScore),
+# comments excepted, and no
 # shipped config keeps a knob only tests set: overload.GateConfig names no
 # Window, ShedWindows, FloorRate or FloorBurst, BreakerConfig no Cooldown,
 # rpc.PeerConfig no Inflight or BreakerCooldown, rpc.MembershipConfig no
@@ -193,7 +196,7 @@ lint:
 		echo "a second ring view (replicas hold none; the sharded client's view is the only one):"; echo "$$stray"; exit 1; \
 	fi
 	@stray=$$(for f in $$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*'); do \
-		sed 's,//.*,,' $$f | grep -nwE 'EventQueue|WrapSource|WrapDirScoped|ServiceConfig|composeStatic|IsPermanent|PackageBytes|RepackPerSample|BenefitThreshold|FreqDecay|PeerLatency|PeerBandwidth|ProbeBatches|CISConfig|DefaultCIS' | sed "s,^,$$f:,"; \
+		sed 's,//.*,,' $$f | grep -nwE 'EventQueue|WrapSource|WrapDirScoped|ServiceConfig|composeStatic|IsPermanent|PackageBytes|RepackPerSample|BenefitThreshold|FreqDecay|PeerLatency|PeerBandwidth|ProbeBatches|CISConfig|DefaultCIS|Tier2Bytes|Tier2Len|Tier2Hits|EchoFactor|ProxyScore|Criterion' | sed "s,^,$$f:,"; \
 		sed 's,//.*,,' $$f | grep -nF 'icache_loader_wasted_' | sed "s,^,$$f:,"; \
 	done; for f in $$(ls internal/icache/*.go | grep -v _test.go); do \
 		sed 's,//.*,,' $$f | grep -nw 'Clairvoyant' | sed "s,^,$$f:,"; \

@@ -82,21 +82,8 @@ func BenchmarkAblPackaging(b *testing.B) { benchExperiment(b, "abl-packaging") }
 // BenchmarkAblPartition runs the H/L partition-policy ablation.
 func BenchmarkAblPartition(b *testing.B) { benchExperiment(b, "abl-partition") }
 
-// BenchmarkExtCriteria runs the §VI importance-criteria extension study.
-func BenchmarkExtCriteria(b *testing.B) { benchExperiment(b, "ext-criteria") }
-
-// BenchmarkExtTier runs the §VI local-storage spill-tier extension study.
-func BenchmarkExtTier(b *testing.B) { benchExperiment(b, "ext-tier") }
-
-// BenchmarkExtTTA runs the time-to-accuracy study (speed and accuracy loss
-// folded into one metric).
-func BenchmarkExtTTA(b *testing.B) { benchExperiment(b, "ext-tta") }
-
 // BenchmarkExtSeeds runs the seed-variance robustness study.
 func BenchmarkExtSeeds(b *testing.B) { benchExperiment(b, "ext-seeds") }
-
-// BenchmarkExtEcho runs the data-echoing comparison (§VII-B related work).
-func BenchmarkExtEcho(b *testing.B) { benchExperiment(b, "ext-echo") }
 
 // BenchmarkExtPolicies runs the classical-policy comparison.
 func BenchmarkExtPolicies(b *testing.B) { benchExperiment(b, "ext-policies") }

@@ -134,16 +134,14 @@ func (d *Directory) write(o ownOp) bool {
 	return d.writeLocked(o)
 }
 
-// applyOwnership applies ops in order under one lock hold: out[i] is what the
-// serial Claim or Release of ops[i] would have returned.
-func (d *Directory) applyOwnership(ops []ownOp) []bool {
-	out := make([]bool, len(ops))
+// applyOwnership applies ops in order under one lock hold, handing verdict
+// what the serial Claim or Release of each op would have returned.
+func (d *Directory) applyOwnership(ops []ownOp, verdict func(bool)) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for i, o := range ops {
-		out[i] = d.writeLocked(o)
+	for _, o := range ops {
+		verdict(d.writeLocked(o))
 	}
-	return out
 }
 
 func (d *Directory) writeLocked(o ownOp) bool {

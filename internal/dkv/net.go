@@ -125,11 +125,8 @@ func (s *DirServer) dispatch(req []byte, e *wire.Buffer) error {
 		}
 		s.ownFrames.Add(1)
 		s.ownOps.Add(int64(len(ops)))
-		verdicts := s.dir.applyOwnership(ops)
-		e.U32(uint32(len(verdicts)))
-		for _, v := range verdicts {
-			encodeBool(e, v)
-		}
+		e.U32(uint32(len(ops)))
+		s.dir.applyOwnership(ops, func(v bool) { encodeBool(e, v) })
 	case opLen:
 		e.I64(int64(s.dir.Len()))
 	case opRegister:

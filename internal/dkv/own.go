@@ -48,17 +48,20 @@ func decodeOwnBatch(d *wire.Reader) ([]ownOp, error) {
 	return ops, d.Err
 }
 
-// ownCall is one caller in the combiner: its entries, then one verdict per
-// entry or its frame's error. lead, once set, is the frame the caller sends:
-// itself, then the calls queued behind it. A queued one-entry call keeps its
-// entry and verdict in one and oneV.
+// ownCall is one caller in the combiner: its entries (one of kind by node
+// for each of ids), then one verdict per entry or its frame's error. lead,
+// once set, is the frame the caller sends: itself, then the calls queued
+// behind it. A queued one-entry call keeps its id and verdict in one and
+// oneV.
 type ownCall struct {
-	ops      []ownOp
+	kind     byte
+	node     NodeID
+	ids      []dataset.SampleID
 	verdicts []bool
 	err      error
 	lead     []*ownCall
 	wake     chan struct{}
-	one      [1]ownOp
+	one      [1]dataset.SampleID
 	oneV     [1]bool
 }
 
@@ -69,27 +72,28 @@ type combiner struct {
 	queue   []*ownCall
 }
 
-// writeOwnership sends ops (at most MaxOwnBatch) and writes one verdict per op
-// into verdicts. A call that finds no ownership frame in flight sends at once,
-// from its caller's memory; one that finds a frame in flight queues a copy,
-// and when that frame's reply lands the first queued caller sends everything
-// queued, up to MaxOwnBatch entries, as one frame. A failed frame fails each
-// of its calls with its error.
-func (c *DirClient) writeOwnership(ops []ownOp, verdicts []bool) error {
+// writeOwnership sends one entry of kind by node for each of ids (at most
+// MaxOwnBatch) and writes one verdict per entry into verdicts. A call that
+// finds no ownership frame in flight sends at once, from its caller's memory;
+// one that finds a frame in flight queues a copy, and when that frame's reply
+// lands the first queued caller sends everything queued, up to MaxOwnBatch
+// entries, as one frame. A failed frame fails each of its calls with its
+// error.
+func (c *DirClient) writeOwnership(kind byte, ids []dataset.SampleID, node NodeID, verdicts []bool) error {
 	q := &c.own
 	q.mu.Lock()
 	if !q.sending {
 		q.sending = true
 		q.mu.Unlock()
-		solo := ownCall{ops: ops, verdicts: verdicts}
+		solo := ownCall{kind: kind, node: node, ids: ids, verdicts: verdicts}
 		return c.sendTurn([]*ownCall{&solo})
 	}
-	call := &ownCall{wake: make(chan struct{}, 1)}
-	call.ops, call.verdicts = call.one[:], call.oneV[:]
-	if len(ops) != 1 {
-		call.ops, call.verdicts = make([]ownOp, len(ops)), make([]bool, len(ops))
+	call := &ownCall{kind: kind, node: node, wake: make(chan struct{}, 1)}
+	call.ids, call.verdicts = call.one[:], call.oneV[:]
+	if len(ids) != 1 {
+		call.ids, call.verdicts = make([]dataset.SampleID, len(ids)), make([]bool, len(ids))
 	}
-	copy(call.ops, ops)
+	copy(call.ids, ids)
 	q.queue = append(q.queue, call)
 	q.mu.Unlock()
 	if <-call.wake; call.lead != nil {
@@ -120,8 +124,8 @@ func (q *combiner) next() []*ownCall {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	n, k := 0, 0
-	for ; k < len(q.queue) && n+len(q.queue[k].ops) <= MaxOwnBatch; k++ {
-		n += len(q.queue[k].ops)
+	for ; k < len(q.queue) && n+len(q.queue[k].ids) <= MaxOwnBatch; k++ {
+		n += len(q.queue[k].ids)
 	}
 	frame := q.queue[:k:k]
 	q.queue, q.sending = q.queue[k:], k > 0
@@ -133,16 +137,16 @@ func (q *combiner) next() []*ownCall {
 func (c *DirClient) sendOwnership(frame []*ownCall) error {
 	n := 0
 	for _, call := range frame {
-		n += len(call.ops)
+		n += len(call.ids)
 	}
 	e := wire.GetBuffer()
 	e.U8(opOwnBatch)
 	e.U32(uint32(n))
 	for _, call := range frame {
-		for _, o := range call.ops {
-			e.U8(o.kind)
-			e.I64(int64(o.id))
-			e.I64(int64(o.node))
+		for _, id := range call.ids {
+			e.U8(call.kind)
+			e.I64(int64(id))
+			e.I64(int64(call.node))
 		}
 	}
 	d, owner, err := c.roundTripDeadline(e, time.Time{})
@@ -171,15 +175,15 @@ func decodeVerdicts(d *wire.Reader, n int, frame []*ownCall) error {
 
 // Claim registers node as the owner of id (first claim wins).
 func (c *DirClient) Claim(id dataset.SampleID, node NodeID) (bool, error) {
-	var v [1]bool
-	err := c.writeOwnership([]ownOp{{ownClaim, id, node}}, v[:])
+	ids, v := [1]dataset.SampleID{id}, [1]bool{}
+	err := c.writeOwnership(ownClaim, ids[:], node, v[:])
 	return err == nil && v[0], err
 }
 
 // Release removes node's ownership of id.
 func (c *DirClient) Release(id dataset.SampleID, node NodeID) (bool, error) {
-	var v [1]bool
-	err := c.writeOwnership([]ownOp{{ownRelease, id, node}}, v[:])
+	ids, v := [1]dataset.SampleID{id}, [1]bool{}
+	err := c.writeOwnership(ownRelease, ids[:], node, v[:])
 	return err == nil && v[0], err
 }
 
@@ -191,14 +195,11 @@ func (c *DirClient) WriteBatch(release bool, ids []dataset.SampleID, node NodeID
 		kind = ownRelease
 	}
 	for done := 0; done < len(ids); {
-		ops := make([]ownOp, min(len(ids)-done, MaxOwnBatch))
-		for i := range ops {
-			ops[i] = ownOp{kind, ids[done+i], node}
-		}
-		if err := c.writeOwnership(ops, out[done:done+len(ops)]); err != nil {
+		n := min(len(ids)-done, MaxOwnBatch)
+		if err := c.writeOwnership(kind, ids[done:done+n], node, out[done:done+n]); err != nil {
 			return out[:done], err
 		}
-		done += len(ops)
+		done += n
 	}
 	return out, nil
 }

@@ -57,7 +57,8 @@ func TestOwnBatchEqualsSerialCalls(t *testing.T) {
 		for i := range ops {
 			ops[i] = ownOp{kind: byte(ownClaim + rng.Intn(3)/2), id: dataset.SampleID(rng.Intn(32)), node: NodeID(rng.Intn(3))}
 		}
-		got := batched.applyOwnership(ops)
+		var got []bool
+		batched.applyOwnership(ops, func(v bool) { got = append(got, v) })
 		for i, o := range ops {
 			var want bool
 			if o.kind == ownRelease {
@@ -380,22 +381,44 @@ func TestShardedLastReplicaStaysInTheView(t *testing.T) {
 	}
 }
 
-// TestShardedOneOwnerClaimAllocs: a claim whose ids all route to one owner —
-// every claim on a one-replica ring, which is what a node with a single -dir
-// address dials — rides that owner's call as it is, without the regrouping a
-// multi-owner batch pays for.
+// TestShardedOneOwnerClaimAllocs: a claim or release whose ids all route to
+// one owner — every one on a one-replica ring, which is what a node with a
+// single -dir address dials — rides that owner's call as it is, without the
+// regrouping a multi-owner batch pays for. Over a loopback DirClient, client
+// and directory server together, it allocates the one-id slice, the verdict
+// slice WriteBatch returns and the two the bare client's Claim costs.
 func TestShardedOneOwnerClaimAllocs(t *testing.T) {
-	ring := NewShardedDir(map[ReplicaID]Service{0: Local{NewDirectory()}}, ShardedConfig{})
-	id := dataset.SampleID(0)
-	allocs := testing.AllocsPerRun(200, func() {
-		id++
-		if ok, err := ring.Claim(id, 1); !ok || err != nil {
-			t.Fatalf("claim %d: (%v, %v)", id, ok, err)
+	_, _, addr := startOwnServer(t)
+	client, err := DialDir(addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	for _, tc := range []struct {
+		name string
+		svc  Service
+		max  float64
+	}{
+		{"local", Local{NewDirectory()}, 3},
+		{"loopback DirClient", client, 4},
+	} {
+		ring := NewShardedDir(map[ReplicaID]Service{0: tc.svc}, ShardedConfig{})
+		for _, op := range []struct {
+			name  string
+			write func(dataset.SampleID, NodeID) (bool, error)
+		}{{"claim", ring.Claim}, {"release", ring.Release}} {
+			id := dataset.SampleID(0)
+			allocs := testing.AllocsPerRun(2000, func() {
+				id++
+				if ok, err := op.write(id, 1); !ok || err != nil {
+					t.Fatalf("%s: %s %d: (%v, %v)", tc.name, op.name, id, ok, err)
+				}
+			})
+			t.Logf("%s: %.0f allocations per %s", tc.name, allocs, op.name)
+			if allocs > tc.max {
+				t.Errorf("%s: one-id %s through a one-replica ShardedDir: %.0f allocations, want <= %.0f", tc.name, op.name, allocs, tc.max)
+			}
 		}
-	})
-	t.Logf("%.0f allocations per claim", allocs)
-	if allocs > 3 {
-		t.Fatalf("one-id claim through a one-replica ShardedDir: %.0f allocations, want <= 3", allocs)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"time"
 
 	"icache/internal/cache"
 	"icache/internal/dataset"
@@ -294,15 +293,3 @@ func fmtPct(f float64) string { return fmt.Sprintf("%.1f%%", 100*f) }
 
 // fmtAcc renders an accuracy in percent.
 func fmtAcc(f float64) string { return fmt.Sprintf("%.2f", f) }
-
-// avgCompute averages the per-epoch GPU compute time of a run.
-func avgCompute(rs metrics.RunStats) time.Duration {
-	if len(rs.Epochs) == 0 {
-		return 0
-	}
-	var total time.Duration
-	for _, e := range rs.Epochs {
-		total += e.Compute
-	}
-	return total / time.Duration(len(rs.Epochs))
-}

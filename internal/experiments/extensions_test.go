@@ -1,53 +1,9 @@
 package experiments
 
 import (
-	"strconv"
 	"strings"
 	"testing"
 )
-
-// TestExtTTAShape asserts the combined speed+accuracy result: iCache
-// reaches the target in clearly less time.
-func TestExtTTAShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment runs take seconds")
-	}
-	rep, err := Run("ext-tta", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range rep.Rows {
-		if row[2] == "not reached" || row[4] == "not reached" {
-			t.Fatalf("%s: target not reached: %v", row[0], row)
-		}
-		if sp := parseX(t, row[6]); sp < 1.3 {
-			t.Errorf("%s: TTA speedup %.2f < 1.3", row[0], sp)
-		}
-	}
-}
-
-// TestExtTierShape asserts the spill tier helps: higher hit ratio, no
-// slower epochs.
-func TestExtTierShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment runs take seconds")
-	}
-	rep, err := Run("ext-tier", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dram, tier := rep.Rows[0], rep.Rows[1]
-	if parsePct(t, tier[2]) <= parsePct(t, dram[2]) {
-		t.Errorf("tier hit ratio %s not above dram-only %s", tier[2], dram[2])
-	}
-	if parseSec(t, tier[1]) > parseSec(t, dram[1]) {
-		t.Errorf("tier epoch %s slower than dram-only %s", tier[1], dram[1])
-	}
-	hits, err := strconv.Atoi(tier[3])
-	if err != nil || hits == 0 {
-		t.Errorf("tier2 hits/epoch = %q", tier[3])
-	}
-}
 
 // TestExtPoliciesShape asserts the policy spread: recency ~2%, iCache on
 // top.
@@ -70,28 +26,6 @@ func TestExtPoliciesShape(t *testing.T) {
 		if hit["icache"] <= hit[p] {
 			t.Errorf("icache hit %.3f not above %s %.3f", hit["icache"], p, hit[p])
 		}
-	}
-}
-
-// TestExtEchoShape asserts echoing's stall→compute conversion.
-func TestExtEchoShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment runs take seconds")
-	}
-	rep, err := Run("ext-echo", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	byName := map[string][]string{}
-	for _, row := range rep.Rows {
-		byName[row[0]] = row
-	}
-	def, echo := byName["default"], byName["default+echo2"]
-	if parseSec(t, echo[2]) >= parseSec(t, def[2]) {
-		t.Error("echo did not reduce stall")
-	}
-	if parseSec(t, echo[3]) <= parseSec(t, def[3]) {
-		t.Error("echo did not add compute")
 	}
 }
 

@@ -121,10 +121,6 @@ type Config struct {
 	// thread (the paper's contribution) or static pre-packed chunks read in
 	// the foreground on an L-miss (the prior-work baseline).
 	Packaging PackagingMode
-	// Tier2Bytes enables the §VI local-storage spill tier: H-cache
-	// evictions land on a local NVMe/PM device of this capacity, and
-	// H-misses check it before paying a remote read. 0 disables the tier.
-	Tier2Bytes int64
 }
 
 // InitialHShare is the fraction of capacity the H-cache starts with: the
@@ -159,10 +155,6 @@ const (
 	// freqDecay smooths the per-epoch access-frequency estimates used by
 	// PartitionByFrequency.
 	freqDecay = 0.5
-	// tier2ReadLatency and tier2Bandwidth model the spill tier's local
-	// device, a data-center NVMe.
-	tier2ReadLatency = 80 * time.Microsecond
-	tier2Bandwidth   = 2e9
 )
 
 // DefaultConfig returns the paper's defaults for a given capacity.
@@ -177,11 +169,8 @@ func DefaultConfig(capacityBytes int64) Config {
 
 // Validate reports whether the config is usable.
 func (c Config) Validate() error {
-	switch {
-	case c.CapacityBytes <= 0:
+	if c.CapacityBytes <= 0 {
 		return fmt.Errorf("icache: CapacityBytes=%d, want > 0", c.CapacityBytes)
-	case c.Tier2Bytes < 0:
-		return fmt.Errorf("icache: negative Tier2Bytes %d", c.Tier2Bytes)
 	}
 	return nil
 }

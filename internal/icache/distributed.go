@@ -67,7 +67,7 @@ type clusterNode struct {
 // FetchBatchOn; data-parallel jobs share one importance tracker, so every
 // node is handed the same H-list.
 //
-// A node is an icache.Server — Algorithm 1, the loader, tier 2 and the
+// A node is an icache.Server — Algorithm 1, the loader and the
 // decision ledger are the single-node ones — joined to the cluster at three
 // seams: its eviction observer and admission claims keep the directory's
 // ownership exact, and the request it is about to send to the backend is

@@ -38,11 +38,6 @@ type Server struct {
 	h  *hcache
 	l  *lcache
 	ld *loader
-	// t2 is the optional local-storage spill tier (nil when disabled).
-	t2 *tier2
-	// userEvict is the externally registered eviction observer; the server
-	// chains it after its own spill hook.
-	userEvict func(dataset.SampleID)
 
 	// The distributed mode's seams, nil on a lone server; a Cluster sets
 	// them on its nodes (distributed.go). claim must approve every H
@@ -130,15 +125,6 @@ func NewServer(backend *storage.Backend, cfg Config, iis sampling.IISConfig, see
 	}
 	s.vt = &vtReader{s: s, backend: backend, repack: repackPerSample}
 	s.readPackage = s.vt.read
-	if cfg.Tier2Bytes > 0 {
-		s.t2 = newTier2(cfg.Tier2Bytes, tier2ReadLatency, tier2Bandwidth)
-		s.h.onEvict = func(id dataset.SampleID) {
-			s.t2.spill(id, s.spec.SampleBytes(id))
-			if s.userEvict != nil {
-				s.userEvict(id)
-			}
-		}
-	}
 	return s, nil
 }
 
@@ -198,10 +184,6 @@ type View struct {
 	Packages                   int64
 	Loading                    bool
 	LoaderUseful, LoaderWasted int64
-	// Tier2Len and Tier2Hits are the spill tier's residents and the misses
-	// it served (0 when the tier is disabled).
-	Tier2Len  int
-	Tier2Hits int64
 	// Ledger is the policy half of the decision ledger; the serving layer
 	// overlays its admission-provenance and prefetch-outcome counters.
 	Ledger metrics.DecisionStats
@@ -210,7 +192,7 @@ type View struct {
 // View reads the engine. Callers serialize it with the engine's other
 // calls (rpc.Server holds its policy lock).
 func (s *Server) View() View {
-	v := View{
+	return View{
 		Cache:        s.Stats(),
 		HLen:         s.h.len(),
 		LLen:         s.l.len(),
@@ -220,10 +202,6 @@ func (s *Server) View() View {
 		LoaderWasted: s.ld.wastedBytes,
 		Ledger:       s.decisionLedger(),
 	}
-	if s.t2 != nil {
-		v.Tier2Len, v.Tier2Hits = len(s.t2.items), s.t2.hits
-	}
-	return v
 }
 
 // HShare reports the current fraction of capacity assigned to the H-cache.
@@ -322,13 +300,9 @@ func (s *Server) Resident(id dataset.SampleID) bool {
 }
 
 // SetEvictObserver registers fn to be called with every sample evicted from
-// either cache region (payload-store invalidation on the RPC path). It
-// composes with the internal tier-2 spill hook when that is enabled.
+// either cache region (payload-store invalidation on the RPC path).
 func (s *Server) SetEvictObserver(fn func(dataset.SampleID)) {
-	s.userEvict = fn
-	if s.t2 == nil {
-		s.h.onEvict = fn
-	}
+	s.h.onEvict = fn
 	s.l.onEvict = fn
 }
 
@@ -448,16 +422,6 @@ func (s *Server) fetchOne(at simclock.Time, id dataset.SampleID, routing *sampli
 			s.tracer.Record(at, trace.KindHit, id, 0)
 			*served = append(*served, id)
 			return at + storage.HitLatency
-		}
-		if s.t2 != nil {
-			if end, ok := s.t2.read(at, id); ok {
-				// Promote the spilled sample back into DRAM; its own spill
-				// hook recycles whatever this displaces.
-				s.stats.Hits++
-				s.admitH(id, iv)
-				*served = append(*served, id)
-				return end
-			}
 		}
 		end, read := s.miss(at, id, 0, served)
 		if read && s.admitH(id, iv) {

@@ -66,11 +66,6 @@ const (
 	// Without the cap a compute-bound job whose loader substitutes most
 	// L-requests would be charged far past the paper's observed bounds.
 	subSaturation = 0.15
-	// echoCoeff scales the penalty per echoed (replayed-batch) training
-	// step: repeated gradient steps on the same mini-batch add little
-	// information and mildly overfit it, as the data-echoing literature
-	// reports.
-	echoCoeff = 2.5
 	// top5Damping is how much less Top-5 accuracy suffers than Top-1.
 	top5Damping = 0.35
 )

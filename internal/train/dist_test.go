@@ -114,8 +114,6 @@ func TestNewDistJobValidates(t *testing.T) {
 // same epochs, accuracy included, whichever constructor built the job.
 func TestOneNodeDistJobIsAJob(t *testing.T) {
 	cfg := smallConfig(ResNet18, 3)
-	cfg.Criterion = sampling.CriterionGradUpper
-	cfg.EchoFactor = 1
 	capacity := smallSpec().TotalBytes() / 5
 	single, err := NewJob(cfg, icache.NewBaselineServer(distBackend(t), icache.Baseline{Name: "default", Policy: cache.NewLRU(capacity)}))
 	if err != nil {

@@ -48,15 +48,6 @@ type Config struct {
 	Epochs int
 	// Seed drives every random choice in the job.
 	Seed int64
-	// Criterion selects the importance criterion (§VI): loss-based (the
-	// paper's default), gradient-upper-bound, or proxy-model scoring.
-	Criterion sampling.Criterion
-	// EchoFactor enables Google's data echoing (§VII-B related work): while
-	// the GPU would stall waiting for the next batch, it re-trains the
-	// previous batch up to this many extra times. 0 disables echoing.
-	// Echoing trades gradient freshness for stall time; the accuracy model
-	// charges the repeated-sample distortion.
-	EchoFactor int
 }
 
 // DefaultConfig mirrors the paper's training setup for the given model and
@@ -101,10 +92,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("train: GPUs=%d, want > 0", c.GPUs)
 	case c.Epochs <= 0:
 		return fmt.Errorf("train: Epochs=%d, want > 0", c.Epochs)
-	case c.EchoFactor < 0:
-		return fmt.Errorf("train: EchoFactor=%d, want >= 0", c.EchoFactor)
 	}
-	return c.Criterion.Validate()
+	return nil
 }
 
 // Job simulates one synchronous data-parallel training job as a resumable
@@ -137,13 +126,8 @@ type Job struct {
 	// Per-epoch accumulators.
 	stall, compute, fetchBusy time.Duration
 	fetched                   int
-	echoed                    int // sample-trainings performed as data echoes
-	// prevCompute/prevTrained describe the last consumed iteration, which
-	// data echoing replays during stalls.
-	prevCompute       time.Duration
-	prevTrained       int
-	statsAtEpochStart metrics.CacheStats
-	schedFetch        []dataset.SampleID
+	statsAtEpochStart         metrics.CacheStats
+	schedFetch                []dataset.SampleID
 
 	run  metrics.RunStats
 	done bool
@@ -216,8 +200,7 @@ func (j *Job) beginEpoch() {
 	j.gpuDone = make([]simclock.Time, (len(batches)+j.nodes-1)/j.nodes)
 	j.gpuPtr = 0
 	j.stall, j.compute, j.fetchBusy = 0, 0, 0
-	j.fetched, j.echoed = 0, 0
-	j.prevCompute, j.prevTrained = 0, 0
+	j.fetched = 0
 	j.statsAtEpochStart = j.svc.Stats()
 
 	depth := j.cfg.Workers * prefetchFactor // in iterations
@@ -285,29 +268,16 @@ func (j *Job) drainGPU() bool {
 		}
 		computeStart := j.gpuFree
 		if ready > computeStart {
-			// Data echoing: replay the previous iteration while the next one
-			// is still in flight, up to EchoFactor times, instead of stalling.
-			if j.cfg.EchoFactor > 0 && j.prevCompute > 0 {
-				for e := 0; e < j.cfg.EchoFactor && computeStart+j.prevCompute+allReduce <= ready; e++ {
-					computeStart += j.prevCompute + allReduce
-					j.compute += j.prevCompute
-					j.echoed += j.prevTrained
-				}
-			}
-			if ready > computeStart {
-				j.stall += ready - computeStart
-				computeStart = ready
-			}
+			j.stall += ready - computeStart
+			computeStart = ready
 		}
 		j.gpuFree = computeStart + computeT + allReduce
 		j.gpuDone[j.gpuPtr] = j.gpuFree
 		j.compute += computeT
 
-		trainedBefore := j.learner.Trained()
 		for k := j.gpuPtr * j.nodes; k < min((j.gpuPtr+1)*j.nodes, len(j.flags)); k++ {
 			j.trainBatch(k)
 		}
-		j.prevCompute, j.prevTrained = computeT, j.learner.Trained()-trainedBefore
 		j.gpuPtr++
 		progressed = true
 	}
@@ -350,7 +320,7 @@ func (j *Job) trainBatch(k int) {
 // finishEpoch closes out epoch accounting, updates the accuracy model, and
 // rolls into the next epoch (or completes the job).
 func (j *Job) finishEpoch() {
-	top1, top5 := j.learner.EndEpoch(j.schedFetch, j.echoed)
+	top1, top5 := j.learner.EndEpoch(j.schedFetch)
 	j.run.Epochs = append(j.run.Epochs, metrics.EpochStats{
 		Epoch:          j.epoch,
 		Duration:       j.gpuFree - j.now,

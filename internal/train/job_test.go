@@ -169,11 +169,22 @@ func TestLossObservationsFeedTracker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Opening an epoch scores nothing: only a trained sample's importance
+	// moves from the tracker's initial value.
+	job.Step()
+	moved := 0
+	for id := 0; id < spec.NumSamples; id++ {
+		if job.Tracker().Value(dataset.SampleID(id)) != trackerInit {
+			moved++
+		}
+	}
+	if moved > job.learner.Trained() {
+		t.Fatalf("%d tracker values moved after %d trained samples", moved, job.learner.Trained())
+	}
 	job.Run()
-	init := job.Tracker().Value(0)
 	changed := 0
 	for id := 0; id < spec.NumSamples; id++ {
-		if job.Tracker().Value(dataset.SampleID(id)) != init {
+		if job.Tracker().Value(dataset.SampleID(id)) != trackerInit {
 			changed++
 		}
 	}

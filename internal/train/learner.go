@@ -6,8 +6,8 @@ import (
 )
 
 // Learner is a training job's learning side, apart from any clock: it owns
-// the importance tracker and the loss model, scores each trained sample's
-// loss through the job's criterion, counts the epoch's substitutions by
+// the importance tracker and the loss model, observes each trained sample's
+// loss as its importance, counts the epoch's substitutions by
 // source and the distinct samples it trains, and at each epoch's end folds
 // the epoch's distortion into the accuracy model. Job drives it from its
 // discrete-event engine; a client training against a cache server over the
@@ -53,20 +53,10 @@ func NewLearner(cfg Config, src SubSource) (*Learner, error) {
 // Tracker exposes the importance tracker the epoch's schedule is drawn from.
 func (l *Learner) Tracker() *sampling.Tracker { return l.tracker }
 
-// BeginEpoch opens epoch: it advances the loss model's noise phase and,
-// under the proxy-model criterion, re-scores every sample. Draw the epoch's
-// schedule from Tracker after it.
+// BeginEpoch opens epoch: it advances the loss model's noise phase. Draw
+// the epoch's schedule from Tracker after it.
 func (l *Learner) BeginEpoch(epoch int) {
 	l.loss.BeginEpoch(epoch)
-	if l.cfg.Criterion == sampling.CriterionProxyModel {
-		// The proxy model re-scores every sample each epoch: no stale
-		// importance for skipped samples, but each score carries the
-		// proxy's estimation error.
-		for i := 0; i < l.tracker.Len(); i++ {
-			id := dataset.SampleID(i)
-			l.tracker.Observe(id, l.loss.ProxyScore(id, epoch))
-		}
-	}
 	l.trained, l.subLC, l.subHC, l.distinct = 0, 0, 0, 0
 	clear(l.seen)
 }
@@ -74,7 +64,7 @@ func (l *Learner) BeginEpoch(epoch int) {
 // Train takes one sample of a batch: requested is the id the schedule
 // asked for, served the id that came back (a substitute when the two
 // differ), and trained whether the step computes on it. A trained sample's
-// loss, scored by the criterion, updates its importance.
+// loss updates its importance (the paper's loss-based criterion).
 func (l *Learner) Train(requested, served dataset.SampleID, trained bool) {
 	if served != requested {
 		if l.src == SubSourceLCache {
@@ -86,7 +76,7 @@ func (l *Learner) Train(requested, served dataset.SampleID, trained bool) {
 	if !trained {
 		return
 	}
-	l.tracker.Observe(served, l.cfg.Criterion.Score(l.loss.Train(served)))
+	l.tracker.Observe(served, l.loss.Train(served))
 	if !l.seen[served] {
 		l.seen[served] = true
 		l.distinct++
@@ -101,10 +91,9 @@ func (l *Learner) Trained() int { return l.trained }
 // in place of the requested one.
 func (l *Learner) Substitutions() int { return l.subLC + l.subHC }
 
-// EndEpoch closes the epoch whose fetch order was scheduled, echoed being
-// the sample-trainings replayed as data echoes, and returns the accuracy
-// model's Top-1 and Top-5 after it.
-func (l *Learner) EndEpoch(scheduled []dataset.SampleID, echoed int) (top1, top5 float64) {
+// EndEpoch closes the epoch whose fetch order was scheduled and returns the
+// accuracy model's Top-1 and Top-5 after it.
+func (l *Learner) EndEpoch(scheduled []dataset.SampleID) (top1, top5 float64) {
 	trainedFrac := float64(l.distinct) / float64(l.cfg.Dataset.NumSamples)
 	skippedImp := skippedImportanceMean(l.tracker, scheduled)
 	var subLCFrac, subHCFrac float64
@@ -112,11 +101,6 @@ func (l *Learner) EndEpoch(scheduled []dataset.SampleID, echoed int) (top1, top5
 		subLCFrac = float64(l.subLC) / float64(l.trained)
 		subHCFrac = float64(l.subHC) / float64(l.trained)
 	}
-	var echoFrac float64
-	if l.trained+echoed > 0 {
-		echoFrac = float64(echoed) / float64(l.trained+echoed)
-	}
-	sens := l.cfg.Model.AccuracySensitivity
-	l.acc.observeEpoch(epochDistortion(sens, trainedFrac, skippedImp, subLCFrac, subHCFrac) + echoCoeff*echoFrac*sens)
+	l.acc.observeEpoch(epochDistortion(l.cfg.Model.AccuracySensitivity, trainedFrac, skippedImp, subLCFrac, subHCFrac))
 	return l.acc.accuracy()
 }

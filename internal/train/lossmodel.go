@@ -76,22 +76,6 @@ func (m *LossModel) Train(id dataset.SampleID) float64 {
 // TrainCount reports how many times a sample has been trained.
 func (m *LossModel) TrainCount(id dataset.SampleID) int { return int(m.count[id]) }
 
-// ProxyScore is the lightweight-model importance estimate of §VI: a cheap
-// model scores the sample without training on it. It sees the sample's true
-// difficulty-derived loss trajectory only approximately — the proxy's own
-// generalization error appears as a wider, epoch-varying perturbation than
-// the real model's loss noise.
-func (m *LossModel) ProxyScore(id dataset.SampleID, epoch int) float64 {
-	base := m.loss(id, m.count[id])
-	// ±35% proxy error, deterministic in (sample, epoch).
-	noise := 0.70 * (dataset.Unit(uint64(id)*0x9E3779B1+uint64(epoch), m.spec.Seed^0x9407) - 0.5)
-	s := base * (1 + noise)
-	if s < 0.01 {
-		s = 0.01
-	}
-	return s
-}
-
 // loss computes the deterministic loss value for a sample with k prior
 // training exposures at the current epoch.
 func (m *LossModel) loss(id dataset.SampleID, k int32) float64 {

@@ -94,7 +94,7 @@ func RunWireEpoch(l *Learner, rng *rand.Rand, conns []*rpc.Client, epoch, batch 
 	}
 	ep.Elapsed = time.Since(start)
 	ep.Trained, ep.Substituted = l.Trained(), l.Substitutions()
-	ep.Top1, ep.Top5 = l.EndEpoch(sched.Fetch, 0)
+	ep.Top1, ep.Top5 = l.EndEpoch(sched.Fetch)
 
 	after, err := c.Stats()
 	if err != nil {
